@@ -156,16 +156,6 @@ struct RoundState {
     interrupted: Vec<(usize, usize, f64)>,
 }
 
-/// Re-enables telemetry on drop — exploratory failover rounds run silent,
-/// and this must not leak on an early error return.
-struct TelemetryRestore;
-
-impl Drop for TelemetryRestore {
-    fn drop(&mut self) {
-        bts_telemetry::set_enabled(true);
-    }
-}
-
 /// A multi-tenant batch server over a fleet of simulated accelerators.
 ///
 /// The fleet is homogeneous, so one inner [`BtsServer`] — one
@@ -327,10 +317,8 @@ impl ClusterServer {
         // Failover fixed point. Each round evaluates the whole fleet from
         // the current dispatch assignments; interrupted jobs are re-placed
         // (or shed) and the fleet re-evaluated until every job resolves.
-        // With chip failures the intermediate rounds are throwaway work, so
-        // they run with telemetry suppressed and one final authoritative
-        // round re-emits everything (the engine is deterministic, so the
-        // re-run reproduces the converged round exactly).
+        // Intermediate rounds are throwaway work: each round records into a
+        // child telemetry capture, and only the converged one is merged.
         let mut dispatches: Vec<Vec<Dispatch>> = jobs
             .iter()
             .enumerate()
@@ -349,14 +337,13 @@ impl ClusterServer {
         for (j, d) in dispatches.iter().enumerate() {
             load[d[0].chip] += profiles[j].estimate_seconds;
         }
-        let may_migrate = !plan.chip_failures.is_empty();
-        let mut silencer = (may_migrate && ambient_telemetry).then(|| {
-            bts_telemetry::set_enabled(false);
-            TelemetryRestore
-        });
-        let mut state = loop {
+        let state = loop {
+            let round = ambient_telemetry.then(bts_telemetry::capture);
             let state = self.run_round(jobs, &profiles, &dispatches, &cluster_shed)?;
             if state.interrupted.is_empty() {
+                if let Some(round) = round {
+                    bts_telemetry::merge(round.finish());
+                }
                 break state;
             }
             // Re-place interrupted jobs in failure order (ties by id) onto
@@ -409,11 +396,6 @@ impl ClusterServer {
                 });
             }
         };
-        if silencer.take().is_some() {
-            // Drop re-enabled telemetry; re-run the converged round so the
-            // event stream reflects the final assignment.
-            state = self.run_round(jobs, &profiles, &dispatches, &cluster_shed)?;
-        }
         if ambient_telemetry {
             use bts_telemetry::ArgValue;
             let _scope = bts_telemetry::scope("cluster");

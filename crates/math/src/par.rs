@@ -110,11 +110,15 @@ where
 
     let pool = pool_with_at_least(threads - 1);
     let f = &f;
+    // Workers write telemetry into the caller's sink, not their own.
+    let sink = bts_telemetry::current();
     pool.scope(|scope| {
         let mut blocks = blocks.into_iter();
         let first = blocks.next().expect("at least one block");
         for blk in blocks {
+            let sink = sink.clone();
             scope.spawn(move || {
+                let _sink = sink.map(bts_telemetry::Sink::install);
                 IN_WORKER.with(|w| w.set(true));
                 for (j, item) in blk {
                     f(j, item);

@@ -33,8 +33,7 @@ fn is_channel_track(track: &str, kind: FuKind) -> bool {
 }
 
 impl DerivedServeFigures {
-    /// Recomputes the figures from an event stream (one serve run's events,
-    /// already filtered to a single run if several share the collector) and
+    /// Recomputes the figures from one serve run's captured event stream and
     /// the machine the run scheduled onto.
     pub fn from_events(events: &[Event], machine: &MachineModel) -> Self {
         let mut latencies = Vec::new();

@@ -1,14 +1,16 @@
-//! The global collector: one process-wide event buffer behind an atomic
-//! on/off switch.
+//! The collector: one run's telemetry as a plain value, and the per-thread
+//! sink the instrumentation points write into.
 //!
-//! Everything here is built for "free when off": the only cost an
-//! instrumentation point pays while the collector is disabled is one relaxed
-//! atomic load — no locks, no allocation, no clock reads (asserted by the
-//! counting-allocator test in `tests/zero_alloc.rs`). When enabled, events go
-//! into a bounded in-memory buffer (overflow is counted, never reallocated
-//! past the cap) and are drained by the exporters in `crate::export`.
+//! A [`Collector`] owns what one run records. While a [`Capture`] guard has
+//! it installed on a thread, that thread's `emit_*`, [`span`] and metric
+//! calls go to it; captures nest (innermost wins, [`merge`] folds a child
+//! into its parent) and are per thread, so runs never see each other's
+//! events. A thread with no sink records nothing, for one thread-local read
+//! and one atomic load per instrumentation point — no locks, allocation or
+//! clock reads (asserted by `tests/zero_alloc.rs`) — unless the environment
+//! switched telemetry on, which gives it a root sink.
 //!
-//! Two thread-local stacks give events their context:
+//! Two more thread-local stacks give events their context:
 //!
 //! * the **scope stack** ([`scope`]) names the Perfetto *process* an event
 //!   belongs to — the cluster layer pushes `chip3` around a chip's serving
@@ -18,101 +20,159 @@
 //!   its parent's id.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::collections::BTreeMap;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::event::{ArgValue, Event, EventKind};
+use crate::metrics::Metric;
+use crate::TelemetryConfig;
 
-/// Hard cap on buffered events. Past it, new events are dropped (and counted
-/// in [`dropped_events`]) instead of growing without bound — a long
-/// telemetry-enabled test run stays at a bounded memory footprint and the
-/// exported trace keeps its prefix.
+/// Hard cap on one collector's buffered events. Past it, new events are
+/// dropped (and counted in [`Collector::dropped`]) instead of growing
+/// without bound — a long telemetry-enabled run stays at a bounded memory
+/// footprint and the exported trace keeps its prefix.
 pub const MAX_EVENTS: usize = 250_000;
 
-/// 0 = undecided (consult the environment on first use), 1 = off, 2 = on.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-static EVENTS: Mutex<Vec<Event>> = Mutex::new(Vec::new());
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
+/// Whether the environment switched telemetry on; read once per process.
+static ENV_ON: OnceLock<bool> = OnceLock::new();
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(0);
 /// Epoch for real-time spans: set on the first span, so `ts` starts near 0.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 thread_local! {
+    /// The innermost sink installed on this thread.
+    static CURRENT: RefCell<Option<Sink>> = const { RefCell::new(None) };
     static SCOPES: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
     static RT_TRACK: RefCell<Option<String>> = const { RefCell::new(None) };
 }
 
-/// Whether the collector is recording. The first call (per process) consults
-/// the environment: `BTS_TRACE`, `BTS_METRICS` or `BTS_TELEMETRY` (any
-/// non-empty value other than `BTS_TELEMETRY=0`) switch collection on.
-/// [`set_enabled`] overrides the environment either way.
+/// Everything one run recorded.
+#[derive(Debug, Default)]
+pub struct Collector {
+    /// The recorded events, oldest first; at most [`MAX_EVENTS`].
+    pub events: Vec<Event>,
+    /// Number of events dropped because the buffer hit [`MAX_EVENTS`].
+    pub dropped: u64,
+    /// The metrics registry, sorted by name.
+    pub metrics: BTreeMap<String, Metric>,
+    /// Span ids handed out so far; the next span gets `spans + 1` (0 = root).
+    spans: u64,
+}
+
+/// A cheap clonable handle to a shared [`Collector`]: [`current`] on one
+/// thread, [`Sink::install`] on another, and both write into the same run.
+#[derive(Debug, Clone, Default)]
+pub struct Sink(Arc<Mutex<Collector>>);
+
+impl Sink {
+    fn lock(&self) -> MutexGuard<'_, Collector> {
+        // A panic while holding the lock only interrupts a push; the
+        // collector stays well-formed, so poisoning is safe to shrug off.
+        self.0.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Makes this the current thread's innermost sink until the guard drops.
+    pub fn install(self) -> Capture {
+        let outer = CURRENT.with(|c| c.replace(Some(self.clone())));
+        Capture {
+            sink: self,
+            outer,
+            _this_thread: PhantomData,
+        }
+    }
+}
+
+/// RAII guard of an installed [`Sink`]; dropping it re-installs whatever was
+/// current before, so guards must drop in reverse order of creation.
+#[derive(Debug)]
+#[must_use = "dropping the capture uninstalls its sink at once"]
+pub struct Capture {
+    sink: Sink,
+    outer: Option<Sink>,
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl Capture {
+    /// Ends the capture and returns what its sink recorded.
+    pub fn finish(self) -> Collector {
+        std::mem::take(&mut *self.sink.lock())
+    }
+}
+
+impl Drop for Capture {
+    fn drop(&mut self) {
+        CURRENT.with(|c| *c.borrow_mut() = self.outer.take());
+    }
+}
+
+/// Installs a fresh [`Collector`] on this thread, shadowing any outer sink
+/// (whose span ids it continues, so a later [`merge`] keeps them unique).
+pub fn capture() -> Capture {
+    let sink = Sink::default();
+    sink.lock().spans = with_current(|outer| outer.spans).unwrap_or(0);
+    sink.install()
+}
+
+/// The current thread's innermost sink, if any.
+pub fn current() -> Option<Sink> {
+    with_sink(Sink::clone)
+}
+
+/// Appends a finished capture to the current thread's innermost sink (or
+/// discards it if there is none): events up to [`MAX_EVENTS`], drops, metrics
+/// (counters add, histograms merge, anything else takes the child's value).
+pub fn merge(child: Collector) {
+    with_current(|c| {
+        let room = MAX_EVENTS.saturating_sub(c.events.len());
+        c.dropped += child.dropped + child.events.len().saturating_sub(room) as u64;
+        c.events.extend(child.events.into_iter().take(room));
+        c.spans = c.spans.max(child.spans);
+        for (name, metric) in child.metrics {
+            match (c.metrics.get_mut(&name), metric) {
+                (Some(Metric::Counter(mine)), Metric::Counter(theirs)) => *mine += theirs,
+                (Some(Metric::Histogram(mine)), Metric::Histogram(theirs)) => mine.merge(&theirs),
+                (_, metric) => drop(c.metrics.insert(name, metric)),
+            }
+        }
+    });
+}
+
+/// Whether a sink is installed on this thread, i.e. whether instrumentation
+/// points record. A thread without one consults the environment (read once
+/// per process): `BTS_TRACE`, `BTS_METRICS` or `BTS_TELEMETRY` (any non-empty
+/// value other than `BTS_TELEMETRY=0`) give it a root sink on first use.
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => init_from_env(),
-    }
+    with_sink(|_| ()).is_some()
 }
 
-#[cold]
-fn init_from_env() -> bool {
-    let set = |key: &str| std::env::var_os(key).is_some_and(|v| !v.is_empty());
-    let on = set("BTS_TRACE")
-        || set("BTS_METRICS")
-        || matches!(std::env::var("BTS_TELEMETRY"), Ok(v) if !v.is_empty() && v != "0");
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    on
+fn with_sink<R>(f: impl FnOnce(&Sink) -> R) -> Option<R> {
+    CURRENT.with(|c| {
+        if c.borrow().is_none() && *ENV_ON.get_or_init(|| TelemetryConfig::from_env().enabled) {
+            *c.borrow_mut() = Some(Sink::default());
+        }
+        c.borrow().as_ref().map(f)
+    })
 }
 
-/// Switches collection on or off, overriding the environment.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+/// Runs `f` on the current thread's innermost collector, if any.
+pub(crate) fn with_current<R>(f: impl FnOnce(&mut Collector) -> R) -> Option<R> {
+    with_sink(|sink| f(&mut sink.lock()))
 }
 
-/// Number of events currently buffered.
-pub fn events_recorded() -> usize {
-    lock_events().len()
-}
-
-/// Number of events dropped because the buffer hit [`MAX_EVENTS`].
-pub fn dropped_events() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
-}
-
-/// Drains and returns every buffered event (oldest first).
-pub fn take_events() -> Vec<Event> {
-    std::mem::take(&mut *lock_events())
-}
-
-/// Clones the buffered events without draining them.
-pub fn snapshot_events() -> Vec<Event> {
-    lock_events().clone()
-}
-
-/// Clears the event buffer, the dropped counter and the metrics registry.
-pub fn reset() {
-    lock_events().clear();
-    DROPPED.store(0, Ordering::Relaxed);
-    crate::metrics::reset_metrics();
-}
-
-fn lock_events() -> std::sync::MutexGuard<'static, Vec<Event>> {
-    // A panic while holding the lock only interrupts a push; the buffer
-    // itself stays well-formed, so poisoning is safe to shrug off.
-    EVENTS.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn record(event: Event) {
-    let mut buf = lock_events();
-    if buf.len() >= MAX_EVENTS {
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-    } else {
-        buf.push(event);
-    }
+/// Records `event()` into the innermost sink, or counts it dropped if full.
+fn record(event: impl FnOnce() -> Event) {
+    with_current(|c| {
+        if c.events.len() >= MAX_EVENTS {
+            c.dropped += 1;
+        } else {
+            c.events.push(event());
+        }
+    });
 }
 
 /// The current thread's scope stack joined into a process name (`"bts"` when
@@ -146,14 +206,31 @@ impl Drop for ScopeGuard {
 
 /// Pushes a name onto the current thread's scope stack: every event emitted
 /// on this thread until the guard drops belongs to the (nested) process
-/// `outer/inner`. No-op (and allocation-free) while the collector is
-/// disabled.
+/// `outer/inner`. No-op (and allocation-free) on a thread without a sink.
 pub fn scope(name: impl Into<String>) -> ScopeGuard {
     if !enabled() {
         return ScopeGuard { active: false };
     }
     SCOPES.with(|s| s.borrow_mut().push(name.into()));
     ScopeGuard { active: true }
+}
+
+/// Records a simulated-time event on `track` of the current scope process.
+fn emit(
+    track: &str,
+    name: &str,
+    ts_seconds: f64,
+    kind: EventKind,
+    args: impl Iterator<Item = (&'static str, ArgValue)>,
+) {
+    record(|| Event {
+        process: current_process(),
+        track: track.to_string(),
+        name: name.to_string(),
+        ts_ns: ts_seconds * 1e9,
+        kind,
+        args: args.collect(),
+    });
 }
 
 /// Emits a closed interval in simulated time on `track` of the current scope
@@ -166,55 +243,27 @@ pub fn emit_complete(
     dur_seconds: f64,
     args: &[(&'static str, ArgValue)],
 ) {
-    if !enabled() {
-        return;
-    }
-    record(Event {
-        process: current_process(),
-        track: track.to_string(),
-        name: name.to_string(),
-        ts_ns: start_seconds * 1e9,
-        kind: EventKind::Complete {
-            dur_ns: dur_seconds * 1e9,
-        },
-        args: args.to_vec(),
-    });
+    let dur_ns = dur_seconds * 1e9;
+    let kind = EventKind::Complete { dur_ns };
+    emit(track, name, start_seconds, kind, args.iter().cloned());
 }
 
 /// Emits a point-in-time marker in simulated time. No-op while disabled.
 pub fn emit_instant(track: &str, name: &str, ts_seconds: f64, args: &[(&'static str, ArgValue)]) {
-    if !enabled() {
-        return;
-    }
-    record(Event {
-        process: current_process(),
-        track: track.to_string(),
-        name: name.to_string(),
-        ts_ns: ts_seconds * 1e9,
-        kind: EventKind::Instant,
-        args: args.to_vec(),
-    });
+    let args = args.iter().cloned();
+    emit(track, name, ts_seconds, EventKind::Instant, args);
 }
 
 /// Emits a counter sample in simulated time; `series` become the counter's
 /// stacked values in the trace viewer. No-op while disabled.
 pub fn emit_counter(track: &str, name: &str, ts_seconds: f64, series: &[(&'static str, f64)]) {
-    if !enabled() {
-        return;
-    }
-    record(Event {
-        process: current_process(),
-        track: track.to_string(),
-        name: name.to_string(),
-        ts_ns: ts_seconds * 1e9,
-        kind: EventKind::Counter,
-        args: series.iter().map(|&(k, v)| (k, ArgValue::F64(v))).collect(),
-    });
+    let args = series.iter().map(|&(k, v)| (k, ArgValue::F64(v)));
+    emit(track, name, ts_seconds, EventKind::Counter, args);
 }
 
 /// A real-time RAII span: records a wall-clock `Complete` event on the
 /// emitting thread's track of the `realtime` process when dropped. Inactive
-/// (zero-cost, no clock read) while the collector is disabled.
+/// (zero-cost, no clock read) on a thread without a sink.
 #[derive(Debug)]
 pub struct Span(Option<ActiveSpan>);
 
@@ -228,14 +277,16 @@ struct ActiveSpan {
 
 /// Opens a real-time span. Spans on one thread nest: the most recently opened
 /// live span is the parent of the next, recorded in the `parent_span_id` arg
-/// (0 = root). Returns an inactive guard while the collector is disabled.
+/// (0 = root). Returns an inactive guard on a thread without a sink.
 pub fn span(name: &'static str) -> Span {
-    if !enabled() {
+    let Some(id) = with_current(|c| {
+        c.spans += 1;
+        c.spans
+    }) else {
         return Span(None);
-    }
+    };
     let epoch = *EPOCH.get_or_init(Instant::now);
     let start_ns = epoch.elapsed().as_nanos() as f64;
-    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let parent = SPAN_STACK.with(|s| {
         let mut s = s.borrow_mut();
         let parent = s.last().copied().unwrap_or(0);
@@ -261,11 +312,8 @@ impl Drop for Span {
                 s.remove(pos);
             }
         });
-        let end_ns = EPOCH
-            .get()
-            .map(|e| e.elapsed().as_nanos() as f64)
-            .unwrap_or(active.start_ns);
-        record(Event {
+        let end_ns = EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as f64;
+        record(|| Event {
             process: "realtime".to_string(),
             track: realtime_track(),
             name: active.name.to_string(),
@@ -302,30 +350,71 @@ fn realtime_track() -> String {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
 
-    /// The collector is process-global; tests that toggle it serialize here.
-    pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
-    fn disabled_collector_records_nothing() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_enabled(false);
-        let before = events_recorded();
+    fn capture_records_only_while_installed() {
+        let outer = capture();
+        emit_instant("t", "before", 0.0, &[]);
+        let inner = capture();
         emit_complete("t", "n", 0.0, 1.0, &[]);
-        emit_instant("t", "n", 0.0, &[]);
         emit_counter("t", "n", 0.0, &[("v", 1.0)]);
-        let s = span("noop");
-        drop(s);
-        assert_eq!(events_recorded(), before);
+        let inner = inner.finish();
+        emit_instant("t", "after", 1.0, &[]);
+        let outer = outer.finish();
+        assert_eq!(inner.events.len(), 2);
+        let names: Vec<&str> = outer.events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["before", "after"], "nested captures shadow");
         assert_eq!(active_span_depth(), 0);
     }
 
     #[test]
+    fn merge_appends_events_and_folds_metrics() {
+        let outer = capture();
+        crate::counter_add("m.counter", 2);
+        crate::gauge_set("m.gauge", 1.0);
+        let _outer_span = span("outer");
+        let inner = capture();
+        emit_instant("t", "child", 0.0, &[]);
+        crate::counter_add("m.counter", 3);
+        crate::gauge_set("m.gauge", 7.0);
+        crate::observe("m.hist", 1e-3);
+        drop(span("inner"));
+        merge(inner.finish());
+        drop(_outer_span);
+        let outer = outer.finish();
+        let names: Vec<&str> = outer.events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["child", "inner", "outer"]);
+        assert_eq!(outer.metrics["m.counter"], Metric::Counter(5));
+        assert_eq!(outer.metrics["m.gauge"], Metric::Gauge(7.0));
+        assert!(matches!(&outer.metrics["m.hist"], Metric::Histogram(h) if h.count() == 1));
+        // The child continued the outer id sequence: ids stay unique.
+        assert_ne!(
+            outer.events[1].arg_u64("span_id"),
+            outer.events[2].arg_u64("span_id")
+        );
+    }
+
+    #[test]
+    fn a_forwarded_sink_collects_another_threads_events() {
+        let run = capture();
+        let sink = current().expect("a capture is installed");
+        std::thread::scope(|s| {
+            s.spawn(|| emit_instant("t", "unforwarded", 0.0, &[]));
+            s.spawn(move || {
+                let _forwarded = sink.install();
+                emit_instant("t", "forwarded", 0.0, &[]);
+            });
+        });
+        let run = run.finish();
+        assert_eq!(run.events.len(), 1);
+        assert_eq!(run.events[0].name, "forwarded");
+    }
+
+    #[test]
     fn scope_stack_shapes_the_process_name() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_enabled(true);
+        let _run = capture();
         assert_eq!(current_process(), "bts");
         {
             let _outer = scope("chip0");
@@ -341,24 +430,17 @@ pub(crate) mod tests {
 
     #[test]
     fn spans_record_parent_linkage() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_enabled(true);
-        take_events();
+        let run = capture();
         {
             let _outer = span("collector-test-outer");
             let _inner = span("collector-test-inner");
             assert_eq!(active_span_depth(), 2);
         }
         assert_eq!(active_span_depth(), 0);
-        let events = take_events();
-        let outer = events
-            .iter()
-            .find(|e| e.name == "collector-test-outer")
-            .unwrap();
-        let inner = events
-            .iter()
-            .find(|e| e.name == "collector-test-inner")
-            .unwrap();
+        let run = run.finish();
+        let find = |name: &str| run.events.iter().find(|e| e.name == name).unwrap();
+        let outer = find("collector-test-outer");
+        let inner = find("collector-test-inner");
         assert_eq!(inner.arg_u64("parent_span_id"), outer.arg_u64("span_id"));
         assert_eq!(outer.arg_u64("parent_span_id"), Some(0));
         assert_eq!(outer.process, "realtime");
@@ -366,11 +448,6 @@ pub(crate) mod tests {
 
     #[test]
     fn buffer_overflow_is_counted_not_grown() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_enabled(true);
-        // Fill to the cap synthetically (push directly to keep the test fast
-        // enough only in spirit — here we just verify the bookkeeping by
-        // simulating a full buffer).
         let filler = Event {
             process: "p".to_string(),
             track: "t".to_string(),
@@ -379,17 +456,19 @@ pub(crate) mod tests {
             kind: EventKind::Instant,
             args: Vec::new(),
         };
-        {
-            let mut buf = lock_events();
-            buf.clear();
-            buf.resize(MAX_EVENTS, filler);
-        }
-        let dropped_before = dropped_events();
+        let run = capture();
+        with_current(|c| c.events.resize(MAX_EVENTS - 1, filler));
+        emit_instant("t", "fits", 0.0, &[]);
         emit_instant("t", "overflow", 0.0, &[]);
-        assert_eq!(events_recorded(), MAX_EVENTS);
-        assert_eq!(dropped_events(), dropped_before + 1);
-        reset();
-        assert_eq!(events_recorded(), 0);
-        assert_eq!(dropped_events(), 0);
+        let full = run.finish();
+        assert_eq!(full.events.len(), MAX_EVENTS);
+        assert_eq!(full.dropped, 1);
+        // Merging into a non-empty parent keeps the cap and counts the excess.
+        let parent = capture();
+        emit_instant("t", "first", 0.0, &[]);
+        merge(full);
+        let parent = parent.finish();
+        assert_eq!(parent.events.len(), MAX_EVENTS);
+        assert_eq!(parent.dropped, 2);
     }
 }

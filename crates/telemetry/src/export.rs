@@ -1,5 +1,4 @@
-//! Exporters: Chrome trace-event JSON (Perfetto / `chrome://tracing`) and the
-//! flat metrics text dump.
+//! Exporter: Chrome trace-event JSON (Perfetto / `chrome://tracing`).
 //!
 //! The JSON exporter interns every distinct event `process` as a `pid` and
 //! every `(process, track)` pair as a `tid`, emits `process_name` /
@@ -8,11 +7,11 @@
 //! which the CI schema gate checks. Timestamps are converted from the
 //! collector's nanoseconds to the trace format's microseconds.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::collector::{dropped_events, snapshot_events};
+use crate::collector::Collector;
 use crate::event::{ArgValue, Event, EventKind};
 
 /// What one Chrome-trace export produced.
@@ -148,36 +147,23 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
     out
 }
 
-/// Snapshots the global collector and writes a Chrome trace to `path`.
+/// Writes a collector's events as a Chrome trace to `path`.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn export_chrome_trace(path: &Path) -> io::Result<ExportSummary> {
-    let events = snapshot_events();
-    std::fs::write(path, chrome_trace_json(&events))?;
-    let mut processes = std::collections::BTreeSet::new();
-    let mut tracks = std::collections::BTreeSet::new();
-    for ev in &events {
-        processes.insert(ev.process.clone());
-        tracks.insert((ev.process.clone(), ev.track.clone()));
-    }
+pub fn export_chrome_trace(collector: &Collector, path: &Path) -> io::Result<ExportSummary> {
+    let events = &collector.events;
+    std::fs::write(path, chrome_trace_json(events))?;
+    let tracks: BTreeSet<_> = events.iter().map(|ev| (&ev.process, &ev.track)).collect();
+    let processes: BTreeSet<_> = tracks.iter().map(|(process, _)| process).collect();
     Ok(ExportSummary {
         path: path.to_path_buf(),
         events: events.len(),
         processes: processes.len(),
         tracks: tracks.len(),
-        dropped: dropped_events(),
+        dropped: collector.dropped,
     })
-}
-
-/// Writes the flat metrics dump (see [`crate::metrics_dump`]) to `path`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn export_metrics(path: &Path) -> io::Result<()> {
-    std::fs::write(path, crate::metrics::metrics_dump())
 }
 
 /// Formats a finite f64 as a JSON number (no exponent, shortest round-trip).

@@ -1,39 +1,44 @@
 //! Unified tracing and metrics for the BTS workspace.
 //!
-//! One global, deterministic event stream feeds everything observable about a
-//! run: simulated per-op charges from `bts-sim`, per-unit busy intervals from
+//! One deterministic event stream per run feeds everything observable about
+//! it: simulated per-op charges from `bts-sim`, per-unit busy intervals from
 //! `bts-sched`, queue/admission/job lifecycles from `bts-serve`, placement and
 //! interconnect transfers from `bts-cluster`, and wall-clock spans around the
 //! `bts-math` hot paths. Exporters turn the stream into a Chrome trace-event
 //! JSON file (load it in [Perfetto](https://ui.perfetto.dev) or
 //! `chrome://tracing`) and a flat metrics text dump.
 //!
-//! # Cost model
+//! # Capture model
 //!
-//! Telemetry is **off by default** and free when off: every instrumentation
-//! point is a single relaxed atomic load (no locks, no allocation, no clock
-//! reads — asserted by a counting-allocator test). Collection switches on via
-//! the environment (`BTS_TRACE=out.json`, `BTS_METRICS=out.txt`, or
-//! `BTS_TELEMETRY=1`) or programmatically with [`set_enabled`] /
-//! [`TelemetryConfig`].
-//!
-//! # Quick start
+//! Telemetry is a scoped value, not process state: [`capture`] installs a
+//! fresh [`Collector`] on the current thread, every instrumentation point the
+//! thread reaches writes into it, and [`Capture::finish`] hands it back.
+//! Captures nest (the innermost shadows the rest; [`merge`] folds a finished
+//! child into its parent) and are per thread, so concurrent runs never mix;
+//! code that fans out forwards its sink ([`current`] + [`Sink::install`]).
 //!
 //! ```
 //! use bts_telemetry as telemetry;
 //!
-//! // Usually: let config = telemetry::TelemetryConfig::from_env();
-//! let config = telemetry::TelemetryConfig::disabled().or_trace_path("doc_demo.trace.json");
-//! let session = telemetry::init(&config);
-//!
-//! // ... run instrumented work; layers emit into the global collector ...
+//! let run = telemetry::capture();
 //! telemetry::emit_complete("NTTU.0", "HMult@L27", 0.0, 98.0e-6, &[]);
-//!
-//! let summary = session.finish().unwrap();
-//! let trace = summary.trace.expect("trace path was configured");
-//! assert_eq!(trace.events, 1);
-//! # std::fs::remove_file(&trace.path).ok();
+//! let scratch = telemetry::capture(); // shadows `run` until it ends
+//! telemetry::emit_instant("scratchpad", "evict", 0.0, &[]);
+//! drop(scratch); // never merged: discarded
+//! telemetry::counter_add("sim.cache.hits", 1);
+//! let run = run.finish();
+//! assert_eq!(run.events.len(), 1);
+//! assert_eq!(run.metrics_dump(), "counter sim.cache.hits 1\n");
 //! ```
+//!
+//! Telemetry is **off by default** and free when off: without a sink an
+//! instrumentation point is one thread-local read plus one atomic load (no
+//! locks, no allocation, no clock reads — asserted by a counting-allocator
+//! test). Whole programs use the environment: with `BTS_TRACE=out.json`,
+//! `BTS_METRICS=out.txt` or `BTS_TELEMETRY=1` (read once per process) a
+//! thread without a sink gets a root sink on first use, and [`init`] with
+//! [`TelemetryConfig::from_env`] captures until [`TelemetrySession::finish`]
+//! writes the configured files.
 //!
 //! # Event model
 //!
@@ -56,25 +61,22 @@ mod stats;
 mod timeline;
 
 pub use collector::{
-    active_span_depth, current_process, dropped_events, emit_complete, emit_counter, emit_instant,
-    enabled, events_recorded, reset, scope, set_enabled, snapshot_events, span, take_events,
-    ScopeGuard, Span, MAX_EVENTS,
+    active_span_depth, capture, current, current_process, emit_complete, emit_counter,
+    emit_instant, enabled, merge, scope, span, Capture, Collector, ScopeGuard, Sink, Span,
+    MAX_EVENTS,
 };
 pub use event::{check_proper_nesting, ArgValue, Event, EventKind};
-pub use export::{chrome_trace_json, export_chrome_trace, export_metrics, ExportSummary};
+pub use export::{chrome_trace_json, export_chrome_trace, ExportSummary};
 pub use json::{trace_event_names, validate_chrome_trace, TraceCheck};
-pub use metrics::{
-    counter_add, gauge_set, metrics_dump, metrics_snapshot, observe, reset_metrics, Histogram,
-    Metric, LATENCY_BUCKET_BOUNDS,
-};
+pub use metrics::{counter_add, gauge_set, observe, Histogram, Metric, LATENCY_BUCKET_BOUNDS};
 pub use stats::{nearest_rank_index, percentile_nearest_rank};
 pub use timeline::TimelineSegment;
 
 use std::io;
 use std::path::PathBuf;
 
-/// Where telemetry goes for one run: whether to collect, and which files (if
-/// any) to export on [`TelemetrySession::finish`].
+/// Where telemetry goes for one session: whether to collect, and which files
+/// (if any) to export on [`TelemetrySession::finish`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryConfig {
     /// Collect events and metrics for this run.
@@ -138,18 +140,17 @@ pub struct FinishSummary {
 #[derive(Debug)]
 pub struct TelemetrySession {
     config: TelemetryConfig,
+    capture: Option<Capture>,
 }
 
-/// Applies a [`TelemetryConfig`]: switches the collector accordingly (an
-/// enabled config clears any previous run's events and metrics first) and
-/// returns the session handle that exports on finish.
+/// Applies a [`TelemetryConfig`]: an enabled config starts a [`capture`] —
+/// the calling thread's root sink for the session, shadowing the
+/// environment's — that the session exports on finish; a disabled one
+/// installs nothing.
 pub fn init(config: &TelemetryConfig) -> TelemetrySession {
-    set_enabled(config.enabled);
-    if config.enabled {
-        reset();
-    }
     TelemetrySession {
         config: config.clone(),
+        capture: config.enabled.then(capture),
     }
 }
 
@@ -159,18 +160,19 @@ impl TelemetrySession {
         &self.config
     }
 
-    /// Exports the configured outputs (trace and/or metrics files).
+    /// Ends the capture and exports the configured trace and/or metrics file.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors from either export.
     pub fn finish(self) -> io::Result<FinishSummary> {
+        let collected = self.capture.map(Capture::finish).unwrap_or_default();
         let trace = match &self.config.trace_path {
-            Some(path) => Some(export_chrome_trace(path)?),
+            Some(path) => Some(export_chrome_trace(&collected, path)?),
             None => None,
         };
         if let Some(path) = &self.config.metrics_path {
-            export_metrics(path)?;
+            std::fs::write(path, collected.metrics_dump())?;
         }
         Ok(FinishSummary {
             trace,
@@ -207,9 +209,6 @@ mod tests {
 
     #[test]
     fn session_round_trip_exports_a_valid_trace() {
-        let _guard = crate::collector::tests::TEST_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
         let dir = std::env::temp_dir().join("bts_telemetry_lib_test");
         std::fs::create_dir_all(&dir).unwrap();
         let trace_path = dir.join("session.trace.json");
@@ -232,7 +231,5 @@ mod tests {
         assert!(metrics_text.contains("counter lib.test.counter 3"));
         std::fs::remove_file(&trace_path).ok();
         std::fs::remove_file(&metrics_path).ok();
-        set_enabled(false);
-        reset();
     }
 }

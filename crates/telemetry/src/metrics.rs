@@ -1,15 +1,14 @@
 //! The metrics registry: named counters, gauges and fixed-bucket latency
-//! histograms behind the same global on/off switch as the event collector.
+//! histograms, kept in the same per-run [`Collector`] as the event stream.
 //!
 //! Metrics complement the event stream: events answer "when did it happen",
 //! metrics answer "how much in total". Both are deterministic for simulated
 //! sources; the registry is dumped as a flat sorted text file by
-//! [`metrics_dump`] (one line per metric, stable across runs).
+//! [`Collector::metrics_dump`] (one line per metric, stable across runs).
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::fmt::Write;
 
-use crate::collector::enabled;
+use crate::collector::{with_current, Collector};
 use crate::stats::nearest_rank_index;
 
 /// Log-spaced 1-2-5 bucket upper bounds for latency histograms, in seconds:
@@ -59,6 +58,17 @@ impl Histogram {
         self.sum += value;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
+    }
+
+    /// Adds every sample of `other` (order-independent).
+    pub fn merge(&mut self, other: &Histogram) {
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.total += other.total;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Number of recorded samples.
@@ -136,100 +146,70 @@ pub enum Metric {
     Histogram(Histogram),
 }
 
-static METRICS: Mutex<BTreeMap<String, Metric>> = Mutex::new(BTreeMap::new());
-
-fn lock_metrics() -> std::sync::MutexGuard<'static, BTreeMap<String, Metric>> {
-    METRICS.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Adds to the named counter (creating it at zero). No-op while the
-/// collector is disabled.
+/// Adds to the named counter (creating it at zero). No-op on a thread
+/// without a sink.
 pub fn counter_add(name: &str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut metrics = lock_metrics();
-    match metrics.get_mut(name) {
+    with_current(|c| match c.metrics.get_mut(name) {
         Some(Metric::Counter(v)) => *v += delta,
         _ => {
-            metrics.insert(name.to_string(), Metric::Counter(delta));
+            c.metrics.insert(name.to_string(), Metric::Counter(delta));
         }
-    }
+    });
 }
 
-/// Sets the named gauge to `value`. No-op while the collector is disabled.
+/// Sets the named gauge to `value`. No-op on a thread without a sink.
 pub fn gauge_set(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    lock_metrics().insert(name.to_string(), Metric::Gauge(value));
+    with_current(|c| c.metrics.insert(name.to_string(), Metric::Gauge(value)));
 }
 
 /// Records one sample into the named latency histogram (creating it empty).
-/// No-op while the collector is disabled.
+/// No-op on a thread without a sink.
 pub fn observe(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    let mut metrics = lock_metrics();
-    match metrics.get_mut(name) {
+    with_current(|c| match c.metrics.get_mut(name) {
         Some(Metric::Histogram(h)) => h.record(value),
         _ => {
             let mut h = Histogram::new();
             h.record(value);
-            metrics.insert(name.to_string(), Metric::Histogram(h));
+            c.metrics.insert(name.to_string(), Metric::Histogram(h));
         }
-    }
+    });
 }
 
-/// Clones the registry (sorted by name).
-pub fn metrics_snapshot() -> BTreeMap<String, Metric> {
-    lock_metrics().clone()
-}
-
-/// Clears the registry. ([`crate::reset`] calls this too.)
-pub fn reset_metrics() {
-    lock_metrics().clear();
-}
-
-/// The flat text dump: one line per metric, sorted by name, stable across
-/// runs for deterministic sources.
-///
-/// ```text
-/// counter sim.cache.hits 4821
-/// gauge serve.in_flight 3
-/// histogram serve.latency_seconds count=9 mean=0.0421 min=0.0118 max=0.0633 p50=0.05 p99=0.0633
-/// ```
-pub fn metrics_dump() -> String {
-    let mut out = String::new();
-    for (name, metric) in lock_metrics().iter() {
-        match metric {
-            Metric::Counter(v) => {
-                out.push_str(&format!("counter {name} {v}\n"));
-            }
-            Metric::Gauge(v) => {
-                out.push_str(&format!("gauge {name} {v}\n"));
-            }
-            Metric::Histogram(h) => {
-                out.push_str(&format!(
-                    "histogram {name} count={} mean={} min={} max={} p50={} p99={}\n",
+impl Collector {
+    /// The flat text dump: one line per metric, sorted by name, stable across
+    /// runs for deterministic sources.
+    ///
+    /// ```text
+    /// counter sim.cache.hits 4821
+    /// gauge serve.in_flight 3
+    /// histogram serve.latency_seconds count=9 mean=0.0421 min=0.0118 max=0.0633 p50=0.05 p99=0.0633
+    /// ```
+    pub fn metrics_dump(&self) -> String {
+        let mut out = String::new();
+        for (name, metric) in &self.metrics {
+            match metric {
+                Metric::Counter(v) => writeln!(out, "counter {name} {v}"),
+                Metric::Gauge(v) => writeln!(out, "gauge {name} {v}"),
+                Metric::Histogram(h) => writeln!(
+                    out,
+                    "histogram {name} count={} mean={} min={} max={} p50={} p99={}",
                     h.count(),
                     h.mean(),
                     h.min(),
                     h.max(),
                     h.percentile(50.0),
                     h.percentile(99.0),
-                ));
+                ),
             }
+            .expect("writing to a String cannot fail");
         }
+        out
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::set_enabled;
 
     #[test]
     fn histogram_percentiles_track_the_nearest_rank_rule() {
@@ -270,36 +250,31 @@ mod tests {
 
     #[test]
     fn registry_round_trip_and_dump_are_sorted() {
-        let _guard = crate::collector::tests::TEST_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        set_enabled(true);
-        reset_metrics();
+        let run = crate::capture();
         counter_add("z.counter", 2);
         counter_add("z.counter", 3);
         gauge_set("a.gauge", 1.5);
         observe("m.hist", 1e-3);
-        let dump = metrics_dump();
+        let dump = run.finish().metrics_dump();
         let lines: Vec<&str> = dump.lines().collect();
+        // Sorted by name: a < m < z.
         assert_eq!(lines[0], "gauge a.gauge 1.5");
         assert!(lines[1].starts_with("histogram m.hist count=1"));
         assert_eq!(lines[2], "counter z.counter 5");
-        // Sorted by name: a < m < z.
-        reset_metrics();
-        assert!(metrics_dump().is_empty());
+        assert!(Collector::default().metrics_dump().is_empty());
     }
 
     #[test]
-    fn disabled_registry_ignores_updates() {
-        let _guard = crate::collector::tests::TEST_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        set_enabled(false);
-        reset_metrics();
-        counter_add("off.counter", 1);
-        gauge_set("off.gauge", 1.0);
-        observe("off.hist", 1.0);
-        assert!(metrics_snapshot().is_empty());
-        set_enabled(true);
+    fn merged_histograms_equal_one_histogram_of_all_samples() {
+        // Dyadic samples: the float sums are exact in any order.
+        let samples = [0.5, 2.0, 0.25, 2048.0];
+        let mut whole = Histogram::new();
+        let (mut left, mut right) = (Histogram::new(), Histogram::new());
+        for (i, &v) in samples.iter().enumerate() {
+            whole.record(v);
+            if i % 2 == 0 { &mut left } else { &mut right }.record(v);
+        }
+        left.merge(&right);
+        assert_eq!(left, whole);
     }
 }

@@ -7,7 +7,6 @@
 //! reproducible event for event.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
 
 use proptest::prelude::*;
 
@@ -18,8 +17,6 @@ use bts::params::CkksInstance;
 use bts::serve::{serve, JobRequest, ServeOptions, ServeReport, SyntheticArrivals};
 use bts::sim::ArchPreset;
 use bts::telemetry::{self, Event};
-
-static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
 
 /// A seeded multi-tenant stream mixing bootstrap and amortized-mult jobs.
 fn random_stream(seed: u64, jobs: usize, tenants: u32) -> Vec<JobRequest> {
@@ -161,46 +158,30 @@ proptest! {
     }
 }
 
-/// Serves one faulted stream under a unique telemetry scope and returns this
-/// run's events (scope prefix stripped, other runs' events filtered out).
-fn faulted_events_under_scope(scope: &str) -> Vec<Event> {
+/// Serves one faulted stream inside its own telemetry capture and returns
+/// the run's simulated-time events (wall-clock spans differ run to run).
+fn captured_faulted_events() -> Vec<Event> {
     let stream = random_stream(2024, 6, 3);
-    {
-        let _scope = telemetry::scope(scope);
-        serve(
-            &stream,
-            ServeOptions::new(2)
-                .with_queue_capacity(2)
-                .with_fault_plan(FaultPlan::none().with_seed(7).with_transient_rate(0.5)),
-        )
-        .expect("faulted stream serves");
-    }
-    let prefix = format!("{scope}/");
-    telemetry::snapshot_events()
-        .into_iter()
-        .filter_map(|mut ev| {
-            if ev.process == scope {
-                ev.process = String::new();
-            } else if let Some(rest) = ev.process.strip_prefix(&prefix) {
-                ev.process = rest.to_string();
-            } else {
-                return None;
-            }
-            Some(ev)
-        })
-        .collect()
+    let run = telemetry::capture();
+    serve(
+        &stream,
+        ServeOptions::new(2)
+            .with_queue_capacity(2)
+            .with_fault_plan(FaultPlan::none().with_seed(7).with_transient_rate(0.5)),
+    )
+    .expect("faulted stream serves");
+    let run = run.finish();
+    assert_eq!(run.dropped, 0, "stream must be complete");
+    let simulated = run.events.into_iter().filter(|e| e.process != "realtime");
+    simulated.collect()
 }
 
 /// Two faulted runs with the same seed emit the same telemetry stream event
 /// for event — faults, retries and sheds included.
 #[test]
 fn faulted_runs_emit_identical_telemetry_streams() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    telemetry::set_enabled(true);
-    telemetry::reset();
-    let a = faulted_events_under_scope("fault-det-a");
-    let b = faulted_events_under_scope("fault-det-b");
-    assert_eq!(telemetry::dropped_events(), 0, "stream must be complete");
+    let a = captured_faulted_events();
+    let b = captured_faulted_events();
     assert!(!a.is_empty());
     assert!(
         a.iter()
@@ -211,6 +192,4 @@ fn faulted_runs_emit_identical_telemetry_streams() {
     for (i, (ea, eb)) in a.iter().zip(&b).enumerate() {
         assert_eq!(ea, eb, "event {i} differs between identical faulted runs");
     }
-    telemetry::set_enabled(false);
-    telemetry::reset();
 }

@@ -1,55 +1,54 @@
 //! Integration tests of the unified telemetry stream: figures derived from
 //! the event stream match `ServeReport` bitwise, identical runs emit
-//! identical streams, and the RAII span layer leaves every span closed and
-//! properly nested after a real functional run.
+//! identical streams, concurrent captures never mix, a failover stream holds
+//! only the converged round, and the RAII span layer leaves every span closed
+//! and properly nested after a real functional run — pool workers included.
 //!
-//! The collector is process-global, so these tests serialize on a lock and
-//! tag each run with a unique scope; filtering by the scope prefix isolates
-//! one run's events even though the buffer is shared.
+//! Every run records into its own `telemetry::capture()`, which returns that
+//! run's events and nothing else, so the tests share no state.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::sync::Barrier;
 
 use bts::ckks::{CkksContext, Complex};
+use bts::cluster::{
+    serve_cluster, ChipSpec, ClusterOptions, FaultPlan, Interconnect, PlacementPolicy,
+};
 use bts::params::CkksInstance;
 use bts::sched::MachineModel;
-use bts::serve::{serve, DerivedServeFigures, ServeOptions, ServeReport, SyntheticArrivals};
-use bts::sim::BtsConfig;
-use bts::telemetry::{self, Event};
+use bts::serve::{
+    serve, DerivedServeFigures, JobRequest, ServeOptions, ServeReport, SyntheticArrivals,
+};
+use bts::sim::{ArchPreset, BtsConfig};
+use bts::telemetry::{self, Collector, Event};
 use rand::SeedableRng;
 
-static LOCK: Mutex<()> = Mutex::new(());
-
-/// Serves one seeded three-tenant stream under `scope` and returns the
-/// report plus only this run's events (scope prefix stripped back off).
-fn serve_under_scope(scope: &str, config: &BtsConfig) -> (ServeReport, Vec<Event>) {
-    let stream = SyntheticArrivals::new(CkksInstance::ins1(), 2024)
+/// One seeded three-tenant stream.
+fn stream() -> Vec<JobRequest> {
+    SyntheticArrivals::new(CkksInstance::ins1(), 2024)
         .mean_interarrival_seconds(3e-3)
         .tenants(3)
         .mix(vec![
             ("bootstrap".to_string(), 2.0),
             ("amortized-mult".to_string(), 1.0),
         ])
-        .generate(6);
-    let report = {
-        let _scope = telemetry::scope(scope);
-        serve(&stream, ServeOptions::new(3).with_config(config.clone())).expect("stream serves")
-    };
-    let prefix = format!("{scope}/");
-    let events = telemetry::snapshot_events()
-        .into_iter()
-        .filter_map(|mut ev| {
-            if ev.process == scope {
-                ev.process = String::new();
-            } else if let Some(rest) = ev.process.strip_prefix(&prefix) {
-                ev.process = rest.to_string();
-            } else {
-                return None; // another run's events, or wall-clock spans
-            }
-            Some(ev)
-        })
-        .collect();
-    (report, events)
+        .generate(6)
+}
+
+/// The simulated-time events of a finished capture (wall-clock spans live on
+/// the separate `realtime` process and differ run to run by construction).
+fn simulated(run: Collector) -> Vec<Event> {
+    assert_eq!(run.dropped, 0, "stream must be complete");
+    let events = run.events.into_iter().filter(|e| e.process != "realtime");
+    events.collect()
+}
+
+/// Serves the stream inside its own capture.
+fn serve_captured(config: &BtsConfig) -> (ServeReport, Vec<Event>) {
+    let run = telemetry::capture();
+    let report =
+        serve(&stream(), ServeOptions::new(3).with_config(config.clone())).expect("stream serves");
+    (report, simulated(run.finish()))
 }
 
 /// `ServeReport`'s utilization and latency figures recomputed purely from
@@ -57,12 +56,8 @@ fn serve_under_scope(scope: &str, config: &BtsConfig) -> (ServeReport, Vec<Event
 /// floats, and the derivation performs the same additions in the same order.
 #[test]
 fn derived_figures_match_the_report_bitwise() {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    telemetry::set_enabled(true);
-    telemetry::reset();
     let config = BtsConfig::bts_default();
-    let (report, events) = serve_under_scope("derive-run", &config);
-    assert_eq!(telemetry::dropped_events(), 0, "stream must be complete");
+    let (report, events) = serve_captured(&config);
     assert!(!events.is_empty());
 
     let machine = MachineModel::from_config(&config);
@@ -99,17 +94,12 @@ fn derived_figures_match_the_report_bitwise() {
 }
 
 /// Same seed, same config, same options: the two runs' event streams are
-/// identical, event by event, args and all (wall-clock spans excluded — they
-/// live on the separate `realtime` process by construction).
+/// identical, event by event, args and all.
 #[test]
 fn identical_runs_emit_identical_streams() {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    telemetry::set_enabled(true);
-    telemetry::reset();
     let config = BtsConfig::bts_default();
-    let (report_a, a) = serve_under_scope("det-run-a", &config);
-    let (report_b, b) = serve_under_scope("det-run-b", &config);
-    assert_eq!(telemetry::dropped_events(), 0, "stream must be complete");
+    let (report_a, a) = serve_captured(&config);
+    let (report_b, b) = serve_captured(&config);
     assert!(!a.is_empty());
     assert_eq!(a.len(), b.len());
     for (i, (ea, eb)) in a.iter().zip(&b).enumerate() {
@@ -118,14 +108,144 @@ fn identical_runs_emit_identical_streams() {
     assert_eq!(report_a.makespan_seconds, report_b.makespan_seconds);
 }
 
-/// A real functional CKKS run leaves the span machinery clean: depth back to
-/// zero, every Complete interval properly nested per track, and every
-/// non-root span's parent id pointing at a recorded span.
+/// The faulted serve of `property_fault`: transient faults, retries and a
+/// bounded queue that sheds.
+fn faulted_serve() {
+    serve(
+        &stream(),
+        ServeOptions::new(2)
+            .with_queue_capacity(2)
+            .with_fault_plan(FaultPlan::none().with_seed(7).with_transient_rate(0.5)),
+    )
+    .expect("faulted stream serves");
+}
+
+/// Twelve bootstrap jobs at t = 0 from four tenants.
+fn burst() -> Vec<JobRequest> {
+    let ins = CkksInstance::ins1();
+    (0..12)
+        .map(|i| JobRequest::new(i, (i % 4) as u32, "bootstrap", ins.clone(), 0.0))
+        .collect()
+}
+
+/// A 4-chip fleet whose chip 1 dies halfway through the healthy makespan:
+/// its queued jobs migrate, so the failover fixed point takes extra rounds.
+fn wounded_fleet(jobs: &[JobRequest]) -> ClusterOptions {
+    let spec = ChipSpec::preset(ArchPreset::Bts, 4).with_interconnect(Interconnect::nvlink_class());
+    let options = ClusterOptions::new(spec).with_placement(PlacementPolicy::TenantAffinity);
+    let healthy = serve_cluster(jobs, options.clone()).expect("healthy fleet serves");
+    options
+        .with_fault_plan(FaultPlan::none().with_chip_failure(1, healthy.makespan_seconds() * 0.5))
+}
+
+/// Runs `run` inside a fresh capture. With a barrier, the run starts only
+/// once every party has installed its sink and the capture ends only once
+/// every party is done — each run then executes wholly inside the others'
+/// capture windows, whatever the OS scheduler does.
+fn captured(barrier: Option<&Barrier>, run: impl FnOnce()) -> Vec<Event> {
+    let wait = || {
+        if let Some(barrier) = barrier {
+            barrier.wait();
+        }
+    };
+    let capture = telemetry::capture();
+    wait();
+    run();
+    wait();
+    simulated(capture.finish())
+}
+
+/// Three runs at once on three threads — a captured faulted serve, a captured
+/// cluster failover (whose exploratory rounds used to switch the process-wide
+/// collector off) and an uncaptured serve: each capture equals, event for
+/// event, the same run captured alone, so neither lost events to nor gained
+/// events from the other two threads.
 #[test]
-fn spans_close_and_nest_over_a_functional_run() {
-    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    telemetry::set_enabled(true);
-    telemetry::reset();
+fn concurrent_captures_hold_exactly_their_own_runs() {
+    let jobs = burst();
+    let fleet = wounded_fleet(&jobs);
+    let wounded_serve = || {
+        serve_cluster(&jobs, fleet.clone()).expect("wounded fleet serves");
+    };
+    let faulted_alone = captured(None, faulted_serve);
+    let wounded_alone = captured(None, wounded_serve);
+    assert!(faulted_alone.iter().any(|e| e.name == "retry"));
+    assert!(wounded_alone.iter().any(|e| e.name == "migrate"));
+
+    let barrier = Barrier::new(3);
+    let (faulted_together, wounded_together) = std::thread::scope(|s| {
+        let faulted = s.spawn(|| captured(Some(&barrier), faulted_serve));
+        let wounded = s.spawn(|| captured(Some(&barrier), wounded_serve));
+        s.spawn(|| {
+            barrier.wait();
+            serve(&stream(), ServeOptions::new(3)).expect("stream serves");
+            barrier.wait();
+        });
+        (faulted.join().unwrap(), wounded.join().unwrap())
+    });
+    assert_eq!(faulted_together.len(), faulted_alone.len());
+    assert_eq!(wounded_together.len(), wounded_alone.len());
+    assert!(faulted_together == faulted_alone, "faulted stream changed");
+    assert!(wounded_together == wounded_alone, "failover stream changed");
+}
+
+/// The failover fixed point evaluates the fleet once per round and keeps only
+/// the converged round's telemetry: the stream names every migration exactly
+/// once, every job completion in it is one the final report holds (and vice
+/// versa — a leaked exploratory round would complete survivors' jobs twice),
+/// and the report itself does not depend on a capture being installed.
+#[test]
+fn failover_stream_holds_only_the_converged_round() {
+    let jobs = burst();
+    let fleet = wounded_fleet(&jobs);
+    let bare = serve_cluster(&jobs, fleet.clone()).expect("wounded fleet serves");
+    let run = telemetry::capture();
+    let report = serve_cluster(&jobs, fleet).expect("wounded fleet serves");
+    let events = simulated(run.finish());
+    assert_eq!(
+        format!("{report:?}"),
+        format!("{bare:?}"),
+        "telemetry is an observer"
+    );
+    assert!(
+        report.migration_count() > 0,
+        "the dead chip had queued work"
+    );
+    assert!(report.shed.is_empty());
+
+    // Each job's `migrate` instants number its dispatches minus one.
+    let migrates = events.iter().filter(|e| e.name == "migrate");
+    assert_eq!(migrates.clone().count() as u64, report.migration_count());
+    for job in &report.jobs {
+        let mine = migrates
+            .clone()
+            .filter(|e| e.arg_u64("job") == Some(job.id));
+        assert_eq!(mine.count() as u32, job.migrations, "job {}", job.id);
+    }
+
+    let mut streamed: Vec<(u64, String, u64)> = events
+        .iter()
+        .filter(|e| e.track == "jobs")
+        .map(|e| {
+            let finish = e.arg_f64("finish_s").expect("completions carry finish_s");
+            let job = e.arg_u64("job").expect("completions carry the job id");
+            (job, e.process.clone(), finish.to_bits())
+        })
+        .collect();
+    let mut reported: Vec<(u64, String, u64)> = report
+        .jobs
+        .iter()
+        .map(|j| (j.id, format!("chip{}", j.chip), j.finish_seconds.to_bits()))
+        .collect();
+    streamed.sort();
+    reported.sort();
+    assert_eq!(streamed, reported);
+}
+
+/// One encrypted `mul_rescale` (NTTs, BConv, key-switch) inside a capture;
+/// returns the wall-clock spans it recorded.
+fn functional_run_spans() -> Vec<Event> {
+    let run = telemetry::capture();
     assert_eq!(telemetry::active_span_depth(), 0);
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
@@ -147,26 +267,46 @@ fn spans_close_and_nest_over_a_functional_run() {
     assert!((decoded[0].re - x[0].re * x[0].re).abs() < 1e-2);
 
     assert_eq!(telemetry::active_span_depth(), 0, "all spans must close");
-    let spans: Vec<Event> = telemetry::snapshot_events()
-        .into_iter()
-        .filter(|ev| ev.process == "realtime")
-        .collect();
-    assert!(spans.iter().any(|ev| ev.name == "ntt.forward"));
-    assert!(spans.iter().any(|ev| ev.name == "ckks.key_switch"));
-    telemetry::check_proper_nesting(&spans).expect("spans nest per track");
+    let spans = run.finish().events.into_iter();
+    spans.filter(|ev| ev.process == "realtime").collect()
+}
 
-    let span_ids: HashSet<u64> = spans
-        .iter()
-        .filter_map(|ev| ev.arg_u64("span_id"))
-        .collect();
-    for ev in &spans {
-        let parent = ev
-            .arg_u64("parent_span_id")
-            .expect("every span records its parent");
-        assert!(
-            parent == 0 || span_ids.contains(&parent),
-            "span {:?} has dangling parent {parent}",
-            ev.name
+/// A real functional CKKS run leaves the span machinery clean: depth back to
+/// zero, every Complete interval properly nested per track, and every
+/// non-root span's parent id pointing at a recorded span — serially, and at
+/// four limb threads, where the pool workers' spans must land in the
+/// caller's capture. (One test: the thread-count override is process-wide.)
+#[test]
+fn spans_close_and_nest_over_a_functional_run() {
+    for threads in [1, 4] {
+        bts::math::par::set_threads(threads);
+        let spans = functional_run_spans();
+        bts::math::par::set_threads(0);
+
+        assert!(spans.iter().any(|ev| ev.name == "ckks.key_switch"));
+        let on_worker = |ev: &&Event| ev.name == "ntt.forward" && ev.track.starts_with("bts-pool-");
+        assert!(spans.iter().any(|ev| ev.name == "ntt.forward"));
+        assert_eq!(
+            spans.iter().filter(on_worker).count() > 0,
+            threads > 1,
+            "workers' spans belong to the caller's capture ({threads} threads)"
         );
+        telemetry::check_proper_nesting(&spans).expect("spans nest per track");
+
+        let span_ids: HashSet<u64> = spans
+            .iter()
+            .filter_map(|ev| ev.arg_u64("span_id"))
+            .collect();
+        assert_eq!(span_ids.len(), spans.len(), "span ids are unique");
+        for ev in &spans {
+            let parent = ev
+                .arg_u64("parent_span_id")
+                .expect("every span records its parent");
+            assert!(
+                parent == 0 || span_ids.contains(&parent),
+                "span {:?} has dangling parent {parent}",
+                ev.name
+            );
+        }
     }
 }
