@@ -445,30 +445,12 @@ impl CircuitBuilder {
             let HeInstr::Bootstrap { a } = node.instr else {
                 unreachable!("prunable indices are bootstrap markers");
             };
-            let redirect = |v: &mut ValueId| {
-                if *v == node.result {
-                    *v = a;
-                }
-            };
+            let redirect = |v: ValueId| if v == node.result { a } else { v };
             for n in &mut candidate.nodes {
-                match &mut n.instr {
-                    HeInstr::HMult { a, b } | HeInstr::HAdd { a, b } => {
-                        redirect(a);
-                        redirect(b);
-                    }
-                    HeInstr::HRot { a, .. }
-                    | HeInstr::Conjugate { a }
-                    | HeInstr::PMult { a, .. }
-                    | HeInstr::PAdd { a, .. }
-                    | HeInstr::Rescale { a }
-                    | HeInstr::CMult { a, .. }
-                    | HeInstr::CAdd { a, .. }
-                    | HeInstr::ModRaise { a }
-                    | HeInstr::Bootstrap { a } => redirect(a),
-                }
+                n.instr = n.instr.map_operands(redirect);
             }
             for out in &mut candidate.outputs {
-                redirect(out);
+                *out = redirect(*out);
             }
         }
         // The builder's invariants guarantee the pruned circuit re-analyzes;

@@ -1,9 +1,10 @@
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use bts_params::CkksInstance;
 use bts_sim::HeOp;
 
 use crate::error::CircuitError;
+use crate::value_table::ValueTable;
 
 /// SSA-style identifier of a ciphertext value flowing through a circuit.
 /// Inputs and instruction results share one id space; every instruction
@@ -127,6 +128,31 @@ impl HeInstr {
             | HeInstr::Bootstrap { a } => (a, None),
         }
     }
+
+    /// The operand slots in order, one item per slot (`x + x` yields `x`
+    /// twice).
+    pub(crate) fn operand_slots(&self) -> impl Iterator<Item = ValueId> {
+        let (a, b) = self.operands();
+        [Some(a), b].into_iter().flatten()
+    }
+
+    /// The same instruction with every operand replaced by `f(operand)`:
+    /// the one rewriter every pass that redirects uses goes through.
+    pub fn map_operands(self, f: impl Fn(ValueId) -> ValueId) -> HeInstr {
+        match self {
+            HeInstr::HMult { a, b } => HeInstr::HMult { a: f(a), b: f(b) },
+            HeInstr::HAdd { a, b } => HeInstr::HAdd { a: f(a), b: f(b) },
+            HeInstr::HRot { a, rotation } => HeInstr::HRot { a: f(a), rotation },
+            HeInstr::Conjugate { a } => HeInstr::Conjugate { a: f(a) },
+            HeInstr::PMult { a, value } => HeInstr::PMult { a: f(a), value },
+            HeInstr::PAdd { a, value } => HeInstr::PAdd { a: f(a), value },
+            HeInstr::Rescale { a } => HeInstr::Rescale { a: f(a) },
+            HeInstr::CMult { a, value } => HeInstr::CMult { a: f(a), value },
+            HeInstr::CAdd { a, value } => HeInstr::CAdd { a: f(a), value },
+            HeInstr::ModRaise { a } => HeInstr::ModRaise { a: f(a) },
+            HeInstr::Bootstrap { a } => HeInstr::Bootstrap { a: f(a) },
+        }
+    }
 }
 
 /// A circuit input: a fresh ciphertext arriving from the host at some level.
@@ -223,7 +249,7 @@ impl HeCircuit {
     ///
     /// Returns the first defect found, in program order.
     pub fn validate(&self) -> Result<(), CircuitError> {
-        let mut defined: HashSet<ValueId> = HashSet::new();
+        let mut defined: ValueTable<()> = ValueTable::for_circuit(self);
         for input in &self.inputs {
             if input.level > self.instance.max_level() {
                 return Err(CircuitError::InvalidCircuit(format!(
@@ -233,7 +259,7 @@ impl HeCircuit {
                     self.instance.max_level()
                 )));
             }
-            if !defined.insert(input.id) {
+            if defined.insert(input.id, ()).is_some() {
                 return Err(CircuitError::InvalidCircuit(format!(
                     "input v{} defined twice",
                     input.id
@@ -242,11 +268,11 @@ impl HeCircuit {
         }
         for node in &self.nodes {
             let (a, b) = node.instr.operands();
-            if !defined.contains(&a) {
+            if !defined.contains(a) {
                 return Err(CircuitError::UnknownValue(a));
             }
             if let Some(b) = b {
-                if !defined.contains(&b) {
+                if !defined.contains(b) {
                     return Err(CircuitError::UnknownValue(b));
                 }
             }
@@ -264,7 +290,7 @@ impl HeCircuit {
                     node.result
                 )));
             }
-            if !defined.insert(node.result) {
+            if defined.insert(node.result, ()).is_some() {
                 return Err(CircuitError::InvalidCircuit(format!(
                     "value v{} defined twice",
                     node.result
@@ -272,7 +298,7 @@ impl HeCircuit {
             }
         }
         for &out in &self.outputs {
-            if !defined.contains(&out) {
+            if !defined.contains(out) {
                 return Err(CircuitError::UnknownValue(out));
             }
         }
@@ -301,6 +327,55 @@ mod tests {
         };
         assert!(matches!(
             circuit.validate(),
+            Err(CircuitError::InvalidCircuit(_))
+        ));
+    }
+
+    #[test]
+    fn validate_answers_sparse_and_huge_ids_without_allocating_for_them() {
+        // Ids are only compact by convention. A hand-built circuit numbering
+        // a value u32::MAX must get the answer a hash set would give — from a
+        // table that never grows toward the id.
+        let ins = CkksInstance::toy(10, 4, 2);
+        let sparse = HeCircuit {
+            instance: ins.clone(),
+            inputs: vec![CircuitInput {
+                id: 1_000_000,
+                level: 2,
+            }],
+            nodes: vec![
+                HeInstrNode {
+                    instr: HeInstr::CAdd {
+                        a: 1_000_000,
+                        value: 0.5,
+                    },
+                    result: u32::MAX,
+                    level: 2,
+                },
+                HeInstrNode {
+                    instr: HeInstr::HAdd {
+                        a: u32::MAX,
+                        b: 1_000_000,
+                    },
+                    result: 7,
+                    level: 2,
+                },
+            ],
+            outputs: vec![7, u32::MAX],
+        };
+        assert_eq!(sparse.validate(), Ok(()));
+
+        let mut dangling = sparse.clone();
+        dangling.outputs = vec![u32::MAX - 1];
+        assert_eq!(
+            dangling.validate(),
+            Err(CircuitError::UnknownValue(u32::MAX - 1))
+        );
+
+        let mut duplicate = sparse;
+        duplicate.nodes[1].result = u32::MAX;
+        assert!(matches!(
+            duplicate.validate(),
             Err(CircuitError::InvalidCircuit(_))
         ));
     }

@@ -21,8 +21,11 @@
 //! Between the builder and the backends sits an optimizing compiler:
 //! [`PassPipeline::standard`] rewrites the SSA circuit (rotation CSE with
 //! plaintext-mask hoisting in [`CommonSubexprPass`], key-switch-aware
-//! rescale scheduling in [`RescaleSchedPass`], fixpoint bootstrap placement
-//! in [`BootstrapPlacePass`], dead-value pruning in [`DeadValuePass`]), and
+//! rescale scheduling in [`RescaleSchedPass`], bootstrap placement by one
+//! backward level-demand sweep in [`BootstrapPlacePass`] — a refresh goes
+//! iff its input already sits at the level its consumers demand, which is
+//! what deleting markers one at a time to a fixpoint also finds —
+//! dead-value pruning in [`DeadValuePass`]), and
 //! [`compile`] lowers any circuit to a flat register-machine
 //! [`CompiledCircuit`] both backends execute without per-op dispatch
 //! ([`TraceBackend::lower_compiled`], [`FunctionalBackend::execute_compiled`]).
@@ -69,6 +72,7 @@ mod functional;
 mod ir;
 pub mod passes;
 mod trace_backend;
+mod value_table;
 mod workload;
 
 pub use backend::Backend;

@@ -7,10 +7,9 @@
 //! structural rewrite (e.g. removing a bootstrap lowers everything downstream
 //! of it).
 
-use std::collections::HashMap;
-
 use crate::error::CircuitError;
 use crate::ir::{HeCircuit, HeInstr, ValueId};
+use crate::value_table::ValueTable;
 
 /// Level and scale facts for one SSA value, as recomputed by [`analyze`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,15 +26,21 @@ pub struct ValueFacts {
 #[derive(Debug, Clone)]
 pub struct Analysis {
     /// Facts for every input and instruction result.
-    pub facts: HashMap<ValueId, ValueFacts>,
+    facts: ValueTable<ValueFacts>,
     /// Execution level of each node, in program order.
     pub exec_levels: Vec<usize>,
 }
 
 impl Analysis {
     /// Facts for a value that the analysis proved defined.
+    ///
+    /// # Panics
+    ///
+    /// If the analyzed circuit does not define `v`.
     pub fn of(&self, v: ValueId) -> ValueFacts {
-        self.facts[&v]
+        self.facts
+            .get(v)
+            .expect("the analysis holds facts for every value the circuit defines")
     }
 }
 
@@ -53,13 +58,28 @@ impl Analysis {
 /// Returns the first violation in program order ([`CircuitError::ScaleMismatch`],
 /// [`CircuitError::LevelExhausted`] or [`CircuitError::InvalidCircuit`]),
 /// after first re-running [`HeCircuit::validate`] for SSA well-formedness.
+///
+/// The nodes visited — all of them, or those before the violation — are
+/// added to the `circuit.analysis.nodes` telemetry counter, which is how the
+/// pipeline's cost in circuit walks is held linear by a test.
 pub fn analyze(circuit: &HeCircuit) -> Result<Analysis, CircuitError> {
     circuit.validate()?;
+    let mut analysis = Analysis {
+        facts: ValueTable::for_circuit(circuit),
+        exec_levels: Vec::with_capacity(circuit.nodes.len()),
+    };
+    let walked = walk(circuit, &mut analysis);
+    bts_telemetry::counter_add("circuit.analysis.nodes", analysis.exec_levels.len() as u64);
+    walked.map(|()| analysis)
+}
+
+/// The forward dataflow behind [`analyze`], filling `out` node by node so the
+/// caller can see how far it got when it stops at a violation.
+fn walk(circuit: &HeCircuit, out: &mut Analysis) -> Result<(), CircuitError> {
     let max_level = circuit.instance.max_level();
     let usable_top = circuit.instance.usable_top_level();
-    let mut facts: HashMap<ValueId, ValueFacts> = HashMap::new();
     for input in &circuit.inputs {
-        facts.insert(
+        out.facts.insert(
             input.id,
             ValueFacts {
                 level: input.level,
@@ -67,13 +87,12 @@ pub fn analyze(circuit: &HeCircuit) -> Result<Analysis, CircuitError> {
             },
         );
     }
-    let mut exec_levels = Vec::with_capacity(circuit.nodes.len());
     for node in &circuit.nodes {
         let (a, _) = node.instr.operands();
-        let fa = facts[&a];
+        let fa = out.of(a);
         let (exec, result) = match node.instr {
             HeInstr::HMult { b, .. } => {
-                let fb = facts[&b];
+                let fb = out.of(b);
                 let level = fa.level.min(fb.level);
                 (
                     level,
@@ -84,7 +103,7 @@ pub fn analyze(circuit: &HeCircuit) -> Result<Analysis, CircuitError> {
                 )
             }
             HeInstr::HAdd { b, .. } => {
-                let fb = facts[&b];
+                let fb = out.of(b);
                 if fa.scale_exp != fb.scale_exp {
                     return Err(CircuitError::ScaleMismatch {
                         a,
@@ -156,10 +175,10 @@ pub fn analyze(circuit: &HeCircuit) -> Result<Analysis, CircuitError> {
                 )
             }
         };
-        exec_levels.push(exec);
-        facts.insert(node.result, result);
+        out.exec_levels.push(exec);
+        out.facts.insert(node.result, result);
     }
-    Ok(Analysis { facts, exec_levels })
+    Ok(())
 }
 
 /// Runs [`analyze`] and additionally requires every recorded node level to

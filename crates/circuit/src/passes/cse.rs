@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use crate::error::CircuitError;
 use crate::ir::{HeCircuit, HeInstr, HeInstrNode, ValueId};
 use crate::passes::Pass;
+use crate::value_table::ValueTable;
 
 /// Hashable canonical form of a pure instruction. Commutative ops (`HMult`,
 /// `HAdd` — exact modular arithmetic, so operand order is immaterial even
@@ -52,23 +53,6 @@ fn key_of(instr: &HeInstr) -> Option<ExprKey> {
     })
 }
 
-fn substitute(instr: HeInstr, repr: &HashMap<ValueId, ValueId>) -> HeInstr {
-    let r = |v: ValueId| *repr.get(&v).unwrap_or(&v);
-    match instr {
-        HeInstr::HMult { a, b } => HeInstr::HMult { a: r(a), b: r(b) },
-        HeInstr::HAdd { a, b } => HeInstr::HAdd { a: r(a), b: r(b) },
-        HeInstr::HRot { a, rotation } => HeInstr::HRot { a: r(a), rotation },
-        HeInstr::Conjugate { a } => HeInstr::Conjugate { a: r(a) },
-        HeInstr::PMult { a, value } => HeInstr::PMult { a: r(a), value },
-        HeInstr::PAdd { a, value } => HeInstr::PAdd { a: r(a), value },
-        HeInstr::Rescale { a } => HeInstr::Rescale { a: r(a) },
-        HeInstr::CMult { a, value } => HeInstr::CMult { a: r(a), value },
-        HeInstr::CAdd { a, value } => HeInstr::CAdd { a: r(a), value },
-        HeInstr::ModRaise { a } => HeInstr::ModRaise { a: r(a) },
-        HeInstr::Bootstrap { a } => HeInstr::Bootstrap { a: r(a) },
-    }
-}
-
 /// Value-numbering CSE over all pure deterministic instructions.
 ///
 /// One forward scan: each instruction is first rewritten to use the
@@ -87,11 +71,11 @@ impl Pass for CommonSubexprPass {
 
     fn run(&self, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
         circuit.validate()?;
-        let mut repr: HashMap<ValueId, ValueId> = HashMap::new();
+        let mut repr: ValueTable<ValueId> = ValueTable::for_circuit(circuit);
         let mut table: HashMap<ExprKey, ValueId> = HashMap::new();
         let mut nodes: Vec<HeInstrNode> = Vec::with_capacity(circuit.nodes.len());
         for node in &circuit.nodes {
-            let instr = substitute(node.instr, &repr);
+            let instr = node.instr.map_operands(|v| repr.resolve(v));
             if let Some(key) = key_of(&instr) {
                 if let Some(&existing) = table.get(&key) {
                     repr.insert(node.result, existing);
@@ -101,11 +85,7 @@ impl Pass for CommonSubexprPass {
             }
             nodes.push(HeInstrNode { instr, ..*node });
         }
-        let outputs = circuit
-            .outputs
-            .iter()
-            .map(|v| *repr.get(v).unwrap_or(v))
-            .collect();
+        let outputs = circuit.outputs.iter().map(|&v| repr.resolve(v)).collect();
         Ok(HeCircuit {
             instance: circuit.instance.clone(),
             inputs: circuit.inputs.clone(),

@@ -5,11 +5,10 @@
 //! CSE can orphan whole subtrees — so the pipeline runs this pass last as the
 //! sweep phase.
 
-use std::collections::HashSet;
-
 use crate::error::CircuitError;
-use crate::ir::{HeCircuit, ValueId};
+use crate::ir::HeCircuit;
 use crate::passes::Pass;
+use crate::value_table::ValueTable;
 
 /// Backward liveness sweep over the SSA program.
 ///
@@ -28,15 +27,13 @@ impl Pass for DeadValuePass {
 
     fn run(&self, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
         circuit.validate()?;
-        let mut live: HashSet<ValueId> = circuit.outputs.iter().copied().collect();
+        let mut live = ValueTable::outputs_of(circuit);
         let mut keep = vec![false; circuit.nodes.len()];
         for (i, node) in circuit.nodes.iter().enumerate().rev() {
-            if live.contains(&node.result) {
+            if live.contains(node.result) {
                 keep[i] = true;
-                let (a, b) = node.instr.operands();
-                live.insert(a);
-                if let Some(b) = b {
-                    live.insert(b);
+                for v in node.instr.operand_slots() {
+                    live.insert(v, ());
                 }
             }
         }

@@ -12,7 +12,7 @@
 //! 2. [`RescaleSchedPass`] — mask hoisting and rescale sinking, so
 //!    key-switches run with fewer limbs;
 //! 3. [`BootstrapPlacePass`] — deletes refreshes the level budget proves
-//!    unnecessary;
+//!    unnecessary, in one backward level-demand sweep;
 //! 4. [`DeadValuePass`] — sweeps the dead originals the rewrites leave
 //!    behind.
 //!
@@ -161,6 +161,55 @@ mod tests {
         assert_eq!(counts[&HeOp::PMult], 1, "masks hoisted");
         assert_eq!(counts[&HeOp::HRot], 2);
         assert!(optimized.len() < circuit.len());
+    }
+
+    #[test]
+    fn sparse_and_huge_ids_get_the_same_answer_as_compact_ones() {
+        // Ids are compact by convention only (the fields are public). Spread
+        // the builder's ids out, then push the last one to u32::MAX: the
+        // first must optimize exactly like the compact circuit, the second
+        // must be refused with a typed error once a pass needs a fresh id.
+        let ins = CkksInstance::ins1();
+        let mut b = CircuitBuilder::new(&ins);
+        let x = b.input();
+        let cur = b.bootstrap(x).unwrap();
+        let mut acc = b.pmult(cur, 0.5).unwrap();
+        for r in 1..=2 {
+            let rot = b.hrot(cur, r).unwrap();
+            let m = b.pmult(rot, 0.5).unwrap();
+            acc = b.hadd(acc, m).unwrap();
+        }
+        let out = b.rescale(acc).unwrap();
+        b.output(out);
+        let compact = b.build();
+        let renumber = |circuit: &HeCircuit, f: &dyn Fn(u32) -> u32| {
+            let mut c = circuit.clone();
+            for input in &mut c.inputs {
+                input.id = f(input.id);
+            }
+            for node in &mut c.nodes {
+                node.instr = node.instr.map_operands(f);
+                node.result = f(node.result);
+            }
+            for out in &mut c.outputs {
+                *out = f(*out);
+            }
+            c
+        };
+
+        let sparse = renumber(&compact, &|v| 1_000_000 + 999_983 * v);
+        let optimized = PassPipeline::standard().optimize(&sparse).unwrap();
+        let reference = PassPipeline::standard().optimize(&compact).unwrap();
+        assert_eq!(optimized.op_counts(), reference.op_counts());
+        assert_eq!(optimized.bootstrap_count(), reference.bootstrap_count());
+        assert!(optimized.len() < sparse.len());
+
+        let full = renumber(&compact, &|v| if v == out { u32::MAX } else { v });
+        assert_eq!(full.validate(), Ok(()));
+        assert!(matches!(
+            PassPipeline::standard().optimize(&full),
+            Err(CircuitError::InvalidCircuit(_))
+        ));
     }
 
     #[test]

@@ -20,12 +20,11 @@
 //! Original groups are left in place with their consumers redirected; the
 //! pipeline's dead-value sweep collects them.
 
-use std::collections::{HashMap, HashSet};
-
 use crate::error::CircuitError;
 use crate::ir::{HeCircuit, HeInstr, HeInstrNode, ValueId};
-use crate::passes::analysis;
+use crate::passes::analysis::{self, Analysis};
 use crate::passes::Pass;
+use crate::value_table::ValueTable;
 
 /// One flattened summand of a rotate–mask–accumulate group: the rotation
 /// applied to the shared source (`None` for the unrotated term) in original
@@ -53,72 +52,71 @@ pub struct RescaleSchedPass;
 struct Rewriter<'c> {
     circuit: &'c HeCircuit,
     /// Defining node index of every instruction result.
-    defs: HashMap<ValueId, usize>,
-    /// Node indices consuming each value.
-    uses: HashMap<ValueId, Vec<usize>>,
-    outputs: HashSet<ValueId>,
-    facts: HashMap<ValueId, analysis::ValueFacts>,
-    next_id: ValueId,
+    defs: ValueTable<usize>,
+    /// How many operand slots consume each value.
+    use_counts: ValueTable<usize>,
+    outputs: ValueTable<()>,
+    analysis: Analysis,
+    /// The next unused id, or `None` once `u32::MAX` itself is taken.
+    next_id: Option<ValueId>,
 }
 
 impl<'c> Rewriter<'c> {
     fn new(circuit: &'c HeCircuit) -> Result<Self, CircuitError> {
         let analysis = analysis::analyze(circuit)?;
-        let mut defs = HashMap::new();
-        let mut uses: HashMap<ValueId, Vec<usize>> = HashMap::new();
-        let mut next_id = 0;
-        for input in &circuit.inputs {
-            next_id = next_id.max(input.id + 1);
-        }
+        let mut defs = ValueTable::for_circuit(circuit);
+        let mut use_counts = ValueTable::for_circuit(circuit);
         for (i, node) in circuit.nodes.iter().enumerate() {
             defs.insert(node.result, i);
-            next_id = next_id.max(node.result + 1);
-            let (a, b) = node.instr.operands();
-            uses.entry(a).or_default().push(i);
-            if let Some(b) = b {
-                uses.entry(b).or_default().push(i);
+            for v in node.instr.operand_slots() {
+                use_counts.insert(v, use_counts.get(v).unwrap_or(0) + 1);
             }
         }
+        let max_id = circuit
+            .inputs
+            .iter()
+            .map(|input| input.id)
+            .chain(circuit.nodes.iter().map(|node| node.result))
+            .max();
         Ok(Self {
             circuit,
             defs,
-            uses,
-            outputs: circuit.outputs.iter().copied().collect(),
-            facts: analysis.facts,
-            next_id,
+            use_counts,
+            outputs: ValueTable::outputs_of(circuit),
+            analysis,
+            next_id: max_id.map_or(Some(0), |max| max.checked_add(1)),
         })
     }
 
-    fn fresh(&mut self) -> ValueId {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
+    fn fresh(&mut self) -> Result<ValueId, CircuitError> {
+        let id = self.next_id.ok_or_else(|| {
+            CircuitError::InvalidCircuit("the circuit leaves no unused value id".to_string())
+        })?;
+        self.next_id = id.checked_add(1);
+        Ok(id)
     }
 
-    /// Whether `v` is consumed only by nodes inside `group` — the condition
-    /// for the original definition to become dead once the group's root is
-    /// redirected.
-    fn only_used_inside(&self, v: ValueId, group: &HashSet<usize>) -> bool {
-        if self.outputs.contains(&v) {
-            return false;
-        }
-        self.uses
-            .get(&v)
-            .map(|us| us.iter().all(|u| group.contains(u)))
-            .unwrap_or(true)
+    /// Whether `v` has exactly one consumer and is not a circuit output — the
+    /// condition for its definition to die once that consumer is rewritten.
+    fn single_use(&self, v: ValueId) -> bool {
+        !self.outputs.contains(v) && self.use_counts.get(v) == Some(1)
     }
 
     /// Flattens the `HAdd` tree under `root` into leaves, in addition order.
+    /// Accumulation chains run to hundreds of thousands of terms, so the
+    /// walk keeps its own stack instead of recursing once per `HAdd`.
     fn flatten(&self, root: ValueId, leaves: &mut Vec<ValueId>, tree: &mut Vec<usize>) {
-        if let Some(&i) = self.defs.get(&root) {
-            if let HeInstr::HAdd { a, b } = self.circuit.nodes[i].instr {
-                tree.push(i);
-                self.flatten(a, leaves, tree);
-                self.flatten(b, leaves, tree);
-                return;
+        let mut pending = vec![root];
+        while let Some(v) = pending.pop() {
+            match self.defs.get(v).map(|i| (i, self.circuit.nodes[i].instr)) {
+                Some((i, HeInstr::HAdd { a, b })) => {
+                    tree.push(i);
+                    pending.push(b);
+                    pending.push(a);
+                }
+                _ => leaves.push(v),
             }
         }
-        leaves.push(root);
     }
 
     /// Tries to match the mask-hoist pattern on the rescale at node `ri` with
@@ -131,8 +129,8 @@ impl<'c> Rewriter<'c> {
         let mut value_bits: Option<u64> = None;
         let mut terms = Vec::with_capacity(leaves.len());
         let mut rotated = false;
-        for leaf in &leaves {
-            let &pi = self.defs.get(leaf)?;
+        for &leaf in &leaves {
+            let pi = self.defs.get(leaf)?;
             let HeInstr::PMult { a: u, value } = self.circuit.nodes[pi].instr else {
                 return None;
             };
@@ -143,12 +141,9 @@ impl<'c> Rewriter<'c> {
             // A rotated term only counts as such if its rotation becomes dead
             // with the group; otherwise treat the rotation result itself as a
             // (necessarily shared) source.
-            let (src, rotation) = match self.defs.get(&u) {
-                Some(&wi) => match self.circuit.nodes[wi].instr {
-                    HeInstr::HRot { a: w, rotation }
-                        if !self.outputs.contains(&u)
-                            && self.uses.get(&u).map(|us| us.len()).unwrap_or(0) == 1 =>
-                    {
+            let (src, rotation) = match self.defs.get(u) {
+                Some(wi) => match self.circuit.nodes[wi].instr {
+                    HeInstr::HRot { a: w, rotation } if self.single_use(u) => {
                         group.push(wi);
                         (w, Some(rotation))
                     }
@@ -166,38 +161,34 @@ impl<'c> Rewriter<'c> {
         if terms.len() < 2 && !rotated {
             return None;
         }
-        let group: HashSet<usize> = group.into_iter().collect();
-        // Every intermediate must die with the group (its only consumers are
-        // group nodes or the rescale root itself).
-        let mut with_root = group.clone();
-        with_root.insert(ri);
-        for &i in &group {
-            if !self.only_used_inside(self.circuit.nodes[i].result, &with_root) {
-                return None;
-            }
+        // A leaf reached twice (`m + m`) put its nodes in the group twice.
+        group.sort_unstable();
+        group.dedup();
+        // Every intermediate must die with the group: it is no output, and
+        // each operand slot consuming it belongs to a group node or to the
+        // rescale root itself.
+        let mut consumed: Vec<ValueId> = group
+            .iter()
+            .chain([&ri])
+            .flat_map(|&i| self.circuit.nodes[i].instr.operand_slots())
+            .collect();
+        consumed.sort_unstable();
+        let dies_with_group = |v: ValueId| {
+            let inside =
+                consumed.partition_point(|&c| c <= v) - consumed.partition_point(|&c| c < v);
+            !self.outputs.contains(v) && inside == self.use_counts.get(v).unwrap_or(0)
+        };
+        if !group
+            .iter()
+            .all(|&i| dies_with_group(self.circuit.nodes[i].result))
+        {
+            return None;
         }
         Some(MaskGroup {
             source: source?,
             value: f64::from_bits(value_bits?),
             terms,
         })
-    }
-}
-
-fn substitute(instr: HeInstr, repr: &HashMap<ValueId, ValueId>) -> HeInstr {
-    let r = |v: ValueId| *repr.get(&v).unwrap_or(&v);
-    match instr {
-        HeInstr::HMult { a, b } => HeInstr::HMult { a: r(a), b: r(b) },
-        HeInstr::HAdd { a, b } => HeInstr::HAdd { a: r(a), b: r(b) },
-        HeInstr::HRot { a, rotation } => HeInstr::HRot { a: r(a), rotation },
-        HeInstr::Conjugate { a } => HeInstr::Conjugate { a: r(a) },
-        HeInstr::PMult { a, value } => HeInstr::PMult { a: r(a), value },
-        HeInstr::PAdd { a, value } => HeInstr::PAdd { a: r(a), value },
-        HeInstr::Rescale { a } => HeInstr::Rescale { a: r(a) },
-        HeInstr::CMult { a, value } => HeInstr::CMult { a: r(a), value },
-        HeInstr::CAdd { a, value } => HeInstr::CAdd { a: r(a), value },
-        HeInstr::ModRaise { a } => HeInstr::ModRaise { a: r(a) },
-        HeInstr::Bootstrap { a } => HeInstr::Bootstrap { a: r(a) },
     }
 }
 
@@ -208,21 +199,21 @@ impl Pass for RescaleSchedPass {
 
     fn run(&self, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
         let mut rw = Rewriter::new(circuit)?;
-        let mut repr: HashMap<ValueId, ValueId> = HashMap::new();
+        let mut repr: ValueTable<ValueId> = ValueTable::for_circuit(circuit);
         let mut nodes: Vec<HeInstrNode> = Vec::with_capacity(circuit.nodes.len());
         for (i, node) in circuit.nodes.iter().enumerate() {
             let HeInstr::Rescale { a: acc } = node.instr else {
                 nodes.push(HeInstrNode {
-                    instr: substitute(node.instr, &repr),
+                    instr: node.instr.map_operands(|v| repr.resolve(v)),
                     ..*node
                 });
                 continue;
             };
             // Rewrite 1: mask hoisting over a rotate–mask–accumulate group.
             if let Some(mask) = rw.match_mask_group(i, acc) {
-                let src = *repr.get(&mask.source).unwrap_or(&mask.source);
-                let lx = rw.facts[&mask.source].level;
-                let masked = rw.fresh();
+                let src = repr.resolve(mask.source);
+                let lx = rw.analysis.of(mask.source).level;
+                let masked = rw.fresh()?;
                 nodes.push(HeInstrNode {
                     instr: HeInstr::PMult {
                         a: src,
@@ -231,7 +222,7 @@ impl Pass for RescaleSchedPass {
                     result: masked,
                     level: lx,
                 });
-                let rescaled = rw.fresh();
+                let rescaled = rw.fresh()?;
                 nodes.push(HeInstrNode {
                     instr: HeInstr::Rescale { a: masked },
                     result: rescaled,
@@ -241,7 +232,7 @@ impl Pass for RescaleSchedPass {
                 for term in &mask.terms {
                     let t = match term.rotation {
                         Some(rotation) => {
-                            let t = rw.fresh();
+                            let t = rw.fresh()?;
                             nodes.push(HeInstrNode {
                                 instr: HeInstr::HRot {
                                     a: rescaled,
@@ -257,7 +248,7 @@ impl Pass for RescaleSchedPass {
                     sum = Some(match sum {
                         None => t,
                         Some(s) => {
-                            let id = rw.fresh();
+                            let id = rw.fresh()?;
                             nodes.push(HeInstrNode {
                                 instr: HeInstr::HAdd { a: s, b: t },
                                 result: id,
@@ -272,25 +263,23 @@ impl Pass for RescaleSchedPass {
             }
             // Rewrite 2: sink a rescale below a single-use rotation or
             // conjugation.
-            if let Some(&di) = rw.defs.get(&acc) {
+            if let Some(di) = rw.defs.get(acc) {
                 let inner = rw.circuit.nodes[di];
-                let single_use = !rw.outputs.contains(&acc)
-                    && rw.uses.get(&acc).map(|us| us.len()).unwrap_or(0) == 1;
                 let sink = match inner.instr {
                     HeInstr::HRot { a: w, rotation } => Some((w, Some(rotation))),
                     HeInstr::Conjugate { a: w } => Some((w, None)),
                     _ => None,
                 };
-                if let (true, Some((w, rotation))) = (single_use, sink) {
-                    let lx = rw.facts[&w].level;
-                    let src = *repr.get(&w).unwrap_or(&w);
-                    let rescaled = rw.fresh();
+                if let (true, Some((w, rotation))) = (rw.single_use(acc), sink) {
+                    let lx = rw.analysis.of(w).level;
+                    let src = repr.resolve(w);
+                    let rescaled = rw.fresh()?;
                     nodes.push(HeInstrNode {
                         instr: HeInstr::Rescale { a: src },
                         result: rescaled,
                         level: lx,
                     });
-                    let out = rw.fresh();
+                    let out = rw.fresh()?;
                     let instr = match rotation {
                         Some(rotation) => HeInstr::HRot {
                             a: rescaled,
@@ -308,15 +297,11 @@ impl Pass for RescaleSchedPass {
                 }
             }
             nodes.push(HeInstrNode {
-                instr: substitute(node.instr, &repr),
+                instr: node.instr.map_operands(|v| repr.resolve(v)),
                 ..*node
             });
         }
-        let outputs = circuit
-            .outputs
-            .iter()
-            .map(|v| *repr.get(v).unwrap_or(v))
-            .collect();
+        let outputs = circuit.outputs.iter().map(|&v| repr.resolve(v)).collect();
         let out = HeCircuit {
             instance: circuit.instance.clone(),
             inputs: circuit.inputs.clone(),
@@ -437,5 +422,41 @@ mod tests {
         let rewritten = RescaleSchedPass.run(&circuit).unwrap();
         let swept = DeadValuePass.run(&rewritten).unwrap();
         assert_eq!(swept.op_counts(), circuit.op_counts(), "no rewrite fired");
+    }
+
+    #[test]
+    fn long_accumulation_chains_do_not_recurse() {
+        // One HAdd per term: flattening by recursion overflowed the stack at
+        // ~100k terms. Run on a thread as small as the test harness's own.
+        const TERMS: usize = 200_000;
+        let hoisted = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let ins = CkksInstance::toy(10, 6, 2);
+                let mut b = CircuitBuilder::new(&ins);
+                let x = b.input();
+                let out = mac_group(&mut b, x, TERMS - 1, 0.25);
+                b.output(out);
+                let rewritten = RescaleSchedPass.run(&b.build()).unwrap();
+                DeadValuePass.run(&rewritten).unwrap()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let counts = hoisted.op_counts();
+        assert_eq!(counts[&HeOp::PMult], 1, "masks hoisted");
+        assert_eq!(counts[&HeOp::HRescale], 1);
+        assert_eq!(counts[&HeOp::HRot], TERMS - 1);
+        assert_eq!(counts[&HeOp::HAdd], TERMS - 1);
+        // Left-to-right addition order survived the flattening.
+        let rotations: Vec<i64> = hoisted
+            .nodes
+            .iter()
+            .filter_map(|n| match n.instr {
+                HeInstr::HRot { rotation, .. } => Some(rotation),
+                _ => None,
+            })
+            .collect();
+        assert!(rotations.iter().copied().eq(1..TERMS as i64));
     }
 }

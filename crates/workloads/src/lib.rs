@@ -44,7 +44,9 @@ pub use sorting::{SortingConfig, SortingWorkload};
 
 // Re-exported so downstream code that consumes workloads can name the
 // circuit-pipeline types without a separate dependency.
-pub use bts_circuit::{BootstrapPlan, LoweredTrace, Workload, WorkloadRegistry};
+pub use bts_circuit::{
+    BootstrapPlan, HeCircuit, HeInstr, LoweredTrace, Workload, WorkloadRegistry,
+};
 
 /// All five evaluation workloads with their paper-default configurations,
 /// keyed by name (`"amortized-mult"`, `"bootstrap"`, `"helr"`, `"resnet20"`,
