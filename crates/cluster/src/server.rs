@@ -230,8 +230,10 @@ impl ClusterServer {
             }
             other => ClusterError::Fault(other),
         })?;
-        let mut seen = std::collections::HashSet::new();
-        for job in jobs {
+        // Job id → submit index: the duplicate check now, and every later
+        // lookup of a chip's outcome back to its request.
+        let mut index_of: HashMap<u64, usize> = HashMap::with_capacity(jobs.len());
+        for (j, job) in jobs.iter().enumerate() {
             if !job.arrival_seconds.is_finite() || job.arrival_seconds < 0.0 {
                 return Err(admission(ServeError::InvalidArrival {
                     job: job.id,
@@ -246,21 +248,26 @@ impl ClusterServer {
                     }));
                 }
             }
-            if !seen.insert(job.id) {
+            if index_of.insert(job.id, j).is_some() {
                 return Err(admission(ServeError::DuplicateJobId { job: job.id }));
             }
         }
 
         // Profile each unique (workload, instance) pair once — bursts repeat
-        // them, and lowering is deterministic.
+        // them, and lowering is deterministic. `pairs` holds the first job
+        // of each pair; `profiles[j]` is job `j`'s (shared) profile.
+        let mut pairs: Vec<usize> = Vec::new();
         let mut profiles: Vec<std::rc::Rc<JobProfile>> = Vec::with_capacity(jobs.len());
         for (j, job) in jobs.iter().enumerate() {
-            let twin = jobs[..j]
-                .iter()
-                .position(|p| p.workload == job.workload && p.instance == job.instance);
+            let twin = pairs.iter().copied().find(|&first| {
+                jobs[first].workload == job.workload && jobs[first].instance == job.instance
+            });
             profiles.push(match twin {
-                Some(t) => std::rc::Rc::clone(&profiles[t]),
-                None => std::rc::Rc::new(self.profile(job)?),
+                Some(first) => std::rc::Rc::clone(&profiles[first]),
+                None => {
+                    pairs.push(j);
+                    std::rc::Rc::new(self.profile(job)?)
+                }
             });
         }
 
@@ -331,7 +338,8 @@ impl ClusterServer {
             .collect();
         // Jobs the cluster itself shed (migration budget exhausted) — they
         // stop being dispatched but their shipped bytes stay charged.
-        let mut cluster_shed = vec![false; jobs.len()];
+        // `cluster_shed[j]` is the job's entry in `cluster_shed_jobs`.
+        let mut cluster_shed: Vec<Option<usize>> = vec![None; jobs.len()];
         let mut cluster_shed_jobs: Vec<ShedJob> = Vec::new();
         let mut load = vec![0.0f64; chip_count];
         for (j, d) in dispatches.iter().enumerate() {
@@ -339,7 +347,7 @@ impl ClusterServer {
         }
         let state = loop {
             let round = ambient_telemetry.then(bts_telemetry::capture);
-            let state = self.run_round(jobs, &profiles, &dispatches, &cluster_shed)?;
+            let state = self.run_round(jobs, &index_of, &profiles, &dispatches, &cluster_shed)?;
             if state.interrupted.is_empty() {
                 if let Some(round) = round {
                     bts_telemetry::merge(round.finish());
@@ -358,7 +366,7 @@ impl ClusterServer {
                 let used = u32::try_from(dispatches[j].len()).unwrap_or(u32::MAX);
                 let job = &jobs[j];
                 if used >= self.options.retry.max_attempts {
-                    cluster_shed[j] = true;
+                    cluster_shed[j] = Some(cluster_shed_jobs.len());
                     cluster_shed_jobs.push(ShedJob {
                         id: job.id,
                         tenant: job.tenant,
@@ -447,17 +455,26 @@ impl ClusterServer {
         // collected separately, with their original arrivals too.
         let mut shed: Vec<ShedJob> = Vec::new();
         let mut outcomes = Vec::new();
+        // Where each job sits in its chip's report: `.jobs[i]` if it was
+        // served, `.shed[i]` if the chip dropped it.
+        let mut served_at: Vec<Option<usize>> = vec![None; jobs.len()];
+        let mut shed_at: Vec<Option<usize>> = vec![None; jobs.len()];
+        for chip in &chips {
+            for (i, o) in chip.report.jobs.iter().enumerate() {
+                served_at[index_of[&o.id]] = Some(i);
+            }
+            for (i, s) in chip.report.shed.iter().enumerate() {
+                shed_at[index_of[&s.id]] = Some(i);
+            }
+        }
         for (j, job) in jobs.iter().enumerate() {
             let chip = dispatches[j].last().expect("every job is dispatched").chip;
-            if cluster_shed[j] {
-                let s = cluster_shed_jobs
-                    .iter()
-                    .find(|s| s.id == job.id)
-                    .expect("cluster-shed jobs are recorded");
-                shed.push(s.clone());
+            if let Some(s) = cluster_shed[j] {
+                shed.push(cluster_shed_jobs[s].clone());
                 continue;
             }
-            if let Some(served) = chips[chip].report.jobs.iter().find(|o| o.id == job.id) {
+            if let Some(i) = served_at[j] {
+                let served = &chips[chip].report.jobs[i];
                 outcomes.push(ClusterJobOutcome {
                     id: job.id,
                     tenant: job.tenant,
@@ -472,13 +489,9 @@ impl ClusterServer {
                     deadline_seconds: job.deadline_seconds,
                 });
             } else {
-                let mut s = chips[chip]
-                    .report
-                    .shed
-                    .iter()
-                    .find(|s| s.id == job.id)
-                    .expect("a dispatched, unshed, uncompleted job was shed by its chip")
-                    .clone();
+                let i =
+                    shed_at[j].expect("a dispatched, unshed, uncompleted job was shed by its chip");
+                let mut s = chips[chip].report.shed[i].clone();
                 s.arrival_seconds = job.arrival_seconds;
                 shed.push(s);
             }
@@ -499,9 +512,10 @@ impl ClusterServer {
     fn run_round(
         &self,
         jobs: &[JobRequest],
+        index_of: &HashMap<u64, usize>,
         profiles: &[std::rc::Rc<JobProfile>],
         dispatches: &[Vec<Dispatch>],
-        cluster_shed: &[bool],
+        cluster_shed: &[Option<usize>],
     ) -> Result<RoundState, ClusterError> {
         let chip_count = self.options.spec.chip_count;
         let link = self.options.spec.interconnect;
@@ -583,7 +597,8 @@ impl ClusterServer {
                 .iter()
                 .enumerate()
                 .filter(|&(j, _)| {
-                    !cluster_shed[j] && dispatches[j].last().expect("dispatched").chip == chip
+                    cluster_shed[j].is_none()
+                        && dispatches[j].last().expect("dispatched").chip == chip
                 })
                 .map(|(j, job)| {
                     let d = dispatches[j].last().expect("dispatched");
@@ -607,11 +622,7 @@ impl ClusterServer {
                     source,
                 })?;
             for cut in &report.interrupted {
-                let j = jobs
-                    .iter()
-                    .position(|job| job.id == cut.id)
-                    .expect("interrupted jobs come from the batch");
-                interrupted.push((j, chip, cut.interrupted_seconds));
+                interrupted.push((index_of[&cut.id], chip, cut.interrupted_seconds));
             }
             chip_reports.push(report);
         }

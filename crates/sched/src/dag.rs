@@ -15,9 +15,12 @@ use bts_sim::{CtId, OpTrace};
 /// integrity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceDag {
-    /// `deps[i]`: indices of the producing ops of op `i`'s ciphertext
-    /// operands (deduplicated; trace inputs have no producer).
-    deps: Vec<Vec<u32>>,
+    /// Op `i`'s data edges are `edges[offsets[i]..offsets[i + 1]]` (CSR: one
+    /// flat array for the whole trace instead of a vector per op).
+    offsets: Vec<u32>,
+    /// Indices of the producing ops of every op's ciphertext operands, per
+    /// op sorted and deduplicated; trace inputs have no producer.
+    edges: Vec<u32>,
     /// Barrier segment of every op; nondecreasing in program order.
     segment: Vec<u32>,
 }
@@ -36,42 +39,48 @@ impl TraceDag {
     /// Builds the DAG for a trace in one forward pass.
     pub fn from_trace(trace: &OpTrace) -> Self {
         let mut producer: HashMap<CtId, u32> = HashMap::new();
-        let mut deps = Vec::with_capacity(trace.ops.len());
+        let mut offsets = Vec::with_capacity(trace.ops.len() + 1);
+        let mut edges: Vec<u32> = Vec::with_capacity(trace.ops.len());
         let mut segment = Vec::with_capacity(trace.ops.len());
         let mut current_segment = 0u32;
+        offsets.push(0);
         for (i, op) in trace.ops.iter().enumerate() {
             if i > 0 && op.in_bootstrap != trace.ops[i - 1].in_bootstrap {
                 current_segment += 1;
             }
             segment.push(current_segment);
-            let mut d: Vec<u32> = op
-                .inputs
-                .iter()
-                .filter_map(|id| producer.get(id).copied())
-                .collect();
-            d.sort_unstable();
-            d.dedup();
-            deps.push(d);
+            let first = edges.len();
+            for p in op.inputs.iter().filter_map(|id| producer.get(id)) {
+                if !edges[first..].contains(p) {
+                    edges.push(*p);
+                }
+            }
+            edges[first..].sort_unstable();
+            offsets.push(u32::try_from(edges.len()).expect("edge count fits u32"));
             if let Some(out) = op.output {
                 producer.insert(out, i as u32);
             }
         }
-        Self { deps, segment }
+        Self {
+            offsets,
+            edges,
+            segment,
+        }
     }
 
     /// Number of ops.
     pub fn len(&self) -> usize {
-        self.deps.len()
+        self.segment.len()
     }
 
     /// Whether the DAG is empty.
     pub fn is_empty(&self) -> bool {
-        self.deps.is_empty()
+        self.segment.is_empty()
     }
 
     /// Data dependencies (producing op indices) of op `i`.
     pub fn deps(&self, i: usize) -> &[u32] {
-        &self.deps[i]
+        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Barrier segment of op `i`.
@@ -86,7 +95,7 @@ impl TraceDag {
 
     /// Total number of data edges.
     pub fn edge_count(&self) -> usize {
-        self.deps.iter().map(Vec::len).sum()
+        self.edges.len()
     }
 
     /// Longest chain through the DAG — data edges *and* barriers — when op
@@ -113,7 +122,7 @@ impl TraceDag {
             }
             let mut ready = barrier.0;
             let mut pred = barrier.1;
-            for &d in &self.deps[i] {
+            for &d in self.deps(i) {
                 let f = earliest_finish[d as usize];
                 if f > ready {
                     ready = f;
@@ -167,6 +176,20 @@ mod tests {
         assert_eq!(dag.deps(3), &[2]);
         assert_eq!(dag.edge_count(), 3);
         assert_eq!(dag.segment_count(), 1);
+    }
+
+    #[test]
+    fn an_operand_read_twice_is_one_edge() {
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        let r = b.hrot(x, 1, 27); // op 0
+        let s = b.hmult_at(r, r, 27); // op 1 — both operands from op 0
+        b.hadd(s, r, 27); // op 2 — operands listed consumer-first
+        let dag = TraceDag::from_trace(&b.build());
+        assert_eq!(dag.deps(1), &[0]);
+        assert_eq!(dag.deps(2), &[0, 1], "edges are sorted per op");
+        assert_eq!(dag.edge_count(), 3);
     }
 
     #[test]

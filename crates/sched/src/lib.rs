@@ -66,8 +66,8 @@ mod schedule;
 pub use dag::{CriticalPath, TraceDag};
 pub use list_schedule::ListScheduler;
 pub use multi::{
-    schedule_jobs, JobCompletion, JobStats, MultiBusyInterval, MultiSchedule, MultiScheduledOp,
-    MultiScheduler,
+    schedule_jobs, JobCompletion, JobPlan, JobStats, MultiBusyInterval, MultiSchedule,
+    MultiScheduledOp, MultiScheduler, UtilizationFold,
 };
 pub use report::{CriticalOp, ScheduleExt, ScheduledRun};
 pub use resources::{FuKind, MachineModel, OpDemand};

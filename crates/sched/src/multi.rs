@@ -35,6 +35,21 @@
 //! [`MultiScheduler::run_until_completion`] advances placement just far
 //! enough to learn the next job completion time — the hook the `bts-serve`
 //! admission loop is built on.
+//!
+//! # Plans, cursors and the timeline
+//!
+//! A serving run admits thousands of copies of a handful of traces. What is
+//! fixed about a job — op metadata, demands, the DAG, serial and
+//! critical-path seconds — lives in an immutable [`JobPlan`] shared by every
+//! copy ([`MultiScheduler::add_planned`]); what a running job mutates is a
+//! small cursor. The timeline (placed ops and reservations) belongs to the
+//! scheduler until someone takes it: a scheduler nobody drains returns all
+//! of it from [`MultiScheduler::finish`], while a caller that needs only
+//! running figures ([`UtilizationFold`]) drains it as the run goes, so
+//! memory follows the jobs in flight rather than the ops ever placed.
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use bts_sim::{HeOp, OpTiming, OpTrace, TimelineSegment};
 
@@ -135,6 +150,8 @@ pub struct MultiSchedule {
     pub busy: [Vec<MultiBusyInterval>; FuKind::COUNT],
     /// Per-job aggregates, in admission order.
     pub jobs: Vec<JobStats>,
+    /// Tag → index into `jobs`.
+    index: HashMap<u32, usize>,
     /// Completion time of the last job (0 for an empty schedule).
     pub makespan_seconds: f64,
     /// The machine the schedule was built for.
@@ -144,7 +161,7 @@ pub struct MultiSchedule {
 impl MultiSchedule {
     /// Stats of the job with the given tag.
     pub fn job(&self, tag: u32) -> Option<&JobStats> {
-        self.jobs.iter().find(|j| j.tag == tag)
+        self.index.get(&tag).map(|&j| &self.jobs[j])
     }
 
     /// Sum of every job's serial charge — what one-at-a-time execution
@@ -208,7 +225,9 @@ impl MultiSchedule {
     /// 6. every job's recorded finish is the max end over its ops.
     ///
     /// (Data-edge and barrier respect are checked against the traces by the
-    /// property suite, which still holds the [`TraceDag`]s.)
+    /// property suite, which still holds the [`TraceDag`]s.) The invariants
+    /// describe a whole timeline: what [`MultiScheduler::finish`] returns
+    /// after [`MultiScheduler::drain_timeline`] took part of it away fails 1.
     ///
     /// # Errors
     ///
@@ -216,9 +235,8 @@ impl MultiSchedule {
     pub fn check_invariants(&self) -> Result<(), String> {
         let serial_sum = self.serial_seconds();
         let eps = 1e-9 * serial_sum.max(1e-12);
-        let mut next_index: std::collections::HashMap<u32, usize> =
-            std::collections::HashMap::new();
-        let mut max_end: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+        let mut next_index: HashMap<u32, usize> = HashMap::new();
+        let mut max_end: HashMap<u32, f64> = HashMap::new();
         for op in &self.ops {
             let job = self
                 .job(op.job)
@@ -341,26 +359,122 @@ impl MultiSchedule {
     }
 }
 
-/// Per-job scheduling state.
+/// Everything about a job that is fixed before it runs: op metadata, per-op
+/// resource demands on one machine, the dependency DAG, and the serial and
+/// critical-path charges. Immutable, so every admission of the same
+/// (trace, timings) pair can share one plan behind an [`Arc`]
+/// ([`MultiScheduler::add_planned`]); the scheduler keeps only a small
+/// cursor per running job.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobPlan {
+    machine: MachineModel,
+    ops: Vec<(HeOp, usize, bool)>, // (op, level, in_bootstrap)
+    demands: Vec<OpDemand>,
+    dag: TraceDag,
+    serial: f64,
+    critical_path: f64,
+}
+
+impl JobPlan {
+    /// Plans a trace for `machine`: builds the dependency DAG and resolves
+    /// every op's demand from the caller's per-op charges (resolve them with
+    /// [`bts_sim::Simulator::op_timings`] against the job's own instance).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `timings` does not cover exactly the trace's ops.
+    pub fn new(machine: &MachineModel, trace: &OpTrace, timings: &[OpTiming]) -> Self {
+        assert_eq!(timings.len(), trace.ops.len(), "one timing per op");
+        let dag = TraceDag::from_trace(trace);
+        let demands: Vec<OpDemand> = timings.iter().map(|t| machine.demand(t)).collect();
+        let durations: Vec<f64> = demands.iter().map(|d| d.duration).collect();
+        let critical_path = dag.critical_path(&durations).seconds;
+        let serial: f64 = durations.iter().sum();
+        Self {
+            machine: *machine,
+            ops: trace
+                .ops
+                .iter()
+                .map(|o| (o.op, o.level, o.in_bootstrap))
+                .collect(),
+            demands,
+            dag,
+            serial,
+            critical_path,
+        }
+    }
+
+    /// Number of ops in the job.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Whether the job has no ops.
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
+    /// Sum of the op durations (the job's serial engine charge).
+    pub fn serial_seconds(&self) -> f64 {
+        self.serial
+    }
+
+    /// The job's own critical path (data edges + its barriers), seconds.
+    pub fn critical_path_seconds(&self) -> f64 {
+        self.critical_path
+    }
+}
+
+/// The mutable cursor of one admitted job over its shared [`JobPlan`].
 #[derive(Debug, Clone)]
 struct JobState {
     tag: u32,
     release: f64,
-    ops: Vec<(HeOp, usize, bool)>, // (op, level, in_bootstrap)
-    demands: Vec<OpDemand>,
-    dag: TraceDag,
+    plan: Arc<JobPlan>,
     /// Next unplaced op (program-order cursor).
     next: usize,
-    /// Finish time of each placed op.
+    /// Finish time of each placed op; released once the job can place no
+    /// further op (its last op is placed, or it is cancelled).
     finish: Vec<f64>,
+    /// Earliest start of op `next` as far as this job alone is concerned —
+    /// release, barrier and producers. It changes only when the job itself
+    /// advances, so it is cached here instead of being recomputed for every
+    /// placement of any job.
+    ready: f64,
     /// Barrier bookkeeping, as in the single-trace scheduler but per job.
     barrier: f64,
     running_max_finish: f64,
     max_end: f64,
     first_start: Option<f64>,
-    serial: f64,
-    critical_path: f64,
     cancelled: bool,
+}
+
+impl JobState {
+    /// Dependency/barrier/release-ready time of op `next`.
+    fn ready_time(&self) -> f64 {
+        let i = self.next;
+        let dag = &self.plan.dag;
+        let barrier = if i > 0 && dag.segment(i) != dag.segment(i - 1) {
+            self.running_max_finish
+        } else {
+            self.barrier
+        };
+        let mut ready = self.release.max(barrier);
+        for &d in dag.deps(i) {
+            ready = ready.max(self.finish[d as usize]);
+        }
+        ready
+    }
+}
+
+/// The next placement the greedy rule picks.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    start: f64,
+    /// Position in `MultiScheduler::active`.
+    pos: usize,
+    /// Per unit class, the channel that frees first and when.
+    free: [(usize, f64); FuKind::COUNT],
 }
 
 /// Incremental list scheduler for a set of tagged job DAGs over one shared
@@ -369,6 +483,10 @@ struct JobState {
 /// channels, with
 /// `max_j (release_j + critical_path_j) ≤ makespan ≤ max(release) + Σ serial`
 /// guaranteed structurally (see the module-level docs above).
+///
+/// The scheduler retains the whole timeline (every placed op and
+/// reservation) for [`MultiScheduler::finish`] unless its caller takes it
+/// away piecewise with [`MultiScheduler::drain_timeline`].
 #[derive(Debug, Clone)]
 pub struct MultiScheduler {
     machine: MachineModel,
@@ -376,11 +494,13 @@ pub struct MultiScheduler {
     busy: [Vec<MultiBusyInterval>; FuKind::COUNT],
     ops: Vec<MultiScheduledOp>,
     jobs: Vec<JobState>,
+    /// Tag → index into `jobs`.
+    index: HashMap<u32, usize>,
     /// Indices into `jobs` with unplaced ops, in admission order.
     active: Vec<usize>,
     /// Completions of empty jobs, reported on the next
     /// [`MultiScheduler::run_until_completion`] call.
-    pending: std::collections::VecDeque<JobCompletion>,
+    pending: VecDeque<JobCompletion>,
     makespan: f64,
 }
 
@@ -393,8 +513,9 @@ impl MultiScheduler {
             busy: std::array::from_fn(|_| Vec::new()),
             ops: Vec::new(),
             jobs: Vec::new(),
+            index: HashMap::new(),
             active: Vec::new(),
-            pending: std::collections::VecDeque::new(),
+            pending: VecDeque::new(),
             makespan: 0.0,
         }
     }
@@ -404,16 +525,14 @@ impl MultiScheduler {
         &self.machine
     }
 
-    /// Admits a job: its ops become candidates for placement, none starting
-    /// before `release_seconds`. The trace's dependency DAG is built here;
-    /// per-op charges come from the caller (resolve them with
-    /// [`bts_sim::Simulator::op_timings`] against the job's own instance).
+    /// Admits a job: plans the trace ([`JobPlan::new`]) and admits the plan
+    /// ([`MultiScheduler::add_planned`]). Callers admitting the same
+    /// (trace, timings) pair many times should build the plan once.
     ///
     /// # Panics
     ///
-    /// Panics if `timings` does not cover exactly the trace's ops, if
-    /// `release_seconds` is negative or non-finite, or if `tag` was already
-    /// admitted.
+    /// Panics on the conditions of [`JobPlan::new`] and
+    /// [`MultiScheduler::add_planned`].
     pub fn add_job(
         &mut self,
         tag: u32,
@@ -421,50 +540,55 @@ impl MultiScheduler {
         timings: &[OpTiming],
         release_seconds: f64,
     ) {
-        assert_eq!(timings.len(), trace.ops.len(), "one timing per op");
+        let plan = JobPlan::new(&self.machine, trace, timings);
+        self.add_planned(tag, Arc::new(plan), release_seconds);
+    }
+
+    /// Admits a planned job: its ops become candidates for placement, none
+    /// starting before `release_seconds`. Costs a constant number of
+    /// allocations however long the plan is shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan was built for another machine, if
+    /// `release_seconds` is negative or non-finite, or if `tag` was already
+    /// admitted.
+    pub fn add_planned(&mut self, tag: u32, plan: Arc<JobPlan>, release_seconds: f64) {
+        assert_eq!(plan.machine, self.machine, "plan built for another machine");
         assert!(
             release_seconds.is_finite() && release_seconds >= 0.0,
             "release time must be finite and non-negative"
         );
+        let j = self.jobs.len();
         assert!(
-            self.jobs.iter().all(|j| j.tag != tag),
+            self.index.insert(tag, j).is_none(),
             "job tag {tag} admitted twice"
         );
-        let dag = TraceDag::from_trace(trace);
-        let demands: Vec<OpDemand> = timings.iter().map(|t| self.machine.demand(t)).collect();
-        let durations: Vec<f64> = demands.iter().map(|d| d.duration).collect();
-        let critical_path = dag.critical_path(&durations).seconds;
-        let serial: f64 = durations.iter().sum();
-        let empty = trace.ops.is_empty();
-        self.jobs.push(JobState {
+        let ops = plan.len();
+        let mut job = JobState {
             tag,
             release: release_seconds,
-            ops: trace
-                .ops
-                .iter()
-                .map(|o| (o.op, o.level, o.in_bootstrap))
-                .collect(),
-            demands,
-            dag,
+            plan,
             next: 0,
-            finish: vec![0.0; trace.ops.len()],
+            finish: vec![0.0; ops],
+            ready: release_seconds,
             barrier: 0.0,
             running_max_finish: 0.0,
             max_end: release_seconds,
             first_start: None,
-            serial,
-            critical_path,
             cancelled: false,
-        });
-        if empty {
+        };
+        if ops == 0 {
             self.pending.push_back(JobCompletion {
                 tag,
                 finish_seconds: release_seconds,
             });
             self.makespan = self.makespan.max(release_seconds);
         } else {
-            self.active.push(self.jobs.len() - 1);
+            job.ready = job.ready_time();
+            self.active.push(j);
         }
+        self.jobs.push(job);
     }
 
     /// Number of admitted jobs that still have unplaced ops.
@@ -482,7 +606,7 @@ impl MultiScheduler {
     /// tag is unknown, already cancelled, or its completion was already
     /// handed out by [`MultiScheduler::run_until_completion`].
     pub fn cancel_job(&mut self, tag: u32) -> bool {
-        let Some(j) = self.jobs.iter().position(|job| job.tag == tag) else {
+        let Some(&j) = self.index.get(&tag) else {
             return false;
         };
         if self.jobs[j].cancelled {
@@ -491,6 +615,7 @@ impl MultiScheduler {
         if let Some(pos) = self.active.iter().position(|&a| a == j) {
             self.active.remove(pos);
             self.jobs[j].cancelled = true;
+            self.jobs[j].finish = Vec::new();
             return true;
         }
         if let Some(pos) = self.pending.iter().position(|c| c.tag == tag) {
@@ -515,12 +640,11 @@ impl MultiScheduler {
                 .iter()
                 .map(|c| c.finish_seconds)
                 .fold(f64::INFINITY, f64::min);
+            // The candidate has the smallest start of any active job, so it
+            // alone decides whether anyone could still beat `min_finish`.
+            let best = self.best_candidate();
             if min_finish.is_finite() {
-                let could_beat = self
-                    .active
-                    .iter()
-                    .any(|&j| self.earliest_start(&self.jobs[j]) < min_finish);
-                if !could_beat {
+                if !best.is_some_and(|b| b.start < min_finish) {
                     let pos = self
                         .pending
                         .iter()
@@ -528,22 +652,46 @@ impl MultiScheduler {
                         .expect("min over non-empty pending");
                     return self.pending.remove(pos);
                 }
-            } else if self.active.is_empty() {
+            } else if best.is_none() {
                 return None;
             }
-            self.place_best();
+            self.place(best.expect("an active job can still be placed"));
         }
     }
 
     /// Places every remaining op.
     pub fn run_to_end(&mut self) {
-        while !self.active.is_empty() {
-            self.place_best();
+        while let Some(best) = self.best_candidate() {
+            self.place(best);
         }
         self.pending.clear();
     }
 
-    /// Drains remaining ops and builds the final [`MultiSchedule`].
+    /// Takes the part of the timeline committed since the last call — ops
+    /// and per-unit reservations in placement order, `placement` indexing
+    /// the `ops` handed out with them — leaving it in `ops` and `busy`,
+    /// whose previous contents are dropped and whose buffers the scheduler
+    /// reuses for what it places next. A caller that needs only running
+    /// figures (see [`UtilizationFold`]) drains as it goes and the timeline
+    /// never accumulates; [`MultiScheduler::finish`] then returns only the
+    /// part nobody took.
+    pub fn drain_timeline(
+        &mut self,
+        ops: &mut Vec<MultiScheduledOp>,
+        busy: &mut [Vec<MultiBusyInterval>; FuKind::COUNT],
+    ) {
+        ops.clear();
+        std::mem::swap(ops, &mut self.ops);
+        for (mine, theirs) in self.busy.iter_mut().zip(busy) {
+            theirs.clear();
+            std::mem::swap(mine, theirs);
+        }
+    }
+
+    /// Drains remaining ops and builds the final [`MultiSchedule`]: the
+    /// whole timeline, or — after [`MultiScheduler::drain_timeline`] — the
+    /// part of it not yet taken (per-job stats and the makespan always cover
+    /// the whole run).
     pub fn finish(mut self) -> MultiSchedule {
         self.run_to_end();
         MultiSchedule {
@@ -557,64 +705,59 @@ impl MultiScheduler {
                     release_seconds: j.release,
                     first_start_seconds: j.first_start.unwrap_or(j.release),
                     finish_seconds: j.max_end,
-                    serial_seconds: j.serial,
-                    critical_path_seconds: j.critical_path,
-                    ops: j.ops.len(),
+                    serial_seconds: j.plan.serial,
+                    critical_path_seconds: j.plan.critical_path,
+                    ops: j.plan.len(),
                     placed_ops: j.next,
                     cancelled: j.cancelled,
                 })
                 .collect(),
+            index: self.index,
             makespan_seconds: self.makespan,
             machine: self.machine,
         }
     }
 
-    /// Earliest feasible start of a job's next op under the current horizons.
-    fn earliest_start(&self, job: &JobState) -> f64 {
-        let i = job.next;
-        let demand = &job.demands[i];
-        let barrier = if i > 0 && job.dag.segment(i) != job.dag.segment(i - 1) {
-            job.running_max_finish
-        } else {
-            job.barrier
-        };
-        let mut ready = job.release.max(barrier);
-        for &d in job.dag.deps(i) {
-            ready = ready.max(job.finish[d as usize]);
+    /// The active op with the earliest feasible start (dependencies, per-job
+    /// barrier, release time, channel reservations); ties go to the job
+    /// admitted first. `None` when no job has an unplaced op.
+    fn best_candidate(&self) -> Option<Candidate> {
+        if self.active.is_empty() {
+            return None;
         }
-        let mut start = ready;
-        for kind in FuKind::ALL {
-            let k = kind.index();
-            if demand.busy[k] <= 0.0 {
-                continue;
-            }
-            let (_, h) = min_horizon(&self.horizons[k]);
-            start = start.max(h + demand.busy[k] - demand.duration);
-        }
-        start
-    }
-
-    /// Places the active op with the earliest feasible start (ties go to the
-    /// job admitted first), committing its channel reservations.
-    fn place_best(&mut self) {
-        debug_assert!(!self.active.is_empty());
+        let free: [(usize, f64); FuKind::COUNT] =
+            std::array::from_fn(|k| min_horizon(&self.horizons[k]));
         let mut best: Option<(f64, usize)> = None; // (start, position in self.active)
         for (pos, &j) in self.active.iter().enumerate() {
-            let start = self.earliest_start(&self.jobs[j]);
+            let job = &self.jobs[j];
+            let demand = &job.plan.demands[job.next];
+            let mut start = job.ready;
+            for (k, &(_, h)) in free.iter().enumerate() {
+                if demand.busy[k] <= 0.0 {
+                    continue;
+                }
+                start = start.max(h + demand.busy[k] - demand.duration);
+            }
             if best.is_none_or(|(s, _)| start < s) {
                 best = Some((start, pos));
             }
         }
-        let (start, pos) = best.expect("non-empty active set");
+        best.map(|(start, pos)| Candidate { start, pos, free })
+    }
+
+    /// Commits a candidate: the op's window, its channel reservations, and
+    /// the job's cursor.
+    fn place(&mut self, Candidate { start, pos, free }: Candidate) {
         let j = self.active[pos];
         let job = &mut self.jobs[j];
+        let plan = &*job.plan;
         let i = job.next;
-        let demand = job.demands[i];
-        if i > 0 && job.dag.segment(i) != job.dag.segment(i - 1) {
+        let demand = plan.demands[i];
+        if i > 0 && plan.dag.segment(i) != plan.dag.segment(i - 1) {
             job.barrier = job.running_max_finish;
         }
         let end = start + demand.duration;
-        let (op, level, in_bootstrap) = job.ops[i];
+        let (op, level, in_bootstrap) = plan.ops[i];
         job.finish[i] = end;
         job.running_max_finish = job.running_max_finish.max(end);
         job.max_end = job.max_end.max(end);
@@ -622,7 +765,12 @@ impl MultiScheduler {
             job.first_start = Some(start);
         }
         job.next += 1;
-        let completed = job.next == job.ops.len();
+        let completed = job.next == plan.len();
+        if completed {
+            job.finish = Vec::new();
+        } else {
+            job.ready = job.ready_time();
+        }
         let completion = JobCompletion {
             tag: job.tag,
             finish_seconds: job.max_end,
@@ -643,7 +791,7 @@ impl MultiScheduler {
             if demand.busy[k] <= 0.0 {
                 continue;
             }
-            let (channel, h) = min_horizon(&self.horizons[k]);
+            let (channel, h) = free[k];
             let res_start = start.max(h);
             let res_end = res_start + demand.busy[k];
             self.horizons[k][channel] = res_end;
@@ -680,19 +828,131 @@ impl MultiScheduler {
             self.pending.push_back(completion);
             if telemetry_on {
                 use bts_telemetry::ArgValue;
-                let job = &self.jobs[j];
                 bts_telemetry::emit_instant(
                     "sched",
                     "job-complete",
-                    job.max_end,
+                    completion.finish_seconds,
                     &[
-                        ("job", ArgValue::U64(u64::from(job.tag))),
-                        ("critical_path_s", ArgValue::F64(job.critical_path)),
-                        ("serial_s", ArgValue::F64(job.serial)),
+                        ("job", ArgValue::U64(u64::from(completion.tag))),
+                        ("critical_path_s", ArgValue::F64(plan.critical_path)),
+                        ("serial_s", ArgValue::F64(plan.serial)),
                     ],
                 );
             }
         }
+    }
+}
+
+/// Per-unit utilizations of a run whose timeline nobody retains: drains a
+/// [`MultiScheduler`] as the run goes and keeps only running busy-second
+/// sums — the same float additions, in the same placement order, as
+/// [`MultiSchedule::unit_utilization`] over the full timeline, so the result
+/// is bit-identical to the retained one.
+///
+/// The sums may have to be *clipped*: a machine that dies throws away the
+/// work past its last real completion, and that surviving makespan is known
+/// only at the end. A reservation is therefore summed only once it is known
+/// to lie inside any possible final makespan (it ends at or before the
+/// latest real completion so far — clipping could not touch it); the first
+/// reservation that does not, and everything placed after it, waits in a
+/// short tail that [`UtilizationFold::finish`] sums clipped.
+#[derive(Debug, Clone)]
+pub struct UtilizationFold {
+    /// `Iterator::sum` over `f64` starts from −0.0, and so do these.
+    reserved: [f64; FuKind::COUNT],
+    /// Drained `(start, end)` reservations not yet summed, placement order.
+    tail: [VecDeque<(f64, f64)>; FuKind::COUNT],
+    settled: f64,
+    ops: Vec<MultiScheduledOp>,
+    busy: [Vec<MultiBusyInterval>; FuKind::COUNT],
+}
+
+impl Default for UtilizationFold {
+    fn default() -> Self {
+        Self {
+            reserved: [-0.0; FuKind::COUNT],
+            tail: std::array::from_fn(|_| VecDeque::new()),
+            settled: 0.0,
+            ops: Vec::new(),
+            busy: std::array::from_fn(|_| Vec::new()),
+        }
+    }
+}
+
+impl UtilizationFold {
+    /// An empty fold.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Takes everything `scheduler` placed since the last call
+    /// ([`MultiScheduler::drain_timeline`]) and sums, per unit class, the
+    /// reservations up to the first one ending after `settled_seconds` — a
+    /// time the run's final makespan is known to reach (the latest real
+    /// completion), never decreasing from call to call.
+    pub fn drain(&mut self, scheduler: &mut MultiScheduler, settled_seconds: f64) {
+        debug_assert!(settled_seconds >= self.settled);
+        self.settled = settled_seconds;
+        scheduler.drain_timeline(&mut self.ops, &mut self.busy);
+        for ((reserved, tail), chunk) in
+            self.reserved.iter_mut().zip(&mut self.tail).zip(&self.busy)
+        {
+            while let Some(&(start, end)) = tail.front() {
+                if end > settled_seconds {
+                    break;
+                }
+                *reserved += end - start;
+                tail.pop_front();
+            }
+            let mut summed = 0;
+            if tail.is_empty() {
+                for b in chunk {
+                    if b.end_seconds > settled_seconds {
+                        break;
+                    }
+                    *reserved += b.end_seconds - b.start_seconds;
+                    summed += 1;
+                }
+            }
+            tail.extend(
+                chunk[summed..]
+                    .iter()
+                    .map(|b| (b.start_seconds, b.end_seconds)),
+            );
+        }
+    }
+
+    /// Sums what is left — the held-back tail, then `rest`, the schedule
+    /// [`MultiScheduler::finish`] returned — and turns the sums into
+    /// utilizations, indexed by [`FuKind::index`]. For a machine that lived
+    /// (`None`) this is [`MultiSchedule::utilizations`] of the never-drained
+    /// schedule; for one that died, every reservation is clipped to its
+    /// surviving makespan, which the utilizations are then taken over.
+    pub fn finish(
+        self,
+        rest: &MultiSchedule,
+        surviving_makespan_seconds: Option<f64>,
+    ) -> [f64; FuKind::COUNT] {
+        let makespan = surviving_makespan_seconds.unwrap_or(rest.makespan_seconds);
+        let clip = surviving_makespan_seconds.unwrap_or(f64::INFINITY);
+        debug_assert!(self.settled <= makespan);
+        let mut out = [0.0; FuKind::COUNT];
+        if makespan <= 0.0 {
+            return out;
+        }
+        for kind in FuKind::ALL {
+            let k = kind.index();
+            let left = self.tail[k].iter().copied().chain(
+                rest.busy[k]
+                    .iter()
+                    .map(|b| (b.start_seconds, b.end_seconds)),
+            );
+            let reserved = left.fold(self.reserved[k], |sum, (start, end)| {
+                sum + (end.min(clip) - start.min(clip))
+            });
+            out[k] = reserved / (rest.machine.channels(kind) as f64 * makespan);
+        }
+        out
     }
 }
 
@@ -995,6 +1255,104 @@ mod tests {
             "a completion already handed out cannot be revoked"
         );
         scheduler.finish().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn drained_chunks_and_the_rest_make_up_the_retained_timeline() {
+        let ins = CkksInstance::ins1();
+        let long = keyswitch_heavy(&ins, 5);
+        let short = keyswitch_heavy(&ins, 2);
+        let (machine, tm_long) = machine_and_timings(&ins, BtsConfig::bts_default(), &long);
+        let (_, tm_short) = machine_and_timings(&ins, BtsConfig::bts_default(), &short);
+        let admit_all = |s: &mut MultiScheduler| {
+            s.add_job(0, &long, &tm_long, 0.0);
+            s.add_job(1, &short, &tm_short, 0.0);
+            s.add_job(2, &short, &tm_short, 1e-3);
+        };
+        let mut retained = MultiScheduler::new(machine);
+        admit_all(&mut retained);
+        let retained = retained.finish();
+        retained.check_invariants().unwrap();
+
+        let mut drained = MultiScheduler::new(machine);
+        admit_all(&mut drained);
+        let mut ops = Vec::new();
+        let mut busy: [Vec<MultiBusyInterval>; FuKind::COUNT] = Default::default();
+        let mut all_ops: Vec<MultiScheduledOp> = Vec::new();
+        let mut all_busy: [Vec<MultiBusyInterval>; FuKind::COUNT] = Default::default();
+        let mut append = |ops: &[MultiScheduledOp], busy: &[Vec<MultiBusyInterval>]| {
+            // `placement` counts from the start of each chunk.
+            let base = all_ops.len();
+            all_ops.extend_from_slice(ops);
+            for (all, chunk) in all_busy.iter_mut().zip(busy) {
+                all.extend(chunk.iter().map(|b| MultiBusyInterval {
+                    placement: b.placement + base,
+                    ..*b
+                }));
+            }
+        };
+        while drained.run_until_completion().is_some() {
+            drained.drain_timeline(&mut ops, &mut busy);
+            assert!(!ops.is_empty(), "a completion places at least one op");
+            append(&ops, &busy);
+        }
+        let rest = drained.finish();
+        append(&rest.ops, &rest.busy);
+        assert_eq!(all_ops, retained.ops);
+        assert_eq!(all_busy, retained.busy);
+        // Stats and makespan cover the whole run either way.
+        assert_eq!(rest.jobs, retained.jobs);
+        assert_eq!(rest.makespan_seconds, retained.makespan_seconds);
+    }
+
+    #[test]
+    fn folded_utilizations_match_the_retained_ones_bitwise_even_for_idle_units() {
+        // CMult chains never touch the NTTU or the BConvU: those classes sum
+        // nothing, and a float sum of nothing is −0.0.
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let z = b.fresh_ct(27);
+        let mut cur = b.cmult(z, 27);
+        for _ in 0..3 {
+            cur = b.cmult(cur, 27);
+        }
+        let trace = b.build();
+        let (machine, timings) = machine_and_timings(&ins, BtsConfig::bts_default(), &trace);
+        let retained = schedule_jobs(
+            machine,
+            &[(0, &trace, &timings, 0.0), (1, &trace, &timings, 0.0)],
+        );
+        assert!(retained.busy[FuKind::Nttu.index()].is_empty());
+
+        let mut scheduler = MultiScheduler::new(machine);
+        scheduler.add_job(0, &trace, &timings, 0.0);
+        scheduler.add_job(1, &trace, &timings, 0.0);
+        let mut fold = UtilizationFold::new();
+        while let Some(done) = scheduler.run_until_completion() {
+            fold.drain(&mut scheduler, done.finish_seconds);
+        }
+        let rest = scheduler.finish();
+        assert!(rest.ops.is_empty(), "everything was drained");
+        let folded = fold.finish(&rest, None);
+        for (f, r) in folded.iter().zip(retained.utilizations()) {
+            assert_eq!(f.to_bits(), r.to_bits());
+        }
+        assert!(folded[FuKind::Hbm.index()] > 0.0);
+    }
+
+    #[test]
+    fn plans_are_bound_to_their_machine() {
+        let ins = CkksInstance::ins1();
+        let trace = keyswitch_heavy(&ins, 1);
+        let (machine, timings) = machine_and_timings(&ins, BtsConfig::bts_default(), &trace);
+        let plan = Arc::new(JobPlan::new(&machine, &trace, &timings));
+        assert_eq!(plan.len(), trace.ops.len());
+        assert!(plan.critical_path_seconds() <= plan.serial_seconds() + 1e-15);
+        let result = std::panic::catch_unwind(|| {
+            let mut other = MultiScheduler::new(machine.with_channels(FuKind::Hbm, 2));
+            other.add_planned(0, plan, 0.0);
+        });
+        assert!(result.is_err());
     }
 
     #[test]

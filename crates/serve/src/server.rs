@@ -3,11 +3,13 @@
 //!
 //! # Execution model
 //!
-//! Each job is prepared independently — workload looked up in the registry,
-//! circuit built for the job's instance, lowered to a trace, per-op charges
-//! resolved by that instance's [`bts_sim::Simulator`] (so each job's
-//! scratchpad residency is modelled as a private partition; cross-job cache
-//! contention is not charged). The event loop then drives the
+//! Each distinct (workload, instance) pair of the stream is prepared once —
+//! workload looked up in the registry, circuit built for the instance,
+//! lowered to a trace, per-op charges resolved by that instance's
+//! [`bts_sim::Simulator`] (so each job's scratchpad residency is modelled as
+//! a private partition; cross-job cache contention is not charged), and
+//! planned for the scheduler ([`bts_sched::JobPlan`]); every job of the pair
+//! is admitted through that one shared plan. The event loop then drives the
 //! [`bts_sched::MultiScheduler`]:
 //!
 //! 1. arrivals (and retry redrives) that are due join the waiting queue —
@@ -40,10 +42,13 @@
 //! the same [`ServeReport`], and a fault-free plan reproduces the plain
 //! fault-free run bit for bit.
 
+use std::collections::VecDeque;
+use std::sync::Arc;
+
 use bts_fault::{FaultPlan, RetryPolicy};
 use bts_params::L_BOOT;
-use bts_sched::{MachineModel, MultiSchedule, MultiScheduler};
-use bts_sim::{BtsConfig, OpTiming, OpTrace, SimReport, Simulator};
+use bts_sched::{JobPlan, MachineModel, MultiScheduler, UtilizationFold};
+use bts_sim::{BtsConfig, SimReport, Simulator};
 use bts_workloads::{standard_registry, WorkloadRegistry};
 
 use crate::error::ServeError;
@@ -192,10 +197,10 @@ impl std::fmt::Debug for BtsServer {
     }
 }
 
-/// A prepared job: lowered, charged, ready for the scheduler.
+/// A prepared (workload, instance) pair: lowered, charged, planned — every
+/// job of the pair is admitted through the one shared plan.
 struct PreparedJob {
-    trace: OpTrace,
-    timings: Vec<OpTiming>,
+    plan: Arc<JobPlan>,
     report: SimReport,
     refreshed_slot_levels: f64,
     /// Online closed-form cost estimate (`crate::estimate`) — what the SJF
@@ -284,26 +289,38 @@ impl BtsServer {
             }
         }
 
-        // Bursts repeat the same (workload, instance) pair; lowering and the
-        // cache-resolution sweep are deterministic, so identical requests
-        // share one prepared job instead of re-simulating it per copy.
-        let mut prepared: Vec<std::rc::Rc<PreparedJob>> = Vec::with_capacity(jobs.len());
+        // Bursts repeat the same (workload, instance) pair; lowering, the
+        // cache-resolution sweep and scheduling plan are deterministic, so
+        // identical requests share one prepared pair instead of re-deriving
+        // it per copy. `pairs` holds (first job of the pair, its preparation).
+        let machine = MachineModel::from_config(&options.config);
+        let mut pairs: Vec<(usize, PreparedJob)> = Vec::new();
+        let mut pair_of: Vec<usize> = Vec::with_capacity(jobs.len());
         for (j, job) in jobs.iter().enumerate() {
-            let twin = jobs[..j]
-                .iter()
-                .position(|p| p.workload == job.workload && p.instance == job.instance);
-            prepared.push(match twin {
-                Some(t) => std::rc::Rc::clone(&prepared[t]),
-                None => std::rc::Rc::new(self.prepare(job, options)?),
+            let twin = pairs.iter().position(|&(first, _)| {
+                jobs[first].workload == job.workload && jobs[first].instance == job.instance
+            });
+            pair_of.push(match twin {
+                Some(t) => t,
+                None => {
+                    pairs.push((j, self.prepare(job, options, &machine)?));
+                    pairs.len() - 1
+                }
             });
         }
+        let prepared = |j: usize| &pairs[pair_of[j]].1;
 
         let fail_at = options.fail_at_seconds;
         let retry = options.retry;
 
-        // Admission loop over the shared scheduler.
-        let machine = MachineModel::from_config(&options.config);
+        // Admission loop over the shared scheduler. Nothing here reads the
+        // placed timeline back, so it is folded into utilization sums as
+        // completions arrive instead of being retained for the whole run.
         let mut scheduler = MultiScheduler::new(machine);
+        let mut busy = UtilizationFold::new();
+        // Finish of the latest real completion: the makespan of a run that
+        // ends dead, and a floor of any run's.
+        let mut last_completion = 0.0f64;
         // Executions not yet due, sorted by (ready, submit index): initially
         // one attempt-0 entry per job at its arrival; retries re-enter here.
         let mut upcoming: Vec<PendingRun> = (0..jobs.len())
@@ -319,8 +336,11 @@ impl BtsServer {
                 .expect("validated arrivals")
                 .then(a.j.cmp(&b.j))
         });
+        let mut upcoming = VecDeque::from(upcoming);
         // Arrived but not admitted, in arrival order.
         let mut waiting: Vec<PendingRun> = Vec::new();
+        // What the queue policy sees of `waiting`, rebuilt per admission.
+        let mut candidates: Vec<QueuedJob> = Vec::new();
         let mut admitted_at = vec![0.0f64; jobs.len()];
         // Scheduler tags are assigned per admission (a retried job runs
         // under a fresh tag); tag → (submit index, attempt).
@@ -370,8 +390,8 @@ impl BtsServer {
 
         'serve: loop {
             // 1. Ingest due arrivals and redrives, bounding the queue.
-            while upcoming.first().is_some_and(|e| e.ready_seconds <= clock) {
-                let e = upcoming.remove(0);
+            while upcoming.front().is_some_and(|e| e.ready_seconds <= clock) {
+                let e = upcoming.pop_front().expect("front was just seen");
                 let full = options
                     .queue_capacity
                     .is_some_and(|cap| waiting.len() >= cap);
@@ -411,15 +431,13 @@ impl BtsServer {
             // time, whether or not other jobs are still mid-flight — a free
             // slot never sits idle past an arrival.
             while in_flight < options.max_in_flight && !waiting.is_empty() {
-                let candidates: Vec<QueuedJob> = waiting
-                    .iter()
-                    .map(|e| QueuedJob {
-                        submit_index: e.j,
-                        tenant: jobs[e.j].tenant,
-                        arrival_seconds: e.ready_seconds,
-                        estimate_seconds: prepared[e.j].estimate_seconds,
-                    })
-                    .collect();
+                candidates.clear();
+                candidates.extend(waiting.iter().map(|e| QueuedJob {
+                    submit_index: e.j,
+                    tenant: jobs[e.j].tenant,
+                    arrival_seconds: e.ready_seconds,
+                    estimate_seconds: prepared(e.j).estimate_seconds,
+                }));
                 let pick = options.policy.select(&candidates, last_tenant);
                 let e = waiting.remove(pick);
                 let release = clock.max(e.ready_seconds);
@@ -456,7 +474,7 @@ impl BtsServer {
                     );
                     bts_telemetry::gauge_set("serve.in_flight", in_flight as f64);
                 }
-                scheduler.add_job(tag, &prepared[e.j].trace, &prepared[e.j].timings, release);
+                scheduler.add_planned(tag, Arc::clone(&prepared(e.j).plan), release);
             }
             // 4. Idle with future work: jump the clock to the next arrival —
             // unless it lands at/after the failure time, in which case it
@@ -560,7 +578,9 @@ impl BtsServer {
                         }
                     } else {
                         completed[j] = Some((done.tag, attempt + 1));
+                        last_completion = last_completion.max(done.finish_seconds);
                     }
+                    busy.drain(&mut scheduler, last_completion);
                 }
                 None => break 'serve,
             }
@@ -610,37 +630,27 @@ impl BtsServer {
             }
         }
 
+        // Per-job stats and the makespan cover the whole run; of the
+        // timeline, only what the fold has not taken yet is left.
         let multi = scheduler.finish();
-        debug_assert!(multi.check_invariants().is_ok());
 
         // A dead run's makespan is the last *real* completion, not the
-        // scheduler horizon (which includes work the failure threw away).
+        // scheduler horizon (which includes work the failure threw away),
+        // and its reservations are clipped to it.
         let makespan_seconds = if dead {
-            completed
-                .iter()
-                .flatten()
-                .map(|&(tag, _)| {
-                    multi
-                        .job(tag)
-                        .expect("completed job has stats")
-                        .finish_seconds
-                })
-                .fold(0.0f64, f64::max)
+            last_completion
         } else {
             multi.makespan_seconds
         };
-        let utilizations = if dead {
-            clipped_utilizations(&multi, makespan_seconds)
-        } else {
-            multi.utilizations()
-        };
+        let utilizations = busy.finish(&multi, dead.then_some(makespan_seconds));
 
         let mut aggregate: Option<SimReport> = None;
         let mut outcomes = Vec::with_capacity(jobs.len());
-        for (j, (job, prep)) in jobs.iter().zip(&prepared).enumerate() {
+        for (j, job) in jobs.iter().enumerate() {
             let Some((tag, attempts)) = completed[j] else {
                 continue;
             };
+            let prep = prepared(j);
             let stats = multi.job(tag).expect("completed job has stats");
             let outcome = JobOutcome {
                 id: job.id,
@@ -653,7 +663,7 @@ impl BtsServer {
                 serial_seconds: prep.report.total_seconds,
                 critical_path_seconds: stats.critical_path_seconds,
                 refreshed_slot_levels: prep.refreshed_slot_levels,
-                ops: prep.trace.len(),
+                ops: prep.plan.len(),
                 attempts,
                 deadline_seconds: job.deadline_seconds,
             };
@@ -722,8 +732,14 @@ impl BtsServer {
         })
     }
 
-    /// Lowers one request and resolves its per-op charges.
-    fn prepare(&self, job: &JobRequest, options: &ServeOptions) -> Result<PreparedJob, ServeError> {
+    /// Lowers one request, resolves its per-op charges and plans it for the
+    /// run's machine.
+    fn prepare(
+        &self,
+        job: &JobRequest,
+        options: &ServeOptions,
+        machine: &MachineModel,
+    ) -> Result<PreparedJob, ServeError> {
         let workload =
             self.registry
                 .get(&job.workload)
@@ -755,32 +771,12 @@ impl BtsServer {
             lowered.bootstrap_count as f64 * usable_levels as f64 * job.instance.slots() as f64;
         let estimate_seconds = crate::estimate::estimate_trace_seconds(&simulator, &lowered.trace);
         Ok(PreparedJob {
-            trace: lowered.trace,
-            timings,
+            plan: Arc::new(JobPlan::new(machine, &lowered.trace, &timings)),
             report,
             refreshed_slot_levels,
             estimate_seconds,
         })
     }
-}
-
-/// Utilizations of a schedule whose machine died: reservations are clipped
-/// to the surviving makespan (work past the last real completion was thrown
-/// away by the failure).
-fn clipped_utilizations(multi: &MultiSchedule, makespan: f64) -> [f64; bts_sched::FuKind::COUNT] {
-    use bts_sched::FuKind;
-    let mut out = [0.0; FuKind::COUNT];
-    if makespan <= 0.0 {
-        return out;
-    }
-    for kind in FuKind::ALL {
-        let reserved: f64 = multi.busy[kind.index()]
-            .iter()
-            .map(|b| b.end_seconds.min(makespan) - b.start_seconds.min(makespan))
-            .sum();
-        out[kind.index()] = reserved / (multi.machine.channels(kind) as f64 * makespan);
-    }
-    out
 }
 
 /// One-call convenience: serve `jobs` over the standard registry.

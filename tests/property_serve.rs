@@ -4,13 +4,27 @@
 //! (c) the merged makespan is at most the sum of serial runtimes (burst
 //! arrivals) and at least the largest single-job critical path; plus release
 //! respect under random arrivals, and determinism of full serve runs.
+//!
+//! And of the two things serving does to keep its cost linear in jobs:
+//! (d) admitting copies of one trace through a shared `JobPlan` schedules
+//! exactly like planning each copy afresh, and (e) utilizations folded from a
+//! timeline drained as the run goes equal, bit for bit, the ones computed
+//! from the timeline a never-drained scheduler retains — live or clipped at a
+//! dead machine's surviving makespan, at the scheduler and through `serve`.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use bts::fault::FaultPlan;
 use bts::params::CkksInstance;
-use bts::sched::{schedule_jobs, FuKind, MachineModel, TraceDag};
-use bts::serve::{serve, QueuePolicy, ServeOptions, SyntheticArrivals};
-use bts::sim::{BtsConfig, OpTrace, Simulator};
+use bts::sched::{
+    schedule_jobs, FuKind, JobCompletion, JobPlan, MachineModel, MultiSchedule, MultiScheduler,
+    TraceDag, UtilizationFold,
+};
+use bts::serve::{serve, JobRequest, QueuePolicy, ServeOptions, ServeReport, SyntheticArrivals};
+use bts::sim::{BtsConfig, OpTiming, OpTrace, Simulator};
+use bts::telemetry::{self, Event};
 
 mod common;
 use common::random_trace;
@@ -200,5 +214,265 @@ proptest! {
         }
         let fairness = a.tenant_fairness();
         prop_assert!((0.0..=1.0 + 1e-12).contains(&fairness));
+    }
+}
+
+/// A few distinct random traces on one machine, with their charges — the
+/// "distinct (workload, instance) pairs" of a stream.
+struct Pairs {
+    machine: MachineModel,
+    traces: Vec<OpTrace>,
+    timings: Vec<Vec<OpTiming>>,
+}
+
+impl Pairs {
+    /// `wide` doubles the HBM and NTTU channels, so a unit class's
+    /// reservations are no longer ordered in time.
+    fn random(seed: u64, distinct: usize, ops: usize, wide: bool) -> Self {
+        let ins = CkksInstance::ins1();
+        let traces = random_job_mix(&ins, seed, distinct, ops);
+        let sim = Simulator::new(BtsConfig::bts_default(), ins);
+        let timings = traces.iter().map(|t| sim.op_timings(t).unwrap()).collect();
+        let mut machine = MachineModel::from_config(sim.config());
+        if wide {
+            machine = machine
+                .with_channels(FuKind::Hbm, 2)
+                .with_channels(FuKind::Nttu, 2);
+        }
+        Self {
+            machine,
+            traces,
+            timings,
+        }
+    }
+
+    fn plans(&self) -> Vec<Arc<JobPlan>> {
+        let planned = self.traces.iter().zip(&self.timings);
+        planned
+            .map(|(trace, timings)| Arc::new(JobPlan::new(&self.machine, trace, timings)))
+            .collect()
+    }
+}
+
+/// Drives a scheduler the way a serving loop does — `cap` jobs in flight, job
+/// `j` (a copy of pair `j % distinct`) admitted through `admit(tag, pair,
+/// release)` when a completion frees a slot — and hands every completion to
+/// `on_completion`. After `stop_after` completions (if the stream gets that
+/// far) the machine "dies": everything still in flight is cancelled, as
+/// `serve` does at a failure time. Returns what `finish` returns.
+fn drive(
+    machine: MachineModel,
+    jobs: u32,
+    cap: u32,
+    stop_after: usize,
+    mut admit: impl FnMut(&mut MultiScheduler, u32, f64),
+    mut on_completion: impl FnMut(&mut MultiScheduler, JobCompletion),
+) -> MultiSchedule {
+    let mut scheduler = MultiScheduler::new(machine);
+    let mut reported = vec![false; jobs as usize];
+    let mut next = 0u32;
+    while next < jobs.min(cap) {
+        admit(&mut scheduler, next, 1e-4 * f64::from(next));
+        next += 1;
+    }
+    let mut completions = 0usize;
+    while let Some(done) = scheduler.run_until_completion() {
+        reported[done.tag as usize] = true;
+        completions += 1;
+        if completions > stop_after {
+            // The completion that exposes the death is not a real one.
+            for tag in (0..next).filter(|&t| !reported[t as usize]) {
+                assert!(scheduler.cancel_job(tag), "job {tag} was in flight");
+            }
+            break;
+        }
+        on_completion(&mut scheduler, done);
+        if next < jobs {
+            admit(&mut scheduler, next, done.finish_seconds);
+            next += 1;
+        }
+    }
+    scheduler.finish()
+}
+
+/// Busy fractions over `makespan` with every reservation clipped to it — the
+/// utilizations of a machine that died at its last real completion.
+fn clipped_utilizations(
+    busy: &[Vec<(f64, f64)>],
+    machine: &MachineModel,
+    makespan: f64,
+) -> Vec<f64> {
+    FuKind::ALL
+        .iter()
+        .map(|&kind| {
+            if makespan <= 0.0 {
+                return 0.0;
+            }
+            let reserved: f64 = busy[kind.index()]
+                .iter()
+                .map(|&(start, end)| end.min(makespan) - start.min(makespan))
+                .sum();
+            reserved / (machine.channels(kind) as f64 * makespan)
+        })
+        .collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn shared_plans_schedule_exactly_like_per_job_plans(
+        seed in any::<u64>(), distinct in 1usize..4, jobs in 1u32..10, ops in 4usize..40,
+        cap in 1u32..5, stop_after in 0usize..12, wide in any::<bool>()
+    ) {
+        let pairs = Pairs::random(seed, distinct, ops, wide);
+        let plans = pairs.plans();
+        let through_plans = drive(
+            pairs.machine, jobs, cap, stop_after,
+            |s, tag, release| {
+                s.add_planned(tag, Arc::clone(&plans[tag as usize % distinct]), release)
+            },
+            |_, _| (),
+        );
+        let through_add_job = drive(
+            pairs.machine, jobs, cap, stop_after,
+            |s, tag, release| {
+                let pair = tag as usize % distinct;
+                s.add_job(tag, &pairs.traces[pair], &pairs.timings[pair], release)
+            },
+            |_, _| (),
+        );
+        through_plans.check_invariants().unwrap();
+        // Timeline, per-job stats and makespan alike.
+        prop_assert_eq!(&through_plans, &through_add_job);
+        // The plans outlive every job that ran on them, and only the plans:
+        // no scheduler state holds on to one.
+        drop((through_plans, through_add_job));
+        for plan in &plans {
+            prop_assert_eq!(Arc::strong_count(plan), 1);
+        }
+    }
+
+    #[test]
+    fn utilizations_folded_while_draining_match_the_retained_timeline(
+        seed in any::<u64>(), distinct in 1usize..4, jobs in 1u32..10, ops in 4usize..40,
+        cap in 1u32..5, stop_after in 0usize..12, faulted in 0u64..4, wide in any::<bool>()
+    ) {
+        let pairs = Pairs::random(seed, distinct, ops, wide);
+        let plans = pairs.plans();
+        let admit = |s: &mut MultiScheduler, tag: u32, release: f64| {
+            s.add_planned(tag, Arc::clone(&plans[tag as usize % distinct]), release)
+        };
+        // A transient fault makes a completion unreal: it frees its slot but
+        // does not move the surviving makespan.
+        let real = |done: &JobCompletion| (seed ^ u64::from(done.tag)) % 4 >= faulted;
+
+        let retained = drive(pairs.machine, jobs, cap, stop_after, admit, |_, _| ());
+        retained.check_invariants().unwrap();
+
+        let mut fold = UtilizationFold::new();
+        let mut last_real = 0.0f64;
+        let rest = drive(pairs.machine, jobs, cap, stop_after, admit, |s, done| {
+            if real(&done) {
+                last_real = last_real.max(done.finish_seconds);
+            }
+            fold.drain(s, last_real);
+        });
+        // Draining changes what is retained, never what is placed.
+        prop_assert_eq!(&rest.jobs, &retained.jobs);
+        prop_assert_eq!(rest.makespan_seconds, retained.makespan_seconds);
+        if stop_after > 0 {
+            prop_assert!(rest.ops.len() < retained.ops.len(), "nothing was drained");
+        }
+
+        let live = fold.clone().finish(&rest, None);
+        prop_assert_eq!(bits(&live), bits(&retained.utilizations()));
+
+        let reservations: Vec<Vec<(f64, f64)>> = retained
+            .busy
+            .iter()
+            .map(|unit| unit.iter().map(|b| (b.start_seconds, b.end_seconds)).collect())
+            .collect();
+        let dead = fold.finish(&rest, Some(last_real));
+        prop_assert_eq!(
+            bits(&dead),
+            bits(&clipped_utilizations(&reservations, &pairs.machine, last_real))
+        );
+    }
+}
+
+/// Serves `jobs` inside its own telemetry capture. The scheduler emits one
+/// event per reservation, carrying its exact floats, in placement order —
+/// the record of the timeline that `serve` itself no longer retains.
+fn serve_recorded(
+    jobs: &[JobRequest],
+    options: ServeOptions,
+) -> (ServeReport, Vec<Vec<(f64, f64)>>) {
+    let run = telemetry::capture();
+    let report = serve(jobs, options).unwrap();
+    let run = run.finish();
+    assert_eq!(run.dropped, 0, "stream must be complete");
+    let on_unit = |ev: &Event, kind: FuKind| {
+        ev.track
+            .strip_prefix(kind.label())
+            .is_some_and(|channel| channel.starts_with('.'))
+    };
+    let reservations = FuKind::ALL
+        .iter()
+        .map(|&kind| {
+            let of_kind = run.events.iter().filter(|ev| on_unit(ev, kind));
+            of_kind
+                .map(|ev| (ev.arg_f64("start_s").unwrap(), ev.arg_f64("end_s").unwrap()))
+                .collect()
+        })
+        .collect();
+    (report, reservations)
+}
+
+proptest! {
+    // Full serve runs lower real circuits, so fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn serve_reports_the_utilizations_of_the_timeline_it_no_longer_keeps(
+        seed in any::<u64>(), die_at in 0.05f64..0.95
+    ) {
+        let jobs = SyntheticArrivals::new(CkksInstance::ins1(), seed)
+            .mean_interarrival_seconds(4e-3)
+            .tenants(2)
+            .mix(vec![("bootstrap".to_string(), 2.0), ("amortized-mult".to_string(), 1.0)])
+            .generate(6);
+        let options = ServeOptions::new(2)
+            .with_fault_plan(FaultPlan::none().with_seed(seed).with_transient_rate(0.3));
+        let machine = MachineModel::from_config(&options.config);
+
+        // A run that lives: the plain busy sums over the scheduler's makespan.
+        let (healthy, reservations) = serve_recorded(&jobs, options.clone());
+        prop_assert_eq!(healthy.failed_at_seconds, None);
+        let makespan = healthy.makespan_seconds;
+        let expected: Vec<f64> = FuKind::ALL
+            .iter()
+            .map(|&kind| {
+                let unit = &reservations[kind.index()];
+                let reserved: f64 = unit.iter().map(|&(start, end)| end - start).sum();
+                reserved / (machine.channels(kind) as f64 * makespan)
+            })
+            .collect();
+        prop_assert!(makespan > 0.0);
+        prop_assert_eq!(bits(&healthy.utilizations), bits(&expected));
+
+        // The same stream on a chip that dies mid-run: clipped at the last
+        // real completion, thrown-away placements included.
+        let (dead, reservations) =
+            serve_recorded(&jobs, options.with_failure_at(die_at * makespan));
+        prop_assert!(dead.failed_at_seconds.is_some());
+        prop_assert_eq!(
+            bits(&dead.utilizations),
+            bits(&clipped_utilizations(&reservations, &machine, dead.makespan_seconds))
+        );
     }
 }
