@@ -1,9 +1,7 @@
 //! Dependency DAG of an op trace: producer → consumer edges through
 //! ciphertext ids, plus bootstrap-region barriers.
 
-use std::collections::HashMap;
-
-use bts_sim::{CtId, OpTrace};
+use bts_sim::{OpTrace, TraceIndex};
 
 /// The dependency structure of an [`OpTrace`]: for every op, the indices of
 /// the earlier ops whose outputs it consumes, and the *barrier segment* it
@@ -38,28 +36,36 @@ pub struct CriticalPath {
 impl TraceDag {
     /// Builds the DAG for a trace in one forward pass.
     pub fn from_trace(trace: &OpTrace) -> Self {
-        let mut producer: HashMap<CtId, u32> = HashMap::new();
+        Self::from_index(&TraceIndex::lenient(trace))
+    }
+
+    /// Builds the DAG of an already-indexed trace: every operand's producer
+    /// comes straight from the index's per-slot table.
+    pub(crate) fn from_index(index: &TraceIndex<'_>) -> Self {
+        let trace = index.trace();
         let mut offsets = Vec::with_capacity(trace.ops.len() + 1);
         let mut edges: Vec<u32> = Vec::with_capacity(trace.ops.len());
         let mut segment = Vec::with_capacity(trace.ops.len());
         let mut current_segment = 0u32;
+        let mut in_bootstrap = trace.ops.first().is_some_and(|op| op.in_bootstrap);
         offsets.push(0);
-        for (i, op) in trace.ops.iter().enumerate() {
-            if i > 0 && op.in_bootstrap != trace.ops[i - 1].in_bootstrap {
+        for op in index.ops() {
+            if op.traced.in_bootstrap != in_bootstrap {
+                in_bootstrap = op.traced.in_bootstrap;
                 current_segment += 1;
             }
             segment.push(current_segment);
             let first = edges.len();
-            for p in op.inputs.iter().filter_map(|id| producer.get(id)) {
-                if !edges[first..].contains(p) {
-                    edges.push(*p);
+            // A producer always precedes its consumer in a well-formed
+            // trace; the check keeps the edges backward on any other.
+            let producers = op.operands.iter().filter_map(|&slot| index.producer(slot));
+            for p in producers.filter(|&p| p < op.index) {
+                if !edges[first..].contains(&p) {
+                    edges.push(p);
                 }
             }
             edges[first..].sort_unstable();
             offsets.push(u32::try_from(edges.len()).expect("edge count fits u32"));
-            if let Some(out) = op.output {
-                producer.insert(out, i as u32);
-            }
         }
         Self {
             offsets,

@@ -5,7 +5,7 @@
 
 use std::fmt::Write as _;
 
-use bts_sim::{EvictionHints, HeOp, OpTrace, SimReport, Simulator, TraceError};
+use bts_sim::{EvictionHints, HeOp, OpTrace, SimReport, Simulator, TraceError, TraceIndex};
 
 use crate::dag::TraceDag;
 use crate::list_schedule::ListScheduler;
@@ -126,8 +126,7 @@ pub trait ScheduleExt {
 
 impl ScheduleExt for Simulator {
     fn try_run_scheduled(&self, trace: &OpTrace) -> Result<ScheduledRun, TraceError> {
-        let (timings, mut report) = self.try_run_timed(trace, None)?;
-        finish_scheduled(self, trace, &timings, &mut report)
+        run_scheduled(self, trace, None)
     }
 
     fn try_run_scheduled_with_hints(
@@ -135,26 +134,29 @@ impl ScheduleExt for Simulator {
         trace: &OpTrace,
         hints: &EvictionHints,
     ) -> Result<ScheduledRun, TraceError> {
-        let (timings, mut report) = self.try_run_timed(trace, Some(hints))?;
-        finish_scheduled(self, trace, &timings, &mut report)
+        run_scheduled(self, trace, Some(hints))
     }
 }
 
-fn finish_scheduled(
+/// Validates and indexes the trace once, then runs the cache sweep and
+/// builds the dependency DAG from that one index.
+fn run_scheduled(
     sim: &Simulator,
     trace: &OpTrace,
-    timings: &[bts_sim::OpTiming],
-    report: &mut SimReport,
+    hints: Option<&EvictionHints>,
 ) -> Result<ScheduledRun, TraceError> {
-    let dag = TraceDag::from_trace(trace);
+    let (timings, mut report, dag) = {
+        // The index is dead weight once the DAG exists; the schedule below is
+        // the larger allocation, so free the tables before building it.
+        let index = TraceIndex::new(trace)?;
+        let (timings, report) = sim.run_timed_indexed(&index, hints)?;
+        (timings, report, TraceDag::from_index(&index))
+    };
     let schedule =
-        ListScheduler::new(MachineModel::from_config(sim.config())).schedule(trace, timings, &dag);
+        ListScheduler::new(MachineModel::from_config(sim.config())).schedule(trace, &timings, &dag);
     report.scheduled_seconds = Some(schedule.makespan_seconds);
     report.critical_path_seconds = Some(schedule.critical_path_seconds);
-    Ok(ScheduledRun {
-        report: report.clone(),
-        schedule,
-    })
+    Ok(ScheduledRun { report, schedule })
 }
 
 #[cfg(test)]

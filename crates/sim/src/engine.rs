@@ -1,10 +1,11 @@
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 
 use bts_params::CkksInstance;
 
 use crate::config::BtsConfig;
 use crate::cost::AreaPowerModel;
-use crate::trace::{CtId, EvictionHints, HeOp, OpTrace};
+use crate::trace::{EvictionHints, HeOp, OpTrace, TraceError};
+use crate::trace_index::{TraceIndex, NEVER};
 
 /// Per-op-class statistics in a [`SimReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -342,7 +343,7 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns the first structural defect found in the trace.
-    pub fn try_run(&self, trace: &OpTrace) -> Result<SimReport, crate::trace::TraceError> {
+    pub fn try_run(&self, trace: &OpTrace) -> Result<SimReport, TraceError> {
         Ok(self.fold_report(trace, &self.op_timings(trace)?))
     }
 
@@ -359,7 +360,7 @@ impl Simulator {
         &self,
         trace: &OpTrace,
         hints: &EvictionHints,
-    ) -> Result<SimReport, crate::trace::TraceError> {
+    ) -> Result<SimReport, TraceError> {
         Ok(self.fold_report(trace, &self.op_timings_with_hints(trace, Some(hints))?))
     }
 
@@ -376,9 +377,25 @@ impl Simulator {
         &self,
         trace: &OpTrace,
         hints: Option<&EvictionHints>,
-    ) -> Result<(Vec<OpTiming>, SimReport), crate::trace::TraceError> {
-        let timings = self.op_timings_with_hints(trace, hints)?;
-        let report = self.fold_report(trace, &timings);
+    ) -> Result<(Vec<OpTiming>, SimReport), TraceError> {
+        self.run_timed_indexed(&TraceIndex::new(trace)?, hints)
+    }
+
+    /// [`Simulator::try_run_timed`] over a trace the caller has already
+    /// validated and indexed — `bts-sched`'s `run_scheduled` builds one
+    /// [`TraceIndex`] for this sweep and for its dependency DAG.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::HintArityMismatch`] if `hints` were built for a
+    /// trace of another length.
+    pub fn run_timed_indexed(
+        &self,
+        index: &TraceIndex<'_>,
+        hints: Option<&EvictionHints>,
+    ) -> Result<(Vec<OpTiming>, SimReport), TraceError> {
+        let timings = self.sweep(index, hints, false)?;
+        let report = self.fold_report(index.trace(), &timings);
         Ok((timings, report))
     }
 
@@ -391,37 +408,8 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns the first structural defect found in the trace.
-    pub fn op_timings(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, crate::trace::TraceError> {
+    pub fn op_timings(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, TraceError> {
         self.op_timings_with_hints(trace, None)
-    }
-
-    /// Ciphertext ids that are *forwarded* rather than cached: op outputs
-    /// whose only consumer is the immediately following op. Such values live
-    /// in the scratchpad's temporary region between producer and consumer
-    /// (already accounted by `temp_bytes`) and never enter the ciphertext
-    /// cache, so they neither occupy cache capacity nor count as operand
-    /// hits/misses. Without this, the single-use intermediates of a BSGS
-    /// stage (rotate → pmult → accumulate) would evict the long-lived stage
-    /// input on instances whose cache holds only two or three top-level
-    /// ciphertexts (INS-2/3 at 512 MiB).
-    fn forwarded_ids(trace: &OpTrace) -> std::collections::HashSet<CtId> {
-        let mut uses: HashMap<CtId, (usize, usize)> = HashMap::new(); // id -> (count, last op)
-        for (i, op) in trace.ops.iter().enumerate() {
-            for &id in &op.inputs {
-                let entry = uses.entry(id).or_insert((0, i));
-                entry.0 += 1;
-                entry.1 = i;
-            }
-        }
-        let mut forwarded = std::collections::HashSet::new();
-        for (i, op) in trace.ops.iter().enumerate() {
-            if let Some(out) = op.output {
-                if uses.get(&out) == Some(&(1, i + 1)) {
-                    forwarded.insert(out);
-                }
-            }
-        }
-        forwarded
     }
 
     /// [`Simulator::op_timings`] with optional dead-ciphertext eviction hints
@@ -434,8 +422,8 @@ impl Simulator {
         &self,
         trace: &OpTrace,
         hints: Option<&EvictionHints>,
-    ) -> Result<Vec<OpTiming>, crate::trace::TraceError> {
-        self.op_timings_impl(trace, hints, false)
+    ) -> Result<Vec<OpTiming>, TraceError> {
+        self.sweep(&TraceIndex::new(trace)?, hints, false)
     }
 
     /// [`Simulator::op_timings`] with Belady-style (MIN) replacement in the
@@ -453,11 +441,8 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns the first structural defect found in the trace.
-    pub fn op_timings_belady(
-        &self,
-        trace: &OpTrace,
-    ) -> Result<Vec<OpTiming>, crate::trace::TraceError> {
-        self.op_timings_impl(trace, None, true)
+    pub fn op_timings_belady(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, TraceError> {
+        self.sweep(&TraceIndex::new(trace)?, None, true)
     }
 
     /// Runs a trace with Belady (furthest-next-use) ciphertext eviction — see
@@ -466,69 +451,63 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns the first structural defect found in the trace.
-    pub fn try_run_belady(&self, trace: &OpTrace) -> Result<SimReport, crate::trace::TraceError> {
+    pub fn try_run_belady(&self, trace: &OpTrace) -> Result<SimReport, TraceError> {
         Ok(self.fold_report(trace, &self.op_timings_belady(trace)?))
     }
 
-    /// The shared cache-resolution sweep behind every `op_timings*` entry
-    /// point. `belady` switches the replacement policy from LRU (optionally
-    /// assisted by dead-ciphertext `hints`) to furthest-next-use.
-    fn op_timings_impl(
+    /// The cache-resolution sweep behind every `op_timings*` entry point,
+    /// over the slots of a validated [`TraceIndex`]. `belady` switches the
+    /// replacement policy from LRU (optionally assisted by dead-ciphertext
+    /// `hints`) to furthest-next-use.
+    fn sweep(
         &self,
-        trace: &OpTrace,
+        index: &TraceIndex<'_>,
         hints: Option<&EvictionHints>,
         belady: bool,
-    ) -> Result<Vec<OpTiming>, crate::trace::TraceError> {
-        trace.validate()?;
+    ) -> Result<Vec<OpTiming>, TraceError> {
+        let trace = index.trace();
         if let Some(hints) = hints {
             if hints.len() != trace.ops.len() {
-                return Err(crate::trace::TraceError::HintArityMismatch {
+                return Err(TraceError::HintArityMismatch {
                     hint_ops: hints.len(),
                     trace_ops: trace.ops.len(),
                 });
             }
         }
-        let forwarded = Self::forwarded_ids(trace);
-        // Belady needs exact next-use positions: queue of op indices at which
-        // each ciphertext is (still) consumed, popped as accesses retire.
-        let mut use_positions: HashMap<CtId, VecDeque<u32>> = HashMap::new();
-        if belady {
-            for (i, op) in trace.ops.iter().enumerate() {
-                for &id in &op.inputs {
-                    use_positions.entry(id).or_default().push_back(i as u32);
-                }
-            }
-        }
-        let next_use_of = |q: Option<&VecDeque<u32>>| -> u32 {
-            q.and_then(|q| q.front().copied()).unwrap_or(u32::MAX)
+        // Belady decides on exact next-use positions, one per operand access.
+        let next_uses = if belady {
+            index.next_uses()
+        } else {
+            Vec::new()
         };
         let mut cache = if belady {
-            CacheModel::Belady(BeladyCache::new(self.cache_capacity()))
+            CacheModel::Belady(BeladyCache::new(self.cache_capacity(), index.slot_count()))
         } else {
-            CacheModel::Lru(CtCache::new(self.cache_capacity()))
+            CacheModel::Lru(LruCache::new(self.cache_capacity(), index.slot_count()))
         };
         let telemetry_on = bts_telemetry::enabled();
+        let mut costs = CostTable::new(self, trace.instance.max_level(), telemetry_on);
+        let bytes_per_sec = self.config.hbm.bytes_per_sec();
         let mut timings = Vec::with_capacity(trace.ops.len());
         // Serialized op start time: the engine charges ops back to back, so
         // the running sum places each op's interval on the telemetry track.
         let mut serial_t = 0.0f64;
-        for (index, traced) in trace.ops.iter().enumerate() {
-            let cost = self.op_cost(traced.op, traced.level);
+        for op in index.ops() {
+            let entry = costs.entry(op.traced.op, op.traced.level);
+            let cost = entry.cost;
             // Ciphertext operand residency.
-            let ct_bytes = self.instance.ct_bytes(traced.level);
+            let ct_bytes = entry.ct_bytes;
             let mut miss_bytes = cost.operand_bytes;
             let mut hits = 0usize;
             let mut misses = 0usize;
             let mut evictions = 0usize;
             let mut hint_evictions = 0usize;
-            for &input in &traced.inputs {
-                if forwarded.contains(&input) {
+            for (k, &input) in op.operands.iter().enumerate() {
+                if index.is_forwarded(input) {
                     continue; // producer → consumer forwarding, not a cache access
                 }
                 let next_use = if belady {
-                    let q = use_positions.get_mut(&input).expect("validated input");
-                    q.pop_front(); // this access
-                    next_use_of(Some(q))
+                    next_uses[op.first_access + k]
                 } else {
                     0
                 };
@@ -540,10 +519,10 @@ impl Simulator {
                     evictions += cache.insert(input, ct_bytes, next_use);
                 }
             }
-            if let Some(out) = traced.output {
-                if !forwarded.contains(&out) {
+            if let Some(out) = op.output {
+                if !index.is_forwarded(out) {
                     let next_use = if belady {
-                        next_use_of(use_positions.get(&out))
+                        index.first_use_or_never(out)
                     } else {
                         0
                     };
@@ -551,26 +530,24 @@ impl Simulator {
                 }
             }
             if let Some(hints) = hints {
-                if let Some(dead) = hints.evict_after.get(index) {
-                    for &id in dead {
-                        if cache.remove(id) {
-                            hint_evictions += 1;
-                        }
+                for &id in &hints.evict_after[op.index as usize] {
+                    if index.slot_of(id).is_some_and(|slot| cache.remove(slot)) {
+                        hint_evictions += 1;
                     }
                 }
             }
             let hbm_bytes = cost.evk_bytes + miss_bytes;
-            let hbm_seconds = hbm_bytes as f64 / self.config.hbm.bytes_per_sec();
+            let hbm_seconds = hbm_bytes as f64 / bytes_per_sec;
             let seconds = cost.compute_seconds.max(hbm_seconds);
             if telemetry_on {
                 use bts_telemetry::ArgValue;
                 bts_telemetry::emit_complete(
                     "engine",
-                    &format!("{:?}@L{}", traced.op, traced.level),
+                    &entry.name,
                     serial_t,
                     seconds,
                     &[
-                        ("index", ArgValue::U64(index as u64)),
+                        ("index", ArgValue::U64(u64::from(op.index))),
                         ("hbm_bytes", ArgValue::U64(hbm_bytes)),
                         ("miss_bytes", ArgValue::U64(miss_bytes)),
                         ("evk_bytes", ArgValue::U64(cost.evk_bytes)),
@@ -618,7 +595,9 @@ impl Simulator {
     fn fold_report(&self, trace: &OpTrace, timings: &[OpTiming]) -> SimReport {
         let mut total = 0.0f64;
         let mut bootstrap = 0.0f64;
-        let mut per_op: BTreeMap<HeOp, OpClassStats> = BTreeMap::new();
+        // Per class in a flat array; each class's float sum still runs in
+        // program order.
+        let mut classes = [OpClassStats::default(); HeOp::ALL.len()];
         let mut evk_bytes = 0u64;
         let mut ct_miss_bytes = 0u64;
         let mut hits = 0usize;
@@ -633,9 +612,9 @@ impl Simulator {
             if traced.in_bootstrap {
                 bootstrap += timing.seconds;
             }
-            let entry = per_op.entry(traced.op).or_default();
-            entry.count += 1;
-            entry.seconds += timing.seconds;
+            let class = &mut classes[traced.op.index()];
+            class.count += 1;
+            class.seconds += timing.seconds;
             evk_bytes += timing.cost.evk_bytes;
             ct_miss_bytes += timing.miss_bytes;
             hits += timing.cache_hits;
@@ -645,6 +624,11 @@ impl Simulator {
             ew_busy += timing.cost.elementwise_seconds;
             peak_scratch = peak_scratch.max(timing.scratch_bytes);
         }
+        let per_op: BTreeMap<HeOp, OpClassStats> = HeOp::ALL
+            .into_iter()
+            .zip(classes)
+            .filter(|(_, stats)| stats.count > 0)
+            .collect();
 
         let hbm_bytes = evk_bytes + ct_miss_bytes;
         let hbm_util = if total > 0.0 {
@@ -706,210 +690,325 @@ impl Simulator {
     }
 }
 
+/// What the sweep needs to know about one (op, level) pair, resolved the
+/// first time the pair occurs in a sweep: a trace has at most
+/// `10 × (L + 1)` distinct pairs, however many ops it has.
+#[derive(Debug, Clone)]
+struct CostEntry {
+    cost: OpCost,
+    /// Size of a ciphertext at the pair's level.
+    ct_bytes: u64,
+    /// The pair's telemetry event name (`"HMult@L27"`); empty when the sweep
+    /// runs with telemetry off.
+    name: String,
+}
+
+/// Per-sweep [`CostEntry`] table, indexed by (level, op) and filled on demand.
+#[derive(Debug)]
+struct CostTable<'s> {
+    sim: &'s Simulator,
+    named: bool,
+    entries: Vec<Option<CostEntry>>,
+}
+
+impl<'s> CostTable<'s> {
+    /// A table for ops at levels `0..=max_level`; entries carry their event
+    /// name only if `named`.
+    fn new(sim: &'s Simulator, max_level: usize, named: bool) -> Self {
+        Self {
+            sim,
+            named,
+            entries: vec![None; (max_level + 1) * HeOp::ALL.len()],
+        }
+    }
+
+    fn entry(&mut self, op: HeOp, level: usize) -> &CostEntry {
+        self.entries[level * HeOp::ALL.len() + op.index()].get_or_insert_with(|| CostEntry {
+            cost: self.sim.op_cost(op, level),
+            ct_bytes: self.sim.instance.ct_bytes(level),
+            name: if self.named {
+                format!("{op:?}@L{level}")
+            } else {
+                String::new()
+            },
+        })
+    }
+}
+
 /// Replacement-policy dispatch for the cache sweep: LRU (the §5.3 software
 /// cache, optionally assisted by eviction hints) or Belady furthest-next-use.
+/// Both key their state by [`TraceIndex`] slot.
 #[derive(Debug, Clone)]
 enum CacheModel {
-    Lru(CtCache),
+    Lru(LruCache),
     Belady(BeladyCache),
 }
 
 impl CacheModel {
     /// Hit test, refreshing recency (LRU) or the stored next-use (Belady).
-    fn touch(&mut self, id: CtId, next_use: u32) -> bool {
+    fn touch(&mut self, slot: u32, next_use: u32) -> bool {
         match self {
-            CacheModel::Lru(c) => c.touch(id),
-            CacheModel::Belady(c) => c.touch(id, next_use),
+            CacheModel::Lru(c) => c.touch(slot),
+            CacheModel::Belady(c) => c.touch(slot, next_use),
         }
     }
 
     /// Inserts, returning how many resident ciphertexts were evicted to make
     /// room (0 on bypass or when the entry fit without pressure).
-    fn insert(&mut self, id: CtId, bytes: u64, next_use: u32) -> usize {
+    fn insert(&mut self, slot: u32, bytes: u64, next_use: u32) -> usize {
         match self {
-            CacheModel::Lru(c) => c.insert(id, bytes),
-            CacheModel::Belady(c) => c.insert(id, bytes, next_use),
+            CacheModel::Lru(c) => c.insert(slot, bytes),
+            CacheModel::Belady(c) => c.insert(slot, bytes, next_use),
         }
     }
 
     /// Drops an entry; true if it was resident.
-    fn remove(&mut self, id: CtId) -> bool {
+    fn remove(&mut self, slot: u32) -> bool {
         match self {
-            CacheModel::Lru(c) => c.remove(id),
-            CacheModel::Belady(c) => c.remove(id),
+            CacheModel::Lru(c) => c.remove(slot),
+            CacheModel::Belady(c) => c.remove(slot),
         }
     }
 
     fn used_bytes(&self) -> u64 {
         match self {
-            CacheModel::Lru(c) => c.used_bytes(),
-            CacheModel::Belady(c) => c.used_bytes(),
+            CacheModel::Lru(c) => c.used,
+            CacheModel::Belady(c) => c.used,
         }
     }
 }
 
+/// One slot's state in a [`BeladyCache`].
+#[derive(Debug, Clone, Copy)]
+struct BeladyEntry {
+    bytes: u64,
+    /// Op index of the next use ([`NEVER`] = never again).
+    next_use: u32,
+    /// Position in `BeladyCache::resident`, [`NEVER`] when not resident.
+    position: u32,
+}
+
 /// Belady-style (MIN) replacement: every resident ciphertext carries the op
-/// index of its next use (`u32::MAX` = never again); under pressure the
-/// furthest-needed ciphertext loses — evicted if resident, bypassed if
-/// incoming — so dead data goes first and the live set is what the future
-/// needs soonest.
+/// index of its next use; under pressure the furthest-needed ciphertext
+/// loses — evicted if resident, bypassed if incoming — so dead data goes
+/// first and the live set is what the future needs soonest.
 #[derive(Debug, Clone)]
 struct BeladyCache {
     capacity: u64,
     used: u64,
-    /// id → (bytes, next-use op index).
-    entries: HashMap<CtId, (u64, u32)>,
+    entries: Vec<BeladyEntry>,
+    /// The resident slots, in no particular order.
+    resident: Vec<u32>,
+    /// Victims chosen by the insert in progress, reused across inserts.
+    victims: Vec<u32>,
 }
 
 impl BeladyCache {
-    fn new(capacity: u64) -> Self {
+    fn new(capacity: u64, slots: usize) -> Self {
+        let vacant = BeladyEntry {
+            bytes: 0,
+            next_use: NEVER,
+            position: NEVER,
+        };
         Self {
             capacity,
             used: 0,
-            entries: HashMap::new(),
+            entries: vec![vacant; slots],
+            resident: Vec::new(),
+            victims: Vec::new(),
         }
     }
 
-    fn used_bytes(&self) -> u64 {
-        self.used
+    fn touch(&mut self, slot: u32, next_use: u32) -> bool {
+        let entry = &mut self.entries[slot as usize];
+        if entry.position == NEVER {
+            return false;
+        }
+        entry.next_use = next_use;
+        true
     }
 
-    fn touch(&mut self, id: CtId, next_use: u32) -> bool {
-        if let Some(entry) = self.entries.get_mut(&id) {
-            entry.1 = next_use;
-            true
-        } else {
-            false
+    fn remove(&mut self, slot: u32) -> bool {
+        let BeladyEntry {
+            bytes, position, ..
+        } = self.entries[slot as usize];
+        if position == NEVER {
+            return false;
         }
-    }
-
-    fn remove(&mut self, id: CtId) -> bool {
-        if let Some((bytes, _)) = self.entries.remove(&id) {
-            self.used -= bytes;
-            true
-        } else {
-            false
+        self.used -= bytes;
+        self.entries[slot as usize].position = NEVER;
+        self.resident.swap_remove(position as usize);
+        if let Some(&moved) = self.resident.get(position as usize) {
+            self.entries[moved as usize].position = position;
         }
+        true
     }
 
     /// Inserts, returning the number of evicted victims (0 on bypass).
-    fn insert(&mut self, id: CtId, bytes: u64, next_use: u32) -> usize {
+    fn insert(&mut self, slot: u32, bytes: u64, next_use: u32) -> usize {
         if bytes > self.capacity {
             return 0; // cannot cache at all
         }
-        if self.touch(id, next_use) {
+        if self.touch(slot, next_use) {
             return 0;
         }
-        let mut evicted = 0usize;
-        if self.used + bytes > self.capacity {
-            // Pick victims furthest-next-use-first (ties to the larger id)
-            // until the incoming ciphertext fits — but commit the evictions
-            // only if *every* victim is needed later than the incoming one.
-            // Otherwise bypass (don't cache) and keep all residents: caching
-            // it would trade a sooner-needed resident for a later-needed
-            // newcomer. Deciding over the whole set before removing anything
-            // matters with variable ciphertext sizes, where a big newcomer
-            // can need several victims of mixed next-use distances.
-            let mut order: Vec<(u32, CtId)> = self
-                .entries
+        // Pick victims furthest-next-use-first (ties to the larger slot, which
+        // is the larger id) until the incoming ciphertext fits — but commit
+        // the evictions only if *every* victim is needed later than the
+        // incoming one. Otherwise bypass (don't cache) and keep all
+        // residents: caching it would trade a sooner-needed resident for a
+        // later-needed newcomer. Deciding over the whole set before removing
+        // anything matters with variable ciphertext sizes, where a big
+        // newcomer can need several victims of mixed next-use distances.
+        self.victims.clear();
+        let mut freed = 0u64;
+        // Keys are distinct (one per slot), so "the largest key below the
+        // previous victim's" walks the residents in descending order without
+        // sorting them.
+        let mut previous = None;
+        while self.used - freed + bytes > self.capacity {
+            let furthest = self
+                .resident
                 .iter()
-                .map(|(&id, &(_, nu))| (nu, id))
-                .collect();
-            order.sort_unstable_by(|a, b| b.cmp(a));
-            let mut freed = 0u64;
-            let mut victims = Vec::new();
-            for &(nu, vid) in &order {
-                if self.used - freed + bytes <= self.capacity {
-                    break;
-                }
-                if (nu, vid) < (next_use, id) {
-                    return 0; // a victim is needed sooner than the incoming
-                }
-                freed += self.entries[&vid].0;
-                victims.push(vid);
+                .map(|&s| (self.entries[s as usize].next_use, s))
+                .filter(|&key| previous.is_none_or(|p| key < p))
+                .max();
+            let Some(key) = furthest else {
+                break;
+            };
+            if key < (next_use, slot) {
+                return 0; // a victim is needed sooner than the incoming
             }
-            evicted = victims.len();
-            for vid in victims {
-                self.remove(vid);
-            }
+            freed += self.entries[key.1 as usize].bytes;
+            self.victims.push(key.1);
+            previous = Some(key);
         }
-        self.entries.insert(id, (bytes, next_use));
+        let evicted = self.victims.len();
+        for i in 0..evicted {
+            self.remove(self.victims[i]);
+        }
+        let position = u32::try_from(self.resident.len()).expect("resident count fits u32");
+        self.resident.push(slot);
+        self.entries[slot as usize] = BeladyEntry {
+            bytes,
+            next_use,
+            position,
+        };
         self.used += bytes;
         evicted
     }
 }
 
-/// LRU cache over ciphertext ids (the software-managed scratchpad cache).
-#[derive(Debug, Clone)]
-struct CtCache {
-    capacity: u64,
-    used: u64,
-    entries: HashMap<CtId, u64>,
-    order: VecDeque<CtId>,
+/// One slot's links in the [`LruCache`] recency list.
+#[derive(Debug, Clone, Copy)]
+struct LruNode {
+    /// Neighbour towards the least recently used end.
+    prev: u32,
+    /// Neighbour towards the most recently used end; [`NEVER`] when the slot
+    /// is not resident.
+    next: u32,
+    bytes: u64,
 }
 
-impl CtCache {
-    fn new(capacity: u64) -> Self {
+/// LRU cache over ciphertext slots (the software-managed scratchpad cache):
+/// an intrusive doubly-linked recency list threaded through one node per
+/// slot, so a touch, an eviction and a hinted removal are all O(1).
+#[derive(Debug, Clone)]
+struct LruCache {
+    capacity: u64,
+    used: u64,
+    /// One node per slot plus the list's sentinel at index `slots`: the
+    /// sentinel's `next` is the least, its `prev` the most recently used.
+    nodes: Vec<LruNode>,
+}
+
+impl LruCache {
+    fn new(capacity: u64, slots: usize) -> Self {
+        let sentinel = u32::try_from(slots).expect("slot count fits u32");
+        let vacant = LruNode {
+            prev: NEVER,
+            next: NEVER,
+            bytes: 0,
+        };
+        let mut nodes = vec![vacant; slots + 1];
+        nodes[slots] = LruNode {
+            prev: sentinel,
+            next: sentinel,
+            bytes: 0,
+        };
         Self {
             capacity,
             used: 0,
-            entries: HashMap::new(),
-            order: VecDeque::new(),
+            nodes,
         }
     }
 
-    fn used_bytes(&self) -> u64 {
-        self.used
+    fn sentinel(&self) -> u32 {
+        // Lossless: `new` checked that the slot count fits u32.
+        (self.nodes.len() - 1) as u32
+    }
+
+    fn is_resident(&self, slot: u32) -> bool {
+        self.nodes[slot as usize].next != NEVER
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let LruNode { prev, next, .. } = self.nodes[slot as usize];
+        self.nodes[prev as usize].next = next;
+        self.nodes[next as usize].prev = prev;
+    }
+
+    /// Links `slot` in as the most recently used entry.
+    fn link_newest(&mut self, slot: u32) {
+        let sentinel = self.sentinel();
+        let newest = self.nodes[sentinel as usize].prev;
+        self.nodes[slot as usize].prev = newest;
+        self.nodes[slot as usize].next = sentinel;
+        self.nodes[newest as usize].next = slot;
+        self.nodes[sentinel as usize].prev = slot;
     }
 
     /// Returns true (hit) if present, refreshing recency.
-    fn touch(&mut self, id: CtId) -> bool {
-        if self.entries.contains_key(&id) {
-            if let Some(pos) = self.order.iter().position(|&x| x == id) {
-                self.order.remove(pos);
-            }
-            self.order.push_back(id);
-            true
-        } else {
-            false
+    fn touch(&mut self, slot: u32) -> bool {
+        if !self.is_resident(slot) {
+            return false;
         }
+        self.unlink(slot);
+        self.link_newest(slot);
+        true
     }
 
-    /// Drops an entry (dead-ciphertext eviction hint), freeing its bytes.
-    /// Returns true if the entry was resident.
-    fn remove(&mut self, id: CtId) -> bool {
-        if let Some(sz) = self.entries.remove(&id) {
-            self.used -= sz;
-            if let Some(pos) = self.order.iter().position(|&x| x == id) {
-                self.order.remove(pos);
-            }
-            true
-        } else {
-            false
+    /// Drops an entry (an LRU victim or a dead-ciphertext eviction hint),
+    /// freeing its bytes. Returns true if the entry was resident.
+    fn remove(&mut self, slot: u32) -> bool {
+        if !self.is_resident(slot) {
+            return false;
         }
+        self.unlink(slot);
+        self.nodes[slot as usize].next = NEVER;
+        self.used -= self.nodes[slot as usize].bytes;
+        true
     }
 
     /// Inserts, returning the number of LRU victims evicted to make room.
-    fn insert(&mut self, id: CtId, bytes: u64) -> usize {
+    fn insert(&mut self, slot: u32, bytes: u64) -> usize {
         if bytes > self.capacity {
             return 0; // cannot cache at all
         }
-        if self.entries.contains_key(&id) {
-            self.touch(id);
+        if self.touch(slot) {
             return 0;
         }
         let mut evicted = 0usize;
         while self.used + bytes > self.capacity {
-            let Some(victim) = self.order.pop_front() else {
+            let oldest = self.nodes[self.sentinel() as usize].next;
+            if oldest == self.sentinel() {
                 break;
-            };
-            if let Some(sz) = self.entries.remove(&victim) {
-                self.used -= sz;
-                evicted += 1;
             }
+            self.remove(oldest);
+            evicted += 1;
         }
-        self.entries.insert(id, bytes);
-        self.order.push_back(id);
+        self.nodes[slot as usize].bytes = bytes;
+        self.link_newest(slot);
         self.used += bytes;
         evicted
     }
@@ -1128,14 +1227,14 @@ mod tests {
         // use 5); incoming C (80 B, next use 7) needs both evicted, but B is
         // needed sooner than C — so C must be bypassed with *both* residents
         // kept, not A sacrificed before the bypass decision falls on B.
-        let mut cache = BeladyCache::new(100);
+        let mut cache = BeladyCache::new(100, 5);
         cache.insert(1, 60, 10); // A
         cache.insert(2, 40, 5); // B
         cache.insert(3, 80, 7); // C: bypassed
         assert!(cache.touch(1, 10), "A must survive");
         assert!(cache.touch(2, 5), "B must survive");
         assert!(!cache.touch(3, 7), "C must not be cached");
-        assert_eq!(cache.used_bytes(), 100);
+        assert_eq!(cache.used, 100);
         // When the incoming ciphertext is needed sooner than every victim,
         // the evictions do commit.
         cache.insert(4, 80, 2);

@@ -43,6 +43,7 @@ mod pe;
 mod scratchpad;
 mod timeline;
 mod trace;
+mod trace_index;
 mod twiddle;
 
 pub use config::{ArchPreset, BtsConfig, ConfigError};
@@ -55,4 +56,5 @@ pub use pe::{KeySwitchOccupancy, ProcessingElement};
 pub use scratchpad::{AllocationClass, AllocationPlan, Scratchpad};
 pub use timeline::{hmult_timeline, TimelineSegment};
 pub use trace::{CtId, EvictionHints, HeOp, OpTrace, TraceBuilder, TraceError, TracedOp};
+pub use trace_index::{IndexedOp, TraceIndex};
 pub use twiddle::TwiddleStorage;

@@ -1,5 +1,7 @@
 use bts_params::CkksInstance;
 
+use crate::trace_index::TraceIndex;
+
 /// Identifier of a ciphertext flowing through a trace; used by the simulator's
 /// software-managed cache model to track on-chip residency.
 pub type CtId = u64;
@@ -32,6 +34,25 @@ pub enum HeOp {
 }
 
 impl HeOp {
+    /// Every op class, in declaration (and `Ord`) order.
+    pub(crate) const ALL: [HeOp; 10] = [
+        HeOp::HMult,
+        HeOp::HRot,
+        HeOp::Conjugate,
+        HeOp::PMult,
+        HeOp::PAdd,
+        HeOp::HAdd,
+        HeOp::HRescale,
+        HeOp::CMult,
+        HeOp::CAdd,
+        HeOp::ModRaise,
+    ];
+
+    /// Position of the class in [`HeOp::ALL`], for tables indexed by op.
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
+
     /// Whether this op performs a key-switching (and therefore streams an
     /// evaluation key from off-chip memory).
     pub fn is_key_switching(&self) -> bool {
@@ -224,46 +245,20 @@ impl OpTrace {
     }
 
     /// Checks structural well-formedness: every op input is either a declared
-    /// trace input or the output of an earlier op, and every op's level lies
-    /// within the instance's budget. The simulator validates traces on entry,
-    /// so a hand-rolled trace with dangling ids fails fast instead of
-    /// corrupting the cache model's residency accounting.
+    /// trace input or the output of an earlier op, no op redefines an id, and
+    /// every level lies within the instance's budget. The simulator validates
+    /// traces on entry, so a hand-rolled trace with dangling ids fails fast
+    /// instead of corrupting the cache model's residency accounting.
+    ///
+    /// The check *is* the construction of the [`TraceIndex`] the sweeps run
+    /// over — this builds one and drops it — so there is a single definition
+    /// of a well-formed trace.
     ///
     /// # Errors
     ///
     /// Returns the first [`TraceError`] found, in program order.
     pub fn validate(&self) -> Result<(), TraceError> {
-        let mut defined: std::collections::HashSet<CtId> = self.inputs.iter().copied().collect();
-        let max_level = self.instance.max_level();
-        for (input_index, &level) in self.input_levels.iter().enumerate() {
-            if level > max_level {
-                return Err(TraceError::InputLevelOutOfRange {
-                    input_index,
-                    level,
-                    max_level,
-                });
-            }
-        }
-        for (op_index, op) in self.ops.iter().enumerate() {
-            if op.level > max_level {
-                return Err(TraceError::LevelOutOfRange {
-                    op_index,
-                    level: op.level,
-                    max_level,
-                });
-            }
-            for &id in &op.inputs {
-                if !defined.contains(&id) {
-                    return Err(TraceError::UndefinedInput { op_index, id });
-                }
-            }
-            if let Some(out) = op.output {
-                if !defined.insert(out) {
-                    return Err(TraceError::DuplicateOutput { op_index, id: out });
-                }
-            }
-        }
-        Ok(())
+        TraceIndex::new(self).map(drop)
     }
 }
 
@@ -421,29 +416,17 @@ pub struct EvictionHints {
 }
 
 impl EvictionHints {
-    /// Computes the hints for a trace with one backward liveness sweep.
+    /// Computes the hints for a trace from the live ranges of its
+    /// [`TraceIndex`]. Slots ascend with ids, so one walk over the last-use
+    /// table fills every `evict_after[i]` in ascending-id order.
     pub fn from_trace(trace: &OpTrace) -> Self {
-        let mut last_use: std::collections::HashMap<CtId, usize> = std::collections::HashMap::new();
-        for (i, op) in trace.ops.iter().enumerate() {
-            for &id in &op.inputs {
-                last_use.insert(id, i);
-            }
-        }
+        let index = TraceIndex::lenient(trace);
         let mut evict_after = vec![Vec::new(); trace.ops.len()];
-        for (&id, &i) in &last_use {
-            evict_after[i].push(id);
-        }
-        for (i, op) in trace.ops.iter().enumerate() {
-            if let Some(out) = op.output {
-                if !last_use.contains_key(&out) {
-                    evict_after[i].push(out);
-                }
+        for slot in index.slots() {
+            // Dies at its last read, or where it is produced if never read.
+            if let Some(op) = index.last_use(slot).or_else(|| index.producer(slot)) {
+                evict_after[op as usize].push(index.id_of(slot));
             }
-        }
-        // HashMap iteration order is arbitrary; sort so the hints (and any
-        // accounting that folds over them) are deterministic.
-        for ids in &mut evict_after {
-            ids.sort_unstable();
         }
         Self { evict_after }
     }

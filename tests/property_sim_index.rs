@@ -1,0 +1,892 @@
+//! Differential tests of the dense simulation kernel: on random traces the
+//! slot-indexed sweep (`TraceIndex` + intrusive LRU list / slot-indexed
+//! Belady), `EvictionHints::from_trace`, `TraceDag::from_trace` and
+//! `OpTrace::validate` must equal, bit for bit and error for error, the
+//! hash-map bodies they replaced.
+//!
+//! Those bodies live on in [`oracle`] below, as they were before the index
+//! existed (`HashSet` of defined ids, `HashMap` caches, one `VecDeque` of
+//! use positions per ciphertext, linear `VecDeque::position` LRU touches).
+//! They are written against the public API only, which is why the oracle can
+//! sit in this test crate: an integration test cannot see a dependency's
+//! `#[cfg(test)]` items, and nothing outside the tests should be able to.
+
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+use bts::params::CkksInstance;
+use bts::sched::{ListScheduler, MachineModel, ScheduleExt, TraceDag};
+use bts::sim::{
+    BtsConfig, CtId, EvictionHints, HeOp, OpClassStats, OpTrace, Simulator, TraceBuilder,
+    TraceError, TracedOp,
+};
+
+/// The pre-index implementations, kept verbatim as the reference.
+mod oracle {
+    use std::collections::{HashMap, HashSet, VecDeque};
+
+    use bts::sim::{CtId, EvictionHints, OpTiming, OpTrace, Simulator, TraceError};
+
+    pub fn validate(trace: &OpTrace) -> Result<(), TraceError> {
+        let mut defined: HashSet<CtId> = trace.inputs.iter().copied().collect();
+        let max_level = trace.instance.max_level();
+        for (input_index, &level) in trace.input_levels.iter().enumerate() {
+            if level > max_level {
+                return Err(TraceError::InputLevelOutOfRange {
+                    input_index,
+                    level,
+                    max_level,
+                });
+            }
+        }
+        for (op_index, op) in trace.ops.iter().enumerate() {
+            if op.level > max_level {
+                return Err(TraceError::LevelOutOfRange {
+                    op_index,
+                    level: op.level,
+                    max_level,
+                });
+            }
+            for &id in &op.inputs {
+                if !defined.contains(&id) {
+                    return Err(TraceError::UndefinedInput { op_index, id });
+                }
+            }
+            if let Some(out) = op.output {
+                if !defined.insert(out) {
+                    return Err(TraceError::DuplicateOutput { op_index, id: out });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    pub fn hints(trace: &OpTrace) -> EvictionHints {
+        let mut last_use: HashMap<CtId, usize> = HashMap::new();
+        for (i, op) in trace.ops.iter().enumerate() {
+            for &id in &op.inputs {
+                last_use.insert(id, i);
+            }
+        }
+        let mut evict_after = vec![Vec::new(); trace.ops.len()];
+        for (&id, &i) in &last_use {
+            evict_after[i].push(id);
+        }
+        for (i, op) in trace.ops.iter().enumerate() {
+            if let Some(out) = op.output {
+                if !last_use.contains_key(&out) {
+                    evict_after[i].push(out);
+                }
+            }
+        }
+        for ids in &mut evict_after {
+            ids.sort_unstable();
+        }
+        EvictionHints { evict_after }
+    }
+
+    /// Per op: sorted, deduplicated producer indices; and its barrier segment.
+    pub fn dag(trace: &OpTrace) -> (Vec<Vec<u32>>, Vec<u32>) {
+        let mut producer: HashMap<CtId, u32> = HashMap::new();
+        let mut deps = Vec::new();
+        let mut segment = Vec::new();
+        let mut current_segment = 0u32;
+        for (i, op) in trace.ops.iter().enumerate() {
+            if i > 0 && op.in_bootstrap != trace.ops[i - 1].in_bootstrap {
+                current_segment += 1;
+            }
+            segment.push(current_segment);
+            let mut edges: Vec<u32> = Vec::new();
+            for p in op.inputs.iter().filter_map(|id| producer.get(id)) {
+                if !edges.contains(p) {
+                    edges.push(*p);
+                }
+            }
+            edges.sort_unstable();
+            deps.push(edges);
+            if let Some(out) = op.output {
+                producer.insert(out, i as u32);
+            }
+        }
+        (deps, segment)
+    }
+
+    fn forwarded_ids(trace: &OpTrace) -> HashSet<CtId> {
+        let mut uses: HashMap<CtId, (usize, usize)> = HashMap::new(); // id -> (count, last op)
+        for (i, op) in trace.ops.iter().enumerate() {
+            for &id in &op.inputs {
+                let entry = uses.entry(id).or_insert((0, i));
+                entry.0 += 1;
+                entry.1 = i;
+            }
+        }
+        let mut forwarded = HashSet::new();
+        for (i, op) in trace.ops.iter().enumerate() {
+            if let Some(out) = op.output {
+                if uses.get(&out) == Some(&(1, i + 1)) {
+                    forwarded.insert(out);
+                }
+            }
+        }
+        forwarded
+    }
+
+    pub fn op_timings(
+        sim: &Simulator,
+        trace: &OpTrace,
+        hints: Option<&EvictionHints>,
+        belady: bool,
+    ) -> Result<Vec<OpTiming>, TraceError> {
+        validate(trace)?;
+        if let Some(hints) = hints {
+            if hints.len() != trace.ops.len() {
+                return Err(TraceError::HintArityMismatch {
+                    hint_ops: hints.len(),
+                    trace_ops: trace.ops.len(),
+                });
+            }
+        }
+        let forwarded = forwarded_ids(trace);
+        let mut use_positions: HashMap<CtId, VecDeque<u32>> = HashMap::new();
+        if belady {
+            for (i, op) in trace.ops.iter().enumerate() {
+                for &id in &op.inputs {
+                    use_positions.entry(id).or_default().push_back(i as u32);
+                }
+            }
+        }
+        let next_use_of = |q: Option<&VecDeque<u32>>| -> u32 {
+            q.and_then(|q| q.front().copied()).unwrap_or(u32::MAX)
+        };
+        let mut cache = if belady {
+            CacheModel::Belady(BeladyCache::new(sim.cache_capacity()))
+        } else {
+            CacheModel::Lru(CtCache::new(sim.cache_capacity()))
+        };
+        let mut timings = Vec::with_capacity(trace.ops.len());
+        for (index, traced) in trace.ops.iter().enumerate() {
+            let cost = sim.op_cost(traced.op, traced.level);
+            let ct_bytes = sim.instance().ct_bytes(traced.level);
+            let mut miss_bytes = cost.operand_bytes;
+            let mut hits = 0usize;
+            let mut misses = 0usize;
+            for &input in &traced.inputs {
+                if forwarded.contains(&input) {
+                    continue;
+                }
+                let next_use = if belady {
+                    let q = use_positions.get_mut(&input).expect("validated input");
+                    q.pop_front();
+                    next_use_of(Some(q))
+                } else {
+                    0
+                };
+                if cache.touch(input, next_use) {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                    miss_bytes += ct_bytes;
+                    cache.insert(input, ct_bytes, next_use);
+                }
+            }
+            if let Some(out) = traced.output {
+                if !forwarded.contains(&out) {
+                    let next_use = if belady {
+                        next_use_of(use_positions.get(&out))
+                    } else {
+                        0
+                    };
+                    cache.insert(out, ct_bytes, next_use);
+                }
+            }
+            if let Some(hints) = hints {
+                if let Some(dead) = hints.evict_after.get(index) {
+                    for &id in dead {
+                        cache.remove(id);
+                    }
+                }
+            }
+            let hbm_bytes = cost.evk_bytes + miss_bytes;
+            let hbm_seconds = hbm_bytes as f64 / sim.config().hbm.bytes_per_sec();
+            let seconds = cost.compute_seconds.max(hbm_seconds);
+            timings.push(OpTiming {
+                cost,
+                miss_bytes,
+                hbm_bytes,
+                hbm_seconds,
+                seconds,
+                cache_hits: hits,
+                cache_misses: misses,
+                scratch_bytes: cost.temp_bytes + cache.used_bytes(),
+            });
+        }
+        Ok(timings)
+    }
+
+    enum CacheModel {
+        Lru(CtCache),
+        Belady(BeladyCache),
+    }
+
+    impl CacheModel {
+        fn touch(&mut self, id: CtId, next_use: u32) -> bool {
+            match self {
+                CacheModel::Lru(c) => c.touch(id),
+                CacheModel::Belady(c) => c.touch(id, next_use),
+            }
+        }
+
+        fn insert(&mut self, id: CtId, bytes: u64, next_use: u32) -> usize {
+            match self {
+                CacheModel::Lru(c) => c.insert(id, bytes),
+                CacheModel::Belady(c) => c.insert(id, bytes, next_use),
+            }
+        }
+
+        fn remove(&mut self, id: CtId) -> bool {
+            match self {
+                CacheModel::Lru(c) => c.remove(id),
+                CacheModel::Belady(c) => c.remove(id),
+            }
+        }
+
+        fn used_bytes(&self) -> u64 {
+            match self {
+                CacheModel::Lru(c) => c.used,
+                CacheModel::Belady(c) => c.used,
+            }
+        }
+    }
+
+    struct BeladyCache {
+        capacity: u64,
+        used: u64,
+        entries: HashMap<CtId, (u64, u32)>,
+    }
+
+    impl BeladyCache {
+        fn new(capacity: u64) -> Self {
+            Self {
+                capacity,
+                used: 0,
+                entries: HashMap::new(),
+            }
+        }
+
+        fn touch(&mut self, id: CtId, next_use: u32) -> bool {
+            if let Some(entry) = self.entries.get_mut(&id) {
+                entry.1 = next_use;
+                true
+            } else {
+                false
+            }
+        }
+
+        fn remove(&mut self, id: CtId) -> bool {
+            if let Some((bytes, _)) = self.entries.remove(&id) {
+                self.used -= bytes;
+                true
+            } else {
+                false
+            }
+        }
+
+        fn insert(&mut self, id: CtId, bytes: u64, next_use: u32) -> usize {
+            if bytes > self.capacity {
+                return 0;
+            }
+            if self.touch(id, next_use) {
+                return 0;
+            }
+            let mut evicted = 0usize;
+            if self.used + bytes > self.capacity {
+                let mut order: Vec<(u32, CtId)> = self
+                    .entries
+                    .iter()
+                    .map(|(&id, &(_, nu))| (nu, id))
+                    .collect();
+                order.sort_unstable_by(|a, b| b.cmp(a));
+                let mut freed = 0u64;
+                let mut victims = Vec::new();
+                for &(nu, vid) in &order {
+                    if self.used - freed + bytes <= self.capacity {
+                        break;
+                    }
+                    if (nu, vid) < (next_use, id) {
+                        return 0;
+                    }
+                    freed += self.entries[&vid].0;
+                    victims.push(vid);
+                }
+                evicted = victims.len();
+                for vid in victims {
+                    self.remove(vid);
+                }
+            }
+            self.entries.insert(id, (bytes, next_use));
+            self.used += bytes;
+            evicted
+        }
+    }
+
+    struct CtCache {
+        capacity: u64,
+        used: u64,
+        entries: HashMap<CtId, u64>,
+        order: VecDeque<CtId>,
+    }
+
+    impl CtCache {
+        fn new(capacity: u64) -> Self {
+            Self {
+                capacity,
+                used: 0,
+                entries: HashMap::new(),
+                order: VecDeque::new(),
+            }
+        }
+
+        fn touch(&mut self, id: CtId) -> bool {
+            if self.entries.contains_key(&id) {
+                if let Some(pos) = self.order.iter().position(|&x| x == id) {
+                    self.order.remove(pos);
+                }
+                self.order.push_back(id);
+                true
+            } else {
+                false
+            }
+        }
+
+        fn remove(&mut self, id: CtId) -> bool {
+            if let Some(sz) = self.entries.remove(&id) {
+                self.used -= sz;
+                if let Some(pos) = self.order.iter().position(|&x| x == id) {
+                    self.order.remove(pos);
+                }
+                true
+            } else {
+                false
+            }
+        }
+
+        fn insert(&mut self, id: CtId, bytes: u64) -> usize {
+            if bytes > self.capacity {
+                return 0;
+            }
+            if self.entries.contains_key(&id) {
+                self.touch(id);
+                return 0;
+            }
+            let mut evicted = 0usize;
+            while self.used + bytes > self.capacity {
+                let Some(victim) = self.order.pop_front() else {
+                    break;
+                };
+                if let Some(sz) = self.entries.remove(&victim) {
+                    self.used -= sz;
+                    evicted += 1;
+                }
+            }
+            self.entries.insert(id, bytes);
+            self.order.push_back(id);
+            self.used += bytes;
+            evicted
+        }
+    }
+}
+
+/// A deterministic LCG: everything a case does derives from its seed.
+struct Lcg(u64);
+
+impl Lcg {
+    fn new(seed: u64) -> Self {
+        Self(
+            seed.wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407),
+        )
+    }
+
+    fn next(&mut self) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 33) as usize
+    }
+}
+
+/// A random valid trace exercising what the cache sweeps branch on: repeated
+/// operands (`hmult(x, x)`), levels from 0 to L so ciphertext sizes differ by
+/// over an order of magnitude, rotate → pmult → accumulate chains whose
+/// intermediates are forwarded, rescales, modulus raises, dead outputs and
+/// bootstrap regions.
+fn rich_trace(ins: &CkksInstance, rng: &mut Lcg, ops: usize) -> OpTrace {
+    let mut b = TraceBuilder::new(ins);
+    let max_level = ins.max_level();
+    let mut live: Vec<(CtId, usize)> = (0..3)
+        .map(|_| {
+            let level = rng.next() % (max_level + 1);
+            (b.fresh_ct(level), level)
+        })
+        .collect();
+    let mut emitted = 0usize;
+    while emitted < ops {
+        if rng.next().is_multiple_of(9) {
+            b.set_bootstrap_region(rng.next().is_multiple_of(2));
+        }
+        let (a, la) = live[rng.next() % live.len()];
+        let (c, lc) = live[rng.next() % live.len()];
+        let level = la.min(lc);
+        let (out, out_level) = match rng.next() % 10 {
+            0 => (b.hmult_at(a, a, la), la),
+            1 => (b.hmult_at(a, c, level), level),
+            2 | 3 => {
+                // A forwarded chain: each intermediate has exactly one
+                // consumer, the next op.
+                let rot = b.hrot(a, (rng.next() % 64) as i64 - 32, la);
+                let prod = b.pmult(rot, la);
+                emitted += 2;
+                (b.hadd(c, prod, level), level)
+            }
+            4 => (b.hrescale_at(a, la), la.saturating_sub(1)),
+            5 => (b.hadd(a, c, level), level),
+            6 => (b.conjugate(a, la), la),
+            7 => (b.mod_raise(a, max_level), max_level),
+            8 => {
+                // A dead output: produced, never read.
+                b.cmult(a, la);
+                emitted += 1;
+                (b.padd(c, lc), lc)
+            }
+            _ => (b.cadd(a, la), la),
+        };
+        emitted += 1;
+        live.push((out, out_level));
+        if live.len() > 12 {
+            live.remove(rng.next() % live.len());
+        }
+    }
+    b.build()
+}
+
+/// Injective relabellings of ciphertext ids, from dense to hostile.
+#[derive(Debug, Clone, Copy)]
+enum IdMap {
+    /// Builder ids as they are: every id is its own slot.
+    Compact,
+    /// Spaced 2⁴⁰ apart: order kept, far too sparse to index by id.
+    Spaced,
+    /// Counted down from `u64::MAX`: order reversed.
+    FromMax,
+    /// Multiplied by an odd constant: order scrambled across all of `u64`.
+    Scattered,
+}
+
+impl IdMap {
+    const ALL: [IdMap; 4] = [
+        IdMap::Compact,
+        IdMap::Spaced,
+        IdMap::FromMax,
+        IdMap::Scattered,
+    ];
+
+    fn apply(self, id: CtId) -> CtId {
+        match self {
+            IdMap::Compact => id,
+            IdMap::Spaced => id << 40,
+            IdMap::FromMax => u64::MAX - id,
+            IdMap::Scattered => id.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        }
+    }
+
+    fn relabel(self, trace: &mut OpTrace) {
+        for id in &mut trace.inputs {
+            *id = self.apply(*id);
+        }
+        for op in &mut trace.ops {
+            for id in &mut op.inputs {
+                *id = self.apply(*id);
+            }
+            if let Some(out) = &mut op.output {
+                *out = self.apply(*out);
+            }
+        }
+    }
+}
+
+/// Scratchpad sizes from "smaller than the temporaries, so the ciphertext
+/// cache has capacity 0" through "a few ciphertexts" to "everything fits".
+const SCRATCHPADS_MIB: [u64; 7] = [64, 200, 256, 320, 512, 1024, 64 * 1024];
+
+fn simulator(ins: &CkksInstance, rng: &mut Lcg) -> Simulator {
+    let mib = SCRATCHPADS_MIB[rng.next() % SCRATCHPADS_MIB.len()];
+    Simulator::new(
+        BtsConfig::bts_default().with_scratchpad_bytes(mib * 1024 * 1024),
+        ins.clone(),
+    )
+}
+
+/// The per-class fold as `fold_report` did it: `BTreeMap` entries in program
+/// order.
+fn per_op_by_entry(
+    trace: &OpTrace,
+    timings: &[bts::sim::OpTiming],
+) -> std::collections::BTreeMap<HeOp, OpClassStats> {
+    let mut per_op = std::collections::BTreeMap::new();
+    for (traced, timing) in trace.ops.iter().zip(timings) {
+        let entry: &mut OpClassStats = per_op.entry(traced.op).or_default();
+        entry.count += 1;
+        entry.seconds += timing.seconds;
+    }
+    per_op
+}
+
+/// Everything the index feeds, against the oracle, on one valid trace.
+fn assert_matches_oracle(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCaseError> {
+    prop_assert_eq!(trace.validate(), Ok(()));
+    prop_assert_eq!(oracle::validate(trace), Ok(()));
+
+    let hints = EvictionHints::from_trace(trace);
+    prop_assert_eq!(&hints, &oracle::hints(trace));
+
+    let lru = sim.op_timings(trace).unwrap();
+    prop_assert_eq!(&lru, &oracle::op_timings(sim, trace, None, false).unwrap());
+    let hinted = sim.op_timings_with_hints(trace, Some(&hints)).unwrap();
+    prop_assert_eq!(
+        &hinted,
+        &oracle::op_timings(sim, trace, Some(&hints), false).unwrap()
+    );
+    let belady = sim.op_timings_belady(trace).unwrap();
+    prop_assert_eq!(
+        &belady,
+        &oracle::op_timings(sim, trace, None, true).unwrap()
+    );
+
+    // The folded report: sums in program order, per class too.
+    let report = sim.try_run(trace).unwrap();
+    let total: f64 = lru.iter().fold(0.0, |acc, t| acc + t.seconds);
+    prop_assert_eq!(report.total_seconds.to_bits(), total.to_bits());
+    prop_assert_eq!(&report.per_op, &per_op_by_entry(trace, &lru));
+    prop_assert_eq!(
+        report.cache_hits,
+        lru.iter().map(|t| t.cache_hits).sum::<usize>()
+    );
+    let belady_report = sim.try_run_belady(trace).unwrap();
+    prop_assert_eq!(&belady_report.per_op, &per_op_by_entry(trace, &belady));
+    let (timed, timed_report) = sim.try_run_timed(trace, Some(&hints)).unwrap();
+    prop_assert_eq!(&timed, &hinted);
+    prop_assert_eq!(&timed_report.per_op, &per_op_by_entry(trace, &hinted));
+
+    // The DAG, edge for edge, and the schedule built on both.
+    let dag = TraceDag::from_trace(trace);
+    let (deps, segment) = oracle::dag(trace);
+    prop_assert_eq!(dag.len(), trace.ops.len());
+    for i in 0..dag.len() {
+        prop_assert_eq!(dag.deps(i), &deps[i][..]);
+        prop_assert_eq!(dag.segment(i), segment[i]);
+    }
+    prop_assert_eq!(dag.edge_count(), deps.iter().map(Vec::len).sum::<usize>());
+    let scheduler = ListScheduler::new(MachineModel::from_config(sim.config()));
+    let run = sim.try_run_scheduled(trace).unwrap();
+    prop_assert_eq!(&run.schedule, &scheduler.schedule(trace, &lru, &dag));
+    let run = sim.try_run_scheduled_with_hints(trace, &hints).unwrap();
+    prop_assert_eq!(&run.schedule, &scheduler.schedule(trace, &hinted, &dag));
+    Ok(())
+}
+
+/// Every entry point must report the oracle's error — the first defect in
+/// program order — for a malformed trace.
+fn assert_same_error(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCaseError> {
+    let expected = oracle::validate(trace).expect_err("the trace was broken on purpose");
+    prop_assert_eq!(trace.validate(), Err(expected.clone()));
+    prop_assert_eq!(sim.try_run(trace).err(), Some(expected.clone()));
+    prop_assert_eq!(sim.try_run_belady(trace).err(), Some(expected.clone()));
+    prop_assert_eq!(sim.op_timings(trace).err(), Some(expected.clone()));
+    // A structural defect is reported before a hint arity mismatch.
+    let stale = EvictionHints {
+        evict_after: vec![Vec::new(); trace.ops.len() + 1],
+    };
+    prop_assert_eq!(
+        sim.try_run_with_hints(trace, &stale).err(),
+        Some(expected.clone())
+    );
+    prop_assert_eq!(
+        oracle::op_timings(sim, trace, Some(&stale), false).err(),
+        Some(expected.clone())
+    );
+    prop_assert_eq!(sim.try_run_timed(trace, None).err(), Some(expected.clone()));
+    prop_assert_eq!(sim.try_run_scheduled(trace).err(), Some(expected));
+    Ok(())
+}
+
+/// An id the trace does not mention.
+fn unused_id(trace: &OpTrace, rng: &mut Lcg) -> CtId {
+    let used = |id: CtId| {
+        trace.inputs.contains(&id)
+            || trace
+                .ops
+                .iter()
+                .any(|op| op.inputs.contains(&id) || op.output == Some(id))
+    };
+    loop {
+        let id = match rng.next() % 3 {
+            0 => rng.next() as u64 % 64,
+            1 => u64::MAX - rng.next() as u64 % 64,
+            _ => (rng.next() as u64) << 31 | rng.next() as u64,
+        };
+        if !used(id) {
+            return id;
+        }
+    }
+}
+
+/// One defect of each kind `validate` knows, injected at a random place.
+#[derive(Debug, Clone, Copy)]
+enum Defect {
+    DanglingInput,
+    UseBeforeDefinition,
+    DuplicateOutput,
+    Level,
+    InputLevel,
+}
+
+impl Defect {
+    const ALL: [Defect; 5] = [
+        Defect::DanglingInput,
+        Defect::UseBeforeDefinition,
+        Defect::DuplicateOutput,
+        Defect::Level,
+        Defect::InputLevel,
+    ];
+
+    fn inject(self, trace: &mut OpTrace, rng: &mut Lcg) {
+        let max_level = trace.instance.max_level();
+        let at = rng.next() % trace.ops.len();
+        match self {
+            Defect::DanglingInput => {
+                let id = unused_id(trace, rng);
+                let op = &mut trace.ops[at];
+                let k = rng.next() % op.inputs.len();
+                op.inputs[k] = id;
+            }
+            Defect::UseBeforeDefinition => {
+                // Op `at` reads what a later (or the same) op defines.
+                let later = at + rng.next() % (trace.ops.len() - at);
+                let id = trace.ops[later].output.expect("builder ops have outputs");
+                let op = &mut trace.ops[at];
+                let k = rng.next() % op.inputs.len();
+                op.inputs[k] = id;
+            }
+            Defect::DuplicateOutput => {
+                // Redefine a trace input or an earlier op's output.
+                let id = if at == 0 || rng.next().is_multiple_of(3) {
+                    trace.inputs[rng.next() % trace.inputs.len()]
+                } else {
+                    trace.ops[rng.next() % at].output.expect("has output")
+                };
+                trace.ops[at].output = Some(id);
+            }
+            Defect::Level => trace.ops[at].level = max_level + 1 + rng.next() % 5,
+            Defect::InputLevel => {
+                let k = rng.next() % trace.input_levels.len();
+                trace.input_levels[k] = max_level + 1 + rng.next() % 5;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn sweeps_hints_and_dag_equal_the_hash_map_reference(
+        seed in any::<u64>(),
+        ops in 1usize..160,
+    ) {
+        let mut rng = Lcg::new(seed);
+        let ins = [CkksInstance::ins1(), CkksInstance::ins2(), CkksInstance::ins3()]
+            [rng.next() % 3]
+            .clone();
+        let compact = rich_trace(&ins, &mut rng, ops);
+        let sim = simulator(&ins, &mut rng);
+        for map in IdMap::ALL {
+            let mut trace = compact.clone();
+            map.relabel(&mut trace);
+            assert_matches_oracle(&sim, &trace)?;
+        }
+    }
+
+    #[test]
+    fn extended_traces_equal_the_reference(seed in any::<u64>(), ops in 1usize..60) {
+        let mut rng = Lcg::new(seed);
+        let ins = CkksInstance::ins1();
+        let mut trace = rich_trace(&ins, &mut rng, ops);
+        for longest in [60, 20] {
+            let ops = 1 + rng.next() % longest;
+            trace.extend(&rich_trace(&ins, &mut rng, ops));
+        }
+        let sim = simulator(&ins, &mut rng);
+        assert_matches_oracle(&sim, &trace)?;
+        // Relabelled *after* the splice, so `extend`'s id shift stays in range.
+        IdMap::Scattered.relabel(&mut trace);
+        assert_matches_oracle(&sim, &trace)?;
+    }
+
+    #[test]
+    fn foreign_hints_are_applied_identically(seed in any::<u64>(), ops in 1usize..120) {
+        // Hints need not come from `from_trace`: any ids may be listed at any
+        // op — live ones, forwarded ones, ids the trace never mentions.
+        let mut rng = Lcg::new(seed);
+        let ins = CkksInstance::ins1();
+        let mut trace = rich_trace(&ins, &mut rng, ops);
+        IdMap::ALL[rng.next() % 4].relabel(&mut trace);
+        let sim = simulator(&ins, &mut rng);
+        let mut hints = EvictionHints::from_trace(&trace);
+        for dead in &mut hints.evict_after {
+            match rng.next() % 4 {
+                0 => dead.clear(),
+                1 => dead.push(unused_id(&trace, &mut rng)),
+                2 => {
+                    let op = &trace.ops[rng.next() % trace.ops.len()];
+                    dead.push(op.output.expect("has output"));
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(
+            sim.op_timings_with_hints(&trace, Some(&hints)).unwrap(),
+            oracle::op_timings(&sim, &trace, Some(&hints), false).unwrap()
+        );
+    }
+
+    #[test]
+    fn malformed_traces_return_the_identical_error(seed in any::<u64>(), ops in 1usize..80) {
+        let mut rng = Lcg::new(seed);
+        let ins = CkksInstance::ins1();
+        let mut valid = rich_trace(&ins, &mut rng, ops);
+        IdMap::ALL[rng.next() % 4].relabel(&mut valid);
+        let sim = simulator(&ins, &mut rng);
+        for defect in Defect::ALL {
+            let mut trace = valid.clone();
+            defect.inject(&mut trace, &mut rng);
+            if oracle::validate(&trace).is_ok() {
+                // E.g. a "use before definition" that picked the op's own
+                // operand's producer; nothing was broken.
+                continue;
+            }
+            assert_same_error(&sim, &trace)?;
+            // A second defect elsewhere: the earlier one in program order wins.
+            Defect::ALL[rng.next() % 5].inject(&mut trace, &mut rng);
+            assert_same_error(&sim, &trace)?;
+            // The infallible liveness / dependency queries stay total on any
+            // trace, and exact wherever no id is defined twice.
+            let hints = EvictionHints::from_trace(&trace);
+            let dag = TraceDag::from_trace(&trace);
+            prop_assert_eq!(hints.len(), trace.ops.len());
+            prop_assert_eq!(dag.len(), trace.ops.len());
+            let redefinition = trace.ops.iter().enumerate().any(|(i, op)| {
+                op.output.is_some_and(|out| {
+                    trace.inputs.contains(&out)
+                        || trace.ops[..i].iter().any(|p| p.output == Some(out))
+                })
+            });
+            if !redefinition {
+                prop_assert_eq!(&hints, &oracle::hints(&trace));
+                let (deps, segment) = oracle::dag(&trace);
+                for i in 0..dag.len() {
+                    prop_assert_eq!(dag.deps(i), &deps[i][..]);
+                    prop_assert_eq!(dag.segment(i), segment[i]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stale_hints_return_the_identical_error(seed in any::<u64>(), ops in 2usize..60) {
+        let mut rng = Lcg::new(seed);
+        let ins = CkksInstance::ins1();
+        let trace = rich_trace(&ins, &mut rng, ops);
+        let sim = simulator(&ins, &mut rng);
+        let mut hints = EvictionHints::from_trace(&trace);
+        hints.evict_after.truncate(rng.next() % trace.ops.len());
+        let expected = Some(TraceError::HintArityMismatch {
+            hint_ops: hints.len(),
+            trace_ops: trace.ops.len(),
+        });
+        prop_assert_eq!(sim.try_run_with_hints(&trace, &hints).err(), expected.clone());
+        prop_assert_eq!(
+            oracle::op_timings(&sim, &trace, Some(&hints), false).err(),
+            expected.clone()
+        );
+        prop_assert_eq!(
+            sim.try_run_scheduled_with_hints(&trace, &hints).err(),
+            expected
+        );
+    }
+}
+
+/// The satellite's hand-built hostile trace: ids at `u64::MAX` and spaced
+/// 2⁴⁰ apart validate, simulate (LRU, hinted, Belady), schedule and yield
+/// hints exactly as the hash maps did.
+#[test]
+fn hand_built_hostile_ids_match_the_reference() {
+    let ins = CkksInstance::ins1();
+    let top = ins.max_level();
+    let op = |op: HeOp, level: usize, inputs: &[CtId], output: CtId| TracedOp {
+        op,
+        level,
+        inputs: inputs.to_vec(),
+        output: Some(output),
+        in_bootstrap: false,
+    };
+    let (x, y) = (u64::MAX, 1u64 << 40);
+    let spaced = |k: u64| k << 40;
+    let mut ops = vec![
+        op(HeOp::HMult, top, &[x, x], spaced(2)),
+        op(HeOp::HRot, top, &[spaced(2)], spaced(3)), // forwarded into the pmult
+        op(HeOp::PMult, top, &[spaced(3)], u64::MAX - 1),
+        op(HeOp::HAdd, top, &[u64::MAX - 1, y], spaced(4)),
+    ];
+    // Eight long-lived top-level ciphertexts read round-robin: more than the
+    // 512 MiB scratchpad holds, so LRU thrashes and Belady has to choose.
+    let pool: Vec<CtId> = (0..8u64)
+        .map(|k| {
+            if k % 2 == 0 {
+                spaced(10 + k)
+            } else {
+                u64::MAX - 10 - k
+            }
+        })
+        .collect();
+    for round in 0..4u64 {
+        for (k, pair) in pool.windows(2).enumerate() {
+            let out = spaced(100 + 10 * round + k as u64);
+            ops.push(op(HeOp::HMult, top, pair, out));
+            ops.push(op(HeOp::HAdd, top - 3, &[out, y], u64::MAX - out));
+        }
+    }
+    let mut inputs = vec![x, y];
+    inputs.extend(&pool);
+    let trace = OpTrace {
+        instance: ins.clone(),
+        ops,
+        rotation_keys: 1,
+        input_levels: vec![top; inputs.len()],
+        inputs,
+    };
+    for mib in [200u64, 512, 64 * 1024] {
+        let sim = Simulator::new(
+            BtsConfig::bts_default().with_scratchpad_bytes(mib * 1024 * 1024),
+            ins.clone(),
+        );
+        assert_matches_oracle(&sim, &trace).expect("hostile ids match the reference");
+    }
+    let sim = Simulator::new(BtsConfig::bts_default(), ins);
+    let lru = sim.try_run(&trace).unwrap();
+    assert!(
+        lru.cache_misses > trace.inputs.len(),
+        "the trace does put the cache under pressure"
+    );
+    assert!(sim.try_run_belady(&trace).unwrap().cache_misses <= lru.cache_misses);
+}

@@ -9,58 +9,15 @@
 //! Like `crates/telemetry/tests/zero_alloc.rs` this is a single-test binary
 //! with a counting allocator, so nothing else allocates while it counts.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use bts::params::CkksInstance;
 use bts::sched::{JobPlan, MachineModel};
 use bts::serve::{BtsServer, JobRequest, ServeOptions, SyntheticArrivals};
 use bts::sim::{BtsConfig, Simulator};
 use bts::workloads::standard_registry;
 
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the additions are relaxed counter updates, which touch no
-// allocator state.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        grew(layout.size());
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        grew(layout.size());
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        grew(new_size);
-        // SAFETY: same contract as the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{cost_of, live_bytes, Cost, CountingAllocator};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -77,28 +34,17 @@ fn two_pair_stream(count: usize) -> Vec<JobRequest> {
         .generate(count)
 }
 
-/// Allocations and peak live bytes (above the level at entry) of one `serve`.
-struct Cost {
-    allocations: u64,
-    peak_bytes: u64,
-}
-
+/// What one `serve` of `jobs` allocates.
 fn serve_cost(server: &BtsServer, jobs: &[JobRequest]) -> Cost {
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
-    let live = LIVE_BYTES.load(Ordering::Relaxed);
-    PEAK_LIVE_BYTES.store(live, Ordering::Relaxed);
-    let report = server.serve(jobs).expect("stream serves");
-    assert_eq!(
-        report.job_count(),
-        jobs.len(),
-        "steady serving sheds nothing"
-    );
-    let peak = PEAK_LIVE_BYTES.load(Ordering::Relaxed);
-    drop(report);
-    Cost {
-        allocations: ALLOCATIONS.load(Ordering::Relaxed) - allocations,
-        peak_bytes: peak - live,
-    }
+    cost_of(|| {
+        let report = server.serve(jobs).expect("stream serves");
+        assert_eq!(
+            report.job_count(),
+            jobs.len(),
+            "steady serving sheds nothing"
+        );
+        report
+    })
 }
 
 /// Heap bytes of one bootstrap plan on INS-1 — the yardstick for "nothing
@@ -111,9 +57,9 @@ fn bootstrap_plan_bytes() -> u64 {
     let simulator = Simulator::new(BtsConfig::bts_default(), ins);
     let timings = simulator.op_timings(&lowered.trace).expect("trace times");
     let machine = MachineModel::from_config(simulator.config());
-    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let before = live_bytes();
     let plan = JobPlan::new(&machine, &lowered.trace, &timings);
-    let bytes = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    let bytes = live_bytes() - before;
     assert!(!plan.is_empty());
     bytes
 }

@@ -1,0 +1,154 @@
+//! The simulation kernel's cost in heap allocations, held independent of the
+//! trace length by counts.
+//!
+//! A cache sweep sizes its tables once — the `TraceIndex`, the LRU list or
+//! the Belady entries, the per-(op, level) cost table, the timings vector —
+//! and then allocates nothing per op: no queue per ciphertext, no vector per
+//! access, no victim list per eviction. So `try_run` and `try_run_belady`
+//! make the same bounded number of allocations on a 2 000-op trace as on a
+//! 32 000-op one, whatever the ids look like, and `run_scheduled` (which
+//! also grows the schedule's busy lists) allocates no more per op as the
+//! trace grows. A timer on a shared VM would only show noise; the process's
+//! allocator counts exactly. Like `tests/serve_linearity.rs` this is a
+//! single-test binary with a counting allocator, so nothing else allocates
+//! while it counts.
+
+use bts::params::CkksInstance;
+use bts::sched::ScheduleExt;
+use bts::sim::{BtsConfig, OpTrace, Simulator, TraceBuilder};
+
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{cost_of, CountingAllocator};
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// A bootstrap-shaped trace of at least `ops` ops: refresh after refresh,
+/// each a modulus raise followed by baby-step/giant-step stages down the
+/// level budget (rotate → pmult → accumulate, then a rescale), with a few
+/// long-lived ciphertexts read throughout so the cache stays under pressure.
+fn bootstrap_shaped(ins: &CkksInstance, ops: usize) -> OpTrace {
+    let mut b = TraceBuilder::new(ins);
+    let top = ins.max_level();
+    let mut x = b.fresh_ct(0);
+    let keep: Vec<_> = (0..6).map(|_| b.fresh_ct(top)).collect();
+    let mut emitted = 0usize;
+    while emitted < ops {
+        b.set_bootstrap_region(true);
+        x = b.mod_raise(x, top);
+        emitted += 1;
+        for level in (top - 12..=top).rev() {
+            let mut acc = b.pmult(x, level);
+            for r in 1..8 {
+                let rot = b.hrot(x, r, level);
+                let prod = b.pmult(rot, level);
+                acc = b.hadd(acc, prod, level);
+            }
+            let mixed = b.hmult_at(acc, keep[level % keep.len()], level);
+            x = b.hrescale_at(mixed, level);
+            emitted += 24;
+        }
+        b.set_bootstrap_region(false);
+        x = b.hmult_at(x, x, top - 13);
+        emitted += 1;
+    }
+    b.build()
+}
+
+#[test]
+fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
+    // `BTS_TELEMETRY=1 cargo test` must not give this thread a root sink
+    // (every op would allocate an event): clear the environment before the
+    // process's one read of it, which `enabled()` performs.
+    for key in ["BTS_TRACE", "BTS_METRICS", "BTS_TELEMETRY"] {
+        std::env::remove_var(key);
+    }
+    assert!(!bts::telemetry::enabled());
+
+    let ins = CkksInstance::ins1();
+    let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
+    let small = bootstrap_shaped(&ins, 2_000);
+    let large = bootstrap_shaped(&ins, 32_000);
+    assert!(small.len() >= 2_000 && large.len() >= 32_000);
+
+    // The sweeps: the index, the cache, the cost table, the timings and the
+    // report's per-class map — a fixed set of tables, each sized once.
+    const SWEEP_ALLOCATIONS: u64 = 24;
+    for (name, trace) in [("2 000", &small), ("32 000", &large)] {
+        let lru = cost_of(|| sim.try_run(trace).expect("trace runs"));
+        let belady = cost_of(|| sim.try_run_belady(trace).expect("trace runs"));
+        assert!(
+            lru.allocations <= SWEEP_ALLOCATIONS,
+            "try_run on {name} ops made {} allocations",
+            lru.allocations
+        );
+        assert!(
+            belady.allocations <= SWEEP_ALLOCATIONS,
+            "try_run_belady on {name} ops made {} allocations",
+            belady.allocations
+        );
+    }
+    let report = sim.try_run(&large).unwrap();
+    assert!(
+        report.cache_misses > 1_000,
+        "the trace keeps the cache under pressure ({} misses)",
+        report.cache_misses
+    );
+
+    // Scheduling also grows the DAG's edge list and the schedule's busy
+    // lists, by doubling: fewer allocations per op the longer the trace.
+    let per_op = |trace: &OpTrace| {
+        let cost = cost_of(|| sim.try_run_scheduled(trace).expect("trace schedules"));
+        cost.allocations as f64 / trace.len() as f64
+    };
+    let (at_small, at_large) = (per_op(&small), per_op(&large));
+    assert!(
+        at_large <= at_small,
+        "run_scheduled allocates {at_large:.4} per op at 32 000 ops, {at_small:.4} at 2 000"
+    );
+
+    // Hostile ids cost memory by the trace's length, not by their size: with
+    // every id spaced 2⁴⁰ apart (the last one past 2⁵⁵) the sweeps make one
+    // allocation more (the interned id table) and keep well under 1 KiB per
+    // op alive at their peak.
+    let mut hostile = large.clone();
+    for id in &mut hostile.inputs {
+        *id <<= 40;
+    }
+    for op in &mut hostile.ops {
+        for id in &mut op.inputs {
+            *id <<= 40;
+        }
+        if let Some(out) = &mut op.output {
+            *out <<= 40;
+        }
+    }
+    for belady in [false, true] {
+        let run = |trace: &OpTrace| {
+            if belady {
+                sim.try_run_belady(trace)
+            } else {
+                sim.try_run(trace)
+            }
+        };
+        let dense = cost_of(|| run(&large).expect("trace runs"));
+        let sparse = cost_of(|| run(&hostile).expect("trace runs"));
+        assert!(
+            sparse.allocations <= dense.allocations + 2,
+            "sparse ids: {} allocations against {} for dense ones",
+            sparse.allocations,
+            dense.allocations
+        );
+        let per_op_bytes = sparse.peak_bytes / hostile.len() as u64;
+        assert!(
+            per_op_bytes <= 512,
+            "sparse ids keep {per_op_bytes} bytes per op alive (belady: {belady})"
+        );
+    }
+    assert_eq!(
+        sim.try_run(&hostile).unwrap().cache_misses,
+        report.cache_misses,
+        "an order-preserving relabelling changes no cache decision"
+    );
+}
