@@ -690,9 +690,6 @@ pub fn workloads_json() -> String {
                 .lower(ins)
                 .unwrap_or_else(|e| panic!("{name} on {}: {e}", ins.name()));
             let run = sim.run_scheduled(&lowered.trace);
-            let hinted = sim
-                .try_run_with_hints(&lowered.trace, &lowered.hints)
-                .expect("lowered traces validate");
             let belady = sim
                 .try_run_belady(&lowered.trace)
                 .expect("lowered traces validate");
@@ -705,8 +702,7 @@ pub fn workloads_json() -> String {
                     "\"scheduled_seconds\": {:.6e}, \"critical_path_seconds\": {:.6e}, ",
                     "\"parallel_speedup\": {:.4}, ",
                     "\"bootstrap_fraction\": {:.4}, \"hbm_gbytes\": {:.3}, ",
-                    "\"cache_hit_rate\": {:.4}, \"hinted_cache_hit_rate\": {:.4}, ",
-                    "\"belady_cache_hit_rate\": {:.4}, ",
+                    "\"cache_hit_rate\": {:.4}, \"belady_cache_hit_rate\": {:.4}, ",
                     "\"energy_j\": {:.4}, \"edap\": {:.6e}}}"
                 ),
                 name,
@@ -723,7 +719,6 @@ pub fn workloads_json() -> String {
                 report.bootstrap_fraction(),
                 report.hbm_bytes as f64 / 1e9,
                 report.cache_hit_rate(),
-                hinted.cache_hit_rate(),
                 belady.cache_hit_rate(),
                 report.energy_j,
                 report.edap(),
@@ -737,7 +732,7 @@ pub fn workloads_json() -> String {
         .collect::<Vec<_>>()
         .join(", ");
     format!(
-        "{{\n  \"schema\": 6,\n  \"configs\": {{{}}},\n  \"results\": [\n{}\n  ],\n  \"serve\": [\n{}\n  ],\n  \"compile\": [\n{}\n  ],\n  \"cluster\": [\n{}\n  ],\n  \"resilience\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": 7,\n  \"configs\": {{{}}},\n  \"results\": [\n{}\n  ],\n  \"serve\": [\n{}\n  ],\n  \"compile\": [\n{}\n  ],\n  \"cluster\": [\n{}\n  ],\n  \"resilience\": [\n{}\n  ]\n}}\n",
         configs,
         rows.join(",\n"),
         serve_json_rows(&grid).join(",\n"),
@@ -1262,17 +1257,30 @@ pub fn sched() -> String {
     out
 }
 
-/// Cache hit-rate delta from dead-ciphertext eviction hints on HELR and
-/// ResNet-20 (the ROADMAP "circuit-level caching hints" item): the
-/// `TraceBackend` emits last-use metadata, and the scratchpad drops dead
-/// ciphertexts immediately instead of waiting for LRU pressure.
+/// The scratchpad's realisable eviction policy against its bound on HELR
+/// and ResNet-20: LRU (the §5.3 software-managed cache) vs Belady
+/// (furthest next use, exact because the whole trace is known).
 pub fn hints() -> String {
-    let mut out = header("Eviction: LRU vs last-use hints vs Belady (furthest next use)");
+    let mut out = header("Eviction: LRU vs Belady (furthest next use)");
     let _ = writeln!(
         out,
-        "{:<10} {:<10} {:>10} {:>10} {:>11} {:>9} {:>14}",
-        "workload", "instance", "LRU hit%", "hint hit%", "belady hit%", "delta", "HBM saved (GB)"
+        "{:<10} {:<10} {:>10} {:>11} {:>9} {:>14}",
+        "workload", "instance", "LRU hit%", "belady hit%", "delta", "HBM saved (GB)"
     );
+    let mut row = |workload: &str, instance: &str, sim: &Simulator, trace: &bts_sim::OpTrace| {
+        let lru = sim.run(trace);
+        let belady = sim.try_run_belady(trace).expect("the LRU run validated it");
+        let _ = writeln!(
+            out,
+            "{:<10} {:<10} {:>9.2}% {:>10.2}% {:>8.2}% {:>14.3}",
+            workload,
+            instance,
+            lru.cache_hit_rate() * 100.0,
+            belady.cache_hit_rate() * 100.0,
+            (belady.cache_hit_rate() - lru.cache_hit_rate()) * 100.0,
+            (lru.ct_miss_bytes.saturating_sub(belady.ct_miss_bytes)) as f64 / 1e9,
+        );
+    };
     for ins in CkksInstance::evaluation_set() {
         let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
         for workload in [
@@ -1280,41 +1288,11 @@ pub fn hints() -> String {
             &ResNetWorkload::default(),
         ] {
             let lowered = workload.lower(&ins).expect("paper instances");
-            let plain = sim.run(&lowered.trace);
-            let hinted = sim
-                .try_run_with_hints(&lowered.trace, &lowered.hints)
-                .expect("lowered traces validate");
-            let belady = sim
-                .try_run_belady(&lowered.trace)
-                .expect("lowered traces validate");
-            let _ = writeln!(
-                out,
-                "{:<10} {:<10} {:>9.2}% {:>9.2}% {:>10.2}% {:>8.2}% {:>14.3}",
-                workload.name(),
-                ins.name(),
-                plain.cache_hit_rate() * 100.0,
-                hinted.cache_hit_rate() * 100.0,
-                belady.cache_hit_rate() * 100.0,
-                (belady.cache_hit_rate() - plain.cache_hit_rate()) * 100.0,
-                (plain.ct_miss_bytes.saturating_sub(belady.ct_miss_bytes)) as f64 / 1e9,
-            );
+            row(workload.name(), ins.name(), &sim, &lowered.trace);
         }
     }
-    let _ = writeln!(
-        out,
-        "(Last-use hints only drop dead ciphertexts, and on these workloads recency\n\
-         already tracks liveness — forwarding keeps single-use intermediates out of\n\
-         the cache — so hint-vs-LRU deltas are ~0. Belady is the stronger bound: it\n\
-         also ranks *live* residents by next use (and bypasses later-needed\n\
-         newcomers), which matches LRU where the cache is ample (INS-1) but\n\
-         recovers 11-20 points of hit rate and 60-110 GB of HBM traffic on\n\
-         INS-2/3, whose bigger ciphertexts make the 512 MiB cache tight. That\n\
-         headroom motivates reuse-distance-aware eviction as a follow-on. Future\n\
-         knowledge also wins when recency and liveness diverge, e.g. a value that\n\
-         dies while recent:)"
-    );
-    // Microbenchmark where a dead-but-recent value would push out a live-but-
-    // old one under plain LRU (the `bts-sim` engine test's shape).
+    // Microbenchmark where a dead-but-recent value pushes out a live-but-old
+    // one under LRU (the `bts-sim` engine test's shape).
     let ins = CkksInstance::ins1();
     let mut b = bts_sim::TraceBuilder::new(&ins);
     let hot = b.fresh_ct(27);
@@ -1326,28 +1304,23 @@ pub fn hints() -> String {
             b.hmult_at(q, hot, 27);
         }
     }
-    let trace = b.build();
     let sim = Simulator::new(
         BtsConfig::bts_default().with_scratchpad_bytes(384 * 1024 * 1024),
         ins,
     );
-    let plain = sim.run(&trace);
-    let hinted = sim
-        .try_run_with_hints(&trace, &bts_sim::EvictionHints::from_trace(&trace))
-        .expect("valid microbenchmark trace");
-    let belady = sim
-        .try_run_belady(&trace)
-        .expect("valid microbenchmark trace");
+    row("divergent", "INS-1/384M", &sim, &b.build());
     let _ = writeln!(
         out,
-        "{:<10} {:<10} {:>9.2}% {:>9.2}% {:>10.2}% {:>8.2}% {:>14.3}",
-        "divergent",
-        "INS-1/384M",
-        plain.cache_hit_rate() * 100.0,
-        hinted.cache_hit_rate() * 100.0,
-        belady.cache_hit_rate() * 100.0,
-        (belady.cache_hit_rate() - plain.cache_hit_rate()) * 100.0,
-        (plain.ct_miss_bytes.saturating_sub(belady.ct_miss_bytes)) as f64 / 1e9,
+        "(LRU is the policy the scratchpad can run today; Belady is its bound, not\n\
+         a policy — it needs the future. Forwarding keeps single-use intermediates\n\
+         out of the cache, so recency already tracks liveness and LRU matches the\n\
+         bound where the cache is ample (INS-1). On INS-2/3, whose bigger\n\
+         ciphertexts make the 512 MiB cache tight, ranking *live* residents by\n\
+         next use (and bypassing later-needed newcomers) recovers 11-20 points of\n\
+         hit rate and 60-110 GB of HBM traffic. The last row is the shape where\n\
+         recency and liveness diverge — values that die while recent evict a\n\
+         live-but-old operand. The compiler knows every next use at lowering\n\
+         time: that gap is the case for a compiler-driven next-use policy.)"
     );
     out
 }
@@ -1409,7 +1382,7 @@ mod tests {
     #[test]
     fn workloads_json_covers_every_workload_and_instance() {
         let json = cached_json();
-        assert!(json.contains("\"schema\": 6"));
+        assert!(json.contains("\"schema\": 7"));
         for name in ["amortized-mult", "bootstrap", "helr", "resnet20", "sorting"] {
             assert!(
                 json.contains(&format!("\"workload\": \"{name}\"")),

@@ -1,6 +1,6 @@
 use std::collections::HashMap;
 
-use bts_sim::{CtId, EvictionHints, OpTrace, TraceBuilder};
+use bts_sim::{CtId, OpTrace, TraceBuilder};
 
 use crate::backend::Backend;
 use crate::bootstrap_plan::BootstrapPlan;
@@ -15,12 +15,6 @@ pub struct LoweredTrace {
     pub trace: OpTrace,
     /// Number of bootstrap markers that were expanded.
     pub bootstrap_count: usize,
-    /// Last-use metadata of every ciphertext in the lowered trace: the
-    /// backend knows each value's live range at lowering time, so it emits
-    /// the dead-ciphertext eviction hints the scratchpad model
-    /// ([`bts_sim::Simulator::try_run_with_hints`]) and the scheduler
-    /// consume.
-    pub hints: EvictionHints,
 }
 
 /// Lowers an [`HeCircuit`] to a [`bts_sim::OpTrace`]: every instruction maps
@@ -118,12 +112,9 @@ impl TraceBackend {
             }
             regs[op.dst as usize] = Some(out);
         }
-        let trace = builder.build();
-        let hints = EvictionHints::from_trace(&trace);
         Ok(LoweredTrace {
-            trace,
+            trace: builder.build(),
             bootstrap_count,
-            hints,
         })
     }
 }
@@ -188,12 +179,9 @@ impl Backend for TraceBackend {
             };
             env.insert(node.result, out);
         }
-        let trace = builder.build();
-        let hints = EvictionHints::from_trace(&trace);
         Ok(LoweredTrace {
-            trace,
+            trace: builder.build(),
             bootstrap_count,
-            hints,
         })
     }
 }
@@ -228,20 +216,6 @@ mod tests {
         }
         assert_eq!(lowered.trace.len(), circuit.len());
         assert_eq!(lowered.trace.rotation_keys, 1);
-        // Last-use metadata covers every op and agrees with a fresh analysis.
-        assert_eq!(lowered.hints.len(), lowered.trace.len());
-        assert_eq!(lowered.hints, EvictionHints::from_trace(&lowered.trace));
-        // Every ciphertext the trace defines eventually dies somewhere.
-        let dead: usize = lowered.hints.evict_after.iter().map(Vec::len).sum();
-        let defined = lowered.trace.inputs.len()
-            + lowered
-                .trace
-                .ops
-                .iter()
-                .filter(|o| o.output.is_some())
-                .count();
-        assert!(dead <= defined);
-        assert!(dead > 0);
     }
 
     #[test]

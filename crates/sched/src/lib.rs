@@ -8,28 +8,27 @@
 //! key-switches, the pattern behind the paper's Fig. 8 and the massive
 //! residue-polynomial parallelism its evaluation exploits.
 //!
-//! The pipeline has four stages, one module each:
+//! The pipeline has three stages:
 //!
 //! 1. [`TraceDag`] (`dag`) — producer → consumer edges through ciphertext
 //!    ids, plus bootstrap-region barriers; also computes the critical path.
 //! 2. [`MachineModel`] (`resources`) — bounded channels for the NTTU,
 //!    BConvU, element-wise units and the HBM stream, with per-op occupancy
 //!    taken from the engine's [`bts_sim::OpCost`] breakdowns.
-//! 3. [`ListScheduler`] (`list_schedule`) — places every op at the earliest
-//!    start compatible with its dependencies, barriers and unit
-//!    reservations; program-order insertion makes
-//!    `critical_path ≤ makespan ≤ serial` a structural guarantee.
-//! 4. [`Schedule`] / [`ScheduledRun`] (`schedule`, `report`) — per-op
-//!    start/end times, per-unit busy intervals, utilizations computed from
-//!    those intervals, a Fig. 8-style multi-op timeline, and the
-//!    [`ScheduleExt::run_scheduled`] entry point that returns a
-//!    [`bts_sim::SimReport`] with `scheduled_seconds`,
+//! 3. [`MultiScheduler`] / [`Schedule`] (`multi`) — the one list scheduler:
+//!    a *set* of tagged jobs (each an immutable [`JobPlan`]: demands + DAG)
+//!    with per-job barriers and release times, every op placed at the
+//!    earliest start compatible with its dependencies, barriers and unit
+//!    reservations, so ops of one job overlap and ops of different jobs
+//!    interleave on the channels. The [`Schedule`] carries per-op start/end
+//!    times, per-unit busy intervals, utilizations computed from those
+//!    intervals and a Fig. 8-style timeline, with
+//!    `critical_path ≤ makespan ≤ max(release) + serial` a structural
+//!    guarantee. `bts-serve` drives it incrementally (admit →
+//!    [`MultiScheduler::run_until_completion`] → admit …);
+//!    [`ScheduleExt::run_scheduled`] (`report`) is the one-job case and
+//!    returns a [`bts_sim::SimReport`] with `scheduled_seconds`,
 //!    `critical_path_seconds` and `parallel_speedup()` filled in.
-//! 5. [`MultiScheduler`] / [`MultiSchedule`] (`multi`) — the multi-tenant
-//!    extension: a *set* of tagged job DAGs with per-job barriers and release
-//!    times, list-scheduled onto one shared machine so ops from different
-//!    jobs interleave on the channels. `bts-serve` drives it incrementally
-//!    (admit → [`MultiScheduler::run_until_completion`] → admit …).
 //!
 //! ```
 //! use bts_params::CkksInstance;
@@ -57,18 +56,14 @@
 #![warn(missing_debug_implementations)]
 
 mod dag;
-mod list_schedule;
 mod multi;
 mod report;
 mod resources;
-mod schedule;
 
 pub use dag::{CriticalPath, TraceDag};
-pub use list_schedule::ListScheduler;
 pub use multi::{
-    schedule_jobs, JobCompletion, JobPlan, JobStats, MultiBusyInterval, MultiSchedule,
-    MultiScheduledOp, MultiScheduler, UtilizationFold,
+    schedule_jobs, BusyInterval, JobCompletion, JobPlan, JobStats, MultiScheduler, Schedule,
+    ScheduledOp, UtilizationFold,
 };
 pub use report::{CriticalOp, ScheduleExt, ScheduledRun};
 pub use resources::{FuKind, MachineModel, OpDemand};
-pub use schedule::{BusyInterval, Schedule, ScheduledOp};

@@ -1,7 +1,8 @@
-//! Multi-DAG scheduling: list-schedule a *set* of tagged job DAGs onto one
-//! shared machine, so ops from different jobs interleave on the
-//! NTTU/BConvU/element-wise/HBM channels the way a multi-tenant accelerator
-//! keeps its pipelines busy.
+//! The scheduler: list-schedule a *set* of tagged job DAGs onto one shared
+//! machine, so ops — of one job or of many — interleave on the
+//! NTTU/BConvU/element-wise/HBM channels the way the accelerator keeps its
+//! pipelines busy. A single trace ([`crate::ScheduleExt::run_scheduled`]) is
+//! the one-job case: tag 0, release 0.
 //!
 //! # Model
 //!
@@ -13,22 +14,30 @@
 //! other tenants keep streaming through the idle units, which is exactly the
 //! amortized-throughput story of the paper's evaluation.
 //!
+//! Each op occupies a latency *window* of exactly its serial engine charge
+//! `d = max(compute, hbm)`. Within the window the op reserves each unit class
+//! it touches for that class's busy time; the reservation may *float*: it
+//! starts at `max(op_start, channel_horizon)` as long as it still ends inside
+//! the window. An op can therefore start while a predecessor on some unit is
+//! still draining, as long as its own share of that unit fits in what remains
+//! of its window — that is how rescales and element-wise tails slide under
+//! the evaluation-key streams of neighbouring key-switches.
+//!
 //! Placement is greedy and deterministic: among the *next* unplaced op of
 //! every active job (per-job program order), the scheduler places the op with
 //! the earliest feasible start (dependencies, per-job barrier, release time,
-//! channel reservations); ties go to the job admitted first. Reservations
-//! float inside the op's latency window exactly as in the single-trace
-//! [`crate::ListScheduler`].
+//! channel reservations); ties go to the job admitted first.
 //!
 //! # Guarantees
 //!
 //! * Per-job program order of placement and all data/barrier dependencies are
 //!   respected.
 //! * No channel ever holds two overlapping reservations.
-//! * `makespan ≤ max(release) + Σ durations` (each placement extends the
-//!   horizon by at most its own duration beyond its release), and
+//! * `makespan ≤ max(release) + Σ durations` (an op's busy times are ≤ its
+//!   duration, so each placement extends the horizon by at most its own
+//!   duration beyond its release), and
 //!   `makespan ≥ max_j (release_j + critical_path_j)` (the DAG lower bound of
-//!   every job still applies).
+//!   every job). For one job released at 0: `critical_path ≤ makespan ≤ serial`.
 //!
 //! [`MultiScheduler`] is incremental: jobs can be admitted *while earlier
 //! jobs are mid-flight* ([`MultiScheduler::add_job`]), and
@@ -51,15 +60,14 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use bts_sim::{HeOp, OpTiming, OpTrace, TimelineSegment};
+use bts_sim::{HeOp, OpTiming, OpTrace, SimReport, Simulator, TimelineSegment, TraceIndex};
 
-use crate::dag::TraceDag;
-use crate::list_schedule::min_horizon;
+use crate::dag::{CriticalPath, TraceDag};
 use crate::resources::{FuKind, MachineModel, OpDemand};
 
-/// One op's placement in a multi-job schedule.
+/// One op's placement in a schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultiScheduledOp {
+pub struct ScheduledOp {
     /// Tag of the job the op belongs to.
     pub job: u32,
     /// Index of the op in its job's program order.
@@ -76,7 +84,7 @@ pub struct MultiScheduledOp {
     pub end_seconds: f64,
 }
 
-impl MultiScheduledOp {
+impl ScheduledOp {
     /// The op's latency window in seconds.
     pub fn duration_seconds(&self) -> f64 {
         self.end_seconds - self.start_seconds
@@ -85,8 +93,8 @@ impl MultiScheduledOp {
 
 /// An exclusive reservation of one channel by one placed op of one job.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultiBusyInterval {
-    /// Index into [`MultiSchedule::ops`] (placement order).
+pub struct BusyInterval {
+    /// Index into [`Schedule::ops`] (placement order).
     pub placement: usize,
     /// Which channel of the unit class is held.
     pub channel: usize,
@@ -96,7 +104,7 @@ pub struct MultiBusyInterval {
     pub end_seconds: f64,
 }
 
-/// Aggregate figures of one job inside a multi-job schedule.
+/// Aggregate figures of one job inside a schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobStats {
     /// The job's tag.
@@ -140,34 +148,51 @@ pub struct JobCompletion {
     pub finish_seconds: f64,
 }
 
-/// A complete schedule of a set of tagged jobs over one shared machine.
+/// A complete schedule of a set of tagged jobs over one shared machine:
+/// where every op runs, which unit channels it holds and when, and the
+/// aggregate figures (makespan, critical path, serial reference, per-unit
+/// utilization).
 #[derive(Debug, Clone, PartialEq)]
-pub struct MultiSchedule {
+pub struct Schedule {
     /// Every placed op, in placement order (the order the greedy scheduler
-    /// committed them; per-job subsequences are in program order).
-    pub ops: Vec<MultiScheduledOp>,
+    /// committed them; per-job subsequences are in program order, so a
+    /// one-job schedule is in program order).
+    pub ops: Vec<ScheduledOp>,
     /// Per-unit-class busy intervals, in placement order.
-    pub busy: [Vec<MultiBusyInterval>; FuKind::COUNT],
+    pub busy: [Vec<BusyInterval>; FuKind::COUNT],
     /// Per-job aggregates, in admission order.
     pub jobs: Vec<JobStats>,
     /// Tag → index into `jobs`.
     index: HashMap<u32, usize>,
-    /// Completion time of the last job (0 for an empty schedule).
+    /// Completion time of the last job (0 for an empty schedule) — the
+    /// pipelined execution time.
     pub makespan_seconds: f64,
+    /// Sum of every job's serial charge — what one-at-a-time execution
+    /// starting at time 0 would take, and what the serial engine charges.
+    pub serial_seconds: f64,
+    /// `max_j (release_j + critical_path_j)` over the jobs that ran to
+    /// completion: the infinite-resource lower bound on the makespan.
+    pub critical_path_seconds: f64,
     /// The machine the schedule was built for.
     pub machine: MachineModel,
 }
 
-impl MultiSchedule {
+impl Schedule {
     /// Stats of the job with the given tag.
     pub fn job(&self, tag: u32) -> Option<&JobStats> {
         self.index.get(&tag).map(|&j| &self.jobs[j])
     }
 
-    /// Sum of every job's serial charge — what one-at-a-time execution
-    /// starting at time 0 would take.
-    pub fn serial_seconds(&self) -> f64 {
-        self.jobs.iter().map(|j| j.serial_seconds).sum()
+    /// Speedup of the schedule over serial execution. For jobs released at
+    /// 0 serial time is an upper bound by construction, so the value is ≥ 1
+    /// (clamped there to absorb floating-point rounding of the two
+    /// accumulations).
+    pub fn parallel_speedup(&self) -> f64 {
+        if self.makespan_seconds <= 0.0 {
+            1.0
+        } else {
+            (self.serial_seconds / self.makespan_seconds).max(1.0)
+        }
     }
 
     /// Busy fraction of one unit class over the makespan, computed from the
@@ -185,11 +210,7 @@ impl MultiSchedule {
 
     /// Utilization of all unit classes, indexed by [`FuKind::index`].
     pub fn utilizations(&self) -> [f64; FuKind::COUNT] {
-        let mut out = [0.0; FuKind::COUNT];
-        for kind in FuKind::ALL {
-            out[kind.index()] = self.unit_utilization(kind);
-        }
-        out
+        FuKind::ALL.map(|kind| self.unit_utilization(kind))
     }
 
     /// Fig. 8-style timeline of the first `limit` reservations per unit
@@ -211,7 +232,7 @@ impl MultiSchedule {
         segments
     }
 
-    /// Checks every structural invariant the multi-job scheduler guarantees:
+    /// Checks every structural invariant the scheduler guarantees:
     ///
     /// 1. each job's ops were placed in program order, starting no earlier
     ///    than the job's release time (all of them for completed jobs,
@@ -219,9 +240,8 @@ impl MultiSchedule {
     /// 2. every op window is well-formed and inside `[0, makespan]`,
     /// 3. every reservation lies inside its op's window on a valid channel,
     /// 4. no channel holds two overlapping reservations,
-    /// 5. `max_j (release_j + critical_path_j) ≤ makespan ≤
-    ///    max(release) + Σ serial` (up to float rounding; the lower bound
-    ///    applies only to jobs that ran to completion),
+    /// 5. `critical_path ≤ makespan ≤ max(release) + serial` (up to float
+    ///    rounding),
     /// 6. every job's recorded finish is the max end over its ops.
     ///
     /// (Data-edge and barrier respect are checked against the traces by the
@@ -233,8 +253,7 @@ impl MultiSchedule {
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let serial_sum = self.serial_seconds();
-        let eps = 1e-9 * serial_sum.max(1e-12);
+        let eps = 1e-9 * self.serial_seconds.max(1e-12);
         let mut next_index: HashMap<u32, usize> = HashMap::new();
         let mut max_end: HashMap<u32, f64> = HashMap::new();
         for op in &self.ops {
@@ -287,29 +306,22 @@ impl MultiSchedule {
                     job.tag, job.finish_seconds, finish
                 ));
             }
-            // A cancelled job never ran its full DAG, so its critical path
-            // no longer lower-bounds the makespan.
-            let lower = if job.cancelled {
-                job.release_seconds
-            } else {
-                job.release_seconds + job.critical_path_seconds
-            };
-            if lower > self.makespan_seconds + eps {
-                return Err(format!(
-                    "job {} release + critical path {} exceeds makespan {}",
-                    job.tag, lower, self.makespan_seconds
-                ));
-            }
+        }
+        if self.critical_path_seconds > self.makespan_seconds + eps {
+            return Err(format!(
+                "critical path {} exceeds makespan {}",
+                self.critical_path_seconds, self.makespan_seconds
+            ));
         }
         let max_release = self
             .jobs
             .iter()
             .map(|j| j.release_seconds)
             .fold(0.0f64, f64::max);
-        if self.makespan_seconds > max_release + serial_sum + eps {
+        if self.makespan_seconds > max_release + self.serial_seconds + eps {
             return Err(format!(
                 "makespan {} exceeds max release {} + serial sum {}",
-                self.makespan_seconds, max_release, serial_sum
+                self.makespan_seconds, max_release, self.serial_seconds
             ));
         }
         for kind in FuKind::ALL {
@@ -336,7 +348,7 @@ impl MultiSchedule {
                 }
             }
             for channel in 0..self.machine.channels(kind) {
-                let mut on_channel: Vec<&MultiBusyInterval> =
+                let mut on_channel: Vec<&BusyInterval> =
                     intervals.iter().filter(|b| b.channel == channel).collect();
                 on_channel.sort_by(|a, b| {
                     a.start_seconds
@@ -372,7 +384,7 @@ pub struct JobPlan {
     demands: Vec<OpDemand>,
     dag: TraceDag,
     serial: f64,
-    critical_path: f64,
+    critical_path: CriticalPath,
 }
 
 impl JobPlan {
@@ -384,12 +396,25 @@ impl JobPlan {
     ///
     /// Panics if `timings` does not cover exactly the trace's ops.
     pub fn new(machine: &MachineModel, trace: &OpTrace, timings: &[OpTiming]) -> Self {
+        Self::build(machine, &TraceIndex::lenient(trace), timings)
+    }
+
+    /// Resolves the per-op charges of an already validated and indexed trace
+    /// on `sim` (one LRU cache sweep) and plans it for `sim`'s machine, the
+    /// sweep and the DAG sharing the caller's one [`TraceIndex`]. Returns
+    /// the plan next to the sweep's serial-accounting report.
+    pub fn from_index(sim: &Simulator, index: &TraceIndex<'_>) -> (Self, SimReport) {
+        let (timings, report) = sim.run_timed_indexed(index);
+        let machine = MachineModel::from_config(sim.config());
+        (Self::build(&machine, index, &timings), report)
+    }
+
+    fn build(machine: &MachineModel, index: &TraceIndex<'_>, timings: &[OpTiming]) -> Self {
+        let trace = index.trace();
         assert_eq!(timings.len(), trace.ops.len(), "one timing per op");
-        let dag = TraceDag::from_trace(trace);
+        let dag = TraceDag::from_index(index);
         let demands: Vec<OpDemand> = timings.iter().map(|t| machine.demand(t)).collect();
         let durations: Vec<f64> = demands.iter().map(|d| d.duration).collect();
-        let critical_path = dag.critical_path(&durations).seconds;
-        let serial: f64 = durations.iter().sum();
         Self {
             machine: *machine,
             ops: trace
@@ -398,9 +423,9 @@ impl JobPlan {
                 .map(|o| (o.op, o.level, o.in_bootstrap))
                 .collect(),
             demands,
+            critical_path: dag.critical_path(&durations),
             dag,
-            serial,
-            critical_path,
+            serial: durations.iter().sum(),
         }
     }
 
@@ -421,7 +446,12 @@ impl JobPlan {
 
     /// The job's own critical path (data edges + its barriers), seconds.
     pub fn critical_path_seconds(&self) -> f64 {
-        self.critical_path
+        self.critical_path.seconds
+    }
+
+    /// Op indices of one longest chain, earliest first.
+    pub fn critical_path_ops(&self) -> &[usize] {
+        &self.critical_path.ops
     }
 }
 
@@ -441,7 +471,8 @@ struct JobState {
     /// advances, so it is cached here instead of being recomputed for every
     /// placement of any job.
     ready: f64,
-    /// Barrier bookkeeping, as in the single-trace scheduler but per job.
+    /// Barrier bookkeeping: the max finish over the ops of earlier segments,
+    /// a running max snapshotted at each segment boundary.
     barrier: f64,
     running_max_finish: f64,
     max_end: f64,
@@ -491,8 +522,8 @@ struct Candidate {
 pub struct MultiScheduler {
     machine: MachineModel,
     horizons: [Vec<f64>; FuKind::COUNT],
-    busy: [Vec<MultiBusyInterval>; FuKind::COUNT],
-    ops: Vec<MultiScheduledOp>,
+    busy: [Vec<BusyInterval>; FuKind::COUNT],
+    ops: Vec<ScheduledOp>,
     jobs: Vec<JobState>,
     /// Tag → index into `jobs`.
     index: HashMap<u32, usize>,
@@ -518,11 +549,6 @@ impl MultiScheduler {
             pending: VecDeque::new(),
             makespan: 0.0,
         }
-    }
-
-    /// The machine jobs are packed onto.
-    pub fn machine(&self) -> &MachineModel {
-        &self.machine
     }
 
     /// Admits a job: plans the trace ([`JobPlan::new`]) and admits the plan
@@ -677,8 +703,8 @@ impl MultiScheduler {
     /// part nobody took.
     pub fn drain_timeline(
         &mut self,
-        ops: &mut Vec<MultiScheduledOp>,
-        busy: &mut [Vec<MultiBusyInterval>; FuKind::COUNT],
+        ops: &mut Vec<ScheduledOp>,
+        busy: &mut [Vec<BusyInterval>; FuKind::COUNT],
     ) {
         ops.clear();
         std::mem::swap(ops, &mut self.ops);
@@ -688,32 +714,42 @@ impl MultiScheduler {
         }
     }
 
-    /// Drains remaining ops and builds the final [`MultiSchedule`]: the
+    /// Drains remaining ops and builds the final [`Schedule`]: the
     /// whole timeline, or — after [`MultiScheduler::drain_timeline`] — the
     /// part of it not yet taken (per-job stats and the makespan always cover
     /// the whole run).
-    pub fn finish(mut self) -> MultiSchedule {
+    pub fn finish(mut self) -> Schedule {
         self.run_to_end();
-        MultiSchedule {
+        let jobs: Vec<JobStats> = self
+            .jobs
+            .iter()
+            .map(|j| JobStats {
+                tag: j.tag,
+                release_seconds: j.release,
+                first_start_seconds: j.first_start.unwrap_or(j.release),
+                finish_seconds: j.max_end,
+                serial_seconds: j.plan.serial,
+                critical_path_seconds: j.plan.critical_path.seconds,
+                ops: j.plan.len(),
+                placed_ops: j.next,
+                cancelled: j.cancelled,
+            })
+            .collect();
+        Schedule {
             ops: self.ops,
             busy: self.busy,
-            jobs: self
-                .jobs
-                .iter()
-                .map(|j| JobStats {
-                    tag: j.tag,
-                    release_seconds: j.release,
-                    first_start_seconds: j.first_start.unwrap_or(j.release),
-                    finish_seconds: j.max_end,
-                    serial_seconds: j.plan.serial,
-                    critical_path_seconds: j.plan.critical_path,
-                    ops: j.plan.len(),
-                    placed_ops: j.next,
-                    cancelled: j.cancelled,
-                })
-                .collect(),
             index: self.index,
             makespan_seconds: self.makespan,
+            // Not `sum()`: a float sum of nothing is −0.0.
+            serial_seconds: jobs.iter().fold(0.0, |sum, j| sum + j.serial_seconds),
+            // A cancelled job never ran its full DAG, so its critical path
+            // does not lower-bound the makespan.
+            critical_path_seconds: jobs
+                .iter()
+                .filter(|j| !j.cancelled)
+                .map(|j| j.release_seconds + j.critical_path_seconds)
+                .fold(0.0, f64::max),
+            jobs,
             machine: self.machine,
         }
     }
@@ -776,7 +812,7 @@ impl MultiScheduler {
             finish_seconds: job.max_end,
         };
         let placement = self.ops.len();
-        self.ops.push(MultiScheduledOp {
+        self.ops.push(ScheduledOp {
             job: completion.tag,
             index: i,
             op,
@@ -795,7 +831,7 @@ impl MultiScheduler {
             let res_start = start.max(h);
             let res_end = res_start + demand.busy[k];
             self.horizons[k][channel] = res_end;
-            self.busy[k].push(MultiBusyInterval {
+            self.busy[k].push(BusyInterval {
                 placement,
                 channel,
                 start_seconds: res_start,
@@ -834,7 +870,7 @@ impl MultiScheduler {
                     completion.finish_seconds,
                     &[
                         ("job", ArgValue::U64(u64::from(completion.tag))),
-                        ("critical_path_s", ArgValue::F64(plan.critical_path)),
+                        ("critical_path_s", ArgValue::F64(plan.critical_path.seconds)),
                         ("serial_s", ArgValue::F64(plan.serial)),
                     ],
                 );
@@ -843,10 +879,22 @@ impl MultiScheduler {
     }
 }
 
+/// Index and value of the smallest horizon (first wins ties, so the choice
+/// is deterministic).
+fn min_horizon(horizons: &[f64]) -> (usize, f64) {
+    let mut best = 0usize;
+    for (i, &h) in horizons.iter().enumerate() {
+        if h < horizons[best] {
+            best = i;
+        }
+    }
+    (best, horizons[best])
+}
+
 /// Per-unit utilizations of a run whose timeline nobody retains: drains a
 /// [`MultiScheduler`] as the run goes and keeps only running busy-second
 /// sums — the same float additions, in the same placement order, as
-/// [`MultiSchedule::unit_utilization`] over the full timeline, so the result
+/// [`Schedule::unit_utilization`] over the full timeline, so the result
 /// is bit-identical to the retained one.
 ///
 /// The sums may have to be *clipped*: a machine that dies throws away the
@@ -863,8 +911,8 @@ pub struct UtilizationFold {
     /// Drained `(start, end)` reservations not yet summed, placement order.
     tail: [VecDeque<(f64, f64)>; FuKind::COUNT],
     settled: f64,
-    ops: Vec<MultiScheduledOp>,
-    busy: [Vec<MultiBusyInterval>; FuKind::COUNT],
+    ops: Vec<ScheduledOp>,
+    busy: [Vec<BusyInterval>; FuKind::COUNT],
 }
 
 impl Default for UtilizationFold {
@@ -925,12 +973,12 @@ impl UtilizationFold {
     /// Sums what is left — the held-back tail, then `rest`, the schedule
     /// [`MultiScheduler::finish`] returned — and turns the sums into
     /// utilizations, indexed by [`FuKind::index`]. For a machine that lived
-    /// (`None`) this is [`MultiSchedule::utilizations`] of the never-drained
+    /// (`None`) this is [`Schedule::utilizations`] of the never-drained
     /// schedule; for one that died, every reservation is clipped to its
     /// surviving makespan, which the utilizations are then taken over.
     pub fn finish(
         self,
-        rest: &MultiSchedule,
+        rest: &Schedule,
         surviving_makespan_seconds: Option<f64>,
     ) -> [f64; FuKind::COUNT] {
         let makespan = surviving_makespan_seconds.unwrap_or(rest.makespan_seconds);
@@ -965,7 +1013,7 @@ impl UtilizationFold {
 pub fn schedule_jobs(
     machine: MachineModel,
     jobs: &[(u32, &OpTrace, &[OpTiming], f64)],
-) -> MultiSchedule {
+) -> Schedule {
     let mut scheduler = MultiScheduler::new(machine);
     for &(tag, trace, timings, release) in jobs {
         scheduler.add_job(tag, trace, timings, release);
@@ -1000,23 +1048,6 @@ mod tests {
     }
 
     #[test]
-    fn single_job_matches_the_single_trace_scheduler() {
-        let ins = CkksInstance::ins1();
-        let trace = keyswitch_heavy(&ins, 4);
-        let (machine, timings) = machine_and_timings(&ins, BtsConfig::bts_default(), &trace);
-        let multi = schedule_jobs(machine, &[(0, &trace, &timings, 0.0)]);
-        multi.check_invariants().unwrap();
-        let dag = TraceDag::from_trace(&trace);
-        let single = crate::ListScheduler::new(machine).schedule(&trace, &timings, &dag);
-        assert!((multi.makespan_seconds - single.makespan_seconds).abs() < 1e-15);
-        assert_eq!(multi.ops.len(), single.ops.len());
-        for (m, s) in multi.ops.iter().zip(&single.ops) {
-            assert!((m.start_seconds - s.start_seconds).abs() < 1e-15);
-            assert!((m.end_seconds - s.end_seconds).abs() < 1e-15);
-        }
-    }
-
-    #[test]
     fn two_jobs_interleave_and_beat_back_to_back_when_compute_matters() {
         // At 2 TB/s an HMult chain leaves NTTU/BConvU slack; a second job's
         // key-switches stream their evks while the first job computes, so the
@@ -1030,7 +1061,7 @@ mod tests {
             &[(0, &trace, &timings, 0.0), (1, &trace, &timings, 0.0)],
         );
         multi.check_invariants().unwrap();
-        let serial_sum = multi.serial_seconds();
+        let serial_sum = multi.serial_seconds;
         assert!(
             multi.makespan_seconds < serial_sum * 0.98,
             "no co-scheduling overlap: makespan {} vs serial {}",
@@ -1146,7 +1177,7 @@ mod tests {
         multi.check_invariants().unwrap();
         // Back-to-back admission degenerates to serial execution.
         assert!(
-            (multi.makespan_seconds - multi.serial_seconds()).abs() < 1e-9 * multi.serial_seconds()
+            (multi.makespan_seconds - multi.serial_seconds).abs() < 1e-9 * multi.serial_seconds
         );
     }
 
@@ -1277,15 +1308,15 @@ mod tests {
         let mut drained = MultiScheduler::new(machine);
         admit_all(&mut drained);
         let mut ops = Vec::new();
-        let mut busy: [Vec<MultiBusyInterval>; FuKind::COUNT] = Default::default();
-        let mut all_ops: Vec<MultiScheduledOp> = Vec::new();
-        let mut all_busy: [Vec<MultiBusyInterval>; FuKind::COUNT] = Default::default();
-        let mut append = |ops: &[MultiScheduledOp], busy: &[Vec<MultiBusyInterval>]| {
+        let mut busy: [Vec<BusyInterval>; FuKind::COUNT] = Default::default();
+        let mut all_ops: Vec<ScheduledOp> = Vec::new();
+        let mut all_busy: [Vec<BusyInterval>; FuKind::COUNT] = Default::default();
+        let mut append = |ops: &[ScheduledOp], busy: &[Vec<BusyInterval>]| {
             // `placement` counts from the start of each chunk.
             let base = all_ops.len();
             all_ops.extend_from_slice(ops);
             for (all, chunk) in all_busy.iter_mut().zip(busy) {
-                all.extend(chunk.iter().map(|b| MultiBusyInterval {
+                all.extend(chunk.iter().map(|b| BusyInterval {
                     placement: b.placement + base,
                     ..*b
                 }));

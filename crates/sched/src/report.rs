@@ -1,16 +1,16 @@
-//! Scheduled execution as a simulator entry point: `run_scheduled` glues the
-//! engine's per-op timings, the trace DAG and the list scheduler together and
-//! returns the familiar [`SimReport`] with the schedule-derived fields filled
-//! in, next to the full [`Schedule`] for timeline/critical-path inspection.
+//! Scheduled execution as a simulator entry point: `run_scheduled` plans the
+//! trace as one job ([`JobPlan`]: the engine's per-op timings plus the trace
+//! DAG), runs it through the [`MultiScheduler`] and returns the familiar
+//! [`SimReport`] with the schedule-derived fields filled in, next to the full
+//! [`Schedule`] for timeline/critical-path inspection.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use bts_sim::{EvictionHints, HeOp, OpTrace, SimReport, Simulator, TraceError, TraceIndex};
+use bts_sim::{HeOp, OpTrace, SimReport, Simulator, TraceError, TraceIndex};
 
-use crate::dag::TraceDag;
-use crate::list_schedule::ListScheduler;
+use crate::multi::{JobPlan, MultiScheduler, Schedule};
 use crate::resources::{FuKind, MachineModel};
-use crate::schedule::Schedule;
 
 /// One op on the critical path, for "what limits this workload" reporting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,7 +27,7 @@ pub struct CriticalOp {
 
 /// Result of a scheduled run: the serial-accounting [`SimReport`] with
 /// `scheduled_seconds` / `critical_path_seconds` filled in, plus the full
-/// [`Schedule`].
+/// one-job [`Schedule`] (tag 0, released at 0, ops in program order).
 #[derive(Debug, Clone)]
 pub struct ScheduledRun {
     /// The simulator report; `total_seconds` is still the serial charge,
@@ -35,6 +35,8 @@ pub struct ScheduledRun {
     pub report: SimReport,
     /// Per-op placements and per-unit busy intervals.
     pub schedule: Schedule,
+    /// Op indices of one longest dependency chain, earliest first.
+    critical_path: Vec<usize>,
 }
 
 impl ScheduledRun {
@@ -42,7 +44,6 @@ impl ScheduledRun {
     /// optimization would have to attack first.
     pub fn top_critical_ops(&self, n: usize) -> Vec<CriticalOp> {
         let mut ops: Vec<CriticalOp> = self
-            .schedule
             .critical_path
             .iter()
             .map(|&i| {
@@ -97,19 +98,6 @@ pub trait ScheduleExt {
     /// Returns the first structural defect found in the trace.
     fn try_run_scheduled(&self, trace: &OpTrace) -> Result<ScheduledRun, TraceError>;
 
-    /// [`ScheduleExt::try_run_scheduled`] with dead-ciphertext eviction
-    /// hints applied to the cache pass, so the schedule and the serial
-    /// accounting both see the hinted hit rates.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural defect found in the trace.
-    fn try_run_scheduled_with_hints(
-        &self,
-        trace: &OpTrace,
-        hints: &EvictionHints,
-    ) -> Result<ScheduledRun, TraceError>;
-
     /// Panicking convenience over [`ScheduleExt::try_run_scheduled`],
     /// mirroring [`Simulator::run`].
     ///
@@ -126,37 +114,21 @@ pub trait ScheduleExt {
 
 impl ScheduleExt for Simulator {
     fn try_run_scheduled(&self, trace: &OpTrace) -> Result<ScheduledRun, TraceError> {
-        run_scheduled(self, trace, None)
+        // The index is dead weight once the plan exists; the schedule below
+        // is the larger allocation, so the tables are freed before it grows.
+        let (plan, mut report) = JobPlan::from_index(self, &TraceIndex::new(trace)?);
+        let plan = Arc::new(plan);
+        let mut scheduler = MultiScheduler::new(MachineModel::from_config(self.config()));
+        scheduler.add_planned(0, Arc::clone(&plan), 0.0);
+        let schedule = scheduler.finish();
+        report.scheduled_seconds = Some(schedule.makespan_seconds);
+        report.critical_path_seconds = Some(schedule.critical_path_seconds);
+        Ok(ScheduledRun {
+            report,
+            schedule,
+            critical_path: plan.critical_path_ops().to_vec(),
+        })
     }
-
-    fn try_run_scheduled_with_hints(
-        &self,
-        trace: &OpTrace,
-        hints: &EvictionHints,
-    ) -> Result<ScheduledRun, TraceError> {
-        run_scheduled(self, trace, Some(hints))
-    }
-}
-
-/// Validates and indexes the trace once, then runs the cache sweep and
-/// builds the dependency DAG from that one index.
-fn run_scheduled(
-    sim: &Simulator,
-    trace: &OpTrace,
-    hints: Option<&EvictionHints>,
-) -> Result<ScheduledRun, TraceError> {
-    let (timings, mut report, dag) = {
-        // The index is dead weight once the DAG exists; the schedule below is
-        // the larger allocation, so free the tables before building it.
-        let index = TraceIndex::new(trace)?;
-        let (timings, report) = sim.run_timed_indexed(&index, hints)?;
-        (timings, report, TraceDag::from_index(&index))
-    };
-    let schedule =
-        ListScheduler::new(MachineModel::from_config(sim.config())).schedule(trace, &timings, &dag);
-    report.scheduled_seconds = Some(schedule.makespan_seconds);
-    report.critical_path_seconds = Some(schedule.critical_path_seconds);
-    Ok(ScheduledRun { report, schedule })
 }
 
 #[cfg(test)]
@@ -231,29 +203,105 @@ mod tests {
             assert!(pair[0].seconds >= pair[1].seconds);
         }
         for op in &top {
-            assert!(run.schedule.critical_path.contains(&op.index));
+            assert!(run.critical_path.contains(&op.index));
         }
         assert!(!run.summary().is_empty());
         assert!(!run.schedule.timeline(8).is_empty());
     }
 
+    fn schedule_of(trace: &OpTrace, config: BtsConfig) -> Schedule {
+        Simulator::new(config, trace.instance.clone())
+            .run_scheduled(trace)
+            .schedule
+    }
+
     #[test]
-    fn hinted_scheduling_composes_with_eviction_hints() {
+    fn dependent_chain_degenerates_to_serial() {
         let ins = CkksInstance::ins1();
-        let sim = Simulator::new(
-            BtsConfig::bts_default().with_scratchpad_bytes(320 * 1024 * 1024),
-            ins.clone(),
-        );
-        let trace = bsgs_like_trace(&ins);
-        let hints = EvictionHints::from_trace(&trace);
-        let hinted = sim.try_run_scheduled_with_hints(&trace, &hints).unwrap();
-        let plain = sim.run_scheduled(&trace);
-        hinted.schedule.check_invariants().unwrap();
-        assert!(hinted.report.cache_hit_rate() >= plain.report.cache_hit_rate());
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        let mut cur = b.hmult(x, x);
+        for _ in 0..4 {
+            cur = b.hmult_at(cur, cur, 27);
+        }
+        let trace = b.build();
+        let s = schedule_of(&trace, BtsConfig::bts_default());
+        s.check_invariants().unwrap();
+        // A pure key-switch chain is HBM-bound back to back: no overlap.
+        assert!((s.makespan_seconds - s.serial_seconds).abs() < 1e-12 * s.serial_seconds);
+        assert!((s.critical_path_seconds - s.serial_seconds).abs() < 1e-12 * s.serial_seconds);
+        assert!((s.parallel_speedup() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn independent_mixed_ops_overlap() {
+        // Rescales and additions on ciphertexts unrelated to a string of
+        // HMults: their compute hides under the HMults' evk streaming.
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        let y = b.fresh_ct(27);
+        for _ in 0..4 {
+            b.hmult_at(x, x, 27);
+            b.hrescale_at(y, 27);
+            b.hadd(y, y, 27);
+        }
+        let trace = b.build();
+        let s = schedule_of(&trace, BtsConfig::bts_default());
+        s.check_invariants().unwrap();
         assert!(
-            hinted.report.scheduled_seconds.unwrap() <= plain.report.total_seconds,
-            "hinted schedule cannot exceed the plain serial bound"
+            s.parallel_speedup() > 1.1,
+            "speedup = {}",
+            s.parallel_speedup()
         );
+        assert!(s.makespan_seconds >= s.critical_path_seconds);
+    }
+
+    #[test]
+    fn schedules_are_deterministic() {
+        let ins = CkksInstance::ins2();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(39);
+        let r = b.hrot(x, 5, 39);
+        let m = b.hmult_at(r, x, 39);
+        b.hrescale_at(m, 39);
+        b.hadd(r, m, 39);
+        let trace = b.build();
+        let a = schedule_of(&trace, BtsConfig::bts_default());
+        let b2 = schedule_of(&trace, BtsConfig::bts_default());
+        assert_eq!(a, b2);
+    }
+
+    #[test]
+    fn barriers_serialize_segments_even_without_data_edges() {
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        let y = b.fresh_ct(27);
+        b.hrescale_at(x, 27); // segment 0
+        b.set_bootstrap_region(true);
+        b.hrescale_at(y, 27); // segment 1, independent data-wise
+        let trace = b.build();
+        let s = schedule_of(&trace, BtsConfig::bts_default());
+        s.check_invariants().unwrap();
+        assert!(s.ops[1].start_seconds >= s.ops[0].end_seconds - 1e-18);
+    }
+
+    #[test]
+    fn reservations_float_inside_the_window() {
+        // op0: HMult (NTTU busy ~76% of window, HBM full). op1: rescale of
+        // op0's output — its NTTU reservation must wait for op0's NTTU to
+        // drain only, not for a whole extra window.
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        let m = b.hmult(x, x);
+        b.hrescale_at(m, 27);
+        let trace = b.build();
+        let s = schedule_of(&trace, BtsConfig::bts_default());
+        s.check_invariants().unwrap();
+        // Dependent: rescale starts exactly when the HMult finishes.
+        assert!((s.ops[1].start_seconds - s.ops[0].end_seconds).abs() < 1e-15);
     }
 
     #[test]

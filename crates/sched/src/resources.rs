@@ -1,4 +1,4 @@
-//! The machine model the list scheduler packs ops onto: one bounded resource
+//! The machine model the scheduler packs ops onto: one bounded resource
 //! per functional-unit class of the BTS chip, with per-op occupancy taken
 //! from the engine's cost breakdowns.
 

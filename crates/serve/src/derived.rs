@@ -39,7 +39,7 @@ impl DerivedServeFigures {
         let mut latencies = Vec::new();
         let mut makespan = 0.0f64;
         // Reservation seconds summed in emission order per class — the same
-        // float additions, in the same order, as `MultiSchedule`'s
+        // float additions, in the same order, as `Schedule`'s
         // `unit_utilization`.
         let mut reserved = [0.0f64; FuKind::COUNT];
         for ev in events {

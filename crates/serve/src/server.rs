@@ -48,7 +48,7 @@ use std::sync::Arc;
 use bts_fault::{FaultPlan, RetryPolicy};
 use bts_params::L_BOOT;
 use bts_sched::{JobPlan, MachineModel, MultiScheduler, UtilizationFold};
-use bts_sim::{BtsConfig, SimReport, Simulator};
+use bts_sim::{BtsConfig, SimReport, Simulator, TraceIndex};
 use bts_workloads::{standard_registry, WorkloadRegistry};
 
 use crate::error::ServeError;
@@ -303,7 +303,7 @@ impl BtsServer {
             pair_of.push(match twin {
                 Some(t) => t,
                 None => {
-                    pairs.push((j, self.prepare(job, options, &machine)?));
+                    pairs.push((j, self.prepare(job, options)?));
                     pairs.len() - 1
                 }
             });
@@ -733,13 +733,8 @@ impl BtsServer {
     }
 
     /// Lowers one request, resolves its per-op charges and plans it for the
-    /// run's machine.
-    fn prepare(
-        &self,
-        job: &JobRequest,
-        options: &ServeOptions,
-        machine: &MachineModel,
-    ) -> Result<PreparedJob, ServeError> {
+    /// run's machine (the one `options.config` describes).
+    fn prepare(&self, job: &JobRequest, options: &ServeOptions) -> Result<PreparedJob, ServeError> {
         let workload =
             self.registry
                 .get(&job.workload)
@@ -759,19 +754,17 @@ impl BtsServer {
         let _prep_scope = bts_telemetry::enabled().then(|| {
             bts_telemetry::scope(format!("prep/{}@{}", job.workload, job.instance.name()))
         });
-        let (timings, report) =
-            simulator
-                .try_run_timed(&lowered.trace, None)
-                .map_err(|source| ServeError::Trace {
-                    job: job.id,
-                    source,
-                })?;
+        let index = TraceIndex::new(&lowered.trace).map_err(|source| ServeError::Trace {
+            job: job.id,
+            source,
+        })?;
+        let (plan, report) = JobPlan::from_index(&simulator, &index);
         let usable_levels = job.instance.max_level().saturating_sub(L_BOOT);
         let refreshed_slot_levels =
             lowered.bootstrap_count as f64 * usable_levels as f64 * job.instance.slots() as f64;
         let estimate_seconds = crate::estimate::estimate_trace_seconds(&simulator, &lowered.trace);
         Ok(PreparedJob {
-            plan: Arc::new(JobPlan::new(machine, &lowered.trace, &timings)),
+            plan: Arc::new(plan),
             report,
             refreshed_slot_levels,
             estimate_seconds,

@@ -4,7 +4,7 @@ use bts_params::CkksInstance;
 
 use crate::config::BtsConfig;
 use crate::cost::AreaPowerModel;
-use crate::trace::{EvictionHints, HeOp, OpTrace, TraceError};
+use crate::trace::{HeOp, OpTrace, TraceError};
 use crate::trace_index::{TraceIndex, NEVER};
 
 /// Per-op-class statistics in a [`SimReport`].
@@ -347,56 +347,14 @@ impl Simulator {
         Ok(self.fold_report(trace, &self.op_timings(trace)?))
     }
 
-    /// Runs a trace with dead-ciphertext eviction hints applied to the
-    /// software-managed cache: ids listed in `hints.evict_after[i]` are
-    /// dropped from the scratchpad as soon as op `i` retires, freeing space
-    /// for live ciphertexts instead of waiting for LRU pressure (the ROADMAP
-    /// "circuit-level caching hints" item).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural defect found in the trace.
-    pub fn try_run_with_hints(
-        &self,
-        trace: &OpTrace,
-        hints: &EvictionHints,
-    ) -> Result<SimReport, TraceError> {
-        Ok(self.fold_report(trace, &self.op_timings_with_hints(trace, Some(hints))?))
-    }
-
-    /// Validates and runs a trace once, returning both the per-op timings and
-    /// the folded report. This is the single-pass entry `bts-sched` builds
-    /// schedules from: the cache-simulation sweep runs once and both the
-    /// serial accounting and the scheduler consume the same vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural defect found in the trace (or a hints
-    /// arity mismatch).
-    pub fn try_run_timed(
-        &self,
-        trace: &OpTrace,
-        hints: Option<&EvictionHints>,
-    ) -> Result<(Vec<OpTiming>, SimReport), TraceError> {
-        self.run_timed_indexed(&TraceIndex::new(trace)?, hints)
-    }
-
-    /// [`Simulator::try_run_timed`] over a trace the caller has already
-    /// validated and indexed — `bts-sched`'s `run_scheduled` builds one
-    /// [`TraceIndex`] for this sweep and for its dependency DAG.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::HintArityMismatch`] if `hints` were built for a
-    /// trace of another length.
-    pub fn run_timed_indexed(
-        &self,
-        index: &TraceIndex<'_>,
-        hints: Option<&EvictionHints>,
-    ) -> Result<(Vec<OpTiming>, SimReport), TraceError> {
-        let timings = self.sweep(index, hints, false)?;
+    /// Runs a trace the caller has already validated and indexed, returning
+    /// both the per-op timings and the folded report from one cache sweep —
+    /// `bts-sched` plans a job from one [`TraceIndex`] shared by this sweep
+    /// and its dependency DAG.
+    pub fn run_timed_indexed(&self, index: &TraceIndex<'_>) -> (Vec<OpTiming>, SimReport) {
+        let timings = self.sweep(index, false);
         let report = self.fold_report(index.trace(), &timings);
-        Ok((timings, report))
+        (timings, report)
     }
 
     /// Per-op execution charges with the scratchpad cache resolved in program
@@ -409,21 +367,7 @@ impl Simulator {
     ///
     /// Returns the first structural defect found in the trace.
     pub fn op_timings(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, TraceError> {
-        self.op_timings_with_hints(trace, None)
-    }
-
-    /// [`Simulator::op_timings`] with optional dead-ciphertext eviction hints
-    /// applied to the cache pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural defect found in the trace.
-    pub fn op_timings_with_hints(
-        &self,
-        trace: &OpTrace,
-        hints: Option<&EvictionHints>,
-    ) -> Result<Vec<OpTiming>, TraceError> {
-        self.sweep(&TraceIndex::new(trace)?, hints, false)
+        Ok(self.sweep(&TraceIndex::new(trace)?, false))
     }
 
     /// [`Simulator::op_timings`] with Belady-style (MIN) replacement in the
@@ -432,17 +376,16 @@ impl Simulator {
     /// ciphertext is bypassed (not cached) when it is itself the
     /// furthest-needed, so dead data goes first and sooner-needed residents
     /// survive. Next-use distances are exact — the trace is fully known at
-    /// simulation time, the same liveness information `LoweredTrace::hints`
-    /// is derived from — so this is the reference bound practical policies
-    /// (LRU, last-use hints) are measured against. (With variable-size
-    /// ciphertexts exact offline optimality is a knapsack problem; this is
-    /// the standard furthest-next-use heuristic, not a proven optimum.)
+    /// simulation time — so this is the reference bound the realisable
+    /// policy (LRU) is measured against. (With variable-size ciphertexts
+    /// exact offline optimality is a knapsack problem; this is the standard
+    /// furthest-next-use heuristic, not a proven optimum.)
     ///
     /// # Errors
     ///
     /// Returns the first structural defect found in the trace.
     pub fn op_timings_belady(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, TraceError> {
-        self.sweep(&TraceIndex::new(trace)?, None, true)
+        Ok(self.sweep(&TraceIndex::new(trace)?, true))
     }
 
     /// Runs a trace with Belady (furthest-next-use) ciphertext eviction — see
@@ -457,23 +400,9 @@ impl Simulator {
 
     /// The cache-resolution sweep behind every `op_timings*` entry point,
     /// over the slots of a validated [`TraceIndex`]. `belady` switches the
-    /// replacement policy from LRU (optionally assisted by dead-ciphertext
-    /// `hints`) to furthest-next-use.
-    fn sweep(
-        &self,
-        index: &TraceIndex<'_>,
-        hints: Option<&EvictionHints>,
-        belady: bool,
-    ) -> Result<Vec<OpTiming>, TraceError> {
+    /// replacement policy from LRU to furthest-next-use.
+    fn sweep(&self, index: &TraceIndex<'_>, belady: bool) -> Vec<OpTiming> {
         let trace = index.trace();
-        if let Some(hints) = hints {
-            if hints.len() != trace.ops.len() {
-                return Err(TraceError::HintArityMismatch {
-                    hint_ops: hints.len(),
-                    trace_ops: trace.ops.len(),
-                });
-            }
-        }
         // Belady decides on exact next-use positions, one per operand access.
         let next_uses = if belady {
             index.next_uses()
@@ -501,7 +430,6 @@ impl Simulator {
             let mut hits = 0usize;
             let mut misses = 0usize;
             let mut evictions = 0usize;
-            let mut hint_evictions = 0usize;
             for (k, &input) in op.operands.iter().enumerate() {
                 if index.is_forwarded(input) {
                     continue; // producer → consumer forwarding, not a cache access
@@ -529,13 +457,6 @@ impl Simulator {
                     evictions += cache.insert(out, ct_bytes, next_use);
                 }
             }
-            if let Some(hints) = hints {
-                for &id in &hints.evict_after[op.index as usize] {
-                    if index.slot_of(id).is_some_and(|slot| cache.remove(slot)) {
-                        hint_evictions += 1;
-                    }
-                }
-            }
             let hbm_bytes = cost.evk_bytes + miss_bytes;
             let hbm_seconds = hbm_bytes as f64 / bytes_per_sec;
             let seconds = cost.compute_seconds.max(hbm_seconds);
@@ -554,27 +475,22 @@ impl Simulator {
                         ("cache_hits", ArgValue::U64(hits as u64)),
                         ("cache_misses", ArgValue::U64(misses as u64)),
                         ("evictions", ArgValue::U64(evictions as u64)),
-                        ("hint_evictions", ArgValue::U64(hint_evictions as u64)),
                     ],
                 );
-                if evictions + hint_evictions > 0 {
+                if evictions > 0 {
                     bts_telemetry::emit_instant(
                         "scratchpad",
                         "evict",
                         serial_t,
                         &[
                             ("evictions", ArgValue::U64(evictions as u64)),
-                            ("hint_evictions", ArgValue::U64(hint_evictions as u64)),
                             ("used_bytes", ArgValue::U64(cache.used_bytes())),
                         ],
                     );
                 }
                 bts_telemetry::counter_add("sim.cache.hits", hits as u64);
                 bts_telemetry::counter_add("sim.cache.misses", misses as u64);
-                bts_telemetry::counter_add(
-                    "sim.cache.evictions",
-                    (evictions + hint_evictions) as u64,
-                );
+                bts_telemetry::counter_add("sim.cache.evictions", evictions as u64);
             }
             serial_t += seconds;
             timings.push(OpTiming {
@@ -588,7 +504,7 @@ impl Simulator {
                 scratch_bytes: cost.temp_bytes + cache.used_bytes(),
             });
         }
-        Ok(timings)
+        timings
     }
 
     /// Folds per-op timings into the aggregate report.
@@ -736,7 +652,7 @@ impl<'s> CostTable<'s> {
 }
 
 /// Replacement-policy dispatch for the cache sweep: LRU (the §5.3 software
-/// cache, optionally assisted by eviction hints) or Belady furthest-next-use.
+/// cache) or Belady furthest-next-use.
 /// Both key their state by [`TraceIndex`] slot.
 #[derive(Debug, Clone)]
 enum CacheModel {
@@ -759,14 +675,6 @@ impl CacheModel {
         match self {
             CacheModel::Lru(c) => c.insert(slot, bytes),
             CacheModel::Belady(c) => c.insert(slot, bytes, next_use),
-        }
-    }
-
-    /// Drops an entry; true if it was resident.
-    fn remove(&mut self, slot: u32) -> bool {
-        match self {
-            CacheModel::Lru(c) => c.remove(slot),
-            CacheModel::Belady(c) => c.remove(slot),
         }
     }
 
@@ -912,7 +820,7 @@ struct LruNode {
 
 /// LRU cache over ciphertext slots (the software-managed scratchpad cache):
 /// an intrusive doubly-linked recency list threaded through one node per
-/// slot, so a touch, an eviction and a hinted removal are all O(1).
+/// slot, so a touch and an eviction are both O(1).
 #[derive(Debug, Clone)]
 struct LruCache {
     capacity: u64,
@@ -978,8 +886,7 @@ impl LruCache {
         true
     }
 
-    /// Drops an entry (an LRU victim or a dead-ciphertext eviction hint),
-    /// freeing its bytes. Returns true if the entry was resident.
+    /// Drops an entry, freeing its bytes. Returns true if it was resident.
     fn remove(&mut self, slot: u32) -> bool {
         if !self.is_resident(slot) {
             return false;
@@ -1148,48 +1055,13 @@ mod tests {
     }
 
     #[test]
-    fn eviction_hints_beat_lru_when_dead_data_stays_recent() {
-        use crate::trace::EvictionHints;
-        // Recency and liveness disagree: every other round produces a value
-        // that dies immediately (but is the most recently touched entry),
-        // while a long-lived operand ages toward the LRU position. Plain LRU
-        // evicts the live operand; hints evict the dead value instead.
-        let ins = CkksInstance::ins1();
-        let mut b = TraceBuilder::new(&ins);
-        let hot = b.fresh_ct(27);
-        for k in 0..12 {
-            let t = b.fresh_ct(27);
-            let p = b.hmult_at(t, t, 27); // t dies here
-            let q = b.hmult_at(p, p, 27); // p dies here, recent but dead
-            if k % 2 == 0 {
-                b.hmult_at(q, hot, 27); // hot touched only every other round
-            }
-        }
-        let trace = b.build();
-        let sim = Simulator::new(
-            BtsConfig::bts_default().with_scratchpad_bytes(384 * 1024 * 1024),
-            ins,
-        );
-        let plain = sim.run(&trace);
-        let hinted = sim
-            .try_run_with_hints(&trace, &EvictionHints::from_trace(&trace))
-            .unwrap();
-        assert!(
-            hinted.cache_hit_rate() > plain.cache_hit_rate(),
-            "hinted {} should beat plain {}",
-            hinted.cache_hit_rate(),
-            plain.cache_hit_rate()
-        );
-        assert!(hinted.ct_miss_bytes < plain.ct_miss_bytes);
-        assert!(hinted.total_seconds <= plain.total_seconds);
-    }
-
-    #[test]
     fn belady_matches_or_beats_lru_and_hints() {
-        use crate::trace::EvictionHints;
-        // The divergent-liveness shape where recency misleads LRU: Belady
-        // evicts the dead-but-recent values and must do at least as well as
-        // the last-use hints (which approximate the same future knowledge).
+        // (The name predates the removal of last-use eviction hints; the
+        // LRU-vs-Belady half is what is left.) Recency and liveness disagree:
+        // every round produces values that die immediately but are the most
+        // recently touched entries, while a long-lived operand, read only
+        // every other round, ages toward the LRU position. LRU evicts the
+        // live operand; Belady evicts the dead-but-recent values.
         let ins = CkksInstance::ins1();
         let mut b = TraceBuilder::new(&ins);
         let hot = b.fresh_ct(27);
@@ -1207,9 +1079,6 @@ mod tests {
             ins,
         );
         let plain = sim.run(&trace);
-        let hinted = sim
-            .try_run_with_hints(&trace, &EvictionHints::from_trace(&trace))
-            .unwrap();
         let belady = sim.try_run_belady(&trace).unwrap();
         assert!(
             belady.cache_hit_rate() > plain.cache_hit_rate(),
@@ -1217,7 +1086,7 @@ mod tests {
             belady.cache_hit_rate(),
             plain.cache_hit_rate()
         );
-        assert!(belady.cache_hit_rate() >= hinted.cache_hit_rate());
+        assert!(belady.ct_miss_bytes < plain.ct_miss_bytes);
         assert!(belady.total_seconds <= plain.total_seconds);
     }
 
@@ -1293,31 +1162,6 @@ mod tests {
         assert!(merged.hbm_utilization >= lo - 1e-12 && merged.hbm_utilization <= hi + 1e-12);
         assert_eq!(merged.scheduled_seconds, None);
         assert_eq!(merged.parallel_speedup(), None);
-    }
-
-    #[test]
-    fn stale_hints_are_rejected() {
-        use crate::trace::{EvictionHints, TraceError};
-        let ins = CkksInstance::ins1();
-        let mut b = TraceBuilder::new(&ins);
-        let x = b.fresh_ct(27);
-        b.hmult(x, x);
-        let short = b.build();
-        let hints = EvictionHints::from_trace(&short);
-        let mut longer = short.clone();
-        let mut b2 = TraceBuilder::new(&ins);
-        let y = b2.fresh_ct(27);
-        b2.hrot(y, 1, 27);
-        longer.extend(&b2.build());
-        let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        assert_eq!(
-            sim.try_run_with_hints(&longer, &hints).err(),
-            Some(TraceError::HintArityMismatch {
-                hint_ops: 1,
-                trace_ops: 2
-            })
-        );
-        assert!(sim.try_run_with_hints(&short, &hints).is_ok());
     }
 
     #[test]

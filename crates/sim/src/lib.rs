@@ -55,6 +55,6 @@ pub use noc::{BruNoc, PeMemNoc, PePeNoc};
 pub use pe::{KeySwitchOccupancy, ProcessingElement};
 pub use scratchpad::{AllocationClass, AllocationPlan, Scratchpad};
 pub use timeline::{hmult_timeline, TimelineSegment};
-pub use trace::{CtId, EvictionHints, HeOp, OpTrace, TraceBuilder, TraceError, TracedOp};
+pub use trace::{CtId, HeOp, OpTrace, TraceBuilder, TraceError, TracedOp};
 pub use trace_index::{IndexedOp, TraceIndex};
 pub use twiddle::TwiddleStorage;

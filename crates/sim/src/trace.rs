@@ -132,14 +132,6 @@ pub enum TraceError {
         /// The instance's maximum level L.
         max_level: usize,
     },
-    /// Eviction hints were built for a trace of a different length, so their
-    /// per-op liveness information cannot be trusted for this trace.
-    HintArityMismatch {
-        /// Number of ops the hints cover.
-        hint_ops: usize,
-        /// Number of ops in the trace.
-        trace_ops: usize,
-    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -168,13 +160,6 @@ impl std::fmt::Display for TraceError {
             } => write!(
                 f,
                 "trace input #{input_index} enters at level {level} beyond the instance budget L = {max_level}"
-            ),
-            TraceError::HintArityMismatch {
-                hint_ops,
-                trace_ops,
-            } => write!(
-                f,
-                "eviction hints cover {hint_ops} ops but the trace has {trace_ops}; rebuild them with EvictionHints::from_trace"
             ),
         }
     }
@@ -402,46 +387,6 @@ impl TraceBuilder {
     }
 }
 
-/// Dead-ciphertext eviction hints derived from a trace's last-use analysis:
-/// for every op index, the ciphertext ids whose final access happens at that
-/// op. The scratchpad cache uses them ([`crate::Simulator::try_run_with_hints`])
-/// to drop dead ciphertexts immediately instead of waiting for LRU pressure,
-/// and the scheduler reuses the same liveness information.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EvictionHints {
-    /// `evict_after[i]` lists the ids that die at op `i`: ids consumed for the
-    /// last time by op `i`, plus op `i`'s own output if nothing ever reads it
-    /// (a workload output, written back to the host rather than kept hot).
-    pub evict_after: Vec<Vec<CtId>>,
-}
-
-impl EvictionHints {
-    /// Computes the hints for a trace from the live ranges of its
-    /// [`TraceIndex`]. Slots ascend with ids, so one walk over the last-use
-    /// table fills every `evict_after[i]` in ascending-id order.
-    pub fn from_trace(trace: &OpTrace) -> Self {
-        let index = TraceIndex::lenient(trace);
-        let mut evict_after = vec![Vec::new(); trace.ops.len()];
-        for slot in index.slots() {
-            // Dies at its last read, or where it is produced if never read.
-            if let Some(op) = index.last_use(slot).or_else(|| index.producer(slot)) {
-                evict_after[op as usize].push(index.id_of(slot));
-            }
-        }
-        Self { evict_after }
-    }
-
-    /// Number of ops the hints were computed for.
-    pub fn len(&self) -> usize {
-        self.evict_after.len()
-    }
-
-    /// Whether the hints cover an empty trace.
-    pub fn is_empty(&self) -> bool {
-        self.evict_after.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,27 +544,6 @@ mod tests {
         t1.extend(&b.build());
         assert_eq!(t1.input_levels, vec![27, 5]);
         assert!(t1.validate().is_ok());
-    }
-
-    #[test]
-    fn eviction_hints_mark_last_uses_and_dead_outputs() {
-        let ins = CkksInstance::ins1();
-        let mut b = TraceBuilder::new(&ins);
-        let x = b.fresh_ct(27);
-        let y = b.fresh_ct(27);
-        let p = b.hmult(x, y); // op 0: last use of y (x reused below)
-        let q = b.hmult_at(x, p, 27); // op 1: last use of x and p
-        let _r = b.hrescale_at(q, 27); // op 2: last use of q; output r is dead
-        let trace = b.build();
-        let hints = EvictionHints::from_trace(&trace);
-        assert_eq!(hints.len(), 3);
-        assert_eq!(hints.evict_after[0], vec![y]);
-        let mut dead_at_1 = hints.evict_after[1].clone();
-        dead_at_1.sort_unstable();
-        assert_eq!(dead_at_1, vec![x, p]);
-        // Op 2 kills its input q and its never-read output.
-        assert_eq!(hints.evict_after[2].len(), 2);
-        assert!(hints.evict_after[2].contains(&q));
     }
 
     #[test]

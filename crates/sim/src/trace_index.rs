@@ -2,8 +2,8 @@
 //!
 //! Ciphertext ids are arbitrary `u64`s, but a trace names only as many of
 //! them as it has operands, so [`TraceIndex`] gives every id a dense `u32`
-//! *slot* and keeps everything the cache sweeps, the eviction hints and the
-//! scheduler's DAG ask about a ciphertext in `Vec`s indexed by slot. The one
+//! *slot* and keeps everything the cache sweeps and the scheduler's DAG ask
+//! about a ciphertext in `Vec`s indexed by slot. The one
 //! forward pass that fills those tables is also trace validation: it sees
 //! every definition and every use in program order, so the first use of an
 //! undefined id or the first redefinition falls out of the same loop that
@@ -16,8 +16,7 @@
 //! slot. Otherwise the ids that occur are sorted once and a slot is an id's
 //! rank. Either way the tables are proportional to the trace, never to the
 //! magnitude of an id, and slot order is id order — so Belady's
-//! `(next_use, id)` tie-break and the ascending-id order of
-//! [`EvictionHints`](crate::EvictionHints) can compare slots.
+//! `(next_use, id)` tie-break can compare slots.
 
 use crate::trace::{CtId, OpTrace, TraceError, TracedOp};
 
@@ -88,13 +87,10 @@ impl<'t> TraceIndex<'t> {
     }
 
     /// Indexes `trace` whether or not it is well-formed, for the infallible
-    /// liveness and dependency queries ([`EvictionHints::from_trace`],
-    /// `TraceDag::from_trace`). On a trace [`TraceIndex::new`] rejects, an
-    /// undefined id still has a slot and a live range, and the first
-    /// definition of a redefined id is its producer; the simulator's entry
-    /// points never run such a trace.
-    ///
-    /// [`EvictionHints::from_trace`]: crate::EvictionHints::from_trace
+    /// dependency queries (`TraceDag::from_trace`). On a trace
+    /// [`TraceIndex::new`] rejects, an undefined id still has a slot and a
+    /// live range, and the first definition of a redefined id is its
+    /// producer; the simulator's entry points never run such a trace.
     pub fn lenient(trace: &'t OpTrace) -> Self {
         Self::scan(trace).0
     }
@@ -229,14 +225,8 @@ impl<'t> TraceIndex<'t> {
         self.producer.len()
     }
 
-    /// Every slot, ascending — which is ascending id order.
-    pub(crate) fn slots(&self) -> std::ops::Range<u32> {
-        // Lossless: `scan` checked that the slot count fits u32.
-        0..self.slot_count() as u32
-    }
-
     /// The slot of `id`, if the trace mentions it.
-    pub(crate) fn slot_of(&self, id: CtId) -> Option<u32> {
+    fn slot_of(&self, id: CtId) -> Option<u32> {
         if self.interned.is_empty() {
             // Lossless: `id` is below the slot count, which fits u32.
             (id < self.slot_count() as u64).then_some(id as u32)
@@ -246,26 +236,11 @@ impl<'t> TraceIndex<'t> {
         }
     }
 
-    /// The id a slot stands for.
-    pub(crate) fn id_of(&self, slot: u32) -> CtId {
-        if self.interned.is_empty() {
-            CtId::from(slot)
-        } else {
-            self.interned[slot as usize]
-        }
-    }
-
     /// The op whose output the slot is; `None` for trace inputs (and, on a
     /// malformed trace, for ids nothing defines).
     pub fn producer(&self, slot: u32) -> Option<u32> {
         let p = self.producer[slot as usize];
         (p < TRACE_INPUT).then_some(p)
-    }
-
-    /// The last op that reads the slot, if any does.
-    pub(crate) fn last_use(&self, slot: u32) -> Option<u32> {
-        let op = self.last_use[slot as usize];
-        (op != NEVER).then_some(op)
     }
 
     /// The first op that reads the slot, [`NEVER`] if none does — the
@@ -348,6 +323,20 @@ mod tests {
         b.build()
     }
 
+    /// Every slot, ascending — which is ascending id order.
+    fn slots(index: &TraceIndex<'_>) -> std::ops::Range<u32> {
+        0..index.slot_count() as u32
+    }
+
+    /// The id a slot stands for.
+    fn id_of(index: &TraceIndex<'_>, slot: u32) -> CtId {
+        if index.interned.is_empty() {
+            CtId::from(slot)
+        } else {
+            index.interned[slot as usize]
+        }
+    }
+
     fn relabel(trace: &mut OpTrace, map: impl Fn(CtId) -> CtId) {
         for id in &mut trace.inputs {
             *id = map(*id);
@@ -367,15 +356,15 @@ mod tests {
         let trace = small_trace();
         let index = TraceIndex::new(&trace).unwrap();
         assert_eq!(index.slot_count(), 7);
-        for slot in index.slots() {
-            assert_eq!(index.id_of(slot), CtId::from(slot));
+        for slot in slots(&index) {
+            assert_eq!(id_of(&index, slot), CtId::from(slot));
             assert_eq!(index.slot_of(CtId::from(slot)), Some(slot));
         }
         assert_eq!(index.slot_of(7), None);
         assert_eq!(index.producer(0), None, "trace inputs have no producer");
         assert_eq!(index.producer(2), Some(0));
-        assert_eq!(index.last_use(1), Some(4));
-        assert_eq!(index.last_use(6), None, "nothing reads the last sum");
+        assert_eq!(index.last_use[1], 4);
+        assert_eq!(index.last_use[6], NEVER, "nothing reads the last sum");
     }
 
     #[test]
@@ -391,14 +380,14 @@ mod tests {
             relabel(&mut trace, map);
             let index = TraceIndex::new(&trace).unwrap();
             assert_eq!(index.slot_count(), 7, "one slot per id, whatever its size");
-            let ids: Vec<CtId> = index.slots().map(|s| index.id_of(s)).collect();
+            let ids: Vec<CtId> = slots(&index).map(|s| id_of(&index, s)).collect();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "slots ascend with ids");
             for id in 0..7u64 {
                 let (d, s) = (dense_index.slot_of(id), index.slot_of(map(id)));
                 let (d, s) = (d.unwrap(), s.unwrap());
-                assert_eq!(index.id_of(s), map(id));
+                assert_eq!(id_of(&index, s), map(id));
                 assert_eq!(index.producer(s), dense_index.producer(d));
-                assert_eq!(index.last_use(s), dense_index.last_use(d));
+                assert_eq!(index.last_use[s as usize], dense_index.last_use[d as usize]);
                 assert_eq!(index.is_forwarded(s), dense_index.is_forwarded(d));
             }
             assert_eq!(index.slot_of(12345), None);
@@ -410,7 +399,7 @@ mod tests {
     fn single_use_by_the_next_op_is_forwarded() {
         let trace = small_trace();
         let index = TraceIndex::new(&trace).unwrap();
-        let forwarded: Vec<u32> = index.slots().filter(|&s| index.is_forwarded(s)).collect();
+        let forwarded: Vec<u32> = slots(&index).filter(|&s| index.is_forwarded(s)).collect();
         // r (slot 3) and q (slot 4); p has two readers, the inputs no producer.
         assert_eq!(forwarded, vec![3, 4]);
     }
@@ -469,7 +458,7 @@ mod tests {
         let index = TraceIndex::lenient(&trace);
         let slot = index.slot_of(u64::MAX).expect("used ids have slots");
         assert_eq!(index.producer(slot), None);
-        assert_eq!(index.last_use(slot), Some(4));
+        assert_eq!(index.last_use[slot as usize], 4);
         // A hand-rolled op without an output has no output slot.
         trace.ops[4] = TracedOp {
             op: HeOp::HAdd,

@@ -1,0 +1,135 @@
+//! The single-trace list scheduler `run_scheduled` used to ride, kept as a
+//! test oracle: one forward pass that places every op of one trace, in
+//! program order, at the earliest start its producers, its bootstrap barrier
+//! and the unit channels allow. `#[path]`-included by the suites that hold
+//! `ScheduleExt::run_scheduled` (one job through the multi-job scheduler)
+//! bit-equal to it.
+
+use bts::sched::{FuKind, MachineModel, Schedule, TraceDag};
+use bts::sim::{OpTiming, OpTrace};
+
+/// What the oracle computes for one trace.
+#[derive(Debug)]
+pub struct ListSchedule {
+    /// Per op, in program order: `(start, end)` of its latency window.
+    pub windows: Vec<(f64, f64)>,
+    /// Per unit class, in placement order: `(op, channel, start, end)`.
+    pub busy: [Vec<(usize, usize, f64, f64)>; FuKind::COUNT],
+    pub makespan_seconds: f64,
+    pub serial_seconds: f64,
+    pub critical_path_seconds: f64,
+}
+
+pub fn list_schedule(
+    machine: &MachineModel,
+    trace: &OpTrace,
+    timings: &[OpTiming],
+) -> ListSchedule {
+    assert_eq!(timings.len(), trace.ops.len(), "one timing per op");
+    let dag = TraceDag::from_trace(trace);
+    let mut horizons: [Vec<f64>; FuKind::COUNT] =
+        std::array::from_fn(|k| vec![0.0; machine.channels(FuKind::ALL[k])]);
+    let mut busy: [Vec<(usize, usize, f64, f64)>; FuKind::COUNT] = Default::default();
+    let mut windows = Vec::with_capacity(trace.ops.len());
+    let mut finish = vec![0.0f64; trace.ops.len()];
+    let mut durations = Vec::with_capacity(trace.ops.len());
+    let (mut serial, mut makespan) = (0.0f64, 0.0f64);
+    // Max finish over all ops of earlier segments: a running max snapshotted
+    // at segment boundaries.
+    let (mut barrier, mut running_max_finish) = (0.0f64, 0.0f64);
+    for (i, timing) in timings.iter().enumerate() {
+        let demand = machine.demand(timing);
+        durations.push(demand.duration);
+        serial += demand.duration;
+        if i > 0 && dag.segment(i) != dag.segment(i - 1) {
+            barrier = running_max_finish;
+        }
+        let mut start = barrier;
+        for &d in dag.deps(i) {
+            start = start.max(finish[d as usize]);
+        }
+        // The chosen channel frees at h, and the op's reservation of b
+        // seconds must end within the window [s, s + d], so s ≥ h + b − d.
+        let mut chosen = [0usize; FuKind::COUNT];
+        for k in (0..FuKind::COUNT).filter(|&k| demand.busy[k] > 0.0) {
+            // The channel that frees first; the first such wins ties.
+            for (channel, &h) in horizons[k].iter().enumerate() {
+                if h < horizons[k][chosen[k]] {
+                    chosen[k] = channel;
+                }
+            }
+            start = start.max(horizons[k][chosen[k]] + demand.busy[k] - demand.duration);
+        }
+        let end = start + demand.duration;
+        for k in (0..FuKind::COUNT).filter(|&k| demand.busy[k] > 0.0) {
+            let res_start = start.max(horizons[k][chosen[k]]);
+            let res_end = res_start + demand.busy[k];
+            horizons[k][chosen[k]] = res_end;
+            busy[k].push((i, chosen[k], res_start, res_end));
+        }
+        finish[i] = end;
+        running_max_finish = running_max_finish.max(end);
+        makespan = makespan.max(end);
+        windows.push((start, end));
+    }
+    ListSchedule {
+        windows,
+        busy,
+        makespan_seconds: makespan,
+        serial_seconds: serial,
+        critical_path_seconds: dag.critical_path(&durations).seconds,
+    }
+}
+
+/// Holds a one-job `schedule` bit-equal to the oracle: every window, every
+/// reservation, makespan, serial and critical-path seconds.
+pub fn check_equal(schedule: &Schedule, oracle: &ListSchedule) -> Result<(), String> {
+    let windows: Vec<(f64, f64)> = schedule
+        .ops
+        .iter()
+        .map(|o| (o.start_seconds, o.end_seconds))
+        .collect();
+    if windows != oracle.windows {
+        return Err("op windows differ from the list-scheduler oracle".into());
+    }
+    if schedule
+        .ops
+        .iter()
+        .enumerate()
+        .any(|(i, o)| o.job != 0 || o.index != i)
+    {
+        return Err("a one-job schedule is not tag 0 in program order".into());
+    }
+    for kind in FuKind::ALL {
+        let placed: Vec<(usize, usize, f64, f64)> = schedule.busy[kind.index()]
+            .iter()
+            .map(|b| (b.placement, b.channel, b.start_seconds, b.end_seconds))
+            .collect();
+        if placed != oracle.busy[kind.index()] {
+            return Err(format!(
+                "{} reservations differ from the oracle",
+                kind.label()
+            ));
+        }
+    }
+    for (what, got, want) in [
+        (
+            "makespan",
+            schedule.makespan_seconds,
+            oracle.makespan_seconds,
+        ),
+        ("serial", schedule.serial_seconds, oracle.serial_seconds),
+        (
+            "critical path",
+            schedule.critical_path_seconds,
+            oracle.critical_path_seconds,
+        ),
+    ] {
+        if got.to_bits() != want.to_bits() {
+            return Err(format!(
+                "{what} seconds {got:e} differ from the oracle's {want:e}"
+            ));
+        }
+    }
+    Ok(())
+}

@@ -1,16 +1,21 @@
 //! Property-based tests of the `bts-sched` scheduler invariants: for random
 //! valid traces, `critical_path ≤ makespan ≤ serial`, schedules are
 //! deterministic for a fixed trace/config, no functional-unit channel is
-//! double-booked in any interval, and scheduled runs are never slower than
-//! serial.
+//! double-booked in any interval, scheduled runs are never slower than
+//! serial — and `run_scheduled`, one job through the multi-job scheduler, is
+//! bit-equal to the single-trace list scheduler it replaced
+//! (`common/list_oracle.rs`).
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use bts::params::CkksInstance;
-use bts::sched::{FuKind, ListScheduler, MachineModel, ScheduleExt, TraceDag};
-use bts::sim::{BtsConfig, OpTrace, Simulator};
+use bts::sched::{FuKind, JobPlan, MachineModel, ScheduleExt, TraceDag};
+use bts::sim::{BtsConfig, OpTrace, Simulator, TraceBuilder};
 
 mod common;
+#[path = "common/list_oracle.rs"]
+mod list_oracle;
 
 /// Random valid traces with this suite's historical shape (bootstrap toggles
 /// every ~11 ops, live pool of 24).
@@ -56,10 +61,8 @@ proptest! {
         let ins = CkksInstance::ins1();
         let trace = random_trace(&ins, seed, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let timings = sim.op_timings(&trace).unwrap();
-        let dag = TraceDag::from_trace(&trace);
         let machine = MachineModel::from_config(sim.config());
-        let schedule = ListScheduler::new(machine).schedule(&trace, &timings, &dag);
+        let schedule = sim.try_run_scheduled(&trace).unwrap().schedule;
         for kind in FuKind::ALL {
             for channel in 0..machine.channels(kind) {
                 let mut intervals: Vec<(f64, f64)> = schedule.busy[kind.index()]
@@ -105,4 +108,55 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn run_scheduled_equals_the_list_scheduler_oracle(seed in any::<u64>(), ops in 0usize..80) {
+        for ins in [CkksInstance::ins1(), CkksInstance::ins2()] {
+            let trace = random_trace(&ins, seed, ops);
+            let sim = Simulator::new(BtsConfig::bts_default(), ins);
+            let machine = MachineModel::from_config(sim.config());
+            let timings = sim.op_timings(&trace).unwrap();
+            let oracle = list_oracle::list_schedule(&machine, &trace, &timings);
+            let run = sim.try_run_scheduled(&trace).unwrap();
+            list_oracle::check_equal(&run.schedule, &oracle).map_err(TestCaseError::Fail)?;
+            prop_assert_eq!(run.report.scheduled_seconds, Some(oracle.makespan_seconds));
+            prop_assert_eq!(run.report.critical_path_seconds, Some(oracle.critical_path_seconds));
+            // The witness chain the top-critical-ops report draws from: its
+            // ops' charges add up to the critical path.
+            let plan = JobPlan::new(&machine, &trace, &timings);
+            let chain = plan.critical_path_ops();
+            let chain_seconds: f64 = chain.iter().map(|&i| timings[i].seconds).sum();
+            let eps = 1e-12 * oracle.serial_seconds.max(1e-12);
+            prop_assert!((chain_seconds - oracle.critical_path_seconds).abs() <= eps);
+            let top = run.top_critical_ops(usize::MAX);
+            prop_assert_eq!(top.len(), chain.len());
+            prop_assert!(top.iter().all(|op| chain.contains(&op.index)));
+        }
+    }
+}
+
+#[test]
+fn an_empty_trace_schedules_to_all_zeros() {
+    let ins = CkksInstance::ins1();
+    let trace = TraceBuilder::new(&ins).build();
+    let sim = Simulator::new(BtsConfig::bts_default(), ins);
+    let run = sim.try_run_scheduled(&trace).unwrap();
+    let s = &run.schedule;
+    s.check_invariants().unwrap();
+    assert!(s.ops.is_empty() && s.busy.iter().all(Vec::is_empty));
+    assert_eq!(
+        (
+            s.makespan_seconds,
+            s.serial_seconds,
+            s.critical_path_seconds
+        ),
+        (0.0, 0.0, 0.0)
+    );
+    assert_eq!(s.parallel_speedup(), 1.0);
+    assert_eq!(s.utilizations(), [0.0; FuKind::COUNT]);
+    assert_eq!(run.report.scheduled_seconds, Some(0.0));
+    assert!(run.top_critical_ops(3).is_empty());
+    assert!(s.timeline(8).is_empty());
+    let oracle = list_oracle::list_schedule(&s.machine, &trace, &[]);
+    list_oracle::check_equal(s, &oracle).unwrap();
 }

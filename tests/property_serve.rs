@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use bts::fault::FaultPlan;
 use bts::params::CkksInstance;
 use bts::sched::{
-    schedule_jobs, FuKind, JobCompletion, JobPlan, MachineModel, MultiSchedule, MultiScheduler,
+    schedule_jobs, FuKind, JobCompletion, JobPlan, MachineModel, MultiScheduler, Schedule,
     TraceDag, UtilizationFold,
 };
 use bts::serve::{serve, JobRequest, QueuePolicy, ServeOptions, ServeReport, SyntheticArrivals};
@@ -59,7 +59,7 @@ proptest! {
         let multi = schedule_jobs(MachineModel::from_config(sim.config()), &spec);
         multi.check_invariants().unwrap();
 
-        let eps = 1e-12 * multi.serial_seconds().max(1e-12);
+        let eps = 1e-12 * multi.serial_seconds.max(1e-12);
         for (j, trace) in traces.iter().enumerate() {
             let dag = TraceDag::from_trace(trace);
             let placed: Vec<_> = multi.ops.iter().filter(|o| o.job == j as u32).collect();
@@ -137,7 +137,7 @@ proptest! {
             .map(|(j, (t, tm))| (j as u32, t, tm.as_slice(), 0.0))
             .collect();
         let multi = schedule_jobs(MachineModel::from_config(sim.config()), &spec);
-        let serial_sum = multi.serial_seconds();
+        let serial_sum = multi.serial_seconds;
         let eps = 1e-9 * serial_sum.max(1e-12);
         prop_assert!(
             multi.makespan_seconds <= serial_sum + eps,
@@ -177,7 +177,7 @@ proptest! {
             prop_assert!(op.start_seconds >= release - 1e-15);
         }
         let max_release = multi.jobs.iter().map(|j| j.release_seconds).fold(0.0f64, f64::max);
-        prop_assert!(multi.makespan_seconds <= max_release + multi.serial_seconds() + 1e-9);
+        prop_assert!(multi.makespan_seconds <= max_release + multi.serial_seconds + 1e-9);
     }
 }
 
@@ -267,7 +267,7 @@ fn drive(
     stop_after: usize,
     mut admit: impl FnMut(&mut MultiScheduler, u32, f64),
     mut on_completion: impl FnMut(&mut MultiScheduler, JobCompletion),
-) -> MultiSchedule {
+) -> Schedule {
     let mut scheduler = MultiScheduler::new(machine);
     let mut reported = vec![false; jobs as usize];
     let mut next = 0u32;

@@ -1,7 +1,6 @@
 //! Differential tests of the dense simulation kernel: on random traces the
 //! slot-indexed sweep (`TraceIndex` + intrusive LRU list / slot-indexed
-//! Belady), `EvictionHints::from_trace`, `TraceDag::from_trace` and
-//! `OpTrace::validate` must equal, bit for bit and error for error, the
+//! Belady), `TraceDag::from_trace` and `OpTrace::validate` must equal, bit for bit and error for error, the
 //! hash-map bodies they replaced.
 //!
 //! Those bodies live on in [`oracle`] below, as they were before the index
@@ -15,17 +14,19 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use bts::params::CkksInstance;
-use bts::sched::{ListScheduler, MachineModel, ScheduleExt, TraceDag};
+use bts::sched::{MachineModel, ScheduleExt, TraceDag};
 use bts::sim::{
-    BtsConfig, CtId, EvictionHints, HeOp, OpClassStats, OpTrace, Simulator, TraceBuilder,
-    TraceError, TracedOp,
+    BtsConfig, CtId, HeOp, OpClassStats, OpTrace, Simulator, TraceBuilder, TraceIndex, TracedOp,
 };
+
+#[path = "common/list_oracle.rs"]
+mod list_oracle;
 
 /// The pre-index implementations, kept verbatim as the reference.
 mod oracle {
     use std::collections::{HashMap, HashSet, VecDeque};
 
-    use bts::sim::{CtId, EvictionHints, OpTiming, OpTrace, Simulator, TraceError};
+    use bts::sim::{CtId, OpTiming, OpTrace, Simulator, TraceError};
 
     pub fn validate(trace: &OpTrace) -> Result<(), TraceError> {
         let mut defined: HashSet<CtId> = trace.inputs.iter().copied().collect();
@@ -59,30 +60,6 @@ mod oracle {
             }
         }
         Ok(())
-    }
-
-    pub fn hints(trace: &OpTrace) -> EvictionHints {
-        let mut last_use: HashMap<CtId, usize> = HashMap::new();
-        for (i, op) in trace.ops.iter().enumerate() {
-            for &id in &op.inputs {
-                last_use.insert(id, i);
-            }
-        }
-        let mut evict_after = vec![Vec::new(); trace.ops.len()];
-        for (&id, &i) in &last_use {
-            evict_after[i].push(id);
-        }
-        for (i, op) in trace.ops.iter().enumerate() {
-            if let Some(out) = op.output {
-                if !last_use.contains_key(&out) {
-                    evict_after[i].push(out);
-                }
-            }
-        }
-        for ids in &mut evict_after {
-            ids.sort_unstable();
-        }
-        EvictionHints { evict_after }
     }
 
     /// Per op: sorted, deduplicated producer indices; and its barrier segment.
@@ -134,18 +111,9 @@ mod oracle {
     pub fn op_timings(
         sim: &Simulator,
         trace: &OpTrace,
-        hints: Option<&EvictionHints>,
         belady: bool,
     ) -> Result<Vec<OpTiming>, TraceError> {
         validate(trace)?;
-        if let Some(hints) = hints {
-            if hints.len() != trace.ops.len() {
-                return Err(TraceError::HintArityMismatch {
-                    hint_ops: hints.len(),
-                    trace_ops: trace.ops.len(),
-                });
-            }
-        }
         let forwarded = forwarded_ids(trace);
         let mut use_positions: HashMap<CtId, VecDeque<u32>> = HashMap::new();
         if belady {
@@ -164,7 +132,7 @@ mod oracle {
             CacheModel::Lru(CtCache::new(sim.cache_capacity()))
         };
         let mut timings = Vec::with_capacity(trace.ops.len());
-        for (index, traced) in trace.ops.iter().enumerate() {
+        for traced in &trace.ops {
             let cost = sim.op_cost(traced.op, traced.level);
             let ct_bytes = sim.instance().ct_bytes(traced.level);
             let mut miss_bytes = cost.operand_bytes;
@@ -197,13 +165,6 @@ mod oracle {
                         0
                     };
                     cache.insert(out, ct_bytes, next_use);
-                }
-            }
-            if let Some(hints) = hints {
-                if let Some(dead) = hints.evict_after.get(index) {
-                    for &id in dead {
-                        cache.remove(id);
-                    }
                 }
             }
             let hbm_bytes = cost.evk_bytes + miss_bytes;
@@ -240,13 +201,6 @@ mod oracle {
             match self {
                 CacheModel::Lru(c) => c.insert(id, bytes),
                 CacheModel::Belady(c) => c.insert(id, bytes, next_use),
-            }
-        }
-
-        fn remove(&mut self, id: CtId) -> bool {
-            match self {
-                CacheModel::Lru(c) => c.remove(id),
-                CacheModel::Belady(c) => c.remove(id),
             }
         }
 
@@ -352,18 +306,6 @@ mod oracle {
                     self.order.remove(pos);
                 }
                 self.order.push_back(id);
-                true
-            } else {
-                false
-            }
-        }
-
-        fn remove(&mut self, id: CtId) -> bool {
-            if let Some(sz) = self.entries.remove(&id) {
-                self.used -= sz;
-                if let Some(pos) = self.order.iter().position(|&x| x == id) {
-                    self.order.remove(pos);
-                }
                 true
             } else {
                 false
@@ -547,21 +489,10 @@ fn assert_matches_oracle(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCas
     prop_assert_eq!(trace.validate(), Ok(()));
     prop_assert_eq!(oracle::validate(trace), Ok(()));
 
-    let hints = EvictionHints::from_trace(trace);
-    prop_assert_eq!(&hints, &oracle::hints(trace));
-
     let lru = sim.op_timings(trace).unwrap();
-    prop_assert_eq!(&lru, &oracle::op_timings(sim, trace, None, false).unwrap());
-    let hinted = sim.op_timings_with_hints(trace, Some(&hints)).unwrap();
-    prop_assert_eq!(
-        &hinted,
-        &oracle::op_timings(sim, trace, Some(&hints), false).unwrap()
-    );
+    prop_assert_eq!(&lru, &oracle::op_timings(sim, trace, false).unwrap());
     let belady = sim.op_timings_belady(trace).unwrap();
-    prop_assert_eq!(
-        &belady,
-        &oracle::op_timings(sim, trace, None, true).unwrap()
-    );
+    prop_assert_eq!(&belady, &oracle::op_timings(sim, trace, true).unwrap());
 
     // The folded report: sums in program order, per class too.
     let report = sim.try_run(trace).unwrap();
@@ -574,11 +505,12 @@ fn assert_matches_oracle(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCas
     );
     let belady_report = sim.try_run_belady(trace).unwrap();
     prop_assert_eq!(&belady_report.per_op, &per_op_by_entry(trace, &belady));
-    let (timed, timed_report) = sim.try_run_timed(trace, Some(&hints)).unwrap();
-    prop_assert_eq!(&timed, &hinted);
-    prop_assert_eq!(&timed_report.per_op, &per_op_by_entry(trace, &hinted));
+    let (timed, timed_report) = sim.run_timed_indexed(&TraceIndex::new(trace).unwrap());
+    prop_assert_eq!(&timed, &lru);
+    prop_assert_eq!(&timed_report.per_op, &report.per_op);
+    prop_assert_eq!(timed_report.total_seconds.to_bits(), total.to_bits());
 
-    // The DAG, edge for edge, and the schedule built on both.
+    // The DAG, edge for edge, and the schedule built on it.
     let dag = TraceDag::from_trace(trace);
     let (deps, segment) = oracle::dag(trace);
     prop_assert_eq!(dag.len(), trace.ops.len());
@@ -587,11 +519,10 @@ fn assert_matches_oracle(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCas
         prop_assert_eq!(dag.segment(i), segment[i]);
     }
     prop_assert_eq!(dag.edge_count(), deps.iter().map(Vec::len).sum::<usize>());
-    let scheduler = ListScheduler::new(MachineModel::from_config(sim.config()));
+    let machine = MachineModel::from_config(sim.config());
     let run = sim.try_run_scheduled(trace).unwrap();
-    prop_assert_eq!(&run.schedule, &scheduler.schedule(trace, &lru, &dag));
-    let run = sim.try_run_scheduled_with_hints(trace, &hints).unwrap();
-    prop_assert_eq!(&run.schedule, &scheduler.schedule(trace, &hinted, &dag));
+    let expected = list_oracle::list_schedule(&machine, trace, &lru);
+    list_oracle::check_equal(&run.schedule, &expected).map_err(TestCaseError::Fail)?;
     Ok(())
 }
 
@@ -603,19 +534,7 @@ fn assert_same_error(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCaseErr
     prop_assert_eq!(sim.try_run(trace).err(), Some(expected.clone()));
     prop_assert_eq!(sim.try_run_belady(trace).err(), Some(expected.clone()));
     prop_assert_eq!(sim.op_timings(trace).err(), Some(expected.clone()));
-    // A structural defect is reported before a hint arity mismatch.
-    let stale = EvictionHints {
-        evict_after: vec![Vec::new(); trace.ops.len() + 1],
-    };
-    prop_assert_eq!(
-        sim.try_run_with_hints(trace, &stale).err(),
-        Some(expected.clone())
-    );
-    prop_assert_eq!(
-        oracle::op_timings(sim, trace, Some(&stale), false).err(),
-        Some(expected.clone())
-    );
-    prop_assert_eq!(sim.try_run_timed(trace, None).err(), Some(expected.clone()));
+    prop_assert_eq!(TraceIndex::new(trace).err(), Some(expected.clone()));
     prop_assert_eq!(sim.try_run_scheduled(trace).err(), Some(expected));
     Ok(())
 }
@@ -700,7 +619,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn sweeps_hints_and_dag_equal_the_hash_map_reference(
+    fn sweeps_and_dag_equal_the_hash_map_reference(
         seed in any::<u64>(),
         ops in 1usize..160,
     ) {
@@ -734,33 +653,6 @@ proptest! {
     }
 
     #[test]
-    fn foreign_hints_are_applied_identically(seed in any::<u64>(), ops in 1usize..120) {
-        // Hints need not come from `from_trace`: any ids may be listed at any
-        // op — live ones, forwarded ones, ids the trace never mentions.
-        let mut rng = Lcg::new(seed);
-        let ins = CkksInstance::ins1();
-        let mut trace = rich_trace(&ins, &mut rng, ops);
-        IdMap::ALL[rng.next() % 4].relabel(&mut trace);
-        let sim = simulator(&ins, &mut rng);
-        let mut hints = EvictionHints::from_trace(&trace);
-        for dead in &mut hints.evict_after {
-            match rng.next() % 4 {
-                0 => dead.clear(),
-                1 => dead.push(unused_id(&trace, &mut rng)),
-                2 => {
-                    let op = &trace.ops[rng.next() % trace.ops.len()];
-                    dead.push(op.output.expect("has output"));
-                }
-                _ => {}
-            }
-        }
-        prop_assert_eq!(
-            sim.op_timings_with_hints(&trace, Some(&hints)).unwrap(),
-            oracle::op_timings(&sim, &trace, Some(&hints), false).unwrap()
-        );
-    }
-
-    #[test]
     fn malformed_traces_return_the_identical_error(seed in any::<u64>(), ops in 1usize..80) {
         let mut rng = Lcg::new(seed);
         let ins = CkksInstance::ins1();
@@ -779,11 +671,9 @@ proptest! {
             // A second defect elsewhere: the earlier one in program order wins.
             Defect::ALL[rng.next() % 5].inject(&mut trace, &mut rng);
             assert_same_error(&sim, &trace)?;
-            // The infallible liveness / dependency queries stay total on any
-            // trace, and exact wherever no id is defined twice.
-            let hints = EvictionHints::from_trace(&trace);
+            // The infallible dependency query stays total on any trace, and
+            // exact wherever no id is defined twice.
             let dag = TraceDag::from_trace(&trace);
-            prop_assert_eq!(hints.len(), trace.ops.len());
             prop_assert_eq!(dag.len(), trace.ops.len());
             let redefinition = trace.ops.iter().enumerate().any(|(i, op)| {
                 op.output.is_some_and(|out| {
@@ -792,7 +682,6 @@ proptest! {
                 })
             });
             if !redefinition {
-                prop_assert_eq!(&hints, &oracle::hints(&trace));
                 let (deps, segment) = oracle::dag(&trace);
                 for i in 0..dag.len() {
                     prop_assert_eq!(dag.deps(i), &deps[i][..]);
@@ -801,34 +690,11 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn stale_hints_return_the_identical_error(seed in any::<u64>(), ops in 2usize..60) {
-        let mut rng = Lcg::new(seed);
-        let ins = CkksInstance::ins1();
-        let trace = rich_trace(&ins, &mut rng, ops);
-        let sim = simulator(&ins, &mut rng);
-        let mut hints = EvictionHints::from_trace(&trace);
-        hints.evict_after.truncate(rng.next() % trace.ops.len());
-        let expected = Some(TraceError::HintArityMismatch {
-            hint_ops: hints.len(),
-            trace_ops: trace.ops.len(),
-        });
-        prop_assert_eq!(sim.try_run_with_hints(&trace, &hints).err(), expected.clone());
-        prop_assert_eq!(
-            oracle::op_timings(&sim, &trace, Some(&hints), false).err(),
-            expected.clone()
-        );
-        prop_assert_eq!(
-            sim.try_run_scheduled_with_hints(&trace, &hints).err(),
-            expected
-        );
-    }
 }
 
 /// The satellite's hand-built hostile trace: ids at `u64::MAX` and spaced
-/// 2⁴⁰ apart validate, simulate (LRU, hinted, Belady), schedule and yield
-/// hints exactly as the hash maps did.
+/// 2⁴⁰ apart validate, simulate (LRU, Belady) and schedule exactly as the
+/// hash maps did.
 #[test]
 fn hand_built_hostile_ids_match_the_reference() {
     let ins = CkksInstance::ins1();

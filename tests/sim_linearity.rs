@@ -7,8 +7,8 @@
 //! access, no victim list per eviction. So `try_run` and `try_run_belady`
 //! make the same bounded number of allocations on a 2 000-op trace as on a
 //! 32 000-op one, whatever the ids look like, and `run_scheduled` (which
-//! also grows the schedule's busy lists) allocates no more per op as the
-//! trace grows. A timer on a shared VM would only show noise; the process's
+//! also grows the schedule's op and busy lists) allocates no more per op as
+//! the trace grows. A timer on a shared VM would only show noise; the process's
 //! allocator counts exactly. Like `tests/serve_linearity.rs` this is a
 //! single-test binary with a counting allocator, so nothing else allocates
 //! while it counts.
@@ -96,8 +96,8 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
         report.cache_misses
     );
 
-    // Scheduling also grows the DAG's edge list and the schedule's busy
-    // lists, by doubling: fewer allocations per op the longer the trace.
+    // Scheduling also grows the DAG's edge list and the schedule's op and
+    // busy lists, by doubling: fewer allocations per op the longer the trace.
     let per_op = |trace: &OpTrace| {
         let cost = cost_of(|| sim.try_run_scheduled(trace).expect("trace schedules"));
         cost.allocations as f64 / trace.len() as f64
