@@ -3,7 +3,8 @@
 //! both HMult and HRot funnel through and the one the PR-4 limb-parallel,
 //! allocation-free refactor targets. Run with `BTS_THREADS=k` to measure the
 //! limb fan-out at k worker threads (the default of 1 is the serial,
-//! deterministic configuration CI uses).
+//! deterministic configuration CI uses). A second group times hoisted
+//! rotation groups, where one ModUp is shared by every step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
@@ -30,9 +31,35 @@ fn bench_keyswitch(c: &mut Criterion) {
     group.finish();
 }
 
+/// A hoisted rotation group — one ModUp, then a permuted inner product and
+/// two ModDowns per step — at 1, 4 and 10 steps: the per-step cost falls as
+/// the shared ModUp amortizes (`rotate` is the one-step group).
+fn bench_hoisted_group(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ckks_hoisted_rotations");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    let ctx = CkksContext::new_toy(1 << 11, 6, 2).unwrap();
+    let (sk, mut keys) = ctx.generate_keys(&mut rng).unwrap();
+    let steps: Vec<i64> = (1..=10).collect();
+    ctx.add_rotation_keys(&sk, &mut keys, &steps, &mut rng)
+        .unwrap();
+    let eval = ctx.evaluator(&keys);
+    let msg = vec![Complex::new(0.25, 0.0); ctx.slots()];
+    let ct = ctx
+        .encrypt(&ctx.encode(&msg).unwrap(), &sk, &mut rng)
+        .unwrap();
+    for count in [1usize, 4, 10] {
+        group.bench_with_input(
+            BenchmarkId::new("n2048_L6_dnum2", count),
+            &count,
+            |b, &count| b.iter(|| eval.rotate_hoisted(&ct, &steps[..count]).unwrap()),
+        );
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_keyswitch
+    targets = bench_keyswitch, bench_hoisted_group
 }
 criterion_main!(benches);

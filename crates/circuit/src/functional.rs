@@ -1,6 +1,6 @@
 use std::collections::{BTreeMap, HashMap};
 
-use bts_ckks::{Ciphertext, CkksContext, Complex, KeyBundle, SecretKey};
+use bts_ckks::{Ciphertext, CkksContext, Complex, Decomposed, Evaluator, KeyBundle, SecretKey};
 use bts_math::RnsPoly;
 use bts_params::CkksInstance;
 use bts_sim::HeOp;
@@ -28,6 +28,46 @@ enum PrimOp {
     Rescale,
     CMult(f64),
     CAdd(f64),
+}
+
+/// The register file's single-slot memo of key-switch digits: the ModUp of
+/// the value most recently rotated or conjugated, kept until another value
+/// is or that one's storage is written or freed. Rotations of one source
+/// come in runs (`rotate_mac_level`, BSGS baby steps), so one slot turns a
+/// run of `g` HRots into one ModUp; and because the digits are a pure
+/// function of the ciphertext they were cut from, a hit can only skip
+/// recomputing them — it cannot change a result, which is why the tree
+/// walker (keyed by `ValueId`) and the bytecode executor (keyed by `RegId`)
+/// stay bit-equal whatever their hit patterns.
+#[derive(Debug, Default)]
+struct DigitMemo(Option<(u32, Decomposed)>);
+
+impl DigitMemo {
+    fn holds(&self, owner: u32) -> bool {
+        matches!(&self.0, Some((held, _)) if *held == owner)
+    }
+
+    /// The digits of `ct`, the ciphertext held under `owner`.
+    fn digits(
+        &mut self,
+        eval: &Evaluator<'_>,
+        owner: u32,
+        ct: &Ciphertext,
+    ) -> Result<&Decomposed, CircuitError> {
+        if !self.holds(owner) {
+            // Drop the old digits first: the new ones reuse their buffer.
+            self.0 = None;
+            self.0 = Some((owner, eval.decompose(ct)?));
+        }
+        Ok(&self.0.as_ref().expect("filled above").1)
+    }
+
+    /// Forgets the digits of `owner`, whose storage is being written or freed.
+    fn invalidate(&mut self, owner: u32) {
+        if self.holds(owner) {
+            self.0 = None;
+        }
+    }
 }
 
 /// Result of executing a circuit on real RNS ciphertexts.
@@ -158,34 +198,30 @@ impl FunctionalBackend {
         Ok(self.context.encrypt(&pt, &self.secret, &mut self.rng)?)
     }
 
-    /// Applies one primitive evaluator op.
+    /// Applies one primitive evaluator op to `a`, the ciphertext the calling
+    /// executor holds under `a_id`.
     fn apply_prim(
         &self,
         op: PrimOp,
-        a: &Ciphertext,
+        (a_id, a): (u32, &Ciphertext),
         b: Option<&Ciphertext>,
+        memo: &mut DigitMemo,
     ) -> Result<Ciphertext, CircuitError> {
         let eval = self.context.evaluator(&self.keys);
         Ok(match op {
             PrimOp::HMult => eval.mul(a, b.expect("binary op has two operands"))?,
-            PrimOp::HRot(rotation) => eval.rotate(a, rotation)?,
-            PrimOp::Conjugate => eval.conjugate(a)?,
-            PrimOp::PMult(value) => {
-                let slots = vec![Complex::new(value, 0.0); self.context.slots()];
-                let pt = self
-                    .context
-                    .encode_at(&slots, a.level(), self.context.scale())?;
-                eval.mul_plain(a, &pt)?
+            // A zero rotation is a copy; it must not cost a ModUp.
+            PrimOp::HRot(0) => eval.rotate(a, 0)?,
+            PrimOp::HRot(rotation) => {
+                eval.rotate_decomposed(a, memo.digits(&eval, a_id, a)?, rotation)?
             }
-            PrimOp::PAdd(value) => {
-                let slots = vec![Complex::new(value, 0.0); self.context.slots()];
-                let pt = self.context.encode_at(&slots, a.level(), a.scale())?;
-                eval.add_plain(a, &pt)?
-            }
+            PrimOp::Conjugate => eval.conjugate_decomposed(a, memo.digits(&eval, a_id, a)?)?,
             PrimOp::HAdd => eval.add(a, b.expect("binary op has two operands"))?,
             PrimOp::Rescale => eval.rescale(a)?,
-            PrimOp::CMult(value) => eval.mul_const(a, value)?,
-            PrimOp::CAdd(value) => eval.add_const(a, value)?,
+            // A plaintext whose slots all hold `value` is the constant
+            // polynomial the scalar ops apply.
+            PrimOp::PMult(value) | PrimOp::CMult(value) => eval.mul_const(a, value)?,
+            PrimOp::PAdd(value) | PrimOp::CAdd(value) => eval.add_const(a, value)?,
         })
     }
 
@@ -233,6 +269,7 @@ impl FunctionalBackend {
 
         let mut op_counts: BTreeMap<HeOp, usize> = BTreeMap::new();
         let mut bootstrap_count = 0usize;
+        let mut memo = DigitMemo::default();
         for (i, op) in compiled.ops.iter().enumerate() {
             let reg = |r: u32| -> Result<&Ciphertext, CircuitError> {
                 regs[r as usize]
@@ -242,8 +279,7 @@ impl FunctionalBackend {
             let result = match op.opcode {
                 Opcode::Bootstrap => {
                     bootstrap_count += 1;
-                    let ct = reg(op.a)?.clone();
-                    self.refresh(&ct, usable_top)?
+                    self.refresh(reg(op.a)?, usable_top)?
                 }
                 Opcode::ModRaise => self.mod_raise(reg(op.a)?),
                 opcode => {
@@ -264,7 +300,7 @@ impl FunctionalBackend {
                     } else {
                         None
                     };
-                    self.apply_prim(prim, reg(op.a)?, b)?
+                    self.apply_prim(prim, (op.a, reg(op.a)?), b, &mut memo)?
                 }
             };
             let expected_level = match op.opcode {
@@ -282,11 +318,14 @@ impl FunctionalBackend {
                 *op_counts.entry(class).or_insert(0) += 1;
             }
             if op.free_a {
+                memo.invalidate(op.a);
                 regs[op.a as usize] = None;
             }
             if op.free_b {
+                memo.invalidate(op.b);
                 regs[op.b as usize] = None;
             }
+            memo.invalidate(op.dst);
             regs[op.dst as usize] = Some(result);
         }
 
@@ -340,6 +379,9 @@ impl Backend for FunctionalBackend {
 
         let mut op_counts: BTreeMap<HeOp, usize> = BTreeMap::new();
         let mut bootstrap_count = 0usize;
+        // SSA values are never overwritten or freed, so the memo only ever
+        // changes hands; it is never invalidated here.
+        let mut memo = DigitMemo::default();
         for node in &circuit.nodes {
             let get = |v: ValueId| -> &Ciphertext {
                 env.get(&v)
@@ -348,8 +390,7 @@ impl Backend for FunctionalBackend {
             let result = match node.instr {
                 HeInstr::Bootstrap { a } => {
                     bootstrap_count += 1;
-                    let ct = get(a).clone();
-                    self.refresh(&ct, usable_top)?
+                    self.refresh(get(a), usable_top)?
                 }
                 HeInstr::ModRaise { a } => self.mod_raise(get(a)),
                 instr => {
@@ -366,7 +407,7 @@ impl Backend for FunctionalBackend {
                         HeInstr::ModRaise { .. } | HeInstr::Bootstrap { .. } => unreachable!(),
                     };
                     let (a, b) = instr.operands();
-                    self.apply_prim(prim, get(a), b.map(&get))?
+                    self.apply_prim(prim, (a, get(a)), b.map(&get), &mut memo)?
                 }
             };
             // Cross-check: the ciphertext's real level must match what the

@@ -35,10 +35,82 @@ impl ComplexityBreakdown {
     }
 }
 
+/// Kernel invocations of a key-switch group: how many single-limb transforms
+/// and base conversions the functional library performs for it, i.e. the
+/// `ntt.forward` / `ntt.inverse` / `bconv.convert_into` spans a traced run
+/// records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelCalls {
+    /// Forward single-limb NTTs.
+    pub ntt: u64,
+    /// Inverse single-limb NTTs.
+    pub intt: u64,
+    /// Base conversions (one per ModUp slice, one per ModDown).
+    pub bconv: u64,
+}
+
+/// A key-switch group on one level-`level` polynomial (Fig. 3(a)'s dataflow,
+/// counted exactly as the simulator schedules it and as
+/// `CkksContext::{decompose, switch_decomposed}` execute it): the ModUp of
+/// every slice once, then `steps` times an inner product with an evk and the
+/// ModDown of both result polynomials.
+struct KeySwitchGroup {
+    calls: KernelCalls,
+    bconv_mults: u64,
+    other_mults: u64,
+}
+
+impl KeySwitchGroup {
+    fn new(n: u64, level: usize, num_special: usize, dnum: usize, steps: u64) -> Self {
+        let l1 = level as u64 + 1; // ℓ + 1
+        let k = num_special as u64;
+        let slices = l1.div_ceil(k).min(dnum as u64);
+        // ModUp per slice: iNTT of the slice limbs, BConv to the complement,
+        // NTT of the converted limbs.
+        let mut calls = KernelCalls {
+            ntt: 0,
+            intt: 0,
+            bconv: slices,
+        };
+        let mut bconv_mults = 0u64;
+        for j in 0..slices {
+            let slice = ((j + 1) * k).min(l1) - j * k;
+            let target = (l1 - slice) + k;
+            calls.intt += slice;
+            calls.ntt += target;
+            bconv_mults += slice * n + slice * target * n;
+        }
+        // evk inner products and accumulation: 2 polynomials × (ℓ+1+k) limbs
+        // × slices.
+        let evk_mults = 2 * slices * (l1 + k) * n;
+        // ModDown for ax and bx: iNTT of the k special limbs, BConv to Cℓ, NTT
+        // of the converted limbs, then the P^{-1} scaling (SSA).
+        calls.intt += steps * 2 * k;
+        calls.ntt += steps * 2 * l1;
+        calls.bconv += steps * 2;
+        bconv_mults += steps * 2 * (k * n + k * l1 * n);
+        let ssa = 2 * l1 * n;
+        Self {
+            calls,
+            bconv_mults,
+            other_mults: steps * (evk_mults + ssa),
+        }
+    }
+
+    fn breakdown(&self, n: u64, extra_mults: u64) -> ComplexityBreakdown {
+        let limb_ntt = n / 2 * n.trailing_zeros() as u64; // muls per limb transform
+        ComplexityBreakdown {
+            ntt: self.calls.ntt * limb_ntt,
+            intt: self.calls.intt * limb_ntt,
+            bconv: self.bconv_mults,
+            others: self.other_mults + extra_mults,
+        }
+    }
+}
+
 /// Modular-multiplication complexity of an HMult on a ciphertext at level
 /// `level` for a ring of degree `n` with `num_special` special primes and the
-/// given `dnum` (Fig. 3(a)'s dataflow, counted exactly as the simulator
-/// schedules it).
+/// given `dnum`: the tensor product plus a key-switch group of one step.
 pub fn hmult_complexity(
     n: usize,
     level: usize,
@@ -47,43 +119,39 @@ pub fn hmult_complexity(
 ) -> ComplexityBreakdown {
     assert!(n.is_power_of_two(), "ring degree must be a power of two");
     let n = n as u64;
-    let log_n = n.trailing_zeros() as u64;
-    let limb_ntt = n / 2 * log_n; // muls per limb transform
-    let l1 = level as u64 + 1; // ℓ + 1
-    let k = num_special as u64;
-    let dnum_l = (level as u64 + 1).div_ceil(k).min(dnum as u64);
-
     // Tensor product: d0 (1 mul), d1 (2 muls), d2 (1 mul) per limb.
-    let tensor = 4 * l1 * n;
-    // ModUp per slice: iNTT of the slice limbs, BConv to the complement, NTT of
-    // the converted limbs.
-    let mut intt_limbs = 0u64;
-    let mut ntt_limbs = 0u64;
-    let mut bconv = 0u64;
-    for j in 0..dnum_l {
-        let lo = j * k;
-        let hi = ((j + 1) * k).min(l1);
-        let slice = hi - lo;
-        let target = (l1 - slice) + k;
-        intt_limbs += slice;
-        ntt_limbs += target;
-        bconv += slice * n + slice * target * n;
-    }
-    // evk inner products and accumulation: 2 polynomials × (ℓ+1+k) limbs × dnum_l.
-    let evk_mults = 2 * dnum_l * (l1 + k) * n;
-    // ModDown for ax and bx: iNTT of the k special limbs, BConv to Cℓ, NTT of
-    // the converted limbs, then the P^{-1} scaling (SSA).
-    intt_limbs += 2 * k;
-    ntt_limbs += 2 * l1;
-    bconv += 2 * (k * n + k * l1 * n);
-    let ssa = 2 * l1 * n;
+    let tensor = 4 * (level as u64 + 1) * n;
+    KeySwitchGroup::new(n, level, num_special, dnum, 1).breakdown(n, tensor)
+}
 
-    ComplexityBreakdown {
-        ntt: ntt_limbs * limb_ntt,
-        intt: intt_limbs * limb_ntt,
-        bconv,
-        others: tensor + evk_mults + ssa,
-    }
+/// Complexity of a hoisted rotation group — `steps` rotations (or
+/// conjugations) of one level-`level` ciphertext, as
+/// `Evaluator::rotate_hoisted` and the BSGS baby steps perform them: the
+/// ModUp of `c1` once for the group, then per step an inner product with that
+/// step's key and the ModDown of both result polynomials. The automorphism
+/// itself is a permutation and multiplies nothing; `steps = 1` is a plain
+/// HRot.
+pub fn hoisted_rotations_complexity(
+    n: usize,
+    level: usize,
+    num_special: usize,
+    dnum: usize,
+    steps: usize,
+) -> ComplexityBreakdown {
+    assert!(n.is_power_of_two(), "ring degree must be a power of two");
+    let n = n as u64;
+    KeySwitchGroup::new(n, level, num_special, dnum, steps as u64).breakdown(n, 0)
+}
+
+/// The kernel invocations of the same hoisted rotation group (they do not
+/// depend on the ring degree).
+pub fn hoisted_rotations_calls(
+    level: usize,
+    num_special: usize,
+    dnum: usize,
+    steps: usize,
+) -> KernelCalls {
+    KeySwitchGroup::new(1, level, num_special, dnum, steps as u64).calls
 }
 
 #[cfg(test)]
@@ -124,6 +192,37 @@ mod tests {
         let small = hmult_complexity(1 << 14, 20, 21, 1).total();
         let large = hmult_complexity(1 << 15, 20, 21, 1).total();
         assert!(large > 2 * small - small / 4); // ~2x plus the log N factor
+    }
+
+    #[test]
+    fn hoisting_saves_exactly_the_repeated_mod_ups() {
+        // g un-hoisted rotations minus one hoisted group of g steps is g − 1
+        // ModUps, in every category.
+        let (n, level, k, dnum) = (1usize << 12, 13, 7, 2);
+        let single = hoisted_rotations_complexity(n, level, k, dnum, 1);
+        let one_step = hoisted_rotations_calls(level, k, dnum, 1);
+        let slices = (level as u64 + 1).div_ceil(k as u64);
+        for g in [2u64, 4, 10] {
+            let group = hoisted_rotations_complexity(n, level, k, dnum, g as usize);
+            let calls = hoisted_rotations_calls(level, k, dnum, g as usize);
+            // Per step: two ModDowns; per group: one ModUp BConv per slice.
+            assert_eq!(calls.bconv, slices + 2 * g);
+            assert_eq!(g * one_step.bconv - calls.bconv, (g - 1) * slices);
+            // ModUp inverse-transforms each of the ℓ+1 limbs once.
+            assert_eq!(g * one_step.intt - calls.intt, (g - 1) * (level as u64 + 1));
+            assert!(group.total() < g * single.total());
+            assert_eq!(group.others, g * single.others);
+        }
+        // An HMult is the tensor product plus a one-step group.
+        let hmult = hmult_complexity(n, level, k, dnum);
+        assert_eq!(
+            (hmult.ntt, hmult.intt, hmult.bconv),
+            (single.ntt, single.intt, single.bconv)
+        );
+        assert_eq!(
+            hmult.others - single.others,
+            4 * (level as u64 + 1) * n as u64
+        );
     }
 
     #[test]

@@ -18,32 +18,105 @@ use crate::keys::{EvaluationKey, KeyBundle, PublicKey, SecretKey};
 /// Standard deviation of the RLWE error distribution.
 const ERROR_SIGMA: f64 = 3.2;
 
-/// Reusable working memory for one key-switch invocation: the extended
-/// residue matrix, the `u128` MAC accumulators for the `(b, a)` pair, the
-/// BConv scratch and the mod-down buffers. Pooled on the context so steady
-/// state performs no heap allocation per HMult/HRot.
+/// Reusable working memory for one key-switch invocation: the `u128` MAC
+/// accumulators for the `(b, a)` pair, the BConv scratch and the mod-down
+/// buffers. Pooled on the context so steady state performs no heap
+/// allocation per HMult/HRot beyond the two result polynomials.
 #[derive(Debug, Default)]
 struct KsScratch {
     bconv: BconvScratch,
-    /// Extended polynomial, `(ℓ+1+k) · N` words, limb-major on the ks basis.
-    ext: Vec<u64>,
-    /// Deferred-reduction accumulators for the `b` / `a` contributions.
+    /// Deferred-reduction accumulators for the `b` / `a` contributions,
+    /// `(ℓ+1+k) · N` words each, limb-major on the ks basis.
     acc_b: Vec<u128>,
     acc_a: Vec<u128>,
-    /// Mod-down: special limbs (coefficient domain) and converted q limbs.
-    p_part: Vec<u64>,
+    /// Mod-down: special limbs of the `b` / `a` inner products (coefficient
+    /// domain once inverse-transformed) and the converted q limbs.
+    p_part_b: Vec<u64>,
+    p_part_a: Vec<u64>,
     conv: Vec<u64>,
 }
 
 /// Lazily-memoized key-switching machinery shared by all clones of a context:
-/// ModUp converters per `(level, slice)`, ModDown converters per level, and a
-/// pool of [`KsScratch`] buffers. Interior mutability keeps
-/// [`CkksContext::key_switch`] callable through `&self`.
+/// ModUp converters per `(level, slice)`, ModDown converters per level,
+/// automorphism tables per Galois element, a pool of [`KsScratch`] buffers
+/// and the recycled digit matrices of dropped [`Decomposed`] values. Interior
+/// mutability keeps [`CkksContext::key_switch`] callable through `&self`.
 #[derive(Debug, Default)]
 struct KsCache {
     modup: Mutex<HashMap<(usize, usize), Arc<BaseConverter>>>,
     moddown: Mutex<HashMap<usize, Arc<BaseConverter>>>,
+    galois: Mutex<HashMap<u64, Arc<AutomorphismTable>>>,
     scratch: Mutex<Vec<KsScratch>>,
+    digits: Mutex<Vec<Vec<u64>>>,
+}
+
+/// The key-switch digits of one level-ℓ polynomial: every decomposition
+/// slice raised to the extended basis `{q_0..q_ℓ, p_0..p_{k-1}}` (ModUp) and
+/// held in the NTT domain, `slices × (ℓ+1+k) × N` words in one pooled buffer.
+///
+/// Produced by [`CkksContext::decompose`] and consumed, any number of times,
+/// by [`CkksContext::switch_decomposed`]. It is a pure function of the
+/// polynomial it was cut from, so sharing one across the rotations of a
+/// ciphertext (hoisting) can never change a result, only skip recomputing
+/// it. Dropping the value returns its buffer to the context's pool.
+#[derive(Debug)]
+pub struct Decomposed {
+    level: usize,
+    slices: usize,
+    digits: Vec<u64>,
+    pool: Arc<KsCache>,
+}
+
+impl Decomposed {
+    /// Level ℓ of the polynomial the digits were cut from.
+    pub fn level(&self) -> usize {
+        self.level
+    }
+
+    /// Number of decomposition slices, `⌈(ℓ+1)/k⌉`.
+    pub fn slices(&self) -> usize {
+        self.slices
+    }
+
+    /// Whether these are the digits of `d`: slice `j`'s block carries limbs
+    /// `jk..(j+1)k` of `d` verbatim, so the test is one pass over `d`.
+    pub(crate) fn is_cut_from(&self, d: &RnsPoly) -> bool {
+        let n = d.degree();
+        let limbs = self.level + 1;
+        if d.limb_count() != limbs || d.representation() != Representation::Ntt {
+            return false;
+        }
+        // A block is the ℓ+1 ciphertext limbs followed by the k special ones.
+        let block = self.digits.len() / self.slices;
+        let k = block / n - limbs;
+        (0..limbs).all(|t| {
+            let at = (t / k) * block + t * n;
+            self.digits[at..at + n] == *d.limb(t)
+        })
+    }
+}
+
+impl Drop for Decomposed {
+    fn drop(&mut self) {
+        // A poisoned pool only costs the recycling; never panic in drop.
+        if let Ok(mut pool) = self.pool.digits.lock() {
+            pool.push(std::mem::take(&mut self.digits));
+        }
+    }
+}
+
+/// `row_b += digit ⊙ kb`, `row_a += digit ⊙ ka` with deferred reduction.
+fn mac_rows(
+    row_b: &mut [u128],
+    row_a: &mut [u128],
+    kb: &[u64],
+    ka: &[u64],
+    digit: impl Iterator<Item = u64>,
+) {
+    for ((((b, a), &kb), &ka), x) in row_b.iter_mut().zip(row_a).zip(kb).zip(ka).zip(digit) {
+        *b += x as u128 * kb as u128;
+        *a += x as u128 * ka as u128;
+    }
 }
 
 /// A fully instantiated Full-RNS CKKS context: moduli chains, NTT tables,
@@ -413,8 +486,8 @@ impl CkksContext {
         rotation: i64,
         rng: &mut R,
     ) -> crate::Result<EvaluationKey> {
-        let table = AutomorphismTable::from_rotation(self.degree, rotation)?;
-        let rotated = sk.poly.automorphism(&table);
+        let galois = bts_math::galois_element(rotation, self.degree, false);
+        let rotated = sk.poly.automorphism(&*self.automorphism_table(galois)?);
         Ok(self.gen_switching_key(sk, &rotated, rng))
     }
 
@@ -428,9 +501,8 @@ impl CkksContext {
         sk: &SecretKey,
         rng: &mut R,
     ) -> crate::Result<EvaluationKey> {
-        let table =
-            AutomorphismTable::new(self.degree, bts_math::galois_element(0, self.degree, true))?;
-        let conjugated = sk.poly.automorphism(&table);
+        let galois = bts_math::galois_element(0, self.degree, true);
+        let conjugated = sk.poly.automorphism(&*self.automorphism_table(galois)?);
         Ok(self.gen_switching_key(sk, &conjugated, rng))
     }
 
@@ -652,17 +724,45 @@ impl CkksContext {
         Ok(conv)
     }
 
+    /// The memoized permutation tables (coefficient form and NTT gather) of
+    /// the automorphism `X ↦ X^galois`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects even Galois elements.
+    pub(crate) fn automorphism_table(&self, galois: u64) -> crate::Result<Arc<AutomorphismTable>> {
+        if let Some(table) = self.ks.galois.lock().expect("ks cache").get(&galois) {
+            return Ok(Arc::clone(table));
+        }
+        let table = Arc::new(AutomorphismTable::new(self.degree, galois)?);
+        self.ks
+            .galois
+            .lock()
+            .expect("ks cache")
+            .insert(galois, Arc::clone(&table));
+        Ok(table)
+    }
+
+    /// Where limb `t` of the level-`level` extended basis `{q_0..q_ℓ, p_*}`
+    /// sits in the full key basis `{q_0..q_L, p_*}` — its NTT table, its
+    /// modulus and its row of every evaluation key.
+    fn key_limb(&self, level: usize, t: usize) -> usize {
+        if t <= level {
+            t
+        } else {
+            self.max_level + (t - level)
+        }
+    }
+
     /// Switches the polynomial `d` (NTT domain, level-ℓ ciphertext basis) from
     /// the key implicit in `evk` back to the canonical secret key, returning
     /// the `(b, a)` contribution pair on the same basis.
     ///
     /// This is the iNTT → BConv → NTT → ⊙evk → iNTT → BConv → NTT → SSA flow
-    /// of Fig. 3(a), executed allocation-free on pooled scratch: each slice is
-    /// staged inside one flat extended residue matrix (slice limbs copied into
-    /// their ks-basis positions, ModUp writing the complement limbs straight
-    /// into theirs), (i)NTT passes run limb-parallel, and the per-slice evk
-    /// MACs accumulate in `u128` with a single Barrett reduction per element
-    /// after the last slice.
+    /// of Fig. 3(a), and exactly the composition of its two halves:
+    /// [`CkksContext::decompose`] (the ModUp of every slice) followed by
+    /// [`CkksContext::switch_decomposed`] (inner product with the key, then
+    /// ModDown).
     ///
     /// # Errors
     ///
@@ -673,53 +773,309 @@ impl CkksContext {
         evk: &EvaluationKey,
     ) -> crate::Result<(RnsPoly, RnsPoly)> {
         let _span = bts_telemetry::span("ckks.key_switch");
+        self.switch_decomposed(&self.decompose(d)?, evk, None)
+    }
+
+    /// ModUp: cuts `d` (NTT domain, level-ℓ ciphertext basis) into its
+    /// `⌈(ℓ+1)/k⌉` decomposition slices and raises each to the extended basis.
+    ///
+    /// Runs allocation-free on pooled memory: every slice is staged inside
+    /// its own `(ℓ+1+k) × N` block of one flat digit matrix (slice limbs
+    /// copied into their ks-basis positions, BConv writing the complement
+    /// limbs straight into theirs) and the (i)NTT passes run limb-parallel.
+    ///
+    /// # Errors
+    ///
+    /// Rejects coefficient-domain input and propagates converter-construction
+    /// failures.
+    pub fn decompose(&self, d: &RnsPoly) -> crate::Result<Decomposed> {
+        let _span = bts_telemetry::span("ckks.decompose");
+        if d.representation() != Representation::Ntt {
+            return Err(CkksError::OperandMismatch(
+                "key-switch input must be in the NTT domain".to_string(),
+            ));
+        }
         let level = d.limb_count() - 1;
         let k = self.num_special();
         let n = self.degree;
-        let q_prefix = self.basis_at_level(level);
-        let ks_basis = q_prefix.concat(&self.p_basis).map_err(CkksError::Math)?;
         let ext_limbs = level + 1 + k;
-        // Indices of the live limbs inside the full key basis (q_0..q_L, p_*).
-        let evk_indices: Vec<usize> = (0..=level)
-            .chain(self.max_level + 1..self.max_level + 1 + k)
-            .collect();
+        let slices = (level + 1).div_ceil(k);
+
+        let mut digits = self
+            .ks
+            .digits
+            .lock()
+            .expect("digit pool")
+            .pop()
+            .unwrap_or_default();
+        digits.resize(slices * ext_limbs * n, 0);
+        let mut scratch = self.take_scratch();
+        for (j, ext) in digits.chunks_exact_mut(ext_limbs * n).enumerate() {
+            let lo = j * k;
+            let hi = ((j + 1) * k).min(level + 1);
+            let (left, rest) = ext.split_at_mut(lo * n);
+            let (mid, right) = rest.split_at_mut((hi - lo) * n);
+            // Stage the slice limbs at their ks-basis positions and iNTT them
+            // in place (ModUp's iNTT), limb-parallel.
+            mid.copy_from_slice(&d.data()[lo * n..hi * n]);
+            bts_math::par::par_limbs(mid.chunks_exact_mut(n).collect(), |t, limb: &mut [u64]| {
+                self.q_basis.table(lo + t).inverse(limb)
+            });
+            // BConv the slice into the complement limbs of the same block.
+            let converter = self.modup_converter(level, j)?;
+            {
+                let srcs: Vec<&[u64]> = mid.chunks_exact(n).collect();
+                let mut outs: Vec<&mut [u64]> = left
+                    .chunks_exact_mut(n)
+                    .chain(right.chunks_exact_mut(n))
+                    .collect();
+                converter.convert_into(&srcs, &mut outs, false, &mut scratch.bconv);
+            }
+            // Restore the slice limbs from the NTT-domain input —
+            // forward∘inverse is the identity bit-for-bit, so re-NTT-ing the
+            // iNTT'd slice would only redo work — and forward-NTT just the
+            // freshly converted complement limbs, limb-parallel.
+            mid.copy_from_slice(&d.data()[lo * n..hi * n]);
+            bts_math::par::par_limbs(
+                left.chunks_exact_mut(n)
+                    .chain(right.chunks_exact_mut(n))
+                    .collect(),
+                |t, limb: &mut [u64]| {
+                    let idx = if t < lo { t } else { hi + (t - lo) };
+                    self.key_basis
+                        .table(self.key_limb(level, idx))
+                        .forward(limb);
+                },
+            );
+        }
+        self.ks.scratch.lock().expect("scratch pool").push(scratch);
+        Ok(Decomposed {
+            level,
+            slices,
+            digits,
+            pool: Arc::clone(&self.ks),
+        })
+    }
+
+    /// Inner product of `digits` with `evk`, then ModDown: the second half of
+    /// [`CkksContext::key_switch`], returning the `(b, a)` contribution pair
+    /// on the level-ℓ ciphertext basis.
+    ///
+    /// With `automorphism` set the digits are read through its NTT gather,
+    /// i.e. the key-switch is applied to `σ(d)` for the `d` the digits were
+    /// cut from: `σ` permutes NTT slots, so `σ(ModUp(d))` is a valid
+    /// decomposition of `σ(d)` and one ModUp serves every rotation of a
+    /// ciphertext. (It is *a* decomposition, not the one `decompose(σ(d))`
+    /// would produce: fast base conversion is exact only up to a small
+    /// multiple of the slice modulus, which is noise the key-switch already
+    /// budgets for.)
+    ///
+    /// The per-slice evk MACs accumulate in `u128` with a single Barrett
+    /// reduction per element after the last slice, one limb row at a time so
+    /// the accumulators stay cache-resident.
+    ///
+    /// # Errors
+    ///
+    /// Rejects digits of another context or an automorphism table of another
+    /// ring degree, and propagates converter-construction failures.
+    pub fn switch_decomposed(
+        &self,
+        digits: &Decomposed,
+        evk: &EvaluationKey,
+        automorphism: Option<&AutomorphismTable>,
+    ) -> crate::Result<(RnsPoly, RnsPoly)> {
+        let _span = bts_telemetry::span("ckks.switch_decomposed");
+        let level = digits.level;
+        let k = self.num_special();
+        let n = self.degree;
+        if !Arc::ptr_eq(&digits.pool, &self.ks) {
+            return Err(CkksError::OperandMismatch(
+                "digits were decomposed by another context".to_string(),
+            ));
+        }
+        if automorphism.is_some_and(|table| table.degree() != n) {
+            return Err(CkksError::OperandMismatch(
+                "automorphism table is for another ring degree".to_string(),
+            ));
+        }
+        let gather = automorphism.map(AutomorphismTable::ntt_gather);
+        let q_prefix = self.basis_at_level(level);
+        let ext_limbs = level + 1 + k;
         // The u128 accumulators overflow after 2^(128 - 2·max_bits) MAC terms;
         // fold them with a reduction pass if the slice count could exceed that
         // (it never does for word-sized CKKS moduli, but guard anyway).
-        let max_bits = (0..ks_basis.len())
-            .map(|t| ks_basis.modulus(t).bits())
+        let max_bits = (0..ext_limbs)
+            .map(|t| self.key_basis.modulus(self.key_limb(level, t)).bits())
             .max()
             .unwrap_or(1);
         let fold_every = 1usize << 128u32.saturating_sub(2 * max_bits + 1).min(24);
 
-        let num_slices = (level + 1).div_ceil(k).min(evk.slices.len());
-        let mut scratch = self
-            .ks
+        let mut scratch = self.take_scratch();
+        scratch.acc_b.resize(ext_limbs * n, 0);
+        scratch.acc_a.resize(ext_limbs * n, 0);
+        scratch.p_part_b.resize(k * n, 0);
+        scratch.p_part_a.resize(k * n, 0);
+        let mut out_b = RnsPoly::zero(&q_prefix, Representation::Ntt);
+        let mut out_a = RnsPoly::zero(&q_prefix, Representation::Ntt);
+        {
+            // Row t of the inner product lands where ModDown wants it: the q
+            // limbs in the result polynomials, the special limbs in scratch.
+            let KsScratch {
+                acc_b,
+                acc_a,
+                p_part_b,
+                p_part_a,
+                ..
+            } = &mut scratch;
+            let rows: Vec<_> = acc_b
+                .chunks_exact_mut(n)
+                .zip(acc_a.chunks_exact_mut(n))
+                .zip(
+                    out_b
+                        .data_mut()
+                        .chunks_exact_mut(n)
+                        .chain(p_part_b.chunks_exact_mut(n)),
+                )
+                .zip(
+                    out_a
+                        .data_mut()
+                        .chunks_exact_mut(n)
+                        .chain(p_part_a.chunks_exact_mut(n)),
+                )
+                .collect();
+            bts_math::par::par_limbs(rows, |t, (((row_b, row_a), dst_b), dst_a)| {
+                let key_limb = self.key_limb(level, t);
+                let p = self.key_basis.modulus(key_limb);
+                row_b.fill(0);
+                row_a.fill(0);
+                let blocks = digits.digits.chunks_exact(ext_limbs * n);
+                for (j, (ext, (evk_b, evk_a))) in blocks.zip(&evk.slices).enumerate() {
+                    let digit = &ext[t * n..(t + 1) * n];
+                    let kb = evk_b.limb(key_limb);
+                    let ka = evk_a.limb(key_limb);
+                    match gather {
+                        None => mac_rows(row_b, row_a, kb, ka, digit.iter().copied()),
+                        Some(gather) => {
+                            let permuted = gather.iter().map(|&g| digit[g as usize]);
+                            mac_rows(row_b, row_a, kb, ka, permuted);
+                        }
+                    }
+                    if (j + 1).is_multiple_of(fold_every) {
+                        for x in row_b.iter_mut().chain(row_a.iter_mut()) {
+                            *x = p.reduce_u128(*x) as u128;
+                        }
+                    }
+                }
+                // Single Barrett reduction per element closes the deferred MACs.
+                for (dst, &acc) in dst_b.iter_mut().zip(row_b.iter()) {
+                    *dst = p.reduce_u128(acc);
+                }
+                for (dst, &acc) in dst_a.iter_mut().zip(row_a.iter()) {
+                    *dst = p.reduce_u128(acc);
+                }
+            });
+        }
+        let KsScratch {
+            bconv,
+            p_part_b,
+            p_part_a,
+            conv,
+            ..
+        } = &mut scratch;
+        self.mod_down(&mut out_b, p_part_b, conv, bconv)?;
+        self.mod_down(&mut out_a, p_part_a, conv, bconv)?;
+        self.ks.scratch.lock().expect("scratch pool").push(scratch);
+        Ok((out_b, out_a))
+    }
+
+    fn take_scratch(&self) -> KsScratch {
+        self.ks
             .scratch
             .lock()
             .expect("scratch pool")
             .pop()
-            .unwrap_or_default();
-        scratch.ext.resize(ext_limbs * n, 0);
-        scratch.acc_b.clear();
-        scratch.acc_b.resize(ext_limbs * n, 0);
-        scratch.acc_a.clear();
-        scratch.acc_a.resize(ext_limbs * n, 0);
+            .unwrap_or_default()
+    }
 
-        for j in 0..num_slices {
-            let lo = j * k;
-            let hi = ((j + 1) * k).min(level + 1);
-            // Stage the slice limbs at their ks-basis positions and iNTT them
-            // in place (ModUp's iNTT), limb-parallel.
-            scratch.ext[lo * n..hi * n].copy_from_slice(&d.data()[lo * n..hi * n]);
-            bts_math::par::par_limbs(
-                scratch.ext[lo * n..hi * n].chunks_exact_mut(n).collect(),
-                |t, limb: &mut [u64]| self.q_basis.table(lo + t).inverse(limb),
-            );
-            // BConv the slice into the complement limbs of the same matrix.
-            let converter = self.modup_converter(level, j)?;
-            {
-                let (left, rest) = scratch.ext.split_at_mut(lo * n);
+    /// Divides an extended-basis polynomial by `P` in place: `x` holds its
+    /// level-ℓ q limbs (NTT domain) and `p_part` its k special limbs, and `x`
+    /// leaves as the level-ℓ quotient.
+    fn mod_down(
+        &self,
+        x: &mut RnsPoly,
+        p_part: &mut [u64],
+        conv: &mut Vec<u64>,
+        bconv: &mut BconvScratch,
+    ) -> crate::Result<()> {
+        let n = self.degree;
+        let level = x.limb_count() - 1;
+        // iNTT the special limbs.
+        bts_math::par::par_limbs(
+            p_part.chunks_exact_mut(n).collect(),
+            |i, limb: &mut [u64]| self.p_basis.table(i).inverse(limb),
+        );
+        // BConv the P part down to the q base, then NTT it back.
+        let converter = self.moddown_converter(level)?;
+        conv.resize((level + 1) * n, 0);
+        {
+            let srcs: Vec<&[u64]> = p_part.chunks_exact(n).collect();
+            let mut outs: Vec<&mut [u64]> = conv.chunks_exact_mut(n).collect();
+            converter.convert_into(&srcs, &mut outs, false, bconv);
+        }
+        bts_math::par::par_limbs(conv.chunks_exact_mut(n).collect(), |i, limb: &mut [u64]| {
+            self.q_basis.table(i).forward(limb)
+        });
+        // x_i = (x_i - conv_i) · P^{-1} mod q_i, fused in one pass.
+        let conv = &*conv;
+        bts_math::par::par_limbs(
+            x.data_mut().chunks_exact_mut(n).collect(),
+            |i, limb: &mut [u64]| {
+                let qi = self.q_basis.modulus(i);
+                let p_inv = &self.p_inv_mod_q[i];
+                for (slot, &c) in limb.iter_mut().zip(&conv[i * n..(i + 1) * n]) {
+                    *slot = qi.mul_shoup(qi.sub(*slot, c), p_inv);
+                }
+            },
+        );
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encoding::Complex;
+    use rand::SeedableRng;
+
+    impl CkksContext {
+        /// The key-switch body `decompose` + `switch_decomposed` replaced,
+        /// kept as their oracle: one slice at a time through a single
+        /// extended matrix, MACs over the whole matrix per slice, then
+        /// ModDown of the two reduced accumulators.
+        fn key_switch_reference(&self, d: &RnsPoly, evk: &EvaluationKey) -> (RnsPoly, RnsPoly) {
+            let level = d.limb_count() - 1;
+            let k = self.num_special();
+            let n = self.degree;
+            let q_prefix = self.basis_at_level(level);
+            let ks_basis = q_prefix.concat(&self.p_basis).unwrap();
+            let ext_limbs = level + 1 + k;
+            let evk_indices: Vec<usize> = (0..=level)
+                .chain(self.max_level + 1..self.max_level + 1 + k)
+                .collect();
+            let num_slices = (level + 1).div_ceil(k).min(evk.slices.len());
+            let mut bconv = BconvScratch::new();
+            let mut ext = vec![0u64; ext_limbs * n];
+            let mut acc_b = vec![0u128; ext_limbs * n];
+            let mut acc_a = vec![0u128; ext_limbs * n];
+            for j in 0..num_slices {
+                let lo = j * k;
+                let hi = ((j + 1) * k).min(level + 1);
+                ext[lo * n..hi * n].copy_from_slice(&d.data()[lo * n..hi * n]);
+                for (t, limb) in ext[lo * n..hi * n].chunks_exact_mut(n).enumerate() {
+                    self.q_basis.table(lo + t).inverse(limb);
+                }
+                let converter = self.modup_converter(level, j).unwrap();
+                let (left, rest) = ext.split_at_mut(lo * n);
                 let (mid, right) = rest.split_at_mut((hi - lo) * n);
                 {
                     let srcs: Vec<&[u64]> = mid.chunks_exact(n).collect();
@@ -727,120 +1083,125 @@ impl CkksContext {
                         .chunks_exact_mut(n)
                         .chain(right.chunks_exact_mut(n))
                         .collect();
-                    converter.convert_into(&srcs, &mut outs, false, &mut scratch.bconv);
+                    converter.convert_into(&srcs, &mut outs, false, &mut bconv);
                 }
-                // Restore the slice limbs from the NTT-domain input —
-                // forward∘inverse is the identity bit-for-bit, so re-NTT-ing
-                // the iNTT'd slice would only redo work — and forward-NTT
-                // just the freshly converted complement limbs, limb-parallel.
                 mid.copy_from_slice(&d.data()[lo * n..hi * n]);
-                bts_math::par::par_limbs(
-                    left.chunks_exact_mut(n)
-                        .chain(right.chunks_exact_mut(n))
-                        .collect(),
-                    |t, limb: &mut [u64]| {
-                        let idx = if t < lo { t } else { hi + (t - lo) };
-                        ks_basis.table(idx).forward(limb);
-                    },
-                );
-            }
-            // MAC the slice against its evk pair with deferred reduction.
-            let (evk_b, evk_a) = &evk.slices[j];
-            let ext = &scratch.ext;
-            let fold = (j + 1).is_multiple_of(fold_every);
-            let rows: Vec<(&mut [u128], &mut [u128])> = scratch
-                .acc_b
-                .chunks_exact_mut(n)
-                .zip(scratch.acc_a.chunks_exact_mut(n))
-                .collect();
-            bts_math::par::par_limbs(rows, |t, (row_b, row_a)| {
-                let p = ks_basis.modulus(t);
-                let ext_t = &ext[t * n..(t + 1) * n];
-                let kb = evk_b.limb(evk_indices[t]);
-                let ka = evk_a.limb(evk_indices[t]);
-                for c in 0..n {
-                    row_b[c] += ext_t[c] as u128 * kb[c] as u128;
-                    row_a[c] += ext_t[c] as u128 * ka[c] as u128;
-                    if fold {
-                        row_b[c] = p.reduce_u128(row_b[c]) as u128;
-                        row_a[c] = p.reduce_u128(row_a[c]) as u128;
+                for (t, limb) in left
+                    .chunks_exact_mut(n)
+                    .chain(right.chunks_exact_mut(n))
+                    .enumerate()
+                {
+                    let idx = if t < lo { t } else { hi + (t - lo) };
+                    ks_basis.table(idx).forward(limb);
+                }
+                let (evk_b, evk_a) = &evk.slices[j];
+                for t in 0..ext_limbs {
+                    let kb = evk_b.limb(evk_indices[t]);
+                    let ka = evk_a.limb(evk_indices[t]);
+                    for c in 0..n {
+                        acc_b[t * n + c] += ext[t * n + c] as u128 * kb[c] as u128;
+                        acc_a[t * n + c] += ext[t * n + c] as u128 * ka[c] as u128;
                     }
                 }
-            });
-        }
-
-        // Single Barrett reduction per element closes the deferred MACs.
-        let mut acc_b = RnsPoly::zero(&ks_basis, Representation::Ntt);
-        let mut acc_a = RnsPoly::zero(&ks_basis, Representation::Ntt);
-        let (accs_b, accs_a) = (&scratch.acc_b, &scratch.acc_a);
-        bts_math::par::par_limbs(
-            acc_b
-                .data_mut()
-                .chunks_exact_mut(n)
-                .zip(acc_a.data_mut().chunks_exact_mut(n))
-                .collect(),
-            |t, (out_b, out_a): (&mut [u64], &mut [u64])| {
-                let p = ks_basis.modulus(t);
-                for c in 0..n {
-                    out_b[c] = p.reduce_u128(accs_b[t * n + c]);
-                    out_a[c] = p.reduce_u128(accs_a[t * n + c]);
+            }
+            let mod_down = |acc: &[u128]| -> RnsPoly {
+                let reduced = |t: usize, c: usize| ks_basis.modulus(t).reduce_u128(acc[t * n + c]);
+                let mut p_part: Vec<Vec<u64>> = (0..k)
+                    .map(|i| (0..n).map(|c| reduced(level + 1 + i, c)).collect())
+                    .collect();
+                for (i, limb) in p_part.iter_mut().enumerate() {
+                    self.p_basis.table(i).inverse(limb);
                 }
-            },
-        );
-
-        let b = self.mod_down(&acc_b, level, &mut scratch)?;
-        let a = self.mod_down(&acc_a, level, &mut scratch)?;
-        self.ks.scratch.lock().expect("scratch pool").push(scratch);
-        Ok((b, a))
+                let mut conv = vec![vec![0u64; n]; level + 1];
+                {
+                    let srcs: Vec<&[u64]> = p_part.iter().map(Vec::as_slice).collect();
+                    let mut outs: Vec<&mut [u64]> =
+                        conv.iter_mut().map(Vec::as_mut_slice).collect();
+                    self.moddown_converter(level).unwrap().convert_into(
+                        &srcs,
+                        &mut outs,
+                        false,
+                        &mut BconvScratch::new(),
+                    );
+                }
+                let mut out = RnsPoly::zero(&q_prefix, Representation::Ntt);
+                for (i, conv_i) in conv.iter_mut().enumerate() {
+                    self.q_basis.table(i).forward(conv_i);
+                    let qi = q_prefix.modulus(i);
+                    for (c, slot) in out.limb_mut(i).iter_mut().enumerate() {
+                        *slot =
+                            qi.mul_shoup(qi.sub(reduced(i, c), conv_i[c]), &self.p_inv_mod_q[i]);
+                    }
+                }
+                out
+            };
+            (mod_down(&acc_b), mod_down(&acc_a))
+        }
     }
 
-    /// Divides an extended-basis polynomial (level-ℓ q limbs followed by the k
-    /// special limbs, NTT domain) by `P`, returning a level-ℓ polynomial.
-    fn mod_down(
-        &self,
-        x: &RnsPoly,
-        level: usize,
-        scratch: &mut KsScratch,
-    ) -> crate::Result<RnsPoly> {
-        let k = self.num_special();
-        let n = self.degree;
-        let q_prefix = self.basis_at_level(level);
-        // iNTT the special limbs into scratch.
-        scratch.p_part.resize(k * n, 0);
-        scratch
-            .p_part
-            .copy_from_slice(&x.data()[(level + 1) * n..(level + 1 + k) * n]);
-        bts_math::par::par_limbs(
-            scratch.p_part.chunks_exact_mut(n).collect(),
-            |i, limb: &mut [u64]| self.p_basis.table(i).inverse(limb),
-        );
-        // BConv the P part down to the q base, then NTT it back.
-        let converter = self.moddown_converter(level)?;
-        scratch.conv.resize((level + 1) * n, 0);
-        {
-            let srcs: Vec<&[u64]> = scratch.p_part.chunks_exact(n).collect();
-            let mut outs: Vec<&mut [u64]> = scratch.conv.chunks_exact_mut(n).collect();
-            converter.convert_into(&srcs, &mut outs, false, &mut scratch.bconv);
-        }
-        bts_math::par::par_limbs(
-            scratch.conv.chunks_exact_mut(n).collect(),
-            |i, limb: &mut [u64]| self.q_basis.table(i).forward(limb),
-        );
-        // out_i = (x_i - conv_i) · P^{-1} mod q_i, fused in one pass.
-        let mut out = RnsPoly::zero(&q_prefix, Representation::Ntt);
-        let conv = &scratch.conv;
-        bts_math::par::par_limbs(
-            out.data_mut().chunks_exact_mut(n).collect(),
-            |i, limb: &mut [u64]| {
-                let qi = q_prefix.modulus(i);
-                let p_inv = &self.p_inv_mod_q[i];
-                let x_i = x.limb(i);
-                let conv_i = &conv[i * n..(i + 1) * n];
-                for (c, slot) in limb.iter_mut().enumerate() {
-                    *slot = qi.mul_shoup(qi.sub(x_i[c], conv_i[c]), p_inv);
+    /// `key_switch` — and with it HMult — is bit-identical to the body it
+    /// replaced, at every level (full and ragged last slices) and for
+    /// dnum = 1, 2, 3 and L + 1.
+    #[test]
+    fn key_switch_matches_the_slice_at_a_time_reference() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1717);
+        for (max_level, dnum) in [(4, 1), (5, 2), (6, 3), (3, 4)] {
+            let ctx = CkksContext::new_toy(1 << 6, max_level, dnum).unwrap();
+            let (sk, keys) = ctx.generate_keys(&mut rng).unwrap();
+            let msg = vec![Complex::new(0.3, -0.1); ctx.slots()];
+            for level in 0..=max_level {
+                let pt = ctx.encode_at(&msg, level, ctx.scale()).unwrap();
+                let ct = ctx.encrypt(&pt, &sk, &mut rng).unwrap();
+                let d = ct.c1().mul(ct.c1()).unwrap();
+                let expected = ctx.key_switch_reference(&d, keys.relin());
+                assert_eq!(
+                    ctx.key_switch(&d, keys.relin()).unwrap(),
+                    expected,
+                    "L = {max_level}, dnum = {dnum}, level {level}"
+                );
+                // The composition, spelled out, with the digits reused.
+                let digits = ctx.decompose(&d).unwrap();
+                assert_eq!(digits.slices(), (level + 1).div_ceil(ctx.num_special()));
+                assert!(digits.is_cut_from(&d) && !digits.is_cut_from(ct.c1()));
+                for _ in 0..2 {
+                    let again = ctx.switch_decomposed(&digits, keys.relin(), None).unwrap();
+                    assert_eq!(again, expected);
                 }
-            },
+            }
+        }
+    }
+
+    /// Digit buffers and automorphism tables are recycled, not rebuilt.
+    #[test]
+    fn digit_buffers_and_galois_tables_are_memoized() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let ctx = CkksContext::new_toy(1 << 6, 3, 2).unwrap();
+        let (sk, _) = ctx.generate_keys(&mut rng).unwrap();
+        let ct = ctx
+            .encrypt(
+                &ctx.encode(&[Complex::new(0.5, 0.0)]).unwrap(),
+                &sk,
+                &mut rng,
+            )
+            .unwrap();
+        let first = ctx.decompose(ct.c1()).unwrap();
+        let buffer = first.digits.as_ptr();
+        drop(first);
+        assert_eq!(ctx.ks.digits.lock().unwrap().len(), 1);
+        let second = ctx.decompose(ct.c1()).unwrap();
+        assert_eq!(
+            second.digits.as_ptr(),
+            buffer,
+            "the pooled buffer is reused"
         );
-        Ok(out)
+        assert!(ctx.ks.digits.lock().unwrap().is_empty());
+
+        let a = ctx.automorphism_table(5).unwrap();
+        let b = ctx.clone().automorphism_table(5).unwrap();
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "one table per Galois element, shared by clones"
+        );
+        assert!(ctx.automorphism_table(4).is_err());
     }
 }

@@ -1,13 +1,13 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use bts_math::AutomorphismTable;
+use bts_math::{Representation, RnsPoly};
 
 use crate::ciphertext::{Ciphertext, Plaintext};
-use crate::context::CkksContext;
+use crate::context::{CkksContext, Decomposed};
 use crate::encoding::Complex;
 use crate::error::CkksError;
-use crate::keys::KeyBundle;
+use crate::keys::{EvaluationKey, KeyBundle};
 
 /// Relative scale mismatch tolerated when adding ciphertexts. Scales drift by
 /// roughly `|Δ - q_i| / Δ` per rescale because the scaling primes are only
@@ -51,6 +51,20 @@ impl<'a> Evaluator<'a> {
             return Err(CkksError::OperandMismatch(format!(
                 "scales differ: {a} vs {b}"
             )));
+        }
+        Ok(())
+    }
+
+    /// The kernels that work slot-wise are only right on NTT-domain limbs —
+    /// which every ciphertext this crate produces has.
+    fn check_ntt(a: &Ciphertext) -> crate::Result<()> {
+        if [&a.c0, &a.c1]
+            .iter()
+            .any(|p| p.representation() != Representation::Ntt)
+        {
+            return Err(CkksError::OperandMismatch(
+                "ciphertext polynomials must be in the NTT domain".to_string(),
+            ));
         }
         Ok(())
     }
@@ -174,8 +188,8 @@ impl<'a> Evaluator<'a> {
     /// Fails if the plaintext level is below the ciphertext level.
     pub fn mul_plain(&self, a: &Ciphertext, p: &Plaintext) -> crate::Result<Ciphertext> {
         let level = a.level.min(p.level);
-        let a = self.level_reduce(a, level)?;
-        let p_poly = p.poly.keep_limbs(level + 1);
+        let a = self.level_reduce_cow(a, level)?;
+        let p_poly = Self::plain_at_level(p, level);
         Ok(Ciphertext::new(
             a.c0.mul(&p_poly)?,
             a.c1.mul(&p_poly)?,
@@ -192,8 +206,8 @@ impl<'a> Evaluator<'a> {
     pub fn add_plain(&self, a: &Ciphertext, p: &Plaintext) -> crate::Result<Ciphertext> {
         Self::check_scales(a.scale, p.scale)?;
         let level = a.level.min(p.level);
-        let a = self.level_reduce(a, level)?;
-        let p_poly = p.poly.keep_limbs(level + 1);
+        let a = self.level_reduce_cow(a, level)?;
+        let p_poly = Self::plain_at_level(p, level);
         Ok(Ciphertext::new(
             a.c0.add(&p_poly)?,
             a.c1.clone(),
@@ -202,37 +216,80 @@ impl<'a> Evaluator<'a> {
         ))
     }
 
-    /// CMult: multiplies every slot by a real constant. The constant is encoded
-    /// at the context scale, so the output scale is `ct.scale · Δ`.
+    /// The plaintext polynomial at `level`, borrowed when it already sits
+    /// there.
+    fn plain_at_level(p: &Plaintext, level: usize) -> Cow<'_, RnsPoly> {
+        if p.level == level {
+            Cow::Borrowed(&p.poly)
+        } else {
+            Cow::Owned(p.poly.keep_limbs(level + 1))
+        }
+    }
+
+    /// `round(value · scale)`, the integer a real constant encodes to.
+    /// Encoding `value` in every slot yields exactly that constant polynomial
+    /// (the inverse FFT of a splat is its value in coefficient 0 and zero
+    /// elsewhere), and the NTT of a constant polynomial is the constant in
+    /// every slot — so the scalar ops below are bit-identical to encoding the
+    /// splat and applying it as a plaintext.
+    fn scaled_constant(value: f64, scale: f64) -> i64 {
+        (value * scale).round() as i64
+    }
+
+    /// CMult: multiplies every slot by a real constant. The constant is scaled
+    /// by the context scale, so the output scale is `ct.scale · Δ`.
     ///
     /// # Errors
     ///
-    /// Propagates encoding failures.
+    /// Currently infallible in practice; kept fallible for API stability.
     pub fn mul_const(&self, a: &Ciphertext, value: f64) -> crate::Result<Ciphertext> {
-        let pt =
-            self.context
-                .encode_at(&[Complex::new(value, 0.0)], a.level, self.context.scale())?;
-        self.mul_plain(a, &pt)
+        let scale = self.context.scale();
+        let constant = Self::scaled_constant(value, scale);
+        Ok(Ciphertext::new(
+            a.c0.mul_scalar(constant),
+            a.c1.mul_scalar(constant),
+            a.level,
+            a.scale * scale,
+        ))
     }
 
     /// CAdd: adds a real constant to every slot.
     ///
     /// # Errors
     ///
-    /// Propagates encoding failures.
+    /// Fails if the ciphertext's scale is not positive and finite, or if it
+    /// is not in the NTT domain.
     pub fn add_const(&self, a: &Ciphertext, value: f64) -> crate::Result<Ciphertext> {
-        let pt = self
-            .context
-            .encode_at(&[Complex::new(value, 0.0)], a.level, a.scale)?;
-        self.add_plain(a, &pt)
+        Self::check_scales(a.scale, a.scale)?;
+        Self::check_ntt(a)?;
+        let constant = Self::scaled_constant(value, a.scale);
+        let mut c0 = a.c0.clone();
+        let n = self.context.degree();
+        let q = self.context.q_basis();
+        bts_math::par::par_limbs(
+            c0.data_mut().chunks_exact_mut(n).collect(),
+            |i, limb: &mut [u64]| {
+                let qi = q.modulus(i);
+                let residue = qi.from_i64(constant);
+                for x in limb.iter_mut() {
+                    *x = qi.add(*x, residue);
+                }
+            },
+        );
+        Ok(Ciphertext::new(c0, a.c1.clone(), a.level, a.scale))
     }
 
     /// HRescale: divides the ciphertext by the last prime modulus, dropping one
     /// level and dividing the scale by `q_ℓ` (§2.4).
     ///
+    /// Only the dropped limb leaves the NTT domain: the correction
+    /// `[c_ℓ]_{q_i}` is transformed forward per kept limb and subtracted
+    /// there (the NTT is linear and exact), so one polynomial costs one iNTT
+    /// and ℓ NTTs instead of ℓ+1 and ℓ.
+    ///
     /// # Errors
     ///
-    /// Fails if the ciphertext is at level 0.
+    /// Fails if the ciphertext is at level 0 or not in the NTT domain.
     pub fn rescale(&self, a: &Ciphertext) -> crate::Result<Ciphertext> {
         if a.level == 0 {
             return Err(CkksError::LevelExhausted {
@@ -240,36 +297,36 @@ impl<'a> Evaluator<'a> {
                 required: 1,
             });
         }
+        Self::check_ntt(a)?;
         let last = a.level;
         let q_last = self.context.q_modulus(last);
-        let new_level = last - 1;
         let n = self.context.degree();
         let inverses = self.context.rescale_constants(last);
-        let rescale_poly = |poly: &bts_math::RnsPoly| -> crate::Result<bts_math::RnsPoly> {
-            let mut work = poly.clone();
-            work.to_coefficient();
-            // Keep the borrowed limb, truncate the rest in place (consuming
-            // restriction — no per-limb copies), rescale in place.
-            let last_limb = work.limb(last).to_vec();
-            let mut kept = work.into_keep_limbs(new_level + 1);
-            let basis = kept.basis().clone();
+        let kept_basis = self.context.basis_at_level(last - 1);
+        let rescale_poly = |poly: &RnsPoly| -> RnsPoly {
+            let mut dropped = poly.limb(last).to_vec();
+            self.context.q_basis().table(last).inverse(&mut dropped);
+            let mut out = RnsPoly::zero(&kept_basis, Representation::Ntt);
             bts_math::par::par_limbs(
-                kept.data_mut().chunks_exact_mut(n).collect(),
+                out.data_mut().chunks_exact_mut(n).collect(),
                 |i, limb: &mut [u64]| {
-                    let qi = basis.modulus(i);
+                    let qi = kept_basis.modulus(i);
+                    for (r, &c) in limb.iter_mut().zip(&dropped) {
+                        *r = qi.reduce(c);
+                    }
+                    kept_basis.table(i).forward(limb);
                     let q_last_inv = qi.shoup(inverses[i]);
-                    for (coeff, &borrowed) in limb.iter_mut().zip(last_limb.iter()) {
-                        *coeff = qi.mul_shoup(qi.sub(*coeff, qi.reduce(borrowed)), &q_last_inv);
+                    for (r, &x) in limb.iter_mut().zip(poly.limb(i)) {
+                        *r = qi.mul_shoup(qi.sub(x, *r), &q_last_inv);
                     }
                 },
             );
-            kept.to_ntt();
-            Ok(kept)
+            out
         };
         Ok(Ciphertext::new(
-            rescale_poly(&a.c0)?,
-            rescale_poly(&a.c1)?,
-            new_level,
+            rescale_poly(&a.c0),
+            rescale_poly(&a.c1),
+            last - 1,
             a.scale / q_last as f64,
         ))
     }
@@ -285,12 +342,62 @@ impl<'a> Evaluator<'a> {
     }
 
     /// HRot: rotates the message vector by `r` slots (Eq. 5/6) using the
-    /// rotation key generated for `r`.
+    /// rotation key generated for `r` — the one-step case of
+    /// [`Evaluator::rotate_hoisted`].
     ///
     /// # Errors
     ///
     /// Fails with [`CkksError::MissingKey`] if no key for `r` exists.
     pub fn rotate(&self, a: &Ciphertext, r: i64) -> crate::Result<Ciphertext> {
+        let mut rotated = self.rotate_hoisted(a, &[r])?;
+        Ok(rotated.pop().expect("one step in, one ciphertext out"))
+    }
+
+    /// Rotates one ciphertext by every amount in `steps`, raising `c1` to the
+    /// extended basis once for the whole group (the ModUp hoisting of the
+    /// rotation-heavy linear transforms, §3.3): ModUp, then per step a
+    /// permutation, the inner product with that step's key and ModDown.
+    /// `result[i]` is bit-identical to `rotate(a, steps[i])`.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`CkksError::MissingKey`] if a step has no rotation key.
+    pub fn rotate_hoisted(&self, a: &Ciphertext, steps: &[i64]) -> crate::Result<Vec<Ciphertext>> {
+        // Zero steps are copies; a group of nothing else needs no ModUp.
+        if steps.iter().all(|&r| r == 0) {
+            return Ok(vec![a.clone(); steps.len()]);
+        }
+        let digits = self.decompose(a)?;
+        steps
+            .iter()
+            .map(|&r| self.rotate_decomposed(a, &digits, r))
+            .collect()
+    }
+
+    /// The key-switch digits of `a.c1`: the part of a rotation or conjugation
+    /// of `a` that does not depend on which one it is. Callers that meet the
+    /// rotations of a ciphertext one at a time (the circuit executors) keep
+    /// this beside it and pass it to [`Evaluator::rotate_decomposed`] /
+    /// [`Evaluator::conjugate_decomposed`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates key-switching failures.
+    pub fn decompose(&self, a: &Ciphertext) -> crate::Result<Decomposed> {
+        self.context.decompose(&a.c1)
+    }
+
+    /// [`Evaluator::rotate`] given `digits = self.decompose(a)`.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`CkksError::MissingKey`] if no key for `r` exists.
+    pub fn rotate_decomposed(
+        &self,
+        a: &Ciphertext,
+        digits: &Decomposed,
+        r: i64,
+    ) -> crate::Result<Ciphertext> {
         if r == 0 {
             return Ok(a.clone());
         }
@@ -298,16 +405,8 @@ impl<'a> Evaluator<'a> {
             .keys
             .rotation(r)
             .ok_or_else(|| CkksError::MissingKey(format!("rotation key for r = {r}")))?;
-        let table =
-            AutomorphismTable::from_rotation(self.context.degree(), r).map_err(CkksError::Math)?;
-        let mut perm_scratch = Vec::new();
-        let mut c0_rot = a.c0.clone();
-        c0_rot.automorphism_apply(&table, &mut perm_scratch);
-        let mut c1_rot = a.c1.clone();
-        c1_rot.automorphism_apply(&table, &mut perm_scratch);
-        let (kb, ka) = self.context.key_switch(&c1_rot, key)?;
-        c0_rot.add_assign(&kb)?;
-        Ok(Ciphertext::new(c0_rot, ka, a.level, a.scale))
+        let galois = bts_math::galois_element(r, self.context.degree(), false);
+        self.apply_galois(a, digits, galois, key)
     }
 
     /// Complex conjugation of every slot.
@@ -316,20 +415,47 @@ impl<'a> Evaluator<'a> {
     ///
     /// Fails with [`CkksError::MissingKey`] if the conjugation key is missing.
     pub fn conjugate(&self, a: &Ciphertext) -> crate::Result<Ciphertext> {
+        self.conjugate_decomposed(a, &self.decompose(a)?)
+    }
+
+    /// [`Evaluator::conjugate`] given `digits = self.decompose(a)`.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`CkksError::MissingKey`] if the conjugation key is missing.
+    pub fn conjugate_decomposed(
+        &self,
+        a: &Ciphertext,
+        digits: &Decomposed,
+    ) -> crate::Result<Ciphertext> {
         let key = self
             .keys
             .conjugation()
             .ok_or_else(|| CkksError::MissingKey("conjugation key".to_string()))?;
-        let g = bts_math::galois_element(0, self.context.degree(), true);
-        let table = AutomorphismTable::new(self.context.degree(), g).map_err(CkksError::Math)?;
-        let mut perm_scratch = Vec::new();
-        let mut c0_rot = a.c0.clone();
-        c0_rot.automorphism_apply(&table, &mut perm_scratch);
-        let mut c1_rot = a.c1.clone();
-        c1_rot.automorphism_apply(&table, &mut perm_scratch);
-        let (kb, ka) = self.context.key_switch(&c1_rot, key)?;
-        c0_rot.add_assign(&kb)?;
-        Ok(Ciphertext::new(c0_rot, ka, a.level, a.scale))
+        let galois = bts_math::galois_element(0, self.context.degree(), true);
+        self.apply_galois(a, digits, galois, key)
+    }
+
+    /// The one body behind every rotation and conjugation: `σ_g` applied to
+    /// `c0` as an NTT-domain gather, and to `c1` by reading its digits
+    /// through the same gather inside the key-switch.
+    fn apply_galois(
+        &self,
+        a: &Ciphertext,
+        digits: &Decomposed,
+        galois: u64,
+        key: &EvaluationKey,
+    ) -> crate::Result<Ciphertext> {
+        if !digits.is_cut_from(&a.c1) {
+            return Err(CkksError::OperandMismatch(
+                "key-switch digits were not decomposed from this ciphertext".to_string(),
+            ));
+        }
+        let table = self.context.automorphism_table(galois)?;
+        let mut c0 = a.c0.automorphism(&table);
+        let (kb, ka) = self.context.switch_decomposed(digits, key, Some(&table))?;
+        c0.add_assign(&kb)?;
+        Ok(Ciphertext::new(c0, ka, a.level, a.scale))
     }
 
     /// Applies a homomorphic linear transform (matrix–vector product in slot
@@ -343,9 +469,11 @@ impl<'a> Evaluator<'a> {
         a: &Ciphertext,
         transform: &LinearTransform,
     ) -> crate::Result<Ciphertext> {
+        // Every diagonal rotates the same input, so its ModUp is shared.
+        let digits = self.decompose(a)?;
         let mut acc: Option<Ciphertext> = None;
         for (&rotation, diag) in &transform.diagonals {
-            let rotated = self.rotate(a, rotation)?;
+            let rotated = self.rotate_decomposed(a, &digits, rotation)?;
             let pt = self
                 .context
                 .encode_at(diag, rotated.level, self.context.scale())?;

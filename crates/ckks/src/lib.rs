@@ -6,13 +6,24 @@
 //! * canonical-embedding encoding/decoding of complex vectors,
 //! * key generation (secret, public, relinearization and rotation keys) with
 //!   the generalized `dnum` key-switching of Han–Ki that the paper adopts,
+//!   split the way the hardware pipelines it: [`CkksContext::decompose`]
+//!   (ModUp of every slice into a pooled [`Decomposed`]) and
+//!   [`CkksContext::switch_decomposed`] (inner product with an evaluation key,
+//!   optionally read through an automorphism, then ModDown);
+//!   [`CkksContext::key_switch`] is their composition,
 //! * the primitive HE ops of §2.3: `HAdd`, `HMult`, `HRot`, `HRescale`,
-//!   `CAdd`/`CMult`, `PAdd`/`PMult`,
-//! * bootstrapping building blocks (mod-raise, homomorphic linear transforms,
-//!   polynomial evaluation, approximate modular reduction) and a bootstrapping
-//!   driver,
+//!   `CAdd`/`CMult`, `PAdd`/`PMult`. Rotations and conjugation are *ModUp,
+//!   then permute*: the automorphism is an NTT-domain gather, so every
+//!   rotation of one ciphertext shares its ModUp
+//!   ([`Evaluator::rotate_hoisted`]; [`Evaluator::rotate`] is its one-step
+//!   case). Scalar constants multiply / add one residue per limb, and
+//!   rescale inverse-transforms only the limb it drops,
+//! * bootstrapping building blocks (mod-raise, homomorphic linear transforms
+//!   with hoisted baby steps, polynomial evaluation, approximate modular
+//!   reduction) and a bootstrapping driver,
 //! * an analytical operation-count model of key-switching used to reproduce
-//!   Fig. 3(b).
+//!   Fig. 3(b), extended to hoisted rotation groups and held equal, span for
+//!   span, to what a traced linear transform executes.
 //!
 //! The implementation favours clarity and correctness over raw speed: it is
 //! the functional reference that the accelerator simulator's op traces are
@@ -52,8 +63,11 @@ mod noise;
 
 pub use bootstrap::{BootstrapConfig, Bootstrapper};
 pub use ciphertext::{Ciphertext, Plaintext};
-pub use complexity::{hmult_complexity, ComplexityBreakdown};
-pub use context::CkksContext;
+pub use complexity::{
+    hmult_complexity, hoisted_rotations_calls, hoisted_rotations_complexity, ComplexityBreakdown,
+    KernelCalls,
+};
+pub use context::{CkksContext, Decomposed};
 pub use encoding::{CkksEncoder, Complex};
 pub use error::CkksError;
 pub use eval_mod::{ChebyshevSeries, SineEvaluator};

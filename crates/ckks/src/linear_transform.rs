@@ -185,20 +185,16 @@ impl BsgsTransform {
 
         // Baby-step rotations of the input, computed once and shared by every
         // giant-step group (this sharing is where the rotation savings come
-        // from; BTS additionally hoists the ModUp of these rotations, which
-        // the op-count model in `bts-ckks::complexity` accounts for).
-        let mut baby_rotations: BTreeMap<usize, Ciphertext> = BTreeMap::new();
-        for &idx in self.diagonals.keys() {
-            let baby = idx % b;
-            if let std::collections::btree_map::Entry::Vacant(e) = baby_rotations.entry(baby) {
-                let rotated = if baby == 0 {
-                    ct.clone()
-                } else {
-                    eval.rotate(ct, baby as i64)?
-                };
-                e.insert(rotated);
-            }
-        }
+        // from). They all rotate the same ciphertext, so they also share one
+        // ModUp — the hoisting BTS applies to these transforms, counted by
+        // `bts-ckks::complexity::hoisted_rotations_complexity`.
+        let babies: std::collections::BTreeSet<usize> =
+            self.diagonals.keys().map(|&idx| idx % b).collect();
+        let steps: Vec<i64> = babies.iter().map(|&baby| baby as i64).collect();
+        let baby_rotations: BTreeMap<usize, Ciphertext> = babies
+            .into_iter()
+            .zip(eval.rotate_hoisted(ct, &steps)?)
+            .collect();
 
         // Group diagonals by giant step g·b and accumulate
         // Σ_j σ_{-g·b}(diag) ⊙ rot_j(ct) inside each group.
@@ -328,6 +324,71 @@ mod tests {
                 expect[i]
             );
         }
+    }
+
+    /// The hoisting the module doc promises, held by counts: a traced BSGS
+    /// evaluation records exactly the transforms and base conversions
+    /// `complexity.rs` charges — one hoisted group for the baby steps (their
+    /// `b − 1` ModUps collapse to one), a one-step group per giant step, one
+    /// encode per diagonal and the closing rescale.
+    #[test]
+    fn traced_kernel_counts_match_the_hoisted_model() {
+        use crate::complexity::hoisted_rotations_calls;
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let (max_level, dnum) = (5, 2);
+        let ctx = CkksContext::new_toy(1 << 6, max_level, dnum).unwrap();
+        let slots = ctx.slots();
+        // Diagonals 0..12 with b = 4: babies {0,1,2,3}, giants {0,4,8}.
+        let mut diagonals = BTreeMap::new();
+        for r in 0..12 {
+            diagonals.insert(r, vec![Complex::new(0.1 + 0.01 * r as f64, 0.0); slots]);
+        }
+        let t = BsgsTransform::from_diagonals(slots, diagonals)
+            .unwrap()
+            .with_baby_steps(4);
+        let (baby_rotations, giant_rotations) = (3, 2);
+        assert_eq!(t.rotation_count(), baby_rotations + giant_rotations);
+
+        let (sk, mut keys) = ctx.generate_keys(&mut rng).unwrap();
+        ctx.add_rotation_keys(&sk, &mut keys, &t.required_rotations(), &mut rng)
+            .unwrap();
+        let eval = ctx.evaluator(&keys);
+        let msg = vec![Complex::new(0.25, 0.0); slots];
+        let ct = ctx
+            .encrypt(&ctx.encode(&msg).unwrap(), &sk, &mut rng)
+            .unwrap();
+
+        let run = bts_telemetry::capture();
+        t.evaluate(&eval, &ct).unwrap();
+        let events = run.finish().events;
+        let spans = |name: &str| events.iter().filter(|e| e.name == name).count() as u64;
+
+        let k = ctx.num_special();
+        let level = max_level as u64;
+        let babies = hoisted_rotations_calls(max_level, k, dnum, baby_rotations);
+        let giant = hoisted_rotations_calls(max_level, k, dnum, 1);
+        let giants = giant_rotations as u64;
+        let encodes = t.diagonal_count() as u64 * (level + 1);
+        // Rescale: per polynomial one iNTT of the dropped limb and one NTT
+        // per kept limb.
+        assert_eq!(
+            spans("bconv.convert_into"),
+            babies.bconv + giants * giant.bconv
+        );
+        assert_eq!(spans("ntt.inverse"), babies.intt + giants * giant.intt + 2);
+        assert_eq!(
+            spans("ntt.forward"),
+            babies.ntt + giants * giant.ntt + encodes + 2 * level
+        );
+        // The ModUp share: one per group where un-hoisted rotations paid one
+        // per rotation.
+        let slices = (level + 1).div_ceil(k as u64);
+        assert_eq!(spans("ckks.decompose"), 1 + giants);
+        assert_eq!(
+            spans("bconv.convert_into"),
+            (1 + giants) * slices + 2 * (baby_rotations as u64 + giants)
+        );
     }
 
     #[test]

@@ -25,13 +25,18 @@ pub fn galois_element(rotation: i64, degree: usize, conjugate: bool) -> u64 {
     g
 }
 
-/// Precomputed coefficient permutation for the ring automorphism
-/// `X ↦ X^g` on `Z_q[X]/(X^N + 1)`.
+/// Precomputed permutations for the ring automorphism `X ↦ X^g` on
+/// `Z_q[X]/(X^N + 1)`, one per polynomial representation.
 ///
-/// The table records, for every source coefficient index `i`, the destination
-/// index `i·g mod 2N` folded into `[0, N)` together with the sign flip caused
-/// by `X^N = -1`. This is exactly the permutation-with-sign the BTS PE grid
-/// routes through its crossbars (§5.5).
+/// In the coefficient domain the table records, for every source index `i`,
+/// the destination index `i·g mod 2N` folded into `[0, N)` together with the
+/// sign flip caused by `X^N = -1`. In the NTT domain the automorphism is a
+/// pure gather: slot `i` of [`crate::NttTable::forward`]'s output holds the
+/// evaluation at `ψ^(2·br(i)+1)` (`br` = bit reversal on `log N` bits), and
+/// `(σ_g a)(ψ^e) = a(ψ^(e·g))`, so
+/// `out[i] = in[br(((2·br(i)+1)·g mod 2N − 1) / 2)]` — no sign, no transform,
+/// and the same index table for every modulus. Either form is exactly the
+/// permutation the BTS PE grid routes through its crossbars (§5.5).
 #[derive(Debug, Clone)]
 pub struct AutomorphismTable {
     degree: usize,
@@ -40,6 +45,8 @@ pub struct AutomorphismTable {
     dest: Vec<u32>,
     /// whether the coefficient is negated on arrival
     negate: Vec<bool>,
+    /// NTT domain: source slot for each destination slot
+    ntt_gather: Vec<u32>,
 }
 
 impl AutomorphismTable {
@@ -71,11 +78,20 @@ impl AutomorphismTable {
                 *neg = true;
             }
         }
+        let log_n = degree.trailing_zeros();
+        let bit_reverse = |i: u64| i.reverse_bits() >> (64 - log_n);
+        let ntt_gather = (0..degree as u64)
+            .map(|i| {
+                let exponent = (2 * bit_reverse(i) + 1) as u128 * g as u128 % two_n as u128;
+                bit_reverse((exponent as u64 - 1) / 2) as u32
+            })
+            .collect();
         Ok(Self {
             degree,
             galois: g,
             dest,
             negate,
+            ntt_gather,
         })
     }
 
@@ -126,6 +142,26 @@ impl AutomorphismTable {
             } else {
                 s
             };
+        }
+    }
+
+    /// The NTT-domain form of the automorphism: `out[i] = src[gather[i]]`
+    /// for every limb of an NTT-domain polynomial, whatever its modulus.
+    pub fn ntt_gather(&self) -> &[u32] {
+        &self.ntt_gather
+    }
+
+    /// Applies the automorphism to one NTT-domain limb by gathering through
+    /// [`AutomorphismTable::ntt_gather`]; performs no transform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `out` are not both of length `degree`.
+    pub fn apply_ntt_into(&self, src: &[u64], out: &mut [u64]) {
+        assert_eq!(src.len(), self.degree);
+        assert_eq!(out.len(), self.degree);
+        for (o, &g) in out.iter_mut().zip(&self.ntt_gather) {
+            *o = src[g as usize];
         }
     }
 

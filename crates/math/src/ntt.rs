@@ -103,20 +103,21 @@ impl NttTable {
         let mut m = 1;
         while m < n {
             t >>= 1;
-            for i in 0..m {
-                let j1 = 2 * i * t;
-                let j2 = j1 + t;
-                let s = &self.psi_rev[m + i];
-                for j in j1..j2 {
+            // Block `i` of this stage is `values[2it..2(i+1)t]` with twiddle
+            // `psi_rev[m + i]`; splitting it in half pairs each butterfly's
+            // two lanes without an index (and so without a bounds check).
+            for (block, s) in values.chunks_exact_mut(2 * t).zip(&self.psi_rev[m..2 * m]) {
+                let (lo, hi) = block.split_at_mut(t);
+                for (x, y) in lo.iter_mut().zip(hi) {
                     // Invariant: values[..] < 4q at stage entry (q < 2^62, so
                     // 4q fits a u64). Fold the upper half before the sum.
-                    let mut u = values[j];
+                    let mut u = *x;
                     if u >= two_q {
                         u -= two_q;
                     }
-                    let v = q.mul_shoup_lazy(values[j + t], s); // < 2q
-                    values[j] = u + v; // < 4q
-                    values[j + t] = u + two_q - v; // < 4q
+                    let v = q.mul_shoup_lazy(*y, s); // < 2q
+                    *x = u + v; // < 4q
+                    *y = u + two_q - v; // < 4q
                 }
             }
             m <<= 1;
@@ -154,22 +155,19 @@ impl NttTable {
         let mut m = n;
         while m > 1 {
             let h = m >> 1;
-            let mut j1 = 0;
-            for i in 0..h {
-                let j2 = j1 + t;
-                let s = &self.psi_inv_rev[h + i];
-                for j in j1..j2 {
+            for (block, s) in values.chunks_exact_mut(2 * t).zip(&self.psi_inv_rev[h..m]) {
+                let (lo, hi) = block.split_at_mut(t);
+                for (x, y) in lo.iter_mut().zip(hi) {
                     // Invariant: values[..] < 2q at stage entry.
-                    let u = values[j];
-                    let v = values[j + t];
+                    let u = *x;
+                    let v = *y;
                     let mut sum = u + v; // < 4q
                     if sum >= two_q {
                         sum -= two_q;
                     }
-                    values[j] = sum; // < 2q
-                    values[j + t] = q.mul_shoup_lazy(u + two_q - v, s); // < 2q
+                    *x = sum; // < 2q
+                    *y = q.mul_shoup_lazy(u + two_q - v, s); // < 2q
                 }
-                j1 += 2 * t;
             }
             t <<= 1;
             m = h;

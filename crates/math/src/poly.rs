@@ -161,7 +161,7 @@ impl RnsPoly {
     }
 
     fn check_compatible(&self, other: &Self, op: &str) -> crate::Result<()> {
-        if self.basis.moduli() != other.basis.moduli() || self.degree() != other.degree() {
+        if self.basis != other.basis {
             return Err(MathError::BasisMismatch(format!(
                 "{op}: operands live on different bases"
             )));
@@ -426,55 +426,42 @@ impl RnsPoly {
         self.mul_constants(&constants)
     }
 
-    /// Applies the ring automorphism `X ↦ X^g` described by `table`.
-    ///
-    /// The permutation is applied in the coefficient domain; NTT-domain inputs
-    /// are transformed round-trip, mirroring the iNTT → permute → NTT flow. A
-    /// coefficient-domain input permutes straight from `&self` into a single
-    /// fresh output buffer; use [`RnsPoly::automorphism_apply`] on the
-    /// rotation hot path to reuse an existing allocation.
+    /// Applies the ring automorphism `X ↦ X^g` described by `table`, in the
+    /// polynomial's own representation: the signed coefficient permutation,
+    /// or the NTT-domain gather (no transform is performed either way). Each
+    /// limb permutes straight from `&self` into a single fresh output buffer;
+    /// use [`RnsPoly::automorphism_apply`] to reuse an existing allocation.
     pub fn automorphism(&self, table: &AutomorphismTable) -> Self {
-        match self.rep {
-            Representation::Coefficient => {
-                let mut out = Self::zero(&self.basis, Representation::Coefficient);
-                let n = self.basis.degree();
-                let basis = &self.basis;
-                par::par_limbs(
-                    out.data.chunks_exact_mut(n).collect(),
-                    |j, limb: &mut [u64]| {
-                        table.apply_into(self.limb(j), limb, basis.modulus(j).value());
-                    },
-                );
-                out
-            }
-            Representation::Ntt => {
-                let mut out = self.clone();
-                let mut scratch = vec![0u64; self.basis.degree()];
-                out.automorphism_apply(table, &mut scratch);
-                out
-            }
-        }
+        let mut out = Self::zero(&self.basis, self.rep);
+        let n = self.basis.degree();
+        let basis = &self.basis;
+        par::par_limbs(
+            out.data.chunks_exact_mut(n).collect(),
+            |j, limb: &mut [u64]| match self.rep {
+                Representation::Coefficient => {
+                    table.apply_into(self.limb(j), limb, basis.modulus(j).value());
+                }
+                Representation::Ntt => table.apply_ntt_into(self.limb(j), limb),
+            },
+        );
+        out
     }
 
     /// In-place automorphism using a caller-provided scratch limb (resized to
-    /// N as needed). This is the allocation-free rotation hot path: iNTT and
-    /// NTT run in place (limb-parallel), and the permutation bounces each limb
-    /// through `scratch` serially.
+    /// N as needed): each limb bounces through `scratch` and is permuted back
+    /// in its own representation, as in [`RnsPoly::automorphism`].
     pub fn automorphism_apply(&mut self, table: &AutomorphismTable, scratch: &mut Vec<u64>) {
-        let was_ntt = self.rep == Representation::Ntt;
-        if was_ntt {
-            self.to_coefficient();
-        }
         let n = self.basis.degree();
+        let rep = self.rep;
         scratch.resize(n, 0);
         for j in 0..self.basis.len() {
             let q = self.basis.modulus(j).value();
             let limb = self.limb_mut(j);
             scratch.copy_from_slice(limb);
-            table.apply_into(scratch, limb, q);
-        }
-        if was_ntt {
-            self.to_ntt();
+            match rep {
+                Representation::Coefficient => table.apply_into(scratch, limb, q),
+                Representation::Ntt => table.apply_ntt_into(scratch, limb),
+            }
         }
     }
 

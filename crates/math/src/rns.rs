@@ -17,7 +17,15 @@ pub struct RnsBasis {
 
 impl PartialEq for RnsBasis {
     fn eq(&self, other: &Self) -> bool {
-        self.degree == other.degree && self.moduli() == other.moduli()
+        // Bases cut from one chain share their tables, so the pointer test
+        // settles almost every limb without reading a modulus.
+        self.degree == other.degree
+            && self.tables.len() == other.tables.len()
+            && self
+                .tables
+                .iter()
+                .zip(&other.tables)
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a.modulus().value() == b.modulus().value())
     }
 }
 

@@ -30,12 +30,14 @@ fn run_workload() -> (Vec<Vec<u64>>, Vec<f64>) {
     polys.push(prod.data().to_vec());
     let table = AutomorphismTable::from_rotation(1 << 7, 3).unwrap();
     polys.push(a.automorphism(&table).data().to_vec());
+    // The NTT-domain gather fans out per limb like the coefficient form.
+    polys.push(a_ntt.automorphism(&table).data().to_vec());
 
     // HE ops through the full key-switching pipeline.
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let ctx = CkksContext::new_toy(1 << 10, 4, 2).unwrap();
     let (sk, mut keys) = ctx.generate_keys(&mut rng).unwrap();
-    ctx.add_rotation_keys(&sk, &mut keys, &[1], &mut rng)
+    ctx.add_rotation_keys(&sk, &mut keys, &[1, 2, 5], &mut rng)
         .unwrap();
     let eval = ctx.evaluator(&keys);
     let msg: Vec<Complex> = (0..ctx.slots())
@@ -46,8 +48,20 @@ fn run_workload() -> (Vec<Vec<u64>>, Vec<f64>) {
     let product = eval.mul(&ct, &ct).unwrap();
     let rescaled = eval.rescale(&product).unwrap();
     let rotated = eval.rotate(&rescaled, 1).unwrap();
-    for c in [rotated.c0(), rotated.c1()] {
-        polys.push(c.data().to_vec());
+    // A hoisted group (shared ModUp, permuted inner products), conjugation,
+    // the scalar ops and the single-iNTT rescale of their results.
+    let mut results = eval.rotate_hoisted(&rescaled, &[2, 5]).unwrap();
+    results.push(eval.conjugate(&rescaled).unwrap());
+    let scaled = eval.mul_const(&rotated, -0.75).unwrap();
+    results.push(
+        eval.add_const(&eval.rescale(&scaled).unwrap(), 0.125)
+            .unwrap(),
+    );
+    results.push(rotated.clone());
+    for ct in &results {
+        for c in [ct.c0(), ct.c1()] {
+            polys.push(c.data().to_vec());
+        }
     }
 
     let decrypted = ctx.decrypt(&rotated, &sk).unwrap();
