@@ -732,7 +732,7 @@ pub fn workloads_json() -> String {
         .collect::<Vec<_>>()
         .join(", ");
     format!(
-        "{{\n  \"schema\": 7,\n  \"configs\": {{{}}},\n  \"results\": [\n{}\n  ],\n  \"serve\": [\n{}\n  ],\n  \"compile\": [\n{}\n  ],\n  \"cluster\": [\n{}\n  ],\n  \"resilience\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": 8,\n  \"configs\": {{{}}},\n  \"results\": [\n{}\n  ],\n  \"serve\": [\n{}\n  ],\n  \"compile\": [\n{}\n  ],\n  \"cluster\": [\n{}\n  ],\n  \"resilience\": [\n{}\n  ]\n}}\n",
         configs,
         rows.join(",\n"),
         serve_json_rows(&grid).join(",\n"),
@@ -1382,7 +1382,7 @@ mod tests {
     #[test]
     fn workloads_json_covers_every_workload_and_instance() {
         let json = cached_json();
-        assert!(json.contains("\"schema\": 7"));
+        assert!(json.contains("\"schema\": 8"));
         for name in ["amortized-mult", "bootstrap", "helr", "resnet20", "sorting"] {
             assert!(
                 json.contains(&format!("\"workload\": \"{name}\"")),

@@ -2,7 +2,9 @@
 //! fleet-level throughput, utilization, fairness, and interconnect figures.
 //!
 //! Per-chip [`ServeReport`]s keep the *shifted* arrivals (original arrival
-//! plus interconnect transfer time) — that is what the chip actually saw.
+//! plus interconnect transfer time) — that is what the chip actually saw —
+//! and cover every job ever shipped to the chip: a failed chip's report lists
+//! the jobs it cut under `interrupted`, whatever became of them elsewhere.
 //! The cluster-level [`ClusterJobOutcome`]s keep the *original* arrivals, so
 //! cluster latency and fairness include the time jobs spent on the wire.
 
@@ -87,6 +89,9 @@ pub struct ClusterReport {
     /// Jobs the fleet gave up on — overload shedding, expired deadlines,
     /// exhausted retry/migration budgets — with *original* arrivals.
     pub shed: Vec<ShedJob>,
+    /// Chip-to-chip re-placements after chip failures, whatever became of
+    /// the re-placed job afterwards (completed, shed, or moved again).
+    pub migrations: u64,
     /// Chip failures the fault plan injected into this run.
     pub failed_chips: Vec<ChipFailure>,
 }
@@ -115,7 +120,7 @@ impl ClusterReport {
 
     /// Total chip-to-chip re-placements after chip failures.
     pub fn migration_count(&self) -> u64 {
-        self.jobs.iter().map(|j| u64::from(j.migrations)).sum()
+        self.migrations
     }
 
     /// Total transient-fault redrives across completed and shed jobs.

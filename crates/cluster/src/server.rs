@@ -18,22 +18,30 @@
 //!    in the fault plan divide the bandwidth while they are active. A
 //!    single-chip spec charges exactly zero and reproduces
 //!    [`bts_serve::serve`] bit for bit.
-//! 5. Each chip runs its shard through its own admission loop (with its
-//!    failure time from the plan, if any); chips are independent, so the
-//!    fleet's makespan is the slowest chip's.
-//! 6. Jobs a failed chip interrupted are re-placed onto the least-loaded
-//!    surviving chip, becoming ready after the failure plus capped
-//!    exponential backoff — and paying the wire again for their ciphertexts
-//!    and any keys not already resident there. Re-placement repeats (a job
-//!    can outlive several failures) until every job has either completed or
-//!    been shed; a job whose dispatch count exhausts the retry budget is
+//! 5. Chips are served one at a time **in failure order** (earliest death
+//!    first, immortal chips last), each exactly once through its own
+//!    admission loop with its failure time from the plan, if any. Chips do
+//!    not otherwise interact, so the fleet's makespan is the slowest chip's.
+//! 6. Jobs a failed chip interrupted are re-placed, in job-id order, onto
+//!    the least-loaded chip still alive when they become ready — after the
+//!    failure plus capped exponential backoff — paying the wire again for
+//!    their ciphertexts and any keys not already resident there. Such a
+//!    target dies strictly later than the chip the job came from (or never),
+//!    so it has not been served yet: the refugee simply joins its shard, and
+//!    one pass over the chips settles every job — no chip is ever re-run. A
+//!    job can outlive several failures; each one re-places it when that
+//!    chip's turn comes. Chips that die at the same instant cannot shelter
+//!    each other's jobs and are served as one batch before their union is
+//!    re-placed. A job whose dispatch count exhausts the retry budget is
 //!    shed instead of re-placed, and a job with no surviving chip to go to
 //!    is a [`ClusterError::ChipUnavailable`] — the fleet is dead.
 //!
-//! The failed chip's final report keeps only the jobs that completed on it:
-//! the partial work it burned on migrated jobs is accounted through the
-//! re-placement delay (failure time + backoff + re-transfer), not through
-//! the dead chip's utilization.
+//! A failed chip's report is the run that chip actually had: jobs it shed
+//! before dying stay shed, the jobs it was about to lose held their queue
+//! slots and channels until the failure (so they delayed the jobs that did
+//! complete there) and are listed under its `interrupted`. Every dispatch is
+//! therefore accounted for by exactly one chip report — completed, shed or
+//! interrupted.
 //!
 //! Everything is deterministic: one `(jobs, options)` pair — fault plan
 //! included — always produces the same [`ClusterReport`].
@@ -42,8 +50,8 @@ use std::collections::HashMap;
 
 use bts_fault::FaultError;
 use bts_serve::{
-    estimate_trace_seconds, BtsServer, FaultPlan, JobRequest, QueuePolicy, RetryPolicy, ServeError,
-    ServeOptions, ServeReport, ShedJob, ShedReason,
+    estimate_trace_seconds, validate_batch, BtsServer, FaultPlan, JobRequest, QueuePolicy,
+    RetryPolicy, ServeError, ServeOptions, ShedJob, ShedReason,
 };
 use bts_sim::Simulator;
 use bts_workloads::{standard_registry, WorkloadRegistry};
@@ -135,7 +143,7 @@ struct JobProfile {
     evk_set_bytes: u64,
 }
 
-/// One shipment of a job to a chip: the original placement, or a
+/// A job's current shipment to a chip: the original placement, or its latest
 /// re-placement after a chip failure.
 #[derive(Debug, Clone, Copy)]
 struct Dispatch {
@@ -143,17 +151,10 @@ struct Dispatch {
     /// When the job is ready to leave for the chip: its arrival for the
     /// first dispatch; failure time + backoff for re-placements.
     ready_seconds: f64,
-}
-
-/// Everything one evaluation round of the fleet produces.
-struct RoundState {
-    chip_reports: Vec<ServeReport>,
-    /// Per job: wire time of its *current* (last) dispatch.
-    transfer_seconds: Vec<f64>,
-    chip_bytes: Vec<u64>,
-    chip_transfer_seconds: Vec<f64>,
-    /// Jobs a failed chip cut: (submit index, chip, failure time).
-    interrupted: Vec<(usize, usize, f64)>,
+    /// Wire time of this shipment, known once its chip has been charged.
+    transfer_seconds: f64,
+    /// Dispatches the job has used, this one included.
+    number: u32,
 }
 
 /// A multi-tenant batch server over a fleet of simulated accelerators.
@@ -230,28 +231,9 @@ impl ClusterServer {
             }
             other => ClusterError::Fault(other),
         })?;
-        // Job id → submit index: the duplicate check now, and every later
-        // lookup of a chip's outcome back to its request.
-        let mut index_of: HashMap<u64, usize> = HashMap::with_capacity(jobs.len());
-        for (j, job) in jobs.iter().enumerate() {
-            if !job.arrival_seconds.is_finite() || job.arrival_seconds < 0.0 {
-                return Err(admission(ServeError::InvalidArrival {
-                    job: job.id,
-                    arrival_seconds: job.arrival_seconds,
-                }));
-            }
-            if let Some(d) = job.deadline_seconds {
-                if !d.is_finite() {
-                    return Err(admission(ServeError::InvalidDeadline {
-                        job: job.id,
-                        deadline_seconds: d,
-                    }));
-                }
-            }
-            if index_of.insert(job.id, j).is_some() {
-                return Err(admission(ServeError::DuplicateJobId { job: job.id }));
-            }
-        }
+        // Job id → submit index: every later lookup of a chip's outcome back
+        // to its request.
+        let index_of = validate_batch(jobs).map_err(admission)?;
 
         // Profile each unique (workload, instance) pair once — bursts repeat
         // them, and lowering is deterministic. `pairs` holds the first job
@@ -291,12 +273,20 @@ impl ClusterServer {
             })
             .collect();
         let placed = self.options.placement.place(&placement_jobs, chip_count);
-        let mut chip_of = vec![0usize; jobs.len()];
+        let mut dispatch: Vec<Dispatch> = jobs
+            .iter()
+            .map(|job| Dispatch {
+                chip: 0,
+                ready_seconds: job.arrival_seconds,
+                transfer_seconds: 0.0,
+                number: 1,
+            })
+            .collect();
         for (pos, &j) in order.iter().enumerate() {
-            chip_of[j] = placed[pos];
+            dispatch[j].chip = placed[pos];
         }
-        let ambient_telemetry = bts_telemetry::enabled();
-        if ambient_telemetry {
+        let telemetry_on = bts_telemetry::enabled();
+        if telemetry_on {
             use bts_telemetry::ArgValue;
             let _scope = bts_telemetry::scope("cluster");
             for &j in &order {
@@ -307,7 +297,7 @@ impl ClusterServer {
                     &[
                         ("job", ArgValue::U64(jobs[j].id)),
                         ("tenant", ArgValue::U64(u64::from(jobs[j].tenant))),
-                        ("chip", ArgValue::U64(chip_of[j] as u64)),
+                        ("chip", ArgValue::U64(dispatch[j].chip as u64)),
                     ],
                 );
             }
@@ -321,53 +311,51 @@ impl ClusterServer {
             }
         }
 
-        // Failover fixed point. Each round evaluates the whole fleet from
-        // the current dispatch assignments; interrupted jobs are re-placed
-        // (or shed) and the fleet re-evaluated until every job resolves.
-        // Intermediate rounds are throwaway work: each round records into a
-        // child telemetry capture, and only the converged one is merged.
-        let mut dispatches: Vec<Vec<Dispatch>> = jobs
-            .iter()
-            .enumerate()
-            .map(|(j, job)| {
-                vec![Dispatch {
-                    chip: chip_of[j],
-                    ready_seconds: job.arrival_seconds,
-                }]
-            })
-            .collect();
-        // Jobs the cluster itself shed (migration budget exhausted) — they
-        // stop being dispatched but their shipped bytes stay charged.
-        // `cluster_shed[j]` is the job's entry in `cluster_shed_jobs`.
-        let mut cluster_shed: Vec<Option<usize>> = vec![None; jobs.len()];
-        let mut cluster_shed_jobs: Vec<ShedJob> = Vec::new();
+        // One pass over the chips in failure order (module doc, steps 5–6):
+        // a refugee's target is alive when the refugee is ready, which is no
+        // earlier than the failure that displaced it, so the target belongs
+        // to a later batch and its shard is still open.
+        let fail_at: Vec<Option<f64>> = (0..chip_count).map(|c| plan.failure_of(c)).collect();
+        let mut failure_order: Vec<usize> = (0..chip_count).collect();
+        // Stable, so chips that die together (or never) stay in index order.
+        failure_order.sort_by(|&a, &b| {
+            let at = |c: usize| fail_at[c].unwrap_or(f64::INFINITY);
+            at(a).total_cmp(&at(b))
+        });
+        // Per chip: the jobs shipped to it so far (submit indices).
+        let mut shards: Vec<Vec<usize>> = vec![Vec::new(); chip_count];
         let mut load = vec![0.0f64; chip_count];
-        for (j, d) in dispatches.iter().enumerate() {
-            load[d[0].chip] += profiles[j].estimate_seconds;
+        for (j, d) in dispatch.iter().enumerate() {
+            shards[d.chip].push(j);
+            load[d.chip] += profiles[j].estimate_seconds;
         }
-        let state = loop {
-            let round = ambient_telemetry.then(bts_telemetry::capture);
-            let state = self.run_round(jobs, &index_of, &profiles, &dispatches, &cluster_shed)?;
-            if state.interrupted.is_empty() {
-                if let Some(round) = round {
-                    bts_telemetry::merge(round.finish());
-                }
-                break state;
+        let mut chips: Vec<Option<ChipOutcome>> = vec![None; chip_count];
+        // Jobs the cluster itself shed (migration budget exhausted), by
+        // submit index.
+        let mut cluster_shed: HashMap<usize, ShedJob> = HashMap::new();
+        let mut migrations = 0u64;
+        for batch in failure_order.chunk_by(|&a, &b| fail_at[a] == fail_at[b]) {
+            // Jobs this batch's failure cut (submit indices).
+            let mut cut: Vec<usize> = Vec::new();
+            for &chip in batch {
+                let shard = std::mem::take(&mut shards[chip]);
+                let outcome = self.serve_chip(chip, shard, jobs, &profiles, &mut dispatch)?;
+                let interrupted = &outcome.report.interrupted;
+                cut.extend(interrupted.iter().map(|i| index_of[&i.id]));
+                chips[chip] = Some(outcome);
             }
-            // Re-place interrupted jobs in failure order (ties by id) onto
-            // the least-loaded surviving chip.
-            let mut cut = state.interrupted.clone();
-            cut.sort_by(|a, b| {
-                a.2.partial_cmp(&b.2)
-                    .expect("failure times are finite")
-                    .then(jobs[a.0].id.cmp(&jobs[b.0].id))
-            });
-            for (j, chip, failed_at) in cut {
-                let used = u32::try_from(dispatches[j].len()).unwrap_or(u32::MAX);
+            // Re-place them in job-id order (one failure time per batch)
+            // onto the least-loaded chip still alive when they are ready.
+            cut.sort_by_key(|&j| jobs[j].id);
+            let _scope = bts_telemetry::scope("cluster");
+            for j in cut {
+                let Dispatch {
+                    chip, number: used, ..
+                } = dispatch[j];
+                let failed_at = fail_at[chip].expect("only a failed chip interrupts jobs");
                 let job = &jobs[j];
                 if used >= self.options.retry.max_attempts {
-                    cluster_shed[j] = Some(cluster_shed_jobs.len());
-                    cluster_shed_jobs.push(ShedJob {
+                    let shed = ShedJob {
                         id: job.id,
                         tenant: job.tenant,
                         workload: job.workload.clone(),
@@ -376,14 +364,30 @@ impl ClusterServer {
                         reason: ShedReason::RetryBudgetExhausted,
                         attempts: used,
                         deadline_seconds: job.deadline_seconds,
-                    });
+                    };
+                    if telemetry_on {
+                        use bts_telemetry::ArgValue;
+                        bts_telemetry::emit_instant(
+                            "faults",
+                            "shed",
+                            shed.shed_seconds,
+                            &[
+                                ("job", ArgValue::U64(shed.id)),
+                                ("tenant", ArgValue::U64(u64::from(shed.tenant))),
+                                ("reason", ArgValue::Str(shed.reason.label().to_string())),
+                                ("attempts", ArgValue::U64(u64::from(shed.attempts))),
+                            ],
+                        );
+                        bts_telemetry::counter_add("cluster.shed", 1);
+                    }
+                    cluster_shed.insert(j, shed);
                     continue;
                 }
                 let ready = job
                     .arrival_seconds
                     .max(failed_at + self.options.retry.backoff_seconds(used));
                 let target = (0..chip_count)
-                    .filter(|&c| plan.failure_of(c).is_none_or(|t| t > ready))
+                    .filter(|&c| fail_at[c].is_none_or(|t| t > ready))
                     .min_by(|&a, &b| {
                         load[a]
                             .partial_cmp(&load[b])
@@ -398,56 +402,36 @@ impl ClusterServer {
                 };
                 load[chip] -= profiles[j].estimate_seconds;
                 load[to] += profiles[j].estimate_seconds;
-                dispatches[j].push(Dispatch {
+                dispatch[j] = Dispatch {
                     chip: to,
                     ready_seconds: ready,
-                });
-            }
-        };
-        if ambient_telemetry {
-            use bts_telemetry::ArgValue;
-            let _scope = bts_telemetry::scope("cluster");
-            for (j, d) in dispatches.iter().enumerate() {
-                for (k, pair) in d.windows(2).enumerate() {
+                    transfer_seconds: 0.0,
+                    number: used + 1,
+                };
+                debug_assert!(chips[to].is_none(), "refugees go forward in failure order");
+                shards[to].push(j);
+                migrations += 1;
+                if telemetry_on {
+                    use bts_telemetry::ArgValue;
                     bts_telemetry::emit_instant(
                         "faults",
                         "migrate",
-                        pair[1].ready_seconds,
+                        ready,
                         &[
-                            ("job", ArgValue::U64(jobs[j].id)),
-                            ("from", ArgValue::U64(pair[0].chip as u64)),
-                            ("to", ArgValue::U64(pair[1].chip as u64)),
-                            ("dispatch", ArgValue::U64(k as u64 + 2)),
+                            ("job", ArgValue::U64(job.id)),
+                            ("from", ArgValue::U64(chip as u64)),
+                            ("to", ArgValue::U64(to as u64)),
+                            ("dispatch", ArgValue::U64(u64::from(used) + 1)),
                         ],
                     );
                     bts_telemetry::counter_add("cluster.migrations", 1);
                 }
             }
-            for s in &cluster_shed_jobs {
-                bts_telemetry::emit_instant(
-                    "faults",
-                    "shed",
-                    s.shed_seconds,
-                    &[
-                        ("job", ArgValue::U64(s.id)),
-                        ("tenant", ArgValue::U64(u64::from(s.tenant))),
-                        ("reason", ArgValue::Str(s.reason.label().to_string())),
-                        ("attempts", ArgValue::U64(u64::from(s.attempts))),
-                    ],
-                );
-                bts_telemetry::counter_add("cluster.shed", 1);
-            }
         }
-
-        let mut chips = Vec::with_capacity(chip_count);
-        for (chip, report) in state.chip_reports.into_iter().enumerate() {
-            chips.push(ChipOutcome {
-                chip,
-                report,
-                interconnect_bytes: state.chip_bytes[chip],
-                interconnect_seconds: state.chip_transfer_seconds[chip],
-            });
-        }
+        let chips: Vec<ChipOutcome> = chips
+            .into_iter()
+            .map(|c| c.expect("the failure order covers every chip"))
+            .collect();
 
         // Fleet-level outcomes keep the original arrivals: the wire time a
         // job spent getting to its chip counts against its cluster latency.
@@ -468,30 +452,30 @@ impl ClusterServer {
             }
         }
         for (j, job) in jobs.iter().enumerate() {
-            let chip = dispatches[j].last().expect("every job is dispatched").chip;
-            if let Some(s) = cluster_shed[j] {
-                shed.push(cluster_shed_jobs[s].clone());
+            let d = dispatch[j];
+            if let Some(s) = cluster_shed.remove(&j) {
+                shed.push(s);
                 continue;
             }
             if let Some(i) = served_at[j] {
-                let served = &chips[chip].report.jobs[i];
+                let served = &chips[d.chip].report.jobs[i];
                 outcomes.push(ClusterJobOutcome {
                     id: job.id,
                     tenant: job.tenant,
-                    chip,
+                    chip: d.chip,
                     workload: job.workload.clone(),
                     arrival_seconds: job.arrival_seconds,
-                    transfer_seconds: state.transfer_seconds[j],
+                    transfer_seconds: d.transfer_seconds,
                     admitted_seconds: served.admitted_seconds,
                     finish_seconds: served.finish_seconds,
-                    migrations: u32::try_from(dispatches[j].len() - 1).unwrap_or(u32::MAX),
+                    migrations: d.number - 1,
                     attempts: served.attempts,
                     deadline_seconds: job.deadline_seconds,
                 });
             } else {
                 let i =
                     shed_at[j].expect("a dispatched, unshed, uncompleted job was shed by its chip");
-                let mut s = chips[chip].report.shed[i].clone();
+                let mut s = chips[d.chip].report.shed[i].clone();
                 s.arrival_seconds = job.arrival_seconds;
                 shed.push(s);
             }
@@ -502,54 +486,52 @@ impl ClusterServer {
             chips,
             jobs: outcomes,
             shed,
+            migrations,
             failed_chips: plan.chip_failures.clone(),
         })
     }
 
-    /// Evaluates the fleet once from the current dispatch assignments:
-    /// charges the wire for every dispatch ever made (re-placements pay
-    /// again), then serves each chip's current shard with its failure time.
-    fn run_round(
+    /// Charges the wire for every job shipped to `chip` (filling in each
+    /// dispatch's transfer time), then serves them through the one shared
+    /// inner server with the chip's failure time layered on. `shard` is
+    /// final: every chip that could still send this one a refugee has
+    /// already been served.
+    fn serve_chip(
         &self,
+        chip: usize,
+        mut shard: Vec<usize>,
         jobs: &[JobRequest],
-        index_of: &HashMap<u64, usize>,
         profiles: &[std::rc::Rc<JobProfile>],
-        dispatches: &[Vec<Dispatch>],
-        cluster_shed: &[Option<usize>],
-    ) -> Result<RoundState, ClusterError> {
-        let chip_count = self.options.spec.chip_count;
+        dispatch: &mut [Dispatch],
+    ) -> Result<ChipOutcome, ClusterError> {
         let link = self.options.spec.interconnect;
         let plan = &self.options.fault;
         let telemetry_on = bts_telemetry::enabled();
+        // The chip breaks its ties in submission order.
+        shard.sort_unstable();
 
-        // Interconnect charging over the full dispatch history, in shipment
-        // order: ciphertext inputs move on every dispatch; a tenant's evk
-        // set moves only when the dispatch grows the tenant's resident key
-        // footprint on that chip. Link-degradation windows stretch the
-        // streaming part. One chip means everything is already resident —
-        // zero charge by construction.
-        let mut transfer_seconds = vec![0.0f64; jobs.len()];
-        let mut chip_bytes = vec![0u64; chip_count];
-        let mut chip_transfer_seconds = vec![0.0f64; chip_count];
-        if chip_count > 1 {
-            let _scope = telemetry_on.then(|| bts_telemetry::scope("cluster"));
-            let mut shipments: Vec<(usize, usize)> = dispatches
-                .iter()
-                .enumerate()
-                .flat_map(|(j, d)| (0..d.len()).map(move |k| (j, k)))
-                .collect();
-            shipments.sort_by(|&(aj, ak), &(bj, bk)| {
-                dispatches[aj][ak]
+        // Interconnect charging in shipment order (ready time, submission
+        // order on ties — the sort is stable): ciphertext inputs move on
+        // every dispatch; a tenant's evk set moves only when the dispatch
+        // grows the tenant's resident key footprint on this chip.
+        // Link-degradation windows stretch the streaming part. One chip
+        // means everything is already resident — zero charge by
+        // construction.
+        let mut interconnect_bytes = 0u64;
+        let mut interconnect_seconds = 0.0f64;
+        if self.options.spec.chip_count > 1 {
+            let _scope = bts_telemetry::scope("cluster");
+            let mut shipments = shard.clone();
+            shipments.sort_by(|&a, &b| {
+                dispatch[a]
                     .ready_seconds
-                    .partial_cmp(&dispatches[bj][bk].ready_seconds)
+                    .partial_cmp(&dispatch[b].ready_seconds)
                     .expect("ready times are finite")
-                    .then(aj.cmp(&bj))
-                    .then(ak.cmp(&bk))
             });
-            let mut resident_evk: HashMap<(u32, usize), u64> = HashMap::new();
-            for (j, k) in shipments {
-                let d = dispatches[j][k];
-                let resident = resident_evk.entry((jobs[j].tenant, d.chip)).or_insert(0);
+            let mut resident_evk: HashMap<u32, u64> = HashMap::new();
+            for j in shipments {
+                let d = &mut dispatch[j];
+                let resident = resident_evk.entry(jobs[j].tenant).or_insert(0);
                 let evk_delta = profiles[j].evk_set_bytes.saturating_sub(*resident);
                 *resident = (*resident).max(profiles[j].evk_set_bytes);
                 let bytes = profiles[j].input_ct_bytes + evk_delta;
@@ -561,11 +543,9 @@ impl ClusterServer {
                 } else {
                     link.latency_seconds + bytes as f64 / (link.bytes_per_sec * factor)
                 };
-                chip_bytes[d.chip] += bytes;
-                chip_transfer_seconds[d.chip] += seconds;
-                if k + 1 == dispatches[j].len() {
-                    transfer_seconds[j] = seconds;
-                }
+                interconnect_bytes += bytes;
+                interconnect_seconds += seconds;
+                d.transfer_seconds = seconds;
                 if telemetry_on && bytes > 0 {
                     use bts_telemetry::ArgValue;
                     bts_telemetry::emit_complete(
@@ -575,7 +555,7 @@ impl ClusterServer {
                         seconds,
                         &[
                             ("job", ArgValue::U64(jobs[j].id)),
-                            ("chip", ArgValue::U64(d.chip as u64)),
+                            ("chip", ArgValue::U64(chip as u64)),
                             ("bytes", ArgValue::U64(bytes)),
                             ("ct_bytes", ArgValue::U64(profiles[j].input_ct_bytes)),
                             ("evk_bytes", ArgValue::U64(evk_delta)),
@@ -587,51 +567,33 @@ impl ClusterServer {
             }
         }
 
-        // Each chip serves its current shard (last dispatch, not shed by
-        // the cluster) through the one shared inner server, with its
-        // failure time layered on.
-        let mut chip_reports = Vec::with_capacity(chip_count);
-        let mut interrupted = Vec::new();
-        for chip in 0..chip_count {
-            let shard: Vec<JobRequest> = jobs
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| {
-                    cluster_shed[j].is_none()
-                        && dispatches[j].last().expect("dispatched").chip == chip
-                })
-                .map(|(j, job)| {
-                    let d = dispatches[j].last().expect("dispatched");
-                    let mut dispatched = job.clone();
-                    dispatched.arrival_seconds = d.ready_seconds + transfer_seconds[j];
-                    dispatched
-                })
-                .collect();
-            let mut chip_options = self.server.options().clone();
-            if let Some(t) = plan.failure_of(chip) {
-                chip_options = chip_options.with_failure_at(t);
-            }
-            // Everything this chip's admission loop and scheduler emit lands
-            // in a per-chip telemetry process (`chip0`, `chip1`, …).
-            let _chip_scope = telemetry_on.then(|| bts_telemetry::scope(format!("chip{chip}")));
-            let report = self
-                .server
-                .serve_with(&shard, &chip_options)
-                .map_err(|source| ClusterError::Serve {
-                    chip: Some(chip),
-                    source,
-                })?;
-            for cut in &report.interrupted {
-                interrupted.push((index_of[&cut.id], chip, cut.interrupted_seconds));
-            }
-            chip_reports.push(report);
+        let shipped: Vec<JobRequest> = shard
+            .iter()
+            .map(|&j| {
+                let mut job = jobs[j].clone();
+                job.arrival_seconds = dispatch[j].ready_seconds + dispatch[j].transfer_seconds;
+                job
+            })
+            .collect();
+        let mut chip_options = self.server.options().clone();
+        if let Some(t) = plan.failure_of(chip) {
+            chip_options = chip_options.with_failure_at(t);
         }
-        Ok(RoundState {
-            chip_reports,
-            transfer_seconds,
-            chip_bytes,
-            chip_transfer_seconds,
-            interrupted,
+        // Everything this chip's admission loop and scheduler emit lands
+        // in a per-chip telemetry process (`chip0`, `chip1`, …).
+        let _chip_scope = telemetry_on.then(|| bts_telemetry::scope(format!("chip{chip}")));
+        let report = self
+            .server
+            .serve_with(&shipped, &chip_options)
+            .map_err(|source| ClusterError::Serve {
+                chip: Some(chip),
+                source,
+            })?;
+        Ok(ChipOutcome {
+            chip,
+            report,
+            interconnect_bytes,
+            interconnect_seconds,
         })
     }
 

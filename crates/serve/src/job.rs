@@ -1,6 +1,10 @@
 //! Job descriptors: what a tenant submits to the serving layer.
 
+use std::collections::HashMap;
+
 use bts_params::CkksInstance;
+
+use crate::error::ServeError;
 
 /// One unit of work submitted to the serving layer: a named workload from the
 /// registry, the CKKS instance to run it under, and when it arrives. The
@@ -50,6 +54,38 @@ impl JobRequest {
         self.deadline_seconds = Some(deadline_seconds);
         self
     }
+}
+
+/// The batch front door of every server (one chip or a fleet): arrivals must
+/// be finite and non-negative, deadlines finite, ids unique. Returns each
+/// job id's index in submission order.
+///
+/// # Errors
+///
+/// [`ServeError::InvalidArrival`], [`ServeError::InvalidDeadline`] or
+/// [`ServeError::DuplicateJobId`], naming the first offending job.
+pub fn validate_batch(jobs: &[JobRequest]) -> Result<HashMap<u64, usize>, ServeError> {
+    let mut index_of = HashMap::with_capacity(jobs.len());
+    for (j, job) in jobs.iter().enumerate() {
+        if !job.arrival_seconds.is_finite() || job.arrival_seconds < 0.0 {
+            return Err(ServeError::InvalidArrival {
+                job: job.id,
+                arrival_seconds: job.arrival_seconds,
+            });
+        }
+        if let Some(d) = job.deadline_seconds {
+            if !d.is_finite() {
+                return Err(ServeError::InvalidDeadline {
+                    job: job.id,
+                    deadline_seconds: d,
+                });
+            }
+        }
+        if index_of.insert(job.id, j).is_some() {
+            return Err(ServeError::DuplicateJobId { job: job.id });
+        }
+    }
+    Ok(index_of)
 }
 
 /// A queued job as a [`crate::QueuePolicy`] sees it when picking the next

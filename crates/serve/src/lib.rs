@@ -62,7 +62,7 @@ pub use arrivals::SyntheticArrivals;
 pub use derived::DerivedServeFigures;
 pub use error::ServeError;
 pub use estimate::estimate_trace_seconds;
-pub use job::{JobRequest, QueuedJob};
+pub use job::{validate_batch, JobRequest, QueuedJob};
 pub use policy::QueuePolicy;
 pub use report::{InterruptedJob, JobOutcome, ServeReport, ShedJob, ShedReason};
 pub use server::{serve, BtsServer, ServeOptions};

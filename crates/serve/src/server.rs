@@ -52,7 +52,7 @@ use bts_sim::{BtsConfig, SimReport, Simulator, TraceIndex};
 use bts_workloads::{standard_registry, WorkloadRegistry};
 
 use crate::error::ServeError;
-use crate::job::{JobRequest, QueuedJob};
+use crate::job::{validate_batch, JobRequest, QueuedJob};
 use crate::policy::QueuePolicy;
 use crate::report::{InterruptedJob, JobOutcome, ServeReport, ShedJob, ShedReason};
 
@@ -268,26 +268,7 @@ impl BtsServer {
         options: &ServeOptions,
     ) -> Result<ServeReport, ServeError> {
         options.validate()?;
-        let mut seen = std::collections::HashSet::new();
-        for job in jobs {
-            if !job.arrival_seconds.is_finite() || job.arrival_seconds < 0.0 {
-                return Err(ServeError::InvalidArrival {
-                    job: job.id,
-                    arrival_seconds: job.arrival_seconds,
-                });
-            }
-            if let Some(d) = job.deadline_seconds {
-                if !d.is_finite() {
-                    return Err(ServeError::InvalidDeadline {
-                        job: job.id,
-                        deadline_seconds: d,
-                    });
-                }
-            }
-            if !seen.insert(job.id) {
-                return Err(ServeError::DuplicateJobId { job: job.id });
-            }
-        }
+        validate_batch(jobs)?;
 
         // Bursts repeat the same (workload, instance) pair; lowering, the
         // cache-resolution sweep and scheduling plan are deterministic, so

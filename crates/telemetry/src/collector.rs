@@ -3,9 +3,8 @@
 //!
 //! A [`Collector`] owns what one run records. While a [`Capture`] guard has
 //! it installed on a thread, that thread's `emit_*`, [`span`] and metric
-//! calls go to it; captures nest (innermost wins, [`merge`] folds a child
-//! into its parent) and are per thread, so runs never see each other's
-//! events. A thread with no sink records nothing, for one thread-local read
+//! calls go to it; captures nest (innermost wins) and are per thread, so
+//! runs never see each other's events. A thread with no sink records nothing, for one thread-local read
 //! and one atomic load per instrumentation point — no locks, allocation or
 //! clock reads (asserted by `tests/zero_alloc.rs`) — unless the environment
 //! switched telemetry on, which gives it a root sink.
@@ -109,36 +108,14 @@ impl Drop for Capture {
     }
 }
 
-/// Installs a fresh [`Collector`] on this thread, shadowing any outer sink
-/// (whose span ids it continues, so a later [`merge`] keeps them unique).
+/// Installs a fresh [`Collector`] on this thread, shadowing any outer sink.
 pub fn capture() -> Capture {
-    let sink = Sink::default();
-    sink.lock().spans = with_current(|outer| outer.spans).unwrap_or(0);
-    sink.install()
+    Sink::default().install()
 }
 
 /// The current thread's innermost sink, if any.
 pub fn current() -> Option<Sink> {
     with_sink(Sink::clone)
-}
-
-/// Appends a finished capture to the current thread's innermost sink (or
-/// discards it if there is none): events up to [`MAX_EVENTS`], drops, metrics
-/// (counters add, histograms merge, anything else takes the child's value).
-pub fn merge(child: Collector) {
-    with_current(|c| {
-        let room = MAX_EVENTS.saturating_sub(c.events.len());
-        c.dropped += child.dropped + child.events.len().saturating_sub(room) as u64;
-        c.events.extend(child.events.into_iter().take(room));
-        c.spans = c.spans.max(child.spans);
-        for (name, metric) in child.metrics {
-            match (c.metrics.get_mut(&name), metric) {
-                (Some(Metric::Counter(mine)), Metric::Counter(theirs)) => *mine += theirs,
-                (Some(Metric::Histogram(mine)), Metric::Histogram(theirs)) => mine.merge(&theirs),
-                (_, metric) => drop(c.metrics.insert(name, metric)),
-            }
-        }
-    });
 }
 
 /// Whether a sink is installed on this thread, i.e. whether instrumentation
@@ -370,33 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_appends_events_and_folds_metrics() {
-        let outer = capture();
-        crate::counter_add("m.counter", 2);
-        crate::gauge_set("m.gauge", 1.0);
-        let _outer_span = span("outer");
-        let inner = capture();
-        emit_instant("t", "child", 0.0, &[]);
-        crate::counter_add("m.counter", 3);
-        crate::gauge_set("m.gauge", 7.0);
-        crate::observe("m.hist", 1e-3);
-        drop(span("inner"));
-        merge(inner.finish());
-        drop(_outer_span);
-        let outer = outer.finish();
-        let names: Vec<&str> = outer.events.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["child", "inner", "outer"]);
-        assert_eq!(outer.metrics["m.counter"], Metric::Counter(5));
-        assert_eq!(outer.metrics["m.gauge"], Metric::Gauge(7.0));
-        assert!(matches!(&outer.metrics["m.hist"], Metric::Histogram(h) if h.count() == 1));
-        // The child continued the outer id sequence: ids stay unique.
-        assert_ne!(
-            outer.events[1].arg_u64("span_id"),
-            outer.events[2].arg_u64("span_id")
-        );
-    }
-
-    #[test]
     fn a_forwarded_sink_collects_another_threads_events() {
         let run = capture();
         let sink = current().expect("a capture is installed");
@@ -463,12 +413,5 @@ mod tests {
         let full = run.finish();
         assert_eq!(full.events.len(), MAX_EVENTS);
         assert_eq!(full.dropped, 1);
-        // Merging into a non-empty parent keeps the cap and counts the excess.
-        let parent = capture();
-        emit_instant("t", "first", 0.0, &[]);
-        merge(full);
-        let parent = parent.finish();
-        assert_eq!(parent.events.len(), MAX_EVENTS);
-        assert_eq!(parent.dropped, 2);
     }
 }

@@ -13,9 +13,9 @@
 //! Telemetry is a scoped value, not process state: [`capture`] installs a
 //! fresh [`Collector`] on the current thread, every instrumentation point the
 //! thread reaches writes into it, and [`Capture::finish`] hands it back.
-//! Captures nest (the innermost shadows the rest; [`merge`] folds a finished
-//! child into its parent) and are per thread, so concurrent runs never mix;
-//! code that fans out forwards its sink ([`current`] + [`Sink::install`]).
+//! Captures nest (the innermost shadows the rest until it ends) and are per
+//! thread, so concurrent runs never mix; code that fans out forwards its sink
+//! ([`current`] + [`Sink::install`]).
 //!
 //! ```
 //! use bts_telemetry as telemetry;
@@ -24,7 +24,7 @@
 //! telemetry::emit_complete("NTTU.0", "HMult@L27", 0.0, 98.0e-6, &[]);
 //! let scratch = telemetry::capture(); // shadows `run` until it ends
 //! telemetry::emit_instant("scratchpad", "evict", 0.0, &[]);
-//! drop(scratch); // never merged: discarded
+//! drop(scratch); // what it recorded never reaches `run`
 //! telemetry::counter_add("sim.cache.hits", 1);
 //! let run = run.finish();
 //! assert_eq!(run.events.len(), 1);
@@ -62,8 +62,7 @@ mod timeline;
 
 pub use collector::{
     active_span_depth, capture, current, current_process, emit_complete, emit_counter,
-    emit_instant, enabled, merge, scope, span, Capture, Collector, ScopeGuard, Sink, Span,
-    MAX_EVENTS,
+    emit_instant, enabled, scope, span, Capture, Collector, ScopeGuard, Sink, Span, MAX_EVENTS,
 };
 pub use event::{check_proper_nesting, ArgValue, Event, EventKind};
 pub use export::{chrome_trace_json, export_chrome_trace, ExportSummary};

@@ -19,9 +19,9 @@ pub const LATENCY_BUCKET_BOUNDS: [f64; 28] = [
 ];
 
 /// A fixed-bucket histogram over [`LATENCY_BUCKET_BOUNDS`]: constant memory,
-/// order-independent merges, percentile estimates via the same nearest-rank
-/// rule as the exact report percentiles (the estimate returns the upper
-/// bound of the bucket holding the rank, clamped to the observed max).
+/// percentile estimates via the same nearest-rank rule as the exact report
+/// percentiles (the estimate returns the upper bound of the bucket holding
+/// the rank, clamped to the observed max).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// One count per bound plus a final overflow bucket.
@@ -58,17 +58,6 @@ impl Histogram {
         self.sum += value;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// Adds every sample of `other` (order-independent).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of recorded samples.
@@ -262,19 +251,5 @@ mod tests {
         assert!(lines[1].starts_with("histogram m.hist count=1"));
         assert_eq!(lines[2], "counter z.counter 5");
         assert!(Collector::default().metrics_dump().is_empty());
-    }
-
-    #[test]
-    fn merged_histograms_equal_one_histogram_of_all_samples() {
-        // Dyadic samples: the float sums are exact in any order.
-        let samples = [0.5, 2.0, 0.25, 2048.0];
-        let mut whole = Histogram::new();
-        let (mut left, mut right) = (Histogram::new(), Histogram::new());
-        for (i, &v) in samples.iter().enumerate() {
-            whole.record(v);
-            if i % 2 == 0 { &mut left } else { &mut right }.record(v);
-        }
-        left.merge(&right);
-        assert_eq!(left, whole);
     }
 }

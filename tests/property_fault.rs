@@ -3,8 +3,10 @@
 //! faulted runs are seed-deterministic down to the bit, (b) a zero-fault plan
 //! is observationally invisible — reports match the fault-free run bitwise,
 //! (c) every submitted job resolves to exactly one of completed/shed, never
-//! both, and (d) the telemetry stream of a faulted run is itself
-//! reproducible event for event.
+//! both, (d) the telemetry stream of a faulted run is itself reproducible
+//! event for event, and (e) failover is causal: a chip that dies is served
+//! once, with everything it held at the time — what it shed stays shed, what
+//! it cut is re-placed once, and its report is a plain `serve_with` run.
 
 use std::collections::HashSet;
 
@@ -14,7 +16,9 @@ use bts::cluster::{
     serve_cluster, ChipSpec, ClusterOptions, FaultPlan, Interconnect, PlacementPolicy, RetryPolicy,
 };
 use bts::params::CkksInstance;
-use bts::serve::{serve, JobRequest, ServeOptions, ServeReport, SyntheticArrivals};
+use bts::serve::{
+    serve, BtsServer, JobRequest, ServeOptions, ServeReport, ShedReason, SyntheticArrivals,
+};
 use bts::sim::ArchPreset;
 use bts::telemetry::{self, Event};
 
@@ -50,6 +54,14 @@ fn assert_reports_bitwise_equal(a: &ServeReport, b: &ServeReport) {
     for (ua, ub) in a.utilizations.iter().zip(&b.utilizations) {
         assert_eq!(ua.to_bits(), ub.to_bits());
     }
+}
+
+/// A BTS NVLink fleet with tenant-affinity placement — the failover drills'
+/// configuration.
+fn affinity_fleet(chips: usize) -> ClusterOptions {
+    let spec =
+        ChipSpec::preset(ArchPreset::Bts, chips).with_interconnect(Interconnect::nvlink_class());
+    ClusterOptions::new(spec).with_placement(PlacementPolicy::TenantAffinity)
 }
 
 proptest! {
@@ -156,6 +168,154 @@ proptest! {
         );
         prop_assert_eq!(wounded.migration_count(), again.migration_count());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Two chips of four die at different times (0.3 and 0.6 of the healthy
+    /// makespan), so refugees of the first can land on the second and be cut
+    /// again. Every chip is still served once: each dispatch shows up in
+    /// exactly one chip report, nothing outlives its chip, and a migrated job
+    /// is admitted only after the failure that moved it.
+    #[test]
+    fn staggered_deaths_account_for_every_dispatch(
+        seed in any::<u64>(), jobs in 10usize..16, first in 0usize..4, gap in 1usize..4
+    ) {
+        let stream = random_stream(seed, jobs, 4);
+        let healthy = serve_cluster(&stream, affinity_fleet(4)).unwrap();
+        let horizon = healthy.makespan_seconds();
+        let deaths = [(first, 0.3 * horizon), ((first + gap) % 4, 0.6 * horizon)];
+        let options = || {
+            let plan = deaths
+                .iter()
+                .fold(FaultPlan::none(), |plan, &(chip, at)| plan.with_chip_failure(chip, at));
+            affinity_fleet(4).with_fault_plan(plan)
+        };
+        let wounded = serve_cluster(&stream, options()).unwrap();
+
+        let completed: HashSet<u64> = wounded.jobs.iter().map(|j| j.id).collect();
+        let shed: HashSet<u64> = wounded.shed.iter().map(|s| s.id).collect();
+        prop_assert!(completed.is_disjoint(&shed));
+        prop_assert_eq!(completed.len() + shed.len(), stream.len());
+
+        // Every dispatch — first placements plus re-placements — is one
+        // chip's completion, shed or interruption.
+        let dispatched: usize = wounded.chips.iter().map(|c| c.report.submitted_count()).sum();
+        prop_assert_eq!(dispatched as u64, stream.len() as u64 + wounded.migration_count());
+        let interrupted: usize = wounded.chips.iter().map(|c| c.report.interrupted.len()).sum();
+        prop_assert_eq!(interrupted as u64, wounded.migration_count());
+
+        for &(chip, at) in &deaths {
+            for j in &wounded.chips[chip].report.jobs {
+                prop_assert!(j.finish_seconds <= at, "job {} outlived chip {chip}", j.id);
+            }
+        }
+        for j in wounded.jobs.iter().filter(|j| j.migrations > 0) {
+            // The chips that cut this job; the last of them moved it to
+            // where it completed.
+            let moved_at = deaths
+                .iter()
+                .filter(|&&(chip, _)| {
+                    wounded.chips[chip].report.interrupted.iter().any(|i| i.id == j.id)
+                })
+                .map(|&(_, at)| at)
+                .fold(f64::NEG_INFINITY, f64::max);
+            prop_assert!(moved_at.is_finite(), "job {} migrated without being cut", j.id);
+            prop_assert!(j.admitted_seconds >= moved_at);
+            prop_assert!(deaths.iter().all(|&(chip, at)| chip != j.chip || j.finish_seconds <= at));
+        }
+
+        let again = serve_cluster(&stream, options()).unwrap();
+        prop_assert_eq!(format!("{wounded:?}"), format!("{again:?}"));
+    }
+}
+
+/// A dead chip stops resurrecting the jobs it shed: four same-tenant jobs at
+/// t = 0 on a chip with one slot and a one-deep queue. Jobs 2 and 3 are shed
+/// `QueueFull` when they reach the chip, well before it dies halfway through
+/// the first admitted job — and that is where they stay. (A re-run of the
+/// dead chip without the two jobs it lost would find the queue empty, admit
+/// 2 and 3, cut them and shed them a second time on the survivor.)
+#[test]
+fn jobs_shed_before_a_failure_stay_shed() {
+    let ins = CkksInstance::ins1();
+    let jobs: Vec<JobRequest> = (0..4)
+        .map(|i| JobRequest::new(i, 0, "bootstrap", ins.clone(), 0.0))
+        .collect();
+    let options = affinity_fleet(2)
+        .with_max_in_flight(1)
+        .with_queue_capacity(1);
+    let healthy = serve_cluster(&jobs, options.clone()).unwrap();
+    let first = healthy
+        .jobs
+        .iter()
+        .min_by(|a, b| a.admitted_seconds.total_cmp(&b.admitted_seconds))
+        .expect("the healthy fleet serves");
+    let (home, survivor) = (first.chip, 1 - first.chip);
+    let kill_at = 0.5 * (first.admitted_seconds + first.finish_seconds);
+    let wounded = serve_cluster(
+        &jobs,
+        options.with_fault_plan(FaultPlan::none().with_chip_failure(home, kill_at)),
+    )
+    .unwrap();
+
+    let shed: Vec<u64> = wounded.shed.iter().map(|s| s.id).collect();
+    assert_eq!(shed, [2, 3]);
+    for (s, h) in wounded.shed.iter().zip(&healthy.shed) {
+        assert_eq!(s.reason, ShedReason::QueueFull);
+        assert!(
+            s.shed_seconds < kill_at,
+            "job {} shed after the failure",
+            s.id
+        );
+        assert_eq!(s.shed_seconds.to_bits(), h.shed_seconds.to_bits());
+    }
+    let completed: Vec<u64> = wounded.jobs.iter().map(|j| j.id).collect();
+    assert_eq!(completed, [0, 1]);
+    for j in &wounded.jobs {
+        assert_eq!((j.chip, j.migrations), (survivor, 1), "job {}", j.id);
+    }
+    assert_eq!(wounded.migration_count(), 2);
+}
+
+/// A dead chip's report is plain serving of what was shipped to it: feed
+/// `serve_with` the jobs the report lists (completed, shed, interrupted), in
+/// submission order, at the chip-local arrivals it records, with the chip's
+/// failure time — and the same report comes back, bit for bit.
+#[test]
+fn a_dead_chips_report_is_plain_serving_of_its_shard() {
+    let stream = random_stream(2024, 16, 4);
+    let healthy = serve_cluster(&stream, affinity_fleet(4)).unwrap();
+    let (dead, kill_at) = (1, 0.5 * healthy.makespan_seconds());
+    let options = affinity_fleet(4)
+        .with_queue_capacity(2)
+        .with_fault_plan(FaultPlan::none().with_chip_failure(dead, kill_at));
+    let wounded = serve_cluster(&stream, options.clone()).unwrap();
+    let report = &wounded.chips[dead].report;
+    assert!(!report.jobs.is_empty() && !report.interrupted.is_empty());
+    assert_eq!(report.failed_at_seconds, Some(kill_at));
+
+    // id → chip-local arrival, from the three lists of the report.
+    let completed = report.jobs.iter().map(|j| (j.id, j.arrival_seconds));
+    let shed = report.shed.iter().map(|s| (s.id, s.arrival_seconds));
+    let cut = report.interrupted.iter().map(|i| (i.id, i.arrival_seconds));
+    let local: std::collections::HashMap<u64, f64> = completed.chain(shed).chain(cut).collect();
+    assert_eq!(local.len(), report.submitted_count());
+    let shard: Vec<JobRequest> = stream
+        .iter()
+        .filter_map(|job| {
+            let mut shipped = job.clone();
+            shipped.arrival_seconds = *local.get(&job.id)?;
+            Some(shipped)
+        })
+        .collect();
+    let chip_options = ServeOptions::new(options.max_in_flight)
+        .with_config(options.spec.config.clone())
+        .with_queue_capacity(2)
+        .with_failure_at(kill_at);
+    let plain = BtsServer::new(chip_options).serve(&shard).unwrap();
+    assert_eq!(format!("{report:?}"), format!("{plain:?}"));
 }
 
 /// Serves one faulted stream inside its own telemetry capture and returns

@@ -1,8 +1,9 @@
 //! Integration tests of the unified telemetry stream: figures derived from
 //! the event stream match `ServeReport` bitwise, identical runs emit
-//! identical streams, concurrent captures never mix, a failover stream holds
-//! only the converged round, and the RAII span layer leaves every span closed
-//! and properly nested after a real functional run — pool workers included.
+//! identical streams, concurrent captures never mix, a failover stream names
+//! every migration and every completion exactly once, and the RAII span
+//! layer leaves every span closed and properly nested after a real
+//! functional run — pool workers included.
 //!
 //! Every run records into its own `telemetry::capture()`, which returns that
 //! run's events and nothing else, so the tests share no state.
@@ -129,7 +130,7 @@ fn burst() -> Vec<JobRequest> {
 }
 
 /// A 4-chip fleet whose chip 1 dies halfway through the healthy makespan:
-/// its queued jobs migrate, so the failover fixed point takes extra rounds.
+/// its queued and in-flight jobs migrate to the three survivors.
 fn wounded_fleet(jobs: &[JobRequest]) -> ClusterOptions {
     let spec = ChipSpec::preset(ArchPreset::Bts, 4).with_interconnect(Interconnect::nvlink_class());
     let options = ClusterOptions::new(spec).with_placement(PlacementPolicy::TenantAffinity);
@@ -156,8 +157,7 @@ fn captured(barrier: Option<&Barrier>, run: impl FnOnce()) -> Vec<Event> {
 }
 
 /// Three runs at once on three threads — a captured faulted serve, a captured
-/// cluster failover (whose exploratory rounds used to switch the process-wide
-/// collector off) and an uncaptured serve: each capture equals, event for
+/// cluster failover and an uncaptured serve: each capture equals, event for
 /// event, the same run captured alone, so neither lost events to nor gained
 /// events from the other two threads.
 #[test]
@@ -189,13 +189,14 @@ fn concurrent_captures_hold_exactly_their_own_runs() {
     assert!(wounded_together == wounded_alone, "failover stream changed");
 }
 
-/// The failover fixed point evaluates the fleet once per round and keeps only
-/// the converged round's telemetry: the stream names every migration exactly
-/// once, every job completion in it is one the final report holds (and vice
-/// versa — a leaked exploratory round would complete survivors' jobs twice),
-/// and the report itself does not depend on a capture being installed.
+/// Failover serves every chip exactly once — the dead chip with the jobs it
+/// was about to lose, each survivor after its refugees joined its shard — so
+/// the stream names every migration exactly once, every job completion in it
+/// is one the final report holds (and vice versa: a chip served twice would
+/// complete its jobs twice), and the report itself does not depend on a
+/// capture being installed.
 #[test]
-fn failover_stream_holds_only_the_converged_round() {
+fn failover_stream_names_every_migration_and_completion_once() {
     let jobs = burst();
     let fleet = wounded_fleet(&jobs);
     let bare = serve_cluster(&jobs, fleet.clone()).expect("wounded fleet serves");
