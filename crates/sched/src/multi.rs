@@ -400,9 +400,10 @@ impl JobPlan {
     }
 
     /// Resolves the per-op charges of an already validated and indexed trace
-    /// on `sim` (one LRU cache sweep) and plans it for `sim`'s machine, the
-    /// sweep and the DAG sharing the caller's one [`TraceIndex`]. Returns
-    /// the plan next to the sweep's serial-accounting report.
+    /// on `sim` (one cache sweep, under the scratchpad's reuse-code policy)
+    /// and plans it for `sim`'s machine, the sweep and the DAG sharing the
+    /// caller's one [`TraceIndex`]. Returns the plan next to the sweep's
+    /// serial-accounting report.
     pub fn from_index(sim: &Simulator, index: &TraceIndex<'_>) -> (Self, SimReport) {
         let (timings, report) = sim.run_timed_indexed(index);
         let machine = MachineModel::from_config(sim.config());

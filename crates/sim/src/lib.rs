@@ -12,7 +12,8 @@
 //!
 //! * evaluation-key streaming from HBM (the §3.3 minimum bound),
 //! * functional-unit occupancy (NTTU butterflies, BConvU MACs, element-wise),
-//! * the software-managed ciphertext cache in the scratchpad (LRU, §5.3),
+//! * the software-managed ciphertext cache in the scratchpad (§5.3), replaced
+//!   on a compiler-emitted 2-bit reuse code per operand rather than reactively,
 //! * scratchpad capacity pressure from temporary key-switching data,
 //! * energy, chip area and EDAP (Table 3, Fig. 10).
 //!
@@ -53,8 +54,8 @@ pub use f1::{F1Model, PlatformRow};
 pub use keyswitch::{FunctionalUnit, KeySwitchSchedule, Phase};
 pub use noc::{BruNoc, PeMemNoc, PePeNoc};
 pub use pe::{KeySwitchOccupancy, ProcessingElement};
-pub use scratchpad::{AllocationClass, AllocationPlan, Scratchpad};
+pub use scratchpad::AllocationPlan;
 pub use timeline::{hmult_timeline, TimelineSegment};
 pub use trace::{CtId, HeOp, OpTrace, TraceBuilder, TraceError, TracedOp};
-pub use trace_index::{IndexedOp, TraceIndex};
+pub use trace_index::{IndexedOp, Reuse, TraceIndex};
 pub use twiddle::TwiddleStorage;

@@ -1,221 +1,14 @@
-//! Explicit model of the software-managed scratchpad (§5.3): a single
-//! capacity shared by three client classes with strict allocation priority —
+//! The §5.3 split of the software-managed scratchpad: a single capacity
+//! shared by three client classes with strict allocation priority —
 //! key-switching temporaries first, the streaming evaluation-key buffer
-//! second, and the ciphertext cache (LRU) with whatever remains — plus the
-//! chip-wide bandwidth accounting used by the Fig. 8 utilization curve.
-
-use std::collections::{HashMap, VecDeque};
+//! second, and the ciphertext cache with whatever remains (the engine's
+//! sweep decides what that cache keeps).
 
 use bts_params::CkksInstance;
 
 use crate::config::BtsConfig;
-use crate::trace::CtId;
 
-/// The allocation priority classes of §5.3/§6.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AllocationClass {
-    /// Temporary data of the HE op in flight (highest priority).
-    Temporary,
-    /// Prefetched evaluation-key limbs being streamed from HBM.
-    EvkBuffer,
-    /// Software-managed ciphertext cache (lowest priority, LRU-evicted).
-    CtCache,
-}
-
-/// A scratchpad with explicit per-class accounting and an LRU ciphertext
-/// cache in the lowest-priority region.
-#[derive(Debug, Clone)]
-pub struct Scratchpad {
-    capacity: u64,
-    bandwidth_bytes_per_sec: f64,
-    temporary: u64,
-    evk_buffer: u64,
-    cache_entries: HashMap<CtId, u64>,
-    cache_order: VecDeque<CtId>,
-    cache_used: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl Scratchpad {
-    /// Creates a scratchpad with the given capacity and aggregate bandwidth.
-    pub fn new(capacity: u64, bandwidth_bytes_per_sec: f64) -> Self {
-        Self {
-            capacity,
-            bandwidth_bytes_per_sec,
-            temporary: 0,
-            evk_buffer: 0,
-            cache_entries: HashMap::new(),
-            cache_order: VecDeque::new(),
-            cache_used: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// The scratchpad of a BTS configuration (512 MiB, 38.4 TB/s by default).
-    pub fn from_config(config: &BtsConfig) -> Self {
-        Self::new(config.scratchpad_bytes, config.scratchpad_bw)
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes currently reserved for the given class.
-    pub fn reserved(&self, class: AllocationClass) -> u64 {
-        match class {
-            AllocationClass::Temporary => self.temporary,
-            AllocationClass::EvkBuffer => self.evk_buffer,
-            AllocationClass::CtCache => self.cache_used,
-        }
-    }
-
-    /// Total bytes in use across all classes.
-    pub fn used(&self) -> u64 {
-        self.temporary + self.evk_buffer + self.cache_used
-    }
-
-    /// Free bytes.
-    pub fn free(&self) -> u64 {
-        self.capacity.saturating_sub(self.used())
-    }
-
-    /// Reserves space for the temporary data of the op about to execute,
-    /// evicting ciphertexts if needed. Returns `false` (and reserves nothing)
-    /// if even a fully evicted cache cannot make room — the op would spill to
-    /// HBM, which the caller accounts separately.
-    pub fn reserve_temporary(&mut self, bytes: u64) -> bool {
-        self.release_temporary();
-        if bytes + self.evk_buffer > self.capacity {
-            return false;
-        }
-        self.evict_until_free(bytes);
-        if self.free() < bytes {
-            return false;
-        }
-        self.temporary = bytes;
-        true
-    }
-
-    /// Releases the temporary reservation at the end of an op.
-    pub fn release_temporary(&mut self) {
-        self.temporary = 0;
-    }
-
-    /// Sets the size of the double-buffered evaluation-key streaming region,
-    /// evicting ciphertexts to make room if necessary.
-    pub fn reserve_evk_buffer(&mut self, bytes: u64) -> bool {
-        self.evk_buffer = 0;
-        if bytes + self.temporary > self.capacity {
-            return false;
-        }
-        self.evict_until_free(bytes);
-        if self.free() < bytes {
-            return false;
-        }
-        self.evk_buffer = bytes;
-        true
-    }
-
-    fn evict_until_free(&mut self, needed: u64) {
-        while self.free() < needed {
-            let Some(victim) = self.cache_order.pop_front() else {
-                break;
-            };
-            if let Some(sz) = self.cache_entries.remove(&victim) {
-                self.cache_used -= sz;
-                self.evictions += 1;
-            }
-        }
-    }
-
-    /// Looks up a ciphertext operand in the cache region, refreshing its LRU
-    /// position on a hit. Returns `true` on a hit.
-    pub fn touch_ct(&mut self, id: CtId) -> bool {
-        if self.cache_entries.contains_key(&id) {
-            if let Some(pos) = self.cache_order.iter().position(|&x| x == id) {
-                self.cache_order.remove(pos);
-            }
-            self.cache_order.push_back(id);
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
-        }
-    }
-
-    /// Inserts (or refreshes) a ciphertext in the cache region, evicting older
-    /// entries if needed. Ciphertexts larger than the available cache region
-    /// are simply not cached.
-    pub fn insert_ct(&mut self, id: CtId, bytes: u64) {
-        if self.cache_entries.contains_key(&id) {
-            if let Some(pos) = self.cache_order.iter().position(|&x| x == id) {
-                self.cache_order.remove(pos);
-            }
-            self.cache_order.push_back(id);
-            return;
-        }
-        let cache_budget = self
-            .capacity
-            .saturating_sub(self.temporary + self.evk_buffer);
-        if bytes > cache_budget {
-            return;
-        }
-        while self.cache_used + bytes > cache_budget {
-            let Some(victim) = self.cache_order.pop_front() else {
-                break;
-            };
-            if let Some(sz) = self.cache_entries.remove(&victim) {
-                self.cache_used -= sz;
-                self.evictions += 1;
-            }
-        }
-        self.cache_entries.insert(id, bytes);
-        self.cache_order.push_back(id);
-        self.cache_used += bytes;
-    }
-
-    /// Number of cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of LRU evictions so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Cache hit rate across all lookups.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of the aggregate scratchpad bandwidth consumed when `bytes`
-    /// are moved in `seconds` (the Fig. 8 bandwidth-utilization curve).
-    pub fn bandwidth_utilization(&self, bytes: u64, seconds: f64) -> f64 {
-        if seconds <= 0.0 {
-            return 0.0;
-        }
-        (bytes as f64 / seconds / self.bandwidth_bytes_per_sec).min(1.0)
-    }
-}
-
-/// Convenience: the §5.3 allocation plan for one key-switching op of a given
+/// The §5.3 allocation plan for one key-switching op of a given
 /// instance — how much space each class gets on a BTS-sized scratchpad.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocationPlan {
@@ -258,62 +51,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn priority_order_evicts_cache_first() {
-        let mut sp = Scratchpad::new(100, 1e12);
-        sp.insert_ct(1, 40);
-        sp.insert_ct(2, 40);
-        assert_eq!(sp.reserved(AllocationClass::CtCache), 80);
-        // Temporary reservation pushes out the least recently used ciphertext.
-        assert!(sp.reserve_temporary(50));
-        assert_eq!(sp.reserved(AllocationClass::Temporary), 50);
-        assert!(sp.reserved(AllocationClass::CtCache) <= 40);
-        assert!(sp.evictions() >= 1);
-        // The evicted ciphertext now misses; the survivor hits.
-        assert!(!sp.touch_ct(1));
-        assert!(sp.touch_ct(2));
-    }
-
-    #[test]
-    fn oversized_reservations_are_refused() {
-        let mut sp = Scratchpad::new(100, 1e12);
-        assert!(!sp.reserve_temporary(150));
-        assert!(sp.reserve_temporary(80));
-        assert!(!sp.reserve_evk_buffer(30));
-        assert!(sp.reserve_evk_buffer(20));
-        assert_eq!(sp.free(), 0);
-    }
-
-    #[test]
-    fn lru_order_is_respected() {
-        let mut sp = Scratchpad::new(100, 1e12);
-        sp.insert_ct(1, 30);
-        sp.insert_ct(2, 30);
-        sp.insert_ct(3, 30);
-        // Touch 1 so 2 becomes the LRU victim.
-        assert!(sp.touch_ct(1));
-        sp.insert_ct(4, 30);
-        assert!(sp.touch_ct(1));
-        assert!(!sp.touch_ct(2), "2 should have been evicted");
-        assert!(sp.touch_ct(3));
-        assert!(sp.touch_ct(4));
-    }
-
-    #[test]
-    fn hit_rate_and_bandwidth_utilization() {
-        let mut sp = Scratchpad::new(1 << 30, 38.4e12);
-        sp.insert_ct(7, 1 << 20);
-        assert!(sp.touch_ct(7));
-        assert!(!sp.touch_ct(8));
-        assert!((sp.hit_rate() - 0.5).abs() < 1e-9);
-        // Moving 38.4 TB in one second saturates the port.
-        assert!((sp.bandwidth_utilization(38_400_000_000_000, 1.0) - 1.0).abs() < 1e-9);
-        assert!(sp.bandwidth_utilization(1 << 30, 1.0) < 0.01);
-    }
-
-    #[test]
     fn allocation_plan_matches_table4_scale() {
         // INS-1/2/3 leave progressively less room for ciphertexts at 512 MiB
-        // (§6.3: INS-1 beats INS-3 at 512 MiB because of this).
+        // (§6.3 puts INS-1 beating INS-3 at 512 MiB down to this).
         let cfg = BtsConfig::bts_default();
         let plans: Vec<AllocationPlan> = CkksInstance::evaluation_set()
             .iter()

@@ -15,8 +15,18 @@
 //! [`crate::TraceBuilder`], also after [`OpTrace::extend`]), an id is its own
 //! slot. Otherwise the ids that occur are sorted once and a slot is an id's
 //! rank. Either way the tables are proportional to the trace, never to the
-//! magnitude of an id, and slot order is id order — so Belady's
-//! `(next_use, id)` tie-break can compare slots.
+//! magnitude of an id, and slot order is id order — so the replacement
+//! key's `(next_use, id)` tie-break can compare slots.
+//!
+//! **Reuse code.** An FHE program is data-oblivious, so its trace is its whole
+//! future and the compiler can tell the scratchpad what every value is still
+//! good for. [`TraceIndex::reuse`] is that hint at the coarsest useful width:
+//! one [`Reuse`] (2 bits) per operand access and per op output. It is a pure
+//! function of the trace, read off the tables above — the slot's last (or
+//! first) use and the operand slots that follow the access — so hand-built
+//! traces carry it like lowered ones and nothing is stored per op. The
+//! engine's default replacement policy keys on it; the exact positions of
+//! [`TraceIndex::next_uses`] (a backward pass) are only its bound.
 
 use crate::trace::{CtId, OpTrace, TraceError, TracedOp};
 
@@ -27,6 +37,18 @@ const TRACE_INPUT: u32 = u32::MAX - 1;
 /// "No op": the next-use of an access that is the last one, the first/last
 /// use of a ciphertext nothing reads, the output slot of an op without one.
 pub(crate) const NEVER: u32 = u32::MAX;
+
+/// What the compiler tells the scratchpad about a value at one access — an
+/// operand read or an op's output being written: when it is read next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reuse {
+    /// At once: by a later operand of the same op, or by the very next op.
+    Next,
+    /// Again, but not by the next op.
+    Later,
+    /// Never: the value is dead once this access is done.
+    Never,
+}
 
 /// Dense per-ciphertext and per-operand tables of one trace — see the module
 /// docs. Borrowing the trace ties the tables to the ops they describe.
@@ -63,6 +85,9 @@ pub struct IndexedOp<'a> {
     pub(crate) first_access: usize,
     /// Slots of `traced.inputs`, in the same order.
     pub operands: &'a [u32],
+    /// `operands`, then the operand slots of the next op: the accesses that
+    /// follow one of this op's at once.
+    following: &'a [u32],
     /// Slot of `traced.output`.
     pub(crate) output: Option<u32>,
 }
@@ -243,10 +268,40 @@ impl<'t> TraceIndex<'t> {
         (p < TRACE_INPUT).then_some(p)
     }
 
+    /// The ciphertext id the slot stands for.
+    pub(crate) fn id_of(&self, slot: u32) -> CtId {
+        if self.interned.is_empty() {
+            CtId::from(slot)
+        } else {
+            self.interned[slot as usize]
+        }
+    }
+
     /// The first op that reads the slot, [`NEVER`] if none does — the
     /// next-use of an op output at the time it is produced.
     pub(crate) fn first_use_or_never(&self, slot: u32) -> u32 {
         self.first_use[slot as usize]
+    }
+
+    /// The reuse code of one access of `op`: its `operand`-th operand read
+    /// or, for `None`, its output being written (see the module docs).
+    pub fn reuse(&self, op: &IndexedOp<'_>, operand: Option<usize>) -> Reuse {
+        let next_op = op.index + 1;
+        let Some(k) = operand else {
+            return match op.output.map(|out| self.first_use[out as usize]) {
+                None | Some(NEVER) => Reuse::Never,
+                Some(first) if first == next_op => Reuse::Next,
+                Some(_) => Reuse::Later,
+            };
+        };
+        let slot = op.operands[k];
+        if op.following[k + 1..].contains(&slot) {
+            Reuse::Next
+        } else if self.last_use[slot as usize] == op.index {
+            Reuse::Never
+        } else {
+            Reuse::Later
+        }
     }
 
     /// Whether the slot is *forwarded* rather than cached: an op output whose
@@ -265,19 +320,23 @@ impl<'t> TraceIndex<'t> {
     /// The ops in program order with operands and outputs resolved to slots.
     pub fn ops(&self) -> impl Iterator<Item = IndexedOp<'_>> + '_ {
         let mut first_access = 0usize;
-        (0u32..).zip(&self.trace.ops).zip(&self.output_slots).map(
-            move |((index, traced), &output)| {
+        let ops = &self.trace.ops;
+        (0u32..)
+            .zip(ops)
+            .zip(&self.output_slots)
+            .map(move |((index, traced), &output)| {
                 let start = first_access;
                 first_access += traced.inputs.len();
+                let next_operands = ops.get(index as usize + 1).map_or(0, |n| n.inputs.len());
                 IndexedOp {
                     index,
                     traced,
                     first_access: start,
                     operands: &self.operand_slots[start..first_access],
+                    following: &self.operand_slots[start..first_access + next_operands],
                     output: (output != NEVER).then_some(output),
                 }
-            },
-        )
+            })
     }
 
     /// For every operand access (in [`IndexedOp::first_access`] order), the
@@ -328,15 +387,6 @@ mod tests {
         0..index.slot_count() as u32
     }
 
-    /// The id a slot stands for.
-    fn id_of(index: &TraceIndex<'_>, slot: u32) -> CtId {
-        if index.interned.is_empty() {
-            CtId::from(slot)
-        } else {
-            index.interned[slot as usize]
-        }
-    }
-
     fn relabel(trace: &mut OpTrace, map: impl Fn(CtId) -> CtId) {
         for id in &mut trace.inputs {
             *id = map(*id);
@@ -357,7 +407,7 @@ mod tests {
         let index = TraceIndex::new(&trace).unwrap();
         assert_eq!(index.slot_count(), 7);
         for slot in slots(&index) {
-            assert_eq!(id_of(&index, slot), CtId::from(slot));
+            assert_eq!(index.id_of(slot), CtId::from(slot));
             assert_eq!(index.slot_of(CtId::from(slot)), Some(slot));
         }
         assert_eq!(index.slot_of(7), None);
@@ -380,12 +430,12 @@ mod tests {
             relabel(&mut trace, map);
             let index = TraceIndex::new(&trace).unwrap();
             assert_eq!(index.slot_count(), 7, "one slot per id, whatever its size");
-            let ids: Vec<CtId> = slots(&index).map(|s| id_of(&index, s)).collect();
+            let ids: Vec<CtId> = slots(&index).map(|s| index.id_of(s)).collect();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "slots ascend with ids");
             for id in 0..7u64 {
                 let (d, s) = (dense_index.slot_of(id), index.slot_of(map(id)));
                 let (d, s) = (d.unwrap(), s.unwrap());
-                assert_eq!(id_of(&index, s), map(id));
+                assert_eq!(index.id_of(s), map(id));
                 assert_eq!(index.producer(s), dense_index.producer(d));
                 assert_eq!(index.last_use[s as usize], dense_index.last_use[d as usize]);
                 assert_eq!(index.is_forwarded(s), dense_index.is_forwarded(d));
@@ -419,6 +469,47 @@ mod tests {
         assert_eq!(ops[3].first_access, 4);
         assert_eq!(ops[3].operands, &[4, 1]);
         assert_eq!(ops[3].output, Some(5));
+    }
+
+    #[test]
+    fn reuse_codes_read_off_the_following_accesses_and_the_last_use() {
+        use Reuse::{Later, Never, Next};
+        let trace = small_trace();
+        let index = TraceIndex::new(&trace).unwrap();
+        let codes: Vec<(Vec<Reuse>, Reuse)> = index
+            .ops()
+            .map(|op| {
+                let operands = (0..op.operands.len()).map(|k| index.reuse(&op, Some(k)));
+                (operands.collect(), index.reuse(&op, None))
+            })
+            .collect();
+        assert_eq!(
+            codes,
+            vec![
+                // p = x·x: the repeated operand is read again at once, then
+                // dead; the rotation reads p next.
+                (vec![Next, Never], Next),
+                // r = rot(p): p waits for the last sum; r is forwarded.
+                (vec![Later], Next),
+                (vec![Never], Next),
+                // q + y: the next op reads y again; nothing reads the sum.
+                (vec![Never, Next], Never),
+                (vec![Never, Never], Never),
+            ]
+        );
+        // `Never` on an access is the slot's last use and nothing else.
+        for op in index.ops() {
+            for (k, &slot) in op.operands.iter().enumerate() {
+                let last_access = index.last_use[slot as usize] == op.index
+                    && !op.operands[k + 1..].contains(&slot);
+                assert_eq!(index.reuse(&op, Some(k)) == Never, last_access);
+            }
+        }
+        // A hand-rolled op without an output has nothing to be read again.
+        let mut trace = trace;
+        trace.ops[4].output = None;
+        let index = TraceIndex::new(&trace).unwrap();
+        assert_eq!(index.reuse(&index.ops().last().unwrap(), None), Never);
     }
 
     #[test]

@@ -116,19 +116,30 @@ mod tests {
     #[test]
     fn inference_latency_is_seconds_scale() {
         // Table 6: 1.91 s on INS-1; our model should land within a small
-        // factor and preserve INS-1 ≤ INS-3 ordering.
-        let t = |ins: &CkksInstance| {
-            let lowered = ResNetWorkload::default().lower(ins).unwrap();
-            Simulator::new(BtsConfig::bts_default(), ins.clone())
-                .run(&lowered.trace)
-                .total_seconds
+        // factor. §6.3's ordering — INS-1 beats INS-3 at 512 MiB — holds with
+        // the scratchpad run as the paper runs it (LRU), and only there: it
+        // is LRU thrashing INS-3's 147 MiB ciphertext cache. Under the
+        // reuse-code policy the thrash is gone and INS-3's longer level budget
+        // wins (0.787 s against 0.814 s; 0.896 s under LRU), a labelled
+        // departure from the paper.
+        // (policy, LRU) seconds of one inference.
+        let seconds = |ins: &CkksInstance| {
+            let trace = ResNetWorkload::default().lower(ins).unwrap().trace;
+            let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
+            let lru = sim.try_run_lru(&trace).unwrap();
+            (sim.run(&trace).total_seconds, lru.total_seconds)
         };
-        let t1 = t(&CkksInstance::ins1());
-        let t3 = t(&CkksInstance::ins3());
+        let (t1, t1_lru) = seconds(&CkksInstance::ins1());
+        let (t3, t3_lru) = seconds(&CkksInstance::ins3());
         assert!((0.5..8.0).contains(&t1), "INS-1 latency {t1} s");
+        assert_eq!(t1, t1_lru, "INS-1's cache is ample under either policy");
         assert!(
-            t1 < t3,
-            "smaller dnum should win when bootstrapping is rare"
+            t1_lru < t3_lru,
+            "as published: smaller dnum should win when bootstrapping is rare"
+        );
+        assert!(
+            t3 < t1,
+            "without LRU thrash INS-3 overtakes INS-1 on ResNet-20"
         );
     }
 

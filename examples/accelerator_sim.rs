@@ -46,6 +46,21 @@ fn main() {
                 stats.seconds * 1e3
             );
         }
+        // The scratchpad is replaced on the compiler's 2-bit reuse code;
+        // beside it, the paper's LRU and the exact-next-use bound.
+        let lru = sim.try_run_lru(&lowered.trace).expect("validated above");
+        let bound = sim.try_run_belady(&lowered.trace).expect("validated above");
+        println!(
+            "scratchpad hit rate: LRU {:.1}% -> reuse code {:.1}% -> bound {:.1}% ({:.2} ms under LRU)",
+            lru.cache_hit_rate() * 100.0,
+            boot_report.cache_hit_rate() * 100.0,
+            bound.cache_hit_rate() * 100.0,
+            lru.total_seconds * 1e3
+        );
+        assert!(
+            lru.cache_hit_rate() <= boot_report.cache_hit_rate()
+                && boot_report.cache_hit_rate() <= bound.cache_hit_rate()
+        );
 
         // Dependency-aware schedule of the same trace: independent BSGS
         // rotations overlap, rescales slide under neighbouring evk streams.

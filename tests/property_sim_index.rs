@@ -1,7 +1,8 @@
 //! Differential tests of the dense simulation kernel: on random traces the
 //! slot-indexed sweep (`TraceIndex` + intrusive LRU list / slot-indexed
-//! Belady), `TraceDag::from_trace` and `OpTrace::validate` must equal, bit for bit and error for error, the
-//! hash-map bodies they replaced.
+//! furthest-next-use cache), `TraceDag::from_trace` and `OpTrace::validate`
+//! must equal, bit for bit and error for error, the hash-map bodies they
+//! replaced.
 //!
 //! Those bodies live on in [`oracle`] below, as they were before the index
 //! existed (`HashSet` of defined ids, `HashMap` caches, one `VecDeque` of
@@ -9,6 +10,13 @@
 //! They are written against the public API only, which is why the oracle can
 //! sit in this test crate: an integration test cannot see a dependency's
 //! `#[cfg(test)]` items, and nothing outside the tests should be able to.
+//!
+//! The engine's default policy and its bound are one cache under two key
+//! functions, and so they are here: the oracle's Belady body takes the key as
+//! a function of (op, exact next use). The identity is the bound
+//! (`op_timings_belady` — the reuse code at infinite width), and
+//! [`oracle::three_value_key`], a quantization of the exact position written
+//! without `TraceIndex`'s tables, is the default (`op_timings`).
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -108,31 +116,59 @@ mod oracle {
         forwarded
     }
 
+    /// What the replacement decisions are keyed on.
+    #[derive(Clone, Copy)]
+    pub enum Policy {
+        /// Recency.
+        Lru,
+        /// Furthest next use, on this function of (op index, exact next use).
+        NextUse(fn(u32, u32) -> u32),
+    }
+
+    /// The exact next use: the bound.
+    pub fn exact_key(_op: u32, next_use: u32) -> u32 {
+        next_use
+    }
+
+    /// The 2-bit reuse code's key, as a quantization of the exact next use:
+    /// never stays never, "by this op or the next" is the next op, and every
+    /// other distance is one far-away tie.
+    pub fn three_value_key(op: u32, next_use: u32) -> u32 {
+        match next_use {
+            u32::MAX => u32::MAX,
+            soon if soon <= op + 1 => op + 1,
+            _ => u32::MAX - 1,
+        }
+    }
+
     pub fn op_timings(
         sim: &Simulator,
         trace: &OpTrace,
-        belady: bool,
+        policy: Policy,
     ) -> Result<Vec<OpTiming>, TraceError> {
         validate(trace)?;
         let forwarded = forwarded_ids(trace);
         let mut use_positions: HashMap<CtId, VecDeque<u32>> = HashMap::new();
-        if belady {
-            for (i, op) in trace.ops.iter().enumerate() {
-                for &id in &op.inputs {
-                    use_positions.entry(id).or_default().push_back(i as u32);
-                }
+        for (i, op) in trace.ops.iter().enumerate() {
+            for &id in &op.inputs {
+                use_positions.entry(id).or_default().push_back(i as u32);
             }
         }
         let next_use_of = |q: Option<&VecDeque<u32>>| -> u32 {
             q.and_then(|q| q.front().copied()).unwrap_or(u32::MAX)
         };
-        let mut cache = if belady {
-            CacheModel::Belady(BeladyCache::new(sim.cache_capacity()))
-        } else {
-            CacheModel::Lru(CtCache::new(sim.cache_capacity()))
+        let (mut cache, key) = match policy {
+            Policy::NextUse(key) => (
+                CacheModel::Belady(BeladyCache::new(sim.cache_capacity())),
+                key,
+            ),
+            Policy::Lru => (
+                CacheModel::Lru(CtCache::new(sim.cache_capacity())),
+                (|_, _| 0) as fn(u32, u32) -> u32,
+            ),
         };
         let mut timings = Vec::with_capacity(trace.ops.len());
-        for traced in &trace.ops {
+        for (i, traced) in (0u32..).zip(&trace.ops) {
             let cost = sim.op_cost(traced.op, traced.level);
             let ct_bytes = sim.instance().ct_bytes(traced.level);
             let mut miss_bytes = cost.operand_bytes;
@@ -142,13 +178,9 @@ mod oracle {
                 if forwarded.contains(&input) {
                     continue;
                 }
-                let next_use = if belady {
-                    let q = use_positions.get_mut(&input).expect("validated input");
-                    q.pop_front();
-                    next_use_of(Some(q))
-                } else {
-                    0
-                };
+                let q = use_positions.get_mut(&input).expect("validated input");
+                q.pop_front();
+                let next_use = key(i, next_use_of(Some(q)));
                 if cache.touch(input, next_use) {
                     hits += 1;
                 } else {
@@ -159,11 +191,7 @@ mod oracle {
             }
             if let Some(out) = traced.output {
                 if !forwarded.contains(&out) {
-                    let next_use = if belady {
-                        next_use_of(use_positions.get(&out))
-                    } else {
-                        0
-                    };
+                    let next_use = key(i, next_use_of(use_positions.get(&out)));
                     cache.insert(out, ct_bytes, next_use);
                 }
             }
@@ -489,24 +517,30 @@ fn assert_matches_oracle(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCas
     prop_assert_eq!(trace.validate(), Ok(()));
     prop_assert_eq!(oracle::validate(trace), Ok(()));
 
-    let lru = sim.op_timings(trace).unwrap();
-    prop_assert_eq!(&lru, &oracle::op_timings(sim, trace, false).unwrap());
+    use oracle::Policy;
+    let timings = |policy| oracle::op_timings(sim, trace, policy).unwrap();
+    let lru = sim.op_timings_lru(trace).unwrap();
+    prop_assert_eq!(&lru, &timings(Policy::Lru));
     let belady = sim.op_timings_belady(trace).unwrap();
-    prop_assert_eq!(&belady, &oracle::op_timings(sim, trace, true).unwrap());
+    prop_assert_eq!(&belady, &timings(Policy::NextUse(oracle::exact_key)));
+    let policy = sim.op_timings(trace).unwrap();
+    prop_assert_eq!(&policy, &timings(Policy::NextUse(oracle::three_value_key)));
 
     // The folded report: sums in program order, per class too.
     let report = sim.try_run(trace).unwrap();
-    let total: f64 = lru.iter().fold(0.0, |acc, t| acc + t.seconds);
+    let total: f64 = policy.iter().fold(0.0, |acc, t| acc + t.seconds);
     prop_assert_eq!(report.total_seconds.to_bits(), total.to_bits());
-    prop_assert_eq!(&report.per_op, &per_op_by_entry(trace, &lru));
+    prop_assert_eq!(&report.per_op, &per_op_by_entry(trace, &policy));
     prop_assert_eq!(
         report.cache_hits,
-        lru.iter().map(|t| t.cache_hits).sum::<usize>()
+        policy.iter().map(|t| t.cache_hits).sum::<usize>()
     );
     let belady_report = sim.try_run_belady(trace).unwrap();
     prop_assert_eq!(&belady_report.per_op, &per_op_by_entry(trace, &belady));
+    let lru_report = sim.try_run_lru(trace).unwrap();
+    prop_assert_eq!(&lru_report.per_op, &per_op_by_entry(trace, &lru));
     let (timed, timed_report) = sim.run_timed_indexed(&TraceIndex::new(trace).unwrap());
-    prop_assert_eq!(&timed, &lru);
+    prop_assert_eq!(&timed, &policy);
     prop_assert_eq!(&timed_report.per_op, &report.per_op);
     prop_assert_eq!(timed_report.total_seconds.to_bits(), total.to_bits());
 
@@ -521,7 +555,7 @@ fn assert_matches_oracle(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCas
     prop_assert_eq!(dag.edge_count(), deps.iter().map(Vec::len).sum::<usize>());
     let machine = MachineModel::from_config(sim.config());
     let run = sim.try_run_scheduled(trace).unwrap();
-    let expected = list_oracle::list_schedule(&machine, trace, &lru);
+    let expected = list_oracle::list_schedule(&machine, trace, &policy);
     list_oracle::check_equal(&run.schedule, &expected).map_err(TestCaseError::Fail)?;
     Ok(())
 }
@@ -533,6 +567,7 @@ fn assert_same_error(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCaseErr
     prop_assert_eq!(trace.validate(), Err(expected.clone()));
     prop_assert_eq!(sim.try_run(trace).err(), Some(expected.clone()));
     prop_assert_eq!(sim.try_run_belady(trace).err(), Some(expected.clone()));
+    prop_assert_eq!(sim.try_run_lru(trace).err(), Some(expected.clone()));
     prop_assert_eq!(sim.op_timings(trace).err(), Some(expected.clone()));
     prop_assert_eq!(TraceIndex::new(trace).err(), Some(expected.clone()));
     prop_assert_eq!(sim.try_run_scheduled(trace).err(), Some(expected));
@@ -693,8 +728,8 @@ proptest! {
 }
 
 /// The satellite's hand-built hostile trace: ids at `u64::MAX` and spaced
-/// 2⁴⁰ apart validate, simulate (LRU, Belady) and schedule exactly as the
-/// hash maps did.
+/// 2⁴⁰ apart validate, simulate (LRU, reuse code, exact next use) and
+/// schedule exactly as the hash maps did.
 #[test]
 fn hand_built_hostile_ids_match_the_reference() {
     let ins = CkksInstance::ins1();
@@ -715,7 +750,8 @@ fn hand_built_hostile_ids_match_the_reference() {
         op(HeOp::HAdd, top, &[u64::MAX - 1, y], spaced(4)),
     ];
     // Eight long-lived top-level ciphertexts read round-robin: more than the
-    // 512 MiB scratchpad holds, so LRU thrashes and Belady has to choose.
+    // 512 MiB scratchpad holds, so LRU thrashes and the next-use cache has
+    // to choose.
     let pool: Vec<CtId> = (0..8u64)
         .map(|k| {
             if k % 2 == 0 {
@@ -749,10 +785,77 @@ fn hand_built_hostile_ids_match_the_reference() {
         assert_matches_oracle(&sim, &trace).expect("hostile ids match the reference");
     }
     let sim = Simulator::new(BtsConfig::bts_default(), ins);
-    let lru = sim.try_run(&trace).unwrap();
+    let lru = sim.try_run_lru(&trace).unwrap();
+    let policy = sim.try_run(&trace).unwrap();
     assert!(
-        lru.cache_misses > trace.inputs.len(),
+        policy.cache_misses > trace.inputs.len(),
         "the trace does put the cache under pressure"
     );
-    assert!(sim.try_run_belady(&trace).unwrap().cache_misses <= lru.cache_misses);
+    assert!(policy.cache_misses < lru.cache_misses);
+    assert!(sim.try_run_belady(&trace).unwrap().cache_misses <= policy.cache_misses);
+}
+
+/// The reuse code's `Never` is the bit `compile` already computes for the
+/// functional register file: on a circuit that lowers op for op (no bootstrap
+/// expansion) an operand access is coded `Never` exactly where the bytecode
+/// frees that operand's register — `free_a` / `free_b`, with a repeated
+/// operand (`hmult(x, x)`) freed once, on its last access.
+#[test]
+fn never_coincides_with_the_bytecodes_free_at_last_use() {
+    use bts::circuit::{compile, CircuitBuilder, TraceBackend, Workload};
+    use bts::sim::Reuse;
+    use bts::workloads::{HelrConfig, HelrWorkload};
+
+    let ins = CkksInstance::toy(12, 13, 2);
+    let mut b = CircuitBuilder::new(&ins);
+    let (x, y) = (b.input(), b.input());
+    let square = b.hmult(x, x).unwrap(); // x dies on its second access
+    let square = b.rescale(square).unwrap();
+    let rotated = b.hrot(square, 3).unwrap();
+    let masked = b.pmult(rotated, 0.5).unwrap();
+    let kept = b.pmult(square, 0.25).unwrap(); // square dies here, not above
+    let sum = b.hadd(masked, kept).unwrap();
+    let sum = b.rescale(sum).unwrap();
+    let out = b.hmult(sum, y).unwrap();
+    b.output(out);
+    let helr_mini = HelrWorkload::new(HelrConfig {
+        iterations: 1,
+        batch: 8,
+        features: 4,
+    });
+    let helr_mini = helr_mini
+        .build(&ins)
+        .expect("the mini circuit fits the toy budget");
+
+    for circuit in [b.build(), helr_mini] {
+        let compiled = compile(&circuit).unwrap();
+        let lowered = TraceBackend::new().lower_compiled(&compiled).unwrap();
+        assert_eq!(lowered.bootstrap_count, 0);
+        assert_eq!(lowered.trace.len(), compiled.ops.len(), "op for op");
+        let index = TraceIndex::new(&lowered.trace).unwrap();
+        let mut freed = 0usize;
+        for (op, code) in index.ops().zip(&compiled.ops) {
+            let never = |k: usize| index.reuse(&op, Some(k)) == Reuse::Never;
+            let binary = op.operands.len() == 2;
+            let repeated = binary && op.operands[0] == op.operands[1];
+            let (dead_a, dead_b) = match (binary, repeated) {
+                (false, _) => (never(0), false),
+                (true, false) => (never(0), never(1)),
+                // One register, freed once — via `free_a` — when the second
+                // access is the last; the first is re-read at once.
+                (true, true) => {
+                    assert_eq!(index.reuse(&op, Some(0)), Reuse::Next);
+                    (never(1), false)
+                }
+            };
+            assert_eq!(
+                (code.free_a, code.free_b),
+                (dead_a, dead_b),
+                "op {}",
+                op.index
+            );
+            freed += usize::from(dead_a) + usize::from(dead_b);
+        }
+        assert!(freed > 0);
+    }
 }

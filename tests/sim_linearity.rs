@@ -2,9 +2,11 @@
 //! trace length by counts.
 //!
 //! A cache sweep sizes its tables once — the `TraceIndex`, the LRU list or
-//! the Belady entries, the per-(op, level) cost table, the timings vector —
+//! the next-use entries, the per-(op, level) cost table, the timings vector —
 //! and then allocates nothing per op: no queue per ciphertext, no vector per
-//! access, no victim list per eviction. So `try_run` and `try_run_belady`
+//! access, no victim list per eviction, and for the default policy no
+//! next-use table either (the reuse code is read off the index). So
+//! `try_run`, `try_run_belady` and `try_run_lru`
 //! make the same bounded number of allocations on a 2 000-op trace as on a
 //! 32 000-op one, whatever the ids look like, and `run_scheduled` (which
 //! also grows the schedule's op and busy lists) allocates no more per op as
@@ -15,7 +17,7 @@
 
 use bts::params::CkksInstance;
 use bts::sched::ScheduleExt;
-use bts::sim::{BtsConfig, OpTrace, Simulator, TraceBuilder};
+use bts::sim::{BtsConfig, OpTrace, SimReport, Simulator, TraceBuilder, TraceError};
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -75,20 +77,26 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
     // The sweeps: the index, the cache, the cost table, the timings and the
     // report's per-class map — a fixed set of tables, each sized once.
     const SWEEP_ALLOCATIONS: u64 = 24;
+    type EntryPoint = fn(&Simulator, &OpTrace) -> Result<SimReport, TraceError>;
+    let entry_points: [(&str, EntryPoint); 3] = [
+        ("try_run", Simulator::try_run),
+        ("try_run_belady", Simulator::try_run_belady),
+        ("try_run_lru", Simulator::try_run_lru),
+    ];
     for (name, trace) in [("2 000", &small), ("32 000", &large)] {
-        let lru = cost_of(|| sim.try_run(trace).expect("trace runs"));
-        let belady = cost_of(|| sim.try_run_belady(trace).expect("trace runs"));
-        assert!(
-            lru.allocations <= SWEEP_ALLOCATIONS,
-            "try_run on {name} ops made {} allocations",
-            lru.allocations
-        );
-        assert!(
-            belady.allocations <= SWEEP_ALLOCATIONS,
-            "try_run_belady on {name} ops made {} allocations",
-            belady.allocations
-        );
+        for (entry, run) in entry_points {
+            let cost = cost_of(|| run(&sim, trace).expect("trace runs"));
+            assert!(
+                cost.allocations <= SWEEP_ALLOCATIONS,
+                "{entry} on {name} ops made {} allocations",
+                cost.allocations
+            );
+        }
     }
+    // The default sweep builds no next-use table: one allocation fewer than
+    // the bound's, at any length.
+    let allocations = |run: EntryPoint| cost_of(|| run(&sim, &large).unwrap()).allocations;
+    assert!(allocations(Simulator::try_run) < allocations(Simulator::try_run_belady));
     let report = sim.try_run(&large).unwrap();
     assert!(
         report.cache_misses > 1_000,
@@ -124,26 +132,19 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
             *out <<= 40;
         }
     }
-    for belady in [false, true] {
-        let run = |trace: &OpTrace| {
-            if belady {
-                sim.try_run_belady(trace)
-            } else {
-                sim.try_run(trace)
-            }
-        };
-        let dense = cost_of(|| run(&large).expect("trace runs"));
-        let sparse = cost_of(|| run(&hostile).expect("trace runs"));
+    for (entry, run) in entry_points {
+        let dense = cost_of(|| run(&sim, &large).expect("trace runs"));
+        let sparse = cost_of(|| run(&sim, &hostile).expect("trace runs"));
         assert!(
             sparse.allocations <= dense.allocations + 2,
-            "sparse ids: {} allocations against {} for dense ones",
+            "{entry}, sparse ids: {} allocations against {} for dense ones",
             sparse.allocations,
             dense.allocations
         );
         let per_op_bytes = sparse.peak_bytes / hostile.len() as u64;
         assert!(
             per_op_bytes <= 512,
-            "sparse ids keep {per_op_bytes} bytes per op alive (belady: {belady})"
+            "{entry}: sparse ids keep {per_op_bytes} bytes per op alive"
         );
     }
     assert_eq!(

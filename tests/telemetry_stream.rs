@@ -1,8 +1,9 @@
 //! Integration tests of the unified telemetry stream: figures derived from
 //! the event stream match `ServeReport` bitwise, identical runs emit
 //! identical streams, concurrent captures never mix, a failover stream names
-//! every migration and every completion exactly once, and the RAII span
-//! layer leaves every span closed and properly nested after a real
+//! every migration and every completion exactly once, the scratchpad's
+//! instants name every eviction and bypass with its reason, and the RAII
+//! span layer leaves every span closed and properly nested after a real
 //! functional run — pool workers included.
 //!
 //! Every run records into its own `telemetry::capture()`, which returns that
@@ -20,8 +21,8 @@ use bts::sched::MachineModel;
 use bts::serve::{
     serve, DerivedServeFigures, JobRequest, ServeOptions, ServeReport, SyntheticArrivals,
 };
-use bts::sim::{ArchPreset, BtsConfig};
-use bts::telemetry::{self, Collector, Event};
+use bts::sim::{ArchPreset, BtsConfig, Simulator, TraceBuilder};
+use bts::telemetry::{self, ArgValue, Collector, Event, Metric};
 use rand::SeedableRng;
 
 /// One seeded three-tenant stream.
@@ -241,6 +242,81 @@ fn failover_stream_names_every_migration_and_completion_once() {
     streamed.sort();
     reported.sort();
     assert_eq!(streamed, reported);
+}
+
+/// "Why did this op miss" from the stream alone: a seven-op trace on a cache
+/// of two ciphertexts provokes a dead victim, a live victim and both kinds
+/// of bypass, and the `scratchpad` instants tell each one — which
+/// ciphertext, at which op, why — one instant per counted event.
+#[test]
+fn scratchpad_instants_explain_every_eviction_and_bypass() {
+    let ins = CkksInstance::ins1();
+    let top = ins.max_level();
+    let mut b = TraceBuilder::new(&ins);
+    let [a, bb, c, d, e] = [(); 5].map(|()| b.fresh_ct(top));
+    let outputs = [
+        b.hmult_at(a, bb, top), // both load; the dead product is not cached
+        b.hmult_at(bb, c, top), // b died at this read: c takes its place
+        b.hmult_at(a, d, top),  // op 3 reads d, c waits for op 3 too: c goes
+        b.hmult_at(d, c, top),  // c reloads over d, dead since this read
+        b.hmult_at(a, e, top),  // e, needed after a and c, stays outside
+        b.hmult_at(a, c, top),
+        b.hmult_at(e, e, top), // e loads at last, over the dead c
+    ];
+    let trace = b.build();
+    // 300 MiB less INS-1's key-switch temporaries: room for two ciphertexts.
+    let sim = Simulator::new(
+        BtsConfig::bts_default().with_scratchpad_bytes(300 * 1024 * 1024),
+        ins.clone(),
+    );
+    assert_eq!(sim.cache_capacity() / ins.ct_bytes(top), 2);
+
+    let run = telemetry::capture();
+    let report = sim.run(&trace);
+    let run = run.finish();
+    let counter = |name: &str| match run.metrics.get(name) {
+        Some(Metric::Counter(v)) => *v,
+        other => panic!("{name}: {other:?}"),
+    };
+    let instants: Vec<(&str, u64, u64, Option<&str>)> = run
+        .events
+        .iter()
+        .filter(|ev| ev.track == "scratchpad")
+        .map(|ev| {
+            let reason = match ev.arg("reason") {
+                Some(ArgValue::Str(reason)) => Some(reason.as_str()),
+                _ => None,
+            };
+            let (op, ct) = (ev.arg_u64("op"), ev.arg_u64("ct"));
+            (ev.name.as_str(), op.unwrap(), ct.unwrap(), reason)
+        })
+        .collect();
+    let [o0, o1, o2, o3, o4, o5, o6] = outputs;
+    assert_eq!(
+        instants,
+        vec![
+            ("bypass", 0, o0, None),
+            ("evict", 1, bb, Some("never")),
+            ("bypass", 1, o1, None),
+            ("evict", 2, c, Some("later")),
+            ("bypass", 2, o2, None),
+            ("evict", 3, d, Some("never")),
+            ("bypass", 3, o3, None),
+            ("bypass", 4, e, None),
+            ("bypass", 4, o4, None),
+            ("bypass", 5, o5, None),
+            ("evict", 6, c, Some("never")),
+            ("bypass", 6, o6, None),
+        ]
+    );
+    let count = |name: &str| instants.iter().filter(|i| i.0 == name).count() as u64;
+    assert_eq!(count("evict"), counter("sim.cache.evictions"));
+    assert_eq!(count("bypass"), counter("sim.cache.bypasses"));
+    assert_eq!(counter("sim.cache.misses"), report.cache_misses as u64);
+    // Five first touches, and the two reloads the stream explains: c after
+    // its eviction at op 2, e after its bypass at op 4.
+    assert_eq!(report.cache_misses, 7);
+    assert_eq!(report.cache_hits, 7);
 }
 
 /// One encrypted `mul_rescale` (NTTs, BConv, key-switch) inside a capture;
