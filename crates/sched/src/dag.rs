@@ -113,39 +113,47 @@ impl TraceDag {
     /// Panics if `durations.len()` differs from the number of ops.
     pub fn critical_path(&self, durations: &[f64]) -> CriticalPath {
         assert_eq!(durations.len(), self.len(), "one duration per op");
-        // earliest_finish[i] and the predecessor op realising it (None for a
-        // chain that starts at i).
+        self.critical_path_by(|i| durations[i])
+    }
+
+    /// [`TraceDag::critical_path`] with op `i` taking `duration(i)` seconds,
+    /// for a caller whose durations sit inside larger per-op records.
+    pub(crate) fn critical_path_by(&self, duration: impl Fn(usize) -> f64) -> CriticalPath {
+        /// "No predecessor": the chain starts at this op.
+        const NONE: u32 = u32::MAX;
+        // earliest_finish[i] and the predecessor op realising it.
         let mut earliest_finish = vec![0.0f64; self.len()];
-        let mut best_pred: Vec<Option<usize>> = vec![None; self.len()];
+        let mut best_pred = vec![NONE; self.len()];
         // Barrier state: the max earliest-finish over all ops of earlier
         // segments, and the op achieving it. Segments are contiguous, so a
         // running max snapshotted at each boundary suffices.
-        let mut barrier = (0.0f64, None::<usize>);
-        let mut running_max = (0.0f64, None::<usize>);
+        let mut barrier = (0.0f64, NONE);
+        let mut running_max = (0.0f64, NONE);
         for i in 0..self.len() {
             if i > 0 && self.segment[i] != self.segment[i - 1] {
                 barrier = running_max;
             }
-            let mut ready = barrier.0;
-            let mut pred = barrier.1;
+            let (mut ready, mut pred) = barrier;
             for &d in self.deps(i) {
                 let f = earliest_finish[d as usize];
                 if f > ready {
                     ready = f;
-                    pred = Some(d as usize);
+                    pred = d;
                 }
             }
-            earliest_finish[i] = ready + durations[i];
+            earliest_finish[i] = ready + duration(i);
             best_pred[i] = pred;
             if earliest_finish[i] > running_max.0 {
-                running_max = (earliest_finish[i], Some(i));
+                // Lossless, and never the sentinel: `TraceIndex` refuses a
+                // trace whose op indices do not fit below it.
+                running_max = (earliest_finish[i], i as u32);
             }
         }
         let mut ops = Vec::new();
         let mut cursor = running_max.1;
-        while let Some(i) = cursor {
-            ops.push(i);
-            cursor = best_pred[i];
+        while cursor != NONE {
+            ops.push(cursor as usize);
+            cursor = best_pred[cursor as usize];
         }
         ops.reverse();
         CriticalPath {

@@ -396,26 +396,27 @@ impl JobPlan {
     ///
     /// Panics if `timings` does not cover exactly the trace's ops.
     pub fn new(machine: &MachineModel, trace: &OpTrace, timings: &[OpTiming]) -> Self {
-        Self::build(machine, &TraceIndex::lenient(trace), timings)
+        let demands = timings.iter().map(|t| machine.demand(t)).collect();
+        Self::build(machine, &TraceIndex::lenient(trace), demands)
     }
 
     /// Resolves the per-op charges of an already validated and indexed trace
     /// on `sim` (one cache sweep, under the scratchpad's reuse-code policy)
     /// and plans it for `sim`'s machine, the sweep and the DAG sharing the
-    /// caller's one [`TraceIndex`]. Returns the plan next to the sweep's
+    /// caller's one [`TraceIndex`]. The sweep writes each op's demand as it
+    /// goes; no timing outlives its op. Returns the plan next to the sweep's
     /// serial-accounting report.
     pub fn from_index(sim: &Simulator, index: &TraceIndex<'_>) -> (Self, SimReport) {
-        let (timings, report) = sim.run_timed_indexed(index);
         let machine = MachineModel::from_config(sim.config());
-        (Self::build(&machine, index, &timings), report)
+        let mut demands = Vec::with_capacity(index.trace().ops.len());
+        let report = sim.run_indexed(index, |timing| demands.push(machine.demand(timing)));
+        (Self::build(&machine, index, demands), report)
     }
 
-    fn build(machine: &MachineModel, index: &TraceIndex<'_>, timings: &[OpTiming]) -> Self {
+    fn build(machine: &MachineModel, index: &TraceIndex<'_>, demands: Vec<OpDemand>) -> Self {
         let trace = index.trace();
-        assert_eq!(timings.len(), trace.ops.len(), "one timing per op");
+        assert_eq!(demands.len(), trace.ops.len(), "one timing per op");
         let dag = TraceDag::from_index(index);
-        let demands: Vec<OpDemand> = timings.iter().map(|t| machine.demand(t)).collect();
-        let durations: Vec<f64> = demands.iter().map(|d| d.duration).collect();
         Self {
             machine: *machine,
             ops: trace
@@ -423,10 +424,10 @@ impl JobPlan {
                 .iter()
                 .map(|o| (o.op, o.level, o.in_bootstrap))
                 .collect(),
-            demands,
-            critical_path: dag.critical_path(&durations),
+            critical_path: dag.critical_path_by(|i| demands[i].duration),
             dag,
-            serial: durations.iter().sum(),
+            serial: demands.iter().map(|d| d.duration).sum(),
+            demands,
         }
     }
 
@@ -618,6 +619,18 @@ impl MultiScheduler {
         self.jobs.push(job);
     }
 
+    /// Sizes the retained timeline for `ops` more placements — an op and at
+    /// most one reservation per unit class each — in one allocation per
+    /// list. For a caller that keeps the whole timeline of a job it knows
+    /// the length of; a drained scheduler's lists stay as short as its
+    /// chunks.
+    pub(crate) fn reserve_timeline(&mut self, ops: usize) {
+        self.ops.reserve_exact(ops);
+        for busy in &mut self.busy {
+            busy.reserve_exact(ops);
+        }
+    }
+
     /// Number of admitted jobs that still have unplaced ops.
     pub fn active_jobs(&self) -> usize {
         self.active.len()
@@ -661,6 +674,7 @@ impl MultiScheduler {
     /// continues until no active job can beat the earliest pending finish).
     /// Returns `None` once every admitted job has completed.
     pub fn run_until_completion(&mut self) -> Option<JobCompletion> {
+        let telemetry_on = bts_telemetry::enabled();
         loop {
             let min_finish = self
                 .pending
@@ -682,14 +696,18 @@ impl MultiScheduler {
             } else if best.is_none() {
                 return None;
             }
-            self.place(best.expect("an active job can still be placed"));
+            self.place(
+                best.expect("an active job can still be placed"),
+                telemetry_on,
+            );
         }
     }
 
     /// Places every remaining op.
     pub fn run_to_end(&mut self) {
+        let telemetry_on = bts_telemetry::enabled();
         while let Some(best) = self.best_candidate() {
-            self.place(best);
+            self.place(best, telemetry_on);
         }
         self.pending.clear();
     }
@@ -783,8 +801,9 @@ impl MultiScheduler {
     }
 
     /// Commits a candidate: the op's window, its channel reservations, and
-    /// the job's cursor.
-    fn place(&mut self, Candidate { start, pos, free }: Candidate) {
+    /// the job's cursor — and, if `telemetry_on` (the caller's one read of
+    /// [`bts_telemetry::enabled`] for all it places), their events.
+    fn place(&mut self, Candidate { start, pos, free }: Candidate, telemetry_on: bool) {
         let j = self.active[pos];
         let job = &mut self.jobs[j];
         let plan = &*job.plan;
@@ -822,7 +841,6 @@ impl MultiScheduler {
             start_seconds: start,
             end_seconds: end,
         });
-        let telemetry_on = bts_telemetry::enabled();
         for kind in FuKind::ALL {
             let k = kind.index();
             if demand.busy[k] <= 0.0 {

@@ -119,6 +119,7 @@ impl ScheduleExt for Simulator {
         let (plan, mut report) = JobPlan::from_index(self, &TraceIndex::new(trace)?);
         let plan = Arc::new(plan);
         let mut scheduler = MultiScheduler::new(MachineModel::from_config(self.config()));
+        scheduler.reserve_timeline(plan.len());
         scheduler.add_planned(0, Arc::clone(&plan), 0.0);
         let schedule = scheduler.finish();
         report.scheduled_seconds = Some(schedule.makespan_seconds);

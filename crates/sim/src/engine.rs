@@ -1,6 +1,13 @@
 //! The serial engine: per-op unit costs, the scratchpad's ciphertext cache
 //! resolved in program order, and the fold into a [`SimReport`].
 //!
+//! **One sweep, many sinks.** [`Simulator::sweep_each`] is the one loop over
+//! a trace: it resolves each op's [`OpTiming`] and hands it to its caller's
+//! sink. `op_timings*` collect the timings, `try_run*` fold them into a
+//! report as they come ([`Fold`]) and keep none, and
+//! [`Simulator::run_indexed`] does the latter while its caller — the
+//! scheduler's planner — keeps of each timing only what it needs.
+//!
 //! **Scratchpad replacement.** BTS's scratchpad is software-managed (§5.3),
 //! and an FHE trace is its own future, so the cache is not reactive: every
 //! operand access and op output carries the compiler's 2-bit [`Reuse`] code
@@ -9,7 +16,7 @@
 //! all-or-nothing bypass, larger slot loses ties) runs on the key the code
 //! stands for ([`reuse_key`]). The same cache on exact next-use positions is
 //! the policy's bound ([`Simulator::try_run_belady`]); the two sweeps differ
-//! in the key function handed to [`Simulator::sweep`] and in nothing else.
+//! in the key function handed to [`Simulator::sweep_each`] and in nothing else.
 //! On every registry workload the code reaches the bound byte for byte —
 //! live sets stay within three ciphertexts, so what a reactive cache loses
 //! is dead values kept because they are recent plus thrash only bypass
@@ -27,7 +34,7 @@ use bts_params::CkksInstance;
 
 use crate::config::BtsConfig;
 use crate::cost::AreaPowerModel;
-use crate::trace::{HeOp, OpTrace, TraceError};
+use crate::trace::{HeOp, OpTrace, TraceError, TracedOp};
 use crate::trace_index::{IndexedOp, Reuse, TraceIndex, NEVER};
 
 /// Per-op-class statistics in a [`SimReport`].
@@ -202,10 +209,10 @@ pub struct OpCost {
 
 /// One op's execution charge after resolving ciphertext operands against the
 /// scratchpad cache in program order: the raw unit costs plus the HBM traffic
-/// and the serial latency the engine bills for the op. Produced by
-/// [`Simulator::op_timings`]; both the serial accounting and `bts-sched`'s
-/// list scheduler fold over the same vector, so the two execution modes can
-/// never disagree on per-op costs.
+/// and the serial latency the engine bills for the op. Produced by the one
+/// cache sweep, op after op ([`Simulator::op_timings`] collects them); the
+/// serial accounting and `bts-sched`'s planner both consume that one stream,
+/// so the two execution modes can never disagree on per-op costs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OpTiming {
     /// Cache-independent unit costs.
@@ -369,30 +376,29 @@ impl Simulator {
     ///
     /// Returns the first structural defect found in the trace.
     pub fn try_run(&self, trace: &OpTrace) -> Result<SimReport, TraceError> {
-        Ok(self.fold_report(trace, &self.op_timings(trace)?))
+        self.report(trace, Replacement::ReuseCode)
     }
 
-    /// Runs a trace the caller has already validated and indexed, returning
-    /// both the per-op timings and the folded report from one cache sweep —
-    /// `bts-sched` plans a job from one [`TraceIndex`] shared by this sweep
-    /// and its dependency DAG.
-    pub fn run_timed_indexed(&self, index: &TraceIndex<'_>) -> (Vec<OpTiming>, SimReport) {
-        let timings = self.sweep_reuse_code(index);
-        let report = self.fold_report(index.trace(), &timings);
-        (timings, report)
+    /// Runs a trace the caller has already validated and indexed under the
+    /// scratchpad's replacement policy, handing every op's timing to `sink`
+    /// in program order while the same sweep folds the report — `bts-sched`
+    /// plans a job from one [`TraceIndex`] shared by this sweep and its
+    /// dependency DAG, and keeps of each timing only what it schedules on.
+    pub fn run_indexed(&self, index: &TraceIndex<'_>, sink: impl FnMut(&OpTiming)) -> SimReport {
+        self.folded(index, Replacement::ReuseCode, sink)
     }
 
     /// Per-op execution charges with the scratchpad cache resolved in program
     /// order. This is the single source of per-op truth: [`Simulator::try_run`]
-    /// folds the vector into a [`SimReport`], and `bts-sched` schedules the
-    /// same timings onto bounded functional units, so the two modes can never
-    /// diverge on what one op costs.
+    /// folds the same charges, one op at a time, into a [`SimReport`], and
+    /// `bts-sched` schedules them onto bounded functional units, so the two
+    /// modes can never diverge on what one op costs.
     ///
     /// # Errors
     ///
     /// Returns the first structural defect found in the trace.
     pub fn op_timings(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, TraceError> {
-        Ok(self.sweep_reuse_code(&TraceIndex::new(trace)?))
+        self.timings(trace, Replacement::ReuseCode)
     }
 
     /// [`Simulator::op_timings`] with the replacement key at full width: the
@@ -406,13 +412,7 @@ impl Simulator {
     ///
     /// Returns the first structural defect found in the trace.
     pub fn op_timings_belady(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, TraceError> {
-        let index = TraceIndex::new(trace)?;
-        let next_uses = index.next_uses();
-        Ok(
-            self.sweep(&index, self.next_use_cache(&index), |op, operand| {
-                exact_key(&index, &next_uses, op, operand)
-            }),
-        )
+        self.timings(trace, Replacement::ExactNextUse)
     }
 
     /// Runs a trace with exact furthest-next-use replacement — see
@@ -422,7 +422,7 @@ impl Simulator {
     ///
     /// Returns the first structural defect found in the trace.
     pub fn try_run_belady(&self, trace: &OpTrace) -> Result<SimReport, TraceError> {
-        Ok(self.fold_report(trace, &self.op_timings_belady(trace)?))
+        self.report(trace, Replacement::ExactNextUse)
     }
 
     /// [`Simulator::op_timings`] with the scratchpad run as the reactive LRU
@@ -434,9 +434,7 @@ impl Simulator {
     ///
     /// Returns the first structural defect found in the trace.
     pub fn op_timings_lru(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, TraceError> {
-        let index = TraceIndex::new(trace)?;
-        let cache = CacheModel::Lru(LruCache::new(self.cache_capacity(), index.slot_count()));
-        Ok(self.sweep(&index, cache, |_, _| 0))
+        self.timings(trace, Replacement::Lru)
     }
 
     /// Runs a trace under LRU replacement — see [`Simulator::op_timings_lru`].
@@ -445,7 +443,42 @@ impl Simulator {
     ///
     /// Returns the first structural defect found in the trace.
     pub fn try_run_lru(&self, trace: &OpTrace) -> Result<SimReport, TraceError> {
-        Ok(self.fold_report(trace, &self.op_timings_lru(trace)?))
+        self.report(trace, Replacement::Lru)
+    }
+
+    /// Every `op_timings*` entry point: the sweep's timings, collected.
+    fn timings(
+        &self,
+        trace: &OpTrace,
+        replacement: Replacement,
+    ) -> Result<Vec<OpTiming>, TraceError> {
+        let index = TraceIndex::new(trace)?;
+        let mut timings = Vec::with_capacity(trace.ops.len());
+        self.sweep_under(&index, replacement, |_, timing| timings.push(timing));
+        Ok(timings)
+    }
+
+    /// Every `try_run*` entry point: the trace validated, indexed and
+    /// [`Simulator::folded`].
+    fn report(&self, trace: &OpTrace, replacement: Replacement) -> Result<SimReport, TraceError> {
+        Ok(self.folded(&TraceIndex::new(trace)?, replacement, |_| {}))
+    }
+
+    /// The sweep's timings folded into the report as they come, each shown
+    /// to `sink` on its way — no per-op record outlives its op unless the
+    /// sink keeps one.
+    fn folded(
+        &self,
+        index: &TraceIndex<'_>,
+        replacement: Replacement,
+        mut sink: impl FnMut(&OpTiming),
+    ) -> SimReport {
+        let mut fold = Fold::default();
+        self.sweep_under(index, replacement, |traced, timing| {
+            fold.add(traced, &timing);
+            sink(&timing);
+        });
+        fold.finish(self)
     }
 
     /// An empty furthest-next-use cache for the slots of `index`.
@@ -453,29 +486,57 @@ impl Simulator {
         CacheModel::Belady(BeladyCache::new(self.cache_capacity(), index.slot_count()))
     }
 
-    /// The default sweep: the furthest-next-use cache keyed on the reuse code.
-    fn sweep_reuse_code(&self, index: &TraceIndex<'_>) -> Vec<OpTiming> {
-        self.sweep(index, self.next_use_cache(index), |op, operand| {
-            reuse_key(index.reuse(op, operand), op.index)
-        })
+    /// [`Simulator::sweep_each`] with the cache and the key function of one
+    /// replacement policy.
+    fn sweep_under(
+        &self,
+        index: &TraceIndex<'_>,
+        replacement: Replacement,
+        sink: impl FnMut(&TracedOp, OpTiming),
+    ) {
+        match replacement {
+            Replacement::ReuseCode => self.sweep_each(
+                index,
+                self.next_use_cache(index),
+                |op, operand| reuse_key(index.reuse(op, operand), op.index),
+                sink,
+            ),
+            Replacement::ExactNextUse => {
+                let next_uses = index.next_uses();
+                self.sweep_each(
+                    index,
+                    self.next_use_cache(index),
+                    |op, operand| exact_key(index, &next_uses, op, operand),
+                    sink,
+                );
+            }
+            Replacement::Lru => {
+                let cache =
+                    CacheModel::Lru(LruCache::new(self.cache_capacity(), index.slot_count()));
+                self.sweep_each(index, cache, |_, _| 0, sink);
+            }
+        }
     }
 
-    /// The cache-resolution sweep behind every `op_timings*` entry point,
-    /// over the slots of a validated [`TraceIndex`]. `key` says when the
+    /// The cache-resolution sweep behind every entry point, over the slots
+    /// of a validated [`TraceIndex`]: resolves each op's charge in program
+    /// order and hands it to `sink`, which is all that tells collecting
+    /// ([`Simulator::op_timings`]) from folding ([`Simulator::try_run`])
+    /// from planning ([`Simulator::run_indexed`]). `key` says when the
     /// value of one access — the op's `Some(k)`-th operand, or its output
     /// for `None` — is read next, as far as the replacement policy knows;
     /// it is all that tells policy and bound apart (LRU ignores it).
-    fn sweep(
+    fn sweep_each(
         &self,
         index: &TraceIndex<'_>,
         mut cache: CacheModel,
         key: impl Fn(&IndexedOp<'_>, Option<usize>) -> u32,
-    ) -> Vec<OpTiming> {
+        mut sink: impl FnMut(&TracedOp, OpTiming),
+    ) {
         let trace = index.trace();
         let telemetry_on = bts_telemetry::enabled();
         let mut costs = CostTable::new(self, trace.instance.max_level(), telemetry_on);
         let bytes_per_sec = self.config.hbm.bytes_per_sec();
-        let mut timings = Vec::with_capacity(trace.ops.len());
         // Serialized op start time: the engine charges ops back to back, so
         // the running sum places each op's interval on the telemetry track.
         let mut serial_t = 0.0f64;
@@ -536,90 +597,19 @@ impl Simulator {
                 bts_telemetry::counter_add("sim.cache.bypasses", pressure.bypasses as u64);
             }
             serial_t += seconds;
-            timings.push(OpTiming {
-                cost,
-                miss_bytes,
-                hbm_bytes,
-                hbm_seconds,
-                seconds,
-                cache_hits: hits,
-                cache_misses: misses,
-                scratch_bytes: cost.temp_bytes + cache.used_bytes(),
-            });
-        }
-        timings
-    }
-
-    /// Folds per-op timings into the aggregate report.
-    fn fold_report(&self, trace: &OpTrace, timings: &[OpTiming]) -> SimReport {
-        let mut total = 0.0f64;
-        let mut bootstrap = 0.0f64;
-        // Per class in a flat array; each class's float sum still runs in
-        // program order.
-        let mut classes = [OpClassStats::default(); HeOp::ALL.len()];
-        let mut evk_bytes = 0u64;
-        let mut ct_miss_bytes = 0u64;
-        let mut hits = 0usize;
-        let mut misses = 0usize;
-        let mut ntt_busy = 0.0f64;
-        let mut bconv_busy = 0.0f64;
-        let mut ew_busy = 0.0f64;
-        let mut peak_scratch = 0u64;
-
-        for (traced, timing) in trace.ops.iter().zip(timings) {
-            total += timing.seconds;
-            if traced.in_bootstrap {
-                bootstrap += timing.seconds;
-            }
-            let class = &mut classes[traced.op.index()];
-            class.count += 1;
-            class.seconds += timing.seconds;
-            evk_bytes += timing.cost.evk_bytes;
-            ct_miss_bytes += timing.miss_bytes;
-            hits += timing.cache_hits;
-            misses += timing.cache_misses;
-            ntt_busy += timing.cost.ntt_seconds;
-            bconv_busy += timing.cost.bconv_seconds;
-            ew_busy += timing.cost.elementwise_seconds;
-            peak_scratch = peak_scratch.max(timing.scratch_bytes);
-        }
-        let per_op: BTreeMap<HeOp, OpClassStats> = HeOp::ALL
-            .into_iter()
-            .zip(classes)
-            .filter(|(_, stats)| stats.count > 0)
-            .collect();
-
-        let hbm_bytes = evk_bytes + ct_miss_bytes;
-        let hbm_util = if total > 0.0 {
-            (hbm_bytes as f64 / self.config.hbm.bytes_per_sec()) / total
-        } else {
-            0.0
-        };
-        let ntt_util = if total > 0.0 { ntt_busy / total } else { 0.0 };
-        let bconv_util = if total > 0.0 { bconv_busy / total } else { 0.0 };
-        let ew_util = if total > 0.0 { ew_busy / total } else { 0.0 };
-        let energy = self
-            .cost_model
-            .energy_joules(total, ntt_util, bconv_util, hbm_util, ew_util);
-
-        SimReport {
-            total_seconds: total,
-            bootstrap_seconds: bootstrap,
-            per_op,
-            hbm_bytes,
-            evk_bytes,
-            ct_miss_bytes,
-            cache_hits: hits,
-            cache_misses: misses,
-            ntt_utilization: ntt_util.min(1.0),
-            bconv_utilization: bconv_util.min(1.0),
-            hbm_utilization: hbm_util.min(1.0),
-            elementwise_utilization: ew_util.min(1.0),
-            scratchpad_peak_bytes: peak_scratch,
-            energy_j: energy,
-            area_mm2: self.cost_model.total_area_mm2(),
-            scheduled_seconds: None,
-            critical_path_seconds: None,
+            sink(
+                op.traced,
+                OpTiming {
+                    cost,
+                    miss_bytes,
+                    hbm_bytes,
+                    hbm_seconds,
+                    seconds,
+                    cache_hits: hits,
+                    cache_misses: misses,
+                    scratch_bytes: cost.temp_bytes + cache.used_bytes(),
+                },
+            );
         }
     }
 
@@ -646,6 +636,96 @@ impl Simulator {
         self.config
             .scratchpad_bytes
             .saturating_sub(self.temp_data_bytes())
+    }
+}
+
+/// Which cache, on which replacement key, a sweep runs.
+#[derive(Debug, Clone, Copy)]
+enum Replacement {
+    /// The furthest-next-use cache keyed on the 2-bit reuse code: the policy.
+    ReuseCode,
+    /// The same cache keyed on exact next-use positions: the policy's bound.
+    ExactNextUse,
+    /// The reactive LRU cache of §5.3: the paper's baseline.
+    Lru,
+}
+
+/// A [`SimReport`] in the making: the running sums of a sweep, one op at a
+/// time. Every float sum runs in program order, per class too, so a report
+/// folded in flight has the bits of one folded over the collected timings.
+#[derive(Debug, Default)]
+struct Fold {
+    total: f64,
+    bootstrap: f64,
+    /// Per class in a flat array, indexed by [`HeOp::index`].
+    classes: [OpClassStats; HeOp::ALL.len()],
+    evk_bytes: u64,
+    ct_miss_bytes: u64,
+    hits: usize,
+    misses: usize,
+    ntt_busy: f64,
+    bconv_busy: f64,
+    ew_busy: f64,
+    peak_scratch: u64,
+}
+
+impl Fold {
+    fn add(&mut self, traced: &TracedOp, timing: &OpTiming) {
+        self.total += timing.seconds;
+        if traced.in_bootstrap {
+            self.bootstrap += timing.seconds;
+        }
+        let class = &mut self.classes[traced.op.index()];
+        class.count += 1;
+        class.seconds += timing.seconds;
+        self.evk_bytes += timing.cost.evk_bytes;
+        self.ct_miss_bytes += timing.miss_bytes;
+        self.hits += timing.cache_hits;
+        self.misses += timing.cache_misses;
+        self.ntt_busy += timing.cost.ntt_seconds;
+        self.bconv_busy += timing.cost.bconv_seconds;
+        self.ew_busy += timing.cost.elementwise_seconds;
+        self.peak_scratch = self.peak_scratch.max(timing.scratch_bytes);
+    }
+
+    /// The report of the ops added so far, on `sim`'s chip.
+    fn finish(self, sim: &Simulator) -> SimReport {
+        let total = self.total;
+        let per_op: BTreeMap<HeOp, OpClassStats> = HeOp::ALL
+            .into_iter()
+            .zip(self.classes)
+            .filter(|(_, stats)| stats.count > 0)
+            .collect();
+
+        let hbm_bytes = self.evk_bytes + self.ct_miss_bytes;
+        let share = |busy: f64| if total > 0.0 { busy / total } else { 0.0 };
+        let hbm_util = share(hbm_bytes as f64 / sim.config.hbm.bytes_per_sec());
+        let ntt_util = share(self.ntt_busy);
+        let bconv_util = share(self.bconv_busy);
+        let ew_util = share(self.ew_busy);
+        let energy = sim
+            .cost_model
+            .energy_joules(total, ntt_util, bconv_util, hbm_util, ew_util);
+
+        SimReport {
+            total_seconds: total,
+            bootstrap_seconds: self.bootstrap,
+            per_op,
+            hbm_bytes,
+            evk_bytes: self.evk_bytes,
+            ct_miss_bytes: self.ct_miss_bytes,
+            cache_hits: self.hits,
+            cache_misses: self.misses,
+            ntt_utilization: ntt_util.min(1.0),
+            bconv_utilization: bconv_util.min(1.0),
+            hbm_utilization: hbm_util.min(1.0),
+            elementwise_utilization: ew_util.min(1.0),
+            scratchpad_peak_bytes: self.peak_scratch,
+            energy_j: energy,
+            area_mm2: sim.cost_model.total_area_mm2(),
+            scheduled_seconds: None,
+            critical_path_seconds: None,
+        }
     }
 }
 
@@ -1231,11 +1311,17 @@ mod tests {
     fn hits_keyed(sim: &Simulator, trace: &OpTrace, key: impl Fn(Reuse, u32, u32) -> u32) -> usize {
         let index = TraceIndex::new(trace).unwrap();
         let next_uses = index.next_uses();
-        let timings = sim.sweep(&index, sim.next_use_cache(&index), |op, operand| {
-            let exact = exact_key(&index, &next_uses, op, operand);
-            key(index.reuse(op, operand), exact, op.index)
-        });
-        timings.iter().map(|t| t.cache_hits).sum()
+        let mut hits = 0;
+        sim.sweep_each(
+            &index,
+            sim.next_use_cache(&index),
+            |op, operand| {
+                let exact = exact_key(&index, &next_uses, op, operand);
+                key(index.reuse(op, operand), exact, op.index)
+            },
+            |_, timing| hits += timing.cache_hits,
+        );
+        hits
     }
 
     #[test]

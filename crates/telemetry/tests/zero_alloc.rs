@@ -4,15 +4,29 @@
 //! can clear the telemetry environment before the process's one read of it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the test's own thread while it measures: the harness's main
+    /// thread keeps its books (running-test table, timeout queue) while the
+    /// test runs, and its allocations are not telemetry's.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -21,7 +35,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,6 +53,7 @@ fn disabled_telemetry_allocates_nothing_and_records_nothing() {
     }
     assert!(!bts_telemetry::enabled());
 
+    MEASURING.set(true);
     let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in 0..1000 {
         let _scope = bts_telemetry::scope("chip0");
@@ -57,6 +72,7 @@ fn disabled_telemetry_allocates_nothing_and_records_nothing() {
         bts_telemetry::observe("serve.latency_seconds", 0.01);
     }
     let allocs_after = ALLOCATIONS.load(Ordering::Relaxed);
+    MEASURING.set(false);
 
     assert_eq!(
         allocs_after - allocs_before,

@@ -17,14 +17,23 @@
 //! (`op_timings_belady` — the reuse code at infinite width), and
 //! [`oracle::three_value_key`], a quantization of the exact position written
 //! without `TraceIndex`'s tables, is the default (`op_timings`).
+//!
+//! The sweep is one visitor with three kinds of sink, and only the collecting
+//! one (`op_timings*`) is compared with the oracle's timings directly. The
+//! folding one (`try_run*`) is held, field by field and bit by bit, to
+//! [`oracle::fold`] — a second pass over the collected timings, which is how
+//! the engine folded before it streamed — and the planning one
+//! (`Simulator::run_indexed` under `JobPlan::from_index`) to `op_timings` and
+//! to the plan `JobPlan::new` builds from them.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use bts::params::CkksInstance;
-use bts::sched::{MachineModel, ScheduleExt, TraceDag};
+use bts::sched::{JobPlan, MachineModel, ScheduleExt, TraceDag};
 use bts::sim::{
-    BtsConfig, CtId, HeOp, OpClassStats, OpTrace, Simulator, TraceBuilder, TraceIndex, TracedOp,
+    BtsConfig, CtId, HeOp, OpTiming, OpTrace, SimReport, Simulator, TraceBuilder, TraceIndex,
+    TracedOp,
 };
 
 #[path = "common/list_oracle.rs"]
@@ -32,9 +41,12 @@ mod list_oracle;
 
 /// The pre-index implementations, kept verbatim as the reference.
 mod oracle {
-    use std::collections::{HashMap, HashSet, VecDeque};
+    use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-    use bts::sim::{CtId, OpTiming, OpTrace, Simulator, TraceError};
+    use bts::sim::{
+        AreaPowerModel, CtId, HeOp, OpClassStats, OpTiming, OpTrace, SimReport, Simulator,
+        TraceError,
+    };
 
     pub fn validate(trace: &OpTrace) -> Result<(), TraceError> {
         let mut defined: HashSet<CtId> = trace.inputs.iter().copied().collect();
@@ -210,6 +222,62 @@ mod oracle {
             });
         }
         Ok(timings)
+    }
+
+    /// The report as a second pass over collected timings — how the engine
+    /// folded before its sweeps streamed into the report — with the
+    /// per-class sums as `BTreeMap` entries in program order.
+    pub fn fold(sim: &Simulator, trace: &OpTrace, timings: &[OpTiming]) -> SimReport {
+        assert_eq!(timings.len(), trace.ops.len());
+        let mut total = 0.0f64;
+        let mut bootstrap = 0.0f64;
+        let mut per_op: BTreeMap<HeOp, OpClassStats> = BTreeMap::new();
+        let (mut evk_bytes, mut ct_miss_bytes) = (0u64, 0u64);
+        let (mut hits, mut misses) = (0usize, 0usize);
+        let (mut ntt_busy, mut bconv_busy, mut ew_busy) = (0.0f64, 0.0f64, 0.0f64);
+        let mut peak_scratch = 0u64;
+        for (traced, timing) in trace.ops.iter().zip(timings) {
+            total += timing.seconds;
+            if traced.in_bootstrap {
+                bootstrap += timing.seconds;
+            }
+            let class = per_op.entry(traced.op).or_default();
+            class.count += 1;
+            class.seconds += timing.seconds;
+            evk_bytes += timing.cost.evk_bytes;
+            ct_miss_bytes += timing.miss_bytes;
+            hits += timing.cache_hits;
+            misses += timing.cache_misses;
+            ntt_busy += timing.cost.ntt_seconds;
+            bconv_busy += timing.cost.bconv_seconds;
+            ew_busy += timing.cost.elementwise_seconds;
+            peak_scratch = peak_scratch.max(timing.scratch_bytes);
+        }
+        let hbm_bytes = evk_bytes + ct_miss_bytes;
+        let share = |busy: f64| if total > 0.0 { busy / total } else { 0.0 };
+        let hbm_util = share(hbm_bytes as f64 / sim.config().hbm.bytes_per_sec());
+        let (ntt_util, bconv_util, ew_util) = (share(ntt_busy), share(bconv_busy), share(ew_busy));
+        let chip =
+            AreaPowerModel::bts_default().with_scratchpad_bytes(sim.config().scratchpad_bytes);
+        SimReport {
+            total_seconds: total,
+            bootstrap_seconds: bootstrap,
+            per_op,
+            hbm_bytes,
+            evk_bytes,
+            ct_miss_bytes,
+            cache_hits: hits,
+            cache_misses: misses,
+            ntt_utilization: ntt_util.min(1.0),
+            bconv_utilization: bconv_util.min(1.0),
+            hbm_utilization: hbm_util.min(1.0),
+            elementwise_utilization: ew_util.min(1.0),
+            scratchpad_peak_bytes: peak_scratch,
+            energy_j: chip.energy_joules(total, ntt_util, bconv_util, hbm_util, ew_util),
+            area_mm2: chip.total_area_mm2(),
+            scheduled_seconds: None,
+            critical_path_seconds: None,
+        }
     }
 
     enum CacheModel {
@@ -497,19 +565,37 @@ fn simulator(ins: &CkksInstance, rng: &mut Lcg) -> Simulator {
     )
 }
 
-/// The per-class fold as `fold_report` did it: `BTreeMap` entries in program
-/// order.
-fn per_op_by_entry(
-    trace: &OpTrace,
-    timings: &[bts::sim::OpTiming],
-) -> std::collections::BTreeMap<HeOp, OpClassStats> {
-    let mut per_op = std::collections::BTreeMap::new();
-    for (traced, timing) in trace.ops.iter().zip(timings) {
-        let entry: &mut OpClassStats = per_op.entry(traced.op).or_default();
-        entry.count += 1;
-        entry.seconds += timing.seconds;
+/// Every field of a serial report, floats as their bits, under its name — so
+/// two reports compare exactly and a mismatch says where.
+fn report_bits(report: &SimReport) -> Vec<(String, u64)> {
+    assert!(report.scheduled_seconds.is_none() && report.critical_path_seconds.is_none());
+    let mut bits: Vec<(String, u64)> = [
+        ("total_seconds", report.total_seconds.to_bits()),
+        ("bootstrap_seconds", report.bootstrap_seconds.to_bits()),
+        ("hbm_bytes", report.hbm_bytes),
+        ("evk_bytes", report.evk_bytes),
+        ("ct_miss_bytes", report.ct_miss_bytes),
+        ("cache_hits", report.cache_hits as u64),
+        ("cache_misses", report.cache_misses as u64),
+        ("ntt_utilization", report.ntt_utilization.to_bits()),
+        ("bconv_utilization", report.bconv_utilization.to_bits()),
+        ("hbm_utilization", report.hbm_utilization.to_bits()),
+        (
+            "elementwise_utilization",
+            report.elementwise_utilization.to_bits(),
+        ),
+        ("scratchpad_peak_bytes", report.scratchpad_peak_bytes),
+        ("energy_j", report.energy_j.to_bits()),
+        ("area_mm2", report.area_mm2.to_bits()),
+    ]
+    .into_iter()
+    .map(|(name, value)| (name.to_string(), value))
+    .collect();
+    for (op, stats) in &report.per_op {
+        bits.push((format!("{op:?}.count"), stats.count as u64));
+        bits.push((format!("{op:?}.seconds"), stats.seconds.to_bits()));
     }
-    per_op
+    bits
 }
 
 /// Everything the index feeds, against the oracle, on one valid trace.
@@ -526,23 +612,40 @@ fn assert_matches_oracle(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCas
     let policy = sim.op_timings(trace).unwrap();
     prop_assert_eq!(&policy, &timings(Policy::NextUse(oracle::three_value_key)));
 
-    // The folded report: sums in program order, per class too.
-    let report = sim.try_run(trace).unwrap();
-    let total: f64 = policy.iter().fold(0.0, |acc, t| acc + t.seconds);
-    prop_assert_eq!(report.total_seconds.to_bits(), total.to_bits());
-    prop_assert_eq!(&report.per_op, &per_op_by_entry(trace, &policy));
-    prop_assert_eq!(
-        report.cache_hits,
-        policy.iter().map(|t| t.cache_hits).sum::<usize>()
-    );
-    let belady_report = sim.try_run_belady(trace).unwrap();
-    prop_assert_eq!(&belady_report.per_op, &per_op_by_entry(trace, &belady));
-    let lru_report = sim.try_run_lru(trace).unwrap();
-    prop_assert_eq!(&lru_report.per_op, &per_op_by_entry(trace, &lru));
-    let (timed, timed_report) = sim.run_timed_indexed(&TraceIndex::new(trace).unwrap());
-    prop_assert_eq!(&timed, &policy);
-    prop_assert_eq!(&timed_report.per_op, &report.per_op);
-    prop_assert_eq!(timed_report.total_seconds.to_bits(), total.to_bits());
+    // The streamed reports: each sweep folds its timings as it produces
+    // them, to the bits of a second pass over the collected vector — and the
+    // conservation laws (ROADMAP 5(c)): what the ops were charged is what
+    // the report totals.
+    let streamed = [
+        (sim.try_run(trace).unwrap(), &policy),
+        (sim.try_run_belady(trace).unwrap(), &belady),
+        (sim.try_run_lru(trace).unwrap(), &lru),
+    ];
+    for (report, collected) in &streamed {
+        prop_assert_eq!(
+            report_bits(report),
+            report_bits(&oracle::fold(sim, trace, collected))
+        );
+        let sum = |field: fn(&OpTiming) -> u64| collected.iter().map(field).sum::<u64>();
+        prop_assert_eq!(sum(|t| t.hbm_bytes), report.hbm_bytes);
+        prop_assert_eq!(sum(|t| t.miss_bytes), report.ct_miss_bytes);
+        prop_assert_eq!(sum(|t| t.cache_hits as u64), report.cache_hits as u64);
+        prop_assert_eq!(sum(|t| t.cache_misses as u64), report.cache_misses as u64);
+    }
+    let [(report, _), ..] = &streamed;
+
+    // The planner's sweep: its sink sees exactly `op_timings`, its report is
+    // `try_run`'s, and the plan written from the sink is the plan built from
+    // the collected timings.
+    let machine = MachineModel::from_config(sim.config());
+    let index = TraceIndex::new(trace).unwrap();
+    let mut seen = Vec::with_capacity(trace.ops.len());
+    let indexed_report = sim.run_indexed(&index, |timing| seen.push(*timing));
+    prop_assert_eq!(&seen, &policy);
+    prop_assert_eq!(report_bits(&indexed_report), report_bits(report));
+    let (plan, plan_report) = JobPlan::from_index(sim, &index);
+    prop_assert_eq!(&plan, &JobPlan::new(&machine, trace, &policy));
+    prop_assert_eq!(report_bits(&plan_report), report_bits(report));
 
     // The DAG, edge for edge, and the schedule built on it.
     let dag = TraceDag::from_trace(trace);
@@ -553,7 +656,6 @@ fn assert_matches_oracle(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCas
         prop_assert_eq!(dag.segment(i), segment[i]);
     }
     prop_assert_eq!(dag.edge_count(), deps.iter().map(Vec::len).sum::<usize>());
-    let machine = MachineModel::from_config(sim.config());
     let run = sim.try_run_scheduled(trace).unwrap();
     let expected = list_oracle::list_schedule(&machine, trace, &policy);
     list_oracle::check_equal(&run.schedule, &expected).map_err(TestCaseError::Fail)?;

@@ -1,19 +1,23 @@
-//! The simulation kernel's cost in heap allocations, held independent of the
-//! trace length by counts.
+//! The simulation kernel's cost in heap allocations and live bytes, held
+//! independent of the trace length by counts.
 //!
 //! A cache sweep sizes its tables once — the `TraceIndex`, the LRU list or
-//! the next-use entries, the per-(op, level) cost table, the timings vector —
-//! and then allocates nothing per op: no queue per ciphertext, no vector per
-//! access, no victim list per eviction, and for the default policy no
-//! next-use table either (the reuse code is read off the index). So
-//! `try_run`, `try_run_belady` and `try_run_lru`
-//! make the same bounded number of allocations on a 2 000-op trace as on a
-//! 32 000-op one, whatever the ids look like, and `run_scheduled` (which
-//! also grows the schedule's op and busy lists) allocates no more per op as
-//! the trace grows. A timer on a shared VM would only show noise; the process's
-//! allocator counts exactly. Like `tests/serve_linearity.rs` this is a
-//! single-test binary with a counting allocator, so nothing else allocates
-//! while it counts.
+//! the next-use entries, the per-(op, level) cost table — and then allocates
+//! nothing per op: no queue per ciphertext, no vector per access, no victim
+//! list per eviction, for the default policy no next-use table either (the
+//! reuse code is read off the index), and no per-op timing record: `try_run*`
+//! fold each op's timing into the report as the sweep produces it. So
+//! `try_run`, `try_run_belady` and `try_run_lru` make the same bounded number
+//! of allocations on a 2 000-op trace as on a 32 000-op one, whatever the ids
+//! look like, and keep only the index and the cache alive — a few dozen bytes
+//! per op, where a 120-byte `OpTiming` each would triple that.
+//! `run_scheduled` writes the plan's demands straight from the sweep and
+//! sizes the one-job schedule's op and busy lists once, so its allocation
+//! count is bounded too and what it keeps per op is the plan and the
+//! schedule it returns. A timer on a shared VM would only show noise; the
+//! process's allocator counts exactly. Like `tests/serve_linearity.rs` this
+//! is a single-test binary with a counting allocator, so nothing else
+//! allocates while it counts.
 
 use bts::params::CkksInstance;
 use bts::sched::ScheduleExt;
@@ -74,9 +78,13 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
     let large = bootstrap_shaped(&ins, 32_000);
     assert!(small.len() >= 2_000 && large.len() >= 32_000);
 
-    // The sweeps: the index, the cache, the cost table, the timings and the
-    // report's per-class map — a fixed set of tables, each sized once.
+    // The sweeps: the index, the cache, the cost table and the report's
+    // per-class map — a fixed set of tables, each sized once.
     const SWEEP_ALLOCATIONS: u64 = 24;
+    // What a folding sweep may keep alive per op at its peak: the index and
+    // the cache's slot table, not a timing per op (`op_timings*`, which
+    // collect, pay 120 bytes per op on top).
+    const SWEEP_PEAK_BYTES_PER_OP: u64 = 64;
     type EntryPoint = fn(&Simulator, &OpTrace) -> Result<SimReport, TraceError>;
     let entry_points: [(&str, EntryPoint); 3] = [
         ("try_run", Simulator::try_run),
@@ -91,6 +99,11 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
                 "{entry} on {name} ops made {} allocations",
                 cost.allocations
             );
+            let per_op_bytes = cost.peak_bytes / trace.len() as u64;
+            assert!(
+                per_op_bytes <= SWEEP_PEAK_BYTES_PER_OP,
+                "{entry} on {name} ops keeps {per_op_bytes} bytes per op alive"
+            );
         }
     }
     // The default sweep builds no next-use table: one allocation fewer than
@@ -104,17 +117,26 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
         report.cache_misses
     );
 
-    // Scheduling also grows the DAG's edge list and the schedule's op and
-    // busy lists, by doubling: fewer allocations per op the longer the trace.
-    let per_op = |trace: &OpTrace| {
+    // Scheduling adds the plan (demands written by the sweep, the DAG) and
+    // the schedule it returns, whose op and busy lists are sized once from
+    // the plan's length: only the DAG's edge list and the critical path grow
+    // by doubling, a few allocations more on the longer trace. What it
+    // keeps per op is that plan and that schedule.
+    const SCHEDULED_ALLOCATIONS: u64 = 64;
+    const SCHEDULED_PEAK_BYTES_PER_OP: u64 = 256;
+    for (name, trace) in [("2 000", &small), ("32 000", &large)] {
         let cost = cost_of(|| sim.try_run_scheduled(trace).expect("trace schedules"));
-        cost.allocations as f64 / trace.len() as f64
-    };
-    let (at_small, at_large) = (per_op(&small), per_op(&large));
-    assert!(
-        at_large <= at_small,
-        "run_scheduled allocates {at_large:.4} per op at 32 000 ops, {at_small:.4} at 2 000"
-    );
+        assert!(
+            cost.allocations <= SCHEDULED_ALLOCATIONS,
+            "run_scheduled on {name} ops made {} allocations",
+            cost.allocations
+        );
+        let per_op_bytes = cost.peak_bytes / trace.len() as u64;
+        assert!(
+            per_op_bytes <= SCHEDULED_PEAK_BYTES_PER_OP,
+            "run_scheduled on {name} ops keeps {per_op_bytes} bytes per op alive"
+        );
+    }
 
     // Hostile ids cost memory by the trace's length, not by their size: with
     // every id spaced 2⁴⁰ apart (the last one past 2⁵⁵) the sweeps make one
