@@ -6,7 +6,7 @@
 use std::fmt::Write as _;
 
 use bts_circuit::{
-    compile as compile_bytecode, Backend, BootstrapPlan, PassPipeline, TraceBackend, Workload,
+    compile as compile_bytecode, BootstrapPlan, PassPipeline, TraceBackend, Workload,
 };
 use bts_ckks::hmult_complexity;
 use bts_cluster::{
@@ -518,8 +518,8 @@ pub fn slowdown() -> String {
 }
 
 /// Per-workload compiler outcome on one instance: the raw builder circuit
-/// lowered by the tree-walking oracle versus the same circuit run through
-/// [`PassPipeline::standard`], compiled to bytecode, and lowered from there.
+/// compiled and lowered as is versus the same circuit run through
+/// [`PassPipeline::standard`] first.
 struct CompileOutcome {
     workload: String,
     instance: String,
@@ -618,9 +618,9 @@ pub fn compiler() -> String {
     }
     let _ = writeln!(
         out,
-        "(primed columns are post-pipeline; the optimized circuit is executed as flat\n\
-         bytecode whose trace is op-for-op identical to the tree-walking oracle on\n\
-         the same circuit, so the before/after delta is purely the pass pipeline's)"
+        "(primed columns are post-pipeline; both forms are compiled to flat bytecode\n\
+         and lowered from there, op for op in circuit order, so the before/after\n\
+         delta is purely the pass pipeline's)"
     );
     out
 }

@@ -118,7 +118,7 @@ pub struct CompiledCircuit {
     /// The CKKS instance the source circuit targeted.
     pub instance: CkksInstance,
     /// Inputs in declaration order (the order executors must encrypt them in,
-    /// to keep randomness streams aligned with the tree-walking oracle).
+    /// to keep randomness streams aligned with the source circuit's).
     pub inputs: Vec<CompiledInput>,
     /// Instructions in program order.
     pub ops: Vec<CompiledOp>,
@@ -129,7 +129,7 @@ pub struct CompiledCircuit {
     /// Deduplicated rotation amounts, ascending. The non-zero subset equals
     /// [`crate::HeCircuit::rotations`] of the source circuit, so key
     /// provisioning (and with it the key-generation randomness stream)
-    /// matches the oracle exactly.
+    /// matches the source circuit's exactly.
     pub rotations: Vec<i64>,
     /// Size of the register file an executor must allocate.
     pub reg_count: u32,
@@ -173,8 +173,9 @@ impl CompiledCircuit {
     }
 
     /// Structural validation: every register is written before it is read,
-    /// never read after being freed, pool indices are in bounds, and every
-    /// output register holds a live value at program end.
+    /// never read after being freed, only a binary op frees a second
+    /// operand, pool indices are in bounds, and every output register holds
+    /// a live value at program end.
     ///
     /// # Errors
     ///
@@ -202,6 +203,10 @@ impl CompiledCircuit {
             read(&live, op.a)?;
             if op.opcode.is_binary() {
                 read(&live, op.b)?;
+            } else if op.free_b {
+                // Executors free `b` whenever the flag is set, so on a unary
+                // op it would kill a register the op never read.
+                return defect(format!("op {i} is unary but frees a second operand"));
             }
             if op.opcode.uses_const() && op.imm as usize >= self.consts.len() {
                 return defect(format!("op {i} constant index {} out of range", op.imm));
@@ -212,7 +217,7 @@ impl CompiledCircuit {
             if op.free_a {
                 live[op.a as usize] = false;
             }
-            if op.free_b && op.opcode.is_binary() {
+            if op.free_b {
                 live[op.b as usize] = false;
             }
             match live.get_mut(op.dst as usize) {

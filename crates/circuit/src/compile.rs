@@ -1,10 +1,10 @@
 //! The circuit compiler: lowers a (typically pass-optimized) [`HeCircuit`]
-//! to flat [`CompiledCircuit`] bytecode. The work done once here — operand
-//! resolution, constant/rotation pooling, last-use analysis and linear-scan
-//! register allocation with a free list — is exactly the work the
-//! tree-walking backends redo per instruction via their `HashMap`
-//! environments, so executors of the compiled form run the same evaluator
-//! calls with none of the dispatch.
+//! to flat [`CompiledCircuit`] bytecode, the one program form a backend
+//! executes. The work done once here — operand resolution, constant/rotation
+//! pooling, last-use analysis and linear-scan register allocation with a
+//! free list — is work an executor would otherwise redo per instruction
+//! through a `HashMap` environment, so the backends run the evaluator calls
+//! with none of the dispatch.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -17,7 +17,8 @@ use crate::ir::{HeCircuit, HeInstr, ValueId};
 /// The emitted program preserves instruction order exactly (the IR is already
 /// scheduled), so a trace lowered from the bytecode is identical to one
 /// lowered by walking the IR, and a functional execution consumes the same
-/// randomness stream — the bit-equivalence the executor tests assert.
+/// randomness stream — the bit-equivalence the integration tests hold
+/// against the SSA-walking oracle in `tests/common/ssa_oracle.rs`.
 ///
 /// # Errors
 ///
@@ -210,6 +211,34 @@ mod tests {
                 assert!(!(op.free_b && op.b == out_reg));
             }
         }
+    }
+
+    #[test]
+    fn a_unary_op_freeing_a_second_operand_is_rejected_not_executed() {
+        // Every field of the bytecode is public, so this is reachable input:
+        // the unary HRot's `b` defaults to r0 — x's register, which the HAdd
+        // after it still reads. Executors free `b` whenever the flag is set.
+        let ins = CkksInstance::toy(10, 4, 2);
+        let mut b = CircuitBuilder::new(&ins);
+        let x = b.input();
+        let r = b.hrot(x, 1).unwrap();
+        let s = b.hadd(r, x).unwrap();
+        b.output(s);
+        let mut compiled = compile(&b.build()).unwrap();
+        assert_eq!(
+            (compiled.ops[0].opcode, compiled.ops[0].b),
+            (Opcode::HRot, 0)
+        );
+        compiled.ops[0].free_b = true;
+        let invalid =
+            |r: Result<(), CircuitError>| matches!(r, Err(CircuitError::InvalidCircuit(_)));
+        assert!(invalid(compiled.validate()));
+        let lowered = crate::TraceBackend::new().lower_compiled(&compiled);
+        assert!(invalid(lowered.map(|_| ())));
+        let run = crate::FunctionalBackend::new(&ins, 1)
+            .unwrap()
+            .execute_compiled(&compiled);
+        assert!(invalid(run.map(|_| ())));
     }
 
     #[test]

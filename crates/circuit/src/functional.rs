@@ -1,34 +1,14 @@
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use bts_ckks::{Ciphertext, CkksContext, Complex, Decomposed, Evaluator, KeyBundle, SecretKey};
-use bts_math::RnsPoly;
 use bts_params::CkksInstance;
 use bts_sim::HeOp;
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::backend::Backend;
-use crate::bytecode::{CompiledCircuit, Opcode};
+use crate::bytecode::{CompiledCircuit, CompiledOp, Opcode, RegId};
+use crate::compile::compile;
 use crate::error::CircuitError;
-use crate::ir::{HeCircuit, HeInstr, ValueId};
-
-/// One primitive evaluator operation — the shared vocabulary of the
-/// tree-walking and the compiled executor, so both perform literally the
-/// same [`bts_ckks::Evaluator`] calls (the bit-equivalence the executor
-/// tests rely on). Bootstrap refreshes and modulus raises are not primitives:
-/// they need the backend's RNG or context internals and are handled by each
-/// executor's outer loop.
-#[derive(Debug, Clone, Copy)]
-enum PrimOp {
-    HMult,
-    HRot(i64),
-    Conjugate,
-    PMult(f64),
-    PAdd(f64),
-    HAdd,
-    Rescale,
-    CMult(f64),
-    CAdd(f64),
-}
+use crate::ir::HeCircuit;
 
 /// The register file's single-slot memo of key-switch digits: the ModUp of
 /// the value most recently rotated or conjugated, kept until another value
@@ -36,14 +16,13 @@ enum PrimOp {
 /// come in runs (`rotate_mac_level`, BSGS baby steps), so one slot turns a
 /// run of `g` HRots into one ModUp; and because the digits are a pure
 /// function of the ciphertext they were cut from, a hit can only skip
-/// recomputing them — it cannot change a result, which is why the tree
-/// walker (keyed by `ValueId`) and the bytecode executor (keyed by `RegId`)
-/// stay bit-equal whatever their hit patterns.
+/// recomputing them — it cannot change a result, which is why the executor
+/// stays bit-equal to a memo-less walk of the source circuit.
 #[derive(Debug, Default)]
-struct DigitMemo(Option<(u32, Decomposed)>);
+struct DigitMemo(Option<(RegId, Decomposed)>);
 
 impl DigitMemo {
-    fn holds(&self, owner: u32) -> bool {
+    fn holds(&self, owner: RegId) -> bool {
         matches!(&self.0, Some((held, _)) if *held == owner)
     }
 
@@ -51,7 +30,7 @@ impl DigitMemo {
     fn digits(
         &mut self,
         eval: &Evaluator<'_>,
-        owner: u32,
+        owner: RegId,
         ct: &Ciphertext,
     ) -> Result<&Decomposed, CircuitError> {
         if !self.holds(owner) {
@@ -63,7 +42,7 @@ impl DigitMemo {
     }
 
     /// Forgets the digits of `owner`, whose storage is being written or freed.
-    fn invalidate(&mut self, owner: u32) {
+    fn invalidate(&mut self, owner: RegId) {
         if self.holds(owner) {
             self.0 = None;
         }
@@ -83,16 +62,17 @@ pub struct FunctionalRun {
     pub bootstrap_count: usize,
 }
 
-/// Executes an [`HeCircuit`] with the functional CKKS model: every
+/// Executes compiled bytecode with the functional CKKS model: every
 /// instruction becomes one [`bts_ckks::Evaluator`] call on real ciphertexts,
 /// and the declared outputs are decrypted and decoded at the end.
 ///
 /// The backend owns a context, secret key and key bundle built from the
 /// instance (so it is only practical at toy ring degrees — exactly the
 /// regime the functional layer targets). Rotation and conjugation keys are
-/// provisioned on demand from the circuit's [`HeCircuit::rotations`] set.
+/// provisioned on demand from the program's
+/// [`CompiledCircuit::key_rotations`] set.
 ///
-/// [`HeInstr::Bootstrap`] markers execute as *oracle refreshes*: decrypt,
+/// [`Opcode::Bootstrap`] markers execute as *oracle refreshes*: decrypt,
 /// re-encode at the usable top level, re-encrypt. That is the standard
 /// functional stand-in for bootstrapping in HE test harnesses — it has the
 /// same type (exhausted ciphertext in, top-level ciphertext out) without
@@ -160,28 +140,6 @@ impl FunctionalBackend {
         Ok(self.context.encrypt(&pt, &self.secret, &mut self.rng)?)
     }
 
-    /// Replicates `Bootstrapper::mod_raise`: re-interprets a ciphertext's
-    /// level-0 residue on the full modulus chain.
-    fn mod_raise(&self, ct: &Ciphertext) -> Ciphertext {
-        let context = &self.context;
-        let raise = |poly: &RnsPoly| -> RnsPoly {
-            let mut p = poly.keep_limbs(1);
-            p.to_coefficient();
-            let q0 = context.q_basis().modulus(0);
-            let signed: Vec<i64> = p.limb(0).iter().map(|&c| q0.to_signed(c)).collect();
-            let full_basis = context.basis_at_level(context.max_level());
-            let mut out = RnsPoly::from_signed_coefficients(&full_basis, &signed);
-            out.to_ntt();
-            out
-        };
-        Ciphertext::new(
-            raise(ct.c0()),
-            raise(ct.c1()),
-            context.max_level(),
-            ct.scale(),
-        )
-    }
-
     /// Oracle refresh for a bootstrap marker: decrypt, re-encode at
     /// `target_level`, re-encrypt.
     fn refresh(
@@ -198,47 +156,65 @@ impl FunctionalBackend {
         Ok(self.context.encrypt(&pt, &self.secret, &mut self.rng)?)
     }
 
-    /// Applies one primitive evaluator op to `a`, the ciphertext the calling
-    /// executor holds under `a_id`.
+    /// Applies one primitive evaluator op (anything but a bootstrap refresh
+    /// or a modulus raise, which need the backend's RNG or no evaluator) to
+    /// the ciphertext in `op.a`, and `b` for the binary ops.
     fn apply_prim(
         &self,
-        op: PrimOp,
-        (a_id, a): (u32, &Ciphertext),
+        compiled: &CompiledCircuit,
+        op: &CompiledOp,
+        a: &Ciphertext,
         b: Option<&Ciphertext>,
         memo: &mut DigitMemo,
     ) -> Result<Ciphertext, CircuitError> {
         let eval = self.context.evaluator(&self.keys);
-        Ok(match op {
-            PrimOp::HMult => eval.mul(a, b.expect("binary op has two operands"))?,
-            // A zero rotation is a copy; it must not cost a ModUp.
-            PrimOp::HRot(0) => eval.rotate(a, 0)?,
-            PrimOp::HRot(rotation) => {
-                eval.rotate_decomposed(a, memo.digits(&eval, a_id, a)?, rotation)?
-            }
-            PrimOp::Conjugate => eval.conjugate_decomposed(a, memo.digits(&eval, a_id, a)?)?,
-            PrimOp::HAdd => eval.add(a, b.expect("binary op has two operands"))?,
-            PrimOp::Rescale => eval.rescale(a)?,
-            // A plaintext whose slots all hold `value` is the constant
+        let binary = || b.expect("binary op has two operands");
+        let constant = || compiled.consts[op.imm as usize];
+        Ok(match op.opcode {
+            Opcode::HMult => eval.mul(a, binary())?,
+            Opcode::HRot => match compiled.rotations[op.imm as usize] {
+                // A zero rotation is a copy; it must not cost a ModUp.
+                0 => eval.rotate(a, 0)?,
+                rotation => eval.rotate_decomposed(a, memo.digits(&eval, op.a, a)?, rotation)?,
+            },
+            Opcode::Conjugate => eval.conjugate_decomposed(a, memo.digits(&eval, op.a, a)?)?,
+            Opcode::HAdd => eval.add(a, binary())?,
+            Opcode::Rescale => eval.rescale(a)?,
+            // A plaintext whose slots all hold one value is the constant
             // polynomial the scalar ops apply.
-            PrimOp::PMult(value) | PrimOp::CMult(value) => eval.mul_const(a, value)?,
-            PrimOp::PAdd(value) | PrimOp::CAdd(value) => eval.add_const(a, value)?,
+            Opcode::PMult | Opcode::CMult => eval.mul_const(a, constant())?,
+            Opcode::PAdd | Opcode::CAdd => eval.add_const(a, constant())?,
+            Opcode::ModRaise | Opcode::Bootstrap => unreachable!("handled by the executor loop"),
         })
     }
 
-    /// Executes compiled bytecode on real ciphertexts, with a flat register
-    /// file instead of the tree walker's value map: operands resolve by
-    /// index, and a register is dropped the moment its `free_*` flag says the
-    /// value is dead, so peak ciphertext memory tracks the live set.
-    ///
-    /// Given the same instance, seed and inputs, the result is bit-identical
-    /// to [`Backend::execute`] on the source circuit: the program preserves
-    /// instruction order, provisioning the same rotation keys and consuming
-    /// the encryption/refresh randomness stream in the same order.
+    /// Compiles a circuit and executes the bytecode: [`compile`] then
+    /// [`FunctionalBackend::execute_compiled`].
     ///
     /// # Errors
     ///
-    /// Propagates bytecode validation and evaluator failures, plus the same
-    /// IR-vs-ciphertext level cross-check the tree walker performs.
+    /// Propagates compilation and execution failures.
+    pub fn execute(&mut self, circuit: &HeCircuit) -> Result<FunctionalRun, CircuitError> {
+        self.execute_compiled(&compile(circuit)?)
+    }
+
+    /// Executes compiled bytecode on real ciphertexts, with a flat register
+    /// file: operands resolve by index, and a register is dropped the moment
+    /// its `free_*` flag says the value is dead, so peak ciphertext memory
+    /// tracks the live set.
+    ///
+    /// Given the same instance, seed and inputs, the result is bit-identical
+    /// to walking the source circuit's SSA nodes (the oracle in
+    /// `tests/common/ssa_oracle.rs`): the program preserves instruction
+    /// order, provisioning the same rotation keys and consuming the
+    /// encryption/refresh randomness stream in the same order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bytecode validation and evaluator failures, and fails when
+    /// a ciphertext's real level diverges from the level the bytecode
+    /// recorded — the invariant that keeps cost lowering and functional
+    /// execution in lock-step.
     pub fn execute_compiled(
         &mut self,
         compiled: &CompiledCircuit,
@@ -281,26 +257,14 @@ impl FunctionalBackend {
                     bootstrap_count += 1;
                     self.refresh(reg(op.a)?, usable_top)?
                 }
-                Opcode::ModRaise => self.mod_raise(reg(op.a)?),
+                Opcode::ModRaise => self.context.mod_raise(reg(op.a)?),
                 opcode => {
-                    let prim = match opcode {
-                        Opcode::HMult => PrimOp::HMult,
-                        Opcode::HRot => PrimOp::HRot(compiled.rotations[op.imm as usize]),
-                        Opcode::Conjugate => PrimOp::Conjugate,
-                        Opcode::PMult => PrimOp::PMult(compiled.consts[op.imm as usize]),
-                        Opcode::PAdd => PrimOp::PAdd(compiled.consts[op.imm as usize]),
-                        Opcode::HAdd => PrimOp::HAdd,
-                        Opcode::Rescale => PrimOp::Rescale,
-                        Opcode::CMult => PrimOp::CMult(compiled.consts[op.imm as usize]),
-                        Opcode::CAdd => PrimOp::CAdd(compiled.consts[op.imm as usize]),
-                        Opcode::ModRaise | Opcode::Bootstrap => unreachable!(),
-                    };
                     let b = if opcode.is_binary() {
                         Some(reg(op.b)?)
                     } else {
                         None
                     };
-                    self.apply_prim(prim, (op.a, reg(op.a)?), b, &mut memo)?
+                    self.apply_prim(compiled, op, reg(op.a)?, b, &mut memo)?
                 }
             };
             let expected_level = match op.opcode {
@@ -334,108 +298,6 @@ impl FunctionalBackend {
             let ct = regs[out as usize]
                 .as_ref()
                 .expect("validated bytecode outputs are live");
-            outputs.push(
-                self.context
-                    .decode(&self.context.decrypt(ct, &self.secret)?)?,
-            );
-        }
-        Ok(FunctionalRun {
-            outputs,
-            op_counts,
-            bootstrap_count,
-        })
-    }
-}
-
-impl Backend for FunctionalBackend {
-    type Output = FunctionalRun;
-
-    fn execute(&mut self, circuit: &HeCircuit) -> Result<FunctionalRun, CircuitError> {
-        circuit.validate()?;
-        // Provision the rotation/conjugation keys this circuit needs.
-        let rotations = circuit.rotations();
-        {
-            let Self {
-                context,
-                secret,
-                keys,
-                rng,
-                ..
-            } = self;
-            context.add_rotation_keys(secret, keys, &rotations, rng)?;
-        }
-        let usable_top = circuit.instance.usable_top_level();
-
-        let mut env: HashMap<ValueId, Ciphertext> = HashMap::new();
-        for (index, input) in circuit.inputs.iter().enumerate() {
-            let message = self
-                .input_messages
-                .get(index)
-                .cloned()
-                .unwrap_or_else(|| self.synthetic_message(index));
-            let ct = self.encode_encrypt(&message, input.level)?;
-            env.insert(input.id, ct);
-        }
-
-        let mut op_counts: BTreeMap<HeOp, usize> = BTreeMap::new();
-        let mut bootstrap_count = 0usize;
-        // SSA values are never overwritten or freed, so the memo only ever
-        // changes hands; it is never invalidated here.
-        let mut memo = DigitMemo::default();
-        for node in &circuit.nodes {
-            let get = |v: ValueId| -> &Ciphertext {
-                env.get(&v)
-                    .expect("validated circuit has no dangling values")
-            };
-            let result = match node.instr {
-                HeInstr::Bootstrap { a } => {
-                    bootstrap_count += 1;
-                    self.refresh(get(a), usable_top)?
-                }
-                HeInstr::ModRaise { a } => self.mod_raise(get(a)),
-                instr => {
-                    let prim = match instr {
-                        HeInstr::HMult { .. } => PrimOp::HMult,
-                        HeInstr::HRot { rotation, .. } => PrimOp::HRot(rotation),
-                        HeInstr::Conjugate { .. } => PrimOp::Conjugate,
-                        HeInstr::PMult { value, .. } => PrimOp::PMult(value),
-                        HeInstr::PAdd { value, .. } => PrimOp::PAdd(value),
-                        HeInstr::HAdd { .. } => PrimOp::HAdd,
-                        HeInstr::Rescale { .. } => PrimOp::Rescale,
-                        HeInstr::CMult { value, .. } => PrimOp::CMult(value),
-                        HeInstr::CAdd { value, .. } => PrimOp::CAdd(value),
-                        HeInstr::ModRaise { .. } | HeInstr::Bootstrap { .. } => unreachable!(),
-                    };
-                    let (a, b) = instr.operands();
-                    self.apply_prim(prim, (a, get(a)), b.map(&get), &mut memo)?
-                }
-            };
-            // Cross-check: the ciphertext's real level must match what the
-            // IR recorded at build time — this is the invariant that keeps
-            // cost lowering and functional execution in lock-step.
-            let expected_level = match node.instr {
-                HeInstr::Rescale { .. } => node.level - 1,
-                HeInstr::Bootstrap { .. } => usable_top,
-                _ => node.level,
-            };
-            if result.level() != expected_level {
-                return Err(CircuitError::InvalidCircuit(format!(
-                    "functional level {} of v{} diverged from the IR level {expected_level}",
-                    result.level(),
-                    node.result
-                )));
-            }
-            if let Some(op) = node.instr.op_class() {
-                *op_counts.entry(op).or_insert(0) += 1;
-            }
-            env.insert(node.result, result);
-        }
-
-        let mut outputs = Vec::with_capacity(circuit.outputs.len());
-        for &out in &circuit.outputs {
-            let ct = env
-                .get(&out)
-                .expect("validated circuit has no dangling outputs");
             outputs.push(
                 self.context
                     .decode(&self.context.decrypt(ct, &self.secret)?)?,

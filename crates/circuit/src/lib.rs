@@ -1,13 +1,14 @@
 //! # bts-circuit
 //!
 //! The shared homomorphic-circuit IR of the workspace: one program
-//! representation — [`HeCircuit`], built with [`CircuitBuilder`] — executed
-//! by two interchangeable [`Backend`]s:
+//! representation — [`HeCircuit`], built with [`CircuitBuilder`] — compiled
+//! to one executable form, [`CompiledCircuit`] bytecode, which two backends
+//! run:
 //!
-//! * [`TraceBackend`] lowers the circuit to a [`bts_sim::OpTrace`] for the
-//!   BTS accelerator cost model, expanding [`HeInstr::Bootstrap`] markers
+//! * [`TraceBackend`] lowers the program to a [`bts_sim::OpTrace`] for the
+//!   BTS accelerator cost model, expanding [`Opcode::Bootstrap`] markers
 //!   into the full Han–Ki bootstrap op sequence of a [`BootstrapPlan`];
-//! * [`FunctionalBackend`] executes the circuit on real RNS ciphertexts via
+//! * [`FunctionalBackend`] executes the program on real RNS ciphertexts via
 //!   [`bts_ckks::Evaluator`] and returns the decrypted slots.
 //!
 //! The BTS paper's evaluation (Tables 5/6) rests on simulated op traces
@@ -27,14 +28,15 @@
 //! what deleting markers one at a time to a fixpoint also finds —
 //! dead-value pruning in [`DeadValuePass`]), and
 //! [`compile`] lowers any circuit to a flat register-machine
-//! [`CompiledCircuit`] both backends execute without per-op dispatch
-//! ([`TraceBackend::lower_compiled`], [`FunctionalBackend::execute_compiled`]).
-//! The tree-walking paths stay on as the oracle: differential tests hold the
-//! compiled executor bit-identical to them, trace for trace and slot for
-//! slot.
+//! [`CompiledCircuit`], the only thing a backend runs
+//! ([`TraceBackend::lower_compiled`], [`FunctionalBackend::execute_compiled`];
+//! each backend's `execute` is `compile` followed by that). A walk of the
+//! SSA nodes survives only as a test oracle (`tests/common/ssa_oracle.rs` at
+//! the workspace root): differential tests hold both executors bit-identical
+//! to it, trace for trace and slot for slot.
 //!
 //! ```
-//! use bts_circuit::{Backend, CircuitBuilder, FunctionalBackend, TraceBackend};
+//! use bts_circuit::{CircuitBuilder, FunctionalBackend, TraceBackend};
 //! use bts_params::CkksInstance;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,7 +64,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod backend;
 mod bootstrap_plan;
 mod builder;
 pub mod bytecode;
@@ -75,7 +76,6 @@ mod trace_backend;
 mod value_table;
 mod workload;
 
-pub use backend::Backend;
 pub use bootstrap_plan::BootstrapPlan;
 pub use builder::CircuitBuilder;
 pub use bytecode::{CompiledCircuit, CompiledInput, CompiledOp, Opcode, RegId};

@@ -1,12 +1,10 @@
-use std::collections::HashMap;
-
 use bts_sim::{CtId, OpTrace, TraceBuilder};
 
-use crate::backend::Backend;
 use crate::bootstrap_plan::BootstrapPlan;
 use crate::bytecode::{CompiledCircuit, Opcode};
+use crate::compile::compile;
 use crate::error::CircuitError;
-use crate::ir::{HeCircuit, HeInstr, ValueId};
+use crate::ir::HeCircuit;
 
 /// Result of lowering a circuit for the cost simulator.
 #[derive(Debug, Clone)]
@@ -17,8 +15,8 @@ pub struct LoweredTrace {
     pub bootstrap_count: usize,
 }
 
-/// Lowers an [`HeCircuit`] to a [`bts_sim::OpTrace`]: every instruction maps
-/// to one traced op, and every [`HeInstr::Bootstrap`] marker expands to the
+/// Lowers compiled bytecode to a [`bts_sim::OpTrace`]: every instruction maps
+/// to one traced op, and every [`Opcode::Bootstrap`] marker expands to the
 /// full ModRaise → CoeffToSlot → EvalMod → SlotToCoeff op sequence of the
 /// configured [`BootstrapPlan`], sized by the instance's usable level budget.
 #[derive(Debug, Clone)]
@@ -44,18 +42,29 @@ impl TraceBackend {
         &self.plan
     }
 
-    /// Lowers compiled bytecode to an op trace, operands resolved through a
-    /// flat register file instead of the tree walker's value map.
-    ///
-    /// Because [`crate::compile`] preserves instruction order, the trace is
-    /// *identical* (op for op, ciphertext id for ciphertext id) to what
-    /// [`Backend::execute`] produces from the source circuit — an equality
-    /// the executor tests assert outright.
+    /// Compiles a circuit and lowers the bytecode: [`compile`] then
+    /// [`TraceBackend::lower_compiled`].
     ///
     /// # Errors
     ///
-    /// Propagates bytecode validation failures and the same bootstrap-plan
-    /// checks as the tree-walking path.
+    /// Propagates compilation and lowering failures.
+    pub fn execute(&mut self, circuit: &HeCircuit) -> Result<LoweredTrace, CircuitError> {
+        self.lower_compiled(&compile(circuit)?)
+    }
+
+    /// Lowers compiled bytecode to an op trace, operands resolved through a
+    /// flat register file.
+    ///
+    /// Because [`compile`] preserves instruction order, the trace is op for
+    /// op, ciphertext id for ciphertext id what walking the source circuit's
+    /// SSA nodes would emit — an equality the integration tests hold against
+    /// the oracle in `tests/common/ssa_oracle.rs`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bytecode validation failures, and refuses a bootstrap
+    /// marker when the plan does not consume `L_boot` levels or the instance
+    /// cannot afford them.
     pub fn lower_compiled(
         &mut self,
         compiled: &CompiledCircuit,
@@ -87,6 +96,10 @@ impl TraceBackend {
                 Opcode::CAdd => builder.cadd(a, level),
                 Opcode::ModRaise => builder.mod_raise(a, compiled.instance.max_level()),
                 Opcode::Bootstrap => {
+                    // The IR's level bookkeeping assumes a bootstrap consumes
+                    // exactly L_boot levels; a plan consuming anything else
+                    // would leave every post-bootstrap op cost-charged at the
+                    // wrong level, so refuse it rather than desync silently.
                     if self.plan.levels_consumed() != bts_params::L_BOOT {
                         return Err(CircuitError::InvalidCircuit(format!(
                             "bootstrap plan consumes {} levels but the circuit IR assumes L_boot = {}",
@@ -122,67 +135,6 @@ impl TraceBackend {
 impl Default for TraceBackend {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Backend for TraceBackend {
-    type Output = LoweredTrace;
-
-    fn execute(&mut self, circuit: &HeCircuit) -> Result<LoweredTrace, CircuitError> {
-        circuit.validate()?;
-        let mut builder = TraceBuilder::new(&circuit.instance);
-        let mut env: HashMap<ValueId, CtId> = HashMap::new();
-        for input in &circuit.inputs {
-            env.insert(input.id, builder.fresh_ct(input.level));
-        }
-        let ct = |env: &HashMap<ValueId, CtId>, v: ValueId| -> CtId {
-            *env.get(&v)
-                .expect("validated circuit has no dangling values")
-        };
-        let mut bootstrap_count = 0usize;
-        for node in &circuit.nodes {
-            let level = node.level;
-            let out = match node.instr {
-                HeInstr::HMult { a, b } => builder.hmult_at(ct(&env, a), ct(&env, b), level),
-                HeInstr::HRot { a, rotation } => builder.hrot(ct(&env, a), rotation, level),
-                HeInstr::Conjugate { a } => builder.conjugate(ct(&env, a), level),
-                HeInstr::PMult { a, .. } => builder.pmult(ct(&env, a), level),
-                HeInstr::PAdd { a, .. } => builder.padd(ct(&env, a), level),
-                HeInstr::HAdd { a, b } => builder.hadd(ct(&env, a), ct(&env, b), level),
-                HeInstr::Rescale { a } => builder.hrescale_at(ct(&env, a), level),
-                HeInstr::CMult { a, .. } => builder.cmult(ct(&env, a), level),
-                HeInstr::CAdd { a, .. } => builder.cadd(ct(&env, a), level),
-                HeInstr::ModRaise { a } => {
-                    builder.mod_raise(ct(&env, a), circuit.instance.max_level())
-                }
-                HeInstr::Bootstrap { a } => {
-                    // The IR's level bookkeeping assumes a bootstrap consumes
-                    // exactly L_boot levels; a plan consuming anything else
-                    // would leave every post-bootstrap op cost-charged at the
-                    // wrong level, so refuse it rather than desync silently.
-                    if self.plan.levels_consumed() != bts_params::L_BOOT {
-                        return Err(CircuitError::InvalidCircuit(format!(
-                            "bootstrap plan consumes {} levels but the circuit IR assumes L_boot = {}",
-                            self.plan.levels_consumed(),
-                            bts_params::L_BOOT
-                        )));
-                    }
-                    if circuit.instance.max_level() < self.plan.levels_consumed() {
-                        return Err(CircuitError::CannotBootstrap {
-                            max_level: circuit.instance.max_level(),
-                            required: self.plan.levels_consumed(),
-                        });
-                    }
-                    bootstrap_count += 1;
-                    self.plan.append_to(&mut builder, ct(&env, a))
-                }
-            };
-            env.insert(node.result, out);
-        }
-        Ok(LoweredTrace {
-            trace: builder.build(),
-            bootstrap_count,
-        })
     }
 }
 

@@ -2,7 +2,6 @@ use std::collections::BTreeMap;
 
 use bts_params::CkksInstance;
 
-use crate::backend::Backend;
 use crate::error::CircuitError;
 use crate::ir::HeCircuit;
 use crate::trace_backend::{LoweredTrace, TraceBackend};
@@ -23,12 +22,12 @@ pub trait Workload {
     /// is needed but the level budget is below `L_boot`).
     fn build(&self, instance: &CkksInstance) -> Result<HeCircuit, CircuitError>;
 
-    /// Convenience: builds the circuit and lowers it for the cost simulator
-    /// with the default [`TraceBackend`].
+    /// Convenience: builds the circuit, compiles it and lowers the bytecode
+    /// for the cost simulator with the default [`TraceBackend`].
     ///
     /// # Errors
     ///
-    /// Propagates circuit construction and lowering failures.
+    /// Propagates circuit construction, compilation and lowering failures.
     fn lower(&self, instance: &CkksInstance) -> Result<LoweredTrace, CircuitError> {
         let circuit = self.build(instance)?;
         TraceBackend::new().execute(&circuit)

@@ -1,9 +1,8 @@
-use bts_math::RnsPoly;
-
 use crate::ciphertext::Ciphertext;
 use crate::context::CkksContext;
 use crate::encoding::Complex;
 use crate::error::CkksError;
+use crate::eval_mod::ChebyshevSeries;
 use crate::evaluator::{Evaluator, LinearTransform};
 
 /// Configuration of the CKKS bootstrapping pipeline (Han–Ki style, §2.4):
@@ -68,8 +67,8 @@ pub struct Bootstrapper {
     config: BootstrapConfig,
     coeff_to_slot: LinearTransform,
     slot_to_coeff: LinearTransform,
-    /// Chebyshev coefficients of `(q0 / (2πΔ)) · sin(2πv)` on `[-K, K]`.
-    cheb_coeffs: Vec<f64>,
+    /// Chebyshev interpolant of `(q0 / (2πΔ)) · sin(2πv)` on `[-K, K]`.
+    eval_mod: ChebyshevSeries,
 }
 
 impl Bootstrapper {
@@ -78,8 +77,16 @@ impl Bootstrapper {
     /// # Errors
     ///
     /// Fails if the context's level budget cannot accommodate
-    /// [`BootstrapConfig::levels_consumed`].
+    /// [`BootstrapConfig::levels_consumed`] or the approximation interval is
+    /// empty.
     pub fn new(context: &CkksContext, config: BootstrapConfig) -> crate::Result<Self> {
+        // `ChebyshevSeries::fit` asserts this; a caller's config must not panic.
+        if config.range_k.is_nan() || config.range_k <= 0.0 {
+            return Err(CkksError::InvalidParameters(format!(
+                "EvalMod range K must be positive, got {}",
+                config.range_k
+            )));
+        }
         if context.max_level() < config.levels_consumed() + 1 {
             return Err(CkksError::InvalidParameters(format!(
                 "bootstrapping needs {} levels but the context only has {}",
@@ -133,7 +140,7 @@ impl Bootstrapper {
         let coeff_to_slot = LinearTransform::from_matrix(&c2s_scaled);
         let slot_to_coeff = LinearTransform::from_matrix(&f_matrix);
 
-        let cheb_coeffs = chebyshev_fit(
+        let eval_mod = ChebyshevSeries::fit(
             |v| {
                 q0 / (2.0 * std::f64::consts::PI * context.scale())
                     * (2.0 * std::f64::consts::PI * v).sin()
@@ -145,7 +152,7 @@ impl Bootstrapper {
             config,
             coeff_to_slot,
             slot_to_coeff,
-            cheb_coeffs,
+            eval_mod,
         })
     }
 
@@ -168,28 +175,6 @@ impl Bootstrapper {
         rots
     }
 
-    /// ModRaise: re-interprets a level-0 ciphertext as a ciphertext on the full
-    /// modulus chain. The underlying plaintext becomes `m + q0·I` for a small
-    /// integer polynomial `I` (§2.4).
-    pub fn mod_raise(&self, context: &CkksContext, ct: &Ciphertext) -> Ciphertext {
-        let raise = |poly: &RnsPoly| -> RnsPoly {
-            let mut p = poly.keep_limbs(1);
-            p.to_coefficient();
-            let q0 = context.q_basis().modulus(0);
-            let signed: Vec<i64> = p.limb(0).iter().map(|&c| q0.to_signed(c)).collect();
-            let full_basis = context.basis_at_level(context.max_level());
-            let mut out = RnsPoly::from_signed_coefficients(&full_basis, &signed);
-            out.to_ntt();
-            out
-        };
-        Ciphertext::new(
-            raise(ct.c0()),
-            raise(ct.c1()),
-            context.max_level(),
-            ct.scale(),
-        )
-    }
-
     /// Full bootstrapping: ModRaise → CoeffToSlot → EvalMod → SlotToCoeff.
     /// Returns a ciphertext encrypting (approximately) the same message at a
     /// higher level.
@@ -201,7 +186,7 @@ impl Bootstrapper {
     pub fn bootstrap(&self, eval: &Evaluator<'_>, ct: &Ciphertext) -> crate::Result<Ciphertext> {
         let context = eval.context();
         // 1. ModRaise to the top of the chain.
-        let raised = self.mod_raise(context, ct);
+        let raised = context.mod_raise(ct);
         // 2. CoeffToSlot: slots now hold (m_j + q0·I_j)/q0 packed as complex.
         let packed = eval.linear_transform(&raised, &self.coeff_to_slot)?;
         // 3. Split real and imaginary parts with a conjugation.
@@ -211,8 +196,8 @@ impl Bootstrapper {
         // (x - conj(x)) = 2i·Im(x); multiply by -0.5i to get Im(x).
         let im_part = eval.rescale(&self.mul_imaginary(eval, &im_sum, -0.5)?)?;
         // 4. EvalMod on each part.
-        let re_mod = self.eval_mod(eval, &re_part)?;
-        let im_mod = self.eval_mod(eval, &im_part)?;
+        let re_mod = self.eval_mod.eval_homomorphic(eval, &re_part)?;
+        let im_mod = self.eval_mod.eval_homomorphic(eval, &im_part)?;
         // 5. Recombine: re + i·im.
         let im_times_i = self.mul_imaginary(eval, &im_mod, 1.0)?;
         let im_times_i = eval.rescale(&im_times_i)?;
@@ -235,103 +220,11 @@ impl Bootstrapper {
         let pt = context.encode_at(&[Complex::new(0.0, factor)], ct.level(), context.scale())?;
         eval.mul_plain(ct, &pt)
     }
-
-    /// Approximate modular reduction: evaluates the Chebyshev interpolant of
-    /// `(q0/(2πΔ))·sin(2πv)` on the ciphertext via the Clenshaw recurrence.
-    fn eval_mod(&self, eval: &Evaluator<'_>, ct: &Ciphertext) -> crate::Result<Ciphertext> {
-        let k = self.config.range_k;
-        // Normalise the argument to [-1, 1].
-        let x = eval.rescale(&eval.mul_const(ct, 1.0 / k)?)?;
-        clenshaw(eval, &x, &self.cheb_coeffs)
-    }
-}
-
-/// Chebyshev interpolation coefficients of `f` on `[-k, k]` (degree `degree`).
-fn chebyshev_fit(f: impl Fn(f64) -> f64, k: f64, degree: usize) -> Vec<f64> {
-    let m = degree + 1;
-    let mut coeffs = vec![0.0; m];
-    let nodes: Vec<f64> = (0..m)
-        .map(|i| (std::f64::consts::PI * (i as f64 + 0.5) / m as f64).cos())
-        .collect();
-    let values: Vec<f64> = nodes.iter().map(|&t| f(k * t)).collect();
-    for (j, c) in coeffs.iter_mut().enumerate() {
-        let mut s = 0.0;
-        for (i, &v) in values.iter().enumerate() {
-            s += v * (std::f64::consts::PI * j as f64 * (i as f64 + 0.5) / m as f64).cos();
-        }
-        *c = 2.0 * s / m as f64;
-    }
-    coeffs[0] /= 2.0;
-    coeffs
-}
-
-/// Homomorphic Clenshaw evaluation of a Chebyshev series at `x` (which must
-/// already be normalised to `[-1, 1]`).
-fn clenshaw(eval: &Evaluator<'_>, x: &Ciphertext, coeffs: &[f64]) -> crate::Result<Ciphertext> {
-    let degree = coeffs.len() - 1;
-    // b_{d+1} = 0, b_{d+2} = 0 handled by Options.
-    let mut b_next: Option<Ciphertext> = None; // b_{k+1}
-    let mut b_next2: Option<Ciphertext> = None; // b_{k+2}
-    for k in (1..=degree).rev() {
-        let mut term = match &b_next {
-            Some(b1) => {
-                let x_aligned = eval.level_reduce(x, b1.level())?;
-                let two_x_b1 = eval.rescale(&eval.mul(&eval.add(b1, b1)?, &x_aligned)?)?;
-                eval.add_const(&two_x_b1, coeffs[k])?
-            }
-            None => {
-                let base = eval.rescale(&eval.mul_const(x, 0.0)?)?;
-                eval.add_const(&base, coeffs[k])?
-            }
-        };
-        if let Some(b2) = &b_next2 {
-            let b2_aligned = eval.level_reduce(b2, term.level())?;
-            term = eval.sub(&term, &b2_aligned)?;
-        }
-        b_next2 = b_next;
-        b_next = Some(term);
-    }
-    // p(x) = c_0 + x·b_1 - b_2
-    let b1 = b_next.expect("degree >= 1");
-    let x_aligned = eval.level_reduce(x, b1.level())?;
-    let mut result = eval.rescale(&eval.mul(&b1, &x_aligned)?)?;
-    result = eval.add_const(&result, coeffs[0])?;
-    if let Some(b2) = &b_next2 {
-        let b2_aligned = eval.level_reduce(b2, result.level())?;
-        result = eval.sub(&result, &b2_aligned)?;
-    }
-    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chebyshev_fit_reproduces_sine() {
-        let k = 5.0;
-        let coeffs = chebyshev_fit(|v| (2.0 * std::f64::consts::PI * v).sin(), k, 47);
-        // Evaluate the series at a few points and compare against the function.
-        let eval_cheb = |t: f64| {
-            let x = t / k;
-            let mut b1 = 0.0f64;
-            let mut b2 = 0.0f64;
-            for j in (1..coeffs.len()).rev() {
-                let b = coeffs[j] + 2.0 * x * b1 - b2;
-                b2 = b1;
-                b1 = b;
-            }
-            coeffs[0] + x * b1 - b2
-        };
-        for t in [-4.5, -2.3, -0.7, 0.0, 0.4, 1.9, 3.8, 4.9] {
-            let expect = (2.0 * std::f64::consts::PI * t).sin();
-            assert!(
-                (eval_cheb(t) - expect).abs() < 1e-3,
-                "t = {t}: {} vs {expect}",
-                eval_cheb(t)
-            );
-        }
-    }
 
     #[test]
     fn config_level_accounting() {

@@ -672,6 +672,23 @@ impl CkksContext {
         Ok(Plaintext::new(m, level, ciphertext.scale))
     }
 
+    /// ModRaise: re-interprets a ciphertext's level-0 residue on the full
+    /// modulus chain. The underlying plaintext becomes `m + q0·I` for a small
+    /// integer polynomial `I` (§2.4).
+    pub fn mod_raise(&self, ct: &Ciphertext) -> Ciphertext {
+        let raise = |poly: &RnsPoly| -> RnsPoly {
+            let mut p = poly.keep_limbs(1);
+            p.to_coefficient();
+            let q0 = self.q_basis.modulus(0);
+            let signed: Vec<i64> = p.limb(0).iter().map(|&c| q0.to_signed(c)).collect();
+            let full_basis = self.basis_at_level(self.max_level);
+            let mut out = RnsPoly::from_signed_coefficients(&full_basis, &signed);
+            out.to_ntt();
+            out
+        };
+        Ciphertext::new(raise(ct.c0()), raise(ct.c1()), self.max_level, ct.scale())
+    }
+
     // ------------------------------------------------------------------
     // Key switching (the core of HMult and HRot)
     // ------------------------------------------------------------------

@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nexhausted ciphertext: level {}", exhausted.level());
 
     // Step 1: ModRaise.
-    let raised = bootstrapper.mod_raise(&ctx, &exhausted);
+    let raised = ctx.mod_raise(&exhausted);
     println!("after ModRaise:       level {}", raised.level());
 
     // Full pipeline.

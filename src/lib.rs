@@ -69,7 +69,7 @@
 //! the computation" is a testable property:
 //!
 //! ```
-//! use bts::circuit::{Backend, CircuitBuilder, FunctionalBackend, TraceBackend};
+//! use bts::circuit::{CircuitBuilder, FunctionalBackend, TraceBackend};
 //! use bts::params::CkksInstance;
 //! use bts::sim::{BtsConfig, Simulator};
 //!

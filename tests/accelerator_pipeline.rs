@@ -1,7 +1,7 @@
 //! Cross-crate integration tests of the parameter-analysis → workload →
 //! simulator pipeline: the paper's headline comparisons must hold in shape.
 
-use bts::circuit::{Backend, BootstrapPlan, TraceBackend, Workload};
+use bts::circuit::{BootstrapPlan, TraceBackend, Workload};
 use bts::params::{BandwidthModel, CkksInstance, MinBoundModel};
 use bts::sim::{BtsConfig, HeOp, Simulator};
 use bts::workloads::{

@@ -17,8 +17,7 @@ fn mod_raise_preserves_the_message_modulo_q0() {
     let pt = ctx.encode_at(&msg, 0, ctx.scale()).unwrap();
     let ct = ctx.encrypt(&pt, &sk, &mut rng).unwrap();
 
-    let bootstrapper = Bootstrapper::new(&ctx, BootstrapConfig::sparse_test()).unwrap();
-    let raised = bootstrapper.mod_raise(&ctx, &ct);
+    let raised = ctx.mod_raise(&ct);
     assert_eq!(raised.level(), ctx.max_level());
 
     // Decrypting the raised ciphertext and reducing each coefficient modulo q0
@@ -59,6 +58,12 @@ fn bootstrapper_reports_its_key_requirements() {
     // Rejects contexts with too few levels.
     let shallow = CkksContext::new_toy(1 << 8, 8, 1).unwrap();
     assert!(Bootstrapper::new(&shallow, BootstrapConfig::sparse_test()).is_err());
+    // An empty approximation interval is a typed error, not a panic.
+    let empty = BootstrapConfig {
+        range_k: 0.0,
+        ..BootstrapConfig::sparse_test()
+    };
+    assert!(Bootstrapper::new(&ctx, empty).is_err());
 }
 
 /// Full functional bootstrap on a tiny ring. This exercises ModRaise,

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use bts::circuit::{Backend, FunctionalBackend, TraceBackend, Workload};
+use bts::circuit::{FunctionalBackend, TraceBackend, Workload};
 use bts::params::CkksInstance;
 use bts::sim::{HeOp, OpTrace};
 use bts::workloads::{

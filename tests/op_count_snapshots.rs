@@ -5,14 +5,18 @@
 //! simulate shows up here as a diff, not as a mystery drift in
 //! BENCH_FIGURES.json.
 //!
-//! The trailing tests hold the compiled bytecode executor to the oracle
-//! standard on the same paper-scale circuits: the trace lowered from the
-//! bytecode must be *identical* — op for op, ciphertext id for ciphertext
-//! id — to the trace from the tree-walking backend.
+//! The trailing tests hold the bytecode lowering to the oracle standard on
+//! the whole registry at paper scale: the trace `Workload::lower` produces
+//! (build → compile → lower the bytecode) must be *identical* — op for op,
+//! ciphertext id for ciphertext id — to the SSA walk of the same circuit in
+//! `common/ssa_oracle.rs`, raw and pipeline-optimized, on INS-1/2/3.
 
-use bts::circuit::{compile, Backend, PassPipeline, TraceBackend};
+use bts::circuit::{compile, PassPipeline, TraceBackend};
 use bts::params::CkksInstance;
 use bts::workloads::standard_registry;
+
+#[path = "common/ssa_oracle.rs"]
+mod ssa_oracle;
 
 /// `(workload, op_counts before, bootstraps before, op_counts after,
 /// bootstraps after)`, with op counts rendered as the `Debug` form of the
@@ -117,25 +121,26 @@ fn compiled_traces_are_identical_to_the_oracle_on_paper_workloads() {
     // at N = 2^17, but the trace is the exact op stream both executors
     // perform, so trace identity is the strongest equivalence observable
     // here — same ops, same levels, same ciphertext identities.
-    let ins = CkksInstance::ins1();
-    for (name, workload) in standard_registry().iter() {
-        let circuit = workload.build(&ins).unwrap();
-        for (tag, c) in [
-            ("raw", circuit.clone()),
-            (
-                "optimized",
-                PassPipeline::standard().optimize(&circuit).unwrap(),
-            ),
-        ] {
-            let compiled = compile(&c).unwrap();
-            assert_eq!(compiled.op_counts(), c.op_counts(), "{name}/{tag}");
-            assert_eq!(compiled.key_rotations(), c.rotations(), "{name}/{tag}");
-            let tree = TraceBackend::new().execute(&c).unwrap();
+    let registry = standard_registry();
+    for ins in CkksInstance::evaluation_set() {
+        for (name, workload) in registry.iter() {
+            let tag = format!("{name} on {}", ins.name());
+            let circuit = workload.build(&ins).unwrap();
+            let tree = ssa_oracle::lower(&circuit);
+            let flat = workload.lower(&ins).unwrap();
+            assert!(tree.trace == flat.trace, "{tag}: raw traces diverged");
+            assert_eq!(tree.bootstrap_count, flat.bootstrap_count, "{tag}: raw");
+
+            let optimized = PassPipeline::standard().optimize(&circuit).unwrap();
+            let compiled = compile(&optimized).unwrap();
+            assert_eq!(compiled.op_counts(), optimized.op_counts(), "{tag}");
+            assert_eq!(compiled.key_rotations(), optimized.rotations(), "{tag}");
+            let tree = ssa_oracle::lower(&optimized);
             let flat = TraceBackend::new().lower_compiled(&compiled).unwrap();
-            assert!(tree.trace == flat.trace, "{name}/{tag}: traces diverged");
+            assert!(tree.trace == flat.trace, "{tag}: optimized traces diverged");
             assert_eq!(
                 tree.bootstrap_count, flat.bootstrap_count,
-                "{name}/{tag}: bootstrap counts diverged"
+                "{tag}: optimized"
             );
         }
     }

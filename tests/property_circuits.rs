@@ -3,7 +3,7 @@
 //! emits a circuit whose every instruction is level- and scale-valid, and
 //! whose trace lowering passes the simulator's structural validation.
 
-use bts::circuit::{Backend, CircuitBuilder, HeInstr, TraceBackend};
+use bts::circuit::{CircuitBuilder, HeInstr, TraceBackend};
 use bts::params::CkksInstance;
 use proptest::prelude::*;
 

@@ -2,19 +2,23 @@
 //! (but magnitude-bounded) program the generator produces, every optimization
 //! pass — and the full standard pipeline — must preserve the decrypted
 //! outputs of the functional backend, keep the trace lowering structurally
-//! valid, and never grow the key-switch count. The compiled bytecode executor
-//! is held to a stricter bar: *bit-identical* outputs and an *identical* op
+//! valid, and never grow the key-switch count. The compiled bytecode executors
+//! are held to a stricter bar against the SSA-walking oracle
+//! (`common/ssa_oracle.rs`): *bit-identical* outputs and an *identical* op
 //! trace, because compilation preserves instruction order and therefore the
 //! whole randomness stream.
 
 use bts::circuit::{
-    compile, Backend, BootstrapPlacePass, CircuitBuilder, CommonSubexprPass, DeadValuePass,
+    compile, BootstrapPlacePass, CircuitBuilder, CommonSubexprPass, DeadValuePass,
     FunctionalBackend, FunctionalRun, HeCircuit, Pass, PassPipeline, RescaleSchedPass,
     TraceBackend,
 };
 use bts::params::CkksInstance;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+
+#[path = "common/ssa_oracle.rs"]
+mod ssa_oracle;
 
 /// Applies one op-code to the accumulator. Every step keeps plaintext
 /// magnitudes inside `[0, 1)` (squares, halvings, bounded affine maps and
@@ -192,7 +196,7 @@ proptest! {
         prop_assert_eq!(run.op_counts, opt.op_counts());
     }
 
-    /// The compiled bytecode executor is bit-identical to the tree walker:
+    /// The compiled bytecode executors are bit-identical to the SSA oracle:
     /// same decrypted bits, same op counts, and the very same op trace —
     /// both on the raw circuit and on its pipeline-optimized form.
     #[test]
@@ -213,12 +217,13 @@ proptest! {
             prop_assert_eq!(compiled.op_counts(), circuit.op_counts());
 
             // Trace side: identical op for op, ciphertext id for ciphertext id.
-            let tree = TraceBackend::new().execute(circuit).unwrap();
+            let tree = ssa_oracle::lower(circuit);
             let flat = TraceBackend::new().lower_compiled(&compiled).unwrap();
             prop_assert_eq!(&tree.trace, &flat.trace);
+            prop_assert_eq!(tree.bootstrap_count, flat.bootstrap_count);
 
             // Functional side: same seed, bitwise-equal decrypted slots.
-            let tree_run = run_functional(&ins, circuit, seed)?;
+            let tree_run = ssa_oracle::execute(&ins, seed, circuit);
             let flat_run = FunctionalBackend::new(&ins, seed)
                 .unwrap()
                 .execute_compiled(&compiled)

@@ -12,8 +12,9 @@
 //!   `key_switch` ≡ `decompose` ∘ `switch_decomposed` bitwise, one ModUp per
 //!   group by span count, and decryptions against the un-hoisted rotation
 //!   (permute, then key-switch) inside the existing error bounds;
-//! * (f) the tree walker vs the bytecode executor, bitwise, on circuits built
-//!   to thrash and to stale the executors' digit memo.
+//! * (f) the SSA oracle (`common/ssa_oracle.rs`: a memo-less walk of the
+//!   circuit's nodes) vs the bytecode executor, bitwise, on circuits built to
+//!   thrash and to stale the executor's digit memo.
 //!
 //! The slice-at-a-time key-switch body is the one oracle that needs crate
 //! internals; it sits beside `CkksContext::key_switch` as a `#[cfg(test)]`
@@ -23,7 +24,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use bts::circuit::{compile, Backend, CircuitBuilder, FunctionalBackend, Opcode};
+use bts::circuit::{compile, CircuitBuilder, FunctionalBackend, Opcode};
 use bts::ckks::{Ciphertext, CkksContext, Complex, KeyBundle, SecretKey};
 use bts::math::{
     galois_element, generate_ntt_primes, AutomorphismTable, Modulus, NttTable, Representation,
@@ -31,6 +32,9 @@ use bts::math::{
 };
 use bts::params::CkksInstance;
 use bts::telemetry;
+
+#[path = "common/ssa_oracle.rs"]
+mod ssa_oracle;
 
 // ---------------------------------------------------------------------------
 // (a) NTT-domain automorphism
@@ -382,10 +386,10 @@ fn key_switch_is_decompose_then_switch() {
 }
 
 // ---------------------------------------------------------------------------
-// (f) the executors' digit memo
+// (f) the executor's digit memo
 // ---------------------------------------------------------------------------
 
-/// Runs `build`'s circuit through the tree walker and the bytecode executor
+/// Runs `build`'s circuit through the SSA oracle and the bytecode executor
 /// (same instance, seed and inputs) and holds their outputs bit-equal.
 /// Returns the compiled program for the caller to inspect.
 fn executors_agree(
@@ -396,10 +400,7 @@ fn executors_agree(
     build(&mut b);
     let circuit = b.build();
     let compiled = compile(&circuit).unwrap();
-    let tree = FunctionalBackend::new(ins, 11)
-        .unwrap()
-        .execute(&circuit)
-        .unwrap();
+    let tree = ssa_oracle::execute(ins, 11, &circuit);
     let flat = FunctionalBackend::new(ins, 11)
         .unwrap()
         .execute_compiled(&compiled)
