@@ -65,10 +65,15 @@ impl Modulus {
         64 - self.value.leading_zeros()
     }
 
-    /// Reduces an arbitrary `u64` into `[0, q)`.
+    /// Reduces an arbitrary `u64` into `[0, q)`: a one-word Barrett step on
+    /// `barrett_hi = floor(2^64 / q)` instead of a hardware divide.
     #[inline]
     pub fn reduce(&self, a: u64) -> u64 {
-        a % self.value
+        // floor(a·floor(2^64/q) / 2^64) is floor(a/q) or one less, so the
+        // remainder estimate is in [0, 2q) and one branch-free fold finishes.
+        let q_est = ((a as u128 * self.barrett_hi as u128) >> 64) as u64;
+        let r = a.wrapping_sub(q_est.wrapping_mul(self.value));
+        r.min(r.wrapping_sub(self.value))
     }
 
     /// Reduces an arbitrary `u128` into `[0, q)` using Barrett reduction.
@@ -107,14 +112,16 @@ impl Modulus {
     }
 
     /// Modular subtraction of canonical residues.
+    ///
+    /// Branch-free: on uniformly random residues `a >= b` is a coin flip, so
+    /// a conditional jump here mispredicts every other element. A negative
+    /// difference wraps to ≥ 2^64 − q and adding `q` brings it back below
+    /// `q`; a non-negative one is < q < `d + q`, so `min` picks the residue.
     #[inline]
     pub fn sub(&self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.value && b < self.value);
-        if a >= b {
-            a - b
-        } else {
-            a + self.value - b
-        }
+        let d = a.wrapping_sub(b);
+        d.min(d.wrapping_add(self.value))
     }
 
     /// Modular negation of a canonical residue.
@@ -173,12 +180,11 @@ impl Modulus {
     /// Converts a signed integer into a canonical residue.
     #[inline]
     pub fn from_i64(&self, a: i64) -> u64 {
-        let q = self.value as i128;
-        let mut v = (a as i128) % q;
-        if v < 0 {
-            v += q;
-        }
-        v as u64
+        // |a| mod q and its negation, selected by the sign mask: error
+        // polynomials mix signs at random, so a sign branch is a coin flip.
+        let r = self.reduce(a.unsigned_abs());
+        let sign = (a >> 63) as u64;
+        r ^ ((r ^ self.sub(0, r)) & sign)
     }
 
     /// Interprets a canonical residue as a signed value in `(-q/2, q/2]`.

@@ -21,6 +21,9 @@ pub struct NttTable {
     psi_inv_rev: Vec<ShoupMul>,
     /// N^{-1} mod q.
     n_inv: ShoupMul,
+    /// N^{-1}·ψ^{-bitrev(1)} mod q: the inverse transform's last-stage
+    /// twiddle with the scaling folded in.
+    n_inv_psi: ShoupMul,
     /// The primitive 2N-th root of unity used.
     psi: u64,
 }
@@ -51,13 +54,16 @@ impl NttTable {
             pow = modulus.mul(pow, psi);
             pow_inv = modulus.mul(pow_inv, psi_inv);
         }
-        let n_inv = modulus.shoup(modulus.inv(degree as u64)?);
+        let n_inv = modulus.inv(degree as u64)?;
+        let n_inv_psi = modulus.shoup(modulus.mul(n_inv, psi_inv_rev[1].operand));
+        let n_inv = modulus.shoup(n_inv);
         Ok(Self {
             degree,
             modulus,
             psi_rev,
             psi_inv_rev,
             n_inv,
+            n_inv_psi,
             psi,
         })
     }
@@ -85,9 +91,10 @@ impl NttTable {
     /// Uses Harvey-style lazy reduction: residues stay semi-reduced (below
     /// `4q`) between butterfly stages — the Shoup twiddle product is left in
     /// `[0, 2q)` and sums are only folded by a single conditional `2q`
-    /// subtraction — with one full reduction pass at the end. Inputs must be
-    /// canonical and outputs are canonical, bit-identical to
-    /// [`NttTable::forward_eager`].
+    /// subtraction. The last two stages run fused, four values at a time,
+    /// and fold their results to canonical form on the way out, so there is
+    /// no separate correction pass. Inputs must be canonical and outputs are
+    /// canonical, bit-identical to [`NttTable::forward_eager`].
     ///
     /// # Panics
     ///
@@ -96,12 +103,11 @@ impl NttTable {
         let _span = bts_telemetry::span("ntt.forward");
         assert_eq!(values.len(), self.degree, "length must equal the degree");
         let q = &self.modulus;
-        let qv = q.value();
-        let two_q = 2 * qv;
         let n = self.degree;
+        let quarter = n / 4;
         let mut t = n;
         let mut m = 1;
-        while m < n {
+        while m < quarter {
             t >>= 1;
             // Block `i` of this stage is `values[2it..2(i+1)t]` with twiddle
             // `psi_rev[m + i]`; splitting it in half pairs each butterfly's
@@ -109,37 +115,40 @@ impl NttTable {
             for (block, s) in values.chunks_exact_mut(2 * t).zip(&self.psi_rev[m..2 * m]) {
                 let (lo, hi) = block.split_at_mut(t);
                 for (x, y) in lo.iter_mut().zip(hi) {
-                    // Invariant: values[..] < 4q at stage entry (q < 2^62, so
-                    // 4q fits a u64). Fold the upper half before the sum.
-                    let mut u = *x;
-                    if u >= two_q {
-                        u -= two_q;
-                    }
-                    let v = q.mul_shoup_lazy(*y, s); // < 2q
-                    *x = u + v; // < 4q
-                    *y = u + two_q - v; // < 4q
+                    (*x, *y) = forward_butterfly(q, *x, *y, s);
                 }
             }
             m <<= 1;
         }
-        for v in values.iter_mut() {
-            let mut x = *v;
-            if x >= two_q {
-                x -= two_q;
-            }
-            if x >= qv {
-                x -= qv;
-            }
-            *v = x;
+        if n == 2 {
+            let (x, y) = forward_butterfly(q, values[0], values[1], &self.psi_rev[1]);
+            values[0] = canonical(q, x);
+            values[1] = canonical(q, y);
+            return;
+        }
+        // Stages t = 2 and t = 1 on one block of four: twiddle
+        // `psi_rev[n/4 + i]` across the halves, then `psi_rev[n/2 + 2i]` and
+        // `psi_rev[n/2 + 2i + 1]` within them.
+        let outer = &self.psi_rev[quarter..2 * quarter];
+        let inner = self.psi_rev[2 * quarter..].chunks_exact(2);
+        for ((block, s), ss) in values.chunks_exact_mut(4).zip(outer).zip(inner) {
+            let (a, c) = forward_butterfly(q, block[0], block[2], s);
+            let (b, d) = forward_butterfly(q, block[1], block[3], s);
+            let (a, b) = forward_butterfly(q, a, b, &ss[0]);
+            let (c, d) = forward_butterfly(q, c, d, &ss[1]);
+            block[0] = canonical(q, a);
+            block[1] = canonical(q, b);
+            block[2] = canonical(q, c);
+            block[3] = canonical(q, d);
         }
     }
 
     /// In-place inverse negacyclic NTT (NTT domain → coefficient domain).
     ///
     /// Lazy-reduction Gentleman–Sande: residues stay below `2q` between
-    /// stages and are fully reduced by the final `N^{-1}` scaling pass.
-    /// Canonical in, canonical out, bit-identical to
-    /// [`NttTable::inverse_eager`].
+    /// stages. The last stage multiplies by `N^{-1}` folded into its twiddle
+    /// and reduces fully, so there is no separate scaling pass. Canonical
+    /// in, canonical out, bit-identical to [`NttTable::inverse_eager`].
     ///
     /// # Panics
     ///
@@ -153,7 +162,7 @@ impl NttTable {
         let n = self.degree;
         let mut t = 1;
         let mut m = n;
-        while m > 1 {
+        while m > 2 {
             let h = m >> 1;
             for (block, s) in values.chunks_exact_mut(2 * t).zip(&self.psi_inv_rev[h..m]) {
                 let (lo, hi) = block.split_at_mut(t);
@@ -172,9 +181,16 @@ impl NttTable {
             t <<= 1;
             m = h;
         }
-        for v in values.iter_mut() {
-            let r = q.mul_shoup_lazy(*v, &self.n_inv); // < 2q
-            *v = if r >= qv { r - qv } else { r };
+        // Last stage (one block, twiddle ψ^{-bitrev(1)}): the sum lane takes
+        // N^{-1}, the difference lane N^{-1}·ψ^{-bitrev(1)}.
+        let (lo, hi) = values.split_at_mut(t);
+        for (x, y) in lo.iter_mut().zip(hi) {
+            let u = *x;
+            let v = *y;
+            let a = q.mul_shoup_lazy(u + v, &self.n_inv); // < 2q
+            let b = q.mul_shoup_lazy(u + two_q - v, &self.n_inv_psi); // < 2q
+            *x = fold(a, qv);
+            *y = fold(b, qv);
         }
     }
 
@@ -264,6 +280,35 @@ impl NttTable {
     pub fn butterfly_count(&self) -> u64 {
         (self.degree as u64 / 2) * self.degree.trailing_zeros() as u64
     }
+}
+
+/// One lazy Cooley–Tukey butterfly: `x < 4q` and any `y` in, both lanes
+/// `< 4q` out (`q < 2^62`, so `4q` fits a `u64`).
+#[inline(always)]
+fn forward_butterfly(q: &Modulus, x: u64, y: u64, s: &ShoupMul) -> (u64, u64) {
+    let two_q = 2 * q.value();
+    // Fold the upper half before the sum. This `if` lowers to a conditional
+    // move; the `min` form measured slower here.
+    let mut u = x;
+    if u >= two_q {
+        u -= two_q;
+    }
+    let v = q.mul_shoup_lazy(y, s); // < 2q
+    (u + v, u + two_q - v)
+}
+
+/// `x − m` if `x >= m`, else `x`, without a branch: on transform outputs
+/// `x >= m` is a coin flip. A subtraction that would go negative wraps above
+/// `x`, so `min` keeps `x`.
+#[inline(always)]
+fn fold(x: u64, m: u64) -> u64 {
+    x.min(x.wrapping_sub(m))
+}
+
+/// Folds `x < 4q` to `[0, q)`.
+#[inline(always)]
+fn canonical(q: &Modulus, x: u64) -> u64 {
+    fold(fold(x, 2 * q.value()), q.value())
 }
 
 /// Schoolbook negacyclic multiplication in `Z_q[X]/(X^N+1)`; O(N²).

@@ -3,8 +3,9 @@
 //!
 //! * (a) the NTT-domain automorphism (a gather) vs iNTT → signed coefficient
 //!   permutation → NTT, with no transform executed by the gather;
-//! * (b) the chunked lazy NTT butterflies vs the eager reference transforms,
-//!   down to the sizes where a stage is a single block or a single pair;
+//! * (b) the chunked lazy NTT butterflies and their fused tails vs the eager
+//!   reference transforms, down to the sizes where a stage is a single block
+//!   or a single pair, on random and on extreme inputs;
 //! * (c) single-iNTT `rescale` vs the all-limb coefficient-domain rescale;
 //! * (d) scalar `mul_const` / `add_const` vs encoding the constant (as one
 //!   slot and as the full splat) and applying it as a plaintext;
@@ -14,7 +15,11 @@
 //!   (permute, then key-switch) inside the existing error bounds;
 //! * (f) the SSA oracle (`common/ssa_oracle.rs`: a memo-less walk of the
 //!   circuit's nodes) vs the bytecode executor, bitwise, on circuits built to
-//!   thrash and to stale the executor's digit memo.
+//!   thrash and to stale the executor's digit memo;
+//! * (g) the branch-free `Modulus::{sub, reduce, from_i64}` vs `u128` / `i128`
+//!   arithmetic, and `BaseConverter`'s lane-blocked MAC vs `convert_eager`
+//!   where the `u128` accumulators fold mid-row and where a limb is shorter
+//!   than a lane block.
 //!
 //! The slice-at-a-time key-switch body is the one oracle that needs crate
 //! internals; it sits beside `CkksContext::key_switch` as a `#[cfg(test)]`
@@ -27,8 +32,8 @@ use rand::{Rng, SeedableRng};
 use bts::circuit::{compile, CircuitBuilder, FunctionalBackend, Opcode};
 use bts::ckks::{Ciphertext, CkksContext, Complex, KeyBundle, SecretKey};
 use bts::math::{
-    galois_element, generate_ntt_primes, AutomorphismTable, Modulus, NttTable, Representation,
-    RnsBasis, RnsPoly,
+    galois_element, generate_ntt_primes, AutomorphismTable, BaseConverter, Modulus, NttTable,
+    Representation, RnsBasis, RnsPoly,
 };
 use bts::params::CkksInstance;
 use bts::telemetry;
@@ -103,18 +108,24 @@ fn chunked_butterflies_match_the_eager_transforms() {
             let q = Modulus::new(generate_ntt_primes(n, bits, 1)[0]);
             let table = NttTable::new(n, q).unwrap();
             let mut rng = StdRng::seed_from_u64(u64::from(bits) << 8 | u64::from(log_n));
-            // Random residues plus the extremes the lazy ranges hinge on.
-            let mut data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();
-            data[0] = q.value() - 1;
-            data[n - 1] = 0;
-            let (mut lazy, mut eager) = (data.clone(), data.clone());
-            table.forward(&mut lazy);
-            table.forward_eager(&mut eager);
-            assert_eq!(lazy, eager, "forward, {bits} bits, N = {n}");
-            table.inverse(&mut lazy);
-            table.inverse_eager(&mut eager);
-            assert_eq!(lazy, eager, "inverse, {bits} bits, N = {n}");
-            assert_eq!(lazy, data, "round trip, {bits} bits, N = {n}");
+            // Random residues plus the extremes the lazy ranges hinge on,
+            // then the inputs that drive every lane of the fused tails to an
+            // end of its range at once.
+            let top = q.value() - 1;
+            let mut random: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q.value())).collect();
+            random[0] = top;
+            random[n - 1] = 0;
+            let alternating = (0..n).map(|i| if i % 2 == 0 { 0 } else { top }).collect();
+            for data in [random, vec![top; n], vec![0; n], alternating] {
+                let (mut lazy, mut eager) = (data.clone(), data.clone());
+                table.forward(&mut lazy);
+                table.forward_eager(&mut eager);
+                assert_eq!(lazy, eager, "forward, {bits} bits, N = {n}");
+                table.inverse(&mut lazy);
+                table.inverse_eager(&mut eager);
+                assert_eq!(lazy, eager, "inverse, {bits} bits, N = {n}");
+                assert_eq!(lazy, data, "round trip, {bits} bits, N = {n}");
+            }
         }
     }
 }
@@ -467,4 +478,71 @@ fn a_recycled_source_register_never_serves_stale_digits() {
     assert!(rotations
         .windows(2)
         .any(|w| w[0].a == w[1].a && w[0].free_a && w[0].dst == w[0].a));
+}
+
+// ---------------------------------------------------------------------------
+// (g) Branch-free modular primitives and the lane-blocked BConv MAC
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn modular_primitives_match_wide_reference_arithmetic(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        s in any::<i64>(),
+    ) {
+        for bits in [30u32, 40, 50, 61] {
+            let q = generate_ntt_primes(8, bits, 1)[0];
+            let m = Modulus::new(q);
+
+            let (x, y) = (a % q, b % q);
+            let pairs = [(x, y), (y, x), (x, x), (0, y), (x, 0), (0, 0), (x, q - 1), (0, q - 1)];
+            for (x, y) in pairs {
+                let expected = (u128::from(x) + u128::from(q) - u128::from(y)) % u128::from(q);
+                prop_assert!(u128::from(m.sub(x, y)) == expected, "{} - {} mod {}", x, y, q);
+            }
+
+            let last_multiple = u64::MAX / q * q;
+            let edges = [0, q - 1, q, q + 1, 2 * q - 1, 2 * q, last_multiple - 1, last_multiple];
+            for v in edges.into_iter().chain([a, b, u64::MAX]) {
+                prop_assert!(m.reduce(v) == v % q, "reduce({}) mod {}", v, q);
+            }
+
+            // `s >> 43` mixes signs at the magnitude of an error polynomial.
+            let edges = [0, 1, -1, q as i64, -(q as i64), i64::MAX, i64::MIN];
+            for v in edges.into_iter().chain([s, s.wrapping_neg(), s >> 43]) {
+                let expected = i128::from(v).rem_euclid(i128::from(q));
+                prop_assert!(i128::from(m.from_i64(v)) == expected, "from_i64({}) mod {}", v, q);
+            }
+        }
+    }
+}
+
+#[test]
+fn lane_blocked_bconv_matches_the_eager_reference() {
+    // 61-bit sources into 61-bit targets leave a u128 accumulator room for 32
+    // terms, so 67 source limbs fold twice inside every lane block; 5 limbs
+    // never fold. N = 2 and N = 4 are limbs no longer than one block.
+    for (log_n, source_limbs) in [(1u32, 67usize), (2, 67), (3, 34), (5, 67), (1, 5), (6, 5)] {
+        let n = 1usize << log_n;
+        let all = RnsBasis::generate(n, 61, source_limbs + 3).unwrap();
+        let source = all.prefix(source_limbs);
+        let target = all.select(&[source_limbs, source_limbs + 1, source_limbs + 2]);
+        let converter = BaseConverter::new(&source, &target).unwrap();
+        let mut rng = StdRng::seed_from_u64(u64::from(log_n) << 8 | source_limbs as u64);
+        let poly = RnsPoly::sample_uniform(&source, Representation::Coefficient, &mut rng);
+        let case = format!("N = {n}, {source_limbs} source limbs");
+        assert_eq!(
+            converter.convert(&poly),
+            converter.convert_eager(&poly, false),
+            "fast, {case}"
+        );
+        assert_eq!(
+            converter.convert_exact(&poly),
+            converter.convert_eager(&poly, true),
+            "exact, {case}"
+        );
+    }
 }
