@@ -49,6 +49,58 @@ impl DigitMemo {
     }
 }
 
+/// The functional executor's ciphertext storage, kept across
+/// [`FunctionalBackend::execute_compiled`] calls: `regs[r]` holds register
+/// `r`'s live value, and `spare` the ciphertexts whose values are dead —
+/// their residue matrices are the buffers every result is written into.
+///
+/// A ciphertext is created only when a result finds `spare` empty — inputs
+/// and bootstrap refreshes are encrypted into spares too — and a run hands
+/// every register back to `spare` when it ends, so the file never owns more
+/// ciphertexts than the largest live set any program has held (live values
+/// plus the result in flight). There is nothing to size.
+#[derive(Debug, Default)]
+struct RegisterFile {
+    regs: Vec<Option<Ciphertext>>,
+    spare: Vec<Ciphertext>,
+}
+
+impl RegisterFile {
+    /// An empty file of `reg_count` registers.
+    fn open(&mut self, reg_count: usize) {
+        self.close();
+        self.regs.resize_with(reg_count, || None);
+    }
+
+    /// Hands every live register back to the spare list.
+    fn close(&mut self) {
+        let live = self.regs.iter_mut().filter_map(Option::take);
+        self.spare.extend(live);
+    }
+
+    fn get(&self, r: RegId, op: usize) -> Result<&Ciphertext, CircuitError> {
+        self.regs[r as usize]
+            .as_ref()
+            .ok_or_else(|| CircuitError::InvalidCircuit(format!("op {op} reads dead r{r}")))
+    }
+
+    /// A buffer for the next result: a dead value's ciphertext, or a new
+    /// one (with room for any level) while the file is still growing to the
+    /// program's live set.
+    fn take_spare(&mut self, context: &CkksContext) -> Ciphertext {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| context.ciphertext_buffer())
+    }
+
+    /// Register `r`'s value is dead: its ciphertext becomes a spare.
+    fn free(&mut self, r: RegId) {
+        if let Some(ct) = self.regs[r as usize].take() {
+            self.spare.push(ct);
+        }
+    }
+}
+
 /// Result of executing a circuit on real RNS ciphertexts.
 #[derive(Debug, Clone)]
 pub struct FunctionalRun {
@@ -78,6 +130,12 @@ pub struct FunctionalRun {
 /// same type (exhausted ciphertext in, top-level ciphertext out) without
 /// spending the levels the real approximate-modular-reduction pipeline needs,
 /// which toy instances do not have.
+///
+/// The register file is the ciphertext pool: every instruction writes its
+/// result through an `_into` evaluator op into the ciphertext of a value
+/// that died earlier, and the pool persists across runs, so a warm run
+/// allocates no residue matrix (`tests/functional_allocs.rs` holds it to at
+/// most two allocations per executed op, encryption and decoding included).
 #[derive(Debug)]
 pub struct FunctionalBackend {
     context: CkksContext,
@@ -85,6 +143,7 @@ pub struct FunctionalBackend {
     keys: KeyBundle,
     rng: StdRng,
     input_messages: Vec<Vec<f64>>,
+    file: RegisterFile,
 }
 
 impl FunctionalBackend {
@@ -104,6 +163,7 @@ impl FunctionalBackend {
             keys,
             rng,
             input_messages: Vec::new(),
+            file: RegisterFile::default(),
         })
     }
 
@@ -128,37 +188,45 @@ impl FunctionalBackend {
             .collect()
     }
 
+    /// Encodes `message` at `level` and encrypts it into `dst`.
     fn encode_encrypt(
         &mut self,
         message: &[f64],
         level: usize,
-    ) -> Result<Ciphertext, CircuitError> {
+        dst: &mut Ciphertext,
+    ) -> Result<(), CircuitError> {
         let slots: Vec<Complex> = message.iter().map(|&x| Complex::new(x, 0.0)).collect();
         let pt = self
             .context
             .encode_at(&slots, level, self.context.scale())?;
-        Ok(self.context.encrypt(&pt, &self.secret, &mut self.rng)?)
+        Ok(self
+            .context
+            .encrypt_into(&pt, &self.secret, &mut self.rng, dst)?)
     }
 
     /// Oracle refresh for a bootstrap marker: decrypt, re-encode at
-    /// `target_level`, re-encrypt.
+    /// `target_level`, re-encrypt into `dst`.
     fn refresh(
         &mut self,
         ct: &Ciphertext,
         target_level: usize,
-    ) -> Result<Ciphertext, CircuitError> {
+        dst: &mut Ciphertext,
+    ) -> Result<(), CircuitError> {
         let decoded = self
             .context
             .decode(&self.context.decrypt(ct, &self.secret)?)?;
         let pt = self
             .context
             .encode_at(&decoded, target_level, self.context.scale())?;
-        Ok(self.context.encrypt(&pt, &self.secret, &mut self.rng)?)
+        Ok(self
+            .context
+            .encrypt_into(&pt, &self.secret, &mut self.rng, dst)?)
     }
 
     /// Applies one primitive evaluator op (anything but a bootstrap refresh
     /// or a modulus raise, which need the backend's RNG or no evaluator) to
-    /// the ciphertext in `op.a`, and `b` for the binary ops.
+    /// the ciphertext in `op.a`, and `b` for the binary ops, writing the
+    /// result into `dst`.
     fn apply_prim(
         &self,
         compiled: &CompiledCircuit,
@@ -166,26 +234,32 @@ impl FunctionalBackend {
         a: &Ciphertext,
         b: Option<&Ciphertext>,
         memo: &mut DigitMemo,
-    ) -> Result<Ciphertext, CircuitError> {
+        dst: &mut Ciphertext,
+    ) -> Result<(), CircuitError> {
         let eval = self.context.evaluator(&self.keys);
         let binary = || b.expect("binary op has two operands");
         let constant = || compiled.consts[op.imm as usize];
-        Ok(match op.opcode {
-            Opcode::HMult => eval.mul(a, binary())?,
+        match op.opcode {
+            Opcode::HMult => eval.mul_into(a, binary(), dst)?,
             Opcode::HRot => match compiled.rotations[op.imm as usize] {
                 // A zero rotation is a copy; it must not cost a ModUp.
-                0 => eval.rotate(a, 0)?,
-                rotation => eval.rotate_decomposed(a, memo.digits(&eval, op.a, a)?, rotation)?,
+                0 => dst.clone_from(a),
+                rotation => {
+                    eval.rotate_decomposed_into(a, memo.digits(&eval, op.a, a)?, rotation, dst)?
+                }
             },
-            Opcode::Conjugate => eval.conjugate_decomposed(a, memo.digits(&eval, op.a, a)?)?,
-            Opcode::HAdd => eval.add(a, binary())?,
-            Opcode::Rescale => eval.rescale(a)?,
+            Opcode::Conjugate => {
+                eval.conjugate_decomposed_into(a, memo.digits(&eval, op.a, a)?, dst)?
+            }
+            Opcode::HAdd => eval.add_into(a, binary(), dst)?,
+            Opcode::Rescale => eval.rescale_into(a, dst)?,
             // A plaintext whose slots all hold one value is the constant
             // polynomial the scalar ops apply.
-            Opcode::PMult | Opcode::CMult => eval.mul_const(a, constant())?,
-            Opcode::PAdd | Opcode::CAdd => eval.add_const(a, constant())?,
+            Opcode::PMult | Opcode::CMult => eval.mul_const_into(a, constant(), dst)?,
+            Opcode::PAdd | Opcode::CAdd => eval.add_const_into(a, constant(), dst)?,
             Opcode::ModRaise | Opcode::Bootstrap => unreachable!("handled by the executor loop"),
-        })
+        }
+        Ok(())
     }
 
     /// Compiles a circuit and executes the bytecode: [`compile`] then
@@ -199,15 +273,17 @@ impl FunctionalBackend {
     }
 
     /// Executes compiled bytecode on real ciphertexts, with a flat register
-    /// file: operands resolve by index, and a register is dropped the moment
-    /// its `free_*` flag says the value is dead, so peak ciphertext memory
-    /// tracks the live set.
+    /// file: operands resolve by index, each result is written into the
+    /// ciphertext of a value that died earlier, and a register's ciphertext
+    /// goes back to the pool the moment its `free_*` flag says the value is
+    /// dead, so peak ciphertext memory tracks the live set.
     ///
     /// Given the same instance, seed and inputs, the result is bit-identical
     /// to walking the source circuit's SSA nodes (the oracle in
     /// `tests/common/ssa_oracle.rs`): the program preserves instruction
     /// order, provisioning the same rotation keys and consuming the
-    /// encryption/refresh randomness stream in the same order.
+    /// encryption/refresh randomness stream in the same order, and no op
+    /// reads what its destination held before.
     ///
     /// # Errors
     ///
@@ -218,6 +294,20 @@ impl FunctionalBackend {
     pub fn execute_compiled(
         &mut self,
         compiled: &CompiledCircuit,
+    ) -> Result<FunctionalRun, CircuitError> {
+        let mut file = std::mem::take(&mut self.file);
+        let run = self.run(compiled, &mut file);
+        file.close();
+        self.file = file;
+        run
+    }
+
+    /// The body of [`FunctionalBackend::execute_compiled`], on the register
+    /// file the backend lends it.
+    fn run(
+        &mut self,
+        compiled: &CompiledCircuit,
+        file: &mut RegisterFile,
     ) -> Result<FunctionalRun, CircuitError> {
         compiled.validate()?;
         let rotations = compiled.key_rotations();
@@ -233,40 +323,39 @@ impl FunctionalBackend {
         }
         let usable_top = compiled.instance.usable_top_level();
 
-        let mut regs: Vec<Option<Ciphertext>> = vec![None; compiled.reg_count as usize];
+        file.open(compiled.reg_count as usize);
         for (index, input) in compiled.inputs.iter().enumerate() {
             let message = self
                 .input_messages
                 .get(index)
                 .cloned()
                 .unwrap_or_else(|| self.synthetic_message(index));
-            regs[input.reg as usize] = Some(self.encode_encrypt(&message, input.level)?);
+            let mut ct = file.take_spare(&self.context);
+            self.encode_encrypt(&message, input.level, &mut ct)?;
+            file.regs[input.reg as usize] = Some(ct);
         }
 
         let mut op_counts: BTreeMap<HeOp, usize> = BTreeMap::new();
         let mut bootstrap_count = 0usize;
         let mut memo = DigitMemo::default();
         for (i, op) in compiled.ops.iter().enumerate() {
-            let reg = |r: u32| -> Result<&Ciphertext, CircuitError> {
-                regs[r as usize]
-                    .as_ref()
-                    .ok_or_else(|| CircuitError::InvalidCircuit(format!("op {i} reads dead r{r}")))
-            };
-            let result = match op.opcode {
+            let mut result = file.take_spare(&self.context);
+            let a = file.get(op.a, i)?;
+            match op.opcode {
                 Opcode::Bootstrap => {
                     bootstrap_count += 1;
-                    self.refresh(reg(op.a)?, usable_top)?
+                    self.refresh(a, usable_top, &mut result)?;
                 }
-                Opcode::ModRaise => self.context.mod_raise(reg(op.a)?),
+                Opcode::ModRaise => self.context.mod_raise_into(a, &mut result),
                 opcode => {
                     let b = if opcode.is_binary() {
-                        Some(reg(op.b)?)
+                        Some(file.get(op.b, i)?)
                     } else {
                         None
                     };
-                    self.apply_prim(compiled, op, reg(op.a)?, b, &mut memo)?
+                    self.apply_prim(compiled, op, a, b, &mut memo, &mut result)?;
                 }
-            };
+            }
             let expected_level = match op.opcode {
                 Opcode::Rescale => op.level - 1,
                 Opcode::Bootstrap => usable_top,
@@ -283,19 +372,19 @@ impl FunctionalBackend {
             }
             if op.free_a {
                 memo.invalidate(op.a);
-                regs[op.a as usize] = None;
+                file.free(op.a);
             }
             if op.free_b {
                 memo.invalidate(op.b);
-                regs[op.b as usize] = None;
+                file.free(op.b);
             }
             memo.invalidate(op.dst);
-            regs[op.dst as usize] = Some(result);
+            file.regs[op.dst as usize] = Some(result);
         }
 
         let mut outputs = Vec::with_capacity(compiled.outputs.len());
         for &out in &compiled.outputs {
-            let ct = regs[out as usize]
+            let ct = file.regs[out as usize]
                 .as_ref()
                 .expect("validated bytecode outputs are live");
             outputs.push(

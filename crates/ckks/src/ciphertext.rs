@@ -33,12 +33,32 @@ impl Plaintext {
 
 /// A CKKS ciphertext: a pair of polynomials `(c0, c1)` on the level-ℓ
 /// ciphertext-modulus basis such that `c0 + c1·s ≈ Δ·m` (§2.2).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Every evaluator op writes its result into a caller-supplied ciphertext
+/// (`Evaluator::mul_into` and friends), whose two residue matrices are
+/// re-purposed for the result's level; `clone_from` copies into an
+/// existing one the same way. A ciphertext whose value is dead is therefore
+/// a buffer, not garbage.
+#[derive(Debug, PartialEq)]
 pub struct Ciphertext {
     pub(crate) c0: RnsPoly,
     pub(crate) c1: RnsPoly,
     pub(crate) level: usize,
     pub(crate) scale: f64,
+}
+
+impl Clone for Ciphertext {
+    fn clone(&self) -> Self {
+        Self::new(self.c0.clone(), self.c1.clone(), self.level, self.scale)
+    }
+
+    /// Copies `source` into this ciphertext's residue matrices.
+    fn clone_from(&mut self, source: &Self) {
+        self.c0.clone_from(&source.c0);
+        self.c1.clone_from(&source.c1);
+        self.level = source.level;
+        self.scale = source.scale;
+    }
 }
 
 impl Ciphertext {

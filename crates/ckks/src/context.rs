@@ -3,6 +3,7 @@ use std::sync::{Arc, Mutex};
 
 use rand::Rng;
 
+use bts_math::par::chain;
 use bts_math::{
     sample_gaussian, sample_ternary, AutomorphismTable, BaseConverter, BconvScratch,
     Representation, RnsBasis, RnsPoly, ShoupMul, TERNARY_HAMMING_DENSE,
@@ -18,22 +19,41 @@ use crate::keys::{EvaluationKey, KeyBundle, PublicKey, SecretKey};
 /// Standard deviation of the RLWE error distribution.
 const ERROR_SIGMA: f64 = 3.2;
 
-/// Reusable working memory for one key-switch invocation: the `u128` MAC
-/// accumulators for the `(b, a)` pair, the BConv scratch and the mod-down
-/// buffers. Pooled on the context so steady state performs no heap
-/// allocation per HMult/HRot beyond the two result polynomials.
+/// Reusable working memory for one evaluator op: the key-switch's `u128`
+/// MAC accumulators for the `(b, a)` pair, its reduced inner products, the
+/// BConv and mod-down buffers, HMult's `d2` and rescale's dropped limb.
+/// Pooled on the context ([`CkksContext::with_scratch`]) — the software form
+/// of the fixed temporary region BTS reserves in its scratchpad — so a warm
+/// op allocates nothing: it writes its result into the caller's destination
+/// and every temporary into one of these.
 #[derive(Debug, Default)]
-struct KsScratch {
+pub(crate) struct KsScratch {
     bconv: BconvScratch,
     /// Deferred-reduction accumulators for the `b` / `a` contributions,
     /// `(ℓ+1+k) · N` words each, limb-major on the ks basis.
     acc_b: Vec<u128>,
     acc_a: Vec<u128>,
-    /// Mod-down: special limbs of the `b` / `a` inner products (coefficient
-    /// domain once inverse-transformed) and the converted q limbs.
-    p_part_b: Vec<u64>,
-    p_part_a: Vec<u64>,
+    /// The reduced inner products on the ks basis: the q limbs ModDown keeps
+    /// and the special limbs it converts (coefficient domain once
+    /// inverse-transformed).
+    ext_b: Vec<u64>,
+    ext_a: Vec<u64>,
+    /// Mod-down: the special limbs converted to the q limbs.
     conv: Vec<u64>,
+    /// HMult's `d2 = a1 ⊙ b1`, the polynomial it key-switches.
+    d2: Vec<u64>,
+    /// Rescale's dropped limb, inverse-transformed.
+    pub(crate) limb: Vec<u64>,
+}
+
+/// How ModDown's last pass lands in its destination: written over it, or
+/// added onto the value already there (HMult's `d0` / `d1`, a rotation's
+/// permuted `c0`) — the addition the op would otherwise make in a pass of
+/// its own.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Land {
+    Overwrite,
+    Accumulate,
 }
 
 /// Lazily-memoized key-switching machinery shared by all clones of a context:
@@ -294,9 +314,33 @@ impl CkksContext {
         &self.encoder
     }
 
-    /// The ciphertext basis truncated to level ℓ (ℓ+1 limbs).
+    /// The ciphertext basis truncated to level ℓ (ℓ+1 limbs): a view of the
+    /// chain's one table list, so a reference-count bump — every level's
+    /// basis exists once the chain does.
     pub fn basis_at_level(&self, level: usize) -> RnsBasis {
         self.q_basis.prefix(level + 1)
+    }
+
+    /// A ciphertext with no limbs but room for a top-level one: the
+    /// destination a pool of `_into` results hands out. Like the fixed
+    /// ciphertext regions of BTS's scratchpad it fits a result of any level,
+    /// so no op writing into it ever grows it.
+    pub fn ciphertext_buffer(&self) -> Ciphertext {
+        let mut buffer = self.empty_ciphertext();
+        for poly in [&mut buffer.c0, &mut buffer.c1] {
+            poly.reserve_limbs(self.max_level + 1);
+        }
+        buffer
+    }
+
+    /// A ciphertext with no limbs and no room: where the allocating ops
+    /// start, so a result is allocated at exactly its size.
+    pub(crate) fn empty_ciphertext(&self) -> Ciphertext {
+        Ciphertext::new(self.empty_poly(), self.empty_poly(), 0, 0.0)
+    }
+
+    fn empty_poly(&self) -> RnsPoly {
+        RnsPoly::zero(&self.q_basis.prefix(0), Representation::Ntt)
     }
 
     /// The prime modulus q_i.
@@ -589,24 +633,55 @@ impl CkksContext {
         sk: &SecretKey,
         rng: &mut R,
     ) -> crate::Result<Ciphertext> {
+        let mut ct = self.empty_ciphertext();
+        self.encrypt_into(plaintext, sk, rng, &mut ct)?;
+        Ok(ct)
+    }
+
+    /// [`CkksContext::encrypt`] written into `dst`: `c1` uniform, then
+    /// `c0 = −c1·s + e + m`, drawing from `rng` exactly as `encrypt` does.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a plaintext that is not an NTT-domain polynomial of this
+    /// context at its level.
+    pub fn encrypt_into<R: Rng + ?Sized>(
+        &self,
+        plaintext: &Plaintext,
+        sk: &SecretKey,
+        rng: &mut R,
+        dst: &mut Ciphertext,
+    ) -> crate::Result<()> {
         let level = plaintext.level;
         let basis = self.basis_at_level(level);
-        let s_q = sk.poly.select_limbs(&(0..=level).collect::<Vec<_>>());
-        let c1 = RnsPoly::sample_uniform(&basis, Representation::Ntt, rng);
-        let mut e = RnsPoly::from_signed_coefficients(
-            &basis,
-            &sample_gaussian(rng, self.degree, ERROR_SIGMA),
-        );
-        e.to_ntt();
-        let c0 = c1
-            .mul(&s_q)
-            .expect("same basis")
-            .neg()
-            .add(&e)
-            .expect("same basis")
-            .add(&plaintext.poly)
-            .expect("same basis");
-        Ok(Ciphertext::new(c0, c1, level, plaintext.scale))
+        let m = &plaintext.poly;
+        if m.basis() != &basis || m.representation() != Representation::Ntt {
+            return Err(CkksError::OperandMismatch(format!(
+                "plaintext is not an NTT-domain polynomial of this context at level {level}"
+            )));
+        }
+        let Ciphertext { c0, c1, .. } = dst;
+        c1.sample_uniform_into(&basis, Representation::Ntt, rng);
+        let error = sample_gaussian(rng, self.degree, ERROR_SIGMA);
+        c0.reshape(&basis, Representation::Coefficient)
+            .par_limbs_mut(|_, table, limb| {
+                let q = table.modulus();
+                for (x, &v) in limb.iter_mut().zip(&error) {
+                    *x = q.from_i64(v);
+                }
+            });
+        c0.to_ntt();
+        let c1 = &*c1;
+        c0.par_limbs_mut(|j, table, limb| {
+            let q = table.modulus();
+            let terms = c1.limb(j).iter().zip(sk.poly.limb(j)).zip(m.limb(j));
+            for (x, ((&a, &s), &m)) in limb.iter_mut().zip(terms) {
+                *x = q.add(q.add(q.neg(q.mul(a, s)), *x), m);
+            }
+        });
+        dst.level = level;
+        dst.scale = plaintext.scale;
+        Ok(())
     }
 
     /// Encrypts a plaintext under the public key.
@@ -676,17 +751,37 @@ impl CkksContext {
     /// modulus chain. The underlying plaintext becomes `m + q0·I` for a small
     /// integer polynomial `I` (§2.4).
     pub fn mod_raise(&self, ct: &Ciphertext) -> Ciphertext {
-        let raise = |poly: &RnsPoly| -> RnsPoly {
-            let mut p = poly.keep_limbs(1);
-            p.to_coefficient();
-            let q0 = self.q_basis.modulus(0);
-            let signed: Vec<i64> = p.limb(0).iter().map(|&c| q0.to_signed(c)).collect();
-            let full_basis = self.basis_at_level(self.max_level);
-            let mut out = RnsPoly::from_signed_coefficients(&full_basis, &signed);
+        let mut raised = self.empty_ciphertext();
+        self.mod_raise_into(ct, &mut raised);
+        raised
+    }
+
+    /// [`CkksContext::mod_raise`] written into `dst`: limb 0 of each
+    /// polynomial is inverse-transformed in place in `dst`'s first limb,
+    /// every other limb is its centered lift, and all of them go back to the
+    /// NTT domain.
+    pub fn mod_raise_into(&self, ct: &Ciphertext, dst: &mut Ciphertext) {
+        let n = self.degree;
+        let q0 = self.q_basis.modulus(0);
+        for (out, poly) in [(&mut dst.c0, &ct.c0), (&mut dst.c1, &ct.c1)] {
+            out.reshape(&self.q_basis, Representation::Coefficient);
+            let (first, rest) = out.data_mut().split_at_mut(n);
+            first.copy_from_slice(poly.limb(0));
+            if poly.representation() == Representation::Ntt {
+                self.q_basis.table(0).inverse(first);
+            }
+            // Limb 0 already is the centered residue's image mod q0.
+            let first = &*first;
+            bts_math::par::par_limbs(rest.chunks_exact_mut(n), |j, limb: &mut [u64]| {
+                let q = self.q_basis.modulus(j + 1);
+                for (x, &c) in limb.iter_mut().zip(first) {
+                    *x = q.from_i64(q0.to_signed(c));
+                }
+            });
             out.to_ntt();
-            out
-        };
-        Ciphertext::new(raise(ct.c0()), raise(ct.c1()), self.max_level, ct.scale())
+        }
+        dst.level = self.max_level;
+        dst.scale = ct.scale;
     }
 
     // ------------------------------------------------------------------
@@ -796,23 +891,35 @@ impl CkksContext {
     /// ModUp: cuts `d` (NTT domain, level-ℓ ciphertext basis) into its
     /// `⌈(ℓ+1)/k⌉` decomposition slices and raises each to the extended basis.
     ///
-    /// Runs allocation-free on pooled memory: every slice is staged inside
-    /// its own `(ℓ+1+k) × N` block of one flat digit matrix (slice limbs
-    /// copied into their ks-basis positions, BConv writing the complement
-    /// limbs straight into theirs) and the (i)NTT passes run limb-parallel.
+    /// Every slice is staged inside its own `(ℓ+1+k) × N` block of one flat
+    /// digit matrix (slice limbs copied into their ks-basis positions, BConv
+    /// writing the complement limbs straight into theirs) and the (i)NTT
+    /// passes run limb-parallel. The matrix comes from the context's digit
+    /// pool and the BConv scratch from its op scratch, so a warm call makes
+    /// no heap allocation (`tests/functional_allocs.rs` holds it to zero).
     ///
     /// # Errors
     ///
     /// Rejects coefficient-domain input and propagates converter-construction
     /// failures.
     pub fn decompose(&self, d: &RnsPoly) -> crate::Result<Decomposed> {
-        let _span = bts_telemetry::span("ckks.decompose");
         if d.representation() != Representation::Ntt {
             return Err(CkksError::OperandMismatch(
                 "key-switch input must be in the NTT domain".to_string(),
             ));
         }
-        let level = d.limb_count() - 1;
+        self.with_scratch(|s| self.decompose_limbs(d.data(), d.limb_count() - 1, &mut s.bconv))
+    }
+
+    /// The body of [`CkksContext::decompose`], on the `(ℓ+1) · N` NTT-domain
+    /// residues `d` of a level-ℓ polynomial.
+    fn decompose_limbs(
+        &self,
+        d: &[u64],
+        level: usize,
+        bconv: &mut BconvScratch,
+    ) -> crate::Result<Decomposed> {
+        let _span = bts_telemetry::span("ckks.decompose");
         let k = self.num_special();
         let n = self.degree;
         let ext_limbs = level + 1 + k;
@@ -826,7 +933,6 @@ impl CkksContext {
             .pop()
             .unwrap_or_default();
         digits.resize(slices * ext_limbs * n, 0);
-        let mut scratch = self.take_scratch();
         for (j, ext) in digits.chunks_exact_mut(ext_limbs * n).enumerate() {
             let lo = j * k;
             let hi = ((j + 1) * k).min(level + 1);
@@ -834,38 +940,33 @@ impl CkksContext {
             let (mid, right) = rest.split_at_mut((hi - lo) * n);
             // Stage the slice limbs at their ks-basis positions and iNTT them
             // in place (ModUp's iNTT), limb-parallel.
-            mid.copy_from_slice(&d.data()[lo * n..hi * n]);
-            bts_math::par::par_limbs(mid.chunks_exact_mut(n).collect(), |t, limb: &mut [u64]| {
+            mid.copy_from_slice(&d[lo * n..hi * n]);
+            bts_math::par::par_limbs(mid.chunks_exact_mut(n), |t, limb: &mut [u64]| {
                 self.q_basis.table(lo + t).inverse(limb)
             });
             // BConv the slice into the complement limbs of the same block.
-            let converter = self.modup_converter(level, j)?;
             {
-                let srcs: Vec<&[u64]> = mid.chunks_exact(n).collect();
-                let mut outs: Vec<&mut [u64]> = left
-                    .chunks_exact_mut(n)
-                    .chain(right.chunks_exact_mut(n))
-                    .collect();
-                converter.convert_into(&srcs, &mut outs, false, &mut scratch.bconv);
+                let mid = &*mid;
+                self.modup_converter(level, j)?.convert_limbs(
+                    |t| &mid[t * n..(t + 1) * n],
+                    chain(left.chunks_exact_mut(n), right.chunks_exact_mut(n)),
+                    false,
+                    bconv,
+                );
             }
             // Restore the slice limbs from the NTT-domain input —
             // forward∘inverse is the identity bit-for-bit, so re-NTT-ing the
             // iNTT'd slice would only redo work — and forward-NTT just the
             // freshly converted complement limbs, limb-parallel.
-            mid.copy_from_slice(&d.data()[lo * n..hi * n]);
-            bts_math::par::par_limbs(
-                left.chunks_exact_mut(n)
-                    .chain(right.chunks_exact_mut(n))
-                    .collect(),
-                |t, limb: &mut [u64]| {
-                    let idx = if t < lo { t } else { hi + (t - lo) };
-                    self.key_basis
-                        .table(self.key_limb(level, idx))
-                        .forward(limb);
-                },
-            );
+            mid.copy_from_slice(&d[lo * n..hi * n]);
+            let complement = chain(left.chunks_exact_mut(n), right.chunks_exact_mut(n));
+            bts_math::par::par_limbs(complement, |t, limb: &mut [u64]| {
+                let idx = if t < lo { t } else { hi + (t - lo) };
+                self.key_basis
+                    .table(self.key_limb(level, idx))
+                    .forward(limb);
+            });
         }
-        self.ks.scratch.lock().expect("scratch pool").push(scratch);
         Ok(Decomposed {
             level,
             slices,
@@ -887,10 +988,6 @@ impl CkksContext {
     /// multiple of the slice modulus, which is noise the key-switch already
     /// budgets for.)
     ///
-    /// The per-slice evk MACs accumulate in `u128` with a single Barrett
-    /// reduction per element after the last slice, one limb row at a time so
-    /// the accumulators stay cache-resident.
-    ///
     /// # Errors
     ///
     /// Rejects digits of another context or an automorphism table of another
@@ -901,6 +998,74 @@ impl CkksContext {
         evk: &EvaluationKey,
         automorphism: Option<&AutomorphismTable>,
     ) -> crate::Result<(RnsPoly, RnsPoly)> {
+        let (mut b, mut a) = (self.empty_poly(), self.empty_poly());
+        self.with_scratch(|s| {
+            self.switch_into(
+                digits,
+                evk,
+                automorphism,
+                (&mut b, Land::Overwrite),
+                (&mut a, Land::Overwrite),
+                s,
+            )
+        })?;
+        Ok((b, a))
+    }
+
+    /// HMult's relinearization: key-switches `x ⊙ y` over the first ℓ+1
+    /// limbs — the tensor product's `d2`, formed in pooled scratch, ℓ being
+    /// `out_b`'s level — and adds the `(b, a)` pair onto `out_b` / `out_a`.
+    pub(crate) fn relinearize_into(
+        &self,
+        x: &RnsPoly,
+        y: &RnsPoly,
+        evk: &EvaluationKey,
+        out_b: &mut RnsPoly,
+        out_a: &mut RnsPoly,
+    ) -> crate::Result<()> {
+        let _span = bts_telemetry::span("ckks.key_switch");
+        let level = out_b.limb_count() - 1;
+        let n = self.degree;
+        self.with_scratch(|s| {
+            let mut d2 = std::mem::take(&mut s.d2);
+            d2.resize((level + 1) * n, 0);
+            bts_math::par::par_limbs(d2.chunks_exact_mut(n), |j, limb: &mut [u64]| {
+                let q = self.q_basis.modulus(j);
+                for ((out, &u), &v) in limb.iter_mut().zip(x.limb(j)).zip(y.limb(j)) {
+                    *out = q.mul(u, v);
+                }
+            });
+            let switched = self
+                .decompose_limbs(&d2, level, &mut s.bconv)
+                .and_then(|digits| {
+                    self.switch_into(
+                        &digits,
+                        evk,
+                        None,
+                        (out_b, Land::Accumulate),
+                        (out_a, Land::Accumulate),
+                        s,
+                    )
+                });
+            s.d2 = d2;
+            switched
+        })
+    }
+
+    /// The body behind every key-switch's second half: the per-slice evk
+    /// MACs accumulate in `u128` with a single Barrett reduction per element
+    /// after the last slice, one limb row at a time so the accumulators stay
+    /// cache-resident; ModDown then lands each half of the pair in its
+    /// destination as `land` says.
+    pub(crate) fn switch_into(
+        &self,
+        digits: &Decomposed,
+        evk: &EvaluationKey,
+        automorphism: Option<&AutomorphismTable>,
+        out_b: (&mut RnsPoly, Land),
+        out_a: (&mut RnsPoly, Land),
+        s: &mut KsScratch,
+    ) -> crate::Result<()> {
         let _span = bts_telemetry::span("ckks.switch_decomposed");
         let level = digits.level;
         let k = self.num_special();
@@ -916,7 +1081,6 @@ impl CkksContext {
             ));
         }
         let gather = automorphism.map(AutomorphismTable::ntt_gather);
-        let q_prefix = self.basis_at_level(level);
         let ext_limbs = level + 1 + k;
         // The u128 accumulators overflow after 2^(128 - 2·max_bits) MAC terms;
         // fold them with a reduction pass if the slice count could exceed that
@@ -927,133 +1091,136 @@ impl CkksContext {
             .unwrap_or(1);
         let fold_every = 1usize << 128u32.saturating_sub(2 * max_bits + 1).min(24);
 
-        let mut scratch = self.take_scratch();
-        scratch.acc_b.resize(ext_limbs * n, 0);
-        scratch.acc_a.resize(ext_limbs * n, 0);
-        scratch.p_part_b.resize(k * n, 0);
-        scratch.p_part_a.resize(k * n, 0);
-        let mut out_b = RnsPoly::zero(&q_prefix, Representation::Ntt);
-        let mut out_a = RnsPoly::zero(&q_prefix, Representation::Ntt);
-        {
-            // Row t of the inner product lands where ModDown wants it: the q
-            // limbs in the result polynomials, the special limbs in scratch.
-            let KsScratch {
-                acc_b,
-                acc_a,
-                p_part_b,
-                p_part_a,
-                ..
-            } = &mut scratch;
-            let rows: Vec<_> = acc_b
-                .chunks_exact_mut(n)
-                .zip(acc_a.chunks_exact_mut(n))
-                .zip(
-                    out_b
-                        .data_mut()
-                        .chunks_exact_mut(n)
-                        .chain(p_part_b.chunks_exact_mut(n)),
-                )
-                .zip(
-                    out_a
-                        .data_mut()
-                        .chunks_exact_mut(n)
-                        .chain(p_part_a.chunks_exact_mut(n)),
-                )
-                .collect();
-            bts_math::par::par_limbs(rows, |t, (((row_b, row_a), dst_b), dst_a)| {
-                let key_limb = self.key_limb(level, t);
-                let p = self.key_basis.modulus(key_limb);
-                row_b.fill(0);
-                row_a.fill(0);
-                let blocks = digits.digits.chunks_exact(ext_limbs * n);
-                for (j, (ext, (evk_b, evk_a))) in blocks.zip(&evk.slices).enumerate() {
-                    let digit = &ext[t * n..(t + 1) * n];
-                    let kb = evk_b.limb(key_limb);
-                    let ka = evk_a.limb(key_limb);
-                    match gather {
-                        None => mac_rows(row_b, row_a, kb, ka, digit.iter().copied()),
-                        Some(gather) => {
-                            let permuted = gather.iter().map(|&g| digit[g as usize]);
-                            mac_rows(row_b, row_a, kb, ka, permuted);
-                        }
-                    }
-                    if (j + 1).is_multiple_of(fold_every) {
-                        for x in row_b.iter_mut().chain(row_a.iter_mut()) {
-                            *x = p.reduce_u128(*x) as u128;
-                        }
-                    }
-                }
-                // Single Barrett reduction per element closes the deferred MACs.
-                for (dst, &acc) in dst_b.iter_mut().zip(row_b.iter()) {
-                    *dst = p.reduce_u128(acc);
-                }
-                for (dst, &acc) in dst_a.iter_mut().zip(row_a.iter()) {
-                    *dst = p.reduce_u128(acc);
-                }
-            });
+        for buffer in [&mut s.acc_b, &mut s.acc_a] {
+            buffer.resize(ext_limbs * n, 0);
         }
+        for buffer in [&mut s.ext_b, &mut s.ext_a] {
+            buffer.resize(ext_limbs * n, 0);
+        }
+        let rows = s
+            .acc_b
+            .chunks_exact_mut(n)
+            .zip(s.acc_a.chunks_exact_mut(n))
+            .zip(s.ext_b.chunks_exact_mut(n))
+            .zip(s.ext_a.chunks_exact_mut(n));
+        bts_math::par::par_limbs(rows, |t, (((row_b, row_a), dst_b), dst_a)| {
+            let key_limb = self.key_limb(level, t);
+            let p = self.key_basis.modulus(key_limb);
+            row_b.fill(0);
+            row_a.fill(0);
+            let blocks = digits.digits.chunks_exact(ext_limbs * n);
+            for (j, (ext, (evk_b, evk_a))) in blocks.zip(&evk.slices).enumerate() {
+                let digit = &ext[t * n..(t + 1) * n];
+                let kb = evk_b.limb(key_limb);
+                let ka = evk_a.limb(key_limb);
+                match gather {
+                    None => mac_rows(row_b, row_a, kb, ka, digit.iter().copied()),
+                    Some(gather) => {
+                        let permuted = gather.iter().map(|&g| digit[g as usize]);
+                        mac_rows(row_b, row_a, kb, ka, permuted);
+                    }
+                }
+                if (j + 1).is_multiple_of(fold_every) {
+                    for x in row_b.iter_mut().chain(row_a.iter_mut()) {
+                        *x = p.reduce_u128(*x) as u128;
+                    }
+                }
+            }
+            // Single Barrett reduction per element closes the deferred MACs.
+            for (dst, &acc) in dst_b.iter_mut().zip(row_b.iter()) {
+                *dst = p.reduce_u128(acc);
+            }
+            for (dst, &acc) in dst_a.iter_mut().zip(row_a.iter()) {
+                *dst = p.reduce_u128(acc);
+            }
+        });
         let KsScratch {
             bconv,
-            p_part_b,
-            p_part_a,
+            ext_b,
+            ext_a,
             conv,
             ..
-        } = &mut scratch;
-        self.mod_down(&mut out_b, p_part_b, conv, bconv)?;
-        self.mod_down(&mut out_a, p_part_a, conv, bconv)?;
-        self.ks.scratch.lock().expect("scratch pool").push(scratch);
-        Ok((out_b, out_a))
+        } = s;
+        self.mod_down(ext_b, out_b, conv, bconv)?;
+        self.mod_down(ext_a, out_a, conv, bconv)
     }
 
-    fn take_scratch(&self) -> KsScratch {
-        self.ks
+    /// Runs `body` on a [`KsScratch`] from the context's pool and returns it
+    /// there afterwards, so each op reuses the buffers of the ones before.
+    pub(crate) fn with_scratch<T>(&self, body: impl FnOnce(&mut KsScratch) -> T) -> T {
+        let mut scratch = self
+            .ks
             .scratch
             .lock()
             .expect("scratch pool")
             .pop()
-            .unwrap_or_default()
+            .unwrap_or_default();
+        let out = body(&mut scratch);
+        self.ks.scratch.lock().expect("scratch pool").push(scratch);
+        out
     }
 
-    /// Divides an extended-basis polynomial by `P` in place: `x` holds its
-    /// level-ℓ q limbs (NTT domain) and `p_part` its k special limbs, and `x`
-    /// leaves as the level-ℓ quotient.
+    /// Divides an extended-basis polynomial by `P`: `ext` holds its level-ℓ
+    /// q limbs followed by its k special limbs (NTT domain), and the level-ℓ
+    /// quotient lands in `out` — over it, or added onto it.
     fn mod_down(
         &self,
-        x: &mut RnsPoly,
-        p_part: &mut [u64],
+        ext: &mut [u64],
+        (out, land): (&mut RnsPoly, Land),
         conv: &mut Vec<u64>,
         bconv: &mut BconvScratch,
     ) -> crate::Result<()> {
         let n = self.degree;
-        let level = x.limb_count() - 1;
+        let level = ext.len() / n - self.num_special() - 1;
+        let (x, p_part) = ext.split_at_mut((level + 1) * n);
         // iNTT the special limbs.
-        bts_math::par::par_limbs(
-            p_part.chunks_exact_mut(n).collect(),
-            |i, limb: &mut [u64]| self.p_basis.table(i).inverse(limb),
-        );
+        bts_math::par::par_limbs(p_part.chunks_exact_mut(n), |i, limb: &mut [u64]| {
+            self.p_basis.table(i).inverse(limb)
+        });
         // BConv the P part down to the q base, then NTT it back.
-        let converter = self.moddown_converter(level)?;
         conv.resize((level + 1) * n, 0);
-        {
-            let srcs: Vec<&[u64]> = p_part.chunks_exact(n).collect();
-            let mut outs: Vec<&mut [u64]> = conv.chunks_exact_mut(n).collect();
-            converter.convert_into(&srcs, &mut outs, false, bconv);
-        }
-        bts_math::par::par_limbs(conv.chunks_exact_mut(n).collect(), |i, limb: &mut [u64]| {
+        let p_part = &*p_part;
+        self.moddown_converter(level)?.convert_limbs(
+            |i| &p_part[i * n..(i + 1) * n],
+            conv.chunks_exact_mut(n),
+            false,
+            bconv,
+        );
+        bts_math::par::par_limbs(conv.chunks_exact_mut(n), |i, limb: &mut [u64]| {
             self.q_basis.table(i).forward(limb)
         });
-        // x_i = (x_i - conv_i) · P^{-1} mod q_i, fused in one pass.
-        let conv = &*conv;
-        bts_math::par::par_limbs(
-            x.data_mut().chunks_exact_mut(n).collect(),
-            |i, limb: &mut [u64]| {
-                let qi = self.q_basis.modulus(i);
-                let p_inv = &self.p_inv_mod_q[i];
-                for (slot, &c) in limb.iter_mut().zip(&conv[i * n..(i + 1) * n]) {
-                    *slot = qi.mul_shoup(qi.sub(*slot, c), p_inv);
+        // out_i (+)= (x_i - conv_i) · P^{-1} mod q_i, fused in one pass.
+        match land {
+            Land::Overwrite => {
+                out.reshape(&self.basis_at_level(level), Representation::Ntt);
+            }
+            Land::Accumulate if out.limb_count() != level + 1 => {
+                return Err(CkksError::OperandMismatch(format!(
+                    "a level-{level} key-switch cannot land on {} limbs",
+                    out.limb_count()
+                )));
+            }
+            Land::Accumulate => {}
+        }
+        let (x, conv) = (&*x, &*conv);
+        out.par_limbs_mut(|i, _, limb| {
+            let qi = self.q_basis.modulus(i);
+            let p_inv = &self.p_inv_mod_q[i];
+            let terms = x[i * n..(i + 1) * n].iter().zip(&conv[i * n..(i + 1) * n]);
+            let quotient = |(&x, &c): (&u64, &u64)| qi.mul_shoup(qi.sub(x, c), p_inv);
+            match land {
+                Land::Overwrite => {
+                    for (slot, term) in limb.iter_mut().zip(terms) {
+                        *slot = quotient(term);
+                    }
                 }
-            },
-        );
+                Land::Accumulate => {
+                    for (slot, term) in limb.iter_mut().zip(terms) {
+                        *slot = qi.add(*slot, quotient(term));
+                    }
+                }
+            }
+        });
         Ok(())
     }
 }

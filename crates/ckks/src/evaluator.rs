@@ -1,10 +1,10 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use bts_math::{Representation, RnsPoly};
+use bts_math::{Modulus, NttTable, Representation, RnsPoly};
 
 use crate::ciphertext::{Ciphertext, Plaintext};
-use crate::context::{CkksContext, Decomposed};
+use crate::context::{CkksContext, Decomposed, Land};
 use crate::encoding::Complex;
 use crate::error::CkksError;
 use crate::keys::{EvaluationKey, KeyBundle};
@@ -55,18 +55,49 @@ impl<'a> Evaluator<'a> {
         Ok(())
     }
 
-    /// The kernels that work slot-wise are only right on NTT-domain limbs —
-    /// which every ciphertext this crate produces has.
-    fn check_ntt(a: &Ciphertext) -> crate::Result<()> {
-        if [&a.c0, &a.c1]
-            .iter()
-            .any(|p| p.representation() != Representation::Ntt)
-        {
-            return Err(CkksError::OperandMismatch(
-                "ciphertext polynomials must be in the NTT domain".to_string(),
-            ));
+    /// Every `_into` body reads its operands' limbs in place at the level it
+    /// computes at, so each polynomial must be in the NTT domain — the
+    /// kernels work slot-wise — and sit on this context's modulus chain with
+    /// at least `level + 1` limbs. Every ciphertext this crate produces does.
+    fn check_operands(&self, level: usize, operands: &[&Ciphertext]) -> crate::Result<()> {
+        let basis = self.context.basis_at_level(level);
+        for poly in operands.iter().flat_map(|ct| [&ct.c0, &ct.c1]) {
+            if poly.representation() != Representation::Ntt {
+                return Err(CkksError::OperandMismatch(
+                    "ciphertext polynomials must be in the NTT domain".to_string(),
+                ));
+            }
+            if !basis.is_prefix_of(poly.basis()) {
+                return Err(CkksError::OperandMismatch(format!(
+                    "ciphertext is not on this context's modulus chain at level {level}"
+                )));
+            }
         }
         Ok(())
+    }
+
+    /// Shapes `out` as this context's level-`level` NTT-domain polynomial and
+    /// fills limb `j` with `f(j, table_j, limb_j)`: where every `_into` body
+    /// writes its result.
+    fn write(
+        &self,
+        out: &mut RnsPoly,
+        level: usize,
+        f: impl Fn(usize, &NttTable, &mut [u64]) + Sync,
+    ) {
+        out.reshape(&self.context.basis_at_level(level), Representation::Ntt)
+            .par_limbs_mut(f);
+    }
+
+    /// Runs an `_into` body on a fresh destination: the allocating form of
+    /// every op.
+    fn fresh(
+        &self,
+        body: impl FnOnce(&mut Ciphertext) -> crate::Result<()>,
+    ) -> crate::Result<Ciphertext> {
+        let mut dst = self.context.empty_ciphertext();
+        body(&mut dst)?;
+        Ok(dst)
     }
 
     /// Drops limbs so the ciphertext sits at `level` (no scaling involved).
@@ -103,32 +134,29 @@ impl<'a> Evaluator<'a> {
         Ok(Cow::Owned(self.level_reduce(ct, level)?))
     }
 
-    fn align<'c>(
-        &self,
-        a: &'c Ciphertext,
-        b: &'c Ciphertext,
-    ) -> crate::Result<(Cow<'c, Ciphertext>, Cow<'c, Ciphertext>)> {
-        let level = a.level.min(b.level);
-        Ok((
-            self.level_reduce_cow(a, level)?,
-            self.level_reduce_cow(b, level)?,
-        ))
-    }
-
     /// HAdd: element-wise addition (Eq. 2).
     ///
     /// # Errors
     ///
     /// Fails on scale mismatch.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> crate::Result<Ciphertext> {
-        Self::check_scales(a.scale, b.scale)?;
-        let (a, b) = self.align(a, b)?;
-        Ok(Ciphertext::new(
-            a.c0.add(&b.c0)?,
-            a.c1.add(&b.c1)?,
-            a.level,
-            a.scale,
-        ))
+        self.fresh(|dst| self.add_into(a, b, dst))
+    }
+
+    /// [`Evaluator::add`] written into `dst`, at the lower of the two levels
+    /// (the higher operand's extra limbs are never read).
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::add`]; on error `dst` is left unspecified, as it is by
+    /// every `_into` op.
+    pub fn add_into(
+        &self,
+        a: &Ciphertext,
+        b: &Ciphertext,
+        dst: &mut Ciphertext,
+    ) -> crate::Result<()> {
+        self.zip_into(a, b, dst, Modulus::add)
     }
 
     /// Element-wise subtraction.
@@ -137,14 +165,32 @@ impl<'a> Evaluator<'a> {
     ///
     /// Fails on scale mismatch.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> crate::Result<Ciphertext> {
+        self.fresh(|dst| self.zip_into(a, b, dst, Modulus::sub))
+    }
+
+    /// The body of HAdd and subtraction: `f` residue-wise over both
+    /// polynomial pairs at the lower of the two levels.
+    fn zip_into(
+        &self,
+        a: &Ciphertext,
+        b: &Ciphertext,
+        dst: &mut Ciphertext,
+        f: impl Fn(&Modulus, u64, u64) -> u64 + Sync + Copy,
+    ) -> crate::Result<()> {
         Self::check_scales(a.scale, b.scale)?;
-        let (a, b) = self.align(a, b)?;
-        Ok(Ciphertext::new(
-            a.c0.sub(&b.c0)?,
-            a.c1.sub(&b.c1)?,
-            a.level,
-            a.scale,
-        ))
+        let level = a.level.min(b.level);
+        self.check_operands(level, &[a, b])?;
+        for (out, x, y) in [(&mut dst.c0, &a.c0, &b.c0), (&mut dst.c1, &a.c1, &b.c1)] {
+            self.write(out, level, |j, table, limb| {
+                let q = table.modulus();
+                for ((out, &u), &v) in limb.iter_mut().zip(x.limb(j)).zip(y.limb(j)) {
+                    *out = f(q, u, v);
+                }
+            });
+        }
+        dst.level = level;
+        dst.scale = a.scale;
+        Ok(())
     }
 
     /// Negation.
@@ -160,15 +206,45 @@ impl<'a> Evaluator<'a> {
     ///
     /// Propagates key-switching failures.
     pub fn mul(&self, a: &Ciphertext, b: &Ciphertext) -> crate::Result<Ciphertext> {
-        let (a, b) = self.align(a, b)?;
-        let mut d0 = a.c0.mul(&b.c0)?;
-        let mut d1 = a.c0.mul(&b.c1)?;
-        d1.fused_mul_add_assign(&a.c1, &b.c0)?;
-        let d2 = a.c1.mul(&b.c1)?;
-        let (kb, ka) = self.context.key_switch(&d2, self.keys.relin())?;
-        d0.add_assign(&kb)?;
-        d1.add_assign(&ka)?;
-        Ok(Ciphertext::new(d0, d1, a.level, a.scale * b.scale))
+        self.fresh(|dst| self.mul_into(a, b, dst))
+    }
+
+    /// [`Evaluator::mul`] written into `dst`: `d0 = a0·b0` and
+    /// `d1 = a0·b1 + a1·b0` straight into its polynomials, `d2 = a1·b1` in
+    /// the context's pooled scratch, and the key-switch of `d2` added onto
+    /// `d0` / `d1` by ModDown's last pass. `mul_into(x, x, dst)` squares.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::mul`].
+    pub fn mul_into(
+        &self,
+        a: &Ciphertext,
+        b: &Ciphertext,
+        dst: &mut Ciphertext,
+    ) -> crate::Result<()> {
+        let level = a.level.min(b.level);
+        self.check_operands(level, &[a, b])?;
+        let (a0, a1, b0, b1) = (&a.c0, &a.c1, &b.c0, &b.c1);
+        self.write(&mut dst.c0, level, |j, table, d0| {
+            let q = table.modulus();
+            for ((out, &x), &y) in d0.iter_mut().zip(a0.limb(j)).zip(b0.limb(j)) {
+                *out = q.mul(x, y);
+            }
+        });
+        self.write(&mut dst.c1, level, |j, table, d1| {
+            let q = table.modulus();
+            let cross = a0.limb(j).iter().zip(b1.limb(j));
+            let terms = cross.zip(a1.limb(j).iter().zip(b0.limb(j)));
+            for (out, ((&x0, &y1), (&x1, &y0))) in d1.iter_mut().zip(terms) {
+                *out = q.mul_add(x1, y0, q.mul(x0, y1));
+            }
+        });
+        self.context
+            .relinearize_into(a1, b1, self.keys.relin(), &mut dst.c0, &mut dst.c1)?;
+        dst.level = level;
+        dst.scale = a.scale * b.scale;
+        Ok(())
     }
 
     /// Squares a ciphertext (same flow as [`Evaluator::mul`]).
@@ -241,16 +317,37 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Currently infallible in practice; kept fallible for API stability.
+    /// Fails if the ciphertext is not in the NTT domain.
     pub fn mul_const(&self, a: &Ciphertext, value: f64) -> crate::Result<Ciphertext> {
+        self.fresh(|dst| self.mul_const_into(a, value, dst))
+    }
+
+    /// [`Evaluator::mul_const`] written into `dst`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::mul_const`].
+    pub fn mul_const_into(
+        &self,
+        a: &Ciphertext,
+        value: f64,
+        dst: &mut Ciphertext,
+    ) -> crate::Result<()> {
+        self.check_operands(a.level, &[a])?;
         let scale = self.context.scale();
         let constant = Self::scaled_constant(value, scale);
-        Ok(Ciphertext::new(
-            a.c0.mul_scalar(constant),
-            a.c1.mul_scalar(constant),
-            a.level,
-            a.scale * scale,
-        ))
+        for (out, x) in [(&mut dst.c0, &a.c0), (&mut dst.c1, &a.c1)] {
+            self.write(out, a.level, |j, table, limb| {
+                let q = table.modulus();
+                let w = q.shoup(q.reduce(q.from_i64(constant)));
+                for (out, &v) in limb.iter_mut().zip(x.limb(j)) {
+                    *out = q.mul_shoup(v, &w);
+                }
+            });
+        }
+        dst.level = a.level;
+        dst.scale = a.scale * scale;
+        Ok(())
     }
 
     /// CAdd: adds a real constant to every slot.
@@ -260,23 +357,34 @@ impl<'a> Evaluator<'a> {
     /// Fails if the ciphertext's scale is not positive and finite, or if it
     /// is not in the NTT domain.
     pub fn add_const(&self, a: &Ciphertext, value: f64) -> crate::Result<Ciphertext> {
+        self.fresh(|dst| self.add_const_into(a, value, dst))
+    }
+
+    /// [`Evaluator::add_const`] written into `dst`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::add_const`].
+    pub fn add_const_into(
+        &self,
+        a: &Ciphertext,
+        value: f64,
+        dst: &mut Ciphertext,
+    ) -> crate::Result<()> {
         Self::check_scales(a.scale, a.scale)?;
-        Self::check_ntt(a)?;
+        self.check_operands(a.level, &[a])?;
         let constant = Self::scaled_constant(value, a.scale);
-        let mut c0 = a.c0.clone();
-        let n = self.context.degree();
-        let q = self.context.q_basis();
-        bts_math::par::par_limbs(
-            c0.data_mut().chunks_exact_mut(n).collect(),
-            |i, limb: &mut [u64]| {
-                let qi = q.modulus(i);
-                let residue = qi.from_i64(constant);
-                for x in limb.iter_mut() {
-                    *x = qi.add(*x, residue);
-                }
-            },
-        );
-        Ok(Ciphertext::new(c0, a.c1.clone(), a.level, a.scale))
+        self.write(&mut dst.c0, a.level, |j, table, limb| {
+            let q = table.modulus();
+            let residue = q.from_i64(constant);
+            for (out, &x) in limb.iter_mut().zip(a.c0.limb(j)) {
+                *out = q.add(x, residue);
+            }
+        });
+        dst.c1.clone_from(&a.c1);
+        dst.level = a.level;
+        dst.scale = a.scale;
+        Ok(())
     }
 
     /// HRescale: divides the ciphertext by the last prime modulus, dropping one
@@ -291,44 +399,48 @@ impl<'a> Evaluator<'a> {
     ///
     /// Fails if the ciphertext is at level 0 or not in the NTT domain.
     pub fn rescale(&self, a: &Ciphertext) -> crate::Result<Ciphertext> {
+        self.fresh(|dst| self.rescale_into(a, dst))
+    }
+
+    /// [`Evaluator::rescale`] written into `dst`; the dropped limb is
+    /// inverse-transformed in the context's pooled scratch.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::rescale`].
+    pub fn rescale_into(&self, a: &Ciphertext, dst: &mut Ciphertext) -> crate::Result<()> {
         if a.level == 0 {
             return Err(CkksError::LevelExhausted {
                 level: 0,
                 required: 1,
             });
         }
-        Self::check_ntt(a)?;
+        self.check_operands(a.level, &[a])?;
         let last = a.level;
         let q_last = self.context.q_modulus(last);
-        let n = self.context.degree();
         let inverses = self.context.rescale_constants(last);
-        let kept_basis = self.context.basis_at_level(last - 1);
-        let rescale_poly = |poly: &RnsPoly| -> RnsPoly {
-            let mut dropped = poly.limb(last).to_vec();
-            self.context.q_basis().table(last).inverse(&mut dropped);
-            let mut out = RnsPoly::zero(&kept_basis, Representation::Ntt);
-            bts_math::par::par_limbs(
-                out.data_mut().chunks_exact_mut(n).collect(),
-                |i, limb: &mut [u64]| {
-                    let qi = kept_basis.modulus(i);
-                    for (r, &c) in limb.iter_mut().zip(&dropped) {
+        self.context.with_scratch(|s| {
+            for (out, poly) in [(&mut dst.c0, &a.c0), (&mut dst.c1, &a.c1)] {
+                s.limb.clear();
+                s.limb.extend_from_slice(poly.limb(last));
+                self.context.q_basis().table(last).inverse(&mut s.limb);
+                let dropped = &s.limb;
+                self.write(out, last - 1, |i, table, limb| {
+                    let qi = table.modulus();
+                    for (r, &c) in limb.iter_mut().zip(dropped) {
                         *r = qi.reduce(c);
                     }
-                    kept_basis.table(i).forward(limb);
+                    table.forward(limb);
                     let q_last_inv = qi.shoup(inverses[i]);
                     for (r, &x) in limb.iter_mut().zip(poly.limb(i)) {
                         *r = qi.mul_shoup(qi.sub(x, *r), &q_last_inv);
                     }
-                },
-            );
-            out
-        };
-        Ok(Ciphertext::new(
-            rescale_poly(&a.c0),
-            rescale_poly(&a.c1),
-            last - 1,
-            a.scale / q_last as f64,
-        ))
+                });
+            }
+        });
+        dst.level = last - 1;
+        dst.scale = a.scale / q_last as f64;
+        Ok(())
     }
 
     /// Multiplies two ciphertexts and immediately rescales — the most common
@@ -398,15 +510,32 @@ impl<'a> Evaluator<'a> {
         digits: &Decomposed,
         r: i64,
     ) -> crate::Result<Ciphertext> {
+        self.fresh(|dst| self.rotate_decomposed_into(a, digits, r, dst))
+    }
+
+    /// [`Evaluator::rotate_decomposed`] written into `dst` (a copy of `a`
+    /// for `r = 0`).
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::rotate_decomposed`].
+    pub fn rotate_decomposed_into(
+        &self,
+        a: &Ciphertext,
+        digits: &Decomposed,
+        r: i64,
+        dst: &mut Ciphertext,
+    ) -> crate::Result<()> {
         if r == 0 {
-            return Ok(a.clone());
+            dst.clone_from(a);
+            return Ok(());
         }
         let key = self
             .keys
             .rotation(r)
             .ok_or_else(|| CkksError::MissingKey(format!("rotation key for r = {r}")))?;
         let galois = bts_math::galois_element(r, self.context.degree(), false);
-        self.apply_galois(a, digits, galois, key)
+        self.apply_galois_into(a, digits, galois, key, dst)
     }
 
     /// Complex conjugation of every slot.
@@ -428,34 +557,61 @@ impl<'a> Evaluator<'a> {
         a: &Ciphertext,
         digits: &Decomposed,
     ) -> crate::Result<Ciphertext> {
+        self.fresh(|dst| self.conjugate_decomposed_into(a, digits, dst))
+    }
+
+    /// [`Evaluator::conjugate_decomposed`] written into `dst`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::conjugate_decomposed`].
+    pub fn conjugate_decomposed_into(
+        &self,
+        a: &Ciphertext,
+        digits: &Decomposed,
+        dst: &mut Ciphertext,
+    ) -> crate::Result<()> {
         let key = self
             .keys
             .conjugation()
             .ok_or_else(|| CkksError::MissingKey("conjugation key".to_string()))?;
         let galois = bts_math::galois_element(0, self.context.degree(), true);
-        self.apply_galois(a, digits, galois, key)
+        self.apply_galois_into(a, digits, galois, key, dst)
     }
 
     /// The one body behind every rotation and conjugation: `σ_g` applied to
-    /// `c0` as an NTT-domain gather, and to `c1` by reading its digits
-    /// through the same gather inside the key-switch.
-    fn apply_galois(
+    /// `c0` as an NTT-domain gather straight into `dst.c0`, and to `c1` by
+    /// reading its digits through the same gather inside the key-switch,
+    /// whose ModDown adds its `b` half onto the permuted `c0`.
+    fn apply_galois_into(
         &self,
         a: &Ciphertext,
         digits: &Decomposed,
         galois: u64,
         key: &EvaluationKey,
-    ) -> crate::Result<Ciphertext> {
+        dst: &mut Ciphertext,
+    ) -> crate::Result<()> {
         if !digits.is_cut_from(&a.c1) {
             return Err(CkksError::OperandMismatch(
                 "key-switch digits were not decomposed from this ciphertext".to_string(),
             ));
         }
+        self.check_operands(a.level, &[a])?;
         let table = self.context.automorphism_table(galois)?;
-        let mut c0 = a.c0.automorphism(&table);
-        let (kb, ka) = self.context.switch_decomposed(digits, key, Some(&table))?;
-        c0.add_assign(&kb)?;
-        Ok(Ciphertext::new(c0, ka, a.level, a.scale))
+        a.c0.automorphism_into(&table, &mut dst.c0);
+        self.context.with_scratch(|s| {
+            self.context.switch_into(
+                digits,
+                key,
+                Some(&table),
+                (&mut dst.c0, Land::Accumulate),
+                (&mut dst.c1, Land::Overwrite),
+                s,
+            )
+        })?;
+        dst.level = a.level;
+        dst.scale = a.scale;
+        Ok(())
     }
 
     /// Applies a homomorphic linear transform (matrix–vector product in slot

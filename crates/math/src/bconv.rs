@@ -3,13 +3,13 @@ use crate::poly::RnsPoly;
 use crate::rns::RnsBasis;
 use crate::{par, MathError};
 
-/// Coefficients whose MAC accumulators [`BaseConverter::convert_into`] keeps
+/// Coefficients whose MAC accumulators [`BaseConverter::convert_limbs`] keeps
 /// live together. Four `u128`s are eight of x86-64's sixteen general
 /// registers; at 8 and 16 lanes the accumulators spill and the ModUp shape
 /// (7 → 14 limbs, N = 2^12) measured 11 % slower, at 2 lanes 25 %.
 const MAC_LANES: usize = 4;
 
-/// Reusable buffers for [`BaseConverter::convert_into`]: the "first part"
+/// Reusable buffers for [`BaseConverter::convert_limbs`]: the "first part"
 /// products and the overshoot estimates. Owned by the caller (e.g. the CKKS
 /// key-switch scratch) so repeated conversions allocate nothing after the
 /// first call.
@@ -161,25 +161,24 @@ impl BaseConverter {
     }
 
     fn convert_with(&self, poly: &RnsPoly, exact: bool) -> RnsPoly {
-        assert_eq!(
-            poly.basis().moduli(),
-            self.source.moduli(),
+        assert!(
+            poly.basis() == &self.source,
             "input must live on the source base"
         );
         let mut out = RnsPoly::zero(&self.target, poly.representation());
         let n = self.target.degree();
-        let srcs: Vec<&[u64]> = poly.limbs().collect();
-        let mut outs: Vec<&mut [u64]> = out.data_mut().chunks_exact_mut(n).collect();
-        let mut scratch = BconvScratch::new();
-        self.convert_into(&srcs, &mut outs, exact, &mut scratch);
+        self.convert_limbs(
+            |j| poly.limb(j),
+            out.data_mut().chunks_exact_mut(n),
+            exact,
+            &mut BconvScratch::new(),
+        );
         out
     }
 
-    /// Allocation-free conversion from raw source limb views into
-    /// caller-provided target limbs (one slice of length N per limb, in base
-    /// order on both sides). This is the key-switch entry point: ModUp reads
-    /// the slice limbs out of the extended residue matrix and writes the
-    /// converted limbs straight into their positions in the same matrix.
+    /// Conversion from raw source limb views into caller-provided target
+    /// limbs (one slice of length N per limb, in base order on both sides):
+    /// [`BaseConverter::convert_limbs`] over two lists.
     ///
     /// # Panics
     ///
@@ -191,33 +190,56 @@ impl BaseConverter {
         exact: bool,
         scratch: &mut BconvScratch,
     ) {
+        assert_eq!(
+            srcs.len(),
+            self.source.len(),
+            "one input limb per source limb"
+        );
+        self.convert_limbs(
+            |j| srcs[j],
+            outs.iter_mut().map(|o| &mut **o),
+            exact,
+            scratch,
+        );
+    }
+
+    /// The conversion kernel: source limb `j` is `src(j)`, and `outs` yields
+    /// the target limbs in base order. This is the key-switch entry point:
+    /// ModUp reads the slice limbs out of the extended residue matrix and
+    /// writes the converted limbs straight into their positions in the same
+    /// matrix, with no list of limb views built per call — once `scratch`
+    /// has grown, a conversion allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source or target limb is not N long, or `outs` does not
+    /// yield one limb per target limb.
+    pub fn convert_limbs<'s, 'o>(
+        &self,
+        src: impl Fn(usize) -> &'s [u64] + Sync,
+        outs: impl ExactSizeIterator<Item = &'o mut [u64]>,
+        exact: bool,
+        scratch: &mut BconvScratch,
+    ) {
         let _span = bts_telemetry::span("bconv.convert_into");
         let n = self.source.degree();
         let s = self.source.len();
-        assert_eq!(srcs.len(), s, "one input limb per source limb");
-        for limb in srcs.iter() {
-            assert_eq!(limb.len(), n, "every input limb must have length N");
-        }
         assert_eq!(outs.len(), self.target.len(), "one output limb per target");
-        for limb in outs.iter() {
-            assert_eq!(limb.len(), n, "every output limb must have length N");
-        }
 
         // First part: y_j = [a_j * qhat_inv_j]_{q_j} (limb-parallel ModMult).
         scratch.y.resize(s * n, 0);
         {
             let source = &self.source;
             let qhat_inv = &self.qhat_inv;
-            par::par_limbs(
-                scratch.y.chunks_exact_mut(n).collect(),
-                |j, y_j: &mut [u64]| {
-                    let qj = source.modulus(j);
-                    let w = &qhat_inv[j];
-                    for (y, &a) in y_j.iter_mut().zip(srcs[j]) {
-                        *y = qj.mul_shoup(a, w);
-                    }
-                },
-            );
+            par::par_limbs(scratch.y.chunks_exact_mut(n), |j, y_j: &mut [u64]| {
+                let a_j = src(j);
+                assert_eq!(a_j.len(), n, "every input limb must have length N");
+                let qj = source.modulus(j);
+                let w = &qhat_inv[j];
+                for (y, &a) in y_j.iter_mut().zip(a_j) {
+                    *y = qj.mul_shoup(a, w);
+                }
+            });
         }
         let y = &scratch.y;
 
@@ -243,7 +265,8 @@ impl BaseConverter {
         // the worker threads.
         let target = &self.target;
         let q_mod_target = &self.q_mod_target;
-        par::par_limbs(outs.iter_mut().collect(), |i, out_i: &mut &mut [u64]| {
+        par::par_limbs(outs, |i, out_i: &mut [u64]| {
+            assert_eq!(out_i.len(), n, "every output limb must have length N");
             let p = target.modulus(i);
             // Full blocks have a length the compiler can see, so their lane
             // loops unroll; N is a power of two, so there is a remainder only
@@ -299,9 +322,8 @@ impl BaseConverter {
     ///
     /// Panics if `poly` does not live on the source base.
     pub fn convert_eager(&self, poly: &RnsPoly, exact: bool) -> RnsPoly {
-        assert_eq!(
-            poly.basis().moduli(),
-            self.source.moduli(),
+        assert!(
+            poly.basis() == &self.source,
             "input must live on the source base"
         );
         let n = self.source.degree();

@@ -76,29 +76,33 @@ fn pool_with_at_least(workers: usize) -> Arc<rayon::ThreadPool> {
 ///
 /// Items are distributed in contiguous index blocks; the calling thread
 /// executes the first block itself, so `num_threads() == 1` (the default)
-/// never touches the pool and is exactly the serial loop. Outputs must only
-/// depend on `(index, item)` — every caller in this crate writes a disjoint
-/// `&mut [u64]` limb slice — which makes the result independent of the
-/// thread count.
-pub fn par_limbs<T, F>(items: Vec<T>, f: F)
+/// never touches the pool and is exactly the serial loop — which walks the
+/// iterator in place and allocates nothing; only the fan-out collects its
+/// blocks. Outputs must only depend on `(index, item)` — every caller in
+/// this crate writes a disjoint `&mut [u64]` limb slice — which makes the
+/// result independent of the thread count.
+pub fn par_limbs<I, F>(items: I, f: F)
 where
-    T: Send,
-    F: Fn(usize, T) + Sync,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Send,
+    F: Fn(usize, I::Item) + Sync,
 {
-    let threads = num_threads().min(items.len().max(1));
+    let items = items.into_iter();
+    let len = items.len();
+    let threads = num_threads().min(len.max(1));
     if threads <= 1 || IN_WORKER.with(Cell::get) {
-        for (j, item) in items.into_iter().enumerate() {
+        for (j, item) in items.enumerate() {
             f(j, item);
         }
         return;
     }
 
     // Contiguous blocks: ceil(len / threads) items per task.
-    let len = items.len();
     let block = len.div_ceil(threads);
-    let mut blocks: Vec<Vec<(usize, T)>> = Vec::with_capacity(threads);
+    let mut blocks: Vec<Vec<(usize, I::Item)>> = Vec::with_capacity(threads);
     let mut current = Vec::with_capacity(block);
-    for (j, item) in items.into_iter().enumerate() {
+    for (j, item) in items.enumerate() {
         current.push((j, item));
         if current.len() == block {
             blocks.push(std::mem::take(&mut current));
@@ -133,6 +137,53 @@ where
     });
 }
 
+/// `a` then `b` as one [`ExactSizeIterator`] — what [`par_limbs`] takes and
+/// [`Iterator::chain`] is not (its length could overflow). Key-switching
+/// fans out over the limbs on either side of a decomposition slice this way.
+pub fn chain<A, B>(a: A, b: B) -> Chain<A::IntoIter, B::IntoIter>
+where
+    A: IntoIterator,
+    A::IntoIter: ExactSizeIterator,
+    B: IntoIterator<Item = A::Item>,
+    B::IntoIter: ExactSizeIterator,
+{
+    Chain {
+        a: a.into_iter(),
+        b: b.into_iter(),
+    }
+}
+
+/// The iterator [`chain`] returns.
+#[derive(Debug)]
+pub struct Chain<A, B> {
+    a: A,
+    b: B,
+}
+
+impl<A, B> Iterator for Chain<A, B>
+where
+    A: ExactSizeIterator,
+    B: ExactSizeIterator<Item = A::Item>,
+{
+    type Item = A::Item;
+
+    fn next(&mut self) -> Option<A::Item> {
+        self.a.next().or_else(|| self.b.next())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.a.len() + self.b.len();
+        (len, Some(len))
+    }
+}
+
+impl<A, B> ExactSizeIterator for Chain<A, B>
+where
+    A: ExactSizeIterator,
+    B: ExactSizeIterator<Item = A::Item>,
+{
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,14 +193,11 @@ mod tests {
         let run = |threads: usize| {
             let mut data = vec![0u64; 64 * 7];
             set_threads(threads);
-            par_limbs(
-                data.chunks_exact_mut(64).collect(),
-                |j, limb: &mut [u64]| {
-                    for (c, v) in limb.iter_mut().enumerate() {
-                        *v = (j as u64) << 32 | c as u64;
-                    }
-                },
-            );
+            par_limbs(data.chunks_exact_mut(64), |j, limb: &mut [u64]| {
+                for (c, v) in limb.iter_mut().enumerate() {
+                    *v = (j as u64) << 32 | c as u64;
+                }
+            });
             set_threads(0);
             data
         };
@@ -160,10 +208,10 @@ mod tests {
     fn nested_fanout_degrades_to_serial() {
         set_threads(2);
         let mut outer = vec![0u64; 4];
-        par_limbs(outer.iter_mut().collect(), |j, slot: &mut u64| {
+        par_limbs(outer.iter_mut(), |j, slot: &mut u64| {
             // A nested fan-out from a worker must not deadlock.
             let mut inner = [0u64; 2];
-            par_limbs(inner.iter_mut().collect(), |i, v: &mut u64| {
+            par_limbs(inner.iter_mut(), |i, v: &mut u64| {
                 *v = (j + i) as u64;
             });
             *slot = inner.iter().sum();
@@ -175,5 +223,19 @@ mod tests {
     #[test]
     fn empty_input_is_a_no_op() {
         par_limbs(Vec::<&mut [u64]>::new(), |_, _| unreachable!());
+    }
+
+    #[test]
+    fn chain_fans_out_over_both_sides() {
+        for threads in [1, 3] {
+            set_threads(threads);
+            let mut data = vec![0u64; 10];
+            let (left, right) = data.split_at_mut(4);
+            let both = chain(left.iter_mut(), right.iter_mut());
+            assert_eq!(both.len(), 10);
+            par_limbs(both, |j, v: &mut u64| *v = j as u64);
+            set_threads(0);
+            assert_eq!(data, (0..10).collect::<Vec<u64>>());
+        }
     }
 }

@@ -1,4 +1,5 @@
 use crate::automorphism::AutomorphismTable;
+use crate::ntt::NttTable;
 use crate::rns::RnsBasis;
 use crate::{par, MathError};
 
@@ -16,23 +17,44 @@ pub enum Representation {
 /// contiguous limb-major buffer: the `N × (ℓ+1)` residue matrix of the paper
 /// (Eq. 1), with limb `j` occupying `data[j·N .. (j+1)·N]`.
 ///
-/// The flat layout is what makes the hot paths allocation-free: limbs are
-/// `&[u64]`/`&mut [u64]` *views* ([`RnsPoly::limb`], [`RnsPoly::limb_mut`]),
-/// dropping limbs is a `Vec::truncate` ([`RnsPoly::into_keep_limbs`],
-/// [`RnsPoly::drop_last_limb`]), and per-limb kernels fan out over
-/// `chunks_exact_mut` without per-limb allocations — mirroring how the
-/// accelerator slices the same matrix across PE groups.
+/// The flat layout is what lets the hot paths run without allocating: limbs
+/// are `&[u64]`/`&mut [u64]` *views* ([`RnsPoly::limb`],
+/// [`RnsPoly::limb_mut`]), dropping limbs is a `Vec::truncate`
+/// ([`RnsPoly::into_keep_limbs`], [`RnsPoly::drop_last_limb`]), per-limb
+/// kernels fan out over `chunks_exact_mut` ([`RnsPoly::par_limbs_mut`]) —
+/// mirroring how the accelerator slices the same matrix across PE groups —
+/// and a polynomial whose value is dead can be re-purposed as another's
+/// destination ([`RnsPoly::reshape`], `clone_from`) instead of freed. The
+/// basis is a shared view, so none of this touches the heap once the buffer
+/// is large enough.
 ///
 /// Binary operations require both operands to live on identical bases and in
 /// the same representation; conversions are explicit ([`RnsPoly::to_ntt`],
 /// [`RnsPoly::to_coefficient`]) because they are exactly the (i)NTT passes the
 /// accelerator schedules.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct RnsPoly {
     basis: RnsBasis,
     rep: Representation,
     /// Limb-major residues, `basis.len() · basis.degree()` words.
     data: Vec<u64>,
+}
+
+impl Clone for RnsPoly {
+    fn clone(&self) -> Self {
+        Self {
+            basis: self.basis.clone(),
+            rep: self.rep,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into this polynomial's buffer, which only grows.
+    fn clone_from(&mut self, source: &Self) {
+        self.basis.clone_from(&source.basis);
+        self.rep = source.rep;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl RnsPoly {
@@ -97,19 +119,25 @@ impl RnsPoly {
         rep: Representation,
         rng: &mut R,
     ) -> Self {
-        let n = basis.degree();
-        let mut data = Vec::with_capacity(basis.len() * n);
+        let mut out = Self::zero(&basis.prefix(0), rep);
+        out.sample_uniform_into(basis, rep, rng);
+        out
+    }
+
+    /// [`RnsPoly::sample_uniform`] into this polynomial's buffer: the same
+    /// draws, limb by limb, as [`crate::sample_uniform`] per limb.
+    pub fn sample_uniform_into<R: rand::Rng + ?Sized>(
+        &mut self,
+        basis: &RnsBasis,
+        rep: Representation,
+        rng: &mut R,
+    ) {
+        self.reshape(basis, rep);
         for j in 0..basis.len() {
-            data.extend_from_slice(&crate::sampling::sample_uniform(
-                rng,
-                n,
-                basis.modulus(j).value(),
-            ));
-        }
-        Self {
-            basis: basis.clone(),
-            rep,
-            data,
+            let q = basis.modulus(j).value();
+            for x in self.limb_mut(j) {
+                *x = rng.gen_range(0..q);
+            }
         }
     }
 
@@ -160,6 +188,42 @@ impl RnsPoly {
         &mut self.data
     }
 
+    /// Re-purposes this polynomial's buffer as one on `basis` in `rep` — the
+    /// first step of every `_into` kernel's destination. The buffer only
+    /// grows, to exactly `basis.len() · N` words the first time it is too
+    /// small; the residues are left for the caller to overwrite, and every
+    /// caller writes all of them.
+    pub fn reshape(&mut self, basis: &RnsBasis, rep: Representation) -> &mut Self {
+        let len = basis.len() * basis.degree();
+        if len > self.data.capacity() {
+            self.data = vec![0; len];
+        } else {
+            self.data.resize(len, 0);
+        }
+        self.basis.clone_from(basis);
+        self.rep = rep;
+        self
+    }
+
+    /// Makes room for `limbs` limbs without changing the value, so reshaping
+    /// to that many later never allocates.
+    pub fn reserve_limbs(&mut self, limbs: usize) {
+        let words = limbs * self.degree();
+        self.data
+            .reserve_exact(words.saturating_sub(self.data.len()));
+    }
+
+    /// Runs `f(j, table_j, limb_j)` for every limb, fanned across the limb
+    /// workers ([`par::par_limbs`]): the one loop every per-limb kernel here
+    /// and in the CKKS evaluator runs through.
+    pub fn par_limbs_mut(&mut self, f: impl Fn(usize, &NttTable, &mut [u64]) + Sync) {
+        let n = self.basis.degree();
+        let basis = &self.basis;
+        par::par_limbs(self.data.chunks_exact_mut(n), |j, limb| {
+            f(j, basis.table(j), limb)
+        });
+    }
+
     fn check_compatible(&self, other: &Self, op: &str) -> crate::Result<()> {
         if self.basis != other.basis {
             return Err(MathError::BasisMismatch(format!(
@@ -180,12 +244,7 @@ impl RnsPoly {
         if self.rep == Representation::Ntt {
             return;
         }
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        par::par_limbs(
-            self.data.chunks_exact_mut(n).collect(),
-            |j, limb: &mut [u64]| basis.table(j).forward(limb),
-        );
+        self.par_limbs_mut(|_, table, limb| table.forward(limb));
         self.rep = Representation::Ntt;
     }
 
@@ -194,12 +253,7 @@ impl RnsPoly {
         if self.rep == Representation::Coefficient {
             return;
         }
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        par::par_limbs(
-            self.data.chunks_exact_mut(n).collect(),
-            |j, limb: &mut [u64]| basis.table(j).inverse(limb),
-        );
+        self.par_limbs_mut(|_, table, limb| table.inverse(limb));
         self.rep = Representation::Coefficient;
     }
 
@@ -210,17 +264,12 @@ impl RnsPoly {
     /// Fails on basis or representation mismatch.
     pub fn add_assign(&mut self, other: &Self) -> crate::Result<()> {
         self.check_compatible(other, "add_assign")?;
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        par::par_limbs(
-            self.data.chunks_exact_mut(n).collect(),
-            |j, limb: &mut [u64]| {
-                let q = basis.modulus(j);
-                for (x, &y) in limb.iter_mut().zip(other.limb(j)) {
-                    *x = q.add(*x, y);
-                }
-            },
-        );
+        self.par_limbs_mut(|j, table, limb| {
+            let q = table.modulus();
+            for (x, &y) in limb.iter_mut().zip(other.limb(j)) {
+                *x = q.add(*x, y);
+            }
+        });
         Ok(())
     }
 
@@ -231,33 +280,23 @@ impl RnsPoly {
     /// Fails on basis or representation mismatch.
     pub fn sub_assign(&mut self, other: &Self) -> crate::Result<()> {
         self.check_compatible(other, "sub_assign")?;
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        par::par_limbs(
-            self.data.chunks_exact_mut(n).collect(),
-            |j, limb: &mut [u64]| {
-                let q = basis.modulus(j);
-                for (x, &y) in limb.iter_mut().zip(other.limb(j)) {
-                    *x = q.sub(*x, y);
-                }
-            },
-        );
+        self.par_limbs_mut(|j, table, limb| {
+            let q = table.modulus();
+            for (x, &y) in limb.iter_mut().zip(other.limb(j)) {
+                *x = q.sub(*x, y);
+            }
+        });
         Ok(())
     }
 
     /// In-place negation.
     pub fn neg_assign(&mut self) {
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        par::par_limbs(
-            self.data.chunks_exact_mut(n).collect(),
-            |j, limb: &mut [u64]| {
-                let q = basis.modulus(j);
-                for x in limb.iter_mut() {
-                    *x = q.neg(*x);
-                }
-            },
-        );
+        self.par_limbs_mut(|_, table, limb| {
+            let q = table.modulus();
+            for x in limb.iter_mut() {
+                *x = q.neg(*x);
+            }
+        });
     }
 
     /// In-place element-wise (Hadamard) multiplication: `self ⊙= other`. Both
@@ -273,17 +312,12 @@ impl RnsPoly {
                 "mul requires NTT-domain operands".to_string(),
             ));
         }
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        par::par_limbs(
-            self.data.chunks_exact_mut(n).collect(),
-            |j, limb: &mut [u64]| {
-                let q = basis.modulus(j);
-                for (x, &y) in limb.iter_mut().zip(other.limb(j)) {
-                    *x = q.mul(*x, y);
-                }
-            },
-        );
+        self.par_limbs_mut(|j, table, limb| {
+            let q = table.modulus();
+            for (x, &y) in limb.iter_mut().zip(other.limb(j)) {
+                *x = q.mul(*x, y);
+            }
+        });
         Ok(())
     }
 
@@ -301,17 +335,12 @@ impl RnsPoly {
                 "fused_mul_add_assign requires NTT-domain operands".to_string(),
             ));
         }
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        par::par_limbs(
-            self.data.chunks_exact_mut(n).collect(),
-            |j, limb: &mut [u64]| {
-                let q = basis.modulus(j);
-                for ((x, &u), &v) in limb.iter_mut().zip(a.limb(j)).zip(b.limb(j)) {
-                    *x = q.mul_add(u, v, *x);
-                }
-            },
-        );
+        self.par_limbs_mut(|j, table, limb| {
+            let q = table.modulus();
+            for ((x, &u), &v) in limb.iter_mut().zip(a.limb(j)).zip(b.limb(j)) {
+                *x = q.mul_add(u, v, *x);
+            }
+        });
         Ok(())
     }
 
@@ -370,18 +399,13 @@ impl RnsPoly {
             ));
         }
         let mut out = self.clone();
-        let n = out.basis.degree();
-        let basis = &out.basis;
-        par::par_limbs(
-            out.data.chunks_exact_mut(n).collect(),
-            |j, limb: &mut [u64]| {
-                let q = basis.modulus(j);
-                let w = constants[j];
-                for (x, &y) in limb.iter_mut().zip(other.limb(j)) {
-                    *x = q.add(*x, q.mul(y, w));
-                }
-            },
-        );
+        out.par_limbs_mut(|j, table, limb| {
+            let q = table.modulus();
+            let w = constants[j];
+            for (x, &y) in limb.iter_mut().zip(other.limb(j)) {
+                *x = q.add(*x, q.mul(y, w));
+            }
+        });
         Ok(out)
     }
 
@@ -392,18 +416,13 @@ impl RnsPoly {
     /// Panics if the constant count does not match the limb count.
     pub fn mul_constants_assign(&mut self, constants: &[u64]) {
         assert_eq!(constants.len(), self.limb_count());
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        par::par_limbs(
-            self.data.chunks_exact_mut(n).collect(),
-            |j, limb: &mut [u64]| {
-                let q = basis.modulus(j);
-                let w = q.shoup(q.reduce(constants[j]));
-                for x in limb.iter_mut() {
-                    *x = q.mul_shoup(*x, &w);
-                }
-            },
-        );
+        self.par_limbs_mut(|j, table, limb| {
+            let q = table.modulus();
+            let w = q.shoup(q.reduce(constants[j]));
+            for x in limb.iter_mut() {
+                *x = q.mul_shoup(*x, &w);
+            }
+        });
     }
 
     /// Multiplies every limb by a per-limb constant (e.g. `[q̂_j^{-1}]_{q_j}` or
@@ -428,23 +447,25 @@ impl RnsPoly {
 
     /// Applies the ring automorphism `X ↦ X^g` described by `table`, in the
     /// polynomial's own representation: the signed coefficient permutation,
-    /// or the NTT-domain gather (no transform is performed either way). Each
-    /// limb permutes straight from `&self` into a single fresh output buffer;
-    /// use [`RnsPoly::automorphism_apply`] to reuse an existing allocation.
+    /// or the NTT-domain gather (no transform is performed either way).
     pub fn automorphism(&self, table: &AutomorphismTable) -> Self {
-        let mut out = Self::zero(&self.basis, self.rep);
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        par::par_limbs(
-            out.data.chunks_exact_mut(n).collect(),
-            |j, limb: &mut [u64]| match self.rep {
+        let mut out = Self::zero(&self.basis.prefix(0), self.rep);
+        self.automorphism_into(table, &mut out);
+        out
+    }
+
+    /// [`RnsPoly::automorphism`] written into `out` (reshaped to this
+    /// polynomial's basis and representation): each limb permutes straight
+    /// from `&self` into `out`'s limb.
+    pub fn automorphism_into(&self, table: &AutomorphismTable, out: &mut Self) {
+        let rep = self.rep;
+        out.reshape(&self.basis, rep)
+            .par_limbs_mut(|j, limb_table, limb| match rep {
                 Representation::Coefficient => {
-                    table.apply_into(self.limb(j), limb, basis.modulus(j).value());
+                    table.apply_into(self.limb(j), limb, limb_table.modulus().value());
                 }
                 Representation::Ntt => table.apply_ntt_into(self.limb(j), limb),
-            },
-        );
-        out
+            });
     }
 
     /// In-place automorphism using a caller-provided scratch limb (resized to
@@ -660,6 +681,29 @@ mod tests {
             let mut scratch = Vec::new();
             in_place.automorphism_apply(&table, &mut scratch);
             assert_eq!(in_place, expected);
+        }
+    }
+
+    #[test]
+    fn a_reserved_buffer_takes_any_shape_in_place() {
+        let b = basis(1 << 5, 3);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let x = RnsPoly::sample_uniform(&b, Representation::Ntt, &mut rng);
+        let table = AutomorphismTable::from_rotation(1 << 5, 3).unwrap();
+        let mut buffer = RnsPoly::zero(&b.prefix(0), Representation::Coefficient);
+        buffer.reserve_limbs(3);
+        let storage = buffer.data().as_ptr();
+        for count in [1, 3, 2, 1] {
+            let target = b.prefix(count);
+            buffer.reshape(&target, Representation::Ntt);
+            assert_eq!(buffer.basis(), &target);
+            assert_eq!(buffer.data().len(), count << 5);
+            let kept = x.keep_limbs(count);
+            buffer.clone_from(&kept);
+            assert_eq!(buffer, kept);
+            kept.automorphism_into(&table, &mut buffer);
+            assert_eq!(buffer, kept.automorphism(&table));
+            assert_eq!(buffer.data().as_ptr(), storage, "never reallocated");
         }
     }
 

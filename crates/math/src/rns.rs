@@ -9,23 +9,21 @@ use crate::{MathError, Modulus};
 ///
 /// In the paper a polynomial in `R_Q` is stored as an `N × (L+1)` matrix of
 /// residues (Eq. 1); an [`RnsBasis`] describes the columns of that matrix.
+///
+/// A basis is a view: the first `len` of one shared table list. Cloning it,
+/// or cutting a prefix ([`RnsBasis::prefix`] — every level of a modulus
+/// chain), is a reference-count bump, so every [`crate::RnsPoly`] can carry
+/// its own basis without a heap allocation.
 #[derive(Debug, Clone)]
 pub struct RnsBasis {
     degree: usize,
-    tables: Vec<Arc<NttTable>>,
+    tables: Arc<[Arc<NttTable>]>,
+    len: usize,
 }
 
 impl PartialEq for RnsBasis {
     fn eq(&self, other: &Self) -> bool {
-        // Bases cut from one chain share their tables, so the pointer test
-        // settles almost every limb without reading a modulus.
-        self.degree == other.degree
-            && self.tables.len() == other.tables.len()
-            && self
-                .tables
-                .iter()
-                .zip(&other.tables)
-                .all(|(a, b)| Arc::ptr_eq(a, b) || a.modulus().value() == b.modulus().value())
+        self.degree == other.degree && self.len == other.len && self.same_limbs(other)
     }
 }
 
@@ -50,7 +48,28 @@ impl RnsBasis {
             }
             tables.push(Arc::new(NttTable::new(degree, Modulus::try_new(q)?)?));
         }
-        Ok(Self { degree, tables })
+        Ok(Self::from_tables(degree, tables))
+    }
+
+    fn from_tables(degree: usize, tables: Vec<Arc<NttTable>>) -> Self {
+        Self {
+            degree,
+            len: tables.len(),
+            tables: tables.into(),
+        }
+    }
+
+    /// Whether the limbs the two bases have in common carry equal moduli.
+    /// Bases cut from one chain share their table list (or at least their
+    /// tables), so the pointer tests settle almost every case without
+    /// reading a modulus.
+    fn same_limbs(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.tables, &other.tables)
+            || self
+                .tables()
+                .iter()
+                .zip(other.tables())
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a.modulus().value() == b.modulus().value())
     }
 
     /// Generates a basis of `count` primes of roughly `bits` bits each.
@@ -95,35 +114,36 @@ impl RnsBasis {
 
     /// Number of limbs (prime moduli) in the basis.
     pub fn len(&self) -> usize {
-        self.tables.len()
+        self.len
     }
 
     /// Whether the basis is empty.
     pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
+        self.len == 0
     }
 
     /// The NTT tables of the basis, in order.
     pub fn tables(&self) -> &[Arc<NttTable>] {
-        &self.tables
+        &self.tables[..self.len]
     }
 
     /// The NTT table of limb `i`.
     pub fn table(&self, i: usize) -> &Arc<NttTable> {
-        &self.tables[i]
+        &self.tables()[i]
     }
 
     /// The modulus of limb `i`.
     pub fn modulus(&self, i: usize) -> &Modulus {
-        self.tables[i].modulus()
+        self.table(i).modulus()
     }
 
     /// The raw modulus values, in order.
     pub fn moduli(&self) -> Vec<u64> {
-        self.tables.iter().map(|t| t.modulus().value()).collect()
+        self.tables().iter().map(|t| t.modulus().value()).collect()
     }
 
-    /// A basis containing only the first `count` limbs (shares tables).
+    /// A basis containing only the first `count` limbs: a view of the same
+    /// table list, so no allocation.
     ///
     /// # Panics
     ///
@@ -132,7 +152,8 @@ impl RnsBasis {
         assert!(count <= self.len());
         Self {
             degree: self.degree,
-            tables: self.tables[..count].to_vec(),
+            tables: Arc::clone(&self.tables),
+            len: count,
         }
     }
 
@@ -142,10 +163,10 @@ impl RnsBasis {
     ///
     /// Panics if any index is out of range.
     pub fn select(&self, indices: &[usize]) -> Self {
-        Self {
-            degree: self.degree,
-            tables: indices.iter().map(|&i| self.tables[i].clone()).collect(),
-        }
+        Self::from_tables(
+            self.degree,
+            indices.iter().map(|&i| self.table(i).clone()).collect(),
+        )
     }
 
     /// Concatenates two bases (e.g. `C_ℓ ∪ B` during key-switching).
@@ -168,17 +189,13 @@ impl RnsBasis {
                 "bases share a modulus".to_string(),
             ));
         }
-        let mut tables = self.tables.clone();
-        tables.extend(other.tables.iter().cloned());
-        Ok(Self {
-            degree: self.degree,
-            tables,
-        })
+        let tables = self.tables().iter().chain(other.tables()).cloned();
+        Ok(Self::from_tables(self.degree, tables.collect()))
     }
 
     /// log2 of the product of the moduli (`log Q`), computed in floating point.
     pub fn log2_product(&self) -> f64 {
-        self.tables
+        self.tables()
             .iter()
             .map(|t| (t.modulus().value() as f64).log2())
             .sum()
@@ -186,14 +203,14 @@ impl RnsBasis {
 
     /// The product of all moduli reduced modulo `p`.
     pub fn product_mod(&self, p: &Modulus) -> u64 {
-        self.tables
+        self.tables()
             .iter()
             .fold(1u64, |acc, t| p.mul(acc, p.reduce(t.modulus().value())))
     }
 
     /// `q̂_j mod p` where `q̂_j = Π_{i≠j} q_i` (the CRT punctured product).
     pub fn punctured_product_mod(&self, j: usize, p: &Modulus) -> u64 {
-        self.tables
+        self.tables()
             .iter()
             .enumerate()
             .filter(|(i, _)| *i != j)
@@ -219,14 +236,9 @@ impl RnsBasis {
     }
 
     /// Checks whether `other` has the same degree and identical moduli prefix.
+    /// Allocation-free: the evaluator asks it of every operand.
     pub fn is_prefix_of(&self, other: &RnsBasis) -> bool {
-        self.degree == other.degree
-            && self.len() <= other.len()
-            && self
-                .moduli()
-                .iter()
-                .zip(other.moduli().iter())
-                .all(|(a, b)| a == b)
+        self.degree == other.degree && self.len <= other.len && self.same_limbs(other)
     }
 }
 
@@ -279,6 +291,28 @@ mod tests {
         let joined = basis.concat(&special).unwrap();
         assert_eq!(joined.len(), 6);
         assert!(basis.concat(&basis).is_err());
+    }
+
+    #[test]
+    fn prefixes_are_views_of_one_table_list() {
+        let basis = RnsBasis::generate(1 << 8, 40, 4).unwrap();
+        let pre = basis.prefix(2);
+        assert_eq!(pre.tables().as_ptr(), basis.tables().as_ptr());
+        assert_eq!(pre.len(), 2);
+        // Equal to the same limbs gathered into a list of their own, and a
+        // prefix of the whole in one direction only.
+        assert_eq!(pre, basis.select(&[0, 1]));
+        assert_ne!(pre, basis.prefix(3));
+        assert!(pre.is_prefix_of(&basis) && !basis.is_prefix_of(&pre));
+        assert!(basis.select(&[0, 1, 2]).is_prefix_of(&basis));
+        assert!(!basis.select(&[1, 0]).is_prefix_of(&basis));
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_view_never_reads_past_its_length() {
+        let basis = RnsBasis::generate(1 << 8, 40, 4).unwrap();
+        let _ = basis.prefix(2).table(2);
     }
 
     #[test]
