@@ -8,12 +8,14 @@ use std::fmt::Write as _;
 use bts_circuit::{
     compile as compile_bytecode, BootstrapPlan, PassPipeline, TraceBackend, Workload,
 };
-use bts_ckks::hmult_complexity;
 use bts_cluster::{
     serve_cluster, ChipSpec, ClusterOptions, ClusterReport, FaultPlan, Interconnect,
     PlacementPolicy,
 };
-use bts_params::{min_nttu_count, sweep_dnum, BandwidthModel, CkksInstance, MinBoundModel, L_BOOT};
+use bts_params::{
+    hmult_complexity, min_nttu_count, sweep_dnum, BandwidthModel, CkksInstance, Decomposition,
+    MinBoundModel, L_BOOT,
+};
 use bts_sched::{FuKind, ScheduleExt};
 use bts_serve::{serve as serve_jobs, JobRequest, QueuePolicy, ServeOptions, SyntheticArrivals};
 use bts_sim::{hmult_timeline, ArchPreset, AreaPowerModel, BtsConfig, Simulator};
@@ -135,19 +137,20 @@ pub fn fig2() -> String {
 pub fn fig3b() -> String {
     let mut out = header("Fig 3b: HMult complexity breakdown vs dnum (N = 2^17)");
     let configs = [
-        ("dnum=1 (L=27)", 27usize, 28usize, 1usize),
-        ("dnum=2 (L=39)", 39, 20, 2),
-        ("dnum=3 (L=44)", 44, 15, 3),
-        ("dnum=6 (L=49)", 49, 9, 6),
-        ("dnum=max (L=60)", 60, 1, 61),
+        ("dnum=1 (L=27)", 27usize, 1usize),
+        ("dnum=2 (L=39)", 39, 2),
+        ("dnum=3 (L=44)", 44, 3),
+        ("dnum=6 (L=49)", 49, 6),
+        ("dnum=max (L=60)", 60, 61),
     ];
     let _ = writeln!(
         out,
         "{:<18} {:>8} {:>8} {:>8} {:>8}",
         "config", "BConv%", "NTT%", "iNTT%", "others%"
     );
-    for (name, level, k, dnum) in configs {
-        let c = hmult_complexity(1 << 17, level, k, dnum);
+    for (name, level, dnum) in configs {
+        let decomposition = Decomposition::new(level, dnum).expect("1 <= dnum <= L + 1");
+        let c = hmult_complexity(1 << 17, level, decomposition);
         let (bconv, ntt, intt, others) = c.fractions();
         let _ = writeln!(
             out,
@@ -410,8 +413,9 @@ pub fn fig9() -> String {
     let lattigo_like = CkksInstance::lattigo_preset();
     let ins1 = CkksInstance::ins1();
     let temp = |ins: &CkksInstance| {
-        (ins.dnum() as u64 + 2)
-            * (ins.num_special() + ins.max_level() + 1) as u64
+        let decomposition = ins.decomposition();
+        (decomposition.dnum() as u64 + 2)
+            * (decomposition.special_primes() + ins.max_level() + 1) as u64
             * ins.limb_bytes()
     };
     let configs: Vec<(&str, BtsConfig, CkksInstance)> = vec![

@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use rand::Rng;
@@ -8,7 +9,7 @@ use bts_math::{
     sample_gaussian, sample_ternary, AutomorphismTable, BaseConverter, BconvScratch,
     Representation, RnsBasis, RnsPoly, ShoupMul, TERNARY_HAMMING_DENSE,
 };
-use bts_params::CkksInstance;
+use bts_params::{CkksInstance, Decomposition};
 
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::encoding::{CkksEncoder, Complex};
@@ -82,7 +83,7 @@ struct KsCache {
 #[derive(Debug)]
 pub struct Decomposed {
     level: usize,
-    slices: usize,
+    decomposition: Decomposition,
     digits: Vec<u64>,
     pool: Arc<KsCache>,
 }
@@ -95,23 +96,23 @@ impl Decomposed {
 
     /// Number of decomposition slices, `⌈(ℓ+1)/k⌉`.
     pub fn slices(&self) -> usize {
-        self.slices
+        self.decomposition.slices_at_level(self.level)
     }
 
-    /// Whether these are the digits of `d`: slice `j`'s block carries limbs
-    /// `jk..(j+1)k` of `d` verbatim, so the test is one pass over `d`.
+    /// Whether these are the digits of `d`: slice `j`'s block carries the
+    /// limbs of `d` in slice `j` verbatim, so the test is one pass over `d`.
     pub(crate) fn is_cut_from(&self, d: &RnsPoly) -> bool {
         let n = d.degree();
-        let limbs = self.level + 1;
-        if d.limb_count() != limbs || d.representation() != Representation::Ntt {
+        if d.limb_count() != self.level + 1 || d.representation() != Representation::Ntt {
             return false;
         }
         // A block is the ℓ+1 ciphertext limbs followed by the k special ones.
-        let block = self.digits.len() / self.slices;
-        let k = block / n - limbs;
-        (0..limbs).all(|t| {
-            let at = (t / k) * block + t * n;
-            self.digits[at..at + n] == *d.limb(t)
+        let block = self.digits.len() / self.slices();
+        (0..self.slices()).all(|j| {
+            self.decomposition.slice(j, self.level).all(|t| {
+                let at = j * block + t * n;
+                self.digits[at..at + n] == *d.limb(t)
+            })
         })
     }
 }
@@ -150,7 +151,7 @@ fn mac_rows(
 pub struct CkksContext {
     degree: usize,
     max_level: usize,
-    dnum: usize,
+    decomposition: Decomposition,
     scale: f64,
     q_basis: RnsBasis,
     p_basis: RnsBasis,
@@ -183,12 +184,10 @@ impl CkksContext {
         log_scale: u32,
         log_special: u32,
     ) -> crate::Result<Self> {
-        if dnum == 0 || dnum > max_level + 1 {
-            return Err(CkksError::InvalidParameters(format!(
-                "dnum {dnum} must be in [1, L+1]"
-            )));
-        }
-        let num_special = (max_level + 1).div_ceil(dnum);
+        let decomposition = Decomposition::new(max_level, dnum).ok_or_else(|| {
+            CkksError::InvalidParameters(format!("dnum {dnum} must be in [1, L+1]"))
+        })?;
+        let num_special = decomposition.special_primes();
         // Generate every prime from a single pool so the ciphertext and
         // special moduli are guaranteed distinct even when their bit sizes
         // coincide; q0 is the largest.
@@ -227,7 +226,7 @@ impl CkksContext {
         Ok(Self {
             degree,
             max_level,
-            dnum,
+            decomposition,
             scale: 2f64.powi(log_scale as i32),
             q_basis,
             p_basis,
@@ -284,14 +283,20 @@ impl CkksContext {
         self.max_level
     }
 
+    /// The key-switching decomposition (§2.5) the keys and the key-switch
+    /// slice the modulus chain by.
+    pub fn decomposition(&self) -> Decomposition {
+        self.decomposition
+    }
+
     /// Decomposition number dnum.
     pub fn dnum(&self) -> usize {
-        self.dnum
+        self.decomposition.dnum()
     }
 
     /// Number of special primes k.
     pub fn num_special(&self) -> usize {
-        self.p_basis.len()
+        self.decomposition.special_primes()
     }
 
     /// Default encoding scale Δ.
@@ -474,15 +479,11 @@ impl CkksContext {
         target_key: &RnsPoly,
         rng: &mut R,
     ) -> EvaluationKey {
-        let k = self.num_special();
-        let total_q = self.max_level + 1;
-        let mut slices = Vec::with_capacity(self.dnum);
-        for j in 0..self.dnum {
-            let lo = j * k;
-            let hi = ((j + 1) * k).min(total_q);
-            if lo >= hi {
-                break;
-            }
+        // One key pair per live slice: empty trailing slices get none.
+        let live = self.decomposition.slices_at_level(self.max_level);
+        let mut slices = Vec::with_capacity(live);
+        for j in 0..live {
+            let slice = self.decomposition.slice(j, self.max_level);
             let a_j = RnsPoly::sample_uniform(&self.key_basis, Representation::Ntt, rng);
             let mut e_j = RnsPoly::from_signed_coefficients(
                 &self.key_basis,
@@ -492,7 +493,7 @@ impl CkksContext {
             // Per-limb gadget factor: P mod q_i inside the slice, 0 elsewhere.
             let constants: Vec<u64> = (0..self.key_basis.len())
                 .map(|i| {
-                    if i >= lo && i < hi {
+                    if slice.contains(&i) {
                         self.p_mod_q[i]
                     } else {
                         0
@@ -795,9 +796,7 @@ impl CkksContext {
         if let Some(conv) = self.ks.modup.lock().expect("ks cache").get(&(level, j)) {
             return Ok(Arc::clone(conv));
         }
-        let k = self.num_special();
-        let lo = j * k;
-        let hi = ((j + 1) * k).min(level + 1);
+        let Range { start: lo, end: hi } = self.decomposition.slice(j, level);
         let q_prefix = self.basis_at_level(level);
         let slice_basis = q_prefix.select(&(lo..hi).collect::<Vec<_>>());
         let complement_idx: Vec<usize> = (0..=level).filter(|i| *i < lo || *i >= hi).collect();
@@ -923,7 +922,7 @@ impl CkksContext {
         let k = self.num_special();
         let n = self.degree;
         let ext_limbs = level + 1 + k;
-        let slices = (level + 1).div_ceil(k);
+        let slices = self.decomposition.slices_at_level(level);
 
         let mut digits = self
             .ks
@@ -934,8 +933,7 @@ impl CkksContext {
             .unwrap_or_default();
         digits.resize(slices * ext_limbs * n, 0);
         for (j, ext) in digits.chunks_exact_mut(ext_limbs * n).enumerate() {
-            let lo = j * k;
-            let hi = ((j + 1) * k).min(level + 1);
+            let Range { start: lo, end: hi } = self.decomposition.slice(j, level);
             let (left, rest) = ext.split_at_mut(lo * n);
             let (mid, right) = rest.split_at_mut((hi - lo) * n);
             // Stage the slice limbs at their ks-basis positions and iNTT them
@@ -969,7 +967,7 @@ impl CkksContext {
         }
         Ok(Decomposed {
             level,
-            slices,
+            decomposition: self.decomposition,
             digits,
             pool: Arc::clone(&self.ks),
         })

@@ -35,10 +35,12 @@ pub struct PublicKey {
     pub(crate) p1: RnsPoly,
 }
 
-/// A generalized key-switching key (an "evk" in the paper): `dnum` pairs of
-/// polynomials on the extended basis `Q ∪ P`, one pair per decomposition slice
-/// (§2.5). The same structure serves as the relinearization key (target key
-/// `s²`), rotation keys (`σ_r(s)`) and the conjugation key.
+/// A generalized key-switching key (an "evk" in the paper): pairs of
+/// polynomials on the extended basis `Q ∪ P`, one pair per live decomposition
+/// slice (§2.5; `dnum` of them unless trailing slices are empty — see
+/// `bts_params::Decomposition`). The same structure serves as the
+/// relinearization key (target key `s²`), rotation keys (`σ_r(s)`) and the
+/// conjugation key.
 #[derive(Debug, Clone)]
 pub struct EvaluationKey {
     /// `(b_j, a_j)` per decomposition slice.
@@ -46,13 +48,14 @@ pub struct EvaluationKey {
 }
 
 impl EvaluationKey {
-    /// Number of decomposition slices (dnum).
+    /// Number of key pairs: the live decomposition slices at the top level.
     pub fn dnum(&self) -> usize {
         self.slices.len()
     }
 
-    /// Total size in bytes: `2 · dnum · N · (k + L + 1)` words, the quantity
-    /// whose streaming dominates HMult/HRot in the paper's analysis.
+    /// Total size in bytes: `2 · slices · N · (k + L + 1)` words, the quantity
+    /// whose streaming dominates HMult/HRot in the paper's analysis
+    /// (`CkksInstance::evk_bytes_at_level(L)`).
     pub fn size_bytes(&self) -> u64 {
         self.slices
             .iter()
@@ -107,22 +110,5 @@ impl KeyBundle {
     /// Sets the conjugation key.
     pub fn set_conjugation(&mut self, key: EvaluationKey) {
         self.conjugation = Some(key);
-    }
-
-    /// Aggregate size in bytes of every evaluation key in the bundle
-    /// (relinearization + rotations + conjugation); the working set that must
-    /// stream from off-chip memory during bootstrapping (§3.3).
-    pub fn evk_working_set_bytes(&self) -> u64 {
-        self.relin.size_bytes()
-            + self
-                .rotations
-                .values()
-                .map(EvaluationKey::size_bytes)
-                .sum::<u64>()
-            + self
-                .conjugation
-                .as_ref()
-                .map(EvaluationKey::size_bytes)
-                .unwrap_or(0)
     }
 }

@@ -20,10 +20,12 @@
 //!   rescale inverse-transforms only the limb it drops,
 //! * bootstrapping building blocks (mod-raise, homomorphic linear transforms
 //!   with hoisted baby steps, polynomial evaluation, approximate modular
-//!   reduction) and a bootstrapping driver,
-//! * an analytical operation-count model of key-switching used to reproduce
-//!   Fig. 3(b), extended to hoisted rotation groups and held equal, span for
-//!   span, to what a traced linear transform executes.
+//!   reduction) and a bootstrapping driver.
+//!
+//! The dnum slice structure key generation and the key-switch run on is
+//! `bts_params::Decomposition` ([`CkksContext::decomposition`]); the kernel
+//! counts it implies (`bts_params::KernelCalls`, Fig. 3(b)'s breakdown) are
+//! held equal, span for span, to what this library executes.
 //!
 //! The implementation favours clarity and correctness over raw speed: it is
 //! the functional reference that the accelerator simulator's op traces are
@@ -51,7 +53,6 @@
 
 mod bootstrap;
 mod ciphertext;
-mod complexity;
 mod context;
 mod encoding;
 mod error;
@@ -63,10 +64,6 @@ mod noise;
 
 pub use bootstrap::{BootstrapConfig, Bootstrapper};
 pub use ciphertext::{Ciphertext, Plaintext};
-pub use complexity::{
-    hmult_complexity, hoisted_rotations_calls, hoisted_rotations_complexity, ComplexityBreakdown,
-    KernelCalls,
-};
 pub use context::{CkksContext, Decomposed};
 pub use encoding::{CkksEncoder, Complex};
 pub use error::CkksError;

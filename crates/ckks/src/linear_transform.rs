@@ -187,7 +187,7 @@ impl BsgsTransform {
         // giant-step group (this sharing is where the rotation savings come
         // from). They all rotate the same ciphertext, so they also share one
         // ModUp — the hoisting BTS applies to these transforms, counted by
-        // `bts-ckks::complexity::hoisted_rotations_complexity`.
+        // `bts_params::hoisted_rotations_complexity`.
         let babies: std::collections::BTreeSet<usize> =
             self.diagonals.keys().map(|&idx| idx % b).collect();
         let steps: Vec<i64> = babies.iter().map(|&baby| baby as i64).collect();
@@ -328,12 +328,12 @@ mod tests {
 
     /// The hoisting the module doc promises, held by counts: a traced BSGS
     /// evaluation records exactly the transforms and base conversions
-    /// `complexity.rs` charges — one hoisted group for the baby steps (their
-    /// `b − 1` ModUps collapse to one), a one-step group per giant step, one
-    /// encode per diagonal and the closing rescale.
+    /// `bts_params::KernelCalls` charges — one hoisted group for the baby
+    /// steps (their `b − 1` ModUps collapse to one), a one-step group per
+    /// giant step, one encode per diagonal and the closing rescale.
     #[test]
     fn traced_kernel_counts_match_the_hoisted_model() {
-        use crate::complexity::hoisted_rotations_calls;
+        use bts_params::hoisted_rotations_calls;
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
         let (max_level, dnum) = (5, 2);
@@ -366,8 +366,8 @@ mod tests {
 
         let k = ctx.num_special();
         let level = max_level as u64;
-        let babies = hoisted_rotations_calls(max_level, k, dnum, baby_rotations);
-        let giant = hoisted_rotations_calls(max_level, k, dnum, 1);
+        let babies = hoisted_rotations_calls(max_level, ctx.decomposition(), baby_rotations);
+        let giant = hoisted_rotations_calls(max_level, ctx.decomposition(), 1);
         let giants = giant_rotations as u64;
         let encodes = t.diagonal_count() as u64 * (level + 1);
         // Rescale: per polynomial one iNTT of the dropped limb and one NTT

@@ -6,7 +6,10 @@
 //! fast base conversion (`BConv`), and RNS polynomials.
 //!
 //! Everything in this crate is exact integer arithmetic; the floating-point
-//! canonical embedding used by CKKS encoding lives in `bts-ckks`.
+//! canonical embedding used by CKKS encoding lives in `bts-ckks`, and the
+//! slice structure of key-switching's dnum decomposition (which limbs form a
+//! slice, how many slices a level touches, evaluation-key sizes) is
+//! `bts_params::Decomposition`, which needs no arithmetic on residues.
 //!
 //! ```
 //! use bts_math::{NttTable, Modulus};
@@ -28,9 +31,7 @@
 
 mod automorphism;
 mod bconv;
-mod crt;
 mod error;
-mod gadget;
 mod modular;
 mod ntt;
 mod ntt3d;
@@ -42,9 +43,7 @@ mod sampling;
 
 pub use automorphism::{galois_element, AutomorphismTable};
 pub use bconv::{BaseConverter, BconvScratch};
-pub use crt::{BigUint, CrtReconstructor};
 pub use error::MathError;
-pub use gadget::GadgetDecomposition;
 pub use modular::{Modulus, ShoupMul};
 pub use ntt::{schoolbook_negacyclic, NttTable};
 pub use ntt3d::{Ntt3dPlan, TransposePhase};

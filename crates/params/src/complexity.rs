@@ -1,3 +1,10 @@
+//! Kernel and modular-multiplication counts of key-switching, read off the
+//! [`Decomposition`]: what the functional library executes per HMult or
+//! hoisted rotation group, what Fig. 3(b) breaks down, and what the
+//! simulator's op costs charge.
+
+use crate::decomposition::Decomposition;
+
 /// Breakdown of the modular-multiplication count of one HMult (tensor product
 /// plus key-switching), the quantity Fig. 3(b) reports as "relative
 /// complexity".
@@ -52,29 +59,36 @@ pub struct KernelCalls {
 /// A key-switch group on one level-`level` polynomial (Fig. 3(a)'s dataflow,
 /// counted exactly as the simulator schedules it and as
 /// `CkksContext::{decompose, switch_decomposed}` execute it): the ModUp of
-/// every slice once, then `steps` times an inner product with an evk and the
-/// ModDown of both result polynomials.
-struct KeySwitchGroup {
-    calls: KernelCalls,
-    bconv_mults: u64,
-    other_mults: u64,
+/// every live slice once, then `steps` times an inner product with an evk and
+/// the ModDown of both result polynomials.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeySwitchGroup {
+    /// Single-limb transforms and base conversions.
+    pub calls: KernelCalls,
+    /// Modular multiplications of the base conversions.
+    pub bconv_mults: u64,
+    /// Element-wise modular multiplications: evk inner products and SSA.
+    pub other_mults: u64,
 }
 
 impl KeySwitchGroup {
-    fn new(n: u64, level: usize, num_special: usize, dnum: usize, steps: u64) -> Self {
+    /// The group of `steps` key-switches sharing one ModUp of a level-`level`
+    /// polynomial over a degree-`n` ring.
+    pub fn new(n: usize, level: usize, decomposition: Decomposition, steps: usize) -> Self {
+        let (n, steps) = (n as u64, steps as u64);
         let l1 = level as u64 + 1; // ℓ + 1
-        let k = num_special as u64;
-        let slices = l1.div_ceil(k).min(dnum as u64);
+        let k = decomposition.special_primes() as u64;
+        let slices = decomposition.slices_at_level(level);
         // ModUp per slice: iNTT of the slice limbs, BConv to the complement,
         // NTT of the converted limbs.
         let mut calls = KernelCalls {
             ntt: 0,
             intt: 0,
-            bconv: slices,
+            bconv: slices as u64,
         };
         let mut bconv_mults = 0u64;
         for j in 0..slices {
-            let slice = ((j + 1) * k).min(l1) - j * k;
+            let slice = decomposition.slice(j, level).len() as u64;
             let target = (l1 - slice) + k;
             calls.intt += slice;
             calls.ntt += target;
@@ -82,7 +96,7 @@ impl KeySwitchGroup {
         }
         // evk inner products and accumulation: 2 polynomials × (ℓ+1+k) limbs
         // × slices.
-        let evk_mults = 2 * slices * (l1 + k) * n;
+        let evk_mults = 2 * slices as u64 * (l1 + k) * n;
         // ModDown for ax and bx: iNTT of the k special limbs, BConv to Cℓ, NTT
         // of the converted limbs, then the P^{-1} scaling (SSA).
         calls.intt += steps * 2 * k;
@@ -109,19 +123,17 @@ impl KeySwitchGroup {
 }
 
 /// Modular-multiplication complexity of an HMult on a ciphertext at level
-/// `level` for a ring of degree `n` with `num_special` special primes and the
-/// given `dnum`: the tensor product plus a key-switch group of one step.
+/// `level` for a ring of degree `n` under `decomposition`: the tensor product
+/// plus a key-switch group of one step.
 pub fn hmult_complexity(
     n: usize,
     level: usize,
-    num_special: usize,
-    dnum: usize,
+    decomposition: Decomposition,
 ) -> ComplexityBreakdown {
     assert!(n.is_power_of_two(), "ring degree must be a power of two");
-    let n = n as u64;
     // Tensor product: d0 (1 mul), d1 (2 muls), d2 (1 mul) per limb.
-    let tensor = 4 * (level as u64 + 1) * n;
-    KeySwitchGroup::new(n, level, num_special, dnum, 1).breakdown(n, tensor)
+    let tensor = 4 * (level as u64 + 1) * n as u64;
+    KeySwitchGroup::new(n, level, decomposition, 1).breakdown(n as u64, tensor)
 }
 
 /// Complexity of a hoisted rotation group — `steps` rotations (or
@@ -134,29 +146,30 @@ pub fn hmult_complexity(
 pub fn hoisted_rotations_complexity(
     n: usize,
     level: usize,
-    num_special: usize,
-    dnum: usize,
+    decomposition: Decomposition,
     steps: usize,
 ) -> ComplexityBreakdown {
     assert!(n.is_power_of_two(), "ring degree must be a power of two");
-    let n = n as u64;
-    KeySwitchGroup::new(n, level, num_special, dnum, steps as u64).breakdown(n, 0)
+    KeySwitchGroup::new(n, level, decomposition, steps).breakdown(n as u64, 0)
 }
 
 /// The kernel invocations of the same hoisted rotation group (they do not
 /// depend on the ring degree).
 pub fn hoisted_rotations_calls(
     level: usize,
-    num_special: usize,
-    dnum: usize,
+    decomposition: Decomposition,
     steps: usize,
 ) -> KernelCalls {
-    KeySwitchGroup::new(1, level, num_special, dnum, steps as u64).calls
+    KeySwitchGroup::new(1, level, decomposition, steps).calls
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decomposition(max_level: usize, dnum: usize) -> Decomposition {
+        Decomposition::new(max_level, dnum).unwrap()
+    }
 
     #[test]
     fn bconv_share_shrinks_as_dnum_grows() {
@@ -164,13 +177,13 @@ mod tests {
         // peak towards ~12% at dnum = max (with the level budget adjusted per
         // dnum as in the paper's λ-matched instances).
         let n = 1 << 17;
-        let share = |level: usize, k: usize, dnum: usize| {
-            let c = hmult_complexity(n, level, k, dnum);
+        let share = |level: usize, dnum: usize| {
+            let c = hmult_complexity(n, level, decomposition(level, dnum));
             c.fractions().0
         };
-        let d1 = share(27, 28, 1);
-        let d3 = share(44, 15, 3);
-        let dmax = share(60, 1, 61);
+        let d1 = share(27, 1);
+        let d3 = share(44, 3);
+        let dmax = share(60, 61);
         assert!(d1 > d3, "BConv share should fall with dnum: {d1} vs {d3}");
         assert!(d3 > dmax);
         assert!(
@@ -181,7 +194,7 @@ mod tests {
 
     #[test]
     fn ntt_dominates_at_max_dnum() {
-        let c = hmult_complexity(1 << 17, 60, 1, 61);
+        let c = hmult_complexity(1 << 17, 60, decomposition(60, 61));
         let (bconv, ntt, intt, _) = c.fractions();
         assert!(ntt + intt > 0.6);
         assert!(bconv < ntt);
@@ -189,8 +202,8 @@ mod tests {
 
     #[test]
     fn totals_scale_with_ring_degree() {
-        let small = hmult_complexity(1 << 14, 20, 21, 1).total();
-        let large = hmult_complexity(1 << 15, 20, 21, 1).total();
+        let small = hmult_complexity(1 << 14, 20, decomposition(20, 1)).total();
+        let large = hmult_complexity(1 << 15, 20, decomposition(20, 1)).total();
         assert!(large > 2 * small - small / 4); // ~2x plus the log N factor
     }
 
@@ -198,13 +211,15 @@ mod tests {
     fn hoisting_saves_exactly_the_repeated_mod_ups() {
         // g un-hoisted rotations minus one hoisted group of g steps is g − 1
         // ModUps, in every category.
-        let (n, level, k, dnum) = (1usize << 12, 13, 7, 2);
-        let single = hoisted_rotations_complexity(n, level, k, dnum, 1);
-        let one_step = hoisted_rotations_calls(level, k, dnum, 1);
+        let (n, level, k) = (1usize << 12, 13, 7);
+        let d = decomposition(level, 2);
+        assert_eq!(d.special_primes(), k);
+        let single = hoisted_rotations_complexity(n, level, d, 1);
+        let one_step = hoisted_rotations_calls(level, d, 1);
         let slices = (level as u64 + 1).div_ceil(k as u64);
         for g in [2u64, 4, 10] {
-            let group = hoisted_rotations_complexity(n, level, k, dnum, g as usize);
-            let calls = hoisted_rotations_calls(level, k, dnum, g as usize);
+            let group = hoisted_rotations_complexity(n, level, d, g as usize);
+            let calls = hoisted_rotations_calls(level, d, g as usize);
             // Per step: two ModDowns; per group: one ModUp BConv per slice.
             assert_eq!(calls.bconv, slices + 2 * g);
             assert_eq!(g * one_step.bconv - calls.bconv, (g - 1) * slices);
@@ -214,7 +229,7 @@ mod tests {
             assert_eq!(group.others, g * single.others);
         }
         // An HMult is the tensor product plus a one-step group.
-        let hmult = hmult_complexity(n, level, k, dnum);
+        let hmult = hmult_complexity(n, level, d);
         assert_eq!(
             (hmult.ntt, hmult.intt, hmult.bconv),
             (single.ntt, single.intt, single.bconv)
@@ -230,7 +245,7 @@ mod tests {
         // The (i)NTT butterflies of our breakdown should match the Eq. 10
         // numerator (dnum+2)·(k+ℓ+1)·(N/2)·log N within ~20%.
         let n = 1u64 << 17;
-        let c = hmult_complexity(1 << 17, 27, 28, 1);
+        let c = hmult_complexity(1 << 17, 27, decomposition(27, 1));
         let eq10 = 3 * 56 * (n / 2) * 17;
         let ours = c.ntt + c.intt;
         let ratio = ours as f64 / eq10 as f64;

@@ -1,3 +1,4 @@
+use crate::decomposition::Decomposition;
 use crate::security::security_level;
 
 /// Machine word size in bytes (the paper's 64-bit word, §5).
@@ -13,8 +14,7 @@ pub const WORD_BYTES: u64 = 8;
 pub struct CkksInstance {
     name: String,
     log_n: u32,
-    max_level: usize,
-    dnum: usize,
+    decomposition: Decomposition,
     log_q0: u32,
     log_scale: u32,
     log_special: u32,
@@ -92,12 +92,12 @@ impl CkksInstance {
 
     /// Maximum multiplicative level L.
     pub fn max_level(&self) -> usize {
-        self.max_level
+        self.decomposition.max_level()
     }
 
     /// Whether the level budget accommodates one bootstrap (`L ≥ L_boot`).
     pub fn can_bootstrap(&self) -> bool {
-        self.max_level >= crate::L_BOOT
+        self.max_level() >= crate::L_BOOT
     }
 
     /// The level fresh and freshly-bootstrapped ciphertexts sit at: on a
@@ -105,20 +105,26 @@ impl CkksInstance {
     /// the bootstrap itself), otherwise the full `L`.
     pub fn usable_top_level(&self) -> usize {
         if self.can_bootstrap() {
-            self.max_level - crate::L_BOOT
+            self.max_level() - crate::L_BOOT
         } else {
-            self.max_level
+            self.max_level()
         }
+    }
+
+    /// The generalized key-switching decomposition (§2.5) every key-switch
+    /// count and evaluation-key size of this instance is read from.
+    pub fn decomposition(&self) -> Decomposition {
+        self.decomposition
     }
 
     /// Decomposition number dnum of the generalized key-switching.
     pub fn dnum(&self) -> usize {
-        self.dnum
+        self.decomposition.dnum()
     }
 
     /// Number of special primes k = ceil((L+1)/dnum).
     pub fn num_special(&self) -> usize {
-        (self.max_level + 1).div_ceil(self.dnum)
+        self.decomposition.special_primes()
     }
 
     /// Bit size of the first (largest) prime modulus q0.
@@ -138,7 +144,7 @@ impl CkksInstance {
 
     /// Total ciphertext-modulus size log2 Q = log q0 + L·log Δ.
     pub fn log_q(&self) -> f64 {
-        self.log_q0 as f64 + self.max_level as f64 * self.log_scale as f64
+        self.log_q0 as f64 + self.max_level() as f64 * self.log_scale as f64
     }
 
     /// Special-modulus size log2 P = k·log p.
@@ -175,23 +181,21 @@ impl CkksInstance {
     /// Number of key-switching decomposition slices actually needed for a
     /// ciphertext at level `level`: ceil((ℓ+1)/k) ≤ dnum.
     pub fn dnum_at_level(&self, level: usize) -> usize {
-        (level + 1).div_ceil(self.num_special()).min(self.dnum)
+        self.decomposition.slices_at_level(level)
     }
 
     /// Size in bytes of a single evaluation key: a pair of N×(k+L+1) matrices
     /// per decomposition slice, `dnum` slices (§2.5). For INS-1 this is the
     /// paper's 112 MiB figure.
     pub fn evk_bytes(&self) -> u64 {
-        2 * self.dnum as u64 * (self.num_special() + self.max_level + 1) as u64 * self.limb_bytes()
+        self.decomposition.evk_words(self.n()) * WORD_BYTES
     }
 
     /// Bytes of evaluation key that must be streamed from memory for one
     /// key-switching at level `level`: only `dnum_at_level` slices and only the
     /// `k + ℓ + 1` live limbs of each are touched (denominator of Eq. 10).
     pub fn evk_bytes_at_level(&self, level: usize) -> u64 {
-        2 * self.dnum_at_level(level) as u64
-            * (self.num_special() + level + 1) as u64
-            * self.limb_bytes()
+        self.decomposition.evk_words_at_level(self.n(), level) * WORD_BYTES
     }
 
     /// Total size of the evaluation-key working set for a workload needing
@@ -223,8 +227,7 @@ impl CkksInstance {
 pub struct InstanceBuilder {
     name: String,
     log_n: u32,
-    max_level: usize,
-    dnum: usize,
+    decomposition: Decomposition,
     log_q0: u32,
     log_scale: u32,
     log_special: u32,
@@ -239,13 +242,12 @@ impl InstanceBuilder {
     /// Panics if `dnum == 0`, `dnum > max_level + 1` or `log_n` is outside
     /// `[4, 20]`.
     pub fn new(log_n: u32, max_level: usize, dnum: usize) -> Self {
-        assert!(dnum >= 1 && dnum <= max_level + 1, "invalid dnum");
+        let decomposition = Decomposition::new(max_level, dnum).expect("invalid dnum");
         assert!((4..=20).contains(&log_n), "log_n out of supported range");
         Self {
             name: format!("N=2^{log_n} L={max_level} dnum={dnum}"),
             log_n,
-            max_level,
-            dnum,
+            decomposition,
             log_q0: 60,
             log_scale: 51,
             log_special: 59,
@@ -271,8 +273,7 @@ impl InstanceBuilder {
         CkksInstance {
             name: self.name,
             log_n: self.log_n,
-            max_level: self.max_level,
-            dnum: self.dnum,
+            decomposition: self.decomposition,
             log_q0: self.log_q0,
             log_scale: self.log_scale,
             log_special: self.log_special,

@@ -67,8 +67,7 @@ pub fn min_nttu_count(
     let limbs = (instance.num_special() + instance.max_level() + 1) as f64;
     let butterflies = (dnum + 2.0) * limbs * 0.5 * n * log_n;
     let compute_time = butterflies / frequency_hz;
-    let evk_bytes = 2.0 * dnum * limbs * n * 8.0;
-    let load_time = evk_bytes / bandwidth.bytes_per_sec();
+    let load_time = instance.evk_bytes() as f64 / bandwidth.bytes_per_sec();
     compute_time / load_time
 }
 

@@ -1,3 +1,4 @@
+use crate::decomposition::Decomposition;
 use crate::instance::{CkksInstance, InstanceBuilder, WORD_BYTES};
 use crate::security::max_log_pq_for_security;
 
@@ -12,7 +13,8 @@ pub struct DnumPoint {
     pub normalized_dnum: f64,
     /// Maximum multiplicative level achievable at the security target.
     pub max_level: usize,
-    /// Size of a single evaluation key in bytes.
+    /// Size of a single evaluation key in bytes, `2 · dnum · N · (k + L + 1)`
+    /// words (Fig. 1(b); §2.5 ii); zero when no level is reachable.
     pub evk_bytes: u64,
 }
 
@@ -33,13 +35,6 @@ pub fn max_level_for(log_n: u32, dnum: usize, lambda: f64, log_q0: u32, log_scal
         return 0;
     }
     ((log_q - log_q0 as f64) / log_scale as f64).floor() as usize
-}
-
-/// Size in bytes of a single evaluation key for a given (N, L, dnum)
-/// combination: `2 · dnum · N · (k + L + 1)` words (Fig. 1(b); §2.5 ii).
-pub fn evk_bytes(log_n: u32, max_level: usize, dnum: usize) -> u64 {
-    let k = (max_level + 1).div_ceil(dnum);
-    2 * dnum as u64 * (k + max_level + 1) as u64 * (1u64 << log_n) * WORD_BYTES
 }
 
 /// The largest meaningful dnum for a given N at the security target: the dnum
@@ -75,7 +70,10 @@ pub fn sweep_dnum(log_n: u32, lambda: f64, log_q0: u32, log_scale: u32) -> Vec<D
                     1.0
                 },
                 max_level: l,
-                evk_bytes: if l == 0 { 0 } else { evk_bytes(log_n, l, dnum) },
+                evk_bytes: match Decomposition::new(l, dnum) {
+                    Some(d) if l > 0 => d.evk_words(1 << log_n) * WORD_BYTES,
+                    _ => 0,
+                },
             }
         })
         .collect()
@@ -116,6 +114,13 @@ pub fn instance_at_security(
 mod tests {
     use super::*;
     use crate::MIN_BOOT_LEVEL;
+
+    /// Fig. 1(b)'s single-evk size of an (N, L, dnum) point.
+    fn evk_bytes(log_n: u32, max_level: usize, dnum: usize) -> u64 {
+        InstanceBuilder::new(log_n, max_level, dnum)
+            .build()
+            .evk_bytes()
+    }
 
     #[test]
     fn level_grows_with_dnum_and_saturates() {

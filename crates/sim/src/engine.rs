@@ -30,7 +30,7 @@
 
 use std::collections::BTreeMap;
 
-use bts_params::CkksInstance;
+use bts_params::{CkksInstance, KeySwitchGroup};
 
 use crate::config::BtsConfig;
 use crate::cost::AreaPowerModel;
@@ -269,8 +269,6 @@ impl Simulator {
         let n = ins.n() as f64;
         let log_n = ins.log_n() as f64;
         let l1 = (level + 1) as f64;
-        let k = ins.num_special() as f64;
-        let dnum_l = ins.dnum_at_level(level) as f64;
         let limb_butterflies = n / 2.0 * log_n;
         let butterfly_rate = self.config.butterfly_rate();
         let mmau_rate = self.config.mmau_rate();
@@ -280,35 +278,29 @@ impl Simulator {
         let mut cost = OpCost::default();
         match op {
             HeOp::HMult | HeOp::HRot | HeOp::Conjugate => {
-                // ModUp: per-slice iNTT, BConv, NTT of converted limbs.
-                let mut ntt_limbs = 0.0;
-                let mut bconv_macs = 0.0;
-                let slices = dnum_l as usize;
-                for j in 0..slices {
-                    let lo = j as f64 * k;
-                    let hi = (lo + k).min(l1);
-                    let slice = hi - lo;
-                    let target = (l1 - slice) + k;
-                    ntt_limbs += slice + target;
-                    bconv_macs += slice * n + slice * target * n;
-                }
-                // ModDown for both output polynomials.
-                ntt_limbs += 2.0 * k + 2.0 * l1;
-                bconv_macs += 2.0 * (k * n + k * l1 * n);
-                // Element-wise work: tensor product (HMult only), evk inner
-                // products, SSA, automorphism permutation (HRot/Conj).
-                let mut ew = 2.0 * dnum_l * (l1 + k) * n + 2.0 * l1 * n;
+                // One key-switch (ModUp of every live slice, evk inner
+                // products, ModDown of both polynomials, SSA), counted as the
+                // functional library executes it. Every count is an integer
+                // below 2^53, so the f64 products below are exact.
+                let decomposition = ins.decomposition();
+                let group = KeySwitchGroup::new(ins.n(), level, decomposition, 1);
+                let ntt_limbs = (group.calls.ntt + group.calls.intt) as f64;
+                // Element-wise work beyond the key-switch: the tensor product
+                // (HMult) or the automorphism permutation (HRot/Conj).
+                let mut ew = group.other_mults as f64;
                 if op == HeOp::HMult {
                     ew += 4.0 * l1 * n;
                 } else {
                     ew += 2.0 * l1 * n; // permutation traffic handled per-residue
                 }
                 cost.ntt_seconds = ntt_limbs * limb_butterflies / butterfly_rate;
-                cost.bconv_seconds = bconv_macs / mmau_rate;
+                cost.bconv_seconds = group.bconv_mults as f64 / mmau_rate;
                 cost.elementwise_seconds = ew / ew_rate;
                 cost.evk_bytes = ins.evk_bytes_at_level(level);
                 cost.operand_bytes = 0;
-                cost.temp_bytes = ((dnum_l + 2.0) * (k + l1) * limb_bytes) as u64;
+                let slices = decomposition.slices_at_level(level) as f64;
+                let k = decomposition.special_primes() as f64;
+                cost.temp_bytes = ((slices + 2.0) * (k + l1) * limb_bytes) as u64;
             }
             HeOp::PMult | HeOp::CMult => {
                 cost.elementwise_seconds = 2.0 * l1 * n / ew_rate;
@@ -623,10 +615,10 @@ impl Simulator {
         if let Some(reported) = ins.reported_temp_bytes() {
             return reported;
         }
-        let max_level = ins.max_level();
-        let limbs_full = (ins.num_special() + max_level + 1) as u64;
+        let decomposition = ins.decomposition();
+        let limbs_full = (decomposition.special_primes() + ins.max_level() + 1) as u64;
         // (dnum + 2) working polynomials on the extended base.
-        (ins.dnum() as u64 + 2) * limbs_full * ins.limb_bytes()
+        (decomposition.dnum() as u64 + 2) * limbs_full * ins.limb_bytes()
     }
 
     /// Scratchpad capacity left for the software-managed ciphertext cache

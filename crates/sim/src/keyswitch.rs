@@ -69,8 +69,9 @@ impl KeySwitchSchedule {
     pub fn build(config: &BtsConfig, instance: &CkksInstance, level: usize, is_mult: bool) -> Self {
         let pe = ProcessingElement::from_config(config);
         let l1 = level + 1;
-        let k = instance.num_special();
-        let dnum_l = instance.dnum_at_level(level);
+        let decomposition = instance.decomposition();
+        let k = decomposition.special_primes();
+        let dnum_l = decomposition.slices_at_level(level);
         let per_limb = pe.nttu_cycles_per_limb(instance) as f64 / config.frequency_hz;
         let bconv_limb = |from: usize, to: usize| {
             pe.mmau_cycles_for_bconv(instance, from, to) as f64 / config.frequency_hz
@@ -99,9 +100,7 @@ impl KeySwitchSchedule {
         let mut nttu_free = t;
         let mut bconv_free = t;
         for j in 0..dnum_l {
-            let lo = j * k;
-            let hi = ((j + 1) * k).min(l1);
-            let slice = hi - lo;
+            let slice = decomposition.slice(j, level).len();
             let target = (l1 - slice) + k;
 
             let intt_dur = slice as f64 * per_limb;

@@ -138,8 +138,9 @@ impl KeySwitchOccupancy {
         is_mult: bool,
     ) -> Self {
         let l1 = level + 1;
-        let k = instance.num_special();
-        let dnum_l = instance.dnum_at_level(level);
+        let decomposition = instance.decomposition();
+        let k = decomposition.special_primes();
+        let dnum_l = decomposition.slices_at_level(level);
         let per_limb = pe.nttu_cycles_per_limb(instance);
 
         // ModUp: per decomposition slice, iNTT the slice limbs and NTT the
@@ -148,9 +149,7 @@ impl KeySwitchOccupancy {
         let mut mmau = 0u64;
         let mut scratch = 0u64;
         for j in 0..dnum_l {
-            let lo = j * k;
-            let hi = ((j + 1) * k).min(l1);
-            let slice = hi - lo;
+            let slice = decomposition.slice(j, level).len();
             let target = (l1 - slice) + k;
             nttu += (slice + target) as u64 * per_limb;
             mmau += pe.mmau_cycles_for_bconv(instance, slice, target);

@@ -25,8 +25,10 @@ impl AllocationPlan {
     /// temporaries sized from the working polynomials of the decomposition,
     /// one evk slice double-buffered, and the remainder for ciphertexts.
     pub fn for_keyswitch(config: &BtsConfig, instance: &CkksInstance, level: usize) -> Self {
-        let limbs = (instance.num_special() + level + 1) as u64;
-        let temporary = (instance.dnum_at_level(level) as u64 + 2) * limbs * instance.limb_bytes();
+        let decomposition = instance.decomposition();
+        let limbs = (decomposition.special_primes() + level + 1) as u64;
+        let temporary =
+            (decomposition.slices_at_level(level) as u64 + 2) * limbs * instance.limb_bytes();
         // One extended polynomial's worth of prefetched evk limbs; the rest of
         // the key streams through and is consumed immediately (§5.3).
         let evk_buffer = limbs * instance.limb_bytes();

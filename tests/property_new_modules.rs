@@ -1,86 +1,14 @@
-//! Property-based tests over the newer public APIs: exact CRT reconstruction,
-//! the dnum gadget decomposition, BSGS linear transforms, the noise tracker
-//! and the twiddle-storage model. These complement the unit tests inside each
-//! module with randomized invariants.
+//! Property-based tests over the newer public APIs: BSGS linear transforms,
+//! the noise tracker and the twiddle-storage model. These complement the unit
+//! tests inside each module with randomized invariants.
 
 use bts::ckks::{BsgsTransform, Complex, NoiseTracker};
-use bts::math::{BigUint, CrtReconstructor, GadgetDecomposition};
 use bts::params::{CkksInstance, InstanceBuilder};
 use bts::sim::TwiddleStorage;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// CRT reconstruction round-trips arbitrary products of 64-bit values.
-    #[test]
-    fn crt_reconstruction_round_trips(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
-        let moduli = bts::math::generate_ntt_primes(1 << 10, 45, 3);
-        let crt = CrtReconstructor::from_moduli(&moduli).unwrap();
-        let value = BigUint::from_u64(a).mul(&BigUint::from_u64(b)).add(&BigUint::from_u64(c));
-        prop_assume!(value.cmp_big(crt.product()) == std::cmp::Ordering::Less);
-        let residues = crt.residues_of(&value);
-        prop_assert_eq!(crt.reconstruct(&residues), value);
-    }
-
-    /// Signed reconstruction returns a magnitude at most half the product and
-    /// is consistent with the unsigned value.
-    #[test]
-    fn crt_signed_reconstruction_is_centered(residue in 0u64..97, negate in any::<bool>()) {
-        let moduli = [97u64, 101, 103];
-        let crt = CrtReconstructor::from_moduli(&moduli).unwrap();
-        let residues: Vec<u64> = if negate {
-            moduli.iter().map(|&q| (q - residue % q) % q).collect()
-        } else {
-            vec![residue % 97, residue % 101, residue % 103]
-        };
-        let (_, magnitude) = crt.reconstruct_signed(&residues);
-        let twice = magnitude.mul_u64(2);
-        prop_assert!(twice.cmp_big(crt.product()) != std::cmp::Ordering::Greater);
-    }
-
-    /// Every prime index belongs to exactly one gadget slice, slices are
-    /// contiguous, and the per-level slice count never exceeds dnum.
-    #[test]
-    fn gadget_slices_partition_the_primes(num_primes in 1usize..80, dnum in 1usize..8) {
-        prop_assume!(dnum <= num_primes);
-        let g = GadgetDecomposition::new(num_primes, dnum).unwrap();
-        let mut covered = vec![0usize; num_primes];
-        for j in 0..g.dnum() {
-            for i in g.slice_range(j) {
-                covered[i] += 1;
-                prop_assert_eq!(g.slice_of_prime(i), j);
-            }
-        }
-        prop_assert!(covered.iter().all(|&c| c == 1));
-        for level in 0..num_primes {
-            let s = g.slices_at_level(level);
-            prop_assert!(s >= 1 && s <= g.dnum());
-        }
-        // At the top level every non-empty slice is live; when dnum does not
-        // divide the prime count evenly the trailing slices are empty, so the
-        // live count is ⌈(L+1)/k⌉ rather than dnum itself.
-        prop_assert_eq!(
-            g.slices_at_level(num_primes - 1),
-            num_primes.div_ceil(g.slice_len())
-        );
-    }
-
-    /// The evaluation-key words streamed at a level never exceed the full key
-    /// and grow monotonically with the level.
-    #[test]
-    fn gadget_evk_streaming_is_monotone(num_primes in 2usize..60, dnum in 1usize..6) {
-        prop_assume!(dnum <= num_primes);
-        let g = GadgetDecomposition::new(num_primes, dnum).unwrap();
-        let n = 1usize << 14;
-        let mut prev = 0u64;
-        for level in 0..num_primes {
-            let words = g.evk_words_at_level(n, level);
-            prop_assert!(words >= prev);
-            prop_assert!(words <= g.evk_words(n));
-            prev = words;
-        }
-    }
 
     /// A BSGS transform built from a diagonal matrix acts as slot-wise scaling.
     #[test]
