@@ -7,10 +7,10 @@
 //! cargo run --release -p bts-bench --bin figures -- --json   # BENCH_FIGURES.json
 //! ```
 //!
-//! `--json` simulates every registered workload on every Table 4 instance and
-//! writes the machine-readable results to `BENCH_FIGURES.json` in the current
-//! directory (printing them to stdout as well), so CI can track the perf
-//! trajectory across PRs.
+//! Targets are `all` and the names in [`figures::FIGURES`]; an unknown one
+//! lists them and exits with status 2. `--json` runs each
+//! [`figures::workloads_json`] sweep once and writes `BENCH_FIGURES.json` to
+//! the current directory (and stdout), so CI can diff the perf trajectory.
 
 use bts_bench::figures;
 
@@ -24,27 +24,6 @@ fn main() {
     for target in targets {
         let text = match target {
             "all" => figures::all(),
-            "table1" => figures::table1(),
-            "fig1" => figures::fig1(),
-            "fig2" => figures::fig2(),
-            "fig3b" => figures::fig3b(),
-            "table3" => figures::table3(),
-            "table4" => figures::table4(),
-            "fig6" => figures::fig6(),
-            "fig7a" => figures::fig7a(),
-            "fig7b" => figures::fig7b(),
-            "table5" => figures::table5(),
-            "table6" => figures::table6(),
-            "fig8" => figures::fig8(),
-            "fig9" => figures::fig9(),
-            "fig10" => figures::fig10(),
-            "sched" => figures::sched(),
-            "serve" => figures::serve(),
-            "cluster" => figures::cluster(),
-            "resilience" => figures::resilience(),
-            "hints" => figures::hints(),
-            "compile" => figures::compiler(),
-            "slowdown" => figures::slowdown(),
             "--json" | "json" => {
                 let json = figures::workloads_json();
                 let path = "BENCH_FIGURES.json";
@@ -55,12 +34,17 @@ fn main() {
                 eprintln!("wrote {path}");
                 json
             }
-            other => {
-                eprintln!(
-                    "unknown target '{other}'; expected one of: all table1 fig1 fig2 fig3b table3 table4 fig6 fig7a fig7b table5 table6 fig8 fig9 fig10 sched serve cluster resilience hints compile slowdown --json"
-                );
-                std::process::exit(2);
-            }
+            other => match figures::FIGURES.iter().find(|(name, _)| *name == other) {
+                Some((_, figure)) => figure(),
+                None => {
+                    let names: Vec<&str> = figures::FIGURES.iter().map(|(name, _)| *name).collect();
+                    eprintln!(
+                        "unknown target '{other}'; expected one of: all {} --json",
+                        names.join(" ")
+                    );
+                    std::process::exit(2);
+                }
+            },
         };
         println!("{text}");
     }

@@ -19,15 +19,6 @@ pub struct GridConfig {
     pub config: BtsConfig,
 }
 
-/// One `(instance, configuration)` point of the grid.
-#[derive(Debug, Clone)]
-pub struct GridPoint {
-    /// The CKKS instance (carrying N, L, dnum).
-    pub instance: CkksInstance,
-    /// The hardware configuration.
-    pub config: GridConfig,
-}
-
 /// A cartesian sweep grid: instances × scratchpad sizes × HBM bandwidths.
 #[derive(Debug, Clone)]
 pub struct SweepGrid {
@@ -107,21 +98,6 @@ impl SweepGrid {
         }
         out
     }
-
-    /// Every `(instance, configuration)` point, configs outer, instances
-    /// inner — the iteration order of the JSON results.
-    pub fn points(&self) -> Vec<GridPoint> {
-        let mut out = Vec::new();
-        for config in self.configs() {
-            for instance in &self.instances {
-                out.push(GridPoint {
-                    instance: instance.clone(),
-                    config: config.clone(),
-                });
-            }
-        }
-        out
-    }
 }
 
 /// `1.0 → "1"`, `1.5 → "1.5"` — keeps `bts-1tb` stable while allowing
@@ -146,13 +122,8 @@ mod tests {
             configs.iter().map(|c| c.name.as_str()).collect::<Vec<_>>(),
             vec!["bts-1tb", "bts-2tb"]
         );
-        assert_eq!(grid.instances().len(), 3);
-        let points = grid.points();
-        assert_eq!(points.len(), 6);
-        // Configs outer, instances inner.
-        assert_eq!(points[0].config.name, "bts-1tb");
-        assert_eq!(points[0].instance.name(), "INS-1");
-        assert_eq!(points[3].config.name, "bts-2tb");
+        let instances: Vec<&str> = grid.instances().iter().map(|i| i.name()).collect();
+        assert_eq!(instances, ["INS-1", "INS-2", "INS-3"]);
     }
 
     #[test]

@@ -261,31 +261,12 @@ impl ClusterReport {
         bts_telemetry::percentile_nearest_rank(&latencies, p)
     }
 
-    /// Jain's fairness index over per-tenant mean *cluster* latency —
-    /// measured from original arrivals, so a tenant parked behind a slow
-    /// interconnect counts as unfairly treated even if its chip was fast.
-    /// Fewer than two tenants (or zero total latency) is perfectly fair.
+    /// Jain's fairness index ([`bts_telemetry::jain_index`]) over
+    /// per-tenant mean *cluster* latency — measured from original arrivals,
+    /// so a tenant parked behind a slow interconnect counts as unfairly
+    /// treated even if its chip was fast.
     pub fn tenant_fairness(&self) -> f64 {
-        let mut per_tenant: std::collections::BTreeMap<u32, (f64, usize)> =
-            std::collections::BTreeMap::new();
-        for j in &self.jobs {
-            let entry = per_tenant.entry(j.tenant).or_insert((0.0, 0));
-            entry.0 += j.latency_seconds();
-            entry.1 += 1;
-        }
-        if per_tenant.len() < 2 {
-            return 1.0;
-        }
-        let means: Vec<f64> = per_tenant
-            .values()
-            .map(|&(sum, n)| sum / n as f64)
-            .collect();
-        let total: f64 = means.iter().sum();
-        let squares: f64 = means.iter().map(|x| x * x).sum();
-        if squares <= 0.0 {
-            return 1.0;
-        }
-        total * total / (means.len() as f64 * squares)
+        bts_telemetry::jain_index(self.jobs.iter().map(|j| (j.tenant, j.latency_seconds())))
     }
 
     /// Fraction of chips that served at least one job.

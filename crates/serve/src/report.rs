@@ -345,32 +345,11 @@ impl ServeReport {
             / self.jobs.len() as f64
     }
 
-    /// Jain's fairness index over per-tenant mean latency:
-    /// `(Σ x)² / (n · Σ x²)` with one `x` per tenant. 1.0 means every tenant
-    /// saw the same mean latency; `1/n` means one tenant absorbed all of it.
-    /// Batches with fewer than two tenants (or zero total latency) are
-    /// perfectly fair by definition.
+    /// Jain's fairness index over per-tenant mean latency
+    /// ([`bts_telemetry::jain_index`]): 1.0 means every tenant saw the same
+    /// mean latency, `1/n` that one tenant absorbed all of it.
     pub fn tenant_fairness(&self) -> f64 {
-        let mut per_tenant: std::collections::BTreeMap<u32, (f64, usize)> =
-            std::collections::BTreeMap::new();
-        for j in &self.jobs {
-            let entry = per_tenant.entry(j.tenant).or_insert((0.0, 0));
-            entry.0 += j.latency_seconds();
-            entry.1 += 1;
-        }
-        if per_tenant.len() < 2 {
-            return 1.0;
-        }
-        let means: Vec<f64> = per_tenant
-            .values()
-            .map(|&(sum, n)| sum / n as f64)
-            .collect();
-        let total: f64 = means.iter().sum();
-        let squares: f64 = means.iter().map(|x| x * x).sum();
-        if squares <= 0.0 {
-            return 1.0;
-        }
-        total * total / (means.len() as f64 * squares)
+        bts_telemetry::jain_index(self.jobs.iter().map(|j| (j.tenant, j.latency_seconds())))
     }
 
     /// Renders the headline figures as a small text block.

@@ -13,6 +13,7 @@ use std::path::{Path, PathBuf};
 
 use crate::collector::Collector;
 use crate::event::{ArgValue, Event, EventKind};
+use crate::json::JsonWriter;
 
 /// What one Chrome-trace export produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,106 +46,72 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
         tids.entry((pid, ev.track.as_str())).or_insert(next);
     }
 
-    let mut order: Vec<usize> = (0..events.len()).collect();
-    order.sort_by(|&a, &b| {
-        let ka = (
-            pids[events[a].process.as_str()],
-            tids[&(pids[events[a].process.as_str()], events[a].track.as_str())],
-        );
-        let kb = (
-            pids[events[b].process.as_str()],
-            tids[&(pids[events[b].process.as_str()], events[b].track.as_str())],
-        );
-        ka.cmp(&kb)
-            .then(
-                events[a]
-                    .ts_ns
-                    .partial_cmp(&events[b].ts_ns)
-                    .expect("finite ts"),
-            )
-            // Stable within a track at equal ts: keep emission order.
-            .then(a.cmp(&b))
+    let ids = |ev: &Event| {
+        let pid = pids[ev.process.as_str()];
+        (pid, tids[&(pid, ev.track.as_str())])
+    };
+    // By track, then timestamp; the sort is stable, so events at equal
+    // timestamps on one track keep their emission order.
+    let mut order: Vec<&Event> = events.iter().collect();
+    order.sort_by(|a, b| {
+        let ts = a.ts_ns.partial_cmp(&b.ts_ns).expect("finite ts");
+        ids(a).cmp(&ids(b)).then(ts)
     });
 
-    let mut out = String::with_capacity(events.len() * 128 + 1024);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push_record = |out: &mut String, body: &str| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('\n');
-        out.push_str(body);
-    };
-
-    // Metadata: name every process and track.
-    for (process, &pid) in &pids {
-        push_record(
-            &mut out,
-            &format!(
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\"ts\":0,\
-                 \"args\":{{\"name\":{}}}}}",
-                json_string(process)
-            ),
-        );
-    }
-    for (&(pid, track), &tid) in &tids {
-        push_record(
-            &mut out,
-            &format!(
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\"ts\":0,\
-                 \"args\":{{\"name\":{}}}}}",
-                json_string(track)
-            ),
-        );
-    }
-
-    for &idx in &order {
-        let ev = &events[idx];
-        let pid = pids[ev.process.as_str()];
-        let tid = tids[&(pid, ev.track.as_str())];
-        let ts_us = ev.ts_ns / 1e3;
-        let mut body = format!(
-            "{{\"name\":{},\"pid\":{pid},\"tid\":{tid},\"ts\":{}",
-            json_string(&ev.name),
-            json_number(ts_us)
-        );
-        match ev.kind {
-            EventKind::Complete { dur_ns } => {
-                body.push_str(&format!(
-                    ",\"ph\":\"X\",\"dur\":{}",
-                    json_number(dur_ns / 1e3)
-                ));
+    let mut w = JsonWriter::default();
+    w.object(|w| {
+        w.key("traceEvents").array(|w| {
+            // Metadata: name every process (tid 0) and track.
+            let processes = pids
+                .iter()
+                .map(|(&name, &pid)| (pid, 0, "process_name", name));
+            let tracks = tids
+                .iter()
+                .map(|(&(pid, name), &tid)| (pid, tid, "thread_name", name));
+            for (pid, tid, kind, name) in processes.chain(tracks) {
+                w.object(|w| {
+                    w.field("ph", "M")
+                        .field("name", kind)
+                        .field("pid", pid)
+                        .field("tid", tid)
+                        .field("ts", 0u64)
+                        .key("args")
+                        .object(|w| {
+                            w.field("name", name);
+                        });
+                });
             }
-            EventKind::Instant => {
-                body.push_str(",\"ph\":\"i\",\"s\":\"t\"");
+            for ev in order {
+                let (pid, tid) = ids(ev);
+                w.object(|w| {
+                    w.field("name", ev.name.as_str())
+                        .field("pid", pid)
+                        .field("tid", tid)
+                        .field("ts", ev.ts_ns / 1e3);
+                    match ev.kind {
+                        EventKind::Complete { dur_ns } => {
+                            w.field("ph", "X").field("dur", dur_ns / 1e3)
+                        }
+                        EventKind::Instant => w.field("ph", "i").field("s", "t"),
+                        EventKind::Counter => w.field("ph", "C"),
+                    };
+                    if !ev.args.is_empty() {
+                        w.key("args").object(|w| {
+                            for (key, value) in &ev.args {
+                                match value {
+                                    ArgValue::U64(v) => w.field(key, *v),
+                                    ArgValue::F64(v) => w.field(key, *v),
+                                    ArgValue::Str(v) => w.field(key, v.as_str()),
+                                };
+                            }
+                        });
+                    }
+                });
             }
-            EventKind::Counter => {
-                body.push_str(",\"ph\":\"C\"");
-            }
-        }
-        if !ev.args.is_empty() {
-            body.push_str(",\"args\":{");
-            for (i, (key, value)) in ev.args.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&json_string(key));
-                body.push(':');
-                match value {
-                    ArgValue::U64(v) => body.push_str(&v.to_string()),
-                    ArgValue::F64(v) => body.push_str(&json_number(*v)),
-                    ArgValue::Str(v) => body.push_str(&json_string(v)),
-                }
-            }
-            body.push('}');
-        }
-        body.push('}');
-        push_record(&mut out, &body);
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
+        });
+        w.field("displayTimeUnit", "ms");
+    });
+    w.finish()
 }
 
 /// Writes a collector's events as a Chrome trace to `path`.
@@ -164,35 +131,6 @@ pub fn export_chrome_trace(collector: &Collector, path: &Path) -> io::Result<Exp
         tracks: tracks.len(),
         dropped: collector.dropped,
     })
-}
-
-/// Formats a finite f64 as a JSON number (no exponent, shortest round-trip).
-fn json_number(v: f64) -> String {
-    debug_assert!(v.is_finite(), "trace timestamps/values must be finite");
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Escapes and quotes a string for JSON.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -252,6 +190,15 @@ mod tests {
         let early = json.find("\"early\"").unwrap();
         let late = json.find("\"late\"").unwrap();
         assert!(early < late, "events must be written in ts order per track");
+        crate::json::validate_chrome_trace(&json).unwrap();
+    }
+
+    #[test]
+    fn non_finite_values_are_exported_as_null() {
+        let mut event = ev("p", "t", "gauge", 0.0, EventKind::Counter);
+        event.args = vec![("waiting", ArgValue::F64(f64::NAN))];
+        let json = chrome_trace_json(&[event]);
+        assert!(json.contains("\"args\": {\"waiting\": null}"), "{json}");
         crate::json::validate_chrome_trace(&json).unwrap();
     }
 

@@ -1,11 +1,169 @@
-//! A minimal JSON parser and the Chrome trace-event schema checker.
+//! A minimal JSON writer and parser, and the Chrome trace-event schema checker.
 //!
-//! The workspace is offline (no serde); examples and CI still need to prove
-//! that an exported trace is well-formed and schema-valid, so this module
-//! carries a small recursive-descent parser — enough JSON for trace files —
-//! and [`validate_chrome_trace`], the gate both the demos and the CI job run.
+//! The workspace is offline (no serde). [`JsonWriter`] writes every JSON
+//! document it emits (Chrome traces, `BENCH_FIGURES.json`); a small
+//! recursive-descent [`parse`] reads them back, and [`validate_chrome_trace`]
+//! is the gate both the demos and the CI job run.
 
 use std::collections::BTreeSet;
+use std::fmt::{Arguments, Write as _};
+
+/// A string, unsigned integer or shortest-form `f64` that [`JsonWriter`]
+/// can write.
+pub trait JsonScalar {
+    /// Appends the value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+impl JsonScalar for &str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            let _ = match c {
+                '"' => out.write_str("\\\""),
+                '\\' => out.write_str("\\\\"),
+                '\n' => out.write_str("\\n"),
+                '\r' => out.write_str("\\r"),
+                '\t' => out.write_str("\\t"),
+                c if c < ' ' => write!(out, "\\u{:04x}", c as u32),
+                c => out.write_char(c),
+            };
+        }
+        out.push('"');
+    }
+}
+
+macro_rules! integer_scalar {
+    ($($t:ty),*) => {$(
+        impl JsonScalar for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+integer_scalar!(u32, u64, usize);
+
+impl JsonScalar for f64 {
+    fn write_json(&self, out: &mut String) {
+        number(out, *self, format_args!("{self}"));
+    }
+}
+
+/// Appends `text`, the formatted `v`, or `null` if `v` is not finite: JSON
+/// has no NaN or infinity.
+fn number(out: &mut String, v: f64, text: Arguments) {
+    let _ = if v.is_finite() {
+        out.write_fmt(text)
+    } else {
+        out.write_str("null")
+    };
+}
+
+/// Streams one JSON document in `BENCH_FIGURES.json`'s layout: the root
+/// object and every array put one element per line, indented two spaces per
+/// open container; every other object stays on one line as
+/// `{"key": value, ...}`. Start from `JsonWriter::default()`.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Per open container, innermost last: one element per line or not.
+    multiline: Vec<bool>,
+    /// The innermost open container has no element yet.
+    first: bool,
+    /// A key was just written, so its value takes no separator.
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// Writes an array element, or the value of the key just written.
+    pub fn value(&mut self, value: impl JsonScalar) -> &mut Self {
+        self.separate();
+        value.write_json(&mut self.out);
+        self
+    }
+
+    /// Writes an object key; what is written next is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.value(key).out.push_str(": ");
+        self.after_key = true;
+        self
+    }
+
+    /// Writes one `"key": value` member.
+    pub fn field(&mut self, key: &str, value: impl JsonScalar) -> &mut Self {
+        self.key(key).value(value)
+    }
+
+    /// Writes `"key": v` with a fixed number of decimals (`{v:.N}`).
+    pub fn fixed(&mut self, key: &str, v: f64, decimals: usize) -> &mut Self {
+        self.key(key).separate();
+        number(&mut self.out, v, format_args!("{v:.decimals$}"));
+        self
+    }
+
+    /// Writes `"key": v` in exponent form (`{v:.Ne}`, e.g. `1.569181e-2`).
+    pub fn exp(&mut self, key: &str, v: f64, decimals: usize) -> &mut Self {
+        self.key(key).separate();
+        number(&mut self.out, v, format_args!("{v:.decimals$e}"));
+        self
+    }
+
+    /// Writes an object whose members `body` writes.
+    pub fn object(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container("{}", body)
+    }
+
+    /// Writes an array whose elements `body` writes.
+    pub fn array(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container("[]", body)
+    }
+
+    /// The finished document, newline-terminated.
+    pub fn finish(self) -> String {
+        self.out + "\n"
+    }
+
+    fn container(&mut self, brackets: &str, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.separate();
+        let multiline = brackets == "[]" || self.multiline.is_empty();
+        self.multiline.push(multiline);
+        self.out.push_str(&brackets[..1]);
+        self.first = true;
+        body(self);
+        self.multiline.pop();
+        if multiline && !self.first {
+            self.newline();
+        }
+        // The container itself is an element of its parent.
+        self.first = false;
+        self.out.push_str(&brackets[1..]);
+        self
+    }
+
+    /// Separates an element from the one before it: a comma unless it is
+    /// the first, then a newline in a multiline container or a space.
+    fn separate(&mut self) {
+        let Some(&multiline) = self.multiline.last() else {
+            return;
+        };
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        if !std::mem::take(&mut self.first) {
+            self.out.push_str(if multiline { "," } else { ", " });
+        }
+        if multiline {
+            self.newline();
+        }
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        self.out.push_str(&"  ".repeat(self.multiline.len()));
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,13 +228,12 @@ impl JsonValue {
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         text: input,
-        bytes: input.as_bytes(),
         pos: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(format!("trailing garbage at byte {}", p.pos));
     }
     Ok(value)
@@ -84,23 +241,18 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 
 struct Parser<'a> {
     text: &'a str,
-    bytes: &'a [u8],
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -126,7 +278,7 @@ impl Parser<'_> {
     }
 
     fn parse_keyword(&mut self, keyword: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(keyword.as_bytes()) {
+        if self.text[self.pos..].starts_with(keyword) {
             self.pos += keyword.len();
             Ok(value)
         } else {
@@ -134,55 +286,57 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
+    /// Parses `open item (, item)* close` or `open close`, reading each item
+    /// with `item`.
+    fn parse_seq(
+        &mut self,
+        [open, close]: [u8; 2],
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(open)?;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(JsonValue::Object(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            members.push((key, value));
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(b) if b == close => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(members));
+                    return Ok(());
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => {
+                    let close = char::from(close);
+                    return Err(format!("expected ',' or '{close}' at byte {}", self.pos));
+                }
             }
         }
     }
 
+    fn parse_object(&mut self) -> Result<JsonValue, String> {
+        let mut members = Vec::new();
+        self.parse_seq(*b"{}", |p| {
+            let key = p.parse_string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            members.push((key, p.parse_value()?));
+            Ok(())
+        })?;
+        Ok(JsonValue::Object(members))
+    }
+
     fn parse_array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
+        self.parse_seq(*b"[]", |p| {
+            items.push(p.parse_value()?);
+            Ok(())
+        })?;
+        Ok(JsonValue::Array(items))
     }
 
     fn parse_string(&mut self) -> Result<String, String> {
@@ -240,42 +394,23 @@ impl Parser<'_> {
 
     fn parse_hex4(&mut self) -> Result<u16, String> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err("truncated \\u escape".to_string());
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "invalid \\u escape".to_string())?;
+        let hex = (self.text.get(self.pos..end)).ok_or("truncated \\u escape")?;
         let code =
             u16::from_str_radix(hex, 16).map_err(|_| format!("invalid \\u escape '{hex}'"))?;
         self.pos = end;
         Ok(code)
     }
 
+    /// Reads the longest run of number characters; `f64`'s parser judges it.
     fn parse_number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+        ) {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number".to_string())?;
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| format!("invalid number '{text}' at byte {start}"))
@@ -324,28 +459,25 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
             ev.get(key)
                 .ok_or_else(|| format!("event {i}: missing '{key}'"))
         };
-        let ph = field("ph")?
-            .as_str()
-            .ok_or_else(|| format!("event {i}: 'ph' is not a string"))?;
-        field("name")?
-            .as_str()
-            .ok_or_else(|| format!("event {i}: 'name' is not a string"))?;
-        let ts = field("ts")?
-            .as_number()
-            .ok_or_else(|| format!("event {i}: 'ts' is not a number"))?;
-        let pid = field("pid")?
-            .as_number()
-            .ok_or_else(|| format!("event {i}: 'pid' is not a number"))? as u64;
-        let tid = field("tid")?
-            .as_number()
-            .ok_or_else(|| format!("event {i}: 'tid' is not a number"))? as u64;
+        let string = |key: &str| {
+            field(key)?
+                .as_str()
+                .ok_or_else(|| format!("event {i}: '{key}' is not a string"))
+        };
+        let number = |key: &str| {
+            field(key)?
+                .as_number()
+                .ok_or_else(|| format!("event {i}: '{key}' is not a number"))
+        };
+        let ph = string("ph")?;
+        string("name")?;
+        let ts = number("ts")?;
+        let (pid, tid) = (number("pid")? as u64, number("tid")? as u64);
         if ph == "M" {
             continue;
         }
         if ph == "X" {
-            let dur = field("dur")?
-                .as_number()
-                .ok_or_else(|| format!("event {i}: 'dur' is not a number"))?;
+            let dur = number("dur")?;
             if dur < 0.0 {
                 return Err(format!("event {i}: negative dur {dur}"));
             }
@@ -380,28 +512,76 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
 pub fn trace_event_names(text: &str) -> Result<Vec<String>, String> {
     validate_chrome_trace(text)?;
     let root = parse(text)?;
-    let events = root
-        .get("traceEvents")
-        .and_then(JsonValue::as_array)
-        .expect("validated above");
-    let mut names: BTreeSet<String> = BTreeSet::new();
-    for ev in events {
-        let ph = ev.get("ph").and_then(JsonValue::as_str).expect("validated");
-        if ph == "M" {
-            continue;
-        }
-        let name = ev
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .expect("validated");
-        names.insert(name.to_string());
-    }
-    Ok(names.into_iter().collect())
+    let events = root.get("traceEvents").and_then(JsonValue::as_array);
+    let names: BTreeSet<&str> = events
+        .expect("validated above")
+        .iter()
+        .filter(|ev| ev.get("ph").and_then(JsonValue::as_str) != Some("M"))
+        .filter_map(|ev| ev.get("name").and_then(JsonValue::as_str))
+        .collect();
+    Ok(names.into_iter().map(str::to_string).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Quotes, backslashes, multi-byte UTF-8 and (below) every control
+    /// character: what the escaper must round-trip.
+    const ALPHABET: [char; 8] = ['"', '\\', '/', 'a', ' ', 'é', '漢', '😀'];
+
+    proptest! {
+        #[test]
+        fn written_documents_parse_back_bit_equal(
+            codes in prop::collection::vec(0u32..40, 12),
+            bits in any::<u64>(),
+            int in any::<u64>(),
+        ) {
+            let text: String = codes
+                .iter()
+                .map(|&c| char::from_u32(c).filter(|c| *c < ' ').unwrap_or(ALPHABET[c as usize % 8]))
+                .collect();
+            let v = f64::from_bits(bits);
+            prop_assume!(v.is_finite());
+            let mut w = JsonWriter::default();
+            w.object(|w| {
+                w.key(&text).array(|w| {
+                    w.value(text.as_str()).value(v).value(int);
+                });
+            });
+            let doc = parse(&w.finish()).expect("the writer emits well-formed JSON");
+            let row = doc.get(&text).and_then(JsonValue::as_array).expect("array");
+            prop_assert_eq!(row[0].as_str(), Some(text.as_str()));
+            prop_assert_eq!(row[1].as_number().map(f64::to_bits), Some(bits));
+            prop_assert_eq!(row[2].as_number(), Some(int as f64));
+        }
+    }
+
+    #[test]
+    fn numbers_and_containers_take_their_documented_forms() {
+        let mut w = JsonWriter::default();
+        w.object(|w| {
+            w.fixed("f", 15.2884, 3).exp("e", 0.01569181, 6);
+            w.key("a").array(|_| {}).key("o").object(|w| {
+                w.fixed("z", 1.0, 4).exp("y", 0.0, 6).field("s", 0.1);
+            });
+            // JSON has no NaN or infinity.
+            w.field("n", f64::NAN).fixed("i", f64::INFINITY, 4);
+            w.exp("m", f64::NEG_INFINITY, 6);
+        });
+        let expected = r#"{
+  "f": 15.288,
+  "e": 1.569181e-2,
+  "a": [],
+  "o": {"z": 1.0000, "y": 0.000000e0, "s": 0.1},
+  "n": null,
+  "i": null,
+  "m": null
+}
+"#;
+        assert_eq!(w.finish(), expected);
+    }
 
     #[test]
     fn parses_scalars_strings_and_nesting() {

@@ -68,7 +68,7 @@ pub use event::{check_proper_nesting, ArgValue, Event, EventKind};
 pub use export::{chrome_trace_json, export_chrome_trace, ExportSummary};
 pub use json::{trace_event_names, validate_chrome_trace, TraceCheck};
 pub use metrics::{counter_add, gauge_set, observe, Histogram, Metric, LATENCY_BUCKET_BOUNDS};
-pub use stats::{nearest_rank_index, percentile_nearest_rank};
+pub use stats::{jain_index, nearest_rank_index, percentile_nearest_rank};
 pub use timeline::TimelineSegment;
 
 use std::io;

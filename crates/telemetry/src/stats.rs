@@ -1,10 +1,10 @@
-//! Shared percentile math.
+//! Shared latency statistics.
 //!
 //! One nearest-rank implementation feeds every latency figure in the
 //! workspace: the exact per-job percentiles in `bts-serve`/`bts-cluster`
 //! reports (which sort the raw samples) and the bucketed estimates of
 //! [`crate::metrics::Histogram`] (which walk cumulative bucket counts with
-//! the same rank rule).
+//! the same rank rule). [`jain_index`] is both reports' tenant fairness.
 
 /// Zero-based index of the nearest-rank `p`-th percentile in a sorted sample
 /// of `len` elements: `rank = ⌈p/100 · len⌉`, clamped into `[1, len]`
@@ -41,6 +41,34 @@ pub fn percentile_nearest_rank(values: &[f64], p: f64) -> f64 {
     let mut sorted = values.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
     sorted[nearest_rank_index(sorted.len(), p)]
+}
+
+/// Jain's fairness index over per-tenant mean latency, from
+/// `(tenant, latency)` pairs: `(Σx)² / (n·Σx²)` over the `n` tenants' means.
+/// 1.0 means every tenant saw the same mean latency; `1/n` means one tenant
+/// absorbed all of it. Fewer than two tenants (or zero total latency) is
+/// perfectly fair by definition.
+pub fn jain_index(samples: impl IntoIterator<Item = (u32, f64)>) -> f64 {
+    let mut per_tenant: std::collections::BTreeMap<u32, (f64, usize)> =
+        std::collections::BTreeMap::new();
+    for (tenant, latency) in samples {
+        let entry = per_tenant.entry(tenant).or_insert((0.0, 0));
+        entry.0 += latency;
+        entry.1 += 1;
+    }
+    if per_tenant.len() < 2 {
+        return 1.0;
+    }
+    let means: Vec<f64> = per_tenant
+        .values()
+        .map(|&(sum, n)| sum / n as f64)
+        .collect();
+    let total: f64 = means.iter().sum();
+    let squares: f64 = means.iter().map(|x| x * x).sum();
+    if squares <= 0.0 {
+        return 1.0;
+    }
+    total * total / (means.len() as f64 * squares)
 }
 
 #[cfg(test)]
@@ -84,6 +112,15 @@ mod tests {
     fn unsorted_input_is_handled() {
         let values = [5.0, 1.0, 4.0, 2.0, 3.0];
         assert_eq!(percentile_nearest_rank(&values, 50.0), 3.0);
+    }
+
+    #[test]
+    fn jain_index_spans_one_over_n_to_one() {
+        assert_eq!(jain_index([(0, 2.0), (1, 1.0), (1, 3.0)]), 1.0);
+        assert_eq!(jain_index([(7, 5.0), (7, 1.0)]), 1.0);
+        assert_eq!(jain_index([(0, 0.0), (1, 0.0)]), 1.0);
+        // One of four tenants absorbs all the latency: 1/4.
+        assert_eq!(jain_index([(0, 4.0), (1, 0.0), (2, 0.0), (3, 0.0)]), 0.25);
     }
 
     #[test]
