@@ -4,6 +4,7 @@
 //! of truth.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use bts_circuit::{
     compile as compile_bytecode, BootstrapPlan, PassPipeline, TraceBackend, Workload,
@@ -16,7 +17,7 @@ use bts_params::{
     hmult_complexity, min_nttu_count, sweep_dnum, BandwidthModel, CkksInstance, Decomposition,
     MinBoundModel, L_BOOT,
 };
-use bts_sched::{FuKind, ScheduleExt};
+use bts_sched::{FuKind, JobPlan, MultiScheduler, ScheduleExt};
 use bts_serve::{
     serve as serve_jobs, JobRequest, QueuePolicy, ServeOptions, ServeReport, SyntheticArrivals,
 };
@@ -584,10 +585,10 @@ fn result_rows(grid: &SweepGrid) -> Vec<ResultRow> {
                     instance: ins.clone(),
                     ops: trace.len(),
                     key_switches: trace.key_switch_count(),
-                    rotation_keys: trace.rotation_keys,
+                    rotation_keys: trace.rotation_keys(),
                     bootstraps: lowered.bootstrap_count,
                     run: run.report,
-                    utilization: run.schedule.utilizations(),
+                    utilization: run.schedule.utilizations,
                     belady: sim.try_run_belady(trace).expect("lowered traces validate"),
                     lru: sim.try_run_lru(trace).expect("lowered traces validate"),
                 });
@@ -667,9 +668,15 @@ pub fn sched() -> String {
         .lower(&ins)
         .expect("bootstrappable");
     let sim = Simulator::new(BtsConfig::bts_default(), ins);
-    let run = sim.run_scheduled(&lowered.trace);
+    // A scheduled run keeps no timeline; the scheduler keeps one for its
+    // plan, admitted alone at 0.
+    let (plan, _) = JobPlan::from_trace(&sim, &lowered.trace).expect("lowered traces validate");
+    let mut scheduler = MultiScheduler::new(*plan.machine());
+    scheduler
+        .add_planned(0, Arc::new(plan), 0.0)
+        .expect("a fresh scheduler admits a plan for its own machine at 0");
     let _ = writeln!(out, "bootstrap timeline (first reservations per unit):");
-    write_timeline(&mut out, "  ", run.schedule.timeline(3));
+    write_timeline(&mut out, "  ", scheduler.finish().timeline(3));
     out
 }
 

@@ -73,6 +73,27 @@ impl BootstrapPlan {
         (self.c2s_stages + self.s2c_stages) * self.rotations_per_stage
     }
 
+    /// Ops one bootstrap appends to a trace ([`BootstrapPlan::append_to`]):
+    /// the modulus raise, a BSGS stage per CoeffToSlot / SlotToCoeff level
+    /// (rotate → scale → accumulate per rotation, the extra diagonals of
+    /// CoeffToSlot, a rescale), the conjugation splits, EvalMod's
+    /// multiply-accumulates and per-level scale + rescale, the final scale +
+    /// rescale.
+    pub fn op_count(&self) -> usize {
+        let stage = 3 * self.rotations_per_stage + 1;
+        let c2s_extra = 2 * self
+            .pmults_per_stage
+            .saturating_sub(self.rotations_per_stage);
+        let conjugations =
+            usize::from(self.conjugations > 0) + 2 * usize::from(self.conjugations > 1);
+        1 + self.c2s_stages * (stage + c2s_extra)
+            + conjugations
+            + 1
+            + 2 * (self.evalmod_mults + self.evalmod_levels)
+            + self.s2c_stages * stage
+            + 2
+    }
+
     /// Appends one bootstrap to a trace builder. `ct` is the exhausted
     /// ciphertext; returns the refreshed ciphertext id, which ends up at level
     /// `instance.max_level() - L_BOOT`.
@@ -81,8 +102,7 @@ impl BootstrapPlan {
     ///
     /// Panics if the instance's level budget is below the plan's consumption.
     pub fn append_to(&self, builder: &mut TraceBuilder, ct: CtId) -> CtId {
-        let instance = builder.instance().clone();
-        let top = instance.max_level();
+        let top = builder.instance().max_level();
         assert!(
             top >= self.levels_consumed(),
             "instance level budget {} cannot bootstrap ({} levels needed)",
@@ -172,7 +192,7 @@ impl BootstrapPlan {
     pub fn keyswitch_histogram(&self, instance: &CkksInstance) -> Vec<(usize, usize)> {
         let trace = self.trace(instance);
         let mut per_level = std::collections::BTreeMap::new();
-        for op in &trace.ops {
+        for op in trace.ops() {
             if op.op.is_key_switching() {
                 *per_level.entry(op.level).or_insert(0usize) += 1;
             }
@@ -216,15 +236,37 @@ mod tests {
         let trace = plan.trace(&ins);
         assert_eq!(trace.key_switch_count(), plan.key_switch_count());
         assert_eq!(trace.count(HeOp::ModRaise), 1);
-        assert!(trace.ops.iter().all(|o| o.in_bootstrap));
+        assert!(trace.ops().all(|o| o.in_bootstrap));
         // Levels stay within the instance's budget and end above zero.
-        let min_level = trace.ops.iter().map(|o| o.level).min().unwrap();
+        let min_level = trace.ops().map(|o| o.level).min().unwrap();
         assert!(min_level >= ins.max_level() - L_BOOT);
         // HMult and HRot dominate the key-switches (77% of bootstrap time on
         // CPU per §2.4 is HMult/HRot; here they are the only key-switch ops
         // besides a couple of conjugations).
         let conj = trace.count(HeOp::Conjugate);
         assert!(conj <= 2);
+    }
+
+    #[test]
+    fn op_count_is_what_append_to_emits() {
+        let ins = CkksInstance::ins1();
+        let default = BootstrapPlan::paper_default();
+        let variants = [
+            default.clone(),
+            BootstrapPlan {
+                conjugations: 0,
+                pmults_per_stage: 9,
+                ..default.clone()
+            },
+            BootstrapPlan {
+                conjugations: 1,
+                evalmod_mults: 7,
+                ..default
+            },
+        ];
+        for plan in variants {
+            assert_eq!(plan.trace(&ins).len(), plan.op_count(), "{plan:?}");
+        }
     }
 
     #[test]

@@ -70,7 +70,10 @@ impl TraceBackend {
         compiled: &CompiledCircuit,
     ) -> Result<LoweredTrace, CircuitError> {
         compiled.validate()?;
-        let mut builder = TraceBuilder::new(&compiled.instance);
+        // Every instruction is one traced op, every marker one expansion.
+        let bootstraps = compiled.bootstrap_count();
+        let ops = compiled.ops.len() - bootstraps + bootstraps * self.plan.op_count();
+        let mut builder = TraceBuilder::with_capacity(&compiled.instance, ops);
         let mut regs: Vec<Option<CtId>> = vec![None; compiled.reg_count as usize];
         for input in &compiled.inputs {
             regs[input.reg as usize] = Some(builder.fresh_ct(input.level));
@@ -167,7 +170,7 @@ mod tests {
             assert_eq!(lowered.trace.count(op), count, "{op:?}");
         }
         assert_eq!(lowered.trace.len(), circuit.len());
-        assert_eq!(lowered.trace.rotation_keys, 1);
+        assert_eq!(lowered.trace.rotation_keys(), 1);
     }
 
     #[test]
@@ -184,7 +187,7 @@ mod tests {
         let plan = BootstrapPlan::paper_default();
         assert_eq!(lowered.trace.key_switch_count(), plan.key_switch_count());
         assert_eq!(lowered.trace.count(HeOp::ModRaise), 1);
-        assert!(lowered.trace.ops.iter().all(|o| o.in_bootstrap));
+        assert!(lowered.trace.ops().all(|o| o.in_bootstrap));
     }
 
     #[test]
@@ -217,7 +220,7 @@ mod tests {
         let q = b.rescale(raw2).unwrap();
         b.output(q);
         let lowered = TraceBackend::new().execute(&b.build()).unwrap();
-        let levels: Vec<usize> = lowered.trace.ops.iter().map(|o| o.level).collect();
+        let levels: Vec<usize> = lowered.trace.ops().map(|o| o.level).collect();
         assert_eq!(levels, vec![top, top, top - 1, top - 1]);
     }
 }

@@ -616,11 +616,10 @@ impl ClusterServer {
         let estimate_seconds = estimate_trace_seconds(&simulator, &lowered.trace);
         let input_ct_bytes = lowered
             .trace
-            .input_levels
-            .iter()
-            .map(|&level| job.instance.ct_bytes(level))
+            .inputs()
+            .map(|(_, level)| job.instance.ct_bytes(level))
             .sum();
-        let evk_set_bytes = job.instance.evk_set_bytes(lowered.trace.rotation_keys);
+        let evk_set_bytes = job.instance.evk_set_bytes(lowered.trace.rotation_keys());
         Ok(JobProfile {
             estimate_seconds,
             input_ct_bytes,

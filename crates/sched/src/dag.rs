@@ -1,7 +1,10 @@
 //! Dependency DAG of an op trace: producer → consumer edges through
 //! ciphertext ids, plus bootstrap-region barriers.
 
-use bts_sim::{OpTrace, TraceIndex};
+use bts_sim::{OpTrace, TracedOp};
+
+/// "No predecessor": a chain starts at this op.
+const NONE: u32 = u32::MAX;
 
 /// The dependency structure of an [`OpTrace`]: for every op, the indices of
 /// the earlier ops whose outputs it consumes, and the *barrier segment* it
@@ -21,6 +24,8 @@ pub struct TraceDag {
     edges: Vec<u32>,
     /// Barrier segment of every op; nondecreasing in program order.
     segment: Vec<u32>,
+    /// Whether the last op added belongs to a bootstrapping region.
+    in_bootstrap: bool,
 }
 
 /// The longest dependency chain through a [`TraceDag`] under given per-op
@@ -34,44 +39,51 @@ pub struct CriticalPath {
 }
 
 impl TraceDag {
-    /// Builds the DAG for a trace in one forward pass.
+    /// Builds the DAG of a trace in one forward pass: every operand's
+    /// producer comes straight from the trace's per-slot table. Total on any
+    /// trace: on one [`OpTrace::validate`] rejects, an undefined id has no
+    /// producer and the first definition of a redefined id is its producer.
     pub fn from_trace(trace: &OpTrace) -> Self {
-        Self::from_index(&TraceIndex::lenient(trace))
+        let mut dag = Self::with_capacity(trace.len());
+        for op in trace.ops() {
+            dag.push(trace, &op);
+        }
+        dag
     }
 
-    /// Builds the DAG of an already-indexed trace: every operand's producer
-    /// comes straight from the index's per-slot table.
-    pub(crate) fn from_index(index: &TraceIndex<'_>) -> Self {
-        let trace = index.trace();
-        let mut offsets = Vec::with_capacity(trace.ops.len() + 1);
-        let mut edges: Vec<u32> = Vec::with_capacity(trace.ops.len());
-        let mut segment = Vec::with_capacity(trace.ops.len());
-        let mut current_segment = 0u32;
-        let mut in_bootstrap = trace.ops.first().is_some_and(|op| op.in_bootstrap);
+    /// An empty DAG with room for `ops` ops.
+    pub(crate) fn with_capacity(ops: usize) -> Self {
+        let mut offsets = Vec::with_capacity(ops + 1);
         offsets.push(0);
-        for op in index.ops() {
-            if op.traced.in_bootstrap != in_bootstrap {
-                in_bootstrap = op.traced.in_bootstrap;
-                current_segment += 1;
-            }
-            segment.push(current_segment);
-            let first = edges.len();
-            // A producer always precedes its consumer in a well-formed
-            // trace; the check keeps the edges backward on any other.
-            let producers = op.operands.iter().filter_map(|&slot| index.producer(slot));
-            for p in producers.filter(|&p| p < op.index) {
-                if !edges[first..].contains(&p) {
-                    edges.push(p);
-                }
-            }
-            edges[first..].sort_unstable();
-            offsets.push(u32::try_from(edges.len()).expect("edge count fits u32"));
-        }
         Self {
             offsets,
-            edges,
-            segment,
+            // At most one edge per operand, most ops read one or two.
+            edges: Vec::with_capacity(2 * ops),
+            segment: Vec::with_capacity(ops),
+            in_bootstrap: false,
         }
+    }
+
+    /// Adds `op`, the next op of `trace` in program order.
+    pub(crate) fn push(&mut self, trace: &OpTrace, op: &TracedOp<'_>) {
+        let segment = match self.segment.last() {
+            Some(&s) => s + u32::from(op.in_bootstrap != self.in_bootstrap),
+            None => 0,
+        };
+        self.segment.push(segment);
+        self.in_bootstrap = op.in_bootstrap;
+        let first = self.edges.len();
+        // A producer always precedes its consumer in a well-formed trace;
+        // the check keeps the edges backward on any other.
+        let producers = op.operands.iter().filter_map(|&slot| trace.producer(slot));
+        for p in producers.filter(|&p| p < op.index) {
+            if !self.edges[first..].contains(&p) {
+                self.edges.push(p);
+            }
+        }
+        self.edges[first..].sort_unstable();
+        let end = u32::try_from(self.edges.len()).expect("edge count fits u32");
+        self.offsets.push(end);
     }
 
     /// Number of ops.
@@ -113,51 +125,75 @@ impl TraceDag {
     /// Panics if `durations.len()` differs from the number of ops.
     pub fn critical_path(&self, durations: &[f64]) -> CriticalPath {
         assert_eq!(durations.len(), self.len(), "one duration per op");
-        self.critical_path_by(|i| durations[i])
+        let mut chain = LongestChain::with_capacity(self.len());
+        for &duration in durations {
+            chain.push(self, duration);
+        }
+        chain.finish()
+    }
+}
+
+/// The longest-chain recurrence behind [`TraceDag::critical_path`], one op
+/// at a time in program order, so a planner can run it while it builds the
+/// DAG.
+#[derive(Debug)]
+pub(crate) struct LongestChain {
+    /// Per op: its earliest finish and the predecessor op realising it.
+    earliest_finish: Vec<f64>,
+    best_pred: Vec<u32>,
+    /// The max earliest finish over all ops of earlier segments, and the op
+    /// achieving it. Segments are contiguous, so a running max snapshotted
+    /// at each boundary suffices.
+    barrier: (f64, u32),
+    running_max: (f64, u32),
+}
+
+impl LongestChain {
+    pub(crate) fn with_capacity(ops: usize) -> Self {
+        Self {
+            earliest_finish: Vec::with_capacity(ops),
+            best_pred: Vec::with_capacity(ops),
+            barrier: (0.0, NONE),
+            running_max: (0.0, NONE),
+        }
     }
 
-    /// [`TraceDag::critical_path`] with op `i` taking `duration(i)` seconds,
-    /// for a caller whose durations sit inside larger per-op records.
-    pub(crate) fn critical_path_by(&self, duration: impl Fn(usize) -> f64) -> CriticalPath {
-        /// "No predecessor": the chain starts at this op.
-        const NONE: u32 = u32::MAX;
-        // earliest_finish[i] and the predecessor op realising it.
-        let mut earliest_finish = vec![0.0f64; self.len()];
-        let mut best_pred = vec![NONE; self.len()];
-        // Barrier state: the max earliest-finish over all ops of earlier
-        // segments, and the op achieving it. Segments are contiguous, so a
-        // running max snapshotted at each boundary suffices.
-        let mut barrier = (0.0f64, NONE);
-        let mut running_max = (0.0f64, NONE);
-        for i in 0..self.len() {
-            if i > 0 && self.segment[i] != self.segment[i - 1] {
-                barrier = running_max;
-            }
-            let (mut ready, mut pred) = barrier;
-            for &d in self.deps(i) {
-                let f = earliest_finish[d as usize];
-                if f > ready {
-                    ready = f;
-                    pred = d;
-                }
-            }
-            earliest_finish[i] = ready + duration(i);
-            best_pred[i] = pred;
-            if earliest_finish[i] > running_max.0 {
-                // Lossless, and never the sentinel: `TraceIndex` refuses a
-                // trace whose op indices do not fit below it.
-                running_max = (earliest_finish[i], i as u32);
+    /// Extends the recurrence by the next op, which `dag` already holds and
+    /// which takes `duration` seconds.
+    pub(crate) fn push(&mut self, dag: &TraceDag, duration: f64) {
+        let i = self.earliest_finish.len();
+        if i > 0 && dag.segment[i] != dag.segment[i - 1] {
+            self.barrier = self.running_max;
+        }
+        let (mut ready, mut pred) = self.barrier;
+        for &d in dag.deps(i) {
+            let f = self.earliest_finish[d as usize];
+            if f > ready {
+                ready = f;
+                pred = d;
             }
         }
+        let finish = ready + duration;
+        self.earliest_finish.push(finish);
+        self.best_pred.push(pred);
+        if finish > self.running_max.0 {
+            // Lossless, and never the sentinel: an `OpTrace` refuses to hold
+            // more ops than fit below it.
+            self.running_max = (finish, i as u32);
+        }
+    }
+
+    /// The longest chain through the ops pushed so far.
+    pub(crate) fn finish(self) -> CriticalPath {
         let mut ops = Vec::new();
-        let mut cursor = running_max.1;
+        let mut cursor = self.running_max.1;
         while cursor != NONE {
             ops.push(cursor as usize);
-            cursor = best_pred[cursor as usize];
+            cursor = self.best_pred[cursor as usize];
         }
         ops.reverse();
         CriticalPath {
-            seconds: running_max.0,
+            seconds: self.running_max.0,
             ops,
         }
     }

@@ -20,19 +20,20 @@
 //!    with per-job barriers and release times, every op placed at the
 //!    earliest start compatible with its dependencies, barriers and unit
 //!    reservations, so ops of one job overlap and ops of different jobs
-//!    interleave on the channels. The [`Schedule`] carries per-op start/end
-//!    times, per-unit busy intervals, utilizations computed from those
-//!    intervals and a Fig. 8-style timeline, with
+//!    interleave on the channels, with
 //!    `critical_path ≤ makespan ≤ max(release) + serial` a structural
-//!    guarantee. `bts-serve` drives it incrementally (admit →
-//!    [`MultiScheduler::run_until_completion`] → admit …);
-//!    [`ScheduleExt::run_scheduled`] (`report`) is the one-job case and
-//!    returns a [`bts_sim::SimReport`] with `scheduled_seconds`,
-//!    `critical_path_seconds` and `parallel_speedup()` filled in.
+//!    guarantee. Whoever drives it decides whether the timeline is kept: a
+//!    scheduler nobody drains returns all of it from
+//!    [`MultiScheduler::finish`] (per-op windows, per-unit busy intervals, a
+//!    Fig. 8-style timeline); `bts-serve` and [`ScheduleExt::run_scheduled`]
+//!    (`report`, the one-job case, filling in the [`bts_sim::SimReport`]'s
+//!    `scheduled_seconds` / `critical_path_seconds`) fold it into
+//!    utilizations as they go and keep figures ([`ScheduleSummary`]). Bad
+//!    input is refused as a [`ScheduleError`] (`error`).
 //!
 //! ```
 //! use bts_params::CkksInstance;
-//! use bts_sched::ScheduleExt;
+//! use bts_sched::{MultiScheduler, ScheduleExt};
 //! use bts_sim::{BtsConfig, Simulator, TraceBuilder};
 //!
 //! let ins = CkksInstance::ins1();
@@ -50,20 +51,31 @@
 //! let speedup = run.report.parallel_speedup().unwrap();
 //! assert!(speedup >= 1.0);
 //! assert!(run.schedule.makespan_seconds <= run.report.total_seconds);
+//!
+//! // The run kept figures, not placements. For the timeline, admit its plan
+//! // to a scheduler of its own and keep what it places.
+//! let mut scheduler = MultiScheduler::new(*run.plan().machine());
+//! scheduler.add_planned(0, run.plan().clone(), 0.0)?;
+//! let timeline = scheduler.finish();
+//! assert_eq!(timeline.makespan_seconds, run.schedule.makespan_seconds);
+//! assert_eq!(timeline.ops.len(), 4);
+//! # Ok::<(), bts_sched::ScheduleError>(())
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod dag;
+mod error;
 mod multi;
 mod report;
 mod resources;
 
 pub use dag::{CriticalPath, TraceDag};
+pub use error::ScheduleError;
 pub use multi::{
     schedule_jobs, BusyInterval, JobCompletion, JobPlan, JobStats, MultiScheduler, Schedule,
-    ScheduledOp, UtilizationFold,
+    ScheduleSummary, ScheduledOp, UtilizationFold,
 };
 pub use report::{CriticalOp, ScheduleExt, ScheduledRun};
 pub use resources::{FuKind, MachineModel, OpDemand};

@@ -55,14 +55,20 @@
 //! scheduler until someone takes it: a scheduler nobody drains returns all
 //! of it from [`MultiScheduler::finish`], while a caller that needs only
 //! running figures ([`UtilizationFold`]) drains it as the run goes, so
-//! memory follows the jobs in flight rather than the ops ever placed.
+//! memory follows the jobs in flight rather than the ops ever placed — as a
+//! single trace's scheduled run does ([`ScheduleSummary::of_plan`]).
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use bts_sim::{HeOp, OpTiming, OpTrace, SimReport, Simulator, TimelineSegment, TraceIndex};
+use bts_sim::{
+    HeOp, OpTiming, OpTrace, SimReport, Simulator, TimelineSegment, TraceError, TracedOp,
+};
 
-use crate::dag::{CriticalPath, TraceDag};
+use crate::dag::{CriticalPath, LongestChain, TraceDag};
+use crate::error::ScheduleError;
+use crate::report::CriticalOp;
 use crate::resources::{FuKind, MachineModel, OpDemand};
 
 /// One op's placement in a schedule.
@@ -82,13 +88,6 @@ pub struct ScheduledOp {
     pub start_seconds: f64,
     /// End time in seconds.
     pub end_seconds: f64,
-}
-
-impl ScheduledOp {
-    /// The op's latency window in seconds.
-    pub fn duration_seconds(&self) -> f64 {
-        self.end_seconds - self.start_seconds
-    }
 }
 
 /// An exclusive reservation of one channel by one placed op of one job.
@@ -371,6 +370,65 @@ impl Schedule {
     }
 }
 
+/// The figures of a [`Schedule`] without its timeline: what a run that
+/// drains its scheduler as it places ops keeps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScheduleSummary {
+    /// Completion time of the last op — the pipelined execution time.
+    pub makespan_seconds: f64,
+    /// Sum of the op durations: the serial engine charge.
+    pub serial_seconds: f64,
+    /// The infinite-resource lower bound on the makespan.
+    pub critical_path_seconds: f64,
+    /// Busy fraction of each unit class over the makespan, indexed by
+    /// [`FuKind::index`].
+    pub utilizations: [f64; FuKind::COUNT],
+}
+
+impl ScheduleSummary {
+    /// Placements drained per chunk: the timeline a one-job run holds at once.
+    const CHUNK: usize = 256;
+
+    /// Schedules `plan` alone, released at 0, folding its timeline chunk by
+    /// chunk through a [`UtilizationFold`] instead of keeping it: bit for bit
+    /// the figures of the [`Schedule`] [`MultiScheduler::finish`] returns
+    /// for the same plan, in memory that does not grow with the plan.
+    pub(crate) fn of_plan(plan: Arc<JobPlan>) -> Self {
+        let mut scheduler = MultiScheduler::new(plan.machine);
+        scheduler
+            .add_planned(0, plan, 0.0)
+            .expect("a fresh scheduler admits a plan for its own machine at 0");
+        // The fold and the scheduler swap buffers at every drain: both sets
+        // are sized once.
+        let mut fold = UtilizationFold::new();
+        for (ops, busy) in [
+            (&mut scheduler.ops, &mut scheduler.busy),
+            (&mut fold.ops, &mut fold.busy),
+        ] {
+            ops.reserve_exact(Self::CHUNK);
+            busy.iter_mut().for_each(|b| b.reserve_exact(Self::CHUNK));
+        }
+        let telemetry_on = bts_telemetry::enabled();
+        while let Some(best) = scheduler.best_candidate() {
+            scheduler.place(best, telemetry_on);
+            if scheduler.ops.len() == Self::CHUNK {
+                // Reservations end inside their ops' windows, so the chunk
+                // settles at the makespan so far; one that rounds past it
+                // waits in the fold's tail, still summed in order.
+                let settled = scheduler.makespan;
+                fold.drain(&mut scheduler, settled);
+            }
+        }
+        let rest = scheduler.finish();
+        Self {
+            makespan_seconds: rest.makespan_seconds,
+            serial_seconds: rest.serial_seconds,
+            critical_path_seconds: rest.critical_path_seconds,
+            utilizations: fold.finish(&rest, None),
+        }
+    }
+}
+
 /// Everything about a job that is fixed before it runs: op metadata, per-op
 /// resource demands on one machine, the dependency DAG, and the serial and
 /// critical-path charges. Immutable, so every admission of the same
@@ -380,7 +438,8 @@ impl Schedule {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobPlan {
     machine: MachineModel,
-    ops: Vec<(HeOp, usize, bool)>, // (op, level, in_bootstrap)
+    /// Per op: kind, level and bootstrap-region flag.
+    ops: Vec<(HeOp, u32, bool)>,
     demands: Vec<OpDemand>,
     dag: TraceDag,
     serial: f64,
@@ -392,43 +451,41 @@ impl JobPlan {
     /// every op's demand from the caller's per-op charges (resolve them with
     /// [`bts_sim::Simulator::op_timings`] against the job's own instance).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `timings` does not cover exactly the trace's ops.
-    pub fn new(machine: &MachineModel, trace: &OpTrace, timings: &[OpTiming]) -> Self {
-        let demands = timings.iter().map(|t| machine.demand(t)).collect();
-        Self::build(machine, &TraceIndex::lenient(trace), demands)
-    }
-
-    /// Resolves the per-op charges of an already validated and indexed trace
-    /// on `sim` (one cache sweep, under the scratchpad's reuse-code policy)
-    /// and plans it for `sim`'s machine, the sweep and the DAG sharing the
-    /// caller's one [`TraceIndex`]. The sweep writes each op's demand as it
-    /// goes; no timing outlives its op. Returns the plan next to the sweep's
-    /// serial-accounting report.
-    pub fn from_index(sim: &Simulator, index: &TraceIndex<'_>) -> (Self, SimReport) {
-        let machine = MachineModel::from_config(sim.config());
-        let mut demands = Vec::with_capacity(index.trace().ops.len());
-        let report = sim.run_indexed(index, |timing| demands.push(machine.demand(timing)));
-        (Self::build(&machine, index, demands), report)
-    }
-
-    fn build(machine: &MachineModel, index: &TraceIndex<'_>, demands: Vec<OpDemand>) -> Self {
-        let trace = index.trace();
-        assert_eq!(demands.len(), trace.ops.len(), "one timing per op");
-        let dag = TraceDag::from_index(index);
-        Self {
-            machine: *machine,
-            ops: trace
-                .ops
-                .iter()
-                .map(|o| (o.op, o.level, o.in_bootstrap))
-                .collect(),
-            critical_path: dag.critical_path_by(|i| demands[i].duration),
-            dag,
-            serial: demands.iter().map(|d| d.duration).sum(),
-            demands,
+    /// [`ScheduleError::Trace`] if the trace has a structural defect, and
+    /// [`ScheduleError::TimingCount`] if `timings` does not cover exactly
+    /// its ops.
+    pub fn new(
+        machine: &MachineModel,
+        trace: &OpTrace,
+        timings: &[OpTiming],
+    ) -> Result<Self, ScheduleError> {
+        trace.validate().map_err(ScheduleError::Trace)?;
+        if timings.len() != trace.len() {
+            return Err(ScheduleError::TimingCount(trace.len(), timings.len()));
         }
+        let mut planner = Planner::new(*machine, trace.len());
+        for (op, timing) in trace.ops().zip(timings) {
+            planner.push(trace, &op, timing);
+        }
+        Ok(planner.finish())
+    }
+
+    /// Resolves the per-op charges of a trace on `sim` (one cache sweep,
+    /// under the scratchpad's reuse-code policy) and plans it for `sim`'s
+    /// machine in the same pass: each op's demand, DAG edges and critical
+    /// path step are taken as the sweep hands the op over, and no timing
+    /// outlives its op. Returns the plan next to the sweep's
+    /// serial-accounting report.
+    ///
+    /// # Errors
+    ///
+    /// Returns the trace's first structural defect.
+    pub fn from_trace(sim: &Simulator, trace: &OpTrace) -> Result<(Self, SimReport), TraceError> {
+        let mut planner = Planner::new(MachineModel::from_config(sim.config()), trace.len());
+        let report = sim.run_indexed(trace, |op, timing| planner.push(trace, op, timing))?;
+        Ok((planner.finish(), report))
     }
 
     /// Number of ops in the job.
@@ -454,6 +511,68 @@ impl JobPlan {
     /// Op indices of one longest chain, earliest first.
     pub fn critical_path_ops(&self) -> &[usize] {
         &self.critical_path.ops
+    }
+
+    /// The machine the plan's demands were resolved for.
+    pub fn machine(&self) -> &MachineModel {
+        &self.machine
+    }
+
+    /// The ops of [`JobPlan::critical_path_ops`] with their latency windows.
+    pub(crate) fn critical_ops(&self) -> impl Iterator<Item = CriticalOp> + '_ {
+        self.critical_path.ops.iter().map(|&index| {
+            let (op, level, _) = self.ops[index];
+            CriticalOp {
+                index,
+                op,
+                level: level as usize,
+                seconds: self.demands[index].duration,
+            }
+        })
+    }
+}
+
+/// A [`JobPlan`] in the making: ops added in program order, each with its
+/// demand, extending the DAG and its longest chain as they come.
+struct Planner {
+    machine: MachineModel,
+    ops: Vec<(HeOp, u32, bool)>,
+    demands: Vec<OpDemand>,
+    dag: TraceDag,
+    chain: LongestChain,
+}
+
+impl Planner {
+    fn new(machine: MachineModel, ops: usize) -> Self {
+        Self {
+            machine,
+            ops: Vec::with_capacity(ops),
+            demands: Vec::with_capacity(ops),
+            dag: TraceDag::with_capacity(ops),
+            chain: LongestChain::with_capacity(ops),
+        }
+    }
+
+    /// Adds `op`, the next op of `trace`, charged `timing`.
+    fn push(&mut self, trace: &OpTrace, op: &TracedOp<'_>, timing: &OpTiming) {
+        let demand = self.machine.demand(timing);
+        self.dag.push(trace, op);
+        self.chain.push(&self.dag, demand.duration);
+        // Lossless: a plan's trace passed validation, so levels are within
+        // the instance's budget.
+        self.ops.push((op.op, op.level as u32, op.in_bootstrap));
+        self.demands.push(demand);
+    }
+
+    fn finish(self) -> JobPlan {
+        JobPlan {
+            machine: self.machine,
+            ops: self.ops,
+            serial: self.demands.iter().map(|d| d.duration).sum(),
+            demands: self.demands,
+            dag: self.dag,
+            critical_path: self.chain.finish(),
+        }
     }
 }
 
@@ -557,41 +676,48 @@ impl MultiScheduler {
     /// ([`MultiScheduler::add_planned`]). Callers admitting the same
     /// (trace, timings) pair many times should build the plan once.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on the conditions of [`JobPlan::new`] and
-    /// [`MultiScheduler::add_planned`].
+    /// Those of [`JobPlan::new`] and [`MultiScheduler::add_planned`]; a
+    /// refused job leaves the scheduler as it was.
     pub fn add_job(
         &mut self,
         tag: u32,
         trace: &OpTrace,
         timings: &[OpTiming],
         release_seconds: f64,
-    ) {
-        let plan = JobPlan::new(&self.machine, trace, timings);
-        self.add_planned(tag, Arc::new(plan), release_seconds);
+    ) -> Result<(), ScheduleError> {
+        let plan = JobPlan::new(&self.machine, trace, timings)?;
+        self.add_planned(tag, Arc::new(plan), release_seconds)
     }
 
     /// Admits a planned job: its ops become candidates for placement, none
     /// starting before `release_seconds`. Costs a constant number of
     /// allocations however long the plan is shared.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the plan was built for another machine, if
-    /// `release_seconds` is negative or non-finite, or if `tag` was already
-    /// admitted.
-    pub fn add_planned(&mut self, tag: u32, plan: Arc<JobPlan>, release_seconds: f64) {
-        assert_eq!(plan.machine, self.machine, "plan built for another machine");
-        assert!(
-            release_seconds.is_finite() && release_seconds >= 0.0,
-            "release time must be finite and non-negative"
-        );
+    /// [`ScheduleError::MachineMismatch`] if the plan was built for another
+    /// machine, [`ScheduleError::InvalidRelease`] if `release_seconds` is
+    /// negative or non-finite, [`ScheduleError::DuplicateTag`] if `tag` was
+    /// already admitted; a refused job leaves the scheduler as it was.
+    pub fn add_planned(
+        &mut self,
+        tag: u32,
+        plan: Arc<JobPlan>,
+        release_seconds: f64,
+    ) -> Result<(), ScheduleError> {
+        if plan.machine != self.machine {
+            return Err(ScheduleError::MachineMismatch);
+        }
+        if !(release_seconds.is_finite() && release_seconds >= 0.0) {
+            return Err(ScheduleError::InvalidRelease(release_seconds));
+        }
         let j = self.jobs.len();
-        assert!(
-            self.index.insert(tag, j).is_none(),
-            "job tag {tag} admitted twice"
-        );
+        match self.index.entry(tag) {
+            Entry::Occupied(_) => return Err(ScheduleError::DuplicateTag(tag)),
+            Entry::Vacant(slot) => slot.insert(j),
+        };
         let ops = plan.len();
         let mut job = JobState {
             tag,
@@ -617,18 +743,7 @@ impl MultiScheduler {
             self.active.push(j);
         }
         self.jobs.push(job);
-    }
-
-    /// Sizes the retained timeline for `ops` more placements — an op and at
-    /// most one reservation per unit class each — in one allocation per
-    /// list. For a caller that keeps the whole timeline of a job it knows
-    /// the length of; a drained scheduler's lists stay as short as its
-    /// chunks.
-    pub(crate) fn reserve_timeline(&mut self, ops: usize) {
-        self.ops.reserve_exact(ops);
-        for busy in &mut self.busy {
-            busy.reserve_exact(ops);
-        }
+        Ok(())
     }
 
     /// Number of admitted jobs that still have unplaced ops.
@@ -814,6 +929,7 @@ impl MultiScheduler {
         }
         let end = start + demand.duration;
         let (op, level, in_bootstrap) = plan.ops[i];
+        let level = level as usize;
         job.finish[i] = end;
         job.running_max_finish = job.running_max_finish.max(end);
         job.max_end = job.max_end.max(end);
@@ -1028,14 +1144,17 @@ impl UtilizationFold {
 ///
 /// # Panics
 ///
-/// Panics on the same conditions as [`MultiScheduler::add_job`].
+/// Panics on the first job [`MultiScheduler::add_job`] refuses: the jobs are
+/// the caller's own, so a refusal is a bug at the call site.
 pub fn schedule_jobs(
     machine: MachineModel,
     jobs: &[(u32, &OpTrace, &[OpTiming], f64)],
 ) -> Schedule {
     let mut scheduler = MultiScheduler::new(machine);
     for &(tag, trace, timings, release) in jobs {
-        scheduler.add_job(tag, trace, timings, release);
+        if let Err(e) = scheduler.add_job(tag, trace, timings, release) {
+            panic!("schedule_jobs: {e}");
+        }
     }
     scheduler.finish()
 }
@@ -1164,7 +1283,7 @@ mod tests {
         let ins = CkksInstance::ins1();
         let empty = TraceBuilder::new(&ins).build();
         let mut scheduler = MultiScheduler::new(MachineModel::default());
-        scheduler.add_job(7, &empty, &[], 0.25);
+        scheduler.add_job(7, &empty, &[], 0.25).unwrap();
         assert_eq!(scheduler.active_jobs(), 0);
         let done = scheduler.run_until_completion().unwrap();
         assert_eq!(done.tag, 7);
@@ -1183,12 +1302,14 @@ mod tests {
         let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
         let timings = sim.op_timings(&trace).unwrap();
         let mut scheduler = MultiScheduler::new(MachineModel::from_config(sim.config()));
-        scheduler.add_job(0, &trace, &timings, 0.0);
+        scheduler.add_job(0, &trace, &timings, 0.0).unwrap();
         let first = scheduler.run_until_completion().unwrap();
         assert_eq!(first.tag, 0);
         // Admit the next job only after the first completed, as a serving
         // loop with max_in_flight = 1 would.
-        scheduler.add_job(1, &trace, &timings, first.finish_seconds);
+        scheduler
+            .add_job(1, &trace, &timings, first.finish_seconds)
+            .unwrap();
         let second = scheduler.run_until_completion().unwrap();
         assert_eq!(second.tag, 1);
         assert!(second.finish_seconds >= first.finish_seconds);
@@ -1221,8 +1342,8 @@ mod tests {
         let tm1 = sim.op_timings(&t1).unwrap();
         let machine = MachineModel::from_config(sim.config()).with_channels(FuKind::Hbm, 2);
         let mut scheduler = MultiScheduler::new(machine);
-        scheduler.add_job(0, &t0, &tm0, 0.0);
-        scheduler.add_job(1, &t1, &tm1, 0.0);
+        scheduler.add_job(0, &t0, &tm0, 0.0).unwrap();
+        scheduler.add_job(1, &t1, &tm1, 0.0).unwrap();
         let first = scheduler.run_until_completion().unwrap();
         let second = scheduler.run_until_completion().unwrap();
         assert_eq!(first.tag, 1, "short job must complete first");
@@ -1241,8 +1362,8 @@ mod tests {
         let tm_long = sim.op_timings(&long).unwrap();
         let tm_short = sim.op_timings(&short).unwrap();
         let mut scheduler = MultiScheduler::new(MachineModel::from_config(sim.config()));
-        scheduler.add_job(0, &long, &tm_long, 0.0);
-        scheduler.add_job(1, &short, &tm_short, 0.0);
+        scheduler.add_job(0, &long, &tm_long, 0.0).unwrap();
+        scheduler.add_job(1, &short, &tm_short, 0.0).unwrap();
         // Cancel the long job before any placement: only the short one runs.
         assert!(scheduler.cancel_job(0));
         assert!(!scheduler.cancel_job(0), "double cancel must be a no-op");
@@ -1270,8 +1391,8 @@ mod tests {
         let tm_long = sim.op_timings(&long).unwrap();
         let tm_short = sim.op_timings(&short).unwrap();
         let mut scheduler = MultiScheduler::new(MachineModel::from_config(sim.config()));
-        scheduler.add_job(0, &long, &tm_long, 0.0);
-        scheduler.add_job(1, &short, &tm_short, 0.0);
+        scheduler.add_job(0, &long, &tm_long, 0.0).unwrap();
+        scheduler.add_job(1, &short, &tm_short, 0.0).unwrap();
         // Drive until the short job completes; the long one is mid-flight.
         let first = scheduler.run_until_completion().unwrap();
         assert_eq!(first.tag, 1);
@@ -1297,7 +1418,7 @@ mod tests {
         let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
         let timings = sim.op_timings(&trace).unwrap();
         let mut scheduler = MultiScheduler::new(MachineModel::from_config(sim.config()));
-        scheduler.add_job(0, &trace, &timings, 0.0);
+        scheduler.add_job(0, &trace, &timings, 0.0).unwrap();
         let done = scheduler.run_until_completion().unwrap();
         assert_eq!(done.tag, 0);
         assert!(
@@ -1315,9 +1436,9 @@ mod tests {
         let (machine, tm_long) = machine_and_timings(&ins, BtsConfig::bts_default(), &long);
         let (_, tm_short) = machine_and_timings(&ins, BtsConfig::bts_default(), &short);
         let admit_all = |s: &mut MultiScheduler| {
-            s.add_job(0, &long, &tm_long, 0.0);
-            s.add_job(1, &short, &tm_short, 0.0);
-            s.add_job(2, &short, &tm_short, 1e-3);
+            s.add_job(0, &long, &tm_long, 0.0).unwrap();
+            s.add_job(1, &short, &tm_short, 0.0).unwrap();
+            s.add_job(2, &short, &tm_short, 1e-3).unwrap();
         };
         let mut retained = MultiScheduler::new(machine);
         admit_all(&mut retained);
@@ -1375,8 +1496,8 @@ mod tests {
         assert!(retained.busy[FuKind::Nttu.index()].is_empty());
 
         let mut scheduler = MultiScheduler::new(machine);
-        scheduler.add_job(0, &trace, &timings, 0.0);
-        scheduler.add_job(1, &trace, &timings, 0.0);
+        scheduler.add_job(0, &trace, &timings, 0.0).unwrap();
+        scheduler.add_job(1, &trace, &timings, 0.0).unwrap();
         let mut fold = UtilizationFold::new();
         while let Some(done) = scheduler.run_until_completion() {
             fold.drain(&mut scheduler, done.finish_seconds);
@@ -1395,27 +1516,89 @@ mod tests {
         let ins = CkksInstance::ins1();
         let trace = keyswitch_heavy(&ins, 1);
         let (machine, timings) = machine_and_timings(&ins, BtsConfig::bts_default(), &trace);
-        let plan = Arc::new(JobPlan::new(&machine, &trace, &timings));
-        assert_eq!(plan.len(), trace.ops.len());
+        let plan = Arc::new(JobPlan::new(&machine, &trace, &timings).unwrap());
+        assert_eq!(plan.len(), trace.len());
         assert!(plan.critical_path_seconds() <= plan.serial_seconds() + 1e-15);
-        let result = std::panic::catch_unwind(|| {
-            let mut other = MultiScheduler::new(machine.with_channels(FuKind::Hbm, 2));
-            other.add_planned(0, plan, 0.0);
-        });
-        assert!(result.is_err());
+        let mut s = MultiScheduler::new(machine.with_channels(FuKind::Hbm, 2));
+        let mismatch = Err(ScheduleError::MachineMismatch);
+        assert_eq!(s.add_planned(0, plan, 0.0), mismatch);
+        // `add_job` plans for the scheduler's own machine: it never mismatches.
+        assert_eq!(s.add_job(0, &trace, &timings, 0.0), Ok(()));
     }
 
     #[test]
     fn duplicate_tags_are_rejected() {
         let ins = CkksInstance::ins1();
         let trace = keyswitch_heavy(&ins, 1);
-        let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
-        let timings = sim.op_timings(&trace).unwrap();
-        let result = std::panic::catch_unwind(|| {
-            let mut s = MultiScheduler::new(MachineModel::from_config(sim.config()));
-            s.add_job(3, &trace, &timings, 0.0);
-            s.add_job(3, &trace, &timings, 0.0);
-        });
-        assert!(result.is_err());
+        let (machine, timings) = machine_and_timings(&ins, BtsConfig::bts_default(), &trace);
+        let plan = Arc::new(JobPlan::new(&machine, &trace, &timings).unwrap());
+        let mut s = MultiScheduler::new(machine);
+        s.add_job(3, &trace, &timings, 0.0).unwrap();
+        let duplicate = Err(ScheduleError::DuplicateTag(3));
+        assert_eq!(s.add_job(3, &trace, &timings, 0.0), duplicate);
+        assert_eq!(s.add_planned(3, plan, 0.5), duplicate);
+        // The refusals left the first admission as it was.
+        assert_eq!(s.run_until_completion().map(|c| c.tag), Some(3));
+        assert_eq!(s.run_until_completion(), None);
+        let schedule = s.finish();
+        schedule.check_invariants().unwrap();
+        assert_eq!(schedule.jobs.len(), 1);
+    }
+
+    #[test]
+    fn negative_or_non_finite_releases_are_rejected() {
+        let ins = CkksInstance::ins1();
+        let trace = keyswitch_heavy(&ins, 1);
+        let (machine, timings) = machine_and_timings(&ins, BtsConfig::bts_default(), &trace);
+        let plan = Arc::new(JobPlan::new(&machine, &trace, &timings).unwrap());
+        let mut s = MultiScheduler::new(machine);
+        for (tag, release) in [(1, -1e-9), (2, f64::NAN), (3, f64::INFINITY)] {
+            for refused in [
+                s.add_planned(tag, Arc::clone(&plan), release),
+                s.add_job(tag, &trace, &timings, release),
+            ] {
+                let Err(ScheduleError::InvalidRelease(t)) = refused else {
+                    panic!("release {release} was admitted: {refused:?}");
+                };
+                assert_eq!(t.to_bits(), release.to_bits());
+            }
+        }
+        // A refused tag stays free.
+        assert_eq!(s.add_planned(1, plan, 0.0), Ok(()));
+        assert_eq!(s.active_jobs(), 1);
+    }
+
+    #[test]
+    fn timings_must_cover_the_trace() {
+        let ins = CkksInstance::ins1();
+        let trace = keyswitch_heavy(&ins, 3);
+        let (machine, timings) = machine_and_timings(&ins, BtsConfig::bts_default(), &trace);
+        let short = ScheduleError::TimingCount(3, 2);
+        assert_eq!(
+            JobPlan::new(&machine, &trace, &timings[..2]),
+            Err(short.clone())
+        );
+        let mut s = MultiScheduler::new(machine);
+        assert_eq!(s.add_job(0, &trace, &timings[..2], 0.0), Err(short));
+        assert_eq!(s.active_jobs(), 0);
+    }
+
+    #[test]
+    fn defective_traces_are_not_planned() {
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        b.hmult_at(x, 4242, 27);
+        let trace = b.build();
+        let defect = trace.validate().unwrap_err();
+        let machine = MachineModel::default();
+        let timings = [OpTiming::default()];
+        let refused = ScheduleError::Trace(defect);
+        assert_eq!(
+            JobPlan::new(&machine, &trace, &timings),
+            Err(refused.clone())
+        );
+        let mut s = MultiScheduler::new(machine);
+        assert_eq!(s.add_job(0, &trace, &timings, 0.0), Err(refused));
     }
 }

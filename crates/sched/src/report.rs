@@ -1,16 +1,16 @@
 //! Scheduled execution as a simulator entry point: `run_scheduled` plans the
 //! trace as one job ([`JobPlan`]: the engine's per-op timings plus the trace
-//! DAG), runs it through the [`MultiScheduler`] and returns the familiar
-//! [`SimReport`] with the schedule-derived fields filled in, next to the full
-//! [`Schedule`] for timeline/critical-path inspection.
+//! DAG), runs it through the [`crate::MultiScheduler`] and returns the familiar
+//! [`SimReport`] with the schedule-derived fields filled in, next to the
+//! schedule's figures ([`ScheduleSummary`]). The run keeps numbers, not a
+//! timeline: a caller that wants per-op placements admits the run's plan to a
+//! scheduler and takes [`crate::MultiScheduler::finish`].
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use bts_sim::{HeOp, OpTrace, SimReport, Simulator, TraceError, TraceIndex};
+use bts_sim::{HeOp, OpTrace, SimReport, Simulator, TraceError};
 
-use crate::multi::{JobPlan, MultiScheduler, Schedule};
-use crate::resources::{FuKind, MachineModel};
+use crate::multi::{JobPlan, ScheduleSummary};
 
 /// One op on the critical path, for "what limits this workload" reporting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,72 +26,41 @@ pub struct CriticalOp {
 }
 
 /// Result of a scheduled run: the serial-accounting [`SimReport`] with
-/// `scheduled_seconds` / `critical_path_seconds` filled in, plus the full
-/// one-job [`Schedule`] (tag 0, released at 0, ops in program order).
+/// `scheduled_seconds` / `critical_path_seconds` filled in, the one-job
+/// schedule's figures (tag 0, released at 0) and the plan it ran.
 #[derive(Debug, Clone)]
 pub struct ScheduledRun {
     /// The simulator report; `total_seconds` is still the serial charge,
     /// `scheduled_seconds` the pipelined makespan.
     pub report: SimReport,
-    /// Per-op placements and per-unit busy intervals.
-    pub schedule: Schedule,
-    /// Op indices of one longest dependency chain, earliest first.
-    critical_path: Vec<usize>,
+    /// Makespan, critical path, serial seconds and per-unit utilizations.
+    pub schedule: ScheduleSummary,
+    plan: Arc<JobPlan>,
 }
 
 impl ScheduledRun {
+    /// The plan the run scheduled — admit it to a scheduler at 0 and
+    /// [`crate::MultiScheduler::finish`] it for the run's whole timeline.
+    pub fn plan(&self) -> &Arc<JobPlan> {
+        &self.plan
+    }
+
     /// The `n` largest ops on the critical path — the ops a latency
     /// optimization would have to attack first.
     pub fn top_critical_ops(&self, n: usize) -> Vec<CriticalOp> {
-        let mut ops: Vec<CriticalOp> = self
-            .critical_path
-            .iter()
-            .map(|&i| {
-                let op = &self.schedule.ops[i];
-                CriticalOp {
-                    index: i,
-                    op: op.op,
-                    level: op.level,
-                    seconds: op.duration_seconds(),
-                }
-            })
-            .collect();
+        let mut ops: Vec<CriticalOp> = self.plan.critical_ops().collect();
         ops.sort_by(|a, b| b.seconds.partial_cmp(&a.seconds).expect("finite durations"));
         ops.truncate(n);
         ops
-    }
-
-    /// Renders the serial-vs-scheduled comparison as a small text block.
-    pub fn summary(&self) -> String {
-        let s = &self.schedule;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "serial {:.3} ms | scheduled {:.3} ms | critical path {:.3} ms | speedup {:.2}x",
-            s.serial_seconds * 1e3,
-            s.makespan_seconds * 1e3,
-            s.critical_path_seconds * 1e3,
-            s.parallel_speedup()
-        );
-        let util = s.utilizations();
-        let _ = writeln!(
-            out,
-            "utilization: NTTU {:.0}% | BConvU {:.0}% | ModMult/ModAdd {:.0}% | HBM {:.0}%",
-            util[FuKind::Nttu.index()] * 100.0,
-            util[FuKind::BConvU.index()] * 100.0,
-            util[FuKind::Elementwise.index()] * 100.0,
-            util[FuKind::Hbm.index()] * 100.0
-        );
-        out
     }
 }
 
 /// Scheduled execution for [`Simulator`]: the `run_scheduled` entry point the
 /// serial `run`/`try_run` pair grows once `bts-sched` is linked in.
 pub trait ScheduleExt {
-    /// Validates the trace, resolves per-op charges, and executes the trace
-    /// as a dependency DAG over the bounded functional units of the
-    /// configuration's [`MachineModel`].
+    /// Checks the trace, resolves per-op charges, and executes the trace as a
+    /// dependency DAG over the bounded functional units of the
+    /// configuration's [`crate::MachineModel`].
     ///
     /// # Errors
     ///
@@ -114,20 +83,15 @@ pub trait ScheduleExt {
 
 impl ScheduleExt for Simulator {
     fn try_run_scheduled(&self, trace: &OpTrace) -> Result<ScheduledRun, TraceError> {
-        // The index is dead weight once the plan exists; the schedule below
-        // is the larger allocation, so the tables are freed before it grows.
-        let (plan, mut report) = JobPlan::from_index(self, &TraceIndex::new(trace)?);
+        let (plan, mut report) = JobPlan::from_trace(self, trace)?;
         let plan = Arc::new(plan);
-        let mut scheduler = MultiScheduler::new(MachineModel::from_config(self.config()));
-        scheduler.reserve_timeline(plan.len());
-        scheduler.add_planned(0, Arc::clone(&plan), 0.0);
-        let schedule = scheduler.finish();
+        let schedule = ScheduleSummary::of_plan(Arc::clone(&plan));
         report.scheduled_seconds = Some(schedule.makespan_seconds);
         report.critical_path_seconds = Some(schedule.critical_path_seconds);
         Ok(ScheduledRun {
             report,
             schedule,
-            critical_path: plan.critical_path_ops().to_vec(),
+            plan,
         })
     }
 }
@@ -135,8 +99,19 @@ impl ScheduleExt for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multi::{MultiScheduler, Schedule};
+    use crate::resources::FuKind;
     use bts_params::CkksInstance;
     use bts_sim::{BtsConfig, TraceBuilder};
+
+    /// The run's whole timeline: its plan admitted alone at 0, and kept.
+    fn timeline_of(run: &ScheduledRun) -> Schedule {
+        let mut scheduler = MultiScheduler::new(*run.plan().machine());
+        scheduler
+            .add_planned(0, Arc::clone(run.plan()), 0.0)
+            .unwrap();
+        scheduler.finish()
+    }
 
     fn bsgs_like_trace(ins: &CkksInstance) -> OpTrace {
         // A baby-step/giant-step-shaped stage: independent rotations of one
@@ -160,7 +135,7 @@ mod tests {
         let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
         let trace = bsgs_like_trace(&ins);
         let run = sim.run_scheduled(&trace);
-        run.schedule.check_invariants().unwrap();
+        timeline_of(&run).check_invariants().unwrap();
         let serial = sim.run(&trace);
         assert!((run.report.total_seconds - serial.total_seconds).abs() < 1e-15);
         let scheduled = run.report.scheduled_seconds.unwrap();
@@ -177,7 +152,7 @@ mod tests {
         // saturated over the makespan.
         let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
         let run = sim.run_scheduled(&bsgs_like_trace(&ins));
-        assert!(run.schedule.unit_utilization(FuKind::Hbm) > 0.9);
+        assert!(run.schedule.utilizations[FuKind::Hbm.index()] > 0.9);
         // The Fig. 9 2 TB/s ablation makes compute matter, and the scheduler
         // overlaps it with the key streams of neighbouring rotations.
         let fast = Simulator::new(
@@ -185,7 +160,7 @@ mod tests {
             ins.clone(),
         );
         let run2 = fast.run_scheduled(&bsgs_like_trace(&ins));
-        run2.schedule.check_invariants().unwrap();
+        timeline_of(&run2).check_invariants().unwrap();
         assert!(
             run2.report.parallel_speedup().unwrap() > 1.05,
             "speedup = {:?}",
@@ -204,16 +179,13 @@ mod tests {
             assert!(pair[0].seconds >= pair[1].seconds);
         }
         for op in &top {
-            assert!(run.critical_path.contains(&op.index));
+            assert!(run.plan().critical_path_ops().contains(&op.index));
         }
-        assert!(!run.summary().is_empty());
-        assert!(!run.schedule.timeline(8).is_empty());
+        assert!(!timeline_of(&run).timeline(8).is_empty());
     }
 
     fn schedule_of(trace: &OpTrace, config: BtsConfig) -> Schedule {
-        Simulator::new(config, trace.instance.clone())
-            .run_scheduled(trace)
-            .schedule
+        timeline_of(&Simulator::new(config, trace.instance().clone()).run_scheduled(trace))
     }
 
     #[test]
@@ -310,10 +282,8 @@ mod tests {
         let ins = CkksInstance::ins1();
         let mut b = TraceBuilder::new(&ins);
         let x = b.fresh_ct(27);
-        b.hmult(x, x);
-        let mut trace = b.build();
-        trace.ops[0].inputs.push(4242);
+        b.hmult(x, 4242);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        assert!(sim.try_run_scheduled(&trace).is_err());
+        assert!(sim.try_run_scheduled(&b.build()).is_err());
     }
 }

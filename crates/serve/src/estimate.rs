@@ -30,7 +30,7 @@ use bts_sim::{HeOp, OpTrace, Simulator};
 /// simulation, `O(distinct (op, level) pairs)` calls into the cost model.
 pub fn estimate_trace_seconds(simulator: &Simulator, trace: &OpTrace) -> f64 {
     let mut counts: BTreeMap<(HeOp, usize), usize> = BTreeMap::new();
-    for op in &trace.ops {
+    for op in trace.ops() {
         *counts.entry((op.op, op.level)).or_insert(0) += 1;
     }
     let hbm = simulator.config().hbm.bytes_per_sec();

@@ -48,7 +48,7 @@ use std::sync::Arc;
 use bts_fault::{FaultPlan, RetryPolicy};
 use bts_params::L_BOOT;
 use bts_sched::{JobPlan, MachineModel, MultiScheduler, UtilizationFold};
-use bts_sim::{BtsConfig, SimReport, Simulator, TraceIndex};
+use bts_sim::{BtsConfig, SimReport, Simulator};
 use bts_workloads::{standard_registry, WorkloadRegistry};
 
 use crate::error::ServeError;
@@ -455,7 +455,12 @@ impl BtsServer {
                     );
                     bts_telemetry::gauge_set("serve.in_flight", in_flight as f64);
                 }
-                scheduler.add_planned(tag, Arc::clone(&prepared(e.j).plan), release);
+                scheduler
+                    .add_planned(tag, Arc::clone(&prepared(e.j).plan), release)
+                    .expect(
+                        "plans are prepared for this run's machine, releases are admission \
+                         times on a finite non-negative clock, tags count admissions",
+                    );
             }
             // 4. Idle with future work: jump the clock to the next arrival —
             // unless it lands at/after the failure time, in which case it
@@ -735,11 +740,12 @@ impl BtsServer {
         let _prep_scope = bts_telemetry::enabled().then(|| {
             bts_telemetry::scope(format!("prep/{}@{}", job.workload, job.instance.name()))
         });
-        let index = TraceIndex::new(&lowered.trace).map_err(|source| ServeError::Trace {
-            job: job.id,
-            source,
+        let (plan, report) = JobPlan::from_trace(&simulator, &lowered.trace).map_err(|source| {
+            ServeError::Trace {
+                job: job.id,
+                source,
+            }
         })?;
-        let (plan, report) = JobPlan::from_index(&simulator, &index);
         let usable_levels = job.instance.max_level().saturating_sub(L_BOOT);
         let refreshed_slot_levels =
             lowered.bootstrap_count as f64 * usable_levels as f64 * job.instance.slots() as f64;

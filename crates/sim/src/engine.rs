@@ -11,7 +11,7 @@
 //! **Scratchpad replacement.** BTS's scratchpad is software-managed (§5.3),
 //! and an FHE trace is its own future, so the cache is not reactive: every
 //! operand access and op output carries the compiler's 2-bit [`Reuse`] code
-//! (`next` / `later` / `never`, derived by [`TraceIndex::reuse`]) and one
+//! (`next` / `later` / `never`, derived by [`OpTrace::reuse`]) and one
 //! furthest-next-use cache ([`BeladyCache`]: furthest victims first,
 //! all-or-nothing bypass, larger slot loses ties) runs on the key the code
 //! stands for ([`reuse_key`]). The same cache on exact next-use positions is
@@ -34,8 +34,8 @@ use bts_params::{CkksInstance, KeySwitchGroup};
 
 use crate::config::BtsConfig;
 use crate::cost::AreaPowerModel;
-use crate::trace::{HeOp, OpTrace, TraceError, TracedOp};
-use crate::trace_index::{IndexedOp, Reuse, TraceIndex, NEVER};
+use crate::trace::{HeOp, TraceError};
+use crate::trace_index::{OpTrace, Reuse, TracedOp, NEVER};
 
 /// Per-op-class statistics in a [`SimReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -360,7 +360,7 @@ impl Simulator {
         }
     }
 
-    /// Validates a trace ([`OpTrace::validate`]) and runs it under the
+    /// Checks a trace ([`OpTrace::validate`]) and runs it under the
     /// scratchpad's replacement policy (the compiler's reuse code — see the
     /// module docs).
     ///
@@ -371,13 +371,22 @@ impl Simulator {
         self.report(trace, Replacement::ReuseCode)
     }
 
-    /// Runs a trace the caller has already validated and indexed under the
-    /// scratchpad's replacement policy, handing every op's timing to `sink`
-    /// in program order while the same sweep folds the report — `bts-sched`
-    /// plans a job from one [`TraceIndex`] shared by this sweep and its
-    /// dependency DAG, and keeps of each timing only what it schedules on.
-    pub fn run_indexed(&self, index: &TraceIndex<'_>, sink: impl FnMut(&OpTiming)) -> SimReport {
-        self.folded(index, Replacement::ReuseCode, sink)
+    /// [`Simulator::try_run`] that also hands every op, with its timing, to
+    /// `sink` in program order while the same sweep folds the report —
+    /// `bts-sched` plans a job in this one pass over the trace, its
+    /// dependency DAG read off the same op, and keeps of each timing only
+    /// what it schedules on.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first structural defect found in the trace.
+    pub fn run_indexed(
+        &self,
+        trace: &OpTrace,
+        sink: impl FnMut(&TracedOp<'_>, &OpTiming),
+    ) -> Result<SimReport, TraceError> {
+        trace.validate()?;
+        Ok(self.folded(trace, Replacement::ReuseCode, sink))
     }
 
     /// Per-op execution charges with the scratchpad cache resolved in program
@@ -444,16 +453,17 @@ impl Simulator {
         trace: &OpTrace,
         replacement: Replacement,
     ) -> Result<Vec<OpTiming>, TraceError> {
-        let index = TraceIndex::new(trace)?;
-        let mut timings = Vec::with_capacity(trace.ops.len());
-        self.sweep_under(&index, replacement, |_, timing| timings.push(timing));
+        trace.validate()?;
+        let mut timings = Vec::with_capacity(trace.len());
+        self.sweep_under(trace, replacement, |_, timing| timings.push(timing));
         Ok(timings)
     }
 
-    /// Every `try_run*` entry point: the trace validated, indexed and
+    /// Every `try_run*` entry point: the trace checked and
     /// [`Simulator::folded`].
     fn report(&self, trace: &OpTrace, replacement: Replacement) -> Result<SimReport, TraceError> {
-        Ok(self.folded(&TraceIndex::new(trace)?, replacement, |_| {}))
+        trace.validate()?;
+        Ok(self.folded(trace, replacement, |_, _| {}))
     }
 
     /// The sweep's timings folded into the report as they come, each shown
@@ -461,57 +471,57 @@ impl Simulator {
     /// sink keeps one.
     fn folded(
         &self,
-        index: &TraceIndex<'_>,
+        trace: &OpTrace,
         replacement: Replacement,
-        mut sink: impl FnMut(&OpTiming),
+        mut sink: impl FnMut(&TracedOp<'_>, &OpTiming),
     ) -> SimReport {
         let mut fold = Fold::default();
-        self.sweep_under(index, replacement, |traced, timing| {
-            fold.add(traced, &timing);
-            sink(&timing);
+        self.sweep_under(trace, replacement, |op, timing| {
+            fold.add(op, &timing);
+            sink(op, &timing);
         });
         fold.finish(self)
     }
 
-    /// An empty furthest-next-use cache for the slots of `index`.
-    fn next_use_cache(&self, index: &TraceIndex<'_>) -> CacheModel {
-        CacheModel::Belady(BeladyCache::new(self.cache_capacity(), index.slot_count()))
+    /// An empty furthest-next-use cache for the slots of `trace`.
+    fn next_use_cache(&self, trace: &OpTrace) -> CacheModel {
+        CacheModel::Belady(BeladyCache::new(self.cache_capacity(), trace.slot_count()))
     }
 
     /// [`Simulator::sweep_each`] with the cache and the key function of one
     /// replacement policy.
     fn sweep_under(
         &self,
-        index: &TraceIndex<'_>,
+        trace: &OpTrace,
         replacement: Replacement,
-        sink: impl FnMut(&TracedOp, OpTiming),
+        sink: impl FnMut(&TracedOp<'_>, OpTiming),
     ) {
         match replacement {
             Replacement::ReuseCode => self.sweep_each(
-                index,
-                self.next_use_cache(index),
-                |op, operand| reuse_key(index.reuse(op, operand), op.index),
+                trace,
+                self.next_use_cache(trace),
+                |op, operand| reuse_key(trace.reuse(op, operand), op.index),
                 sink,
             ),
             Replacement::ExactNextUse => {
-                let next_uses = index.next_uses();
+                let next_uses = trace.next_uses();
                 self.sweep_each(
-                    index,
-                    self.next_use_cache(index),
-                    |op, operand| exact_key(index, &next_uses, op, operand),
+                    trace,
+                    self.next_use_cache(trace),
+                    |op, operand| exact_key(trace, &next_uses, op, operand),
                     sink,
                 );
             }
             Replacement::Lru => {
                 let cache =
-                    CacheModel::Lru(LruCache::new(self.cache_capacity(), index.slot_count()));
-                self.sweep_each(index, cache, |_, _| 0, sink);
+                    CacheModel::Lru(LruCache::new(self.cache_capacity(), trace.slot_count()));
+                self.sweep_each(trace, cache, |_, _| 0, sink);
             }
         }
     }
 
     /// The cache-resolution sweep behind every entry point, over the slots
-    /// of a validated [`TraceIndex`]: resolves each op's charge in program
+    /// of a validated [`OpTrace`]: resolves each op's charge in program
     /// order and hands it to `sink`, which is all that tells collecting
     /// ([`Simulator::op_timings`]) from folding ([`Simulator::try_run`])
     /// from planning ([`Simulator::run_indexed`]). `key` says when the
@@ -520,20 +530,19 @@ impl Simulator {
     /// it is all that tells policy and bound apart (LRU ignores it).
     fn sweep_each(
         &self,
-        index: &TraceIndex<'_>,
+        trace: &OpTrace,
         mut cache: CacheModel,
-        key: impl Fn(&IndexedOp<'_>, Option<usize>) -> u32,
-        mut sink: impl FnMut(&TracedOp, OpTiming),
+        key: impl Fn(&TracedOp<'_>, Option<usize>) -> u32,
+        mut sink: impl FnMut(&TracedOp<'_>, OpTiming),
     ) {
-        let trace = index.trace();
         let telemetry_on = bts_telemetry::enabled();
-        let mut costs = CostTable::new(self, trace.instance.max_level(), telemetry_on);
+        let mut costs = CostTable::new(self, trace.instance().max_level(), telemetry_on);
         let bytes_per_sec = self.config.hbm.bytes_per_sec();
         // Serialized op start time: the engine charges ops back to back, so
         // the running sum places each op's interval on the telemetry track.
         let mut serial_t = 0.0f64;
-        for op in index.ops() {
-            let entry = costs.entry(op.traced.op, op.traced.level);
+        for op in trace.ops() {
+            let entry = costs.entry(op.op, op.level);
             let cost = entry.cost;
             // Ciphertext operand residency.
             let ct_bytes = entry.ct_bytes;
@@ -541,11 +550,11 @@ impl Simulator {
             let mut hits = 0usize;
             let mut misses = 0usize;
             let mut pressure = Pressure {
-                explain: telemetry_on.then_some((index, op.index, serial_t)),
+                explain: telemetry_on.then_some((trace, op.index, serial_t)),
                 ..Pressure::default()
             };
             for (k, &input) in op.operands.iter().enumerate() {
-                if index.is_forwarded(input) {
+                if trace.is_forwarded(input) {
                     continue; // producer → consumer forwarding, not a cache access
                 }
                 let next_use = key(&op, Some(k));
@@ -558,7 +567,7 @@ impl Simulator {
                 }
             }
             if let Some(out) = op.output {
-                if !index.is_forwarded(out) {
+                if !trace.is_forwarded(out) {
                     pressure.insert(&mut cache, out, ct_bytes, key(&op, None));
                 }
             }
@@ -590,7 +599,7 @@ impl Simulator {
             }
             serial_t += seconds;
             sink(
-                op.traced,
+                &op,
                 OpTiming {
                     cost,
                     miss_bytes,
@@ -662,12 +671,12 @@ struct Fold {
 }
 
 impl Fold {
-    fn add(&mut self, traced: &TracedOp, timing: &OpTiming) {
+    fn add(&mut self, op: &TracedOp<'_>, timing: &OpTiming) {
         self.total += timing.seconds;
-        if traced.in_bootstrap {
+        if op.in_bootstrap {
             self.bootstrap += timing.seconds;
         }
-        let class = &mut self.classes[traced.op.index()];
+        let class = &mut self.classes[op.op.index()];
         class.count += 1;
         class.seconds += timing.seconds;
         self.evk_bytes += timing.cost.evk_bytes;
@@ -767,16 +776,11 @@ impl<'s> CostTable<'s> {
 }
 
 /// The exact replacement key of one access of `op` — the op index of the
-/// value's next read — given the index's [`TraceIndex::next_uses`].
-fn exact_key(
-    index: &TraceIndex<'_>,
-    next_uses: &[u32],
-    op: &IndexedOp<'_>,
-    operand: Option<usize>,
-) -> u32 {
+/// value's next read — given the trace's [`OpTrace::next_uses`].
+fn exact_key(trace: &OpTrace, next_uses: &[u32], op: &TracedOp<'_>, operand: Option<usize>) -> u32 {
     match operand {
         Some(k) => next_uses[op.first_access + k],
-        None => op.output.map_or(NEVER, |out| index.first_use_or_never(out)),
+        None => op.output.map_or(NEVER, |out| trace.first_use_or_never(out)),
     }
 }
 
@@ -797,22 +801,22 @@ fn reuse_key(reuse: Reuse, op: u32) -> u32 {
 /// evicted resident and per bypassed newcomer, naming the ciphertext, so a
 /// later miss on it can be traced to its cause from the stream alone.
 #[derive(Default)]
-struct Pressure<'i, 't> {
+struct Pressure<'t> {
     evictions: usize,
     bypasses: usize,
-    explain: Option<(&'i TraceIndex<'t>, u32, f64)>,
+    explain: Option<(&'t OpTrace, u32, f64)>,
 }
 
-impl Pressure<'_, '_> {
+impl Pressure<'_> {
     fn insert(&mut self, cache: &mut CacheModel, slot: u32, bytes: u64, next_use: u32) {
         let cached = cache.insert(slot, bytes, next_use);
         self.evictions += cache.victims().len();
         self.bypasses += usize::from(!cached);
-        let Some((index, op, ts)) = self.explain else {
+        let Some((trace, op, ts)) = self.explain else {
             return;
         };
         let instant = |name, slot: u32, detail: (&'static str, bts_telemetry::ArgValue)| {
-            let args = [("op", op.into()), ("ct", index.id_of(slot).into()), detail];
+            let args = [("op", op.into()), ("ct", trace.id_of(slot).into()), detail];
             bts_telemetry::emit_instant("scratchpad", name, ts, &args);
         };
         for &victim in cache.victims() {
@@ -830,7 +834,7 @@ impl Pressure<'_, '_> {
 
 /// Cache-structure dispatch for the sweep: the furthest-next-use cache under
 /// the policy and its bound, or the LRU baseline. Both key their state by
-/// [`TraceIndex`] slot.
+/// [`OpTrace`] slot.
 #[derive(Debug, Clone)]
 enum CacheModel {
     Lru(LruCache),
@@ -1244,15 +1248,13 @@ mod tests {
     #[test]
     fn simulator_entry_point_rejects_invalid_traces() {
         let ins = CkksInstance::ins1();
-        let mut b = TraceBuilder::new(&ins);
-        let x = b.fresh_ct(27);
-        b.hmult(x, x);
-        let mut trace = b.build();
-        trace.ops[0].inputs.push(12345); // dangling id
-        let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        assert!(sim.try_run(&trace).is_err());
-        trace.ops[0].inputs.pop();
-        assert!(sim.try_run(&trace).is_ok());
+        let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
+        for (operand, valid) in [(12345, false), (0, true)] {
+            let mut b = TraceBuilder::new(&ins);
+            let x = b.fresh_ct(27);
+            b.hmult(x, operand); // 12345 dangles
+            assert_eq!(sim.try_run(&b.build()).is_ok(), valid);
+        }
     }
 
     #[test]
@@ -1301,15 +1303,14 @@ mod tests {
     /// function of the access's reuse code, its exact next use and the op —
     /// the encodings narrower and wider than the one the engine ships.
     fn hits_keyed(sim: &Simulator, trace: &OpTrace, key: impl Fn(Reuse, u32, u32) -> u32) -> usize {
-        let index = TraceIndex::new(trace).unwrap();
-        let next_uses = index.next_uses();
+        let next_uses = trace.next_uses();
         let mut hits = 0;
         sim.sweep_each(
-            &index,
-            sim.next_use_cache(&index),
+            trace,
+            sim.next_use_cache(trace),
             |op, operand| {
-                let exact = exact_key(&index, &next_uses, op, operand);
-                key(index.reuse(op, operand), exact, op.index)
+                let exact = exact_key(trace, &next_uses, op, operand);
+                key(trace.reuse(op, operand), exact, op.index)
             },
             |_, timing| hits += timing.cache_hits,
         );

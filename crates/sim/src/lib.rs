@@ -56,6 +56,6 @@ pub use noc::{BruNoc, PeMemNoc, PePeNoc};
 pub use pe::{KeySwitchOccupancy, ProcessingElement};
 pub use scratchpad::AllocationPlan;
 pub use timeline::{hmult_timeline, TimelineSegment};
-pub use trace::{CtId, HeOp, OpTrace, TraceBuilder, TraceError, TracedOp};
-pub use trace_index::{IndexedOp, Reuse, TraceIndex};
+pub use trace::{CtId, HeOp, RawOp, TraceBuilder, TraceError};
+pub use trace_index::{OpTrace, Reuse, TracedOp};
 pub use twiddle::TwiddleStorage;

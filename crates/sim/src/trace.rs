@@ -1,6 +1,13 @@
+//! The vocabulary of a trace — op classes, ciphertext ids, structural
+//! defects — and [`TraceBuilder`], which records one. The trace itself,
+//! [`OpTrace`], lives in `trace_index`: it is built dense, validated and
+//! indexed in one scan.
+
+use std::collections::HashSet;
+
 use bts_params::CkksInstance;
 
-use crate::trace_index::TraceIndex;
+use crate::trace_index::{rebuild, Columns, OpTrace};
 
 /// Identifier of a ciphertext flowing through a trace; used by the simulator's
 /// software-managed cache model to track on-chip residency.
@@ -60,41 +67,25 @@ impl HeOp {
     }
 }
 
-/// One scheduled operation in a trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TracedOp {
+/// One op of a hand-rolled trace, its ciphertexts named by arbitrary ids —
+/// the form [`OpTrace::from_ops`] takes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RawOp<'a> {
     /// The operation kind.
     pub op: HeOp,
     /// Ciphertext level at which the op executes.
     pub level: usize,
-    /// Input ciphertext identities (for cache modelling).
-    pub inputs: Vec<CtId>,
+    /// Input ciphertext identities, in operand order.
+    pub inputs: &'a [CtId],
     /// Output ciphertext identity, if the op produces a new ciphertext.
     pub output: Option<CtId>,
     /// Whether this op belongs to a bootstrapping region (for the Fig. 7b
-    /// bootstrap-fraction breakdown).
+    /// bootstrap-fraction breakdown and the scheduler's barriers).
     pub in_bootstrap: bool,
 }
 
-/// A complete HE-op trace plus the parameter set it was generated for.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpTrace {
-    /// The CKKS instance this trace assumes.
-    pub instance: CkksInstance,
-    /// The operations, in program order.
-    pub ops: Vec<TracedOp>,
-    /// Number of distinct rotation keys the trace requires.
-    pub rotation_keys: usize,
-    /// Ciphertext ids that enter the trace from outside (fresh ciphertexts
-    /// arriving from the host); every other id must be produced by an op.
-    pub inputs: Vec<CtId>,
-    /// Level of each trace input, parallel to `inputs`. [`TraceBuilder`] keeps
-    /// the two vectors in sync; [`OpTrace::validate`] checks the levels
-    /// against the instance budget just like op levels.
-    pub input_levels: Vec<usize>,
-}
-
-/// A structural defect in an [`OpTrace`] found by [`OpTrace::validate`].
+/// A structural defect in an [`OpTrace`], found when the trace is built and
+/// reported by [`OpTrace::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
     /// An op consumes a ciphertext id that is neither a declared trace input
@@ -125,7 +116,7 @@ pub enum TraceError {
     },
     /// A trace input's recorded level exceeds the instance's level budget.
     InputLevelOutOfRange {
-        /// Index of the offending entry in [`OpTrace::inputs`].
+        /// Position of the offending entry among [`OpTrace::inputs`].
         input_index: usize,
         /// The out-of-range level.
         level: usize,
@@ -167,109 +158,38 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-impl OpTrace {
-    /// Number of operations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Number of key-switching operations (HMult/HRot/Conjugate).
-    pub fn key_switch_count(&self) -> usize {
-        self.ops.iter().filter(|o| o.op.is_key_switching()).count()
-    }
-
-    /// Count of operations of a given kind.
-    pub fn count(&self, op: HeOp) -> usize {
-        self.ops.iter().filter(|o| o.op == op).count()
-    }
-
-    /// Concatenates another trace after this one. The other trace's
-    /// ciphertext ids are shifted above this trace's id range: independent
-    /// [`TraceBuilder`]s both number ids from 0, so splicing them verbatim
-    /// would alias unrelated ciphertexts and corrupt the cache model's
-    /// residency accounting (phantom hits, understated HBM traffic).
-    ///
-    /// `rotation_keys` stores only a count, not the rotation amounts, so the
-    /// merged value (the max of the two counts) is a *lower bound*: traces
-    /// with disjoint rotation sets need up to the sum.
-    pub fn extend(&mut self, other: &OpTrace) {
-        let offset = self.next_free_id();
-        self.ops.extend(other.ops.iter().map(|op| {
-            let mut op = op.clone();
-            for id in &mut op.inputs {
-                *id += offset;
-            }
-            if let Some(out) = &mut op.output {
-                *out += offset;
-            }
-            op
-        }));
-        self.rotation_keys = self.rotation_keys.max(other.rotation_keys);
-        self.inputs
-            .extend(other.inputs.iter().map(|id| id + offset));
-        self.input_levels.extend(other.input_levels.iter().copied());
-    }
-
-    /// The smallest ciphertext id not used by this trace.
-    fn next_free_id(&self) -> CtId {
-        let op_ids = self
-            .ops
-            .iter()
-            .flat_map(|op| op.inputs.iter().copied().chain(op.output));
-        self.inputs
-            .iter()
-            .copied()
-            .chain(op_ids)
-            .max()
-            .map_or(0, |max| max + 1)
-    }
-
-    /// Checks structural well-formedness: every op input is either a declared
-    /// trace input or the output of an earlier op, no op redefines an id, and
-    /// every level lies within the instance's budget. The simulator validates
-    /// traces on entry, so a hand-rolled trace with dangling ids fails fast
-    /// instead of corrupting the cache model's residency accounting.
-    ///
-    /// The check *is* the construction of the [`TraceIndex`] the sweeps run
-    /// over — this builds one and drops it — so there is a single definition
-    /// of a well-formed trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`TraceError`] found, in program order.
-    pub fn validate(&self) -> Result<(), TraceError> {
-        TraceIndex::new(self).map(drop)
-    }
-}
-
-/// Builds [`OpTrace`]s with automatic ciphertext-id management.
+/// Builds [`OpTrace`]s with automatic ciphertext-id management. Ops are
+/// recorded column by column into flat arrays — no allocation per op, and
+/// every id the builder hands out is its own slot — and
+/// [`TraceBuilder::build`] validates and indexes them once.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
     instance: CkksInstance,
-    ops: Vec<TracedOp>,
+    columns: Columns,
     next_id: CtId,
-    rotation_keys: std::collections::HashSet<i64>,
+    rotation_keys: HashSet<i64>,
     in_bootstrap: bool,
-    inputs: Vec<CtId>,
-    input_levels: Vec<usize>,
+    /// `(operand position, id)` of every operand the builder had not handed
+    /// out when it was read — undefined there; patched in at `build`.
+    foreign: Vec<(usize, CtId)>,
 }
 
 impl TraceBuilder {
     /// Starts a new trace for an instance.
     pub fn new(instance: &CkksInstance) -> Self {
+        Self::with_capacity(instance, 0)
+    }
+
+    /// Starts a new trace with room for `ops` ops before its columns grow —
+    /// for a caller that knows how long the trace will be.
+    pub fn with_capacity(instance: &CkksInstance, ops: usize) -> Self {
         Self {
             instance: instance.clone(),
-            ops: Vec::new(),
+            columns: Columns::with_capacity(ops),
             next_id: 0,
-            rotation_keys: std::collections::HashSet::new(),
+            rotation_keys: HashSet::new(),
             in_bootstrap: false,
-            inputs: Vec::new(),
-            input_levels: Vec::new(),
+            foreign: Vec::new(),
         }
     }
 
@@ -280,12 +200,11 @@ impl TraceBuilder {
 
     /// Allocates a fresh ciphertext id at the given level (e.g. a ciphertext
     /// arriving from the host); no op is recorded, but the level is kept so
-    /// [`OpTrace::validate`] can check trace inputs against the budget.
+    /// the built trace checks trace inputs against the budget.
     pub fn fresh_ct(&mut self, level: usize) -> CtId {
         let id = self.next_id;
         self.next_id += 1;
-        self.inputs.push(id);
-        self.input_levels.push(level);
+        self.columns.inputs.push((id as u32, level));
         id
     }
 
@@ -294,27 +213,24 @@ impl TraceBuilder {
         self.in_bootstrap = on;
     }
 
-    fn push(&mut self, op: HeOp, level: usize, inputs: Vec<CtId>, has_output: bool) -> CtId {
-        let output = if has_output {
-            let id = self.next_id;
-            self.next_id += 1;
-            Some(id)
-        } else {
-            None
-        };
-        self.ops.push(TracedOp {
-            op,
-            level,
-            inputs,
-            output,
-            in_bootstrap: self.in_bootstrap,
-        });
-        output.unwrap_or(u64::MAX)
+    fn push(&mut self, op: HeOp, level: usize, inputs: &[CtId]) -> CtId {
+        let output = self.next_id;
+        self.next_id += 1;
+        let at = self.columns.operands.len();
+        let foreign = inputs.iter().enumerate().filter(|&(_, &id)| id >= output);
+        self.foreign.extend(foreign.map(|(k, &id)| (at + k, id)));
+        // Slot 0 holds a foreign operand's place until `build` patches it.
+        let slots = inputs
+            .iter()
+            .map(|&id| if id < output { id as u32 } else { 0 });
+        self.columns
+            .push(op, level, self.in_bootstrap, slots, output as u32);
+        output
     }
 
     /// Records an HMult of two ciphertexts at level `a`/`b`'s current level.
     pub fn hmult_at(&mut self, a: CtId, b: CtId, level: usize) -> CtId {
-        self.push(HeOp::HMult, level, vec![a, b], true)
+        self.push(HeOp::HMult, level, &[a, b])
     }
 
     /// Records an HMult at the instance's maximum level.
@@ -327,27 +243,27 @@ impl TraceBuilder {
         if rotation != 0 {
             self.rotation_keys.insert(rotation);
         }
-        self.push(HeOp::HRot, level, vec![a], true)
+        self.push(HeOp::HRot, level, &[a])
     }
 
     /// Records a conjugation.
     pub fn conjugate(&mut self, a: CtId, level: usize) -> CtId {
-        self.push(HeOp::Conjugate, level, vec![a], true)
+        self.push(HeOp::Conjugate, level, &[a])
     }
 
     /// Records a plaintext multiplication.
     pub fn pmult(&mut self, a: CtId, level: usize) -> CtId {
-        self.push(HeOp::PMult, level, vec![a], true)
+        self.push(HeOp::PMult, level, &[a])
     }
 
     /// Records a plaintext addition.
     pub fn padd(&mut self, a: CtId, level: usize) -> CtId {
-        self.push(HeOp::PAdd, level, vec![a], true)
+        self.push(HeOp::PAdd, level, &[a])
     }
 
     /// Records a ciphertext addition.
     pub fn hadd(&mut self, a: CtId, b: CtId, level: usize) -> CtId {
-        self.push(HeOp::HAdd, level, vec![a, b], true)
+        self.push(HeOp::HAdd, level, &[a, b])
     }
 
     /// Records a rescale at the level of its input (consumes one level).
@@ -357,32 +273,44 @@ impl TraceBuilder {
 
     /// Records a rescale at an explicit level.
     pub fn hrescale_at(&mut self, a: CtId, level: usize) -> CtId {
-        self.push(HeOp::HRescale, level, vec![a], true)
+        self.push(HeOp::HRescale, level, &[a])
     }
 
     /// Records a scalar multiplication.
     pub fn cmult(&mut self, a: CtId, level: usize) -> CtId {
-        self.push(HeOp::CMult, level, vec![a], true)
+        self.push(HeOp::CMult, level, &[a])
     }
 
     /// Records a scalar addition.
     pub fn cadd(&mut self, a: CtId, level: usize) -> CtId {
-        self.push(HeOp::CAdd, level, vec![a], true)
+        self.push(HeOp::CAdd, level, &[a])
     }
 
     /// Records a modulus raise (start of bootstrapping).
     pub fn mod_raise(&mut self, a: CtId, to_level: usize) -> CtId {
-        self.push(HeOp::ModRaise, to_level, vec![a], true)
+        self.push(HeOp::ModRaise, to_level, &[a])
     }
 
-    /// Finalizes the trace.
+    /// Finalizes the trace: one scan validates it and builds its tables.
+    /// An operand id the builder never handed out sends the trace through
+    /// [`OpTrace::from_ops`] instead, which interns it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace holds more than `u32::MAX` ciphertexts.
     pub fn build(self) -> OpTrace {
-        OpTrace {
-            instance: self.instance,
-            ops: self.ops,
-            rotation_keys: self.rotation_keys.len(),
-            inputs: self.inputs,
-            input_levels: self.input_levels,
+        assert!(
+            u32::try_from(self.next_id).is_ok(),
+            "ciphertext count fits u32"
+        );
+        let keys = self.rotation_keys.len();
+        // Lossless: checked above.
+        let slots = self.next_id as usize;
+        let trace = OpTrace::index(self.instance, self.columns, Vec::new(), slots, keys);
+        if self.foreign.is_empty() {
+            trace
+        } else {
+            rebuild(trace.instance(), &[(&trace, 0)], &self.foreign, keys)
         }
     }
 }
@@ -390,6 +318,41 @@ impl TraceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(op, level, in_bootstrap, operand ids, output id)` of every op.
+    type Listed = Vec<(HeOp, usize, bool, Vec<CtId>, Option<CtId>)>;
+
+    fn listed(trace: &OpTrace) -> Listed {
+        trace
+            .ops()
+            .map(|op| {
+                let ids = op.operands.iter().map(|&s| trace.id_of(s)).collect();
+                let output = op.output.map(|s| trace.id_of(s));
+                (op.op, op.level, op.in_bootstrap, ids, output)
+            })
+            .collect()
+    }
+
+    /// `trace` with `extra` appended as hand-rolled ops, rebuilt from ids.
+    fn with_ops(trace: &OpTrace, extra: &[RawOp<'_>]) -> OpTrace {
+        let inputs: Vec<(CtId, usize)> = trace.inputs().collect();
+        let ops = listed(trace);
+        let raw = ops
+            .iter()
+            .map(|(op, level, in_bootstrap, ids, output)| RawOp {
+                op: *op,
+                level: *level,
+                inputs: ids,
+                output: *output,
+                in_bootstrap: *in_bootstrap,
+            });
+        OpTrace::from_ops(
+            trace.instance(),
+            &inputs,
+            raw.chain(extra.iter().copied()),
+            trace.rotation_keys(),
+        )
+    }
 
     #[test]
     fn builder_tracks_ids_ops_and_keys() {
@@ -406,7 +369,7 @@ mod tests {
         assert_eq!(t.len(), 5);
         assert_eq!(t.key_switch_count(), 4);
         assert_eq!(t.count(HeOp::HRescale), 1);
-        assert_eq!(t.rotation_keys, 2, "duplicate rotations share a key");
+        assert_eq!(t.rotation_keys(), 2, "duplicate rotations share a key");
     }
 
     #[test]
@@ -419,9 +382,8 @@ mod tests {
         let _ = b.hrot(y, 1, 27);
         b.set_bootstrap_region(false);
         let _ = b.hmult_at(y, y, 20);
-        let t = b.build();
-        assert!(t.ops[0].in_bootstrap && t.ops[1].in_bootstrap);
-        assert!(!t.ops[2].in_bootstrap);
+        let flags: Vec<bool> = b.build().ops().map(|op| op.in_bootstrap).collect();
+        assert_eq!(flags, vec![true, true, false]);
     }
 
     #[test]
@@ -437,14 +399,16 @@ mod tests {
         let t2 = b.build();
         t1.extend(&t2);
         assert_eq!(t1.len(), 2);
-        assert_eq!(t1.rotation_keys, 1);
+        assert_eq!(t1.rotation_keys(), 1);
         assert!(t1.validate().is_ok(), "merged inputs keep the trace valid");
         // The second trace's ids were shifted above the first's: both
         // builders started numbering at 0, but the merged trace must not
         // alias their unrelated ciphertexts.
-        assert_eq!(t1.inputs.len(), 2);
-        assert_ne!(t1.inputs[0], t1.inputs[1]);
-        assert_ne!(t1.ops[0].inputs[0], t1.ops[1].inputs[0]);
+        let inputs: Vec<CtId> = t1.inputs().map(|(id, _)| id).collect();
+        assert_eq!(inputs.len(), 2);
+        assert_ne!(inputs[0], inputs[1]);
+        let ops = listed(&t1);
+        assert_ne!(ops[0].3[0], ops[1].3[0]);
     }
 
     #[test]
@@ -465,14 +429,16 @@ mod tests {
         let mut b = TraceBuilder::new(&ins);
         let x = b.fresh_ct(27);
         b.hmult(x, x);
-        let mut trace = b.build();
-        trace.ops.push(TracedOp {
-            op: HeOp::HRot,
-            level: 20,
-            inputs: vec![999],
-            output: Some(1000),
-            in_bootstrap: false,
-        });
+        let trace = with_ops(
+            &b.build(),
+            &[RawOp {
+                op: HeOp::HRot,
+                level: 20,
+                inputs: &[999],
+                output: Some(1000),
+                in_bootstrap: false,
+            }],
+        );
         assert_eq!(
             trace.validate(),
             Err(TraceError::UndefinedInput {
@@ -487,17 +453,18 @@ mod tests {
         let ins = CkksInstance::ins1();
         let mut b = TraceBuilder::new(&ins);
         let x = b.fresh_ct(27);
-        b.hmult(x, x);
-        let mut trace = b.build();
+        let out = b.hmult(x, x);
         // Redefine the first op's output id with a second hand-rolled op.
-        let out = trace.ops[0].output.unwrap();
-        trace.ops.push(TracedOp {
-            op: HeOp::HRot,
-            level: 20,
-            inputs: vec![x],
-            output: Some(out),
-            in_bootstrap: false,
-        });
+        let trace = with_ops(
+            &b.build(),
+            &[RawOp {
+                op: HeOp::HRot,
+                level: 20,
+                inputs: &[x],
+                output: Some(out),
+                in_bootstrap: false,
+            }],
+        );
         assert_eq!(
             trace.validate(),
             Err(TraceError::DuplicateOutput {
@@ -515,7 +482,7 @@ mod tests {
         let y = b.fresh_ct(3);
         b.hmult_at(x, y, 27);
         let trace = b.build();
-        assert_eq!(trace.input_levels, vec![27, 3]);
+        assert_eq!(trace.inputs().collect::<Vec<_>>(), vec![(x, 27), (y, 3)]);
         assert!(trace.validate().is_ok());
 
         let mut bad = TraceBuilder::new(&ins);
@@ -542,7 +509,8 @@ mod tests {
         let y = b.fresh_ct(5);
         b.hrot(y, 1, 5);
         t1.extend(&b.build());
-        assert_eq!(t1.input_levels, vec![27, 5]);
+        let levels: Vec<usize> = t1.inputs().map(|(_, level)| level).collect();
+        assert_eq!(levels, vec![27, 5]);
         assert!(t1.validate().is_ok());
     }
 

@@ -1,14 +1,17 @@
-//! The validated, dense view of an [`OpTrace`] every sweep runs over.
+//! A trace is its own index: [`OpTrace`] is built dense, validated and
+//! indexed once, at construction, and every sweep reads its tables.
 //!
 //! Ciphertext ids are arbitrary `u64`s, but a trace names only as many of
-//! them as it has operands, so [`TraceIndex`] gives every id a dense `u32`
-//! *slot* and keeps everything the cache sweeps and the scheduler's DAG ask
-//! about a ciphertext in `Vec`s indexed by slot. The one
-//! forward pass that fills those tables is also trace validation: it sees
-//! every definition and every use in program order, so the first use of an
-//! undefined id or the first redefinition falls out of the same loop that
-//! records producers and live ranges, and well-formedness has one definition
-//! ([`OpTrace::validate`] builds the index and drops it).
+//! them as it has operands, so construction gives every id a dense `u32`
+//! *slot*, stores operands and outputs as slots — one flat operand arena for
+//! the whole trace, no allocation per op — and keeps everything the cache
+//! sweeps and the scheduler's DAG ask about a ciphertext in `Vec`s indexed by
+//! slot. The one forward pass that fills those tables is also trace
+//! validation: it sees every definition and every use in program order, so
+//! the first use of an undefined id or the first redefinition falls out of
+//! the same loop that records producers and live ranges. The first defect is
+//! stored on the trace; every entry point checks it in O(1)
+//! ([`OpTrace::validate`]) and none scans again.
 //!
 //! **Slot rule.** When every id is smaller than the number of definitions the
 //! trace could hold (`inputs + ops` — always true for ids handed out by
@@ -20,15 +23,19 @@
 //!
 //! **Reuse code.** An FHE program is data-oblivious, so its trace is its whole
 //! future and the compiler can tell the scratchpad what every value is still
-//! good for. [`TraceIndex::reuse`] is that hint at the coarsest useful width:
+//! good for. [`OpTrace::reuse`] is that hint at the coarsest useful width:
 //! one [`Reuse`] (2 bits) per operand access and per op output. It is a pure
 //! function of the trace, read off the tables above — the slot's last (or
 //! first) use and the operand slots that follow the access — so hand-built
 //! traces carry it like lowered ones and nothing is stored per op. The
 //! engine's default replacement policy keys on it; the exact positions of
-//! [`TraceIndex::next_uses`] (a backward pass) are only its bound.
+//! [`OpTrace::next_uses`] (a backward pass) are only its bound.
 
-use crate::trace::{CtId, OpTrace, TraceError, TracedOp};
+use std::ops::Range;
+
+use bts_params::CkksInstance;
+
+use crate::trace::{CtId, HeOp, RawOp, TraceError};
 
 /// `producer` value of a slot no trace input or op output defines.
 const UNDEFINED: u32 = u32::MAX;
@@ -50,11 +57,74 @@ pub enum Reuse {
     Never,
 }
 
-/// Dense per-ciphertext and per-operand tables of one trace — see the module
-/// docs. Borrowing the trace ties the tables to the ops they describe.
-#[derive(Debug, Clone)]
-pub struct TraceIndex<'t> {
-    trace: &'t OpTrace,
+/// A trace's ops column by column, ciphertexts as slots: what a
+/// [`crate::TraceBuilder`] records (its own ids are their slots) and
+/// [`OpTrace::from_ops`] derives from arbitrary ids, before the one scan
+/// fills the tables.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Columns {
+    /// The slot and level of every ciphertext that enters from outside.
+    pub(crate) inputs: Vec<(u32, usize)>,
+    /// Per op: kind, level and bootstrap-region flag.
+    kinds: Vec<HeOp>,
+    levels: Vec<usize>,
+    in_bootstrap: Vec<bool>,
+    /// Op `i`'s operands end at `operand_end[i]` and start where op `i − 1`'s
+    /// end (CSR: one arena for the whole trace instead of a vector per op).
+    operand_end: Vec<u32>,
+    pub(crate) operands: Vec<u32>,
+    /// Per op: the slot of its output ([`NEVER`] if it has none).
+    outputs: Vec<u32>,
+}
+
+impl Columns {
+    /// Empty columns with room for `ops` ops of up to two operands each.
+    pub(crate) fn with_capacity(ops: usize) -> Self {
+        Self {
+            inputs: Vec::new(),
+            kinds: Vec::with_capacity(ops),
+            levels: Vec::with_capacity(ops),
+            in_bootstrap: Vec::with_capacity(ops),
+            operand_end: Vec::with_capacity(ops),
+            operands: Vec::with_capacity(2 * ops),
+            outputs: Vec::with_capacity(ops),
+        }
+    }
+
+    /// Appends an op, its operands and output already slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the trace has more than `u32::MAX` operand accesses.
+    pub(crate) fn push(
+        &mut self,
+        op: HeOp,
+        level: usize,
+        in_bootstrap: bool,
+        operands: impl IntoIterator<Item = u32>,
+        output: u32,
+    ) {
+        self.kinds.push(op);
+        self.levels.push(level);
+        self.in_bootstrap.push(in_bootstrap);
+        self.operands.extend(operands);
+        let end = u32::try_from(self.operands.len()).expect("operand count fits u32");
+        self.operand_end.push(end);
+        self.outputs.push(output);
+    }
+}
+
+/// A complete HE-op trace plus the parameter set it was generated for, stored
+/// as the dense, validated index every sweep runs over — see the module docs.
+/// Built by [`crate::TraceBuilder::build`] or, for hand-rolled ids,
+/// [`OpTrace::from_ops`]; the fields stay private so the tables always
+/// describe the ops.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OpTrace {
+    instance: CkksInstance,
+    /// Number of distinct rotation keys the trace requires.
+    rotation_keys: usize,
+    columns: Columns,
     /// Slot → id, ascending, when ids had to be interned; empty when every
     /// id is its own slot.
     interned: Vec<CtId>,
@@ -66,114 +136,135 @@ pub struct TraceIndex<'t> {
     last_use: Vec<u32>,
     /// Per slot: an op output whose only consumer is the very next op.
     forwarded: Vec<bool>,
-    /// The slot of every operand access, op after op in program order.
-    operand_slots: Vec<u32>,
-    /// Per op: the slot of its output ([`NEVER`] if it has none).
-    output_slots: Vec<u32>,
+    /// The first structural defect in program order, if any.
+    defect: Option<TraceError>,
 }
 
-/// One op as the sweeps see it: its position, the traced op, and its
-/// operands and output already resolved to slots.
+/// One op as the sweeps see it: its position, kind and level, and its
+/// operands and output as slots.
 #[derive(Debug, Clone, Copy)]
-pub struct IndexedOp<'a> {
+pub struct TracedOp<'a> {
     /// Position in program order.
     pub index: u32,
-    /// The op itself.
-    pub traced: &'a TracedOp,
-    /// Position of the op's first operand access among all accesses of the
-    /// trace (the offset into [`TraceIndex::next_uses`]).
-    pub(crate) first_access: usize,
-    /// Slots of `traced.inputs`, in the same order.
+    /// The operation kind.
+    pub op: HeOp,
+    /// Ciphertext level at which the op executes.
+    pub level: usize,
+    /// Whether the op belongs to a bootstrapping region.
+    pub in_bootstrap: bool,
+    /// Slots of the op's operands, in operand order.
     pub operands: &'a [u32],
+    /// Slot of the op's output.
+    pub output: Option<u32>,
+    /// Position of the op's first operand access among all accesses of the
+    /// trace (the offset into [`OpTrace::next_uses`]).
+    pub(crate) first_access: usize,
     /// `operands`, then the operand slots of the next op: the accesses that
     /// follow one of this op's at once.
     following: &'a [u32],
-    /// Slot of `traced.output`.
-    pub(crate) output: Option<u32>,
 }
 
-impl<'t> TraceIndex<'t> {
-    /// Validates `trace` and indexes it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`TraceError`] in program order: out-of-budget
-    /// input levels first, then per op its level, its undefined operands and
-    /// a redefined output.
+impl OpTrace {
+    /// Builds a trace from hand-rolled ciphertext ids: `inputs` are the
+    /// `(id, level)` pairs that enter from outside, `ops` the program in
+    /// order. Ids may be any `u64`s (see the module docs' slot rule); a
+    /// malformed program still builds, and [`OpTrace::validate`] reports its
+    /// first defect.
     ///
     /// # Panics
     ///
-    /// Panics if the trace has more than `u32::MAX - 2` ops or distinct ids.
-    pub fn new(trace: &'t OpTrace) -> Result<Self, TraceError> {
-        match Self::scan(trace) {
-            (index, None) => Ok(index),
-            (_, Some(defect)) => Err(defect),
-        }
-    }
-
-    /// Indexes `trace` whether or not it is well-formed, for the infallible
-    /// dependency queries (`TraceDag::from_trace`). On a trace
-    /// [`TraceIndex::new`] rejects, an undefined id still has a slot and a
-    /// live range, and the first definition of a redefined id is its
-    /// producer; the simulator's entry points never run such a trace.
-    pub fn lenient(trace: &'t OpTrace) -> Self {
-        Self::scan(trace).0
-    }
-
-    /// The forward pass: interns ids, then walks definitions and uses in
-    /// program order, filling the tables and noting the first defect.
-    fn scan(trace: &'t OpTrace) -> (Self, Option<TraceError>) {
-        let op_count = u32::try_from(trace.ops.len()).expect("op count fits u32");
-        assert!(
-            op_count < TRACE_INPUT,
-            "op indices stay below the sentinels"
-        );
-        let accesses: usize = trace.ops.iter().map(|op| op.inputs.len()).sum();
-
-        let all_ids = || {
-            let op_ids = trace
-                .ops
+    /// Panics if the trace has more than `u32::MAX − 2` ops, or more than
+    /// `u32::MAX` operand accesses or distinct ids.
+    pub fn from_ops<'a>(
+        instance: &CkksInstance,
+        inputs: &[(CtId, usize)],
+        ops: impl IntoIterator<Item = RawOp<'a>>,
+        rotation_keys: usize,
+    ) -> Self {
+        let ops: Vec<RawOp<'a>> = ops.into_iter().collect();
+        let ids = || {
+            let op_ids = ops
                 .iter()
                 .flat_map(|op| op.inputs.iter().copied().chain(op.output));
-            trace.inputs.iter().copied().chain(op_ids)
+            inputs.iter().map(|&(id, _)| id).chain(op_ids)
         };
-        let definitions = (trace.inputs.len() + trace.ops.len()) as u64;
-        let max_id = all_ids().max();
-        let (interned, slots) = match max_id {
-            None => (Vec::new(), 0),
-            Some(max) if max < definitions => (Vec::new(), max as usize + 1),
-            Some(_) => {
-                let mut ids = Vec::with_capacity(trace.inputs.len() + accesses + trace.ops.len());
-                ids.extend(all_ids());
-                ids.sort_unstable();
-                ids.dedup();
-                let slots = ids.len();
-                (ids, slots)
+        let definitions = (inputs.len() + ops.len()) as u64;
+        let max_id = ids().max();
+        let mut interned = Vec::new();
+        if max_id.is_some_and(|max| max >= definitions) {
+            interned.extend(ids());
+            interned.sort_unstable();
+            interned.dedup();
+        }
+        let slots = match max_id {
+            None => 0,
+            Some(max) if interned.is_empty() => max as usize + 1,
+            Some(_) => interned.len(),
+        };
+        assert!(u32::try_from(slots).is_ok(), "ciphertext count fits u32");
+        // Lossless: every slot is below the slot count, which fits u32.
+        let slot = |id: CtId| {
+            if interned.is_empty() {
+                id as u32
+            } else {
+                interned.binary_search(&id).expect("every id was interned") as u32
             }
         };
-        u32::try_from(slots).expect("ciphertext count fits u32");
+        let mut columns = Columns::with_capacity(ops.len());
+        columns.inputs = inputs
+            .iter()
+            .map(|&(id, level)| (slot(id), level))
+            .collect();
+        for op in &ops {
+            let operands = op.inputs.iter().map(|&id| slot(id));
+            let output = op.output.map_or(NEVER, slot);
+            columns.push(op.op, op.level, op.in_bootstrap, operands, output);
+        }
+        Self::index(instance.clone(), columns, interned, slots, rotation_keys)
+    }
 
-        let mut index = Self {
-            trace,
+    /// The one construction: the tables of `slots` slots for `columns`,
+    /// filled by one [`OpTrace::scan`].
+    pub(crate) fn index(
+        instance: CkksInstance,
+        columns: Columns,
+        interned: Vec<CtId>,
+        slots: usize,
+        rotation_keys: usize,
+    ) -> Self {
+        assert!(
+            u32::try_from(columns.kinds.len()).is_ok_and(|ops| ops < TRACE_INPUT),
+            "op indices stay below the sentinels"
+        );
+        let mut trace = Self {
+            instance,
+            rotation_keys,
+            columns,
             interned,
             producer: vec![UNDEFINED; slots],
             first_use: vec![NEVER; slots],
             last_use: vec![NEVER; slots],
             forwarded: vec![false; slots],
-            operand_slots: Vec::with_capacity(accesses),
-            output_slots: Vec::with_capacity(trace.ops.len()),
+            defect: None,
         };
-        // Operand accesses per slot (`hmult(x, x)` counts two); only the
-        // forwarding rule below needs the count.
-        let mut use_count = vec![0u32; slots];
-        let mut defect: Option<TraceError> = None;
+        trace.defect = trace.scan();
+        trace
+    }
+
+    /// The forward pass: walks definitions and uses in program order, filling
+    /// the per-slot tables, and returns the first defect — out-of-budget
+    /// input levels first, then per op its level, its undefined operands and
+    /// a redefined output. A malformed trace still gets whole tables: an
+    /// undefined id has a slot and a live range, and the first definition of
+    /// a redefined id is its producer.
+    fn scan(&mut self) -> Option<TraceError> {
+        let mut defect = None;
         let mut note = |e: TraceError| {
             defect.get_or_insert(e);
         };
-        let slot_of = |index: &Self, id: CtId| index.slot_of(id).expect("every id was interned");
-
-        let max_level = trace.instance.max_level();
-        for (input_index, &level) in trace.input_levels.iter().enumerate() {
+        let max_level = self.instance.max_level();
+        let c = &self.columns;
+        for (input_index, &(slot, level)) in c.inputs.iter().enumerate() {
             if level > max_level {
                 note(TraceError::InputLevelOutOfRange {
                     input_index,
@@ -181,84 +272,143 @@ impl<'t> TraceIndex<'t> {
                     max_level,
                 });
             }
-        }
-        for &id in &trace.inputs {
-            let slot = slot_of(&index, id) as usize;
-            if index.producer[slot] == UNDEFINED {
-                index.producer[slot] = TRACE_INPUT;
+            if self.producer[slot as usize] == UNDEFINED {
+                self.producer[slot as usize] = TRACE_INPUT;
             }
         }
-        for (i, op) in (0..op_count).zip(&trace.ops) {
-            if op.level > max_level {
+        let mut start = 0;
+        for (i, op_index) in (0u32..).zip(0..c.kinds.len()) {
+            let level = c.levels[op_index];
+            if level > max_level {
                 note(TraceError::LevelOutOfRange {
-                    op_index: i as usize,
-                    level: op.level,
+                    op_index,
+                    level,
                     max_level,
                 });
             }
-            for &id in &op.inputs {
-                let slot = slot_of(&index, id);
+            let end = c.operand_end[op_index] as usize;
+            for &slot in &c.operands[start..end] {
                 let s = slot as usize;
-                if index.producer[s] == UNDEFINED {
-                    note(TraceError::UndefinedInput {
-                        op_index: i as usize,
-                        id,
-                    });
+                if self.producer[s] == UNDEFINED {
+                    let id = self.id_of(slot);
+                    note(TraceError::UndefinedInput { op_index, id });
                 }
-                if use_count[s] == 0 {
-                    index.first_use[s] = i;
+                if self.first_use[s] == NEVER {
+                    self.first_use[s] = i;
                 }
-                use_count[s] += 1;
-                index.last_use[s] = i;
-                index.operand_slots.push(slot);
+                self.last_use[s] = i;
             }
-            let output = match op.output {
-                Some(out) => {
-                    let slot = slot_of(&index, out);
-                    if index.producer[slot as usize] == UNDEFINED {
-                        index.producer[slot as usize] = i;
-                    } else {
-                        note(TraceError::DuplicateOutput {
-                            op_index: i as usize,
-                            id: out,
-                        });
-                    }
-                    slot
+            start = end;
+            let out = c.outputs[op_index];
+            if out != NEVER {
+                if self.producer[out as usize] == UNDEFINED {
+                    self.producer[out as usize] = i;
+                } else {
+                    let id = self.id_of(out);
+                    note(TraceError::DuplicateOutput { op_index, id });
                 }
-                None => NEVER,
-            };
-            index.output_slots.push(output);
+            }
         }
-        // Forwarding needs the final counts: a single use, by the next op.
-        for (i, &slot) in (0..op_count).zip(&index.output_slots) {
+        // Forwarded: an output read by the next op, once, and by no other.
+        for (i, &slot) in (0u32..).zip(&c.outputs) {
             if slot != NEVER {
                 let s = slot as usize;
-                index.forwarded[s] =
-                    index.producer[s] == i && use_count[s] == 1 && index.last_use[s] == i + 1;
+                self.forwarded[s] = self.producer[s] == i
+                    && self.first_use[s] == i + 1
+                    && self.last_use[s] == i + 1
+                    && c.operands[self.operand_range(i as usize + 1)]
+                        .iter()
+                        .filter(|&&read| read == slot)
+                        .count()
+                        == 1;
             }
         }
-        (index, defect)
+        defect
     }
 
-    /// The trace the index was built from.
-    pub fn trace(&self) -> &'t OpTrace {
-        self.trace
+    /// The first structural defect found when the trace was built, if any:
+    /// an op input that is neither a declared trace input nor the output of
+    /// an earlier op, a redefined id, or a level beyond the instance's
+    /// budget. Every simulator and scheduler entry point checks it, so a
+    /// hand-rolled trace with dangling ids fails fast instead of corrupting
+    /// the cache model's residency accounting. O(1): the check happened in
+    /// the construction scan.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`TraceError`] in program order.
+    pub fn validate(&self) -> Result<(), TraceError> {
+        self.defect.clone().map_or(Ok(()), Err)
+    }
+
+    /// The CKKS instance this trace assumes.
+    pub fn instance(&self) -> &CkksInstance {
+        &self.instance
+    }
+
+    /// Number of operations.
+    pub fn len(&self) -> usize {
+        self.columns.kinds.len()
+    }
+
+    /// Whether the trace is empty.
+    pub fn is_empty(&self) -> bool {
+        self.columns.kinds.is_empty()
+    }
+
+    /// Number of key-switching operations (HMult/HRot/Conjugate).
+    pub fn key_switch_count(&self) -> usize {
+        let kinds = self.columns.kinds.iter();
+        kinds.filter(|op| op.is_key_switching()).count()
+    }
+
+    /// Count of operations of a given kind.
+    pub fn count(&self, op: HeOp) -> usize {
+        self.columns
+            .kinds
+            .iter()
+            .filter(|&&kind| kind == op)
+            .count()
+    }
+
+    /// Number of distinct rotation keys the trace requires.
+    pub fn rotation_keys(&self) -> usize {
+        self.rotation_keys
+    }
+
+    /// The ciphertexts that enter the trace from outside (fresh ciphertexts
+    /// arriving from the host), as `(id, level)` in declaration order; every
+    /// other id must be produced by an op.
+    pub fn inputs(&self) -> impl ExactSizeIterator<Item = (CtId, usize)> + '_ {
+        let inputs = self.columns.inputs.iter();
+        inputs.map(|&(slot, level)| (self.id_of(slot), level))
+    }
+
+    /// Concatenates another trace after this one. The other trace's
+    /// ciphertext ids are shifted above this trace's id range: independent
+    /// [`crate::TraceBuilder`]s both number ids from 0, so splicing them
+    /// verbatim would alias unrelated ciphertexts and corrupt the cache
+    /// model's residency accounting (phantom hits, understated HBM traffic).
+    ///
+    /// `rotation_keys` stores only a count, not the rotation amounts, so the
+    /// merged value (the max of the two counts) is a *lower bound*: traces
+    /// with disjoint rotation sets need up to the sum.
+    pub fn extend(&mut self, other: &OpTrace) {
+        // Slot order is id order, so the last slot holds the largest id.
+        let offset = self.slot_count().checked_sub(1);
+        let offset = offset.map_or(0, |last| self.id_of(last as u32) + 1);
+        let rotation_keys = self.rotation_keys.max(other.rotation_keys);
+        *self = rebuild(
+            &self.instance,
+            &[(self, 0), (other, offset)],
+            &[],
+            rotation_keys,
+        );
     }
 
     /// Number of slots (distinct ciphertexts the tables cover).
     pub(crate) fn slot_count(&self) -> usize {
         self.producer.len()
-    }
-
-    /// The slot of `id`, if the trace mentions it.
-    fn slot_of(&self, id: CtId) -> Option<u32> {
-        if self.interned.is_empty() {
-            // Lossless: `id` is below the slot count, which fits u32.
-            (id < self.slot_count() as u64).then_some(id as u32)
-        } else {
-            // Lossless: the interned table's length fits u32.
-            self.interned.binary_search(&id).ok().map(|s| s as u32)
-        }
     }
 
     /// The op whose output the slot is; `None` for trace inputs (and, on a
@@ -269,7 +419,7 @@ impl<'t> TraceIndex<'t> {
     }
 
     /// The ciphertext id the slot stands for.
-    pub(crate) fn id_of(&self, slot: u32) -> CtId {
+    pub fn id_of(&self, slot: u32) -> CtId {
         if self.interned.is_empty() {
             CtId::from(slot)
         } else {
@@ -285,7 +435,7 @@ impl<'t> TraceIndex<'t> {
 
     /// The reuse code of one access of `op`: its `operand`-th operand read
     /// or, for `None`, its output being written (see the module docs).
-    pub fn reuse(&self, op: &IndexedOp<'_>, operand: Option<usize>) -> Reuse {
+    pub fn reuse(&self, op: &TracedOp<'_>, operand: Option<usize>) -> Reuse {
         let next_op = op.index + 1;
         let Some(k) = operand else {
             return match op.output.map(|out| self.first_use[out as usize]) {
@@ -317,56 +467,97 @@ impl<'t> TraceIndex<'t> {
         self.forwarded[slot as usize]
     }
 
-    /// The ops in program order with operands and outputs resolved to slots.
-    pub fn ops(&self) -> impl Iterator<Item = IndexedOp<'_>> + '_ {
-        let mut first_access = 0usize;
-        let ops = &self.trace.ops;
-        (0u32..)
-            .zip(ops)
-            .zip(&self.output_slots)
-            .map(move |((index, traced), &output)| {
-                let start = first_access;
-                first_access += traced.inputs.len();
-                let next_operands = ops.get(index as usize + 1).map_or(0, |n| n.inputs.len());
-                IndexedOp {
-                    index,
-                    traced,
-                    first_access: start,
-                    operands: &self.operand_slots[start..first_access],
-                    following: &self.operand_slots[start..first_access + next_operands],
-                    output: (output != NEVER).then_some(output),
-                }
-            })
+    /// Positions of op `i`'s operand accesses in the operand arena.
+    fn operand_range(&self, i: usize) -> Range<usize> {
+        let end = &self.columns.operand_end;
+        let start = i.checked_sub(1).map_or(0, |p| end[p] as usize);
+        start..end[i] as usize
     }
 
-    /// For every operand access (in [`IndexedOp::first_access`] order), the
+    /// The ops in program order with operands and outputs as slots.
+    pub fn ops(&self) -> impl Iterator<Item = TracedOp<'_>> + '_ {
+        let c = &self.columns;
+        (0u32..).zip(0..self.len()).map(move |(index, i)| {
+            let operands = self.operand_range(i);
+            let following_end = c
+                .operand_end
+                .get(i + 1)
+                .map_or(operands.end, |&e| e as usize);
+            let output = c.outputs[i];
+            TracedOp {
+                index,
+                op: c.kinds[i],
+                level: c.levels[i],
+                in_bootstrap: c.in_bootstrap[i],
+                operands: &c.operands[operands.clone()],
+                output: (output != NEVER).then_some(output),
+                first_access: operands.start,
+                following: &c.operands[operands.start..following_end],
+            }
+        })
+    }
+
+    /// For every operand access (in [`TracedOp::first_access`] order), the
     /// op at which the same ciphertext is next read — [`NEVER`] for its last
     /// access. One backward pass; an op that reads a ciphertext twice sees
     /// its own index as the first access's next use. Exact because the whole
     /// trace is known: this is what Belady replacement decides on.
     pub(crate) fn next_uses(&self) -> Vec<u32> {
         let mut next_seen = vec![NEVER; self.slot_count()];
-        let mut next = vec![NEVER; self.operand_slots.len()];
-        let mut access = self.operand_slots.len();
-        // Lossless: `scan` checked that the op count fits u32.
-        let op_count = self.trace.ops.len() as u32;
-        for (i, op) in (0..op_count).zip(&self.trace.ops).rev() {
-            for _ in 0..op.inputs.len() {
-                access -= 1;
-                let slot = self.operand_slots[access] as usize;
+        let mut next = vec![NEVER; self.columns.operands.len()];
+        for op in (0..self.len()).rev() {
+            for access in self.operand_range(op).rev() {
+                let slot = self.columns.operands[access] as usize;
                 next[access] = next_seen[slot];
-                next_seen[slot] = i;
+                // Lossless: construction checked that the op count fits u32.
+                next_seen[slot] = op as u32;
             }
         }
         next
     }
 }
 
+/// `parts` spliced in order and rebuilt from ids through
+/// [`OpTrace::from_ops`]: every id of a part shifted by its offset, then the
+/// operand at arena position `at` of each `(at, id)` patch replaced by `id`.
+pub(crate) fn rebuild(
+    instance: &CkksInstance,
+    parts: &[(&OpTrace, CtId)],
+    patches: &[(usize, CtId)],
+    rotation_keys: usize,
+) -> OpTrace {
+    let shifted = |(trace, shift): &(&OpTrace, CtId), slot: u32| trace.id_of(slot) + shift;
+    let mut operands: Vec<CtId> = parts
+        .iter()
+        .flat_map(|part| part.0.columns.operands.iter().map(|&s| shifted(part, s)))
+        .collect();
+    for &(at, id) in patches {
+        operands[at] = id;
+    }
+    let inputs: Vec<(CtId, usize)> = parts
+        .iter()
+        .flat_map(|part| part.0.inputs().map(|(id, level)| (id + part.1, level)))
+        .collect();
+    let mut base = 0;
+    let ops = parts.iter().flat_map(|part| {
+        let at = base;
+        base += part.0.columns.operands.len();
+        let operands = &operands;
+        part.0.ops().map(move |op| RawOp {
+            op: op.op,
+            level: op.level,
+            inputs: &operands[at + op.first_access..][..op.operands.len()],
+            output: op.output.map(|slot| shifted(part, slot)),
+            in_bootstrap: op.in_bootstrap,
+        })
+    });
+    OpTrace::from_ops(instance, &inputs, ops, rotation_keys)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{HeOp, TraceBuilder};
-    use bts_params::CkksInstance;
+    use crate::trace::TraceBuilder;
 
     /// x, y inputs; p = x·x; r = rot(p) (forwarded); q = pmult(r); s = q + y.
     fn small_trace() -> OpTrace {
@@ -383,73 +574,95 @@ mod tests {
     }
 
     /// Every slot, ascending — which is ascending id order.
-    fn slots(index: &TraceIndex<'_>) -> std::ops::Range<u32> {
-        0..index.slot_count() as u32
+    fn slots(trace: &OpTrace) -> Range<u32> {
+        0..trace.slot_count() as u32
     }
 
-    fn relabel(trace: &mut OpTrace, map: impl Fn(CtId) -> CtId) {
-        for id in &mut trace.inputs {
-            *id = map(*id);
-        }
-        for op in &mut trace.ops {
-            for id in &mut op.inputs {
-                *id = map(*id);
-            }
-            if let Some(out) = &mut op.output {
-                *out = map(*out);
-            }
-        }
+    /// The slot of `id`, if the trace mentions it.
+    fn slot_of(trace: &OpTrace, id: CtId) -> Option<u32> {
+        slots(trace).find(|&s| trace.id_of(s) == id)
+    }
+
+    /// One op of a trace by id, owned, for rebuilding it with changes.
+    #[derive(Clone)]
+    struct Owned {
+        op: HeOp,
+        level: usize,
+        inputs: Vec<CtId>,
+        output: Option<CtId>,
+    }
+
+    /// `(inputs, ops)` of a trace by id.
+    fn by_id(trace: &OpTrace) -> (Vec<(CtId, usize)>, Vec<Owned>) {
+        let ops = trace.ops().map(|op| Owned {
+            op: op.op,
+            level: op.level,
+            inputs: op.operands.iter().map(|&s| trace.id_of(s)).collect(),
+            output: op.output.map(|s| trace.id_of(s)),
+        });
+        (trace.inputs().collect(), ops.collect())
+    }
+
+    fn rebuild(inputs: &[(CtId, usize)], ops: &[Owned]) -> OpTrace {
+        let ops = ops.iter().map(|o| RawOp {
+            op: o.op,
+            level: o.level,
+            inputs: &o.inputs,
+            output: o.output,
+            in_bootstrap: false,
+        });
+        OpTrace::from_ops(&CkksInstance::ins1(), inputs, ops, 1)
     }
 
     #[test]
     fn builder_ids_are_their_own_slots() {
         let trace = small_trace();
-        let index = TraceIndex::new(&trace).unwrap();
-        assert_eq!(index.slot_count(), 7);
-        for slot in slots(&index) {
-            assert_eq!(index.id_of(slot), CtId::from(slot));
-            assert_eq!(index.slot_of(CtId::from(slot)), Some(slot));
+        assert_eq!(trace.slot_count(), 7);
+        assert!(trace.interned.is_empty());
+        for slot in slots(&trace) {
+            assert_eq!(trace.id_of(slot), CtId::from(slot));
         }
-        assert_eq!(index.slot_of(7), None);
-        assert_eq!(index.producer(0), None, "trace inputs have no producer");
-        assert_eq!(index.producer(2), Some(0));
-        assert_eq!(index.last_use[1], 4);
-        assert_eq!(index.last_use[6], NEVER, "nothing reads the last sum");
+        assert_eq!(trace.producer(0), None, "trace inputs have no producer");
+        assert_eq!(trace.producer(2), Some(0));
+        assert_eq!(trace.last_use[1], 4);
+        assert_eq!(trace.last_use[6], NEVER, "nothing reads the last sum");
     }
 
     #[test]
     fn sparse_ids_are_interned_in_id_order() {
         let dense = small_trace();
-        let dense_index = TraceIndex::new(&dense).unwrap();
+        let (inputs, ops) = by_id(&dense);
         for map in [
             (|id| id << 40) as fn(CtId) -> CtId,
             |id| u64::MAX - 6 + id,
             |id| u64::MAX - id,
         ] {
-            let mut trace = dense.clone();
-            relabel(&mut trace, map);
-            let index = TraceIndex::new(&trace).unwrap();
-            assert_eq!(index.slot_count(), 7, "one slot per id, whatever its size");
-            let ids: Vec<CtId> = slots(&index).map(|s| index.id_of(s)).collect();
+            let inputs: Vec<_> = inputs.iter().map(|&(id, level)| (map(id), level)).collect();
+            let mut ops = ops.clone();
+            for op in &mut ops {
+                op.inputs.iter_mut().for_each(|id| *id = map(*id));
+                op.output = op.output.map(map);
+            }
+            let trace = rebuild(&inputs, &ops);
+            assert_eq!(trace.slot_count(), 7, "one slot per id, whatever its size");
+            let ids: Vec<CtId> = slots(&trace).map(|s| trace.id_of(s)).collect();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "slots ascend with ids");
             for id in 0..7u64 {
-                let (d, s) = (dense_index.slot_of(id), index.slot_of(map(id)));
-                let (d, s) = (d.unwrap(), s.unwrap());
-                assert_eq!(index.id_of(s), map(id));
-                assert_eq!(index.producer(s), dense_index.producer(d));
-                assert_eq!(index.last_use[s as usize], dense_index.last_use[d as usize]);
-                assert_eq!(index.is_forwarded(s), dense_index.is_forwarded(d));
+                let d = slot_of(&dense, id).unwrap();
+                let s = slot_of(&trace, map(id)).unwrap();
+                assert_eq!(trace.producer(s), dense.producer(d));
+                assert_eq!(trace.last_use[s as usize], dense.last_use[d as usize]);
+                assert_eq!(trace.is_forwarded(s), dense.is_forwarded(d));
             }
-            assert_eq!(index.slot_of(12345), None);
-            assert_eq!(index.next_uses(), dense_index.next_uses());
+            assert_eq!(slot_of(&trace, 12345), None);
+            assert_eq!(trace.next_uses(), dense.next_uses());
         }
     }
 
     #[test]
     fn single_use_by_the_next_op_is_forwarded() {
         let trace = small_trace();
-        let index = TraceIndex::new(&trace).unwrap();
-        let forwarded: Vec<u32> = slots(&index).filter(|&s| index.is_forwarded(s)).collect();
+        let forwarded: Vec<u32> = slots(&trace).filter(|&s| trace.is_forwarded(s)).collect();
         // r (slot 3) and q (slot 4); p has two readers, the inputs no producer.
         assert_eq!(forwarded, vec![3, 4]);
     }
@@ -457,15 +670,14 @@ mod tests {
     #[test]
     fn next_uses_see_a_repeated_operand_twice() {
         let trace = small_trace();
-        let index = TraceIndex::new(&trace).unwrap();
         // Accesses: x x | p | r | q y | p y.
         assert_eq!(
-            index.next_uses(),
+            trace.next_uses(),
             vec![0, NEVER, 4, NEVER, NEVER, 4, NEVER, NEVER]
         );
-        assert_eq!(index.first_use_or_never(2), 1);
-        assert_eq!(index.first_use_or_never(6), NEVER);
-        let ops: Vec<_> = index.ops().collect();
+        assert_eq!(trace.first_use_or_never(2), 1);
+        assert_eq!(trace.first_use_or_never(6), NEVER);
+        let ops: Vec<_> = trace.ops().collect();
         assert_eq!(ops[3].first_access, 4);
         assert_eq!(ops[3].operands, &[4, 1]);
         assert_eq!(ops[3].output, Some(5));
@@ -475,12 +687,11 @@ mod tests {
     fn reuse_codes_read_off_the_following_accesses_and_the_last_use() {
         use Reuse::{Later, Never, Next};
         let trace = small_trace();
-        let index = TraceIndex::new(&trace).unwrap();
-        let codes: Vec<(Vec<Reuse>, Reuse)> = index
+        let codes: Vec<(Vec<Reuse>, Reuse)> = trace
             .ops()
             .map(|op| {
-                let operands = (0..op.operands.len()).map(|k| index.reuse(&op, Some(k)));
-                (operands.collect(), index.reuse(&op, None))
+                let operands = (0..op.operands.len()).map(|k| trace.reuse(&op, Some(k)));
+                (operands.collect(), trace.reuse(&op, None))
             })
             .collect();
         assert_eq!(
@@ -498,42 +709,42 @@ mod tests {
             ]
         );
         // `Never` on an access is the slot's last use and nothing else.
-        for op in index.ops() {
+        for op in trace.ops() {
             for (k, &slot) in op.operands.iter().enumerate() {
-                let last_access = index.last_use[slot as usize] == op.index
+                let last_access = trace.last_use[slot as usize] == op.index
                     && !op.operands[k + 1..].contains(&slot);
-                assert_eq!(index.reuse(&op, Some(k)) == Never, last_access);
+                assert_eq!(trace.reuse(&op, Some(k)) == Never, last_access);
             }
         }
         // A hand-rolled op without an output has nothing to be read again.
-        let mut trace = trace;
-        trace.ops[4].output = None;
-        let index = TraceIndex::new(&trace).unwrap();
-        assert_eq!(index.reuse(&index.ops().last().unwrap(), None), Never);
+        let (inputs, mut ops) = by_id(&trace);
+        ops[4].output = None;
+        let trace = rebuild(&inputs, &ops);
+        assert_eq!(trace.reuse(&trace.ops().last().unwrap(), None), Never);
     }
 
     #[test]
     fn the_first_defect_in_program_order_is_reported() {
-        let mut trace = small_trace();
-        trace.ops[3].inputs[0] = 99; // dangling, op 3
-        trace.ops[1].output = Some(0); // redefines x, op 1
+        let (mut inputs, mut ops) = by_id(&small_trace());
+        ops[3].inputs[0] = 99; // dangling, op 3
+        ops[1].output = Some(0); // redefines x, op 1
         assert_eq!(
-            TraceIndex::new(&trace).err(),
-            Some(TraceError::DuplicateOutput { op_index: 1, id: 0 })
+            rebuild(&inputs, &ops).validate(),
+            Err(TraceError::DuplicateOutput { op_index: 1, id: 0 })
         );
-        trace.ops[1].level = 99;
+        ops[1].level = 99;
         assert_eq!(
-            TraceIndex::new(&trace).err(),
-            Some(TraceError::LevelOutOfRange {
+            rebuild(&inputs, &ops).validate(),
+            Err(TraceError::LevelOutOfRange {
                 op_index: 1,
                 level: 99,
                 max_level: 27
             })
         );
-        trace.input_levels[1] = 40;
+        inputs[1].1 = 40;
         assert_eq!(
-            TraceIndex::new(&trace).err(),
-            Some(TraceError::InputLevelOutOfRange {
+            rebuild(&inputs, &ops).validate(),
+            Err(TraceError::InputLevelOutOfRange {
                 input_index: 1,
                 level: 40,
                 max_level: 27
@@ -543,22 +754,18 @@ mod tests {
 
     #[test]
     fn lenient_indexing_covers_malformed_traces() {
-        let mut trace = small_trace();
-        trace.ops[4].inputs[0] = u64::MAX; // never defined
-        assert!(TraceIndex::new(&trace).is_err());
-        let index = TraceIndex::lenient(&trace);
-        let slot = index.slot_of(u64::MAX).expect("used ids have slots");
-        assert_eq!(index.producer(slot), None);
-        assert_eq!(index.last_use[slot as usize], 4);
+        let (inputs, mut ops) = by_id(&small_trace());
+        ops[4].inputs[0] = u64::MAX; // never defined
+        let trace = rebuild(&inputs, &ops);
+        assert!(trace.validate().is_err());
+        let slot = slot_of(&trace, u64::MAX).expect("used ids have slots");
+        assert_eq!(trace.producer(slot), None);
+        assert_eq!(trace.last_use[slot as usize], 4);
         // A hand-rolled op without an output has no output slot.
-        trace.ops[4] = TracedOp {
-            op: HeOp::HAdd,
-            level: 27,
-            inputs: vec![0, 1],
-            output: None,
-            in_bootstrap: false,
-        };
-        let index = TraceIndex::new(&trace).unwrap();
-        assert_eq!(index.ops().last().unwrap().output, None);
+        ops[4].inputs = vec![0, 1];
+        ops[4].output = None;
+        let trace = rebuild(&inputs, &ops);
+        assert!(trace.validate().is_ok());
+        assert_eq!(trace.ops().last().unwrap().output, None);
     }
 }

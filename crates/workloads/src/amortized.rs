@@ -100,12 +100,11 @@ mod tests {
         let lowered = AmortizedMultWorkload.lower(&ins).unwrap();
         assert_eq!(lowered.bootstrap_count, 1);
         let trace = &lowered.trace;
-        let boot_ops = trace.ops.iter().filter(|o| o.in_bootstrap).count();
+        let boot_ops = trace.ops().filter(|o| o.in_bootstrap).count();
         assert!(boot_ops > 0 && boot_ops < trace.len());
         // usable levels worth of HMults outside the bootstrap region
         let mults_outside = trace
-            .ops
-            .iter()
+            .ops()
             .filter(|o| !o.in_bootstrap && o.op == bts_sim::HeOp::HMult)
             .count();
         assert_eq!(mults_outside, ins.max_level() - L_BOOT);

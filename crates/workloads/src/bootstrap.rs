@@ -38,9 +38,9 @@ mod tests {
         assert_eq!(lowered.bootstrap_count, 1);
         assert_eq!(lowered.trace.key_switch_count(), plan.key_switch_count());
         assert_eq!(lowered.trace.count(HeOp::ModRaise), 1);
-        assert!(lowered.trace.ops.iter().all(|o| o.in_bootstrap));
+        assert!(lowered.trace.ops().all(|o| o.in_bootstrap));
         // Levels stay within the instance's budget and end above zero.
-        let min_level = lowered.trace.ops.iter().map(|o| o.level).min().unwrap();
+        let min_level = lowered.trace.ops().map(|o| o.level).min().unwrap();
         assert!(min_level >= ins.max_level() - L_BOOT);
     }
 

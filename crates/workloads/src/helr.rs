@@ -122,7 +122,7 @@ mod tests {
             .lower(&CkksInstance::ins2())
             .unwrap();
         assert!(lowered.trace.key_switch_count() > 500);
-        assert!(lowered.trace.rotation_keys > 5);
+        assert!(lowered.trace.rotation_keys() > 5);
         assert!(lowered.trace.validate().is_ok());
     }
 

@@ -16,7 +16,7 @@ use bts::workloads::{
 
 fn trace_counts(trace: &OpTrace) -> BTreeMap<HeOp, usize> {
     let mut counts = BTreeMap::new();
-    for op in &trace.ops {
+    for op in trace.ops() {
         *counts.entry(op.op).or_insert(0) += 1;
     }
     counts

@@ -4,9 +4,57 @@
 //! and the unit channels allow. `#[path]`-included by the suites that hold
 //! `ScheduleExt::run_scheduled` (one job through the multi-job scheduler)
 //! bit-equal to it.
+//!
+//! A scheduled run keeps figures, not a timeline, so the timeline the oracle
+//! is compared with is the retained one [`timeline`] takes: the run's plan
+//! admitted alone at 0 to a scheduler that keeps what it places. That
+//! timeline's figures are the run's, bit for bit ([`check_summary`]).
 
-use bts::sched::{FuKind, MachineModel, Schedule, TraceDag};
+use std::sync::Arc;
+
+use bts::sched::{
+    FuKind, MachineModel, MultiScheduler, Schedule, ScheduleSummary, ScheduledRun, TraceDag,
+};
 use bts::sim::{OpTiming, OpTrace};
+
+/// The whole timeline of a scheduled run: its plan admitted alone at 0 and
+/// every placement kept ([`MultiScheduler::finish`]).
+pub fn timeline(run: &ScheduledRun) -> Schedule {
+    let mut scheduler = MultiScheduler::new(*run.plan().machine());
+    scheduler
+        .add_planned(0, Arc::clone(run.plan()), 0.0)
+        .expect("a fresh scheduler admits a plan for its own machine at 0");
+    scheduler.finish()
+}
+
+/// Holds a run's figures bit-equal to those of its retained timeline:
+/// makespan, critical path, serial seconds and every unit's utilization.
+pub fn check_summary(summary: &ScheduleSummary, retained: &Schedule) -> Result<(), String> {
+    let figures = |makespan: f64, critical: f64, serial: f64, util: [f64; FuKind::COUNT]| {
+        let mut bits = vec![makespan.to_bits(), critical.to_bits(), serial.to_bits()];
+        bits.extend(util.map(f64::to_bits));
+        bits
+    };
+    let folded = figures(
+        summary.makespan_seconds,
+        summary.critical_path_seconds,
+        summary.serial_seconds,
+        summary.utilizations,
+    );
+    let kept = figures(
+        retained.makespan_seconds,
+        retained.critical_path_seconds,
+        retained.serial_seconds,
+        retained.utilizations(),
+    );
+    if folded == kept {
+        Ok(())
+    } else {
+        Err(format!(
+            "the run's figures {summary:?} differ from its retained timeline's (bits {folded:?} vs {kept:?})"
+        ))
+    }
+}
 
 /// What the oracle computes for one trace.
 #[derive(Debug)]
@@ -25,14 +73,14 @@ pub fn list_schedule(
     trace: &OpTrace,
     timings: &[OpTiming],
 ) -> ListSchedule {
-    assert_eq!(timings.len(), trace.ops.len(), "one timing per op");
+    assert_eq!(timings.len(), trace.len(), "one timing per op");
     let dag = TraceDag::from_trace(trace);
     let mut horizons: [Vec<f64>; FuKind::COUNT] =
         std::array::from_fn(|k| vec![0.0; machine.channels(FuKind::ALL[k])]);
     let mut busy: [Vec<(usize, usize, f64, f64)>; FuKind::COUNT] = Default::default();
-    let mut windows = Vec::with_capacity(trace.ops.len());
-    let mut finish = vec![0.0f64; trace.ops.len()];
-    let mut durations = Vec::with_capacity(trace.ops.len());
+    let mut windows = Vec::with_capacity(trace.len());
+    let mut finish = vec![0.0f64; trace.len()];
+    let mut durations = Vec::with_capacity(trace.len());
     let (mut serial, mut makespan) = (0.0f64, 0.0f64);
     // Max finish over all ops of earlier segments: a running max snapshotted
     // at segment boundaries.

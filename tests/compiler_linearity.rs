@@ -1,4 +1,5 @@
-//! The circuit optimizer's cost in circuit walks, held linear by a count.
+//! The circuit optimizer's cost in circuit walks, and lowering's cost in
+//! allocations, held linear (or constant) by counts.
 //!
 //! Every pass decides from whole-circuit dataflow ([`analysis::analyze`]),
 //! and `analyze` adds the nodes it visits to the `circuit.analysis.nodes`
@@ -6,12 +7,34 @@
 //! bootstrap placement used to, once per marker — shows up here as a count
 //! hundreds of times the circuit's length; a timer on a shared VM would only
 //! show noise.
+//!
+//! Lowering records every traced op into a trace's flat columns — one
+//! operand arena, no vector per op — sized up front, so a 32 000-op trace
+//! costs the allocations of a 2 000-op one.
+//! The counting allocator counts the whole process, so this binary's tests
+//! take turns.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use bts::circuit::passes::analysis;
-use bts::circuit::PassPipeline;
+use bts::circuit::{compile, CircuitBuilder, CompiledCircuit, PassPipeline, TraceBackend};
 use bts::params::CkksInstance;
 use bts::telemetry::{self, Metric};
 use bts::workloads::standard_registry;
+
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{cost_of, CountingAllocator};
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Held by each test for its whole run, so no other test allocates while one
+/// counts. The guarded value is `()`, so a poisoned lock is still sound.
+fn take_turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn analysis_nodes(run: impl FnOnce()) -> u64 {
     let capture = telemetry::capture();
@@ -26,6 +49,7 @@ fn analysis_nodes(run: impl FnOnce()) -> u64 {
 /// ~21k instructions, ~700 bootstrap markers, none of them removable.
 #[test]
 fn standard_pipeline_analyzes_a_bounded_multiple_of_the_circuit() {
+    let _turn = take_turn();
     let registry = standard_registry();
     let sorting = registry.get("sorting").expect("sorting is registered");
     let circuit = sorting
@@ -51,6 +75,7 @@ fn standard_pipeline_analyzes_a_bounded_multiple_of_the_circuit() {
 /// The counter counts what one analysis visits, and only under a sink.
 #[test]
 fn analyze_counts_the_nodes_it_visits() {
+    let _turn = take_turn();
     let registry = standard_registry();
     let helr = registry.get("helr").expect("helr is registered");
     let circuit = helr.build(&CkksInstance::ins1()).expect("helr builds");
@@ -58,4 +83,66 @@ fn analyze_counts_the_nodes_it_visits() {
         analysis::analyze(&circuit).expect("helr analyzes");
     });
     assert_eq!(visited, circuit.len() as u64);
+}
+
+/// `rounds` of square → rescale → rotate → accumulate, refreshed by a
+/// bootstrap marker whenever the level budget runs out: like the registry's
+/// workloads, most of the lowered trace is bootstrap expansion.
+fn refreshed_chain(ins: &CkksInstance, rounds: i64) -> CompiledCircuit {
+    let mut b = CircuitBuilder::new(ins);
+    let mut acc = b.input();
+    for round in 0..rounds {
+        acc = b.ensure(acc, 1).expect("INS-1 bootstraps");
+        let square = b.hmult(acc, acc).expect("a level is left");
+        let square = b.rescale(square).expect("a level is left");
+        let rotated = b
+            .hrot(square, round % 7 + 1)
+            .expect("rotations keep the level");
+        acc = b
+            .hadd(square, rotated)
+            .expect("both operands share a level");
+    }
+    b.output(acc);
+    compile(&b.build()).expect("the chain compiles")
+}
+
+#[test]
+fn lowering_allocates_a_constant_per_trace() {
+    let _turn = take_turn();
+    let ins = CkksInstance::ins1();
+    let lower = |compiled: &CompiledCircuit| {
+        TraceBackend::new()
+            .lower_compiled(compiled)
+            .expect("compiled chains lower")
+    };
+    // Lowering sizes the trace's columns from the bytecode (an instruction
+    // is one op, a marker one bootstrap expansion) and nothing grows.
+    // Measured: 20 allocations and 39 bytes per op at either length; one
+    // vector per traced op made it 2 152 and 32 113 allocations, 119 and 68
+    // bytes per op.
+    const ALLOCATIONS: u64 = 24;
+    const PEAK_BYTES_PER_OP: u64 = 48;
+    let mut counts = Vec::new();
+    for (rounds, at_least) in [(40, 2_000), (540, 32_000)] {
+        let compiled = refreshed_chain(&ins, rounds);
+        let ops = lower(&compiled).trace.len();
+        assert!(ops >= at_least, "{rounds} rounds lower to {ops} ops");
+        let cost = cost_of(|| lower(&compiled));
+        let per_op_bytes = cost.peak_bytes / ops as u64;
+        eprintln!(
+            "lowering {ops} ops: {} allocations, {per_op_bytes} bytes per op at the peak",
+            cost.allocations
+        );
+        assert!(
+            cost.allocations <= ALLOCATIONS,
+            "lowering {ops} ops made {} allocations",
+            cost.allocations
+        );
+        assert!(
+            per_op_bytes <= PEAK_BYTES_PER_OP,
+            "lowering {ops} ops keeps {per_op_bytes} bytes per op alive"
+        );
+        counts.push(cost.allocations);
+    }
+    assert_eq!(counts[0], counts[1], "16x the ops, the same allocations");
 }

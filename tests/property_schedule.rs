@@ -5,11 +5,15 @@
 //! serial — and `run_scheduled`, one job through the multi-job scheduler, is
 //! bit-equal to the single-trace list scheduler it replaced
 //! (`common/list_oracle.rs`).
+//!
+//! `run_scheduled` keeps figures, not a timeline: every timeline property
+//! below is checked on the retained schedule of the run's own plan
+//! (`list_oracle::timeline`), whose figures the run's equal bit for bit.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use bts::params::CkksInstance;
+use bts::params::{BandwidthModel, CkksInstance};
 use bts::sched::{FuKind, JobPlan, MachineModel, ScheduleExt, TraceDag};
 use bts::sim::{BtsConfig, OpTrace, Simulator, TraceBuilder};
 
@@ -42,8 +46,8 @@ proptest! {
         // The serial reference the schedule carries is the engine's total.
         prop_assert!((s.serial_seconds - run.report.total_seconds).abs() <= eps);
         prop_assert!(run.report.parallel_speedup().unwrap() >= 1.0);
-        // And the schedule's own structural checker agrees.
-        s.check_invariants().unwrap();
+        // And the retained timeline's structural checker agrees.
+        list_oracle::timeline(&run).check_invariants().unwrap();
     }
 
     #[test]
@@ -54,6 +58,7 @@ proptest! {
         let a = sim.try_run_scheduled(&trace).unwrap();
         let b = sim.try_run_scheduled(&trace).unwrap();
         prop_assert_eq!(a.schedule, b.schedule);
+        prop_assert_eq!(list_oracle::timeline(&a), list_oracle::timeline(&b));
     }
 
     #[test]
@@ -62,7 +67,7 @@ proptest! {
         let trace = random_trace(&ins, seed, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
         let machine = MachineModel::from_config(sim.config());
-        let schedule = sim.try_run_scheduled(&trace).unwrap().schedule;
+        let schedule = list_oracle::timeline(&sim.try_run_scheduled(&trace).unwrap());
         for kind in FuKind::ALL {
             for channel in 0..machine.channels(kind) {
                 let mut intervals: Vec<(f64, f64)> = schedule.busy[kind.index()]
@@ -87,9 +92,8 @@ proptest! {
         let ins = CkksInstance::ins1();
         let trace = random_trace(&ins, seed, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let run = sim.try_run_scheduled(&trace).unwrap();
+        let s = list_oracle::timeline(&sim.try_run_scheduled(&trace).unwrap());
         let dag = TraceDag::from_trace(&trace);
-        let s = &run.schedule;
         let eps = 1e-12 * s.serial_seconds.max(1e-12);
         for i in 0..dag.len() {
             for &d in dag.deps(i) {
@@ -118,12 +122,15 @@ proptest! {
             let timings = sim.op_timings(&trace).unwrap();
             let oracle = list_oracle::list_schedule(&machine, &trace, &timings);
             let run = sim.try_run_scheduled(&trace).unwrap();
-            list_oracle::check_equal(&run.schedule, &oracle).map_err(TestCaseError::Fail)?;
+            let timeline = list_oracle::timeline(&run);
+            list_oracle::check_equal(&timeline, &oracle).map_err(TestCaseError::Fail)?;
+            list_oracle::check_summary(&run.schedule, &timeline).map_err(TestCaseError::Fail)?;
             prop_assert_eq!(run.report.scheduled_seconds, Some(oracle.makespan_seconds));
             prop_assert_eq!(run.report.critical_path_seconds, Some(oracle.critical_path_seconds));
             // The witness chain the top-critical-ops report draws from: its
             // ops' charges add up to the critical path.
-            let plan = JobPlan::new(&machine, &trace, &timings);
+            let plan = JobPlan::new(&machine, &trace, &timings).unwrap();
+            prop_assert_eq!(&plan, &**run.plan());
             let chain = plan.critical_path_ops();
             let chain_seconds: f64 = chain.iter().map(|&i| timings[i].seconds).sum();
             let eps = 1e-12 * oracle.serial_seconds.max(1e-12);
@@ -131,7 +138,26 @@ proptest! {
             let top = run.top_critical_ops(usize::MAX);
             prop_assert_eq!(top.len(), chain.len());
             prop_assert!(top.iter().all(|op| chain.contains(&op.index)));
+            prop_assert!(top.iter().all(|op| op.seconds == timings[op.index].seconds));
         }
+    }
+
+    /// The run folds its timeline in chunks of a few hundred placements; long
+    /// traces cross many chunk boundaries, and at 2 TB/s reservations float
+    /// inside their windows, so folded sums see every shape of chunk.
+    #[test]
+    fn run_scheduled_summary_equals_the_retained_schedule(
+        seed in any::<u64>(),
+        ops in 0usize..1_500,
+        fast in any::<bool>(),
+    ) {
+        let ins = CkksInstance::ins1();
+        let trace = random_trace(&ins, seed, ops);
+        let hbm = if fast { BandwidthModel::hbm_2tb() } else { BandwidthModel::hbm_1tb() };
+        let sim = Simulator::new(BtsConfig::bts_default().with_hbm(hbm), ins);
+        let run = sim.try_run_scheduled(&trace).unwrap();
+        let timeline = list_oracle::timeline(&run);
+        list_oracle::check_summary(&run.schedule, &timeline).map_err(TestCaseError::Fail)?;
     }
 }
 
@@ -141,22 +167,24 @@ fn an_empty_trace_schedules_to_all_zeros() {
     let trace = TraceBuilder::new(&ins).build();
     let sim = Simulator::new(BtsConfig::bts_default(), ins);
     let run = sim.try_run_scheduled(&trace).unwrap();
-    let s = &run.schedule;
-    s.check_invariants().unwrap();
-    assert!(s.ops.is_empty() && s.busy.iter().all(Vec::is_empty));
+    let summary = &run.schedule;
     assert_eq!(
         (
-            s.makespan_seconds,
-            s.serial_seconds,
-            s.critical_path_seconds
+            summary.makespan_seconds,
+            summary.serial_seconds,
+            summary.critical_path_seconds
         ),
         (0.0, 0.0, 0.0)
     );
-    assert_eq!(s.parallel_speedup(), 1.0);
-    assert_eq!(s.utilizations(), [0.0; FuKind::COUNT]);
+    assert_eq!(run.report.parallel_speedup(), Some(1.0));
+    assert_eq!(summary.utilizations, [0.0; FuKind::COUNT]);
     assert_eq!(run.report.scheduled_seconds, Some(0.0));
     assert!(run.top_critical_ops(3).is_empty());
+    let s = list_oracle::timeline(&run);
+    s.check_invariants().unwrap();
+    assert!(s.ops.is_empty() && s.busy.iter().all(Vec::is_empty));
     assert!(s.timeline(8).is_empty());
+    list_oracle::check_summary(summary, &s).unwrap();
     let oracle = list_oracle::list_schedule(&s.machine, &trace, &[]);
-    list_oracle::check_equal(s, &oracle).unwrap();
+    list_oracle::check_equal(&s, &oracle).unwrap();
 }

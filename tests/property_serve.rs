@@ -20,7 +20,7 @@ use bts::fault::FaultPlan;
 use bts::params::CkksInstance;
 use bts::sched::{
     schedule_jobs, FuKind, JobCompletion, JobPlan, MachineModel, MultiScheduler, Schedule,
-    TraceDag, UtilizationFold,
+    ScheduleError, TraceDag, UtilizationFold,
 };
 use bts::serve::{serve, JobRequest, QueuePolicy, ServeOptions, ServeReport, SyntheticArrivals};
 use bts::sim::{BtsConfig, OpTiming, OpTrace, Simulator};
@@ -63,7 +63,7 @@ proptest! {
         for (j, trace) in traces.iter().enumerate() {
             let dag = TraceDag::from_trace(trace);
             let placed: Vec<_> = multi.ops.iter().filter(|o| o.job == j as u32).collect();
-            prop_assert_eq!(placed.len(), trace.ops.len());
+            prop_assert_eq!(placed.len(), trace.len());
             for (i, op) in placed.iter().enumerate() {
                 // (a) per-job program order of placement…
                 prop_assert_eq!(op.index, i);
@@ -249,7 +249,9 @@ impl Pairs {
     fn plans(&self) -> Vec<Arc<JobPlan>> {
         let planned = self.traces.iter().zip(&self.timings);
         planned
-            .map(|(trace, timings)| Arc::new(JobPlan::new(&self.machine, trace, timings)))
+            .map(|(trace, timings)| {
+                Arc::new(JobPlan::new(&self.machine, trace, timings).expect("one timing per op"))
+            })
             .collect()
     }
 }
@@ -265,14 +267,14 @@ fn drive(
     jobs: u32,
     cap: u32,
     stop_after: usize,
-    mut admit: impl FnMut(&mut MultiScheduler, u32, f64),
+    mut admit: impl FnMut(&mut MultiScheduler, u32, f64) -> Result<(), ScheduleError>,
     mut on_completion: impl FnMut(&mut MultiScheduler, JobCompletion),
 ) -> Schedule {
     let mut scheduler = MultiScheduler::new(machine);
     let mut reported = vec![false; jobs as usize];
     let mut next = 0u32;
     while next < jobs.min(cap) {
-        admit(&mut scheduler, next, 1e-4 * f64::from(next));
+        admit(&mut scheduler, next, 1e-4 * f64::from(next)).expect("fresh tags, valid releases");
         next += 1;
     }
     let mut completions = 0usize;
@@ -288,7 +290,7 @@ fn drive(
         }
         on_completion(&mut scheduler, done);
         if next < jobs {
-            admit(&mut scheduler, next, done.finish_seconds);
+            admit(&mut scheduler, next, done.finish_seconds).expect("fresh tags, valid releases");
             next += 1;
         }
     }

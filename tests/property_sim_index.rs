@@ -1,12 +1,15 @@
 //! Differential tests of the dense simulation kernel: on random traces the
-//! slot-indexed sweep (`TraceIndex` + intrusive LRU list / slot-indexed
-//! furthest-next-use cache), `TraceDag::from_trace` and `OpTrace::validate`
-//! must equal, bit for bit and error for error, the hash-map bodies they
-//! replaced.
+//! slot-indexed sweep (the trace's own tables + intrusive LRU list /
+//! slot-indexed furthest-next-use cache), `TraceDag::from_trace` and
+//! `OpTrace::validate` must equal, bit for bit and error for error, the
+//! hash-map bodies they replaced.
 //!
 //! Those bodies live on in [`oracle`] below, as they were before the index
 //! existed (`HashSet` of defined ids, `HashMap` caches, one `VecDeque` of
 //! use positions per ciphertext, linear `VecDeque::position` LRU touches).
+//! They read a trace by id ([`Raw`]: what the cases relabel and break), and
+//! the trace under test is built from the same ids through
+//! `OpTrace::from_ops` — the one scan that interns, validates and indexes.
 //! They are written against the public API only, which is why the oracle can
 //! sit in this test crate: an integration test cannot see a dependency's
 //! `#[cfg(test)]` items, and nothing outside the tests should be able to.
@@ -23,35 +26,86 @@
 //! folding one (`try_run*`) is held, field by field and bit by bit, to
 //! [`oracle::fold`] — a second pass over the collected timings, which is how
 //! the engine folded before it streamed — and the planning one
-//! (`Simulator::run_indexed` under `JobPlan::from_index`) to `op_timings` and
+//! (`Simulator::run_indexed` under `JobPlan::from_trace`) to `op_timings` and
 //! to the plan `JobPlan::new` builds from them.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use bts::params::CkksInstance;
-use bts::sched::{JobPlan, MachineModel, ScheduleExt, TraceDag};
+use bts::sched::{JobPlan, MachineModel, ScheduleError, ScheduleExt, TraceDag};
 use bts::sim::{
-    BtsConfig, CtId, HeOp, OpTiming, OpTrace, SimReport, Simulator, TraceBuilder, TraceIndex,
-    TracedOp,
+    BtsConfig, CtId, HeOp, OpTiming, OpTrace, RawOp, SimReport, Simulator, TraceBuilder,
 };
 
 #[path = "common/list_oracle.rs"]
 mod list_oracle;
+
+/// One op of a [`Raw`] trace.
+#[derive(Debug, Clone)]
+struct Op {
+    op: HeOp,
+    level: usize,
+    inputs: Vec<CtId>,
+    output: Option<CtId>,
+    in_bootstrap: bool,
+}
+
+/// A trace by ciphertext id, owned: what the cases relabel and break, and
+/// what the oracle reads.
+#[derive(Debug, Clone)]
+struct Raw {
+    instance: CkksInstance,
+    inputs: Vec<(CtId, usize)>,
+    ops: Vec<Op>,
+    rotation_keys: usize,
+}
+
+impl Raw {
+    /// A built trace, read back by id.
+    fn of(trace: &OpTrace) -> Self {
+        let ops = trace.ops().map(|op| Op {
+            op: op.op,
+            level: op.level,
+            inputs: op.operands.iter().map(|&s| trace.id_of(s)).collect(),
+            output: op.output.map(|s| trace.id_of(s)),
+            in_bootstrap: op.in_bootstrap,
+        });
+        Raw {
+            instance: trace.instance().clone(),
+            inputs: trace.inputs().collect(),
+            ops: ops.collect(),
+            rotation_keys: trace.rotation_keys(),
+        }
+    }
+
+    /// The trace under test: these ids through the one construction scan.
+    fn build(&self) -> OpTrace {
+        let ops = self.ops.iter().map(|o| RawOp {
+            op: o.op,
+            level: o.level,
+            inputs: &o.inputs,
+            output: o.output,
+            in_bootstrap: o.in_bootstrap,
+        });
+        OpTrace::from_ops(&self.instance, &self.inputs, ops, self.rotation_keys)
+    }
+}
 
 /// The pre-index implementations, kept verbatim as the reference.
 mod oracle {
     use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
     use bts::sim::{
-        AreaPowerModel, CtId, HeOp, OpClassStats, OpTiming, OpTrace, SimReport, Simulator,
-        TraceError,
+        AreaPowerModel, CtId, HeOp, OpClassStats, OpTiming, SimReport, Simulator, TraceError,
     };
 
-    pub fn validate(trace: &OpTrace) -> Result<(), TraceError> {
-        let mut defined: HashSet<CtId> = trace.inputs.iter().copied().collect();
+    use super::Raw;
+
+    pub fn validate(trace: &Raw) -> Result<(), TraceError> {
+        let mut defined: HashSet<CtId> = trace.inputs.iter().map(|&(id, _)| id).collect();
         let max_level = trace.instance.max_level();
-        for (input_index, &level) in trace.input_levels.iter().enumerate() {
+        for (input_index, &(_, level)) in trace.inputs.iter().enumerate() {
             if level > max_level {
                 return Err(TraceError::InputLevelOutOfRange {
                     input_index,
@@ -83,7 +137,7 @@ mod oracle {
     }
 
     /// Per op: sorted, deduplicated producer indices; and its barrier segment.
-    pub fn dag(trace: &OpTrace) -> (Vec<Vec<u32>>, Vec<u32>) {
+    pub fn dag(trace: &Raw) -> (Vec<Vec<u32>>, Vec<u32>) {
         let mut producer: HashMap<CtId, u32> = HashMap::new();
         let mut deps = Vec::new();
         let mut segment = Vec::new();
@@ -108,7 +162,7 @@ mod oracle {
         (deps, segment)
     }
 
-    fn forwarded_ids(trace: &OpTrace) -> HashSet<CtId> {
+    fn forwarded_ids(trace: &Raw) -> HashSet<CtId> {
         let mut uses: HashMap<CtId, (usize, usize)> = HashMap::new(); // id -> (count, last op)
         for (i, op) in trace.ops.iter().enumerate() {
             for &id in &op.inputs {
@@ -155,7 +209,7 @@ mod oracle {
 
     pub fn op_timings(
         sim: &Simulator,
-        trace: &OpTrace,
+        trace: &Raw,
         policy: Policy,
     ) -> Result<Vec<OpTiming>, TraceError> {
         validate(trace)?;
@@ -227,7 +281,7 @@ mod oracle {
     /// The report as a second pass over collected timings — how the engine
     /// folded before its sweeps streamed into the report — with the
     /// per-class sums as `BTreeMap` entries in program order.
-    pub fn fold(sim: &Simulator, trace: &OpTrace, timings: &[OpTiming]) -> SimReport {
+    pub fn fold(sim: &Simulator, trace: &Raw, timings: &[OpTiming]) -> SimReport {
         assert_eq!(timings.len(), trace.ops.len());
         let mut total = 0.0f64;
         let mut bootstrap = 0.0f64;
@@ -538,8 +592,8 @@ impl IdMap {
         }
     }
 
-    fn relabel(self, trace: &mut OpTrace) {
-        for id in &mut trace.inputs {
+    fn relabel(self, trace: &mut Raw) {
+        for (id, _) in &mut trace.inputs {
             *id = self.apply(*id);
         }
         for op in &mut trace.ops {
@@ -598,13 +652,15 @@ fn report_bits(report: &SimReport) -> Vec<(String, u64)> {
     bits
 }
 
-/// Everything the index feeds, against the oracle, on one valid trace.
-fn assert_matches_oracle(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCaseError> {
+/// Everything the trace's tables feed, against the oracle, on one valid
+/// trace given by id.
+fn assert_matches_oracle(sim: &Simulator, raw: &Raw) -> Result<(), TestCaseError> {
+    let trace = &raw.build();
     prop_assert_eq!(trace.validate(), Ok(()));
-    prop_assert_eq!(oracle::validate(trace), Ok(()));
+    prop_assert_eq!(oracle::validate(raw), Ok(()));
 
     use oracle::Policy;
-    let timings = |policy| oracle::op_timings(sim, trace, policy).unwrap();
+    let timings = |policy| oracle::op_timings(sim, raw, policy).unwrap();
     let lru = sim.op_timings_lru(trace).unwrap();
     prop_assert_eq!(&lru, &timings(Policy::Lru));
     let belady = sim.op_timings_belady(trace).unwrap();
@@ -624,7 +680,7 @@ fn assert_matches_oracle(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCas
     for (report, collected) in &streamed {
         prop_assert_eq!(
             report_bits(report),
-            report_bits(&oracle::fold(sim, trace, collected))
+            report_bits(&oracle::fold(sim, raw, collected))
         );
         let sum = |field: fn(&OpTiming) -> u64| collected.iter().map(field).sum::<u64>();
         prop_assert_eq!(sum(|t| t.hbm_bytes), report.hbm_bytes);
@@ -638,19 +694,20 @@ fn assert_matches_oracle(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCas
     // `try_run`'s, and the plan written from the sink is the plan built from
     // the collected timings.
     let machine = MachineModel::from_config(sim.config());
-    let index = TraceIndex::new(trace).unwrap();
-    let mut seen = Vec::with_capacity(trace.ops.len());
-    let indexed_report = sim.run_indexed(&index, |timing| seen.push(*timing));
+    let mut seen = Vec::with_capacity(trace.len());
+    let indexed_report = sim
+        .run_indexed(trace, |_, timing| seen.push(*timing))
+        .unwrap();
     prop_assert_eq!(&seen, &policy);
     prop_assert_eq!(report_bits(&indexed_report), report_bits(report));
-    let (plan, plan_report) = JobPlan::from_index(sim, &index);
-    prop_assert_eq!(&plan, &JobPlan::new(&machine, trace, &policy));
+    let (plan, plan_report) = JobPlan::from_trace(sim, trace).unwrap();
+    prop_assert_eq!(&plan, &JobPlan::new(&machine, trace, &policy).unwrap());
     prop_assert_eq!(report_bits(&plan_report), report_bits(report));
 
     // The DAG, edge for edge, and the schedule built on it.
     let dag = TraceDag::from_trace(trace);
-    let (deps, segment) = oracle::dag(trace);
-    prop_assert_eq!(dag.len(), trace.ops.len());
+    let (deps, segment) = oracle::dag(raw);
+    prop_assert_eq!(dag.len(), trace.len());
     for i in 0..dag.len() {
         prop_assert_eq!(dag.deps(i), &deps[i][..]);
         prop_assert_eq!(dag.segment(i), segment[i]);
@@ -658,28 +715,75 @@ fn assert_matches_oracle(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCas
     prop_assert_eq!(dag.edge_count(), deps.iter().map(Vec::len).sum::<usize>());
     let run = sim.try_run_scheduled(trace).unwrap();
     let expected = list_oracle::list_schedule(&machine, trace, &policy);
-    list_oracle::check_equal(&run.schedule, &expected).map_err(TestCaseError::Fail)?;
+    let timeline = list_oracle::timeline(&run);
+    list_oracle::check_equal(&timeline, &expected).map_err(TestCaseError::Fail)?;
+    list_oracle::check_summary(&run.schedule, &timeline).map_err(TestCaseError::Fail)?;
+    Ok(())
+}
+
+/// The tables of a relabelled trace are the compact trace's: the same DAG,
+/// the same reuse code at every access, the same operand slots once the
+/// relabelling keeps id order.
+fn assert_same_tables(
+    compact: &OpTrace,
+    relabelled: &OpTrace,
+    map: IdMap,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        TraceDag::from_trace(compact),
+        TraceDag::from_trace(relabelled)
+    );
+    let keeps_order = matches!(map, IdMap::Compact | IdMap::Spaced);
+    for (a, b) in compact.ops().zip(relabelled.ops()) {
+        let ids =
+            |t: &OpTrace, slots: &[u32]| slots.iter().map(|&s| t.id_of(s)).collect::<Vec<_>>();
+        let mapped: Vec<CtId> = ids(compact, a.operands)
+            .into_iter()
+            .map(|id| map.apply(id))
+            .collect();
+        prop_assert_eq!(mapped, ids(relabelled, b.operands));
+        if keeps_order {
+            prop_assert_eq!(a.operands, b.operands);
+        }
+        for k in (0..a.operands.len()).map(Some).chain([None]) {
+            prop_assert_eq!(compact.reuse(&a, k), relabelled.reuse(&b, k));
+        }
+    }
     Ok(())
 }
 
 /// Every entry point must report the oracle's error — the first defect in
 /// program order — for a malformed trace.
-fn assert_same_error(sim: &Simulator, trace: &OpTrace) -> Result<(), TestCaseError> {
-    let expected = oracle::validate(trace).expect_err("the trace was broken on purpose");
+fn assert_same_error(sim: &Simulator, raw: &Raw) -> Result<(), TestCaseError> {
+    let expected = oracle::validate(raw).expect_err("the trace was broken on purpose");
+    let trace = &raw.build();
     prop_assert_eq!(trace.validate(), Err(expected.clone()));
     prop_assert_eq!(sim.try_run(trace).err(), Some(expected.clone()));
     prop_assert_eq!(sim.try_run_belady(trace).err(), Some(expected.clone()));
     prop_assert_eq!(sim.try_run_lru(trace).err(), Some(expected.clone()));
     prop_assert_eq!(sim.op_timings(trace).err(), Some(expected.clone()));
-    prop_assert_eq!(TraceIndex::new(trace).err(), Some(expected.clone()));
+    prop_assert_eq!(
+        sim.run_indexed(trace, |_, _| {}).err(),
+        Some(expected.clone())
+    );
+    prop_assert_eq!(
+        JobPlan::from_trace(sim, trace).err(),
+        Some(expected.clone())
+    );
+    let machine = MachineModel::from_config(sim.config());
+    let timings = vec![OpTiming::default(); trace.len()];
+    prop_assert_eq!(
+        JobPlan::new(&machine, trace, &timings).err(),
+        Some(ScheduleError::Trace(expected.clone()))
+    );
     prop_assert_eq!(sim.try_run_scheduled(trace).err(), Some(expected));
     Ok(())
 }
 
 /// An id the trace does not mention.
-fn unused_id(trace: &OpTrace, rng: &mut Lcg) -> CtId {
+fn unused_id(trace: &Raw, rng: &mut Lcg) -> CtId {
     let used = |id: CtId| {
-        trace.inputs.contains(&id)
+        trace.inputs.iter().any(|&(input, _)| input == id)
             || trace
                 .ops
                 .iter()
@@ -716,7 +820,7 @@ impl Defect {
         Defect::InputLevel,
     ];
 
-    fn inject(self, trace: &mut OpTrace, rng: &mut Lcg) {
+    fn inject(self, trace: &mut Raw, rng: &mut Lcg) {
         let max_level = trace.instance.max_level();
         let at = rng.next() % trace.ops.len();
         match self {
@@ -737,7 +841,7 @@ impl Defect {
             Defect::DuplicateOutput => {
                 // Redefine a trace input or an earlier op's output.
                 let id = if at == 0 || rng.next().is_multiple_of(3) {
-                    trace.inputs[rng.next() % trace.inputs.len()]
+                    trace.inputs[rng.next() % trace.inputs.len()].0
                 } else {
                     trace.ops[rng.next() % at].output.expect("has output")
                 };
@@ -745,8 +849,8 @@ impl Defect {
             }
             Defect::Level => trace.ops[at].level = max_level + 1 + rng.next() % 5,
             Defect::InputLevel => {
-                let k = rng.next() % trace.input_levels.len();
-                trace.input_levels[k] = max_level + 1 + rng.next() % 5;
+                let k = rng.next() % trace.inputs.len();
+                trace.inputs[k].1 = max_level + 1 + rng.next() % 5;
             }
         }
     }
@@ -767,9 +871,10 @@ proptest! {
         let compact = rich_trace(&ins, &mut rng, ops);
         let sim = simulator(&ins, &mut rng);
         for map in IdMap::ALL {
-            let mut trace = compact.clone();
-            map.relabel(&mut trace);
-            assert_matches_oracle(&sim, &trace)?;
+            let mut raw = Raw::of(&compact);
+            map.relabel(&mut raw);
+            assert_matches_oracle(&sim, &raw)?;
+            assert_same_tables(&compact, &raw.build(), map)?;
         }
     }
 
@@ -783,17 +888,18 @@ proptest! {
             trace.extend(&rich_trace(&ins, &mut rng, ops));
         }
         let sim = simulator(&ins, &mut rng);
-        assert_matches_oracle(&sim, &trace)?;
+        let mut raw = Raw::of(&trace);
+        assert_matches_oracle(&sim, &raw)?;
         // Relabelled *after* the splice, so `extend`'s id shift stays in range.
-        IdMap::Scattered.relabel(&mut trace);
-        assert_matches_oracle(&sim, &trace)?;
+        IdMap::Scattered.relabel(&mut raw);
+        assert_matches_oracle(&sim, &raw)?;
     }
 
     #[test]
     fn malformed_traces_return_the_identical_error(seed in any::<u64>(), ops in 1usize..80) {
         let mut rng = Lcg::new(seed);
         let ins = CkksInstance::ins1();
-        let mut valid = rich_trace(&ins, &mut rng, ops);
+        let mut valid = Raw::of(&rich_trace(&ins, &mut rng, ops));
         IdMap::ALL[rng.next() % 4].relabel(&mut valid);
         let sim = simulator(&ins, &mut rng);
         for defect in Defect::ALL {
@@ -810,11 +916,11 @@ proptest! {
             assert_same_error(&sim, &trace)?;
             // The infallible dependency query stays total on any trace, and
             // exact wherever no id is defined twice.
-            let dag = TraceDag::from_trace(&trace);
+            let dag = TraceDag::from_trace(&trace.build());
             prop_assert_eq!(dag.len(), trace.ops.len());
             let redefinition = trace.ops.iter().enumerate().any(|(i, op)| {
                 op.output.is_some_and(|out| {
-                    trace.inputs.contains(&out)
+                    trace.inputs.iter().any(|&(id, _)| id == out)
                         || trace.ops[..i].iter().any(|p| p.output == Some(out))
                 })
             });
@@ -829,14 +935,14 @@ proptest! {
     }
 }
 
-/// The satellite's hand-built hostile trace: ids at `u64::MAX` and spaced
-/// 2⁴⁰ apart validate, simulate (LRU, reuse code, exact next use) and
-/// schedule exactly as the hash maps did.
+/// A hand-built hostile trace: ids at `u64::MAX` and spaced 2⁴⁰ apart,
+/// built through `OpTrace::from_ops`, validate, simulate (LRU, reuse code,
+/// exact next use) and schedule exactly as the hash maps did.
 #[test]
 fn hand_built_hostile_ids_match_the_reference() {
     let ins = CkksInstance::ins1();
     let top = ins.max_level();
-    let op = |op: HeOp, level: usize, inputs: &[CtId], output: CtId| TracedOp {
+    let op = |op: HeOp, level: usize, inputs: &[CtId], output: CtId| Op {
         op,
         level,
         inputs: inputs.to_vec(),
@@ -872,25 +978,25 @@ fn hand_built_hostile_ids_match_the_reference() {
     }
     let mut inputs = vec![x, y];
     inputs.extend(&pool);
-    let trace = OpTrace {
+    let raw = Raw {
         instance: ins.clone(),
+        inputs: inputs.iter().map(|&id| (id, top)).collect(),
         ops,
         rotation_keys: 1,
-        input_levels: vec![top; inputs.len()],
-        inputs,
     };
     for mib in [200u64, 512, 64 * 1024] {
         let sim = Simulator::new(
             BtsConfig::bts_default().with_scratchpad_bytes(mib * 1024 * 1024),
             ins.clone(),
         );
-        assert_matches_oracle(&sim, &trace).expect("hostile ids match the reference");
+        assert_matches_oracle(&sim, &raw).expect("hostile ids match the reference");
     }
+    let trace = raw.build();
     let sim = Simulator::new(BtsConfig::bts_default(), ins);
     let lru = sim.try_run_lru(&trace).unwrap();
     let policy = sim.try_run(&trace).unwrap();
     assert!(
-        policy.cache_misses > trace.inputs.len(),
+        policy.cache_misses > trace.inputs().len(),
         "the trace does put the cache under pressure"
     );
     assert!(policy.cache_misses < lru.cache_misses);
@@ -934,10 +1040,10 @@ fn never_coincides_with_the_bytecodes_free_at_last_use() {
         let lowered = TraceBackend::new().lower_compiled(&compiled).unwrap();
         assert_eq!(lowered.bootstrap_count, 0);
         assert_eq!(lowered.trace.len(), compiled.ops.len(), "op for op");
-        let index = TraceIndex::new(&lowered.trace).unwrap();
+        let trace = &lowered.trace;
         let mut freed = 0usize;
-        for (op, code) in index.ops().zip(&compiled.ops) {
-            let never = |k: usize| index.reuse(&op, Some(k)) == Reuse::Never;
+        for (op, code) in trace.ops().zip(&compiled.ops) {
+            let never = |k: usize| trace.reuse(&op, Some(k)) == Reuse::Never;
             let binary = op.operands.len() == 2;
             let repeated = binary && op.operands[0] == op.operands[1];
             let (dead_a, dead_b) = match (binary, repeated) {
@@ -946,7 +1052,7 @@ fn never_coincides_with_the_bytecodes_free_at_last_use() {
                 // One register, freed once — via `free_a` — when the second
                 // access is the last; the first is re-read at once.
                 (true, true) => {
-                    assert_eq!(index.reuse(&op, Some(0)), Reuse::Next);
+                    assert_eq!(trace.reuse(&op, Some(0)), Reuse::Next);
                     (never(1), false)
                 }
             };

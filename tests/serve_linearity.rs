@@ -58,7 +58,7 @@ fn bootstrap_plan_bytes() -> u64 {
     let timings = simulator.op_timings(&lowered.trace).expect("trace times");
     let machine = MachineModel::from_config(simulator.config());
     let before = live_bytes();
-    let plan = JobPlan::new(&machine, &lowered.trace, &timings);
+    let plan = JobPlan::new(&machine, &lowered.trace, &timings).expect("one timing per op");
     let bytes = live_bytes() - before;
     assert!(!plan.is_empty());
     bytes

@@ -1,27 +1,29 @@
 //! The simulation kernel's cost in heap allocations and live bytes, held
 //! independent of the trace length by counts.
 //!
-//! A cache sweep sizes its tables once — the `TraceIndex`, the LRU list or
-//! the next-use entries, the per-(op, level) cost table — and then allocates
-//! nothing per op: no queue per ciphertext, no vector per access, no victim
-//! list per eviction, for the default policy no next-use table either (the
-//! reuse code is read off the index), and no per-op timing record: `try_run*`
-//! fold each op's timing into the report as the sweep produces it. So
-//! `try_run`, `try_run_belady` and `try_run_lru` make the same bounded number
-//! of allocations on a 2 000-op trace as on a 32 000-op one, whatever the ids
-//! look like, and keep only the index and the cache alive — a few dozen bytes
-//! per op, where a 120-byte `OpTiming` each would triple that.
+//! A trace is its own index: interning, validation and the per-slot tables
+//! are built once, when the trace is, so a cache sweep over a built trace
+//! sizes only its own state — the LRU list or the next-use entries, the
+//! per-(op, level) cost table — and then allocates nothing per op: no queue
+//! per ciphertext, no vector per access, no victim list per eviction, for the
+//! default policy no next-use table either (the reuse code is read off the
+//! trace's tables), and no per-op timing record: `try_run*` fold each op's
+//! timing into the report as the sweep produces it. So `try_run`,
+//! `try_run_belady` and `try_run_lru` make the same bounded number of
+//! allocations on a 2 000-op trace as on a 32 000-op one, whatever the ids
+//! look like, and keep only the cache alive — a few bytes per op, where a
+//! 120-byte `OpTiming` each would be many times that.
 //! `run_scheduled` writes the plan's demands straight from the sweep and
-//! sizes the one-job schedule's op and busy lists once, so its allocation
-//! count is bounded too and what it keeps per op is the plan and the
-//! schedule it returns. A timer on a shared VM would only show noise; the
+//! folds the one-job schedule chunk by chunk instead of keeping it, so its
+//! allocation count is bounded too and what it keeps per op is the plan —
+//! not a timeline. A timer on a shared VM would only show noise; the
 //! process's allocator counts exactly. Like `tests/serve_linearity.rs` this
 //! is a single-test binary with a counting allocator, so nothing else
 //! allocates while it counts.
 
 use bts::params::CkksInstance;
 use bts::sched::ScheduleExt;
-use bts::sim::{BtsConfig, OpTrace, SimReport, Simulator, TraceBuilder, TraceError};
+use bts::sim::{BtsConfig, CtId, OpTrace, RawOp, SimReport, Simulator, TraceBuilder, TraceError};
 
 #[path = "common/counting_alloc.rs"]
 mod counting_alloc;
@@ -62,6 +64,25 @@ fn bootstrap_shaped(ins: &CkksInstance, ops: usize) -> OpTrace {
     b.build()
 }
 
+/// `trace` with every id spaced 2⁴⁰ apart (the last one past 2⁵⁵), rebuilt
+/// from ids.
+fn spaced_ids(trace: &OpTrace) -> OpTrace {
+    let spaced = |slot: u32| trace.id_of(slot) << 40;
+    let inputs: Vec<(CtId, usize)> = trace.inputs().map(|(id, l)| (id << 40, l)).collect();
+    let operands: Vec<Vec<CtId>> = trace
+        .ops()
+        .map(|op| op.operands.iter().map(|&s| spaced(s)).collect())
+        .collect();
+    let ops = trace.ops().zip(&operands).map(|(op, inputs)| RawOp {
+        op: op.op,
+        level: op.level,
+        inputs,
+        output: op.output.map(spaced),
+        in_bootstrap: op.in_bootstrap,
+    });
+    OpTrace::from_ops(trace.instance(), &inputs, ops, trace.rotation_keys())
+}
+
 #[test]
 fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
     // `BTS_TELEMETRY=1 cargo test` must not give this thread a root sink
@@ -78,13 +99,18 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
     let large = bootstrap_shaped(&ins, 32_000);
     assert!(small.len() >= 2_000 && large.len() >= 32_000);
 
-    // The sweeps: the index, the cache, the cost table and the report's
-    // per-class map — a fixed set of tables, each sized once.
-    const SWEEP_ALLOCATIONS: u64 = 24;
-    // What a folding sweep may keep alive per op at its peak: the index and
-    // the cache's slot table, not a timing per op (`op_timings*`, which
-    // collect, pay 120 bytes per op on top).
-    const SWEEP_PEAK_BYTES_PER_OP: u64 = 64;
+    // The sweeps: the cache, the cost table and the report's per-class map —
+    // a fixed set of tables, each sized once; the trace brought its own.
+    // Measured: 8 / 10 / 6 (`try_run` / `_belady` / `_lru`) at either
+    // length; re-indexing the trace on entry cost 15 / 17 / 13.
+    const SWEEP_ALLOCATIONS: u64 = 12;
+    // What a folding sweep may keep alive per op at its peak: the cache's
+    // slot table (and the bound's next-use table), not a timing per op
+    // (`op_timings*`, which collect, pay 120 bytes per op on top) and not a
+    // second copy of the trace's tables. Measured: at most 33 on the short
+    // trace, where the cost table weighs most, 22 on the long one; a
+    // per-entry index made that 56 / 44.
+    const SWEEP_PEAK_BYTES_PER_OP: u64 = 40;
     type EntryPoint = fn(&Simulator, &OpTrace) -> Result<SimReport, TraceError>;
     let entry_points: [(&str, EntryPoint); 3] = [
         ("try_run", Simulator::try_run),
@@ -94,12 +120,16 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
     for (name, trace) in [("2 000", &small), ("32 000", &large)] {
         for (entry, run) in entry_points {
             let cost = cost_of(|| run(&sim, trace).expect("trace runs"));
+            let per_op_bytes = cost.peak_bytes / trace.len() as u64;
+            eprintln!(
+                "{entry} on {name} ops: {} allocations, {per_op_bytes} bytes per op",
+                cost.allocations
+            );
             assert!(
                 cost.allocations <= SWEEP_ALLOCATIONS,
                 "{entry} on {name} ops made {} allocations",
                 cost.allocations
             );
-            let per_op_bytes = cost.peak_bytes / trace.len() as u64;
             assert!(
                 per_op_bytes <= SWEEP_PEAK_BYTES_PER_OP,
                 "{entry} on {name} ops keeps {per_op_bytes} bytes per op alive"
@@ -118,54 +148,45 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
     );
 
     // Scheduling adds the plan (demands written by the sweep, the DAG) and
-    // the schedule it returns, whose op and busy lists are sized once from
-    // the plan's length: only the DAG's edge list and the critical path grow
-    // by doubling, a few allocations more on the longer trace. What it
-    // keeps per op is that plan and that schedule.
-    const SCHEDULED_ALLOCATIONS: u64 = 64;
-    const SCHEDULED_PEAK_BYTES_PER_OP: u64 = 256;
+    // the scheduler's fixed-size chunk of timeline: only the plan's DAG edge
+    // list and critical path grow by doubling, a few allocations more on the
+    // longer trace (measured: 45 and 49). What it keeps per op is that plan
+    // (measured: 115 bytes per op on the short trace, where the chunk weighs
+    // most, 92 on the long one); a retained timeline made it 252.
+    const SCHEDULED_ALLOCATIONS: u64 = 52;
+    const SCHEDULED_PEAK_BYTES_PER_OP: u64 = 128;
     for (name, trace) in [("2 000", &small), ("32 000", &large)] {
         let cost = cost_of(|| sim.try_run_scheduled(trace).expect("trace schedules"));
+        let per_op_bytes = cost.peak_bytes / trace.len() as u64;
+        eprintln!(
+            "run_scheduled on {name} ops: {} allocations, {per_op_bytes} bytes per op",
+            cost.allocations
+        );
         assert!(
             cost.allocations <= SCHEDULED_ALLOCATIONS,
             "run_scheduled on {name} ops made {} allocations",
             cost.allocations
         );
-        let per_op_bytes = cost.peak_bytes / trace.len() as u64;
         assert!(
             per_op_bytes <= SCHEDULED_PEAK_BYTES_PER_OP,
             "run_scheduled on {name} ops keeps {per_op_bytes} bytes per op alive"
         );
     }
 
-    // Hostile ids cost memory by the trace's length, not by their size: with
-    // every id spaced 2⁴⁰ apart (the last one past 2⁵⁵) the sweeps make one
-    // allocation more (the interned id table) and keep well under 1 KiB per
-    // op alive at their peak.
-    let mut hostile = large.clone();
-    for id in &mut hostile.inputs {
-        *id <<= 40;
-    }
-    for op in &mut hostile.ops {
-        for id in &mut op.inputs {
-            *id <<= 40;
-        }
-        if let Some(out) = &mut op.output {
-            *out <<= 40;
-        }
-    }
+    // Hostile ids cost memory by the trace's length, not by their size, and
+    // only where the trace is built: the interned id table is the trace's,
+    // so a sweep over it allocates exactly what one over dense ids does.
+    let hostile = spaced_ids(&large);
     for (entry, run) in entry_points {
         let dense = cost_of(|| run(&sim, &large).expect("trace runs"));
         let sparse = cost_of(|| run(&sim, &hostile).expect("trace runs"));
-        assert!(
-            sparse.allocations <= dense.allocations + 2,
-            "{entry}, sparse ids: {} allocations against {} for dense ones",
-            sparse.allocations,
-            dense.allocations
+        assert_eq!(
+            sparse.allocations, dense.allocations,
+            "{entry}: sparse ids allocate like dense ones"
         );
         let per_op_bytes = sparse.peak_bytes / hostile.len() as u64;
         assert!(
-            per_op_bytes <= 512,
+            per_op_bytes <= SWEEP_PEAK_BYTES_PER_OP,
             "{entry}: sparse ids keep {per_op_bytes} bytes per op alive"
         );
     }
