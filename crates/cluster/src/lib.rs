@@ -19,9 +19,10 @@
 //! - [`PlacementPolicy`] — round-robin, least-loaded (by the online cost
 //!   estimate), or tenant-affinity (pin each tenant's evaluation keys to one
 //!   chip so they cross the interconnect once).
-//! - [`ClusterServer`] / [`serve_cluster`] — validates, profiles, places,
-//!   charges the wire, runs each chip's [`bts_serve::BtsServer`] admission
-//!   loop, and merges the per-chip reports into a [`ClusterReport`]
+//! - [`ClusterServer`] / [`serve_cluster`] — validates, prepares every
+//!   distinct (workload, instance) pair once ([`bts_serve::PreparedBatch`]),
+//!   places, charges the wire, runs each chip's admission loop from that one
+//!   preparation, and merges the per-chip reports into a [`ClusterReport`]
 //!   (fleet throughput, per-chip utilization, cluster-level Jain fairness,
 //!   interconnect bytes moved).
 //!

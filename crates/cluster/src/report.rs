@@ -125,57 +125,36 @@ impl ClusterReport {
 
     /// Total transient-fault redrives across completed and shed jobs.
     pub fn retry_count(&self) -> u64 {
-        let completed: u64 = self
-            .jobs
-            .iter()
-            .map(|j| u64::from(j.attempts.saturating_sub(1)))
-            .sum();
-        let shed: u64 = self
-            .shed
-            .iter()
-            .map(|s| u64::from(s.attempts.saturating_sub(1)))
-            .sum();
-        completed + shed
+        let attempts = self.jobs.iter().map(|j| j.attempts);
+        let attempts = attempts.chain(self.shed.iter().map(|s| s.attempts));
+        attempts.map(|a| u64::from(a.saturating_sub(1))).sum()
+    }
+
+    /// Shed jobs that carried a deadline: each one missed it.
+    fn shed_with_deadline(&self) -> usize {
+        let shed = self.shed.iter();
+        shed.filter(|s| s.deadline_seconds.is_some()).count()
     }
 
     /// Deadline-bearing jobs that missed: completed too late, or shed
     /// before completion.
     pub fn deadline_missed_count(&self) -> usize {
-        let late = self
-            .jobs
-            .iter()
-            .filter(|j| j.deadline_met() == Some(false))
-            .count();
-        let shed = self
-            .shed
-            .iter()
-            .filter(|s| s.deadline_seconds.is_some())
-            .count();
-        late + shed
+        let jobs = &self.jobs;
+        let late = jobs.iter().filter(|j| j.deadline_met() == Some(false));
+        late.count() + self.shed_with_deadline()
     }
 
     /// Fraction of deadline-bearing submitted jobs that finished on time.
     /// A run with no deadlines vacuously attains its (empty) SLO: 1.0.
     pub fn slo_attainment(&self) -> f64 {
-        let met = self
-            .jobs
-            .iter()
-            .filter(|j| j.deadline_met() == Some(true))
-            .count();
-        let with_deadline = self
-            .jobs
-            .iter()
-            .filter(|j| j.deadline_seconds.is_some())
-            .count()
-            + self
-                .shed
-                .iter()
-                .filter(|s| s.deadline_seconds.is_some())
-                .count();
+        let jobs = &self.jobs;
+        let met = jobs.iter().filter(|j| j.deadline_met() == Some(true));
+        let completed = jobs.iter().filter(|j| j.deadline_seconds.is_some());
+        let with_deadline = completed.count() + self.shed_with_deadline();
         if with_deadline == 0 {
             1.0
         } else {
-            met as f64 / with_deadline as f64
+            met.count() as f64 / with_deadline as f64
         }
     }
 
@@ -198,27 +177,24 @@ impl ClusterReport {
 
     /// Served jobs per second over the cluster makespan.
     pub fn throughput_jobs_per_sec(&self) -> f64 {
+        self.per_second(self.jobs.len() as f64)
+    }
+
+    /// `amount` per second of cluster makespan; 0 for a run with none.
+    fn per_second(&self, amount: f64) -> f64 {
         let makespan = self.makespan_seconds();
         if makespan <= 0.0 {
             0.0
         } else {
-            self.jobs.len() as f64 / makespan
+            amount / makespan
         }
     }
 
     /// Sustained amortized mult-slot throughput across the fleet: the sum of
     /// every chip's refreshed slot-levels over the cluster makespan.
     pub fn mult_slots_per_sec(&self) -> f64 {
-        let makespan = self.makespan_seconds();
-        if makespan <= 0.0 {
-            return 0.0;
-        }
-        self.chips
-            .iter()
-            .flat_map(|c| c.report.jobs.iter())
-            .map(|j| j.refreshed_slot_levels)
-            .sum::<f64>()
-            / makespan
+        let jobs = self.chips.iter().flat_map(|c| c.report.jobs.iter());
+        self.per_second(jobs.map(|j| j.refreshed_slot_levels).sum())
     }
 
     /// Total bytes the interconnect moved (zero on a single-chip spec:

@@ -1,47 +1,46 @@
-//! The cluster engine: placement in front of one [`BtsServer`] per chip,
-//! with failover when the fault plan kills chips mid-run.
+//! The cluster engine: placement in front of one [`BtsServer`] admission
+//! loop per chip, with failover when the fault plan kills chips mid-run.
 //!
 //! # Execution model
 //!
-//! 1. The spec, the fault plan, and the whole batch are validated up front
-//!    (fail fast, before any chip is touched).
-//! 2. Every unique `(workload, instance)` pair is profiled once: circuit
-//!    lowered, online cost estimate computed, ciphertext-input and
-//!    evaluation-key footprints measured.
-//! 3. The [`PlacementPolicy`] shards the stream in
-//!    arrival order, one chip per job.
-//! 4. With more than one chip, each dispatch is charged interconnect time
-//!    before its chip can see the job: its ciphertext inputs always move,
-//!    and its tenant's evaluation-key set moves the first time (per chip) it
-//!    is needed — keys then stay resident, so pinning a tenant to one chip
-//!    (tenant affinity) pays the key transfer once. Link-degradation windows
-//!    in the fault plan divide the bandwidth while they are active. A
-//!    single-chip spec charges exactly zero and reproduces
-//!    [`bts_serve::serve`] bit for bit.
-//! 5. Chips are served one at a time **in failure order** (earliest death
-//!    first, immortal chips last), each exactly once through its own
-//!    admission loop with its failure time from the plan, if any. Chips do
-//!    not otherwise interact, so the fleet's makespan is the slowest chip's.
-//! 6. Jobs a failed chip interrupted are re-placed, in job-id order, onto
-//!    the least-loaded chip still alive when they become ready — after the
-//!    failure plus capped exponential backoff — paying the wire again for
-//!    their ciphertexts and any keys not already resident there. Such a
-//!    target dies strictly later than the chip the job came from (or never),
-//!    so it has not been served yet: the refugee simply joins its shard, and
-//!    one pass over the chips settles every job — no chip is ever re-run. A
-//!    job can outlive several failures; each one re-places it when that
-//!    chip's turn comes. Chips that die at the same instant cannot shelter
-//!    each other's jobs and are served as one batch before their union is
-//!    re-placed. A job whose dispatch count exhausts the retry budget is
-//!    shed instead of re-placed, and a job with no surviving chip to go to
-//!    is a [`ClusterError::ChipUnavailable`] — the fleet is dead.
+//! 1. `ClusterServer::validate` — the spec, the fault plan, the per-chip
+//!    serving options and the batch are validated before any chip is
+//!    touched.
+//! 2. [`BtsServer::prepare`] — every unique `(workload, instance)` pair is
+//!    prepared once for the fleet's one chip design (plan, online cost
+//!    estimate, ciphertext-input and evaluation-key bytes); placement,
+//!    charging and every chip read this one [`PreparedBatch`].
+//! 3. `Fleet::place` — the [`PlacementPolicy`] shards the stream in arrival
+//!    order, one chip per job.
+//! 4. `Fleet::charge` — with more than one chip, each dispatch is charged
+//!    interconnect time before its chip can see the job: its ciphertext
+//!    inputs always move, and its tenant's evaluation-key set moves the
+//!    first time (per chip) it is needed — keys then stay resident, so
+//!    pinning a tenant to one chip (tenant affinity) pays the key transfer
+//!    once. Link-degradation windows in the fault plan divide the bandwidth
+//!    while they are active. A single-chip spec charges exactly zero and
+//!    reproduces [`bts_serve::serve`] bit for bit.
+//! 5. `Fleet::serve_chip` — chips are served one at a time **in failure
+//!    order** (earliest death first, immortal chips last), each exactly once
+//!    through its own admission loop ([`PreparedBatch::serve`]) with its
+//!    failure time from the plan, if any. Chips do not otherwise interact,
+//!    so the fleet's makespan is the slowest chip's.
+//! 6. `Fleet::replace` — jobs a failed chip interrupted are re-placed, in
+//!    job-id order, onto the least-loaded chip still alive when they become
+//!    ready (failure plus capped exponential backoff), paying the wire again
+//!    for their ciphertexts and any keys not resident there. That target
+//!    dies strictly later (or never), so it has not been served yet: the
+//!    refugee joins its shard, and one pass settles every job — no chip is
+//!    re-run, however many failures a job outlives. Chips dying at the same
+//!    instant are served as one batch before their union is re-placed. A
+//!    job whose dispatches exhaust the retry budget is shed; one with no
+//!    surviving chip is a [`ClusterError::ChipUnavailable`].
 //!
-//! A failed chip's report is the run that chip actually had: jobs it shed
-//! before dying stay shed, the jobs it was about to lose held their queue
-//! slots and channels until the failure (so they delayed the jobs that did
-//! complete there) and are listed under its `interrupted`. Every dispatch is
-//! therefore accounted for by exactly one chip report — completed, shed or
-//! interrupted.
+//! `Fleet::report` merges the chip reports. A failed chip's report is the
+//! run that chip actually had: jobs it shed before dying stay shed, the
+//! jobs it was about to lose held their queue slots and channels until the
+//! failure and are listed under its `interrupted`. Every dispatch is
+//! therefore accounted for by exactly one chip report.
 //!
 //! Everything is deterministic: one `(jobs, options)` pair — fault plan
 //! included — always produces the same [`ClusterReport`].
@@ -50,10 +49,9 @@ use std::collections::HashMap;
 
 use bts_fault::FaultError;
 use bts_serve::{
-    estimate_trace_seconds, validate_batch, BtsServer, FaultPlan, JobRequest, QueuePolicy,
+    validate_batch, BtsServer, FaultPlan, JobRequest, PreparedBatch, PreparedPair, QueuePolicy,
     RetryPolicy, ServeError, ServeOptions, ShedJob, ShedReason,
 };
-use bts_sim::Simulator;
 use bts_workloads::{standard_registry, WorkloadRegistry};
 
 use crate::error::ClusterError;
@@ -135,14 +133,6 @@ impl ClusterOptions {
     }
 }
 
-/// What placement and interconnect charging need to know about one job's
-/// lowered circuit.
-struct JobProfile {
-    estimate_seconds: f64,
-    input_ct_bytes: u64,
-    evk_set_bytes: u64,
-}
-
 /// A job's current shipment to a chip: the original placement, or its latest
 /// re-placement after a chip failure.
 #[derive(Debug, Clone, Copy)]
@@ -159,22 +149,14 @@ struct Dispatch {
 
 /// A multi-tenant batch server over a fleet of simulated accelerators.
 ///
-/// The fleet is homogeneous, so one inner [`BtsServer`] — one
-/// (config, policy, capacity, registry) tuple — serves every chip's shard;
-/// a chip's failure time is layered on per chip via
-/// [`BtsServer::serve_with`].
+/// The fleet is homogeneous, so one inner [`BtsServer`] — one (config,
+/// policy, capacity, registry) tuple — prepares the batch once and every
+/// chip's shard is served from that one [`PreparedBatch`]; a chip's failure
+/// time is layered on per chip.
+#[derive(Debug)]
 pub struct ClusterServer {
     server: BtsServer,
     options: ClusterOptions,
-}
-
-impl std::fmt::Debug for ClusterServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterServer")
-            .field("server", &self.server)
-            .field("options", &self.options)
-            .finish()
-    }
 }
 
 impl ClusterServer {
@@ -211,50 +193,97 @@ impl ClusterServer {
     /// [`ClusterError::Config`], [`ClusterError::Interconnect`]), an
     /// invalid fault plan ([`ClusterError::ChipUnavailable`] with
     /// `job: None` for an out-of-range chip, [`ClusterError::Fault`]
-    /// otherwise) or an invalid batch ([`ClusterError::Serve`] with
-    /// `chip: None`: unknown workload, bad arrival or deadline, duplicate
-    /// id, zero capacity, unbuildable circuit). Mid-run,
+    /// otherwise), invalid per-chip options or an invalid batch
+    /// ([`ClusterError::Serve`] with `chip: None`: zero capacity or retry
+    /// budget, bad backoff, unknown workload, bad arrival or deadline,
+    /// duplicate id, unbuildable circuit). Mid-run,
     /// [`ClusterError::ChipUnavailable`] with `job: Some(id)` means a job
     /// had no surviving chip left to migrate to. A per-chip serving failure
     /// — which validation should have ruled out — surfaces as
     /// [`ClusterError::Serve`] with the chip index.
     pub fn serve(&self, jobs: &[JobRequest]) -> Result<ClusterReport, ClusterError> {
-        self.options.spec.validate()?;
-        if self.options.max_in_flight == 0 {
-            return Err(admission(ServeError::NoCapacity));
+        let index_of = self.validate(jobs)?;
+        let batch = self.server.prepare(jobs).map_err(admission)?;
+        let fail_at: Vec<Option<f64>> = (0..self.options.spec.chip_count)
+            .map(|c| self.options.fault.failure_of(c))
+            .collect();
+        let mut fleet = Fleet::place(self, jobs, &batch, &fail_at)?;
+
+        // One pass over the chips in failure order (module doc, steps 5–6):
+        // a refugee's target is alive when the refugee is ready, which is no
+        // earlier than the failure that displaced it, so the target belongs
+        // to a later batch and its shard is still open.
+        let mut failure_order: Vec<usize> = (0..fail_at.len()).collect();
+        let at = |c: usize| fail_at[c].unwrap_or(f64::INFINITY);
+        // Stable, so chips that die together (or never) stay in index order.
+        failure_order.sort_by(|&a, &b| at(a).total_cmp(&at(b)));
+        for dying in failure_order.chunk_by(|&a, &b| fail_at[a] == fail_at[b]) {
+            // Jobs this batch's failure cut (submit indices).
+            let mut cut: Vec<usize> = Vec::new();
+            for &chip in dying {
+                let outcome = fleet.serve_chip(chip)?;
+                let interrupted = &outcome.report.interrupted;
+                cut.extend(interrupted.iter().map(|i| index_of[&i.id]));
+                fleet.chips[chip] = Some(outcome);
+            }
+            fleet.replace(cut)?;
         }
-        let chip_count = self.options.spec.chip_count;
-        let plan = &self.options.fault;
-        plan.validate(chip_count).map_err(|e| match e {
+        Ok(fleet.report(&index_of))
+    }
+
+    /// Step 1: everything a run depends on, before any chip is touched.
+    /// Returns each job id's submit index.
+    fn validate(&self, jobs: &[JobRequest]) -> Result<HashMap<u64, usize>, ClusterError> {
+        self.options.spec.validate()?;
+        let plan = self.options.fault.validate(self.options.spec.chip_count);
+        plan.map_err(|e| match e {
             FaultError::ChipOutOfRange { chip, .. } => {
                 ClusterError::ChipUnavailable { chip, job: None }
             }
             other => ClusterError::Fault(other),
         })?;
-        // Job id → submit index: every later lookup of a chip's outcome back
-        // to its request.
-        let index_of = validate_batch(jobs).map_err(admission)?;
+        self.server.options().validate().map_err(admission)?;
+        validate_batch(jobs).map_err(admission)
+    }
+}
 
-        // Profile each unique (workload, instance) pair once — bursts repeat
-        // them, and lowering is deterministic. `pairs` holds the first job
-        // of each pair; `profiles[j]` is job `j`'s (shared) profile.
-        let mut pairs: Vec<usize> = Vec::new();
-        let mut profiles: Vec<std::rc::Rc<JobProfile>> = Vec::with_capacity(jobs.len());
-        for (j, job) in jobs.iter().enumerate() {
-            let twin = pairs.iter().copied().find(|&first| {
-                jobs[first].workload == job.workload && jobs[first].instance == job.instance
-            });
-            profiles.push(match twin {
-                Some(first) => std::rc::Rc::clone(&profiles[first]),
-                None => {
-                    pairs.push(j);
-                    std::rc::Rc::new(self.profile(job)?)
-                }
-            });
-        }
+/// One cluster run in progress (module doc, steps 3–6): where every job is
+/// headed, what each chip has been sent, and what the fleet has settled.
+struct Fleet<'a> {
+    options: &'a ClusterOptions,
+    /// The per-chip serving options, before a chip's failure time.
+    base: &'a ServeOptions,
+    jobs: &'a [JobRequest],
+    batch: &'a PreparedBatch,
+    /// Each job's prepared pair, by submit index.
+    pairs: Vec<&'a PreparedPair>,
+    /// Each chip's failure time, if the plan kills it.
+    fail_at: &'a [Option<f64>],
+    /// Each job's latest shipment, by submit index.
+    dispatch: Vec<Dispatch>,
+    /// Per chip: the jobs shipped to it so far (submit indices).
+    shards: Vec<Vec<usize>>,
+    /// Per chip: the estimated seconds of work shipped to it.
+    load: Vec<f64>,
+    /// Per chip: its outcome, once served.
+    chips: Vec<Option<ChipOutcome>>,
+    /// Jobs the cluster shed itself (dispatch budget spent), by submit index.
+    shed: HashMap<usize, ShedJob>,
+    migrations: u64,
+}
 
-        // Placement sees the stream in arrival order (submission order on
-        // ties), exactly as the chips will.
+impl<'a> Fleet<'a> {
+    /// Step 3: placement over the stream in arrival order (submission order
+    /// on ties), exactly as the chips will see it.
+    fn place(
+        cluster: &'a ClusterServer,
+        jobs: &'a [JobRequest],
+        batch: &'a PreparedBatch,
+        fail_at: &'a [Option<f64>],
+    ) -> Result<Self, ClusterError> {
+        let options = &cluster.options;
+        let chip_count = options.spec.chip_count;
+        let pairs = batch.pairs(jobs).map_err(admission)?;
         let mut order: Vec<usize> = (0..jobs.len()).collect();
         order.sort_by(|&a, &b| {
             jobs[a]
@@ -268,11 +297,11 @@ impl ClusterServer {
             .map(|&j| PlacementJob {
                 tenant: jobs[j].tenant,
                 arrival_seconds: jobs[j].arrival_seconds,
-                estimate_seconds: profiles[j].estimate_seconds,
-                evk_set_bytes: profiles[j].evk_set_bytes,
+                estimate_seconds: pairs[j].estimate_seconds,
+                evk_set_bytes: pairs[j].evk_set_bytes,
             })
             .collect();
-        let placed = self.options.placement.place(&placement_jobs, chip_count);
+        let placed = options.placement.place(&placement_jobs, chip_count);
         let mut dispatch: Vec<Dispatch> = jobs
             .iter()
             .map(|job| Dispatch {
@@ -285,8 +314,7 @@ impl ClusterServer {
         for (pos, &j) in order.iter().enumerate() {
             dispatch[j].chip = placed[pos];
         }
-        let telemetry_on = bts_telemetry::enabled();
-        if telemetry_on {
+        if bts_telemetry::enabled() {
             use bts_telemetry::ArgValue;
             let _scope = bts_telemetry::scope("cluster");
             for &j in &order {
@@ -301,7 +329,7 @@ impl ClusterServer {
                     ],
                 );
             }
-            for f in &plan.chip_failures {
+            for f in &options.fault.chip_failures {
                 bts_telemetry::emit_instant(
                     "faults",
                     "chip-failure",
@@ -310,155 +338,231 @@ impl ClusterServer {
                 );
             }
         }
-
-        // One pass over the chips in failure order (module doc, steps 5–6):
-        // a refugee's target is alive when the refugee is ready, which is no
-        // earlier than the failure that displaced it, so the target belongs
-        // to a later batch and its shard is still open.
-        let fail_at: Vec<Option<f64>> = (0..chip_count).map(|c| plan.failure_of(c)).collect();
-        let mut failure_order: Vec<usize> = (0..chip_count).collect();
-        // Stable, so chips that die together (or never) stay in index order.
-        failure_order.sort_by(|&a, &b| {
-            let at = |c: usize| fail_at[c].unwrap_or(f64::INFINITY);
-            at(a).total_cmp(&at(b))
-        });
-        // Per chip: the jobs shipped to it so far (submit indices).
         let mut shards: Vec<Vec<usize>> = vec![Vec::new(); chip_count];
         let mut load = vec![0.0f64; chip_count];
         for (j, d) in dispatch.iter().enumerate() {
             shards[d.chip].push(j);
-            load[d.chip] += profiles[j].estimate_seconds;
+            load[d.chip] += pairs[j].estimate_seconds;
         }
-        let mut chips: Vec<Option<ChipOutcome>> = vec![None; chip_count];
-        // Jobs the cluster itself shed (migration budget exhausted), by
-        // submit index.
-        let mut cluster_shed: HashMap<usize, ShedJob> = HashMap::new();
-        let mut migrations = 0u64;
-        for batch in failure_order.chunk_by(|&a, &b| fail_at[a] == fail_at[b]) {
-            // Jobs this batch's failure cut (submit indices).
-            let mut cut: Vec<usize> = Vec::new();
-            for &chip in batch {
-                let shard = std::mem::take(&mut shards[chip]);
-                let outcome = self.serve_chip(chip, shard, jobs, &profiles, &mut dispatch)?;
-                let interrupted = &outcome.report.interrupted;
-                cut.extend(interrupted.iter().map(|i| index_of[&i.id]));
-                chips[chip] = Some(outcome);
-            }
-            // Re-place them in job-id order (one failure time per batch)
-            // onto the least-loaded chip still alive when they are ready.
-            cut.sort_by_key(|&j| jobs[j].id);
-            let _scope = bts_telemetry::scope("cluster");
-            for j in cut {
-                let Dispatch {
-                    chip, number: used, ..
-                } = dispatch[j];
-                let failed_at = fail_at[chip].expect("only a failed chip interrupts jobs");
-                let job = &jobs[j];
-                if used >= self.options.retry.max_attempts {
-                    let shed = ShedJob {
-                        id: job.id,
-                        tenant: job.tenant,
-                        workload: job.workload.clone(),
-                        arrival_seconds: job.arrival_seconds,
-                        shed_seconds: failed_at,
-                        reason: ShedReason::RetryBudgetExhausted,
-                        attempts: used,
-                        deadline_seconds: job.deadline_seconds,
-                    };
-                    if telemetry_on {
-                        use bts_telemetry::ArgValue;
-                        bts_telemetry::emit_instant(
-                            "faults",
-                            "shed",
-                            shed.shed_seconds,
-                            &[
-                                ("job", ArgValue::U64(shed.id)),
-                                ("tenant", ArgValue::U64(u64::from(shed.tenant))),
-                                ("reason", ArgValue::Str(shed.reason.label().to_string())),
-                                ("attempts", ArgValue::U64(u64::from(shed.attempts))),
-                            ],
-                        );
-                        bts_telemetry::counter_add("cluster.shed", 1);
-                    }
-                    cluster_shed.insert(j, shed);
-                    continue;
-                }
-                let ready = job
-                    .arrival_seconds
-                    .max(failed_at + self.options.retry.backoff_seconds(used));
-                let target = (0..chip_count)
-                    .filter(|&c| fail_at[c].is_none_or(|t| t > ready))
-                    .min_by(|&a, &b| {
-                        load[a]
-                            .partial_cmp(&load[b])
-                            .expect("loads are finite")
-                            .then(a.cmp(&b))
-                    });
-                let Some(to) = target else {
-                    return Err(ClusterError::ChipUnavailable {
-                        chip,
-                        job: Some(job.id),
-                    });
-                };
-                load[chip] -= profiles[j].estimate_seconds;
-                load[to] += profiles[j].estimate_seconds;
-                dispatch[j] = Dispatch {
-                    chip: to,
-                    ready_seconds: ready,
-                    transfer_seconds: 0.0,
-                    number: used + 1,
-                };
-                debug_assert!(chips[to].is_none(), "refugees go forward in failure order");
-                shards[to].push(j);
-                migrations += 1;
-                if telemetry_on {
-                    use bts_telemetry::ArgValue;
-                    bts_telemetry::emit_instant(
-                        "faults",
-                        "migrate",
-                        ready,
-                        &[
-                            ("job", ArgValue::U64(job.id)),
-                            ("from", ArgValue::U64(chip as u64)),
-                            ("to", ArgValue::U64(to as u64)),
-                            ("dispatch", ArgValue::U64(u64::from(used) + 1)),
-                        ],
-                    );
-                    bts_telemetry::counter_add("cluster.migrations", 1);
-                }
-            }
-        }
-        let chips: Vec<ChipOutcome> = chips
-            .into_iter()
-            .map(|c| c.expect("the failure order covers every chip"))
-            .collect();
+        Ok(Self {
+            options,
+            base: cluster.server.options(),
+            jobs,
+            batch,
+            pairs,
+            fail_at,
+            dispatch,
+            shards,
+            load,
+            chips: vec![None; chip_count],
+            shed: HashMap::new(),
+            migrations: 0,
+        })
+    }
 
-        // Fleet-level outcomes keep the original arrivals: the wire time a
-        // job spent getting to its chip counts against its cluster latency.
-        // Shed jobs — whether a chip or the cluster dropped them — are
-        // collected separately, with their original arrivals too.
-        let mut shed: Vec<ShedJob> = Vec::new();
-        let mut outcomes = Vec::new();
-        // Where each job sits in its chip's report: `.jobs[i]` if it was
-        // served, `.shed[i]` if the chip dropped it.
-        let mut served_at: Vec<Option<usize>> = vec![None; jobs.len()];
-        let mut shed_at: Vec<Option<usize>> = vec![None; jobs.len()];
-        for chip in &chips {
-            for (i, o) in chip.report.jobs.iter().enumerate() {
-                served_at[index_of[&o.id]] = Some(i);
-            }
-            for (i, s) in chip.report.shed.iter().enumerate() {
-                shed_at[index_of[&s.id]] = Some(i);
+    /// Step 4: interconnect charging of `shard`'s shipments to `chip`, in
+    /// shipment order (ready time, submission order on ties — the sort is
+    /// stable): ciphertext inputs move on every dispatch; a tenant's evk set
+    /// moves only when the dispatch grows the tenant's resident key
+    /// footprint on this chip. Link-degradation windows stretch the
+    /// streaming part. One chip means everything is already resident — zero
+    /// charge by construction. Fills in each dispatch's transfer time and
+    /// returns the chip's (bytes, seconds).
+    fn charge(&mut self, chip: usize, shard: &[usize]) -> (u64, f64) {
+        if self.options.spec.chip_count == 1 {
+            return (0, 0.0);
+        }
+        let (mut interconnect_bytes, mut interconnect_seconds) = (0u64, 0.0f64);
+        let link = self.options.spec.interconnect;
+        let plan = &self.options.fault;
+        let _scope = bts_telemetry::scope("cluster");
+        let mut shipments = shard.to_vec();
+        shipments.sort_by(|&a, &b| {
+            self.dispatch[a]
+                .ready_seconds
+                .partial_cmp(&self.dispatch[b].ready_seconds)
+                .expect("ready times are finite")
+        });
+        let mut resident_evk: HashMap<u32, u64> = HashMap::new();
+        for j in shipments {
+            let (job, pair) = (&self.jobs[j], self.pairs[j]);
+            let d = &mut self.dispatch[j];
+            let resident = resident_evk.entry(job.tenant).or_insert(0);
+            let evk_delta = pair.evk_set_bytes.saturating_sub(*resident);
+            *resident = (*resident).max(pair.evk_set_bytes);
+            let bytes = pair.input_ct_bytes + evk_delta;
+            let factor = plan.bandwidth_factor_at(d.ready_seconds);
+            // The factor-1.0 branch keeps the fault-free path bitwise
+            // identical to the plain interconnect model.
+            let seconds = if factor == 1.0 {
+                link.transfer_seconds(bytes)
+            } else {
+                link.latency_seconds + bytes as f64 / (link.bytes_per_sec * factor)
+            };
+            interconnect_bytes += bytes;
+            interconnect_seconds += seconds;
+            d.transfer_seconds = seconds;
+            if bts_telemetry::enabled() && bytes > 0 {
+                use bts_telemetry::ArgValue;
+                bts_telemetry::emit_complete(
+                    "interconnect",
+                    "transfer",
+                    d.ready_seconds,
+                    seconds,
+                    &[
+                        ("job", ArgValue::U64(job.id)),
+                        ("chip", ArgValue::U64(chip as u64)),
+                        ("bytes", ArgValue::U64(bytes)),
+                        ("ct_bytes", ArgValue::U64(pair.input_ct_bytes)),
+                        ("evk_bytes", ArgValue::U64(evk_delta)),
+                        ("bw_factor", ArgValue::F64(factor)),
+                    ],
+                );
+                bts_telemetry::counter_add("cluster.interconnect_bytes", bytes);
             }
         }
-        for (j, job) in jobs.iter().enumerate() {
-            let d = dispatch[j];
-            if let Some(s) = cluster_shed.remove(&j) {
-                shed.push(s);
+        (interconnect_bytes, interconnect_seconds)
+    }
+
+    /// Step 5: charges the wire for every job shipped to `chip` (step 4),
+    /// then serves them from the fleet's one preparation with the chip's
+    /// failure time layered on. The shard is final: every chip that could
+    /// still send this one a refugee has already been served.
+    fn serve_chip(&mut self, chip: usize) -> Result<ChipOutcome, ClusterError> {
+        let mut shard = std::mem::take(&mut self.shards[chip]);
+        // The chip breaks its ties in submission order.
+        shard.sort_unstable();
+        let (interconnect_bytes, interconnect_seconds) = self.charge(chip, &shard);
+        let shipped: Vec<JobRequest> = shard
+            .iter()
+            .map(|&j| {
+                let d = self.dispatch[j];
+                let mut job = self.jobs[j].clone();
+                job.arrival_seconds = d.ready_seconds + d.transfer_seconds;
+                job
+            })
+            .collect();
+        let mut chip_options = self.base.clone();
+        if let Some(t) = self.fail_at[chip] {
+            chip_options = chip_options.with_failure_at(t);
+        }
+        // Everything this chip's admission loop and scheduler emit lands
+        // in a per-chip telemetry process (`chip0`, `chip1`, …).
+        let _chip_scope =
+            bts_telemetry::enabled().then(|| bts_telemetry::scope(format!("chip{chip}")));
+        let report = (self.batch)
+            .serve(&shipped, &chip_options)
+            .map_err(|source| ClusterError::Serve {
+                chip: Some(chip),
+                source,
+            })?;
+        Ok(ChipOutcome {
+            chip,
+            report,
+            interconnect_bytes,
+            interconnect_seconds,
+        })
+    }
+
+    /// Step 6: re-places the jobs one failure time cut, in job-id order,
+    /// onto the least-loaded chip still alive when they are ready — or sheds
+    /// them once their dispatch budget is spent.
+    fn replace(&mut self, mut cut: Vec<usize>) -> Result<(), ClusterError> {
+        cut.sort_by_key(|&j| self.jobs[j].id);
+        let _scope = bts_telemetry::scope("cluster");
+        let retry = self.options.retry;
+        for j in cut {
+            let Dispatch {
+                chip, number: used, ..
+            } = self.dispatch[j];
+            let failed_at = self.fail_at[chip].expect("only a failed chip interrupts jobs");
+            let job = &self.jobs[j];
+            if used >= retry.max_attempts {
+                let shed = ShedJob::new(job, failed_at, ShedReason::RetryBudgetExhausted, used);
+                shed.emit("cluster.shed");
+                self.shed.insert(j, shed);
                 continue;
             }
-            if let Some(i) = served_at[j] {
-                let served = &chips[d.chip].report.jobs[i];
+            let ready = job
+                .arrival_seconds
+                .max(failed_at + retry.backoff_seconds(used));
+            let target = (0..self.load.len())
+                .filter(|&c| self.fail_at[c].is_none_or(|t| t > ready))
+                .min_by(|&a, &b| {
+                    self.load[a]
+                        .partial_cmp(&self.load[b])
+                        .expect("loads are finite")
+                        .then(a.cmp(&b))
+                });
+            let Some(to) = target else {
+                return Err(ClusterError::ChipUnavailable {
+                    chip,
+                    job: Some(job.id),
+                });
+            };
+            let estimate = self.pairs[j].estimate_seconds;
+            self.load[chip] -= estimate;
+            self.load[to] += estimate;
+            self.dispatch[j] = Dispatch {
+                chip: to,
+                ready_seconds: ready,
+                transfer_seconds: 0.0,
+                number: used + 1,
+            };
+            debug_assert!(
+                self.chips[to].is_none(),
+                "refugees go forward in failure order"
+            );
+            self.shards[to].push(j);
+            self.migrations += 1;
+            if bts_telemetry::enabled() {
+                use bts_telemetry::ArgValue;
+                bts_telemetry::emit_instant(
+                    "faults",
+                    "migrate",
+                    ready,
+                    &[
+                        ("job", ArgValue::U64(job.id)),
+                        ("from", ArgValue::U64(chip as u64)),
+                        ("to", ArgValue::U64(to as u64)),
+                        ("dispatch", ArgValue::U64(u64::from(used) + 1)),
+                    ],
+                );
+                bts_telemetry::counter_add("cluster.migrations", 1);
+            }
+        }
+        Ok(())
+    }
+
+    /// Merges the chip reports. Fleet-level outcomes keep the original
+    /// arrivals: the wire time a job spent getting to its chip counts
+    /// against its cluster latency. Shed jobs — whether a chip or the
+    /// cluster dropped them — are collected separately, with their original
+    /// arrivals too.
+    fn report(mut self, index_of: &HashMap<u64, usize>) -> ClusterReport {
+        let chips: Vec<ChipOutcome> = (self.chips.into_iter())
+            .map(|c| c.expect("the failure order covers every chip"))
+            .collect();
+        let mut shed: Vec<ShedJob> = Vec::new();
+        let mut outcomes = Vec::new();
+        // Where each job sits in its final chip's report: `Ok(i)` for
+        // `.jobs[i]` if it was served, `Err(i)` for `.shed[i]` if dropped.
+        let mut found: Vec<Option<Result<usize, usize>>> = vec![None; self.jobs.len()];
+        for report in chips.iter().map(|c| &c.report) {
+            for (i, o) in report.jobs.iter().enumerate() {
+                found[index_of[&o.id]] = Some(Ok(i));
+            }
+            for (i, s) in report.shed.iter().enumerate() {
+                found[index_of[&s.id]] = Some(Err(i));
+            }
+        }
+        for (j, job) in self.jobs.iter().enumerate() {
+            let (d, found) = (self.dispatch[j], found[j]);
+            let report = &chips[d.chip].report;
+            if let Some(s) = self.shed.remove(&j) {
+                shed.push(s);
+            } else if let Some(Ok(i)) = found {
+                let served = &report.jobs[i];
                 outcomes.push(ClusterJobOutcome {
                     id: job.id,
                     tenant: job.tenant,
@@ -473,158 +577,22 @@ impl ClusterServer {
                     deadline_seconds: job.deadline_seconds,
                 });
             } else {
-                let i =
-                    shed_at[j].expect("a dispatched, unshed, uncompleted job was shed by its chip");
-                let mut s = chips[d.chip].report.shed[i].clone();
+                let i = found.and_then(Result::err);
+                let i = i.expect("a dispatched, unshed, uncompleted job was shed by its chip");
+                let mut s = report.shed[i].clone();
                 s.arrival_seconds = job.arrival_seconds;
                 shed.push(s);
             }
         }
-        Ok(ClusterReport {
+        ClusterReport {
             label: self.options.spec.label.clone(),
             placement: self.options.placement,
             chips,
             jobs: outcomes,
             shed,
-            migrations,
-            failed_chips: plan.chip_failures.clone(),
-        })
-    }
-
-    /// Charges the wire for every job shipped to `chip` (filling in each
-    /// dispatch's transfer time), then serves them through the one shared
-    /// inner server with the chip's failure time layered on. `shard` is
-    /// final: every chip that could still send this one a refugee has
-    /// already been served.
-    fn serve_chip(
-        &self,
-        chip: usize,
-        mut shard: Vec<usize>,
-        jobs: &[JobRequest],
-        profiles: &[std::rc::Rc<JobProfile>],
-        dispatch: &mut [Dispatch],
-    ) -> Result<ChipOutcome, ClusterError> {
-        let link = self.options.spec.interconnect;
-        let plan = &self.options.fault;
-        let telemetry_on = bts_telemetry::enabled();
-        // The chip breaks its ties in submission order.
-        shard.sort_unstable();
-
-        // Interconnect charging in shipment order (ready time, submission
-        // order on ties — the sort is stable): ciphertext inputs move on
-        // every dispatch; a tenant's evk set moves only when the dispatch
-        // grows the tenant's resident key footprint on this chip.
-        // Link-degradation windows stretch the streaming part. One chip
-        // means everything is already resident — zero charge by
-        // construction.
-        let mut interconnect_bytes = 0u64;
-        let mut interconnect_seconds = 0.0f64;
-        if self.options.spec.chip_count > 1 {
-            let _scope = bts_telemetry::scope("cluster");
-            let mut shipments = shard.clone();
-            shipments.sort_by(|&a, &b| {
-                dispatch[a]
-                    .ready_seconds
-                    .partial_cmp(&dispatch[b].ready_seconds)
-                    .expect("ready times are finite")
-            });
-            let mut resident_evk: HashMap<u32, u64> = HashMap::new();
-            for j in shipments {
-                let d = &mut dispatch[j];
-                let resident = resident_evk.entry(jobs[j].tenant).or_insert(0);
-                let evk_delta = profiles[j].evk_set_bytes.saturating_sub(*resident);
-                *resident = (*resident).max(profiles[j].evk_set_bytes);
-                let bytes = profiles[j].input_ct_bytes + evk_delta;
-                let factor = plan.bandwidth_factor_at(d.ready_seconds);
-                // The factor-1.0 branch keeps the fault-free path bitwise
-                // identical to the plain interconnect model.
-                let seconds = if factor == 1.0 {
-                    link.transfer_seconds(bytes)
-                } else {
-                    link.latency_seconds + bytes as f64 / (link.bytes_per_sec * factor)
-                };
-                interconnect_bytes += bytes;
-                interconnect_seconds += seconds;
-                d.transfer_seconds = seconds;
-                if telemetry_on && bytes > 0 {
-                    use bts_telemetry::ArgValue;
-                    bts_telemetry::emit_complete(
-                        "interconnect",
-                        "transfer",
-                        d.ready_seconds,
-                        seconds,
-                        &[
-                            ("job", ArgValue::U64(jobs[j].id)),
-                            ("chip", ArgValue::U64(chip as u64)),
-                            ("bytes", ArgValue::U64(bytes)),
-                            ("ct_bytes", ArgValue::U64(profiles[j].input_ct_bytes)),
-                            ("evk_bytes", ArgValue::U64(evk_delta)),
-                            ("bw_factor", ArgValue::F64(factor)),
-                        ],
-                    );
-                    bts_telemetry::counter_add("cluster.interconnect_bytes", bytes);
-                }
-            }
+            migrations: self.migrations,
+            failed_chips: self.options.fault.chip_failures.clone(),
         }
-
-        let shipped: Vec<JobRequest> = shard
-            .iter()
-            .map(|&j| {
-                let mut job = jobs[j].clone();
-                job.arrival_seconds = dispatch[j].ready_seconds + dispatch[j].transfer_seconds;
-                job
-            })
-            .collect();
-        let mut chip_options = self.server.options().clone();
-        if let Some(t) = plan.failure_of(chip) {
-            chip_options = chip_options.with_failure_at(t);
-        }
-        // Everything this chip's admission loop and scheduler emit lands
-        // in a per-chip telemetry process (`chip0`, `chip1`, …).
-        let _chip_scope = telemetry_on.then(|| bts_telemetry::scope(format!("chip{chip}")));
-        let report = self
-            .server
-            .serve_with(&shipped, &chip_options)
-            .map_err(|source| ClusterError::Serve {
-                chip: Some(chip),
-                source,
-            })?;
-        Ok(ChipOutcome {
-            chip,
-            report,
-            interconnect_bytes,
-            interconnect_seconds,
-        })
-    }
-
-    /// Lowers one request and measures what placement needs: cost estimate,
-    /// ciphertext-input footprint, evaluation-key footprint.
-    fn profile(&self, job: &JobRequest) -> Result<JobProfile, ClusterError> {
-        let workload = self.server.registry().get(&job.workload).ok_or_else(|| {
-            admission(ServeError::UnknownWorkload {
-                job: job.id,
-                workload: job.workload.clone(),
-            })
-        })?;
-        let lowered = workload.lower(&job.instance).map_err(|source| {
-            admission(ServeError::Circuit {
-                job: job.id,
-                source,
-            })
-        })?;
-        let simulator = Simulator::new(self.options.spec.config.clone(), job.instance.clone());
-        let estimate_seconds = estimate_trace_seconds(&simulator, &lowered.trace);
-        let input_ct_bytes = lowered
-            .trace
-            .inputs()
-            .map(|(_, level)| job.instance.ct_bytes(level))
-            .sum();
-        let evk_set_bytes = job.instance.evk_set_bytes(lowered.trace.rotation_keys());
-        Ok(JobProfile {
-            estimate_seconds,
-            input_ct_bytes,
-            evk_set_bytes,
-        })
     }
 }
 
@@ -768,6 +736,25 @@ mod tests {
                 source: ServeError::NoCapacity
             })
         ));
+        // A retry budget or backoff no chip could honour is refused once, up
+        // front, before any chip is served.
+        let no_budget = RetryPolicy {
+            max_attempts: 0,
+            ..RetryPolicy::default()
+        };
+        let nan_backoff = RetryPolicy {
+            backoff_base_seconds: f64::NAN,
+            ..RetryPolicy::default()
+        };
+        for retry in [no_budget, nan_backoff] {
+            assert!(matches!(
+                serve_cluster(
+                    &jobs,
+                    ClusterOptions::new(ChipSpec::preset(ArchPreset::Bts, 2)).with_retry(retry)
+                ),
+                Err(ClusterError::Serve { chip: None, .. })
+            ));
+        }
         let unknown = vec![JobRequest::new(0, 0, "nope", ins.clone(), 0.0)];
         assert!(matches!(
             serve_cluster(

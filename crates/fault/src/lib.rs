@@ -64,7 +64,7 @@ pub enum FaultError {
         /// Number of chips the plan was validated against.
         chips: usize,
     },
-    /// A failure or degradation timestamp is negative or non-finite.
+    /// A failure time or retry backoff is negative or non-finite.
     InvalidTime {
         /// The rejected timestamp.
         seconds: f64,
@@ -115,6 +115,19 @@ impl std::fmt::Display for FaultError {
 }
 
 impl std::error::Error for FaultError {}
+
+/// Checks that `seconds` is a finite, non-negative simulated time.
+///
+/// # Errors
+///
+/// [`FaultError::InvalidTime`] otherwise.
+pub fn check_time(seconds: f64) -> Result<(), FaultError> {
+    if seconds.is_finite() && seconds >= 0.0 {
+        Ok(())
+    } else {
+        Err(FaultError::InvalidTime { seconds })
+    }
+}
 
 /// Everything that goes wrong during one simulated run, as plain data.
 ///
@@ -281,11 +294,7 @@ impl FaultPlan {
                     chips,
                 });
             }
-            if !failure.at_seconds.is_finite() || failure.at_seconds < 0.0 {
-                return Err(FaultError::InvalidTime {
-                    seconds: failure.at_seconds,
-                });
-            }
+            check_time(failure.at_seconds)?;
         }
         for w in &self.link_degradations {
             let times_ok = w.from_seconds.is_finite()
@@ -339,6 +348,18 @@ impl RetryPolicy {
             backoff_base_seconds: 0.0,
             backoff_cap_seconds: 0.0,
         }
+    }
+
+    /// Checks that both backoffs are finite, non-negative times: a NaN
+    /// redrive would never come due, an infinite one never start.
+    ///
+    /// # Errors
+    ///
+    /// [`FaultError::InvalidTime`] naming the first offending backoff (base,
+    /// then cap).
+    pub fn validate(&self) -> Result<(), FaultError> {
+        check_time(self.backoff_base_seconds)?;
+        check_time(self.backoff_cap_seconds)
     }
 
     /// Simulated-time delay before retry number `retry` (1-based):
@@ -469,6 +490,29 @@ mod tests {
         assert!((retry.backoff_seconds(4) - 5e-3).abs() < 1e-18);
         assert!((retry.backoff_seconds(40) - 5e-3).abs() < 1e-18);
         assert_eq!(RetryPolicy::no_retries().max_attempts, 1);
+    }
+
+    #[test]
+    fn backoffs_must_be_finite_non_negative_times() {
+        RetryPolicy::default().validate().unwrap();
+        RetryPolicy::no_retries().validate().unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-3] {
+            let base = RetryPolicy {
+                backoff_base_seconds: bad,
+                ..RetryPolicy::default()
+            };
+            let cap = RetryPolicy {
+                backoff_cap_seconds: bad,
+                ..RetryPolicy::default()
+            };
+            for policy in [base, cap] {
+                assert!(
+                    matches!(policy.validate(), Err(FaultError::InvalidTime { seconds })
+                        if seconds.to_bits() == bad.to_bits()),
+                    "backoff {bad} accepted"
+                );
+            }
+        }
     }
 
     #[test]

@@ -47,15 +47,17 @@ pub enum ServeError {
         /// The rejected deadline.
         deadline_seconds: f64,
     },
-    /// The bounded admission queue was full when the job arrived, and the
-    /// options demand hard rejection instead of silent shedding
-    /// ([`crate::ServeOptions::with_reject_on_full`]).
-    QueueFull {
-        /// Id of the rejected job.
+    /// A job's (workload, instance) pair is not in the prepared batch it
+    /// was served from ([`crate::PreparedBatch::serve`]).
+    Unprepared {
+        /// Id of the offending job.
         job: u64,
-        /// The queue capacity that was exhausted.
-        capacity: usize,
+        /// The job's workload name.
+        workload: String,
     },
+    /// The options describe another machine than the one the batch was
+    /// prepared for: its plans and charges would not hold there.
+    OtherMachine,
     /// The retry policy allows zero attempts — no job could ever run.
     NoAttempts,
     /// The fault plan is malformed (bad rate, window, or failure time).
@@ -97,9 +99,13 @@ impl std::fmt::Display for ServeError {
                 f,
                 "job {job} has invalid deadline {deadline_seconds} (must be finite)"
             ),
-            ServeError::QueueFull { job, capacity } => write!(
+            ServeError::Unprepared { job, workload } => write!(
                 f,
-                "job {job} rejected: admission queue full at capacity {capacity}"
+                "job {job} runs '{workload}' on an instance the batch did not prepare"
+            ),
+            ServeError::OtherMachine => write!(
+                f,
+                "the options' hardware configuration is not the one the batch was prepared for"
             ),
             ServeError::NoAttempts => {
                 write!(f, "retry policy allows 0 attempts; no job could ever run")
@@ -143,12 +149,15 @@ mod tests {
 
     #[test]
     fn overload_and_fault_errors_render_their_context() {
-        let full = ServeError::QueueFull {
+        let unprepared = ServeError::Unprepared {
             job: 12,
-            capacity: 3,
+            workload: "helr".into(),
         };
-        assert!(full.to_string().contains("job 12"));
-        assert!(full.to_string().contains("capacity 3"));
+        assert!(unprepared.to_string().contains("job 12"));
+        assert!(unprepared.to_string().contains("helr"));
+        assert!(ServeError::OtherMachine
+            .to_string()
+            .contains("prepared for"));
         let deadline = ServeError::InvalidDeadline {
             job: 9,
             deadline_seconds: f64::NAN,

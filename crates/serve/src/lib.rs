@@ -13,19 +13,19 @@
 //!   cost, or round-robin per tenant, deciding who gets the next free slot;
 //! * [`SyntheticArrivals`] (`arrivals`) — seeded Poisson-like job streams so
 //!   load sweeps are reproducible;
-//! * [`BtsServer`] / [`serve`] (`server`) — lowers each job via the
-//!   registry's circuit pipeline, resolves per-op charges with the cost
-//!   model, and streams every in-flight job through one shared
-//!   [`bts_sched::MultiScheduler`] so ops from *different* jobs interleave
-//!   on the NTTU/BConvU/element-wise/HBM channels;
+//! * [`BtsServer`] / [`serve`] (`server`) — prepares each distinct
+//!   (workload, instance) pair once ([`PreparedBatch`]), then streams every
+//!   in-flight job through one shared [`bts_sched::MultiScheduler`] so ops
+//!   from *different* jobs interleave on the NTTU/BConvU/element-wise/HBM
+//!   channels;
 //! * [`ServeReport`] (`report`) — per-job queue/service/latency breakdowns,
 //!   makespan, sustained amortized mult-slot throughput, per-unit
 //!   utilization, Jain fairness across tenants, and the batch's merged
 //!   [`bts_sim::SimReport`].
 //!
 //! The server also models overload and failure: bounded admission queues
-//! shed (or reject) arrivals past capacity, per-job deadlines gate SLO
-//! attainment and expire queued work, transient faults from a seeded
+//! shed arrivals past capacity, per-job deadlines gate SLO attainment and
+//! expire queued work, transient faults from a seeded
 //! [`FaultPlan`] redrive jobs under a capped-exponential [`RetryPolicy`],
 //! and a failure time cuts the run short, reporting unfinished work as
 //! [`InterruptedJob`]s for the cluster layer (`bts-cluster`) to migrate.
@@ -65,6 +65,6 @@ pub use estimate::estimate_trace_seconds;
 pub use job::{validate_batch, JobRequest, QueuedJob};
 pub use policy::QueuePolicy;
 pub use report::{InterruptedJob, JobOutcome, ServeReport, ShedJob, ShedReason};
-pub use server::{serve, BtsServer, ServeOptions};
+pub use server::{serve, BtsServer, PreparedBatch, PreparedPair, ServeOptions};
 
 pub use bts_fault::{FaultPlan, RetryPolicy};

@@ -48,7 +48,6 @@ impl QueuePolicy {
     /// when at least one job waits.
     pub fn select(&self, candidates: &[QueuedJob], last_tenant: Option<u32>) -> usize {
         assert!(!candidates.is_empty(), "no queued jobs to select from");
-        let fifo_key = |j: &QueuedJob| (j.arrival_seconds, j.submit_index);
         let best_by = |key: &dyn Fn(&QueuedJob) -> (f64, f64, usize)| -> usize {
             let mut best = 0;
             for (i, j) in candidates.iter().enumerate() {
@@ -68,17 +67,8 @@ impl QueuePolicy {
                 // tenant, cyclically and excluding it unless it is the only
                 // one waiting; smallest distance wins, then FIFO within it.
                 let after = last_tenant.map_or(0, |t| t.wrapping_add(1));
-                let mut best = 0;
-                let mut best_key = (u32::MAX, f64::INFINITY, usize::MAX);
-                for (i, j) in candidates.iter().enumerate() {
-                    let distance = j.tenant.wrapping_sub(after);
-                    let (arrival, idx) = fifo_key(j);
-                    if (distance, arrival, idx) < best_key {
-                        best_key = (distance, arrival, idx);
-                        best = i;
-                    }
-                }
-                best
+                let distance = |j: &QueuedJob| f64::from(j.tenant.wrapping_sub(after));
+                best_by(&|j| (distance(j), j.arrival_seconds, j.submit_index))
             }
         }
     }

@@ -7,6 +7,7 @@ use std::fmt::Write as _;
 use bts_sched::FuKind;
 use bts_sim::SimReport;
 
+use crate::job::JobRequest;
 use crate::policy::QueuePolicy;
 
 /// One served job's lifecycle timestamps and derived figures.
@@ -59,20 +60,50 @@ impl JobOutcome {
         self.finish_seconds - self.arrival_seconds
     }
 
-    /// How much sharing stretched the job relative to its serial charge
-    /// (`service / serial`). Below 1 is possible: a job alone on the machine
-    /// already beats its serial charge when its own ops overlap.
-    pub fn stretch(&self) -> f64 {
-        if self.serial_seconds <= 0.0 {
-            1.0
-        } else {
-            self.service_seconds() / self.serial_seconds
-        }
-    }
-
     /// Whether the job met its deadline (`None` if it had none).
     pub fn deadline_met(&self) -> Option<bool> {
         self.deadline_seconds.map(|d| self.finish_seconds <= d)
+    }
+
+    /// When telemetry is on: the job's lifecycle event on the `jobs` track
+    /// (its args carry the exact report floats, so figures derived from the
+    /// stream match the report bitwise — see `crate::derived`), its
+    /// metrics, and a `deadline-miss` instant if it finished late.
+    pub fn emit(&self) {
+        if !bts_telemetry::enabled() {
+            return;
+        }
+        use bts_telemetry::ArgValue;
+        let latency = self.latency_seconds();
+        bts_telemetry::emit_complete(
+            "jobs",
+            &self.workload,
+            self.arrival_seconds,
+            latency,
+            &[
+                ("job", ArgValue::U64(self.id)),
+                ("tenant", ArgValue::U64(u64::from(self.tenant))),
+                ("queue_s", ArgValue::F64(self.queue_seconds())),
+                ("service_s", ArgValue::F64(self.service_seconds())),
+                ("latency_s", ArgValue::F64(latency)),
+                ("finish_s", ArgValue::F64(self.finish_seconds)),
+                ("critical_path_s", ArgValue::F64(self.critical_path_seconds)),
+                ("attempts", ArgValue::U64(u64::from(self.attempts))),
+            ],
+        );
+        bts_telemetry::counter_add("serve.jobs", 1);
+        bts_telemetry::observe("serve.latency_seconds", latency);
+        bts_telemetry::observe("serve.queue_seconds", self.queue_seconds());
+        if let (Some(false), Some(deadline)) = (self.deadline_met(), self.deadline_seconds) {
+            let late = ArgValue::F64(self.finish_seconds - deadline);
+            bts_telemetry::emit_instant(
+                "faults",
+                "deadline-miss",
+                self.finish_seconds,
+                &[("job", ArgValue::U64(self.id)), ("late_s", late)],
+            );
+            bts_telemetry::counter_add("serve.deadline_missed", 1);
+        }
     }
 }
 
@@ -125,6 +156,45 @@ pub struct ShedJob {
     pub attempts: u32,
     /// The job's absolute deadline, if it had one.
     pub deadline_seconds: Option<f64>,
+}
+
+impl ShedJob {
+    /// The record of `job` dropped at `shed_seconds` for `reason` after
+    /// `attempts` executions.
+    pub fn new(job: &JobRequest, shed_seconds: f64, reason: ShedReason, attempts: u32) -> Self {
+        Self {
+            id: job.id,
+            tenant: job.tenant,
+            workload: job.workload.clone(),
+            arrival_seconds: job.arrival_seconds,
+            shed_seconds,
+            reason,
+            attempts,
+            deadline_seconds: job.deadline_seconds,
+        }
+    }
+
+    /// When telemetry is on: the `shed` instant on the `faults` track, and
+    /// one more on `counter` (`serve.shed` for a chip's own sheds,
+    /// `cluster.shed` for the cluster's).
+    pub fn emit(&self, counter: &str) {
+        if !bts_telemetry::enabled() {
+            return;
+        }
+        use bts_telemetry::ArgValue;
+        bts_telemetry::emit_instant(
+            "faults",
+            "shed",
+            self.shed_seconds,
+            &[
+                ("job", ArgValue::U64(self.id)),
+                ("tenant", ArgValue::U64(u64::from(self.tenant))),
+                ("reason", ArgValue::Str(self.reason.label().to_string())),
+                ("attempts", ArgValue::U64(u64::from(self.attempts))),
+            ],
+        );
+        bts_telemetry::counter_add(counter, 1);
+    }
 }
 
 /// A job cut short by a chip failure: neither completed nor deliberately
@@ -196,67 +266,38 @@ impl ServeReport {
     /// Total redriven executions across the run: every attempt beyond each
     /// job's first, whether the job eventually completed or was dropped.
     pub fn retry_count(&self) -> u64 {
-        let completed: u64 = self
-            .jobs
-            .iter()
-            .map(|j| u64::from(j.attempts.saturating_sub(1)))
-            .sum();
-        let shed: u64 = self
-            .shed
-            .iter()
-            .map(|s| u64::from(s.attempts.saturating_sub(1)))
-            .sum();
-        completed + shed
+        let attempts = self.jobs.iter().map(|j| j.attempts);
+        let attempts = attempts.chain(self.shed.iter().map(|s| s.attempts));
+        attempts.map(|a| u64::from(a.saturating_sub(1))).sum()
+    }
+
+    /// Dropped jobs (shed or interrupted) that carried a deadline: each one
+    /// missed it by definition.
+    fn dropped_with_deadline(&self) -> usize {
+        let shed = self.shed.iter().map(|s| s.deadline_seconds);
+        let cut = self.interrupted.iter().map(|i| i.deadline_seconds);
+        shed.chain(cut).filter(Option::is_some).count()
     }
 
     /// Jobs that had a deadline and missed it: completed too late, shed, or
-    /// interrupted (a dropped job with a deadline missed by definition).
+    /// interrupted.
     pub fn deadline_missed_count(&self) -> usize {
-        let late = self
-            .jobs
-            .iter()
-            .filter(|j| j.deadline_met() == Some(false))
-            .count();
-        let shed = self
-            .shed
-            .iter()
-            .filter(|s| s.deadline_seconds.is_some())
-            .count();
-        let cut = self
-            .interrupted
-            .iter()
-            .filter(|i| i.deadline_seconds.is_some())
-            .count();
-        late + shed + cut
+        let jobs = &self.jobs;
+        let late = jobs.iter().filter(|j| j.deadline_met() == Some(false));
+        late.count() + self.dropped_with_deadline()
     }
 
     /// Fraction of deadline-bearing jobs that met their deadline. 1.0 when
     /// no job had a deadline (a vacuous SLO is always attained).
     pub fn slo_attainment(&self) -> f64 {
-        let met = self
-            .jobs
-            .iter()
-            .filter(|j| j.deadline_met() == Some(true))
-            .count();
-        let with_deadline = self
-            .jobs
-            .iter()
-            .filter(|j| j.deadline_seconds.is_some())
-            .count()
-            + self
-                .shed
-                .iter()
-                .filter(|s| s.deadline_seconds.is_some())
-                .count()
-            + self
-                .interrupted
-                .iter()
-                .filter(|i| i.deadline_seconds.is_some())
-                .count();
+        let jobs = &self.jobs;
+        let met = jobs.iter().filter(|j| j.deadline_met() == Some(true));
+        let completed = jobs.iter().filter(|j| j.deadline_seconds.is_some());
+        let with_deadline = completed.count() + self.dropped_with_deadline();
         if with_deadline == 0 {
             1.0
         } else {
-            met as f64 / with_deadline as f64
+            met.count() as f64 / with_deadline as f64
         }
     }
 
@@ -276,10 +317,15 @@ impl ServeReport {
 
     /// Served jobs per second over the makespan.
     pub fn throughput_jobs_per_sec(&self) -> f64 {
+        self.per_second(self.jobs.len() as f64)
+    }
+
+    /// `amount` per second of makespan; 0 for a run with no makespan.
+    fn per_second(&self, amount: f64) -> f64 {
         if self.makespan_seconds <= 0.0 {
             0.0
         } else {
-            self.jobs.len() as f64 / self.makespan_seconds
+            amount / self.makespan_seconds
         }
     }
 
@@ -310,15 +356,8 @@ impl ServeReport {
     /// second across the batch — the serving-layer analogue of the paper's
     /// `T_mult,a/slot` (its inverse, aggregated over tenants).
     pub fn mult_slots_per_sec(&self) -> f64 {
-        if self.makespan_seconds <= 0.0 {
-            0.0
-        } else {
-            self.jobs
-                .iter()
-                .map(|j| j.refreshed_slot_levels)
-                .sum::<f64>()
-                / self.makespan_seconds
-        }
+        let slots = self.jobs.iter().map(|j| j.refreshed_slot_levels);
+        self.per_second(slots.sum())
     }
 
     /// Latency at percentile `p` (nearest-rank over end-to-end latencies via

@@ -3,50 +3,50 @@
 //!
 //! # Execution model
 //!
-//! Each distinct (workload, instance) pair of the stream is prepared once —
-//! workload looked up in the registry, circuit built for the instance,
-//! lowered to a trace, per-op charges resolved by that instance's
-//! [`bts_sim::Simulator`] (so each job's scratchpad residency is modelled as
-//! a private partition; cross-job cache contention is not charged), and
-//! planned for the scheduler ([`bts_sched::JobPlan`]); every job of the pair
-//! is admitted through that one shared plan. The event loop then drives the
-//! [`bts_sched::MultiScheduler`]:
+//! [`BtsServer::prepare`] prepares each distinct (workload, instance) pair of
+//! a batch once, for one machine: circuit built from the registry and
+//! lowered, per-op charges resolved by the instance's
+//! [`bts_sim::Simulator`] (each job's scratchpad is a private partition;
+//! cross-job cache contention is not charged), planned for the scheduler
+//! ([`bts_sched::JobPlan`]) and measured for placement. Every job of the pair
+//! is admitted through that one shared plan. [`PreparedBatch::serve`] then
+//! drives the [`bts_sched::MultiScheduler`] through a private run state, one
+//! method per step:
 //!
-//! 1. arrivals (and retry redrives) that are due join the waiting queue —
-//!    unless a bounded queue is full, in which case the new arrival is shed
-//!    with [`crate::ShedReason::QueueFull`] (or the whole call fails with
-//!    [`ServeError::QueueFull`] under
-//!    [`ServeOptions::with_reject_on_full`]);
-//! 2. waiting jobs whose deadline has already passed are shed — admitting
-//!    them could only burn machine time on a guaranteed SLO miss;
-//! 3. while the accelerator holds fewer than `max_in_flight` jobs and the
-//!    waiting queue is non-empty, the [`QueuePolicy`] picks the next
-//!    admission (release time = admission time);
-//! 4. the scheduler interleaves the active jobs' ops on the shared
-//!    NTTU/BConvU/element-wise/HBM channels until one job completes;
-//! 5. the completion advances the clock and frees a slot. If the job's
+//! 1. `ingest` — due arrivals and retry redrives join the waiting queue; a
+//!    new arrival finding a bounded queue full is shed
+//!    ([`crate::ShedReason::QueueFull`]);
+//! 2. `shed_expired` — waiting jobs whose deadline has passed are shed:
+//!    admitting them could only burn machine time on a certain SLO miss;
+//! 3. `admit` — while fewer than `max_in_flight` jobs are on the machine and
+//!    someone waits, the [`QueuePolicy`] picks the next admission (release
+//!    time = admission time);
+//! 4. `idle_jump` — a free slot with nobody waiting jumps the clock to the
+//!    next arrival;
+//! 5. `complete` — otherwise the scheduler interleaves the active jobs' ops
+//!    on the shared NTTU/BConvU/element-wise/HBM channels until one job
+//!    completes, which advances the clock and frees a slot. If the job's
 //!    `(id, attempt)` draws a transient fault from the [`FaultPlan`], the
 //!    attempt's work is lost: the job redrives after capped exponential
-//!    backoff ([`bts_fault::RetryPolicy`]) until its budget runs out, at
-//!    which point it is shed with
-//!    [`crate::ShedReason::RetryBudgetExhausted`].
-//!
-//! An idle machine jumps the clock to the next arrival. If the run has a
-//! failure time ([`ServeOptions::with_failure_at`] — the cluster layer sets
-//! it per chip from its [`FaultPlan`]), any work finishing after it never
-//! completes: in-flight jobs are cancelled in the scheduler and reported as
-//! [`crate::InterruptedJob`]s alongside everything still queued, for the
-//! cluster layer to migrate.
+//!    backoff ([`bts_fault::RetryPolicy`]) until its budget runs out and it
+//!    is shed ([`crate::ShedReason::RetryBudgetExhausted`]);
+//! 6. `cut` — past a failure time ([`ServeOptions::with_failure_at`]; the
+//!    cluster layer sets it per chip) nothing completes: in-flight jobs are
+//!    cancelled and reported as [`crate::InterruptedJob`]s alongside
+//!    everything still queued, for the cluster layer to migrate;
+//! 7. `report` — completed jobs become [`crate::JobOutcome`]s, and the
+//!    makespan and utilizations close the [`ServeReport`].
 //!
 //! Everything is deterministic: one `(jobs, options)` pair always produces
 //! the same [`ServeReport`], and a fault-free plan reproduces the plain
 //! fault-free run bit for bit.
 
 use std::collections::VecDeque;
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::sync::Arc;
 
 use bts_fault::{FaultPlan, RetryPolicy};
-use bts_params::L_BOOT;
+use bts_params::{CkksInstance, L_BOOT};
 use bts_sched::{JobPlan, MachineModel, MultiScheduler, UtilizationFold};
 use bts_sim::{BtsConfig, SimReport, Simulator};
 use bts_workloads::{standard_registry, WorkloadRegistry};
@@ -68,13 +68,9 @@ pub struct ServeOptions {
     /// interleave on the functional units.
     pub max_in_flight: usize,
     /// Bound on the waiting queue (jobs arrived but not admitted). `None`
-    /// means unbounded; `Some(n)` sheds (or rejects) arrivals past `n`.
-    /// Retry redrives are exempt — they already hold a budget.
+    /// means unbounded; `Some(n)` sheds arrivals past `n`. Retry redrives
+    /// are exempt — they already hold a budget.
     pub queue_capacity: Option<usize>,
-    /// On a full bounded queue: `false` (default) sheds the arrival and
-    /// keeps serving; `true` fails the whole call with
-    /// [`ServeError::QueueFull`].
-    pub reject_on_full: bool,
     /// Retry budget and backoff for transient job faults.
     pub retry: RetryPolicy,
     /// What goes wrong during the run. The serve layer uses the plan's
@@ -95,7 +91,6 @@ impl ServeOptions {
             policy: QueuePolicy::Fifo,
             max_in_flight,
             queue_capacity: None,
-            reject_on_full: false,
             retry: RetryPolicy::default(),
             fault: FaultPlan::none(),
             fail_at_seconds: None,
@@ -117,14 +112,6 @@ impl ServeOptions {
     /// Returns a copy with a bounded waiting queue of `capacity` jobs.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = Some(capacity);
-        self
-    }
-
-    /// Returns a copy that fails the whole call with
-    /// [`ServeError::QueueFull`] instead of shedding when the bounded queue
-    /// overflows.
-    pub fn with_reject_on_full(mut self) -> Self {
-        self.reject_on_full = true;
         self
     }
 
@@ -153,7 +140,9 @@ impl ServeOptions {
     ///
     /// [`ServeError::NoCapacity`] when `max_in_flight` is 0 (the admission
     /// loop could never start a job), [`ServeError::NoAttempts`] when the
-    /// retry budget is 0, plus config and fault-plan validation failures.
+    /// retry budget is 0, [`ServeError::Fault`] for a non-finite or negative
+    /// backoff ([`RetryPolicy::validate`]), plus config and fault-plan
+    /// validation failures.
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.max_in_flight == 0 {
             return Err(ServeError::NoCapacity);
@@ -161,61 +150,112 @@ impl ServeOptions {
         if self.retry.max_attempts == 0 {
             return Err(ServeError::NoAttempts);
         }
+        self.retry.validate().map_err(ServeError::Fault)?;
         self.config.validate().map_err(ServeError::Config)?;
         // Chip indices are a cluster-level concern; at the serve level any
         // chip id is in range — only rates, times, and windows are checked.
         self.fault.validate(usize::MAX).map_err(ServeError::Fault)?;
-        if let Some(t) = self.fail_at_seconds {
-            if !t.is_finite() || t < 0.0 {
-                return Err(ServeError::Fault(bts_fault::FaultError::InvalidTime {
-                    seconds: t,
-                }));
-            }
+        match self.fail_at_seconds {
+            Some(t) => bts_fault::check_time(t).map_err(ServeError::Fault),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
-impl Default for ServeOptions {
-    fn default() -> Self {
-        Self::new(4)
+/// One distinct (workload, instance) pair of a batch, prepared for one
+/// machine. Every job of the pair is admitted through its one shared plan.
+#[derive(Debug)]
+pub struct PreparedPair {
+    /// Registry name of the workload.
+    pub workload: String,
+    /// The instance its circuit was built for.
+    pub instance: CkksInstance,
+    /// The scheduling plan on the batch's machine.
+    pub plan: Arc<JobPlan>,
+    /// The oracle serial charge, for the per-job outcome figures.
+    pub report: SimReport,
+    /// Bootstraps × usable levels × slots of one job.
+    pub refreshed_slot_levels: f64,
+    /// Online closed-form cost estimate ([`crate::estimate`]): what SJF and
+    /// least-loaded placement rank by.
+    pub estimate_seconds: f64,
+    /// Input-ciphertext bytes: what every dispatch ships.
+    pub input_ct_bytes: u64,
+    /// Evaluation-key set bytes: what a chip must hold resident.
+    pub evk_set_bytes: u64,
+}
+
+impl PreparedPair {
+    /// Whether `job` runs this pair.
+    fn runs(&self, job: &JobRequest) -> bool {
+        self.workload == job.workload && self.instance == job.instance
+    }
+}
+
+/// A batch prepared for one machine by [`BtsServer::prepare`]: one
+/// [`PreparedPair`] per distinct (workload, instance). Serving it plans
+/// nothing again, so one preparation serves any number of runs on that
+/// machine — the cluster layer serves every chip's shard from one.
+#[derive(Debug)]
+pub struct PreparedBatch {
+    config: BtsConfig,
+    pairs: Vec<PreparedPair>,
+}
+
+impl PreparedBatch {
+    /// The prepared pair of each job, in order.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Unprepared`] for the first job whose (workload,
+    /// instance) the batch holds no pair for.
+    pub fn pairs(&self, jobs: &[JobRequest]) -> Result<Vec<&PreparedPair>, ServeError> {
+        let mut pairs = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            let pair = self.pairs.iter().find(|p| p.runs(job));
+            pairs.push(pair.ok_or_else(|| ServeError::Unprepared {
+                job: job.id,
+                workload: job.workload.clone(),
+            })?);
+        }
+        Ok(pairs)
+    }
+
+    /// Streams `jobs` through the accelerator the batch was prepared for
+    /// (arrival times define the stream) and reports per-job latencies plus
+    /// the aggregate throughput/utilization/fairness figures.
+    /// `options.config` must be the batch's; every other knob is free.
+    ///
+    /// # Errors
+    ///
+    /// Before any scheduling: invalid options or jobs (bad arrival or
+    /// deadline, duplicate id), [`ServeError::OtherMachine`] for another
+    /// configuration, [`ServeError::Unprepared`] for a pair not prepared.
+    pub fn serve(
+        &self,
+        jobs: &[JobRequest],
+        options: &ServeOptions,
+    ) -> Result<ServeReport, ServeError> {
+        options.validate()?;
+        validate_batch(jobs)?;
+        self.run(jobs, options)
+    }
+
+    /// [`PreparedBatch::serve`] of jobs and options already validated.
+    fn run(&self, jobs: &[JobRequest], options: &ServeOptions) -> Result<ServeReport, ServeError> {
+        if options.config != self.config {
+            return Err(ServeError::OtherMachine);
+        }
+        let machine = MachineModel::from_config(&self.config);
+        Ok(Run::new(jobs, options, self.pairs(jobs)?, machine).serve())
     }
 }
 
 /// A multi-tenant batch server over one simulated BTS accelerator.
+#[derive(Debug)]
 pub struct BtsServer {
     registry: WorkloadRegistry,
     options: ServeOptions,
-}
-
-impl std::fmt::Debug for BtsServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BtsServer")
-            .field("registry", &self.registry)
-            .field("options", &self.options)
-            .finish()
-    }
-}
-
-/// A prepared (workload, instance) pair: lowered, charged, planned — every
-/// job of the pair is admitted through the one shared plan.
-struct PreparedJob {
-    plan: Arc<JobPlan>,
-    report: SimReport,
-    refreshed_slot_levels: f64,
-    /// Online closed-form cost estimate (`crate::estimate`) — what the SJF
-    /// policy ranks by. The oracle serial charge stays in `report` for the
-    /// per-job outcome figures.
-    estimate_seconds: f64,
-}
-
-/// A job execution waiting to happen: attempt 0 is the original arrival,
-/// later attempts are retry redrives becoming ready after backoff.
-#[derive(Debug, Clone, Copy)]
-struct PendingRun {
-    j: usize,
-    attempt: u32,
-    ready_seconds: f64,
 }
 
 impl BtsServer {
@@ -234,493 +274,44 @@ impl BtsServer {
         &self.options
     }
 
-    /// The workload registry the server resolves job names against.
-    pub fn registry(&self) -> &WorkloadRegistry {
-        &self.registry
-    }
-
-    /// Streams a batch of jobs through the accelerator and reports per-job
-    /// latencies plus the aggregate throughput/utilization/fairness figures.
-    /// Jobs may be given in any order; arrival times define the stream.
+    /// Prepares each distinct (workload, instance) pair of `jobs` once, for
+    /// the machine `options().config` describes: bursts repeat a pair, and
+    /// lowering, charging and planning are deterministic.
     ///
     /// # Errors
     ///
-    /// Fails fast — before any scheduling — if the options or any job is
-    /// invalid (unknown workload, bad arrival or deadline, duplicate id,
-    /// zero capacity or retry budget) or a job's circuit cannot be built or
-    /// lowered for its instance. With
-    /// [`ServeOptions::with_reject_on_full`], also fails mid-run on queue
-    /// overflow with [`ServeError::QueueFull`].
-    pub fn serve(&self, jobs: &[JobRequest]) -> Result<ServeReport, ServeError> {
-        self.serve_with(jobs, &self.options)
-    }
-
-    /// Like [`BtsServer::serve`] but with explicit options, so one server
-    /// (and its registry) can run variations — the cluster layer uses this
-    /// to give each chip its own failure time.
-    ///
-    /// # Errors
-    ///
-    /// As [`BtsServer::serve`].
-    pub fn serve_with(
-        &self,
-        jobs: &[JobRequest],
-        options: &ServeOptions,
-    ) -> Result<ServeReport, ServeError> {
-        options.validate()?;
+    /// Fails fast on invalid options or jobs (bad arrival or deadline,
+    /// duplicate id, zero capacity or retry budget, bad backoff), an unknown
+    /// workload, or a circuit that cannot be built or lowered.
+    pub fn prepare(&self, jobs: &[JobRequest]) -> Result<PreparedBatch, ServeError> {
+        self.options.validate()?;
         validate_batch(jobs)?;
-
-        // Bursts repeat the same (workload, instance) pair; lowering, the
-        // cache-resolution sweep and scheduling plan are deterministic, so
-        // identical requests share one prepared pair instead of re-deriving
-        // it per copy. `pairs` holds (first job of the pair, its preparation).
-        let machine = MachineModel::from_config(&options.config);
-        let mut pairs: Vec<(usize, PreparedJob)> = Vec::new();
-        let mut pair_of: Vec<usize> = Vec::with_capacity(jobs.len());
-        for (j, job) in jobs.iter().enumerate() {
-            let twin = pairs.iter().position(|&(first, _)| {
-                jobs[first].workload == job.workload && jobs[first].instance == job.instance
-            });
-            pair_of.push(match twin {
-                Some(t) => t,
-                None => {
-                    pairs.push((j, self.prepare(job, options)?));
-                    pairs.len() - 1
-                }
-            });
-        }
-        let prepared = |j: usize| &pairs[pair_of[j]].1;
-
-        let fail_at = options.fail_at_seconds;
-        let retry = options.retry;
-
-        // Admission loop over the shared scheduler. Nothing here reads the
-        // placed timeline back, so it is folded into utilization sums as
-        // completions arrive instead of being retained for the whole run.
-        let mut scheduler = MultiScheduler::new(machine);
-        let mut busy = UtilizationFold::new();
-        // Finish of the latest real completion: the makespan of a run that
-        // ends dead, and a floor of any run's.
-        let mut last_completion = 0.0f64;
-        // Executions not yet due, sorted by (ready, submit index): initially
-        // one attempt-0 entry per job at its arrival; retries re-enter here.
-        let mut upcoming: Vec<PendingRun> = (0..jobs.len())
-            .map(|j| PendingRun {
-                j,
-                attempt: 0,
-                ready_seconds: jobs[j].arrival_seconds,
-            })
-            .collect();
-        upcoming.sort_by(|a, b| {
-            a.ready_seconds
-                .partial_cmp(&b.ready_seconds)
-                .expect("validated arrivals")
-                .then(a.j.cmp(&b.j))
-        });
-        let mut upcoming = VecDeque::from(upcoming);
-        // Arrived but not admitted, in arrival order.
-        let mut waiting: Vec<PendingRun> = Vec::new();
-        // What the queue policy sees of `waiting`, rebuilt per admission.
-        let mut candidates: Vec<QueuedJob> = Vec::new();
-        let mut admitted_at = vec![0.0f64; jobs.len()];
-        // Scheduler tags are assigned per admission (a retried job runs
-        // under a fresh tag); tag → (submit index, attempt).
-        let mut tag_info: Vec<(usize, u32)> = Vec::new();
-        // Per job: Some((tag, attempt)) while on the machine.
-        let mut on_machine: Vec<Option<(u32, u32)>> = vec![None; jobs.len()];
-        // Per job: Some((tag, attempts)) once completed for real.
-        let mut completed: Vec<Option<(u32, u32)>> = vec![None; jobs.len()];
-        let mut shed: Vec<ShedJob> = Vec::new();
-        let mut clock = 0.0f64;
-        let mut last_tenant: Option<u32> = None;
-        // Jobs admitted but not yet completed — the real concurrency gauge.
-        // (The scheduler's own active count drops when a job's ops are all
-        // *placed*, which can precede its finish; a slot only frees at the
-        // completion event.)
-        let mut in_flight = 0usize;
-        let mut dead = false;
-
-        let drop_job = |e: PendingRun, at: f64, reason: ShedReason, shed: &mut Vec<ShedJob>| {
-            let job = &jobs[e.j];
-            shed.push(ShedJob {
-                id: job.id,
-                tenant: job.tenant,
-                workload: job.workload.clone(),
-                arrival_seconds: job.arrival_seconds,
-                shed_seconds: at,
-                reason,
-                attempts: e.attempt,
-                deadline_seconds: job.deadline_seconds,
-            });
-            if bts_telemetry::enabled() {
-                use bts_telemetry::ArgValue;
-                bts_telemetry::emit_instant(
-                    "faults",
-                    "shed",
-                    at,
-                    &[
-                        ("job", ArgValue::U64(job.id)),
-                        ("tenant", ArgValue::U64(u64::from(job.tenant))),
-                        ("reason", ArgValue::Str(reason.label().to_string())),
-                        ("attempts", ArgValue::U64(u64::from(e.attempt))),
-                    ],
-                );
-                bts_telemetry::counter_add("serve.shed", 1);
-            }
-        };
-
-        'serve: loop {
-            // 1. Ingest due arrivals and redrives, bounding the queue.
-            while upcoming.front().is_some_and(|e| e.ready_seconds <= clock) {
-                let e = upcoming.pop_front().expect("front was just seen");
-                let full = options
-                    .queue_capacity
-                    .is_some_and(|cap| waiting.len() >= cap);
-                if full && e.attempt == 0 {
-                    let capacity = options.queue_capacity.expect("full implies a bound");
-                    if options.reject_on_full {
-                        return Err(ServeError::QueueFull {
-                            job: jobs[e.j].id,
-                            capacity,
-                        });
-                    }
-                    drop_job(e, e.ready_seconds, ShedReason::QueueFull, &mut shed);
-                    continue;
-                }
-                waiting.push(e);
-            }
-            // 2. Shed waiting jobs whose deadline has already passed.
-            let mut i = 0;
-            while i < waiting.len() {
-                let e = waiting[i];
-                if jobs[e.j].deadline_seconds.is_some_and(|d| d <= clock) {
-                    waiting.remove(i);
-                    let d = jobs[e.j].deadline_seconds.expect("checked above");
-                    drop_job(
-                        e,
-                        d.max(e.ready_seconds),
-                        ShedReason::DeadlineExpired,
-                        &mut shed,
-                    );
-                } else {
-                    i += 1;
-                }
-            }
-            // 3. Admit while there is capacity and someone is waiting. A
-            // free slot with nobody arrived yet waits for the next arrival
-            // (the clock jump below): admission then happens at arrival
-            // time, whether or not other jobs are still mid-flight — a free
-            // slot never sits idle past an arrival.
-            while in_flight < options.max_in_flight && !waiting.is_empty() {
-                candidates.clear();
-                candidates.extend(waiting.iter().map(|e| QueuedJob {
-                    submit_index: e.j,
-                    tenant: jobs[e.j].tenant,
-                    arrival_seconds: e.ready_seconds,
-                    estimate_seconds: prepared(e.j).estimate_seconds,
-                }));
-                let pick = options.policy.select(&candidates, last_tenant);
-                let e = waiting.remove(pick);
-                let release = clock.max(e.ready_seconds);
-                admitted_at[e.j] = release;
-                last_tenant = Some(jobs[e.j].tenant);
-                in_flight += 1;
-                let tag = u32::try_from(tag_info.len()).expect("tag space");
-                tag_info.push((e.j, e.attempt));
-                on_machine[e.j] = Some((tag, e.attempt));
-                if bts_telemetry::enabled() {
-                    use bts_telemetry::ArgValue;
-                    bts_telemetry::emit_instant(
-                        "admission",
-                        &jobs[e.j].workload,
-                        release,
-                        &[
-                            ("job", ArgValue::U64(jobs[e.j].id)),
-                            ("tenant", ArgValue::U64(u64::from(jobs[e.j].tenant))),
-                            (
-                                "queued_s",
-                                ArgValue::F64(release - jobs[e.j].arrival_seconds),
-                            ),
-                            ("attempt", ArgValue::U64(u64::from(e.attempt))),
-                        ],
-                    );
-                    bts_telemetry::emit_counter(
-                        "queue",
-                        "queue",
-                        release,
-                        &[
-                            ("waiting", (waiting.len() + upcoming.len()) as f64),
-                            ("in_flight", in_flight as f64),
-                        ],
-                    );
-                    bts_telemetry::gauge_set("serve.in_flight", in_flight as f64);
-                }
-                scheduler
-                    .add_planned(tag, Arc::clone(&prepared(e.j).plan), release)
-                    .expect(
-                        "plans are prepared for this run's machine, releases are admission \
-                         times on a finite non-negative clock, tags count admissions",
-                    );
-            }
-            // 4. Idle with future work: jump the clock to the next arrival —
-            // unless it lands at/after the failure time, in which case it
-            // can never be served (drain in-flight completions first).
-            if in_flight < options.max_in_flight && waiting.is_empty() && !upcoming.is_empty() {
-                let next = upcoming[0].ready_seconds;
-                if fail_at.is_none_or(|t| next < t) {
-                    clock = clock.max(next);
-                    continue 'serve;
-                }
-                if in_flight == 0 {
-                    dead = true;
-                    break 'serve;
-                }
-            }
-            // 5. Machine full or nothing admittable: advance to the next
-            // completion. (`None` implies nothing is queued either — with a
-            // free slot and reachable work, steps 3/4 would have acted.)
-            match scheduler.run_until_completion() {
-                Some(done) => {
-                    if fail_at.is_some_and(|t| done.finish_seconds > t) {
-                        // Completions come back in finish order: everything
-                        // still on the machine also finishes after the chip
-                        // dies. The job stays marked on-machine and is
-                        // reported interrupted below.
-                        dead = true;
-                        break 'serve;
-                    }
-                    clock = clock.max(done.finish_seconds);
-                    in_flight -= 1;
-                    if bts_telemetry::enabled() {
-                        bts_telemetry::emit_counter(
-                            "queue",
-                            "queue",
-                            clock,
-                            &[
-                                ("waiting", (waiting.len() + upcoming.len()) as f64),
-                                ("in_flight", in_flight as f64),
-                            ],
-                        );
-                    }
-                    let (j, attempt) = tag_info[done.tag as usize];
-                    on_machine[j] = None;
-                    if options.fault.transient_faults(jobs[j].id, attempt) {
-                        // The attempt burned its full service time, then
-                        // faulted at the end (conservative redrive).
-                        let used = attempt + 1;
-                        if bts_telemetry::enabled() {
-                            use bts_telemetry::ArgValue;
-                            bts_telemetry::emit_instant(
-                                "faults",
-                                "fault",
-                                done.finish_seconds,
-                                &[
-                                    ("job", ArgValue::U64(jobs[j].id)),
-                                    ("tenant", ArgValue::U64(u64::from(jobs[j].tenant))),
-                                    ("attempt", ArgValue::U64(u64::from(attempt))),
-                                ],
-                            );
-                            bts_telemetry::counter_add("serve.faults", 1);
-                        }
-                        if used >= retry.max_attempts {
-                            let e = PendingRun {
-                                j,
-                                attempt: used,
-                                ready_seconds: done.finish_seconds,
-                            };
-                            drop_job(
-                                e,
-                                done.finish_seconds,
-                                ShedReason::RetryBudgetExhausted,
-                                &mut shed,
-                            );
-                        } else {
-                            let ready = done.finish_seconds + retry.backoff_seconds(used);
-                            let pos = upcoming.partition_point(|p| {
-                                p.ready_seconds < ready || (p.ready_seconds == ready && p.j < j)
-                            });
-                            upcoming.insert(
-                                pos,
-                                PendingRun {
-                                    j,
-                                    attempt: used,
-                                    ready_seconds: ready,
-                                },
-                            );
-                            if bts_telemetry::enabled() {
-                                use bts_telemetry::ArgValue;
-                                bts_telemetry::emit_instant(
-                                    "faults",
-                                    "retry",
-                                    ready,
-                                    &[
-                                        ("job", ArgValue::U64(jobs[j].id)),
-                                        ("attempt", ArgValue::U64(u64::from(used))),
-                                        ("backoff_s", ArgValue::F64(retry.backoff_seconds(used))),
-                                    ],
-                                );
-                                bts_telemetry::counter_add("serve.retries", 1);
-                            }
-                        }
-                    } else {
-                        completed[j] = Some((done.tag, attempt + 1));
-                        last_completion = last_completion.max(done.finish_seconds);
-                    }
-                    busy.drain(&mut scheduler, last_completion);
-                }
-                None => break 'serve,
+        let mut pairs: Vec<PreparedPair> = Vec::new();
+        for job in jobs {
+            if !pairs.iter().any(|p| p.runs(job)) {
+                pairs.push(self.prepare_pair(job)?);
             }
         }
-
-        // A dead run: cancel whatever is still on the machine and classify
-        // everything not completed and not shed as interrupted, in
-        // submission order — the cluster layer's migration work-list.
-        let mut interrupted: Vec<InterruptedJob> = Vec::new();
-        if dead {
-            let t = fail_at.expect("death implies a failure time");
-            if bts_telemetry::enabled() {
-                use bts_telemetry::ArgValue;
-                bts_telemetry::emit_instant(
-                    "faults",
-                    "chip-failure",
-                    t,
-                    &[("in_flight", ArgValue::U64(in_flight as u64))],
-                );
-            }
-            for &(tag, _) in on_machine.iter().flatten() {
-                // False when the scheduler already handed the completion
-                // out (the one that exposed the death) — its placed ops
-                // stay on the books either way.
-                scheduler.cancel_job(tag);
-            }
-            let leftovers = waiting.iter().chain(upcoming.iter());
-            let mut cut: Vec<(usize, u32)> = leftovers.map(|e| (e.j, e.attempt)).collect();
-            cut.extend(
-                on_machine
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(j, m)| m.map(|(_, attempt)| (j, attempt + 1))),
-            );
-            cut.sort_unstable();
-            for (j, attempts) in cut {
-                let job = &jobs[j];
-                interrupted.push(InterruptedJob {
-                    id: job.id,
-                    tenant: job.tenant,
-                    workload: job.workload.clone(),
-                    arrival_seconds: job.arrival_seconds,
-                    attempts,
-                    interrupted_seconds: t,
-                    deadline_seconds: job.deadline_seconds,
-                });
-            }
-        }
-
-        // Per-job stats and the makespan cover the whole run; of the
-        // timeline, only what the fold has not taken yet is left.
-        let multi = scheduler.finish();
-
-        // A dead run's makespan is the last *real* completion, not the
-        // scheduler horizon (which includes work the failure threw away),
-        // and its reservations are clipped to it.
-        let makespan_seconds = if dead {
-            last_completion
-        } else {
-            multi.makespan_seconds
-        };
-        let utilizations = busy.finish(&multi, dead.then_some(makespan_seconds));
-
-        let mut aggregate: Option<SimReport> = None;
-        let mut outcomes = Vec::with_capacity(jobs.len());
-        for (j, job) in jobs.iter().enumerate() {
-            let Some((tag, attempts)) = completed[j] else {
-                continue;
-            };
-            let prep = prepared(j);
-            let stats = multi.job(tag).expect("completed job has stats");
-            let outcome = JobOutcome {
-                id: job.id,
-                tenant: job.tenant,
-                workload: job.workload.clone(),
-                instance: job.instance.name().to_string(),
-                arrival_seconds: job.arrival_seconds,
-                admitted_seconds: admitted_at[j],
-                finish_seconds: stats.finish_seconds,
-                serial_seconds: prep.report.total_seconds,
-                critical_path_seconds: stats.critical_path_seconds,
-                refreshed_slot_levels: prep.refreshed_slot_levels,
-                ops: prep.plan.len(),
-                attempts,
-                deadline_seconds: job.deadline_seconds,
-            };
-            if bts_telemetry::enabled() {
-                use bts_telemetry::ArgValue;
-                // The lifecycle args carry the exact report floats, so
-                // figures derived from the event stream match the report
-                // bitwise (see `crate::derived`).
-                bts_telemetry::emit_complete(
-                    "jobs",
-                    &outcome.workload,
-                    outcome.arrival_seconds,
-                    outcome.latency_seconds(),
-                    &[
-                        ("job", ArgValue::U64(outcome.id)),
-                        ("tenant", ArgValue::U64(u64::from(outcome.tenant))),
-                        ("queue_s", ArgValue::F64(outcome.queue_seconds())),
-                        ("service_s", ArgValue::F64(outcome.service_seconds())),
-                        ("latency_s", ArgValue::F64(outcome.latency_seconds())),
-                        ("finish_s", ArgValue::F64(outcome.finish_seconds)),
-                        (
-                            "critical_path_s",
-                            ArgValue::F64(outcome.critical_path_seconds),
-                        ),
-                        ("attempts", ArgValue::U64(u64::from(outcome.attempts))),
-                    ],
-                );
-                bts_telemetry::counter_add("serve.jobs", 1);
-                bts_telemetry::observe("serve.latency_seconds", outcome.latency_seconds());
-                bts_telemetry::observe("serve.queue_seconds", outcome.queue_seconds());
-                if outcome.deadline_met() == Some(false) {
-                    bts_telemetry::emit_instant(
-                        "faults",
-                        "deadline-miss",
-                        outcome.finish_seconds,
-                        &[
-                            ("job", ArgValue::U64(outcome.id)),
-                            (
-                                "late_s",
-                                ArgValue::F64(
-                                    outcome.finish_seconds
-                                        - outcome.deadline_seconds.expect("missed implies set"),
-                                ),
-                            ),
-                        ],
-                    );
-                    bts_telemetry::counter_add("serve.deadline_missed", 1);
-                }
-            }
-            outcomes.push(outcome);
-            match &mut aggregate {
-                Some(agg) => agg.merge(&prep.report),
-                None => aggregate = Some(prep.report.clone()),
-            }
-        }
-        Ok(ServeReport {
-            policy: options.policy,
-            max_in_flight: options.max_in_flight,
-            jobs: outcomes,
-            shed,
-            interrupted,
-            failed_at_seconds: dead.then(|| fail_at.expect("death implies a failure time")),
-            makespan_seconds,
-            utilizations,
-            aggregate,
+        Ok(PreparedBatch {
+            config: self.options.config.clone(),
+            pairs,
         })
     }
 
-    /// Lowers one request, resolves its per-op charges and plans it for the
-    /// run's machine (the one `options.config` describes).
-    fn prepare(&self, job: &JobRequest, options: &ServeOptions) -> Result<PreparedJob, ServeError> {
+    /// Streams a batch of jobs through the accelerator:
+    /// [`BtsServer::prepare`], then [`PreparedBatch::serve`] with the
+    /// server's options.
+    ///
+    /// # Errors
+    ///
+    /// As [`BtsServer::prepare`], before any scheduling.
+    pub fn serve(&self, jobs: &[JobRequest]) -> Result<ServeReport, ServeError> {
+        self.prepare(jobs)?.run(jobs, &self.options)
+    }
+
+    /// Lowers one request, resolves its per-op charges, plans it for the
+    /// server's machine and measures what placement needs.
+    fn prepare_pair(&self, job: &JobRequest) -> Result<PreparedPair, ServeError> {
         let workload =
             self.registry
                 .get(&job.workload)
@@ -734,7 +325,7 @@ impl BtsServer {
                 job: job.id,
                 source,
             })?;
-        let simulator = Simulator::new(options.config.clone(), job.instance.clone());
+        let simulator = Simulator::new(self.options.config.clone(), job.instance.clone());
         // Engine per-op events of this sweep land in their own process, named
         // after the (workload, instance) pair being charged.
         let _prep_scope = bts_telemetry::enabled().then(|| {
@@ -747,15 +338,442 @@ impl BtsServer {
             }
         })?;
         let usable_levels = job.instance.max_level().saturating_sub(L_BOOT);
-        let refreshed_slot_levels =
-            lowered.bootstrap_count as f64 * usable_levels as f64 * job.instance.slots() as f64;
-        let estimate_seconds = crate::estimate::estimate_trace_seconds(&simulator, &lowered.trace);
-        Ok(PreparedJob {
+        let trace = &lowered.trace;
+        Ok(PreparedPair {
+            workload: job.workload.clone(),
+            instance: job.instance.clone(),
             plan: Arc::new(plan),
             report,
-            refreshed_slot_levels,
-            estimate_seconds,
+            refreshed_slot_levels: lowered.bootstrap_count as f64
+                * usable_levels as f64
+                * job.instance.slots() as f64,
+            estimate_seconds: crate::estimate::estimate_trace_seconds(&simulator, trace),
+            input_ct_bytes: trace
+                .inputs()
+                .map(|(_, level)| job.instance.ct_bytes(level))
+                .sum(),
+            evk_set_bytes: job.instance.evk_set_bytes(trace.rotation_keys()),
         })
+    }
+}
+
+/// A job execution waiting to happen: attempt 0 is the original arrival,
+/// later attempts are retry redrives becoming ready after backoff.
+#[derive(Debug, Clone, Copy)]
+struct PendingRun {
+    j: usize,
+    attempt: u32,
+    ready_seconds: f64,
+}
+
+/// One serving run over a prepared batch: the admission loop's state, with
+/// one method per step of the module doc.
+struct Run<'a> {
+    jobs: &'a [JobRequest],
+    options: &'a ServeOptions,
+    /// Each job's prepared pair, by submit index.
+    pairs: Vec<&'a PreparedPair>,
+    scheduler: MultiScheduler,
+    /// The placed timeline, folded into utilization sums as completions
+    /// arrive: nothing here reads it back.
+    busy: UtilizationFold,
+    /// Finish of the latest real completion: the makespan of a run that
+    /// ends dead, and a floor of any run's.
+    last_completion: f64,
+    /// Executions not yet due, sorted by (ready, submit index): initially
+    /// one attempt-0 entry per job at its arrival; retries re-enter here.
+    upcoming: VecDeque<PendingRun>,
+    /// Arrived but not admitted, in arrival order.
+    waiting: Vec<PendingRun>,
+    /// What the queue policy sees of `waiting`, rebuilt per admission.
+    candidates: Vec<QueuedJob>,
+    admitted_at: Vec<f64>,
+    /// Scheduler tags are assigned per admission (a retried job runs under
+    /// a fresh tag); tag → (submit index, attempt).
+    tag_info: Vec<(usize, u32)>,
+    /// Per job: Some((tag, attempt)) while on the machine.
+    on_machine: Vec<Option<(u32, u32)>>,
+    /// Per job: Some((tag, attempts)) once completed for real.
+    completed: Vec<Option<(u32, u32)>>,
+    shed: Vec<ShedJob>,
+    clock: f64,
+    last_tenant: Option<u32>,
+    /// Jobs admitted but not yet completed — the real concurrency gauge (a
+    /// slot frees at the completion event, not when the last op is placed).
+    in_flight: usize,
+}
+
+impl<'a> Run<'a> {
+    fn new(
+        jobs: &'a [JobRequest],
+        options: &'a ServeOptions,
+        pairs: Vec<&'a PreparedPair>,
+        machine: MachineModel,
+    ) -> Self {
+        let mut upcoming: Vec<PendingRun> = (0..jobs.len())
+            .map(|j| PendingRun {
+                j,
+                attempt: 0,
+                ready_seconds: jobs[j].arrival_seconds,
+            })
+            .collect();
+        upcoming.sort_by(|a, b| {
+            a.ready_seconds
+                .partial_cmp(&b.ready_seconds)
+                .expect("validated arrivals")
+                .then(a.j.cmp(&b.j))
+        });
+        Self {
+            jobs,
+            options,
+            pairs,
+            scheduler: MultiScheduler::new(machine),
+            busy: UtilizationFold::new(),
+            last_completion: 0.0,
+            upcoming: VecDeque::from(upcoming),
+            waiting: Vec::new(),
+            candidates: Vec::new(),
+            admitted_at: vec![0.0; jobs.len()],
+            tag_info: Vec::new(),
+            on_machine: vec![None; jobs.len()],
+            completed: vec![None; jobs.len()],
+            shed: Vec::new(),
+            clock: 0.0,
+            last_tenant: None,
+            in_flight: 0,
+        }
+    }
+
+    /// The admission loop, steps 1–5 until the run drains or dies, then
+    /// steps 6–7.
+    fn serve(mut self) -> ServeReport {
+        let dead = loop {
+            self.ingest();
+            self.shed_expired();
+            self.admit();
+            if let Break(dead) = self.idle_jump().unwrap_or_else(|| self.complete()) {
+                break dead;
+            }
+        };
+        let interrupted = if dead { self.cut() } else { Vec::new() };
+        self.report(dead, interrupted)
+    }
+
+    /// Step 1: due arrivals and redrives join the waiting queue; a new
+    /// arrival finding a bounded queue full is shed.
+    fn ingest(&mut self) {
+        while (self.upcoming.front()).is_some_and(|e| e.ready_seconds <= self.clock) {
+            let e = self.upcoming.pop_front().expect("front was just seen");
+            let full = (self.options.queue_capacity).is_some_and(|cap| self.waiting.len() >= cap);
+            if full && e.attempt == 0 {
+                self.drop_job(e.j, e.attempt, e.ready_seconds, ShedReason::QueueFull);
+            } else {
+                self.waiting.push(e);
+            }
+        }
+    }
+
+    /// Step 2: waiting jobs whose deadline has already passed are shed.
+    fn shed_expired(&mut self) {
+        let mut i = 0;
+        while i < self.waiting.len() {
+            let e = self.waiting[i];
+            match self.jobs[e.j].deadline_seconds {
+                Some(d) if d <= self.clock => {
+                    self.waiting.remove(i);
+                    let at = d.max(e.ready_seconds);
+                    self.drop_job(e.j, e.attempt, at, ShedReason::DeadlineExpired);
+                }
+                _ => i += 1,
+            }
+        }
+    }
+
+    /// Step 3: admit while there is capacity and someone is waiting. A free
+    /// slot with nobody arrived yet waits for the next arrival (step 4):
+    /// admission then happens at arrival time, whether or not other jobs are
+    /// still mid-flight — a free slot never sits idle past an arrival.
+    fn admit(&mut self) {
+        while self.in_flight < self.options.max_in_flight && !self.waiting.is_empty() {
+            let (jobs, pairs) = (self.jobs, &self.pairs);
+            self.candidates.clear();
+            self.candidates
+                .extend(self.waiting.iter().map(|e| QueuedJob {
+                    submit_index: e.j,
+                    tenant: jobs[e.j].tenant,
+                    arrival_seconds: e.ready_seconds,
+                    estimate_seconds: pairs[e.j].estimate_seconds,
+                }));
+            let pick = self
+                .options
+                .policy
+                .select(&self.candidates, self.last_tenant);
+            let e = self.waiting.remove(pick);
+            let job = &jobs[e.j];
+            let release = self.clock.max(e.ready_seconds);
+            self.admitted_at[e.j] = release;
+            self.last_tenant = Some(job.tenant);
+            self.in_flight += 1;
+            let tag = u32::try_from(self.tag_info.len()).expect("tag space");
+            self.tag_info.push((e.j, e.attempt));
+            self.on_machine[e.j] = Some((tag, e.attempt));
+            if bts_telemetry::enabled() {
+                use bts_telemetry::ArgValue;
+                bts_telemetry::emit_instant(
+                    "admission",
+                    &job.workload,
+                    release,
+                    &[
+                        ("job", ArgValue::U64(job.id)),
+                        ("tenant", ArgValue::U64(u64::from(job.tenant))),
+                        ("queued_s", ArgValue::F64(release - job.arrival_seconds)),
+                        ("attempt", ArgValue::U64(u64::from(e.attempt))),
+                    ],
+                );
+                self.emit_queue(release);
+                bts_telemetry::gauge_set("serve.in_flight", self.in_flight as f64);
+            }
+            self.scheduler
+                .add_planned(tag, Arc::clone(&self.pairs[e.j].plan), release)
+                .expect(
+                    "the batch was prepared for this run's machine, releases are admission \
+                     times on a finite non-negative clock, tags count admissions",
+                );
+        }
+    }
+
+    /// Step 4: idle with future work, jump the clock to the next arrival —
+    /// unless it lands at/after the failure time, in which case it can never
+    /// be served (in-flight completions drain first). `None` when the
+    /// machine is not idle: step 5 decides. Steps 4 and 5 break the loop
+    /// with whether the run died.
+    fn idle_jump(&mut self) -> Option<ControlFlow<bool>> {
+        if self.in_flight >= self.options.max_in_flight || !self.waiting.is_empty() {
+            return None;
+        }
+        let next = self.upcoming.front()?.ready_seconds;
+        if self.options.fail_at_seconds.is_none_or(|t| next < t) {
+            self.clock = self.clock.max(next);
+            return Some(Continue(()));
+        }
+        (self.in_flight == 0).then_some(Break(true))
+    }
+
+    /// Step 5: machine full or nothing admittable — advance to the next
+    /// completion, which frees a slot and either completes the job or, on a
+    /// transient fault, redrives or sheds it. (No completion left implies
+    /// nothing is queued either: with a free slot and reachable work, steps
+    /// 3/4 would have acted.)
+    fn complete(&mut self) -> ControlFlow<bool> {
+        let Some(done) = self.scheduler.run_until_completion() else {
+            return Break(false);
+        };
+        if (self.options.fail_at_seconds).is_some_and(|t| done.finish_seconds > t) {
+            // Completions come back in finish order: everything still on
+            // the machine also finishes after the chip dies. The job stays
+            // marked on-machine and is reported interrupted by step 6.
+            return Break(true);
+        }
+        self.clock = self.clock.max(done.finish_seconds);
+        self.in_flight -= 1;
+        if bts_telemetry::enabled() {
+            self.emit_queue(self.clock);
+        }
+        let (j, attempt) = self.tag_info[done.tag as usize];
+        self.on_machine[j] = None;
+        if self
+            .options
+            .fault
+            .transient_faults(self.jobs[j].id, attempt)
+        {
+            self.redrive(j, attempt, done.finish_seconds);
+        } else {
+            self.completed[j] = Some((done.tag, attempt + 1));
+            self.last_completion = self.last_completion.max(done.finish_seconds);
+        }
+        self.busy.drain(&mut self.scheduler, self.last_completion);
+        Continue(())
+    }
+
+    /// Step 5's fault branch: the attempt burned its full service time, then
+    /// faulted at `finish` (conservative redrive). The job re-enters
+    /// `upcoming` after backoff, or is shed once its budget is spent.
+    fn redrive(&mut self, j: usize, attempt: u32, finish: f64) {
+        let job = &self.jobs[j];
+        let used = attempt + 1;
+        if bts_telemetry::enabled() {
+            use bts_telemetry::ArgValue;
+            bts_telemetry::emit_instant(
+                "faults",
+                "fault",
+                finish,
+                &[
+                    ("job", ArgValue::U64(job.id)),
+                    ("tenant", ArgValue::U64(u64::from(job.tenant))),
+                    ("attempt", ArgValue::U64(u64::from(attempt))),
+                ],
+            );
+            bts_telemetry::counter_add("serve.faults", 1);
+        }
+        let retry = self.options.retry;
+        if used >= retry.max_attempts {
+            self.drop_job(j, used, finish, ShedReason::RetryBudgetExhausted);
+            return;
+        }
+        let ready = finish + retry.backoff_seconds(used);
+        let pos = self
+            .upcoming
+            .partition_point(|p| p.ready_seconds < ready || (p.ready_seconds == ready && p.j < j));
+        let e = PendingRun {
+            j,
+            attempt: used,
+            ready_seconds: ready,
+        };
+        self.upcoming.insert(pos, e);
+        if bts_telemetry::enabled() {
+            use bts_telemetry::ArgValue;
+            bts_telemetry::emit_instant(
+                "faults",
+                "retry",
+                ready,
+                &[
+                    ("job", ArgValue::U64(job.id)),
+                    ("attempt", ArgValue::U64(u64::from(used))),
+                    ("backoff_s", ArgValue::F64(retry.backoff_seconds(used))),
+                ],
+            );
+            bts_telemetry::counter_add("serve.retries", 1);
+        }
+    }
+
+    /// Step 6, a dead run's epilogue: cancel whatever is still on the
+    /// machine and classify everything not completed and not shed as
+    /// interrupted, in submission order — the cluster layer's migration
+    /// work-list.
+    fn cut(&mut self) -> Vec<InterruptedJob> {
+        let t = self.failure_time();
+        if bts_telemetry::enabled() {
+            use bts_telemetry::ArgValue;
+            bts_telemetry::emit_instant(
+                "faults",
+                "chip-failure",
+                t,
+                &[("in_flight", ArgValue::U64(self.in_flight as u64))],
+            );
+        }
+        for &(tag, _) in self.on_machine.iter().flatten() {
+            // False when the scheduler already handed the completion out
+            // (the one that exposed the death) — its placed ops stay on the
+            // books either way.
+            self.scheduler.cancel_job(tag);
+        }
+        let leftovers = self.waiting.iter().chain(self.upcoming.iter());
+        let mut cut: Vec<(usize, u32)> = leftovers.map(|e| (e.j, e.attempt)).collect();
+        cut.extend(
+            self.on_machine
+                .iter()
+                .enumerate()
+                .filter_map(|(j, m)| m.map(|(_, attempt)| (j, attempt + 1))),
+        );
+        cut.sort_unstable();
+        let interrupted = cut.into_iter().map(|(j, attempts)| {
+            let job = &self.jobs[j];
+            InterruptedJob {
+                id: job.id,
+                tenant: job.tenant,
+                workload: job.workload.clone(),
+                arrival_seconds: job.arrival_seconds,
+                attempts,
+                interrupted_seconds: t,
+                deadline_seconds: job.deadline_seconds,
+            }
+        });
+        interrupted.collect()
+    }
+
+    /// Step 7: per-job outcomes of the completed jobs, in submission order,
+    /// and the run's makespan, utilizations and merged serial reports.
+    fn report(self, dead: bool, interrupted: Vec<InterruptedJob>) -> ServeReport {
+        let failed_at_seconds = dead.then(|| self.failure_time());
+        // Per-job stats and the makespan cover the whole run; of the
+        // timeline, only what the fold has not taken yet is left.
+        let multi = self.scheduler.finish();
+        // A dead run's makespan is the last *real* completion, not the
+        // scheduler horizon (which includes work the failure threw away),
+        // and its reservations are clipped to it.
+        let makespan_seconds = if dead {
+            self.last_completion
+        } else {
+            multi.makespan_seconds
+        };
+        let utilizations = self.busy.finish(&multi, dead.then_some(makespan_seconds));
+
+        let mut aggregate: Option<SimReport> = None;
+        let mut outcomes = Vec::with_capacity(self.jobs.len());
+        for (j, job) in self.jobs.iter().enumerate() {
+            let Some((tag, attempts)) = self.completed[j] else {
+                continue;
+            };
+            let pair = self.pairs[j];
+            let stats = multi.job(tag).expect("completed job has stats");
+            let outcome = JobOutcome {
+                id: job.id,
+                tenant: job.tenant,
+                workload: job.workload.clone(),
+                instance: job.instance.name().to_string(),
+                arrival_seconds: job.arrival_seconds,
+                admitted_seconds: self.admitted_at[j],
+                finish_seconds: stats.finish_seconds,
+                serial_seconds: pair.report.total_seconds,
+                critical_path_seconds: stats.critical_path_seconds,
+                refreshed_slot_levels: pair.refreshed_slot_levels,
+                ops: pair.plan.len(),
+                attempts,
+                deadline_seconds: job.deadline_seconds,
+            };
+            outcome.emit();
+            outcomes.push(outcome);
+            match &mut aggregate {
+                Some(agg) => agg.merge(&pair.report),
+                None => aggregate = Some(pair.report.clone()),
+            }
+        }
+        ServeReport {
+            policy: self.options.policy,
+            max_in_flight: self.options.max_in_flight,
+            jobs: outcomes,
+            shed: self.shed,
+            interrupted,
+            failed_at_seconds,
+            makespan_seconds,
+            utilizations,
+            aggregate,
+        }
+    }
+
+    /// The failure time of a run that died.
+    fn failure_time(&self) -> f64 {
+        (self.options.fail_at_seconds).expect("death implies a failure time")
+    }
+
+    /// Sheds job `j` at `at` for `reason`, after `attempts` executions.
+    fn drop_job(&mut self, j: usize, attempts: u32, at: f64, reason: ShedReason) {
+        let shed = ShedJob::new(&self.jobs[j], at, reason, attempts);
+        shed.emit("serve.shed");
+        self.shed.push(shed);
+    }
+
+    /// The queue-depth counter at `at`.
+    fn emit_queue(&self, at: f64) {
+        bts_telemetry::emit_counter(
+            "queue",
+            "queue",
+            at,
+            &[
+                ("waiting", (self.waiting.len() + self.upcoming.len()) as f64),
+                ("in_flight", self.in_flight as f64),
+            ],
+        );
     }
 }
 
@@ -1071,18 +1089,6 @@ mod tests {
         // An unbounded queue serves all five.
         let unbounded = serve(&jobs, options_2tb(1)).unwrap();
         assert_eq!(unbounded.job_count(), 5);
-        // Reject-on-full turns the same overflow into a typed error.
-        let rejected = serve(
-            &jobs,
-            options_2tb(1).with_queue_capacity(2).with_reject_on_full(),
-        );
-        assert!(matches!(
-            rejected,
-            Err(ServeError::QueueFull {
-                job: 2,
-                capacity: 2
-            })
-        ));
     }
 
     #[test]
@@ -1216,19 +1222,73 @@ mod tests {
     }
 
     #[test]
-    fn serve_with_overrides_the_constructed_options() {
+    fn a_prepared_batch_serves_other_options_on_its_machine() {
         let ins = CkksInstance::ins1();
         let jobs = SyntheticArrivals::burst(&ins, "bootstrap", 2);
         let server = BtsServer::new(options_2tb(2));
-        let plain = server.serve(&jobs).unwrap();
-        let killed = server
-            .serve_with(
+        let batch = server.prepare(&jobs).unwrap();
+        // Serving the preparation with the server's own options is `serve`.
+        let plain = batch.serve(&jobs, server.options()).unwrap();
+        let served = server.serve(&jobs).unwrap();
+        assert_eq!(format!("{plain:?}"), format!("{served:?}"));
+        // Any knob but the machine may change between runs of one batch.
+        let killed = batch
+            .serve(
                 &jobs,
-                &options_2tb(2).with_failure_at(plain.makespan_seconds * 0.1),
+                &options_2tb(1).with_failure_at(plain.makespan_seconds * 0.1),
             )
             .unwrap();
         assert!(killed.job_count() < plain.job_count() || !killed.interrupted.is_empty());
         // The original options are untouched.
         assert_eq!(server.options().fail_at_seconds, None);
+        // A job whose pair was never prepared, and a machine the batch was
+        // not planned for, are typed errors rather than scheduler panics.
+        let other = [JobRequest::new(7, 0, "amortized-mult", ins.clone(), 0.0)];
+        assert!(matches!(
+            batch.serve(&other, server.options()),
+            Err(ServeError::Unprepared { job: 7, .. })
+        ));
+        assert!(matches!(
+            batch.serve(&jobs, &ServeOptions::new(2)),
+            Err(ServeError::OtherMachine)
+        ));
+    }
+
+    /// A transiently faulting stream under `retry`'s backoff.
+    fn flaky_with_backoff(seconds: f64) -> Result<ServeReport, ServeError> {
+        let jobs = SyntheticArrivals::burst(&CkksInstance::ins1(), "bootstrap", 2);
+        let retry = RetryPolicy {
+            max_attempts: 3,
+            backoff_base_seconds: seconds,
+            backoff_cap_seconds: seconds,
+        };
+        let fault = FaultPlan::none().with_seed(1).with_transient_rate(0.5);
+        serve(
+            &jobs,
+            options_2tb(2).with_retry(retry).with_fault_plan(fault),
+        )
+    }
+
+    #[test]
+    fn nan_backoffs_are_rejected_before_serving() {
+        // A NaN redrive would sit at the front of the arrivals forever and
+        // the idle clock jump would never move past it.
+        assert!(matches!(
+            flaky_with_backoff(f64::NAN),
+            Err(ServeError::Fault(bts_fault::FaultError::InvalidTime { .. }))
+        ));
+    }
+
+    #[test]
+    fn infinite_backoffs_are_rejected_before_serving() {
+        // An infinite redrive would be admitted at t = inf, which no
+        // scheduler accepts as a release time.
+        assert!(matches!(
+            flaky_with_backoff(f64::INFINITY),
+            Err(ServeError::Fault(bts_fault::FaultError::InvalidTime { seconds }))
+                if seconds == f64::INFINITY
+        ));
+        assert!(flaky_with_backoff(-1e-3).is_err());
+        assert!(flaky_with_backoff(1e-3).is_ok());
     }
 }

@@ -127,7 +127,13 @@ fn lowering_allocates_a_constant_per_trace() {
         let compiled = refreshed_chain(&ins, rounds);
         let ops = lower(&compiled).trace.len();
         assert!(ops >= at_least, "{rounds} rounds lower to {ops} ops");
-        let cost = cost_of(|| lower(&compiled));
+        // The allocator counts the whole process, and the test that held the
+        // turn before this one may still be reporting its result: a clean
+        // run is the least of three.
+        let cost = (0..3)
+            .map(|_| cost_of(|| lower(&compiled)))
+            .min_by_key(|cost| cost.allocations)
+            .expect("three runs");
         let per_op_bytes = cost.peak_bytes / ops as u64;
         eprintln!(
             "lowering {ops} ops: {} allocations, {per_op_bytes} bytes per op at the peak",

@@ -6,7 +6,8 @@
 //! both, (d) the telemetry stream of a faulted run is itself reproducible
 //! event for event, and (e) failover is causal: a chip that dies is served
 //! once, with everything it held at the time — what it shed stays shed, what
-//! it cut is re-placed once, and its report is a plain `serve_with` run.
+//! it cut is re-placed once, and its report is plain serving of its shard
+//! (`BtsServer::serve` with the chip's failure time).
 
 use std::collections::HashSet;
 
@@ -279,9 +280,9 @@ fn jobs_shed_before_a_failure_stay_shed() {
     assert_eq!(wounded.migration_count(), 2);
 }
 
-/// A dead chip's report is plain serving of what was shipped to it: feed
-/// `serve_with` the jobs the report lists (completed, shed, interrupted), in
-/// submission order, at the chip-local arrivals it records, with the chip's
+/// A dead chip's report is plain serving of what was shipped to it: serve
+/// the jobs the report lists (completed, shed, interrupted), in submission
+/// order, at the chip-local arrivals it records, on a server with the chip's
 /// failure time — and the same report comes back, bit for bit.
 #[test]
 fn a_dead_chips_report_is_plain_serving_of_its_shard() {
