@@ -12,24 +12,26 @@
 //!
 //! 1. [`TraceDag`] (`dag`) — producer → consumer edges through ciphertext
 //!    ids, plus bootstrap-region barriers; also computes the critical path.
-//! 2. [`MachineModel`] (`resources`) — bounded channels for the NTTU,
-//!    BConvU, element-wise units and the HBM stream, with per-op occupancy
-//!    taken from the engine's [`bts_sim::OpCost`] breakdowns.
+//! 2. [`MachineModel`] (`resources`) — one exclusive channel each for the
+//!    NTTU, BConvU, element-wise units and the HBM stream, with per-op
+//!    occupancy taken from the engine's [`bts_sim::OpCost`] breakdowns.
 //! 3. [`MultiScheduler`] / [`Schedule`] (`multi`) — the one list scheduler:
 //!    a *set* of tagged jobs (each an immutable [`JobPlan`]: demands + DAG)
 //!    with per-job barriers and release times, every op placed at the
 //!    earliest start compatible with its dependencies, barriers and unit
 //!    reservations, so ops of one job overlap and ops of different jobs
-//!    interleave on the channels, with
+//!    interleave on the units, with
 //!    `critical_path ≤ makespan ≤ max(release) + serial` a structural
-//!    guarantee. Whoever drives it decides whether the timeline is kept: a
-//!    scheduler nobody drains returns all of it from
-//!    [`MultiScheduler::finish`] (per-op windows, per-unit busy intervals, a
-//!    Fig. 8-style timeline); `bts-serve` and [`ScheduleExt::run_scheduled`]
-//!    (`report`, the one-job case, filling in the [`bts_sim::SimReport`]'s
-//!    `scheduled_seconds` / `critical_path_seconds`) fold it into
-//!    utilizations as they go and keep figures ([`ScheduleSummary`]). Bad
-//!    input is refused as a [`ScheduleError`] (`error`).
+//!    guarantee. Its type decides what is kept ([`Keep`]):
+//!    [`MultiScheduler::new`] keeps the [`Timeline`] that
+//!    [`MultiScheduler::finish`] returns (per-op windows, per-unit busy
+//!    intervals, a Fig. 8-style timeline); `bts-serve` and
+//!    [`ScheduleExt::run_scheduled`] (`report`, the one-job case, filling in
+//!    the [`bts_sim::SimReport`]'s `scheduled_seconds` /
+//!    `critical_path_seconds`) use [`MultiScheduler::folding`], which sums
+//!    utilizations as it places ops and keeps figures
+//!    ([`ScheduleSummary`]). Bad input is refused as a [`ScheduleError`]
+//!    (`error`).
 //!
 //! ```
 //! use bts_params::CkksInstance;
@@ -74,8 +76,8 @@ mod resources;
 pub use dag::{CriticalPath, TraceDag};
 pub use error::ScheduleError;
 pub use multi::{
-    schedule_jobs, BusyInterval, JobCompletion, JobPlan, JobStats, MultiScheduler, Schedule,
-    ScheduleSummary, ScheduledOp, UtilizationFold,
+    schedule_jobs, BusyInterval, JobCompletion, JobPlan, JobStats, Keep, MultiScheduler, Schedule,
+    ScheduleSummary, ScheduledOp, Timeline, UtilizationFold,
 };
 pub use report::{CriticalOp, ScheduleExt, ScheduledRun};
 pub use resources::{FuKind, MachineModel, OpDemand};

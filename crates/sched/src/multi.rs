@@ -17,7 +17,7 @@
 //! Each op occupies a latency *window* of exactly its serial engine charge
 //! `d = max(compute, hbm)`. Within the window the op reserves each unit class
 //! it touches for that class's busy time; the reservation may *float*: it
-//! starts at `max(op_start, channel_horizon)` as long as it still ends inside
+//! starts at `max(op_start, unit_horizon)` as long as it still ends inside
 //! the window. An op can therefore start while a predecessor on some unit is
 //! still draining, as long as its own share of that unit fits in what remains
 //! of its window — that is how rescales and element-wise tails slide under
@@ -26,13 +26,16 @@
 //! Placement is greedy and deterministic: among the *next* unplaced op of
 //! every active job (per-job program order), the scheduler places the op with
 //! the earliest feasible start (dependencies, per-job barrier, release time,
-//! channel reservations); ties go to the job admitted first.
+//! unit reservations); ties go to the job admitted first. Successive
+//! candidates are ops of different kinds, so both choices — which unit
+//! horizons bound a candidate's start, and which candidate wins — are
+//! selects rather than jumps a branch predictor would keep losing.
 //!
 //! # Guarantees
 //!
 //! * Per-job program order of placement and all data/barrier dependencies are
 //!   respected.
-//! * No channel ever holds two overlapping reservations.
+//! * No unit class ever holds two overlapping reservations.
 //! * `makespan ≤ max(release) + Σ durations` (an op's busy times are ≤ its
 //!   duration, so each placement extends the horizon by at most its own
 //!   duration beyond its release), and
@@ -45,18 +48,20 @@
 //! enough to learn the next job completion time — the hook the `bts-serve`
 //! admission loop is built on.
 //!
-//! # Plans, cursors and the timeline
+//! # Plans, cursors and what is kept
 //!
 //! A serving run admits thousands of copies of a handful of traces. What is
 //! fixed about a job — op metadata, demands, the DAG, serial and
 //! critical-path seconds — lives in an immutable [`JobPlan`] shared by every
 //! copy ([`MultiScheduler::add_planned`]); what a running job mutates is a
-//! small cursor. The timeline (placed ops and reservations) belongs to the
-//! scheduler until someone takes it: a scheduler nobody drains returns all
-//! of it from [`MultiScheduler::finish`], while a caller that needs only
-//! running figures ([`UtilizationFold`]) drains it as the run goes, so
-//! memory follows the jobs in flight rather than the ops ever placed — as a
-//! single trace's scheduled run does ([`ScheduleSummary::of_plan`]).
+//! small cursor. What the scheduler keeps of what it places is its type
+//! parameter ([`Keep`]), fixed when it is built: [`MultiScheduler::new`]
+//! keeps the [`Timeline`] — every placed op and reservation — that
+//! [`MultiScheduler::finish`] returns as a [`Schedule`];
+//! [`MultiScheduler::folding`] keeps a [`UtilizationFold`] that adds each
+//! reservation to its unit's busy seconds as it is placed and builds no
+//! timeline, so memory follows the jobs in flight rather than the ops ever
+//! placed. Serving and a single trace's scheduled run fold.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -90,13 +95,11 @@ pub struct ScheduledOp {
     pub end_seconds: f64,
 }
 
-/// An exclusive reservation of one channel by one placed op of one job.
+/// An exclusive reservation of one unit class by one placed op of one job.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusyInterval {
     /// Index into [`Schedule::ops`] (placement order).
     pub placement: usize,
-    /// Which channel of the unit class is held.
-    pub channel: usize,
     /// Reservation start in seconds.
     pub start_seconds: f64,
     /// Reservation end in seconds.
@@ -131,13 +134,6 @@ pub struct JobStats {
     pub cancelled: bool,
 }
 
-impl JobStats {
-    /// Time the job spent on the machine (`finish − release`).
-    pub fn service_seconds(&self) -> f64 {
-        self.finish_seconds - self.release_seconds
-    }
-}
-
 /// A completed job, as reported by [`MultiScheduler::run_until_completion`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobCompletion {
@@ -148,8 +144,8 @@ pub struct JobCompletion {
 }
 
 /// A complete schedule of a set of tagged jobs over one shared machine:
-/// where every op runs, which unit channels it holds and when, and the
-/// aggregate figures (makespan, critical path, serial reference, per-unit
+/// where every op runs, when it holds each unit class, and the aggregate
+/// figures (makespan, critical path, serial reference, per-unit
 /// utilization).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
@@ -157,7 +153,7 @@ pub struct Schedule {
     /// committed them; per-job subsequences are in program order, so a
     /// one-job schedule is in program order).
     pub ops: Vec<ScheduledOp>,
-    /// Per-unit-class busy intervals, in placement order.
+    /// Per-unit-class reservations, in placement order.
     pub busy: [Vec<BusyInterval>; FuKind::COUNT],
     /// Per-job aggregates, in admission order.
     pub jobs: Vec<JobStats>,
@@ -204,7 +200,7 @@ impl Schedule {
             .iter()
             .map(|b| b.end_seconds - b.start_seconds)
             .sum();
-        reserved / (self.machine.channels(kind) as f64 * self.makespan_seconds)
+        reserved / self.makespan_seconds
     }
 
     /// Utilization of all unit classes, indexed by [`FuKind::index`].
@@ -237,16 +233,15 @@ impl Schedule {
     ///    than the job's release time (all of them for completed jobs,
     ///    exactly `placed_ops` for cancelled ones),
     /// 2. every op window is well-formed and inside `[0, makespan]`,
-    /// 3. every reservation lies inside its op's window on a valid channel,
-    /// 4. no channel holds two overlapping reservations,
+    /// 3. every reservation lies inside its op's window,
+    /// 4. a unit class's reservations follow one another in placement
+    ///    order, so none overlap,
     /// 5. `critical_path ≤ makespan ≤ max(release) + serial` (up to float
     ///    rounding),
     /// 6. every job's recorded finish is the max end over its ops.
     ///
     /// (Data-edge and barrier respect are checked against the traces by the
-    /// property suite, which still holds the [`TraceDag`]s.) The invariants
-    /// describe a whole timeline: what [`MultiScheduler::finish`] returns
-    /// after [`MultiScheduler::drain_timeline`] took part of it away fails 1.
+    /// property suite, which still holds the [`TraceDag`]s.)
     ///
     /// # Errors
     ///
@@ -339,30 +334,15 @@ impl Schedule {
                         op.end_seconds
                     ));
                 }
-                if b.channel >= self.machine.channels(kind) {
-                    return Err(format!(
-                        "{} reservation {b:?} uses non-existent channel",
-                        kind.label()
-                    ));
-                }
             }
-            for channel in 0..self.machine.channels(kind) {
-                let mut on_channel: Vec<&BusyInterval> =
-                    intervals.iter().filter(|b| b.channel == channel).collect();
-                on_channel.sort_by(|a, b| {
-                    a.start_seconds
-                        .partial_cmp(&b.start_seconds)
-                        .expect("finite")
-                });
-                for pair in on_channel.windows(2) {
-                    if pair[1].start_seconds < pair[0].end_seconds - eps {
-                        return Err(format!(
-                            "{} channel {channel} double-booked: {:?} overlaps {:?}",
-                            kind.label(),
-                            pair[0],
-                            pair[1]
-                        ));
-                    }
+            for pair in intervals.windows(2) {
+                if pair[1].start_seconds < pair[0].end_seconds - eps {
+                    return Err(format!(
+                        "{} double-booked: {:?} overlaps {:?}",
+                        kind.label(),
+                        pair[0],
+                        pair[1]
+                    ));
                 }
             }
         }
@@ -370,13 +350,14 @@ impl Schedule {
     }
 }
 
-/// The figures of a [`Schedule`] without its timeline: what a run that
-/// drains its scheduler as it places ops keeps.
+/// The figures of a [`Schedule`] without its timeline: what a folding
+/// scheduler returns ([`MultiScheduler::into_summary`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleSummary {
-    /// Completion time of the last op — the pipelined execution time.
+    /// Completion time of the last op — the pipelined execution time — or,
+    /// for a machine that died, its surviving makespan.
     pub makespan_seconds: f64,
-    /// Sum of the op durations: the serial engine charge.
+    /// Sum of the admitted jobs' op durations: the serial engine charge.
     pub serial_seconds: f64,
     /// The infinite-resource lower bound on the makespan.
     pub critical_path_seconds: f64,
@@ -386,46 +367,17 @@ pub struct ScheduleSummary {
 }
 
 impl ScheduleSummary {
-    /// Placements drained per chunk: the timeline a one-job run holds at once.
-    const CHUNK: usize = 256;
-
-    /// Schedules `plan` alone, released at 0, folding its timeline chunk by
-    /// chunk through a [`UtilizationFold`] instead of keeping it: bit for bit
-    /// the figures of the [`Schedule`] [`MultiScheduler::finish`] returns
-    /// for the same plan, in memory that does not grow with the plan.
+    /// Schedules `plan` alone, released at 0, on a folding scheduler: bit
+    /// for bit the figures of the [`Schedule`] [`MultiScheduler::finish`]
+    /// returns for the same plan, without building its timeline.
     pub(crate) fn of_plan(plan: Arc<JobPlan>) -> Self {
-        let mut scheduler = MultiScheduler::new(plan.machine);
+        let mut scheduler = MultiScheduler::folding(plan.machine);
+        // One job run to its end: nothing it places is ever clipped.
+        scheduler.settle(f64::INFINITY);
         scheduler
             .add_planned(0, plan, 0.0)
-            .expect("a fresh scheduler admits a plan for its own machine at 0");
-        // The fold and the scheduler swap buffers at every drain: both sets
-        // are sized once.
-        let mut fold = UtilizationFold::new();
-        for (ops, busy) in [
-            (&mut scheduler.ops, &mut scheduler.busy),
-            (&mut fold.ops, &mut fold.busy),
-        ] {
-            ops.reserve_exact(Self::CHUNK);
-            busy.iter_mut().for_each(|b| b.reserve_exact(Self::CHUNK));
-        }
-        let telemetry_on = bts_telemetry::enabled();
-        while let Some(best) = scheduler.best_candidate() {
-            scheduler.place(best, telemetry_on);
-            if scheduler.ops.len() == Self::CHUNK {
-                // Reservations end inside their ops' windows, so the chunk
-                // settles at the makespan so far; one that rounds past it
-                // waits in the fold's tail, still summed in order.
-                let settled = scheduler.makespan;
-                fold.drain(&mut scheduler, settled);
-            }
-        }
-        let rest = scheduler.finish();
-        Self {
-            makespan_seconds: rest.makespan_seconds,
-            serial_seconds: rest.serial_seconds,
-            critical_path_seconds: rest.critical_path_seconds,
-            utilizations: fold.finish(&rest, None),
-        }
+            .expect("a fresh scheduler admits any plan at 0");
+        scheduler.into_summary(None)
     }
 }
 
@@ -453,9 +405,10 @@ impl JobPlan {
     ///
     /// # Errors
     ///
-    /// [`ScheduleError::Trace`] if the trace has a structural defect, and
+    /// [`ScheduleError::Trace`] if the trace has a structural defect,
     /// [`ScheduleError::TimingCount`] if `timings` does not cover exactly
-    /// its ops.
+    /// its ops, and [`ScheduleError::InvalidTiming`] for the first op whose
+    /// duration or unit busy time is negative or not finite.
     pub fn new(
         machine: &MachineModel,
         trace: &OpTrace,
@@ -466,7 +419,17 @@ impl JobPlan {
             return Err(ScheduleError::TimingCount(trace.len(), timings.len()));
         }
         let mut planner = Planner::new(*machine, trace.len());
-        for (op, timing) in trace.ops().zip(timings) {
+        for (index, (op, timing)) in trace.ops().zip(timings).enumerate() {
+            let charged = [
+                timing.seconds,
+                timing.cost.ntt_seconds,
+                timing.cost.bconv_seconds,
+                timing.cost.elementwise_charged_seconds,
+                timing.hbm_seconds,
+            ];
+            if let Some(&seconds) = charged.iter().find(|t| !(t.is_finite() && **t >= 0.0)) {
+                return Err(ScheduleError::InvalidTiming { op: index, seconds });
+            }
             planner.push(trace, &op, timing);
         }
         Ok(planner.finish())
@@ -587,11 +550,6 @@ struct JobState {
     /// Finish time of each placed op; released once the job can place no
     /// further op (its last op is placed, or it is cancelled).
     finish: Vec<f64>,
-    /// Earliest start of op `next` as far as this job alone is concerned —
-    /// release, barrier and producers. It changes only when the job itself
-    /// advances, so it is cached here instead of being recomputed for every
-    /// placement of any job.
-    ready: f64,
     /// Barrier bookkeeping: the max finish over the ops of earlier segments,
     /// a running max snapshotted at each segment boundary.
     barrier: f64,
@@ -619,37 +577,186 @@ impl JobState {
     }
 }
 
+/// An active job's next op, as the greedy rule reads it. The rows of all
+/// active jobs sit side by side, so choosing a placement touches no plan.
+#[derive(Debug, Clone, Copy)]
+struct Next {
+    /// Index into `MultiScheduler::jobs`.
+    job: usize,
+    /// Earliest start of the op as far as its job alone is concerned —
+    /// release, barrier and producers. It changes only when the job itself
+    /// advances, so it is kept here instead of being recomputed for every
+    /// placement of any job.
+    ready: f64,
+    /// The op's latency window.
+    duration: f64,
+    /// Per unit class, the op's busy seconds, or −∞ for a unit it leaves
+    /// idle: the op's start bound on a unit that frees at `h` is then
+    /// `h + lead − duration` on every unit, −∞ where it bounds nothing.
+    lead: [f64; FuKind::COUNT],
+}
+
+impl Next {
+    fn new(job: usize, ready: f64, demand: &OpDemand) -> Self {
+        Self {
+            job,
+            ready,
+            duration: demand.duration,
+            lead: demand
+                .busy
+                .map(|busy| if busy > 0.0 { busy } else { f64::NEG_INFINITY }),
+        }
+    }
+}
+
 /// The next placement the greedy rule picks.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     start: f64,
     /// Position in `MultiScheduler::active`.
     pos: usize,
-    /// Per unit class, the channel that frees first and when.
-    free: [(usize, f64); FuKind::COUNT],
+}
+
+/// What a [`MultiScheduler`] keeps of the ops it places. It is the
+/// scheduler's type parameter, so the choice costs nothing per placement:
+/// [`Timeline`] keeps every op and reservation, [`UtilizationFold`] only
+/// per-unit busy seconds.
+pub trait Keep: Default {
+    /// An op was placed; `op` builds its record.
+    fn op(&mut self, op: impl FnOnce() -> ScheduledOp);
+
+    /// Unit class `k`'s share of the op placed last: the reservation
+    /// `[start, end]` if the op keeps the class busy (`busy > 0`), nothing
+    /// otherwise.
+    fn reserve(&mut self, k: usize, busy: f64, start: f64, end: f64);
+}
+
+/// The whole timeline of a run: every placed op and, per unit class, every
+/// reservation, in placement order — what [`MultiScheduler::finish`]
+/// returns in a [`Schedule`].
+#[derive(Debug, Clone, Default)]
+pub struct Timeline {
+    ops: Vec<ScheduledOp>,
+    busy: [Vec<BusyInterval>; FuKind::COUNT],
+}
+
+impl Keep for Timeline {
+    fn op(&mut self, op: impl FnOnce() -> ScheduledOp) {
+        self.ops.push(op());
+    }
+
+    fn reserve(&mut self, k: usize, busy: f64, start: f64, end: f64) {
+        if busy > 0.0 {
+            self.busy[k].push(BusyInterval {
+                placement: self.ops.len() - 1,
+                start_seconds: start,
+                end_seconds: end,
+            });
+        }
+    }
+}
+
+/// Per-unit busy seconds of a run whose timeline nobody keeps: each
+/// reservation is added to its unit's sum as it is placed — the same float
+/// additions, in the same placement order, as [`Schedule::unit_utilization`]
+/// over the kept timeline, so the result is bit-identical to it.
+///
+/// The sums may have to be *clipped*: a machine that dies throws away the
+/// work past its last real completion, and that surviving makespan is known
+/// only at the end. A reservation is therefore summed at once only if it
+/// ends by the *settled* bound — a time the caller knows the final makespan
+/// reaches ([`MultiScheduler::settle`]), so clipping cannot touch it. The
+/// first one that does not, and every later one of its unit, is held back
+/// until the bound passes it, or until [`MultiScheduler::into_summary`] sums
+/// it clipped. The bound starts at 0; a run that cannot die raises it to
+/// `+∞` before it places anything and holds nothing back.
+#[derive(Debug, Clone)]
+pub struct UtilizationFold {
+    /// `Iterator::sum` over `f64` starts from −0.0, and so do these.
+    reserved: [f64; FuKind::COUNT],
+    /// Held-back `(start, end)` reservations, placement order.
+    held: [VecDeque<(f64, f64)>; FuKind::COUNT],
+    settled: f64,
+}
+
+impl Default for UtilizationFold {
+    fn default() -> Self {
+        Self {
+            reserved: [-0.0; FuKind::COUNT],
+            held: std::array::from_fn(|_| VecDeque::new()),
+            settled: 0.0,
+        }
+    }
+}
+
+impl Keep for UtilizationFold {
+    fn op(&mut self, _: impl FnOnce() -> ScheduledOp) {}
+
+    fn reserve(&mut self, k: usize, busy: f64, start: f64, end: f64) {
+        if self.held[k].is_empty() && end <= self.settled {
+            // −0.0 is the exact additive identity: a class the op leaves
+            // idle adds nothing, not even a sign, and needs no jump.
+            self.reserved[k] += if busy > 0.0 { end - start } else { -0.0 };
+        } else if busy > 0.0 {
+            self.held[k].push_back((start, end));
+        }
+    }
+}
+
+impl UtilizationFold {
+    /// Raises the settled bound to `seconds` and sums, per unit, the held
+    /// reservations it now covers, up to the first it does not.
+    fn settle(&mut self, seconds: f64) {
+        debug_assert!(seconds >= self.settled);
+        self.settled = seconds;
+        for (reserved, held) in self.reserved.iter_mut().zip(&mut self.held) {
+            while let Some(&(start, end)) = held.front() {
+                if end > seconds {
+                    break;
+                }
+                *reserved += end - start;
+                held.pop_front();
+            }
+        }
+    }
+
+    /// Busy fractions over `makespan`, the held reservations summed clipped
+    /// to `clip`.
+    fn utilizations(&self, makespan: f64, clip: f64) -> [f64; FuKind::COUNT] {
+        debug_assert!(self.settled <= clip);
+        if makespan <= 0.0 {
+            return [0.0; FuKind::COUNT];
+        }
+        std::array::from_fn(|k| {
+            let held = self.held[k].iter();
+            let clipped = held.map(|&(start, end)| end.min(clip) - start.min(clip));
+            clipped.fold(self.reserved[k], |sum, seconds| sum + seconds) / makespan
+        })
+    }
 }
 
 /// Incremental list scheduler for a set of tagged job DAGs over one shared
 /// [`MachineModel`]: per-job program order, data edges, bootstrap barriers
 /// and release times are respected while all jobs compete for the same
-/// channels, with
+/// unit classes, with
 /// `max_j (release_j + critical_path_j) ≤ makespan ≤ max(release) + Σ serial`
 /// guaranteed structurally (see the module-level docs above).
 ///
-/// The scheduler retains the whole timeline (every placed op and
-/// reservation) for [`MultiScheduler::finish`] unless its caller takes it
-/// away piecewise with [`MultiScheduler::drain_timeline`].
+/// `K` is what it keeps of what it places: the [`Timeline`]
+/// ([`MultiScheduler::new`], [`MultiScheduler::finish`]) or a
+/// [`UtilizationFold`] ([`MultiScheduler::folding`],
+/// [`MultiScheduler::into_summary`]).
 #[derive(Debug, Clone)]
-pub struct MultiScheduler {
+pub struct MultiScheduler<K = Timeline> {
     machine: MachineModel,
-    horizons: [Vec<f64>; FuKind::COUNT],
-    busy: [Vec<BusyInterval>; FuKind::COUNT],
-    ops: Vec<ScheduledOp>,
+    /// Per unit class, when its one channel frees.
+    horizons: [f64; FuKind::COUNT],
+    keep: K,
     jobs: Vec<JobState>,
     /// Tag → index into `jobs`.
     index: HashMap<u32, usize>,
-    /// Indices into `jobs` with unplaced ops, in admission order.
-    active: Vec<usize>,
+    /// The next op of every job with unplaced ops, in admission order.
+    active: Vec<Next>,
     /// Completions of empty jobs, reported on the next
     /// [`MultiScheduler::run_until_completion`] call.
     pending: VecDeque<JobCompletion>,
@@ -657,13 +764,84 @@ pub struct MultiScheduler {
 }
 
 impl MultiScheduler {
-    /// A scheduler packing jobs onto the given machine.
+    /// A scheduler packing jobs onto the given machine that keeps the whole
+    /// timeline.
     pub fn new(machine: MachineModel) -> Self {
+        Self::keeping(machine)
+    }
+
+    /// Places every remaining op and builds the final [`Schedule`]: the
+    /// whole timeline, per-job stats and the figures.
+    pub fn finish(mut self) -> Schedule {
+        self.run_to_end();
+        let jobs: Vec<JobStats> = self
+            .jobs
+            .iter()
+            .map(|j| JobStats {
+                tag: j.tag,
+                release_seconds: j.release,
+                first_start_seconds: j.first_start.unwrap_or(j.release),
+                finish_seconds: j.max_end,
+                serial_seconds: j.plan.serial,
+                critical_path_seconds: j.plan.critical_path.seconds,
+                ops: j.plan.len(),
+                placed_ops: j.next,
+                cancelled: j.cancelled,
+            })
+            .collect();
+        Schedule {
+            serial_seconds: self.serial_seconds(),
+            critical_path_seconds: self.critical_path_seconds(),
+            ops: self.keep.ops,
+            busy: self.keep.busy,
+            index: self.index,
+            makespan_seconds: self.makespan,
+            jobs,
+            machine: self.machine,
+        }
+    }
+}
+
+impl MultiScheduler<UtilizationFold> {
+    /// A scheduler packing jobs onto the given machine that keeps no
+    /// timeline, only per-unit busy seconds. It holds every reservation
+    /// back until [`MultiScheduler::settle`] raises its settled bound.
+    pub fn folding(machine: MachineModel) -> Self {
+        Self::keeping(machine)
+    }
+
+    /// Raises the settled bound to `seconds`: a time the run's final
+    /// makespan is known to reach — `+∞` for a machine that cannot die, its
+    /// latest real completion for one that may. Reservations ending by it
+    /// are summed as they are placed; later ones wait. Never lower it.
+    pub fn settle(&mut self, seconds: f64) {
+        self.keep.settle(seconds);
+    }
+
+    /// Places every remaining op and returns the run's figures. For a
+    /// machine that lived (`None`) they are those of the kept timeline;
+    /// for one that died, the makespan is `surviving_makespan_seconds` —
+    /// which must not be below the settled bound — and every reservation is
+    /// clipped to it.
+    pub fn into_summary(mut self, surviving_makespan_seconds: Option<f64>) -> ScheduleSummary {
+        self.run_to_end();
+        let makespan = surviving_makespan_seconds.unwrap_or(self.makespan);
+        let clip = surviving_makespan_seconds.unwrap_or(f64::INFINITY);
+        ScheduleSummary {
+            makespan_seconds: makespan,
+            serial_seconds: self.serial_seconds(),
+            critical_path_seconds: self.critical_path_seconds(),
+            utilizations: self.keep.utilizations(makespan, clip),
+        }
+    }
+}
+
+impl<K: Keep> MultiScheduler<K> {
+    fn keeping(machine: MachineModel) -> Self {
         Self {
             machine,
-            horizons: std::array::from_fn(|k| vec![0.0; machine.channels(FuKind::ALL[k])]),
-            busy: std::array::from_fn(|_| Vec::new()),
-            ops: Vec::new(),
+            horizons: [0.0; FuKind::COUNT],
+            keep: K::default(),
             jobs: Vec::new(),
             index: HashMap::new(),
             active: Vec::new(),
@@ -697,19 +875,15 @@ impl MultiScheduler {
     ///
     /// # Errors
     ///
-    /// [`ScheduleError::MachineMismatch`] if the plan was built for another
-    /// machine, [`ScheduleError::InvalidRelease`] if `release_seconds` is
-    /// negative or non-finite, [`ScheduleError::DuplicateTag`] if `tag` was
-    /// already admitted; a refused job leaves the scheduler as it was.
+    /// [`ScheduleError::InvalidRelease`] if `release_seconds` is negative or
+    /// non-finite, [`ScheduleError::DuplicateTag`] if `tag` was already
+    /// admitted; a refused job leaves the scheduler as it was.
     pub fn add_planned(
         &mut self,
         tag: u32,
         plan: Arc<JobPlan>,
         release_seconds: f64,
     ) -> Result<(), ScheduleError> {
-        if plan.machine != self.machine {
-            return Err(ScheduleError::MachineMismatch);
-        }
         if !(release_seconds.is_finite() && release_seconds >= 0.0) {
             return Err(ScheduleError::InvalidRelease(release_seconds));
         }
@@ -719,13 +893,12 @@ impl MultiScheduler {
             Entry::Vacant(slot) => slot.insert(j),
         };
         let ops = plan.len();
-        let mut job = JobState {
+        let job = JobState {
             tag,
             release: release_seconds,
             plan,
             next: 0,
             finish: vec![0.0; ops],
-            ready: release_seconds,
             barrier: 0.0,
             running_max_finish: 0.0,
             max_end: release_seconds,
@@ -739,8 +912,8 @@ impl MultiScheduler {
             });
             self.makespan = self.makespan.max(release_seconds);
         } else {
-            job.ready = job.ready_time();
-            self.active.push(j);
+            self.active
+                .push(Next::new(j, job.ready_time(), &job.plan.demands[0]));
         }
         self.jobs.push(job);
         Ok(())
@@ -753,8 +926,8 @@ impl MultiScheduler {
 
     /// Cancels a job mid-flight: its remaining ops will never be placed and
     /// its completion will never be reported. Ops already placed keep their
-    /// channel reservations — the machine did that work before the
-    /// cancellation (a dying chip does not refund the cycles it burned).
+    /// reservations — the machine did that work before the cancellation (a
+    /// dying chip does not refund the cycles it burned).
     ///
     /// Returns `true` if the job was still in flight (unplaced ops remaining,
     /// or fully placed with its completion not yet reported); `false` if the
@@ -767,7 +940,7 @@ impl MultiScheduler {
         if self.jobs[j].cancelled {
             return false;
         }
-        if let Some(pos) = self.active.iter().position(|&a| a == j) {
+        if let Some(pos) = self.active.iter().position(|a| a.job == j) {
             self.active.remove(pos);
             self.jobs[j].cancelled = true;
             self.jobs[j].finish = Vec::new();
@@ -827,107 +1000,63 @@ impl MultiScheduler {
         self.pending.clear();
     }
 
-    /// Takes the part of the timeline committed since the last call — ops
-    /// and per-unit reservations in placement order, `placement` indexing
-    /// the `ops` handed out with them — leaving it in `ops` and `busy`,
-    /// whose previous contents are dropped and whose buffers the scheduler
-    /// reuses for what it places next. A caller that needs only running
-    /// figures (see [`UtilizationFold`]) drains as it goes and the timeline
-    /// never accumulates; [`MultiScheduler::finish`] then returns only the
-    /// part nobody took.
-    pub fn drain_timeline(
-        &mut self,
-        ops: &mut Vec<ScheduledOp>,
-        busy: &mut [Vec<BusyInterval>; FuKind::COUNT],
-    ) {
-        ops.clear();
-        std::mem::swap(ops, &mut self.ops);
-        for (mine, theirs) in self.busy.iter_mut().zip(busy) {
-            theirs.clear();
-            std::mem::swap(mine, theirs);
-        }
+    /// Sum of every admitted job's serial charge (not `sum()`: a float sum
+    /// of nothing is −0.0).
+    fn serial_seconds(&self) -> f64 {
+        self.jobs.iter().fold(0.0, |sum, j| sum + j.plan.serial)
     }
 
-    /// Drains remaining ops and builds the final [`Schedule`]: the
-    /// whole timeline, or — after [`MultiScheduler::drain_timeline`] — the
-    /// part of it not yet taken (per-job stats and the makespan always cover
-    /// the whole run).
-    pub fn finish(mut self) -> Schedule {
-        self.run_to_end();
-        let jobs: Vec<JobStats> = self
-            .jobs
-            .iter()
-            .map(|j| JobStats {
-                tag: j.tag,
-                release_seconds: j.release,
-                first_start_seconds: j.first_start.unwrap_or(j.release),
-                finish_seconds: j.max_end,
-                serial_seconds: j.plan.serial,
-                critical_path_seconds: j.plan.critical_path.seconds,
-                ops: j.plan.len(),
-                placed_ops: j.next,
-                cancelled: j.cancelled,
-            })
-            .collect();
-        Schedule {
-            ops: self.ops,
-            busy: self.busy,
-            index: self.index,
-            makespan_seconds: self.makespan,
-            // Not `sum()`: a float sum of nothing is −0.0.
-            serial_seconds: jobs.iter().fold(0.0, |sum, j| sum + j.serial_seconds),
-            // A cancelled job never ran its full DAG, so its critical path
-            // does not lower-bound the makespan.
-            critical_path_seconds: jobs
-                .iter()
-                .filter(|j| !j.cancelled)
-                .map(|j| j.release_seconds + j.critical_path_seconds)
-                .fold(0.0, f64::max),
-            jobs,
-            machine: self.machine,
-        }
+    /// `max_j (release_j + critical_path_j)` over the jobs not cancelled: a
+    /// cancelled job never ran its full DAG, so its critical path does not
+    /// lower-bound the makespan.
+    fn critical_path_seconds(&self) -> f64 {
+        let completed = self.jobs.iter().filter(|j| !j.cancelled);
+        completed
+            .map(|j| j.release + j.plan.critical_path.seconds)
+            .fold(0.0, f64::max)
     }
 
     /// The active op with the earliest feasible start (dependencies, per-job
-    /// barrier, release time, channel reservations); ties go to the job
+    /// barrier, release time, unit reservations); ties go to the job
     /// admitted first. `None` when no job has an unplaced op.
     fn best_candidate(&self) -> Option<Candidate> {
         if self.active.is_empty() {
             return None;
         }
-        let free: [(usize, f64); FuKind::COUNT] =
-            std::array::from_fn(|k| min_horizon(&self.horizons[k]));
-        let mut best: Option<(f64, usize)> = None; // (start, position in self.active)
-        for (pos, &j) in self.active.iter().enumerate() {
-            let job = &self.jobs[j];
-            let demand = &job.plan.demands[job.next];
-            let mut start = job.ready;
-            for (k, &(_, h)) in free.iter().enumerate() {
-                if demand.busy[k] <= 0.0 {
-                    continue;
-                }
-                start = start.max(h + demand.busy[k] - demand.duration);
+        let mut best = Candidate {
+            start: f64::INFINITY,
+            pos: 0,
+        };
+        for (pos, next) in self.active.iter().enumerate() {
+            let mut start = next.ready;
+            for (&h, &lead) in self.horizons.iter().zip(&next.lead) {
+                // A reservation of `busy` seconds on a unit that frees at
+                // `h` must end inside the window: start ≥ h + busy − d.
+                start = later(start, h + lead - next.duration);
             }
-            if best.is_none_or(|(s, _)| start < s) {
-                best = Some((start, pos));
-            }
+            // Strictly earlier only, so a tie stays with the job admitted
+            // first.
+            let earlier = start < best.start;
+            best.start = if earlier { start } else { best.start };
+            best.pos = if earlier { pos } else { best.pos };
         }
-        best.map(|(start, pos)| Candidate { start, pos, free })
+        Some(best)
     }
 
-    /// Commits a candidate: the op's window, its channel reservations, and
-    /// the job's cursor — and, if `telemetry_on` (the caller's one read of
+    /// Commits a candidate: the op's window, its unit reservations, and the
+    /// job's cursor — and, if `telemetry_on` (the caller's one read of
     /// [`bts_telemetry::enabled`] for all it places), their events.
-    fn place(&mut self, Candidate { start, pos, free }: Candidate, telemetry_on: bool) {
-        let j = self.active[pos];
-        let job = &mut self.jobs[j];
+    fn place(&mut self, Candidate { start, pos }: Candidate, telemetry_on: bool) {
+        let next = &mut self.active[pos];
+        let lead = next.lead;
+        let job = &mut self.jobs[next.job];
         let plan = &*job.plan;
         let i = job.next;
-        let demand = plan.demands[i];
+        let busy = plan.demands[i].busy;
+        let end = start + next.duration;
         if i > 0 && plan.dag.segment(i) != plan.dag.segment(i - 1) {
             job.barrier = job.running_max_finish;
         }
-        let end = start + demand.duration;
         let (op, level, in_bootstrap) = plan.ops[i];
         let level = level as usize;
         job.finish[i] = end;
@@ -941,14 +1070,13 @@ impl MultiScheduler {
         if completed {
             job.finish = Vec::new();
         } else {
-            job.ready = job.ready_time();
+            *next = Next::new(next.job, job.ready_time(), &plan.demands[i + 1]);
         }
         let completion = JobCompletion {
             tag: job.tag,
             finish_seconds: job.max_end,
         };
-        let placement = self.ops.len();
-        self.ops.push(ScheduledOp {
+        self.keep.op(|| ScheduledOp {
             job: completion.tag,
             index: i,
             op,
@@ -957,28 +1085,21 @@ impl MultiScheduler {
             start_seconds: start,
             end_seconds: end,
         });
-        for kind in FuKind::ALL {
-            let k = kind.index();
-            if demand.busy[k] <= 0.0 {
-                continue;
-            }
-            let (channel, h) = free[k];
-            let res_start = start.max(h);
-            let res_end = res_start + demand.busy[k];
-            self.horizons[k][channel] = res_end;
-            self.busy[k].push(BusyInterval {
-                placement,
-                channel,
-                start_seconds: res_start,
-                end_seconds: res_end,
-            });
-            if telemetry_on {
+        for (k, kind) in FuKind::ALL.into_iter().enumerate() {
+            let h = self.horizons[k];
+            let res_start = later(start, h);
+            let res_end = res_start + busy[k];
+            // The reservation ends at or after `h`; a unit the op leaves
+            // idle (lead −∞) keeps its horizon.
+            self.horizons[k] = later(h, res_start + lead[k]);
+            self.keep.reserve(k, busy[k], res_start, res_end);
+            if telemetry_on && busy[k] > 0.0 {
                 use bts_telemetry::ArgValue;
                 // The start/end args carry the exact reservation floats so
                 // utilization derived from the event stream sums the same
                 // values in the same order as `unit_utilization`.
                 bts_telemetry::emit_complete(
-                    &format!("{}.{}", kind.label(), channel),
+                    &format!("{}.0", kind.label()),
                     &format!("J{}#{} {:?}@L{}", completion.tag, i, op, level),
                     res_start,
                     res_end - res_start,
@@ -986,7 +1107,7 @@ impl MultiScheduler {
                         ("job", ArgValue::U64(u64::from(completion.tag))),
                         ("op_index", ArgValue::U64(i as u64)),
                         ("level", ArgValue::U64(level as u64)),
-                        ("channel", ArgValue::U64(channel as u64)),
+                        ("channel", ArgValue::U64(0)),
                         ("start_s", ArgValue::F64(res_start)),
                         ("end_s", ArgValue::F64(res_end)),
                     ],
@@ -1014,128 +1135,14 @@ impl MultiScheduler {
     }
 }
 
-/// Index and value of the smallest horizon (first wins ties, so the choice
-/// is deterministic).
-fn min_horizon(horizons: &[f64]) -> (usize, f64) {
-    let mut best = 0usize;
-    for (i, &h) in horizons.iter().enumerate() {
-        if h < horizons[best] {
-            best = i;
-        }
-    }
-    (best, horizons[best])
-}
-
-/// Per-unit utilizations of a run whose timeline nobody retains: drains a
-/// [`MultiScheduler`] as the run goes and keeps only running busy-second
-/// sums — the same float additions, in the same placement order, as
-/// [`Schedule::unit_utilization`] over the full timeline, so the result
-/// is bit-identical to the retained one.
-///
-/// The sums may have to be *clipped*: a machine that dies throws away the
-/// work past its last real completion, and that surviving makespan is known
-/// only at the end. A reservation is therefore summed only once it is known
-/// to lie inside any possible final makespan (it ends at or before the
-/// latest real completion so far — clipping could not touch it); the first
-/// reservation that does not, and everything placed after it, waits in a
-/// short tail that [`UtilizationFold::finish`] sums clipped.
-#[derive(Debug, Clone)]
-pub struct UtilizationFold {
-    /// `Iterator::sum` over `f64` starts from −0.0, and so do these.
-    reserved: [f64; FuKind::COUNT],
-    /// Drained `(start, end)` reservations not yet summed, placement order.
-    tail: [VecDeque<(f64, f64)>; FuKind::COUNT],
-    settled: f64,
-    ops: Vec<ScheduledOp>,
-    busy: [Vec<BusyInterval>; FuKind::COUNT],
-}
-
-impl Default for UtilizationFold {
-    fn default() -> Self {
-        Self {
-            reserved: [-0.0; FuKind::COUNT],
-            tail: std::array::from_fn(|_| VecDeque::new()),
-            settled: 0.0,
-            ops: Vec::new(),
-            busy: std::array::from_fn(|_| Vec::new()),
-        }
-    }
-}
-
-impl UtilizationFold {
-    /// An empty fold.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes everything `scheduler` placed since the last call
-    /// ([`MultiScheduler::drain_timeline`]) and sums, per unit class, the
-    /// reservations up to the first one ending after `settled_seconds` — a
-    /// time the run's final makespan is known to reach (the latest real
-    /// completion), never decreasing from call to call.
-    pub fn drain(&mut self, scheduler: &mut MultiScheduler, settled_seconds: f64) {
-        debug_assert!(settled_seconds >= self.settled);
-        self.settled = settled_seconds;
-        scheduler.drain_timeline(&mut self.ops, &mut self.busy);
-        for ((reserved, tail), chunk) in
-            self.reserved.iter_mut().zip(&mut self.tail).zip(&self.busy)
-        {
-            while let Some(&(start, end)) = tail.front() {
-                if end > settled_seconds {
-                    break;
-                }
-                *reserved += end - start;
-                tail.pop_front();
-            }
-            let mut summed = 0;
-            if tail.is_empty() {
-                for b in chunk {
-                    if b.end_seconds > settled_seconds {
-                        break;
-                    }
-                    *reserved += b.end_seconds - b.start_seconds;
-                    summed += 1;
-                }
-            }
-            tail.extend(
-                chunk[summed..]
-                    .iter()
-                    .map(|b| (b.start_seconds, b.end_seconds)),
-            );
-        }
-    }
-
-    /// Sums what is left — the held-back tail, then `rest`, the schedule
-    /// [`MultiScheduler::finish`] returned — and turns the sums into
-    /// utilizations, indexed by [`FuKind::index`]. For a machine that lived
-    /// (`None`) this is [`Schedule::utilizations`] of the never-drained
-    /// schedule; for one that died, every reservation is clipped to its
-    /// surviving makespan, which the utilizations are then taken over.
-    pub fn finish(
-        self,
-        rest: &Schedule,
-        surviving_makespan_seconds: Option<f64>,
-    ) -> [f64; FuKind::COUNT] {
-        let makespan = surviving_makespan_seconds.unwrap_or(rest.makespan_seconds);
-        let clip = surviving_makespan_seconds.unwrap_or(f64::INFINITY);
-        debug_assert!(self.settled <= makespan);
-        let mut out = [0.0; FuKind::COUNT];
-        if makespan <= 0.0 {
-            return out;
-        }
-        for kind in FuKind::ALL {
-            let k = kind.index();
-            let left = self.tail[k].iter().copied().chain(
-                rest.busy[k]
-                    .iter()
-                    .map(|b| (b.start_seconds, b.end_seconds)),
-            );
-            let reserved = left.fold(self.reserved[k], |sum, (start, end)| {
-                sum + (end.min(clip) - start.min(clip))
-            });
-            out[k] = reserved / (rest.machine.channels(kind) as f64 * makespan);
-        }
-        out
+/// `a.max(b)` for the scheduler's times, which are never NaN, as one
+/// machine `max`: `f64::max` adds a NaN test to every link of the chain of
+/// maxima a start is built from. Equal times return `a`.
+fn later(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
     }
 }
 
@@ -1282,7 +1289,7 @@ mod tests {
     fn empty_jobs_complete_at_their_release() {
         let ins = CkksInstance::ins1();
         let empty = TraceBuilder::new(&ins).build();
-        let mut scheduler = MultiScheduler::new(MachineModel::default());
+        let mut scheduler = MultiScheduler::new(MachineModel);
         scheduler.add_job(7, &empty, &[], 0.25).unwrap();
         assert_eq!(scheduler.active_jobs(), 0);
         let done = scheduler.run_until_completion().unwrap();
@@ -1323,14 +1330,17 @@ mod tests {
 
     #[test]
     fn completions_come_back_in_finish_order_not_placement_order() {
-        // Job 0: one long HMult, fully placed first (admission-order tie
-        // win). Job 1: one tiny low-level CMult on a second HBM channel,
-        // placed later but finishing two orders of magnitude earlier. The
-        // scheduler must report job 1's completion first.
+        // Job 0: an HMult, then a rescale of its product — NTT work on an
+        // operand already on chip, so the HBM unit is free again while it
+        // runs. Job 1: one tiny low-level CMult that waits for the HMult's
+        // stream, is placed after the rescale (admission-order tie win), and
+        // streams its operand while the rescale computes. The scheduler must
+        // report job 1's completion first.
         let ins = CkksInstance::ins1();
         let mut b0 = TraceBuilder::new(&ins);
         let x = b0.fresh_ct(27);
-        b0.hmult_at(x, x, 27);
+        let m = b0.hmult_at(x, x, 27);
+        b0.hrescale_at(m, 27);
         let t0 = b0.build();
         let mut b1 = TraceBuilder::new(&ins);
         let y = b1.fresh_ct(0);
@@ -1340,8 +1350,7 @@ mod tests {
         let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
         let tm0 = sim.op_timings(&t0).unwrap();
         let tm1 = sim.op_timings(&t1).unwrap();
-        let machine = MachineModel::from_config(sim.config()).with_channels(FuKind::Hbm, 2);
-        let mut scheduler = MultiScheduler::new(machine);
+        let mut scheduler = MultiScheduler::new(MachineModel::from_config(sim.config()));
         scheduler.add_job(0, &t0, &tm0, 0.0).unwrap();
         scheduler.add_job(1, &t1, &tm1, 0.0).unwrap();
         let first = scheduler.run_until_completion().unwrap();
@@ -1350,7 +1359,34 @@ mod tests {
         assert_eq!(second.tag, 0);
         assert!(first.finish_seconds < second.finish_seconds);
         assert_eq!(scheduler.run_until_completion(), None);
-        scheduler.finish().check_invariants().unwrap();
+        let schedule = scheduler.finish();
+        schedule.check_invariants().unwrap();
+        let last_placed = |tag| schedule.ops.iter().rposition(|o| o.job == tag).unwrap();
+        assert!(
+            last_placed(0) < last_placed(1),
+            "job 0 completes last but was placed first"
+        );
+    }
+
+    #[test]
+    fn ties_go_to_the_job_admitted_first() {
+        // Two copies of one plan released together tie at every step; the
+        // job admitted first (tag 5, not the smaller tag 3) places first.
+        let ins = CkksInstance::ins1();
+        let trace = keyswitch_heavy(&ins, 2);
+        let (machine, timings) = machine_and_timings(&ins, BtsConfig::bts_default(), &trace);
+        let plan = Arc::new(JobPlan::new(&machine, &trace, &timings).unwrap());
+        let mut scheduler = MultiScheduler::new(machine);
+        scheduler.add_planned(5, Arc::clone(&plan), 0.0).unwrap();
+        scheduler.add_planned(3, plan, 0.0).unwrap();
+        let schedule = scheduler.finish();
+        schedule.check_invariants().unwrap();
+        let first = schedule.ops[0];
+        assert_eq!((first.job, first.index), (5, 0));
+        assert_eq!(first.start_seconds, 0.0);
+        let second = schedule.ops.iter().find(|o| o.job == 3).unwrap();
+        assert!(second.start_seconds >= first.start_seconds);
+        assert!(schedule.job(5).unwrap().finish_seconds <= schedule.job(3).unwrap().finish_seconds);
     }
 
     #[test]
@@ -1429,51 +1465,54 @@ mod tests {
     }
 
     #[test]
-    fn drained_chunks_and_the_rest_make_up_the_retained_timeline() {
+    fn folding_and_keeping_schedulers_place_alike() {
         let ins = CkksInstance::ins1();
         let long = keyswitch_heavy(&ins, 5);
         let short = keyswitch_heavy(&ins, 2);
         let (machine, tm_long) = machine_and_timings(&ins, BtsConfig::bts_default(), &long);
         let (_, tm_short) = machine_and_timings(&ins, BtsConfig::bts_default(), &short);
-        let admit_all = |s: &mut MultiScheduler| {
-            s.add_job(0, &long, &tm_long, 0.0).unwrap();
-            s.add_job(1, &short, &tm_short, 0.0).unwrap();
-            s.add_job(2, &short, &tm_short, 1e-3).unwrap();
-        };
-        let mut retained = MultiScheduler::new(machine);
-        admit_all(&mut retained);
-        let retained = retained.finish();
-        retained.check_invariants().unwrap();
-
-        let mut drained = MultiScheduler::new(machine);
-        admit_all(&mut drained);
-        let mut ops = Vec::new();
-        let mut busy: [Vec<BusyInterval>; FuKind::COUNT] = Default::default();
-        let mut all_ops: Vec<ScheduledOp> = Vec::new();
-        let mut all_busy: [Vec<BusyInterval>; FuKind::COUNT] = Default::default();
-        let mut append = |ops: &[ScheduledOp], busy: &[Vec<BusyInterval>]| {
-            // `placement` counts from the start of each chunk.
-            let base = all_ops.len();
-            all_ops.extend_from_slice(ops);
-            for (all, chunk) in all_busy.iter_mut().zip(busy) {
-                all.extend(chunk.iter().map(|b| BusyInterval {
-                    placement: b.placement + base,
-                    ..*b
-                }));
+        fn run<K: Keep>(
+            s: &mut MultiScheduler<K>,
+            jobs: [(&OpTrace, &[OpTiming], f64); 3],
+        ) -> Vec<JobCompletion> {
+            for (tag, (trace, timings, release)) in (0..).zip(jobs) {
+                s.add_job(tag, trace, timings, release).unwrap();
             }
-        };
-        while drained.run_until_completion().is_some() {
-            drained.drain_timeline(&mut ops, &mut busy);
-            assert!(!ops.is_empty(), "a completion places at least one op");
-            append(&ops, &busy);
+            std::iter::from_fn(|| s.run_until_completion()).collect()
         }
-        let rest = drained.finish();
-        append(&rest.ops, &rest.busy);
-        assert_eq!(all_ops, retained.ops);
-        assert_eq!(all_busy, retained.busy);
-        // Stats and makespan cover the whole run either way.
-        assert_eq!(rest.jobs, retained.jobs);
-        assert_eq!(rest.makespan_seconds, retained.makespan_seconds);
+        let jobs = [
+            (&long, tm_long.as_slice(), 0.0),
+            (&short, tm_short.as_slice(), 0.0),
+            (&short, tm_short.as_slice(), 1e-3),
+        ];
+        let mut kept = MultiScheduler::new(machine);
+        let mut folded = MultiScheduler::folding(machine);
+        folded.settle(f64::INFINITY);
+        // The same completions, in the same order, at the same times…
+        assert_eq!(run(&mut kept, jobs), run(&mut folded, jobs));
+        let kept = kept.finish();
+        kept.check_invariants().unwrap();
+        // …and the same figures, bit for bit.
+        let summary = folded.into_summary(None);
+        let bits = |makespan: f64, serial: f64, critical: f64, util: [f64; FuKind::COUNT]| {
+            let mut bits = vec![makespan.to_bits(), serial.to_bits(), critical.to_bits()];
+            bits.extend(util.map(f64::to_bits));
+            bits
+        };
+        assert_eq!(
+            bits(
+                summary.makespan_seconds,
+                summary.serial_seconds,
+                summary.critical_path_seconds,
+                summary.utilizations
+            ),
+            bits(
+                kept.makespan_seconds,
+                kept.serial_seconds,
+                kept.critical_path_seconds,
+                kept.utilizations()
+            )
+        );
     }
 
     #[test]
@@ -1495,35 +1534,65 @@ mod tests {
         );
         assert!(retained.busy[FuKind::Nttu.index()].is_empty());
 
-        let mut scheduler = MultiScheduler::new(machine);
-        scheduler.add_job(0, &trace, &timings, 0.0).unwrap();
-        scheduler.add_job(1, &trace, &timings, 0.0).unwrap();
-        let mut fold = UtilizationFold::new();
-        while let Some(done) = scheduler.run_until_completion() {
-            fold.drain(&mut scheduler, done.finish_seconds);
+        // Summed as placed (a bound at +∞) or held back until the end (the
+        // bound raised only to each completion), alike.
+        for eager in [true, false] {
+            let mut scheduler = MultiScheduler::folding(machine);
+            if eager {
+                scheduler.settle(f64::INFINITY);
+            }
+            scheduler.add_job(0, &trace, &timings, 0.0).unwrap();
+            scheduler.add_job(1, &trace, &timings, 0.0).unwrap();
+            while let Some(done) = scheduler.run_until_completion() {
+                if !eager {
+                    scheduler.settle(done.finish_seconds);
+                }
+            }
+            let folded = scheduler.into_summary(None).utilizations;
+            for (f, r) in folded.iter().zip(retained.utilizations()) {
+                assert_eq!(f.to_bits(), r.to_bits());
+            }
+            assert_eq!(folded[FuKind::Nttu.index()].to_bits(), (-0.0f64).to_bits());
+            assert!(folded[FuKind::Hbm.index()] > 0.0);
         }
-        let rest = scheduler.finish();
-        assert!(rest.ops.is_empty(), "everything was drained");
-        let folded = fold.finish(&rest, None);
-        for (f, r) in folded.iter().zip(retained.utilizations()) {
-            assert_eq!(f.to_bits(), r.to_bits());
+    }
+
+    /// One op of a three-op trace charged `seconds` for its duration and,
+    /// separately, for one unit's busy time: both are refused.
+    fn refuses_timing(seconds: f64) {
+        let ins = CkksInstance::ins1();
+        let trace = keyswitch_heavy(&ins, 3);
+        let (machine, timings) = machine_and_timings(&ins, BtsConfig::bts_default(), &trace);
+        let charges: [fn(&mut OpTiming, f64); 2] =
+            [|t, s| t.seconds = s, |t, s| t.cost.ntt_seconds = s];
+        for charge in charges {
+            let mut bad = timings.clone();
+            charge(&mut bad[1], seconds);
+            let Err(ScheduleError::InvalidTiming { op, seconds: got }) =
+                JobPlan::new(&machine, &trace, &bad)
+            else {
+                panic!("{seconds} s was planned");
+            };
+            assert_eq!((op, got.to_bits()), (1, seconds.to_bits()));
+            let mut s = MultiScheduler::new(machine);
+            assert!(s.add_job(0, &trace, &bad, 0.0).is_err());
+            assert_eq!(s.active_jobs(), 0);
         }
-        assert!(folded[FuKind::Hbm.index()] > 0.0);
     }
 
     #[test]
-    fn plans_are_bound_to_their_machine() {
-        let ins = CkksInstance::ins1();
-        let trace = keyswitch_heavy(&ins, 1);
-        let (machine, timings) = machine_and_timings(&ins, BtsConfig::bts_default(), &trace);
-        let plan = Arc::new(JobPlan::new(&machine, &trace, &timings).unwrap());
-        assert_eq!(plan.len(), trace.len());
-        assert!(plan.critical_path_seconds() <= plan.serial_seconds() + 1e-15);
-        let mut s = MultiScheduler::new(machine.with_channels(FuKind::Hbm, 2));
-        let mismatch = Err(ScheduleError::MachineMismatch);
-        assert_eq!(s.add_planned(0, plan, 0.0), mismatch);
-        // `add_job` plans for the scheduler's own machine: it never mismatches.
-        assert_eq!(s.add_job(0, &trace, &timings, 0.0), Ok(()));
+    fn nan_timings_are_refused() {
+        refuses_timing(f64::NAN);
+    }
+
+    #[test]
+    fn negative_timings_are_refused() {
+        refuses_timing(-1e-3);
+    }
+
+    #[test]
+    fn infinite_timings_are_refused() {
+        refuses_timing(f64::INFINITY);
     }
 
     #[test]
@@ -1591,7 +1660,7 @@ mod tests {
         b.hmult_at(x, 4242, 27);
         let trace = b.build();
         let defect = trace.validate().unwrap_err();
-        let machine = MachineModel::default();
+        let machine = MachineModel;
         let timings = [OpTiming::default()];
         let refused = ScheduleError::Trace(defect);
         assert_eq!(

@@ -1,4 +1,4 @@
-//! The machine model the scheduler packs ops onto: one bounded resource
+//! The machine model the scheduler packs ops onto: one exclusive channel
 //! per functional-unit class of the BTS chip, with per-op occupancy taken
 //! from the engine's cost breakdowns.
 
@@ -6,9 +6,8 @@ use bts_sim::{BtsConfig, OpTiming};
 
 /// The functional-unit classes an HE op occupies. The per-op costs in
 /// `bts-sim` are chip-wide rates (all 2,048 PEs cooperate on one op's residue
-/// polynomials), so each class is modelled as a small number of *channels*
-/// that ops reserve exclusively — one channel per class for the BTS design
-/// point, matching "the whole chip works on this op's NTT phase".
+/// polynomials), so each class is one *channel* that ops reserve
+/// exclusively, matching "the whole chip works on this op's NTT phase".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FuKind {
     /// The NTT units (one butterfly per PE per cycle).
@@ -66,41 +65,17 @@ pub struct OpDemand {
     pub busy: [f64; FuKind::COUNT],
 }
 
-/// Bounded-capacity resources derived from a [`BtsConfig`]: each unit class
-/// has an integral number of exclusive channels. The BTS design point exposes
-/// one channel per class, because the `bts-sim` cost model already charges
-/// whole-chip rates per op; raising a class's channel count models a chip
-/// partitioned into independent islands of that unit (each op still charged
-/// at the full-chip rate, so extra channels are an optimistic what-if knob,
-/// not the paper design).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MachineModel {
-    channels: [usize; FuKind::COUNT],
-}
+/// The resources of a [`BtsConfig`]: one exclusive channel per unit class,
+/// because the `bts-sim` cost model already charges whole-chip rates per op.
+/// A unit's utilization is therefore its reserved seconds over the makespan.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MachineModel;
 
 impl MachineModel {
     /// The machine model of a BTS configuration: one exclusive channel per
     /// unit class (costs are chip-wide aggregates).
     pub fn from_config(_config: &BtsConfig) -> Self {
-        Self {
-            channels: [1; FuKind::COUNT],
-        }
-    }
-
-    /// Returns a copy with `n` channels for one unit class (what-if knob).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero — a class with no channel could never execute.
-    pub fn with_channels(mut self, kind: FuKind, n: usize) -> Self {
-        assert!(n > 0, "a unit class needs at least one channel");
-        self.channels[kind.index()] = n;
-        self
-    }
-
-    /// Channel count of a unit class.
-    pub fn channels(&self, kind: FuKind) -> usize {
-        self.channels[kind.index()]
+        Self
     }
 
     /// Resource demand of one op, from the engine's per-op timing. Busy
@@ -118,12 +93,6 @@ impl MachineModel {
                 clamp(timing.hbm_seconds),
             ],
         }
-    }
-}
-
-impl Default for MachineModel {
-    fn default() -> Self {
-        Self::from_config(&BtsConfig::bts_default())
     }
 }
 
@@ -172,17 +141,6 @@ mod tests {
         let ntt = d.busy[FuKind::Nttu.index()];
         assert!((hbm - d.duration).abs() < 1e-12, "evk stream sets the pace");
         assert!(ntt > 0.5 * d.duration && ntt < 0.95 * d.duration);
-    }
-
-    #[test]
-    fn channel_knob_is_validated() {
-        let m = MachineModel::default().with_channels(FuKind::Hbm, 2);
-        assert_eq!(m.channels(FuKind::Hbm), 2);
-        assert_eq!(m.channels(FuKind::Nttu), 1);
-        assert!(
-            std::panic::catch_unwind(|| MachineModel::default().with_channels(FuKind::Nttu, 0))
-                .is_err()
-        );
     }
 
     #[test]

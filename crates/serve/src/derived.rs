@@ -7,7 +7,7 @@
 //! percentiles recomputed here match [`crate::ServeReport`] bitwise on the
 //! same run — which the umbrella `telemetry_stream` test asserts.
 
-use bts_sched::{FuKind, MachineModel};
+use bts_sched::FuKind;
 use bts_telemetry::Event;
 
 /// Headline serving figures recomputed purely from telemetry events.
@@ -17,8 +17,9 @@ pub struct DerivedServeFigures {
     pub job_count: usize,
     /// Latest job finish time (0 with no jobs) — the makespan.
     pub makespan_seconds: f64,
-    /// Busy fraction per unit class over the makespan, from the scheduler's
-    /// reservation events, indexed by [`FuKind::index`].
+    /// Busy fraction per unit class (one channel each) over the makespan,
+    /// from the scheduler's reservation events, indexed by
+    /// [`FuKind::index`].
     pub utilizations: [f64; FuKind::COUNT],
     /// Nearest-rank p50 of end-to-end latency.
     pub latency_p50_seconds: f64,
@@ -26,16 +27,15 @@ pub struct DerivedServeFigures {
     pub latency_p99_seconds: f64,
 }
 
-/// Does `track` name a channel of `kind` (`"NTTU.0"`, `"HBM.1"`, …)?
+/// Does `track` name a channel of `kind` (`"NTTU.0"`, `"HBM.0"`, …)?
 fn is_channel_track(track: &str, kind: FuKind) -> bool {
     let label = kind.label();
     track.starts_with(label) && track.as_bytes().get(label.len()) == Some(&b'.')
 }
 
 impl DerivedServeFigures {
-    /// Recomputes the figures from one serve run's captured event stream and
-    /// the machine the run scheduled onto.
-    pub fn from_events(events: &[Event], machine: &MachineModel) -> Self {
+    /// Recomputes the figures from one serve run's captured event stream.
+    pub fn from_events(events: &[Event]) -> Self {
         let mut latencies = Vec::new();
         let mut makespan = 0.0f64;
         // Reservation seconds summed in emission order per class — the same
@@ -64,8 +64,7 @@ impl DerivedServeFigures {
         let mut utilizations = [0.0f64; FuKind::COUNT];
         if makespan > 0.0 {
             for kind in FuKind::ALL {
-                utilizations[kind.index()] =
-                    reserved[kind.index()] / (machine.channels(kind) as f64 * makespan);
+                utilizations[kind.index()] = reserved[kind.index()] / makespan;
             }
         }
         Self {
@@ -123,8 +122,7 @@ mod tests {
             busy_event("NTTU.0", 0.0, 2.0),
             busy_event("HBM.0", 1.0, 4.0),
         ];
-        let machine = MachineModel::default();
-        let derived = DerivedServeFigures::from_events(&events, &machine);
+        let derived = DerivedServeFigures::from_events(&events);
         assert_eq!(derived.job_count, 2);
         assert_eq!(derived.makespan_seconds, 4.0);
         assert_eq!(derived.utilizations[FuKind::Nttu.index()], 2.0 / 4.0);
@@ -143,7 +141,7 @@ mod tests {
             kind: EventKind::Instant,
             args: Vec::new(),
         };
-        let derived = DerivedServeFigures::from_events(&[stray], &MachineModel::default());
+        let derived = DerivedServeFigures::from_events(&[stray]);
         assert_eq!(derived.job_count, 0);
         assert_eq!(derived.makespan_seconds, 0.0);
         assert_eq!(derived.utilizations, [0.0; FuKind::COUNT]);

@@ -373,10 +373,9 @@ struct Run<'a> {
     options: &'a ServeOptions,
     /// Each job's prepared pair, by submit index.
     pairs: Vec<&'a PreparedPair>,
-    scheduler: MultiScheduler,
-    /// The placed timeline, folded into utilization sums as completions
-    /// arrive: nothing here reads it back.
-    busy: UtilizationFold,
+    /// Keeps no timeline, only utilization sums: nothing here reads
+    /// placements back.
+    scheduler: MultiScheduler<UtilizationFold>,
     /// Finish of the latest real completion: the makespan of a run that
     /// ends dead, and a floor of any run's.
     last_completion: f64,
@@ -393,8 +392,8 @@ struct Run<'a> {
     tag_info: Vec<(usize, u32)>,
     /// Per job: Some((tag, attempt)) while on the machine.
     on_machine: Vec<Option<(u32, u32)>>,
-    /// Per job: Some((tag, attempts)) once completed for real.
-    completed: Vec<Option<(u32, u32)>>,
+    /// Per job: Some((finish, attempts)) once completed for real.
+    completed: Vec<Option<(f64, u32)>>,
     shed: Vec<ShedJob>,
     clock: f64,
     last_tenant: Option<u32>,
@@ -423,12 +422,17 @@ impl<'a> Run<'a> {
                 .expect("validated arrivals")
                 .then(a.j.cmp(&b.j))
         });
+        let mut scheduler = MultiScheduler::folding(machine);
+        if options.fail_at_seconds.is_none() {
+            // A machine that cannot die clips nothing: every reservation is
+            // summed as it is placed.
+            scheduler.settle(f64::INFINITY);
+        }
         Self {
             jobs,
             options,
             pairs,
-            scheduler: MultiScheduler::new(machine),
-            busy: UtilizationFold::new(),
+            scheduler,
             last_completion: 0.0,
             upcoming: VecDeque::from(upcoming),
             waiting: Vec::new(),
@@ -588,10 +592,14 @@ impl<'a> Run<'a> {
         {
             self.redrive(j, attempt, done.finish_seconds);
         } else {
-            self.completed[j] = Some((done.tag, attempt + 1));
+            self.completed[j] = Some((done.finish_seconds, attempt + 1));
             self.last_completion = self.last_completion.max(done.finish_seconds);
+            if self.options.fail_at_seconds.is_some() {
+                // A machine that may die clips at its last real completion,
+                // which can only rise: everything ending by it is settled.
+                self.scheduler.settle(self.last_completion);
+            }
         }
-        self.busy.drain(&mut self.scheduler, self.last_completion);
         Continue(())
     }
 
@@ -695,27 +703,20 @@ impl<'a> Run<'a> {
     /// and the run's makespan, utilizations and merged serial reports.
     fn report(self, dead: bool, interrupted: Vec<InterruptedJob>) -> ServeReport {
         let failed_at_seconds = dead.then(|| self.failure_time());
-        // Per-job stats and the makespan cover the whole run; of the
-        // timeline, only what the fold has not taken yet is left.
-        let multi = self.scheduler.finish();
         // A dead run's makespan is the last *real* completion, not the
         // scheduler horizon (which includes work the failure threw away),
         // and its reservations are clipped to it.
-        let makespan_seconds = if dead {
-            self.last_completion
-        } else {
-            multi.makespan_seconds
-        };
-        let utilizations = self.busy.finish(&multi, dead.then_some(makespan_seconds));
+        let summary = self
+            .scheduler
+            .into_summary(dead.then_some(self.last_completion));
 
         let mut aggregate: Option<SimReport> = None;
         let mut outcomes = Vec::with_capacity(self.jobs.len());
         for (j, job) in self.jobs.iter().enumerate() {
-            let Some((tag, attempts)) = self.completed[j] else {
+            let Some((finish_seconds, attempts)) = self.completed[j] else {
                 continue;
             };
             let pair = self.pairs[j];
-            let stats = multi.job(tag).expect("completed job has stats");
             let outcome = JobOutcome {
                 id: job.id,
                 tenant: job.tenant,
@@ -723,9 +724,9 @@ impl<'a> Run<'a> {
                 instance: job.instance.name().to_string(),
                 arrival_seconds: job.arrival_seconds,
                 admitted_seconds: self.admitted_at[j],
-                finish_seconds: stats.finish_seconds,
+                finish_seconds,
                 serial_seconds: pair.report.total_seconds,
-                critical_path_seconds: stats.critical_path_seconds,
+                critical_path_seconds: pair.plan.critical_path_seconds(),
                 refreshed_slot_levels: pair.refreshed_slot_levels,
                 ops: pair.plan.len(),
                 attempts,
@@ -745,8 +746,8 @@ impl<'a> Run<'a> {
             shed: self.shed,
             interrupted,
             failed_at_seconds,
-            makespan_seconds,
-            utilizations,
+            makespan_seconds: summary.makespan_seconds,
+            utilizations: summary.utilizations,
             aggregate,
         }
     }

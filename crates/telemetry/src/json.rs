@@ -2,8 +2,9 @@
 //!
 //! The workspace is offline (no serde). [`JsonWriter`] writes every JSON
 //! document it emits (Chrome traces, `BENCH_FIGURES.json`); a small
-//! recursive-descent [`parse`] reads them back, and [`validate_chrome_trace`]
-//! is the gate both the demos and the CI job run.
+//! recursive-descent [`parse`] reads them back, nesting at most
+//! [`MAX_DEPTH`] deep, and [`validate_chrome_trace`] is the gate both the
+//! demos and the CI job run.
 
 use std::collections::BTreeSet;
 use std::fmt::{Arguments, Write as _};
@@ -219,16 +220,23 @@ impl JsonValue {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. What the
+/// repo writes nests four deep at most; the parser recurses once per level,
+/// so a document nested deeper is refused instead of overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed, nothing
 /// else).
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error.
+/// Returns a message with the byte offset of the first syntax error, or of
+/// the first container nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         text: input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -242,6 +250,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -287,16 +297,25 @@ impl Parser<'_> {
     }
 
     /// Parses `open item (, item)* close` or `open close`, reading each item
-    /// with `item`.
+    /// with `item`. An error ends the whole parse, so only a container that
+    /// closes gives its level back.
     fn parse_seq(
         &mut self,
         [open, close]: [u8; 2],
         mut item: impl FnMut(&mut Self) -> Result<(), String>,
     ) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
         self.expect(open)?;
+        self.depth += 1;
         self.skip_ws();
         if self.peek() == Some(close) {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(());
         }
         loop {
@@ -307,6 +326,7 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b) if b == close => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(());
                 }
                 _ => {
@@ -595,6 +615,73 @@ mod tests {
         );
         assert_eq!(v.get("s").unwrap().as_str(), Some("x\n\"y\"A"));
         assert_eq!(v.get("o").unwrap().get("k").unwrap().as_number(), Some(2.0));
+    }
+
+    /// A well-formed trace for the garbage property to cut up and corrupt.
+    const TRACE: &str = r#"{"traceEvents": [
+        {"ph":"M","name":"process_name","pid":1,"tid":0,"ts":0,"args":{"name":"bts"}},
+        {"ph":"X","name":"NTTU.0 \u00e9","pid":1,"tid":1,"ts":0.5,"dur":5e-3},
+        {"ph":"i","name":"mark","pid":1,"tid":1,"ts":3,"s":"t","args":{"a":[1,[2,{"b":null}]]}},
+        {"ph":"C","name":"queue","pid":1,"tid":2,"ts":0,"args":{"waiting":2}}
+    ]}"#;
+
+    /// `depth` arrays, each holding the next, around `inner`.
+    fn nested(depth: usize, inner: &str) -> String {
+        format!("{}{inner}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn garbage_is_refused_or_read_never_a_panic(
+            cut in 0usize..400,
+            noise in prop::collection::vec(any::<u64>(), 8),
+            at in 0usize..400,
+            depth in 1usize..4 * MAX_DEPTH,
+        ) {
+            let noise: Vec<u8> = noise.iter().flat_map(|w| w.to_le_bytes()).collect();
+            let random = String::from_utf8_lossy(&noise).into_owned();
+            let boundary = |i: usize| (0..=i.min(TRACE.len())).rev().find(|&b| TRACE.is_char_boundary(b)).unwrap();
+            let (head, tail) = TRACE.split_at(boundary(at));
+            let documents = [
+                // A truncation is never a whole document.
+                (TRACE[..boundary(cut)].to_string(), cut < TRACE.len()),
+                // Random bytes alone, and spliced into the trace.
+                (random.clone(), false),
+                (format!("{head}{random}{tail}"), false),
+                // Deep nesting, closed or not, and an overflowing number.
+                (nested(depth, ""), depth > MAX_DEPTH),
+                (nested(depth, "1e999"), depth > MAX_DEPTH),
+                ("[".repeat(depth), true),
+                ("{\"a\":".repeat(depth), true),
+            ];
+            for (text, must_fail) in documents {
+                let parsed = parse(&text);
+                prop_assert!(!must_fail || parsed.is_err(), "accepted {:?}", text);
+                let checked = validate_chrome_trace(&text);
+                prop_assert!(parsed.is_ok() || checked.is_err(), "validated unparsable {:?}", text);
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_well_above_what_the_repo_writes() {
+        assert!(parse(&nested(MAX_DEPTH, "1")).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1, "1")).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        // Deep enough to overflow a recursive parser's stack.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(validate_chrome_trace(&"[".repeat(200_000)).is_err());
+        // Containers that close give their level back.
+        let siblings = format!("[{}]", vec![nested(MAX_DEPTH - 1, ""); 3].join(","));
+        assert!(parse(&siblings).is_ok());
+        // An overflowing number reads as infinity, which no trace may carry
+        // as a duration below zero.
+        assert_eq!(parse("1e999").unwrap().as_number(), Some(f64::INFINITY));
+        let negative =
+            r#"{"traceEvents": [{"ph":"X","name":"a","pid":1,"tid":1,"ts":5,"dur":-1e999}]}"#;
+        assert!(validate_chrome_trace(negative).is_err());
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub fn check_summary(summary: &ScheduleSummary, retained: &Schedule) -> Result<(
 pub struct ListSchedule {
     /// Per op, in program order: `(start, end)` of its latency window.
     pub windows: Vec<(f64, f64)>,
-    /// Per unit class, in placement order: `(op, channel, start, end)`.
-    pub busy: [Vec<(usize, usize, f64, f64)>; FuKind::COUNT],
+    /// Per unit class, in placement order: `(op, start, end)`.
+    pub busy: [Vec<(usize, f64, f64)>; FuKind::COUNT],
     pub makespan_seconds: f64,
     pub serial_seconds: f64,
     pub critical_path_seconds: f64,
@@ -75,9 +75,9 @@ pub fn list_schedule(
 ) -> ListSchedule {
     assert_eq!(timings.len(), trace.len(), "one timing per op");
     let dag = TraceDag::from_trace(trace);
-    let mut horizons: [Vec<f64>; FuKind::COUNT] =
-        std::array::from_fn(|k| vec![0.0; machine.channels(FuKind::ALL[k])]);
-    let mut busy: [Vec<(usize, usize, f64, f64)>; FuKind::COUNT] = Default::default();
+    // When each unit class's one channel frees.
+    let mut horizons = [0.0f64; FuKind::COUNT];
+    let mut busy: [Vec<(usize, f64, f64)>; FuKind::COUNT] = Default::default();
     let mut windows = Vec::with_capacity(trace.len());
     let mut finish = vec![0.0f64; trace.len()];
     let mut durations = Vec::with_capacity(trace.len());
@@ -96,24 +96,17 @@ pub fn list_schedule(
         for &d in dag.deps(i) {
             start = start.max(finish[d as usize]);
         }
-        // The chosen channel frees at h, and the op's reservation of b
-        // seconds must end within the window [s, s + d], so s ≥ h + b − d.
-        let mut chosen = [0usize; FuKind::COUNT];
+        // The unit frees at h, and the op's reservation of b seconds must
+        // end within the window [s, s + d], so s ≥ h + b − d.
         for k in (0..FuKind::COUNT).filter(|&k| demand.busy[k] > 0.0) {
-            // The channel that frees first; the first such wins ties.
-            for (channel, &h) in horizons[k].iter().enumerate() {
-                if h < horizons[k][chosen[k]] {
-                    chosen[k] = channel;
-                }
-            }
-            start = start.max(horizons[k][chosen[k]] + demand.busy[k] - demand.duration);
+            start = start.max(horizons[k] + demand.busy[k] - demand.duration);
         }
         let end = start + demand.duration;
         for k in (0..FuKind::COUNT).filter(|&k| demand.busy[k] > 0.0) {
-            let res_start = start.max(horizons[k][chosen[k]]);
+            let res_start = start.max(horizons[k]);
             let res_end = res_start + demand.busy[k];
-            horizons[k][chosen[k]] = res_end;
-            busy[k].push((i, chosen[k], res_start, res_end));
+            horizons[k] = res_end;
+            busy[k].push((i, res_start, res_end));
         }
         finish[i] = end;
         running_max_finish = running_max_finish.max(end);
@@ -149,9 +142,9 @@ pub fn check_equal(schedule: &Schedule, oracle: &ListSchedule) -> Result<(), Str
         return Err("a one-job schedule is not tag 0 in program order".into());
     }
     for kind in FuKind::ALL {
-        let placed: Vec<(usize, usize, f64, f64)> = schedule.busy[kind.index()]
+        let placed: Vec<(usize, f64, f64)> = schedule.busy[kind.index()]
             .iter()
-            .map(|b| (b.placement, b.channel, b.start_seconds, b.end_seconds))
+            .map(|b| (b.placement, b.start_seconds, b.end_seconds))
             .collect();
         if placed != oracle.busy[kind.index()] {
             return Err(format!(

@@ -66,23 +66,19 @@ proptest! {
         let ins = CkksInstance::ins1();
         let trace = random_trace(&ins, seed, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let machine = MachineModel::from_config(sim.config());
         let schedule = list_oracle::timeline(&sim.try_run_scheduled(&trace).unwrap());
         for kind in FuKind::ALL {
-            for channel in 0..machine.channels(kind) {
-                let mut intervals: Vec<(f64, f64)> = schedule.busy[kind.index()]
-                    .iter()
-                    .filter(|b| b.channel == channel)
-                    .map(|b| (b.start_seconds, b.end_seconds))
-                    .collect();
-                intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                for pair in intervals.windows(2) {
-                    prop_assert!(
-                        pair[1].0 >= pair[0].1 - 1e-18,
-                        "{:?} channel {} overlap: {:?} then {:?}",
-                        kind, channel, pair[0], pair[1]
-                    );
-                }
+            let mut intervals: Vec<(f64, f64)> = schedule.busy[kind.index()]
+                .iter()
+                .map(|b| (b.start_seconds, b.end_seconds))
+                .collect();
+            intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            for pair in intervals.windows(2) {
+                prop_assert!(
+                    pair[1].0 >= pair[0].1 - 1e-18,
+                    "{:?} overlap: {:?} then {:?}",
+                    kind, pair[0], pair[1]
+                );
             }
         }
     }

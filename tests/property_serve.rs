@@ -7,10 +7,10 @@
 //!
 //! And of the two things serving does to keep its cost linear in jobs:
 //! (d) admitting copies of one trace through a shared `JobPlan` schedules
-//! exactly like planning each copy afresh, and (e) utilizations folded from a
-//! timeline drained as the run goes equal, bit for bit, the ones computed
-//! from the timeline a never-drained scheduler retains — live or clipped at a
-//! dead machine's surviving makespan, at the scheduler and through `serve`.
+//! exactly like planning each copy afresh, and (e) utilizations a folding
+//! scheduler sums as it places ops equal, bit for bit, the ones computed from
+//! the timeline a keeping scheduler retains — live or clipped at a dead
+//! machine's surviving makespan, at the scheduler and through `serve`.
 
 use std::sync::Arc;
 
@@ -19,8 +19,8 @@ use proptest::prelude::*;
 use bts::fault::FaultPlan;
 use bts::params::CkksInstance;
 use bts::sched::{
-    schedule_jobs, FuKind, JobCompletion, JobPlan, MachineModel, MultiScheduler, Schedule,
-    ScheduleError, TraceDag, UtilizationFold,
+    schedule_jobs, FuKind, JobCompletion, JobPlan, Keep, MachineModel, MultiScheduler,
+    ScheduleError, TraceDag,
 };
 use bts::serve::{serve, JobRequest, QueuePolicy, ServeOptions, ServeReport, SyntheticArrivals};
 use bts::sim::{BtsConfig, OpTiming, OpTrace, Simulator};
@@ -101,23 +101,19 @@ proptest! {
             .enumerate()
             .map(|(j, (t, tm))| (j as u32, t, tm.as_slice(), 0.0))
             .collect();
-        let machine = MachineModel::from_config(sim.config());
-        let multi = schedule_jobs(machine, &spec);
+        let multi = schedule_jobs(MachineModel::from_config(sim.config()), &spec);
         for kind in FuKind::ALL {
-            for channel in 0..machine.channels(kind) {
-                let mut intervals: Vec<(f64, f64)> = multi.busy[kind.index()]
-                    .iter()
-                    .filter(|b| b.channel == channel)
-                    .map(|b| (b.start_seconds, b.end_seconds))
-                    .collect();
-                intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-                for pair in intervals.windows(2) {
-                    prop_assert!(
-                        pair[1].0 >= pair[0].1 - 1e-18,
-                        "{:?} channel {} overlap: {:?} then {:?}",
-                        kind, channel, pair[0], pair[1]
-                    );
-                }
+            let mut intervals: Vec<(f64, f64)> = multi.busy[kind.index()]
+                .iter()
+                .map(|b| (b.start_seconds, b.end_seconds))
+                .collect();
+            intervals.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            for pair in intervals.windows(2) {
+                prop_assert!(
+                    pair[1].0 >= pair[0].1 - 1e-18,
+                    "{:?} overlap: {:?} then {:?}",
+                    kind, pair[0], pair[1]
+                );
             }
         }
     }
@@ -226,21 +222,13 @@ struct Pairs {
 }
 
 impl Pairs {
-    /// `wide` doubles the HBM and NTTU channels, so a unit class's
-    /// reservations are no longer ordered in time.
-    fn random(seed: u64, distinct: usize, ops: usize, wide: bool) -> Self {
+    fn random(seed: u64, distinct: usize, ops: usize) -> Self {
         let ins = CkksInstance::ins1();
         let traces = random_job_mix(&ins, seed, distinct, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
         let timings = traces.iter().map(|t| sim.op_timings(t).unwrap()).collect();
-        let mut machine = MachineModel::from_config(sim.config());
-        if wide {
-            machine = machine
-                .with_channels(FuKind::Hbm, 2)
-                .with_channels(FuKind::Nttu, 2);
-        }
         Self {
-            machine,
+            machine: MachineModel::from_config(sim.config()),
             traces,
             timings,
         }
@@ -256,21 +244,20 @@ impl Pairs {
     }
 }
 
-/// Drives a scheduler the way a serving loop does — `cap` jobs in flight, job
+/// Drives `scheduler` the way a serving loop does — `cap` jobs in flight, job
 /// `j` (a copy of pair `j % distinct`) admitted through `admit(tag, pair,
 /// release)` when a completion frees a slot — and hands every completion to
 /// `on_completion`. After `stop_after` completions (if the stream gets that
 /// far) the machine "dies": everything still in flight is cancelled, as
-/// `serve` does at a failure time. Returns what `finish` returns.
-fn drive(
-    machine: MachineModel,
+/// `serve` does at a failure time. Returns the scheduler, to be finished.
+fn drive<K: Keep>(
+    mut scheduler: MultiScheduler<K>,
     jobs: u32,
     cap: u32,
     stop_after: usize,
-    mut admit: impl FnMut(&mut MultiScheduler, u32, f64) -> Result<(), ScheduleError>,
-    mut on_completion: impl FnMut(&mut MultiScheduler, JobCompletion),
-) -> Schedule {
-    let mut scheduler = MultiScheduler::new(machine);
+    mut admit: impl FnMut(&mut MultiScheduler<K>, u32, f64) -> Result<(), ScheduleError>,
+    mut on_completion: impl FnMut(&mut MultiScheduler<K>, JobCompletion),
+) -> MultiScheduler<K> {
     let mut reported = vec![false; jobs as usize];
     let mut next = 0u32;
     while next < jobs.min(cap) {
@@ -294,16 +281,12 @@ fn drive(
             next += 1;
         }
     }
-    scheduler.finish()
+    scheduler
 }
 
 /// Busy fractions over `makespan` with every reservation clipped to it — the
 /// utilizations of a machine that died at its last real completion.
-fn clipped_utilizations(
-    busy: &[Vec<(f64, f64)>],
-    machine: &MachineModel,
-    makespan: f64,
-) -> Vec<f64> {
+fn clipped_utilizations(busy: &[Vec<(f64, f64)>], makespan: f64) -> Vec<f64> {
     FuKind::ALL
         .iter()
         .map(|&kind| {
@@ -314,7 +297,7 @@ fn clipped_utilizations(
                 .iter()
                 .map(|&(start, end)| end.min(makespan) - start.min(makespan))
                 .sum();
-            reserved / (machine.channels(kind) as f64 * makespan)
+            reserved / makespan
         })
         .collect()
 }
@@ -329,25 +312,27 @@ proptest! {
     #[test]
     fn shared_plans_schedule_exactly_like_per_job_plans(
         seed in any::<u64>(), distinct in 1usize..4, jobs in 1u32..10, ops in 4usize..40,
-        cap in 1u32..5, stop_after in 0usize..12, wide in any::<bool>()
+        cap in 1u32..5, stop_after in 0usize..12
     ) {
-        let pairs = Pairs::random(seed, distinct, ops, wide);
+        let pairs = Pairs::random(seed, distinct, ops);
         let plans = pairs.plans();
         let through_plans = drive(
-            pairs.machine, jobs, cap, stop_after,
+            MultiScheduler::new(pairs.machine), jobs, cap, stop_after,
             |s, tag, release| {
                 s.add_planned(tag, Arc::clone(&plans[tag as usize % distinct]), release)
             },
             |_, _| (),
-        );
+        )
+        .finish();
         let through_add_job = drive(
-            pairs.machine, jobs, cap, stop_after,
+            MultiScheduler::new(pairs.machine), jobs, cap, stop_after,
             |s, tag, release| {
                 let pair = tag as usize % distinct;
                 s.add_job(tag, &pairs.traces[pair], &pairs.timings[pair], release)
             },
             |_, _| (),
-        );
+        )
+        .finish();
         through_plans.check_invariants().unwrap();
         // Timeline, per-job stats and makespan alike.
         prop_assert_eq!(&through_plans, &through_add_job);
@@ -360,49 +345,74 @@ proptest! {
     }
 
     #[test]
-    fn utilizations_folded_while_draining_match_the_retained_timeline(
+    fn utilizations_folded_at_placement_match_the_retained_timeline(
         seed in any::<u64>(), distinct in 1usize..4, jobs in 1u32..10, ops in 4usize..40,
-        cap in 1u32..5, stop_after in 0usize..12, faulted in 0u64..4, wide in any::<bool>()
+        cap in 1u32..5, stop_after in 0usize..12, faulted in 0u64..4
     ) {
-        let pairs = Pairs::random(seed, distinct, ops, wide);
+        let pairs = Pairs::random(seed, distinct, ops);
         let plans = pairs.plans();
-        let admit = |s: &mut MultiScheduler, tag: u32, release: f64| {
-            s.add_planned(tag, Arc::clone(&plans[tag as usize % distinct]), release)
-        };
+        let plan = |tag: u32| Arc::clone(&plans[tag as usize % distinct]);
         // A transient fault makes a completion unreal: it frees its slot but
         // does not move the surviving makespan.
         let real = |done: &JobCompletion| (seed ^ u64::from(done.tag)) % 4 >= faulted;
 
-        let retained = drive(pairs.machine, jobs, cap, stop_after, admit, |_, _| ());
+        let retained = drive(
+            MultiScheduler::new(pairs.machine), jobs, cap, stop_after,
+            |s, tag, release| s.add_planned(tag, plan(tag), release),
+            |_, _| (),
+        )
+        .finish();
         retained.check_invariants().unwrap();
 
-        let mut fold = UtilizationFold::new();
+        // A machine that cannot die: everything summed as it is placed.
+        let mut eager = MultiScheduler::folding(pairs.machine);
+        eager.settle(f64::INFINITY);
+        let eager = drive(
+            eager, jobs, cap, stop_after,
+            |s, tag, release| s.add_planned(tag, plan(tag), release),
+            |_, _| (),
+        )
+        .into_summary(None);
+        prop_assert_eq!(bits(&eager.utilizations), bits(&retained.utilizations()));
+        prop_assert_eq!(
+            bits(&[eager.makespan_seconds, eager.serial_seconds, eager.critical_path_seconds]),
+            bits(&[
+                retained.makespan_seconds,
+                retained.serial_seconds,
+                retained.critical_path_seconds,
+            ])
+        );
+
+        // A machine that may die: the bound follows the latest real
+        // completion, and reservations ending after it are held back.
         let mut last_real = 0.0f64;
-        let rest = drive(pairs.machine, jobs, cap, stop_after, admit, |s, done| {
-            if real(&done) {
-                last_real = last_real.max(done.finish_seconds);
-            }
-            fold.drain(s, last_real);
-        });
-        // Draining changes what is retained, never what is placed.
-        prop_assert_eq!(&rest.jobs, &retained.jobs);
-        prop_assert_eq!(rest.makespan_seconds, retained.makespan_seconds);
-        if stop_after > 0 {
-            prop_assert!(rest.ops.len() < retained.ops.len(), "nothing was drained");
-        }
+        let settling = drive(
+            MultiScheduler::folding(pairs.machine), jobs, cap, stop_after,
+            |s, tag, release| s.add_planned(tag, plan(tag), release),
+            |s, done| {
+                if real(&done) {
+                    last_real = last_real.max(done.finish_seconds);
+                    s.settle(last_real);
+                }
+            },
+        );
+        // It lived after all: nothing is clipped.
+        let live = settling.clone().into_summary(None);
+        prop_assert_eq!(bits(&live.utilizations), bits(&retained.utilizations()));
+        prop_assert_eq!(live.makespan_seconds.to_bits(), retained.makespan_seconds.to_bits());
 
-        let live = fold.clone().finish(&rest, None);
-        prop_assert_eq!(bits(&live), bits(&retained.utilizations()));
-
+        // It died: every reservation clipped at the last real completion,
+        // thrown-away placements and faulted completions included.
         let reservations: Vec<Vec<(f64, f64)>> = retained
             .busy
             .iter()
             .map(|unit| unit.iter().map(|b| (b.start_seconds, b.end_seconds)).collect())
             .collect();
-        let dead = fold.finish(&rest, Some(last_real));
+        let dead = settling.into_summary(Some(last_real));
+        prop_assert_eq!(dead.makespan_seconds.to_bits(), last_real.to_bits());
         prop_assert_eq!(
-            bits(&dead),
-            bits(&clipped_utilizations(&reservations, &pairs.machine, last_real))
+            bits(&dead.utilizations),
+            bits(&clipped_utilizations(&reservations, last_real))
         );
     }
 }
@@ -450,7 +460,6 @@ proptest! {
             .generate(6);
         let options = ServeOptions::new(2)
             .with_fault_plan(FaultPlan::none().with_seed(seed).with_transient_rate(0.3));
-        let machine = MachineModel::from_config(&options.config);
 
         // A run that lives: the plain busy sums over the scheduler's makespan.
         let (healthy, reservations) = serve_recorded(&jobs, options.clone());
@@ -461,7 +470,7 @@ proptest! {
             .map(|&kind| {
                 let unit = &reservations[kind.index()];
                 let reserved: f64 = unit.iter().map(|&(start, end)| end - start).sum();
-                reserved / (machine.channels(kind) as f64 * makespan)
+                reserved / makespan
             })
             .collect();
         prop_assert!(makespan > 0.0);
@@ -474,7 +483,7 @@ proptest! {
         prop_assert!(dead.failed_at_seconds.is_some());
         prop_assert_eq!(
             bits(&dead.utilizations),
-            bits(&clipped_utilizations(&reservations, &machine, dead.makespan_seconds))
+            bits(&clipped_utilizations(&reservations, dead.makespan_seconds))
         );
     }
 }

@@ -14,9 +14,9 @@
 //! look like, and keep only the cache alive — a few bytes per op, where a
 //! 120-byte `OpTiming` each would be many times that.
 //! `run_scheduled` writes the plan's demands straight from the sweep and
-//! folds the one-job schedule chunk by chunk instead of keeping it, so its
-//! allocation count is bounded too and what it keeps per op is the plan —
-//! not a timeline. A timer on a shared VM would only show noise; the
+//! folds each reservation into the unit utilizations as it places it
+//! instead of keeping a timeline, so its allocation count is bounded too
+//! and what it keeps per op is the plan. A timer on a shared VM would only show noise; the
 //! process's allocator counts exactly. Like `tests/serve_linearity.rs` this
 //! is a single-test binary with a counting allocator, so nothing else
 //! allocates while it counts.
@@ -147,14 +147,16 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
         report.cache_misses
     );
 
-    // Scheduling adds the plan (demands written by the sweep, the DAG) and
-    // the scheduler's fixed-size chunk of timeline: only the plan's DAG edge
-    // list and critical path grow by doubling, a few allocations more on the
-    // longer trace (measured: 45 and 49). What it keeps per op is that plan
-    // (measured: 115 bytes per op on the short trace, where the chunk weighs
-    // most, 92 on the long one); a retained timeline made it 252.
-    const SCHEDULED_ALLOCATIONS: u64 = 52;
-    const SCHEDULED_PEAK_BYTES_PER_OP: u64 = 128;
+    // Scheduling adds the plan (demands written by the sweep, the DAG) and a
+    // folding scheduler that sums utilizations as it places ops and builds
+    // no timeline: only the plan's DAG edge list and critical path grow by
+    // doubling, a few allocations more on the longer trace (measured: 30 and
+    // 34). What it keeps per op is that plan and the job's finish times
+    // (measured: 104 bytes per op on the short trace, 92 on the long one).
+    // A 256-placement chunk of timeline made it 45 / 49 allocations and 115
+    // bytes per op; a retained timeline made it 252 bytes per op.
+    const SCHEDULED_ALLOCATIONS: u64 = 36;
+    const SCHEDULED_PEAK_BYTES_PER_OP: u64 = 108;
     for (name, trace) in [("2 000", &small), ("32 000", &large)] {
         let cost = cost_of(|| sim.try_run_scheduled(trace).expect("trace schedules"));
         let per_op_bytes = cost.peak_bytes / trace.len() as u64;

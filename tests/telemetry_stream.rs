@@ -17,7 +17,6 @@ use bts::cluster::{
     serve_cluster, ChipSpec, ClusterOptions, FaultPlan, Interconnect, PlacementPolicy,
 };
 use bts::params::CkksInstance;
-use bts::sched::MachineModel;
 use bts::serve::{
     serve, DerivedServeFigures, JobRequest, ServeOptions, ServeReport, SyntheticArrivals,
 };
@@ -62,8 +61,7 @@ fn derived_figures_match_the_report_bitwise() {
     let (report, events) = serve_captured(&config);
     assert!(!events.is_empty());
 
-    let machine = MachineModel::from_config(&config);
-    let derived = DerivedServeFigures::from_events(&events, &machine);
+    let derived = DerivedServeFigures::from_events(&events);
     assert_eq!(derived.job_count, report.job_count());
     assert_eq!(
         derived.makespan_seconds.to_bits(),
