@@ -59,9 +59,10 @@ impl Analysis {
 /// [`CircuitError::LevelExhausted`] or [`CircuitError::InvalidCircuit`]),
 /// after first re-running [`HeCircuit::validate`] for SSA well-formedness.
 ///
-/// The nodes visited — all of them, or those before the violation — are
-/// added to the `circuit.analysis.nodes` telemetry counter, which is how the
-/// pipeline's cost in circuit walks is held linear by a test.
+/// Each call emits one `circuit.analyze` telemetry instant (track `circuit`,
+/// at time 0) whose `nodes` arg is the nodes visited — all of them, or those
+/// before the violation. Summed over a run, that is how the pipeline's cost
+/// in circuit walks is held linear by a test.
 pub fn analyze(circuit: &HeCircuit) -> Result<Analysis, CircuitError> {
     circuit.validate()?;
     let mut analysis = Analysis {
@@ -69,7 +70,8 @@ pub fn analyze(circuit: &HeCircuit) -> Result<Analysis, CircuitError> {
         exec_levels: Vec::with_capacity(circuit.nodes.len()),
     };
     let walked = walk(circuit, &mut analysis);
-    bts_telemetry::counter_add("circuit.analysis.nodes", analysis.exec_levels.len() as u64);
+    let nodes = bts_telemetry::ArgValue::U64(analysis.exec_levels.len() as u64);
+    bts_telemetry::emit_instant("circuit", "circuit.analyze", 0.0, &[("nodes", nodes)]);
     walked.map(|()| analysis)
 }
 

@@ -90,13 +90,6 @@ impl KeyBundle {
         self.rotations.get(&r)
     }
 
-    /// Rotation amounts for which keys are present.
-    pub fn rotation_amounts(&self) -> Vec<i64> {
-        let mut v: Vec<i64> = self.rotations.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
     /// The conjugation key, if generated.
     pub fn conjugation(&self) -> Option<&EvaluationKey> {
         self.conjugation.as_ref()

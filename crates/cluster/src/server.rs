@@ -418,7 +418,6 @@ impl<'a> Fleet<'a> {
                         ("bw_factor", ArgValue::F64(factor)),
                     ],
                 );
-                bts_telemetry::counter_add("cluster.interconnect_bytes", bytes);
             }
         }
         (interconnect_bytes, interconnect_seconds)
@@ -479,7 +478,7 @@ impl<'a> Fleet<'a> {
             let job = &self.jobs[j];
             if used >= retry.max_attempts {
                 let shed = ShedJob::new(job, failed_at, ShedReason::RetryBudgetExhausted, used);
-                shed.emit("cluster.shed");
+                shed.emit();
                 self.shed.insert(j, shed);
                 continue;
             }
@@ -528,7 +527,6 @@ impl<'a> Fleet<'a> {
                         ("dispatch", ArgValue::U64(u64::from(used) + 1)),
                     ],
                 );
-                bts_telemetry::counter_add("cluster.migrations", 1);
             }
         }
         Ok(())

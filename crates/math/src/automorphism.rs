@@ -169,11 +169,6 @@ impl AutomorphismTable {
     pub fn destination(&self, i: usize) -> usize {
         self.dest[i] as usize
     }
-
-    /// Whether the coefficient at source index `i` changes sign.
-    pub fn negates(&self, i: usize) -> bool {
-        self.negate[i]
-    }
 }
 
 #[cfg(test)]

@@ -86,32 +86,6 @@ impl RnsPoly {
         out
     }
 
-    /// Builds a polynomial from raw residue limbs (must match the basis shape).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::BasisMismatch`] if the limb shape does not match.
-    pub fn from_limbs(
-        basis: &RnsBasis,
-        rep: Representation,
-        limbs: Vec<Vec<u64>>,
-    ) -> crate::Result<Self> {
-        if limbs.len() != basis.len() || limbs.iter().any(|l| l.len() != basis.degree()) {
-            return Err(MathError::BasisMismatch(
-                "limb shape does not match basis".to_string(),
-            ));
-        }
-        let mut data = Vec::with_capacity(basis.len() * basis.degree());
-        for limb in &limbs {
-            data.extend_from_slice(limb);
-        }
-        Ok(Self {
-            basis: basis.clone(),
-            rep,
-            data,
-        })
-    }
-
     /// Samples a uniformly random polynomial (independent uniform residues per
     /// limb), in the requested representation.
     pub fn sample_uniform<R: rand::Rng + ?Sized>(

@@ -204,11 +204,6 @@ impl CkksInstance {
         (rotation_keys as u64 + 1) * self.evk_bytes()
     }
 
-    /// Number of butterflies of a full (i)NTT over one residue polynomial.
-    pub fn ntt_butterflies(&self) -> u64 {
-        (self.n() as u64 / 2) * self.log_n as u64
-    }
-
     /// Paper-reported temporary-data footprint during HMult (Table 4), in
     /// bytes, when available (only the three evaluation instances); used as a
     /// reference point for the simulator's own measurement.

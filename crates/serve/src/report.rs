@@ -67,8 +67,8 @@ impl JobOutcome {
 
     /// When telemetry is on: the job's lifecycle event on the `jobs` track
     /// (its args carry the exact report floats, so figures derived from the
-    /// stream match the report bitwise — see `crate::derived`), its
-    /// metrics, and a `deadline-miss` instant if it finished late.
+    /// stream match the report bitwise — see `crate::derived`), and a
+    /// `deadline-miss` instant if it finished late.
     pub fn emit(&self) {
         if !bts_telemetry::enabled() {
             return;
@@ -91,9 +91,6 @@ impl JobOutcome {
                 ("attempts", ArgValue::U64(u64::from(self.attempts))),
             ],
         );
-        bts_telemetry::counter_add("serve.jobs", 1);
-        bts_telemetry::observe("serve.latency_seconds", latency);
-        bts_telemetry::observe("serve.queue_seconds", self.queue_seconds());
         if let (Some(false), Some(deadline)) = (self.deadline_met(), self.deadline_seconds) {
             let late = ArgValue::F64(self.finish_seconds - deadline);
             bts_telemetry::emit_instant(
@@ -102,7 +99,6 @@ impl JobOutcome {
                 self.finish_seconds,
                 &[("job", ArgValue::U64(self.id)), ("late_s", late)],
             );
-            bts_telemetry::counter_add("serve.deadline_missed", 1);
         }
     }
 }
@@ -174,10 +170,10 @@ impl ShedJob {
         }
     }
 
-    /// When telemetry is on: the `shed` instant on the `faults` track, and
-    /// one more on `counter` (`serve.shed` for a chip's own sheds,
-    /// `cluster.shed` for the cluster's).
-    pub fn emit(&self, counter: &str) {
+    /// When telemetry is on: the `shed` instant on the `faults` track of the
+    /// current scope (a chip's process for its own sheds, `cluster` for the
+    /// cluster's).
+    pub fn emit(&self) {
         if !bts_telemetry::enabled() {
             return;
         }
@@ -193,7 +189,6 @@ impl ShedJob {
                 ("attempts", ArgValue::U64(u64::from(self.attempts))),
             ],
         );
-        bts_telemetry::counter_add(counter, 1);
     }
 }
 

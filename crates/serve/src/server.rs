@@ -535,7 +535,6 @@ impl<'a> Run<'a> {
                     ],
                 );
                 self.emit_queue(release);
-                bts_telemetry::gauge_set("serve.in_flight", self.in_flight as f64);
             }
             self.scheduler
                 .add_planned(tag, Arc::clone(&self.pairs[e.j].plan), release)
@@ -621,7 +620,6 @@ impl<'a> Run<'a> {
                     ("attempt", ArgValue::U64(u64::from(attempt))),
                 ],
             );
-            bts_telemetry::counter_add("serve.faults", 1);
         }
         let retry = self.options.retry;
         if used >= retry.max_attempts {
@@ -650,7 +648,6 @@ impl<'a> Run<'a> {
                     ("backoff_s", ArgValue::F64(retry.backoff_seconds(used))),
                 ],
             );
-            bts_telemetry::counter_add("serve.retries", 1);
         }
     }
 
@@ -760,18 +757,21 @@ impl<'a> Run<'a> {
     /// Sheds job `j` at `at` for `reason`, after `attempts` executions.
     fn drop_job(&mut self, j: usize, attempts: u32, at: f64, reason: ShedReason) {
         let shed = ShedJob::new(&self.jobs[j], at, reason, attempts);
-        shed.emit("serve.shed");
+        shed.emit();
         self.shed.push(shed);
     }
 
-    /// The queue-depth counter at `at`.
+    /// The queue-depth counter at `at`: jobs waiting, plus executions already
+    /// due but not yet ingested — not future arrivals or redrives still in
+    /// backoff.
     fn emit_queue(&self, at: f64) {
+        let due = (self.upcoming).partition_point(|e| e.ready_seconds <= at);
         bts_telemetry::emit_counter(
             "queue",
             "queue",
             at,
             &[
-                ("waiting", (self.waiting.len() + self.upcoming.len()) as f64),
+                ("waiting", (self.waiting.len() + due) as f64),
                 ("in_flight", self.in_flight as f64),
             ],
         );

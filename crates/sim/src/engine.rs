@@ -592,10 +592,6 @@ impl Simulator {
                         ("bypasses", ArgValue::U64(pressure.bypasses as u64)),
                     ],
                 );
-                bts_telemetry::counter_add("sim.cache.hits", hits as u64);
-                bts_telemetry::counter_add("sim.cache.misses", misses as u64);
-                bts_telemetry::counter_add("sim.cache.evictions", pressure.evictions as u64);
-                bts_telemetry::counter_add("sim.cache.bypasses", pressure.bypasses as u64);
             }
             serial_t += seconds;
             sink(

@@ -2,12 +2,13 @@
 //! sink the instrumentation points write into.
 //!
 //! A [`Collector`] owns what one run records. While a [`Capture`] guard has
-//! it installed on a thread, that thread's `emit_*`, [`span`] and metric
-//! calls go to it; captures nest (innermost wins) and are per thread, so
-//! runs never see each other's events. A thread with no sink records nothing, for one thread-local read
-//! and one atomic load per instrumentation point — no locks, allocation or
-//! clock reads (asserted by `tests/zero_alloc.rs`) — unless the environment
-//! switched telemetry on, which gives it a root sink.
+//! it installed on a thread, that thread's `emit_*` and [`span`] calls go to
+//! it; captures nest (innermost wins) and are per thread, so runs never see
+//! each other's events. The collector holds events and nothing else: a count
+//! is an event or an event's arg. A thread with no sink records nothing, for
+//! one thread-local read and one atomic load per instrumentation point — no
+//! locks, allocation or clock reads (asserted by `tests/zero_alloc.rs`) —
+//! unless the environment switched telemetry on, which gives it a root sink.
 //!
 //! Two more thread-local stacks give events their context:
 //!
@@ -19,14 +20,12 @@
 //!   its parent's id.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::event::{ArgValue, Event, EventKind};
-use crate::metrics::Metric;
 use crate::TelemetryConfig;
 
 /// Hard cap on one collector's buffered events. Past it, new events are
@@ -56,8 +55,6 @@ pub struct Collector {
     pub events: Vec<Event>,
     /// Number of events dropped because the buffer hit [`MAX_EVENTS`].
     pub dropped: u64,
-    /// The metrics registry, sorted by name.
-    pub metrics: BTreeMap<String, Metric>,
     /// Span ids handed out so far; the next span gets `spans + 1` (0 = root).
     spans: u64,
 }
@@ -120,8 +117,8 @@ pub fn current() -> Option<Sink> {
 
 /// Whether a sink is installed on this thread, i.e. whether instrumentation
 /// points record. A thread without one consults the environment (read once
-/// per process): `BTS_TRACE`, `BTS_METRICS` or `BTS_TELEMETRY` (any non-empty
-/// value other than `BTS_TELEMETRY=0`) give it a root sink on first use.
+/// per process): `BTS_TRACE` or `BTS_TELEMETRY` (any non-empty value other
+/// than `BTS_TELEMETRY=0`) give it a root sink on first use.
 #[inline]
 pub fn enabled() -> bool {
     with_sink(|_| ()).is_some()
@@ -137,7 +134,7 @@ fn with_sink<R>(f: impl FnOnce(&Sink) -> R) -> Option<R> {
 }
 
 /// Runs `f` on the current thread's innermost collector, if any.
-pub(crate) fn with_current<R>(f: impl FnOnce(&mut Collector) -> R) -> Option<R> {
+fn with_current<R>(f: impl FnOnce(&mut Collector) -> R) -> Option<R> {
     with_sink(|sink| f(&mut sink.lock()))
 }
 

@@ -1,4 +1,4 @@
-//! Unified tracing and metrics for the BTS workspace.
+//! Unified tracing for the BTS workspace.
 //!
 //! One deterministic event stream per run feeds everything observable about
 //! it: simulated per-op charges from `bts-sim`, per-unit busy intervals from
@@ -6,7 +6,10 @@
 //! interconnect transfers from `bts-cluster`, and wall-clock spans around the
 //! `bts-math` hot paths. Exporters turn the stream into a Chrome trace-event
 //! JSON file (load it in [Perfetto](https://ui.perfetto.dev) or
-//! `chrome://tracing`) and a flat metrics text dump.
+//! `chrome://tracing`). The stream is the only record: every count a layer
+//! reports (cache hits, completed jobs, sheds, retries, migrations,
+//! interconnect bytes) is an arg or an event of it, summed by whoever reads
+//! it.
 //!
 //! # Capture model
 //!
@@ -18,27 +21,28 @@
 //! ([`current`] + [`Sink::install`]).
 //!
 //! ```
-//! use bts_telemetry as telemetry;
+//! use bts_telemetry::{self as telemetry, ArgValue};
 //!
 //! let run = telemetry::capture();
-//! telemetry::emit_complete("NTTU.0", "HMult@L27", 0.0, 98.0e-6, &[]);
+//! let hits = |n| [("cache_hits", ArgValue::U64(n))];
+//! telemetry::emit_complete("engine", "HMult@L27", 0.0, 98.0e-6, &hits(2));
 //! let scratch = telemetry::capture(); // shadows `run` until it ends
 //! telemetry::emit_instant("scratchpad", "evict", 0.0, &[]);
 //! drop(scratch); // what it recorded never reaches `run`
-//! telemetry::counter_add("sim.cache.hits", 1);
+//! telemetry::emit_complete("engine", "HRot@L27", 98.0e-6, 98.0e-6, &hits(1));
 //! let run = run.finish();
-//! assert_eq!(run.events.len(), 1);
-//! assert_eq!(run.metrics_dump(), "counter sim.cache.hits 1\n");
+//! // A count is an event arg: the reader sums it.
+//! let total: u64 = run.events.iter().filter_map(|e| e.arg_u64("cache_hits")).sum();
+//! assert_eq!((run.events.len(), total), (2, 3));
 //! ```
 //!
 //! Telemetry is **off by default** and free when off: without a sink an
 //! instrumentation point is one thread-local read plus one atomic load (no
 //! locks, no allocation, no clock reads — asserted by a counting-allocator
-//! test). Whole programs use the environment: with `BTS_TRACE=out.json`,
-//! `BTS_METRICS=out.txt` or `BTS_TELEMETRY=1` (read once per process) a
-//! thread without a sink gets a root sink on first use, and [`init`] with
-//! [`TelemetryConfig::from_env`] captures until [`TelemetrySession::finish`]
-//! writes the configured files.
+//! test). Whole programs use the environment: with `BTS_TRACE=out.json` or
+//! `BTS_TELEMETRY=1` (read once per process) a thread without a sink gets a
+//! root sink on first use, and [`init`] with [`TelemetryConfig::from_env`]
+//! captures until [`TelemetrySession::finish`] writes the configured trace.
 //!
 //! # Event model
 //!
@@ -56,7 +60,6 @@ mod collector;
 mod event;
 mod export;
 pub mod json;
-mod metrics;
 mod stats;
 mod timeline;
 
@@ -67,23 +70,20 @@ pub use collector::{
 pub use event::{check_proper_nesting, ArgValue, Event, EventKind};
 pub use export::{chrome_trace_json, export_chrome_trace, ExportSummary};
 pub use json::{trace_event_names, validate_chrome_trace, TraceCheck};
-pub use metrics::{counter_add, gauge_set, observe, Histogram, Metric, LATENCY_BUCKET_BOUNDS};
-pub use stats::{jain_index, nearest_rank_index, percentile_nearest_rank};
+pub use stats::{jain_index, percentile_nearest_rank};
 pub use timeline::TimelineSegment;
 
 use std::io;
 use std::path::PathBuf;
 
-/// Where telemetry goes for one session: whether to collect, and which files
-/// (if any) to export on [`TelemetrySession::finish`].
+/// Where telemetry goes for one session: whether to collect, and where (if
+/// anywhere) to export the trace on [`TelemetrySession::finish`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryConfig {
-    /// Collect events and metrics for this run.
+    /// Collect events for this run.
     pub enabled: bool,
     /// Write a Chrome trace-event JSON file here on finish.
     pub trace_path: Option<PathBuf>,
-    /// Write the flat metrics dump here on finish.
-    pub metrics_path: Option<PathBuf>,
 }
 
 impl TelemetryConfig {
@@ -93,23 +93,17 @@ impl TelemetryConfig {
     }
 
     /// Reads the conventional environment variables: `BTS_TRACE=path.json`
-    /// sets the trace path, `BTS_METRICS=path.txt` the metrics path, and
-    /// either (or `BTS_TELEMETRY=1`) enables collection.
+    /// sets the trace path and enables collection; `BTS_TELEMETRY=1` enables
+    /// collection alone.
     pub fn from_env() -> Self {
-        let path_var = |key: &str| {
-            std::env::var_os(key)
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from)
-        };
-        let trace_path = path_var("BTS_TRACE");
-        let metrics_path = path_var("BTS_METRICS");
+        let trace_path = std::env::var_os("BTS_TRACE")
+            .filter(|v| !v.is_empty())
+            .map(PathBuf::from);
         let enabled = trace_path.is_some()
-            || metrics_path.is_some()
             || matches!(std::env::var("BTS_TELEMETRY"), Ok(v) if !v.is_empty() && v != "0");
         Self {
             enabled,
             trace_path,
-            metrics_path,
         }
     }
 
@@ -130,8 +124,6 @@ impl TelemetryConfig {
 pub struct FinishSummary {
     /// The Chrome trace export, when a trace path was configured.
     pub trace: Option<ExportSummary>,
-    /// The metrics dump path, when configured.
-    pub metrics: Option<PathBuf>,
 }
 
 /// A live telemetry session created by [`init`]; call
@@ -159,24 +151,18 @@ impl TelemetrySession {
         &self.config
     }
 
-    /// Ends the capture and exports the configured trace and/or metrics file.
+    /// Ends the capture and exports the configured trace file.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors from either export.
+    /// Propagates filesystem errors from the export.
     pub fn finish(self) -> io::Result<FinishSummary> {
         let collected = self.capture.map(Capture::finish).unwrap_or_default();
         let trace = match &self.config.trace_path {
             Some(path) => Some(export_chrome_trace(&collected, path)?),
             None => None,
         };
-        if let Some(path) = &self.config.metrics_path {
-            std::fs::write(path, collected.metrics_dump())?;
-        }
-        Ok(FinishSummary {
-            trace,
-            metrics: self.config.metrics_path.clone(),
-        })
+        Ok(FinishSummary { trace })
     }
 }
 
@@ -189,7 +175,6 @@ mod tests {
         let config = TelemetryConfig::disabled();
         assert!(!config.enabled);
         assert!(config.trace_path.is_none());
-        assert!(config.metrics_path.is_none());
     }
 
     #[test]
@@ -200,7 +185,6 @@ mod tests {
         let kept = TelemetryConfig {
             enabled: true,
             trace_path: Some(PathBuf::from("explicit.json")),
-            metrics_path: None,
         }
         .or_trace_path("default.json");
         assert_eq!(kept.trace_path, Some(PathBuf::from("explicit.json")));
@@ -211,24 +195,18 @@ mod tests {
         let dir = std::env::temp_dir().join("bts_telemetry_lib_test");
         std::fs::create_dir_all(&dir).unwrap();
         let trace_path = dir.join("session.trace.json");
-        let metrics_path = dir.join("session.metrics.txt");
         let config = TelemetryConfig {
             enabled: true,
             trace_path: Some(trace_path.clone()),
-            metrics_path: Some(metrics_path.clone()),
         };
         let session = init(&config);
         emit_complete("unit", "work", 0.0, 1e-6, &[("bytes", ArgValue::U64(64))]);
-        counter_add("lib.test.counter", 3);
         let summary = session.finish().unwrap();
         let trace = summary.trace.unwrap();
         assert_eq!(trace.events, 1);
         let text = std::fs::read_to_string(&trace_path).unwrap();
         let check = validate_chrome_trace(&text).unwrap();
         assert_eq!(check.events, 1);
-        let metrics_text = std::fs::read_to_string(&metrics_path).unwrap();
-        assert!(metrics_text.contains("counter lib.test.counter 3"));
         std::fs::remove_file(&trace_path).ok();
-        std::fs::remove_file(&metrics_path).ok();
     }
 }

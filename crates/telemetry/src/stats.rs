@@ -1,10 +1,9 @@
 //! Shared latency statistics.
 //!
 //! One nearest-rank implementation feeds every latency figure in the
-//! workspace: the exact per-job percentiles in `bts-serve`/`bts-cluster`
-//! reports (which sort the raw samples) and the bucketed estimates of
-//! [`crate::metrics::Histogram`] (which walk cumulative bucket counts with
-//! the same rank rule). [`jain_index`] is both reports' tenant fairness.
+//! workspace: the exact per-job percentiles of the `bts-serve`/`bts-cluster`
+//! reports and of the figures derived from their event streams, both from
+//! the raw samples. [`jain_index`] is both reports' tenant fairness.
 
 /// Zero-based index of the nearest-rank `p`-th percentile in a sorted sample
 /// of `len` elements: `rank = ⌈p/100 · len⌉`, clamped into `[1, len]`
@@ -13,7 +12,7 @@
 /// # Panics
 ///
 /// Panics if `len == 0` or `p` is outside `[0, 100]`.
-pub fn nearest_rank_index(len: usize, p: f64) -> usize {
+fn nearest_rank_index(len: usize, p: f64) -> usize {
     assert!(len > 0, "percentile of an empty sample");
     assert!(
         (0.0..=100.0).contains(&p),
@@ -24,7 +23,8 @@ pub fn nearest_rank_index(len: usize, p: f64) -> usize {
 }
 
 /// Exact nearest-rank percentile of an unsorted sample: sorts a copy and
-/// indexes it with [`nearest_rank_index`]. Returns `0.0` for an empty sample
+/// takes its `⌈p/100 · len⌉`-th smallest value (rank clamped into
+/// `[1, len]`). Returns `0.0` for an empty sample
 /// (the convention the serving reports established for "no jobs yet").
 ///
 /// # Panics

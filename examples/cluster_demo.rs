@@ -147,9 +147,11 @@ fn main() {
 
     // Export the trace and prove it is what we claim: well-formed Chrome
     // trace JSON with at least the per-chip unit lanes, the queue/admission
-    // lanes and the interconnect lane.
+    // lanes and the interconnect lane — every event of them, none lost past
+    // the buffer cap, since the trace is the run's only record.
     let summary = session.finish().expect("trace export writes");
     let trace = summary.trace.expect("a trace path is always configured");
+    assert_eq!(trace.dropped, 0, "trace must hold every event");
     let text = std::fs::read_to_string(&trace.path).expect("trace file readable");
     assert!(!text.is_empty(), "trace must not be empty");
     let check = telemetry::validate_chrome_trace(&text).expect("trace must be schema-valid");

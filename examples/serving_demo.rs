@@ -110,10 +110,12 @@ fn main() {
     }
     println!("{}", report.summary());
 
-    // Export the trace and check it really is non-empty, well-formed Chrome
-    // trace JSON before pointing anyone at it.
+    // Export the trace and check it really is complete, non-empty,
+    // well-formed Chrome trace JSON before pointing anyone at it: the trace
+    // is the run's only record, so one lost past the buffer cap is a failure.
     let summary = session.finish().expect("trace export writes");
     let trace = summary.trace.expect("a trace path is always configured");
+    assert_eq!(trace.dropped, 0, "trace must hold every event");
     let text = std::fs::read_to_string(&trace.path).expect("trace file readable");
     assert!(!text.is_empty(), "trace must not be empty");
     let check = telemetry::validate_chrome_trace(&text).expect("trace must be schema-valid");

@@ -15,7 +15,7 @@
 //! | [`fault`] | `bts-fault` | seeded fault injection: chip failures, transient faults, retries |
 //! | [`serve`] | `bts-serve` | multi-tenant batch serving over one shared accelerator |
 //! | [`cluster`] | `bts-cluster` | multi-chip fleets: placement policies + interconnect costs |
-//! | [`telemetry`] | `bts-telemetry` | unified tracing/metrics + Chrome-trace (Perfetto) export |
+//! | [`telemetry`] | `bts-telemetry` | unified tracing (one event stream) + Chrome-trace (Perfetto) export |
 //!
 //! # Quickstart
 //!

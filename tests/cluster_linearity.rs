@@ -76,7 +76,7 @@ fn staggered_chip_deaths_cost_no_more_than_simultaneous_ones() {
     // `BTS_TELEMETRY=1 cargo test` must not give this thread a root sink
     // (every reservation would allocate an event): clear the environment
     // before the process's one read of it, which `enabled()` performs.
-    for key in ["BTS_TRACE", "BTS_METRICS", "BTS_TELEMETRY"] {
+    for key in ["BTS_TRACE", "BTS_TELEMETRY"] {
         std::env::remove_var(key);
     }
     assert!(!bts::telemetry::enabled());

@@ -2,8 +2,9 @@
 //! allocations, held linear (or constant) by counts.
 //!
 //! Every pass decides from whole-circuit dataflow ([`analysis::analyze`]),
-//! and `analyze` adds the nodes it visits to the `circuit.analysis.nodes`
-//! telemetry counter. A pass that re-analyzes once per candidate rewrite —
+//! and each `analyze` call emits a `circuit.analyze` telemetry instant
+//! carrying the nodes it visits; a run's instants sum to its cost in circuit
+//! walks. A pass that re-analyzes once per candidate rewrite —
 //! bootstrap placement used to, once per marker — shows up here as a count
 //! hundreds of times the circuit's length; a timer on a shared VM would only
 //! show noise.
@@ -19,7 +20,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use bts::circuit::passes::analysis;
 use bts::circuit::{compile, CircuitBuilder, CompiledCircuit, PassPipeline, TraceBackend};
 use bts::params::CkksInstance;
-use bts::telemetry::{self, Metric};
+use bts::telemetry;
 use bts::workloads::standard_registry;
 
 #[path = "common/counting_alloc.rs"]
@@ -36,13 +37,17 @@ fn take_turn() -> MutexGuard<'static, ()> {
     TURN.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The nodes `run`'s analyses visited: the `nodes` args of its
+/// `circuit.analyze` instants, summed.
 fn analysis_nodes(run: impl FnOnce()) -> u64 {
     let capture = telemetry::capture();
     run();
-    match capture.finish().metrics.get("circuit.analysis.nodes") {
-        Some(Metric::Counter(nodes)) => *nodes,
-        other => panic!("circuit.analysis.nodes is not a counter: {other:?}"),
-    }
+    let run = capture.finish();
+    assert_eq!(run.dropped, 0, "the stream must be complete");
+    let analyses = run.events.iter().filter(|e| e.name == "circuit.analyze");
+    analyses
+        .map(|e| e.arg_u64("nodes").expect("an analysis counts its nodes"))
+        .sum()
 }
 
 /// Sorting on INS-1 is the sweep's largest circuit and its most refreshed:
@@ -68,11 +73,11 @@ fn standard_pipeline_analyzes_a_bounded_multiple_of_the_circuit() {
         "the pipeline analyzed {visited} nodes of a {}-node circuit (bound {bound})",
         circuit.len()
     );
-    // Not vacuous: the counter is live and every analysis adds to it.
+    // Not vacuous: the instants are live and every analysis emits one.
     assert!(visited >= circuit.len() as u64);
 }
 
-/// The counter counts what one analysis visits, and only under a sink.
+/// One analysis's instant carries exactly the nodes it visits.
 #[test]
 fn analyze_counts_the_nodes_it_visits() {
     let _turn = take_turn();

@@ -6,6 +6,9 @@
 //!   transfer per dispatch — one per chip it was shipped to (a refugee only
 //!   ever moves to a chip that dies later, so it never lands on one twice),
 //!   never more than its first placement plus its migrations.
+//!   The fleet's other counts are events too: one `migrate` instant per
+//!   re-placement and one `shed` instant per shed job, a chip's or the
+//!   cluster's.
 //! * **HBM.** A serve report's `aggregate.hbm_bytes` is the HBM traffic of
 //!   the jobs it completed, each charged on its own: the sum, over completed
 //!   jobs, of an independent `Simulator::try_run` of the job's lowered trace.
@@ -92,6 +95,11 @@ fn every_interconnect_byte_is_one_transfer_of_one_dispatch() {
         per_dispatch.values().all(|&n| n == 1),
         "a chip charged a job twice"
     );
+    let count = |name| events.events.iter().filter(named(name)).count();
+    assert_eq!(count("migrate") as u64, report.migration_count());
+    assert!(report.shed_count() > 0, "the bounded queues shed");
+    assert_eq!(count("shed"), report.shed_count());
+
     let mut dispatches: HashMap<u64, usize> = jobs.iter().map(|j| (j.id, 1)).collect();
     for e in events.events.iter().filter(named("migrate")) {
         *dispatches.get_mut(&arg(e, "job")).expect("a submitted job") += 1;

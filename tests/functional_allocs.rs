@@ -77,7 +77,7 @@ fn allocations<T>(call: impl FnOnce() -> T) -> (u64, T) {
 fn quiet() {
     static QUIET: Once = Once::new();
     QUIET.call_once(|| {
-        for key in ["BTS_TRACE", "BTS_METRICS", "BTS_TELEMETRY"] {
+        for key in ["BTS_TRACE", "BTS_TELEMETRY"] {
             std::env::remove_var(key);
         }
         assert!(!bts::telemetry::enabled());

@@ -88,7 +88,7 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
     // `BTS_TELEMETRY=1 cargo test` must not give this thread a root sink
     // (every op would allocate an event): clear the environment before the
     // process's one read of it, which `enabled()` performs.
-    for key in ["BTS_TRACE", "BTS_METRICS", "BTS_TELEMETRY"] {
+    for key in ["BTS_TRACE", "BTS_TELEMETRY"] {
         std::env::remove_var(key);
     }
     assert!(!bts::telemetry::enabled());

@@ -6,6 +6,12 @@
 //! span layer leaves every span closed and properly nested after a real
 //! functional run — pool workers included.
 //!
+//! The stream is the only record of a run, so every count a report holds has
+//! an event twin held equal to it here: the engine events' cache args sum to
+//! the `SimReport`'s, and a serve run's `jobs` events, `shed`, `retry`,
+//! `fault` and `deadline-miss` instants count its completions, sheds, retries
+//! and late jobs. The `queue` lane counts only jobs that have arrived.
+//!
 //! Every run records into its own `telemetry::capture()`, which returns that
 //! run's events and nothing else, so the tests share no state.
 
@@ -18,10 +24,11 @@ use bts::cluster::{
 };
 use bts::params::CkksInstance;
 use bts::serve::{
-    serve, DerivedServeFigures, JobRequest, ServeOptions, ServeReport, SyntheticArrivals,
+    serve, DerivedServeFigures, JobRequest, ServeOptions, ServeReport, ShedReason,
+    SyntheticArrivals,
 };
 use bts::sim::{ArchPreset, BtsConfig, Simulator, TraceBuilder};
-use bts::telemetry::{self, ArgValue, Collector, Event, Metric};
+use bts::telemetry::{self, ArgValue, Collector, Event};
 use rand::SeedableRng;
 
 /// One seeded three-tenant stream.
@@ -110,14 +117,92 @@ fn identical_runs_emit_identical_streams() {
 
 /// The faulted serve of `property_fault`: transient faults, retries and a
 /// bounded queue that sheds.
-fn faulted_serve() {
+fn faulted_serve() -> ServeReport {
     serve(
         &stream(),
         ServeOptions::new(2)
             .with_queue_capacity(2)
             .with_fault_plan(FaultPlan::none().with_seed(7).with_transient_rate(0.5)),
     )
-    .expect("faulted stream serves");
+    .expect("faulted stream serves")
+}
+
+/// How many events of `events` are named `name`.
+fn named(events: &[Event], name: &str) -> usize {
+    events.iter().filter(|e| e.name == name).count()
+}
+
+/// A faulted run's counts are its events: one `jobs` event per completion,
+/// one `shed` instant per shed job, one `retry` instant per redriven
+/// execution and one `fault` instant per faulted one (each retry, plus the
+/// last attempt of a job whose budget ran out).
+#[test]
+fn serve_counts_equal_their_event_twins() {
+    let run = telemetry::capture();
+    let report = faulted_serve();
+    let events = simulated(run.finish());
+    assert!(report.job_count() > 0 && report.shed_count() > 0 && report.retry_count() > 0);
+
+    let completions = events.iter().filter(|e| e.track == "jobs").count();
+    assert_eq!(completions, report.job_count());
+    assert_eq!(named(&events, "shed"), report.shed_count());
+    assert_eq!(named(&events, "retry") as u64, report.retry_count());
+    let out_of_retries = (report.shed.iter())
+        .filter(|s| s.reason == ShedReason::RetryBudgetExhausted)
+        .count() as u64;
+    assert_eq!(
+        named(&events, "fault") as u64,
+        report.retry_count() + out_of_retries
+    );
+}
+
+/// Deadlines shorter than any job's service time: every job admitted before
+/// its deadline completes late, and each late completion is one
+/// `deadline-miss` instant.
+#[test]
+fn deadline_miss_instants_count_the_late_completions() {
+    let jobs: Vec<JobRequest> = (stream().into_iter())
+        .map(|job| {
+            let deadline = job.arrival_seconds + 1e-4;
+            job.with_deadline(deadline)
+        })
+        .collect();
+    let run = telemetry::capture();
+    let report = serve(&jobs, ServeOptions::new(2)).expect("stream serves");
+    let events = simulated(run.finish());
+    let late = (report.jobs.iter())
+        .filter(|j| j.deadline_met() == Some(false))
+        .count();
+    assert!(late > 0, "some job was admitted before its deadline");
+    assert_eq!(named(&events, "deadline-miss"), late);
+}
+
+/// Jobs one second apart, each done long before the next arrives: no job
+/// ever waits, so every `queue` sample reads `waiting: 0` — jobs that have
+/// not arrived yet are not in the queue.
+#[test]
+fn the_queue_lane_counts_only_arrived_jobs() {
+    let ins = CkksInstance::ins1();
+    let jobs: Vec<JobRequest> = (0..4)
+        .map(|i| JobRequest::new(i, 0, "bootstrap", ins.clone(), i as f64))
+        .collect();
+    let run = telemetry::capture();
+    let report = serve(&jobs, ServeOptions::new(1)).expect("stream serves");
+    let events = simulated(run.finish());
+    assert_eq!(report.job_count(), jobs.len());
+    assert!(report.jobs.iter().all(|j| j.queue_seconds() == 0.0));
+    let samples: Vec<&Event> = events.iter().filter(|e| e.track == "queue").collect();
+    assert_eq!(
+        samples.len(),
+        2 * jobs.len(),
+        "one per admission and completion"
+    );
+    for sample in samples {
+        let waiting = sample
+            .arg_f64("waiting")
+            .expect("queue samples carry waiting");
+        assert_eq!(waiting, 0.0, "queue sample at {} ns", sample.ts_ns);
+    }
 }
 
 /// Twelve bootstrap jobs at t = 0 from four tenants.
@@ -166,14 +251,17 @@ fn concurrent_captures_hold_exactly_their_own_runs() {
     let wounded_serve = || {
         serve_cluster(&jobs, fleet.clone()).expect("wounded fleet serves");
     };
-    let faulted_alone = captured(None, faulted_serve);
+    let run_faulted = || {
+        faulted_serve();
+    };
+    let faulted_alone = captured(None, run_faulted);
     let wounded_alone = captured(None, wounded_serve);
     assert!(faulted_alone.iter().any(|e| e.name == "retry"));
     assert!(wounded_alone.iter().any(|e| e.name == "migrate"));
 
     let barrier = Barrier::new(3);
     let (faulted_together, wounded_together) = std::thread::scope(|s| {
-        let faulted = s.spawn(|| captured(Some(&barrier), faulted_serve));
+        let faulted = s.spawn(|| captured(Some(&barrier), run_faulted));
         let wounded = s.spawn(|| captured(Some(&barrier), wounded_serve));
         s.spawn(|| {
             barrier.wait();
@@ -272,10 +360,6 @@ fn scratchpad_instants_explain_every_eviction_and_bypass() {
     let run = telemetry::capture();
     let report = sim.run(&trace);
     let run = run.finish();
-    let counter = |name: &str| match run.metrics.get(name) {
-        Some(Metric::Counter(v)) => *v,
-        other => panic!("{name}: {other:?}"),
-    };
     let instants: Vec<(&str, u64, u64, Option<&str>)> = run
         .events
         .iter()
@@ -307,10 +391,21 @@ fn scratchpad_instants_explain_every_eviction_and_bypass() {
             ("bypass", 6, o6, None),
         ]
     );
+    // The per-op engine events carry the op's counts: they sum to the
+    // report's, and to one instant per eviction and bypass.
+    let engine = run.events.iter().filter(|ev| ev.track == "engine");
+    let sum = |arg: &str| -> u64 {
+        let counts = engine
+            .clone()
+            .map(|ev| ev.arg_u64(arg).expect("engine events count"));
+        counts.sum()
+    };
+    assert_eq!(engine.clone().count(), trace.len());
+    assert_eq!(sum("cache_hits"), report.cache_hits as u64);
+    assert_eq!(sum("cache_misses"), report.cache_misses as u64);
     let count = |name: &str| instants.iter().filter(|i| i.0 == name).count() as u64;
-    assert_eq!(count("evict"), counter("sim.cache.evictions"));
-    assert_eq!(count("bypass"), counter("sim.cache.bypasses"));
-    assert_eq!(counter("sim.cache.misses"), report.cache_misses as u64);
+    assert_eq!(count("evict"), sum("evictions"));
+    assert_eq!(count("bypass"), sum("bypasses"));
     // Five first touches, and the two reloads the stream explains: c after
     // its eviction at op 2, e after its bypass at op 4.
     assert_eq!(report.cache_misses, 7);
