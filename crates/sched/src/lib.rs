@@ -25,17 +25,22 @@
 //!    guarantee. Its type decides what is kept ([`Keep`]):
 //!    [`MultiScheduler::new`] keeps the [`Timeline`] that
 //!    [`MultiScheduler::finish`] returns (per-op windows, per-unit busy
-//!    intervals, a Fig. 8-style timeline); `bts-serve` and
-//!    [`ScheduleExt::run_scheduled`] (`report`, the one-job case, filling in
-//!    the [`bts_sim::SimReport`]'s `scheduled_seconds` /
-//!    `critical_path_seconds`) use [`MultiScheduler::folding`], which sums
-//!    utilizations as it places ops and keeps figures
-//!    ([`ScheduleSummary`]). Bad input is refused as a [`ScheduleError`]
-//!    (`error`).
+//!    intervals, a Fig. 8-style timeline); `bts-serve` uses
+//!    [`MultiScheduler::folding`], which sums utilizations as it places ops
+//!    and keeps figures ([`ScheduleSummary`]). Bad input is refused as a
+//!    [`ScheduleError`] (`error`).
+//!
+//! [`ScheduleExt::run_scheduled`] (`report`) is the one-job case, filling in
+//! the [`bts_sim::SimReport`]'s `scheduled_seconds` /
+//! `critical_path_seconds`. One job released at 0 is placed in program
+//! order, so the run places each op, under the scheduler's one placement
+//! rule, as soon as the engine's sweep has charged it, and builds no plan.
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use bts_params::CkksInstance;
-//! use bts_sched::{MultiScheduler, ScheduleExt};
+//! use bts_sched::{JobPlan, MultiScheduler, ScheduleExt};
 //! use bts_sim::{BtsConfig, Simulator, TraceBuilder};
 //!
 //! let ins = CkksInstance::ins1();
@@ -49,19 +54,21 @@
 //! b.hrescale_at(s, ins.max_level());
 //!
 //! let sim = Simulator::new(BtsConfig::bts_default(), ins);
-//! let run = sim.run_scheduled(&b.build());
+//! let trace = b.build();
+//! let run = sim.run_scheduled(&trace);
 //! let speedup = run.report.parallel_speedup().unwrap();
 //! assert!(speedup >= 1.0);
 //! assert!(run.schedule.makespan_seconds <= run.report.total_seconds);
 //!
-//! // The run kept figures, not placements. For the timeline, admit its plan
-//! // to a scheduler of its own and keep what it places.
-//! let mut scheduler = MultiScheduler::new(*run.plan().machine());
-//! scheduler.add_planned(0, run.plan().clone(), 0.0)?;
+//! // The run kept figures, not placements. For the timeline, plan the job
+//! // and admit the plan to a scheduler that keeps what it places.
+//! let (plan, _) = JobPlan::from_trace(&sim, &trace)?;
+//! let mut scheduler = MultiScheduler::new(*plan.machine());
+//! scheduler.add_planned(0, Arc::new(plan), 0.0)?;
 //! let timeline = scheduler.finish();
 //! assert_eq!(timeline.makespan_seconds, run.schedule.makespan_seconds);
 //! assert_eq!(timeline.ops.len(), 4);
-//! # Ok::<(), bts_sched::ScheduleError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -76,8 +83,8 @@ mod resources;
 pub use dag::{CriticalPath, TraceDag};
 pub use error::ScheduleError;
 pub use multi::{
-    schedule_jobs, BusyInterval, JobCompletion, JobPlan, JobStats, Keep, MultiScheduler, Schedule,
-    ScheduleSummary, ScheduledOp, Timeline, UtilizationFold,
+    schedule_jobs, BusyInterval, CriticalOp, JobCompletion, JobPlan, JobStats, Keep,
+    MultiScheduler, Schedule, ScheduleSummary, ScheduledOp, Timeline, UtilizationFold,
 };
-pub use report::{CriticalOp, ScheduleExt, ScheduledRun};
+pub use report::{ScheduleExt, ScheduledRun};
 pub use resources::{FuKind, MachineModel, OpDemand};

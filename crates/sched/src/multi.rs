@@ -61,7 +61,17 @@
 //! [`MultiScheduler::folding`] keeps a [`UtilizationFold`] that adds each
 //! reservation to its unit's busy seconds as it is placed and builds no
 //! timeline, so memory follows the jobs in flight rather than the ops ever
-//! placed. Serving and a single trace's scheduled run fold.
+//! placed. Serving folds.
+//!
+//! # One job, placed as it is charged
+//!
+//! With one job released at 0 the greedy rule has one candidate, the job's
+//! next op, so program order is placement order and each op can be placed
+//! the moment the engine's sweep charges it. A single trace's scheduled run
+//! ([`crate::ScheduleExt::run_scheduled`]) does exactly that: the sweep's
+//! sink is the scheduler, on the same unit channels and [`UtilizationFold`]
+//! as here, and no plan is built. A caller that wants the plan — for its
+//! timeline, or its critical chain — builds it with [`JobPlan::from_trace`].
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -73,7 +83,6 @@ use bts_sim::{
 
 use crate::dag::{CriticalPath, LongestChain, TraceDag};
 use crate::error::ScheduleError;
-use crate::report::CriticalOp;
 use crate::resources::{FuKind, MachineModel, OpDemand};
 
 /// One op's placement in a schedule.
@@ -351,7 +360,8 @@ impl Schedule {
 }
 
 /// The figures of a [`Schedule`] without its timeline: what a folding
-/// scheduler returns ([`MultiScheduler::into_summary`]).
+/// scheduler returns ([`MultiScheduler::into_summary`]), and what a
+/// scheduled run returns ([`crate::ScheduledRun::schedule`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleSummary {
     /// Completion time of the last op — the pipelined execution time — or,
@@ -366,19 +376,17 @@ pub struct ScheduleSummary {
     pub utilizations: [f64; FuKind::COUNT],
 }
 
-impl ScheduleSummary {
-    /// Schedules `plan` alone, released at 0, on a folding scheduler: bit
-    /// for bit the figures of the [`Schedule`] [`MultiScheduler::finish`]
-    /// returns for the same plan, without building its timeline.
-    pub(crate) fn of_plan(plan: Arc<JobPlan>) -> Self {
-        let mut scheduler = MultiScheduler::folding(plan.machine);
-        // One job run to its end: nothing it places is ever clipped.
-        scheduler.settle(f64::INFINITY);
-        scheduler
-            .add_planned(0, plan, 0.0)
-            .expect("a fresh scheduler admits any plan at 0");
-        scheduler.into_summary(None)
-    }
+/// One op on the critical path, for "what limits this workload" reporting.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CriticalOp {
+    /// Index of the op in program order.
+    pub index: usize,
+    /// Operation kind.
+    pub op: HeOp,
+    /// Ciphertext level.
+    pub level: usize,
+    /// The op's latency window in seconds.
+    pub seconds: f64,
 }
 
 /// Everything about a job that is fixed before it runs: op metadata, per-op
@@ -481,17 +489,26 @@ impl JobPlan {
         &self.machine
     }
 
-    /// The ops of [`JobPlan::critical_path_ops`] with their latency windows.
-    pub(crate) fn critical_ops(&self) -> impl Iterator<Item = CriticalOp> + '_ {
-        self.critical_path.ops.iter().map(|&index| {
-            let (op, level, _) = self.ops[index];
-            CriticalOp {
-                index,
-                op,
-                level: level as usize,
-                seconds: self.demands[index].duration,
-            }
-        })
+    /// The `n` largest ops on the critical path — the ops a latency
+    /// optimization would have to attack first.
+    pub fn top_critical_ops(&self, n: usize) -> Vec<CriticalOp> {
+        let mut ops: Vec<CriticalOp> = self
+            .critical_path
+            .ops
+            .iter()
+            .map(|&index| {
+                let (op, level, _) = self.ops[index];
+                CriticalOp {
+                    index,
+                    op,
+                    level: level as usize,
+                    seconds: self.demands[index].duration,
+                }
+            })
+            .collect();
+        ops.sort_by(|a, b| b.seconds.partial_cmp(&a.seconds).expect("finite durations"));
+        ops.truncate(n);
+        ops
     }
 }
 
@@ -577,10 +594,10 @@ impl JobState {
     }
 }
 
-/// An active job's next op, as the greedy rule reads it. The rows of all
-/// active jobs sit side by side, so choosing a placement touches no plan.
+/// A job's next op, as the greedy rule reads it. The rows of all active
+/// jobs sit side by side, so choosing a placement touches no plan.
 #[derive(Debug, Clone, Copy)]
-struct Next {
+pub(crate) struct Next {
     /// Index into `MultiScheduler::jobs`.
     job: usize,
     /// Earliest start of the op as far as its job alone is concerned —
@@ -597,7 +614,7 @@ struct Next {
 }
 
 impl Next {
-    fn new(job: usize, ready: f64, demand: &OpDemand) -> Self {
+    pub(crate) fn new(job: usize, ready: f64, demand: &OpDemand) -> Self {
         Self {
             job,
             ready,
@@ -607,6 +624,101 @@ impl Next {
                 .map(|busy| if busy > 0.0 { busy } else { f64::NEG_INFINITY }),
         }
     }
+}
+
+/// Who placed a reservation, for its telemetry event.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Owner {
+    pub(crate) job: u32,
+    pub(crate) index: usize,
+    pub(crate) op: HeOp,
+    pub(crate) level: usize,
+}
+
+/// The machine's unit channels as the placement rule sees them — when each
+/// unit class frees — and what is kept of the reservations made on them.
+/// Both drivers of the rule hold one: [`MultiScheduler`], which picks among
+/// every active job's next op, and a scheduled run's one job, placed op by
+/// op as the engine's sweep charges it (`report.rs`).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Channels<K> {
+    /// Per unit class, when its one channel frees.
+    horizons: [f64; FuKind::COUNT],
+    pub(crate) keep: K,
+}
+
+impl<K: Keep> Channels<K> {
+    /// The earliest start of `next` that its job and every unit allow.
+    #[inline]
+    pub(crate) fn earliest_start(&self, next: &Next) -> f64 {
+        let mut start = next.ready;
+        for (&h, &lead) in self.horizons.iter().zip(&next.lead) {
+            // A reservation of `busy` seconds on a unit that frees at `h`
+            // must end inside the window: start ≥ h + busy − d.
+            start = later(start, h + lead - next.duration);
+        }
+        start
+    }
+
+    /// Reserves each unit class for `next`, placed at `start`, whose busy
+    /// seconds are `busy`; tells `keep` of every class and, with an `owner`,
+    /// emits each reservation as an event on its unit's track.
+    #[inline]
+    pub(crate) fn reserve(
+        &mut self,
+        start: f64,
+        next: &Next,
+        busy: &[f64; FuKind::COUNT],
+        owner: Option<Owner>,
+    ) {
+        for (k, kind) in FuKind::ALL.into_iter().enumerate() {
+            let h = self.horizons[k];
+            let res_start = later(start, h);
+            let res_end = res_start + busy[k];
+            // The reservation ends at or after `h`; a unit the op leaves
+            // idle (lead −∞) keeps its horizon.
+            self.horizons[k] = later(h, res_start + next.lead[k]);
+            self.keep.reserve(k, busy[k], res_start, res_end);
+            if let Some(owner) = owner.filter(|_| busy[k] > 0.0) {
+                use bts_telemetry::ArgValue;
+                // The start/end args carry the exact reservation floats so
+                // utilization derived from the event stream sums the same
+                // values in the same order as `unit_utilization`.
+                bts_telemetry::emit_complete(
+                    &format!("{}.0", kind.label()),
+                    &format!(
+                        "J{}#{} {:?}@L{}",
+                        owner.job, owner.index, owner.op, owner.level
+                    ),
+                    res_start,
+                    res_end - res_start,
+                    &[
+                        ("job", ArgValue::U64(u64::from(owner.job))),
+                        ("op_index", ArgValue::U64(owner.index as u64)),
+                        ("level", ArgValue::U64(owner.level as u64)),
+                        ("channel", ArgValue::U64(0)),
+                        ("start_s", ArgValue::F64(res_start)),
+                        ("end_s", ArgValue::F64(res_end)),
+                    ],
+                );
+            }
+        }
+    }
+}
+
+/// The `job-complete` instant of a job whose last op was just placed.
+pub(crate) fn emit_job_complete(tag: u32, finish_seconds: f64, critical_path: f64, serial: f64) {
+    use bts_telemetry::ArgValue;
+    bts_telemetry::emit_instant(
+        "sched",
+        "job-complete",
+        finish_seconds,
+        &[
+            ("job", ArgValue::U64(u64::from(tag))),
+            ("critical_path_s", ArgValue::F64(critical_path)),
+            ("serial_s", ArgValue::F64(serial)),
+        ],
+    );
 }
 
 /// The next placement the greedy rule picks.
@@ -706,7 +818,7 @@ impl Keep for UtilizationFold {
 impl UtilizationFold {
     /// Raises the settled bound to `seconds` and sums, per unit, the held
     /// reservations it now covers, up to the first it does not.
-    fn settle(&mut self, seconds: f64) {
+    pub(crate) fn settle(&mut self, seconds: f64) {
         debug_assert!(seconds >= self.settled);
         self.settled = seconds;
         for (reserved, held) in self.reserved.iter_mut().zip(&mut self.held) {
@@ -722,7 +834,7 @@ impl UtilizationFold {
 
     /// Busy fractions over `makespan`, the held reservations summed clipped
     /// to `clip`.
-    fn utilizations(&self, makespan: f64, clip: f64) -> [f64; FuKind::COUNT] {
+    pub(crate) fn utilizations(&self, makespan: f64, clip: f64) -> [f64; FuKind::COUNT] {
         debug_assert!(self.settled <= clip);
         if makespan <= 0.0 {
             return [0.0; FuKind::COUNT];
@@ -749,9 +861,7 @@ impl UtilizationFold {
 #[derive(Debug, Clone)]
 pub struct MultiScheduler<K = Timeline> {
     machine: MachineModel,
-    /// Per unit class, when its one channel frees.
-    horizons: [f64; FuKind::COUNT],
-    keep: K,
+    channels: Channels<K>,
     jobs: Vec<JobState>,
     /// Tag → index into `jobs`.
     index: HashMap<u32, usize>,
@@ -792,8 +902,8 @@ impl MultiScheduler {
         Schedule {
             serial_seconds: self.serial_seconds(),
             critical_path_seconds: self.critical_path_seconds(),
-            ops: self.keep.ops,
-            busy: self.keep.busy,
+            ops: self.channels.keep.ops,
+            busy: self.channels.keep.busy,
             index: self.index,
             makespan_seconds: self.makespan,
             jobs,
@@ -815,7 +925,7 @@ impl MultiScheduler<UtilizationFold> {
     /// latest real completion for one that may. Reservations ending by it
     /// are summed as they are placed; later ones wait. Never lower it.
     pub fn settle(&mut self, seconds: f64) {
-        self.keep.settle(seconds);
+        self.channels.keep.settle(seconds);
     }
 
     /// Places every remaining op and returns the run's figures. For a
@@ -831,7 +941,7 @@ impl MultiScheduler<UtilizationFold> {
             makespan_seconds: makespan,
             serial_seconds: self.serial_seconds(),
             critical_path_seconds: self.critical_path_seconds(),
-            utilizations: self.keep.utilizations(makespan, clip),
+            utilizations: self.channels.keep.utilizations(makespan, clip),
         }
     }
 }
@@ -840,8 +950,7 @@ impl<K: Keep> MultiScheduler<K> {
     fn keeping(machine: MachineModel) -> Self {
         Self {
             machine,
-            horizons: [0.0; FuKind::COUNT],
-            keep: K::default(),
+            channels: Channels::default(),
             jobs: Vec::new(),
             index: HashMap::new(),
             active: Vec::new(),
@@ -1028,12 +1137,7 @@ impl<K: Keep> MultiScheduler<K> {
             pos: 0,
         };
         for (pos, next) in self.active.iter().enumerate() {
-            let mut start = next.ready;
-            for (&h, &lead) in self.horizons.iter().zip(&next.lead) {
-                // A reservation of `busy` seconds on a unit that frees at
-                // `h` must end inside the window: start ≥ h + busy − d.
-                start = later(start, h + lead - next.duration);
-            }
+            let start = self.channels.earliest_start(next);
             // Strictly earlier only, so a tie stays with the job admitted
             // first.
             let earlier = start < best.start;
@@ -1048,7 +1152,7 @@ impl<K: Keep> MultiScheduler<K> {
     /// [`bts_telemetry::enabled`] for all it places), their events.
     fn place(&mut self, Candidate { start, pos }: Candidate, telemetry_on: bool) {
         let next = &mut self.active[pos];
-        let lead = next.lead;
+        let placed = *next;
         let job = &mut self.jobs[next.job];
         let plan = &*job.plan;
         let i = job.next;
@@ -1076,7 +1180,7 @@ impl<K: Keep> MultiScheduler<K> {
             tag: job.tag,
             finish_seconds: job.max_end,
         };
-        self.keep.op(|| ScheduledOp {
+        self.channels.keep.op(|| ScheduledOp {
             job: completion.tag,
             index: i,
             op,
@@ -1085,50 +1189,23 @@ impl<K: Keep> MultiScheduler<K> {
             start_seconds: start,
             end_seconds: end,
         });
-        for (k, kind) in FuKind::ALL.into_iter().enumerate() {
-            let h = self.horizons[k];
-            let res_start = later(start, h);
-            let res_end = res_start + busy[k];
-            // The reservation ends at or after `h`; a unit the op leaves
-            // idle (lead −∞) keeps its horizon.
-            self.horizons[k] = later(h, res_start + lead[k]);
-            self.keep.reserve(k, busy[k], res_start, res_end);
-            if telemetry_on && busy[k] > 0.0 {
-                use bts_telemetry::ArgValue;
-                // The start/end args carry the exact reservation floats so
-                // utilization derived from the event stream sums the same
-                // values in the same order as `unit_utilization`.
-                bts_telemetry::emit_complete(
-                    &format!("{}.0", kind.label()),
-                    &format!("J{}#{} {:?}@L{}", completion.tag, i, op, level),
-                    res_start,
-                    res_end - res_start,
-                    &[
-                        ("job", ArgValue::U64(u64::from(completion.tag))),
-                        ("op_index", ArgValue::U64(i as u64)),
-                        ("level", ArgValue::U64(level as u64)),
-                        ("channel", ArgValue::U64(0)),
-                        ("start_s", ArgValue::F64(res_start)),
-                        ("end_s", ArgValue::F64(res_end)),
-                    ],
-                );
-            }
-        }
+        let owner = telemetry_on.then_some(Owner {
+            job: completion.tag,
+            index: i,
+            op,
+            level,
+        });
+        self.channels.reserve(start, &placed, &busy, owner);
         self.makespan = self.makespan.max(end);
         if completed {
             self.active.remove(pos);
             self.pending.push_back(completion);
             if telemetry_on {
-                use bts_telemetry::ArgValue;
-                bts_telemetry::emit_instant(
-                    "sched",
-                    "job-complete",
+                emit_job_complete(
+                    completion.tag,
                     completion.finish_seconds,
-                    &[
-                        ("job", ArgValue::U64(u64::from(completion.tag))),
-                        ("critical_path_s", ArgValue::F64(plan.critical_path.seconds)),
-                        ("serial_s", ArgValue::F64(plan.serial)),
-                    ],
+                    plan.critical_path.seconds,
+                    plan.serial,
                 );
             }
         }
@@ -1138,7 +1215,7 @@ impl<K: Keep> MultiScheduler<K> {
 /// `a.max(b)` for the scheduler's times, which are never NaN, as one
 /// machine `max`: `f64::max` adds a NaN test to every link of the chain of
 /// maxima a start is built from. Equal times return `a`.
-fn later(a: f64, b: f64) -> f64 {
+pub(crate) fn later(a: f64, b: f64) -> f64 {
     if b > a {
         b
     } else {

@@ -1,33 +1,30 @@
-//! Scheduled execution as a simulator entry point: `run_scheduled` plans the
-//! trace as one job ([`JobPlan`]: the engine's per-op timings plus the trace
-//! DAG), runs it through the [`crate::MultiScheduler`] and returns the familiar
+//! Scheduled execution as a simulator entry point: `run_scheduled` runs the
+//! trace as one job, tag 0, released at 0, and returns the familiar
 //! [`SimReport`] with the schedule-derived fields filled in, next to the
-//! schedule's figures ([`ScheduleSummary`]). The run keeps numbers, not a
-//! timeline: a caller that wants per-op placements admits the run's plan to a
-//! scheduler and takes [`crate::MultiScheduler::finish`].
+//! schedule's figures ([`ScheduleSummary`]).
+//!
+//! With one job the list scheduler's greedy rule has one candidate — the
+//! job's next op in program order — so the run schedules *inside* the sweep
+//! that charges the trace: [`Simulator::run_indexed`] hands each op and its
+//! timing to [`OneJob`], which places the op on the unit channels at once,
+//! folds its reservations into the utilizations and extends the critical
+//! path. No plan is built and no timing outlives its op: what the run keeps
+//! is two times per ciphertext slot, the finish of the op that produced it
+//! in the schedule and on the critical path. A caller that wants the
+//! timeline or the critical chain builds the job's plan
+//! ([`crate::JobPlan::from_trace`]) and admits it to a
+//! [`crate::MultiScheduler`].
 
-use std::sync::Arc;
+use bts_sim::{OpTiming, OpTrace, SimReport, Simulator, TraceError, TracedOp};
 
-use bts_sim::{HeOp, OpTrace, SimReport, Simulator, TraceError};
-
-use crate::multi::{JobPlan, ScheduleSummary};
-
-/// One op on the critical path, for "what limits this workload" reporting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CriticalOp {
-    /// Index of the op in program order.
-    pub index: usize,
-    /// Operation kind.
-    pub op: HeOp,
-    /// Ciphertext level.
-    pub level: usize,
-    /// The op's latency window in seconds.
-    pub seconds: f64,
-}
+use crate::multi::{
+    emit_job_complete, later, Channels, Next, Owner, ScheduleSummary, UtilizationFold,
+};
+use crate::resources::MachineModel;
 
 /// Result of a scheduled run: the serial-accounting [`SimReport`] with
-/// `scheduled_seconds` / `critical_path_seconds` filled in, the one-job
-/// schedule's figures (tag 0, released at 0) and the plan it ran.
+/// `scheduled_seconds` / `critical_path_seconds` filled in, and the one-job
+/// schedule's figures (tag 0, released at 0).
 #[derive(Debug, Clone)]
 pub struct ScheduledRun {
     /// The simulator report; `total_seconds` is still the serial charge,
@@ -35,24 +32,6 @@ pub struct ScheduledRun {
     pub report: SimReport,
     /// Makespan, critical path, serial seconds and per-unit utilizations.
     pub schedule: ScheduleSummary,
-    plan: Arc<JobPlan>,
-}
-
-impl ScheduledRun {
-    /// The plan the run scheduled — admit it to a scheduler at 0 and
-    /// [`crate::MultiScheduler::finish`] it for the run's whole timeline.
-    pub fn plan(&self) -> &Arc<JobPlan> {
-        &self.plan
-    }
-
-    /// The `n` largest ops on the critical path — the ops a latency
-    /// optimization would have to attack first.
-    pub fn top_critical_ops(&self, n: usize) -> Vec<CriticalOp> {
-        let mut ops: Vec<CriticalOp> = self.plan.critical_ops().collect();
-        ops.sort_by(|a, b| b.seconds.partial_cmp(&a.seconds).expect("finite durations"));
-        ops.truncate(n);
-        ops
-    }
 }
 
 /// Scheduled execution for [`Simulator`]: the `run_scheduled` entry point the
@@ -83,34 +62,149 @@ pub trait ScheduleExt {
 
 impl ScheduleExt for Simulator {
     fn try_run_scheduled(&self, trace: &OpTrace) -> Result<ScheduledRun, TraceError> {
-        let (plan, mut report) = JobPlan::from_trace(self, trace)?;
-        let plan = Arc::new(plan);
-        let schedule = ScheduleSummary::of_plan(Arc::clone(&plan));
+        let mut job = OneJob::new(MachineModel::from_config(self.config()), trace);
+        let mut report = self.run_indexed(trace, |op, timing| job.place(op, timing))?;
+        let schedule = job.finish();
         report.scheduled_seconds = Some(schedule.makespan_seconds);
         report.critical_path_seconds = Some(schedule.critical_path_seconds);
-        Ok(ScheduledRun {
-            report,
-            schedule,
-            plan,
-        })
+        Ok(ScheduledRun { report, schedule })
+    }
+}
+
+/// One job released at 0, placed op by op in program order as the sweep
+/// charges it: the same placement, float for float, as the job's plan alone
+/// on a folding [`crate::MultiScheduler`], which would pick each of these ops
+/// as its only candidate.
+struct OneJob {
+    machine: MachineModel,
+    channels: Channels<UtilizationFold>,
+    /// Per slot, of the op producing it: its finish in the schedule and its
+    /// earliest finish on the critical path. Trace inputs read 0, which
+    /// bounds nothing.
+    finish: Vec<[f64; 2]>,
+    /// Whether the op placed last was in a bootstrapping region: a change
+    /// is a barrier segment boundary.
+    in_bootstrap: bool,
+    /// The max finish over the ops of earlier segments, in the schedule and
+    /// on the critical path — a running max snapshotted at each boundary.
+    /// The running max is the makespan and the critical path so far.
+    barrier: [f64; 2],
+    running_max: [f64; 2],
+    serial: f64,
+    ops: usize,
+    /// Read once per run, like the scheduler's one read per placement loop.
+    telemetry_on: bool,
+}
+
+impl OneJob {
+    fn new(machine: MachineModel, trace: &OpTrace) -> Self {
+        let mut channels = Channels::<UtilizationFold>::default();
+        // One job run to its end: nothing it places is ever clipped.
+        channels.keep.settle(f64::INFINITY);
+        Self {
+            machine,
+            channels,
+            finish: vec![[0.0; 2]; trace.slot_count()],
+            in_bootstrap: false,
+            barrier: [0.0; 2],
+            running_max: [0.0; 2],
+            serial: 0.0,
+            ops: trace.len(),
+            telemetry_on: bts_telemetry::enabled(),
+        }
+    }
+
+    /// Places `op`, the next op of a validated trace, charged `timing`.
+    fn place(&mut self, op: &TracedOp<'_>, timing: &OpTiming) {
+        let demand = self.machine.demand(timing);
+        if op.index > 0 && op.in_bootstrap != self.in_bootstrap {
+            self.barrier = self.running_max;
+        }
+        self.in_bootstrap = op.in_bootstrap;
+        // Producers precede their consumers in a validated trace, so every
+        // operand's slot already holds its producer's finish (or 0).
+        let [mut ready, mut chain] = self.barrier;
+        for &slot in op.operands {
+            let [finish, earliest] = self.finish[slot as usize];
+            ready = later(ready, finish);
+            chain = later(chain, earliest);
+        }
+        let next = Next::new(0, ready, &demand);
+        let start = self.channels.earliest_start(&next);
+        let end = start + demand.duration;
+        let earliest = chain + demand.duration;
+        let index = op.index as usize;
+        let owner = self.telemetry_on.then_some(Owner {
+            job: 0,
+            index,
+            op: op.op,
+            level: op.level,
+        });
+        self.channels.reserve(start, &next, &demand.busy, owner);
+        if let Some(out) = op.output {
+            self.finish[out as usize] = [end, earliest];
+        }
+        self.running_max = [
+            later(self.running_max[0], end),
+            later(self.running_max[1], earliest),
+        ];
+        self.serial += demand.duration;
+        if self.telemetry_on && index + 1 == self.ops {
+            let [makespan, critical_path] = self.running_max;
+            emit_job_complete(0, makespan, critical_path, self.serial);
+        }
+    }
+
+    fn finish(self) -> ScheduleSummary {
+        let [makespan, critical_path] = self.running_max;
+        ScheduleSummary {
+            makespan_seconds: makespan,
+            serial_seconds: self.serial,
+            critical_path_seconds: critical_path,
+            utilizations: self.channels.keep.utilizations(makespan, f64::INFINITY),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::multi::{MultiScheduler, Schedule};
+    use crate::multi::{JobPlan, MultiScheduler, Schedule};
     use crate::resources::FuKind;
     use bts_params::CkksInstance;
     use bts_sim::{BtsConfig, TraceBuilder};
 
-    /// The run's whole timeline: its plan admitted alone at 0, and kept.
-    fn timeline_of(run: &ScheduledRun) -> Schedule {
-        let mut scheduler = MultiScheduler::new(*run.plan().machine());
-        scheduler
-            .add_planned(0, Arc::clone(run.plan()), 0.0)
-            .unwrap();
-        scheduler.finish()
+    /// The whole timeline of `trace` run on `sim`: its plan admitted alone at
+    /// 0 and kept — whose figures the streamed run's equal bit for bit.
+    fn timeline_of(sim: &Simulator, trace: &OpTrace) -> Schedule {
+        let (plan, _) = JobPlan::from_trace(sim, trace).unwrap();
+        let mut scheduler = MultiScheduler::new(*plan.machine());
+        scheduler.add_planned(0, Arc::new(plan), 0.0).unwrap();
+        let timeline = scheduler.finish();
+        let run = sim.run_scheduled(trace);
+        let bits = |makespan: f64, critical: f64, serial: f64, util: [f64; FuKind::COUNT]| {
+            let mut bits = vec![makespan.to_bits(), critical.to_bits(), serial.to_bits()];
+            bits.extend(util.map(f64::to_bits));
+            bits
+        };
+        let s = &run.schedule;
+        assert_eq!(
+            bits(
+                s.makespan_seconds,
+                s.critical_path_seconds,
+                s.serial_seconds,
+                s.utilizations
+            ),
+            bits(
+                timeline.makespan_seconds,
+                timeline.critical_path_seconds,
+                timeline.serial_seconds,
+                timeline.utilizations()
+            )
+        );
+        timeline
     }
 
     fn bsgs_like_trace(ins: &CkksInstance) -> OpTrace {
@@ -135,7 +229,7 @@ mod tests {
         let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
         let trace = bsgs_like_trace(&ins);
         let run = sim.run_scheduled(&trace);
-        timeline_of(&run).check_invariants().unwrap();
+        timeline_of(&sim, &trace).check_invariants().unwrap();
         let serial = sim.run(&trace);
         assert!((run.report.total_seconds - serial.total_seconds).abs() < 1e-15);
         let scheduled = run.report.scheduled_seconds.unwrap();
@@ -160,7 +254,9 @@ mod tests {
             ins.clone(),
         );
         let run2 = fast.run_scheduled(&bsgs_like_trace(&ins));
-        timeline_of(&run2).check_invariants().unwrap();
+        timeline_of(&fast, &bsgs_like_trace(&ins))
+            .check_invariants()
+            .unwrap();
         assert!(
             run2.report.parallel_speedup().unwrap() > 1.05,
             "speedup = {:?}",
@@ -170,22 +266,26 @@ mod tests {
 
     #[test]
     fn top_critical_ops_are_sorted_and_on_the_path() {
+        // The run builds no plan; the chain comes from the job's plan.
         let ins = CkksInstance::ins1();
         let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
-        let run = sim.run_scheduled(&bsgs_like_trace(&ins));
-        let top = run.top_critical_ops(3);
+        let trace = bsgs_like_trace(&ins);
+        let (plan, _) = JobPlan::from_trace(&sim, &trace).unwrap();
+        let top = plan.top_critical_ops(3);
         assert!(!top.is_empty() && top.len() <= 3);
         for pair in top.windows(2) {
             assert!(pair[0].seconds >= pair[1].seconds);
         }
         for op in &top {
-            assert!(run.plan().critical_path_ops().contains(&op.index));
+            assert!(plan.critical_path_ops().contains(&op.index));
         }
-        assert!(!timeline_of(&run).timeline(8).is_empty());
+        let all = plan.top_critical_ops(usize::MAX);
+        assert_eq!(all.len(), plan.critical_path_ops().len());
+        assert!(!timeline_of(&sim, &trace).timeline(8).is_empty());
     }
 
     fn schedule_of(trace: &OpTrace, config: BtsConfig) -> Schedule {
-        timeline_of(&Simulator::new(config, trace.instance().clone()).run_scheduled(trace))
+        timeline_of(&Simulator::new(config, trace.instance().clone()), trace)
     }
 
     #[test]
@@ -275,6 +375,47 @@ mod tests {
         s.check_invariants().unwrap();
         // Dependent: rescale starts exactly when the HMult finishes.
         assert!((s.ops[1].start_seconds - s.ops[0].end_seconds).abs() < 1e-15);
+    }
+
+    #[test]
+    fn the_streamed_run_emits_the_events_of_its_plan_run_alone() {
+        // Both runs emit the engine track from their one sweep and the unit
+        // tracks from the one placement rule; only the interleaving of
+        // tracks differs, and the exporter orders events by track, stably.
+        let ins = CkksInstance::ins1();
+        let sim = Simulator::new(
+            BtsConfig::bts_default().with_hbm(bts_params::BandwidthModel::hbm_2tb()),
+            ins.clone(),
+        );
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        let m = b.hmult(x, x);
+        b.set_bootstrap_region(true);
+        let r = b.hrot(x, 3, 27);
+        b.hadd(r, m, 27);
+        let trace = b.build();
+        let by_track = |run: bts_telemetry::Capture| {
+            let mut events = run.finish().events;
+            events.sort_by(|a, b| (&a.process, &a.track).cmp(&(&b.process, &b.track)));
+            events
+        };
+        let planned = bts_telemetry::capture();
+        let (plan, _) = JobPlan::from_trace(&sim, &trace).unwrap();
+        let mut scheduler = MultiScheduler::folding(*plan.machine());
+        scheduler.settle(f64::INFINITY);
+        scheduler.add_planned(0, Arc::new(plan), 0.0).unwrap();
+        scheduler.run_to_end();
+        let planned = by_track(planned);
+        let streamed = bts_telemetry::capture();
+        sim.run_scheduled(&trace);
+        let streamed = by_track(streamed);
+        for track in ["engine", "NTTU.0", "HBM.0", "sched"] {
+            assert!(
+                streamed.iter().any(|e| e.track == track),
+                "no {track} event"
+            );
+        }
+        assert_eq!(streamed, planned);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! sink. `op_timings*` collect the timings, `try_run*` fold them into a
 //! report as they come ([`Fold`]) and keep none, and
 //! [`Simulator::run_indexed`] does the latter while its caller — the
-//! scheduler's planner — keeps of each timing only what it needs.
+//! scheduler's planner, or a one-job schedule placed as the sweep goes —
+//! keeps of each timing only what it needs.
 //!
 //! **Scratchpad replacement.** BTS's scratchpad is software-managed (§5.3),
 //! and an FHE trace is its own future, so the cache is not reactive: every
@@ -373,9 +374,9 @@ impl Simulator {
 
     /// [`Simulator::try_run`] that also hands every op, with its timing, to
     /// `sink` in program order while the same sweep folds the report —
-    /// `bts-sched` plans a job in this one pass over the trace, its
-    /// dependency DAG read off the same op, and keeps of each timing only
-    /// what it schedules on.
+    /// `bts-sched` plans a job in this one pass over the trace, or schedules
+    /// it outright, its dependencies read off the same op, and keeps of each
+    /// timing only what it schedules on.
     ///
     /// # Errors
     ///

@@ -406,8 +406,9 @@ impl OpTrace {
         );
     }
 
-    /// Number of slots (distinct ciphertexts the tables cover).
-    pub(crate) fn slot_count(&self) -> usize {
+    /// Number of slots (distinct ciphertexts the tables cover): every slot
+    /// a [`TracedOp`] names is below it.
+    pub fn slot_count(&self) -> usize {
         self.producer.len()
     }
 

@@ -11,7 +11,7 @@
 
 use bts::circuit::Workload;
 use bts::params::CkksInstance;
-use bts::sched::ScheduleExt;
+use bts::sched::{JobPlan, ScheduleExt};
 use bts::sim::{BtsConfig, Simulator};
 use bts::workloads::{amortized_mult_per_slot, BootstrapWorkload};
 
@@ -71,8 +71,10 @@ fn main() {
             run.schedule.critical_path_seconds * 1e3,
             run.report.parallel_speedup().expect("scheduled run"),
         );
+        // The run builds no plan; the critical chain is read off one.
+        let (plan, _) = JobPlan::from_trace(&sim, &lowered.trace).expect("validated above");
         println!("top critical-path ops (what a latency optimization must attack):");
-        for c in run.top_critical_ops(3) {
+        for c in plan.top_critical_ops(3) {
             println!(
                 "  #{:<5} {:<10?} at level {:<3} {:>8.1} µs",
                 c.index,

@@ -2,27 +2,29 @@
 //! test oracle: one forward pass that places every op of one trace, in
 //! program order, at the earliest start its producers, its bootstrap barrier
 //! and the unit channels allow. `#[path]`-included by the suites that hold
-//! `ScheduleExt::run_scheduled` (one job through the multi-job scheduler)
-//! bit-equal to it.
+//! `ScheduleExt::run_scheduled` (one job placed as the sweep charges it) and
+//! the multi-job scheduler bit-equal to it.
 //!
-//! A scheduled run keeps figures, not a timeline, so the timeline the oracle
-//! is compared with is the retained one [`timeline`] takes: the run's plan
-//! admitted alone at 0 to a scheduler that keeps what it places. That
-//! timeline's figures are the run's, bit for bit ([`check_summary`]).
+//! A scheduled run keeps figures, not a timeline, and builds no plan, so the
+//! timeline the oracle is compared with is the retained one [`timeline`]
+//! takes: the trace's plan admitted alone at 0 to a scheduler that keeps
+//! what it places. That timeline's figures are the run's, bit for bit
+//! ([`check_summary`]).
 
 use std::sync::Arc;
 
 use bts::sched::{
-    FuKind, MachineModel, MultiScheduler, Schedule, ScheduleSummary, ScheduledRun, TraceDag,
+    FuKind, JobPlan, MachineModel, MultiScheduler, Schedule, ScheduleSummary, TraceDag,
 };
-use bts::sim::{OpTiming, OpTrace};
+use bts::sim::{OpTiming, OpTrace, Simulator};
 
-/// The whole timeline of a scheduled run: its plan admitted alone at 0 and
-/// every placement kept ([`MultiScheduler::finish`]).
-pub fn timeline(run: &ScheduledRun) -> Schedule {
-    let mut scheduler = MultiScheduler::new(*run.plan().machine());
+/// The whole timeline of `trace` scheduled alone on `sim`: its plan
+/// admitted at 0 and every placement kept ([`MultiScheduler::finish`]).
+pub fn timeline(sim: &Simulator, trace: &OpTrace) -> Schedule {
+    let (plan, _) = JobPlan::from_trace(sim, trace).expect("the trace validates");
+    let mut scheduler = MultiScheduler::new(*plan.machine());
     scheduler
-        .add_planned(0, Arc::clone(run.plan()), 0.0)
+        .add_planned(0, Arc::new(plan), 0.0)
         .expect("a fresh scheduler admits a plan for its own machine at 0");
     scheduler.finish()
 }

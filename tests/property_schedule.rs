@@ -2,13 +2,14 @@
 //! valid traces, `critical_path ≤ makespan ≤ serial`, schedules are
 //! deterministic for a fixed trace/config, no functional-unit channel is
 //! double-booked in any interval, scheduled runs are never slower than
-//! serial — and `run_scheduled`, one job through the multi-job scheduler, is
-//! bit-equal to the single-trace list scheduler it replaced
-//! (`common/list_oracle.rs`).
+//! serial — and `run_scheduled`, one job placed as the engine's sweep
+//! charges it, and the multi-job scheduler running that job's plan alone are
+//! both bit-equal to the single-trace list scheduler (`common/list_oracle.rs`).
 //!
-//! `run_scheduled` keeps figures, not a timeline: every timeline property
-//! below is checked on the retained schedule of the run's own plan
-//! (`list_oracle::timeline`), whose figures the run's equal bit for bit.
+//! `run_scheduled` keeps figures, not a timeline, and builds no plan: every
+//! timeline property below is checked on the retained schedule of the
+//! trace's plan (`list_oracle::timeline`), whose figures the run's equal bit
+//! for bit.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -47,7 +48,7 @@ proptest! {
         prop_assert!((s.serial_seconds - run.report.total_seconds).abs() <= eps);
         prop_assert!(run.report.parallel_speedup().unwrap() >= 1.0);
         // And the retained timeline's structural checker agrees.
-        list_oracle::timeline(&run).check_invariants().unwrap();
+        list_oracle::timeline(&sim, &trace).check_invariants().unwrap();
     }
 
     #[test]
@@ -58,7 +59,10 @@ proptest! {
         let a = sim.try_run_scheduled(&trace).unwrap();
         let b = sim.try_run_scheduled(&trace).unwrap();
         prop_assert_eq!(a.schedule, b.schedule);
-        prop_assert_eq!(list_oracle::timeline(&a), list_oracle::timeline(&b));
+        prop_assert_eq!(
+            list_oracle::timeline(&sim, &trace),
+            list_oracle::timeline(&sim, &trace)
+        );
     }
 
     #[test]
@@ -66,7 +70,7 @@ proptest! {
         let ins = CkksInstance::ins1();
         let trace = random_trace(&ins, seed, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let schedule = list_oracle::timeline(&sim.try_run_scheduled(&trace).unwrap());
+        let schedule = list_oracle::timeline(&sim, &trace);
         for kind in FuKind::ALL {
             let mut intervals: Vec<(f64, f64)> = schedule.busy[kind.index()]
                 .iter()
@@ -88,7 +92,7 @@ proptest! {
         let ins = CkksInstance::ins1();
         let trace = random_trace(&ins, seed, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
-        let s = list_oracle::timeline(&sim.try_run_scheduled(&trace).unwrap());
+        let s = list_oracle::timeline(&sim, &trace);
         let dag = TraceDag::from_trace(&trace);
         let eps = 1e-12 * s.serial_seconds.max(1e-12);
         for i in 0..dag.len() {
@@ -118,7 +122,7 @@ proptest! {
             let timings = sim.op_timings(&trace).unwrap();
             let oracle = list_oracle::list_schedule(&machine, &trace, &timings);
             let run = sim.try_run_scheduled(&trace).unwrap();
-            let timeline = list_oracle::timeline(&run);
+            let timeline = list_oracle::timeline(&sim, &trace);
             list_oracle::check_equal(&timeline, &oracle).map_err(TestCaseError::Fail)?;
             list_oracle::check_summary(&run.schedule, &timeline).map_err(TestCaseError::Fail)?;
             prop_assert_eq!(run.report.scheduled_seconds, Some(oracle.makespan_seconds));
@@ -126,21 +130,22 @@ proptest! {
             // The witness chain the top-critical-ops report draws from: its
             // ops' charges add up to the critical path.
             let plan = JobPlan::new(&machine, &trace, &timings).unwrap();
-            prop_assert_eq!(&plan, &**run.plan());
+            prop_assert_eq!(&plan, &JobPlan::from_trace(&sim, &trace).unwrap().0);
             let chain = plan.critical_path_ops();
             let chain_seconds: f64 = chain.iter().map(|&i| timings[i].seconds).sum();
             let eps = 1e-12 * oracle.serial_seconds.max(1e-12);
             prop_assert!((chain_seconds - oracle.critical_path_seconds).abs() <= eps);
-            let top = run.top_critical_ops(usize::MAX);
+            let top = plan.top_critical_ops(usize::MAX);
             prop_assert_eq!(top.len(), chain.len());
             prop_assert!(top.iter().all(|op| chain.contains(&op.index)));
             prop_assert!(top.iter().all(|op| op.seconds == timings[op.index].seconds));
         }
     }
 
-    /// The run folds its timeline in chunks of a few hundred placements; long
-    /// traces cross many chunk boundaries, and at 2 TB/s reservations float
-    /// inside their windows, so folded sums see every shape of chunk.
+    /// The run places each op as the sweep charges it, from per-slot finish
+    /// times rather than the plan's DAG; long traces cross many barrier
+    /// segments, and at 2 TB/s reservations float inside their windows, so
+    /// the two drivers of the placement rule meet every shape of placement.
     #[test]
     fn run_scheduled_summary_equals_the_retained_schedule(
         seed in any::<u64>(),
@@ -152,7 +157,7 @@ proptest! {
         let hbm = if fast { BandwidthModel::hbm_2tb() } else { BandwidthModel::hbm_1tb() };
         let sim = Simulator::new(BtsConfig::bts_default().with_hbm(hbm), ins);
         let run = sim.try_run_scheduled(&trace).unwrap();
-        let timeline = list_oracle::timeline(&run);
+        let timeline = list_oracle::timeline(&sim, &trace);
         list_oracle::check_summary(&run.schedule, &timeline).map_err(TestCaseError::Fail)?;
     }
 }
@@ -175,8 +180,7 @@ fn an_empty_trace_schedules_to_all_zeros() {
     assert_eq!(run.report.parallel_speedup(), Some(1.0));
     assert_eq!(summary.utilizations, [0.0; FuKind::COUNT]);
     assert_eq!(run.report.scheduled_seconds, Some(0.0));
-    assert!(run.top_critical_ops(3).is_empty());
-    let s = list_oracle::timeline(&run);
+    let s = list_oracle::timeline(&sim, &trace);
     s.check_invariants().unwrap();
     assert!(s.ops.is_empty() && s.busy.iter().all(Vec::is_empty));
     assert!(s.timeline(8).is_empty());

@@ -715,7 +715,7 @@ fn assert_matches_oracle(sim: &Simulator, raw: &Raw) -> Result<(), TestCaseError
     prop_assert_eq!(dag.edge_count(), deps.iter().map(Vec::len).sum::<usize>());
     let run = sim.try_run_scheduled(trace).unwrap();
     let expected = list_oracle::list_schedule(&machine, trace, &policy);
-    let timeline = list_oracle::timeline(&run);
+    let timeline = list_oracle::timeline(sim, trace);
     list_oracle::check_equal(&timeline, &expected).map_err(TestCaseError::Fail)?;
     list_oracle::check_summary(&run.schedule, &timeline).map_err(TestCaseError::Fail)?;
     Ok(())

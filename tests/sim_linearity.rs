@@ -13,13 +13,13 @@
 //! allocations on a 2 000-op trace as on a 32 000-op one, whatever the ids
 //! look like, and keep only the cache alive — a few bytes per op, where a
 //! 120-byte `OpTiming` each would be many times that.
-//! `run_scheduled` writes the plan's demands straight from the sweep and
-//! folds each reservation into the unit utilizations as it places it
-//! instead of keeping a timeline, so its allocation count is bounded too
-//! and what it keeps per op is the plan. A timer on a shared VM would only show noise; the
-//! process's allocator counts exactly. Like `tests/serve_linearity.rs` this
-//! is a single-test binary with a counting allocator, so nothing else
-//! allocates while it counts.
+//! `run_scheduled` places each op as the sweep charges it and folds each
+//! reservation into the unit utilizations on the spot: it builds no plan and
+//! keeps no timeline, only two finish times per ciphertext slot, so it makes
+//! the sweep's allocations plus that one table, at any length. A timer on a
+//! shared VM would only show noise; the process's allocator counts exactly.
+//! Like `tests/serve_linearity.rs` this is a single-test binary with a
+//! counting allocator, so nothing else allocates while it counts.
 
 use bts::params::CkksInstance;
 use bts::sched::ScheduleExt;
@@ -97,6 +97,7 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
     let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
     let small = bootstrap_shaped(&ins, 2_000);
     let large = bootstrap_shaped(&ins, 32_000);
+    let hostile = spaced_ids(&large);
     assert!(small.len() >= 2_000 && large.len() >= 32_000);
 
     // The sweeps: the cache, the cost table and the report's per-class map —
@@ -147,30 +148,28 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
         report.cache_misses
     );
 
-    // Scheduling adds the plan (demands written by the sweep, the DAG) and a
-    // folding scheduler that sums utilizations as it places ops and builds
-    // no timeline: only the plan's DAG edge list and critical path grow by
-    // doubling, a few allocations more on the longer trace (measured: 30 and
-    // 34). What it keeps per op is that plan and the job's finish times
-    // (measured: 104 bytes per op on the short trace, 92 on the long one).
-    // A 256-placement chunk of timeline made it 45 / 49 allocations and 115
-    // bytes per op; a retained timeline made it 252 bytes per op.
-    const SCHEDULED_ALLOCATIONS: u64 = 36;
-    const SCHEDULED_PEAK_BYTES_PER_OP: u64 = 108;
-    for (name, trace) in [("2 000", &small), ("32 000", &large)] {
+    // Scheduling adds one table to the sweep: per slot, the finish of the op
+    // producing it in the schedule and on the critical path (16 bytes). The
+    // placement itself allocates nothing, so the count is `try_run`'s plus
+    // one at either length (measured: 9). Building a plan and running it
+    // through the multi-job scheduler made it 30 / 34 allocations and 104 /
+    // 92 bytes per op; a retained timeline made it 252 bytes per op.
+    const SLOT_TABLE_BYTES_PER_OP: u64 = 16;
+    for (name, trace) in [("2 000", &small), ("32 000", &large), ("sparse", &hostile)] {
+        let sweep = cost_of(|| sim.try_run(trace).expect("trace runs"));
         let cost = cost_of(|| sim.try_run_scheduled(trace).expect("trace schedules"));
         let per_op_bytes = cost.peak_bytes / trace.len() as u64;
         eprintln!(
             "run_scheduled on {name} ops: {} allocations, {per_op_bytes} bytes per op",
             cost.allocations
         );
-        assert!(
-            cost.allocations <= SCHEDULED_ALLOCATIONS,
-            "run_scheduled on {name} ops made {} allocations",
-            cost.allocations
+        assert_eq!(
+            cost.allocations,
+            sweep.allocations + 1,
+            "run_scheduled on {name} ops allocates more than the sweep and its slot table"
         );
         assert!(
-            per_op_bytes <= SCHEDULED_PEAK_BYTES_PER_OP,
+            per_op_bytes <= SWEEP_PEAK_BYTES_PER_OP + SLOT_TABLE_BYTES_PER_OP,
             "run_scheduled on {name} ops keeps {per_op_bytes} bytes per op alive"
         );
     }
@@ -178,7 +177,6 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
     // Hostile ids cost memory by the trace's length, not by their size, and
     // only where the trace is built: the interned id table is the trace's,
     // so a sweep over it allocates exactly what one over dense ids does.
-    let hostile = spaced_ids(&large);
     for (entry, run) in entry_points {
         let dense = cost_of(|| run(&sim, &large).expect("trace runs"));
         let sparse = cost_of(|| run(&sim, &hostile).expect("trace runs"));
