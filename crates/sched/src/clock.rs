@@ -1,0 +1,160 @@
+//! The one readiness rule. A trace is its own DAG: an op waits for the
+//! producers of its operand slots and, because entering or leaving a
+//! bootstrapping region is a full barrier, for every op before the last flip
+//! of `in_bootstrap`. A [`Clock`] keeps one time per ciphertext slot, the
+//! finish of the op that wrote it, plus that barrier; no edge list is built.
+//! Its drivers differ only in what a time is: a scheduled run's one job
+//! keeps its schedule and critical-path finishes, the scheduler's cursor the
+//! schedule finish, and the planner the critical-path finish with the op
+//! that reached it, the link of the longest chain's witness.
+
+/// A time the rule takes maxima of: a finish, never NaN and never below
+/// `Self::default()`, which trace inputs read.
+pub(crate) trait Finish: Copy + Default {
+    /// The later of `self` and `other`: `self` on a tie.
+    fn later(self, other: Self) -> Self;
+}
+
+/// `self.max(other)` as one machine `max`: `f64::max` adds a NaN test to
+/// every link of the chains of maxima the scheduler builds its times from.
+impl Finish for f64 {
+    fn later(self, other: Self) -> Self {
+        if other > self {
+            other
+        } else {
+            self
+        }
+    }
+}
+
+/// Two times, each with its own maximum.
+impl Finish for [f64; 2] {
+    fn later(self, other: Self) -> Self {
+        [self[0].later(other[0]), self[1].later(other[1])]
+    }
+}
+
+/// A finish and the op that reached it, as index + 1: 0 is no op.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Link {
+    pub(crate) seconds: f64,
+    pub(crate) op: u32,
+}
+
+impl Finish for Link {
+    /// On a tie the earlier op wins. The barrier's op is the first to reach
+    /// the max over earlier segments, so it precedes every op it ties with:
+    /// the barrier wins a tie, then the earliest producer.
+    fn later(self, other: Self) -> Self {
+        let tie = other.seconds == self.seconds;
+        if other.seconds > self.seconds || (tie && other.op < self.op) {
+            other
+        } else {
+            self
+        }
+    }
+}
+
+/// The rule over one trace's slots, fed its ops in program order:
+/// [`Clock::ready`] once per op, then [`Clock::finish`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Clock<T> {
+    /// Per slot, the finish of the op that wrote it.
+    slots: Vec<T>,
+    /// The flag of the op given to [`Clock::ready`] last.
+    in_bootstrap: bool,
+    /// The latest finish before the last flip: segments are contiguous, so
+    /// it is `latest` snapshotted at each flip.
+    barrier: T,
+    latest: T,
+}
+
+impl<T: Finish> Clock<T> {
+    pub(crate) fn new(slots: usize) -> Self {
+        Self {
+            slots: vec![T::default(); slots],
+            ..Self::default()
+        }
+    }
+
+    /// When the next op may start as far as its trace allows: the latest of
+    /// the barrier and its operand slots.
+    #[inline]
+    pub(crate) fn ready(&mut self, in_bootstrap: bool, operands: &[u32]) -> T {
+        if in_bootstrap != self.in_bootstrap {
+            self.in_bootstrap = in_bootstrap;
+            self.barrier = self.latest;
+        }
+        let slots = operands.iter().map(|&slot| self.slots[slot as usize]);
+        slots.fold(self.barrier, T::later)
+    }
+
+    /// The op given to [`Clock::ready`] last finishes `at`, writing `output`.
+    #[inline]
+    pub(crate) fn finish(&mut self, output: Option<u32>, at: T) {
+        if let Some(slot) = output {
+            self.slots[slot as usize] = at;
+        }
+        self.latest = self.latest.later(at);
+    }
+
+    /// The latest finish so far.
+    pub(crate) fn latest(&self) -> T {
+        self.latest
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bts_params::CkksInstance;
+    use bts_sim::{OpTrace, TraceBuilder};
+
+    /// Every op's ready time on `trace` when op `i` takes `durations[i]`.
+    fn ready_times(trace: &OpTrace, durations: &[f64]) -> Vec<(f64, u32)> {
+        let mut clock = Clock::<Link>::new(trace.slot_count());
+        let ops = trace.ops().zip(durations);
+        ops.map(|(op, duration)| {
+            let ready = clock.ready(op.in_bootstrap, op.operands);
+            let seconds = ready.seconds + duration;
+            clock.finish(
+                op.output,
+                Link {
+                    seconds,
+                    op: op.index + 1,
+                },
+            );
+            (ready.seconds, ready.op)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn producer_consumer_edges_are_found() {
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        let l = b.hrot(x, 1, 27); // op 0
+        let r = b.hrot(x, 2, 27); // op 1 — independent of op 0
+        let j = b.hadd(l, r, 27); // op 2 — joins both
+        b.hrescale_at(j, 27); // op 3 — chain
+        let ready = ready_times(&b.build(), &[1.0, 5.0, 2.0, 3.0]);
+        // Trace inputs have no producer; op 2 waits for the later of its
+        // two, op 3 for op 2.
+        assert_eq!(ready, [(0.0, 0), (0.0, 0), (5.0, 2), (7.0, 3)]);
+    }
+
+    #[test]
+    fn an_operand_read_twice_is_one_edge() {
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        let r = b.hrot(x, 1, 27); // op 0
+        let s = b.hmult_at(r, r, 27); // op 1 — both operands from op 0
+        b.hadd(s, r, 27); // op 2 — operands listed consumer-first
+        let ready = ready_times(&b.build(), &[2.0, 0.0, 1.0]);
+        // Ops 0 and 1 both finish at 2: the earlier producer wins the tie,
+        // whatever the operand order.
+        assert_eq!(ready, [(0.0, 0), (2.0, 1), (2.0, 1)]);
+    }
+}

@@ -8,15 +8,18 @@
 //! key-switches, the pattern behind the paper's Fig. 8 and the massive
 //! residue-polynomial parallelism its evaluation exploits.
 //!
-//! The pipeline has three stages:
+//! A trace is its own DAG: an op depends on the producers of its operand
+//! slots, and every bootstrap-region entry or exit is a full barrier. One
+//! readiness rule (`clock`) reads that off the trace's slots — per slot the
+//! finish of the op that wrote it, plus a barrier snapshotted whenever
+//! `in_bootstrap` flips — and builds no edge list. On top of it:
 //!
-//! 1. [`TraceDag`] (`dag`) — producer → consumer edges through ciphertext
-//!    ids, plus bootstrap-region barriers; also computes the critical path.
-//! 2. [`MachineModel`] (`resources`) — one exclusive channel each for the
+//! 1. [`MachineModel`] (`resources`) — one exclusive channel each for the
 //!    NTTU, BConvU, element-wise units and the HBM stream, with per-op
 //!    occupancy taken from the engine's [`bts_sim::OpCost`] breakdowns.
-//! 3. [`MultiScheduler`] / [`Schedule`] (`multi`) — the one list scheduler:
-//!    a *set* of tagged jobs (each an immutable [`JobPlan`]: demands + DAG)
+//! 2. [`MultiScheduler`] / [`Schedule`] (`multi`) — the one list scheduler:
+//!    a *set* of tagged jobs (each an immutable [`JobPlan`]: demands, slots
+//!    and the critical path)
 //!    with per-job barriers and release times, every op placed at the
 //!    earliest start compatible with its dependencies, barriers and unit
 //!    reservations, so ops of one job overlap and ops of different jobs
@@ -74,13 +77,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod dag;
+mod clock;
 mod error;
 mod multi;
 mod report;
 mod resources;
 
-pub use dag::{CriticalPath, TraceDag};
 pub use error::ScheduleError;
 pub use multi::{
     schedule_jobs, BusyInterval, CriticalOp, JobCompletion, JobPlan, JobStats, Keep,

@@ -7,7 +7,8 @@
 //! # Model
 //!
 //! Every job is an [`bts_sim::OpTrace`] with per-op charges
-//! ([`bts_sim::OpTiming`]) and its own dependency DAG ([`TraceDag`]), plus a
+//! ([`bts_sim::OpTiming`]) — the trace is its own dependency DAG, read off
+//! its ciphertext slots by the crate's one readiness rule — plus a
 //! *release time* before which none of its ops may start (the serving layer
 //! sets it to the job's admission time). Bootstrap-region barriers are
 //! **per-job**: a job's refresh pipeline serializes only that job's ops —
@@ -51,10 +52,11 @@
 //! # Plans, cursors and what is kept
 //!
 //! A serving run admits thousands of copies of a handful of traces. What is
-//! fixed about a job — op metadata, demands, the DAG, serial and
-//! critical-path seconds — lives in an immutable [`JobPlan`] shared by every
-//! copy ([`MultiScheduler::add_planned`]); what a running job mutates is a
-//! small cursor. What the scheduler keeps of what it places is its type
+//! fixed about a job — op metadata, demands, each op's operand and output
+//! slots, serial and critical-path seconds — lives in an immutable
+//! [`JobPlan`] shared by every copy ([`MultiScheduler::add_planned`]); what
+//! a running job mutates is a small cursor: its next op and one finish time
+//! per slot. What the scheduler keeps of what it places is its type
 //! parameter ([`Keep`]), fixed when it is built: [`MultiScheduler::new`]
 //! keeps the [`Timeline`] — every placed op and reservation — that
 //! [`MultiScheduler::finish`] returns as a [`Schedule`];
@@ -81,7 +83,7 @@ use bts_sim::{
     HeOp, OpTiming, OpTrace, SimReport, Simulator, TimelineSegment, TraceError, TracedOp,
 };
 
-use crate::dag::{CriticalPath, LongestChain, TraceDag};
+use crate::clock::{Clock, Finish, Link};
 use crate::error::ScheduleError;
 use crate::resources::{FuKind, MachineModel, OpDemand};
 
@@ -249,8 +251,8 @@ impl Schedule {
     ///    rounding),
     /// 6. every job's recorded finish is the max end over its ops.
     ///
-    /// (Data-edge and barrier respect are checked against the traces by the
-    /// property suite, which still holds the [`TraceDag`]s.)
+    /// (Data-edge and barrier respect need the traces, which a schedule does
+    /// not hold: the property suites check them by ciphertext id.)
     ///
     /// # Errors
     ///
@@ -390,26 +392,44 @@ pub struct CriticalOp {
 }
 
 /// Everything about a job that is fixed before it runs: op metadata, per-op
-/// resource demands on one machine, the dependency DAG, and the serial and
-/// critical-path charges. Immutable, so every admission of the same
-/// (trace, timings) pair can share one plan behind an [`Arc`]
+/// resource demands on one machine, the ciphertext slots each op reads and
+/// writes — the trace is its own dependency DAG (`clock.rs`) — and
+/// the serial and critical-path charges. Immutable, so every admission of
+/// the same (trace, timings) pair can share one plan behind an [`Arc`]
 /// ([`MultiScheduler::add_planned`]); the scheduler keeps only a small
 /// cursor per running job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobPlan {
     machine: MachineModel,
-    /// Per op: kind, level and bootstrap-region flag.
-    ops: Vec<(HeOp, u32, bool)>,
+    ops: Vec<PlannedOp>,
     demands: Vec<OpDemand>,
-    dag: TraceDag,
+    /// Every op's operand slots, in program order (CSR: one arena for the
+    /// whole plan instead of a vector per op).
+    operands: Vec<u32>,
+    slot_count: usize,
     serial: f64,
-    critical_path: CriticalPath,
+    critical_path: f64,
+    /// Op indices of one longest chain, earliest first.
+    critical_ops: Vec<usize>,
+}
+
+/// One op of a [`JobPlan`]: kind, level, bootstrap-region flag and slots.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PlannedOp {
+    op: HeOp,
+    level: usize,
+    in_bootstrap: bool,
+    output: Option<u32>,
+    /// The op's operand slots end here in `JobPlan::operands`, and start
+    /// where the previous op's end.
+    operands_end: u32,
 }
 
 impl JobPlan {
-    /// Plans a trace for `machine`: builds the dependency DAG and resolves
-    /// every op's demand from the caller's per-op charges (resolve them with
-    /// [`bts_sim::Simulator::op_timings`] against the job's own instance).
+    /// Plans a trace for `machine`: resolves every op's demand from the
+    /// caller's per-op charges (resolve them with
+    /// [`bts_sim::Simulator::op_timings`] against the job's own instance)
+    /// and the critical path from the trace's slots.
     ///
     /// # Errors
     ///
@@ -426,7 +446,7 @@ impl JobPlan {
         if timings.len() != trace.len() {
             return Err(ScheduleError::TimingCount(trace.len(), timings.len()));
         }
-        let mut planner = Planner::new(*machine, trace.len());
+        let mut planner = Planner::new(*machine, trace);
         for (index, (op, timing)) in trace.ops().zip(timings).enumerate() {
             let charged = [
                 timing.seconds,
@@ -438,15 +458,15 @@ impl JobPlan {
             if let Some(&seconds) = charged.iter().find(|t| !(t.is_finite() && **t >= 0.0)) {
                 return Err(ScheduleError::InvalidTiming { op: index, seconds });
             }
-            planner.push(trace, &op, timing);
+            planner.push(&op, timing);
         }
         Ok(planner.finish())
     }
 
     /// Resolves the per-op charges of a trace on `sim` (one cache sweep,
     /// under the scratchpad's reuse-code policy) and plans it for `sim`'s
-    /// machine in the same pass: each op's demand, DAG edges and critical
-    /// path step are taken as the sweep hands the op over, and no timing
+    /// machine in the same pass: each op's demand, slots and critical path
+    /// step are taken as the sweep hands the op over, and no timing
     /// outlives its op. Returns the plan next to the sweep's
     /// serial-accounting report.
     ///
@@ -454,8 +474,8 @@ impl JobPlan {
     ///
     /// Returns the trace's first structural defect.
     pub fn from_trace(sim: &Simulator, trace: &OpTrace) -> Result<(Self, SimReport), TraceError> {
-        let mut planner = Planner::new(MachineModel::from_config(sim.config()), trace.len());
-        let report = sim.run_indexed(trace, |op, timing| planner.push(trace, op, timing))?;
+        let mut planner = Planner::new(MachineModel::from_config(sim.config()), trace);
+        let report = sim.run_indexed(trace, |op, timing| planner.push(op, timing))?;
         Ok((planner.finish(), report))
     }
 
@@ -476,12 +496,12 @@ impl JobPlan {
 
     /// The job's own critical path (data edges + its barriers), seconds.
     pub fn critical_path_seconds(&self) -> f64 {
-        self.critical_path.seconds
+        self.critical_path
     }
 
     /// Op indices of one longest chain, earliest first.
     pub fn critical_path_ops(&self) -> &[usize] {
-        &self.critical_path.ops
+        &self.critical_ops
     }
 
     /// The machine the plan's demands were resolved for.
@@ -493,66 +513,102 @@ impl JobPlan {
     /// optimization would have to attack first.
     pub fn top_critical_ops(&self, n: usize) -> Vec<CriticalOp> {
         let mut ops: Vec<CriticalOp> = self
-            .critical_path
-            .ops
+            .critical_ops
             .iter()
-            .map(|&index| {
-                let (op, level, _) = self.ops[index];
-                CriticalOp {
-                    index,
-                    op,
-                    level: level as usize,
-                    seconds: self.demands[index].duration,
-                }
+            .map(|&index| CriticalOp {
+                index,
+                op: self.ops[index].op,
+                level: self.ops[index].level,
+                seconds: self.demands[index].duration,
             })
             .collect();
         ops.sort_by(|a, b| b.seconds.partial_cmp(&a.seconds).expect("finite durations"));
         ops.truncate(n);
         ops
     }
+
+    /// When op `i` of a job released at `release` may start as far as the
+    /// job allows, on its cursor's `clock`: called once per op, in program
+    /// order, after every earlier op was placed.
+    fn ready(&self, i: usize, clock: &mut Clock<f64>, release: f64) -> f64 {
+        let start = i.checked_sub(1).map_or(0, |p| self.ops[p].operands_end);
+        let operands = &self.operands[start as usize..self.ops[i].operands_end as usize];
+        release.later(clock.ready(self.ops[i].in_bootstrap, operands))
+    }
 }
 
 /// A [`JobPlan`] in the making: ops added in program order, each with its
-/// demand, extending the DAG and its longest chain as they come.
+/// demand and slots, the longest chain extended as they come.
 struct Planner {
-    machine: MachineModel,
-    ops: Vec<(HeOp, u32, bool)>,
-    demands: Vec<OpDemand>,
-    dag: TraceDag,
-    chain: LongestChain,
+    plan: JobPlan,
+    /// Per slot, the earliest finish of the op writing it on the critical
+    /// path, and that op.
+    clock: Clock<Link>,
+    /// Per op, the op its longest chain arrives through ([`Link::op`]).
+    best_pred: Vec<u32>,
 }
 
 impl Planner {
-    fn new(machine: MachineModel, ops: usize) -> Self {
+    fn new(machine: MachineModel, trace: &OpTrace) -> Self {
+        let ops = trace.len();
         Self {
-            machine,
-            ops: Vec::with_capacity(ops),
-            demands: Vec::with_capacity(ops),
-            dag: TraceDag::with_capacity(ops),
-            chain: LongestChain::with_capacity(ops),
+            plan: JobPlan {
+                machine,
+                ops: Vec::with_capacity(ops),
+                demands: Vec::with_capacity(ops),
+                // Most ops read one or two ciphertexts.
+                operands: Vec::with_capacity(2 * ops),
+                slot_count: trace.slot_count(),
+                serial: 0.0,
+                critical_path: 0.0,
+                critical_ops: Vec::new(),
+            },
+            clock: Clock::new(trace.slot_count()),
+            best_pred: Vec::with_capacity(ops),
         }
     }
 
-    /// Adds `op`, the next op of `trace`, charged `timing`.
-    fn push(&mut self, trace: &OpTrace, op: &TracedOp<'_>, timing: &OpTiming) {
-        let demand = self.machine.demand(timing);
-        self.dag.push(trace, op);
-        self.chain.push(&self.dag, demand.duration);
-        // Lossless: a plan's trace passed validation, so levels are within
-        // the instance's budget.
-        self.ops.push((op.op, op.level as u32, op.in_bootstrap));
-        self.demands.push(demand);
+    /// Adds `op`, the next op of a validated trace, charged `timing`.
+    fn push(&mut self, op: &TracedOp<'_>, timing: &OpTiming) {
+        let plan = &mut self.plan;
+        let demand = plan.machine.demand(timing);
+        let ready = self.clock.ready(op.in_bootstrap, op.operands);
+        let at = Link {
+            seconds: ready.seconds + demand.duration,
+            op: op.index + 1,
+        };
+        self.clock.finish(op.output, at);
+        self.best_pred.push(ready.op);
+        plan.operands.extend_from_slice(op.operands);
+        plan.ops.push(PlannedOp {
+            op: op.op,
+            level: op.level,
+            in_bootstrap: op.in_bootstrap,
+            output: op.output,
+            // Lossless: an `OpTrace` refuses more operand accesses.
+            operands_end: plan.operands.len() as u32,
+        });
+        plan.demands.push(demand);
     }
 
     fn finish(self) -> JobPlan {
-        JobPlan {
-            machine: self.machine,
-            ops: self.ops,
-            serial: self.demands.iter().map(|d| d.duration).sum(),
-            demands: self.demands,
-            dag: self.dag,
-            critical_path: self.chain.finish(),
-        }
+        let mut plan = self.plan;
+        plan.serial = plan.demands.iter().map(|d| d.duration).sum();
+        let Link { seconds, op: last } = self.clock.latest();
+        plan.critical_path = seconds;
+        // Walked twice, so the chain is allocated once, at its length.
+        let best_pred = &self.best_pred;
+        let chain = |mut op: u32| {
+            std::iter::from_fn(move || {
+                let index = op.checked_sub(1)? as usize;
+                op = best_pred[index];
+                Some(index)
+            })
+        };
+        plan.critical_ops = Vec::with_capacity(chain(last).count());
+        plan.critical_ops.extend(chain(last));
+        plan.critical_ops.reverse();
+        plan
     }
 }
 
@@ -564,34 +620,13 @@ struct JobState {
     plan: Arc<JobPlan>,
     /// Next unplaced op (program-order cursor).
     next: usize,
-    /// Finish time of each placed op; released once the job can place no
-    /// further op (its last op is placed, or it is cancelled).
-    finish: Vec<f64>,
-    /// Barrier bookkeeping: the max finish over the ops of earlier segments,
-    /// a running max snapshotted at each segment boundary.
-    barrier: f64,
-    running_max_finish: f64,
+    /// Per slot, the finish of the placed op writing it; released once the
+    /// job can place no further op (its last op is placed, or it is
+    /// cancelled).
+    clock: Clock<f64>,
     max_end: f64,
     first_start: Option<f64>,
     cancelled: bool,
-}
-
-impl JobState {
-    /// Dependency/barrier/release-ready time of op `next`.
-    fn ready_time(&self) -> f64 {
-        let i = self.next;
-        let dag = &self.plan.dag;
-        let barrier = if i > 0 && dag.segment(i) != dag.segment(i - 1) {
-            self.running_max_finish
-        } else {
-            self.barrier
-        };
-        let mut ready = self.release.max(barrier);
-        for &d in dag.deps(i) {
-            ready = ready.max(self.finish[d as usize]);
-        }
-        ready
-    }
 }
 
 /// A job's next op, as the greedy rule reads it. The rows of all active
@@ -655,7 +690,7 @@ impl<K: Keep> Channels<K> {
         for (&h, &lead) in self.horizons.iter().zip(&next.lead) {
             // A reservation of `busy` seconds on a unit that frees at `h`
             // must end inside the window: start ≥ h + busy − d.
-            start = later(start, h + lead - next.duration);
+            start = start.later(h + lead - next.duration);
         }
         start
     }
@@ -673,11 +708,11 @@ impl<K: Keep> Channels<K> {
     ) {
         for (k, kind) in FuKind::ALL.into_iter().enumerate() {
             let h = self.horizons[k];
-            let res_start = later(start, h);
+            let res_start = start.later(h);
             let res_end = res_start + busy[k];
             // The reservation ends at or after `h`; a unit the op leaves
             // idle (lead −∞) keeps its horizon.
-            self.horizons[k] = later(h, res_start + next.lead[k]);
+            self.horizons[k] = h.later(res_start + next.lead[k]);
             self.keep.reserve(k, busy[k], res_start, res_end);
             if let Some(owner) = owner.filter(|_| busy[k] > 0.0) {
                 use bts_telemetry::ArgValue;
@@ -893,7 +928,7 @@ impl MultiScheduler {
                 first_start_seconds: j.first_start.unwrap_or(j.release),
                 finish_seconds: j.max_end,
                 serial_seconds: j.plan.serial,
-                critical_path_seconds: j.plan.critical_path.seconds,
+                critical_path_seconds: j.plan.critical_path,
                 ops: j.plan.len(),
                 placed_ops: j.next,
                 cancelled: j.cancelled,
@@ -1001,28 +1036,25 @@ impl<K: Keep> MultiScheduler<K> {
             Entry::Occupied(_) => return Err(ScheduleError::DuplicateTag(tag)),
             Entry::Vacant(slot) => slot.insert(j),
         };
-        let ops = plan.len();
-        let job = JobState {
+        let mut job = JobState {
             tag,
             release: release_seconds,
+            clock: Clock::new(plan.slot_count),
             plan,
             next: 0,
-            finish: vec![0.0; ops],
-            barrier: 0.0,
-            running_max_finish: 0.0,
             max_end: release_seconds,
             first_start: None,
             cancelled: false,
         };
-        if ops == 0 {
+        if job.plan.is_empty() {
             self.pending.push_back(JobCompletion {
                 tag,
                 finish_seconds: release_seconds,
             });
             self.makespan = self.makespan.max(release_seconds);
         } else {
-            self.active
-                .push(Next::new(j, job.ready_time(), &job.plan.demands[0]));
+            let ready = job.plan.ready(0, &mut job.clock, release_seconds);
+            self.active.push(Next::new(j, ready, &job.plan.demands[0]));
         }
         self.jobs.push(job);
         Ok(())
@@ -1052,7 +1084,7 @@ impl<K: Keep> MultiScheduler<K> {
         if let Some(pos) = self.active.iter().position(|a| a.job == j) {
             self.active.remove(pos);
             self.jobs[j].cancelled = true;
-            self.jobs[j].finish = Vec::new();
+            self.jobs[j].clock = Clock::default();
             return true;
         }
         if let Some(pos) = self.pending.iter().position(|c| c.tag == tag) {
@@ -1121,7 +1153,7 @@ impl<K: Keep> MultiScheduler<K> {
     fn critical_path_seconds(&self) -> f64 {
         let completed = self.jobs.iter().filter(|j| !j.cancelled);
         completed
-            .map(|j| j.release + j.plan.critical_path.seconds)
+            .map(|j| j.release + j.plan.critical_path)
             .fold(0.0, f64::max)
     }
 
@@ -1158,13 +1190,8 @@ impl<K: Keep> MultiScheduler<K> {
         let i = job.next;
         let busy = plan.demands[i].busy;
         let end = start + next.duration;
-        if i > 0 && plan.dag.segment(i) != plan.dag.segment(i - 1) {
-            job.barrier = job.running_max_finish;
-        }
-        let (op, level, in_bootstrap) = plan.ops[i];
-        let level = level as usize;
-        job.finish[i] = end;
-        job.running_max_finish = job.running_max_finish.max(end);
+        let planned = plan.ops[i];
+        job.clock.finish(planned.output, end);
         job.max_end = job.max_end.max(end);
         if job.first_start.is_none() {
             job.first_start = Some(start);
@@ -1172,9 +1199,10 @@ impl<K: Keep> MultiScheduler<K> {
         job.next += 1;
         let completed = job.next == plan.len();
         if completed {
-            job.finish = Vec::new();
+            job.clock = Clock::default();
         } else {
-            *next = Next::new(next.job, job.ready_time(), &plan.demands[i + 1]);
+            let ready = plan.ready(i + 1, &mut job.clock, job.release);
+            *next = Next::new(next.job, ready, &plan.demands[i + 1]);
         }
         let completion = JobCompletion {
             tag: job.tag,
@@ -1183,17 +1211,17 @@ impl<K: Keep> MultiScheduler<K> {
         self.channels.keep.op(|| ScheduledOp {
             job: completion.tag,
             index: i,
-            op,
-            level,
-            in_bootstrap,
+            op: planned.op,
+            level: planned.level,
+            in_bootstrap: planned.in_bootstrap,
             start_seconds: start,
             end_seconds: end,
         });
         let owner = telemetry_on.then_some(Owner {
             job: completion.tag,
             index: i,
-            op,
-            level,
+            op: planned.op,
+            level: planned.level,
         });
         self.channels.reserve(start, &placed, &busy, owner);
         self.makespan = self.makespan.max(end);
@@ -1204,22 +1232,11 @@ impl<K: Keep> MultiScheduler<K> {
                 emit_job_complete(
                     completion.tag,
                     completion.finish_seconds,
-                    plan.critical_path.seconds,
+                    plan.critical_path,
                     plan.serial,
                 );
             }
         }
-    }
-}
-
-/// `a.max(b)` for the scheduler's times, which are never NaN, as one
-/// machine `max`: `f64::max` adds a NaN test to every link of the chain of
-/// maxima a start is built from. Equal times return `a`.
-pub(crate) fn later(a: f64, b: f64) -> f64 {
-    if b > a {
-        b
-    } else {
-        a
     }
 }
 
@@ -1267,6 +1284,58 @@ mod tests {
         let sim = Simulator::new(config, ins.clone());
         let timings = sim.op_timings(trace).unwrap();
         (MachineModel::from_config(sim.config()), timings)
+    }
+
+    /// The plan of `trace` when op `i` takes `durations[i]` seconds.
+    fn plan_with(trace: &OpTrace, durations: &[f64]) -> JobPlan {
+        let timings: Vec<OpTiming> = durations
+            .iter()
+            .map(|&seconds| OpTiming {
+                seconds,
+                ..OpTiming::default()
+            })
+            .collect();
+        JobPlan::new(&MachineModel, trace, &timings).unwrap()
+    }
+
+    #[test]
+    fn critical_path_takes_the_longer_branch() {
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        let l = b.hrot(x, 1, 27); // op 0
+        let r = b.hrot(x, 2, 27); // op 1 — independent of op 0
+        let j = b.hadd(l, r, 27); // op 2 — joins both
+        b.hrescale_at(j, 27); // op 3 — chain
+        let plan = plan_with(&b.build(), &[1.0, 5.0, 2.0, 3.0]);
+        assert!((plan.critical_path_seconds() - 10.0).abs() < 1e-12);
+        assert_eq!(plan.critical_path_ops(), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn bootstrap_transitions_are_barriers() {
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        let y = b.fresh_ct(27);
+        b.hmult_at(x, x, 27); // op 0, segment 0
+        b.set_bootstrap_region(true);
+        b.hrot(y, 1, 27); // op 1, segment 1 — data-independent of op 0
+        b.set_bootstrap_region(false);
+        b.hmult_at(y, y, 27); // op 2, segment 2
+                              // The barriers serialize the chain: 1 + 1 + 1, not max-width 1.
+        let plan = plan_with(&b.build(), &[1.0; 3]);
+        assert!((plan.critical_path_seconds() - 3.0).abs() < 1e-12);
+        assert_eq!(plan.critical_path_ops(), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn empty_trace_has_empty_critical_path() {
+        let ins = CkksInstance::ins1();
+        let plan = plan_with(&TraceBuilder::new(&ins).build(), &[]);
+        assert!(plan.is_empty());
+        assert_eq!(plan.critical_path_seconds(), 0.0);
+        assert!(plan.critical_path_ops().is_empty());
     }
 
     #[test]

@@ -10,16 +10,15 @@
 //! folds its reservations into the utilizations and extends the critical
 //! path. No plan is built and no timing outlives its op: what the run keeps
 //! is two times per ciphertext slot, the finish of the op that produced it
-//! in the schedule and on the critical path. A caller that wants the
-//! timeline or the critical chain builds the job's plan
-//! ([`crate::JobPlan::from_trace`]) and admits it to a
-//! [`crate::MultiScheduler`].
+//! in the schedule and on the critical path, under the crate's one
+//! readiness rule (`clock.rs`). A caller that wants the timeline or the
+//! critical chain builds the job's plan ([`crate::JobPlan::from_trace`])
+//! and admits it to a [`crate::MultiScheduler`].
 
 use bts_sim::{OpTiming, OpTrace, SimReport, Simulator, TraceError, TracedOp};
 
-use crate::multi::{
-    emit_job_complete, later, Channels, Next, Owner, ScheduleSummary, UtilizationFold,
-};
+use crate::clock::Clock;
+use crate::multi::{emit_job_complete, Channels, Next, Owner, ScheduleSummary, UtilizationFold};
 use crate::resources::MachineModel;
 
 /// Result of a scheduled run: the serial-accounting [`SimReport`] with
@@ -79,17 +78,9 @@ struct OneJob {
     machine: MachineModel,
     channels: Channels<UtilizationFold>,
     /// Per slot, of the op producing it: its finish in the schedule and its
-    /// earliest finish on the critical path. Trace inputs read 0, which
-    /// bounds nothing.
-    finish: Vec<[f64; 2]>,
-    /// Whether the op placed last was in a bootstrapping region: a change
-    /// is a barrier segment boundary.
-    in_bootstrap: bool,
-    /// The max finish over the ops of earlier segments, in the schedule and
-    /// on the critical path — a running max snapshotted at each boundary.
-    /// The running max is the makespan and the critical path so far.
-    barrier: [f64; 2],
-    running_max: [f64; 2],
+    /// earliest finish on the critical path. The latest of each is the
+    /// makespan and the critical path so far.
+    clock: Clock<[f64; 2]>,
     serial: f64,
     ops: usize,
     /// Read once per run, like the scheduler's one read per placement loop.
@@ -104,10 +95,7 @@ impl OneJob {
         Self {
             machine,
             channels,
-            finish: vec![[0.0; 2]; trace.slot_count()],
-            in_bootstrap: false,
-            barrier: [0.0; 2],
-            running_max: [0.0; 2],
+            clock: Clock::new(trace.slot_count()),
             serial: 0.0,
             ops: trace.len(),
             telemetry_on: bts_telemetry::enabled(),
@@ -117,18 +105,7 @@ impl OneJob {
     /// Places `op`, the next op of a validated trace, charged `timing`.
     fn place(&mut self, op: &TracedOp<'_>, timing: &OpTiming) {
         let demand = self.machine.demand(timing);
-        if op.index > 0 && op.in_bootstrap != self.in_bootstrap {
-            self.barrier = self.running_max;
-        }
-        self.in_bootstrap = op.in_bootstrap;
-        // Producers precede their consumers in a validated trace, so every
-        // operand's slot already holds its producer's finish (or 0).
-        let [mut ready, mut chain] = self.barrier;
-        for &slot in op.operands {
-            let [finish, earliest] = self.finish[slot as usize];
-            ready = later(ready, finish);
-            chain = later(chain, earliest);
-        }
+        let [ready, chain] = self.clock.ready(op.in_bootstrap, op.operands);
         let next = Next::new(0, ready, &demand);
         let start = self.channels.earliest_start(&next);
         let end = start + demand.duration;
@@ -141,22 +118,16 @@ impl OneJob {
             level: op.level,
         });
         self.channels.reserve(start, &next, &demand.busy, owner);
-        if let Some(out) = op.output {
-            self.finish[out as usize] = [end, earliest];
-        }
-        self.running_max = [
-            later(self.running_max[0], end),
-            later(self.running_max[1], earliest),
-        ];
+        self.clock.finish(op.output, [end, earliest]);
         self.serial += demand.duration;
         if self.telemetry_on && index + 1 == self.ops {
-            let [makespan, critical_path] = self.running_max;
+            let [makespan, critical_path] = self.clock.latest();
             emit_job_complete(0, makespan, critical_path, self.serial);
         }
     }
 
     fn finish(self) -> ScheduleSummary {
-        let [makespan, critical_path] = self.running_max;
+        let [makespan, critical_path] = self.clock.latest();
         ScheduleSummary {
             makespan_seconds: makespan,
             serial_seconds: self.serial,

@@ -5,6 +5,10 @@
 //! `ScheduleExt::run_scheduled` (one job placed as the sweep charges it) and
 //! the multi-job scheduler bit-equal to it.
 //!
+//! It reads the trace's dependences by ciphertext id ([`crate::deps`], which
+//! every suite including this file includes as `deps`), not through the
+//! per-slot rule the scheduler runs on, and computes its own critical path.
+//!
 //! A scheduled run keeps figures, not a timeline, and builds no plan, so the
 //! timeline the oracle is compared with is the retained one [`timeline`]
 //! takes: the trace's plan admitted alone at 0 to a scheduler that keeps
@@ -13,10 +17,10 @@
 
 use std::sync::Arc;
 
-use bts::sched::{
-    FuKind, JobPlan, MachineModel, MultiScheduler, Schedule, ScheduleSummary, TraceDag,
-};
+use bts::sched::{FuKind, JobPlan, MachineModel, MultiScheduler, Schedule, ScheduleSummary};
 use bts::sim::{OpTiming, OpTrace, Simulator};
+
+use crate::deps::Deps;
 
 /// The whole timeline of `trace` scheduled alone on `sim`: its plan
 /// admitted at 0 and every placement kept ([`MultiScheduler::finish`]).
@@ -76,28 +80,32 @@ pub fn list_schedule(
     timings: &[OpTiming],
 ) -> ListSchedule {
     assert_eq!(timings.len(), trace.len(), "one timing per op");
-    let dag = TraceDag::from_trace(trace);
+    let deps = Deps::of(trace);
     // When each unit class's one channel frees.
     let mut horizons = [0.0f64; FuKind::COUNT];
     let mut busy: [Vec<(usize, f64, f64)>; FuKind::COUNT] = Default::default();
     let mut windows = Vec::with_capacity(trace.len());
+    // Per op, its finish in the schedule and its earliest finish on the
+    // critical path, given unbounded units.
     let mut finish = vec![0.0f64; trace.len()];
-    let mut durations = Vec::with_capacity(trace.len());
-    let (mut serial, mut makespan) = (0.0f64, 0.0f64);
-    // Max finish over all ops of earlier segments: a running max snapshotted
-    // at segment boundaries.
-    let (mut barrier, mut running_max_finish) = (0.0f64, 0.0f64);
+    let mut earliest = vec![0.0f64; trace.len()];
+    let (mut serial, mut makespan, mut critical_path) = (0.0f64, 0.0f64, 0.0f64);
+    // The max of each over all ops of earlier segments: a running max
+    // snapshotted at segment boundaries.
+    let (mut barrier, mut chain_barrier) = (0.0f64, 0.0f64);
     for (i, timing) in timings.iter().enumerate() {
         let demand = machine.demand(timing);
-        durations.push(demand.duration);
         serial += demand.duration;
-        if i > 0 && dag.segment(i) != dag.segment(i - 1) {
-            barrier = running_max_finish;
+        if i > 0 && deps.segment[i] != deps.segment[i - 1] {
+            (barrier, chain_barrier) = (makespan, critical_path);
         }
-        let mut start = barrier;
-        for &d in dag.deps(i) {
-            start = start.max(finish[d as usize]);
-        }
+        let producers = deps.producers[i].iter().map(|&d| d as usize);
+        let chain = producers
+            .clone()
+            .fold(chain_barrier, |t, d| t.max(earliest[d]));
+        earliest[i] = chain + demand.duration;
+        critical_path = critical_path.max(earliest[i]);
+        let mut start = producers.fold(barrier, |t, d| t.max(finish[d]));
         // The unit frees at h, and the op's reservation of b seconds must
         // end within the window [s, s + d], so s ≥ h + b − d.
         for k in (0..FuKind::COUNT).filter(|&k| demand.busy[k] > 0.0) {
@@ -111,7 +119,6 @@ pub fn list_schedule(
             busy[k].push((i, res_start, res_end));
         }
         finish[i] = end;
-        running_max_finish = running_max_finish.max(end);
         makespan = makespan.max(end);
         windows.push((start, end));
     }
@@ -120,7 +127,7 @@ pub fn list_schedule(
         busy,
         makespan_seconds: makespan,
         serial_seconds: serial,
-        critical_path_seconds: dag.critical_path(&durations).seconds,
+        critical_path_seconds: critical_path,
     }
 }
 

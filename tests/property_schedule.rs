@@ -15,12 +15,16 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use bts::params::{BandwidthModel, CkksInstance};
-use bts::sched::{FuKind, JobPlan, MachineModel, ScheduleExt, TraceDag};
+use bts::sched::{FuKind, JobPlan, MachineModel, ScheduleExt};
 use bts::sim::{BtsConfig, OpTrace, Simulator, TraceBuilder};
 
 mod common;
+#[path = "common/deps.rs"]
+mod deps;
 #[path = "common/list_oracle.rs"]
 mod list_oracle;
+
+use deps::Deps;
 
 /// Random valid traces with this suite's historical shape (bootstrap toggles
 /// every ~11 ops, live pool of 24).
@@ -93,17 +97,17 @@ proptest! {
         let trace = random_trace(&ins, seed, ops);
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
         let s = list_oracle::timeline(&sim, &trace);
-        let dag = TraceDag::from_trace(&trace);
+        let deps = Deps::of(&trace);
         let eps = 1e-12 * s.serial_seconds.max(1e-12);
-        for i in 0..dag.len() {
-            for &d in dag.deps(i) {
+        for i in 0..trace.len() {
+            for &d in &deps.producers[i] {
                 prop_assert!(
                     s.ops[i].start_seconds >= s.ops[d as usize].end_seconds - eps,
                     "op {} starts before its producer {}", i, d
                 );
             }
             for j in 0..i {
-                if dag.segment(j) < dag.segment(i) {
+                if deps.segment[j] < deps.segment[i] {
                     prop_assert!(
                         s.ops[i].start_seconds >= s.ops[j].end_seconds - eps,
                         "op {} crosses the barrier before op {}", i, j
@@ -139,6 +143,31 @@ proptest! {
             prop_assert_eq!(top.len(), chain.len());
             prop_assert!(top.iter().all(|op| chain.contains(&op.index)));
             prop_assert!(top.iter().all(|op| op.seconds == timings[op.index].seconds));
+        }
+    }
+
+    /// The plan's critical chain is a chain of the trace: each op on it
+    /// follows the one before through a data edge or a barrier, read off the
+    /// trace by id — so the witness `top_critical_ops` reports is real.
+    #[test]
+    fn the_critical_witness_is_a_chain_of_the_trace(
+        seed in any::<u64>(),
+        ops in 0usize..200,
+        fast in any::<bool>(),
+    ) {
+        let ins = CkksInstance::ins1();
+        let trace = random_trace(&ins, seed, ops);
+        let hbm = if fast { BandwidthModel::hbm_2tb() } else { BandwidthModel::hbm_1tb() };
+        let sim = Simulator::new(BtsConfig::bts_default().with_hbm(hbm), ins);
+        let (plan, _) = JobPlan::from_trace(&sim, &trace).unwrap();
+        let deps = Deps::of(&trace);
+        let chain = plan.critical_path_ops();
+        prop_assert_eq!(chain.is_empty(), trace.is_empty());
+        for pair in chain.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            let data = deps.producers[b].contains(&(a as u32));
+            let barrier = deps.segment[a] < deps.segment[b];
+            prop_assert!(data || barrier, "ops {} and {} are not linked", a, b);
         }
     }
 

@@ -20,14 +20,17 @@ use bts::fault::FaultPlan;
 use bts::params::CkksInstance;
 use bts::sched::{
     schedule_jobs, FuKind, JobCompletion, JobPlan, Keep, MachineModel, MultiScheduler,
-    ScheduleError, TraceDag,
+    ScheduleError,
 };
 use bts::serve::{serve, JobRequest, QueuePolicy, ServeOptions, ServeReport, SyntheticArrivals};
 use bts::sim::{BtsConfig, OpTiming, OpTrace, Simulator};
 use bts::telemetry::{self, Event};
 
 mod common;
+#[path = "common/deps.rs"]
+mod deps;
 use common::random_trace;
+use deps::Deps;
 
 /// A random mix of 1–4 jobs with per-job op counts derived from the seed.
 fn random_job_mix(ins: &CkksInstance, seed: u64, jobs: usize, ops: usize) -> Vec<OpTrace> {
@@ -61,14 +64,14 @@ proptest! {
 
         let eps = 1e-12 * multi.serial_seconds.max(1e-12);
         for (j, trace) in traces.iter().enumerate() {
-            let dag = TraceDag::from_trace(trace);
+            let deps = Deps::of(trace);
             let placed: Vec<_> = multi.ops.iter().filter(|o| o.job == j as u32).collect();
             prop_assert_eq!(placed.len(), trace.len());
             for (i, op) in placed.iter().enumerate() {
                 // (a) per-job program order of placement…
                 prop_assert_eq!(op.index, i);
                 // …data dependencies…
-                for &d in dag.deps(i) {
+                for &d in &deps.producers[i] {
                     prop_assert!(
                         op.start_seconds >= placed[d as usize].end_seconds - eps,
                         "job {} op {} starts before its producer {}", j, i, d
@@ -76,7 +79,7 @@ proptest! {
                 }
                 // …and per-job bootstrap barriers.
                 for (k, earlier) in placed.iter().enumerate().take(i) {
-                    if dag.segment(k) < dag.segment(i) {
+                    if deps.segment[k] < deps.segment[i] {
                         prop_assert!(
                             op.start_seconds >= earlier.end_seconds - eps,
                             "job {} op {} crosses its barrier before op {}", j, i, k

@@ -1,7 +1,8 @@
 //! Differential tests of the dense simulation kernel: on random traces the
 //! slot-indexed sweep (the trace's own tables + intrusive LRU list /
-//! slot-indexed furthest-next-use cache), `TraceDag::from_trace` and
-//! `OpTrace::validate` must equal, bit for bit and error for error, the
+//! slot-indexed furthest-next-use cache), the dependences read back off
+//! those tables (`common/deps.rs`, which the scheduler's list oracle reads)
+//! and `OpTrace::validate` must equal, bit for bit and error for error, the
 //! hash-map bodies they replaced.
 //!
 //! Those bodies live on in [`oracle`] below, as they were before the index
@@ -33,13 +34,17 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use bts::params::CkksInstance;
-use bts::sched::{JobPlan, MachineModel, ScheduleError, ScheduleExt, TraceDag};
+use bts::sched::{schedule_jobs, JobPlan, MachineModel, ScheduleError, ScheduleExt};
 use bts::sim::{
     BtsConfig, CtId, HeOp, OpTiming, OpTrace, RawOp, SimReport, Simulator, TraceBuilder,
 };
 
+#[path = "common/deps.rs"]
+mod deps;
 #[path = "common/list_oracle.rs"]
 mod list_oracle;
+
+use deps::Deps;
 
 /// One op of a [`Raw`] trace.
 #[derive(Debug, Clone)]
@@ -704,15 +709,10 @@ fn assert_matches_oracle(sim: &Simulator, raw: &Raw) -> Result<(), TestCaseError
     prop_assert_eq!(&plan, &JobPlan::new(&machine, trace, &policy).unwrap());
     prop_assert_eq!(report_bits(&plan_report), report_bits(report));
 
-    // The DAG, edge for edge, and the schedule built on it.
-    let dag = TraceDag::from_trace(trace);
-    let (deps, segment) = oracle::dag(raw);
-    prop_assert_eq!(dag.len(), trace.len());
-    for i in 0..dag.len() {
-        prop_assert_eq!(dag.deps(i), &deps[i][..]);
-        prop_assert_eq!(dag.segment(i), segment[i]);
-    }
-    prop_assert_eq!(dag.edge_count(), deps.iter().map(Vec::len).sum::<usize>());
+    // The dependences, read back by id off the trace's tables, edge for
+    // edge, and the schedule built on the trace.
+    let (producers, segment) = oracle::dag(raw);
+    prop_assert_eq!(Deps::of(trace), Deps { producers, segment });
     let run = sim.try_run_scheduled(trace).unwrap();
     let expected = list_oracle::list_schedule(&machine, trace, &policy);
     let timeline = list_oracle::timeline(sim, trace);
@@ -721,19 +721,31 @@ fn assert_matches_oracle(sim: &Simulator, raw: &Raw) -> Result<(), TestCaseError
     Ok(())
 }
 
-/// The tables of a relabelled trace are the compact trace's: the same DAG,
-/// the same reuse code at every access, the same operand slots once the
-/// relabelling keeps id order.
+/// The tables of a relabelled trace are the compact trace's: on the same
+/// charges the same critical chain and schedule (the same plan outright
+/// once the relabelling keeps id order), the same reuse code at every
+/// access, the same operand slots once the relabelling keeps id order.
 fn assert_same_tables(
+    sim: &Simulator,
     compact: &OpTrace,
     relabelled: &OpTrace,
     map: IdMap,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
-        TraceDag::from_trace(compact),
-        TraceDag::from_trace(relabelled)
-    );
     let keeps_order = matches!(map, IdMap::Compact | IdMap::Spaced);
+    let machine = MachineModel::from_config(sim.config());
+    let timings = sim.op_timings(compact).unwrap();
+    let plan = |trace| JobPlan::new(&machine, trace, &timings).unwrap();
+    let (a, b) = (plan(compact), plan(relabelled));
+    prop_assert_eq!(a.critical_path_ops(), b.critical_path_ops());
+    prop_assert_eq!(
+        a.critical_path_seconds().to_bits(),
+        b.critical_path_seconds().to_bits()
+    );
+    if keeps_order {
+        prop_assert_eq!(&a, &b);
+    }
+    let alone = |trace| schedule_jobs(machine, &[(0, trace, &timings[..], 0.0)]);
+    prop_assert_eq!(alone(compact), alone(relabelled));
     for (a, b) in compact.ops().zip(relabelled.ops()) {
         let ids =
             |t: &OpTrace, slots: &[u32]| slots.iter().map(|&s| t.id_of(s)).collect::<Vec<_>>();
@@ -874,7 +886,7 @@ proptest! {
             let mut raw = Raw::of(&compact);
             map.relabel(&mut raw);
             assert_matches_oracle(&sim, &raw)?;
-            assert_same_tables(&compact, &raw.build(), map)?;
+            assert_same_tables(&sim, &compact, &raw.build(), map)?;
         }
     }
 
@@ -914,10 +926,11 @@ proptest! {
             // A second defect elsewhere: the earlier one in program order wins.
             Defect::ALL[rng.next() % 5].inject(&mut trace, &mut rng);
             assert_same_error(&sim, &trace)?;
-            // The infallible dependency query stays total on any trace, and
-            // exact wherever no id is defined twice.
-            let dag = TraceDag::from_trace(&trace.build());
-            prop_assert_eq!(dag.len(), trace.ops.len());
+            // The trace's tables still read back the ids it was built from:
+            // its dependences by id are the reference's wherever no id is
+            // defined twice.
+            let deps = Deps::of(&trace.build());
+            prop_assert_eq!(deps.segment.len(), trace.ops.len());
             let redefinition = trace.ops.iter().enumerate().any(|(i, op)| {
                 op.output.is_some_and(|out| {
                     trace.inputs.iter().any(|&(id, _)| id == out)
@@ -925,11 +938,8 @@ proptest! {
                 })
             });
             if !redefinition {
-                let (deps, segment) = oracle::dag(&trace);
-                for i in 0..dag.len() {
-                    prop_assert_eq!(dag.deps(i), &deps[i][..]);
-                    prop_assert_eq!(dag.segment(i), segment[i]);
-                }
+                let (producers, segment) = oracle::dag(&trace);
+                prop_assert_eq!(deps, Deps { producers, segment });
             }
         }
     }

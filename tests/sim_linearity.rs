@@ -16,13 +16,15 @@
 //! `run_scheduled` places each op as the sweep charges it and folds each
 //! reservation into the unit utilizations on the spot: it builds no plan and
 //! keeps no timeline, only two finish times per ciphertext slot, so it makes
-//! the sweep's allocations plus that one table, at any length. A timer on a
+//! the sweep's allocations plus that one table, at any length. Planning a
+//! trace (`JobPlan::from_trace`) adds a fixed set of tables to the sweep
+//! too: the trace is its own DAG, so no edge list is built. A timer on a
 //! shared VM would only show noise; the process's allocator counts exactly.
 //! Like `tests/serve_linearity.rs` this is a single-test binary with a
 //! counting allocator, so nothing else allocates while it counts.
 
 use bts::params::CkksInstance;
-use bts::sched::ScheduleExt;
+use bts::sched::{JobPlan, ScheduleExt};
 use bts::sim::{BtsConfig, CtId, OpTrace, RawOp, SimReport, Simulator, TraceBuilder, TraceError};
 
 #[path = "common/counting_alloc.rs"]
@@ -173,6 +175,41 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
             "run_scheduled on {name} ops keeps {per_op_bytes} bytes per op alive"
         );
     }
+
+    // A plan is the trace's own DAG, not a copy of it as edges: the sweep
+    // plus six tables, each sized once — per op its kind, level, output slot
+    // and demand, one operand-slot arena, the longest chain, and while it
+    // plans a per-slot critical-path clock and each op's chain predecessor.
+    // Measured: 14 allocations (the sweep's 8 + 6) on 2 000 and 32 000 ops
+    // and on sparse ids, 116 / 104 / 104 bytes per op at the peak. A per-op
+    // `Vec` (an edge list per op, or a chain grown push by push) makes the
+    // count grow with the trace.
+    const PLAN_TABLES: u64 = 6;
+    const PLAN_PEAK_BYTES_PER_OP: u64 = 120;
+    let mut plan_allocations = Vec::new();
+    for (name, trace) in [("2 000", &small), ("32 000", &large), ("sparse", &hostile)] {
+        let sweep = cost_of(|| sim.try_run(trace).expect("trace runs"));
+        let cost = cost_of(|| JobPlan::from_trace(&sim, trace).expect("trace plans"));
+        let per_op_bytes = cost.peak_bytes / trace.len() as u64;
+        eprintln!(
+            "JobPlan::from_trace on {name} ops: {} allocations, {per_op_bytes} bytes per op",
+            cost.allocations
+        );
+        assert_eq!(
+            cost.allocations,
+            sweep.allocations + PLAN_TABLES,
+            "JobPlan::from_trace on {name} ops allocates more than the sweep and the plan's tables"
+        );
+        assert!(
+            per_op_bytes <= PLAN_PEAK_BYTES_PER_OP,
+            "JobPlan::from_trace on {name} ops keeps {per_op_bytes} bytes per op alive"
+        );
+        plan_allocations.push(cost.allocations);
+    }
+    assert!(
+        plan_allocations.windows(2).all(|w| w[0] == w[1]),
+        "planning allocates by the trace's length: {plan_allocations:?}"
+    );
 
     // Hostile ids cost memory by the trace's length, not by their size, and
     // only where the trace is built: the interned id table is the trace's,
