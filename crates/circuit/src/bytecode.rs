@@ -172,8 +172,9 @@ impl CompiledCircuit {
         self.rotations.iter().copied().filter(|&r| r != 0).collect()
     }
 
-    /// Structural validation: every register is written before it is read,
-    /// never read after being freed, only a binary op frees a second
+    /// Structural validation: the register file is no larger than the
+    /// values the program writes, every register is written before it is
+    /// read, never read after being freed, only a binary op frees a second
     /// operand, pool indices are in bounds, and every output register holds
     /// a live value at program end.
     ///
@@ -182,6 +183,16 @@ impl CompiledCircuit {
     /// Returns [`CircuitError::InvalidCircuit`] describing the first defect.
     pub fn validate(&self) -> Result<(), CircuitError> {
         let defect = |msg: String| Err(CircuitError::InvalidCircuit(msg));
+        // Every register is first written by an input or an op, so a larger
+        // file is never needed; refuse one before allocating it (the field
+        // is public, and executors size their register files from it).
+        let writes = self.inputs.len() + self.ops.len();
+        if self.reg_count as usize > writes {
+            return defect(format!(
+                "{} registers for a program that writes {writes} values",
+                self.reg_count
+            ));
+        }
         let mut live = vec![false; self.reg_count as usize];
         for (i, input) in self.inputs.iter().enumerate() {
             let Some(slot) = live.get_mut(input.reg as usize) else {

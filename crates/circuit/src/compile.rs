@@ -5,12 +5,16 @@
 //! free list — is work an executor would otherwise redo per instruction
 //! through a `HashMap` environment, so the backends run the evaluator calls
 //! with none of the dispatch.
-
-use std::collections::{BTreeSet, HashMap, HashSet};
+//!
+//! The compiler itself hashes no value id: last uses, registers and outputs
+//! are [`ValueTable`]s, a rotation's pool index is a binary search on the
+//! sorted pool, and constants are pooled through a [`FixedMap`] on their bit
+//! patterns.
 
 use crate::bytecode::{CompiledCircuit, CompiledInput, CompiledOp, Opcode, RegId};
 use crate::error::CircuitError;
-use crate::ir::{HeCircuit, HeInstr, ValueId};
+use crate::ir::{HeCircuit, HeInstr};
+use crate::value_table::{FixedMap, ValueTable};
 
 /// Compiles a circuit to schedule bytecode.
 ///
@@ -28,10 +32,10 @@ use crate::ir::{HeCircuit, HeInstr, ValueId};
 pub fn compile(circuit: &HeCircuit) -> Result<CompiledCircuit, CircuitError> {
     let _span = bts_telemetry::span("circuit.compile");
     circuit.validate()?;
-    let output_set: HashSet<ValueId> = circuit.outputs.iter().copied().collect();
+    let outputs = ValueTable::outputs_of(circuit);
 
     // Last use of every value, in node index space.
-    let mut last_use: HashMap<ValueId, usize> = HashMap::new();
+    let mut last_use: ValueTable<usize> = ValueTable::for_circuit(circuit);
     for (i, node) in circuit.nodes.iter().enumerate() {
         let (a, b) = node.instr.operands();
         last_use.insert(a, i);
@@ -42,23 +46,23 @@ pub fn compile(circuit: &HeCircuit) -> Result<CompiledCircuit, CircuitError> {
 
     // Pools. Rotations are pooled sorted-ascending so the non-zero subset
     // (the keys to provision) matches `HeCircuit::rotations` order exactly.
-    let rotation_pool: Vec<i64> = circuit
-        .nodes
-        .iter()
-        .filter_map(|n| match n.instr {
+    let rotations = || {
+        circuit.nodes.iter().filter_map(|node| match node.instr {
             HeInstr::HRot { rotation, .. } => Some(rotation),
             _ => None,
         })
-        .collect::<BTreeSet<i64>>()
-        .into_iter()
-        .collect();
-    let rotation_index: HashMap<i64, u32> = rotation_pool
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| (r, i as u32))
-        .collect();
+    };
+    let mut rotation_pool: Vec<i64> = Vec::with_capacity(rotations().count());
+    rotation_pool.extend(rotations());
+    rotation_pool.sort_unstable();
+    rotation_pool.dedup();
+    let rotation_index = |rotation: i64| -> u32 {
+        rotation_pool
+            .binary_search(&rotation)
+            .expect("every rotation is pooled") as u32
+    };
     let mut consts: Vec<f64> = Vec::new();
-    let mut const_index: HashMap<u64, u32> = HashMap::new();
+    let mut const_index: FixedMap<u64, u32> = FixedMap::default();
     let mut intern = |value: f64| -> u32 {
         *const_index.entry(value.to_bits()).or_insert_with(|| {
             consts.push(value);
@@ -67,7 +71,7 @@ pub fn compile(circuit: &HeCircuit) -> Result<CompiledCircuit, CircuitError> {
     };
 
     // Linear-scan register allocation over the already-scheduled program.
-    let mut reg_of: HashMap<ValueId, RegId> = HashMap::new();
+    let mut reg_of: ValueTable<RegId> = ValueTable::for_circuit(circuit);
     let mut free: Vec<RegId> = Vec::new();
     let mut reg_count: RegId = 0;
     let mut alloc = |free: &mut Vec<RegId>| -> RegId {
@@ -75,6 +79,11 @@ pub fn compile(circuit: &HeCircuit) -> Result<CompiledCircuit, CircuitError> {
             reg_count += 1;
             reg_count - 1
         })
+    };
+    let reg = |reg_of: &ValueTable<RegId>, v| {
+        reg_of
+            .get(v)
+            .expect("a validated circuit defines every value before reading it")
     };
 
     let mut inputs = Vec::with_capacity(circuit.inputs.len());
@@ -90,9 +99,9 @@ pub fn compile(circuit: &HeCircuit) -> Result<CompiledCircuit, CircuitError> {
     let mut ops = Vec::with_capacity(circuit.nodes.len());
     for (i, node) in circuit.nodes.iter().enumerate() {
         let (a, b) = node.instr.operands();
-        let ra = reg_of[&a];
-        let rb = b.map(|b| reg_of[&b]);
-        let dies = |v: ValueId| last_use.get(&v) == Some(&i) && !output_set.contains(&v);
+        let ra = reg(&reg_of, a);
+        let rb = b.map(|b| reg(&reg_of, b));
+        let dies = |v| last_use.get(v) == Some(i) && !outputs.contains(v);
         let free_a = dies(a);
         let free_b = match b {
             Some(b) if b != a => dies(b),
@@ -101,7 +110,7 @@ pub fn compile(circuit: &HeCircuit) -> Result<CompiledCircuit, CircuitError> {
         let (opcode, imm) = match node.instr {
             HeInstr::HMult { .. } => (Opcode::HMult, 0),
             HeInstr::HAdd { .. } => (Opcode::HAdd, 0),
-            HeInstr::HRot { rotation, .. } => (Opcode::HRot, rotation_index[&rotation]),
+            HeInstr::HRot { rotation, .. } => (Opcode::HRot, rotation_index(rotation)),
             HeInstr::Conjugate { .. } => (Opcode::Conjugate, 0),
             HeInstr::PMult { value, .. } => (Opcode::PMult, intern(value)),
             HeInstr::PAdd { value, .. } => (Opcode::PAdd, intern(value)),
@@ -137,7 +146,7 @@ pub fn compile(circuit: &HeCircuit) -> Result<CompiledCircuit, CircuitError> {
         instance: circuit.instance.clone(),
         inputs,
         ops,
-        outputs: circuit.outputs.iter().map(|v| reg_of[v]).collect(),
+        outputs: circuit.outputs.iter().map(|&v| reg(&reg_of, v)).collect(),
         consts,
         rotations: rotation_pool,
         reg_count,
@@ -150,6 +159,7 @@ pub fn compile(circuit: &HeCircuit) -> Result<CompiledCircuit, CircuitError> {
 mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
+    use crate::ir::ValueId;
     use bts_params::CkksInstance;
     use bts_sim::HeOp;
 
@@ -230,6 +240,75 @@ mod tests {
             (Opcode::HRot, 0)
         );
         compiled.ops[0].free_b = true;
+        let invalid =
+            |r: Result<(), CircuitError>| matches!(r, Err(CircuitError::InvalidCircuit(_)));
+        assert!(invalid(compiled.validate()));
+        let lowered = crate::TraceBackend::new().lower_compiled(&compiled);
+        assert!(invalid(lowered.map(|_| ())));
+        let run = crate::FunctionalBackend::new(&ins, 1)
+            .unwrap()
+            .execute_compiled(&compiled);
+        assert!(invalid(run.map(|_| ())));
+    }
+
+    #[test]
+    fn sparse_and_huge_ids_compile_to_the_compact_bytecode() {
+        // Ids are compact by convention only (the fields are public): spread
+        // them out, or number one value u32::MAX, and the tables spill — the
+        // bytecode, which names no value id, must not change.
+        let ins = CkksInstance::ins1();
+        let mut b = CircuitBuilder::new(&ins);
+        let x = b.input();
+        let y = b.input();
+        let cur = b.bootstrap(x).unwrap();
+        let mut acc = b.pmult(cur, 0.5).unwrap();
+        for r in [2, 1, 2] {
+            let rot = b.hrot(cur, r).unwrap();
+            let m = b.pmult(rot, 0.25).unwrap();
+            acc = b.hadd(acc, m).unwrap();
+        }
+        let sq = b.hmult(acc, acc).unwrap();
+        let out = b.rescale(sq).unwrap();
+        let shifted = b.cadd(y, 0.5).unwrap();
+        b.output(out);
+        b.output(cur);
+        b.output(shifted);
+        let compact = b.build();
+        let renumber = |f: &dyn Fn(ValueId) -> ValueId| {
+            let mut c = compact.clone();
+            for input in &mut c.inputs {
+                input.id = f(input.id);
+            }
+            for node in &mut c.nodes {
+                node.instr = node.instr.map_operands(f);
+                node.result = f(node.result);
+            }
+            for out in &mut c.outputs {
+                *out = f(*out);
+            }
+            c
+        };
+        let reference = compile(&compact).unwrap();
+        let sparse = renumber(&|v| 1_000_000 + 999_983 * v);
+        assert_eq!(compile(&sparse).unwrap(), reference);
+        let huge = renumber(&|v| if v == out { u32::MAX } else { v });
+        assert_eq!(huge.validate(), Ok(()));
+        assert_eq!(compile(&huge).unwrap(), reference);
+    }
+
+    #[test]
+    fn a_register_file_larger_than_the_program_is_refused_before_allocating() {
+        // `reg_count` is public and every executor sizes a register file from
+        // it: u32::MAX would be gigabytes of registers, an abort rather than
+        // an error.
+        let ins = CkksInstance::toy(10, 4, 2);
+        let mut b = CircuitBuilder::new(&ins);
+        let x = b.input();
+        let r = b.hrot(x, 1).unwrap();
+        b.output(r);
+        let mut compiled = compile(&b.build()).unwrap();
+        assert!(compiled.reg_count as usize <= compiled.inputs.len() + compiled.ops.len());
+        compiled.reg_count = u32::MAX;
         let invalid =
             |r: Result<(), CircuitError>| matches!(r, Err(CircuitError::InvalidCircuit(_)));
         assert!(invalid(compiled.validate()));

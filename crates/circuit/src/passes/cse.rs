@@ -8,13 +8,18 @@
 //! produces a ciphertext identical to the first. Every merged `HMult`, `HRot`
 //! or `Conjugate` removes one key-switch — the op class the paper attributes
 //! 92–96% of simulated time to.
+//!
+//! Representatives live in a [`ValueTable`]; the value numbers in one
+//! [`FixedMap`] sized for the whole circuit up front, so the scan neither
+//! rehashes as it grows nor runs SipHash per instruction. The pass only
+//! looks keys up, so its output does not depend on the hasher.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 use crate::error::CircuitError;
 use crate::ir::{HeCircuit, HeInstr, HeInstrNode, ValueId};
 use crate::passes::Pass;
-use crate::value_table::ValueTable;
+use crate::value_table::{FixedMap, ValueTable};
 
 /// Hashable canonical form of a pure instruction. Commutative ops (`HMult`,
 /// `HAdd` — exact modular arithmetic, so operand order is immaterial even
@@ -72,16 +77,21 @@ impl Pass for CommonSubexprPass {
     fn run(&self, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
         circuit.validate()?;
         let mut repr: ValueTable<ValueId> = ValueTable::for_circuit(circuit);
-        let mut table: HashMap<ExprKey, ValueId> = HashMap::new();
+        let mut table: FixedMap<ExprKey, ValueId> =
+            FixedMap::with_capacity_and_hasher(circuit.nodes.len(), Default::default());
         let mut nodes: Vec<HeInstrNode> = Vec::with_capacity(circuit.nodes.len());
         for node in &circuit.nodes {
             let instr = node.instr.map_operands(|v| repr.resolve(v));
             if let Some(key) = key_of(&instr) {
-                if let Some(&existing) = table.get(&key) {
-                    repr.insert(node.result, existing);
-                    continue;
+                match table.entry(key) {
+                    Entry::Occupied(existing) => {
+                        repr.insert(node.result, *existing.get());
+                        continue;
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(node.result);
+                    }
                 }
-                table.insert(key, node.result);
             }
             nodes.push(HeInstrNode { instr, ..*node });
         }

@@ -29,21 +29,26 @@ impl Pass for DeadValuePass {
         circuit.validate()?;
         let mut live = ValueTable::outputs_of(circuit);
         let mut keep = vec![false; circuit.nodes.len()];
+        let mut kept = 0;
         for (i, node) in circuit.nodes.iter().enumerate().rev() {
             if live.contains(node.result) {
                 keep[i] = true;
+                kept += 1;
                 for v in node.instr.operand_slots() {
                     live.insert(v, ());
                 }
             }
         }
-        let nodes = circuit
-            .nodes
-            .iter()
-            .zip(&keep)
-            .filter(|(_, &k)| k)
-            .map(|(n, _)| *n)
-            .collect();
+        // Sized by the count: a filtered `collect` grows by doubling.
+        let mut nodes = Vec::with_capacity(kept);
+        nodes.extend(
+            circuit
+                .nodes
+                .iter()
+                .zip(&keep)
+                .filter(|(_, &k)| k)
+                .map(|(n, _)| *n),
+        );
         Ok(HeCircuit {
             instance: circuit.instance.clone(),
             inputs: circuit.inputs.clone(),

@@ -34,14 +34,31 @@ struct Term {
     rotation: Option<i64>,
 }
 
-/// A matched mask-hoist group rooted at one `Rescale` node.
+/// A matched mask-hoist group rooted at one `Rescale` node; its terms live
+/// in the run's [`Scratch`].
 #[derive(Debug)]
-struct MaskGroup {
+struct MaskGroup<'s> {
     /// The shared rotation source.
     source: ValueId,
     /// The shared splat constant.
     value: f64,
     /// Summands in addition order.
+    terms: &'s [Term],
+}
+
+/// The buffers one match works in, reused across every rescale of a run:
+/// most rescales match nothing, and a failed match allocates nothing.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The `HAdd` tree walk's own stack.
+    pending: Vec<ValueId>,
+    /// The tree's leaves, in addition order.
+    leaves: Vec<ValueId>,
+    /// Node indices of the tree, its masks and their rotations.
+    group: Vec<usize>,
+    /// Every operand slot the group and its root read, sorted.
+    consumed: Vec<ValueId>,
+    /// A match's summands, in addition order.
     terms: Vec<Term>,
 }
 
@@ -104,9 +121,16 @@ impl<'c> Rewriter<'c> {
 
     /// Flattens the `HAdd` tree under `root` into leaves, in addition order.
     /// Accumulation chains run to hundreds of thousands of terms, so the
-    /// walk keeps its own stack instead of recursing once per `HAdd`.
-    fn flatten(&self, root: ValueId, leaves: &mut Vec<ValueId>, tree: &mut Vec<usize>) {
-        let mut pending = vec![root];
+    /// walk keeps its own stack (`pending`, left empty) instead of recursing
+    /// once per `HAdd`.
+    fn flatten(
+        &self,
+        root: ValueId,
+        pending: &mut Vec<ValueId>,
+        leaves: &mut Vec<ValueId>,
+        tree: &mut Vec<usize>,
+    ) {
+        pending.push(root);
         while let Some(v) = pending.pop() {
             match self.defs.get(v).map(|i| (i, self.circuit.nodes[i].instr)) {
                 Some((i, HeInstr::HAdd { a, b })) => {
@@ -120,16 +144,28 @@ impl<'c> Rewriter<'c> {
     }
 
     /// Tries to match the mask-hoist pattern on the rescale at node `ri` with
-    /// operand `acc`.
-    fn match_mask_group(&self, ri: usize, acc: ValueId) -> Option<MaskGroup> {
-        let mut leaves = Vec::new();
-        let mut group: Vec<usize> = Vec::new();
-        self.flatten(acc, &mut leaves, &mut group);
+    /// operand `acc`, working in `scratch`.
+    fn match_mask_group<'s>(
+        &self,
+        scratch: &'s mut Scratch,
+        ri: usize,
+        acc: ValueId,
+    ) -> Option<MaskGroup<'s>> {
+        let Scratch {
+            pending,
+            leaves,
+            group,
+            consumed,
+            terms,
+        } = scratch;
+        leaves.clear();
+        group.clear();
+        terms.clear();
+        self.flatten(acc, pending, leaves, group);
         let mut source: Option<ValueId> = None;
         let mut value_bits: Option<u64> = None;
-        let mut terms = Vec::with_capacity(leaves.len());
         let mut rotated = false;
-        for &leaf in &leaves {
+        for &leaf in leaves.iter() {
             let pi = self.defs.get(leaf)?;
             let HeInstr::PMult { a: u, value } = self.circuit.nodes[pi].instr else {
                 return None;
@@ -167,11 +203,13 @@ impl<'c> Rewriter<'c> {
         // Every intermediate must die with the group: it is no output, and
         // each operand slot consuming it belongs to a group node or to the
         // rescale root itself.
-        let mut consumed: Vec<ValueId> = group
-            .iter()
-            .chain([&ri])
-            .flat_map(|&i| self.circuit.nodes[i].instr.operand_slots())
-            .collect();
+        consumed.clear();
+        consumed.extend(
+            group
+                .iter()
+                .chain([&ri])
+                .flat_map(|&i| self.circuit.nodes[i].instr.operand_slots()),
+        );
         consumed.sort_unstable();
         let dies_with_group = |v: ValueId| {
             let inside =
@@ -199,6 +237,7 @@ impl Pass for RescaleSchedPass {
 
     fn run(&self, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
         let mut rw = Rewriter::new(circuit)?;
+        let mut scratch = Scratch::default();
         let mut repr: ValueTable<ValueId> = ValueTable::for_circuit(circuit);
         let mut nodes: Vec<HeInstrNode> = Vec::with_capacity(circuit.nodes.len());
         for (i, node) in circuit.nodes.iter().enumerate() {
@@ -210,7 +249,7 @@ impl Pass for RescaleSchedPass {
                 continue;
             };
             // Rewrite 1: mask hoisting over a rotate–mask–accumulate group.
-            if let Some(mask) = rw.match_mask_group(i, acc) {
+            if let Some(mask) = rw.match_mask_group(&mut scratch, i, acc) {
                 let src = repr.resolve(mask.source);
                 let lx = rw.analysis.of(mask.source).level;
                 let masked = rw.fresh()?;
@@ -229,7 +268,7 @@ impl Pass for RescaleSchedPass {
                     level: lx,
                 });
                 let mut sum: Option<ValueId> = None;
-                for term in &mask.terms {
+                for term in mask.terms {
                     let t = match term.rotation {
                         Some(rotation) => {
                             let t = rw.fresh()?;

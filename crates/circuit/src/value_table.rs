@@ -10,8 +10,14 @@
 //! an ordered spill map. Memory stays proportional to the number of
 //! definitions whatever the ids are, and every lookup gives the same answer
 //! a hash map would.
+//!
+//! Facts keyed by something other than one value (CSE's expressions,
+//! `compile`'s constant bit patterns) go through a [`FixedMap`]: a `HashMap`
+//! on a small multiplicative hasher with no per-process seed. Its users only
+//! look keys up, never iterate, so their output cannot depend on the hasher.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ir::{HeCircuit, ValueId};
 
@@ -82,6 +88,51 @@ impl ValueTable<ValueId> {
     /// every operand-rewriting pass does against its replacement table.
     pub(crate) fn resolve(&self, v: ValueId) -> ValueId {
         self.get(v).unwrap_or(v)
+    }
+}
+
+/// A `HashMap` on [`FixedHasher`].
+pub(crate) type FixedMap<K, V> = HashMap<K, V, BuildHasherDefault<FixedHasher>>;
+
+/// Fx-style hashing: fold each word in with a rotate, xor and multiply by
+/// an odd constant. The keys are a few machine words, so this costs a
+/// multiply per word where SipHash costs rounds per byte. Unlike SipHash it
+/// does not resist keys crafted to collide; a hand-built circuit crafted
+/// that way costs its user time, never a different answer.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FixedHasher(u64);
+
+impl FixedHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FixedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    /// The product's high bits are its best mixed; the table indexes by the
+    /// low ones, so rotate them down.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 

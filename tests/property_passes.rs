@@ -8,10 +8,12 @@
 //! trace, because compilation preserves instruction order and therefore the
 //! whole randomness stream.
 
+use std::collections::BTreeMap;
+
 use bts::circuit::{
     compile, BootstrapPlacePass, CircuitBuilder, CommonSubexprPass, DeadValuePass,
-    FunctionalBackend, FunctionalRun, HeCircuit, Pass, PassPipeline, RescaleSchedPass,
-    TraceBackend,
+    FunctionalBackend, FunctionalRun, HeCircuit, HeInstr, HeInstrNode, Pass, PassPipeline,
+    RescaleSchedPass, TraceBackend, ValueId,
 };
 use bts::params::CkksInstance;
 use proptest::prelude::*;
@@ -93,6 +95,73 @@ fn random_bootstrapping_circuit(ins: &CkksInstance, codes: &[u32]) -> HeCircuit 
     }
     b.output(cur);
     b.build()
+}
+
+/// [`random_circuit`]'s program emitted twice from one input, so every
+/// instruction of the second copy has a twin for CSE to merge. Each end is
+/// then summed with its own rotation in opposite operand orders: once the
+/// copies merge, the two sums differ only by commutation.
+fn doubled_circuit(ins: &CkksInstance, codes: &[u32]) -> HeCircuit {
+    let mut b = CircuitBuilder::new(ins);
+    let x = b.input();
+    let mut ends = [x, x];
+    for end in &mut ends {
+        for &code in codes {
+            *end = apply(&mut b, *end, code);
+        }
+    }
+    let [first, second] = ends;
+    let same = "a rotation keeps its operand's level and scale";
+    let p = b.hrot(first, 1).expect(same);
+    let q = b.hrot(second, 1).expect(same);
+    let sums = [
+        b.hadd(first, p).expect(same),
+        b.hadd(q, second).expect(same),
+    ];
+    for out in sums {
+        b.output(out);
+    }
+    b.build()
+}
+
+/// Reference CSE: value numbers in a `BTreeMap` on a plain tuple key (op
+/// tag, sorted operands for the commutative ops, immediate bits),
+/// representatives in another; no hashing and no dense tables.
+fn reference_cse(circuit: &HeCircuit) -> HeCircuit {
+    let mut repr: BTreeMap<ValueId, ValueId> = BTreeMap::new();
+    let mut numbers: BTreeMap<(u8, ValueId, ValueId, u64), ValueId> = BTreeMap::new();
+    let resolve = |repr: &BTreeMap<ValueId, ValueId>, v| repr.get(&v).copied().unwrap_or(v);
+    let mut nodes = Vec::new();
+    for node in &circuit.nodes {
+        let instr = node.instr.map_operands(|v| resolve(&repr, v));
+        let key = match instr {
+            HeInstr::HMult { a, b } => Some((0, a.min(b), a.max(b), 0)),
+            HeInstr::HAdd { a, b } => Some((1, a.min(b), a.max(b), 0)),
+            HeInstr::HRot { a, rotation } => Some((2, a, 0, rotation as u64)),
+            HeInstr::Conjugate { a } => Some((3, a, 0, 0)),
+            HeInstr::PMult { a, value } => Some((4, a, 0, value.to_bits())),
+            HeInstr::PAdd { a, value } => Some((5, a, 0, value.to_bits())),
+            HeInstr::Rescale { a } => Some((6, a, 0, 0)),
+            HeInstr::CMult { a, value } => Some((7, a, 0, value.to_bits())),
+            HeInstr::CAdd { a, value } => Some((8, a, 0, value.to_bits())),
+            HeInstr::ModRaise { a } => Some((9, a, 0, 0)),
+            HeInstr::Bootstrap { .. } => None,
+        };
+        if let Some(key) = key {
+            if let Some(&existing) = numbers.get(&key) {
+                repr.insert(node.result, existing);
+                continue;
+            }
+            numbers.insert(key, node.result);
+        }
+        nodes.push(HeInstrNode { instr, ..*node });
+    }
+    HeCircuit {
+        instance: circuit.instance.clone(),
+        inputs: circuit.inputs.clone(),
+        nodes,
+        outputs: circuit.outputs.iter().map(|&v| resolve(&repr, v)).collect(),
+    }
 }
 
 fn run_functional(
@@ -259,6 +328,24 @@ proptest! {
         let once = CommonSubexprPass.run(&circuit).unwrap();
         let twice = CommonSubexprPass.run(&once).unwrap();
         prop_assert_eq!(once, twice);
+    }
+
+    /// The pass's one pre-sized fixed-hasher table answers as the ordered
+    /// reference does: the same circuit, node for node, on the generator's
+    /// circuits and on doubled ones where most instructions merge.
+    #[test]
+    fn cse_matches_the_ordered_map_reference(
+        max_level in 2usize..12,
+        codes in proptest::collection::vec(any::<u32>(), 32),
+    ) {
+        let ins = CkksInstance::toy(10, max_level, 2);
+        for circuit in [random_circuit(&ins, &codes), doubled_circuit(&ins, &codes)] {
+            let reference = reference_cse(&circuit);
+            prop_assert_eq!(CommonSubexprPass.run(&circuit).unwrap(), reference);
+        }
+        let doubled = doubled_circuit(&ins, &codes);
+        let merged = CommonSubexprPass.run(&doubled).unwrap();
+        prop_assert!(merged.len() < doubled.len(), "the second copy merges");
     }
 
     /// The dead-value pass never drops an output or an input, and the result
