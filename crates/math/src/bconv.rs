@@ -366,16 +366,6 @@ impl BaseConverter {
         }
         out
     }
-
-    /// Number of modular multiply(-accumulate) operations one conversion
-    /// performs: `N·ℓ_src` for the first part and `N·ℓ_src·ℓ_dst` for the
-    /// accumulation. Used by the complexity model behind Fig. 3(b).
-    pub fn multiplication_count(&self) -> u64 {
-        let n = self.source.degree() as u64;
-        let s = self.source.len() as u64;
-        let t = self.target.len() as u64;
-        n * s + n * s * t
-    }
 }
 
 #[cfg(test)]
@@ -474,15 +464,6 @@ mod tests {
         let n = 1 << 5;
         let src = RnsBasis::generate(n, 40, 3).unwrap();
         assert!(BaseConverter::new(&src, &src).is_err());
-    }
-
-    #[test]
-    fn multiplication_count_formula() {
-        let n = 1 << 6;
-        let (src, dst) = bases(n);
-        let conv = BaseConverter::new(&src, &dst).unwrap();
-        let expect = (n as u64) * 3 + (n as u64) * 3 * 2;
-        assert_eq!(conv.multiplication_count(), expect);
     }
 
     #[test]

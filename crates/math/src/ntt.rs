@@ -274,12 +274,6 @@ impl NttTable {
         self.inverse(&mut fc);
         fc
     }
-
-    /// Number of butterfly operations one full transform performs
-    /// (`N/2 · log2 N`), matching Eq. 10's per-op butterfly count.
-    pub fn butterfly_count(&self) -> u64 {
-        (self.degree as u64 / 2) * self.degree.trailing_zeros() as u64
-    }
 }
 
 /// One lazy Cooley–Tukey butterfly: `x < 4q` and any `y` in, both lanes
@@ -435,12 +429,6 @@ mod tests {
             assert_eq!(lazy, eager, "inverse mismatch at {bits} bits");
             assert_eq!(lazy, data);
         }
-    }
-
-    #[test]
-    fn butterfly_count_matches_formula() {
-        let t = table(1 << 10, 40);
-        assert_eq!(t.butterfly_count(), (1 << 10) / 2 * 10);
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //! stops, and exact distances add nothing (`tests/scratchpad_policy.rs`;
 //! the `tests` module below pins the synthetic pool where they do).
 //!
-//! LRU — the policy the paper publishes — survives as
-//! [`Simulator::try_run_lru`] / [`Simulator::op_timings_lru`], a baseline
+//! LRU — the policy the paper publishes — is the same cache on a third key,
+//! recency ([`recency_key`]: the older the access, the further the key, and
+//! a newcomer is always the youngest, so it is never bypassed). It survives
+//! as [`Simulator::try_run_lru`] / [`Simulator::op_timings_lru`], a baseline
 //! for the figures and the tests: the ledger prints its numbers next to
 //! ours, and nothing in `bts-sched`, `bts-serve` or `bts-cluster` reaches it.
 
@@ -352,8 +354,8 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if the trace fails [`OpTrace::validate`] (dangling ciphertext
-    /// ids or out-of-budget levels); use [`Simulator::try_run`] to handle the
-    /// error instead.
+    /// ids or out-of-budget levels) or was recorded for another instance;
+    /// use [`Simulator::try_run`] to handle the error instead.
     pub fn run(&self, trace: &OpTrace) -> SimReport {
         match self.try_run(trace) {
             Ok(report) => report,
@@ -367,7 +369,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the first structural defect found in the trace.
+    /// Returns the trace's first structural defect, or its instance mismatch.
     pub fn try_run(&self, trace: &OpTrace) -> Result<SimReport, TraceError> {
         self.report(trace, Replacement::ReuseCode)
     }
@@ -380,13 +382,13 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the first structural defect found in the trace.
+    /// Returns the trace's first structural defect, or its instance mismatch.
     pub fn run_indexed(
         &self,
         trace: &OpTrace,
         sink: impl FnMut(&TracedOp<'_>, &OpTiming),
     ) -> Result<SimReport, TraceError> {
-        trace.validate()?;
+        self.check(trace)?;
         Ok(self.folded(trace, Replacement::ReuseCode, sink))
     }
 
@@ -398,7 +400,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the first structural defect found in the trace.
+    /// Returns the trace's first structural defect, or its instance mismatch.
     pub fn op_timings(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, TraceError> {
         self.timings(trace, Replacement::ReuseCode)
     }
@@ -412,7 +414,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the first structural defect found in the trace.
+    /// Returns the trace's first structural defect, or its instance mismatch.
     pub fn op_timings_belady(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, TraceError> {
         self.timings(trace, Replacement::ExactNextUse)
     }
@@ -422,7 +424,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the first structural defect found in the trace.
+    /// Returns the trace's first structural defect, or its instance mismatch.
     pub fn try_run_belady(&self, trace: &OpTrace) -> Result<SimReport, TraceError> {
         self.report(trace, Replacement::ExactNextUse)
     }
@@ -434,7 +436,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the first structural defect found in the trace.
+    /// Returns the trace's first structural defect, or its instance mismatch.
     pub fn op_timings_lru(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, TraceError> {
         self.timings(trace, Replacement::Lru)
     }
@@ -443,7 +445,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the first structural defect found in the trace.
+    /// Returns the trace's first structural defect, or its instance mismatch.
     pub fn try_run_lru(&self, trace: &OpTrace) -> Result<SimReport, TraceError> {
         self.report(trace, Replacement::Lru)
     }
@@ -454,7 +456,7 @@ impl Simulator {
         trace: &OpTrace,
         replacement: Replacement,
     ) -> Result<Vec<OpTiming>, TraceError> {
-        trace.validate()?;
+        self.check(trace)?;
         let mut timings = Vec::with_capacity(trace.len());
         self.sweep_under(trace, replacement, |_, timing| timings.push(timing));
         Ok(timings)
@@ -463,8 +465,22 @@ impl Simulator {
     /// Every `try_run*` entry point: the trace checked and
     /// [`Simulator::folded`].
     fn report(&self, trace: &OpTrace, replacement: Replacement) -> Result<SimReport, TraceError> {
-        trace.validate()?;
+        self.check(trace)?;
         Ok(self.folded(trace, replacement, |_, _| {}))
+    }
+
+    /// What every entry point checks before it sweeps: the trace's first
+    /// defect ([`OpTrace::validate`], levels against the trace's instance),
+    /// then that the instance is this simulator's, which charges the ops.
+    fn check(&self, trace: &OpTrace) -> Result<(), TraceError> {
+        trace.validate()?;
+        if *trace.instance() != self.instance {
+            return Err(TraceError::InstanceMismatch {
+                trace: trace.instance().name().to_string(),
+                simulator: self.instance.name().to_string(),
+            });
+        }
+        Ok(())
     }
 
     /// The sweep's timings folded into the report as they come, each shown
@@ -484,13 +500,8 @@ impl Simulator {
         fold.finish(self)
     }
 
-    /// An empty furthest-next-use cache for the slots of `trace`.
-    fn next_use_cache(&self, trace: &OpTrace) -> CacheModel {
-        CacheModel::Belady(BeladyCache::new(self.cache_capacity(), trace.slot_count()))
-    }
-
-    /// [`Simulator::sweep_each`] with the cache and the key function of one
-    /// replacement policy.
+    /// [`Simulator::sweep_each`] on the key function of one replacement
+    /// policy.
     fn sweep_under(
         &self,
         trace: &OpTrace,
@@ -500,7 +511,7 @@ impl Simulator {
         match replacement {
             Replacement::ReuseCode => self.sweep_each(
                 trace,
-                self.next_use_cache(trace),
+                replacement,
                 |op, operand| reuse_key(trace.reuse(op, operand), op.index),
                 sink,
             ),
@@ -508,34 +519,32 @@ impl Simulator {
                 let next_uses = trace.next_uses();
                 self.sweep_each(
                     trace,
-                    self.next_use_cache(trace),
+                    replacement,
                     |op, operand| exact_key(trace, &next_uses, op, operand),
                     sink,
                 );
             }
-            Replacement::Lru => {
-                let cache =
-                    CacheModel::Lru(LruCache::new(self.cache_capacity(), trace.slot_count()));
-                self.sweep_each(trace, cache, |_, _| 0, sink);
-            }
+            Replacement::Lru => self.sweep_each(trace, replacement, recency_key, sink),
         }
     }
 
     /// The cache-resolution sweep behind every entry point, over the slots
     /// of a validated [`OpTrace`]: resolves each op's charge in program
-    /// order and hands it to `sink`, which is all that tells collecting
-    /// ([`Simulator::op_timings`]) from folding ([`Simulator::try_run`])
-    /// from planning ([`Simulator::run_indexed`]). `key` says when the
-    /// value of one access — the op's `Some(k)`-th operand, or its output
-    /// for `None` — is read next, as far as the replacement policy knows;
-    /// it is all that tells policy and bound apart (LRU ignores it).
+    /// order on one [`BeladyCache`] and hands it to `sink`, which is all
+    /// that tells collecting ([`Simulator::op_timings`]) from folding
+    /// ([`Simulator::try_run`]) from planning ([`Simulator::run_indexed`]).
+    /// `key` ranks one access — the op's `Some(k)`-th operand, or its
+    /// output for `None` — the furthest key loses; it is all that tells
+    /// policy, bound and LRU baseline apart, and `replacement` only names
+    /// the reason of each eviction.
     fn sweep_each(
         &self,
         trace: &OpTrace,
-        mut cache: CacheModel,
+        replacement: Replacement,
         key: impl Fn(&TracedOp<'_>, Option<usize>) -> u32,
         mut sink: impl FnMut(&TracedOp<'_>, OpTiming),
     ) {
+        let mut cache = BeladyCache::new(self.cache_capacity(), trace.slot_count());
         let telemetry_on = bts_telemetry::enabled();
         let mut costs = CostTable::new(self, trace.instance().max_level(), telemetry_on);
         let bytes_per_sec = self.config.hbm.bytes_per_sec();
@@ -551,7 +560,7 @@ impl Simulator {
             let mut hits = 0usize;
             let mut misses = 0usize;
             let mut pressure = Pressure {
-                explain: telemetry_on.then_some((trace, op.index, serial_t)),
+                explain: telemetry_on.then_some((trace, replacement, op.index, serial_t)),
                 ..Pressure::default()
             };
             for (k, &input) in op.operands.iter().enumerate() {
@@ -605,7 +614,7 @@ impl Simulator {
                     seconds,
                     cache_hits: hits,
                     cache_misses: misses,
-                    scratch_bytes: cost.temp_bytes + cache.used_bytes(),
+                    scratch_bytes: cost.temp_bytes + cache.used,
                 },
             );
         }
@@ -637,15 +646,28 @@ impl Simulator {
     }
 }
 
-/// Which cache, on which replacement key, a sweep runs.
+/// Which replacement key a sweep runs the cache on.
 #[derive(Debug, Clone, Copy)]
 enum Replacement {
-    /// The furthest-next-use cache keyed on the 2-bit reuse code: the policy.
+    /// The 2-bit reuse code: the policy.
     ReuseCode,
-    /// The same cache keyed on exact next-use positions: the policy's bound.
+    /// Exact next-use positions: the policy's bound.
     ExactNextUse,
-    /// The reactive LRU cache of §5.3: the paper's baseline.
+    /// Recency: §5.3's reactive LRU cache, the paper's baseline.
     Lru,
+}
+
+impl Replacement {
+    /// Why the cache chose a victim that held `key`: it was the oldest
+    /// (`lru`), it was dead (`never`), or it was needed later than the
+    /// newcomer (`later`).
+    fn eviction_reason(self, key: u32) -> &'static str {
+        match self {
+            Replacement::Lru => "lru",
+            _ if key == NEVER => "never",
+            _ => "later",
+        }
+    }
 }
 
 /// A [`SimReport`] in the making: the running sums of a sweep, one op at a
@@ -793,92 +815,49 @@ fn reuse_key(reuse: Reuse, op: u32) -> u32 {
     }
 }
 
+/// The LRU baseline's replacement key: the access's position in program
+/// order — op `i`'s operands, then its output — counted down from below
+/// [`NEVER`]. The least recently touched resident holds the furthest key,
+/// and a newcomer the nearest, so it is never bypassed and the residents
+/// go oldest first until it fits: LRU.
+fn recency_key(op: &TracedOp<'_>, operand: Option<usize>) -> u32 {
+    let k = operand.unwrap_or(op.operands.len());
+    // Lossless and distinct: construction keeps accesses + ops below the
+    // sentinels, and each op's accesses follow the previous op's output.
+    NEVER - 1 - (op.first_access + op.index as usize + k) as u32
+}
+
 /// What one op's inserts did to the cache, and — with telemetry on — the
-/// `(index, op, start time)` to explain it with: one `scratchpad` instant per
-/// evicted resident and per bypassed newcomer, naming the ciphertext, so a
-/// later miss on it can be traced to its cause from the stream alone.
+/// `(trace, replacement, op index, start time)` to explain it with: one
+/// `scratchpad` instant per evicted resident and per bypassed newcomer,
+/// naming the ciphertext, so a later miss on it can be traced to its cause
+/// from the stream alone.
 #[derive(Default)]
 struct Pressure<'t> {
     evictions: usize,
     bypasses: usize,
-    explain: Option<(&'t OpTrace, u32, f64)>,
+    explain: Option<(&'t OpTrace, Replacement, u32, f64)>,
 }
 
 impl Pressure<'_> {
-    fn insert(&mut self, cache: &mut CacheModel, slot: u32, bytes: u64, next_use: u32) {
+    fn insert(&mut self, cache: &mut BeladyCache, slot: u32, bytes: u64, next_use: u32) {
         let cached = cache.insert(slot, bytes, next_use);
-        self.evictions += cache.victims().len();
+        self.evictions += cache.victims.len();
         self.bypasses += usize::from(!cached);
-        let Some((trace, op, ts)) = self.explain else {
+        let Some((trace, replacement, op, ts)) = self.explain else {
             return;
         };
         let instant = |name, slot: u32, detail: (&'static str, bts_telemetry::ArgValue)| {
             let args = [("op", op.into()), ("ct", trace.id_of(slot).into()), detail];
             bts_telemetry::emit_instant("scratchpad", name, ts, &args);
         };
-        for &victim in cache.victims() {
-            instant(
-                "evict",
-                victim,
-                ("reason", cache.eviction_reason(victim).into()),
-            );
+        for &victim in &cache.victims {
+            // An evicted slot's entry keeps the key it was evicted on.
+            let reason = replacement.eviction_reason(cache.entries[victim as usize].next_use);
+            instant("evict", victim, ("reason", reason.into()));
         }
         if !cached {
-            instant("bypass", slot, ("used_bytes", cache.used_bytes().into()));
-        }
-    }
-}
-
-/// Cache-structure dispatch for the sweep: the furthest-next-use cache under
-/// the policy and its bound, or the LRU baseline. Both key their state by
-/// [`OpTrace`] slot.
-#[derive(Debug, Clone)]
-enum CacheModel {
-    Lru(LruCache),
-    Belady(BeladyCache),
-}
-
-impl CacheModel {
-    /// Hit test, refreshing recency (LRU) or the stored next-use (Belady).
-    fn touch(&mut self, slot: u32, next_use: u32) -> bool {
-        match self {
-            CacheModel::Lru(c) => c.touch(slot),
-            CacheModel::Belady(c) => c.touch(slot, next_use),
-        }
-    }
-
-    /// Inserts; false if the newcomer was bypassed (left uncached). The
-    /// residents evicted to make room are [`CacheModel::victims`] until the
-    /// next insert.
-    fn insert(&mut self, slot: u32, bytes: u64, next_use: u32) -> bool {
-        match self {
-            CacheModel::Lru(c) => c.insert(slot, bytes),
-            CacheModel::Belady(c) => c.insert(slot, bytes, next_use),
-        }
-    }
-
-    fn victims(&self) -> &[u32] {
-        match self {
-            CacheModel::Lru(c) => &c.victims,
-            CacheModel::Belady(c) => &c.victims,
-        }
-    }
-
-    /// Why the last insert chose `victim`: it was dead (`never`), it was
-    /// needed later than the newcomer (`later`), or it was the oldest (`lru`).
-    /// (An evicted slot's entry keeps the key it was evicted on.)
-    fn eviction_reason(&self, victim: u32) -> &'static str {
-        match self {
-            CacheModel::Lru(_) => "lru",
-            CacheModel::Belady(c) if c.entries[victim as usize].next_use == NEVER => "never",
-            CacheModel::Belady(_) => "later",
-        }
-    }
-
-    fn used_bytes(&self) -> u64 {
-        match self {
-            CacheModel::Lru(c) => c.used,
-            CacheModel::Belady(c) => c.used,
+            instant("bypass", slot, ("used_bytes", cache.used.into()));
         }
     }
 }
@@ -887,7 +866,8 @@ impl CacheModel {
 #[derive(Debug, Clone, Copy)]
 struct BeladyEntry {
     bytes: u64,
-    /// Op index of the next use ([`NEVER`] = never again).
+    /// Replacement key: op index of the next use ([`NEVER`] = never
+    /// again), or the LRU baseline's [`recency_key`].
     next_use: u32,
     /// Position in `BeladyCache::resident`, [`NEVER`] when not resident.
     position: u32,
@@ -897,7 +877,8 @@ struct BeladyEntry {
 /// index of its next use — as exact or as coarse as the sweep's key function
 /// makes it; under pressure the furthest-needed ciphertext
 /// loses — evicted if resident, bypassed if incoming — so dead data goes
-/// first and the live set is what the future needs soonest.
+/// first and the live set is what the future needs soonest. The one cache
+/// of the engine: keyed on recency instead, it is the LRU baseline.
 #[derive(Debug, Clone)]
 struct BeladyCache {
     capacity: u64,
@@ -1000,124 +981,6 @@ impl BeladyCache {
             next_use,
             position,
         };
-        self.used += bytes;
-        true
-    }
-}
-
-/// One slot's links in the [`LruCache`] recency list.
-#[derive(Debug, Clone, Copy)]
-struct LruNode {
-    /// Neighbour towards the least recently used end.
-    prev: u32,
-    /// Neighbour towards the most recently used end; [`NEVER`] when the slot
-    /// is not resident.
-    next: u32,
-    bytes: u64,
-}
-
-/// LRU cache over ciphertext slots (§5.3's reactive cache, the reporting
-/// baseline): an intrusive doubly-linked recency list threaded through one
-/// node per slot, so a touch and an eviction are both O(1).
-#[derive(Debug, Clone)]
-struct LruCache {
-    capacity: u64,
-    used: u64,
-    /// One node per slot plus the list's sentinel at index `slots`: the
-    /// sentinel's `next` is the least, its `prev` the most recently used.
-    nodes: Vec<LruNode>,
-    /// Victims of the latest insert, reused across inserts.
-    victims: Vec<u32>,
-}
-
-impl LruCache {
-    fn new(capacity: u64, slots: usize) -> Self {
-        let sentinel = u32::try_from(slots).expect("slot count fits u32");
-        let vacant = LruNode {
-            prev: NEVER,
-            next: NEVER,
-            bytes: 0,
-        };
-        let mut nodes = vec![vacant; slots + 1];
-        nodes[slots] = LruNode {
-            prev: sentinel,
-            next: sentinel,
-            bytes: 0,
-        };
-        Self {
-            capacity,
-            used: 0,
-            nodes,
-            victims: Vec::new(),
-        }
-    }
-
-    fn sentinel(&self) -> u32 {
-        // Lossless: `new` checked that the slot count fits u32.
-        (self.nodes.len() - 1) as u32
-    }
-
-    fn is_resident(&self, slot: u32) -> bool {
-        self.nodes[slot as usize].next != NEVER
-    }
-
-    fn unlink(&mut self, slot: u32) {
-        let LruNode { prev, next, .. } = self.nodes[slot as usize];
-        self.nodes[prev as usize].next = next;
-        self.nodes[next as usize].prev = prev;
-    }
-
-    /// Links `slot` in as the most recently used entry.
-    fn link_newest(&mut self, slot: u32) {
-        let sentinel = self.sentinel();
-        let newest = self.nodes[sentinel as usize].prev;
-        self.nodes[slot as usize].prev = newest;
-        self.nodes[slot as usize].next = sentinel;
-        self.nodes[newest as usize].next = slot;
-        self.nodes[sentinel as usize].prev = slot;
-    }
-
-    /// Returns true (hit) if present, refreshing recency.
-    fn touch(&mut self, slot: u32) -> bool {
-        if !self.is_resident(slot) {
-            return false;
-        }
-        self.unlink(slot);
-        self.link_newest(slot);
-        true
-    }
-
-    /// Drops an entry, freeing its bytes. Returns true if it was resident.
-    fn remove(&mut self, slot: u32) -> bool {
-        if !self.is_resident(slot) {
-            return false;
-        }
-        self.unlink(slot);
-        self.nodes[slot as usize].next = NEVER;
-        self.used -= self.nodes[slot as usize].bytes;
-        true
-    }
-
-    /// Inserts, evicting from the LRU end into `victims`; false if the
-    /// entry cannot be cached at all.
-    fn insert(&mut self, slot: u32, bytes: u64) -> bool {
-        self.victims.clear();
-        if bytes > self.capacity {
-            return false;
-        }
-        if self.touch(slot) {
-            return true;
-        }
-        while self.used + bytes > self.capacity {
-            let oldest = self.nodes[self.sentinel() as usize].next;
-            if oldest == self.sentinel() {
-                break;
-            }
-            self.remove(oldest);
-            self.victims.push(oldest);
-        }
-        self.nodes[slot as usize].bytes = bytes;
-        self.link_newest(slot);
         self.used += bytes;
         true
     }
@@ -1255,6 +1118,29 @@ mod tests {
     }
 
     #[test]
+    fn a_trace_runs_only_on_its_own_instance() {
+        // A level-44 HMult exists on INS-3; INS-1 (L = 27) would charge it
+        // at a level it does not have.
+        let ins3 = CkksInstance::ins3();
+        let mut b = TraceBuilder::new(&ins3);
+        let x = b.fresh_ct(44);
+        b.hmult_at(x, x, 44);
+        let trace = b.build();
+        let mismatch = TraceError::InstanceMismatch {
+            trace: ins3.name().to_string(),
+            simulator: CkksInstance::ins1().name().to_string(),
+        };
+        let ins1 = Simulator::new(BtsConfig::bts_default(), CkksInstance::ins1());
+        assert_eq!(ins1.try_run(&trace).unwrap_err(), mismatch);
+        assert_eq!(ins1.op_timings_lru(&trace).unwrap_err(), mismatch);
+        let mut seen = 0;
+        let indexed = ins1.run_indexed(&trace, |_, _| seen += 1);
+        assert_eq!((indexed.unwrap_err(), seen), (mismatch, 0));
+        let own = Simulator::new(BtsConfig::bts_default(), ins3);
+        assert!(own.try_run(&trace).is_ok());
+    }
+
+    #[test]
     fn reuse_code_reaches_the_bound_where_lru_keeps_dead_values() {
         // Recency and liveness disagree: every round produces values that
         // die immediately but are the most recently touched entries, while a
@@ -1304,7 +1190,7 @@ mod tests {
         let mut hits = 0;
         sim.sweep_each(
             trace,
-            sim.next_use_cache(trace),
+            Replacement::ExactNextUse,
             |op, operand| {
                 let exact = exact_key(trace, &next_uses, op, operand);
                 key(trace.reuse(op, operand), exact, op.index)

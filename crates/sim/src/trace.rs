@@ -123,6 +123,15 @@ pub enum TraceError {
         /// The instance's maximum level L.
         max_level: usize,
     },
+    /// The trace was recorded for another CKKS instance than the
+    /// simulator's: its levels were checked against one parameter set and
+    /// would be charged on another.
+    InstanceMismatch {
+        /// Name of the trace's instance.
+        trace: String,
+        /// Name of the simulator's instance.
+        simulator: String,
+    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -151,6 +160,10 @@ impl std::fmt::Display for TraceError {
             } => write!(
                 f,
                 "trace input #{input_index} enters at level {level} beyond the instance budget L = {max_level}"
+            ),
+            TraceError::InstanceMismatch { trace, simulator } => write!(
+                f,
+                "trace recorded for instance {trace} run on a simulator of instance {simulator}"
             ),
         }
     }
@@ -266,7 +279,8 @@ impl TraceBuilder {
         self.push(HeOp::HAdd, level, &[a, b])
     }
 
-    /// Records a rescale at the level of its input (consumes one level).
+    /// Records a rescale at the instance's maximum level (consumes one
+    /// level); [`TraceBuilder::hrescale_at`] takes the input's level.
     pub fn hrescale(&mut self, a: CtId) -> CtId {
         self.hrescale_at(a, self.instance.max_level())
     }

@@ -173,8 +173,8 @@ impl OpTrace {
     ///
     /// # Panics
     ///
-    /// Panics if the trace has more than `u32::MAX − 2` ops, or more than
-    /// `u32::MAX` operand accesses or distinct ids.
+    /// Panics if the trace's operand accesses plus ops number more than
+    /// `u32::MAX − 2`, or its distinct ids more than `u32::MAX`.
     pub fn from_ops<'a>(
         instance: &CkksInstance,
         inputs: &[(CtId, usize)],
@@ -232,9 +232,12 @@ impl OpTrace {
         slots: usize,
         rotation_keys: usize,
     ) -> Self {
+        // Bounds op indices, and the LRU baseline's access stamps (one per
+        // operand access and per op) too.
+        let stamps = columns.operands.len() + columns.kinds.len();
         assert!(
-            u32::try_from(columns.kinds.len()).is_ok_and(|ops| ops < TRACE_INPUT),
-            "op indices stay below the sentinels"
+            u32::try_from(stamps).is_ok_and(|stamps| stamps < TRACE_INPUT),
+            "operand accesses plus ops stay below the sentinels"
         );
         let mut trace = Self {
             instance,

@@ -1,6 +1,6 @@
 //! Differential tests of the dense simulation kernel: on random traces the
-//! slot-indexed sweep (the trace's own tables + intrusive LRU list /
-//! slot-indexed furthest-next-use cache), the dependences read back off
+//! slot-indexed sweep (the trace's own tables + the one slot-indexed
+//! furthest-key cache, LRU on a recency key), the dependences read back off
 //! those tables (`common/deps.rs`, which the scheduler's list oracle reads)
 //! and `OpTrace::validate` must equal, bit for bit and error for error, the
 //! hash-map bodies they replaced.
@@ -20,7 +20,10 @@
 //! a function of (op, exact next use). The identity is the bound
 //! (`op_timings_belady` — the reuse code at infinite width), and
 //! [`oracle::three_value_key`], a quantization of the exact position written
-//! without `TraceIndex`'s tables, is the default (`op_timings`).
+//! without `TraceIndex`'s tables, is the default (`op_timings`). The engine
+//! runs LRU on that cache too, under a third key (recency); the oracle's LRU
+//! stays the `VecDeque` body it always was, so `op_timings_lru` is held to
+//! an independent cache.
 //!
 //! The sweep is one visitor with three kinds of sink, and only the collecting
 //! one (`op_timings*`) is compared with the oracle's timings directly. The

@@ -104,8 +104,9 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
 
     // The sweeps: the cache, the cost table and the report's per-class map —
     // a fixed set of tables, each sized once; the trace brought its own.
-    // Measured: 8 / 10 / 6 (`try_run` / `_belady` / `_lru`) at either
-    // length; re-indexing the trace on entry cost 15 / 17 / 13.
+    // Measured: 8 / 10 / 9 (`try_run` / `_belady` / `_lru`) at either
+    // length — LRU never bypasses, so its resident list grows once more
+    // than the policy's; re-indexing the trace on entry cost 15 / 17 / 13.
     const SWEEP_ALLOCATIONS: u64 = 12;
     // What a folding sweep may keep alive per op at its peak: the cache's
     // slot table (and the bound's next-use table), not a timing per op

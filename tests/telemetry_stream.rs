@@ -27,7 +27,7 @@ use bts::serve::{
     serve, DerivedServeFigures, JobRequest, ServeOptions, ServeReport, ShedReason,
     SyntheticArrivals,
 };
-use bts::sim::{ArchPreset, BtsConfig, Simulator, TraceBuilder};
+use bts::sim::{ArchPreset, BtsConfig, OpTrace, Simulator, TraceBuilder};
 use bts::telemetry::{self, ArgValue, Collector, Event};
 use rand::SeedableRng;
 
@@ -330,12 +330,9 @@ fn failover_stream_names_every_migration_and_completion_once() {
     assert_eq!(streamed, reported);
 }
 
-/// "Why did this op miss" from the stream alone: a seven-op trace on a cache
-/// of two ciphertexts provokes a dead victim, a live victim and both kinds
-/// of bypass, and the `scratchpad` instants tell each one — which
-/// ciphertext, at which op, why — one instant per counted event.
-#[test]
-fn scratchpad_instants_explain_every_eviction_and_bypass() {
+/// A seven-op trace on a cache of two top-level ciphertexts: the five
+/// inputs `a, b, c, d, e` and the seven (dead) products, as ids.
+fn two_ciphertext_cache() -> (Simulator, OpTrace, [u64; 5], [u64; 7]) {
     let ins = CkksInstance::ins1();
     let top = ins.max_level();
     let mut b = TraceBuilder::new(&ins);
@@ -356,14 +353,13 @@ fn scratchpad_instants_explain_every_eviction_and_bypass() {
         ins.clone(),
     );
     assert_eq!(sim.cache_capacity() / ins.ct_bytes(top), 2);
+    (sim, trace, [a, bb, c, d, e], outputs)
+}
 
-    let run = telemetry::capture();
-    let report = sim.run(&trace);
-    let run = run.finish();
-    let instants: Vec<(&str, u64, u64, Option<&str>)> = run
-        .events
-        .iter()
-        .filter(|ev| ev.track == "scratchpad")
+/// The `scratchpad` instants of a stream as `(name, op, ct, reason)`.
+fn scratchpad_instants(events: &[Event]) -> Vec<(&str, u64, u64, Option<&str>)> {
+    let instants = events.iter().filter(|ev| ev.track == "scratchpad");
+    instants
         .map(|ev| {
             let reason = match ev.arg("reason") {
                 Some(ArgValue::Str(reason)) => Some(reason.as_str()),
@@ -372,7 +368,20 @@ fn scratchpad_instants_explain_every_eviction_and_bypass() {
             let (op, ct) = (ev.arg_u64("op"), ev.arg_u64("ct"));
             (ev.name.as_str(), op.unwrap(), ct.unwrap(), reason)
         })
-        .collect();
+        .collect()
+}
+
+/// "Why did this op miss" from the stream alone: a seven-op trace on a cache
+/// of two ciphertexts provokes a dead victim, a live victim and both kinds
+/// of bypass, and the `scratchpad` instants tell each one — which
+/// ciphertext, at which op, why — one instant per counted event.
+#[test]
+fn scratchpad_instants_explain_every_eviction_and_bypass() {
+    let (sim, trace, [_, bb, c, d, e], outputs) = two_ciphertext_cache();
+    let run = telemetry::capture();
+    let report = sim.run(&trace);
+    let run = run.finish();
+    let instants = scratchpad_instants(&run.events);
     let [o0, o1, o2, o3, o4, o5, o6] = outputs;
     assert_eq!(
         instants,
@@ -410,6 +419,51 @@ fn scratchpad_instants_explain_every_eviction_and_bypass() {
     // its eviction at op 2, e after its bypass at op 4.
     assert_eq!(report.cache_misses, 7);
     assert_eq!(report.cache_hits, 7);
+}
+
+/// The paper's LRU baseline on the same trace and cache: every eviction is
+/// labelled `lru`, the victim is always the least recently touched
+/// resident, and nothing that fits is bypassed — dead products included.
+#[test]
+fn lru_instants_evict_the_least_recently_used_first() {
+    let (sim, trace, [a, bb, c, d, e], outputs) = two_ciphertext_cache();
+    let run = telemetry::capture();
+    let report = sim.try_run_lru(&trace).unwrap();
+    let run = run.finish();
+    let instants = scratchpad_instants(&run.events);
+    assert!(
+        instants
+            .iter()
+            .all(|i| i.0 == "evict" && i.3 == Some("lru")),
+        "{instants:?}"
+    );
+    let evicted: Vec<(u64, u64)> = instants.iter().map(|i| (i.1, i.2)).collect();
+    // Recency after each op, least recent first, touches in operand order
+    // and the product last.
+    let [o0, o1, o2, o3, o4, o5, _] = outputs;
+    assert_eq!(
+        evicted,
+        vec![
+            (0, a), // [b, o0]
+            (1, o0),
+            (1, bb), // b hits; [c, o1]
+            (2, c),
+            (2, o1),
+            (2, a), // [d, o2]
+            (3, o2),
+            (3, d), // d hits; [c, o3]
+            (4, c),
+            (4, o3),
+            (4, a), // [e, o4]
+            (5, e),
+            (5, o4),
+            (5, a), // [c, o5]
+            (6, c),
+            (6, o5), // e's second read hits; [e, o6]
+        ]
+    );
+    // Three hits (b at op 1, d at op 3, e's second read at op 6) of 14.
+    assert_eq!((report.cache_hits, report.cache_misses), (3, 11));
 }
 
 /// One encrypted `mul_rescale` (NTTs, BConv, key-switch) inside a capture;
