@@ -398,4 +398,16 @@ mod tests {
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
         assert!(sim.try_run_scheduled(&b.build()).is_err());
     }
+
+    #[test]
+    fn an_invalid_config_is_refused_not_scheduled() {
+        // A zero clock would schedule every op at infinite seconds.
+        let ins = CkksInstance::ins1();
+        let trace = bsgs_like_trace(&ins);
+        let mut config = BtsConfig::bts_default();
+        config.frequency_hz = 0.0;
+        let refused = TraceError::InvalidConfig(config.validate().unwrap_err());
+        let sim = Simulator::new(config, ins);
+        assert_eq!(sim.try_run_scheduled(&trace).err(), Some(refused));
+    }
 }

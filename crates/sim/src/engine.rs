@@ -13,16 +13,14 @@
 //! and an FHE trace is its own future, so the cache is not reactive: every
 //! operand access and op output carries the compiler's 2-bit [`Reuse`] code
 //! (`next` / `later` / `never`, derived by [`OpTrace::reuse`]) and one
-//! furthest-next-use cache ([`BeladyCache`]: furthest victims first,
+//! furthest-key cache ([`BeladyCache`]: furthest victims first,
 //! all-or-nothing bypass, larger slot loses ties) runs on the key the code
-//! stands for ([`reuse_key`]). The same cache on exact next-use positions is
-//! the policy's bound ([`Simulator::try_run_belady`]); the two sweeps differ
-//! in the key function handed to [`Simulator::sweep_each`] and in nothing else.
-//! On every registry workload the code reaches the bound byte for byte —
-//! live sets stay within three ciphertexts, so what a reactive cache loses
-//! is dead values kept because they are recent plus thrash only bypass
-//! stops, and exact distances add nothing (`tests/scratchpad_policy.rs`;
-//! the `tests` module below pins the synthetic pool where they do).
+//! stands for ([`reuse_key`]). On every registry workload it moves the
+//! capacity-miss bytes of the exact offline optimum (`scratchpad_policy`
+//! tests): live sets stay within three ciphertexts, so what a reactive cache
+//! loses is dead values kept because they are recent plus thrash only bypass
+//! stops. One bit is not enough: the dead bit alone loses hits on a pool of
+//! eight live values (the `tests` module below), the one recorded gap.
 //!
 //! LRU — the policy the paper publishes — is the same cache on a third key,
 //! recency ([`recency_key`]: the older the access, the further the key, and
@@ -353,9 +351,9 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if the trace fails [`OpTrace::validate`] (dangling ciphertext
-    /// ids or out-of-budget levels) or was recorded for another instance;
-    /// use [`Simulator::try_run`] to handle the error instead.
+    /// Panics where [`Simulator::try_run`] returns an error (an invalid
+    /// configuration, dangling ids or out-of-budget levels, another
+    /// instance's trace); use it to handle the error instead.
     pub fn run(&self, trace: &OpTrace) -> SimReport {
         match self.try_run(trace) {
             Ok(report) => report,
@@ -369,7 +367,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the trace's first structural defect, or its instance mismatch.
+    /// Returns the first [`TraceError`] of the configuration and the trace.
     pub fn try_run(&self, trace: &OpTrace) -> Result<SimReport, TraceError> {
         self.report(trace, Replacement::ReuseCode)
     }
@@ -382,7 +380,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the trace's first structural defect, or its instance mismatch.
+    /// Returns the first [`TraceError`] of the configuration and the trace.
     pub fn run_indexed(
         &self,
         trace: &OpTrace,
@@ -400,31 +398,19 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the trace's first structural defect, or its instance mismatch.
+    /// Returns the first [`TraceError`] of the configuration and the trace.
     pub fn op_timings(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, TraceError> {
         self.timings(trace, Replacement::ReuseCode)
     }
 
-    /// [`Simulator::op_timings`] with the replacement key at full width: the
-    /// exact op index of every next use instead of its 2-bit code. Same
-    /// cache, same rules (furthest loses, all-or-nothing bypass); this is the
-    /// bound the policy is measured against. (With variable-size ciphertexts
-    /// exact offline optimality is a knapsack problem; this is the standard
-    /// furthest-next-use heuristic, not a proven optimum.)
+    /// [`Simulator::try_run`] keyed on the exact op index of every next use
+    /// instead of its 2-bit code. It serves only the benchmark harness's
+    /// furthest-next-use probes and goes with them: the policy is held to
+    /// the exact optimum instead (`tests/scratchpad_policy.rs`).
     ///
     /// # Errors
     ///
-    /// Returns the trace's first structural defect, or its instance mismatch.
-    pub fn op_timings_belady(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, TraceError> {
-        self.timings(trace, Replacement::ExactNextUse)
-    }
-
-    /// Runs a trace with exact furthest-next-use replacement — see
-    /// [`Simulator::op_timings_belady`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the trace's first structural defect, or its instance mismatch.
+    /// Returns the first [`TraceError`] of the configuration and the trace.
     pub fn try_run_belady(&self, trace: &OpTrace) -> Result<SimReport, TraceError> {
         self.report(trace, Replacement::ExactNextUse)
     }
@@ -436,7 +422,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the trace's first structural defect, or its instance mismatch.
+    /// Returns the first [`TraceError`] of the configuration and the trace.
     pub fn op_timings_lru(&self, trace: &OpTrace) -> Result<Vec<OpTiming>, TraceError> {
         self.timings(trace, Replacement::Lru)
     }
@@ -445,7 +431,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns the trace's first structural defect, or its instance mismatch.
+    /// Returns the first [`TraceError`] of the configuration and the trace.
     pub fn try_run_lru(&self, trace: &OpTrace) -> Result<SimReport, TraceError> {
         self.report(trace, Replacement::Lru)
     }
@@ -469,10 +455,12 @@ impl Simulator {
         Ok(self.folded(trace, replacement, |_, _| {}))
     }
 
-    /// What every entry point checks before it sweeps: the trace's first
-    /// defect ([`OpTrace::validate`], levels against the trace's instance),
-    /// then that the instance is this simulator's, which charges the ops.
+    /// What every entry point checks before it sweeps: the configuration
+    /// ([`BtsConfig::validate`]: a zero clock charges infinite seconds), the
+    /// trace's first defect ([`OpTrace::validate`]), then that the trace's
+    /// instance is this simulator's, which charges the ops.
     fn check(&self, trace: &OpTrace) -> Result<(), TraceError> {
+        self.config.validate().map_err(TraceError::InvalidConfig)?;
         trace.validate()?;
         if *trace.instance() != self.instance {
             return Err(TraceError::InstanceMismatch {
@@ -535,8 +523,8 @@ impl Simulator {
     /// ([`Simulator::try_run`]) from planning ([`Simulator::run_indexed`]).
     /// `key` ranks one access — the op's `Some(k)`-th operand, or its
     /// output for `None` — the furthest key loses; it is all that tells
-    /// policy, bound and LRU baseline apart, and `replacement` only names
-    /// the reason of each eviction.
+    /// policy, exact next use and LRU baseline apart, and `replacement` only
+    /// names the reason of each eviction.
     fn sweep_each(
         &self,
         trace: &OpTrace,
@@ -651,7 +639,7 @@ impl Simulator {
 enum Replacement {
     /// The 2-bit reuse code: the policy.
     ReuseCode,
-    /// Exact next-use positions: the policy's bound.
+    /// Exact next-use positions: the benchmark's furthest-next-use probe.
     ExactNextUse,
     /// Recency: §5.3's reactive LRU cache, the paper's baseline.
     Lru,
@@ -1141,12 +1129,39 @@ mod tests {
     }
 
     #[test]
-    fn reuse_code_reaches_the_bound_where_lru_keeps_dead_values() {
+    fn an_invalid_config_is_refused_not_charged() {
+        // A zero clock or PE count would charge every op infinite or NaN
+        // seconds; every entry point refuses the simulator instead.
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        b.hmult(x, x);
+        let trace = b.build();
+        let mut stopped = BtsConfig::bts_default();
+        stopped.frequency_hz = 0.0;
+        let mut empty = BtsConfig::bts_default();
+        empty.pe_count = 0;
+        for config in [stopped, empty] {
+            let refused = TraceError::InvalidConfig(config.validate().unwrap_err());
+            let sim = Simulator::new(config, ins.clone());
+            assert_eq!(sim.try_run(&trace).unwrap_err(), refused);
+            assert_eq!(sim.op_timings(&trace).unwrap_err(), refused);
+            assert_eq!(sim.try_run_lru(&trace).unwrap_err(), refused);
+            assert_eq!(sim.try_run_belady(&trace).unwrap_err(), refused);
+            let mut seen = 0;
+            let indexed = sim.run_indexed(&trace, |_, _| seen += 1);
+            assert_eq!((indexed.unwrap_err(), seen), (refused, 0));
+        }
+    }
+
+    #[test]
+    fn reuse_code_beats_lru_where_lru_keeps_dead_values() {
         // Recency and liveness disagree: every round produces values that
         // die immediately but are the most recently touched entries, while a
         // long-lived operand, read only every other round, ages toward the
         // LRU position. LRU evicts the live operand; the reuse code marks the
-        // dead values `Never`, so they go first — as under exact next uses.
+        // dead values `Never`, so they go first. (That nothing does better is
+        // `tests/scratchpad_policy.rs`, against the exact optimum.)
         let ins = CkksInstance::ins1();
         let mut b = TraceBuilder::new(&ins);
         let hot = b.fresh_ct(27);
@@ -1165,7 +1180,6 @@ mod tests {
         );
         let lru = sim.try_run_lru(&trace).unwrap();
         let policy = sim.run(&trace);
-        let bound = sim.try_run_belady(&trace).unwrap();
         assert!(
             policy.cache_hit_rate() > lru.cache_hit_rate(),
             "reuse code {} should beat LRU {}",
@@ -1174,27 +1188,17 @@ mod tests {
         );
         assert!(policy.ct_miss_bytes < lru.ct_miss_bytes);
         assert!(policy.total_seconds <= lru.total_seconds);
-        assert_eq!(
-            sim.op_timings(&trace).unwrap(),
-            sim.op_timings_belady(&trace).unwrap(),
-            "two live values at most: the code loses nothing to exact distances"
-        );
-        assert_eq!(policy.cache_hits, bound.cache_hits);
     }
 
-    /// Cache hits of `trace` on the furthest-next-use cache under a key
-    /// function of the access's reuse code, its exact next use and the op —
-    /// the encodings narrower and wider than the one the engine ships.
-    fn hits_keyed(sim: &Simulator, trace: &OpTrace, key: impl Fn(Reuse, u32, u32) -> u32) -> usize {
-        let next_uses = trace.next_uses();
+    /// Cache hits of `trace` on the furthest-key cache under a key function
+    /// of the access's reuse code and the op — narrower encodings than the
+    /// one the engine ships.
+    fn hits_keyed(sim: &Simulator, trace: &OpTrace, key: impl Fn(Reuse, u32) -> u32) -> usize {
         let mut hits = 0;
         sim.sweep_each(
             trace,
-            Replacement::ExactNextUse,
-            |op, operand| {
-                let exact = exact_key(trace, &next_uses, op, operand);
-                key(trace.reuse(op, operand), exact, op.index)
-            },
+            Replacement::ReuseCode,
+            |op, operand| key(trace.reuse(op, operand), op.index),
             |_, timing| hits += timing.cache_hits,
         );
         hits
@@ -1202,11 +1206,12 @@ mod tests {
 
     #[test]
     fn code_width_matters_only_past_three_live_values() {
-        // The one place the code sits below its bound, and the recorded case
-        // for widening it: eight top-level ciphertexts read pairwise
-        // round-robin — 84 accesses over far more live values than the
-        // 512 MiB cache holds. (The registry never produces this:
-        // `tests/scratchpad_policy.rs`.)
+        // Why the code has two bits: eight top-level ciphertexts read
+        // pairwise round-robin — 84 accesses over far more live values than
+        // the 512 MiB cache holds — where the dead bit alone, every live
+        // value tied, loses hits the code keeps. (The registry never
+        // produces this; the same pool is the recorded gap between the code
+        // and the exact optimum in `tests/scratchpad_policy.rs`.)
         let ins = CkksInstance::ins1();
         let top = ins.max_level();
         let mut b = TraceBuilder::new(&ins);
@@ -1222,29 +1227,15 @@ mod tests {
             assert_eq!(report.cache_hits + report.cache_misses, 84);
             report.cache_hits
         };
-        // Narrower than the code: the dead bit alone, every live value tied.
-        let dead_bit = |reuse: Reuse, _, _| match reuse {
+        let dead_bit = |reuse: Reuse, _| match reuse {
             Reuse::Never => NEVER,
             _ => NEVER - 1,
-        };
-        // Wider: log2 buckets of the distance, the top code kept for "never".
-        let log2_buckets = |bits: u32| {
-            move |_, exact: u32, op: u32| match exact {
-                NEVER => NEVER,
-                _ => op + (1 << (exact - op).max(1).ilog2().min((1 << bits) - 2)),
-            }
         };
         assert_eq!(hits(sim.try_run_lru(&trace).unwrap()), 36);
         assert_eq!(hits_keyed(&sim, &trace, dead_bit), 51); // 0.607
         assert_eq!(hits(sim.run(&trace)), 57); // 0.679
-        assert_eq!(hits_keyed(&sim, &trace, log2_buckets(4)), 60); // 0.714
-        assert_eq!(hits(sim.try_run_belady(&trace).unwrap()), 60);
-        // The harness runs the shipped sweeps when handed their keys.
-        assert_eq!(
-            hits_keyed(&sim, &trace, |reuse, _, op| reuse_key(reuse, op)),
-            57
-        );
-        assert_eq!(hits_keyed(&sim, &trace, |_, exact, _| exact), 60);
+                                               // The harness runs the shipped sweep when handed its key.
+        assert_eq!(hits_keyed(&sim, &trace, reuse_key), 57);
     }
 
     #[test]
@@ -1267,28 +1258,6 @@ mod tests {
         assert!(cache.touch(4, 2));
         assert!(!cache.touch(1, 10));
         assert!(!cache.touch(2, 5), "both residents evicted for the fit");
-    }
-
-    #[test]
-    fn belady_equals_lru_when_everything_fits() {
-        // With no capacity pressure no policy ever evicts, so the three
-        // sweeps must agree bit-for-bit.
-        let ins = CkksInstance::ins1();
-        let mut b = TraceBuilder::new(&ins);
-        let x = b.fresh_ct(27);
-        let y = b.fresh_ct(27);
-        for _ in 0..5 {
-            b.hmult_at(x, y, 27);
-        }
-        let trace = b.build();
-        let sim = Simulator::new(
-            BtsConfig::bts_default().with_scratchpad_bytes(4 * 1024 * 1024 * 1024),
-            ins,
-        );
-        let lru = sim.op_timings_lru(&trace).unwrap();
-        let belady = sim.op_timings_belady(&trace).unwrap();
-        assert_eq!(lru, belady);
-        assert_eq!(sim.op_timings(&trace).unwrap(), belady);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use std::collections::HashSet;
 
 use bts_params::CkksInstance;
 
+use crate::config::ConfigError;
 use crate::trace_index::{rebuild, Columns, OpTrace};
 
 /// Identifier of a ciphertext flowing through a trace; used by the simulator's
@@ -84,9 +85,9 @@ pub struct RawOp<'a> {
     pub in_bootstrap: bool,
 }
 
-/// A structural defect in an [`OpTrace`], found when the trace is built and
-/// reported by [`OpTrace::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Why a trace cannot be charged: a structural defect [`OpTrace::validate`]
+/// reports (found when the trace is built), or a simulator that cannot.
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceError {
     /// An op consumes a ciphertext id that is neither a declared trace input
     /// nor the output of an earlier op.
@@ -132,6 +133,9 @@ pub enum TraceError {
         /// Name of the simulator's instance.
         simulator: String,
     },
+    /// The simulator's configuration fails [`crate::BtsConfig::validate`]:
+    /// its ops would be charged infinite or NaN seconds.
+    InvalidConfig(ConfigError),
 }
 
 impl std::fmt::Display for TraceError {
@@ -165,6 +169,7 @@ impl std::fmt::Display for TraceError {
                 f,
                 "trace recorded for instance {trace} run on a simulator of instance {simulator}"
             ),
+            TraceError::InvalidConfig(e) => write!(f, "invalid simulator configuration: {e}"),
         }
     }
 }

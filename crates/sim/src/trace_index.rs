@@ -29,7 +29,7 @@
 //! first) use and the operand slots that follow the access — so hand-built
 //! traces carry it like lowered ones and nothing is stored per op. The
 //! engine's default replacement policy keys on it; the exact positions of
-//! [`OpTrace::next_uses`] (a backward pass) are only its bound.
+//! [`OpTrace::next_uses`] (a backward pass) key only a benchmark probe.
 
 use std::ops::Range;
 

@@ -42,9 +42,14 @@ pub fn amortized_mult_per_slot(simulator: &Simulator) -> (f64, SimReport) {
         .lower(&instance)
         .expect("amortized-mult requires a bootstrappable instance");
     let report = simulator.run(&lowered.trace);
+    (amortized_seconds_per_slot(&instance, &report), report)
+}
+
+/// Eq. 8 on a run of the microbenchmark's trace on `instance`: its total
+/// time divided by the usable levels and the N/2 slots, in seconds.
+pub fn amortized_seconds_per_slot(instance: &CkksInstance, report: &SimReport) -> f64 {
     let usable = (instance.max_level() - L_BOOT) as f64;
-    let per_slot = report.total_seconds / usable * 2.0 / instance.n() as f64;
-    (per_slot, report)
+    report.total_seconds / usable * 2.0 / instance.n() as f64
 }
 
 #[cfg(test)]
@@ -54,9 +59,9 @@ mod tests {
 
     #[test]
     fn ins2_achieves_best_amortized_mult_time() {
-        // Fig. 6 / Fig. 7a: INS-2 gives the best T_mult,a/slot; all three
-        // instances land in the tens-of-nanoseconds regime (the paper reports
-        // 45.5 ns best-case with the 512 MiB scratchpad).
+        // Fig. 6 / Fig. 7a: INS-2 gives the best T_mult,a/slot. (Its distance
+        // from the paper's 45.5 ns, and every instance's from §3's minimum
+        // bound, is a `fidelity` row that `bts-bench` gates.)
         let results: Vec<(String, f64)> = CkksInstance::evaluation_set()
             .into_iter()
             .map(|ins| {
@@ -69,12 +74,6 @@ mod tests {
         let (i1, i2, i3) = (get("INS-1"), get("INS-2"), get("INS-3"));
         assert!(i2 < i1, "INS-2 ({i2} ns) should beat INS-1 ({i1} ns)");
         assert!(i2 < i3, "INS-2 ({i2} ns) should beat INS-3 ({i3} ns)");
-        for (name, t) in &results {
-            assert!(
-                (10.0..300.0).contains(t),
-                "{name}: T_mult,a/slot = {t} ns out of the expected regime"
-            );
-        }
     }
 
     #[test]

@@ -88,19 +88,14 @@ mod tests {
 
     #[test]
     fn helr_per_iteration_time_is_tens_of_ms_on_bts() {
-        // Table 5: 39.9 / 28.4 / 43.5 ms per iteration on INS-1/2/3; our model
-        // should land in the same tens-of-milliseconds regime and INS-2 should
-        // be the fastest.
+        // Table 5: 39.9 / 28.4 / 43.5 ms per iteration on INS-1/2/3, and
+        // INS-2 is the fastest. (Each instance's distance from the paper is
+        // a `fidelity` row that `bts-bench` gates.)
         let mut times = Vec::new();
         for ins in CkksInstance::evaluation_set() {
             let lowered = HelrWorkload::default().lower(&ins).unwrap();
             let report = Simulator::new(BtsConfig::bts_default(), ins.clone()).run(&lowered.trace);
             let ms_per_iter = report.total_seconds * 1e3 / 30.0;
-            assert!(
-                (5.0..200.0).contains(&ms_per_iter),
-                "{}: {ms_per_iter} ms/iter",
-                ins.name()
-            );
             times.push((ins.name().to_string(), ms_per_iter));
         }
         let get = |n: &str| times.iter().find(|(name, _)| name == n).unwrap().1;

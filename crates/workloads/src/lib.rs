@@ -35,7 +35,7 @@ mod resnet;
 mod shapes;
 mod sorting;
 
-pub use amortized::{amortized_mult_per_slot, AmortizedMultWorkload};
+pub use amortized::{amortized_mult_per_slot, amortized_seconds_per_slot, AmortizedMultWorkload};
 pub use baselines::{Baseline, BaselineSet, UNENCRYPTED_HELR_MS, UNENCRYPTED_RESNET_S};
 pub use bootstrap::BootstrapWorkload;
 pub use helr::{HelrConfig, HelrWorkload};

@@ -91,7 +91,9 @@ mod tests {
 
     #[test]
     fn bootstrap_counts_fall_with_deeper_instances() {
-        // Table 6: 53 / 22 / 19 bootstraps on INS-1/2/3.
+        // Table 6: 53 / 22 / 19 bootstraps on INS-1/2/3. (Each count's
+        // distance from the paper's is a `fidelity` row that `bts-bench`
+        // gates.)
         let counts: Vec<usize> = CkksInstance::evaluation_set()
             .iter()
             .map(|ins| {
@@ -105,20 +107,15 @@ mod tests {
             counts[0] > counts[1] && counts[1] >= counts[2],
             "{counts:?}"
         );
-        assert!(
-            (30..=80).contains(&counts[0]),
-            "INS-1 bootstrap count {} should be in the vicinity of the paper's 53",
-            counts[0]
-        );
-        assert!((15..=40).contains(&counts[1]));
     }
 
     #[test]
     fn inference_latency_is_seconds_scale() {
-        // Table 6: 1.91 s on INS-1; our model should land within a small
-        // factor. §6.3's ordering — INS-1 beats INS-3 at 512 MiB — holds with
-        // the scratchpad run as the paper runs it (LRU), and only there: it
-        // is LRU thrashing INS-3's 147 MiB ciphertext cache. Under the
+        // Table 6: 1.91 s on INS-1 (how far ours is from it is a `fidelity`
+        // row that `bts-bench` gates). §6.3's ordering — INS-1 beats INS-3
+        // at 512 MiB — holds with the scratchpad run as the paper runs it
+        // (LRU), and only there: it is LRU thrashing INS-3's 147 MiB
+        // ciphertext cache. Under the
         // reuse-code policy the thrash is gone and INS-3's longer level budget
         // wins (0.787 s against 0.814 s; 0.896 s under LRU), a labelled
         // departure from the paper.
@@ -131,7 +128,6 @@ mod tests {
         };
         let (t1, t1_lru) = seconds(&CkksInstance::ins1());
         let (t3, t3_lru) = seconds(&CkksInstance::ins3());
-        assert!((0.5..8.0).contains(&t1), "INS-1 latency {t1} s");
         assert_eq!(t1, t1_lru, "INS-1's cache is ample under either policy");
         assert!(
             t1_lru < t3_lru,

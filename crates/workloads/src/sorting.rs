@@ -69,7 +69,9 @@ mod tests {
 
     #[test]
     fn bootstrap_counts_are_hundreds_and_fall_with_level_budget() {
-        // Table 6: 521 / 306 / 229 bootstraps on INS-1/2/3.
+        // Table 6: 521 / 306 / 229 bootstraps on INS-1/2/3. (Each count's
+        // distance from the paper's is a `fidelity` row that `bts-bench`
+        // gates.)
         let counts: Vec<usize> = CkksInstance::evaluation_set()
             .iter()
             .map(|ins| {
@@ -80,21 +82,15 @@ mod tests {
             })
             .collect();
         assert!(counts[0] > counts[1] && counts[1] > counts[2], "{counts:?}");
-        assert!((300..=800).contains(&counts[0]), "INS-1: {}", counts[0]);
-        assert!((150..=400).contains(&counts[1]), "INS-2: {}", counts[1]);
     }
 
     #[test]
     fn sorting_latency_is_tens_of_seconds() {
-        // Table 6: 15.6 s on INS-1.
+        // Table 6: 15.6 s on INS-1 (how far ours is from it is a `fidelity`
+        // row that `bts-bench` gates).
         let ins = CkksInstance::ins1();
         let lowered = SortingWorkload::default().lower(&ins).unwrap();
         let report = Simulator::new(BtsConfig::bts_default(), ins).run(&lowered.trace);
-        assert!(
-            (4.0..60.0).contains(&report.total_seconds),
-            "sorting latency = {} s",
-            report.total_seconds
-        );
         // Bootstrapping dominates sorting (Fig. 7b shows ~90%+).
         assert!(report.bootstrap_fraction() > 0.5);
     }

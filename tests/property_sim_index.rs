@@ -15,15 +15,19 @@
 //! sit in this test crate: an integration test cannot see a dependency's
 //! `#[cfg(test)]` items, and nothing outside the tests should be able to.
 //!
-//! The engine's default policy and its bound are one cache under two key
-//! functions, and so they are here: the oracle's Belady body takes the key as
-//! a function of (op, exact next use). The identity is the bound
-//! (`op_timings_belady` — the reuse code at infinite width), and
+//! The engine's default policy and its furthest-next-use probe are one cache
+//! under two key functions, and so they are here: the oracle's Belady body
+//! takes the key as a function of (op, exact next use). The identity is the
+//! probe (`try_run_belady` — the reuse code at infinite width), and
 //! [`oracle::three_value_key`], a quantization of the exact position written
 //! without `TraceIndex`'s tables, is the default (`op_timings`). The engine
 //! runs LRU on that cache too, under a third key (recency); the oracle's LRU
 //! stays the `VecDeque` body it always was, so `op_timings_lru` is held to
 //! an independent cache.
+//!
+//! Below all three sits the exact offline optimum (`common/cache_optimum.rs`):
+//! on the same random traces, at every scratchpad size, no sweep moves fewer
+//! capacity-miss bytes than it does — which catches a DP that overcharges.
 //!
 //! The sweep is one visitor with three kinds of sink, and only the collecting
 //! one (`op_timings*`) is compared with the oracle's timings directly. The
@@ -42,6 +46,8 @@ use bts::sim::{
     BtsConfig, CtId, HeOp, OpTiming, OpTrace, RawOp, SimReport, Simulator, TraceBuilder,
 };
 
+#[path = "common/cache_optimum.rs"]
+mod cache_optimum;
 #[path = "common/deps.rs"]
 mod deps;
 #[path = "common/list_oracle.rs"]
@@ -199,7 +205,7 @@ mod oracle {
         NextUse(fn(u32, u32) -> u32),
     }
 
-    /// The exact next use: the bound.
+    /// The exact next use: the furthest-next-use probe.
     pub fn exact_key(_op: u32, next_use: u32) -> u32 {
         next_use
     }
@@ -671,8 +677,7 @@ fn assert_matches_oracle(sim: &Simulator, raw: &Raw) -> Result<(), TestCaseError
     let timings = |policy| oracle::op_timings(sim, raw, policy).unwrap();
     let lru = sim.op_timings_lru(trace).unwrap();
     prop_assert_eq!(&lru, &timings(Policy::Lru));
-    let belady = sim.op_timings_belady(trace).unwrap();
-    prop_assert_eq!(&belady, &timings(Policy::NextUse(oracle::exact_key)));
+    let belady = timings(Policy::NextUse(oracle::exact_key));
     let policy = sim.op_timings(trace).unwrap();
     prop_assert_eq!(&policy, &timings(Policy::NextUse(oracle::three_value_key)));
 
@@ -890,6 +895,30 @@ proptest! {
             map.relabel(&mut raw);
             assert_matches_oracle(&sim, &raw)?;
             assert_same_tables(&sim, &compact, &raw.build(), map)?;
+        }
+    }
+
+    #[test]
+    fn no_sweep_beats_the_optimum(seed in any::<u64>(), ops in 1usize..160) {
+        let mut rng = Lcg::new(seed);
+        let ins = [CkksInstance::ins1(), CkksInstance::ins2(), CkksInstance::ins3()]
+            [rng.next() % 3]
+            .clone();
+        let trace = rich_trace(&ins, &mut rng, ops);
+        for mib in SCRATCHPADS_MIB {
+            let sim = Simulator::new(
+                BtsConfig::bts_default().with_scratchpad_bytes(mib * 1024 * 1024),
+                ins.clone(),
+            );
+            let optimum = cache_optimum::least_miss_bytes(&sim, &trace)
+                .unwrap_or_else(|e| panic!("more than 12 live values at op {}", e.op));
+            // Plaintext operands stream under every policy.
+            let timings = sim.op_timings(&trace).unwrap();
+            let plaintext: u64 = timings.iter().map(|t| t.cost.operand_bytes).sum();
+            for run in [Simulator::try_run, Simulator::try_run_lru, Simulator::try_run_belady] {
+                let capacity_misses = run(&sim, &trace).unwrap().ct_miss_bytes - plaintext;
+                prop_assert!(optimum <= capacity_misses, "{mib} MiB: {optimum} > {capacity_misses}");
+            }
         }
     }
 

@@ -109,11 +109,11 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
     // than the policy's; re-indexing the trace on entry cost 15 / 17 / 13.
     const SWEEP_ALLOCATIONS: u64 = 12;
     // What a folding sweep may keep alive per op at its peak: the cache's
-    // slot table (and the bound's next-use table), not a timing per op
-    // (`op_timings*`, which collect, pay 120 bytes per op on top) and not a
-    // second copy of the trace's tables. Measured: at most 33 on the short
-    // trace, where the cost table weighs most, 22 on the long one; a
-    // per-entry index made that 56 / 44.
+    // slot table (and the exact-next-use probe's next-use table), not a
+    // timing per op (`op_timings*`, which collect, pay 120 bytes per op on
+    // top) and not a second copy of the trace's tables. Measured: at most 33
+    // on the short trace, where the cost table weighs most, 22 on the long
+    // one; a per-entry index made that 56 / 44.
     const SWEEP_PEAK_BYTES_PER_OP: u64 = 40;
     type EntryPoint = fn(&Simulator, &OpTrace) -> Result<SimReport, TraceError>;
     let entry_points: [(&str, EntryPoint); 3] = [
@@ -141,7 +141,7 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
         }
     }
     // The default sweep builds no next-use table: one allocation fewer than
-    // the bound's, at any length.
+    // the exact-next-use probe's, at any length.
     let allocations = |run: EntryPoint| cost_of(|| run(&sim, &large).unwrap()).allocations;
     assert!(allocations(Simulator::try_run) < allocations(Simulator::try_run_belady));
     let report = sim.try_run(&large).unwrap();
