@@ -1,13 +1,14 @@
 //! Criterion benchmarks of the microarchitecture models added on top of the
 //! trace simulator: the function-level key-switch schedule (Fig. 8), the
-//! 3D-NTT / NoC interplay (§5.1, §5.4), the scratchpad allocation plan
-//! (§5.3) and the per-instance amortized-mult simulation that feeds Fig. 6.
+//! 3D-NTT / NoC interplay (§5.1, §5.4), the scratchpad split between
+//! key-switch temporaries and the ciphertext cache (§5.3) and the
+//! per-instance amortized-mult simulation that feeds Fig. 6.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use bts_math::Ntt3dPlan;
 use bts_params::CkksInstance;
-use bts_sim::{AllocationPlan, BtsConfig, KeySwitchSchedule, PePeNoc, Simulator, TwiddleStorage};
+use bts_sim::{BtsConfig, KeySwitchSchedule, PePeNoc, Simulator, TwiddleStorage};
 use bts_workloads::amortized_mult_per_slot;
 
 fn bench_microarchitecture(c: &mut Criterion) {
@@ -35,11 +36,11 @@ fn bench_microarchitecture(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("scratchpad_allocation_plan_sweep", |b| {
+    c.bench_function("scratchpad_cache_capacity_sweep", |b| {
         b.iter(|| {
             CkksInstance::evaluation_set()
-                .iter()
-                .map(|ins| AllocationPlan::for_keyswitch(&config, ins, ins.max_level()).ct_cache)
+                .into_iter()
+                .map(|ins| Simulator::new(config.clone(), ins).cache_capacity())
                 .sum::<u64>()
         })
     });

@@ -19,7 +19,7 @@ fn bench_paper_figures(c: &mut Criterion) {
     c.bench_function("fig7b_bootstrap_fraction", |b| b.iter(figures::fig7b));
     c.bench_function("table5_helr", |b| b.iter(figures::table5));
     c.bench_function("table6_resnet_sorting", |b| b.iter(figures::table6));
-    c.bench_function("fig8_hmult_timeline", |b| b.iter(figures::fig8));
+    c.bench_function("fig8_keyswitch_schedule", |b| b.iter(figures::fig8));
     c.bench_function("fig9_ablation", |b| b.iter(figures::fig9));
     c.bench_function("fig10_scratchpad_edap", |b| b.iter(figures::fig10));
     c.bench_function("slowdown_vs_unencrypted", |b| b.iter(figures::slowdown));

@@ -21,7 +21,7 @@ use bts_sched::{FuKind, JobPlan, MultiScheduler, ScheduleExt};
 use bts_serve::{
     serve as serve_jobs, JobRequest, QueuePolicy, ServeOptions, ServeReport, SyntheticArrivals,
 };
-use bts_sim::{hmult_timeline, ArchPreset, AreaPowerModel, BtsConfig, SimReport, Simulator};
+use bts_sim::{ArchPreset, AreaPowerModel, BtsConfig, KeySwitchSchedule, SimReport, Simulator};
 use bts_telemetry::{json::JsonWriter, TimelineSegment};
 use bts_workloads::{
     amortized_mult_per_slot, amortized_seconds_per_slot, standard_registry, AmortizedMultWorkload,
@@ -53,7 +53,7 @@ pub fn table1() -> String {
     let mut out = header("Table 1: prior HE acceleration works vs BTS");
     let _ = writeln!(
         out,
-        "{:<10} {:<10} {:>6} {:>8} {:>16} {:>18}",
+        "{:<10} {:<13} {:>6} {:>8} {:>16} {:>18}",
         "Platform", "Type", "logN", "Boot", "slots/bootstrap", "mult thruput (1/s)"
     );
     let or_dash = |v: Option<String>| v.unwrap_or_else(|| "-".to_string());
@@ -63,7 +63,7 @@ pub fn table1() -> String {
             .map(|t| format!("{:.0}", 1.0 / (t * 1e-6)));
         let _ = writeln!(
             out,
-            "{:<10} {:<10} {:>6} {:>8} {:>16} {:>18}",
+            "{:<10} {:<13} {:>6} {:>8} {:>16} {:>18}",
             b.name,
             b.platform,
             b.log_n,
@@ -77,7 +77,7 @@ pub fn table1() -> String {
     let (t, _) = amortized_mult_per_slot(&sim);
     let _ = writeln!(
         out,
-        "{:<10} {:<10} {:>6} {:>8} {:>16} {:>18.0}",
+        "{:<10} {:<13} {:>6} {:>8} {:>16} {:>18.0}",
         "BTS (ours)",
         "ASIC model",
         ins.log_n(),
@@ -210,7 +210,7 @@ pub fn table4() -> String {
     for ins in CkksInstance::evaluation_set() {
         let _ = writeln!(
             out,
-            "{:<8} 2^{:<4} {:>4} {:>5} {:>8.0} {:>7.1} {:>9} MB",
+            "{:<8} 2^{:<4} {:>4} {:>5} {:>8.0} {:>7.1} {:>8} MiB",
             ins.name(),
             ins.log_n(),
             ins.max_level(),
@@ -218,7 +218,7 @@ pub fn table4() -> String {
             ins.log_pq(),
             ins.security_level(),
             ins.reported_temp_bytes()
-                .map(|b| b / 1_000_000)
+                .map(|b| b / (1024 * 1024))
                 .unwrap_or(0),
         );
     }
@@ -377,12 +377,22 @@ pub fn table6() -> String {
     out
 }
 
-/// Fig. 8: HMult timeline on INS-1 plus scratchpad statistics.
+/// The segments of Fig. 8: one per phase of a top-level HMult's key-switch
+/// schedule on `instance`.
+fn fig8_segments(config: &BtsConfig, instance: &CkksInstance) -> Vec<TimelineSegment> {
+    KeySwitchSchedule::build(config, instance, instance.max_level(), true)
+        .phases
+        .into_iter()
+        .map(|p| TimelineSegment::new(p.unit.label(), p.name, p.start * 1e9, p.end * 1e9))
+        .collect()
+}
+
+/// Fig. 8: HMult key-switch schedule on INS-1 plus scratchpad statistics.
 pub fn fig8() -> String {
     let mut out = header("Fig 8: HMult timeline on INS-1 (top level)");
     let cfg = BtsConfig::bts_default();
     let ins = CkksInstance::ins1();
-    write_timeline(&mut out, "", hmult_timeline(&cfg, &ins, ins.max_level()));
+    write_timeline(&mut out, "", fig8_segments(&cfg, &ins));
     let sim = Simulator::new(cfg, ins.clone());
     let (_, report) = amortized_mult_per_slot(&sim);
     let _ = writeln!(
@@ -1528,6 +1538,63 @@ mod tests {
         ] {
             assert!(text.lines().count() > 3, "{name} too short:\n{text}");
         }
+    }
+
+    #[test]
+    fn table4_shows_the_paper_temporaries_in_mib() {
+        let text = table4();
+        for (name, mib) in [("INS-1", 183), ("INS-2", 304), ("INS-3", 365)] {
+            let row = text.lines().find(|l| l.starts_with(name)).unwrap();
+            assert!(row.ends_with(&format!(" {mib} MiB")), "{row}");
+        }
+    }
+
+    /// Where `unit`'s last Fig. 8 segment ends, in ns.
+    fn end_of(segments: &[TimelineSegment], unit: FuKind) -> f64 {
+        segments
+            .iter()
+            .filter(|s| s.unit == unit.label())
+            .map(|s| s.end_ns)
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn timeline_critical_path_matches_evk_stream() {
+        let segments = fig8_segments(&BtsConfig::bts_default(), &CkksInstance::ins1());
+        // INS-1's top-level evk stream: 117.44 µs at 1 TB/s.
+        let hbm_end = end_of(&segments, FuKind::Hbm);
+        assert!((hbm_end - 117_440.512).abs() < 1e-6, "hbm_end = {hbm_end}");
+        // Compute finishes before the evk stream (memory bound).
+        for unit in [FuKind::Nttu, FuKind::BConvU, FuKind::Elementwise] {
+            assert!(end_of(&segments, unit) < hbm_end, "{unit:?}");
+        }
+    }
+
+    #[test]
+    fn segments_are_well_formed() {
+        let cfg = BtsConfig::bts_default();
+        for ins in CkksInstance::evaluation_set() {
+            let segments = fig8_segments(&cfg, &ins);
+            assert!(segments.len() > 3);
+            for s in segments {
+                assert!(s.start_ns >= 0.0 && s.end_ns >= s.start_ns, "{s:?}");
+                assert!(FuKind::ALL.iter().any(|u| u.label() == s.unit), "{s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn overlap_shifts_bconv_earlier() {
+        let ins = CkksInstance::ins1();
+        let start_of = |cfg: BtsConfig| {
+            fig8_segments(&cfg, &ins)
+                .iter()
+                .find(|s| s.label.starts_with("BConv.d2"))
+                .map(|s| s.start_ns)
+                .unwrap()
+        };
+        let serial = BtsConfig::bts_default().with_overlap(false);
+        assert!(start_of(BtsConfig::bts_default()) < start_of(serial));
     }
 
     #[test]

@@ -83,10 +83,13 @@ mod multi;
 mod report;
 mod resources;
 
+// The unit classes live beside the key-switch schedule whose phases they
+// label; `bts_sched::FuKind` is the same type.
+pub use bts_sim::FuKind;
 pub use error::ScheduleError;
 pub use multi::{
     schedule_jobs, BusyInterval, CriticalOp, JobCompletion, JobPlan, JobStats, Keep,
     MultiScheduler, Schedule, ScheduleSummary, ScheduledOp, Timeline, UtilizationFold,
 };
 pub use report::{ScheduleExt, ScheduledRun};
-pub use resources::{FuKind, MachineModel, OpDemand};
+pub use resources::{MachineModel, OpDemand};

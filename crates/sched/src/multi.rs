@@ -79,13 +79,12 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use bts_sim::{
-    HeOp, OpTiming, OpTrace, SimReport, Simulator, TimelineSegment, TraceError, TracedOp,
-};
+use bts_sim::{FuKind, HeOp, OpTiming, OpTrace, SimReport, Simulator, TraceError, TracedOp};
+use bts_telemetry::TimelineSegment;
 
 use crate::clock::{Clock, Finish, Link};
 use crate::error::ScheduleError;
-use crate::resources::{FuKind, MachineModel, OpDemand};
+use crate::resources::{MachineModel, OpDemand};
 
 /// One op's placement in a schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,8 +219,8 @@ impl Schedule {
     }
 
     /// Fig. 8-style timeline of the first `limit` reservations per unit
-    /// class, with job-tagged labels (`J2#14 HMult@L23`), ready for the same
-    /// rendering as [`bts_sim::hmult_timeline`].
+    /// class, with job-tagged labels (`J2#14 HMult@L23`), in the segment
+    /// shape `figures` renders Fig. 8's key-switch schedule with.
     pub fn timeline(&self, limit: usize) -> Vec<TimelineSegment> {
         let mut segments = Vec::new();
         for kind in FuKind::ALL {

@@ -143,9 +143,8 @@ mod tests {
 
     use super::*;
     use crate::multi::{JobPlan, MultiScheduler, Schedule};
-    use crate::resources::FuKind;
     use bts_params::CkksInstance;
-    use bts_sim::{BtsConfig, TraceBuilder};
+    use bts_sim::{BtsConfig, FuKind, TraceBuilder};
 
     /// The whole timeline of `trace` run on `sim`: its plan admitted alone at
     /// 0 and kept — whose figures the streamed run's equal bit for bit.

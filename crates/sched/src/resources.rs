@@ -2,56 +2,7 @@
 //! per functional-unit class of the BTS chip, with per-op occupancy taken
 //! from the engine's cost breakdowns.
 
-use bts_sim::{BtsConfig, OpTiming};
-
-/// The functional-unit classes an HE op occupies. The per-op costs in
-/// `bts-sim` are chip-wide rates (all 2,048 PEs cooperate on one op's residue
-/// polynomials), so each class is one *channel* that ops reserve
-/// exclusively, matching "the whole chip works on this op's NTT phase".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum FuKind {
-    /// The NTT units (one butterfly per PE per cycle).
-    Nttu,
-    /// The base-conversion units (ModMult + MMAU).
-    BConvU,
-    /// The element-wise ModMult/ModAdd units.
-    Elementwise,
-    /// The HBM channel streaming evaluation keys and spilled ciphertexts.
-    Hbm,
-}
-
-impl FuKind {
-    /// All unit classes, in display order.
-    pub const ALL: [FuKind; 4] = [
-        FuKind::Nttu,
-        FuKind::BConvU,
-        FuKind::Elementwise,
-        FuKind::Hbm,
-    ];
-
-    /// Number of unit classes.
-    pub const COUNT: usize = 4;
-
-    /// Dense index for per-unit arrays.
-    pub fn index(self) -> usize {
-        match self {
-            FuKind::Nttu => 0,
-            FuKind::BConvU => 1,
-            FuKind::Elementwise => 2,
-            FuKind::Hbm => 3,
-        }
-    }
-
-    /// Display label, matching the units of the Fig. 8 timeline.
-    pub fn label(self) -> &'static str {
-        match self {
-            FuKind::Nttu => "NTTU",
-            FuKind::BConvU => "BConvU",
-            FuKind::Elementwise => "ModMult/ModAdd",
-            FuKind::Hbm => "HBM",
-        }
-    }
-}
+use bts_sim::{BtsConfig, FuKind, OpTiming};
 
 /// How long one op keeps each functional-unit class busy, and the op's total
 /// latency window. All busy times are ≤ the duration (the engine's serial
@@ -100,7 +51,7 @@ impl MachineModel {
 mod tests {
     use super::*;
     use bts_params::CkksInstance;
-    use bts_sim::{HeOp, Simulator, TraceBuilder};
+    use bts_sim::{Simulator, TraceBuilder};
 
     #[test]
     fn demands_fit_inside_the_latency_window() {
@@ -141,14 +92,5 @@ mod tests {
         let ntt = d.busy[FuKind::Nttu.index()];
         assert!((hbm - d.duration).abs() < 1e-12, "evk stream sets the pace");
         assert!(ntt > 0.5 * d.duration && ntt < 0.95 * d.duration);
-    }
-
-    #[test]
-    fn fu_kind_indices_are_dense_and_labelled() {
-        for (i, kind) in FuKind::ALL.iter().enumerate() {
-            assert_eq!(kind.index(), i);
-            assert!(!kind.label().is_empty());
-        }
-        let _ = HeOp::HMult; // keep the sim import exercised
     }
 }

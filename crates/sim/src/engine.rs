@@ -180,8 +180,9 @@ impl SimReport {
 }
 
 /// Detailed per-functional-unit cost of a single traced op, independent of
-/// cache state. Consumed by the Fig. 8 timeline and by `bts-sched`'s machine
-/// model, which turns the per-unit busy times into resource reservations.
+/// cache state. Consumed by `bts-sched`'s machine model, which turns the
+/// per-unit busy times into resource reservations. (The Fig. 8 timeline is
+/// the phase schedule, [`crate::KeySwitchSchedule`], not this sum.)
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OpCost {
     /// NTTU busy time (butterflies / chip butterfly rate), seconds.
@@ -625,8 +626,9 @@ impl Simulator {
     }
 
     /// Scratchpad capacity left for the software-managed ciphertext cache
-    /// after reserving room for key-switching temporaries and the streaming
-    /// evaluation-key buffer (§5.3, §6.2 allocation priority).
+    /// after reserving room for the key-switching temporaries
+    /// ([`Simulator::temp_data_bytes`]; §5.3, §6.2 allocation priority). No
+    /// separate evaluation-key streaming buffer is reserved.
     pub fn cache_capacity(&self) -> u64 {
         self.config
             .scratchpad_bytes

@@ -1,26 +1,65 @@
 //! Function-level dataflow of one key-switching operation (Fig. 3(a)) and its
-//! epoch-level schedule on the BTS PE array — the machinery behind the Fig. 8
-//! timeline: which functional unit executes which phase (iNTT.d2, BConv.d2,
-//! NTT.d2, the evk inner products, iNTT/BConv/NTT of the ModDown, SSA), how
-//! the phases overlap, and how the evaluation-key stream from HBM paces the
-//! whole operation.
+//! epoch-level schedule on the BTS PE array: which functional unit executes
+//! which phase (iNTT.d2, BConv.d2, NTT.d2, the evk inner products,
+//! iNTT/BConv/NTT of the ModDown, SSA), how the phases overlap, and how the
+//! evaluation-key stream from HBM paces the whole operation. It is the one
+//! key-switch model besides the engine's charged `op_cost`: `figures fig8`
+//! renders its phases as the Fig. 8 timeline, and a unit's busy time is the
+//! sum of its phases ([`KeySwitchSchedule::busy_seconds`]).
 
 use bts_params::CkksInstance;
 
 use crate::config::BtsConfig;
 use crate::pe::ProcessingElement;
 
-/// A functional-unit class inside the PE (the rows of the Fig. 8 timeline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FunctionalUnit {
-    /// The HBM interface streaming evaluation-key limbs.
-    Hbm,
-    /// The NTT unit.
+/// The functional-unit classes an HE op occupies (the rows of the Fig. 8
+/// timeline). The per-op costs are chip-wide rates (all 2,048 PEs cooperate
+/// on one op's residue polynomials), so `bts-sched` makes each class one
+/// *channel* that ops reserve exclusively, matching "the whole chip works on
+/// this op's NTT phase".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum FuKind {
+    /// The NTT units (one butterfly per PE per cycle).
     Nttu,
-    /// The base-conversion unit (ModMult + MMAU).
-    BconvU,
-    /// The element-wise ModMult/ModAdd pair.
-    ElementWise,
+    /// The base-conversion units (ModMult + MMAU).
+    BConvU,
+    /// The element-wise ModMult/ModAdd units.
+    Elementwise,
+    /// The HBM channel streaming evaluation keys and spilled ciphertexts.
+    Hbm,
+}
+
+impl FuKind {
+    /// All unit classes, in display order.
+    pub const ALL: [FuKind; 4] = [
+        FuKind::Nttu,
+        FuKind::BConvU,
+        FuKind::Elementwise,
+        FuKind::Hbm,
+    ];
+
+    /// Number of unit classes.
+    pub const COUNT: usize = 4;
+
+    /// Dense index for per-unit arrays.
+    pub fn index(self) -> usize {
+        match self {
+            FuKind::Nttu => 0,
+            FuKind::BConvU => 1,
+            FuKind::Elementwise => 2,
+            FuKind::Hbm => 3,
+        }
+    }
+
+    /// Display label, matching the units of the Fig. 8 timeline.
+    pub fn label(self) -> &'static str {
+        match self {
+            FuKind::Nttu => "NTTU",
+            FuKind::BConvU => "BConvU",
+            FuKind::Elementwise => "ModMult/ModAdd",
+            FuKind::Hbm => "HBM",
+        }
+    }
 }
 
 /// One phase of the key-switching dataflow, scheduled on a functional unit.
@@ -29,7 +68,7 @@ pub struct Phase {
     /// Descriptive name following the paper's Fig. 3(a)/Fig. 8 labels.
     pub name: String,
     /// The functional unit the phase occupies.
-    pub unit: FunctionalUnit,
+    pub unit: FuKind,
     /// Start time in seconds from the beginning of the op.
     pub start: f64,
     /// End time in seconds.
@@ -87,8 +126,8 @@ impl KeySwitchSchedule {
         if is_mult {
             let dur = 4.0 * l1 as f64 * ew_limb;
             phases.push(Phase {
-                name: "d0/d1/d2 tensor product".to_string(),
-                unit: FunctionalUnit::ElementWise,
+                name: "tensor product (d0–d2)".to_string(),
+                unit: FuKind::Elementwise,
                 start: t,
                 end: t + dur,
                 limbs: l1,
@@ -106,7 +145,7 @@ impl KeySwitchSchedule {
             let intt_dur = slice as f64 * per_limb;
             phases.push(Phase {
                 name: format!("iNTT.d2 (slice {j})"),
-                unit: FunctionalUnit::Nttu,
+                unit: FuKind::Nttu,
                 start: nttu_free,
                 end: nttu_free + intt_dur,
                 limbs: slice,
@@ -125,7 +164,7 @@ impl KeySwitchSchedule {
             let bconv_dur = bconv_limb(slice, target);
             phases.push(Phase {
                 name: format!("BConv.d2 (slice {j})"),
-                unit: FunctionalUnit::BconvU,
+                unit: FuKind::BConvU,
                 start: bconv_start,
                 end: bconv_start + bconv_dur,
                 limbs: target,
@@ -136,7 +175,7 @@ impl KeySwitchSchedule {
             let ntt_dur = target as f64 * per_limb;
             phases.push(Phase {
                 name: format!("NTT.d2 (slice {j})"),
-                unit: FunctionalUnit::Nttu,
+                unit: FuKind::Nttu,
                 start: ntt_start,
                 end: ntt_start + ntt_dur,
                 limbs: target,
@@ -149,7 +188,7 @@ impl KeySwitchSchedule {
         // limbs are available.
         phases.push(Phase {
             name: "load evk (ax, bx)".to_string(),
-            unit: FunctionalUnit::Hbm,
+            unit: FuKind::Hbm,
             start: 0.0,
             end: evk_stream_seconds,
             limbs: 2 * dnum_l * (l1 + k),
@@ -159,7 +198,7 @@ impl KeySwitchSchedule {
         let inner_end = (inner_start + inner_dur).max(nttu_free);
         phases.push(Phase {
             name: "d2' ⊗ evk.ax/bx".to_string(),
-            unit: FunctionalUnit::ElementWise,
+            unit: FuKind::Elementwise,
             start: inner_start,
             end: inner_end,
             limbs: 2 * dnum_l * (l1 + k),
@@ -172,7 +211,7 @@ impl KeySwitchSchedule {
             let intt_dur = k as f64 * per_limb;
             phases.push(Phase {
                 name: format!("iNTT.{poly}"),
-                unit: FunctionalUnit::Nttu,
+                unit: FuKind::Nttu,
                 start: moddown_free,
                 end: moddown_free + intt_dur,
                 limbs: k,
@@ -186,7 +225,7 @@ impl KeySwitchSchedule {
             let bconv_dur = bconv_limb(k, l1);
             phases.push(Phase {
                 name: format!("BConv.{poly}"),
-                unit: FunctionalUnit::BconvU,
+                unit: FuKind::BConvU,
                 start: bconv_start,
                 end: bconv_start + bconv_dur,
                 limbs: l1,
@@ -195,7 +234,7 @@ impl KeySwitchSchedule {
             let ntt_dur = l1 as f64 * per_limb;
             phases.push(Phase {
                 name: format!("NTT.{poly}"),
-                unit: FunctionalUnit::Nttu,
+                unit: FuKind::Nttu,
                 start: ntt_start,
                 end: ntt_start + ntt_dur,
                 limbs: l1,
@@ -204,7 +243,7 @@ impl KeySwitchSchedule {
             let ssa_dur = l1 as f64 * ew_limb;
             phases.push(Phase {
                 name: format!("SSA.{poly}"),
-                unit: FunctionalUnit::BconvU,
+                unit: FuKind::BConvU,
                 start: ssa_start,
                 end: ssa_start + ssa_dur,
                 limbs: l1,
@@ -214,7 +253,7 @@ impl KeySwitchSchedule {
 
         let compute_end = phases
             .iter()
-            .filter(|p| p.unit != FunctionalUnit::Hbm)
+            .filter(|p| p.unit != FuKind::Hbm)
             .map(|p| p.end)
             .fold(0.0f64, f64::max);
         let latency = compute_end.max(evk_stream_seconds);
@@ -227,7 +266,7 @@ impl KeySwitchSchedule {
     }
 
     /// Busy time of one functional-unit class across the whole schedule.
-    pub fn busy_seconds(&self, unit: FunctionalUnit) -> f64 {
+    pub fn busy_seconds(&self, unit: FuKind) -> f64 {
         self.phases
             .iter()
             .filter(|p| p.unit == unit)
@@ -236,7 +275,7 @@ impl KeySwitchSchedule {
     }
 
     /// Utilization of a functional unit relative to the op latency.
-    pub fn utilization(&self, unit: FunctionalUnit) -> f64 {
+    pub fn utilization(&self, unit: FuKind) -> f64 {
         if self.latency == 0.0 {
             0.0
         } else {
@@ -256,6 +295,15 @@ mod tests {
     use super::*;
 
     #[test]
+    fn fu_kind_indices_are_dense_and_labelled() {
+        for (i, kind) in FuKind::ALL.iter().enumerate() {
+            assert_eq!(kind.index(), i);
+            assert!(!kind.label().is_empty());
+        }
+        assert_eq!(FuKind::ALL.len(), FuKind::COUNT);
+    }
+
+    #[test]
     fn top_level_hmult_is_memory_bound_on_the_default_design() {
         let ins = CkksInstance::ins1();
         let sched =
@@ -268,7 +316,7 @@ mod tests {
             sched.latency
         );
         // NTTU utilization in the Fig. 8 ballpark.
-        let u = sched.utilization(FunctionalUnit::Nttu);
+        let u = sched.utilization(FuKind::Nttu);
         assert!(u > 0.5 && u < 0.95, "NTTU utilization = {u}");
     }
 
@@ -302,7 +350,7 @@ mod tests {
         let compute = |s: &KeySwitchSchedule| {
             s.phases
                 .iter()
-                .filter(|p| p.unit != FunctionalUnit::Hbm)
+                .filter(|p| p.unit != FuKind::Hbm)
                 .map(|p| p.end)
                 .fold(0.0f64, f64::max)
         };
@@ -319,10 +367,7 @@ mod tests {
             .iter()
             .any(|p| p.name.contains("tensor product")));
         assert!(!rot.phases.iter().any(|p| p.name.contains("tensor product")));
-        assert!(
-            rot.busy_seconds(FunctionalUnit::ElementWise)
-                < mult.busy_seconds(FunctionalUnit::ElementWise)
-        );
+        assert!(rot.busy_seconds(FuKind::Elementwise) < mult.busy_seconds(FuKind::Elementwise));
     }
 
     #[test]

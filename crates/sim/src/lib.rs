@@ -41,8 +41,6 @@ mod f1;
 mod keyswitch;
 mod noc;
 mod pe;
-mod scratchpad;
-mod timeline;
 mod trace;
 mod trace_index;
 mod twiddle;
@@ -51,11 +49,9 @@ pub use config::{ArchPreset, BtsConfig, ConfigError};
 pub use cost::{AreaPowerModel, ComponentCost, EdapPoint};
 pub use engine::{OpClassStats, OpCost, OpTiming, SimReport, Simulator};
 pub use f1::{F1Model, PlatformRow};
-pub use keyswitch::{FunctionalUnit, KeySwitchSchedule, Phase};
+pub use keyswitch::{FuKind, KeySwitchSchedule, Phase};
 pub use noc::{BruNoc, PeMemNoc, PePeNoc};
-pub use pe::{KeySwitchOccupancy, ProcessingElement};
-pub use scratchpad::AllocationPlan;
-pub use timeline::{hmult_timeline, TimelineSegment};
+pub use pe::ProcessingElement;
 pub use trace::{CtId, HeOp, RawOp, TraceBuilder, TraceError};
 pub use trace_index::{OpTrace, Reuse, TracedOp};
 pub use twiddle::TwiddleStorage;

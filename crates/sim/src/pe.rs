@@ -3,10 +3,12 @@
 //! `l_sub`-lane MMAU), the element-wise ModMult/ModAdd pair — their register
 //! files, and the PE's slice of the scratchpad.
 //!
-//! The model answers throughput and occupancy questions at the granularity the
-//! epoch scheduler needs: how many cycles each functional unit is busy during
-//! one key-switch, what the per-PE scratchpad bandwidth demand is, and whether
-//! the MMAU's partial-sum traffic fits the scratchpad port (§5.2/§5.3).
+//! The model answers throughput questions at the granularity of one epoch:
+//! how many cycles the NTTU and the MMAU spend on one limb or one BConv (the
+//! per-phase durations of [`crate::KeySwitchSchedule`], which sums them into
+//! per-unit busy time), what the per-PE scratchpad bandwidth demand is, and
+//! whether the MMAU's partial-sum traffic fits the scratchpad port
+//! (§5.2/§5.3).
 
 use bts_params::{CkksInstance, WORD_BYTES};
 
@@ -29,19 +31,10 @@ pub struct ProcessingElement {
 }
 
 impl ProcessingElement {
-    /// The paper's PE: 1.2 GHz, 4 MMAU lanes, 256 KiB scratchpad slice with a
-    /// 128-bit port, on a 2,048-PE chip.
-    pub fn bts_default() -> Self {
-        Self {
-            frequency_hz: 1.2e9,
-            lsub: 4,
-            scratchpad_bytes: 512 * 1024 * 1024 / 2048,
-            scratchpad_port_bytes: 16,
-            pe_count: 2048,
-        }
-    }
-
-    /// Builds the PE description from a chip configuration.
+    /// Builds the PE description from a chip configuration. On
+    /// `BtsConfig::bts_default` this is the paper's PE: 1.2 GHz, 4 MMAU
+    /// lanes, a 256 KiB scratchpad slice with a 128-bit port, on a 2,048-PE
+    /// chip.
     pub fn from_config(config: &BtsConfig) -> Self {
         Self {
             frequency_hz: config.frequency_hz,
@@ -76,12 +69,6 @@ impl ProcessingElement {
         (residues * from as u64 * to as u64).div_ceil(self.lsub as u64)
     }
 
-    /// Element-wise ModMult cycles for `limbs` residue polynomials (one residue
-    /// per cycle per PE).
-    pub fn modmult_cycles(&self, instance: &CkksInstance, limbs: usize) -> u64 {
-        self.residues_per_pe(instance) * limbs as u64
-    }
-
     /// Scratchpad traffic in bytes generated by the MMAU partial-sum update of
     /// one BConv: the `k`-limb partial sum is read and written once per group
     /// of `l_sub` source limbs (Eq. 11).
@@ -112,104 +99,13 @@ impl ProcessingElement {
     }
 }
 
-/// Cycle occupancy of each functional-unit class inside one PE for one
-/// key-switching operation (the Fig. 3(a) flow), produced by
-/// [`KeySwitchOccupancy::for_op`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KeySwitchOccupancy {
-    /// NTTU busy cycles (all iNTT and NTT phases).
-    pub nttu_cycles: u64,
-    /// MMAU busy cycles (both BConv phases plus the SSA fusion).
-    pub mmau_cycles: u64,
-    /// Element-wise ModMult cycles (evk inner products, tensor product).
-    pub modmult_cycles: u64,
-    /// Scratchpad bytes moved by the partial-sum updates.
-    pub scratchpad_bytes: u64,
-}
-
-impl KeySwitchOccupancy {
-    /// Occupancy of one HMult-style key-switch at ciphertext level `level`
-    /// (tensor product included when `is_mult` is true, otherwise the
-    /// automorphism flow of HRot/Conjugate).
-    pub fn for_op(
-        pe: &ProcessingElement,
-        instance: &CkksInstance,
-        level: usize,
-        is_mult: bool,
-    ) -> Self {
-        let l1 = level + 1;
-        let decomposition = instance.decomposition();
-        let k = decomposition.special_primes();
-        let dnum_l = decomposition.slices_at_level(level);
-        let per_limb = pe.nttu_cycles_per_limb(instance);
-
-        // ModUp: per decomposition slice, iNTT the slice limbs and NTT the
-        // converted limbs on the complementary base.
-        let mut nttu = 0u64;
-        let mut mmau = 0u64;
-        let mut scratch = 0u64;
-        for j in 0..dnum_l {
-            let slice = decomposition.slice(j, level).len();
-            let target = (l1 - slice) + k;
-            nttu += (slice + target) as u64 * per_limb;
-            mmau += pe.mmau_cycles_for_bconv(instance, slice, target);
-            scratch += pe.bconv_partial_sum_bytes(instance, slice, target);
-        }
-        // ModDown of both output polynomials: iNTT the k special limbs, BConv
-        // them onto the ciphertext base, NTT the result.
-        nttu += 2 * (k + l1) as u64 * per_limb;
-        mmau += 2 * pe.mmau_cycles_for_bconv(instance, k, l1);
-        scratch += 2 * pe.bconv_partial_sum_bytes(instance, k, l1);
-        // SSA (subtract, 1/P scale, add) runs on the MMAU (§5.2).
-        mmau += 2 * pe.residues_per_pe(instance) * l1 as u64;
-
-        // Element-wise work: the evk inner products touch every extended limb
-        // of both evk polynomials; HMult additionally pays the tensor product.
-        let mut modmult = 2 * dnum_l as u64 * (l1 + k) as u64 * pe.residues_per_pe(instance);
-        if is_mult {
-            modmult += 4 * pe.residues_per_pe(instance) * l1 as u64;
-        }
-
-        Self {
-            nttu_cycles: nttu,
-            mmau_cycles: mmau,
-            modmult_cycles: modmult,
-            scratchpad_bytes: scratch,
-        }
-    }
-
-    /// Seconds the NTTU is busy.
-    pub fn nttu_seconds(&self, pe: &ProcessingElement) -> f64 {
-        self.nttu_cycles as f64 / pe.frequency_hz
-    }
-
-    /// Seconds the MMAU is busy.
-    pub fn mmau_seconds(&self, pe: &ProcessingElement) -> f64 {
-        self.mmau_cycles as f64 / pe.frequency_hz
-    }
-
-    /// Critical-path compute seconds assuming the NTTU and BConvU overlap
-    /// (the §5.2 partial overlap) and the element-wise units run in parallel.
-    pub fn overlapped_seconds(&self, pe: &ProcessingElement) -> f64 {
-        let nttu = self.nttu_seconds(pe);
-        let mmau = self.mmau_seconds(pe);
-        let ew = self.modmult_cycles as f64 / pe.frequency_hz;
-        nttu.max(mmau).max(ew)
-    }
-
-    /// Critical-path compute seconds when the BConv must wait for the full
-    /// preceding iNTT (the Fig. 9 "w/o BConvU overlapping" ablation).
-    pub fn serialized_seconds(&self, pe: &ProcessingElement) -> f64 {
-        self.nttu_seconds(pe) + self.mmau_seconds(pe)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FuKind, KeySwitchSchedule};
 
     fn pe() -> ProcessingElement {
-        ProcessingElement::bts_default()
+        ProcessingElement::from_config(&BtsConfig::bts_default())
     }
 
     #[test]
@@ -241,52 +137,73 @@ mod tests {
         assert!(pressure > 0.5, "pressure = {pressure}");
     }
 
+    /// Per-unit occupancy of one key-switch, from this PE's cycle counts.
+    fn occupancy(ins: &CkksInstance, level: usize, is_mult: bool) -> KeySwitchSchedule {
+        KeySwitchSchedule::build(&BtsConfig::bts_default(), ins, level, is_mult)
+    }
+
+    /// Busy times are sums of phase durations, so equal work may differ in
+    /// the last bits.
+    fn same(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
+    }
+
     #[test]
     fn keyswitch_occupancy_is_memory_bound_at_the_top_level() {
         // §3.3/Fig. 8: with 2,048 PEs the per-PE compute time of one HMult
         // key-switch hides underneath the ~117 µs evk stream.
         let ins = CkksInstance::ins1();
-        let occ = KeySwitchOccupancy::for_op(&pe(), &ins, ins.max_level(), true);
+        let occ = occupancy(&ins, ins.max_level(), true);
         let evk_seconds = ins.evk_bytes_at_level(ins.max_level()) as f64 / 1e12;
-        assert!(occ.overlapped_seconds(&pe()) < evk_seconds);
+        for unit in [FuKind::Nttu, FuKind::BConvU, FuKind::Elementwise] {
+            assert!(occ.busy_seconds(unit) < evk_seconds, "{unit:?}");
+        }
         // The NTTU is the busiest compute unit and its busy fraction relative
         // to the evk stream lands in the Fig. 8 ballpark (76%).
-        let busy = occ.nttu_seconds(&pe()) / evk_seconds;
+        let busy = occ.busy_seconds(FuKind::Nttu) / evk_seconds;
         assert!(busy > 0.5 && busy < 0.95, "NTTU busy fraction = {busy}");
     }
 
     #[test]
     fn hmult_costs_more_than_hrot() {
         let ins = CkksInstance::ins2();
-        let mult = KeySwitchOccupancy::for_op(&pe(), &ins, 30, true);
-        let rot = KeySwitchOccupancy::for_op(&pe(), &ins, 30, false);
-        assert!(mult.modmult_cycles > rot.modmult_cycles);
-        assert_eq!(mult.nttu_cycles, rot.nttu_cycles);
+        let mult = occupancy(&ins, 30, true);
+        let rot = occupancy(&ins, 30, false);
+        assert!(mult.busy_seconds(FuKind::Elementwise) > rot.busy_seconds(FuKind::Elementwise));
+        assert!(same(
+            mult.busy_seconds(FuKind::Nttu),
+            rot.busy_seconds(FuKind::Nttu)
+        ));
     }
 
     #[test]
     fn overlap_never_hurts() {
         let ins = CkksInstance::ins3();
+        let serial = BtsConfig::bts_default().with_overlap(false);
         for level in [5usize, 20, ins.max_level()] {
-            let occ = KeySwitchOccupancy::for_op(&pe(), &ins, level, true);
-            assert!(occ.overlapped_seconds(&pe()) <= occ.serialized_seconds(&pe()));
+            let with = occupancy(&ins, level, true);
+            let without = KeySwitchSchedule::build(&serial, &ins, level, true);
+            assert!(with.latency <= without.latency);
+            // Overlap moves phases; it does no less and no more work.
+            for unit in FuKind::ALL {
+                assert!(same(with.busy_seconds(unit), without.busy_seconds(unit)));
+            }
         }
     }
 
     #[test]
     fn occupancy_grows_with_level_and_dnum() {
-        let pe = pe();
         let ins1 = CkksInstance::ins1();
         let ins3 = CkksInstance::ins3();
-        let low = KeySwitchOccupancy::for_op(&pe, &ins1, 5, true);
-        let high = KeySwitchOccupancy::for_op(&pe, &ins1, ins1.max_level(), true);
-        assert!(high.nttu_cycles > low.nttu_cycles);
-        assert!(high.mmau_cycles > low.mmau_cycles);
-        // At the same level, a higher-dnum instance does more BConv work per
-        // key-switch (the (1 + 2/dnum) trend of §4.2 reverses in absolute MACs
-        // because every slice converts to the complementary base).
-        let d1 = KeySwitchOccupancy::for_op(&pe, &ins1, 27, true);
-        let d3 = KeySwitchOccupancy::for_op(&pe, &ins3, 27, true);
-        assert!(d3.nttu_cycles > 0 && d1.nttu_cycles > 0);
+        let low = occupancy(&ins1, 5, true);
+        let high = occupancy(&ins1, ins1.max_level(), true);
+        for unit in FuKind::ALL {
+            assert!(high.busy_seconds(unit) > low.busy_seconds(unit), "{unit:?}");
+        }
+        // At the same level, a higher-dnum instance transforms more limbs per
+        // key-switch: every slice's ModUp NTTs the whole complementary base.
+        let d1 = occupancy(&ins1, 27, true);
+        let d3 = occupancy(&ins3, 27, true);
+        assert!(d3.busy_seconds(FuKind::Nttu) > d1.busy_seconds(FuKind::Nttu));
     }
 }

@@ -2,21 +2,22 @@
 //! paper derives in §4–§5 — the minimum NTTU count of Eq. 10, the 3D-NTT
 //! epoch schedule and its inter-PE exchange volumes, the crossbar NoC
 //! bandwidths, the twiddle-factor storage with on-the-fly twiddling, the
-//! per-PE scratchpad allocation plan, and the function-level schedule of one
-//! HMult key-switch (the Fig. 8 timeline) — for all three Table 4 instances.
+//! scratchpad split between key-switch temporaries and the ciphertext cache,
+//! and the function-level schedule of one HMult key-switch (the Fig. 8
+//! timeline) — for all three Table 4 instances.
 //!
 //! Run with: `cargo run --release --example microarchitecture_report`
 
 use bts::math::{Ntt3dPlan, TransposePhase};
 use bts::params::{min_nttu_count, BandwidthModel, CkksInstance};
 use bts::sim::{
-    AllocationPlan, BtsConfig, F1Model, FunctionalUnit, KeySwitchSchedule, PeMemNoc, PePeNoc,
-    ProcessingElement, TwiddleStorage,
+    BtsConfig, F1Model, FuKind, KeySwitchSchedule, PeMemNoc, PePeNoc, ProcessingElement, Simulator,
+    TwiddleStorage,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = BtsConfig::bts_default();
-    let pe = ProcessingElement::bts_default();
+    let pe = ProcessingElement::from_config(&config);
     let noc = PePeNoc::bts_default();
     let mem = PeMemNoc::bts_default();
 
@@ -64,17 +65,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!("\n== Scratchpad allocation (512 MiB, §5.3 priority) ==");
+    println!("\n== Scratchpad split (512 MiB, §5.3 priority) ==");
     for ins in CkksInstance::evaluation_set() {
-        let alloc = AllocationPlan::for_keyswitch(&config, &ins, ins.max_level());
+        let sim = Simulator::new(config.clone(), ins.clone());
         println!(
-            "{:>5}: temporaries {:>4} MiB, evk buffer {:>3} MiB, ct cache {:>4} MiB \
-             (≈ {} resident ciphertexts)",
+            "{:>5}: key-switch temporaries {:>4} MiB, ct cache {:>4} MiB \
+             (≈ {} resident max-level ciphertexts)",
             ins.name(),
-            alloc.temporary / (1024 * 1024),
-            alloc.evk_buffer / (1024 * 1024),
-            alloc.ct_cache / (1024 * 1024),
-            alloc.resident_cts(&ins)
+            sim.temp_data_bytes() / (1024 * 1024),
+            sim.cache_capacity() / (1024 * 1024),
+            sim.cache_capacity() / ins.ct_bytes(ins.max_level())
         );
     }
 
@@ -91,8 +91,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             } else {
                 "compute-bound"
             },
-            sched.utilization(FunctionalUnit::Nttu) * 100.0,
-            sched.utilization(FunctionalUnit::BconvU) * 100.0,
+            sched.utilization(FuKind::Nttu) * 100.0,
+            sched.utilization(FuKind::BConvU) * 100.0,
             sched.evk_stream_seconds * 1e6,
         );
     }

@@ -1,13 +1,12 @@
 //! Cross-crate integration tests of the microarchitecture models: the NoC,
-//! PE, twiddle-storage, scratchpad-allocation and key-switch-schedule models
-//! must agree with each other, with the analytical minimum bound of §3.3, and
-//! with the coarse-grained simulator.
+//! twiddle-storage and key-switch-schedule models must agree with each
+//! other, with the analytical minimum bound of §3.3, and with the
+//! coarse-grained simulator.
 
 use bts::math::{Ntt3dPlan, TransposePhase};
 use bts::params::{BandwidthModel, CkksInstance, MinBoundModel};
 use bts::sim::{
-    AllocationPlan, BtsConfig, F1Model, FunctionalUnit, HeOp, KeySwitchOccupancy,
-    KeySwitchSchedule, PeMemNoc, PePeNoc, ProcessingElement, Simulator, TwiddleStorage,
+    BtsConfig, F1Model, HeOp, KeySwitchSchedule, PeMemNoc, PePeNoc, Simulator, TwiddleStorage,
 };
 use bts::workloads::BaselineSet;
 
@@ -34,27 +33,10 @@ fn keyswitch_schedule_agrees_with_the_minimum_bound() {
 }
 
 #[test]
-fn schedule_and_occupancy_models_are_consistent() {
-    // Two independent views of the same hardware: the epoch-occupancy model
-    // (per-FU busy cycles) and the phase schedule must report similar NTTU
-    // busy time for the same operation.
-    let config = BtsConfig::bts_default();
-    let pe = ProcessingElement::from_config(&config);
-    for ins in CkksInstance::evaluation_set() {
-        let level = ins.max_level();
-        let occ = KeySwitchOccupancy::for_op(&pe, &ins, level, true);
-        let sched = KeySwitchSchedule::build(&config, &ins, level, true);
-        let a = occ.nttu_seconds(&pe);
-        let b = sched.busy_seconds(FunctionalUnit::Nttu);
-        let ratio = a.max(b) / a.min(b);
-        assert!(ratio < 1.05, "{}: NTTU busy {a} vs {b}", ins.name());
-    }
-}
-
-#[test]
 fn simulator_hmult_cost_matches_the_schedule_latency() {
-    // The coarse per-op cost model the trace simulator uses and the detailed
-    // phase schedule must agree on the latency of a cache-resident HMult.
+    // The per-op cost model the trace simulator charges and the phase
+    // schedule give a cache-resident top-level HMult the same latency, to the
+    // bit, at 1 TB/s: the evk stream paces both.
     // A 2 GiB scratchpad keeps the operands resident for every instance (at
     // 512 MiB the higher-dnum instances evict them, which is a property of
     // the cache, not of the per-op cost — see Fig. 7a).
@@ -72,12 +54,11 @@ fn simulator_hmult_cost_matches_the_schedule_latency() {
         let report = sim.run(&b.build());
         let hmult_seconds = report.per_op.get(&HeOp::HMult).unwrap().seconds;
         let sched = KeySwitchSchedule::build(&config, &ins, ins.max_level(), true);
-        let ratio = hmult_seconds.max(sched.latency) / hmult_seconds.min(sched.latency);
-        assert!(
-            ratio < 1.3,
-            "{}: simulator {hmult_seconds} vs schedule {}",
-            ins.name(),
-            sched.latency
+        assert_eq!(
+            hmult_seconds,
+            sched.latency,
+            "{}: simulator vs schedule",
+            ins.name()
         );
     }
 }
@@ -112,22 +93,14 @@ fn transpose_traffic_matches_the_cube_decomposition() {
 }
 
 #[test]
-fn allocation_plan_and_simulator_reserve_similar_temporaries() {
+fn cache_capacity_holds_a_max_level_ciphertext() {
+    // What the key-switch temporaries leave of 512 MiB must still hold at
+    // least one maximum-level ciphertext on every evaluation instance.
     let config = BtsConfig::bts_default();
     for ins in CkksInstance::evaluation_set() {
-        let plan = AllocationPlan::for_keyswitch(&config, &ins, ins.max_level());
         let sim = Simulator::new(config.clone(), ins.clone());
-        let sim_temp = sim.temp_data_bytes() as f64;
-        let plan_temp = (plan.temporary + plan.evk_buffer) as f64;
-        let ratio = sim_temp.max(plan_temp) / sim_temp.min(plan_temp);
-        assert!(
-            ratio < 1.4,
-            "{}: simulator reserves {sim_temp}, plan reserves {plan_temp}",
-            ins.name()
-        );
-        // The cache region must still hold at least one maximum-level ct for
-        // every evaluation instance at 512 MiB.
-        assert!(plan.resident_cts(&ins) >= 1, "{}", ins.name());
+        let ct = ins.ct_bytes(ins.max_level());
+        assert!(sim.cache_capacity() >= ct, "{}", ins.name());
     }
 }
 
