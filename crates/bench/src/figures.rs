@@ -582,15 +582,21 @@ struct ResultRow {
 /// The `results` sweep: grid configs × instances × registry workloads.
 fn result_rows(grid: &SweepGrid) -> Vec<ResultRow> {
     let registry = standard_registry();
-    let mut rows = Vec::new();
-    for config in grid.configs() {
-        for ins in grid.instances() {
-            let sim = Simulator::new(config.config.clone(), ins.clone());
-            for (name, workload) in registry.iter() {
-                let lowered = workload
-                    .lower(ins)
-                    .unwrap_or_else(|e| panic!("{name} on {}: {e}", ins.name()));
-                let trace = &lowered.trace;
+    let configs = grid.configs();
+    // Each (workload, instance) is lowered once and run on every config;
+    // one bucket per config keeps the (config, instance, workload) order.
+    let mut by_config: Vec<Vec<ResultRow>> = configs.iter().map(|_| Vec::new()).collect();
+    for ins in grid.instances() {
+        let sims: Vec<Simulator> = configs
+            .iter()
+            .map(|config| Simulator::new(config.config.clone(), ins.clone()))
+            .collect();
+        for (name, workload) in registry.iter() {
+            let lowered = workload
+                .lower(ins)
+                .unwrap_or_else(|e| panic!("{name} on {}: {e}", ins.name()));
+            let trace = &lowered.trace;
+            for ((config, sim), rows) in configs.iter().zip(&sims).zip(&mut by_config) {
                 let run = sim.run_scheduled(trace);
                 rows.push(ResultRow {
                     workload: name.to_string(),
@@ -607,7 +613,7 @@ fn result_rows(grid: &SweepGrid) -> Vec<ResultRow> {
             }
         }
     }
-    rows
+    by_config.into_iter().flatten().collect()
 }
 
 fn result_fields(row: &ResultRow, w: &mut JsonWriter) {

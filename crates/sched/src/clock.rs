@@ -1,12 +1,19 @@
 //! The one readiness rule. A trace is its own DAG: an op waits for the
 //! producers of its operand slots and, because entering or leaving a
 //! bootstrapping region is a full barrier, for every op before the last flip
-//! of `in_bootstrap`. A [`Clock`] keeps one time per ciphertext slot, the
-//! finish of the op that wrote it, plus that barrier; no edge list is built.
-//! Its drivers differ only in what a time is: a scheduled run's one job
-//! keeps its schedule and critical-path finishes, the scheduler's cursor the
-//! schedule finish, and the planner the critical-path finish with the op
-//! that reached it, the link of the longest chain's witness.
+//! of `in_bootstrap`. A [`Clock`] keeps one time per value *cell*
+//! ([`bts_sim::OpTrace::cell`]), the finish of the op that wrote it, plus
+//! that barrier; no edge list is built. Cells are a ring over the trace's
+//! read window (every read of a value comes before its producer's cell is
+//! written again) and one per trace input, which nothing writes, so it reads
+//! the finish of no op: the clock is sized by the window, not the slot
+//! count, and every read is one direct index. Its drivers differ only in
+//! what a time is: a scheduled run's one job keeps its schedule and
+//! critical-path finishes, the scheduler's cursor the schedule finish, and
+//! the planner the critical-path finish with the op that reached it, the
+//! link of the longest chain's witness. The first two map slots to cells as
+//! the sweep hands them each op; the plan stores cells, so the cursor reads
+//! them as they are.
 
 /// A time the rule takes maxima of: a finish, never NaN and never below
 /// `Self::default()`, which trace inputs read.
@@ -55,12 +62,12 @@ impl Finish for Link {
     }
 }
 
-/// The rule over one trace's slots, fed its ops in program order:
+/// The rule over one trace's cells, fed its ops in program order:
 /// [`Clock::ready`] once per op, then [`Clock::finish`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Clock<T> {
-    /// Per slot, the finish of the op that wrote it.
-    slots: Vec<T>,
+    /// Per cell, the finish of the op that wrote it.
+    cells: Vec<T>,
     /// The flag of the op given to [`Clock::ready`] last.
     in_bootstrap: bool,
     /// The latest finish before the last flip: segments are contiguous, so
@@ -70,30 +77,32 @@ pub(crate) struct Clock<T> {
 }
 
 impl<T: Finish> Clock<T> {
-    pub(crate) fn new(slots: usize) -> Self {
+    /// A clock over `cells` cells ([`bts_sim::OpTrace::cells`]).
+    pub(crate) fn new(cells: usize) -> Self {
         Self {
-            slots: vec![T::default(); slots],
+            cells: vec![T::default(); cells],
             ..Self::default()
         }
     }
 
     /// When the next op may start as far as its trace allows: the latest of
-    /// the barrier and its operand slots.
+    /// the barrier and its operands' cells.
     #[inline]
-    pub(crate) fn ready(&mut self, in_bootstrap: bool, operands: &[u32]) -> T {
+    pub(crate) fn ready(&mut self, in_bootstrap: bool, operands: impl Iterator<Item = u32>) -> T {
         if in_bootstrap != self.in_bootstrap {
             self.in_bootstrap = in_bootstrap;
             self.barrier = self.latest;
         }
-        let slots = operands.iter().map(|&slot| self.slots[slot as usize]);
-        slots.fold(self.barrier, T::later)
+        let finishes = operands.map(|cell| self.cells[cell as usize]);
+        finishes.fold(self.barrier, T::later)
     }
 
-    /// The op given to [`Clock::ready`] last finishes `at`, writing `output`.
+    /// The op given to [`Clock::ready`] last finishes `at`, writing its
+    /// output's cell, if it has an output.
     #[inline]
     pub(crate) fn finish(&mut self, output: Option<u32>, at: T) {
-        if let Some(slot) = output {
-            self.slots[slot as usize] = at;
+        if let Some(cell) = output {
+            self.cells[cell as usize] = at;
         }
         self.latest = self.latest.later(at);
     }
@@ -112,13 +121,14 @@ mod tests {
 
     /// Every op's ready time on `trace` when op `i` takes `durations[i]`.
     fn ready_times(trace: &OpTrace, durations: &[f64]) -> Vec<(f64, u32)> {
-        let mut clock = Clock::<Link>::new(trace.slot_count());
+        let mut clock = Clock::<Link>::new(trace.cells());
         let ops = trace.ops().zip(durations);
         ops.map(|(op, duration)| {
-            let ready = clock.ready(op.in_bootstrap, op.operands);
+            let cells = op.operands.iter().map(|&slot| trace.cell(slot));
+            let ready = clock.ready(op.in_bootstrap, cells);
             let seconds = ready.seconds + duration;
             clock.finish(
-                op.output,
+                op.output.map(|slot| trace.cell(slot)),
                 Link {
                     seconds,
                     op: op.index + 1,

@@ -10,15 +10,17 @@
 //!
 //! A trace is its own DAG: an op depends on the producers of its operand
 //! slots, and every bootstrap-region entry or exit is a full barrier. One
-//! readiness rule (`clock`) reads that off the trace's slots — per slot the
-//! finish of the op that wrote it, plus a barrier snapshotted whenever
-//! `in_bootstrap` flips — and builds no edge list. On top of it:
+//! readiness rule (`clock`) reads that off the trace — per value cell
+//! ([`bts_sim::OpTrace::cell`]: a ring over the trace's read window, plus
+//! the inputs) the finish of the op that wrote it, plus a barrier
+//! snapshotted whenever `in_bootstrap` flips — and builds no edge list. On
+//! top of it:
 //!
 //! 1. [`MachineModel`] (`resources`) — one exclusive channel each for the
 //!    NTTU, BConvU, element-wise units and the HBM stream, with per-op
 //!    occupancy taken from the engine's [`bts_sim::OpCost`] breakdowns.
 //! 2. [`MultiScheduler`] / [`Schedule`] (`multi`) — the one list scheduler:
-//!    a *set* of tagged jobs (each an immutable [`JobPlan`]: demands, slots
+//!    a *set* of tagged jobs (each an immutable [`JobPlan`]: demands, cells
 //!    and the critical path)
 //!    with per-job barriers and release times, every op placed at the
 //!    earliest start compatible with its dependencies, barriers and unit

@@ -53,13 +53,14 @@
 //!
 //! A serving run admits thousands of copies of a handful of traces. What is
 //! fixed about a job — op metadata, demands, each op's operand and output
-//! slots, serial and critical-path seconds — lives in an immutable
-//! [`JobPlan`] shared by every copy ([`MultiScheduler::add_planned`]); what
-//! a running job mutates is a small cursor: its next op and one finish time
-//! per slot. What the scheduler keeps of what it places is its type
-//! parameter ([`Keep`]), fixed when it is built: [`MultiScheduler::new`]
-//! keeps the [`Timeline`] — every placed op and reservation — that
-//! [`MultiScheduler::finish`] returns as a [`Schedule`];
+//! cells ([`bts_sim::OpTrace::cell`]), serial and critical-path seconds —
+//! lives in an immutable [`JobPlan`] shared by every copy
+//! ([`MultiScheduler::add_planned`]); what a running job mutates is a small
+//! cursor: its next op and one finish time per cell, a ring over the trace's
+//! read window plus its inputs. What the scheduler keeps of what it places
+//! is its type parameter ([`Keep`]), fixed when it is built:
+//! [`MultiScheduler::new`] keeps the [`Timeline`] — every placed op and
+//! reservation — that [`MultiScheduler::finish`] returns as a [`Schedule`];
 //! [`MultiScheduler::folding`] keeps a [`UtilizationFold`] that adds each
 //! reservation to its unit's busy seconds as it is placed and builds no
 //! timeline, so memory follows the jobs in flight rather than the ops ever
@@ -391,7 +392,7 @@ pub struct CriticalOp {
 }
 
 /// Everything about a job that is fixed before it runs: op metadata, per-op
-/// resource demands on one machine, the ciphertext slots each op reads and
+/// resource demands on one machine, the value cells each op reads and
 /// writes — the trace is its own dependency DAG (`clock.rs`) — and
 /// the serial and critical-path charges. Immutable, so every admission of
 /// the same (trace, timings) pair can share one plan behind an [`Arc`]
@@ -402,24 +403,27 @@ pub struct JobPlan {
     machine: MachineModel,
     ops: Vec<PlannedOp>,
     demands: Vec<OpDemand>,
-    /// Every op's operand slots, in program order (CSR: one arena for the
-    /// whole plan instead of a vector per op).
+    /// Every op's operand cells ([`OpTrace::cell`]), in program order (CSR:
+    /// one arena for the whole plan instead of a vector per op).
     operands: Vec<u32>,
-    slot_count: usize,
+    /// The trace's cell count ([`OpTrace::cells`]): what a cursor's clock
+    /// holds.
+    cells: usize,
     serial: f64,
     critical_path: f64,
     /// Op indices of one longest chain, earliest first.
     critical_ops: Vec<usize>,
 }
 
-/// One op of a [`JobPlan`]: kind, level, bootstrap-region flag and slots.
+/// One op of a [`JobPlan`]: kind, level, bootstrap-region flag and cells.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct PlannedOp {
     op: HeOp,
     level: usize,
     in_bootstrap: bool,
+    /// The cell of the op's output, if it has one.
     output: Option<u32>,
-    /// The op's operand slots end here in `JobPlan::operands`, and start
+    /// The op's operand cells end here in `JobPlan::operands`, and start
     /// where the previous op's end.
     operands_end: u32,
 }
@@ -428,7 +432,7 @@ impl JobPlan {
     /// Plans a trace for `machine`: resolves every op's demand from the
     /// caller's per-op charges (resolve them with
     /// [`bts_sim::Simulator::op_timings`] against the job's own instance)
-    /// and the critical path from the trace's slots.
+    /// and the critical path from the trace's cells.
     ///
     /// # Errors
     ///
@@ -464,7 +468,7 @@ impl JobPlan {
 
     /// Resolves the per-op charges of a trace on `sim` (one cache sweep,
     /// under the scratchpad's reuse-code policy) and plans it for `sim`'s
-    /// machine in the same pass: each op's demand, slots and critical path
+    /// machine in the same pass: each op's demand, cells and critical path
     /// step are taken as the sweep hands the op over, and no timing
     /// outlives its op. Returns the plan next to the sweep's
     /// serial-accounting report.
@@ -532,23 +536,25 @@ impl JobPlan {
     fn ready(&self, i: usize, clock: &mut Clock<f64>, release: f64) -> f64 {
         let start = i.checked_sub(1).map_or(0, |p| self.ops[p].operands_end);
         let operands = &self.operands[start as usize..self.ops[i].operands_end as usize];
-        release.later(clock.ready(self.ops[i].in_bootstrap, operands))
+        release.later(clock.ready(self.ops[i].in_bootstrap, operands.iter().copied()))
     }
 }
 
 /// A [`JobPlan`] in the making: ops added in program order, each with its
-/// demand and slots, the longest chain extended as they come.
-struct Planner {
+/// demand and cells, the longest chain extended as they come.
+struct Planner<'t> {
     plan: JobPlan,
-    /// Per slot, the earliest finish of the op writing it on the critical
+    /// The trace, whose slots the plan stores as cells.
+    trace: &'t OpTrace,
+    /// Per cell, the earliest finish of the op writing it on the critical
     /// path, and that op.
     clock: Clock<Link>,
     /// Per op, the op its longest chain arrives through ([`Link::op`]).
     best_pred: Vec<u32>,
 }
 
-impl Planner {
-    fn new(machine: MachineModel, trace: &OpTrace) -> Self {
+impl<'t> Planner<'t> {
+    fn new(machine: MachineModel, trace: &'t OpTrace) -> Self {
         let ops = trace.len();
         Self {
             plan: JobPlan {
@@ -557,12 +563,13 @@ impl Planner {
                 demands: Vec::with_capacity(ops),
                 // Most ops read one or two ciphertexts.
                 operands: Vec::with_capacity(2 * ops),
-                slot_count: trace.slot_count(),
+                cells: trace.cells(),
                 serial: 0.0,
                 critical_path: 0.0,
                 critical_ops: Vec::new(),
             },
-            clock: Clock::new(trace.slot_count()),
+            trace,
+            clock: Clock::new(trace.cells()),
             best_pred: Vec::with_capacity(ops),
         }
     }
@@ -570,20 +577,25 @@ impl Planner {
     /// Adds `op`, the next op of a validated trace, charged `timing`.
     fn push(&mut self, op: &TracedOp<'_>, timing: &OpTiming) {
         let plan = &mut self.plan;
+        let trace = self.trace;
         let demand = plan.machine.demand(timing);
-        let ready = self.clock.ready(op.in_bootstrap, op.operands);
+        let first = plan.operands.len();
+        plan.operands
+            .extend(op.operands.iter().map(|&slot| trace.cell(slot)));
+        let cells = plan.operands[first..].iter().copied();
+        let ready = self.clock.ready(op.in_bootstrap, cells);
         let at = Link {
             seconds: ready.seconds + demand.duration,
             op: op.index + 1,
         };
-        self.clock.finish(op.output, at);
+        let output = op.output.map(|slot| trace.cell(slot));
+        self.clock.finish(output, at);
         self.best_pred.push(ready.op);
-        plan.operands.extend_from_slice(op.operands);
         plan.ops.push(PlannedOp {
             op: op.op,
             level: op.level,
             in_bootstrap: op.in_bootstrap,
-            output: op.output,
+            output,
             // Lossless: an `OpTrace` refuses more operand accesses.
             operands_end: plan.operands.len() as u32,
         });
@@ -619,7 +631,7 @@ struct JobState {
     plan: Arc<JobPlan>,
     /// Next unplaced op (program-order cursor).
     next: usize,
-    /// Per slot, the finish of the placed op writing it; released once the
+    /// Per cell, the finish of the placed op writing it; released once the
     /// job can place no further op (its last op is placed, or it is
     /// cancelled).
     clock: Clock<f64>,
@@ -1038,7 +1050,7 @@ impl<K: Keep> MultiScheduler<K> {
         let mut job = JobState {
             tag,
             release: release_seconds,
-            clock: Clock::new(plan.slot_count),
+            clock: Clock::new(plan.cells),
             plan,
             next: 0,
             max_end: release_seconds,

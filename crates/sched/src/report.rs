@@ -9,11 +9,12 @@
 //! timing to [`OneJob`], which places the op on the unit channels at once,
 //! folds its reservations into the utilizations and extends the critical
 //! path. No plan is built and no timing outlives its op: what the run keeps
-//! is two times per ciphertext slot, the finish of the op that produced it
-//! in the schedule and on the critical path, under the crate's one
-//! readiness rule (`clock.rs`). A caller that wants the timeline or the
-//! critical chain builds the job's plan ([`crate::JobPlan::from_trace`])
-//! and admits it to a [`crate::MultiScheduler`].
+//! is two times per value cell, the finish of the op that produced it in
+//! the schedule and on the critical path, under the crate's one readiness
+//! rule (`clock.rs`) — a ring over the trace's read window plus its inputs.
+//! A caller that wants the timeline or the critical chain builds the job's
+//! plan ([`crate::JobPlan::from_trace`]) and admits it to a
+//! [`crate::MultiScheduler`].
 
 use bts_sim::{OpTiming, OpTrace, SimReport, Simulator, TraceError, TracedOp};
 
@@ -74,10 +75,12 @@ impl ScheduleExt for Simulator {
 /// charges it: the same placement, float for float, as the job's plan alone
 /// on a folding [`crate::MultiScheduler`], which would pick each of these ops
 /// as its only candidate.
-struct OneJob {
+struct OneJob<'t> {
     machine: MachineModel,
     channels: Channels<UtilizationFold>,
-    /// Per slot, of the op producing it: its finish in the schedule and its
+    /// The trace, whose slots the clock reads as cells.
+    trace: &'t OpTrace,
+    /// Per cell, of the op producing it: its finish in the schedule and its
     /// earliest finish on the critical path. The latest of each is the
     /// makespan and the critical path so far.
     clock: Clock<[f64; 2]>,
@@ -87,15 +90,16 @@ struct OneJob {
     telemetry_on: bool,
 }
 
-impl OneJob {
-    fn new(machine: MachineModel, trace: &OpTrace) -> Self {
+impl<'t> OneJob<'t> {
+    fn new(machine: MachineModel, trace: &'t OpTrace) -> Self {
         let mut channels = Channels::<UtilizationFold>::default();
         // One job run to its end: nothing it places is ever clipped.
         channels.keep.settle(f64::INFINITY);
         Self {
             machine,
             channels,
-            clock: Clock::new(trace.slot_count()),
+            trace,
+            clock: Clock::new(trace.cells()),
             serial: 0.0,
             ops: trace.len(),
             telemetry_on: bts_telemetry::enabled(),
@@ -105,7 +109,9 @@ impl OneJob {
     /// Places `op`, the next op of a validated trace, charged `timing`.
     fn place(&mut self, op: &TracedOp<'_>, timing: &OpTiming) {
         let demand = self.machine.demand(timing);
-        let [ready, chain] = self.clock.ready(op.in_bootstrap, op.operands);
+        let trace = self.trace;
+        let cells = op.operands.iter().map(|&slot| trace.cell(slot));
+        let [ready, chain] = self.clock.ready(op.in_bootstrap, cells);
         let next = Next::new(0, ready, &demand);
         let start = self.channels.earliest_start(&next);
         let end = start + demand.duration;
@@ -118,7 +124,8 @@ impl OneJob {
             level: op.level,
         });
         self.channels.reserve(start, &next, &demand.busy, owner);
-        self.clock.finish(op.output, [end, earliest]);
+        let output = op.output.map(|slot| trace.cell(slot));
+        self.clock.finish(output, [end, earliest]);
         self.serial += demand.duration;
         if self.telemetry_on && index + 1 == self.ops {
             let [makespan, critical_path] = self.clock.latest();

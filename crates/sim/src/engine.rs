@@ -22,6 +22,17 @@
 //! stops. One bit is not enough: the dead bit alone loses hits on a pool of
 //! eight live values (the `tests` module below), the one recorded gap.
 //!
+//! **State by the read window.** The cache keeps nothing per slot. A
+//! resident that will be read again lives in its value's cell
+//! ([`OpTrace::cell`]: a ring over the trace's read window, indexed by the
+//! producing op, then one cell per trace input); one the key function says
+//! is read for the last time leaves its cell for a victim heap ordered by
+//! `(key, slot)`, since its key can no longer change. The next victim is the
+//! further of the heap's top and the few live residents — the same
+//! decisions, in the same order, as a furthest-key scan over every
+//! resident — and the resident lists are sized once, for as many
+//! ciphertexts as the cache can hold.
+//!
 //! LRU — the policy the paper publishes — is the same cache on a third key,
 //! recency ([`recency_key`]: the older the access, the further the key, and
 //! a newcomer is always the youngest, so it is never bypassed). It survives
@@ -29,7 +40,7 @@
 //! for the figures and the tests: the ledger prints its numbers next to
 //! ours, and nothing in `bts-sched`, `bts-serve` or `bts-cluster` reaches it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use bts_params::{CkksInstance, KeySwitchGroup};
 
@@ -501,7 +512,10 @@ impl Simulator {
             Replacement::ReuseCode => self.sweep_each(
                 trace,
                 replacement,
-                |op, operand| reuse_key(trace.reuse(op, operand), op.index),
+                |op, operand| {
+                    let reuse = trace.reuse(op, operand);
+                    (reuse_key(reuse, op.index), reuse == Reuse::Never)
+                },
                 sink,
             ),
             Replacement::ExactNextUse => {
@@ -509,11 +523,22 @@ impl Simulator {
                 self.sweep_each(
                     trace,
                     replacement,
-                    |op, operand| exact_key(trace, &next_uses, op, operand),
+                    |op, operand| {
+                        let key = exact_key(trace, &next_uses, op, operand);
+                        (key, key == NEVER)
+                    },
                     sink,
                 );
             }
-            Replacement::Lru => self.sweep_each(trace, replacement, recency_key, sink),
+            Replacement::Lru => self.sweep_each(
+                trace,
+                replacement,
+                |op, operand| {
+                    let dead = trace.reuse(op, operand) == Reuse::Never;
+                    (recency_key(op, operand), dead)
+                },
+                sink,
+            ),
         }
     }
 
@@ -523,17 +548,24 @@ impl Simulator {
     /// that tells collecting ([`Simulator::op_timings`]) from folding
     /// ([`Simulator::try_run`]) from planning ([`Simulator::run_indexed`]).
     /// `key` ranks one access — the op's `Some(k)`-th operand, or its
-    /// output for `None` — the furthest key loses; it is all that tells
-    /// policy, exact next use and LRU baseline apart, and `replacement` only
-    /// names the reason of each eviction.
+    /// output for `None` — the furthest key loses, and says whether the
+    /// access is the value's last (`true`: nothing reads it again); the
+    /// rank is all that tells policy, exact next use and LRU baseline apart,
+    /// and `replacement` only names the reason of each eviction.
     fn sweep_each(
         &self,
         trace: &OpTrace,
         replacement: Replacement,
-        key: impl Fn(&TracedOp<'_>, Option<usize>) -> u32,
+        key: impl Fn(&TracedOp<'_>, Option<usize>) -> (u32, bool),
         mut sink: impl FnMut(&TracedOp<'_>, OpTiming),
     ) {
-        let mut cache = BeladyCache::new(self.cache_capacity(), trace.slot_count());
+        let capacity = self.cache_capacity();
+        // No more values than this are ever resident at once: the cache's
+        // lists are sized for it once and never grow.
+        let smallest = self.instance.ct_bytes(0).max(1);
+        let values = (trace.len() + trace.inputs().len()) as u64;
+        let most = (capacity / smallest).min(values) as usize;
+        let mut cache = BeladyCache::new(capacity, trace.cells(), most);
         let telemetry_on = bts_telemetry::enabled();
         let mut costs = CostTable::new(self, trace.instance().max_level(), telemetry_on);
         let bytes_per_sec = self.config.hbm.bytes_per_sec();
@@ -556,18 +588,26 @@ impl Simulator {
                 if trace.is_forwarded(input) {
                     continue; // producer → consumer forwarding, not a cache access
                 }
-                let next_use = key(&op, Some(k));
-                if cache.touch(input, next_use) {
+                let value = Value {
+                    slot: input,
+                    cell: trace.cell(input),
+                };
+                let (next_use, dead) = key(&op, Some(k));
+                if cache.touch(value, next_use, dead) {
                     hits += 1;
                 } else {
                     misses += 1;
                     miss_bytes += ct_bytes;
-                    pressure.insert(&mut cache, input, ct_bytes, next_use);
+                    pressure.insert(&mut cache, value, ct_bytes, (next_use, dead));
                 }
             }
             if let Some(out) = op.output {
                 if !trace.is_forwarded(out) {
-                    pressure.insert(&mut cache, out, ct_bytes, key(&op, None));
+                    let value = Value {
+                        slot: out,
+                        cell: trace.cell(out),
+                    };
+                    pressure.insert(&mut cache, value, ct_bytes, key(&op, None));
                 }
             }
             let hbm_bytes = cost.evk_bytes + miss_bytes;
@@ -830,8 +870,8 @@ struct Pressure<'t> {
 }
 
 impl Pressure<'_> {
-    fn insert(&mut self, cache: &mut BeladyCache, slot: u32, bytes: u64, next_use: u32) {
-        let cached = cache.insert(slot, bytes, next_use);
+    fn insert(&mut self, cache: &mut BeladyCache, value: Value, bytes: u64, key: (u32, bool)) {
+        let cached = cache.insert(value, bytes, key.0, key.1);
         self.evictions += cache.victims.len();
         self.bypasses += usize::from(!cached);
         let Some((trace, replacement, op, ts)) = self.explain else {
@@ -841,26 +881,45 @@ impl Pressure<'_> {
             let args = [("op", op.into()), ("ct", trace.id_of(slot).into()), detail];
             bts_telemetry::emit_instant("scratchpad", name, ts, &args);
         };
-        for &victim in &cache.victims {
-            // An evicted slot's entry keeps the key it was evicted on.
-            let reason = replacement.eviction_reason(cache.entries[victim as usize].next_use);
-            instant("evict", victim, ("reason", reason.into()));
+        for (victim, _) in &cache.victims {
+            let reason = replacement.eviction_reason(victim.next_use);
+            instant("evict", victim.slot, ("reason", reason.into()));
         }
         if !cached {
-            instant("bypass", slot, ("used_bytes", cache.used.into()));
+            instant("bypass", value.slot, ("used_bytes", cache.used.into()));
         }
     }
 }
 
-/// One slot's state in a [`BeladyCache`].
+/// One ciphertext as the cache sees it: its slot — the tie-break, and the id
+/// telemetry names — and its [`OpTrace::cell`], where its state lives while
+/// it will be read again.
 #[derive(Debug, Clone, Copy)]
-struct BeladyEntry {
+struct Value {
+    slot: u32,
+    cell: u32,
+}
+
+/// One cell's state in a [`BeladyCache`].
+#[derive(Debug, Clone, Copy)]
+struct Live {
     bytes: u64,
-    /// Replacement key: op index of the next use ([`NEVER`] = never
-    /// again), or the LRU baseline's [`recency_key`].
+    /// Replacement key: op index of the next use, as the sweep's key
+    /// function ranks it, or the LRU baseline's [`recency_key`].
     next_use: u32,
-    /// Position in `BeladyCache::resident`, [`NEVER`] when not resident.
+    /// Position in `BeladyCache::live`, [`NEVER`] when the cell holds no
+    /// resident.
     position: u32,
+}
+
+/// A resident in the order victims are taken, furthest `(key, slot)`
+/// first: how the cache keeps the dead ones, whose key can no longer
+/// change, and names the victims of an insert.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Ranked {
+    next_use: u32,
+    slot: u32,
+    bytes: u64,
 }
 
 /// Belady-style (MIN) replacement: every resident ciphertext carries the op
@@ -869,20 +928,33 @@ struct BeladyEntry {
 /// loses — evicted if resident, bypassed if incoming — so dead data goes
 /// first and the live set is what the future needs soonest. The one cache
 /// of the engine: keyed on recency instead, it is the LRU baseline.
+///
+/// Its state is sized by the trace's read window, not its slot count: a
+/// resident that will be read again lives in its value's cell
+/// ([`OpTrace::cell`]), and one nothing reads again moves to a heap ordered
+/// by `(key, slot)` — it would leave the window before its cell is reused —
+/// so the furthest dead resident is a peek, and only the few live ones are
+/// scanned.
 #[derive(Debug, Clone)]
 struct BeladyCache {
     capacity: u64,
     used: u64,
-    entries: Vec<BeladyEntry>,
-    /// The resident slots, in no particular order.
-    resident: Vec<u32>,
-    /// Victims of the latest insert, reused across inserts.
-    victims: Vec<u32>,
+    /// Per cell, the live resident it holds.
+    cells: Vec<Live>,
+    /// The live residents, in no particular order.
+    live: Vec<Value>,
+    /// The dead residents, furthest key on top.
+    dead: BinaryHeap<Ranked>,
+    /// Victims of the latest insert, furthest first, each with its cell
+    /// ([`NEVER`] for a dead one); reused across inserts.
+    victims: Vec<(Ranked, u32)>,
 }
 
 impl BeladyCache {
-    fn new(capacity: u64, slots: usize) -> Self {
-        let vacant = BeladyEntry {
+    /// A cache of `capacity` bytes over `cells` cells ([`OpTrace::cells`])
+    /// that never holds more than `most` residents.
+    fn new(capacity: u64, cells: usize, most: usize) -> Self {
+        let vacant = Live {
             bytes: 0,
             next_use: NEVER,
             position: NEVER,
@@ -890,44 +962,51 @@ impl BeladyCache {
         Self {
             capacity,
             used: 0,
-            entries: vec![vacant; slots],
-            resident: Vec::new(),
-            victims: Vec::new(),
+            cells: vec![vacant; cells],
+            live: Vec::with_capacity(most.min(cells)),
+            dead: BinaryHeap::with_capacity(most),
+            victims: Vec::with_capacity(most),
         }
     }
 
-    fn touch(&mut self, slot: u32, next_use: u32) -> bool {
-        let entry = &mut self.entries[slot as usize];
+    /// Whether `value` is resident; if so it takes key `next_use`, and moves
+    /// to the dead residents if this access is its last.
+    fn touch(&mut self, value: Value, next_use: u32, dead: bool) -> bool {
+        let entry = &mut self.cells[value.cell as usize];
         if entry.position == NEVER {
             return false;
         }
-        entry.next_use = next_use;
+        if dead {
+            let bytes = entry.bytes;
+            self.unlink(value.cell);
+            self.dead.push(Ranked {
+                next_use,
+                slot: value.slot,
+                bytes,
+            });
+        } else {
+            entry.next_use = next_use;
+        }
         true
     }
 
-    fn remove(&mut self, slot: u32) -> bool {
-        let BeladyEntry {
-            bytes, position, ..
-        } = self.entries[slot as usize];
-        if position == NEVER {
-            return false;
+    /// Takes the live resident at `cell` off the live list.
+    fn unlink(&mut self, cell: u32) {
+        let position = self.cells[cell as usize].position;
+        self.cells[cell as usize].position = NEVER;
+        self.live.swap_remove(position as usize);
+        if let Some(moved) = self.live.get(position as usize) {
+            self.cells[moved.cell as usize].position = position;
         }
-        self.used -= bytes;
-        self.entries[slot as usize].position = NEVER;
-        self.resident.swap_remove(position as usize);
-        if let Some(&moved) = self.resident.get(position as usize) {
-            self.entries[moved as usize].position = position;
-        }
-        true
     }
 
     /// Inserts, evicting into `victims`; false on bypass (nothing evicted).
-    fn insert(&mut self, slot: u32, bytes: u64, next_use: u32) -> bool {
+    fn insert(&mut self, value: Value, bytes: u64, next_use: u32, dead: bool) -> bool {
         self.victims.clear();
         if bytes > self.capacity {
             return false; // cannot cache at all
         }
-        if self.touch(slot, next_use) {
+        if self.touch(value, next_use, dead) {
             return true;
         }
         // Pick victims furthest-next-use-first (ties to the larger slot, which
@@ -938,40 +1017,67 @@ impl BeladyCache {
         // later-needed newcomer. Deciding over the whole set before removing
         // anything matters with variable ciphertext sizes, where a big
         // newcomer can need several victims of mixed next-use distances.
+        let incoming = (next_use, value.slot);
         let mut freed = 0u64;
-        // Keys are distinct (one per slot), so "the largest key below the
-        // previous victim's" walks the residents in descending order without
-        // sorting them.
+        // Keys are distinct (one per slot), so "the largest live key below
+        // the previous victim's" walks the live residents in descending order
+        // without sorting them; the dead ones pop off their heap in order.
         let mut previous = None;
         while self.used - freed + bytes > self.capacity {
-            let furthest = self
-                .resident
+            let live = self
+                .live
                 .iter()
-                .map(|&s| (self.entries[s as usize].next_use, s))
-                .filter(|&key| previous.is_none_or(|p| key < p))
+                .map(|v| (self.cells[v.cell as usize].next_use, v.slot, v.cell))
+                .filter(|&(key, slot, _)| previous.is_none_or(|p| (key, slot) < p))
                 .max();
-            let Some(key) = furthest else {
+            let dead = self.dead.peek().map(|d| (d.next_use, d.slot, NEVER));
+            let Some((key, slot, cell)) = live.max(dead) else {
                 break;
             };
-            if key < (next_use, slot) {
-                self.victims.clear();
-                return false; // a victim is needed sooner than the incoming
+            if (key, slot) < incoming {
+                // A victim is needed sooner than the incoming: put back the
+                // dead ones taken so far.
+                let taken = self.victims.drain(..).filter(|&(_, cell)| cell == NEVER);
+                self.dead.extend(taken.map(|(victim, _)| victim));
+                return false;
             }
-            freed += self.entries[key.1 as usize].bytes;
-            self.victims.push(key.1);
-            previous = Some(key);
+            let bytes = if cell == NEVER {
+                self.dead.pop().map_or(0, |d| d.bytes)
+            } else {
+                previous = Some((key, slot));
+                self.cells[cell as usize].bytes
+            };
+            freed += bytes;
+            let victim = Ranked {
+                next_use: key,
+                slot,
+                bytes,
+            };
+            self.victims.push((victim, cell));
         }
         for i in 0..self.victims.len() {
-            self.remove(self.victims[i]);
+            let (_, cell) = self.victims[i];
+            if cell != NEVER {
+                self.unlink(cell);
+            }
         }
-        let position = u32::try_from(self.resident.len()).expect("resident count fits u32");
-        self.resident.push(slot);
-        self.entries[slot as usize] = BeladyEntry {
-            bytes,
-            next_use,
-            position,
-        };
+        self.used -= freed;
         self.used += bytes;
+        if dead {
+            self.dead.push(Ranked {
+                next_use,
+                slot: value.slot,
+                bytes,
+            });
+        } else {
+            let position = u32::try_from(self.live.len()).expect("resident count fits u32");
+            self.live.push(value);
+            self.cells[value.cell as usize] = Live {
+                bytes,
+                next_use,
+                position,
+            };
+        }
         true
     }
 }
@@ -1200,7 +1306,10 @@ mod tests {
         sim.sweep_each(
             trace,
             Replacement::ReuseCode,
-            |op, operand| key(trace.reuse(op, operand), op.index),
+            |op, operand| {
+                let reuse = trace.reuse(op, operand);
+                (key(reuse, op.index), reuse == Reuse::Never)
+            },
             |_, timing| hits += timing.cache_hits,
         );
         hits
@@ -1246,20 +1355,58 @@ mod tests {
         // use 5); incoming C (80 B, next use 7) needs both evicted, but B is
         // needed sooner than C — so C must be bypassed with *both* residents
         // kept, not A sacrificed before the bypass decision falls on B.
-        let mut cache = BeladyCache::new(100, 5);
-        cache.insert(1, 60, 10); // A
-        cache.insert(2, 40, 5); // B
-        cache.insert(3, 80, 7); // C: bypassed
-        assert!(cache.touch(1, 10), "A must survive");
-        assert!(cache.touch(2, 5), "B must survive");
-        assert!(!cache.touch(3, 7), "C must not be cached");
+        let mut cache = BeladyCache::new(100, 5, 4);
+        let value = |slot| Value { slot, cell: slot };
+        cache.insert(value(1), 60, 10, false); // A
+        cache.insert(value(2), 40, 5, false); // B
+        cache.insert(value(3), 80, 7, false); // C: bypassed
+        assert!(cache.touch(value(1), 10, false), "A must survive");
+        assert!(cache.touch(value(2), 5, false), "B must survive");
+        assert!(!cache.touch(value(3), 7, false), "C must not be cached");
         assert_eq!(cache.used, 100);
         // When the incoming ciphertext is needed sooner than every victim,
         // the evictions do commit.
-        cache.insert(4, 80, 2);
-        assert!(cache.touch(4, 2));
-        assert!(!cache.touch(1, 10));
-        assert!(!cache.touch(2, 5), "both residents evicted for the fit");
+        cache.insert(value(4), 80, 2, false);
+        assert!(cache.touch(value(4), 2, false));
+        assert!(!cache.touch(value(1), 10, false));
+        assert!(
+            !cache.touch(value(2), 5, false),
+            "both residents evicted for the fit"
+        );
+    }
+
+    #[test]
+    fn dead_residents_leave_their_cells_and_go_first() {
+        // Capacity 100: A (40 B) is read for the last time and moves to the
+        // dead heap, freeing its cell for a newer value; B (40 B) stays live.
+        // C (40 B) evicts A, the dead one, though B's key is further; a
+        // bypass that had to look past the heap puts A back.
+        let mut cache = BeladyCache::new(100, 4, 4);
+        let a = Value { slot: 1, cell: 0 };
+        let b = Value { slot: 2, cell: 1 };
+        cache.insert(a, 40, 3, false);
+        cache.insert(b, 40, 9, false);
+        assert!(cache.touch(a, NEVER, true));
+        assert_eq!((cache.live.len(), cache.dead.len()), (1, 1));
+        assert!(
+            !cache.touch(Value { slot: 5, cell: 0 }, 4, false),
+            "A's cell is free"
+        );
+        // Needs 60 B freed: A (dead) then B (needed at 9, after 2) would go,
+        // but D is needed at 12 — bypassed, A and B kept.
+        let d = Value { slot: 3, cell: 2 };
+        assert!(!cache.insert(d, 80, 12, false));
+        assert_eq!(
+            (cache.used, cache.dead.len(), cache.victims.len()),
+            (80, 1, 0)
+        );
+        let c = Value { slot: 4, cell: 3 };
+        assert!(cache.insert(c, 40, 2, false));
+        assert_eq!(cache.victims.len(), 1);
+        let (victim, cell) = cache.victims[0];
+        assert_eq!((victim.slot, victim.next_use, cell), (1, NEVER, NEVER));
+        assert!(cache.dead.is_empty());
+        assert!(cache.touch(b, 9, false) && cache.touch(c, 2, false));
     }
 
     #[test]

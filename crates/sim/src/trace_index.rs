@@ -30,6 +30,17 @@
 //! traces carry it like lowered ones and nothing is stored per op. The
 //! engine's default replacement policy keys on it; the exact positions of
 //! [`OpTrace::next_uses`] (a backward pass) key only a benchmark probe.
+//!
+//! **Read window.** The same scan records the trace's read window: the
+//! longest distance, in ops, from a producer to a read of its output
+//! ([`OpTrace::read_window`]; at most 44 on every registry workload). A value
+//! produced at op `p` is read by op `p + window` at the latest, so state a
+//! sweep keeps per value — the scratchpad's residents, the scheduler's
+//! finish times — fits a ring of `next_pow2(window + 1)` *cells* indexed by
+//! the producing op: by the time op `p + ring` overwrites `p`'s cell, every
+//! read of `p`'s output is done. Trace inputs, read at any distance, take
+//! one cell each past the ring ([`OpTrace::cell`]). So that state is sized
+//! by the window and the inputs, never by the slot count.
 
 use std::ops::Range;
 
@@ -37,10 +48,9 @@ use bts_params::CkksInstance;
 
 use crate::trace::{CtId, HeOp, RawOp, TraceError};
 
-/// `producer` value of a slot no trace input or op output defines.
+/// `producer` value of a slot no trace input or op output defines. A slot
+/// that trace input `k` defines holds `ops + k`, past every op index.
 const UNDEFINED: u32 = u32::MAX;
-/// `producer` value of a slot defined by a trace input.
-const TRACE_INPUT: u32 = u32::MAX - 1;
 /// "No op": the next-use of an access that is the last one, the first/last
 /// use of a ciphertext nothing reads, the output slot of an op without one.
 pub(crate) const NEVER: u32 = u32::MAX;
@@ -128,7 +138,8 @@ pub struct OpTrace {
     /// Slot → id, ascending, when ids had to be interned; empty when every
     /// id is its own slot.
     interned: Vec<CtId>,
-    /// Per slot: producing op, [`TRACE_INPUT`] or [`UNDEFINED`].
+    /// Per slot: producing op, `ops + k` for trace input `k`, or
+    /// [`UNDEFINED`].
     producer: Vec<u32>,
     /// Per slot: first consuming op ([`NEVER`] if none).
     first_use: Vec<u32>,
@@ -136,6 +147,14 @@ pub struct OpTrace {
     last_use: Vec<u32>,
     /// Per slot: an op output whose only consumer is the very next op.
     forwarded: Vec<bool>,
+    /// The longest distance in ops from a producer to a read of its output.
+    window: u32,
+    /// `next_pow2(window + 1) − 1`: a producing op's cell is its index
+    /// masked by it.
+    ring_mask: u32,
+    /// Cells of the ring: `ring_mask + 1`, or the op count where that is
+    /// smaller (the ring then never wraps, and masking changes no index).
+    ring: u32,
     /// The first structural defect in program order, if any.
     defect: Option<TraceError>,
 }
@@ -173,8 +192,8 @@ impl OpTrace {
     ///
     /// # Panics
     ///
-    /// Panics if the trace's operand accesses plus ops number more than
-    /// `u32::MAX − 2`, or its distinct ids more than `u32::MAX`.
+    /// Panics if the trace's operand accesses, inputs and ops together number
+    /// more than `u32::MAX − 2`, or its distinct ids more than `u32::MAX`.
     pub fn from_ops<'a>(
         instance: &CkksInstance,
         inputs: &[(CtId, usize)],
@@ -232,12 +251,12 @@ impl OpTrace {
         slots: usize,
         rotation_keys: usize,
     ) -> Self {
-        // Bounds op indices, and the LRU baseline's access stamps (one per
-        // operand access and per op) too.
-        let stamps = columns.operands.len() + columns.kinds.len();
+        // Bounds op indices, the producer codes of trace inputs, and the
+        // LRU baseline's access stamps (one per operand access and per op).
+        let stamps = columns.operands.len() + columns.inputs.len() + columns.kinds.len();
         assert!(
-            u32::try_from(stamps).is_ok_and(|stamps| stamps < TRACE_INPUT),
-            "operand accesses plus ops stay below the sentinels"
+            u32::try_from(stamps).is_ok_and(|stamps| stamps < UNDEFINED - 1),
+            "operand accesses, inputs and ops stay below the sentinels"
         );
         let mut trace = Self {
             instance,
@@ -248,6 +267,9 @@ impl OpTrace {
             first_use: vec![NEVER; slots],
             last_use: vec![NEVER; slots],
             forwarded: vec![false; slots],
+            window: 0,
+            ring_mask: 0,
+            ring: 0,
             defect: None,
         };
         trace.defect = trace.scan();
@@ -255,7 +277,7 @@ impl OpTrace {
     }
 
     /// The forward pass: walks definitions and uses in program order, filling
-    /// the per-slot tables, and returns the first defect — out-of-budget
+    /// the per-slot tables and the read window, and returns the first defect — out-of-budget
     /// input levels first, then per op its level, its undefined operands and
     /// a redefined output. A malformed trace still gets whole tables: an
     /// undefined id has a slot and a live range, and the first definition of
@@ -267,7 +289,9 @@ impl OpTrace {
         };
         let max_level = self.instance.max_level();
         let c = &self.columns;
-        for (input_index, &(slot, level)) in c.inputs.iter().enumerate() {
+        // Lossless: construction checked that inputs plus ops fit u32.
+        let ops = c.kinds.len() as u32;
+        for ((input_index, &(slot, level)), k) in c.inputs.iter().enumerate().zip(0u32..) {
             if level > max_level {
                 note(TraceError::InputLevelOutOfRange {
                     input_index,
@@ -276,10 +300,11 @@ impl OpTrace {
                 });
             }
             if self.producer[slot as usize] == UNDEFINED {
-                self.producer[slot as usize] = TRACE_INPUT;
+                self.producer[slot as usize] = ops + k;
             }
         }
         let mut start = 0;
+        let mut window = 0u32;
         for (i, op_index) in (0u32..).zip(0..c.kinds.len()) {
             let level = c.levels[op_index];
             if level > max_level {
@@ -292,10 +317,13 @@ impl OpTrace {
             let end = c.operand_end[op_index] as usize;
             for &slot in &c.operands[start..end] {
                 let s = slot as usize;
-                if self.producer[s] == UNDEFINED {
+                let producer = self.producer[s];
+                if producer == UNDEFINED {
                     let id = self.id_of(slot);
                     note(TraceError::UndefinedInput { op_index, id });
                 }
+                // An input's code and UNDEFINED exceed `i`: they read 0.
+                window = window.max(i.saturating_sub(producer));
                 if self.first_use[s] == NEVER {
                     self.first_use[s] = i;
                 }
@@ -312,6 +340,10 @@ impl OpTrace {
                 }
             }
         }
+        self.window = window;
+        // `next_pow2(window + 1) − 1`: every bit up to the window's highest.
+        self.ring_mask = u32::MAX.checked_shr(window.leading_zeros()).unwrap_or(0);
+        self.ring = self.ring_mask.saturating_add(1).min(ops);
         // Forwarded: an output read by the next op, once, and by no other.
         for (i, &slot) in (0u32..).zip(&c.outputs) {
             if slot != NEVER {
@@ -419,7 +451,35 @@ impl OpTrace {
     /// malformed trace, for ids nothing defines).
     pub fn producer(&self, slot: u32) -> Option<u32> {
         let p = self.producer[slot as usize];
-        (p < TRACE_INPUT).then_some(p)
+        (p < self.len() as u32).then_some(p)
+    }
+
+    /// The longest distance, in ops, from a producer to a read of its output
+    /// (0 if no op reads another's output) — see the module docs.
+    pub fn read_window(&self) -> u32 {
+        self.window
+    }
+
+    /// Number of cells of per-value state: the window ring, then one per
+    /// trace input. Never more than the op and input count.
+    pub fn cells(&self) -> usize {
+        self.ring as usize + self.columns.inputs.len()
+    }
+
+    /// The cell of the value a defined slot holds: its producing op's index
+    /// masked into the window ring, or past the ring, its trace input's.
+    /// Two values share a cell only if every read of the older one comes
+    /// before the newer one is produced. (An undefined slot, which a valid
+    /// trace does not read, has no cell: its index is out of range.)
+    #[inline]
+    pub fn cell(&self, slot: u32) -> u32 {
+        let p = self.producer[slot as usize];
+        let ops = self.len() as u32;
+        if p < ops {
+            p & self.ring_mask
+        } else {
+            p.wrapping_sub(ops).wrapping_add(self.ring)
+        }
     }
 
     /// The ciphertext id the slot stands for.

@@ -7,7 +7,7 @@
 //!
 //! It reads the trace's dependences by ciphertext id ([`crate::deps`], which
 //! every suite including this file includes as `deps`), not through the
-//! per-slot rule the scheduler runs on, and computes its own critical path.
+//! per-cell rule the scheduler runs on, and computes its own critical path.
 //!
 //! A scheduled run keeps figures, not a timeline, and builds no plan, so the
 //! timeline the oracle is compared with is the retained one [`timeline`]

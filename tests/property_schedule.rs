@@ -171,7 +171,7 @@ proptest! {
         }
     }
 
-    /// The run places each op as the sweep charges it, from per-slot finish
+    /// The run places each op as the sweep charges it, from per-cell finish
     /// times rather than the plan's DAG; long traces cross many barrier
     /// segments, and at 2 TB/s reservations float inside their windows, so
     /// the two drivers of the placement rule meet every shape of placement.

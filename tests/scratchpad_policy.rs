@@ -11,6 +11,10 @@
 //! LRU loses is dead values kept because they are recent plus thrash that
 //! only bypass stops. The one recorded gap is a synthetic pool of eight live
 //! values, where the code is three misses off the optimum.
+//!
+//! The same points pin the read window the cache's and the scheduler's
+//! per-value state is sized by (`OpTrace::read_window`): every value is read
+//! within 44 ops of its producer, so a 64-cell ring holds it.
 
 use bts::circuit::{compile, PassPipeline, TraceBackend};
 use bts::params::CkksInstance;
@@ -44,6 +48,7 @@ fn reuse_code_is_optimal_at_every_registry_point() {
     let mut lru_bytes = 0u64;
     let mut policy_bytes = 0u64;
     let mut points = 0usize;
+    let mut widest = 0u32;
     for ins in CkksInstance::evaluation_set() {
         let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
         for (name, workload) in registry.iter() {
@@ -58,6 +63,9 @@ fn reuse_code_is_optimal_at_every_registry_point() {
             let pipelined = lowered.expect("compiled circuits lower").trace;
             for (lowering, trace) in [("raw", &raw), ("pipelined", &pipelined)] {
                 let what = format!("{name} on {} ({lowering})", ins.name());
+                let window = trace.read_window();
+                assert!(window <= 64, "{what}: read window {window}");
+                widest = widest.max(window);
                 let best = least_miss_bytes(&sim, trace)
                     .unwrap_or_else(|e| panic!("{what}: live set too large at {e:?}"));
                 let policy = sim.op_timings(trace).expect("lowered traces validate");
@@ -91,6 +99,7 @@ fn reuse_code_is_optimal_at_every_registry_point() {
         }
     }
     assert_eq!(points, 15);
+    assert_eq!(widest, 44, "the widest read window of the registry");
     // One `design_sweep` repetition, as exact counts.
     assert_eq!(lru_bytes, 35_678_906_744_832);
     assert_eq!(policy_bytes, 32_632_323_702_784);

@@ -3,20 +3,23 @@
 //!
 //! A trace is its own index: interning, validation and the per-slot tables
 //! are built once, when the trace is, so a cache sweep over a built trace
-//! sizes only its own state — the LRU list or the next-use entries, the
-//! per-(op, level) cost table — and then allocates nothing per op: no queue
+//! sizes only its own state — the cache's cells (a ring over the trace's
+//! read window plus its inputs) and resident lists, the per-(op, level)
+//! cost table — and then allocates nothing per op: no queue
 //! per ciphertext, no vector per access, no victim list per eviction, for the
 //! default policy no next-use table either (the reuse code is read off the
 //! trace's tables), and no per-op timing record: `try_run*` fold each op's
 //! timing into the report as the sweep produces it. So `try_run`,
 //! `try_run_belady` and `try_run_lru` make the same bounded number of
 //! allocations on a 2 000-op trace as on a 32 000-op one, whatever the ids
-//! look like, and keep only the cache alive — a few bytes per op, where a
-//! 120-byte `OpTiming` each would be many times that.
+//! look like, and `try_run` and `try_run_lru` keep the same bytes alive at
+//! either length: nothing they size follows the trace's length (only the
+//! probe's next-use table does), where a 120-byte `OpTiming` per op would.
 //! `run_scheduled` places each op as the sweep charges it and folds each
 //! reservation into the unit utilizations on the spot: it builds no plan and
-//! keeps no timeline, only two finish times per ciphertext slot, so it makes
-//! the sweep's allocations plus that one table, at any length. Planning a
+//! keeps no timeline, only two finish times per value cell, so it makes the
+//! sweep's allocations plus that one table, at any length, and its peak does
+//! not grow with the trace either. Planning a
 //! trace (`JobPlan::from_trace`) adds a fixed set of tables to the sweep
 //! too: the trace is its own DAG, so no edge list is built. A timer on a
 //! shared VM would only show noise; the process's allocator counts exactly.
@@ -102,32 +105,40 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
     let hostile = spaced_ids(&large);
     assert!(small.len() >= 2_000 && large.len() >= 32_000);
 
-    // The sweeps: the cache, the cost table and the report's per-class map —
-    // a fixed set of tables, each sized once; the trace brought its own.
-    // Measured: 8 / 10 / 9 (`try_run` / `_belady` / `_lru`) at either
-    // length — LRU never bypasses, so its resident list grows once more
-    // than the policy's; re-indexing the trace on entry cost 15 / 17 / 13.
+    // The sweeps: the cache's cells and its three resident lists (each
+    // sized once, for as many ciphertexts as the cache can hold), the cost
+    // table and the report's per-class map — a fixed set of tables; the trace
+    // brought its own. Measured: 8 / 10 / 8 (`try_run` / `_belady` / `_lru`)
+    // at either length; a cache table per slot with a growing resident list
+    // made it 8 / 10 / 9, re-indexing the trace on entry 15 / 17 / 13.
     const SWEEP_ALLOCATIONS: u64 = 12;
-    // What a folding sweep may keep alive per op at its peak: the cache's
-    // slot table (and the exact-next-use probe's next-use table), not a
-    // timing per op (`op_timings*`, which collect, pay 120 bytes per op on
-    // top) and not a second copy of the trace's tables. Measured: at most 33
-    // on the short trace, where the cost table weighs most, 22 on the long
-    // one; a per-entry index made that 56 / 44.
+    // What a folding sweep may keep alive per op at its peak: not a timing
+    // per op (`op_timings*`, which collect, pay 120 bytes per op on top), not
+    // a second copy of the trace's tables. Measured: 17 on the short trace,
+    // where the cost table is nearly all of it, 1 on the long one (the
+    // probe's next-use table: 23 / 9); a 16-byte cache entry per slot made
+    // it 28 / 16, a per-entry index 56 / 44.
     const SWEEP_PEAK_BYTES_PER_OP: u64 = 40;
+    // How far a sweep's peak may grow from the 2 000-op trace to the
+    // 32 000-op one — window-sized state does not grow at all (measured: 0
+    // bytes for `try_run`, `try_run_lru` and `run_scheduled`), where a
+    // table per slot grew by 16 bytes per added ciphertext.
+    const PEAK_GROWTH_BYTES: u64 = 1024;
     type EntryPoint = fn(&Simulator, &OpTrace) -> Result<SimReport, TraceError>;
     let entry_points: [(&str, EntryPoint); 3] = [
         ("try_run", Simulator::try_run),
         ("try_run_belady", Simulator::try_run_belady),
         ("try_run_lru", Simulator::try_run_lru),
     ];
+    let mut peaks = Vec::new();
     for (name, trace) in [("2 000", &small), ("32 000", &large)] {
         for (entry, run) in entry_points {
             let cost = cost_of(|| run(&sim, trace).expect("trace runs"));
+            peaks.push((entry, cost.peak_bytes));
             let per_op_bytes = cost.peak_bytes / trace.len() as u64;
             eprintln!(
-                "{entry} on {name} ops: {} allocations, {per_op_bytes} bytes per op",
-                cost.allocations
+                "{entry} on {name} ops: {} allocations, {per_op_bytes} bytes per op, peak {}",
+                cost.allocations, cost.peak_bytes
             );
             assert!(
                 cost.allocations <= SWEEP_ALLOCATIONS,
@@ -137,6 +148,19 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
             assert!(
                 per_op_bytes <= SWEEP_PEAK_BYTES_PER_OP,
                 "{entry} on {name} ops keeps {per_op_bytes} bytes per op alive"
+            );
+        }
+    }
+    // The sweeps' state is sized by the read window, not the slot count: the
+    // long trace keeps no more alive than the short one. (The probe's
+    // next-use table has an entry per operand access; it goes with the
+    // probes.)
+    let (short, long) = peaks.split_at(entry_points.len());
+    for ((entry, short), (_, long)) in short.iter().zip(long) {
+        if *entry != "try_run_belady" {
+            assert!(
+                *long <= short + PEAK_GROWTH_BYTES,
+                "{entry}: the 32 000-op peak {long} grew past the 2 000-op peak {short}"
             );
         }
     }
@@ -151,38 +175,51 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
         report.cache_misses
     );
 
-    // Scheduling adds one table to the sweep: per slot, the finish of the op
-    // producing it in the schedule and on the critical path (16 bytes). The
-    // placement itself allocates nothing, so the count is `try_run`'s plus
-    // one at either length (measured: 9). Building a plan and running it
-    // through the multi-job scheduler made it 30 / 34 allocations and 104 /
-    // 92 bytes per op; a retained timeline made it 252 bytes per op.
-    const SLOT_TABLE_BYTES_PER_OP: u64 = 16;
+    // Scheduling adds one table to the sweep: per value cell (the trace's
+    // read-window ring, then its inputs), the finish of the op producing it
+    // in the schedule and on the critical path, 16 bytes each. The placement
+    // itself allocates nothing, so the count is `try_run`'s plus one at
+    // either length (measured: 9), and the clock adds 624 bytes (39 cells)
+    // at any length, where a finish pair per slot added 16 bytes per op.
+    // Building a plan and running it through the multi-job scheduler made it
+    // 30 / 34 allocations and 104 / 92 bytes per op; a retained timeline made
+    // it 252 bytes per op.
+    const CLOCK_BYTES_PER_OP: u64 = 16;
+    let mut scheduled_peaks = Vec::new();
     for (name, trace) in [("2 000", &small), ("32 000", &large), ("sparse", &hostile)] {
         let sweep = cost_of(|| sim.try_run(trace).expect("trace runs"));
         let cost = cost_of(|| sim.try_run_scheduled(trace).expect("trace schedules"));
+        scheduled_peaks.push(cost.peak_bytes);
         let per_op_bytes = cost.peak_bytes / trace.len() as u64;
         eprintln!(
-            "run_scheduled on {name} ops: {} allocations, {per_op_bytes} bytes per op",
-            cost.allocations
+            "run_scheduled on {name} ops: {} allocations, {per_op_bytes} bytes per op, peak {}",
+            cost.allocations, cost.peak_bytes
         );
         assert_eq!(
             cost.allocations,
             sweep.allocations + 1,
-            "run_scheduled on {name} ops allocates more than the sweep and its slot table"
+            "run_scheduled on {name} ops allocates more than the sweep and its clock"
         );
         assert!(
-            per_op_bytes <= SWEEP_PEAK_BYTES_PER_OP + SLOT_TABLE_BYTES_PER_OP,
+            per_op_bytes <= SWEEP_PEAK_BYTES_PER_OP + CLOCK_BYTES_PER_OP,
             "run_scheduled on {name} ops keeps {per_op_bytes} bytes per op alive"
+        );
+    }
+    for long in &scheduled_peaks[1..] {
+        assert!(
+            *long <= scheduled_peaks[0] + PEAK_GROWTH_BYTES,
+            "run_scheduled: the 32 000-op peak {long} grew past the 2 000-op peak {}",
+            scheduled_peaks[0]
         );
     }
 
     // A plan is the trace's own DAG, not a copy of it as edges: the sweep
-    // plus six tables, each sized once — per op its kind, level, output slot
-    // and demand, one operand-slot arena, the longest chain, and while it
-    // plans a per-slot critical-path clock and each op's chain predecessor.
+    // plus six tables, each sized once — per op its kind, level, output cell
+    // and demand, one operand-cell arena, the longest chain, and while it
+    // plans a per-cell critical-path clock and each op's chain predecessor.
     // Measured: 14 allocations (the sweep's 8 + 6) on 2 000 and 32 000 ops
-    // and on sparse ids, 116 / 104 / 104 bytes per op at the peak. A per-op
+    // and on sparse ids, 93 / 79 / 79 bytes per op at the peak (a clock per
+    // slot made it 120 / 108 / 108). A per-op
     // `Vec` (an edge list per op, or a chain grown push by push) makes the
     // count grow with the trace.
     const PLAN_TABLES: u64 = 6;
