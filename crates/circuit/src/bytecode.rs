@@ -166,12 +166,6 @@ impl CompiledCircuit {
         counts
     }
 
-    /// The non-zero rotation amounts executors must provision keys for, in
-    /// ascending order.
-    pub fn key_rotations(&self) -> Vec<i64> {
-        self.rotations.iter().copied().filter(|&r| r != 0).collect()
-    }
-
     /// Structural validation: the register file is no larger than the
     /// values the program writes, every register is written before it is
     /// read, never read after being freed, only a binary op frees a second

@@ -121,8 +121,13 @@ pub struct FunctionalRun {
 /// The backend owns a context, secret key and key bundle built from the
 /// instance (so it is only practical at toy ring degrees — exactly the
 /// regime the functional layer targets). Rotation and conjugation keys are
-/// provisioned on demand from the program's
-/// [`CompiledCircuit::key_rotations`] set.
+/// provisioned on demand and sized by the program: each run reads, off its
+/// ops, the highest level each rotation amount and conjugation is applied
+/// at, and draws every key that is missing or serves a lower level
+/// ([`CkksContext::provision_keys`]). A key so stores only the limbs and
+/// slices its deepest key-switch reads. It makes the draws of a top-level
+/// key, so every ciphertext is bit-identical to an executor's that
+/// provisions at the top.
 ///
 /// [`Opcode::Bootstrap`] markers execute as *oracle refreshes*: decrypt,
 /// re-encode at the usable top level, re-encrypt. That is the standard
@@ -144,6 +149,9 @@ pub struct FunctionalBackend {
     rng: StdRng,
     input_messages: Vec<Vec<f64>>,
     file: RegisterFile,
+    /// The highest level each rotation-pool entry is read at by the program
+    /// being run: kept across runs so provisioning allocates nothing.
+    key_levels: Vec<usize>,
 }
 
 impl FunctionalBackend {
@@ -164,6 +172,7 @@ impl FunctionalBackend {
             rng,
             input_messages: Vec::new(),
             file: RegisterFile::default(),
+            key_levels: Vec::new(),
         })
     }
 
@@ -178,6 +187,46 @@ impl FunctionalBackend {
     /// The CKKS context backing this executor.
     pub fn context(&self) -> &CkksContext {
         &self.context
+    }
+
+    /// The key bundle as the runs so far have provisioned it.
+    pub fn keys(&self) -> &KeyBundle {
+        &self.keys
+    }
+
+    /// Draws the rotation and conjugation keys `compiled` reads that the
+    /// bundle lacks at the level it reads them, in pool order then
+    /// conjugation — the order, and for a fresh backend the draws, of
+    /// `add_rotation_keys` on the source circuit's rotations.
+    fn provision(&mut self, compiled: &CompiledCircuit) -> Result<(), CircuitError> {
+        let Self {
+            context,
+            secret,
+            keys,
+            rng,
+            key_levels,
+            ..
+        } = self;
+        key_levels.clear();
+        key_levels.resize(compiled.rotations.len(), 0);
+        let mut conjugation = 0;
+        for op in &compiled.ops {
+            match op.opcode {
+                Opcode::HRot => {
+                    let level = &mut key_levels[op.imm as usize];
+                    *level = (*level).max(op.level);
+                }
+                Opcode::Conjugate => conjugation = conjugation.max(op.level),
+                _ => {}
+            }
+        }
+        let rotations = compiled
+            .rotations
+            .iter()
+            .zip(key_levels.iter())
+            .filter(|(&r, _)| r != 0)
+            .map(|(&r, &level)| (r, level));
+        Ok(context.provision_keys(secret, keys, rotations, conjugation, rng)?)
     }
 
     /// Deterministic synthetic message for input `index`: small values in
@@ -281,9 +330,10 @@ impl FunctionalBackend {
     /// Given the same instance, seed and inputs, the result is bit-identical
     /// to walking the source circuit's SSA nodes (the oracle in
     /// `tests/common/ssa_oracle.rs`): the program preserves instruction
-    /// order, provisioning the same rotation keys and consuming the
-    /// encryption/refresh randomness stream in the same order, and no op
-    /// reads what its destination held before.
+    /// order, drawing the same rotation keys (sized to the program, with the
+    /// draws of top-level ones) and consuming the encryption/refresh
+    /// randomness stream in the same order, and no op reads what its
+    /// destination held before.
     ///
     /// # Errors
     ///
@@ -310,17 +360,7 @@ impl FunctionalBackend {
         file: &mut RegisterFile,
     ) -> Result<FunctionalRun, CircuitError> {
         compiled.validate()?;
-        let rotations = compiled.key_rotations();
-        {
-            let Self {
-                context,
-                secret,
-                keys,
-                rng,
-                ..
-            } = self;
-            context.add_rotation_keys(secret, keys, &rotations, rng)?;
-        }
+        self.provision(compiled)?;
         let usable_top = compiled.instance.usable_top_level();
 
         file.open(compiled.reg_count as usize);

@@ -6,8 +6,8 @@ use rand::Rng;
 
 use bts_math::par::chain;
 use bts_math::{
-    sample_gaussian, sample_ternary, AutomorphismTable, BaseConverter, BconvScratch,
-    Representation, RnsBasis, RnsPoly, ShoupMul, TERNARY_HAMMING_DENSE,
+    sample_gaussian, sample_ternary, sample_uniform_into, AutomorphismTable, BaseConverter,
+    BconvScratch, Representation, RnsBasis, RnsPoly, ShoupMul, TERNARY_HAMMING_DENSE,
 };
 use bts_params::{CkksInstance, Decomposition};
 
@@ -123,6 +123,17 @@ impl Drop for Decomposed {
         if let Ok(mut pool) = self.pool.digits.lock() {
             pool.push(std::mem::take(&mut self.digits));
         }
+    }
+}
+
+/// Where limb `t` of the extended basis `{q_0..q_level} ∪ P` sits in a
+/// basis `{q_0..q_top} ∪ P` with `top ≥ level`: the full key basis, or an
+/// evaluation key generated for level `top`.
+fn ks_limb(level: usize, top: usize, t: usize) -> usize {
+    if t <= level {
+        t
+    } else {
+        top + (t - level)
     }
 }
 
@@ -471,28 +482,68 @@ impl CkksContext {
         PublicKey { p0, p1: a }
     }
 
-    /// Generates a key-switching key that re-encrypts products of `target_key`
-    /// under the secret key `sk` (generalized dnum decomposition, §2.5).
+    /// Generates a key-switching key that re-encrypts products of the target
+    /// key — `target` of the secret key, a limb-wise map — under the secret
+    /// key `sk` (generalized dnum decomposition, §2.5), for key-switches at
+    /// levels up to `level`.
+    ///
+    /// The draws are those of a top-level key whatever `level` is — a
+    /// uniform `a_j` on every limb of `Q ∪ P` and an error polynomial for
+    /// every slice live at L — so the RNG stream, and every later
+    /// encryption, does not depend on the level; only the limbs
+    /// `q_0..q_ℓ ∪ P` of the slices live at ℓ are kept.
     fn gen_switching_key<R: Rng + ?Sized>(
         &self,
         sk: &SecretKey,
-        target_key: &RnsPoly,
+        target: impl FnOnce(&RnsPoly) -> RnsPoly,
+        level: usize,
         rng: &mut R,
-    ) -> EvaluationKey {
-        // One key pair per live slice: empty trailing slices get none.
+    ) -> crate::Result<EvaluationKey> {
+        if level > self.max_level {
+            return Err(CkksError::InvalidParameters(format!(
+                "a key for level {level} exceeds the maximum {}",
+                self.max_level
+            )));
+        }
+        // Key-basis limb i is kept at position `i` (a q limb up to ℓ) or
+        // `i - (L - ℓ)` (a special limb); the q limbs above ℓ are dropped.
+        let kept_at = |i: usize| match i {
+            i if i <= level => Some(i),
+            i if i > self.max_level => Some(i - (self.max_level - level)),
+            _ => None,
+        };
+        let limbs: Vec<usize> = (0..self.key_basis.len())
+            .filter(|&i| kept_at(i).is_some())
+            .collect();
+        let basis = self.key_basis.select(&limbs);
+        let s = sk.poly.select_limbs(&limbs);
+        let target = target(&s);
+        let kept = self.decomposition.slices_at_level(level);
         let live = self.decomposition.slices_at_level(self.max_level);
-        let mut slices = Vec::with_capacity(live);
+        let mut slices = Vec::with_capacity(kept);
+        let mut discard = vec![0; self.degree];
         for j in 0..live {
-            let slice = self.decomposition.slice(j, self.max_level);
-            let a_j = RnsPoly::sample_uniform(&self.key_basis, Representation::Ntt, rng);
-            let mut e_j = RnsPoly::from_signed_coefficients(
-                &self.key_basis,
-                &sample_gaussian(rng, self.degree, ERROR_SIGMA),
-            );
+            // `RnsPoly::sample_uniform` on the whole key basis, limb by limb,
+            // straight into the limbs this key stores.
+            let mut a_j = (j < kept).then(|| RnsPoly::zero(&basis, Representation::Ntt));
+            for i in 0..self.key_basis.len() {
+                let limb = match (a_j.as_mut(), kept_at(i)) {
+                    (Some(a_j), Some(at)) => a_j.limb_mut(at),
+                    _ => &mut discard[..],
+                };
+                sample_uniform_into(rng, self.key_basis.modulus(i).value(), limb);
+            }
+            let error = sample_gaussian(rng, self.degree, ERROR_SIGMA);
+            let Some(a_j) = a_j else {
+                continue;
+            };
+            let mut e_j = RnsPoly::from_signed_coefficients(&basis, &error);
             e_j.to_ntt();
             // Per-limb gadget factor: P mod q_i inside the slice, 0 elsewhere.
-            let constants: Vec<u64> = (0..self.key_basis.len())
-                .map(|i| {
+            let slice = self.decomposition.slice(j, level);
+            let constants: Vec<u64> = limbs
+                .iter()
+                .map(|&i| {
                     if slice.contains(&i) {
                         self.p_mod_q[i]
                     } else {
@@ -500,55 +551,59 @@ impl CkksContext {
                     }
                 })
                 .collect();
-            let gadget = target_key.mul_constants(&constants);
-            let b_j = a_j
-                .mul(&sk.poly)
-                .expect("same basis")
-                .neg()
-                .add(&e_j)
-                .expect("same basis")
-                .add(&gadget)
+            // b_j = −a_j·s + e_j + gadget, in place.
+            let mut b_j = a_j.mul(&s).expect("same basis");
+            b_j.neg_assign();
+            b_j.add_assign(&e_j).expect("same basis");
+            b_j.add_assign(&target.mul_constants(&constants))
                 .expect("same basis");
             slices.push((b_j, a_j));
         }
-        EvaluationKey { slices }
+        Ok(EvaluationKey { level, slices })
     }
 
-    /// Generates the relinearization key (target key `s²`).
+    /// Generates the relinearization key (target key `s²`), at the top level.
     pub fn gen_relin_key<R: Rng + ?Sized>(&self, sk: &SecretKey, rng: &mut R) -> EvaluationKey {
-        let s_squared = sk.poly.mul(&sk.poly).expect("same basis");
-        self.gen_switching_key(sk, &s_squared, rng)
+        let s_squared = |s: &RnsPoly| s.mul(s).expect("same basis");
+        self.gen_switching_key(sk, s_squared, self.max_level, rng)
+            .expect("the top level is a level")
     }
 
-    /// Generates a rotation key for rotation amount `r` (target key `σ_r(s)`).
+    /// Generates a rotation key for rotation amount `r` (target key `σ_r(s)`)
+    /// that serves ciphertexts up to `level`; its draws do not depend on
+    /// `level`.
     ///
     /// # Errors
     ///
-    /// Propagates Galois-element validation errors.
+    /// Propagates Galois-element validation errors and rejects a level above
+    /// the maximum.
     pub fn gen_rotation_key<R: Rng + ?Sized>(
         &self,
         sk: &SecretKey,
         rotation: i64,
+        level: usize,
         rng: &mut R,
     ) -> crate::Result<EvaluationKey> {
-        let galois = bts_math::galois_element(rotation, self.degree, false);
-        let rotated = sk.poly.automorphism(&*self.automorphism_table(galois)?);
-        Ok(self.gen_switching_key(sk, &rotated, rng))
+        let table =
+            self.automorphism_table(bts_math::galois_element(rotation, self.degree, false))?;
+        self.gen_switching_key(sk, |s| s.automorphism(&table), level, rng)
     }
 
-    /// Generates the conjugation key (target key `σ_{-1}(s)`).
+    /// Generates the conjugation key (target key `σ_{-1}(s)`) that serves
+    /// ciphertexts up to `level`; its draws do not depend on `level`.
     ///
     /// # Errors
     ///
-    /// Propagates Galois-element validation errors.
+    /// Propagates Galois-element validation errors and rejects a level above
+    /// the maximum.
     pub fn gen_conjugation_key<R: Rng + ?Sized>(
         &self,
         sk: &SecretKey,
+        level: usize,
         rng: &mut R,
     ) -> crate::Result<EvaluationKey> {
-        let galois = bts_math::galois_element(0, self.degree, true);
-        let conjugated = sk.poly.automorphism(&*self.automorphism_table(galois)?);
-        Ok(self.gen_switching_key(sk, &conjugated, rng))
+        let table = self.automorphism_table(bts_math::galois_element(0, self.degree, true))?;
+        self.gen_switching_key(sk, |s| s.automorphism(&table), level, rng)
     }
 
     /// One-call key generation: secret key plus a bundle containing the public
@@ -594,8 +649,9 @@ impl CkksContext {
         })
     }
 
-    /// Generates rotation keys for a set of rotation amounts and adds them to
-    /// the bundle, plus the conjugation key.
+    /// Generates top-level rotation keys for a set of rotation amounts and
+    /// adds them to the bundle, plus the conjugation key:
+    /// [`CkksContext::provision_keys`] with every level at L.
     ///
     /// # Errors
     ///
@@ -607,14 +663,39 @@ impl CkksContext {
         rotations: &[i64],
         rng: &mut R,
     ) -> crate::Result<()> {
-        for &r in rotations {
-            if bundle.rotation(r).is_none() {
-                let key = self.gen_rotation_key(sk, r, rng)?;
+        let top = self.max_level;
+        let rotations = rotations.iter().map(|&r| (r, top));
+        self.provision_keys(sk, bundle, rotations, top, rng)
+    }
+
+    /// Provisions a program's rotation and conjugation keys, each sized by
+    /// the highest level it is read at: for every `(r, level)` in order, then
+    /// for the conjugation key at `conjugation_level`, draws a key if the
+    /// bundle has none or holds one for a lower level. A key already serving
+    /// the level is kept, so provisioning the same program again draws
+    /// nothing. The conjugation key is always provisioned; a program that
+    /// never conjugates passes level 0.
+    ///
+    /// # Errors
+    ///
+    /// Propagates key generation failures (a level above L among them).
+    pub fn provision_keys<R: Rng + ?Sized>(
+        &self,
+        sk: &SecretKey,
+        bundle: &mut KeyBundle,
+        rotations: impl IntoIterator<Item = (i64, usize)>,
+        conjugation_level: usize,
+        rng: &mut R,
+    ) -> crate::Result<()> {
+        let serves = |key: Option<&EvaluationKey>, level| key.is_some_and(|k| k.level >= level);
+        for (r, level) in rotations {
+            if !serves(bundle.rotation(r), level) {
+                let key = self.gen_rotation_key(sk, r, level, rng)?;
                 bundle.insert_rotation(r, key);
             }
         }
-        if bundle.conjugation().is_none() {
-            bundle.set_conjugation(self.gen_conjugation_key(sk, rng)?);
+        if !serves(bundle.conjugation(), conjugation_level) {
+            bundle.set_conjugation(self.gen_conjugation_key(sk, conjugation_level, rng)?);
         }
         Ok(())
     }
@@ -855,14 +936,10 @@ impl CkksContext {
     }
 
     /// Where limb `t` of the level-`level` extended basis `{q_0..q_ℓ, p_*}`
-    /// sits in the full key basis `{q_0..q_L, p_*}` — its NTT table, its
-    /// modulus and its row of every evaluation key.
+    /// sits in the full key basis `{q_0..q_L, p_*}`: its NTT table and its
+    /// modulus.
     fn key_limb(&self, level: usize, t: usize) -> usize {
-        if t <= level {
-            t
-        } else {
-            self.max_level + (t - level)
-        }
+        ks_limb(level, self.max_level, t)
     }
 
     /// Switches the polynomial `d` (NTT domain, level-ℓ ciphertext basis) from
@@ -877,7 +954,8 @@ impl CkksContext {
     ///
     /// # Errors
     ///
-    /// Propagates basis-construction failures.
+    /// Fails with [`CkksError::MissingKey`] if `evk` serves a lower level
+    /// than `d`, and propagates basis-construction failures.
     pub fn key_switch(
         &self,
         d: &RnsPoly,
@@ -989,7 +1067,9 @@ impl CkksContext {
     /// # Errors
     ///
     /// Rejects digits of another context or an automorphism table of another
-    /// ring degree, and propagates converter-construction failures.
+    /// ring degree, fails with [`CkksError::MissingKey`] if `evk` serves a
+    /// lower level than the digits, and propagates converter-construction
+    /// failures.
     pub fn switch_decomposed(
         &self,
         digits: &Decomposed,
@@ -1054,7 +1134,9 @@ impl CkksContext {
     /// MACs accumulate in `u128` with a single Barrett reduction per element
     /// after the last slice, one limb row at a time so the accumulators stay
     /// cache-resident; ModDown then lands each half of the pair in its
-    /// destination as `land` says.
+    /// destination as `land` says. The key is read at its own level, and one
+    /// for a lower level than the digits' is [`CkksError::MissingKey`]: it
+    /// holds neither their limbs nor all of their slices.
     pub(crate) fn switch_into(
         &self,
         digits: &Decomposed,
@@ -1077,6 +1159,12 @@ impl CkksContext {
             return Err(CkksError::OperandMismatch(
                 "automorphism table is for another ring degree".to_string(),
             ));
+        }
+        if evk.level < level {
+            return Err(CkksError::MissingKey(format!(
+                "a key for level {level} (the one given serves up to level {})",
+                evk.level
+            )));
         }
         let gather = automorphism.map(AutomorphismTable::ntt_gather);
         let ext_limbs = level + 1 + k;
@@ -1102,8 +1190,8 @@ impl CkksContext {
             .zip(s.ext_b.chunks_exact_mut(n))
             .zip(s.ext_a.chunks_exact_mut(n));
         bts_math::par::par_limbs(rows, |t, (((row_b, row_a), dst_b), dst_a)| {
-            let key_limb = self.key_limb(level, t);
-            let p = self.key_basis.modulus(key_limb);
+            let p = self.key_basis.modulus(self.key_limb(level, t));
+            let key_limb = ks_limb(level, evk.level, t);
             row_b.fill(0);
             row_a.fill(0);
             let blocks = digits.digits.chunks_exact(ext_limbs * n);

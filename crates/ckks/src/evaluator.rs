@@ -459,7 +459,8 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Fails with [`CkksError::MissingKey`] if no key for `r` exists.
+    /// Fails with [`CkksError::MissingKey`] if no key for `r` serves `a`'s
+    /// level.
     pub fn rotate(&self, a: &Ciphertext, r: i64) -> crate::Result<Ciphertext> {
         let mut rotated = self.rotate_hoisted(a, &[r])?;
         Ok(rotated.pop().expect("one step in, one ciphertext out"))
@@ -473,7 +474,8 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Fails with [`CkksError::MissingKey`] if a step has no rotation key.
+    /// Fails with [`CkksError::MissingKey`] if a step has no rotation key
+    /// serving `a`'s level.
     pub fn rotate_hoisted(&self, a: &Ciphertext, steps: &[i64]) -> crate::Result<Vec<Ciphertext>> {
         // Zero steps are copies; a group of nothing else needs no ModUp.
         if steps.iter().all(|&r| r == 0) {
@@ -503,7 +505,8 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Fails with [`CkksError::MissingKey`] if no key for `r` exists.
+    /// Fails with [`CkksError::MissingKey`] if no key for `r` serves `a`'s
+    /// level.
     pub fn rotate_decomposed(
         &self,
         a: &Ciphertext,
@@ -542,7 +545,8 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Fails with [`CkksError::MissingKey`] if the conjugation key is missing.
+    /// Fails with [`CkksError::MissingKey`] if the conjugation key is missing
+    /// or serves a lower level than `a`'s.
     pub fn conjugate(&self, a: &Ciphertext) -> crate::Result<Ciphertext> {
         self.conjugate_decomposed(a, &self.decompose(a)?)
     }
@@ -551,7 +555,8 @@ impl<'a> Evaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Fails with [`CkksError::MissingKey`] if the conjugation key is missing.
+    /// Fails with [`CkksError::MissingKey`] if the conjugation key is missing
+    /// or serves a lower level than `a`'s.
     pub fn conjugate_decomposed(
         &self,
         a: &Ciphertext,

@@ -36,26 +36,49 @@ pub struct PublicKey {
 }
 
 /// A generalized key-switching key (an "evk" in the paper): pairs of
-/// polynomials on the extended basis `Q ∪ P`, one pair per live decomposition
-/// slice (§2.5; `dnum` of them unless trailing slices are empty — see
+/// polynomials on the extended basis `{q_0, …, q_ℓ} ∪ P`, one pair per
+/// decomposition slice live at the level ℓ the key serves (§2.5; see
 /// `bts_params::Decomposition`). The same structure serves as the
 /// relinearization key (target key `s²`), rotation keys (`σ_r(s)`) and the
 /// conjugation key.
-#[derive(Debug, Clone)]
+///
+/// A key generated for level ℓ holds exactly the words a level-ℓ key-switch
+/// reads (Eq. 10: `⌈(ℓ+1)/k⌉` slices × `k + ℓ + 1` limbs), and switches the
+/// digits of any level up to ℓ; the relinearization key is generated at the
+/// top level L.
+#[derive(Clone)]
 pub struct EvaluationKey {
-    /// `(b_j, a_j)` per decomposition slice.
+    /// The highest level the key switches.
+    pub(crate) level: usize,
+    /// `(b_j, a_j)` per live decomposition slice, on limbs `q_0..q_ℓ ∪ P`.
     pub(crate) slices: Vec<(RnsPoly, RnsPoly)>,
 }
 
+impl std::fmt::Debug for EvaluationKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The shape, not the words: a bundle holds megabytes of them.
+        f.debug_struct("EvaluationKey")
+            .field("level", &self.level)
+            .field("slices", &self.slices.len())
+            .field("bytes", &self.size_bytes())
+            .finish()
+    }
+}
+
 impl EvaluationKey {
-    /// Number of key pairs: the live decomposition slices at the top level.
+    /// The highest ciphertext level the key switches.
+    pub fn level(&self) -> usize {
+        self.level
+    }
+
+    /// Number of key pairs: the decomposition slices live at the key's level.
     pub fn dnum(&self) -> usize {
         self.slices.len()
     }
 
-    /// Total size in bytes: `2 · slices · N · (k + L + 1)` words, the quantity
-    /// whose streaming dominates HMult/HRot in the paper's analysis
-    /// (`CkksInstance::evk_bytes_at_level(L)`).
+    /// Total size in bytes: `2 · slices · N · (k + ℓ + 1)` words at the key's
+    /// own level ℓ, the quantity whose streaming dominates HMult/HRot in the
+    /// paper's analysis (`CkksInstance::evk_bytes_at_level(ℓ)`).
     pub fn size_bytes(&self) -> u64 {
         self.slices
             .iter()
@@ -88,6 +111,12 @@ impl KeyBundle {
     /// The rotation key for rotation amount `r`, if generated.
     pub fn rotation(&self, r: i64) -> Option<&EvaluationKey> {
         self.rotations.get(&r)
+    }
+
+    /// Every stored rotation key with its rotation amount, in no particular
+    /// order.
+    pub fn rotations(&self) -> impl Iterator<Item = (i64, &EvaluationKey)> {
+        self.rotations.iter().map(|(&r, key)| (r, key))
     }
 
     /// The conjugation key, if generated.

@@ -50,7 +50,9 @@ pub use ntt3d::{Ntt3dPlan, TransposePhase};
 pub use poly::{Representation, RnsPoly};
 pub use prime::{generate_ntt_primes, is_prime, next_ntt_prime, previous_ntt_prime};
 pub use rns::RnsBasis;
-pub use sampling::{sample_gaussian, sample_ternary, sample_uniform, TERNARY_HAMMING_DENSE};
+pub use sampling::{
+    sample_gaussian, sample_ternary, sample_uniform, sample_uniform_into, TERNARY_HAMMING_DENSE,
+};
 
 /// Result alias used throughout the math crate.
 pub type Result<T> = std::result::Result<T, MathError>;

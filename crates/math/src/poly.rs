@@ -108,10 +108,7 @@ impl RnsPoly {
     ) {
         self.reshape(basis, rep);
         for j in 0..basis.len() {
-            let q = basis.modulus(j).value();
-            for x in self.limb_mut(j) {
-                *x = rng.gen_range(0..q);
-            }
+            crate::sample_uniform_into(rng, basis.modulus(j).value(), self.limb_mut(j));
         }
     }
 

@@ -7,7 +7,17 @@ pub const TERNARY_HAMMING_DENSE: usize = usize::MAX;
 
 /// Samples a uniformly random residue polynomial modulo `q`.
 pub fn sample_uniform<R: Rng + ?Sized>(rng: &mut R, degree: usize, q: u64) -> Vec<u64> {
-    (0..degree).map(|_| rng.gen_range(0..q)).collect()
+    let mut out = vec![0; degree];
+    sample_uniform_into(rng, q, &mut out);
+    out
+}
+
+/// [`sample_uniform`] into `out`: the same draws, one per coefficient in
+/// order.
+pub fn sample_uniform_into<R: Rng + ?Sized>(rng: &mut R, q: u64, out: &mut [u64]) {
+    for x in out {
+        *x = rng.gen_range(0..q);
+    }
 }
 
 /// Samples a signed ternary secret with coefficients in {-1, 0, 1}.

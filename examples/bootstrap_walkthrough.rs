@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sparse secret: keeps the ModRaise overflow |I| within the EvalMod range.
     let sk = ctx.gen_sparse_secret_key(&mut rng, 4);
     let mut keys = ctx.generate_bundle_for(&sk, &mut rng)?;
-    keys.set_conjugation(ctx.gen_conjugation_key(&sk, &mut rng)?);
+    keys.set_conjugation(ctx.gen_conjugation_key(&sk, ctx.max_level(), &mut rng)?);
     let bootstrapper = Bootstrapper::new(&ctx, config)?;
     let rotations = bootstrapper.required_rotations();
     println!(
@@ -47,7 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rotations.len()
     );
     for r in &rotations {
-        keys.insert_rotation(*r, ctx.gen_rotation_key(&sk, *r, &mut rng)?);
+        keys.insert_rotation(
+            *r,
+            ctx.gen_rotation_key(&sk, *r, ctx.max_level(), &mut rng)?,
+        );
     }
     let eval = ctx.evaluator(&keys);
 

@@ -79,11 +79,18 @@ fn bootstrap_refreshes_levels_and_roughly_preserves_the_message() {
     // Sparse secret keeps the ModRaise overflow |I| small (≤ range_k).
     let sk = ctx.gen_sparse_secret_key(&mut rng, 4);
     let mut keys = ctx.generate_bundle_for(&sk, &mut rng).unwrap();
-    keys.set_conjugation(ctx.gen_conjugation_key(&sk, &mut rng).unwrap());
+    keys.set_conjugation(
+        ctx.gen_conjugation_key(&sk, ctx.max_level(), &mut rng)
+            .unwrap(),
+    );
     let config = BootstrapConfig::functional_test();
     let bootstrapper = Bootstrapper::new(&ctx, config).unwrap();
     for r in bootstrapper.required_rotations() {
-        keys.insert_rotation(r, ctx.gen_rotation_key(&sk, r, &mut rng).unwrap());
+        keys.insert_rotation(
+            r,
+            ctx.gen_rotation_key(&sk, r, ctx.max_level(), &mut rng)
+                .unwrap(),
+        );
     }
     let eval = ctx.evaluator(&keys);
 

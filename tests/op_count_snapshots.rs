@@ -134,7 +134,13 @@ fn compiled_traces_are_identical_to_the_oracle_on_paper_workloads() {
             let optimized = PassPipeline::standard().optimize(&circuit).unwrap();
             let compiled = compile(&optimized).unwrap();
             assert_eq!(compiled.op_counts(), optimized.op_counts(), "{tag}");
-            assert_eq!(compiled.key_rotations(), optimized.rotations(), "{tag}");
+            let keyed: Vec<i64> = compiled
+                .rotations
+                .iter()
+                .copied()
+                .filter(|&r| r != 0)
+                .collect();
+            assert_eq!(keyed, optimized.rotations(), "{tag}");
             let tree = ssa_oracle::lower(&optimized);
             let flat = TraceBackend::new().lower_compiled(&compiled).unwrap();
             assert!(tree.trace == flat.trace, "{tag}: optimized traces diverged");

@@ -3,10 +3,10 @@
 //! every level, the evk words it streams grow with the level, and the keys
 //! the CKKS library generates have exactly the size it predicts.
 
-use bts::ckks::CkksContext;
+use bts::ckks::{Ciphertext, CkksContext, CkksError, Complex};
 use bts::params::{CkksInstance, Decomposition};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -86,5 +86,68 @@ proptest! {
             relin.size_bytes() == instance.evk_bytes(),
             d.slices_at_level(max_level) == d.dnum()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A rotation key generated for level ℓ is sized by it — the slices live
+    /// at ℓ, `evk_bytes_at_level(ℓ)` bytes — and draws what the top-level
+    /// key draws: from the same RNG state both leave the RNG in the same
+    /// state and rotate every ciphertext of level ℓ′ ≤ ℓ to the same bits.
+    /// A level-(ℓ+1) ciphertext is refused with `MissingKey`.
+    #[test]
+    fn rotation_keys_are_sized_by_their_level(
+        log_n in 4u32..7,
+        max_level in 0usize..9,
+        dnum in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        prop_assume!(dnum <= max_level + 1);
+        let instance = CkksInstance::toy(log_n, max_level, dnum);
+        let ctx = CkksContext::from_instance(&instance).unwrap();
+        let d = instance.decomposition();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (sk, bundle) = ctx.generate_keys(&mut rng).unwrap();
+        let message = vec![Complex::new(0.25, -0.125); ctx.slots()];
+        let ladder: Vec<Ciphertext> = (0..=max_level)
+            .map(|level| {
+                let pt = ctx.encode_at(&message, level, ctx.scale()).unwrap();
+                ctx.encrypt(&pt, &sk, &mut rng).unwrap()
+            })
+            .collect();
+        let rotation = 1;
+        let mut top_rng = rng.clone();
+        let mut top = bundle.clone();
+        top.insert_rotation(
+            rotation,
+            ctx.gen_rotation_key(&sk, rotation, max_level, &mut top_rng).unwrap(),
+        );
+        for level in 0..=max_level {
+            let mut sized_rng = rng.clone();
+            let key = ctx.gen_rotation_key(&sk, rotation, level, &mut sized_rng).unwrap();
+            prop_assert_eq!(sized_rng.gen::<u64>(), top_rng.clone().gen::<u64>());
+            prop_assert_eq!(key.level(), level);
+            prop_assert_eq!(key.dnum(), d.slices_at_level(level));
+            prop_assert_eq!(key.size_bytes(), instance.evk_bytes_at_level(level));
+            let mut sized = bundle.clone();
+            sized.insert_rotation(rotation, key);
+            let (sized, top) = (ctx.evaluator(&sized), ctx.evaluator(&top));
+            for ct in &ladder[..=level] {
+                prop_assert!(
+                    sized.rotate(ct, rotation).unwrap() == top.rotate(ct, rotation).unwrap(),
+                    "a level-{} ciphertext rotated by a level-{} key",
+                    ct.level(),
+                    level
+                );
+            }
+            if let Some(above) = ladder.get(level + 1) {
+                prop_assert!(matches!(
+                    sized.rotate(above, rotation),
+                    Err(CkksError::MissingKey(_))
+                ));
+            }
+        }
     }
 }
