@@ -1,29 +1,28 @@
-use std::collections::HashSet;
+//! [`CircuitBuilder`] records a circuit one instruction at a time through the
+//! analysis's level/scale rule (`passes::analysis::transfer`, the rule
+//! [`crate::passes::analysis::analyze`] folds over whole circuits), and at
+//! [`CircuitBuilder::build`] prunes its own greedy refreshes with the
+//! bootstrap-placement sweep (`passes::bootstrap_place::drop_markers`) — so
+//! neither decision has a second copy here.
 
 use bts_params::{CkksInstance, L_BOOT};
 
 use crate::error::CircuitError;
 use crate::ir::{CircuitInput, HeCircuit, HeInstr, HeInstrNode, ValueId};
-
-/// Level and scale bookkeeping for one SSA value.
-#[derive(Debug, Clone, Copy)]
-struct ValueInfo {
-    level: usize,
-    /// Scale as a power of the base scale Δ (fresh encodings are Δ^1; an
-    /// HMult of two Δ^1 values is Δ^2; a rescale divides by ≈Δ).
-    scale_exp: u32,
-}
+use crate::passes::analysis::{self, ValueFacts};
+use crate::passes::drop_markers;
 
 /// Fluent builder of [`HeCircuit`]s.
 ///
-/// The builder tracks every value's level and scale exponent and refuses to
-/// emit an instruction the functional model could not execute: rescaling a
-/// level-0 value, adding values of different scale exponents, or descending
-/// below the level floor on an instance that cannot bootstrap. On
-/// bootstrappable instances, [`CircuitBuilder::ensure`] transparently inserts
-/// [`HeInstr::Bootstrap`] markers when the budget is about to run out —
-/// mirroring how FHE applications are scheduled in practice and producing the
-/// per-instance bootstrap counts of Table 6.
+/// The builder tracks every value's level and scale exponent exactly as
+/// [`analysis::analyze`] recomputes them, and refuses an instruction the
+/// functional model could not execute: rescaling a level-0 value, adding
+/// values of different scale exponents, or operating on a value it never
+/// handed out. On bootstrappable instances,
+/// [`CircuitBuilder::ensure`] transparently inserts [`HeInstr::Bootstrap`]
+/// markers when the budget is about to run out — mirroring how FHE
+/// applications are scheduled in practice and producing the per-instance
+/// bootstrap counts of Table 6.
 ///
 /// ```
 /// use bts_circuit::CircuitBuilder;
@@ -49,13 +48,14 @@ pub struct CircuitBuilder {
     inputs: Vec<CircuitInput>,
     nodes: Vec<HeInstrNode>,
     outputs: Vec<ValueId>,
-    values: Vec<ValueInfo>,
-    /// Results of bootstrap markers [`CircuitBuilder::ensure`] inserted on
-    /// its own initiative (as opposed to explicit
-    /// [`CircuitBuilder::bootstrap`] calls, which are application requests).
-    /// Only these are candidates for the redundant-trailing-marker prune in
+    /// Facts of every value handed out, indexed by its id.
+    facts: Vec<ValueFacts>,
+    /// Results of the bootstrap markers [`CircuitBuilder::ensure`] inserted
+    /// on its own initiative (as opposed to explicit
+    /// [`CircuitBuilder::bootstrap`] calls, which are application requests),
+    /// in ascending order. Only these are candidates for the prune in
     /// [`CircuitBuilder::build`].
-    auto_bootstraps: HashSet<ValueId>,
+    auto_bootstraps: Vec<ValueId>,
 }
 
 impl CircuitBuilder {
@@ -66,8 +66,8 @@ impl CircuitBuilder {
             inputs: Vec::new(),
             nodes: Vec::new(),
             outputs: Vec::new(),
-            values: Vec::new(),
-            auto_bootstraps: HashSet::new(),
+            facts: Vec::new(),
+            auto_bootstraps: Vec::new(),
         }
     }
 
@@ -89,29 +89,43 @@ impl CircuitBuilder {
     }
 
     /// Current level of a value.
+    ///
+    /// # Panics
+    ///
+    /// If this builder never handed out `v`.
     pub fn level_of(&self, v: ValueId) -> usize {
-        self.values[v as usize].level
+        self.facts[v as usize].level
     }
 
     /// Current scale exponent of a value (power of Δ).
+    ///
+    /// # Panics
+    ///
+    /// If this builder never handed out `v`.
     pub fn scale_exp_of(&self, v: ValueId) -> u32 {
-        self.values[v as usize].scale_exp
+        self.facts[v as usize].scale_exp
     }
 
-    fn define(&mut self, level: usize, scale_exp: u32) -> ValueId {
-        let id = self.values.len() as ValueId;
-        self.values.push(ValueInfo { level, scale_exp });
+    fn facts_of(&self, v: ValueId) -> Option<ValueFacts> {
+        self.facts.get(v as usize).copied()
+    }
+
+    fn define(&mut self, facts: ValueFacts) -> ValueId {
+        let id = self.facts.len() as ValueId;
+        self.facts.push(facts);
         id
     }
 
-    fn push(&mut self, instr: HeInstr, exec_level: usize, result: ValueInfo) -> ValueId {
-        let id = self.define(result.level, result.scale_exp);
+    /// Records `instr` if the level/scale rule admits it.
+    fn emit(&mut self, instr: HeInstr) -> Result<ValueId, CircuitError> {
+        let (level, facts) = analysis::transfer(instr, &self.instance, |v| self.facts_of(v))?;
+        let result = self.define(facts);
         self.nodes.push(HeInstrNode {
             instr,
-            result: id,
-            level: exec_level,
+            result,
+            level,
         });
-        id
+        Ok(result)
     }
 
     /// Declares a fresh ciphertext input at the usable top level.
@@ -123,7 +137,10 @@ impl CircuitBuilder {
     /// instance budget).
     pub fn input_at(&mut self, level: usize) -> ValueId {
         let level = level.min(self.instance.max_level());
-        let id = self.define(level, 1);
+        let id = self.define(ValueFacts {
+            level,
+            scale_exp: 1,
+        });
         self.inputs.push(CircuitInput { id, level });
         id
     }
@@ -147,19 +164,20 @@ impl CircuitBuilder {
     /// # Errors
     ///
     /// Fails with [`CircuitError::LevelExhausted`] if the budget is too small
-    /// and the instance cannot bootstrap. If `v` already sits at the refresh
-    /// ceiling, no marker is inserted (it would be a no-op refresh) and the
-    /// value is returned as-is — the workload simply runs as deep as the
-    /// instance allows.
+    /// and the instance cannot bootstrap, and with
+    /// [`CircuitError::UnknownValue`] for a value it never handed out. If `v`
+    /// already sits at the refresh ceiling, no marker is inserted (it would
+    /// be a no-op refresh) and the value is returned as-is — the workload
+    /// simply runs as deep as the instance allows.
     pub fn ensure(&mut self, v: ValueId, depth: usize) -> Result<ValueId, CircuitError> {
-        let level = self.level_of(v);
+        let level = self.facts_of(v).ok_or(CircuitError::UnknownValue(v))?.level;
         if level > depth {
             return Ok(v);
         }
         if self.can_bootstrap() {
             if self.usable_top_level() > level {
                 let refreshed = self.bootstrap(v)?;
-                self.auto_bootstraps.insert(refreshed);
+                self.auto_bootstraps.push(refreshed);
                 return Ok(refreshed);
             }
             return Ok(v);
@@ -176,8 +194,9 @@ impl CircuitBuilder {
     ///
     /// # Errors
     ///
-    /// Fails if the instance cannot bootstrap or `v` carries an unreduced
-    /// scale (bootstrap a rescaled, Δ^1 value).
+    /// Fails if the instance cannot bootstrap, if `v` carries an unreduced
+    /// scale (bootstrap a rescaled, Δ^1 value), or if it never handed `v`
+    /// out.
     pub fn bootstrap(&mut self, v: ValueId) -> Result<ValueId, CircuitError> {
         if !self.can_bootstrap() {
             return Err(CircuitError::CannotBootstrap {
@@ -185,22 +204,7 @@ impl CircuitBuilder {
                 required: L_BOOT,
             });
         }
-        let exp = self.scale_exp_of(v);
-        if exp != 1 {
-            return Err(CircuitError::InvalidCircuit(format!(
-                "bootstrap input v{v} must carry the base scale Δ^1, found Δ^{exp}"
-            )));
-        }
-        let exec_level = self.level_of(v);
-        let top = self.usable_top_level();
-        Ok(self.push(
-            HeInstr::Bootstrap { a: v },
-            exec_level,
-            ValueInfo {
-                level: top,
-                scale_exp: 1,
-            },
-        ))
+        self.emit(HeInstr::Bootstrap { a: v })
     }
 
     /// Ciphertext–ciphertext multiplication at the operands' common (minimum)
@@ -208,38 +212,27 @@ impl CircuitBuilder {
     ///
     /// # Errors
     ///
-    /// Currently infallible for defined values; fallible for API uniformity.
+    /// [`CircuitError::UnknownValue`] for an operand it never handed out.
     pub fn hmult(&mut self, a: ValueId, b: ValueId) -> Result<ValueId, CircuitError> {
-        let level = self.level_of(a).min(self.level_of(b));
-        let exp = self.scale_exp_of(a) + self.scale_exp_of(b);
-        Ok(self.push(
-            HeInstr::HMult { a, b },
-            level,
-            ValueInfo {
-                level,
-                scale_exp: exp,
-            },
-        ))
+        self.emit(HeInstr::HMult { a, b })
     }
 
     /// Slot rotation by `rotation`.
     ///
     /// # Errors
     ///
-    /// Currently infallible for defined values; fallible for API uniformity.
+    /// [`CircuitError::UnknownValue`] for an operand it never handed out.
     pub fn hrot(&mut self, a: ValueId, rotation: i64) -> Result<ValueId, CircuitError> {
-        let info = self.values[a as usize];
-        Ok(self.push(HeInstr::HRot { a, rotation }, info.level, info))
+        self.emit(HeInstr::HRot { a, rotation })
     }
 
     /// Complex conjugation.
     ///
     /// # Errors
     ///
-    /// Currently infallible for defined values; fallible for API uniformity.
+    /// [`CircuitError::UnknownValue`] for an operand it never handed out.
     pub fn conjugate(&mut self, a: ValueId) -> Result<ValueId, CircuitError> {
-        let info = self.values[a as usize];
-        Ok(self.push(HeInstr::Conjugate { a }, info.level, info))
+        self.emit(HeInstr::Conjugate { a })
     }
 
     /// Plaintext (splat-constant) multiplication; the scale exponent grows by
@@ -248,27 +241,18 @@ impl CircuitBuilder {
     ///
     /// # Errors
     ///
-    /// Currently infallible for defined values; fallible for API uniformity.
+    /// [`CircuitError::UnknownValue`] for an operand it never handed out.
     pub fn pmult(&mut self, a: ValueId, value: f64) -> Result<ValueId, CircuitError> {
-        let info = self.values[a as usize];
-        Ok(self.push(
-            HeInstr::PMult { a, value },
-            info.level,
-            ValueInfo {
-                level: info.level,
-                scale_exp: info.scale_exp + 1,
-            },
-        ))
+        self.emit(HeInstr::PMult { a, value })
     }
 
     /// Plaintext (splat-constant) addition at the operand's own scale.
     ///
     /// # Errors
     ///
-    /// Currently infallible for defined values; fallible for API uniformity.
+    /// [`CircuitError::UnknownValue`] for an operand it never handed out.
     pub fn padd(&mut self, a: ValueId, value: f64) -> Result<ValueId, CircuitError> {
-        let info = self.values[a as usize];
-        Ok(self.push(HeInstr::PAdd { a, value }, info.level, info))
+        self.emit(HeInstr::PAdd { a, value })
     }
 
     /// Ciphertext–ciphertext addition at the operands' common level.
@@ -276,26 +260,10 @@ impl CircuitBuilder {
     /// # Errors
     ///
     /// Fails with [`CircuitError::ScaleMismatch`] if the scale exponents
-    /// differ (the functional model would reject the addition).
+    /// differ (the functional model would reject the addition), and with
+    /// [`CircuitError::UnknownValue`] for an operand it never handed out.
     pub fn hadd(&mut self, a: ValueId, b: ValueId) -> Result<ValueId, CircuitError> {
-        let (ea, eb) = (self.scale_exp_of(a), self.scale_exp_of(b));
-        if ea != eb {
-            return Err(CircuitError::ScaleMismatch {
-                a,
-                b,
-                exp_a: ea,
-                exp_b: eb,
-            });
-        }
-        let level = self.level_of(a).min(self.level_of(b));
-        Ok(self.push(
-            HeInstr::HAdd { a, b },
-            level,
-            ValueInfo {
-                level,
-                scale_exp: ea,
-            },
-        ))
+        self.emit(HeInstr::HAdd { a, b })
     }
 
     /// Rescale: drop the last prime, consuming one level and one scale
@@ -304,30 +272,10 @@ impl CircuitBuilder {
     /// # Errors
     ///
     /// Fails if the value is at level 0 or already at the base scale Δ^1
-    /// (rescaling it would leave the message without a scale).
+    /// (rescaling it would leave the message without a scale), or if this
+    /// builder never handed it out.
     pub fn rescale(&mut self, a: ValueId) -> Result<ValueId, CircuitError> {
-        let info = self.values[a as usize];
-        if info.level == 0 {
-            return Err(CircuitError::LevelExhausted {
-                value: a,
-                level: 0,
-                required: 1,
-            });
-        }
-        if info.scale_exp < 2 {
-            return Err(CircuitError::InvalidCircuit(format!(
-                "rescaling v{a} at scale Δ^{} would drop below the base scale",
-                info.scale_exp
-            )));
-        }
-        Ok(self.push(
-            HeInstr::Rescale { a },
-            info.level,
-            ValueInfo {
-                level: info.level - 1,
-                scale_exp: info.scale_exp - 1,
-            },
-        ))
+        self.emit(HeInstr::Rescale { a })
     }
 
     /// Scalar multiplication (the scalar is encoded at the context scale, so
@@ -335,27 +283,18 @@ impl CircuitBuilder {
     ///
     /// # Errors
     ///
-    /// Currently infallible for defined values; fallible for API uniformity.
+    /// [`CircuitError::UnknownValue`] for an operand it never handed out.
     pub fn cmult(&mut self, a: ValueId, value: f64) -> Result<ValueId, CircuitError> {
-        let info = self.values[a as usize];
-        Ok(self.push(
-            HeInstr::CMult { a, value },
-            info.level,
-            ValueInfo {
-                level: info.level,
-                scale_exp: info.scale_exp + 1,
-            },
-        ))
+        self.emit(HeInstr::CMult { a, value })
     }
 
     /// Scalar addition at the operand's own scale.
     ///
     /// # Errors
     ///
-    /// Currently infallible for defined values; fallible for API uniformity.
+    /// [`CircuitError::UnknownValue`] for an operand it never handed out.
     pub fn cadd(&mut self, a: ValueId, value: f64) -> Result<ValueId, CircuitError> {
-        let info = self.values[a as usize];
-        Ok(self.push(HeInstr::CAdd { a, value }, info.level, info))
+        self.emit(HeInstr::CAdd { a, value })
     }
 
     /// Modulus raise to the top of the chain (start of a hand-written
@@ -364,19 +303,56 @@ impl CircuitBuilder {
     ///
     /// # Errors
     ///
-    /// Currently infallible for defined values; fallible for API uniformity.
+    /// [`CircuitError::UnknownValue`] for an operand it never handed out.
     pub fn mod_raise(&mut self, a: ValueId) -> Result<ValueId, CircuitError> {
-        let info = self.values[a as usize];
-        let top = self.instance.max_level();
-        Ok(self.push(
-            HeInstr::ModRaise { a },
-            top,
-            ValueInfo {
-                level: top,
-                scale_exp: info.scale_exp,
-            },
-        ))
+        self.emit(HeInstr::ModRaise { a })
     }
+
+    /// Finalizes the circuit. If no output was declared, the last defined
+    /// value (when one exists) becomes the output, so every circuit has
+    /// something for the functional backend to decrypt.
+    ///
+    /// Bootstrap markers that [`CircuitBuilder::ensure`] inserted greedily
+    /// are pruned when nothing depending on them ever rescales: the reserve
+    /// rule fires one `ensure` before the budget actually runs out, so a
+    /// trailing refresh whose suffix consumes no further levels is pure
+    /// overhead (hundreds of key-switches on a paper instance). Explicit
+    /// [`CircuitBuilder::bootstrap`] calls are application requests and are
+    /// never pruned. The prune is the bootstrap-placement sweep of
+    /// [`crate::BootstrapPlacePass`] under the rule "inserted by `ensure`
+    /// and demanding no level", which also relevels the suffix.
+    pub fn build(mut self) -> HeCircuit {
+        if self.outputs.is_empty() {
+            if let Some(last) = self.nodes.last() {
+                self.outputs.push(last.result);
+            } else if let Some(input) = self.inputs.last() {
+                self.outputs.push(input.id);
+            }
+        }
+        let circuit = HeCircuit {
+            instance: self.instance,
+            inputs: self.inputs,
+            nodes: self.nodes,
+            outputs: self.outputs,
+        };
+        if self.auto_bootstraps.is_empty() {
+            return circuit;
+        }
+        let auto = &self.auto_bootstraps;
+        // Only an output the builder never handed out makes the sweep's
+        // relevel fail; the circuit then goes out as recorded.
+        drop_markers(&circuit, |_, result, demand| {
+            demand == 0 && auto.binary_search(&result).is_ok()
+        })
+        .unwrap_or(circuit)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     /// Whether any instruction after node `index` that (transitively) depends
     /// on `root` consumes a level. Dependence is not propagated through
@@ -400,39 +376,27 @@ impl CircuitBuilder {
         false
     }
 
-    /// Finalizes the circuit. If no output was declared, the last defined
-    /// value (when one exists) becomes the output, so every circuit has
-    /// something for the functional backend to decrypt.
-    ///
-    /// Bootstrap markers that [`CircuitBuilder::ensure`] inserted greedily
-    /// are pruned when nothing depending on them ever rescales: the reserve
-    /// rule fires one `ensure` before the budget actually runs out, so a
-    /// trailing refresh whose suffix consumes no further levels is pure
-    /// overhead (hundreds of key-switches on a paper instance). Explicit
-    /// [`CircuitBuilder::bootstrap`] calls are application requests and are
-    /// never pruned. Downstream levels are repaired by dataflow afterwards.
-    pub fn build(mut self) -> HeCircuit {
-        if self.outputs.is_empty() {
-            if let Some(last) = self.nodes.last() {
-                self.outputs.push(last.result);
-            } else if let Some(input) = self.inputs.last() {
-                self.outputs.push(input.id);
-            }
+    /// The reference [`CircuitBuilder::build`] is held `==` to: the prune it
+    /// made before it shared the bootstrap-placement sweep. Each marker
+    /// `ensure` inserted is tested on its own by walking forward from it,
+    /// every marker whose suffix rescales nothing is removed at once with its
+    /// uses redirected to its input, and the circuit is releveled — or, if
+    /// that fails, returned unpruned.
+    fn forward_reach_build(b: CircuitBuilder) -> HeCircuit {
+        let auto = b.auto_bootstraps.clone();
+        let circuit = CircuitBuilder {
+            auto_bootstraps: Vec::new(),
+            ..b
         }
-        let circuit = HeCircuit {
-            instance: self.instance,
-            inputs: self.inputs,
-            nodes: self.nodes,
-            outputs: self.outputs,
-        };
+        .build();
         let prunable: Vec<usize> = circuit
             .nodes
             .iter()
             .enumerate()
             .filter(|(i, n)| {
-                self.auto_bootstraps.contains(&n.result)
+                auto.contains(&n.result)
                     && matches!(n.instr, HeInstr::Bootstrap { .. })
-                    && !Self::suffix_consumes_levels(&circuit.nodes, *i, n.result)
+                    && !suffix_consumes_levels(&circuit.nodes, *i, n.result)
             })
             .map(|(i, _)| i)
             .collect();
@@ -453,18 +417,139 @@ impl CircuitBuilder {
                 *out = redirect(*out);
             }
         }
-        // The builder's invariants guarantee the pruned circuit re-analyzes;
-        // fall back to the unpruned circuit defensively if it ever does not.
-        match crate::passes::analysis::relevel(&mut candidate) {
+        match analysis::relevel(&mut candidate) {
             Ok(_) => candidate,
             Err(_) => circuit,
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// A random builder program over a few accumulators: `ensure` at random
+    /// depths, explicit refreshes (one fed by an `ensure` refresh), modulus
+    /// raises, level-burning products and level-free ops, then one to three
+    /// outputs, which may be a refresh's result. Steps the builder refuses
+    /// leave their accumulator where it was.
+    fn random_program(ins: &CkksInstance, codes: &[u32]) -> CircuitBuilder {
+        let mut b = CircuitBuilder::new(ins);
+        let mut acc: Vec<ValueId> = (0..2 + codes[0] % 3)
+            .map(|i| b.input_at(ins.usable_top_level().saturating_sub(i as usize)))
+            .collect();
+        let rescaled = |b: &mut CircuitBuilder, raw: Result<ValueId, CircuitError>| {
+            raw.and_then(|raw| b.rescale(raw)).ok()
+        };
+        for &code in &codes[1..] {
+            let i = (code >> 8) as usize % acc.len();
+            let j = (code >> 16) as usize % acc.len();
+            let (x, y) = (acc[i], acc[j]);
+            let depth = (code >> 24) as usize % 4;
+            let next = match code % 12 {
+                0..=2 => b.ensure(x, depth).ok(),
+                3 => {
+                    let raw = b.hmult(x, y);
+                    rescaled(&mut b, raw)
+                }
+                4 => b.hadd(x, y).ok(),
+                5 => {
+                    let raw = b.pmult(x, 0.5);
+                    rescaled(&mut b, raw).and_then(|m| {
+                        let raw = b.cmult(m, 2.0);
+                        rescaled(&mut b, raw)
+                    })
+                }
+                6 => b.bootstrap(x).ok(),
+                7 => b.ensure(x, depth).and_then(|r| b.bootstrap(r)).ok(),
+                8 if depth == 0 => b.mod_raise(x).ok(),
+                9 => b
+                    .hrot(x, 1 + i64::from(code >> 24) % 3)
+                    .and_then(|r| b.conjugate(r))
+                    .and_then(|r| b.padd(r, 0.25))
+                    .and_then(|r| b.cadd(r, 0.5))
+                    .ok(),
+                _ => {
+                    let raw = b.hmult(x, x);
+                    rescaled(&mut b, raw)
+                }
+            };
+            acc[i] = next.unwrap_or(x);
+        }
+        b.output(acc[0]);
+        match codes[0] >> 8 & 3 {
+            0 => {}
+            1 => b.output(acc[1]),
+            2 => {
+                if let Ok(refreshed) = b.ensure(acc[1], ins.usable_top_level()) {
+                    b.output(refreshed);
+                }
+            }
+            _ => {
+                if let Ok(refreshed) = b.bootstrap(acc[1]) {
+                    b.output(refreshed);
+                }
+            }
+        }
+        b
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `build` prunes exactly what the forward-reach reference prunes,
+        /// node for node and level for level, on INS-1 and on a toy
+        /// instance of `usable` levels above the bootstrap.
+        #[test]
+        fn build_prunes_like_the_forward_reach_reference(
+            usable in 1usize..9,
+            codes in proptest::collection::vec(any::<u32>(), 48),
+        ) {
+            let toy = CkksInstance::toy(10, L_BOOT + usable, 2);
+            for ins in [CkksInstance::ins1(), toy] {
+                let b = random_program(&ins, &codes);
+                let reference = forward_reach_build(b.clone());
+                prop_assert_eq!(b.build(), reference);
+            }
+        }
+    }
+
+    #[test]
+    fn foreign_values_are_refused_with_a_typed_error() {
+        type Call = fn(&mut CircuitBuilder, ValueId, ValueId) -> Result<ValueId, CircuitError>;
+        let calls: [(&str, Call); 15] = [
+            ("hmult a", |b, _, f| b.hmult(f, 0)),
+            ("hmult b", |b, x, f| b.hmult(x, f)),
+            ("hadd a", |b, x, f| b.hadd(f, x)),
+            ("hadd b", |b, x, f| b.hadd(x, f)),
+            ("hrot", |b, _, f| b.hrot(f, 1)),
+            ("conjugate", |b, _, f| b.conjugate(f)),
+            ("pmult", |b, _, f| b.pmult(f, 0.5)),
+            ("padd", |b, _, f| b.padd(f, 0.5)),
+            ("cmult", |b, _, f| b.cmult(f, 0.5)),
+            ("cadd", |b, _, f| b.cadd(f, 0.5)),
+            ("rescale", |b, _, f| b.rescale(f)),
+            ("mod_raise", |b, _, f| b.mod_raise(f)),
+            ("bootstrap", |b, _, f| b.bootstrap(f)),
+            ("ensure", |b, _, f| b.ensure(f, 1)),
+            ("ensure deep", |b, _, f| b.ensure(f, 100)),
+        ];
+        let ins = CkksInstance::ins1();
+        let mut b = CircuitBuilder::new(&ins);
+        let x = b.input();
+        for foreign in [1, 2, 1_000, ValueId::MAX] {
+            for (name, call) in calls {
+                assert_eq!(
+                    call(&mut b, x, foreign),
+                    Err(CircuitError::UnknownValue(foreign)),
+                    "{name} on v{foreign}"
+                );
+            }
+        }
+        // Nothing was recorded, and the builder still works.
+        assert!(b.nodes.is_empty());
+        let p = b.hmult(x, x).unwrap();
+        let p = b.rescale(p).unwrap();
+        b.output(p);
+        let circuit = b.build();
+        assert_eq!(circuit.len(), 2);
+        analysis::check(&circuit).unwrap();
+    }
 
     #[test]
     fn builder_tracks_levels_and_scales() {

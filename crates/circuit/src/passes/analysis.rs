@@ -1,11 +1,16 @@
 //! Forward dataflow analysis over an [`HeCircuit`]: recomputes every value's
-//! level and scale exponent from first principles (the same rules
-//! [`crate::CircuitBuilder`] applies incrementally) and checks the CKKS scale
-//! discipline the functional evaluator enforces at runtime. Passes use it in
-//! two ways: [`check`] proves a rewritten circuit still satisfies every
-//! invariant, and [`relevel`] repairs the recorded execution levels after a
-//! structural rewrite (e.g. removing a bootstrap lowers everything downstream
-//! of it).
+//! level and scale exponent from first principles and checks the CKKS scale
+//! discipline the functional evaluator enforces at runtime.
+//!
+//! The level/scale rule of an instruction is written once, in `transfer`,
+//! and has two callers: [`analyze`] folds it over a whole circuit, and
+//! [`crate::CircuitBuilder`] applies it to each instruction as it records
+//! it, refusing the ones it rejects. Passes use the analysis in two ways:
+//! [`check`] proves a rewritten circuit still satisfies every invariant, and
+//! [`relevel`] repairs the recorded execution levels after a structural
+//! rewrite (e.g. removing a bootstrap lowers everything downstream of it).
+
+use bts_params::CkksInstance;
 
 use crate::error::CircuitError;
 use crate::ir::{HeCircuit, HeInstr, ValueId};
@@ -78,8 +83,6 @@ pub fn analyze(circuit: &HeCircuit) -> Result<Analysis, CircuitError> {
 /// The forward dataflow behind [`analyze`], filling `out` node by node so the
 /// caller can see how far it got when it stops at a violation.
 fn walk(circuit: &HeCircuit, out: &mut Analysis) -> Result<(), CircuitError> {
-    let max_level = circuit.instance.max_level();
-    let usable_top = circuit.instance.usable_top_level();
     for input in &circuit.inputs {
         out.facts.insert(
             input.id,
@@ -90,97 +93,95 @@ fn walk(circuit: &HeCircuit, out: &mut Analysis) -> Result<(), CircuitError> {
         );
     }
     for node in &circuit.nodes {
-        let (a, _) = node.instr.operands();
-        let fa = out.of(a);
-        let (exec, result) = match node.instr {
-            HeInstr::HMult { b, .. } => {
-                let fb = out.of(b);
-                let level = fa.level.min(fb.level);
-                (
-                    level,
-                    ValueFacts {
-                        level,
-                        scale_exp: fa.scale_exp + fb.scale_exp,
-                    },
-                )
-            }
-            HeInstr::HAdd { b, .. } => {
-                let fb = out.of(b);
-                if fa.scale_exp != fb.scale_exp {
-                    return Err(CircuitError::ScaleMismatch {
-                        a,
-                        b,
-                        exp_a: fa.scale_exp,
-                        exp_b: fb.scale_exp,
-                    });
-                }
-                let level = fa.level.min(fb.level);
-                (
-                    level,
-                    ValueFacts {
-                        level,
-                        scale_exp: fa.scale_exp,
-                    },
-                )
-            }
-            HeInstr::HRot { .. } | HeInstr::Conjugate { .. } => (fa.level, fa),
-            HeInstr::PAdd { .. } | HeInstr::CAdd { .. } => (fa.level, fa),
-            HeInstr::PMult { .. } | HeInstr::CMult { .. } => (
-                fa.level,
-                ValueFacts {
-                    level: fa.level,
-                    scale_exp: fa.scale_exp + 1,
-                },
-            ),
-            HeInstr::Rescale { .. } => {
-                if fa.level == 0 {
-                    return Err(CircuitError::LevelExhausted {
-                        value: a,
-                        level: 0,
-                        required: 1,
-                    });
-                }
-                if fa.scale_exp < 2 {
-                    return Err(CircuitError::InvalidCircuit(format!(
-                        "rescaling v{a} at scale Δ^{} would drop below the base scale",
-                        fa.scale_exp
-                    )));
-                }
-                (
-                    fa.level,
-                    ValueFacts {
-                        level: fa.level - 1,
-                        scale_exp: fa.scale_exp - 1,
-                    },
-                )
-            }
-            HeInstr::ModRaise { .. } => (
-                max_level,
-                ValueFacts {
-                    level: max_level,
-                    scale_exp: fa.scale_exp,
-                },
-            ),
-            HeInstr::Bootstrap { .. } => {
-                if fa.scale_exp != 1 {
-                    return Err(CircuitError::InvalidCircuit(format!(
-                        "bootstrap input v{a} must carry the base scale Δ^1, found Δ^{}",
-                        fa.scale_exp
-                    )));
-                }
-                (
-                    fa.level,
-                    ValueFacts {
-                        level: usable_top,
-                        scale_exp: 1,
-                    },
-                )
-            }
-        };
+        let (exec, result) = transfer(node.instr, &circuit.instance, |v| out.facts.get(v))?;
         out.exec_levels.push(exec);
         out.facts.insert(node.result, result);
     }
     Ok(())
+}
+
+/// The level/scale rule of one instruction: its execution level (for a
+/// [`HeInstr::Rescale`] the input level) and its result's facts, given
+/// `facts` of the values defined so far.
+///
+/// # Errors
+///
+/// [`CircuitError::UnknownValue`] for an operand `facts` does not know, else
+/// the rule the instruction breaks: [`CircuitError::ScaleMismatch`] for an
+/// addition of unequal scale exponents, [`CircuitError::LevelExhausted`] for
+/// a rescale at level 0, [`CircuitError::InvalidCircuit`] for a rescale
+/// below Δ^2 or a bootstrap of a value not at Δ^1.
+pub(crate) fn transfer(
+    instr: HeInstr,
+    instance: &CkksInstance,
+    facts: impl Fn(ValueId) -> Option<ValueFacts>,
+) -> Result<(usize, ValueFacts), CircuitError> {
+    let of = |v: ValueId| facts(v).ok_or(CircuitError::UnknownValue(v));
+    let a = instr.operands().0;
+    let fa = of(a)?;
+    // Most results sit where the instruction executes.
+    let at = |level: usize, scale_exp: u32| (level, ValueFacts { level, scale_exp });
+    Ok(match instr {
+        HeInstr::HMult { b, .. } => {
+            let fb = of(b)?;
+            at(fa.level.min(fb.level), fa.scale_exp + fb.scale_exp)
+        }
+        HeInstr::HAdd { b, .. } => {
+            let fb = of(b)?;
+            if fa.scale_exp != fb.scale_exp {
+                return Err(CircuitError::ScaleMismatch {
+                    a,
+                    b,
+                    exp_a: fa.scale_exp,
+                    exp_b: fb.scale_exp,
+                });
+            }
+            at(fa.level.min(fb.level), fa.scale_exp)
+        }
+        HeInstr::HRot { .. }
+        | HeInstr::Conjugate { .. }
+        | HeInstr::PAdd { .. }
+        | HeInstr::CAdd { .. } => (fa.level, fa),
+        HeInstr::PMult { .. } | HeInstr::CMult { .. } => at(fa.level, fa.scale_exp + 1),
+        HeInstr::Rescale { .. } => {
+            if fa.level == 0 {
+                return Err(CircuitError::LevelExhausted {
+                    value: a,
+                    level: 0,
+                    required: 1,
+                });
+            }
+            if fa.scale_exp < 2 {
+                return Err(CircuitError::InvalidCircuit(format!(
+                    "rescaling v{a} at scale Δ^{} would drop below the base scale",
+                    fa.scale_exp
+                )));
+            }
+            (
+                fa.level,
+                ValueFacts {
+                    level: fa.level - 1,
+                    scale_exp: fa.scale_exp - 1,
+                },
+            )
+        }
+        HeInstr::ModRaise { .. } => at(instance.max_level(), fa.scale_exp),
+        HeInstr::Bootstrap { .. } => {
+            if fa.scale_exp != 1 {
+                return Err(CircuitError::InvalidCircuit(format!(
+                    "bootstrap input v{a} must carry the base scale Δ^1, found Δ^{}",
+                    fa.scale_exp
+                )));
+            }
+            (
+                fa.level,
+                ValueFacts {
+                    level: instance.usable_top_level(),
+                    scale_exp: 1,
+                },
+            )
+        }
+    })
 }
 
 /// Runs [`analyze`] and additionally requires every recorded node level to

@@ -43,6 +43,18 @@
 //! handing back the exhausted input instead would change the circuit's
 //! observable interface (this also keeps the `bootstrap` benchmark workload
 //! meaningful).
+//!
+//! # One sweep, two drop rules
+//!
+//! The sweep, the program-order rebuild and the relevel are `drop_markers`;
+//! which markers go is its caller's rule. This pass drops a marker iff its
+//! result is not an output and `level(input) ≥ demand(result)`.
+//! [`crate::CircuitBuilder::build`] runs the same sweep to prune its own
+//! greedy refreshes: a marker `ensure()` inserted goes iff
+//! `demand(result) == 0` — nothing rescales downstream of it before the
+//! next kept refresh — even when its result is an output, since the
+//! application never asked for that refresh. Explicit `bootstrap()` calls
+//! are never the builder's to drop.
 
 use crate::error::CircuitError;
 use crate::ir::{HeCircuit, HeInstr, HeInstrNode, ValueId};
@@ -63,51 +75,73 @@ impl Pass for BootstrapPlacePass {
     fn run(&self, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
         let levels = analysis::analyze(circuit)?;
         let is_output = ValueTable::outputs_of(circuit);
-        // Latest first: by the time a node is visited every use of its
-        // result has raised its demand.
-        let mut demand: ValueTable<usize> = ValueTable::for_circuit(circuit);
-        let mut dropped = vec![false; circuit.nodes.len()];
-        for (i, node) in circuit.nodes.iter().enumerate().rev() {
-            let wanted = demand.get(node.result).unwrap_or(0);
-            let mut raise = |v: ValueId, to: usize| {
-                if to > demand.get(v).unwrap_or(0) {
-                    demand.insert(v, to);
-                }
-            };
-            match node.instr {
-                HeInstr::Bootstrap { a } => {
-                    if !is_output.contains(node.result) && levels.of(a).level >= wanted {
-                        dropped[i] = true;
-                        raise(a, wanted);
-                    }
-                }
-                HeInstr::ModRaise { .. } => {}
-                HeInstr::Rescale { a } => raise(a, wanted + 1),
-                instr => instr.operand_slots().for_each(|v| raise(v, wanted)),
-            }
-        }
-        // Program order: a dropped marker fed by a dropped marker finds its
-        // input already resolved.
-        let mut repr: ValueTable<ValueId> = ValueTable::for_circuit(circuit);
-        let mut nodes = Vec::with_capacity(circuit.nodes.len());
-        for (node, &dropped) in circuit.nodes.iter().zip(&dropped) {
-            let instr = node.instr.map_operands(|v| repr.resolve(v));
-            if dropped {
-                repr.insert(node.result, instr.operands().0);
-            } else {
-                nodes.push(HeInstrNode { instr, ..*node });
-            }
-        }
-        let mut placed = HeCircuit {
-            instance: circuit.instance.clone(),
-            inputs: circuit.inputs.clone(),
-            nodes,
-            outputs: circuit.outputs.clone(),
-        };
-        analysis::relevel(&mut placed)?;
-        analysis::check(&placed)?;
-        Ok(placed)
+        drop_markers(circuit, |input, result, demand| {
+            !is_output.contains(result) && levels.of(input).level >= demand
+        })
     }
+}
+
+/// The one marker sweep: visits the nodes latest first, carrying each
+/// value's level demand, and drops every [`HeInstr::Bootstrap`] marker for
+/// which `drop(input, result, demand of result)` holds; a dropped marker
+/// folds its demand into its input. The kept nodes are then rebuilt in
+/// program order with every use of a dropped marker's result, outputs
+/// included, redirected to its (resolved) input, and releveled.
+///
+/// [`BootstrapPlacePass`] drops what the level budget proves unnecessary;
+/// [`crate::CircuitBuilder::build`] drops the refreshes `ensure()` inserted
+/// whose result nothing rescales.
+///
+/// # Errors
+///
+/// Everything [`analysis::relevel`] reports on the rebuilt circuit.
+pub(crate) fn drop_markers(
+    circuit: &HeCircuit,
+    mut drop: impl FnMut(ValueId, ValueId, usize) -> bool,
+) -> Result<HeCircuit, CircuitError> {
+    // Latest first: by the time a node is visited every use of its result
+    // has raised its demand.
+    let mut demand: ValueTable<usize> = ValueTable::for_circuit(circuit);
+    let mut dropped = vec![false; circuit.nodes.len()];
+    for (i, node) in circuit.nodes.iter().enumerate().rev() {
+        let wanted = demand.get(node.result).unwrap_or(0);
+        let mut raise = |v: ValueId, to: usize| {
+            if to > demand.get(v).unwrap_or(0) {
+                demand.insert(v, to);
+            }
+        };
+        match node.instr {
+            HeInstr::Bootstrap { a } => {
+                if drop(a, node.result, wanted) {
+                    dropped[i] = true;
+                    raise(a, wanted);
+                }
+            }
+            HeInstr::ModRaise { .. } => {}
+            HeInstr::Rescale { a } => raise(a, wanted + 1),
+            instr => instr.operand_slots().for_each(|v| raise(v, wanted)),
+        }
+    }
+    // Program order: a dropped marker fed by a dropped marker finds its
+    // input already resolved.
+    let mut repr: ValueTable<ValueId> = ValueTable::for_circuit(circuit);
+    let mut nodes = Vec::with_capacity(circuit.nodes.len());
+    for (node, &dropped) in circuit.nodes.iter().zip(&dropped) {
+        let instr = node.instr.map_operands(|v| repr.resolve(v));
+        if dropped {
+            repr.insert(node.result, instr.operands().0);
+        } else {
+            nodes.push(HeInstrNode { instr, ..*node });
+        }
+    }
+    let mut kept = HeCircuit {
+        instance: circuit.instance.clone(),
+        inputs: circuit.inputs.clone(),
+        nodes,
+        outputs: circuit.outputs.iter().map(|&v| repr.resolve(v)).collect(),
+    };
+    analysis::relevel(&mut kept)?;
+    Ok(kept)
 }
 
 #[cfg(test)]

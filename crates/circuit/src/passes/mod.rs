@@ -1,7 +1,12 @@
 //! The optimizing pass pipeline over the [`HeCircuit`] SSA IR.
 //!
 //! [`crate::CircuitBuilder`] emits instructions 1:1 as the application
-//! requests them; nothing rewrites the program before it reaches a backend.
+//! requests them, through the same level/scale rule [`analysis`] folds over
+//! whole circuits. The one rewrite it makes on its own is in
+//! [`crate::CircuitBuilder::build`]: it prunes the refreshes its greedy
+//! `ensure()` inserted that nothing downstream rescales, with the sweep
+//! [`BootstrapPlacePass`] runs under a narrower drop rule. Everything else
+//! reaches a backend as the application wrote it unless this pipeline runs.
 //! Since key-switching dominates simulated time (92–96% on every evaluation
 //! workload), the highest-leverage optimizations are exactly circuit
 //! rewrites: fewer rotations/multiplications (CSE), rotations at lower levels
@@ -31,6 +36,7 @@ mod cse;
 mod dce;
 mod rescale;
 
+pub(crate) use bootstrap_place::drop_markers;
 pub use bootstrap_place::BootstrapPlacePass;
 pub use cse::CommonSubexprPass;
 pub use dce::DeadValuePass;

@@ -14,7 +14,9 @@
 //! costs the allocations of a 2 000-op one. Optimizing and compiling are
 //! held the same way: the standard pipeline followed by `compile` makes the
 //! same allocations on a chain 16x as long, so no pass or compiler table
-//! allocates per instruction or grows from empty.
+//! allocates per instruction or grows from empty. Building such a chain
+//! costs at most a few more vector doublings, not an allocation per
+//! bootstrap marker.
 //! The counting allocator counts the whole process, so this binary's tests
 //! take turns.
 
@@ -125,6 +127,35 @@ fn refreshed_circuit(ins: &CkksInstance, rounds: i64) -> HeCircuit {
     }
     b.output(acc);
     b.build()
+}
+
+#[test]
+fn building_allocates_a_logarithm_per_circuit() {
+    let _turn = take_turn();
+    let ins = CkksInstance::ins1();
+    // The builder's vectors grow by doubling, so 16x the rounds may cost a
+    // few more reallocations each; `build`'s prune of the greedy refreshes
+    // is one sweep over tables sized up front. Measured: 35 allocations at
+    // 125 rounds, 47 at 2 000; a hash set per bootstrap marker made it 42
+    // and 322.
+    const GROWTH: u64 = 16;
+    let allocations = |rounds: i64| {
+        // The least of three, as for lowering below.
+        (0..3)
+            .map(|_| cost_of(|| refreshed_circuit(&ins, rounds)).allocations)
+            .min()
+            .expect("three runs")
+    };
+    let (short, long) = (allocations(125), allocations(2_000));
+    eprintln!("building 125 rounds: {short} allocations; 2 000 rounds: {long}");
+    assert!(
+        refreshed_circuit(&ins, 2_000).bootstrap_count() > 250,
+        "the gate needs markers"
+    );
+    assert!(
+        long <= short + GROWTH,
+        "16x the rounds made {long} allocations against {short}"
+    );
 }
 
 #[test]
