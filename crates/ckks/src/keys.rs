@@ -29,10 +29,20 @@ impl SecretKey {
 
 /// The public encryption key `(p0, p1) = (-a·s + e, a)` on the top-level
 /// ciphertext basis.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct PublicKey {
     pub(crate) p0: RnsPoly,
     pub(crate) p1: RnsPoly,
+}
+
+impl std::fmt::Debug for PublicKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The shape, not the words: two polynomials of N words per limb.
+        f.debug_struct("PublicKey")
+            .field("degree", &self.p0.degree())
+            .field("limbs", &self.p0.limb_count())
+            .finish()
+    }
 }
 
 /// A generalized key-switching key (an "evk" in the paper): pairs of
@@ -132,5 +142,26 @@ impl KeyBundle {
     /// Sets the conjugation key.
     pub fn set_conjugation(&mut self, key: EvaluationKey) {
         self.conjugation = Some(key);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::SeedableRng;
+
+    use crate::CkksContext;
+
+    #[test]
+    fn a_bundle_prints_its_shape_not_its_words() {
+        // N = 2^12: the public key alone is 2 × 4 limbs × 4 096 words.
+        let ctx = CkksContext::new_toy(1 << 12, 3, 2).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+        let (sk, mut bundle) = ctx.generate_keys(&mut rng).unwrap();
+        ctx.add_rotation_keys(&sk, &mut bundle, &[1, 2, 4, 8], &mut rng)
+            .unwrap();
+        let printed = format!("{bundle:?}");
+        assert!(printed.len() < 4096, "{} bytes of Debug", printed.len());
+        assert!(printed.contains("PublicKey { degree: 4096, limbs: 4 }"));
+        assert!(!format!("{sk:?}").contains('['), "no key material");
     }
 }

@@ -12,7 +12,9 @@
 //! **Scratchpad replacement.** BTS's scratchpad is software-managed (§5.3),
 //! and an FHE trace is its own future, so the cache is not reactive: every
 //! operand access and op output carries the compiler's 2-bit [`Reuse`] code
-//! (`next` / `later` / `never`, derived by [`OpTrace::reuse`]) and one
+//! (`next` / `later` / `never`), stored with the forwarding bit in one byte
+//! by the trace's construction scan — the sweep reads it once per access
+//! and derives nothing ([`OpTrace::reuse`] reads the same byte) — and one
 //! furthest-key cache ([`BeladyCache`]: furthest victims first,
 //! all-or-nothing bypass, larger slot loses ties) runs on the key the code
 //! stands for ([`reuse_key`]). On every registry workload it moves the
@@ -25,10 +27,12 @@
 //! **State by the read window.** The cache keeps nothing per slot. A
 //! resident that will be read again lives in its value's cell
 //! ([`OpTrace::cell`]: a ring over the trace's read window, indexed by the
-//! producing op, then one cell per trace input); one the key function says
-//! is read for the last time leaves its cell for a victim heap ordered by
-//! `(key, slot)`, since its key can no longer change. The next victim is the
-//! further of the heap's top and the few live residents — the same
+//! producing op, then one cell per trace input); one whose code says it is
+//! read for the last time leaves its cell for a dead run, a `Vec` sorted by
+//! `(key, slot)`, since its key can no longer change: an insert scans back
+//! from the end, where a newly dead value nearly always lands, a victim
+//! pops off the end, and a bypass pushes back what it took. The next victim
+//! is the further of the run's last and the few live residents — the same
 //! decisions, in the same order, as a furthest-key scan over every
 //! resident — and the resident lists are sized once, for as many
 //! ciphertexts as the cache can hold.
@@ -40,7 +44,7 @@
 //! for the figures and the tests: the ledger prints its numbers next to
 //! ours, and nothing in `bts-sched`, `bts-serve` or `bts-cluster` reaches it.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use bts_params::{CkksInstance, KeySwitchGroup};
 
@@ -512,33 +516,27 @@ impl Simulator {
             Replacement::ReuseCode => self.sweep_each(
                 trace,
                 replacement,
-                |op, operand| {
-                    let reuse = trace.reuse(op, operand);
-                    (reuse_key(reuse, op.index), reuse == Reuse::Never)
-                },
+                |op, _, reuse| reuse_key(reuse, op.index),
                 sink,
             ),
             Replacement::ExactNextUse => {
-                let next_uses = trace.next_uses();
+                let (next_reads, first_reads) = trace.next_uses();
                 self.sweep_each(
                     trace,
                     replacement,
-                    |op, operand| {
-                        let key = exact_key(trace, &next_uses, op, operand);
-                        (key, key == NEVER)
+                    |op, k, _| {
+                        if k < op.operands.len() {
+                            next_reads[op.first_access + k]
+                        } else {
+                            op.output.map_or(NEVER, |out| first_reads[out as usize])
+                        }
                     },
                     sink,
                 );
             }
-            Replacement::Lru => self.sweep_each(
-                trace,
-                replacement,
-                |op, operand| {
-                    let dead = trace.reuse(op, operand) == Reuse::Never;
-                    (recency_key(op, operand), dead)
-                },
-                sink,
-            ),
+            Replacement::Lru => {
+                self.sweep_each(trace, replacement, |op, k, _| recency_key(op, k), sink)
+            }
         }
     }
 
@@ -547,16 +545,18 @@ impl Simulator {
     /// order on one [`BeladyCache`] and hands it to `sink`, which is all
     /// that tells collecting ([`Simulator::op_timings`]) from folding
     /// ([`Simulator::try_run`]) from planning ([`Simulator::run_indexed`]).
-    /// `key` ranks one access — the op's `Some(k)`-th operand, or its
-    /// output for `None` — the furthest key loses, and says whether the
-    /// access is the value's last (`true`: nothing reads it again); the
-    /// rank is all that tells policy, exact next use and LRU baseline apart,
-    /// and `replacement` only names the reason of each eviction.
+    /// Every access reads its stored code once: a forwarded value skips the
+    /// cache, a `Never` one is read for the last time, and `key` ranks the
+    /// rest — the op's `k`-th access (operand `k`, or the output for
+    /// `k == operands.len()`) with its [`Reuse`] code; the furthest key
+    /// loses. The rank is all that tells policy, exact next use and LRU
+    /// baseline apart, and `replacement` only names the reason of each
+    /// eviction.
     fn sweep_each(
         &self,
         trace: &OpTrace,
         replacement: Replacement,
-        key: impl Fn(&TracedOp<'_>, Option<usize>) -> (u32, bool),
+        key: impl Fn(&TracedOp<'_>, usize, Reuse) -> u32,
         mut sink: impl FnMut(&TracedOp<'_>, OpTiming),
     ) {
         let capacity = self.cache_capacity();
@@ -585,14 +585,16 @@ impl Simulator {
                 ..Pressure::default()
             };
             for (k, &input) in op.operands.iter().enumerate() {
-                if trace.is_forwarded(input) {
+                let code = op.codes[k];
+                if code.is_forwarded() {
                     continue; // producer → consumer forwarding, not a cache access
                 }
                 let value = Value {
                     slot: input,
                     cell: trace.cell(input),
                 };
-                let (next_use, dead) = key(&op, Some(k));
+                let reuse = code.reuse();
+                let (next_use, dead) = (key(&op, k, reuse), reuse == Reuse::Never);
                 if cache.touch(value, next_use, dead) {
                     hits += 1;
                 } else {
@@ -601,14 +603,16 @@ impl Simulator {
                     pressure.insert(&mut cache, value, ct_bytes, (next_use, dead));
                 }
             }
-            if let Some(out) = op.output {
-                if !trace.is_forwarded(out) {
-                    let value = Value {
-                        slot: out,
-                        cell: trace.cell(out),
-                    };
-                    pressure.insert(&mut cache, value, ct_bytes, key(&op, None));
-                }
+            let k = op.operands.len();
+            let code = op.codes[k];
+            if let Some(out) = op.output.filter(|_| !code.is_forwarded()) {
+                let value = Value {
+                    slot: out,
+                    cell: trace.cell(out),
+                };
+                let reuse = code.reuse();
+                let ranked = (key(&op, k, reuse), reuse == Reuse::Never);
+                pressure.insert(&mut cache, value, ct_bytes, ranked);
             }
             let hbm_bytes = cost.evk_bytes + miss_bytes;
             let hbm_seconds = hbm_bytes as f64 / bytes_per_sec;
@@ -824,15 +828,6 @@ impl<'s> CostTable<'s> {
     }
 }
 
-/// The exact replacement key of one access of `op` — the op index of the
-/// value's next read — given the trace's [`OpTrace::next_uses`].
-fn exact_key(trace: &OpTrace, next_uses: &[u32], op: &TracedOp<'_>, operand: Option<usize>) -> u32 {
-    match operand {
-        Some(k) => next_uses[op.first_access + k],
-        None => op.output.map_or(NEVER, |out| trace.first_use_or_never(out)),
-    }
-}
-
 /// The replacement key the reuse code stands for at op `op`: dead values go
 /// first, the operand the next op reads is never the victim, and the other
 /// live values tie — which the cache breaks against the larger slot, so the
@@ -845,16 +840,15 @@ fn reuse_key(reuse: Reuse, op: u32) -> u32 {
     }
 }
 
-/// The LRU baseline's replacement key: the access's position in program
-/// order — op `i`'s operands, then its output — counted down from below
+/// The LRU baseline's replacement key: the op's `k`-th access's position in
+/// program order ([`TracedOp::stamp`]) counted down from below
 /// [`NEVER`]. The least recently touched resident holds the furthest key,
 /// and a newcomer the nearest, so it is never bypassed and the residents
 /// go oldest first until it fits: LRU.
-fn recency_key(op: &TracedOp<'_>, operand: Option<usize>) -> u32 {
-    let k = operand.unwrap_or(op.operands.len());
+fn recency_key(op: &TracedOp<'_>, k: usize) -> u32 {
     // Lossless and distinct: construction keeps accesses + ops below the
     // sentinels, and each op's accesses follow the previous op's output.
-    NEVER - 1 - (op.first_access + op.index as usize + k) as u32
+    NEVER - 1 - op.stamp(k) as u32
 }
 
 /// What one op's inserts did to the cache, and — with telemetry on — the
@@ -912,9 +906,9 @@ struct Live {
     position: u32,
 }
 
-/// A resident in the order victims are taken, furthest `(key, slot)`
-/// first: how the cache keeps the dead ones, whose key can no longer
-/// change, and names the victims of an insert.
+/// A resident ranked by `(key, slot)`, the order victims are taken in
+/// (furthest first): how the cache keeps the dead ones, whose key can no
+/// longer change, and names the victims of an insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Ranked {
     next_use: u32,
@@ -931,10 +925,10 @@ struct Ranked {
 ///
 /// Its state is sized by the trace's read window, not its slot count: a
 /// resident that will be read again lives in its value's cell
-/// ([`OpTrace::cell`]), and one nothing reads again moves to a heap ordered
+/// ([`OpTrace::cell`]), and one nothing reads again moves to a run sorted
 /// by `(key, slot)` — it would leave the window before its cell is reused —
-/// so the furthest dead resident is a peek, and only the few live ones are
-/// scanned.
+/// so the furthest dead resident is the run's last, and only the few live
+/// ones are scanned.
 #[derive(Debug, Clone)]
 struct BeladyCache {
     capacity: u64,
@@ -943,8 +937,12 @@ struct BeladyCache {
     cells: Vec<Live>,
     /// The live residents, in no particular order.
     live: Vec<Value>,
-    /// The dead residents, furthest key on top.
-    dead: BinaryHeap<Ranked>,
+    /// The dead residents, ascending by `(key, slot)`: the furthest is the
+    /// last. Under the reuse code and the exact probe every dead key ties at
+    /// [`NEVER`] and the value dying now is nearly always the youngest, so
+    /// the largest slot: an insert scans back from the end. (Under recency
+    /// it lands at the front of a run no longer than the residents.)
+    dead: Vec<Ranked>,
     /// Victims of the latest insert, furthest first, each with its cell
     /// ([`NEVER`] for a dead one); reused across inserts.
     victims: Vec<(Ranked, u32)>,
@@ -964,7 +962,7 @@ impl BeladyCache {
             used: 0,
             cells: vec![vacant; cells],
             live: Vec::with_capacity(most.min(cells)),
-            dead: BinaryHeap::with_capacity(most),
+            dead: Vec::with_capacity(most),
             victims: Vec::with_capacity(most),
         }
     }
@@ -979,7 +977,7 @@ impl BeladyCache {
         if dead {
             let bytes = entry.bytes;
             self.unlink(value.cell);
-            self.dead.push(Ranked {
+            self.bury(Ranked {
                 next_use,
                 slot: value.slot,
                 bytes,
@@ -988,6 +986,12 @@ impl BeladyCache {
             entry.next_use = next_use;
         }
         true
+    }
+
+    /// Files a resident nothing reads again into the dead run, in order.
+    fn bury(&mut self, dead: Ranked) {
+        let after = self.dead.iter().rposition(|d| *d < dead);
+        self.dead.insert(after.map_or(0, |at| at + 1), dead);
     }
 
     /// Takes the live resident at `cell` off the live list.
@@ -1021,7 +1025,7 @@ impl BeladyCache {
         let mut freed = 0u64;
         // Keys are distinct (one per slot), so "the largest live key below
         // the previous victim's" walks the live residents in descending order
-        // without sorting them; the dead ones pop off their heap in order.
+        // without sorting them; the dead ones pop off the end of their run.
         let mut previous = None;
         while self.used - freed + bytes > self.capacity {
             let live = self
@@ -1030,14 +1034,16 @@ impl BeladyCache {
                 .map(|v| (self.cells[v.cell as usize].next_use, v.slot, v.cell))
                 .filter(|&(key, slot, _)| previous.is_none_or(|p| (key, slot) < p))
                 .max();
-            let dead = self.dead.peek().map(|d| (d.next_use, d.slot, NEVER));
+            let dead = self.dead.last().map(|d| (d.next_use, d.slot, NEVER));
             let Some((key, slot, cell)) = live.max(dead) else {
                 break;
             };
             if (key, slot) < incoming {
-                // A victim is needed sooner than the incoming: put back the
-                // dead ones taken so far.
-                let taken = self.victims.drain(..).filter(|&(_, cell)| cell == NEVER);
+                // A victim is needed sooner than the incoming: push back the
+                // dead ones taken so far, nearest first, which restores the
+                // run's order.
+                let taken = self.victims.drain(..).rev();
+                let taken = taken.filter(|&(_, cell)| cell == NEVER);
                 self.dead.extend(taken.map(|(victim, _)| victim));
                 return false;
             }
@@ -1064,7 +1070,7 @@ impl BeladyCache {
         self.used -= freed;
         self.used += bytes;
         if dead {
-            self.dead.push(Ranked {
+            self.bury(Ranked {
                 next_use,
                 slot: value.slot,
                 bytes,
@@ -1306,10 +1312,7 @@ mod tests {
         sim.sweep_each(
             trace,
             Replacement::ReuseCode,
-            |op, operand| {
-                let reuse = trace.reuse(op, operand);
-                (key(reuse, op.index), reuse == Reuse::Never)
-            },
+            |op, _, reuse| key(reuse, op.index),
             |_, timing| hits += timing.cache_hits,
         );
         hits
@@ -1378,9 +1381,9 @@ mod tests {
     #[test]
     fn dead_residents_leave_their_cells_and_go_first() {
         // Capacity 100: A (40 B) is read for the last time and moves to the
-        // dead heap, freeing its cell for a newer value; B (40 B) stays live.
+        // dead run, freeing its cell for a newer value; B (40 B) stays live.
         // C (40 B) evicts A, the dead one, though B's key is further; a
-        // bypass that had to look past the heap puts A back.
+        // bypass that had to look past the run puts A back.
         let mut cache = BeladyCache::new(100, 4, 4);
         let a = Value { slot: 1, cell: 0 };
         let b = Value { slot: 2, cell: 1 };
@@ -1407,6 +1410,52 @@ mod tests {
         assert_eq!((victim.slot, victim.next_use, cell), (1, NEVER, NEVER));
         assert!(cache.dead.is_empty());
         assert!(cache.touch(b, 9, false) && cache.touch(c, 2, false));
+    }
+
+    #[test]
+    fn the_dead_run_stays_sorted_within_its_presized_room() {
+        // Capacity 1 000 B and values of 100–300 B: never more than ten
+        // residents at once, so the run is sized for ten. Seeded accesses to
+        // a pool of a dozen values — reads again, last reads, newcomers,
+        // bypasses — under both kinds of dead key: every one tied (the reuse
+        // code) and every one distinct and shrinking (recency).
+        for recency in [false, true] {
+            let most = 10;
+            let mut cache = BeladyCache::new(1_000, 4_000, most);
+            let room = cache.dead.capacity();
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let mut draw = |n: usize| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33) as usize % n
+            };
+            let mut pool: Vec<u32> = Vec::new();
+            let mut longest = 0;
+            for step in 0..4_000u32 {
+                let slot = if pool.len() > 12 || (!pool.is_empty() && draw(2) == 0) {
+                    pool.swap_remove(draw(pool.len()))
+                } else {
+                    step
+                };
+                let dead = draw(3) == 0;
+                let key = match (recency, dead) {
+                    (true, _) => NEVER - 1 - step,
+                    (false, true) => NEVER,
+                    (false, false) => step + 1 + draw(64) as u32,
+                };
+                let value = Value { slot, cell: slot };
+                if !cache.touch(value, key, dead) {
+                    cache.insert(value, 100 * (1 + u64::from(slot % 3)), key, dead);
+                }
+                if !dead {
+                    pool.push(slot);
+                }
+                assert!(cache.dead.windows(2).all(|pair| pair[0] < pair[1]));
+                assert!(cache.dead.len() <= most);
+                assert_eq!(cache.dead.capacity(), room, "the run never grows");
+                longest = longest.max(cache.dead.len());
+            }
+            assert!(longest > 2, "the run is exercised: {longest} at most");
+        }
     }
 
     #[test]

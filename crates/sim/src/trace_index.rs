@@ -9,7 +9,7 @@
 //! slot. The one forward pass that fills those tables is also trace
 //! validation: it sees every definition and every use in program order, so
 //! the first use of an undefined id or the first redefinition falls out of
-//! the same loop that records producers and live ranges. The first defect is
+//! the same loop that records producers and reuse codes. The first defect is
 //! stored on the trace; every entry point checks it in O(1)
 //! ([`OpTrace::validate`]) and none scans again.
 //!
@@ -24,12 +24,17 @@
 //! **Reuse code.** An FHE program is data-oblivious, so its trace is its whole
 //! future and the compiler can tell the scratchpad what every value is still
 //! good for. [`OpTrace::reuse`] is that hint at the coarsest useful width:
-//! one [`Reuse`] (2 bits) per operand access and per op output. It is a pure
-//! function of the trace, read off the tables above — the slot's last (or
-//! first) use and the operand slots that follow the access — so hand-built
-//! traces carry it like lowered ones and nothing is stored per op. The
-//! engine's default replacement policy keys on it; the exact positions of
-//! [`OpTrace::next_uses`] (a backward pass) key only a benchmark probe.
+//! one [`Reuse`] (2 bits) per operand access and per op output, stored with
+//! the forwarding bit in one byte per access and one per op. The
+//! construction scan writes it: every access starts out `Never`, and when a
+//! slot is read again the scan fixes up the slot's previous access — `Next`
+//! if that access was in this op or the one before, `Later` otherwise — so a
+//! hand-built trace carries it like a lowered one and no sweep derives it
+//! again. An output read first by the very next op, once and by no other, is
+//! *forwarded*: its producer's output byte and its one read carry the bit,
+//! which a second read clears. The engine's default replacement policy keys
+//! on the code; the exact positions of [`OpTrace::next_uses`] (a backward
+//! pass) key only a benchmark probe.
 //!
 //! **Read window.** The same scan records the trace's read window: the
 //! longest distance, in ops, from a producer to a read of its output
@@ -65,6 +70,48 @@ pub enum Reuse {
     Later,
     /// Never: the value is dead once this access is done.
     Never,
+}
+
+/// One access's stored hint, as the construction scan writes it: its
+/// [`Reuse`] code in the low two bits, and whether the value is forwarded
+/// (see [`OpTrace::reuse`] and the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Code(u8);
+
+impl Code {
+    const NEXT: Code = Code(0);
+    const LATER: Code = Code(1);
+    /// What every access holds until a later read of its slot is seen.
+    const NEVER: Code = Code(2);
+    const FORWARDED: u8 = 4;
+
+    /// The access's reuse code.
+    #[inline]
+    pub(crate) fn reuse(self) -> Reuse {
+        match self.0 & 3 {
+            0 => Reuse::Next,
+            1 => Reuse::Later,
+            _ => Reuse::Never,
+        }
+    }
+
+    /// Whether the value is forwarded rather than cached: an op output whose
+    /// only consumer is the immediately following op. Such values live in
+    /// the scratchpad's temporary region between producer and consumer
+    /// (already accounted by `temp_bytes`) and never enter the ciphertext
+    /// cache, so they neither occupy cache capacity nor count as operand
+    /// hits/misses. Without this, the single-use intermediates of a BSGS
+    /// stage (rotate → pmult → accumulate) would evict the long-lived stage
+    /// input on instances whose cache holds only two or three top-level
+    /// ciphertexts (INS-2/3 at 512 MiB).
+    #[inline]
+    pub(crate) fn is_forwarded(self) -> bool {
+        self.0 & Self::FORWARDED != 0
+    }
+
+    fn forwarded(self) -> Code {
+        Code(self.0 | Self::FORWARDED)
+    }
 }
 
 /// A trace's ops column by column, ciphertexts as slots: what a
@@ -141,12 +188,9 @@ pub struct OpTrace {
     /// Per slot: producing op, `ops + k` for trace input `k`, or
     /// [`UNDEFINED`].
     producer: Vec<u32>,
-    /// Per slot: first consuming op ([`NEVER`] if none).
-    first_use: Vec<u32>,
-    /// Per slot: last consuming op ([`NEVER`] if none).
-    last_use: Vec<u32>,
-    /// Per slot: an op output whose only consumer is the very next op.
-    forwarded: Vec<bool>,
+    /// Per access, by its stamp ([`TracedOp::stamp`]: op `i`'s operands,
+    /// then its output, after op `i − 1`'s): the stored hint.
+    codes: Vec<Code>,
     /// The longest distance in ops from a producer to a read of its output.
     window: u32,
     /// `next_pow2(window + 1) − 1`: a producing op's cell is its index
@@ -178,9 +222,18 @@ pub struct TracedOp<'a> {
     /// Position of the op's first operand access among all accesses of the
     /// trace (the offset into [`OpTrace::next_uses`]).
     pub(crate) first_access: usize,
-    /// `operands`, then the operand slots of the next op: the accesses that
-    /// follow one of this op's at once.
-    following: &'a [u32],
+    /// The stored hint of each operand access, then of the output.
+    pub(crate) codes: &'a [Code],
+}
+
+impl TracedOp<'_> {
+    /// The op's `k`-th access in program order — operand `k`, or for
+    /// `k == operands.len()` its output — counted over the whole trace: the
+    /// index of its [`Code`] and the LRU baseline's recency stamp.
+    #[inline]
+    pub(crate) fn stamp(&self, k: usize) -> usize {
+        self.first_access + self.index as usize + k
+    }
 }
 
 impl OpTrace {
@@ -253,7 +306,8 @@ impl OpTrace {
     ) -> Self {
         // Bounds op indices, the producer codes of trace inputs, and the
         // LRU baseline's access stamps (one per operand access and per op).
-        let stamps = columns.operands.len() + columns.inputs.len() + columns.kinds.len();
+        let inputs = columns.inputs.len();
+        let stamps = columns.operands.len() + inputs + columns.kinds.len();
         assert!(
             u32::try_from(stamps).is_ok_and(|stamps| stamps < UNDEFINED - 1),
             "operand accesses, inputs and ops stay below the sentinels"
@@ -264,9 +318,7 @@ impl OpTrace {
             columns,
             interned,
             producer: vec![UNDEFINED; slots],
-            first_use: vec![NEVER; slots],
-            last_use: vec![NEVER; slots],
-            forwarded: vec![false; slots],
+            codes: vec![Code::NEVER; stamps - inputs],
             window: 0,
             ring_mask: 0,
             ring: 0,
@@ -277,17 +329,22 @@ impl OpTrace {
     }
 
     /// The forward pass: walks definitions and uses in program order, filling
-    /// the per-slot tables and the read window, and returns the first defect — out-of-budget
-    /// input levels first, then per op its level, its undefined operands and
-    /// a redefined output. A malformed trace still gets whole tables: an
-    /// undefined id has a slot and a live range, and the first definition of
-    /// a redefined id is its producer.
+    /// the producers, the stored codes and the read window, and returns the
+    /// first defect — out-of-budget input levels first, then per op its
+    /// level, its undefined operands and a redefined output. A malformed
+    /// trace still gets whole tables: an undefined id has a slot and codes,
+    /// and the first definition of a redefined id is its producer.
+    ///
+    /// Codes are fixed up behind the scan: each read of a slot settles the
+    /// slot's previous access — its producer's output on the first read, else
+    /// the read before — and whatever no later read settles stays `Never`.
     fn scan(&mut self) -> Option<TraceError> {
         let mut defect = None;
         let mut note = |e: TraceError| {
             defect.get_or_insert(e);
         };
         let max_level = self.instance.max_level();
+        let mut codes = std::mem::take(&mut self.codes);
         let c = &self.columns;
         // Lossless: construction checked that inputs plus ops fit u32.
         let ops = c.kinds.len() as u32;
@@ -303,7 +360,12 @@ impl OpTrace {
                 self.producer[slot as usize] = ops + k;
             }
         }
+        // Per slot: the stamp of its latest read, NEVER before the first.
+        let mut latest = vec![NEVER; self.producer.len()];
         let mut start = 0;
+        // Stamps of this op's first access and of the previous op's: a read
+        // at or past `previous` is in this op or the one before.
+        let (mut here, mut previous) = (0u32, 0u32);
         let mut window = 0u32;
         for (i, op_index) in (0u32..).zip(0..c.kinds.len()) {
             let level = c.levels[op_index];
@@ -315,7 +377,7 @@ impl OpTrace {
                 });
             }
             let end = c.operand_end[op_index] as usize;
-            for &slot in &c.operands[start..end] {
+            for (&slot, stamp) in c.operands[start..end].iter().zip(here..) {
                 let s = slot as usize;
                 let producer = self.producer[s];
                 if producer == UNDEFINED {
@@ -324,12 +386,36 @@ impl OpTrace {
                 }
                 // An input's code and UNDEFINED exceed `i`: they read 0.
                 window = window.max(i.saturating_sub(producer));
-                if self.first_use[s] == NEVER {
-                    self.first_use[s] = i;
+                let seen = latest[s];
+                if seen != NEVER {
+                    if codes[seen as usize].is_forwarded() {
+                        // Read twice: the output it was forwarded from is
+                        // cached after all. (Its first read was this op or
+                        // the one before, so its code stays `Next`.)
+                        let output = c.operand_end[producer as usize] + producer;
+                        codes[output as usize] = Code::NEXT;
+                    }
+                    codes[seen as usize] = if seen >= previous {
+                        Code::NEXT
+                    } else {
+                        Code::LATER
+                    };
+                } else if producer < i {
+                    // The first read of an op's output settles the output.
+                    let output = (c.operand_end[producer as usize] + producer) as usize;
+                    if producer + 1 == i {
+                        codes[output] = Code::NEXT.forwarded();
+                        codes[stamp as usize] = Code::NEVER.forwarded();
+                    } else {
+                        codes[output] = Code::LATER;
+                    }
                 }
-                self.last_use[s] = i;
+                latest[s] = stamp;
             }
             start = end;
+            previous = here;
+            // Lossless: construction checked that accesses plus ops fit u32.
+            here = end as u32 + i + 1;
             let out = c.outputs[op_index];
             if out != NEVER {
                 if self.producer[out as usize] == UNDEFINED {
@@ -344,20 +430,7 @@ impl OpTrace {
         // `next_pow2(window + 1) − 1`: every bit up to the window's highest.
         self.ring_mask = u32::MAX.checked_shr(window.leading_zeros()).unwrap_or(0);
         self.ring = self.ring_mask.saturating_add(1).min(ops);
-        // Forwarded: an output read by the next op, once, and by no other.
-        for (i, &slot) in (0u32..).zip(&c.outputs) {
-            if slot != NEVER {
-                let s = slot as usize;
-                self.forwarded[s] = self.producer[s] == i
-                    && self.first_use[s] == i + 1
-                    && self.last_use[s] == i + 1
-                    && c.operands[self.operand_range(i as usize + 1)]
-                        .iter()
-                        .filter(|&&read| read == slot)
-                        .count()
-                        == 1;
-            }
-        }
+        self.codes = codes;
         defect
     }
 
@@ -491,44 +564,11 @@ impl OpTrace {
         }
     }
 
-    /// The first op that reads the slot, [`NEVER`] if none does — the
-    /// next-use of an op output at the time it is produced.
-    pub(crate) fn first_use_or_never(&self, slot: u32) -> u32 {
-        self.first_use[slot as usize]
-    }
-
     /// The reuse code of one access of `op`: its `operand`-th operand read
-    /// or, for `None`, its output being written (see the module docs).
+    /// or, for `None`, its output being written (see the module docs). The
+    /// construction scan stored it; this reads it.
     pub fn reuse(&self, op: &TracedOp<'_>, operand: Option<usize>) -> Reuse {
-        let next_op = op.index + 1;
-        let Some(k) = operand else {
-            return match op.output.map(|out| self.first_use[out as usize]) {
-                None | Some(NEVER) => Reuse::Never,
-                Some(first) if first == next_op => Reuse::Next,
-                Some(_) => Reuse::Later,
-            };
-        };
-        let slot = op.operands[k];
-        if op.following[k + 1..].contains(&slot) {
-            Reuse::Next
-        } else if self.last_use[slot as usize] == op.index {
-            Reuse::Never
-        } else {
-            Reuse::Later
-        }
-    }
-
-    /// Whether the slot is *forwarded* rather than cached: an op output whose
-    /// only consumer is the immediately following op. Such values live in the
-    /// scratchpad's temporary region between producer and consumer (already
-    /// accounted by `temp_bytes`) and never enter the ciphertext cache, so
-    /// they neither occupy cache capacity nor count as operand hits/misses.
-    /// Without this, the single-use intermediates of a BSGS stage (rotate →
-    /// pmult → accumulate) would evict the long-lived stage input on
-    /// instances whose cache holds only two or three top-level ciphertexts
-    /// (INS-2/3 at 512 MiB).
-    pub(crate) fn is_forwarded(&self, slot: u32) -> bool {
-        self.forwarded[slot as usize]
+        op.codes[operand.unwrap_or(op.operands.len())].reuse()
     }
 
     /// Positions of op `i`'s operand accesses in the operand arena.
@@ -543,11 +583,9 @@ impl OpTrace {
         let c = &self.columns;
         (0u32..).zip(0..self.len()).map(move |(index, i)| {
             let operands = self.operand_range(i);
-            let following_end = c
-                .operand_end
-                .get(i + 1)
-                .map_or(operands.end, |&e| e as usize);
             let output = c.outputs[i];
+            // The op's stamps: its operands', then its output's.
+            let codes = operands.start + i..operands.end + i + 1;
             TracedOp {
                 index,
                 op: c.kinds[i],
@@ -556,17 +594,19 @@ impl OpTrace {
                 operands: &c.operands[operands.clone()],
                 output: (output != NEVER).then_some(output),
                 first_access: operands.start,
-                following: &c.operands[operands.start..following_end],
+                codes: &self.codes[codes],
             }
         })
     }
 
     /// For every operand access (in [`TracedOp::first_access`] order), the
     /// op at which the same ciphertext is next read — [`NEVER`] for its last
-    /// access. One backward pass; an op that reads a ciphertext twice sees
-    /// its own index as the first access's next use. Exact because the whole
-    /// trace is known: this is what Belady replacement decides on.
-    pub(crate) fn next_uses(&self) -> Vec<u32> {
+    /// access — and, per slot, the op that reads it first: the next use of
+    /// an op output as it is produced. One backward pass, whose next-seen
+    /// table ends as the first reads; an op that reads a ciphertext twice
+    /// sees its own index as the first access's next use. Exact because the
+    /// whole trace is known: this is what Belady replacement decides on.
+    pub(crate) fn next_uses(&self) -> (Vec<u32>, Vec<u32>) {
         let mut next_seen = vec![NEVER; self.slot_count()];
         let mut next = vec![NEVER; self.columns.operands.len()];
         for op in (0..self.len()).rev() {
@@ -577,7 +617,7 @@ impl OpTrace {
                 next_seen[slot] = op as u32;
             }
         }
-        next
+        (next, next_seen)
     }
 }
 
@@ -688,8 +728,14 @@ mod tests {
         }
         assert_eq!(trace.producer(0), None, "trace inputs have no producer");
         assert_eq!(trace.producer(2), Some(0));
-        assert_eq!(trace.last_use[1], 4);
-        assert_eq!(trace.last_use[6], NEVER, "nothing reads the last sum");
+        let ops: Vec<_> = trace.ops().collect();
+        assert_eq!(ops[4].operands, &[2, 1]);
+        assert_eq!(trace.reuse(&ops[4], Some(1)), Reuse::Never, "y's last read");
+        assert_eq!(
+            trace.reuse(&ops[4], None),
+            Reuse::Never,
+            "nothing reads the sum"
+        );
     }
 
     #[test]
@@ -715,40 +761,66 @@ mod tests {
                 let d = slot_of(&dense, id).unwrap();
                 let s = slot_of(&trace, map(id)).unwrap();
                 assert_eq!(trace.producer(s), dense.producer(d));
-                assert_eq!(trace.last_use[s as usize], dense.last_use[d as usize]);
-                assert_eq!(trace.is_forwarded(s), dense.is_forwarded(d));
             }
+            // Codes are stored per access, whatever the slots.
+            assert_eq!(trace.codes, dense.codes);
             assert_eq!(slot_of(&trace, 12345), None);
-            assert_eq!(trace.next_uses(), dense.next_uses());
+            assert_eq!(trace.next_uses().0, dense.next_uses().0);
         }
+    }
+
+    /// Per op: the slot of every access that carries the forwarding bit.
+    fn forwarded(trace: &OpTrace) -> Vec<Vec<u32>> {
+        let ops = trace.ops().map(|op| {
+            let accesses = op.operands.iter().copied().chain(op.output);
+            let flagged = accesses
+                .zip(op.codes)
+                .filter(|(_, code)| code.is_forwarded());
+            flagged.map(|(slot, _)| slot).collect()
+        });
+        ops.collect()
     }
 
     #[test]
     fn single_use_by_the_next_op_is_forwarded() {
         let trace = small_trace();
-        let forwarded: Vec<u32> = slots(&trace).filter(|&s| trace.is_forwarded(s)).collect();
-        // r (slot 3) and q (slot 4); p has two readers, the inputs no producer.
-        assert_eq!(forwarded, vec![3, 4]);
+        // r (slot 3) and q (slot 4), output and one read each; p has two
+        // readers, the inputs no producer.
+        let none = Vec::new;
+        assert_eq!(
+            forwarded(&trace),
+            vec![none(), vec![3], vec![3, 4], vec![4], none()]
+        );
+        // A second read, by the same op or a later one, clears the bit on
+        // the output and on the first read.
+        let (inputs, mut ops) = by_id(&trace);
+        ops[2].inputs = vec![3, 3];
+        let twice = rebuild(&inputs, &ops);
+        assert_eq!(forwarded(&twice)[1..3], [vec![], vec![4]]);
+        ops[2].inputs = vec![3];
+        ops[3].inputs = vec![4, 3];
+        let later = rebuild(&inputs, &ops);
+        assert_eq!(forwarded(&later)[1..4], [vec![], vec![4], vec![4]]);
+        assert_eq!(later.reuse(&later.ops().nth(1).unwrap(), None), Reuse::Next);
     }
 
     #[test]
     fn next_uses_see_a_repeated_operand_twice() {
         let trace = small_trace();
+        let (next, first) = trace.next_uses();
         // Accesses: x x | p | r | q y | p y.
-        assert_eq!(
-            trace.next_uses(),
-            vec![0, NEVER, 4, NEVER, NEVER, 4, NEVER, NEVER]
-        );
-        assert_eq!(trace.first_use_or_never(2), 1);
-        assert_eq!(trace.first_use_or_never(6), NEVER);
+        assert_eq!(next, vec![0, NEVER, 4, NEVER, NEVER, 4, NEVER, NEVER]);
+        // The next-seen table ends as every slot's first read.
+        assert_eq!(first, vec![0, 3, 1, 2, 3, NEVER, NEVER]);
         let ops: Vec<_> = trace.ops().collect();
         assert_eq!(ops[3].first_access, 4);
         assert_eq!(ops[3].operands, &[4, 1]);
         assert_eq!(ops[3].output, Some(5));
+        assert_eq!(ops[3].stamp(0), 7, "after op 2's output");
     }
 
     #[test]
-    fn reuse_codes_read_off_the_following_accesses_and_the_last_use() {
+    fn reuse_codes_are_stored_by_the_construction_scan() {
         use Reuse::{Later, Never, Next};
         let trace = small_trace();
         let codes: Vec<(Vec<Reuse>, Reuse)> = trace
@@ -772,14 +844,21 @@ mod tests {
                 (vec![Never, Never], Never),
             ]
         );
-        // `Never` on an access is the slot's last use and nothing else.
-        for op in trace.ops() {
-            for (k, &slot) in op.operands.iter().enumerate() {
-                let last_access = trace.last_use[slot as usize] == op.index
-                    && !op.operands[k + 1..].contains(&slot);
-                assert_eq!(trace.reuse(&op, Some(k)) == Never, last_access);
+        // `Never` on an access is the slot's last read and nothing else.
+        let ops: Vec<_> = trace.ops().collect();
+        for (i, op) in ops.iter().enumerate() {
+            for (k, slot) in op.operands.iter().enumerate() {
+                let later_reads = op.operands[k + 1..].iter();
+                let later_reads = later_reads.chain(ops[i + 1..].iter().flat_map(|o| o.operands));
+                let last_access = !later_reads.clone().any(|s| s == slot);
+                assert_eq!(trace.reuse(op, Some(k)) == Never, last_access);
             }
         }
+        // One byte per access and one per op.
+        assert_eq!(
+            trace.codes.len(),
+            trace.columns.operands.len() + trace.len()
+        );
         // A hand-rolled op without an output has nothing to be read again.
         let (inputs, mut ops) = by_id(&trace);
         ops[4].output = None;
@@ -824,7 +903,13 @@ mod tests {
         assert!(trace.validate().is_err());
         let slot = slot_of(&trace, u64::MAX).expect("used ids have slots");
         assert_eq!(trace.producer(slot), None);
-        assert_eq!(trace.last_use[slot as usize], 4);
+        let last = trace.ops().last().unwrap();
+        assert_eq!(last.operands[0], slot);
+        assert_eq!(
+            trace.reuse(&last, Some(0)),
+            Reuse::Never,
+            "coded like any read"
+        );
         // A hand-rolled op without an output has no output slot.
         ops[4].inputs = vec![0, 1];
         ops[4].output = None;

@@ -65,7 +65,7 @@ pub mod oracle {
     use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
     use bts::sim::{
-        AreaPowerModel, CtId, HeOp, OpClassStats, OpTiming, SimReport, Simulator, TraceError,
+        AreaPowerModel, CtId, HeOp, OpClassStats, OpTiming, Reuse, SimReport, Simulator, TraceError,
     };
 
     use super::Raw;
@@ -148,6 +148,62 @@ pub mod oracle {
             }
         }
         forwarded
+    }
+
+    /// One op's accesses as the scratchpad is told about them: per operand,
+    /// then for the output, the reuse code and whether the value is
+    /// forwarded rather than cached.
+    pub type OpCodes = (Vec<(Reuse, bool)>, (Reuse, bool));
+
+    /// The reuse code and forwarding bit of every access, derived as the
+    /// engine derived them on each access before the trace stored them, from
+    /// the ids' use positions: an operand read is `Next` if a later operand
+    /// of its op or an operand of the next op reads the same id, else
+    /// `Never` if its op is the id's last use, else `Later`; an output is
+    /// `Never` if nothing reads it, `Next` if the next op reads it first,
+    /// else `Later`. A value is forwarded if it is an output read once, by
+    /// the next op ([`forwarded_ids`]).
+    #[allow(dead_code)] // `property_read_window` does not read the codes
+    pub fn reuse_codes(trace: &Raw) -> Vec<OpCodes> {
+        let forwarded = forwarded_ids(trace);
+        let mut use_positions: HashMap<CtId, Vec<u32>> = HashMap::new();
+        for (i, op) in (0u32..).zip(&trace.ops) {
+            for &id in &op.inputs {
+                use_positions.entry(id).or_default().push(i);
+            }
+        }
+        let first_use = |id| use_positions.get(&id).map_or(u32::MAX, |uses| uses[0]);
+        let last_use = |id| use_positions.get(&id).and_then(|uses| uses.last().copied());
+        let no_inputs: &[CtId] = &[];
+        (0u32..)
+            .zip(&trace.ops)
+            .map(|(i, op)| {
+                let next_inputs = trace
+                    .ops
+                    .get(i as usize + 1)
+                    .map_or(no_inputs, |n| &n.inputs);
+                let operands = op.inputs.iter().enumerate().map(|(k, &id)| {
+                    let mut following = op.inputs[k + 1..].iter().chain(next_inputs);
+                    let code = if following.any(|&read| read == id) {
+                        Reuse::Next
+                    } else if last_use(id) == Some(i) {
+                        Reuse::Never
+                    } else {
+                        Reuse::Later
+                    };
+                    (code, forwarded.contains(&id))
+                });
+                let output = op.output.map_or((Reuse::Never, false), |out| {
+                    let code = match first_use(out) {
+                        u32::MAX => Reuse::Never,
+                        first if first == i + 1 => Reuse::Next,
+                        _ => Reuse::Later,
+                    };
+                    (code, forwarded.contains(&out))
+                });
+                (operands.collect(), output)
+            })
+            .collect()
     }
 
     /// What the replacement decisions are keyed on.

@@ -169,11 +169,13 @@ fn lowering_allocates_a_constant_per_trace() {
     };
     // Lowering sizes the trace's columns from the bytecode (an instruction
     // is one op, a marker one bootstrap expansion) and nothing grows.
-    // Measured: 20 allocations and 39 bytes per op at either length; one
-    // vector per traced op made it 2 152 and 32 113 allocations, 119 and 68
-    // bytes per op.
+    // Measured: 19 allocations and 37 (2 125 ops) / 36 (32 421 ops) bytes
+    // per op; three per-slot tables (first use, last use, forwarded) in
+    // place of the stored one-byte codes made it 20 and 39; one vector per
+    // traced op made it 2 152 and 32 113 allocations, 119 and 68 bytes per
+    // op.
     const ALLOCATIONS: u64 = 24;
-    const PEAK_BYTES_PER_OP: u64 = 48;
+    const PEAK_BYTES_PER_OP: u64 = 40;
     let mut counts = Vec::new();
     for (rounds, at_least) in [(40, 2_000), (540, 32_000)] {
         let compiled = compile(&refreshed_circuit(&ins, rounds)).expect("the chain compiles");

@@ -111,6 +111,30 @@ fn rich_trace(ins: &CkksInstance, rng: &mut Lcg, ops: usize) -> OpTrace {
     b.build()
 }
 
+/// [`rich_trace`] by id, ending on the access patterns the stored reuse
+/// code fixes up behind its scan: a value read twice by one op, whose
+/// product is forwarded into the last op; a trace input read only by the
+/// last op; and the last op's output, which nothing reads.
+fn coded_trace(ins: &CkksInstance, rng: &mut Lcg, ops: usize) -> Raw {
+    let compact = rich_trace(ins, rng, ops);
+    let mut raw = Raw::of(&compact);
+    let fresh = compact.slot_count() as CtId;
+    let (late, square, last) = (fresh, fresh + 1, fresh + 2);
+    let values: Vec<CtId> = raw.ops.iter().filter_map(|op| op.output).collect();
+    let twice = values[rng.next() % values.len()];
+    raw.inputs.push((late, 0));
+    let op = |op, inputs: Vec<CtId>, output| Op {
+        op,
+        level: 0,
+        inputs,
+        output: Some(output),
+        in_bootstrap: false,
+    };
+    raw.ops.push(op(HeOp::HMult, vec![twice, twice], square));
+    raw.ops.push(op(HeOp::HAdd, vec![square, late], last));
+    raw
+}
+
 /// Scratchpad sizes from "smaller than the temporaries, so the ciphertext
 /// cache has capacity 0" through "a few ciphertexts" to "everything fits".
 const SCRATCHPADS_MIB: [u64; 7] = [64, 200, 256, 320, 512, 1024, 64 * 1024];
@@ -353,6 +377,44 @@ proptest! {
             assert_matches_oracle(&sim, &raw)?;
             assert_same_tables(&sim, &compact, &raw.build(), map)?;
         }
+    }
+
+    #[test]
+    fn stored_reuse_codes_equal_the_reference(seed in any::<u64>(), ops in 1usize..160) {
+        let mut rng = Lcg::new(seed);
+        let ins = CkksInstance::ins1();
+        let compact = coded_trace(&ins, &mut rng, ops);
+        let sim = simulator(&ins, &mut rng);
+        for map in IdMap::ALL {
+            let mut raw = compact.clone();
+            map.relabel(&mut raw);
+            let trace = raw.build();
+            prop_assert_eq!(trace.validate(), Ok(()));
+            let expected = oracle::reuse_codes(&raw);
+            let timings = sim.op_timings(&trace).unwrap();
+            for ((op, (operands, output)), timing) in trace.ops().zip(&expected).zip(&timings) {
+                // Each code beside its op and access, so a mismatch says where.
+                for (k, &(code, _)) in operands.iter().enumerate() {
+                    let access = (op.index, Some(k));
+                    prop_assert_eq!((access, trace.reuse(&op, access.1)), (access, code));
+                }
+                let access = (op.index, None::<usize>);
+                prop_assert_eq!((access, trace.reuse(&op, None)), (access, output.0));
+                // The forwarding bit, as the sweep reads it: every operand
+                // not forwarded is one cache access, a hit or a miss.
+                let cached = operands.iter().filter(|&&(_, forwarded)| !forwarded).count();
+                prop_assert_eq!(timing.cache_hits + timing.cache_misses, cached);
+            }
+            // The codes of the appended tail: `twice` read again at once,
+            // then dead; its forwarded square; `late` and the last sum dead.
+            let n = expected.len();
+            use bts::sim::Reuse::{Never, Next};
+            prop_assert_eq!(&expected[n - 2].0, &vec![(Next, false), (Never, false)]);
+            prop_assert_eq!(expected[n - 2].1, (Next, true));
+            prop_assert_eq!(&expected[n - 1].0, &vec![(Never, true), (Never, false)]);
+            prop_assert_eq!(expected[n - 1].1, (Never, false));
+        }
+        assert_matches_oracle(&sim, &compact)?;
     }
 
     #[test]
