@@ -7,9 +7,9 @@ use bts_sim::{CtId, OpTrace, TraceBuilder};
 /// The plan describes how many homomorphic linear-transform stages CoeffToSlot
 /// and SlotToCoeff use, how many rotations each stage needs (BSGS), and how
 /// many multiplications the approximate-sine EvalMod performs. The default
-/// plan consumes exactly [`bts_params::L_BOOT`] levels and contains ≈130 key-switching
-/// operations, matching the ballpark the paper's minimum-bound analysis
-/// implies (§3.4).
+/// plan consumes exactly [`bts_params::L_BOOT`] levels and contains 123
+/// key-switching operations, matching the ballpark the paper's minimum-bound
+/// analysis implies (§3.4).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BootstrapPlan {
     /// Number of CoeffToSlot linear-transform stages (levels consumed).
@@ -30,7 +30,7 @@ pub struct BootstrapPlan {
 
 impl BootstrapPlan {
     /// The default plan used throughout the evaluation: 4 CoeffToSlot stages,
-    /// 3 SlotToCoeff stages, 11 EvalMod levels, ≈130 key-switches.
+    /// 3 SlotToCoeff stages, 11 EvalMod levels, 123 key-switches.
     pub fn paper_default() -> Self {
         Self {
             c2s_stages: 4,
@@ -41,13 +41,6 @@ impl BootstrapPlan {
             evalmod_mults: 30,
             conjugations: 2,
         }
-    }
-
-    /// Builds the plan for a given instance. The structure is the same for all
-    /// instances (the algorithm consumes a fixed 19 levels); instances merely
-    /// differ in how expensive each key-switch is.
-    pub fn for_instance(_instance: &CkksInstance) -> Self {
-        Self::paper_default()
     }
 
     /// Total levels the bootstrap consumes (must equal

@@ -3,7 +3,8 @@ use crate::context::CkksContext;
 use crate::encoding::Complex;
 use crate::error::CkksError;
 use crate::eval_mod::ChebyshevSeries;
-use crate::evaluator::{Evaluator, LinearTransform};
+use crate::evaluator::Evaluator;
+use crate::linear_transform::BsgsTransform;
 
 /// Configuration of the CKKS bootstrapping pipeline (Han–Ki style, §2.4):
 /// ModRaise → CoeffToSlot → EvalMod (approximate modular reduction by q0) →
@@ -65,8 +66,10 @@ impl BootstrapConfig {
 #[derive(Debug, Clone)]
 pub struct Bootstrapper {
     config: BootstrapConfig,
-    coeff_to_slot: LinearTransform,
-    slot_to_coeff: LinearTransform,
+    /// CoeffToSlot `(Δ/q0)·F⁻¹` and SlotToCoeff `F`, each one BSGS
+    /// transform over all slots (`O(√slots)` rotation keys each).
+    coeff_to_slot: BsgsTransform,
+    slot_to_coeff: BsgsTransform,
     /// Chebyshev interpolant of `(q0 / (2πΔ)) · sin(2πv)` on `[-K, K]`.
     eval_mod: ChebyshevSeries,
 }
@@ -137,8 +140,8 @@ impl Bootstrapper {
             .iter()
             .map(|row| row.iter().map(|c| c.scale(c2s_factor)).collect())
             .collect();
-        let coeff_to_slot = LinearTransform::from_matrix(&c2s_scaled);
-        let slot_to_coeff = LinearTransform::from_matrix(&f_matrix);
+        let coeff_to_slot = BsgsTransform::from_matrix(&c2s_scaled)?;
+        let slot_to_coeff = BsgsTransform::from_matrix(&f_matrix)?;
 
         let eval_mod = ChebyshevSeries::fit(
             |v| {
@@ -166,9 +169,9 @@ impl Bootstrapper {
     pub fn required_rotations(&self) -> Vec<i64> {
         let mut rots: Vec<i64> = self
             .coeff_to_slot
-            .rotations()
+            .required_rotations()
             .into_iter()
-            .chain(self.slot_to_coeff.rotations())
+            .chain(self.slot_to_coeff.required_rotations())
             .collect();
         rots.sort_unstable();
         rots.dedup();
@@ -188,7 +191,7 @@ impl Bootstrapper {
         // 1. ModRaise to the top of the chain.
         let raised = context.mod_raise(ct);
         // 2. CoeffToSlot: slots now hold (m_j + q0·I_j)/q0 packed as complex.
-        let packed = eval.linear_transform(&raised, &self.coeff_to_slot)?;
+        let packed = self.coeff_to_slot.evaluate(eval, &raised)?;
         // 3. Split real and imaginary parts with a conjugation.
         let conj = eval.conjugate(&packed)?;
         let re_part = eval.rescale(&eval.mul_const(&eval.add(&packed, &conj)?, 0.5)?)?;
@@ -206,7 +209,7 @@ impl Bootstrapper {
         // 6. SlotToCoeff back to the coefficient encoding. The scale tag is
         // whatever the op chain's bookkeeping produced; the slot values are the
         // refreshed message.
-        eval.linear_transform(&combined, &self.slot_to_coeff)
+        self.slot_to_coeff.evaluate(eval, &combined)
     }
 
     /// Multiplies every slot by `factor · i` (a purely imaginary constant).

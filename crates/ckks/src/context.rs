@@ -617,17 +617,8 @@ impl CkksContext {
         rng: &mut R,
     ) -> crate::Result<(SecretKey, KeyBundle)> {
         let sk = self.gen_secret_key(rng);
-        let public = self.gen_public_key(&sk, rng);
-        let relin = self.gen_relin_key(&sk, rng);
-        Ok((
-            sk,
-            KeyBundle {
-                public,
-                relin,
-                rotations: std::collections::HashMap::new(),
-                conjugation: None,
-            },
-        ))
+        let bundle = self.generate_bundle_for(&sk, rng)?;
+        Ok((sk, bundle))
     }
 
     /// Builds a key bundle (public + relinearization keys) for an externally

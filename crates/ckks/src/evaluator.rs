@@ -1,11 +1,9 @@
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 
 use bts_math::{Modulus, NttTable, Representation, RnsPoly};
 
 use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::context::{CkksContext, Decomposed, Land};
-use crate::encoding::Complex;
 use crate::error::CkksError;
 use crate::keys::{EvaluationKey, KeyBundle};
 
@@ -619,37 +617,6 @@ impl<'a> Evaluator<'a> {
         Ok(())
     }
 
-    /// Applies a homomorphic linear transform (matrix–vector product in slot
-    /// space) expressed by its generalized diagonals, consuming one level.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a required rotation key is missing.
-    pub fn linear_transform(
-        &self,
-        a: &Ciphertext,
-        transform: &LinearTransform,
-    ) -> crate::Result<Ciphertext> {
-        // Every diagonal rotates the same input, so its ModUp is shared.
-        let digits = self.decompose(a)?;
-        let mut acc: Option<Ciphertext> = None;
-        for (&rotation, diag) in &transform.diagonals {
-            let rotated = self.rotate_decomposed(a, &digits, rotation)?;
-            let pt = self
-                .context
-                .encode_at(diag, rotated.level, self.context.scale())?;
-            let term = self.mul_plain(&rotated, &pt)?;
-            acc = Some(match acc {
-                None => term,
-                Some(prev) => self.add(&prev, &term)?,
-            });
-        }
-        let acc = acc.ok_or_else(|| {
-            CkksError::InvalidParameters("linear transform has no diagonals".to_string())
-        })?;
-        self.rescale(&acc)
-    }
-
     /// Evaluates a real-coefficient polynomial `Σ c_i x^i` on a ciphertext via
     /// Horner's rule, consuming `deg` levels.
     ///
@@ -686,50 +653,11 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// A homomorphic linear transform described by its generalized diagonals:
-/// `out = Σ_r diag_r ⊙ rot(in, r)`. This is the primitive both CoeffToSlot and
-/// SlotToCoeff reduce to, and the op pattern that dominates bootstrapping's
-/// HRot count (§3.3).
-#[derive(Debug, Clone)]
-pub struct LinearTransform {
-    diagonals: BTreeMap<i64, Vec<Complex>>,
-}
-
-impl LinearTransform {
-    /// Builds a transform from an explicit (dense) `slots × slots` matrix,
-    /// extracting its non-zero generalized diagonals.
-    pub fn from_matrix(matrix: &[Vec<Complex>]) -> Self {
-        let slots = matrix.len();
-        let mut diagonals = BTreeMap::new();
-        for r in 0..slots {
-            let diag: Vec<Complex> = (0..slots).map(|i| matrix[i][(i + r) % slots]).collect();
-            if diag.iter().any(|c| c.abs() > 1e-12) {
-                diagonals.insert(r as i64, diag);
-            }
-        }
-        Self { diagonals }
-    }
-
-    /// Builds a transform directly from its non-zero diagonals.
-    pub fn from_diagonals(diagonals: BTreeMap<i64, Vec<Complex>>) -> Self {
-        Self { diagonals }
-    }
-
-    /// The rotation amounts (diagonal indices) this transform needs keys for.
-    pub fn rotations(&self) -> Vec<i64> {
-        self.diagonals.keys().copied().filter(|&r| r != 0).collect()
-    }
-
-    /// Number of non-zero diagonals.
-    pub fn diagonal_count(&self) -> usize {
-        self.diagonals.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::CkksContext;
+    use crate::encoding::Complex;
     use rand::SeedableRng;
 
     #[test]

@@ -68,7 +68,7 @@ pub use context::{CkksContext, Decomposed};
 pub use encoding::{CkksEncoder, Complex};
 pub use error::CkksError;
 pub use eval_mod::{ChebyshevSeries, SineEvaluator};
-pub use evaluator::{Evaluator, LinearTransform};
+pub use evaluator::Evaluator;
 pub use keys::{EvaluationKey, KeyBundle, PublicKey, SecretKey};
 pub use linear_transform::BsgsTransform;
 pub use noise::NoiseTracker;

@@ -43,9 +43,9 @@ impl BsgsTransform {
     /// square.
     pub fn from_matrix(matrix: &[Vec<Complex>]) -> crate::Result<Self> {
         let slots = matrix.len();
-        if slots == 0 || matrix.iter().any(|row| row.len() != slots) {
+        if matrix.iter().any(|row| row.len() != slots) {
             return Err(CkksError::InvalidParameters(
-                "linear transform matrix must be square and non-empty".to_string(),
+                "linear transform matrix must be square".to_string(),
             ));
         }
         let mut diagonals = BTreeMap::new();
@@ -55,17 +55,7 @@ impl BsgsTransform {
                 diagonals.insert(r, diag);
             }
         }
-        if diagonals.is_empty() {
-            return Err(CkksError::InvalidParameters(
-                "linear transform has no non-zero diagonals".to_string(),
-            ));
-        }
-        let baby_steps = Self::default_baby_steps(diagonals.len(), slots);
-        Ok(Self {
-            slots,
-            baby_steps,
-            diagonals,
-        })
+        Self::from_diagonals(slots, diagonals)
     }
 
     /// Builds a plan directly from non-zero diagonals (indices in `[0, slots)`).
@@ -144,20 +134,9 @@ impl BsgsTransform {
     /// Number of key-switching operations (rotations) one evaluation performs;
     /// the quantity the `O(√d)` decomposition minimizes.
     pub fn rotation_count(&self) -> usize {
-        let b = self.baby_steps;
-        let babies: std::collections::BTreeSet<usize> = self
-            .diagonals
-            .keys()
-            .map(|&idx| idx % b)
-            .filter(|&r| r != 0)
-            .collect();
-        let giants: std::collections::BTreeSet<usize> = self
-            .diagonals
-            .keys()
-            .map(|&idx| idx - idx % b)
-            .filter(|&g| g != 0)
-            .collect();
-        babies.len() + giants.len()
+        // Baby steps lie in [1, b) and giant steps are multiples of b that
+        // are >= b, so the two sets are disjoint.
+        self.required_rotations().len()
     }
 
     /// Applies the transform to a plaintext slot vector (reference

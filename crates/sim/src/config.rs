@@ -21,10 +21,6 @@ pub enum ConfigError {
     InvalidFrequency(f64),
     /// `scratchpad_bytes` is zero — no room for even one temporary limb.
     ZeroScratchpad,
-    /// `scratchpad_bw` is zero, negative or non-finite.
-    InvalidScratchpadBw(f64),
-    /// `noc_bisection_bw` is zero, negative or non-finite.
-    InvalidNocBw(f64),
     /// `lsub` is zero — the MMAU rate divides by it.
     ZeroLsub,
 }
@@ -42,12 +38,6 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "frequency_hz = {v} must be finite and positive")
             }
             ConfigError::ZeroScratchpad => write!(f, "scratchpad_bytes must be at least 1"),
-            ConfigError::InvalidScratchpadBw(v) => {
-                write!(f, "scratchpad_bw = {v} must be finite and positive")
-            }
-            ConfigError::InvalidNocBw(v) => {
-                write!(f, "noc_bisection_bw = {v} must be finite and positive")
-            }
             ConfigError::ZeroLsub => write!(f, "lsub must be at least 1"),
         }
     }
@@ -146,8 +136,6 @@ pub struct BtsConfig {
     pub frequency_hz: f64,
     /// Total scratchpad capacity in bytes (512 MiB).
     pub scratchpad_bytes: u64,
-    /// Aggregate scratchpad bandwidth in bytes/s (38.4 TB/s chip-wide).
-    pub scratchpad_bw: f64,
     /// Off-chip (HBM) bandwidth model (1 TB/s by default).
     pub hbm: BandwidthModel,
     /// MMAU lane count `l_sub` (4 in BTS, §5.2).
@@ -155,8 +143,6 @@ pub struct BtsConfig {
     /// Whether BConv is partially overlapped with the preceding iNTT (§5.2);
     /// disabled in the "w/o BConvU overlapping" ablation of Fig. 9.
     pub overlap_bconv_intt: bool,
-    /// Bisection bandwidth of the PE-PE NoC in bytes/s (3.6 TB/s).
-    pub noc_bisection_bw: f64,
 }
 
 impl BtsConfig {
@@ -168,11 +154,9 @@ impl BtsConfig {
             pe_rows: 32,
             frequency_hz: 1.2e9,
             scratchpad_bytes: 512 * 1024 * 1024,
-            scratchpad_bw: 38.4e12,
             hbm: BandwidthModel::hbm_1tb(),
             lsub: 4,
             overlap_bconv_intt: true,
-            noc_bisection_bw: 3.6e12,
         }
     }
 
@@ -199,11 +183,9 @@ impl BtsConfig {
             pe_rows: 16,
             frequency_hz: 300e6,
             scratchpad_bytes: 43 * 1024 * 1024,
-            scratchpad_bw: 2.5e12,
             hbm: BandwidthModel::new(460e9),
             lsub: 2,
             overlap_bconv_intt: true,
-            noc_bisection_bw: 0.4e12,
         }
     }
 
@@ -217,11 +199,9 @@ impl BtsConfig {
             pe_rows: 32,
             frequency_hz: 1.0e9,
             scratchpad_bytes: 64 * 1024 * 1024,
-            scratchpad_bw: 12.0e12,
             hbm: BandwidthModel::new(512e9),
             lsub: 2,
             overlap_bconv_intt: true,
-            noc_bisection_bw: 1.2e12,
         }
     }
 
@@ -237,20 +217,18 @@ impl BtsConfig {
             pe_rows: 16,
             frequency_hz: 200e6,
             scratchpad_bytes: 40 * 1024 * 1024,
-            scratchpad_bw: 1.8e12,
             hbm: BandwidthModel::new(460e9),
             lsub: 4,
             overlap_bconv_intt: false,
-            noc_bisection_bw: 0.3e12,
         }
     }
 
     /// Checks every field for values that would otherwise surface downstream
     /// as `NaN` rates, empty scheduler channels or panics: unit counts and
-    /// the scratchpad must be non-zero, all bandwidths and the clock must be
-    /// finite and strictly positive, and the PE grid must multiply out to
-    /// `pe_count`. (The HBM field is constructed through
-    /// [`BandwidthModel::new`], which already rejects non-positive values.)
+    /// the scratchpad must be non-zero, the clock must be finite and
+    /// strictly positive, and the PE grid must multiply out to `pe_count`.
+    /// (The HBM field is constructed through [`BandwidthModel::new`], which
+    /// already rejects non-positive values.)
     ///
     /// # Errors
     ///
@@ -274,12 +252,6 @@ impl BtsConfig {
         }
         if self.scratchpad_bytes == 0 {
             return Err(ConfigError::ZeroScratchpad);
-        }
-        if !(self.scratchpad_bw.is_finite() && self.scratchpad_bw > 0.0) {
-            return Err(ConfigError::InvalidScratchpadBw(self.scratchpad_bw));
-        }
-        if !(self.noc_bisection_bw.is_finite() && self.noc_bisection_bw > 0.0) {
-            return Err(ConfigError::InvalidNocBw(self.noc_bisection_bw));
         }
         if self.lsub == 0 {
             return Err(ConfigError::ZeroLsub);
@@ -433,25 +405,6 @@ mod tests {
     fn validate_rejects_zero_scratchpad() {
         let c = BtsConfig::bts_default().with_scratchpad_bytes(0);
         assert_eq!(c.validate(), Err(ConfigError::ZeroScratchpad));
-    }
-
-    #[test]
-    fn validate_rejects_bad_scratchpad_bw() {
-        for bad in [0.0, -38.4e12, f64::NAN] {
-            let mut c = BtsConfig::bts_default();
-            c.scratchpad_bw = bad;
-            assert!(matches!(
-                c.validate(),
-                Err(ConfigError::InvalidScratchpadBw(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn validate_rejects_bad_noc_bw() {
-        let mut c = BtsConfig::bts_default();
-        c.noc_bisection_bw = -1.0;
-        assert!(matches!(c.validate(), Err(ConfigError::InvalidNocBw(_))));
     }
 
     #[test]

@@ -39,19 +39,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sparse secret: keeps the ModRaise overflow |I| within the EvalMod range.
     let sk = ctx.gen_sparse_secret_key(&mut rng, 4);
     let mut keys = ctx.generate_bundle_for(&sk, &mut rng)?;
-    keys.set_conjugation(ctx.gen_conjugation_key(&sk, ctx.max_level(), &mut rng)?);
     let bootstrapper = Bootstrapper::new(&ctx, config)?;
     let rotations = bootstrapper.required_rotations();
     println!(
         "rotation keys required by CoeffToSlot/SlotToCoeff: {}",
         rotations.len()
     );
-    for r in &rotations {
-        keys.insert_rotation(
-            *r,
-            ctx.gen_rotation_key(&sk, *r, ctx.max_level(), &mut rng)?,
-        );
-    }
+    ctx.add_rotation_keys(&sk, &mut keys, &rotations, &mut rng)?;
     let eval = ctx.evaluator(&keys);
 
     // Encrypt a message at level 0: no multiplications are possible any more.

@@ -54,7 +54,15 @@ fn bootstrapper_reports_its_key_requirements() {
     let bootstrapper = Bootstrapper::new(&ctx, BootstrapConfig::sparse_test()).unwrap();
     let rotations = bootstrapper.required_rotations();
     assert!(!rotations.is_empty());
-    assert!(rotations.len() <= ctx.slots());
+    // BSGS: at most ⌈√slots⌉ baby plus ⌈√slots⌉ giant steps per transform
+    // set; a dense diagonal-per-rotation transform would need slots − 1.
+    let sqrt_slots = (ctx.slots() as f64).sqrt().ceil() as usize;
+    assert!(
+        rotations.len() <= 2 * sqrt_slots,
+        "{} rotation keys for {} slots",
+        rotations.len(),
+        ctx.slots()
+    );
     // Rejects contexts with too few levels.
     let shallow = CkksContext::new_toy(1 << 8, 8, 1).unwrap();
     assert!(Bootstrapper::new(&shallow, BootstrapConfig::sparse_test()).is_err());
@@ -79,19 +87,10 @@ fn bootstrap_refreshes_levels_and_roughly_preserves_the_message() {
     // Sparse secret keeps the ModRaise overflow |I| small (≤ range_k).
     let sk = ctx.gen_sparse_secret_key(&mut rng, 4);
     let mut keys = ctx.generate_bundle_for(&sk, &mut rng).unwrap();
-    keys.set_conjugation(
-        ctx.gen_conjugation_key(&sk, ctx.max_level(), &mut rng)
-            .unwrap(),
-    );
     let config = BootstrapConfig::functional_test();
     let bootstrapper = Bootstrapper::new(&ctx, config).unwrap();
-    for r in bootstrapper.required_rotations() {
-        keys.insert_rotation(
-            r,
-            ctx.gen_rotation_key(&sk, r, ctx.max_level(), &mut rng)
-                .unwrap(),
-        );
-    }
+    ctx.add_rotation_keys(&sk, &mut keys, &bootstrapper.required_rotations(), &mut rng)
+        .unwrap();
     let eval = ctx.evaluator(&keys);
 
     let msg: Vec<Complex> = (0..ctx.slots())
