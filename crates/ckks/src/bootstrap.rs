@@ -228,6 +228,63 @@ impl Bootstrapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linear_transform::tests::{encoded_level, evaluate_encoding_per_call};
+    use rand::SeedableRng;
+
+    /// [`Bootstrapper::bootstrap`] with both transforms re-encoding their
+    /// diagonals on every call.
+    fn bootstrap_encoding_per_call(
+        b: &Bootstrapper,
+        eval: &Evaluator<'_>,
+        ct: &Ciphertext,
+    ) -> crate::Result<Ciphertext> {
+        let raised = eval.context().mod_raise(ct);
+        let packed = evaluate_encoding_per_call(&b.coeff_to_slot, eval, &raised)?;
+        let conj = eval.conjugate(&packed)?;
+        let re_part = eval.rescale(&eval.mul_const(&eval.add(&packed, &conj)?, 0.5)?)?;
+        let im_sum = eval.sub(&packed, &conj)?;
+        let im_part = eval.rescale(&b.mul_imaginary(eval, &im_sum, -0.5)?)?;
+        let re_mod = b.eval_mod.eval_homomorphic(eval, &re_part)?;
+        let im_mod = b.eval_mod.eval_homomorphic(eval, &im_part)?;
+        let im_times_i = eval.rescale(&b.mul_imaginary(eval, &im_mod, 1.0)?)?;
+        let re_aligned = eval.rescale(&eval.mul_const(&re_mod, 1.0)?)?;
+        let combined = eval.add(&re_aligned, &im_times_i)?;
+        evaluate_encoding_per_call(&b.slot_to_coeff, eval, &combined)
+    }
+
+    /// The transforms encode their diagonals once, at the levels a bootstrap
+    /// applies them at: the first bootstrap (which encodes) and the second
+    /// (which reuses) both equal, bit for bit, one that re-encodes.
+    #[test]
+    fn kept_plaintexts_bootstrap_like_encoding_per_call() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let ctx = CkksContext::new_toy(1 << 6, 10, 1).unwrap();
+        let config = BootstrapConfig {
+            evalmod_degree: 3,
+            range_k: 4.0,
+        };
+        let bootstrapper = Bootstrapper::new(&ctx, config).unwrap();
+        let (sk, mut keys) = ctx.generate_keys(&mut rng).unwrap();
+        let rotations = bootstrapper.required_rotations();
+        ctx.add_rotation_keys(&sk, &mut keys, &rotations, &mut rng)
+            .unwrap();
+        let eval = ctx.evaluator(&keys);
+        let msg: Vec<Complex> = (0..ctx.slots())
+            .map(|i| Complex::new(0.1 * (i as f64 * 0.3).sin(), 0.0))
+            .collect();
+        let pt = ctx.encode_at(&msg, 0, ctx.scale()).unwrap();
+        let ct = ctx.encrypt(&pt, &sk, &mut rng).unwrap();
+
+        let reference = bootstrap_encoding_per_call(&bootstrapper, &eval, &ct).unwrap();
+        for _ in 0..2 {
+            let out = bootstrapper.bootstrap(&eval, &ct).unwrap();
+            assert_eq!(out, reference);
+            assert_eq!(out.scale().to_bits(), reference.scale().to_bits());
+        }
+        // Kept at the levels they ran at: the top, and one above the output.
+        let levels = [&bootstrapper.coeff_to_slot, &bootstrapper.slot_to_coeff].map(encoded_level);
+        assert_eq!(levels, [Some(ctx.max_level()), Some(reference.level() + 1)]);
+    }
 
     #[test]
     fn config_level_accounting() {

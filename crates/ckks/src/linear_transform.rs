@@ -14,10 +14,20 @@
 //! rotations of the partial sums are needed — `O(√d)` rotations instead of
 //! `O(d)`, which is exactly the optimization the bootstrapping algorithms the
 //! paper builds on [12, 40] use.
+//!
+//! The pre-rotated diagonals `σ_{-g·b}(diag)` are plaintexts fixed by the
+//! matrix, `b` and the level they are multiplied at, so a transform encodes
+//! them once, at the level of its first evaluation, and every later
+//! evaluation at that level reuses them: a bootstrapper applies each of its
+//! two transforms at one level, and re-encoding would cost a forward NTT
+//! per limb per diagonal on every refresh.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
-use crate::ciphertext::Ciphertext;
+use crate::ciphertext::{Ciphertext, Plaintext};
+use crate::context::CkksContext;
 use crate::encoding::Complex;
 use crate::error::CkksError;
 use crate::evaluator::Evaluator;
@@ -31,6 +41,25 @@ pub struct BsgsTransform {
     baby_steps: usize,
     /// Non-zero generalized diagonals, keyed by diagonal index in `[0, slots)`.
     diagonals: BTreeMap<usize, Vec<Complex>>,
+    /// The diagonals as the plaintexts the first evaluation multiplied by.
+    encoded: OnceLock<Encoded>,
+}
+
+/// Every diagonal, in index order, pre-rotated for its giant step and
+/// encoded at `level` under a context with these moduli and scale.
+#[derive(Debug, Clone)]
+struct Encoded {
+    level: usize,
+    /// `q_0..=q_level`, then the scale's bits: what the encoding depends on
+    /// besides the level and the ring degree, which the slot count fixes.
+    key: Vec<u64>,
+    plaintexts: Vec<Plaintext>,
+}
+
+/// What [`Encoded::key`] holds for `context` at `level`.
+fn encoding_key(context: &CkksContext, level: usize) -> Vec<u64> {
+    let moduli = (0..=level).map(|i| context.q_modulus(i));
+    moduli.chain([context.scale().to_bits()]).collect()
 }
 
 impl BsgsTransform {
@@ -83,6 +112,7 @@ impl BsgsTransform {
             slots,
             baby_steps,
             diagonals,
+            encoded: OnceLock::new(),
         })
     }
 
@@ -94,6 +124,8 @@ impl BsgsTransform {
     /// Overrides the baby-step count (must be in `[1, slots]`).
     pub fn with_baby_steps(mut self, baby_steps: usize) -> Self {
         self.baby_steps = baby_steps.clamp(1, self.slots);
+        // The giant steps the diagonals were pre-rotated for moved.
+        self.encoded = OnceLock::new();
         self
     }
 
@@ -153,7 +185,9 @@ impl BsgsTransform {
     }
 
     /// Evaluates the transform homomorphically with the BSGS strategy,
-    /// consuming one multiplicative level.
+    /// consuming one multiplicative level. The first evaluation encodes the
+    /// diagonals at `ct`'s level and keeps them; later ones at that level
+    /// and under the same moduli and scale reuse them, others encode anew.
     ///
     /// # Errors
     ///
@@ -177,6 +211,10 @@ impl BsgsTransform {
 
         // Group diagonals by giant step g·b and accumulate
         // Σ_j σ_{-g·b}(diag) ⊙ rot_j(ct) inside each group.
+        // Giant steps grow with the diagonal index, so the groups in giant
+        // order list the diagonals in index order: the plaintexts' order.
+        let plaintexts = self.plaintexts(context, ct.level())?;
+        let mut plaintexts = plaintexts.iter();
         let mut result: Option<Ciphertext> = None;
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for &idx in self.diagonals.keys() {
@@ -184,15 +222,104 @@ impl BsgsTransform {
         }
         for (&giant, indices) in &groups {
             let mut inner: Option<Ciphertext> = None;
+            for (&idx, pt) in indices.iter().zip(&mut plaintexts) {
+                let term = eval.mul_plain(&baby_rotations[&(idx % b)], pt)?;
+                inner = Some(match inner {
+                    None => term,
+                    Some(acc) => eval.add(&acc, &term)?,
+                });
+            }
+            let inner = inner.expect("group has at least one diagonal");
+            let lifted = if giant == 0 {
+                inner
+            } else {
+                eval.rotate(&inner, giant as i64)?
+            };
+            result = Some(match result {
+                None => lifted,
+                Some(acc) => eval.add(&acc, &lifted)?,
+            });
+        }
+        eval.rescale(&result.expect("transform has at least one diagonal"))
+    }
+
+    /// The diagonals as plaintexts at `level` of `context`: the ones the
+    /// first evaluation encoded, if it ran there, else encoded now.
+    fn plaintexts(
+        &self,
+        context: &CkksContext,
+        level: usize,
+    ) -> crate::Result<Cow<'_, [Plaintext]>> {
+        if self.encoded.get().is_none() {
+            let plaintexts = self.encode(context, level)?;
+            let key = encoding_key(context, level);
+            // A concurrent first evaluation may have set it first.
+            let _ = self.encoded.set(Encoded {
+                level,
+                key,
+                plaintexts,
+            });
+        }
+        match self.encoded.get() {
+            Some(e) if e.level == level && e.key == encoding_key(context, level) => {
+                Ok(Cow::Borrowed(&e.plaintexts))
+            }
+            _ => self.encode(context, level).map(Cow::Owned),
+        }
+    }
+
+    /// Every diagonal, in index order, pre-rotated by minus its giant step
+    /// — so the outer rotation of its group lands its entries in the right
+    /// slots — and encoded at `level`.
+    fn encode(&self, context: &CkksContext, level: usize) -> crate::Result<Vec<Plaintext>> {
+        let n = self.slots;
+        let b = self.baby_steps;
+        let encode_one = |(&idx, diag): (&usize, &Vec<Complex>)| {
+            let giant = idx - idx % b;
+            let shifted: Vec<Complex> = (0..n).map(|i| diag[(i + n - giant % n) % n]).collect();
+            context.encode_at(&shifted, level, context.scale())
+        };
+        self.diagonals.iter().map(encode_one).collect()
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use rand::SeedableRng;
+
+    /// The level `t` keeps its plaintexts at, if it has encoded them.
+    pub(crate) fn encoded_level(t: &BsgsTransform) -> Option<usize> {
+        t.encoded.get().map(|e| e.level)
+    }
+
+    /// [`BsgsTransform::evaluate`] as it was before it kept its plaintexts:
+    /// every diagonal shifted and encoded inside the loop, on every call.
+    pub(crate) fn evaluate_encoding_per_call(
+        t: &BsgsTransform,
+        eval: &Evaluator<'_>,
+        ct: &Ciphertext,
+    ) -> crate::Result<Ciphertext> {
+        let context = eval.context();
+        let (b, n) = (t.baby_steps, t.slots);
+        let babies: std::collections::BTreeSet<usize> =
+            t.diagonals.keys().map(|&idx| idx % b).collect();
+        let steps: Vec<i64> = babies.iter().map(|&baby| baby as i64).collect();
+        let baby_rotations: BTreeMap<usize, Ciphertext> = babies
+            .into_iter()
+            .zip(eval.rotate_hoisted(ct, &steps)?)
+            .collect();
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for &idx in t.diagonals.keys() {
+            groups.entry(idx - idx % b).or_default().push(idx);
+        }
+        let mut result: Option<Ciphertext> = None;
+        for (&giant, indices) in &groups {
+            let mut inner: Option<Ciphertext> = None;
             for &idx in indices {
-                let baby = idx % b;
-                let diag = &self.diagonals[&idx];
-                // Pre-rotate the diagonal by -giant so the outer rotation of
-                // the whole group lands its entries in the right slots.
-                let shifted: Vec<Complex> = (0..self.slots)
-                    .map(|i| diag[(i + self.slots - giant % self.slots) % self.slots])
-                    .collect();
-                let rotated_ct = &baby_rotations[&baby];
+                let diag = &t.diagonals[&idx];
+                let shifted: Vec<Complex> = (0..n).map(|i| diag[(i + n - giant % n) % n]).collect();
+                let rotated_ct = &baby_rotations[&(idx % b)];
                 let pt = context.encode_at(&shifted, rotated_ct.level(), context.scale())?;
                 let term = eval.mul_plain(rotated_ct, &pt)?;
                 inner = Some(match inner {
@@ -213,13 +340,6 @@ impl BsgsTransform {
         }
         eval.rescale(&result.expect("transform has at least one diagonal"))
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::context::CkksContext;
-    use rand::SeedableRng;
 
     fn rotation_matrix(slots: usize, by: usize) -> Vec<Vec<Complex>> {
         // out_i = in_{i+by}: a pure generalized diagonal at index `by`.

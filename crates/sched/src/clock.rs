@@ -79,10 +79,22 @@ pub(crate) struct Clock<T> {
 impl<T: Finish> Clock<T> {
     /// A clock over `cells` cells ([`bts_sim::OpTrace::cells`]).
     pub(crate) fn new(cells: usize) -> Self {
-        Self {
-            cells: vec![T::default(); cells],
+        let mut clock = Self::default();
+        clock.reset(cells);
+        clock
+    }
+
+    /// Makes this clock the one [`Clock::new`] builds over `cells` cells,
+    /// keeping its table's allocation: a scheduler hands a finished job's
+    /// clock to the next job it admits.
+    pub(crate) fn reset(&mut self, cells: usize) {
+        let mut table = std::mem::take(&mut self.cells);
+        table.clear();
+        table.resize(cells, T::default());
+        *self = Self {
+            cells: table,
             ..Self::default()
-        }
+        };
     }
 
     /// When the next op may start as far as its trace allows: the latest of
@@ -152,6 +164,33 @@ mod tests {
         // Trace inputs have no producer; op 2 waits for the later of its
         // two, op 3 for op 2.
         assert_eq!(ready, [(0.0, 0), (0.0, 0), (5.0, 2), (7.0, 3)]);
+    }
+
+    #[test]
+    fn a_reset_clock_is_a_new_clock() {
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        b.set_bootstrap_region(true);
+        let r = b.hrot(x, 1, 27);
+        b.hadd(r, x, 27);
+        let trace = b.build();
+        let mut clock = Clock::<Link>::new(trace.cells());
+        for op in trace.ops() {
+            let cells = op.operands.iter().map(|&slot| trace.cell(slot));
+            let ready = clock.ready(op.in_bootstrap, cells);
+            let at = Link {
+                seconds: ready.seconds + 1.0,
+                op: op.index + 1,
+            };
+            clock.finish(op.output.map(|slot| trace.cell(slot)), at);
+        }
+        // Fewer cells, then more, than it held.
+        for cells in [1, 2 * trace.cells()] {
+            clock.reset(cells);
+            let fresh = Clock::<Link>::new(cells);
+            assert_eq!(format!("{clock:?}"), format!("{fresh:?}"));
+        }
     }
 
     #[test]

@@ -55,10 +55,16 @@
 //! fixed about a job — op metadata, demands, each op's operand and output
 //! cells ([`bts_sim::OpTrace::cell`]), serial and critical-path seconds —
 //! lives in an immutable [`JobPlan`] shared by every copy
-//! ([`MultiScheduler::add_planned`]); what a running job mutates is a small
+//! ([`MultiScheduler::add_planned`]). A plan keeps each distinct op *shape*
+//! (kind, level, bootstrap flag, demand) once — the engine charges by kind,
+//! level and scratchpad outcome, so a trace has a few hundred at most — and
+//! per op three `u32`s beside its operand cells: its shape, its output cell
+//! and where its operands end. What a running job mutates is a small
 //! cursor: its next op and one finish time per cell, a ring over the trace's
-//! read window plus its inputs. What the scheduler keeps of what it places
-//! is its type parameter ([`Keep`]), fixed when it is built:
+//! read window plus its inputs. That clock goes back to the scheduler when
+//! the job has placed its last op or is cancelled, and the next admission
+//! resets it instead of allocating one. What the scheduler keeps of what
+//! it places is its type parameter ([`Keep`]), fixed when it is built:
 //! [`MultiScheduler::new`] keeps the [`Timeline`] — every placed op and
 //! reservation — that [`MultiScheduler::finish`] returns as a [`Schedule`];
 //! [`MultiScheduler::folding`] keeps a [`UtilizationFold`] that adds each
@@ -397,12 +403,21 @@ pub struct CriticalOp {
 /// the serial and critical-path charges. Immutable, so every admission of
 /// the same (trace, timings) pair can share one plan behind an [`Arc`]
 /// ([`MultiScheduler::add_planned`]); the scheduler keeps only a small
-/// cursor per running job.
+/// cursor per running job, whose readiness clock it hands on to the next
+/// job it admits once this one is done.
+///
+/// An op's kind, level, bootstrap-region flag and demand — its *shape* —
+/// depend on what it does, not on where it sits, and the engine charges by
+/// kind, level and scratchpad outcome, so a trace of tens of thousands of
+/// ops has a few hundred shapes at most. The plan keeps each distinct shape
+/// once, in order of first appearance, and per op three `u32`s: its shape,
+/// its output cell and the end of its operand cells.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobPlan {
     machine: MachineModel,
+    /// Each distinct op shape once.
+    shapes: Vec<OpShape>,
     ops: Vec<PlannedOp>,
-    demands: Vec<OpDemand>,
     /// Every op's operand cells ([`OpTrace::cell`]), in program order (CSR:
     /// one arena for the whole plan instead of a vector per op).
     operands: Vec<u32>,
@@ -415,17 +430,59 @@ pub struct JobPlan {
     critical_ops: Vec<usize>,
 }
 
-/// One op of a [`JobPlan`]: kind, level, bootstrap-region flag and cells.
+/// What a [`JobPlan`] keeps of an op once per distinct value: kind, level,
+/// bootstrap-region flag and demand.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct PlannedOp {
+struct OpShape {
     op: HeOp,
     level: usize,
     in_bootstrap: bool,
-    /// The cell of the op's output, if it has one.
-    output: Option<u32>,
+    demand: OpDemand,
+    /// The planner's chain link ([`ShapeIndex`]): the next shape of the
+    /// same hash bucket, as index + 1 (0 ends the chain). It fits in the
+    /// padding, and the plan's table may be the planner's index itself.
+    next: u32,
+}
+
+impl OpShape {
+    /// Every field but the link as bits: two shapes are one shape only if
+    /// these are equal (`==` on the floats would merge 0.0 with −0.0).
+    fn bits(&self) -> [u64; 8] {
+        let [ntt, bconv, elementwise, hbm] = self.demand.busy.map(f64::to_bits);
+        [
+            self.op as u64,
+            // Lossless: `usize` is at most 64 bits wide.
+            self.level as u64,
+            u64::from(self.in_bootstrap),
+            self.demand.duration.to_bits(),
+            ntt,
+            bconv,
+            elementwise,
+            hbm,
+        ]
+    }
+}
+
+/// One op of a [`JobPlan`]: its shape and cells.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PlannedOp {
+    /// Index into `JobPlan::shapes`.
+    shape: u32,
+    /// The cell of the op's output, or [`NO_OUTPUT`].
+    output: u32,
     /// The op's operand cells end here in `JobPlan::operands`, and start
     /// where the previous op's end.
     operands_end: u32,
+}
+
+/// [`PlannedOp::output`] of an op without one. No cell is `u32::MAX`: an
+/// output cell is at most its op's index, and an `OpTrace` has fewer ops.
+const NO_OUTPUT: u32 = u32::MAX;
+
+impl PlannedOp {
+    fn output(&self) -> Option<u32> {
+        (self.output != NO_OUTPUT).then_some(self.output)
+    }
 }
 
 impl JobPlan {
@@ -482,6 +539,11 @@ impl JobPlan {
         Ok((planner.finish(), report))
     }
 
+    /// The shape of op `i`.
+    fn shape(&self, i: usize) -> &OpShape {
+        &self.shapes[self.ops[i].shape as usize]
+    }
+
     /// Number of ops in the job.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -518,14 +580,17 @@ impl JobPlan {
         let mut ops: Vec<CriticalOp> = self
             .critical_ops
             .iter()
-            .map(|&index| CriticalOp {
-                index,
-                op: self.ops[index].op,
-                level: self.ops[index].level,
-                seconds: self.demands[index].duration,
+            .map(|&index| {
+                let shape = self.shape(index);
+                CriticalOp {
+                    index,
+                    op: shape.op,
+                    level: shape.level,
+                    seconds: shape.demand.duration,
+                }
             })
             .collect();
-        ops.sort_by(|a, b| b.seconds.partial_cmp(&a.seconds).expect("finite durations"));
+        ops.sort_by(|a, b| b.seconds.total_cmp(&a.seconds));
         ops.truncate(n);
         ops
     }
@@ -536,16 +601,96 @@ impl JobPlan {
     fn ready(&self, i: usize, clock: &mut Clock<f64>, release: f64) -> f64 {
         let start = i.checked_sub(1).map_or(0, |p| self.ops[p].operands_end);
         let operands = &self.operands[start as usize..self.ops[i].operands_end as usize];
-        release.later(clock.ready(self.ops[i].in_bootstrap, operands.iter().copied()))
+        let in_bootstrap = self.shape(i).in_bootstrap;
+        release.later(clock.ready(in_bootstrap, operands.iter().copied()))
+    }
+}
+
+/// Buckets of the planner's shape index.
+const SHAPE_BUCKETS: usize = 1 << 10;
+
+/// Shapes the planner's index starts with room for, or an eighth of the
+/// trace's op count if that is more: no registry plan has over 189 shapes.
+const SHAPE_ROOM: usize = 256;
+
+/// The planner's shape index: every distinct shape so far, chained from a
+/// fixed array of hash buckets through [`OpShape::next`]. It starts with
+/// room for [`SHAPE_ROOM`] shapes or one per eight ops, whichever is more,
+/// and grows at most once, to one per op, the most a trace can have. So
+/// with the plan's table ([`ShapeIndex::into_table`]) it makes two
+/// allocations whatever the number of shapes.
+struct ShapeIndex {
+    shapes: Vec<OpShape>,
+    /// The trace's op count: what the index grows to.
+    ops: usize,
+    grown: bool,
+    /// Per bucket, the last shape hashed to it, as index + 1 (0: none).
+    heads: [u32; SHAPE_BUCKETS],
+}
+
+impl ShapeIndex {
+    fn new(ops: usize) -> Self {
+        Self {
+            shapes: Vec::with_capacity(ops.min(SHAPE_ROOM.max(ops / 8))),
+            ops,
+            grown: false,
+            heads: [0; SHAPE_BUCKETS],
+        }
+    }
+
+    /// The id of `shape`, interned if it is new.
+    fn intern(&mut self, shape: OpShape) -> u32 {
+        let bits = shape.bits();
+        let hash = bits.iter().fold(0u64, |h, &b| {
+            (h ^ b).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(23)
+        });
+        let head = &mut self.heads[(hash >> (64 - SHAPE_BUCKETS.trailing_zeros())) as usize];
+        let mut link = *head;
+        while let Some(id) = link.checked_sub(1) {
+            let known = &self.shapes[id as usize];
+            if known.bits() == bits {
+                return id;
+            }
+            link = known.next;
+        }
+        if self.shapes.len() == self.shapes.capacity() {
+            // Once: no trace has more shapes than ops.
+            debug_assert!(!self.grown);
+            self.shapes.reserve_exact(self.ops - self.shapes.len());
+            self.grown = true;
+        }
+        // Lossless: a trace has fewer than `u32::MAX` ops, each of at most
+        // one new shape.
+        let id = self.shapes.len() as u32;
+        self.shapes.push(OpShape {
+            next: *head,
+            ..shape
+        });
+        *head = id + 1;
+        id
+    }
+
+    /// The plan's table: a copy at the shape count, or if the index grew,
+    /// the index itself — a third allocation to trim it would make the
+    /// count depend on the shapes, and a trace with that many shapes keeps
+    /// at most 56 bytes per op there.
+    fn into_table(self) -> Vec<OpShape> {
+        if self.grown {
+            self.shapes
+        } else {
+            self.shapes.as_slice().to_vec()
+        }
     }
 }
 
 /// A [`JobPlan`] in the making: ops added in program order, each with its
-/// demand and cells, the longest chain extended as they come.
+/// shape and cells, the longest chain extended as they come.
 struct Planner<'t> {
     plan: JobPlan,
     /// The trace, whose slots the plan stores as cells.
     trace: &'t OpTrace,
+    /// The distinct shapes so far; the plan keeps them once planning ends.
+    shapes: ShapeIndex,
     /// Per cell, the earliest finish of the op writing it on the critical
     /// path, and that op.
     clock: Clock<Link>,
@@ -559,8 +704,8 @@ impl<'t> Planner<'t> {
         Self {
             plan: JobPlan {
                 machine,
+                shapes: Vec::new(),
                 ops: Vec::with_capacity(ops),
-                demands: Vec::with_capacity(ops),
                 // Most ops read one or two ciphertexts.
                 operands: Vec::with_capacity(2 * ops),
                 cells: trace.cells(),
@@ -569,6 +714,7 @@ impl<'t> Planner<'t> {
                 critical_ops: Vec::new(),
             },
             trace,
+            shapes: ShapeIndex::new(ops),
             clock: Clock::new(trace.cells()),
             best_pred: Vec::with_capacity(ops),
         }
@@ -578,33 +724,43 @@ impl<'t> Planner<'t> {
     fn push(&mut self, op: &TracedOp<'_>, timing: &OpTiming) {
         let plan = &mut self.plan;
         let trace = self.trace;
-        let demand = plan.machine.demand(timing);
+        let shape = OpShape {
+            op: op.op,
+            level: op.level,
+            in_bootstrap: op.in_bootstrap,
+            demand: plan.machine.demand(timing),
+            next: 0,
+        };
         let first = plan.operands.len();
         plan.operands
             .extend(op.operands.iter().map(|&slot| trace.cell(slot)));
         let cells = plan.operands[first..].iter().copied();
         let ready = self.clock.ready(op.in_bootstrap, cells);
         let at = Link {
-            seconds: ready.seconds + demand.duration,
+            seconds: ready.seconds + shape.demand.duration,
             op: op.index + 1,
         };
         let output = op.output.map(|slot| trace.cell(slot));
         self.clock.finish(output, at);
         self.best_pred.push(ready.op);
         plan.ops.push(PlannedOp {
-            op: op.op,
-            level: op.level,
-            in_bootstrap: op.in_bootstrap,
-            output,
+            shape: self.shapes.intern(shape),
+            output: output.unwrap_or(NO_OUTPUT),
             // Lossless: an `OpTrace` refuses more operand accesses.
             operands_end: plan.operands.len() as u32,
         });
-        plan.demands.push(demand);
     }
 
     fn finish(self) -> JobPlan {
         let mut plan = self.plan;
-        plan.serial = plan.demands.iter().map(|d| d.duration).sum();
+        plan.shapes = self.shapes.into_table();
+        // Program order, as the durations came: the same sum, bit for bit,
+        // as one over a demand per op.
+        let durations = plan
+            .ops
+            .iter()
+            .map(|op| plan.shapes[op.shape as usize].demand.duration);
+        plan.serial = durations.sum();
         let Link { seconds, op: last } = self.clock.latest();
         plan.critical_path = seconds;
         // Walked twice, so the chain is allocated once, at its length.
@@ -631,9 +787,9 @@ struct JobState {
     plan: Arc<JobPlan>,
     /// Next unplaced op (program-order cursor).
     next: usize,
-    /// Per cell, the finish of the placed op writing it; released once the
-    /// job can place no further op (its last op is placed, or it is
-    /// cancelled).
+    /// Per cell, the finish of the placed op writing it; handed back to the
+    /// scheduler's pool once the job can place no further op (its last op
+    /// is placed, or it is cancelled).
     clock: Clock<f64>,
     max_end: f64,
     first_start: Option<f64>,
@@ -916,6 +1072,9 @@ pub struct MultiScheduler<K = Timeline> {
     /// Completions of empty jobs, reported on the next
     /// [`MultiScheduler::run_until_completion`] call.
     pending: VecDeque<JobCompletion>,
+    /// Clocks of jobs that can place no further op, each reset for the next
+    /// admission instead of a new one allocated.
+    clocks: Vec<Clock<f64>>,
     makespan: f64,
 }
 
@@ -1001,6 +1160,7 @@ impl<K: Keep> MultiScheduler<K> {
             index: HashMap::new(),
             active: Vec::new(),
             pending: VecDeque::new(),
+            clocks: Vec::new(),
             makespan: 0.0,
         }
     }
@@ -1026,7 +1186,8 @@ impl<K: Keep> MultiScheduler<K> {
 
     /// Admits a planned job: its ops become candidates for placement, none
     /// starting before `release_seconds`. Costs a constant number of
-    /// allocations however long the plan is shared.
+    /// allocations however long the plan is shared; its readiness clock is
+    /// one a finished or cancelled job gave back, if there is one.
     ///
     /// # Errors
     ///
@@ -1047,10 +1208,15 @@ impl<K: Keep> MultiScheduler<K> {
             Entry::Occupied(_) => return Err(ScheduleError::DuplicateTag(tag)),
             Entry::Vacant(slot) => slot.insert(j),
         };
+        let mut clock = Clock::default();
+        if !plan.is_empty() {
+            clock = self.clocks.pop().unwrap_or_default();
+            clock.reset(plan.cells);
+        }
         let mut job = JobState {
             tag,
             release: release_seconds,
-            clock: Clock::new(plan.cells),
+            clock,
             plan,
             next: 0,
             max_end: release_seconds,
@@ -1065,7 +1231,8 @@ impl<K: Keep> MultiScheduler<K> {
             self.makespan = self.makespan.max(release_seconds);
         } else {
             let ready = job.plan.ready(0, &mut job.clock, release_seconds);
-            self.active.push(Next::new(j, ready, &job.plan.demands[0]));
+            self.active
+                .push(Next::new(j, ready, &job.plan.shape(0).demand));
         }
         self.jobs.push(job);
         Ok(())
@@ -1095,7 +1262,7 @@ impl<K: Keep> MultiScheduler<K> {
         if let Some(pos) = self.active.iter().position(|a| a.job == j) {
             self.active.remove(pos);
             self.jobs[j].cancelled = true;
-            self.jobs[j].clock = Clock::default();
+            self.clocks.push(std::mem::take(&mut self.jobs[j].clock));
             return true;
         }
         if let Some(pos) = self.pending.iter().position(|c| c.tag == tag) {
@@ -1199,10 +1366,9 @@ impl<K: Keep> MultiScheduler<K> {
         let job = &mut self.jobs[next.job];
         let plan = &*job.plan;
         let i = job.next;
-        let busy = plan.demands[i].busy;
+        let shape = *plan.shape(i);
         let end = start + next.duration;
-        let planned = plan.ops[i];
-        job.clock.finish(planned.output, end);
+        job.clock.finish(plan.ops[i].output(), end);
         job.max_end = job.max_end.max(end);
         if job.first_start.is_none() {
             job.first_start = Some(start);
@@ -1210,10 +1376,10 @@ impl<K: Keep> MultiScheduler<K> {
         job.next += 1;
         let completed = job.next == plan.len();
         if completed {
-            job.clock = Clock::default();
+            self.clocks.push(std::mem::take(&mut job.clock));
         } else {
             let ready = plan.ready(i + 1, &mut job.clock, job.release);
-            *next = Next::new(next.job, ready, &plan.demands[i + 1]);
+            *next = Next::new(next.job, ready, &plan.shape(i + 1).demand);
         }
         let completion = JobCompletion {
             tag: job.tag,
@@ -1222,19 +1388,20 @@ impl<K: Keep> MultiScheduler<K> {
         self.channels.keep.op(|| ScheduledOp {
             job: completion.tag,
             index: i,
-            op: planned.op,
-            level: planned.level,
-            in_bootstrap: planned.in_bootstrap,
+            op: shape.op,
+            level: shape.level,
+            in_bootstrap: shape.in_bootstrap,
             start_seconds: start,
             end_seconds: end,
         });
         let owner = telemetry_on.then_some(Owner {
             job: completion.tag,
             index: i,
-            op: planned.op,
-            level: planned.level,
+            op: shape.op,
+            level: shape.level,
         });
-        self.channels.reserve(start, &placed, &busy, owner);
+        self.channels
+            .reserve(start, &placed, &shape.demand.busy, owner);
         self.makespan = self.makespan.max(end);
         if completed {
             self.active.remove(pos);
@@ -1338,6 +1505,132 @@ mod tests {
         let plan = plan_with(&b.build(), &[1.0; 3]);
         assert!((plan.critical_path_seconds() - 3.0).abs() < 1e-12);
         assert_eq!(plan.critical_path_ops(), &[0, 1, 2]);
+    }
+
+    /// Random timings for `trace`: each op's five charges drawn by `draw`
+    /// from a splitmix64 stream.
+    fn random_timings(
+        trace: &OpTrace,
+        seed: u64,
+        draw: impl Fn(&mut dyn FnMut() -> u64) -> [f64; 5],
+    ) -> Vec<OpTiming> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        (0..trace.len())
+            .map(|_| {
+                let [seconds, hbm, ntt, bconv, elementwise] = draw(&mut next);
+                let mut t = OpTiming {
+                    seconds,
+                    hbm_seconds: hbm,
+                    ..OpTiming::default()
+                };
+                t.cost.ntt_seconds = ntt;
+                t.cost.bconv_seconds = bconv;
+                t.cost.elementwise_charged_seconds = elementwise;
+                t
+            })
+            .collect()
+    }
+
+    /// Interning is lossless: on random timings — each op's drawn from four
+    /// with 0.0 and −0.0 among their charges (shapes repeat), all distinct,
+    /// or for a one-op plan — every op's kind, level, bootstrap flag and
+    /// demand read back through the plan bit-equal `MachineModel::demand`
+    /// of its own timing, its cells are the trace's, and the serial and
+    /// critical-path seconds equal the fold over a demand per op.
+    #[test]
+    fn interned_shapes_read_back_bit_for_bit() {
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let mut x = b.fresh_ct(27);
+        let y = b.fresh_ct(27);
+        // Each (kind, level, flag) twenty times over, and all distinct
+        // timings give more shapes than the planner's index starts with
+        // room for: both ways to the plan's table are taken.
+        for round in 0..80 {
+            b.set_bootstrap_region(round % 4 < 2);
+            let level = 27 - round % 2;
+            let r = b.hrot(x, 1, level);
+            let m = b.hmult_at(r, y, level);
+            let s = b.hadd(m, x, level);
+            x = b.hrescale_at(s, level);
+        }
+        b.cmult(x, 19);
+        let long = b.build();
+        let mut one = TraceBuilder::new(&ins);
+        let z = one.fresh_ct(3);
+        one.hrot(z, 2, 3);
+        let one = one.build();
+
+        // Three `u32`s per op.
+        assert_eq!(std::mem::size_of::<PlannedOp>(), 12);
+        let pool = [
+            [1e-6, 0.0, -0.0, 0.0, 5e-7],
+            [-0.0, -0.0, 0.0, 0.0, 0.0],
+            // The one above but for the sign of its duration: `==` would
+            // intern the two as one.
+            [0.0, -0.0, 0.0, 0.0, 0.0],
+            [2.5e-6, 2.5e-6, 1e-6, 3e-6, -0.0],
+        ];
+        let repeated = |next: &mut dyn FnMut() -> u64| pool[(next() % 4) as usize];
+        // 52 random bits of mantissa: no two draws of a run coincide.
+        let distinct = |next: &mut dyn FnMut() -> u64| {
+            [(); 5].map(|()| f64::from_bits(next() >> 12 | 0x3ff << 52))
+        };
+        let machine = MachineModel;
+        for (trace, seed) in [(&long, 1), (&long, 2), (&one, 3)] {
+            for all_distinct in [false, true] {
+                let timings = if all_distinct {
+                    random_timings(trace, seed, distinct)
+                } else {
+                    random_timings(trace, seed, repeated)
+                };
+                let plan = JobPlan::new(&machine, trace, &timings).unwrap();
+                let mut clock = Clock::<Link>::new(trace.cells());
+                let mut serial = Vec::new();
+                for (op, timing) in trace.ops().zip(&timings) {
+                    let i = op.index as usize;
+                    let demand = machine.demand(timing);
+                    let own = OpShape {
+                        op: op.op,
+                        level: op.level,
+                        in_bootstrap: op.in_bootstrap,
+                        demand,
+                        next: 0,
+                    };
+                    assert_eq!(plan.shape(i).bits(), own.bits(), "op {i}");
+                    let cells: Vec<u32> = op.operands.iter().map(|&s| trace.cell(s)).collect();
+                    let start = i.checked_sub(1).map_or(0, |p| plan.ops[p].operands_end);
+                    let end = plan.ops[i].operands_end;
+                    assert_eq!(plan.operands[start as usize..end as usize], cells[..]);
+                    let output = op.output.map(|slot| trace.cell(slot));
+                    assert_eq!(plan.ops[i].output(), output);
+                    let ready = clock.ready(op.in_bootstrap, cells.into_iter());
+                    let at = Link {
+                        seconds: ready.seconds + demand.duration,
+                        op: op.index + 1,
+                    };
+                    clock.finish(output, at);
+                    serial.push(demand.duration);
+                }
+                let serial: f64 = serial.into_iter().sum();
+                assert_eq!(plan.serial_seconds().to_bits(), serial.to_bits());
+                let critical = clock.latest().seconds;
+                assert_eq!(plan.critical_path_seconds().to_bits(), critical.to_bits());
+                if all_distinct {
+                    assert_eq!(plan.shapes.len(), trace.len());
+                    assert_eq!(trace.len() > SHAPE_ROOM, trace == &long);
+                } else if trace.len() > 1 {
+                    assert!(plan.shapes.len() < trace.len(), "nothing was shared");
+                }
+            }
+        }
     }
 
     #[test]

@@ -89,15 +89,22 @@ fn serve_costs_a_constant_per_job_and_keeps_one_plan_per_pair() {
     let cost_8000 = serve_cost(&server, &stream);
 
     // Allocations: a constant handful per job beyond the per-pair set-up,
-    // the same at every stream length. (Rebuilding the plan per admission
-    // cost ~420 per job.)
+    // the same at every stream length. A job's readiness clock is one a
+    // finished job gave back, so measured: 2.05 / 2.02 per job at 500 /
+    // 2 000 jobs and 4 190 in all at 2 000 (a clock per admission made it
+    // 3.04 / 3.01 and 6 183; rebuilding the plan per admission ~420 per
+    // job).
     let per_job = |cost: &Cost, jobs: u64| {
         cost.allocations.saturating_sub(pairs_only.allocations) as f64 / jobs as f64
     };
     let (at_500, at_2000) = (per_job(&cost_500, 500), per_job(&cost_2000, 2_000));
+    eprintln!(
+        "serve: {at_500:.3} / {at_2000:.3} allocations per job at 500 / 2000 jobs, {} in all at 2000",
+        cost_2000.allocations
+    );
     assert!(
-        cost_2000.allocations <= 8 * 2_000,
-        "serve of 2000 jobs made {} allocations, over 8 per job",
+        cost_2000.allocations <= 3 * 2_000,
+        "serve of 2000 jobs made {} allocations, over 3 per job",
         cost_2000.allocations
     );
     assert!(
@@ -105,15 +112,17 @@ fn serve_costs_a_constant_per_job_and_keeps_one_plan_per_pair() {
         "allocations per job moved with the stream length: {at_500:.2} at 500, {at_2000:.2} at 2000"
     );
 
-    // Retention: going from 2 000 to 8 000 jobs adds well under 1 KiB of
-    // peak heap per job — a plan is tens of KiB, a job's per-op finish
-    // times a few KiB, its stretch of the timeline tens of KiB, so none of
-    // those is alive per job: the plans alive are the two the pairs share.
+    // Retention: going from 2 000 to 8 000 jobs adds under 1 KiB of peak
+    // heap per job, and under an eighth of a bootstrap plan — a job's
+    // per-op finish times are a few KiB, its stretch of the timeline tens
+    // of KiB, so neither is alive per job, nor a plan: the plans alive are
+    // the two the pairs share. Measured: 251 bytes per job; the plan 13 764
+    // bytes (30 000 with a demand per op).
     let plan_bytes = bootstrap_plan_bytes();
-    assert!(plan_bytes >= 16 * 1024, "a plan is only {plan_bytes} bytes");
     let per_job_bytes = cost_8000.peak_bytes.saturating_sub(cost_2000.peak_bytes) / 6_000;
+    eprintln!("serve: {per_job_bytes} bytes per job retained, a bootstrap plan {plan_bytes} bytes");
     assert!(
-        per_job_bytes <= 1024,
-        "each job keeps {per_job_bytes} bytes alive until the end of the run"
+        per_job_bytes <= 1024 && per_job_bytes <= plan_bytes / 8,
+        "each job keeps {per_job_bytes} bytes alive until the end of the run (a plan: {plan_bytes})"
     );
 }

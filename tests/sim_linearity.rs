@@ -214,16 +214,19 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
     }
 
     // A plan is the trace's own DAG, not a copy of it as edges: the sweep
-    // plus six tables, each sized once — per op its kind, level, output cell
-    // and demand, one operand-cell arena, the longest chain, and while it
-    // plans a per-cell critical-path clock and each op's chain predecessor.
-    // Measured: 14 allocations (the sweep's 8 + 6) on 2 000 and 32 000 ops
-    // and on sparse ids, 93 / 79 / 79 bytes per op at the peak (a clock per
-    // slot made it 120 / 108 / 108). A per-op
-    // `Vec` (an edge list per op, or a chain grown push by push) makes the
-    // count grow with the trace.
-    const PLAN_TABLES: u64 = 6;
-    const PLAN_PEAK_BYTES_PER_OP: u64 = 120;
+    // plus seven tables, each sized once — per op three `u32`s (shape,
+    // output cell, operand end), one operand-cell arena, the distinct op
+    // shapes (kind, level, flag, demand) once each, the longest chain, and
+    // while it plans the shape index (room for one shape per eight ops,
+    // copied out at the shape count), a per-cell critical-path clock and
+    // each op's chain predecessor. Measured: 15 allocations (the sweep's 8
+    // + 7) on 2 000 and 32 000 ops and on sparse ids, 46 / 32 / 32 bytes per
+    // op at the peak (a kind, level, output and 40-byte demand per op made
+    // it 14 allocations and 93 / 79 / 79 bytes per op; a clock per slot
+    // before that, 120 / 108 / 108). A per-op `Vec` (an edge list per op,
+    // or a chain grown push by push) makes the count grow with the trace.
+    const PLAN_TABLES: u64 = 7;
+    const PLAN_PEAK_BYTES_PER_OP: u64 = 48;
     let mut plan_allocations = Vec::new();
     for (name, trace) in [("2 000", &small), ("32 000", &large), ("sparse", &hostile)] {
         let sweep = cost_of(|| sim.try_run(trace).expect("trace runs"));
