@@ -1,7 +1,6 @@
 //! One function per table/figure of the paper's evaluation. Every function is
 //! deterministic and returns the rendered rows as a `String`, so the `figures`
-//! binary, the integration tests and EXPERIMENTS.md all share the same source
-//! of truth.
+//! binary and the integration tests share the same source of truth.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -416,21 +415,15 @@ pub fn fig9() -> String {
     let lattigo = lattigo_us * 1e-6;
     let lattigo_like = CkksInstance::lattigo_preset();
     let ins1 = CkksInstance::ins1();
-    let temp = |ins: &CkksInstance| {
-        let decomposition = ins.decomposition();
-        (decomposition.dnum() as u64 + 2)
-            * (decomposition.special_primes() + ins.max_level() + 1) as u64
-            * ins.limb_bytes()
-    };
     let configs: Vec<(&str, BtsConfig, CkksInstance)> = vec![
         (
             "small BTS (INS-Lattigo)",
-            BtsConfig::small_bts(temp(&lattigo_like)),
+            BtsConfig::small_bts(lattigo_like.modelled_temp_bytes()),
             lattigo_like.clone(),
         ),
         (
             "small BTS (INS-1)",
-            BtsConfig::small_bts(temp(&ins1)),
+            BtsConfig::small_bts(ins1.modelled_temp_bytes()),
             ins1.clone(),
         ),
         (

@@ -194,12 +194,6 @@ impl BootstrapPlan {
     }
 }
 
-impl Default for BootstrapPlan {
-    fn default() -> Self {
-        Self::paper_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,29 +17,16 @@ pub struct LoweredTrace {
 
 /// Lowers compiled bytecode to a [`bts_sim::OpTrace`]: every instruction maps
 /// to one traced op, and every [`Opcode::Bootstrap`] marker expands to the
-/// full ModRaise → CoeffToSlot → EvalMod → SlotToCoeff op sequence of the
-/// configured [`BootstrapPlan`], sized by the instance's usable level budget.
-#[derive(Debug, Clone)]
-pub struct TraceBackend {
-    plan: BootstrapPlan,
-}
+/// full ModRaise → CoeffToSlot → EvalMod → SlotToCoeff op sequence of
+/// [`BootstrapPlan::paper_default`], which consumes the `L_boot` levels the
+/// IR's level bookkeeping assumes.
+#[derive(Debug, Clone, Default)]
+pub struct TraceBackend;
 
 impl TraceBackend {
     /// A backend expanding bootstraps with the paper-default plan.
     pub fn new() -> Self {
-        Self {
-            plan: BootstrapPlan::paper_default(),
-        }
-    }
-
-    /// A backend with an explicit bootstrap plan.
-    pub fn with_plan(plan: BootstrapPlan) -> Self {
-        Self { plan }
-    }
-
-    /// The bootstrap plan used for marker expansion.
-    pub fn plan(&self) -> &BootstrapPlan {
-        &self.plan
+        Self
     }
 
     /// Compiles a circuit and lowers the bytecode: [`compile`] then
@@ -63,16 +50,16 @@ impl TraceBackend {
     /// # Errors
     ///
     /// Propagates bytecode validation failures, and refuses a bootstrap
-    /// marker when the plan does not consume `L_boot` levels or the instance
-    /// cannot afford them.
+    /// marker when the instance cannot afford the plan's levels.
     pub fn lower_compiled(
         &mut self,
         compiled: &CompiledCircuit,
     ) -> Result<LoweredTrace, CircuitError> {
         compiled.validate()?;
+        let plan = BootstrapPlan::paper_default();
         // Every instruction is one traced op, every marker one expansion.
         let bootstraps = compiled.bootstrap_count();
-        let ops = compiled.ops.len() - bootstraps + bootstraps * self.plan.op_count();
+        let ops = compiled.ops.len() - bootstraps + bootstraps * plan.op_count();
         let mut builder = TraceBuilder::with_capacity(&compiled.instance, ops);
         let mut regs: Vec<Option<CtId>> = vec![None; compiled.reg_count as usize];
         for input in &compiled.inputs {
@@ -99,25 +86,14 @@ impl TraceBackend {
                 Opcode::CAdd => builder.cadd(a, level),
                 Opcode::ModRaise => builder.mod_raise(a, compiled.instance.max_level()),
                 Opcode::Bootstrap => {
-                    // The IR's level bookkeeping assumes a bootstrap consumes
-                    // exactly L_boot levels; a plan consuming anything else
-                    // would leave every post-bootstrap op cost-charged at the
-                    // wrong level, so refuse it rather than desync silently.
-                    if self.plan.levels_consumed() != bts_params::L_BOOT {
-                        return Err(CircuitError::InvalidCircuit(format!(
-                            "bootstrap plan consumes {} levels but the circuit IR assumes L_boot = {}",
-                            self.plan.levels_consumed(),
-                            bts_params::L_BOOT
-                        )));
-                    }
-                    if compiled.instance.max_level() < self.plan.levels_consumed() {
+                    if compiled.instance.max_level() < plan.levels_consumed() {
                         return Err(CircuitError::CannotBootstrap {
                             max_level: compiled.instance.max_level(),
-                            required: self.plan.levels_consumed(),
+                            required: plan.levels_consumed(),
                         });
                     }
                     bootstrap_count += 1;
-                    self.plan.append_to(&mut builder, a)
+                    plan.append_to(&mut builder, a)
                 }
             };
             if op.free_a {
@@ -132,12 +108,6 @@ impl TraceBackend {
             trace: builder.build(),
             bootstrap_count,
         })
-    }
-}
-
-impl Default for TraceBackend {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -188,24 +158,6 @@ mod tests {
         assert_eq!(lowered.trace.key_switch_count(), plan.key_switch_count());
         assert_eq!(lowered.trace.count(HeOp::ModRaise), 1);
         assert!(lowered.trace.ops().all(|o| o.in_bootstrap));
-    }
-
-    #[test]
-    fn mismatched_bootstrap_plans_are_rejected() {
-        // A plan consuming != L_boot levels would silently desync the trace
-        // from the IR's post-bootstrap levels.
-        let ins = CkksInstance::ins1();
-        let mut b = CircuitBuilder::new(&ins);
-        let x = b.input_at(0);
-        let refreshed = b.bootstrap(x).unwrap();
-        b.output(refreshed);
-        let circuit = b.build();
-        let bad_plan = BootstrapPlan {
-            evalmod_levels: 12,
-            ..BootstrapPlan::paper_default()
-        };
-        let err = TraceBackend::with_plan(bad_plan).execute(&circuit);
-        assert!(matches!(err, Err(crate::CircuitError::InvalidCircuit(_))));
     }
 
     #[test]

@@ -2,7 +2,7 @@ use crate::ciphertext::Ciphertext;
 use crate::context::CkksContext;
 use crate::encoding::Complex;
 use crate::error::CkksError;
-use crate::eval_mod::ChebyshevSeries;
+use crate::eval_mod::{SineEvaluator, SINE_TOLERANCE};
 use crate::evaluator::Evaluator;
 use crate::linear_transform::BsgsTransform;
 
@@ -11,8 +11,9 @@ use crate::linear_transform::BsgsTransform;
 /// SlotToCoeff.
 #[derive(Debug, Clone, Copy)]
 pub struct BootstrapConfig {
-    /// Degree of the Chebyshev approximation of the scaled sine used by
-    /// EvalMod. Higher degrees give more precision and consume more levels.
+    /// Degree of the Chebyshev series EvalMod's [`SineEvaluator`] fits on the
+    /// reduced interval `[-K, K] / 2^r`; [`Bootstrapper::new`] picks the
+    /// double-angle count `r`. Higher degrees need fewer doublings.
     pub evalmod_degree: usize,
     /// Half-width K of the approximation interval `[-K, K]`; must dominate the
     /// ∞-norm of the ModRaise overflow integer `I` (≈ O(√h) for a secret of
@@ -20,68 +21,60 @@ pub struct BootstrapConfig {
     pub range_k: f64,
 }
 
-impl Default for BootstrapConfig {
-    fn default() -> Self {
-        Self {
-            evalmod_degree: 31,
-            range_k: 12.0,
-        }
-    }
-}
-
 impl BootstrapConfig {
     /// A shallow configuration for functional tests with sparse secrets
-    /// (small overflow range, modest polynomial degree).
+    /// (small overflow range, modest polynomial degree): three double angles,
+    /// 26 levels.
     pub fn sparse_test() -> Self {
         Self {
-            evalmod_degree: 23,
+            evalmod_degree: 15,
             range_k: 5.0,
         }
     }
 
     /// A configuration for end-to-end functional bootstrapping tests: a
-    /// degree-39 Chebyshev sine over `[-4, 4]` keeps the EvalMod approximation
-    /// error small enough that, combined with a modest `q0/Δ` ratio, the
-    /// refreshed message is recovered to a couple of decimal digits. Requires a
-    /// very sparse secret (Hamming weight ≲ 4) so the ModRaise overflow stays
-    /// inside the interval.
+    /// degree-31 series and one double angle over `[-4, 4]` keep the EvalMod
+    /// approximation error small enough that, combined with a modest `q0/Δ`
+    /// ratio, the refreshed message is recovered to a couple of decimal
+    /// digits. Requires a very sparse secret (Hamming weight ≲ 4) so the
+    /// ModRaise overflow stays inside the interval.
     pub fn functional_test() -> Self {
         Self {
-            evalmod_degree: 39,
+            evalmod_degree: 31,
             range_k: 4.0,
         }
     }
-
-    /// Number of multiplicative levels the bootstrap consumes:
-    /// CoeffToSlot (1) + real/imag split (1) + Clenshaw (degree) +
-    /// recombination (1) + SlotToCoeff (1).
-    pub fn levels_consumed(&self) -> usize {
-        self.evalmod_degree + 4
-    }
 }
+
+/// Levels a bootstrap spends outside EvalMod, one each: CoeffToSlot, the
+/// real/imaginary split, the recombination and SlotToCoeff.
+const TRANSFORM_LEVELS: usize = 4;
 
 /// Bootstrapping driver: refreshes the level of an exhausted ciphertext so
 /// that more multiplications can be applied (the op BTS accelerates as a
 /// first-class citizen).
 #[derive(Debug, Clone)]
 pub struct Bootstrapper {
-    config: BootstrapConfig,
     /// CoeffToSlot `(Δ/q0)·F⁻¹` and SlotToCoeff `F`, each one BSGS
     /// transform over all slots (`O(√slots)` rotation keys each).
     coeff_to_slot: BsgsTransform,
     slot_to_coeff: BsgsTransform,
-    /// Chebyshev interpolant of `(q0 / (2πΔ)) · sin(2πv)` on `[-K, K]`.
-    eval_mod: ChebyshevSeries,
+    /// `(q0 / (2πΔ)) · sin(2πv)` on `[-K, K]` by double angles.
+    eval_mod: SineEvaluator,
 }
 
 impl Bootstrapper {
-    /// Precomputes the bootstrapping transforms for a context.
+    /// Precomputes the bootstrapping transforms for a context and picks
+    /// EvalMod's double-angle count: the fewest doublings whose plaintext
+    /// error is under [`SINE_TOLERANCE`]
+    /// ([`SineEvaluator::fewest_double_angles`]) within the context's level
+    /// budget, one level kept spare.
     ///
     /// # Errors
     ///
-    /// Fails if the context's level budget cannot accommodate
-    /// [`BootstrapConfig::levels_consumed`] or the approximation interval is
-    /// empty.
+    /// Fails if the approximation interval is empty, or no double-angle count
+    /// both reaches the tolerance (none does at degree 0) and leaves
+    /// [`Bootstrapper::levels_consumed`] + 1 within the context's levels.
     pub fn new(context: &CkksContext, config: BootstrapConfig) -> crate::Result<Self> {
         // `ChebyshevSeries::fit` asserts this; a caller's config must not panic.
         if config.range_k.is_nan() || config.range_k <= 0.0 {
@@ -90,13 +83,24 @@ impl Bootstrapper {
                 config.range_k
             )));
         }
-        if context.max_level() < config.levels_consumed() + 1 {
-            return Err(CkksError::InvalidParameters(format!(
-                "bootstrapping needs {} levels but the context only has {}",
-                config.levels_consumed() + 1,
+        let q0 = context.q_modulus(0) as f64;
+        let eval_mod = SineEvaluator::fewest_double_angles(
+            config.range_k,
+            config.evalmod_degree,
+            context.max_level().saturating_sub(TRANSFORM_LEVELS + 1),
+            q0 / (2.0 * std::f64::consts::PI * context.scale()),
+        )
+        .ok_or_else(|| {
+            CkksError::InvalidParameters(format!(
+                "no double-angle count brings a degree-{} EvalMod on [-{}, {}] under {:e} \
+                 within the context's {} levels (one kept spare)",
+                config.evalmod_degree,
+                config.range_k,
+                config.range_k,
+                SINE_TOLERANCE,
                 context.max_level()
-            )));
-        }
+            ))
+        })?;
         let slots = context.slots();
         // Build the special-FFT matrix F and its inverse numerically from the
         // encoder. F maps packed coefficients u (u_j = m_j + i·m_{j+N/2}) to
@@ -130,7 +134,6 @@ impl Bootstrapper {
                 );
             }
         }
-        let q0 = context.q_modulus(0) as f64;
         // CoeffToSlot = (Δ/q0)·F^{-1}: the raised ciphertext decodes (at scale
         // Δ) to F·c/Δ where c = Δ·m + q0·I, so applying (Δ/q0)·F^{-1} in slot
         // space leaves the slots holding c/q0 = I + Δ·m/q0 ∈ [-(K+1), K+1] —
@@ -142,26 +145,24 @@ impl Bootstrapper {
             .collect();
         let coeff_to_slot = BsgsTransform::from_matrix(&c2s_scaled)?;
         let slot_to_coeff = BsgsTransform::from_matrix(&f_matrix)?;
-
-        let eval_mod = ChebyshevSeries::fit(
-            |v| {
-                q0 / (2.0 * std::f64::consts::PI * context.scale())
-                    * (2.0 * std::f64::consts::PI * v).sin()
-            },
-            config.range_k,
-            config.evalmod_degree,
-        );
         Ok(Self {
-            config,
             coeff_to_slot,
             slot_to_coeff,
             eval_mod,
         })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &BootstrapConfig {
-        &self.config
+    /// The EvalMod sine, with the double-angle count [`Bootstrapper::new`]
+    /// picked.
+    pub fn eval_mod(&self) -> &SineEvaluator {
+        &self.eval_mod
+    }
+
+    /// Multiplicative levels [`Bootstrapper::bootstrap`] spends above its
+    /// output: EvalMod's plus one each for CoeffToSlot, the real/imaginary
+    /// split, the recombination and SlotToCoeff.
+    pub fn levels_consumed(&self) -> usize {
+        self.eval_mod.levels_consumed() + TRANSFORM_LEVELS
     }
 
     /// Rotation amounts for which the key bundle must contain rotation keys
@@ -179,8 +180,8 @@ impl Bootstrapper {
     }
 
     /// Full bootstrapping: ModRaise → CoeffToSlot → EvalMod → SlotToCoeff.
-    /// Returns a ciphertext encrypting (approximately) the same message at a
-    /// higher level.
+    /// Returns a ciphertext encrypting (approximately) the same message at
+    /// level `max_level − levels_consumed()`.
     ///
     /// # Errors
     ///
@@ -258,12 +259,9 @@ mod tests {
     #[test]
     fn kept_plaintexts_bootstrap_like_encoding_per_call() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let ctx = CkksContext::new_toy(1 << 6, 10, 1).unwrap();
-        let config = BootstrapConfig {
-            evalmod_degree: 3,
-            range_k: 4.0,
-        };
-        let bootstrapper = Bootstrapper::new(&ctx, config).unwrap();
+        // Degree 3 on [-4, 4] takes 16 double angles: 27 levels.
+        let ctx = CkksContext::new_toy(1 << 6, 28, 1).unwrap();
+        let bootstrapper = Bootstrapper::new(&ctx, DEGREE_3).unwrap();
         let (sk, mut keys) = ctx.generate_keys(&mut rng).unwrap();
         let rotations = bootstrapper.required_rotations();
         ctx.add_rotation_keys(&sk, &mut keys, &rotations, &mut rng)
@@ -286,10 +284,39 @@ mod tests {
         assert_eq!(levels, [Some(ctx.max_level()), Some(reference.level() + 1)]);
     }
 
+    const DEGREE_3: BootstrapConfig = BootstrapConfig {
+        evalmod_degree: 3,
+        range_k: 4.0,
+    };
+
+    /// A bootstrap spends exactly `levels_consumed()` levels, and `new`
+    /// admits a context with one level to spare and no fewer: the refresh of
+    /// a level-0 ciphertext lands at level 1.
     #[test]
-    fn config_level_accounting() {
-        let cfg = BootstrapConfig::default();
-        assert_eq!(cfg.levels_consumed(), 35);
-        assert_eq!(BootstrapConfig::sparse_test().levels_consumed(), 27);
+    fn bootstrap_spends_its_levels_consumed() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let deep = CkksContext::new_toy(1 << 6, 40, 1).unwrap();
+        let levels = Bootstrapper::new(&deep, DEGREE_3)
+            .unwrap()
+            .levels_consumed();
+        let short = CkksContext::new_toy(1 << 6, levels, 1).unwrap();
+        assert!(matches!(
+            Bootstrapper::new(&short, DEGREE_3),
+            Err(CkksError::InvalidParameters(_))
+        ));
+
+        let ctx = CkksContext::new_toy(1 << 6, levels + 1, 1).unwrap();
+        let bootstrapper = Bootstrapper::new(&ctx, DEGREE_3).unwrap();
+        assert_eq!(bootstrapper.levels_consumed(), levels);
+        let (sk, mut keys) = ctx.generate_keys(&mut rng).unwrap();
+        ctx.add_rotation_keys(&sk, &mut keys, &bootstrapper.required_rotations(), &mut rng)
+            .unwrap();
+        let eval = ctx.evaluator(&keys);
+        let msg = vec![Complex::new(0.1, 0.0); ctx.slots()];
+        let pt = ctx.encode_at(&msg, 0, ctx.scale()).unwrap();
+        let ct = ctx.encrypt(&pt, &sk, &mut rng).unwrap();
+        let out = bootstrapper.bootstrap(&eval, &ct).unwrap();
+        assert_eq!(ctx.max_level() - out.level(), levels);
+        assert_eq!(out.level(), 1);
     }
 }

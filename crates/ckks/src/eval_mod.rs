@@ -58,16 +58,6 @@ impl ChebyshevSeries {
         self.coefficients.len() - 1
     }
 
-    /// The interval half-width `k`.
-    pub fn half_width(&self) -> f64 {
-        self.half_width
-    }
-
-    /// The Chebyshev coefficients.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
-    }
-
     /// Evaluates the series at a plaintext point via Clenshaw's recurrence.
     pub fn eval(&self, t: f64) -> f64 {
         let x = t / self.half_width;
@@ -92,8 +82,16 @@ impl ChebyshevSeries {
             .fold(0.0, f64::max)
     }
 
+    /// Multiplicative levels [`ChebyshevSeries::eval_homomorphic`] spends:
+    /// one to normalise the argument, one for the leading term, one per
+    /// further Clenshaw step (`degree − 1`) and one for the final product
+    /// with the argument — `degree + 2`.
+    pub fn levels_consumed(&self) -> usize {
+        self.degree() + 2
+    }
+
     /// Evaluates the series homomorphically via the Clenshaw recurrence,
-    /// consuming roughly `degree + 1` levels.
+    /// consuming [`ChebyshevSeries::levels_consumed`] levels.
     ///
     /// # Errors
     ///
@@ -144,6 +142,10 @@ impl ChebyshevSeries {
     }
 }
 
+/// Plaintext error, at unit amplitude, under which
+/// [`SineEvaluator::fewest_double_angles`] accepts a double-angle count.
+pub const SINE_TOLERANCE: f64 = 1e-6;
+
 /// Double-angle evaluator of the scaled sine used by EvalMod.
 ///
 /// The evaluator approximates `cos(2π(t - 1/4)/2^r)` with a low-degree
@@ -190,16 +192,32 @@ impl SineEvaluator {
         self.double_angles
     }
 
-    /// The Chebyshev series used on the reduced interval.
-    pub fn series(&self) -> &ChebyshevSeries {
-        &self.series
+    /// The evaluator with the fewest double angles whose plaintext error at
+    /// unit amplitude ([`SineEvaluator::max_error`] over 2 000 intervals)
+    /// is under [`SINE_TOLERANCE`], scaled by `amplitude`; `None` if none
+    /// within `max_levels` levels is (a degree-0 series never is).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is not positive.
+    pub fn fewest_double_angles(
+        range: f64,
+        degree: usize,
+        max_levels: usize,
+        amplitude: f64,
+    ) -> Option<Self> {
+        (0..)
+            .map(|r| Self::new(range, degree, r, 1.0))
+            .take_while(|sine| sine.levels_consumed() <= max_levels)
+            .find(|sine| sine.max_error(2000) < SINE_TOLERANCE)
+            .map(|sine| Self { amplitude, ..sine })
     }
 
-    /// Multiplicative levels one homomorphic evaluation consumes:
-    /// one for the range normalization, `degree` for the Clenshaw recurrence,
-    /// and two per double-angle iteration (square + rescale of the constant).
+    /// Multiplicative levels [`SineEvaluator::eval_homomorphic`] spends: one
+    /// to shift and divide the argument by `2^r`, the series' own, one per
+    /// double angle (the square's rescale) and one for the amplitude.
     pub fn levels_consumed(&self) -> usize {
-        1 + self.series.degree() + 2 * self.double_angles as usize
+        self.series.levels_consumed() + self.double_angles as usize + 2
     }
 
     /// Plaintext reference evaluation of `amplitude · sin(2π t)`.
@@ -275,7 +293,8 @@ mod tests {
             "error = {}",
             sine.max_error(600)
         );
-        // The direct fit at the same total multiplicative depth is worse.
+        // A direct fit of degree levels − 1 (one level deeper than the sine,
+        // `ChebyshevSeries::levels_consumed` = degree + 2) is still worse.
         let direct = ChebyshevSeries::fit(
             |t| (2.0 * std::f64::consts::PI * t).sin(),
             6.0,
@@ -347,11 +366,63 @@ mod tests {
         }
     }
 
+    /// Encrypts a ramp on `[-0.5, 0.5]` at the top of a toy ring.
+    fn top_level_ramp(levels: usize, seed: u64) -> (CkksContext, crate::KeyBundle, Ciphertext) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let ctx = CkksContext::new_toy(1 << 5, levels, 1).unwrap();
+        let (sk, keys) = ctx.generate_keys(&mut rng).unwrap();
+        let msg: Vec<crate::Complex> = (0..ctx.slots())
+            .map(|i| crate::Complex::new(i as f64 / ctx.slots() as f64 - 0.5, 0.0))
+            .collect();
+        let ct = ctx
+            .encrypt(&ctx.encode(&msg).unwrap(), &sk, &mut rng)
+            .unwrap();
+        (ctx, keys, ct)
+    }
+
     #[test]
-    fn level_accounting_is_consistent() {
-        let sine = SineEvaluator::new(12.0, 23, 4, 3.0);
-        assert_eq!(sine.levels_consumed(), 1 + 23 + 8);
-        assert_eq!(sine.double_angles(), 4);
-        assert_eq!(sine.series().degree(), 23);
+    fn clenshaw_spends_its_levels_consumed() {
+        for degree in [1, 3, 7] {
+            let series = ChebyshevSeries::fit(|t| t * t - 0.5 * t, 1.0, degree);
+            let (ctx, keys, ct) = top_level_ramp(series.levels_consumed() + 1, 21);
+            let out = series.eval_homomorphic(&ctx.evaluator(&keys), &ct).unwrap();
+            assert_eq!(
+                ct.level() - out.level(),
+                series.levels_consumed(),
+                "degree {degree}"
+            );
+            assert_eq!(series.levels_consumed(), degree + 2);
+        }
+    }
+
+    #[test]
+    fn sine_evaluator_spends_its_levels_consumed() {
+        for (degree, double_angles) in [(3, 0), (7, 0), (7, 2), (5, 4)] {
+            let sine = SineEvaluator::new(1.0, degree, double_angles, 2.0);
+            let (ctx, keys, ct) = top_level_ramp(sine.levels_consumed() + 1, 22);
+            let out = sine.eval_homomorphic(&ctx.evaluator(&keys), &ct).unwrap();
+            assert_eq!(
+                ct.level() - out.level(),
+                sine.levels_consumed(),
+                "(d, r) = ({degree}, {double_angles})"
+            );
+            assert_eq!(
+                sine.levels_consumed(),
+                degree + 2 + double_angles as usize + 2
+            );
+        }
+    }
+
+    /// The fewest doublings that reach the tolerance, not the most the
+    /// levels allow; none if the levels cannot hold them.
+    #[test]
+    fn fewest_double_angles_is_measured() {
+        let sine = SineEvaluator::fewest_double_angles(4.0, 31, 60, 3.0).unwrap();
+        assert_eq!(sine.double_angles(), 1);
+        assert!(SineEvaluator::new(4.0, 31, 0, 1.0).max_error(2000) >= SINE_TOLERANCE);
+        assert!(sine.max_error(2000) < 3.0 * SINE_TOLERANCE);
+        let levels = sine.levels_consumed();
+        assert!(SineEvaluator::fewest_double_angles(4.0, 31, levels, 3.0).is_some());
+        assert!(SineEvaluator::fewest_double_angles(4.0, 31, levels - 1, 3.0).is_none());
     }
 }

@@ -67,7 +67,7 @@ pub use ciphertext::{Ciphertext, Plaintext};
 pub use context::{CkksContext, Decomposed};
 pub use encoding::{CkksEncoder, Complex};
 pub use error::CkksError;
-pub use eval_mod::{ChebyshevSeries, SineEvaluator};
+pub use eval_mod::{ChebyshevSeries, SineEvaluator, SINE_TOLERANCE};
 pub use evaluator::Evaluator;
 pub use keys::{EvaluationKey, KeyBundle, PublicKey, SecretKey};
 pub use linear_transform::BsgsTransform;

@@ -204,6 +204,16 @@ impl CkksInstance {
         (rotation_keys as u64 + 1) * self.evk_bytes()
     }
 
+    /// Modelled peak temporary-data footprint of one key-switch at the top
+    /// level: `(dnum + 2)` working polynomials on the extended base (the
+    /// decomposition slices' residues plus the streamed evaluation-key
+    /// slice). Reproduces Table 4's 183 / 304 / 365 MiB for INS-1/2/3 within
+    /// a few percent.
+    pub fn modelled_temp_bytes(&self) -> u64 {
+        let limbs = (self.decomposition.special_primes() + self.max_level() + 1) as u64;
+        (self.decomposition.dnum() as u64 + 2) * limbs * self.limb_bytes()
+    }
+
     /// Paper-reported temporary-data footprint during HMult (Table 4), in
     /// bytes, when available (only the three evaluation instances); used as a
     /// reference point for the simulator's own measurement.

@@ -654,19 +654,12 @@ impl Simulator {
     }
 
     /// Peak temporary-data footprint of one key-switching op at the maximum
-    /// level (intermediate residue polynomials of the decomposition slices plus
-    /// the streamed evaluation-key slice being consumed). Calibrated against
-    /// the Table 4 "Temp data" column: the model reproduces 183 / 304 / 365 MiB
-    /// for INS-1/2/3 within a few percent.
+    /// level: Table 4's "Temp data" where the paper reports it, else
+    /// [`CkksInstance::modelled_temp_bytes`].
     pub fn temp_data_bytes(&self) -> u64 {
         let ins = &self.instance;
-        if let Some(reported) = ins.reported_temp_bytes() {
-            return reported;
-        }
-        let decomposition = ins.decomposition();
-        let limbs_full = (decomposition.special_primes() + ins.max_level() + 1) as u64;
-        // (dnum + 2) working polynomials on the extended base.
-        (decomposition.dnum() as u64 + 2) * limbs_full * ins.limb_bytes()
+        ins.reported_temp_bytes()
+            .unwrap_or_else(|| ins.modelled_temp_bytes())
     }
 
     /// Scratchpad capacity left for the software-managed ciphertext cache

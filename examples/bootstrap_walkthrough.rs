@@ -6,7 +6,10 @@
 //!
 //! Run with: `cargo run --release --example bootstrap_walkthrough`
 
-use bts::ckks::{BootstrapConfig, Bootstrapper, CkksContext, Complex, NoiseTracker, SineEvaluator};
+use bts::ckks::{
+    BootstrapConfig, Bootstrapper, CkksContext, Complex, NoiseTracker, SineEvaluator,
+    SINE_TOLERANCE,
+};
 use bts::params::CkksInstance;
 use rand::SeedableRng;
 
@@ -25,21 +28,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let degree = 1 << 7;
     let ctx = CkksContext::new(degree, 52, 1, 45, 40, 60)?;
     let config = BootstrapConfig::functional_test();
+    // Sparse secret: keeps the ModRaise overflow |I| within the EvalMod range.
+    let sk = ctx.gen_sparse_secret_key(&mut rng, 4);
+    let mut keys = ctx.generate_bundle_for(&sk, &mut rng)?;
+    let bootstrapper = Bootstrapper::new(&ctx, config)?;
     println!("== Functional bootstrapping on a toy ring ==");
     println!(
-        "N = {}, L = {}, Δ = 2^{}, q0/Δ = 2^5, EvalMod degree {} on [-{}, {}]",
+        "N = {}, L = {}, Δ = 2^{}, q0/Δ = 2^5, EvalMod degree {} on [-{}, {}] \
+         + {} double angle(s) → the bootstrap spends {} levels",
         ctx.degree(),
         ctx.max_level(),
         ctx.scale().log2(),
         config.evalmod_degree,
         config.range_k,
         config.range_k,
+        bootstrapper.eval_mod().double_angles(),
+        bootstrapper.levels_consumed(),
     );
-
-    // Sparse secret: keeps the ModRaise overflow |I| within the EvalMod range.
-    let sk = ctx.gen_sparse_secret_key(&mut rng, 4);
-    let mut keys = ctx.generate_bundle_for(&sk, &mut rng)?;
-    let bootstrapper = Bootstrapper::new(&ctx, config)?;
     let rotations = bootstrapper.required_rotations();
     println!(
         "rotation keys required by CoeffToSlot/SlotToCoeff: {}",
@@ -73,14 +78,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         -max_error(&msg, &out).log2()
     );
 
-    // The production-style double-angle sine evaluator: same job as the
-    // direct Chebyshev EvalMod, far fewer levels for wide overflow ranges.
-    println!("\n== Double-angle EvalMod (Han–Ki style) ==");
-    for (range, degree, doublings) in [(6.0, 15, 3u32), (12.0, 23, 4), (25.0, 31, 5)] {
-        let sine = SineEvaluator::new(range, degree, doublings, 1.0);
+    // The same rule on production-style overflow ranges: the fewest double
+    // angles that bring the plaintext error under the tolerance.
+    println!("\n== Double-angle EvalMod (Han–Ki style), error < {SINE_TOLERANCE:.0e} ==");
+    for (range, degree) in [(6.0, 15), (12.0, 23), (25.0, 31)] {
+        let sine = SineEvaluator::fewest_double_angles(range, degree, ctx.max_level(), 1.0)
+            .ok_or("no double-angle count fits the ring")?;
         println!(
-            "range ±{range:>4}: Chebyshev degree {degree:>2} + {doublings} double angles \
+            "range ±{range:>4}: Chebyshev degree {degree:>2} + {} double angles \
              → {:>2} levels, max error {:.1e}",
+            sine.double_angles(),
             sine.levels_consumed(),
             sine.max_error(2000)
         );

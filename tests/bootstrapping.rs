@@ -72,13 +72,19 @@ fn bootstrapper_reports_its_key_requirements() {
         ..BootstrapConfig::sparse_test()
     };
     assert!(Bootstrapper::new(&ctx, empty).is_err());
+    // So is a series of degree 0, which no Clenshaw evaluation runs.
+    let constant = BootstrapConfig {
+        evalmod_degree: 0,
+        ..BootstrapConfig::sparse_test()
+    };
+    assert!(Bootstrapper::new(&ctx, constant).is_err());
 }
 
 /// Full functional bootstrap on a tiny ring. This exercises ModRaise,
-/// CoeffToSlot, the Chebyshev EvalMod and SlotToCoeff end to end; the
+/// CoeffToSlot, the double-angle EvalMod and SlotToCoeff end to end; the
 /// tolerance is loose because the toy configuration trades precision for
-/// depth (see EXPERIMENTS.md). A small `q0/Δ` ratio (2^5) keeps the EvalMod
-/// amplitude — and hence the approximation error in message units — small.
+/// depth. A small `q0/Δ` ratio (2^5) keeps the EvalMod amplitude — and hence
+/// the approximation error in message units — small.
 #[test]
 fn bootstrap_refreshes_levels_and_roughly_preserves_the_message() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
@@ -101,6 +107,10 @@ fn bootstrap_refreshes_levels_and_roughly_preserves_the_message() {
     assert_eq!(exhausted.level(), 0);
 
     let refreshed = bootstrapper.bootstrap(&eval, &exhausted).unwrap();
+    assert_eq!(
+        refreshed.level(),
+        ctx.max_level() - bootstrapper.levels_consumed()
+    );
     assert!(
         refreshed.level() >= 2,
         "bootstrap should leave usable levels, got {}",
