@@ -1,8 +1,7 @@
 use crate::ciphertext::Ciphertext;
 use crate::context::CkksContext;
 use crate::encoding::Complex;
-use crate::error::CkksError;
-use crate::eval_mod::{SineEvaluator, SINE_TOLERANCE};
+use crate::eval_mod::SineEvaluator;
 use crate::evaluator::Evaluator;
 use crate::linear_transform::BsgsTransform;
 
@@ -11,9 +10,9 @@ use crate::linear_transform::BsgsTransform;
 /// SlotToCoeff.
 #[derive(Debug, Clone, Copy)]
 pub struct BootstrapConfig {
-    /// Degree of the Chebyshev series EvalMod's [`SineEvaluator`] fits on the
-    /// reduced interval `[-K, K] / 2^r`; [`Bootstrapper::new`] picks the
-    /// double-angle count `r`. Higher degrees need fewer doublings.
+    /// Degree of the Chebyshev series EvalMod's [`SineEvaluator`] fits to
+    /// `cos(2πs/2^r)` on `[-(K + 1/4), K + 1/4]`; [`Bootstrapper::new`] picks
+    /// the double-angle count `r`. Higher degrees need fewer doublings.
     pub evalmod_degree: usize,
     /// Half-width K of the approximation interval `[-K, K]`; must dominate the
     /// ∞-norm of the ModRaise overflow integer `I` (≈ O(√h) for a secret of
@@ -24,7 +23,7 @@ pub struct BootstrapConfig {
 impl BootstrapConfig {
     /// A shallow configuration for functional tests with sparse secrets
     /// (small overflow range, modest polynomial degree): three double angles,
-    /// 26 levels.
+    /// 13 levels.
     pub fn sparse_test() -> Self {
         Self {
             evalmod_degree: 15,
@@ -59,48 +58,32 @@ pub struct Bootstrapper {
     /// transform over all slots (`O(√slots)` rotation keys each).
     coeff_to_slot: BsgsTransform,
     slot_to_coeff: BsgsTransform,
-    /// `(q0 / (2πΔ)) · sin(2πv)` on `[-K, K]` by double angles.
+    /// `sin(2πv)` on `[-K, K]` by double angles.
     eval_mod: SineEvaluator,
+    /// `q0 / (2πΔ)`, the sine's amplitude, applied in the recombination.
+    amplitude: f64,
 }
 
 impl Bootstrapper {
     /// Precomputes the bootstrapping transforms for a context and picks
     /// EvalMod's double-angle count: the fewest doublings whose plaintext
-    /// error is under [`SINE_TOLERANCE`]
+    /// error is under [`crate::SINE_TOLERANCE`]
     /// ([`SineEvaluator::fewest_double_angles`]) within the context's level
     /// budget, one level kept spare.
     ///
     /// # Errors
     ///
-    /// Fails if the approximation interval is empty, or no double-angle count
-    /// both reaches the tolerance (none does at degree 0) and leaves
+    /// [`crate::CkksError::InvalidParameters`] if the approximation interval
+    /// is not positive and finite, the degree is 0, or no double-angle count
+    /// both reaches the tolerance and leaves
     /// [`Bootstrapper::levels_consumed`] + 1 within the context's levels.
     pub fn new(context: &CkksContext, config: BootstrapConfig) -> crate::Result<Self> {
-        // `ChebyshevSeries::fit` asserts this; a caller's config must not panic.
-        if config.range_k.is_nan() || config.range_k <= 0.0 {
-            return Err(CkksError::InvalidParameters(format!(
-                "EvalMod range K must be positive, got {}",
-                config.range_k
-            )));
-        }
-        let q0 = context.q_modulus(0) as f64;
         let eval_mod = SineEvaluator::fewest_double_angles(
             config.range_k,
             config.evalmod_degree,
             context.max_level().saturating_sub(TRANSFORM_LEVELS + 1),
-            q0 / (2.0 * std::f64::consts::PI * context.scale()),
-        )
-        .ok_or_else(|| {
-            CkksError::InvalidParameters(format!(
-                "no double-angle count brings a degree-{} EvalMod on [-{}, {}] under {:e} \
-                 within the context's {} levels (one kept spare)",
-                config.evalmod_degree,
-                config.range_k,
-                config.range_k,
-                SINE_TOLERANCE,
-                context.max_level()
-            ))
-        })?;
+        )?;
+        let q0 = context.q_modulus(0) as f64;
         let slots = context.slots();
         // Build the special-FFT matrix F and its inverse numerically from the
         // encoder. F maps packed coefficients u (u_j = m_j + i·m_{j+N/2}) to
@@ -149,6 +132,7 @@ impl Bootstrapper {
             coeff_to_slot,
             slot_to_coeff,
             eval_mod,
+            amplitude: q0 / (2.0 * std::f64::consts::PI * context.scale()),
         })
     }
 
@@ -160,7 +144,8 @@ impl Bootstrapper {
 
     /// Multiplicative levels [`Bootstrapper::bootstrap`] spends above its
     /// output: EvalMod's plus one each for CoeffToSlot, the real/imaginary
-    /// split, the recombination and SlotToCoeff.
+    /// split, the recombination (which applies the sine's amplitude) and
+    /// SlotToCoeff.
     pub fn levels_consumed(&self) -> usize {
         self.eval_mod.levels_consumed() + TRANSFORM_LEVELS
     }
@@ -188,29 +173,37 @@ impl Bootstrapper {
     /// Fails if required rotation/conjugation keys are missing or the level
     /// budget is insufficient.
     pub fn bootstrap(&self, eval: &Evaluator<'_>, ct: &Ciphertext) -> crate::Result<Ciphertext> {
-        let context = eval.context();
         // 1. ModRaise to the top of the chain.
-        let raised = context.mod_raise(ct);
+        let raised = eval.context().mod_raise(ct);
         // 2. CoeffToSlot: slots now hold (m_j + q0·I_j)/q0 packed as complex.
         let packed = self.coeff_to_slot.evaluate(eval, &raised)?;
+        let combined = self.eval_mod_slots(eval, &packed)?;
+        // 6. SlotToCoeff back to the coefficient encoding. The scale tag is
+        // whatever the op chain's bookkeeping produced; the slot values are the
+        // refreshed message.
+        self.slot_to_coeff.evaluate(eval, &combined)
+    }
+
+    /// Steps 3–5 of [`Bootstrapper::bootstrap`]: EvalMod on the real and the
+    /// imaginary part of every slot, recombined at the sine's amplitude.
+    fn eval_mod_slots(
+        &self,
+        eval: &Evaluator<'_>,
+        packed: &Ciphertext,
+    ) -> crate::Result<Ciphertext> {
         // 3. Split real and imaginary parts with a conjugation.
-        let conj = eval.conjugate(&packed)?;
-        let re_part = eval.rescale(&eval.mul_const(&eval.add(&packed, &conj)?, 0.5)?)?;
-        let im_sum = eval.sub(&packed, &conj)?;
+        let conj = eval.conjugate(packed)?;
+        let re_part = eval.rescale(&eval.mul_const(&eval.add(packed, &conj)?, 0.5)?)?;
+        let im_sum = eval.sub(packed, &conj)?;
         // (x - conj(x)) = 2i·Im(x); multiply by -0.5i to get Im(x).
         let im_part = eval.rescale(&self.mul_imaginary(eval, &im_sum, -0.5)?)?;
         // 4. EvalMod on each part.
         let re_mod = self.eval_mod.eval_homomorphic(eval, &re_part)?;
         let im_mod = self.eval_mod.eval_homomorphic(eval, &im_part)?;
-        // 5. Recombine: re + i·im.
-        let im_times_i = self.mul_imaginary(eval, &im_mod, 1.0)?;
-        let im_times_i = eval.rescale(&im_times_i)?;
-        let re_aligned = eval.rescale(&eval.mul_const(&re_mod, 1.0)?)?;
-        let combined = eval.add(&re_aligned, &im_times_i)?;
-        // 6. SlotToCoeff back to the coefficient encoding. The scale tag is
-        // whatever the op chain's bookkeeping produced; the slot values are the
-        // refreshed message.
-        self.slot_to_coeff.evaluate(eval, &combined)
+        // 5. Recombine at the amplitude: a·re + a·i·im.
+        let re_scaled = eval.rescale(&eval.mul_const(&re_mod, self.amplitude)?)?;
+        let im_scaled = eval.rescale(&self.mul_imaginary(eval, &im_mod, self.amplitude)?)?;
+        eval.add(&re_scaled, &im_scaled)
     }
 
     /// Multiplies every slot by `factor · i` (a purely imaginary constant).
@@ -229,6 +222,7 @@ impl Bootstrapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CkksError;
     use crate::linear_transform::tests::{encoded_level, evaluate_encoding_per_call};
     use rand::SeedableRng;
 
@@ -241,15 +235,7 @@ mod tests {
     ) -> crate::Result<Ciphertext> {
         let raised = eval.context().mod_raise(ct);
         let packed = evaluate_encoding_per_call(&b.coeff_to_slot, eval, &raised)?;
-        let conj = eval.conjugate(&packed)?;
-        let re_part = eval.rescale(&eval.mul_const(&eval.add(&packed, &conj)?, 0.5)?)?;
-        let im_sum = eval.sub(&packed, &conj)?;
-        let im_part = eval.rescale(&b.mul_imaginary(eval, &im_sum, -0.5)?)?;
-        let re_mod = b.eval_mod.eval_homomorphic(eval, &re_part)?;
-        let im_mod = b.eval_mod.eval_homomorphic(eval, &im_part)?;
-        let im_times_i = eval.rescale(&b.mul_imaginary(eval, &im_mod, 1.0)?)?;
-        let re_aligned = eval.rescale(&eval.mul_const(&re_mod, 1.0)?)?;
-        let combined = eval.add(&re_aligned, &im_times_i)?;
+        let combined = b.eval_mod_slots(eval, &packed)?;
         evaluate_encoding_per_call(&b.slot_to_coeff, eval, &combined)
     }
 
@@ -259,7 +245,7 @@ mod tests {
     #[test]
     fn kept_plaintexts_bootstrap_like_encoding_per_call() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        // Degree 3 on [-4, 4] takes 16 double angles: 27 levels.
+        // Degree 3 on [-4, 4] takes 16 double angles: 23 levels.
         let ctx = CkksContext::new_toy(1 << 6, 28, 1).unwrap();
         let bootstrapper = Bootstrapper::new(&ctx, DEGREE_3).unwrap();
         let (sk, mut keys) = ctx.generate_keys(&mut rng).unwrap();

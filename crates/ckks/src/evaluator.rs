@@ -15,9 +15,8 @@ use crate::keys::{EvaluationKey, KeyBundle};
 const SCALE_TOLERANCE: f64 = 5e-3;
 
 /// Evaluates homomorphic operations on ciphertexts: the HAdd / HMult / HRot /
-/// HRescale / CMult / PMult primitives of §2.3, plus homomorphic linear
-/// transforms (the building block of bootstrapping's CoeffToSlot/SlotToCoeff)
-/// and polynomial evaluation.
+/// HRescale / CMult / PMult primitives of §2.3, plus the hoisted rotations
+/// bootstrapping's CoeffToSlot/SlotToCoeff transforms are built from.
 #[derive(Debug, Clone, Copy)]
 pub struct Evaluator<'a> {
     context: &'a CkksContext,
@@ -191,11 +190,6 @@ impl<'a> Evaluator<'a> {
         Ok(())
     }
 
-    /// Negation.
-    pub fn negate(&self, a: &Ciphertext) -> Ciphertext {
-        Ciphertext::new(a.c0.neg(), a.c1.neg(), a.level, a.scale)
-    }
-
     /// HMult: tensor product followed by key-switching with the
     /// relinearization key (Eq. 3/4). The output scale is the product of the
     /// input scales; call [`Evaluator::rescale`] afterwards to bring it back.
@@ -243,15 +237,6 @@ impl<'a> Evaluator<'a> {
         dst.level = level;
         dst.scale = a.scale * b.scale;
         Ok(())
-    }
-
-    /// Squares a ciphertext (same flow as [`Evaluator::mul`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates key-switching failures.
-    pub fn square(&self, a: &Ciphertext) -> crate::Result<Ciphertext> {
-        self.mul(a, a)
     }
 
     /// PMult: multiplies by a plaintext polynomial. The output scale is the
@@ -331,8 +316,33 @@ impl<'a> Evaluator<'a> {
         value: f64,
         dst: &mut Ciphertext,
     ) -> crate::Result<()> {
+        self.mul_const_at_into(a, value, self.context.scale(), dst)
+    }
+
+    /// CMult with the constant encoded at `scale` instead of Δ (output scale
+    /// `ct.scale · scale`): lands a term on exactly another operand's scale.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::mul_const`].
+    pub fn mul_const_at(
+        &self,
+        a: &Ciphertext,
+        value: f64,
+        scale: f64,
+    ) -> crate::Result<Ciphertext> {
+        self.fresh(|dst| self.mul_const_at_into(a, value, scale, dst))
+    }
+
+    /// [`Evaluator::mul_const_at`] written into `dst`.
+    fn mul_const_at_into(
+        &self,
+        a: &Ciphertext,
+        value: f64,
+        scale: f64,
+        dst: &mut Ciphertext,
+    ) -> crate::Result<()> {
         self.check_operands(a.level, &[a])?;
-        let scale = self.context.scale();
         let constant = Self::scaled_constant(value, scale);
         for (out, x) in [(&mut dst.c0, &a.c0), (&mut dst.c1, &a.c1)] {
             self.write(out, a.level, |j, table, limb| {
@@ -616,41 +626,6 @@ impl<'a> Evaluator<'a> {
         dst.scale = a.scale;
         Ok(())
     }
-
-    /// Evaluates a real-coefficient polynomial `Σ c_i x^i` on a ciphertext via
-    /// Horner's rule, consuming `deg` levels.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the ciphertext runs out of levels.
-    pub fn eval_polynomial(&self, x: &Ciphertext, coeffs: &[f64]) -> crate::Result<Ciphertext> {
-        if coeffs.len() < 2 {
-            return Err(CkksError::InvalidParameters(
-                "polynomial must have degree at least 1".to_string(),
-            ));
-        }
-        let degree = coeffs.len() - 1;
-        if x.level < degree {
-            return Err(CkksError::LevelExhausted {
-                level: x.level,
-                required: degree,
-            });
-        }
-        // Horner: acc = c_d·x + c_{d-1}; then repeatedly acc = acc·x + c_i.
-        let mut acc = self.rescale(&self.mul_const(x, coeffs[degree])?)?;
-        acc = self.add_const(&acc, coeffs[degree - 1])?;
-        for i in (0..degree - 1).rev() {
-            let x_aligned = self.level_reduce(x, acc.level)?;
-            acc = self.rescale(&self.mul(&acc, &x_aligned)?)?;
-            acc = self.add_const(&acc, coeffs[i])?;
-        }
-        Ok(acc)
-    }
-
-    /// Access to the bound key bundle (used by the bootstrapping driver).
-    pub fn keys(&self) -> &KeyBundle {
-        self.keys
-    }
 }
 
 #[cfg(test)]
@@ -685,5 +660,28 @@ mod tests {
         }
         // Healthy ciphertexts are unaffected.
         assert!(eval.add(&ct, &ct).is_ok());
+    }
+
+    /// A constant encoded at a chosen scale lands the product on exactly
+    /// `ct.scale · scale`; at Δ it is `mul_const`, bit for bit.
+    #[test]
+    fn mul_const_at_lands_on_the_requested_scale() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let ctx = CkksContext::new_toy(1 << 8, 3, 1).unwrap();
+        let (sk, keys) = ctx.generate_keys(&mut rng).unwrap();
+        let eval = ctx.evaluator(&keys);
+        let msg = vec![Complex::new(0.25, 0.0); ctx.slots()];
+        let ct = ctx
+            .encrypt(&ctx.encode(&msg).unwrap(), &sk, &mut rng)
+            .unwrap();
+        assert_eq!(
+            eval.mul_const_at(&ct, 1.5, ctx.scale()).unwrap(),
+            eval.mul_const(&ct, 1.5).unwrap()
+        );
+        let scale = 1.3 * ctx.scale();
+        let out = eval.mul_const_at(&ct, 1.5, scale).unwrap();
+        assert_eq!(out.scale(), ct.scale() * scale);
+        let decoded = ctx.decode(&ctx.decrypt(&out, &sk).unwrap()).unwrap();
+        assert!(decoded.iter().all(|v| (v.re - 0.375).abs() < 1e-6));
     }
 }

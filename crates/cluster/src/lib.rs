@@ -14,8 +14,7 @@
 //!
 //! - [`ChipSpec`] — one chip design point × a chip count × an interconnect.
 //!   Architecture presets ([`bts_sim::ArchPreset`]) cover BTS and the
-//!   published BASALISC, FAB, and FPT design points for cross-architecture
-//!   sweeps.
+//!   published FAB design point for cross-architecture sweeps.
 //! - [`PlacementPolicy`] — round-robin, least-loaded (by the online cost
 //!   estimate), or tenant-affinity (pin each tenant's evaluation keys to one
 //!   chip so they cross the interconnect once).

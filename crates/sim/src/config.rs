@@ -45,15 +45,15 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Named accelerator design points: BTS itself plus the published
-/// configurations of three related FHE accelerators, so sweeps can put
-/// *architectures* on an axis next to instances and bandwidths ("how many
-/// FAB-class FPGAs equal one BTS?").
+/// Named accelerator design points: BTS itself plus FAB, another CKKS
+/// bootstrapping accelerator, so sweeps can put *architectures* on an axis
+/// next to instances and bandwidths ("how many FAB-class FPGAs equal one
+/// BTS?").
 ///
-/// The non-BTS presets are approximations: they map each paper's headline
+/// The FAB preset is an approximation: it maps that paper's headline
 /// resources (clock, on-chip SRAM, off-chip bandwidth, rough compute
-/// parallelism) onto the knobs of this repo's BTS-shaped cost model, not
-/// cycle-accurate reproductions of those microarchitectures.
+/// parallelism) onto the knobs of this repo's BTS-shaped cost model, not a
+/// cycle-accurate reproduction of its microarchitecture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArchPreset {
     /// The BTS ASIC design point of the source paper (2,048 PEs at 1.2 GHz,
@@ -62,41 +62,18 @@ pub enum ArchPreset {
     /// FAB (HPCA 2023): a bootstrappable-FHE FPGA design on a Xilinx Alveo
     /// U280 — ~300 MHz, ~43 MiB of on-chip URAM/BRAM, ~460 GB/s HBM2.
     Fab,
-    /// BASALISC (CHES 2023): a programmable BGV ASIC — ~1 GHz, tens of MiB
-    /// of on-chip SRAM, one HBM2E stack.
-    Basalisc,
-    /// FPT (CCS 2023): a fixed-pipeline torus-FHE bootstrapping FPGA on an
-    /// Alveo U280 — ~200 MHz, deeply pipelined, ~460 GB/s HBM2.
-    Fpt,
 }
 
 impl ArchPreset {
     /// All presets, in display order.
-    pub const ALL: [ArchPreset; 4] = [
-        ArchPreset::Bts,
-        ArchPreset::Fab,
-        ArchPreset::Basalisc,
-        ArchPreset::Fpt,
-    ];
+    pub const ALL: [ArchPreset; 2] = [ArchPreset::Bts, ArchPreset::Fab];
 
-    /// Stable short name (`bts`, `fab`, `basalisc`, `fpt`), used as the
+    /// Stable short name (`bts`, `fab`), used as the
     /// architecture key in sweep rows and figures.
     pub fn name(&self) -> &'static str {
         match self {
             ArchPreset::Bts => "bts",
             ArchPreset::Fab => "fab",
-            ArchPreset::Basalisc => "basalisc",
-            ArchPreset::Fpt => "fpt",
-        }
-    }
-
-    /// One-line description of the design point.
-    pub fn description(&self) -> &'static str {
-        match self {
-            ArchPreset::Bts => "BTS ASIC (2048 PE @ 1.2 GHz, 512 MiB, 1 TB/s HBM)",
-            ArchPreset::Fab => "FAB FPGA (Alveo U280, 300 MHz, 43 MiB, 460 GB/s HBM2)",
-            ArchPreset::Basalisc => "BASALISC ASIC (1 GHz, 64 MiB, 512 GB/s HBM2E)",
-            ArchPreset::Fpt => "FPT FPGA (Alveo U280, 200 MHz, 40 MiB, 460 GB/s HBM2)",
         }
     }
 
@@ -106,15 +83,7 @@ impl ArchPreset {
         match self {
             ArchPreset::Bts => BtsConfig::bts_default(),
             ArchPreset::Fab => BtsConfig::fab(),
-            ArchPreset::Basalisc => BtsConfig::basalisc(),
-            ArchPreset::Fpt => BtsConfig::fpt(),
         }
-    }
-}
-
-impl std::fmt::Display for ArchPreset {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -122,8 +91,8 @@ impl std::fmt::Display for ArchPreset {
 ///
 /// The default values reproduce the paper's BTS design point (§5, §6.1); the
 /// builder-style `with_*` methods express the ablations of Fig. 9 and the
-/// scratchpad sweep of Fig. 10. [`ArchPreset`] names this and three related
-/// accelerators' published design points.
+/// scratchpad sweep of Fig. 10. [`ArchPreset`] names this and FAB's published
+/// design point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BtsConfig {
     /// Number of processing elements (2,048 in BTS).
@@ -186,40 +155,6 @@ impl BtsConfig {
             hbm: BandwidthModel::new(460e9),
             lsub: 2,
             overlap_bconv_intt: true,
-        }
-    }
-
-    /// An approximation of BASALISC's published design point (CHES 2023): a
-    /// programmable BGV ASIC at ~1 GHz with tens of MiB of on-chip SRAM and
-    /// a single HBM2E stack (~512 GB/s).
-    pub fn basalisc() -> Self {
-        Self {
-            pe_count: 1024,
-            pe_cols: 32,
-            pe_rows: 32,
-            frequency_hz: 1.0e9,
-            scratchpad_bytes: 64 * 1024 * 1024,
-            hbm: BandwidthModel::new(512e9),
-            lsub: 2,
-            overlap_bconv_intt: true,
-        }
-    }
-
-    /// An approximation of FPT's published design point (CCS 2023): a
-    /// fixed-pipeline torus-FHE bootstrapping FPGA on an Alveo U280 —
-    /// ~200 MHz but very deeply pipelined (modelled as wide, slow lanes),
-    /// ~40 MiB of on-chip memory, 460 GB/s HBM2, no iNTT/BConv overlap (the
-    /// pipeline is fixed-function rather than dynamically scheduled).
-    pub fn fpt() -> Self {
-        Self {
-            pe_count: 1024,
-            pe_cols: 64,
-            pe_rows: 16,
-            frequency_hz: 200e6,
-            scratchpad_bytes: 40 * 1024 * 1024,
-            hbm: BandwidthModel::new(460e9),
-            lsub: 4,
-            overlap_bconv_intt: false,
         }
     }
 
@@ -347,14 +282,10 @@ mod tests {
                 panic!("preset {} fails validation: {e}", preset.name());
             });
             assert!(names.insert(preset.name()), "duplicate preset name");
-            assert!(!preset.description().is_empty());
-            assert_eq!(preset.to_string(), preset.name());
         }
-        // The FPGA presets are materially slower than the BTS ASIC.
+        // The FPGA preset is materially slower than the BTS ASIC.
         let bts = ArchPreset::Bts.config();
         assert!(ArchPreset::Fab.config().butterfly_rate() < bts.butterfly_rate() / 4.0);
-        assert!(ArchPreset::Fpt.config().butterfly_rate() < bts.butterfly_rate() / 4.0);
-        assert!(ArchPreset::Basalisc.config().hbm.bytes_per_sec() < bts.hbm.bytes_per_sec());
     }
 
     #[test]

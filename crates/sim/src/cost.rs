@@ -9,21 +9,6 @@ pub struct ComponentCost {
     pub power_w: f64,
 }
 
-/// One point of the Fig. 10 scratchpad sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EdapPoint {
-    /// Scratchpad capacity in MiB.
-    pub scratchpad_mib: u64,
-    /// Execution time of the measured workload in seconds.
-    pub seconds: f64,
-    /// Energy in joules.
-    pub energy_j: f64,
-    /// Chip area in mm².
-    pub area_mm2: f64,
-    /// Energy–delay–area product (J·s·mm²).
-    pub edap: f64,
-}
-
 /// Analytical area/power model of the BTS chip, seeded with the per-component
 /// numbers published in Table 3 and scaled with the scratchpad capacity for
 /// the Fig. 10 sweep.
@@ -239,27 +224,6 @@ impl AreaPowerModel {
         let hbm_w = dynamic(HBM_POWER_W, hbm_util);
         let other_w = dynamic(PCIE_POWER_W + pe * PE_EXCHANGE_POWER_MW, 0.1);
         seconds * (ntt_w + bconv_w + elementwise_w + sram_w + noc_w + hbm_w + other_w)
-    }
-
-    /// Builds a Fig. 10 EDAP point from a measured workload time and the
-    /// utilizations reported by the simulator.
-    pub fn edap_point(
-        &self,
-        seconds: f64,
-        ntt_util: f64,
-        bconv_util: f64,
-        hbm_util: f64,
-        elementwise_util: f64,
-    ) -> EdapPoint {
-        let energy = self.energy_joules(seconds, ntt_util, bconv_util, hbm_util, elementwise_util);
-        let area = self.total_area_mm2();
-        EdapPoint {
-            scratchpad_mib: self.scratchpad_bytes / (1024 * 1024),
-            seconds,
-            energy_j: energy,
-            area_mm2: area,
-            edap: energy * seconds * area,
-        }
     }
 }
 

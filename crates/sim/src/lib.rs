@@ -46,7 +46,7 @@ mod trace_index;
 mod twiddle;
 
 pub use config::{ArchPreset, BtsConfig, ConfigError};
-pub use cost::{AreaPowerModel, ComponentCost, EdapPoint};
+pub use cost::{AreaPowerModel, ComponentCost};
 pub use engine::{OpClassStats, OpCost, OpTiming, SimReport, Simulator};
 pub use f1::{F1Model, PlatformRow};
 pub use keyswitch::{FuKind, KeySwitchSchedule, Phase};

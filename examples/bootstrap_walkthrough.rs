@@ -82,8 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // angles that bring the plaintext error under the tolerance.
     println!("\n== Double-angle EvalMod (Han–Ki style), error < {SINE_TOLERANCE:.0e} ==");
     for (range, degree) in [(6.0, 15), (12.0, 23), (25.0, 31)] {
-        let sine = SineEvaluator::fewest_double_angles(range, degree, ctx.max_level(), 1.0)
-            .ok_or("no double-angle count fits the ring")?;
+        let sine = SineEvaluator::fewest_double_angles(range, degree, ctx.max_level())?;
         println!(
             "range ±{range:>4}: Chebyshev degree {degree:>2} + {} double angles \
              → {:>2} levels, max error {:.1e}",

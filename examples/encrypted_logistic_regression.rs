@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example encrypted_logistic_regression`
 
 use bts::circuit::Workload;
-use bts::ckks::{CkksContext, Complex};
+use bts::ckks::{ChebyshevSeries, CkksContext, Complex};
 use bts::params::CkksInstance;
 use bts::sim::{BtsConfig, Simulator};
 use bts::workloads::{BaselineSet, HelrWorkload};
@@ -37,8 +37,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let rotated = eval.rotate(&acc, shift)?;
         acc = eval.add(&acc, &rotated)?;
     }
-    // Degree-3 sigmoid approximation σ(t) ≈ 0.5 + 0.15·t - 0.0015·t³.
-    let sigmoid = eval.eval_polynomial(&acc, &[0.5, 0.15, 0.0, -0.0015])?;
+    // Degree-3 sigmoid approximation σ(t) ≈ 0.5 + 0.15·t - 0.0015·t³, as the
+    // Chebyshev series that equals it on [-2, 2] (|x·w| ≤ 1.4 here).
+    let sigmoid_series = ChebyshevSeries::fit(|t| 0.5 + 0.15 * t - 0.0015 * t.powi(3), 2.0, 3)?;
+    let sigmoid = sigmoid_series.eval_homomorphic(&eval, &acc)?;
     let decoded = ctx.decode(&ctx.decrypt(&sigmoid, &sk)?)?;
 
     // Verify against the plaintext computation for the first few samples.

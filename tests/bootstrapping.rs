@@ -3,6 +3,7 @@
 //! ciphertext on a small ring with a sparse secret.
 
 use bts::ckks::{BootstrapConfig, Bootstrapper, CkksContext, Complex};
+use bts::params::L_BOOT;
 use rand::SeedableRng;
 
 #[test]
@@ -72,7 +73,7 @@ fn bootstrapper_reports_its_key_requirements() {
         ..BootstrapConfig::sparse_test()
     };
     assert!(Bootstrapper::new(&ctx, empty).is_err());
-    // So is a series of degree 0, which no Clenshaw evaluation runs.
+    // So is a series of degree 0, which is no homomorphic evaluation.
     let constant = BootstrapConfig {
         evalmod_degree: 0,
         ..BootstrapConfig::sparse_test()
@@ -106,6 +107,8 @@ fn bootstrap_refreshes_levels_and_roughly_preserves_the_message() {
     let exhausted = ctx.encrypt(&pt, &sk, &mut rng).unwrap();
     assert_eq!(exhausted.level(), 0);
 
+    // Baby-step giant-step EvalMod fits the paper's bootstrap budget.
+    assert!(bootstrapper.levels_consumed() <= L_BOOT);
     let refreshed = bootstrapper.bootstrap(&eval, &exhausted).unwrap();
     assert_eq!(
         refreshed.level(),

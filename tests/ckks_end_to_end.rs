@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the functional CKKS pipeline from encoding
 //! through encrypted arithmetic back to decryption, exercised end to end.
 
-use bts::ckks::{CkksContext, Complex};
+use bts::ckks::{ChebyshevSeries, CkksContext, Complex};
 use rand::SeedableRng;
 
 fn relative_error(a: &[Complex], b: &[f64]) -> f64 {
@@ -168,8 +168,10 @@ fn scalar_and_plaintext_operations() {
         );
     }
 
-    // Polynomial evaluation 1 + 2t + 0.5t².
-    let poly = eval.eval_polynomial(&ct, &[1.0, 2.0, 0.5]).unwrap();
+    // Polynomial evaluation 1 + 2t + 0.5t², as the Chebyshev series that
+    // equals it on [-1, 1] (t ∈ [0, 0.95]).
+    let series = ChebyshevSeries::fit(|t| 1.0 + 2.0 * t + 0.5 * t * t, 1.0, 2).unwrap();
+    let poly = series.eval_homomorphic(&eval, &ct).unwrap();
     let out = ctx.decode(&ctx.decrypt(&poly, &sk).unwrap()).unwrap();
     for (i, o) in out.iter().enumerate().take(32) {
         let t = x[i];
