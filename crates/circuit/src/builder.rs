@@ -10,7 +10,7 @@ use bts_params::{CkksInstance, L_BOOT};
 use crate::error::CircuitError;
 use crate::ir::{CircuitInput, HeCircuit, HeInstr, HeInstrNode, ValueId};
 use crate::passes::analysis::{self, ValueFacts};
-use crate::passes::drop_markers;
+use crate::passes::{drop_markers, Analyzed};
 
 /// Fluent builder of [`HeCircuit`]s.
 ///
@@ -344,7 +344,7 @@ impl CircuitBuilder {
         drop_markers(&circuit, |_, result, demand| {
             demand == 0 && auto.binary_search(&result).is_ok()
         })
-        .unwrap_or(circuit)
+        .map_or(circuit, Analyzed::into_circuit)
     }
 }
 

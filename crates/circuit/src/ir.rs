@@ -249,51 +249,65 @@ impl HeCircuit {
     ///
     /// Returns the first defect found, in program order.
     pub fn validate(&self) -> Result<(), CircuitError> {
-        let mut defined: ValueTable<()> = ValueTable::for_circuit(self);
-        for input in &self.inputs {
-            if input.level > self.instance.max_level() {
+        self.walk_definitions(&mut ValueTable::for_circuit(self), |_| (), |_, _| ())
+    }
+
+    /// The one walk behind [`HeCircuit::validate`] and
+    /// [`crate::passes::analysis::analyze`]: checks the inputs, then each
+    /// node in program order, entering every definition in `defined` with
+    /// the entry `input` or `node` gives it (`node` is called once the
+    /// node's operands are known defined, before its result is entered),
+    /// then checks the outputs.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first defect found, in program order.
+    pub(crate) fn walk_definitions<T: Copy>(
+        &self,
+        defined: &mut ValueTable<T>,
+        mut input: impl FnMut(&CircuitInput) -> T,
+        mut node: impl FnMut(&HeInstrNode, &ValueTable<T>) -> T,
+    ) -> Result<(), CircuitError> {
+        let max_level = self.instance.max_level();
+        for entry in &self.inputs {
+            if entry.level > max_level {
                 return Err(CircuitError::InvalidCircuit(format!(
-                    "input v{} arrives at level {} beyond the budget L = {}",
-                    input.id,
-                    input.level,
-                    self.instance.max_level()
+                    "input v{} arrives at level {} beyond the budget L = {max_level}",
+                    entry.id, entry.level
                 )));
             }
-            if defined.insert(input.id, ()).is_some() {
+            if defined.insert(entry.id, input(entry)).is_some() {
                 return Err(CircuitError::InvalidCircuit(format!(
                     "input v{} defined twice",
-                    input.id
+                    entry.id
                 )));
             }
         }
-        for node in &self.nodes {
-            let (a, b) = node.instr.operands();
+        for entry in &self.nodes {
+            let (a, b) = entry.instr.operands();
             if !defined.contains(a) {
                 return Err(CircuitError::UnknownValue(a));
             }
-            if let Some(b) = b {
-                if !defined.contains(b) {
-                    return Err(CircuitError::UnknownValue(b));
-                }
+            if let Some(b) = b.filter(|&b| !defined.contains(b)) {
+                return Err(CircuitError::UnknownValue(b));
             }
-            if node.level > self.instance.max_level() {
+            if entry.level > max_level {
                 return Err(CircuitError::InvalidCircuit(format!(
-                    "instruction defining v{} executes at level {} beyond the budget L = {}",
-                    node.result,
-                    node.level,
-                    self.instance.max_level()
+                    "instruction defining v{} executes at level {} beyond the budget L = {max_level}",
+                    entry.result, entry.level
                 )));
             }
-            if matches!(node.instr, HeInstr::Rescale { .. }) && node.level == 0 {
+            if matches!(entry.instr, HeInstr::Rescale { .. }) && entry.level == 0 {
                 return Err(CircuitError::InvalidCircuit(format!(
                     "rescale defining v{} executes at level 0 (nothing to drop)",
-                    node.result
+                    entry.result
                 )));
             }
-            if defined.insert(node.result, ()).is_some() {
+            let value = node(entry, defined);
+            if defined.insert(entry.result, value).is_some() {
                 return Err(CircuitError::InvalidCircuit(format!(
                     "value v{} defined twice",
-                    node.result
+                    entry.result
                 )));
             }
         }

@@ -84,7 +84,8 @@ pub use error::CircuitError;
 pub use functional::{FunctionalBackend, FunctionalRun};
 pub use ir::{CircuitInput, HeCircuit, HeInstr, HeInstrNode, ValueId};
 pub use passes::{
-    BootstrapPlacePass, CommonSubexprPass, DeadValuePass, Pass, PassPipeline, RescaleSchedPass,
+    Analyzed, BootstrapPlacePass, CommonSubexprPass, DeadValuePass, Pass, PassPipeline,
+    RescaleSchedPass,
 };
 pub use trace_backend::{LoweredTrace, TraceBackend};
 pub use workload::{Workload, WorkloadRegistry};

@@ -3,12 +3,15 @@
 //! discipline the functional evaluator enforces at runtime.
 //!
 //! The level/scale rule of an instruction is written once, in `transfer`,
-//! and has two callers: [`analyze`] folds it over a whole circuit, and
-//! [`crate::CircuitBuilder`] applies it to each instruction as it records
-//! it, refusing the ones it rejects. Passes use the analysis in two ways:
-//! [`check`] proves a rewritten circuit still satisfies every invariant, and
-//! [`relevel`] repairs the recorded execution levels after a structural
-//! rewrite (e.g. removing a bootstrap lowers everything downstream of it).
+//! and has two callers: [`analyze`] folds it over a whole circuit — in
+//! [`HeCircuit::validate`]'s own walk, so analyzing is one pass over the
+//! nodes — and [`crate::CircuitBuilder`] applies it to each instruction as
+//! it records it, refusing the ones it rejects. Passes use the analysis in
+//! two ways: [`check`] proves a rewritten circuit still satisfies every
+//! invariant, and [`relevel`] repairs the recorded execution levels after a
+//! structural rewrite (e.g. removing a bootstrap lowers everything
+//! downstream of it). Either way the analysis travels with the circuit as
+//! an [`Analyzed`], so the next pass reads it instead of recomputing it.
 
 use bts_params::CkksInstance;
 
@@ -58,46 +61,56 @@ impl Analysis {
 /// [`check`] to additionally verify them, or [`relevel`] to overwrite them
 /// with the recomputed values.
 ///
+/// One forward walk does both jobs: it is [`HeCircuit::validate`]'s walk,
+/// applying the level/scale rule to each node as it enters the node's
+/// result.
+///
 /// # Errors
 ///
-/// Returns the first violation in program order ([`CircuitError::ScaleMismatch`],
-/// [`CircuitError::LevelExhausted`] or [`CircuitError::InvalidCircuit`]),
-/// after first re-running [`HeCircuit::validate`] for SSA well-formedness.
+/// Returns [`HeCircuit::validate`]'s defect if the circuit has one — it
+/// wins over a violation earlier in program order, as if validation ran
+/// first — else the first violation in program order
+/// ([`CircuitError::ScaleMismatch`], [`CircuitError::LevelExhausted`] or
+/// [`CircuitError::InvalidCircuit`]).
 ///
 /// Each call emits one `circuit.analyze` telemetry instant (track `circuit`,
-/// at time 0) whose `nodes` arg is the nodes visited — all of them, or those
-/// before the violation. Summed over a run, that is how the pipeline's cost
-/// in circuit walks is held linear by a test.
+/// at time 0) whose `nodes` arg is the nodes the rule was applied to — all
+/// of them, or those before the first violation. Summed over a run, that is
+/// how the pipeline's cost in circuit walks is held linear by a test.
 pub fn analyze(circuit: &HeCircuit) -> Result<Analysis, CircuitError> {
-    circuit.validate()?;
-    let mut analysis = Analysis {
-        facts: ValueTable::for_circuit(circuit),
-        exec_levels: Vec::with_capacity(circuit.nodes.len()),
-    };
-    let walked = walk(circuit, &mut analysis);
-    let nodes = bts_telemetry::ArgValue::U64(analysis.exec_levels.len() as u64);
-    bts_telemetry::emit_instant("circuit", "circuit.analyze", 0.0, &[("nodes", nodes)]);
-    walked.map(|()| analysis)
-}
-
-/// The forward dataflow behind [`analyze`], filling `out` node by node so the
-/// caller can see how far it got when it stops at a violation.
-fn walk(circuit: &HeCircuit, out: &mut Analysis) -> Result<(), CircuitError> {
-    for input in &circuit.inputs {
-        out.facts.insert(
-            input.id,
+    let mut facts = ValueTable::for_circuit(circuit);
+    let mut exec_levels = Vec::with_capacity(circuit.nodes.len());
+    let mut violation = None;
+    let valid = circuit.walk_definitions(
+        &mut facts,
+        |input| ValueFacts {
+            level: input.level,
+            scale_exp: 1,
+        },
+        |node, facts| {
+            if violation.is_none() {
+                match transfer(node.instr, &circuit.instance, |v| facts.get(v)) {
+                    Ok((exec, result)) => {
+                        exec_levels.push(exec);
+                        return result;
+                    }
+                    Err(e) => violation = Some(e),
+                }
+            }
+            // Past a violation the walk only validates: any entry will do.
             ValueFacts {
-                level: input.level,
-                scale_exp: 1,
-            },
-        );
+                level: node.level,
+                scale_exp: 0,
+            }
+        },
+    );
+    let nodes = bts_telemetry::ArgValue::U64(exec_levels.len() as u64);
+    bts_telemetry::emit_instant("circuit", "circuit.analyze", 0.0, &[("nodes", nodes)]);
+    valid?;
+    match violation {
+        Some(e) => Err(e),
+        None => Ok(Analysis { facts, exec_levels }),
     }
-    for node in &circuit.nodes {
-        let (exec, result) = transfer(node.instr, &circuit.instance, |v| out.facts.get(v))?;
-        out.exec_levels.push(exec);
-        out.facts.insert(node.result, result);
-    }
-    Ok(())
 }
 
 /// The level/scale rule of one instruction: its execution level (for a
@@ -220,11 +233,263 @@ pub fn relevel(circuit: &mut HeCircuit) -> Result<Analysis, CircuitError> {
     Ok(analysis)
 }
 
+/// A circuit with its [`Analysis`], checked: every recorded node level is
+/// the one the analysis computes. Passes take and return circuits in this
+/// form, so [`crate::PassPipeline::optimize`] analyzes each circuit once —
+/// its input, then each pass's output — and a pass reads the analysis of
+/// its input instead of recomputing it.
+#[derive(Debug, Clone)]
+pub struct Analyzed {
+    circuit: HeCircuit,
+    analysis: Analysis,
+}
+
+impl Analyzed {
+    /// `circuit` and its analysis, if it [`check`]s.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`check`] reports.
+    pub fn check(circuit: HeCircuit) -> Result<Self, CircuitError> {
+        let analysis = check(&circuit)?;
+        Ok(Self { circuit, analysis })
+    }
+
+    /// `circuit`, [`relevel`]ed, and its analysis.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`relevel`] reports.
+    pub(crate) fn relevel(mut circuit: HeCircuit) -> Result<Self, CircuitError> {
+        let analysis = relevel(&mut circuit)?;
+        Ok(Self { circuit, analysis })
+    }
+
+    /// The circuit.
+    pub fn circuit(&self) -> &HeCircuit {
+        &self.circuit
+    }
+
+    /// Its analysis.
+    pub fn analysis(&self) -> &Analysis {
+        &self.analysis
+    }
+
+    /// The circuit, its analysis dropped.
+    pub fn into_circuit(self) -> HeCircuit {
+        self.circuit
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
+    use crate::ir::HeInstrNode;
     use bts_params::CkksInstance;
+    use proptest::prelude::*;
+
+    /// [`HeCircuit::validate`] as it was written before it shared its walk
+    /// with [`analyze`].
+    fn reference_validate(circuit: &HeCircuit) -> Result<(), CircuitError> {
+        let max_level = circuit.instance.max_level();
+        let mut defined: ValueTable<()> = ValueTable::for_circuit(circuit);
+        for input in &circuit.inputs {
+            if input.level > max_level {
+                return Err(CircuitError::InvalidCircuit(format!(
+                    "input v{} arrives at level {} beyond the budget L = {max_level}",
+                    input.id, input.level
+                )));
+            }
+            if defined.insert(input.id, ()).is_some() {
+                return Err(CircuitError::InvalidCircuit(format!(
+                    "input v{} defined twice",
+                    input.id
+                )));
+            }
+        }
+        for node in &circuit.nodes {
+            let (a, b) = node.instr.operands();
+            if !defined.contains(a) {
+                return Err(CircuitError::UnknownValue(a));
+            }
+            if let Some(b) = b {
+                if !defined.contains(b) {
+                    return Err(CircuitError::UnknownValue(b));
+                }
+            }
+            if node.level > max_level {
+                return Err(CircuitError::InvalidCircuit(format!(
+                    "instruction defining v{} executes at level {} beyond the budget L = {max_level}",
+                    node.result, node.level
+                )));
+            }
+            if matches!(node.instr, HeInstr::Rescale { .. }) && node.level == 0 {
+                return Err(CircuitError::InvalidCircuit(format!(
+                    "rescale defining v{} executes at level 0 (nothing to drop)",
+                    node.result
+                )));
+            }
+            if defined.insert(node.result, ()).is_some() {
+                return Err(CircuitError::InvalidCircuit(format!(
+                    "value v{} defined twice",
+                    node.result
+                )));
+            }
+        }
+        for &out in &circuit.outputs {
+            if !defined.contains(out) {
+                return Err(CircuitError::UnknownValue(out));
+            }
+        }
+        Ok(())
+    }
+
+    /// Execution levels, then the facts of every input and node result in
+    /// definition order: an analysis as the tests compare it.
+    type Summary = (Vec<usize>, Vec<Option<ValueFacts>>);
+
+    fn summary(
+        circuit: &HeCircuit,
+        exec_levels: Vec<usize>,
+        facts: &ValueTable<ValueFacts>,
+    ) -> Summary {
+        let ids = circuit.inputs.iter().map(|input| input.id);
+        let ids = ids.chain(circuit.nodes.iter().map(|node| node.result));
+        (exec_levels, ids.map(|v| facts.get(v)).collect())
+    }
+
+    /// [`analyze`] as it was before its one walk: [`reference_validate`],
+    /// then a second forward walk that stops at the first violation.
+    fn reference_analyze(circuit: &HeCircuit) -> Result<Summary, CircuitError> {
+        reference_validate(circuit)?;
+        let mut facts = ValueTable::for_circuit(circuit);
+        let mut exec_levels = Vec::new();
+        for input in &circuit.inputs {
+            let level = input.level;
+            facts.insert(
+                input.id,
+                ValueFacts {
+                    level,
+                    scale_exp: 1,
+                },
+            );
+        }
+        for node in &circuit.nodes {
+            let (exec, result) = transfer(node.instr, &circuit.instance, |v| facts.get(v))?;
+            exec_levels.push(exec);
+            facts.insert(node.result, result);
+        }
+        Ok(summary(circuit, exec_levels, &facts))
+    }
+
+    /// A random builder program over a growing pool of values, then each
+    /// `(kind, at)` corruption applied to it: an undefined operand or
+    /// output, a duplicate id, a level beyond L (of a node or an input), a
+    /// rescale recorded at level 0, an input dropped to level 0 (its
+    /// rescales run out of levels), an addition of values at unrelated
+    /// scales, or a bootstrap of a value at any scale.
+    fn corrupted(codes: &[u32], corruptions: &[(u32, u32)]) -> HeCircuit {
+        let ins = CkksInstance::toy(10, 6, 2);
+        let mut b = CircuitBuilder::new(&ins);
+        let mut values = vec![b.input(), b.input_at(3)];
+        for &code in codes {
+            let pick = |shift: u32| values[(code >> shift) as usize % values.len()];
+            let (x, y) = (pick(4), pick(12));
+            let made = match code % 6 {
+                0 => b.hmult(x, y),
+                1 => b.rescale(x),
+                2 => b.hrot(x, 1 + i64::from(code >> 20) % 4),
+                3 => b.pmult(x, 0.5),
+                4 => b.hadd(x, y),
+                _ => b.cadd(x, 0.25),
+            };
+            values.extend(made.ok());
+        }
+        b.output(values[values.len() - 1]);
+        let mut c = b.build();
+        let top = ins.max_level();
+        for &(kind, at) in corruptions {
+            let (n, k) = (c.nodes.len(), at as usize % c.inputs.len());
+            let i = at as usize % n.max(1);
+            let earlier = if i == 0 {
+                c.inputs[k].id
+            } else {
+                c.nodes[(at as usize / 7) % i].result
+            };
+            match (kind % 9, n) {
+                (0, 1..) => c.nodes[i].instr = c.nodes[i].instr.map_operands(|_| 9_999),
+                (1, _) => c.outputs.push(10_000 + at),
+                (2, 1..) => c.nodes[i].result = earlier,
+                (3, 1..) => c.nodes[i].level = top + 1 + at as usize % 3,
+                (4, _) => c.inputs[k].level = top + 1,
+                (5, 1..) => {
+                    let a = c.nodes[i].instr.operands().0;
+                    c.nodes[i].instr = HeInstr::Rescale { a };
+                    c.nodes[i].level = 0;
+                }
+                (6, _) => c.inputs[k].level = 0,
+                (7, 1..) => {
+                    let a = c.nodes[i].instr.operands().0;
+                    c.nodes[i].instr = HeInstr::HAdd { a, b: earlier };
+                }
+                (8, 1..) => {
+                    let a = c.nodes[i].instr.operands().0;
+                    c.nodes[i].instr = HeInstr::Bootstrap { a };
+                }
+                _ => {}
+            }
+        }
+        c
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one walk answers as validation followed by the old walk did:
+        /// the same facts and execution levels on a clean circuit, the same
+        /// error — validation's winning wherever it lies — on a corrupted
+        /// one; and `validate` answers as it always did.
+        #[test]
+        fn one_walk_analyze_equals_validate_then_the_old_walk(
+            len in 1usize..40,
+            codes in proptest::collection::vec(any::<u32>(), 40),
+            count in 0usize..4,
+            raw in proptest::collection::vec(any::<u32>(), 8),
+        ) {
+            let corruptions: Vec<(u32, u32)> =
+                raw.chunks(2).take(count).map(|pair| (pair[0], pair[1])).collect();
+            let circuit = corrupted(&codes[..len], &corruptions);
+            prop_assert_eq!(circuit.validate(), reference_validate(&circuit));
+            let ours = analyze(&circuit).map(|a| summary(&circuit, a.exec_levels.clone(), &a.facts));
+            prop_assert_eq!(ours, reference_analyze(&circuit));
+        }
+    }
+
+    #[test]
+    fn a_validation_defect_wins_over_an_earlier_violation() {
+        let ins = CkksInstance::toy(10, 6, 2);
+        let mut b = CircuitBuilder::new(&ins);
+        let x = b.input();
+        let p = b.hmult(x, x).unwrap();
+        b.output(p);
+        let mut circuit = b.build();
+        // A scale mismatch at node 1, a dangling output after it.
+        circuit.nodes.push(HeInstrNode {
+            instr: HeInstr::HAdd { a: p, b: x },
+            result: 2,
+            level: 6,
+        });
+        assert!(matches!(
+            analyze(&circuit),
+            Err(CircuitError::ScaleMismatch { .. })
+        ));
+        circuit.outputs.push(77);
+        assert!(matches!(
+            analyze(&circuit),
+            Err(CircuitError::UnknownValue(77))
+        ));
+    }
 
     #[test]
     fn builder_output_passes_check() {

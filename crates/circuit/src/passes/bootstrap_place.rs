@@ -58,8 +58,7 @@
 
 use crate::error::CircuitError;
 use crate::ir::{HeCircuit, HeInstr, HeInstrNode, ValueId};
-use crate::passes::analysis;
-use crate::passes::Pass;
+use crate::passes::{Analyzed, Pass};
 use crate::value_table::ValueTable;
 
 /// Deletes every bootstrap marker whose input already sits at the level its
@@ -72,8 +71,8 @@ impl Pass for BootstrapPlacePass {
         "bootstrap-place"
     }
 
-    fn run(&self, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
-        let levels = analysis::analyze(circuit)?;
+    fn run(&self, input: &Analyzed) -> Result<Analyzed, CircuitError> {
+        let (circuit, levels) = (input.circuit(), input.analysis());
         let is_output = ValueTable::outputs_of(circuit);
         drop_markers(circuit, |input, result, demand| {
             !is_output.contains(result) && levels.of(input).level >= demand
@@ -86,7 +85,8 @@ impl Pass for BootstrapPlacePass {
 /// which `drop(input, result, demand of result)` holds; a dropped marker
 /// folds its demand into its input. The kept nodes are then rebuilt in
 /// program order with every use of a dropped marker's result, outputs
-/// included, redirected to its (resolved) input, and releveled.
+/// included, redirected to its (resolved) input, and releveled: the
+/// relevel's analysis comes back with the circuit.
 ///
 /// [`BootstrapPlacePass`] drops what the level budget proves unnecessary;
 /// [`crate::CircuitBuilder::build`] drops the refreshes `ensure()` inserted
@@ -98,7 +98,7 @@ impl Pass for BootstrapPlacePass {
 pub(crate) fn drop_markers(
     circuit: &HeCircuit,
     mut drop: impl FnMut(ValueId, ValueId, usize) -> bool,
-) -> Result<HeCircuit, CircuitError> {
+) -> Result<Analyzed, CircuitError> {
     // Latest first: by the time a node is visited every use of its result
     // has raised its demand.
     let mut demand: ValueTable<usize> = ValueTable::for_circuit(circuit);
@@ -134,14 +134,12 @@ pub(crate) fn drop_markers(
             nodes.push(HeInstrNode { instr, ..*node });
         }
     }
-    let mut kept = HeCircuit {
+    Analyzed::relevel(HeCircuit {
         instance: circuit.instance.clone(),
         inputs: circuit.inputs.clone(),
         nodes,
         outputs: circuit.outputs.iter().map(|&v| repr.resolve(v)).collect(),
-    };
-    analysis::relevel(&mut kept)?;
-    Ok(kept)
+    })
 }
 
 #[cfg(test)]
@@ -149,6 +147,8 @@ mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
     use crate::ir::CircuitInput;
+    use crate::passes::analysis;
+    use crate::passes::run_on;
     use crate::passes::{CommonSubexprPass, RescaleSchedPass};
     use bts_params::CkksInstance;
     use proptest::prelude::*;
@@ -224,7 +224,7 @@ mod tests {
         let circuit = b.build();
         assert_eq!(circuit.bootstrap_count(), 1);
 
-        let out = BootstrapPlacePass.run(&circuit).unwrap();
+        let out = run_on(&BootstrapPlacePass, &circuit).unwrap();
         assert_eq!(out.bootstrap_count(), 0, "suffix fits without the refresh");
         analysis::check(&out).unwrap();
         // The suffix now executes at the un-refreshed level.
@@ -245,7 +245,7 @@ mod tests {
         b.output(x);
         let circuit = b.build();
 
-        let out = BootstrapPlacePass.run(&circuit).unwrap();
+        let out = run_on(&BootstrapPlacePass, &circuit).unwrap();
         assert_eq!(out.bootstrap_count(), 1);
         analysis::check(&out).unwrap();
         for node in &out.nodes {
@@ -263,7 +263,7 @@ mod tests {
         let refreshed = b.bootstrap(x).unwrap();
         b.output(refreshed);
         let circuit = b.build();
-        let out = BootstrapPlacePass.run(&circuit).unwrap();
+        let out = run_on(&BootstrapPlacePass, &circuit).unwrap();
         assert_eq!(out.bootstrap_count(), 1);
     }
 
@@ -285,7 +285,7 @@ mod tests {
             let circuit = b.build();
             assert_eq!(circuit.bootstrap_count(), 2);
 
-            let out = BootstrapPlacePass.run(&circuit).unwrap();
+            let out = run_on(&BootstrapPlacePass, &circuit).unwrap();
             assert_eq!(out.bootstrap_count(), kept, "suffix of {suffix}");
             assert_eq!(out, greedy_reference(&circuit).unwrap());
         }
@@ -363,11 +363,10 @@ mod tests {
         ) {
             let ins = CkksInstance::toy(10, bts_params::L_BOOT + usable, 2);
             let raw = pressured_circuit(&ins, &codes);
-            let scheduled = RescaleSchedPass
-                .run(&CommonSubexprPass.run(&raw).unwrap())
+            let scheduled = run_on(&RescaleSchedPass, &run_on(&CommonSubexprPass, &raw).unwrap())
                 .unwrap();
             for circuit in [raw, scheduled] {
-                let swept = BootstrapPlacePass.run(&circuit);
+                let swept = run_on(&BootstrapPlacePass, &circuit);
                 prop_assert!(swept.is_ok(), "sweep failed: {:?}", swept.err());
                 prop_assert_eq!(swept.unwrap(), greedy_reference(&circuit).unwrap());
             }
@@ -422,11 +421,13 @@ mod tests {
         for ins in CkksInstance::evaluation_set() {
             for (name, workload) in registry.iter().filter(|(name, _)| select(name)) {
                 let built = import(&workload.build(&ins).unwrap());
-                let scheduled = RescaleSchedPass
-                    .run(&CommonSubexprPass.run(&built).unwrap())
-                    .unwrap();
+                let scheduled = run_on(
+                    &RescaleSchedPass,
+                    &run_on(&CommonSubexprPass, &built).unwrap(),
+                )
+                .unwrap();
                 for circuit in [built, scheduled] {
-                    let swept = BootstrapPlacePass.run(&circuit).unwrap();
+                    let swept = run_on(&BootstrapPlacePass, &circuit).unwrap();
                     assert!(
                         swept == greedy_reference(&circuit).unwrap(),
                         "{name} on {}: sweep and reference disagree",

@@ -18,7 +18,7 @@ use std::collections::hash_map::Entry;
 
 use crate::error::CircuitError;
 use crate::ir::{HeCircuit, HeInstr, HeInstrNode, ValueId};
-use crate::passes::Pass;
+use crate::passes::{Analyzed, Pass};
 use crate::value_table::{FixedMap, ValueTable};
 
 /// Hashable canonical form of a pure instruction. Commutative ops (`HMult`,
@@ -74,8 +74,8 @@ impl Pass for CommonSubexprPass {
         "cse"
     }
 
-    fn run(&self, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
-        circuit.validate()?;
+    fn run(&self, input: &Analyzed) -> Result<Analyzed, CircuitError> {
+        let circuit = input.circuit();
         let mut repr: ValueTable<ValueId> = ValueTable::for_circuit(circuit);
         let mut table: FixedMap<ExprKey, ValueId> =
             FixedMap::with_capacity_and_hasher(circuit.nodes.len(), Default::default());
@@ -96,7 +96,7 @@ impl Pass for CommonSubexprPass {
             nodes.push(HeInstrNode { instr, ..*node });
         }
         let outputs = circuit.outputs.iter().map(|&v| repr.resolve(v)).collect();
-        Ok(HeCircuit {
+        Analyzed::check(HeCircuit {
             instance: circuit.instance.clone(),
             inputs: circuit.inputs.clone(),
             nodes,
@@ -109,6 +109,7 @@ impl Pass for CommonSubexprPass {
 mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
+    use crate::passes::run_on;
     use bts_params::CkksInstance;
     use bts_sim::HeOp;
 
@@ -126,7 +127,7 @@ mod tests {
         b.output(t);
         let circuit = b.build();
 
-        let out = CommonSubexprPass.run(&circuit).unwrap();
+        let out = run_on(&CommonSubexprPass, &circuit).unwrap();
         assert!(out.validate().is_ok());
         assert_eq!(out.op_counts()[&HeOp::HRot], 1);
         assert_eq!(out.op_counts()[&HeOp::HMult], 1);
@@ -145,7 +146,7 @@ mod tests {
         let p2 = b.hmult(y, x).unwrap();
         let s = b.hadd(p1, p2).unwrap();
         b.output(s);
-        let out = CommonSubexprPass.run(&b.build()).unwrap();
+        let out = run_on(&CommonSubexprPass, &b.build()).unwrap();
         assert_eq!(out.op_counts()[&HeOp::HMult], 1);
     }
 
@@ -157,7 +158,7 @@ mod tests {
         b.pmult(x, 0.5).unwrap();
         b.pmult(x, 0.25).unwrap();
         let circuit = b.build();
-        let out = CommonSubexprPass.run(&circuit).unwrap();
+        let out = run_on(&CommonSubexprPass, &circuit).unwrap();
         assert_eq!(out.op_counts()[&HeOp::PMult], 2);
     }
 
@@ -170,7 +171,7 @@ mod tests {
         let r2 = b.bootstrap(x).unwrap();
         let s = b.hadd(r1, r2).unwrap();
         b.output(s);
-        let out = CommonSubexprPass.run(&b.build()).unwrap();
+        let out = run_on(&CommonSubexprPass, &b.build()).unwrap();
         assert_eq!(out.bootstrap_count(), 2);
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::error::CircuitError;
 use crate::ir::HeCircuit;
-use crate::passes::Pass;
+use crate::passes::{Analyzed, Pass};
 use crate::value_table::ValueTable;
 
 /// Backward liveness sweep over the SSA program.
@@ -25,8 +25,8 @@ impl Pass for DeadValuePass {
         "dce"
     }
 
-    fn run(&self, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
-        circuit.validate()?;
+    fn run(&self, input: &Analyzed) -> Result<Analyzed, CircuitError> {
+        let circuit = input.circuit();
         let mut live = ValueTable::outputs_of(circuit);
         let mut keep = vec![false; circuit.nodes.len()];
         let mut kept = 0;
@@ -49,7 +49,7 @@ impl Pass for DeadValuePass {
                 .filter(|(_, &k)| k)
                 .map(|(n, _)| *n),
         );
-        Ok(HeCircuit {
+        Analyzed::check(HeCircuit {
             instance: circuit.instance.clone(),
             inputs: circuit.inputs.clone(),
             nodes,
@@ -62,6 +62,7 @@ impl Pass for DeadValuePass {
 mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
+    use crate::passes::run_on;
     use bts_params::CkksInstance;
 
     #[test]
@@ -77,7 +78,7 @@ mod tests {
         let circuit = b.build();
         assert_eq!(circuit.len(), 3);
 
-        let out = DeadValuePass.run(&circuit).unwrap();
+        let out = run_on(&DeadValuePass, &circuit).unwrap();
         assert!(out.validate().is_ok());
         assert_eq!(out.len(), 1);
         assert_eq!(out.outputs, vec![used]);
@@ -92,7 +93,7 @@ mod tests {
         let y = b.input();
         let r = b.cadd(y, 0.5).unwrap();
         b.output(r);
-        let out = DeadValuePass.run(&b.build()).unwrap();
+        let out = run_on(&DeadValuePass, &b.build()).unwrap();
         assert_eq!(out.inputs.len(), 2);
         assert!(out.validate().is_ok());
     }

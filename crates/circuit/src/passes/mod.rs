@@ -21,11 +21,15 @@
 //! 4. [`DeadValuePass`] — sweeps the dead originals the rewrites leave
 //!    behind.
 //!
-//! Every pass takes and returns a whole circuit; [`PassPipeline::optimize`]
-//! re-analyzes after each pass ([`analysis::check`]), so a rewrite that
-//! violates the level/scale discipline fails loudly instead of producing a
-//! circuit the functional evaluator would reject at runtime. Semantics
-//! preservation is enforced externally by the differential harness
+//! Every pass takes and returns a whole circuit together with its analysis
+//! ([`analysis::Analyzed`]): [`PassPipeline::optimize`] analyzes its input
+//! once, and every pass reads its input's analysis and hands back its
+//! output checked ([`analysis::check`]) or releveled ([`analysis::relevel`]),
+//! so each circuit of a run is analyzed exactly once — the input and each
+//! pass's output, five walks for the standard pipeline — and a rewrite that
+//! violates the level/scale discipline still fails loudly instead of
+//! producing a circuit the functional evaluator would reject at runtime.
+//! Semantics preservation is enforced externally by the differential harness
 //! (`tests/property_passes.rs`): optimized circuits must decrypt to the same
 //! outputs as the unoptimized oracle on [`crate::FunctionalBackend`] and
 //! lower to validate-clean traces on [`crate::TraceBackend`].
@@ -36,6 +40,7 @@ mod cse;
 mod dce;
 mod rescale;
 
+pub use analysis::Analyzed;
 pub(crate) use bootstrap_place::drop_markers;
 pub use bootstrap_place::BootstrapPlacePass;
 pub use cse::CommonSubexprPass;
@@ -46,19 +51,22 @@ use crate::error::CircuitError;
 use crate::ir::HeCircuit;
 
 /// One circuit-to-circuit rewrite. Passes must preserve the plaintext
-/// semantics of every circuit output (up to CKKS rescale/encryption noise)
-/// and return a circuit that satisfies [`analysis::check`].
+/// semantics of every circuit output (up to CKKS rescale/encryption noise).
+/// A pass receives its input with the input's analysis and returns its
+/// output with the output's: an [`analysis::Analyzed`] can only be made by
+/// checking or releveling a circuit, so every circuit a pass produces is
+/// checked, once.
 pub trait Pass {
     /// Short stable name, used in diagnostics.
     fn name(&self) -> &'static str;
 
-    /// Rewrites `circuit`.
+    /// Rewrites `input`, reading its analysis.
     ///
     /// # Errors
     ///
-    /// Fails if the input circuit is invalid, or if the rewrite produced a
-    /// circuit that no longer analyzes (a pass bug — never silent).
-    fn run(&self, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError>;
+    /// Fails if the rewrite produced a circuit that no longer analyzes (a
+    /// pass bug — never silent) or ran out of value ids.
+    fn run(&self, input: &Analyzed) -> Result<Analyzed, CircuitError>;
 }
 
 /// An ordered sequence of passes.
@@ -81,7 +89,7 @@ impl Default for PassPipeline {
 }
 
 impl PassPipeline {
-    /// An empty pipeline ([`PassPipeline::optimize`] only re-validates).
+    /// An empty pipeline ([`PassPipeline::optimize`] only checks its input).
     pub fn empty() -> Self {
         Self { passes: Vec::new() }
     }
@@ -107,29 +115,28 @@ impl PassPipeline {
         self.passes.iter().map(|p| p.name()).collect()
     }
 
-    /// Runs every pass in order, re-checking the level/scale analysis after
-    /// each one.
+    /// Runs every pass in order on the checked input, each on the analyzed
+    /// output of the one before.
     ///
     /// # Errors
     ///
     /// Fails on an invalid input circuit or on any pass whose output no
     /// longer analyzes; the error names the offending pass.
     pub fn optimize(&self, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
-        let mut current = circuit.clone();
-        analysis::check(&current)?;
+        let mut current = Analyzed::check(circuit.clone())?;
         for pass in &self.passes {
             current = pass.run(&current).map_err(|e| {
                 CircuitError::InvalidCircuit(format!("pass '{}' failed: {e}", pass.name()))
             })?;
-            analysis::check(&current).map_err(|e| {
-                CircuitError::InvalidCircuit(format!(
-                    "pass '{}' broke the circuit analysis: {e}",
-                    pass.name()
-                ))
-            })?;
         }
-        Ok(current)
+        Ok(current.into_circuit())
     }
+}
+
+/// Checks `circuit` and runs `pass` on it: the one-pass form unit tests use.
+#[cfg(test)]
+pub(crate) fn run_on(pass: &dyn Pass, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
+    Ok(pass.run(&Analyzed::check(circuit.clone())?)?.into_circuit())
 }
 
 #[cfg(test)]
@@ -228,8 +235,8 @@ mod tests {
         let s = b.hadd(r1, r2).unwrap();
         b.output(s);
         let circuit = b.build();
-        let once = CommonSubexprPass.run(&circuit).unwrap();
-        let twice = CommonSubexprPass.run(&once).unwrap();
+        let once = run_on(&CommonSubexprPass, &circuit).unwrap();
+        let twice = run_on(&CommonSubexprPass, &once).unwrap();
         assert_eq!(once, twice);
     }
 

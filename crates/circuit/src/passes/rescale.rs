@@ -22,8 +22,8 @@
 
 use crate::error::CircuitError;
 use crate::ir::{HeCircuit, HeInstr, HeInstrNode, ValueId};
-use crate::passes::analysis::{self, Analysis};
-use crate::passes::Pass;
+use crate::passes::analysis::Analysis;
+use crate::passes::{Analyzed, Pass};
 use crate::value_table::ValueTable;
 
 /// One flattened summand of a rotate–mask–accumulate group: the rotation
@@ -73,14 +73,14 @@ struct Rewriter<'c> {
     /// How many operand slots consume each value.
     use_counts: ValueTable<usize>,
     outputs: ValueTable<()>,
-    analysis: Analysis,
+    analysis: &'c Analysis,
     /// The next unused id, or `None` once `u32::MAX` itself is taken.
     next_id: Option<ValueId>,
 }
 
 impl<'c> Rewriter<'c> {
-    fn new(circuit: &'c HeCircuit) -> Result<Self, CircuitError> {
-        let analysis = analysis::analyze(circuit)?;
+    fn new(input: &'c Analyzed) -> Self {
+        let (circuit, analysis) = (input.circuit(), input.analysis());
         let mut defs = ValueTable::for_circuit(circuit);
         let mut use_counts = ValueTable::for_circuit(circuit);
         for (i, node) in circuit.nodes.iter().enumerate() {
@@ -95,14 +95,14 @@ impl<'c> Rewriter<'c> {
             .map(|input| input.id)
             .chain(circuit.nodes.iter().map(|node| node.result))
             .max();
-        Ok(Self {
+        Self {
             circuit,
             defs,
             use_counts,
             outputs: ValueTable::outputs_of(circuit),
             analysis,
             next_id: max_id.map_or(Some(0), |max| max.checked_add(1)),
-        })
+        }
     }
 
     fn fresh(&mut self) -> Result<ValueId, CircuitError> {
@@ -235,8 +235,9 @@ impl Pass for RescaleSchedPass {
         "rescale-sched"
     }
 
-    fn run(&self, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
-        let mut rw = Rewriter::new(circuit)?;
+    fn run(&self, input: &Analyzed) -> Result<Analyzed, CircuitError> {
+        let circuit = input.circuit();
+        let mut rw = Rewriter::new(input);
         let mut scratch = Scratch::default();
         let mut repr: ValueTable<ValueId> = ValueTable::for_circuit(circuit);
         let mut nodes: Vec<HeInstrNode> = Vec::with_capacity(circuit.nodes.len());
@@ -341,14 +342,12 @@ impl Pass for RescaleSchedPass {
             });
         }
         let outputs = circuit.outputs.iter().map(|&v| repr.resolve(v)).collect();
-        let out = HeCircuit {
+        Analyzed::check(HeCircuit {
             instance: circuit.instance.clone(),
             inputs: circuit.inputs.clone(),
             nodes,
             outputs,
-        };
-        analysis::check(&out)?;
-        Ok(out)
+        })
     }
 }
 
@@ -357,6 +356,7 @@ mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
     use crate::passes::dce::DeadValuePass;
+    use crate::passes::run_on;
     use bts_params::CkksInstance;
     use bts_sim::HeOp;
 
@@ -381,8 +381,8 @@ mod tests {
         let circuit = b.build();
         assert_eq!(circuit.op_counts()[&HeOp::PMult], 4);
 
-        let rewritten = RescaleSchedPass.run(&circuit).unwrap();
-        let swept = DeadValuePass.run(&rewritten).unwrap();
+        let rewritten = run_on(&RescaleSchedPass, &circuit).unwrap();
+        let swept = run_on(&DeadValuePass, &rewritten).unwrap();
         assert!(swept.validate().is_ok());
         assert_eq!(swept.op_counts()[&HeOp::PMult], 1, "masks hoisted");
         assert_eq!(
@@ -408,8 +408,8 @@ mod tests {
         let rot = b.hrot(sq, 5).unwrap();
         let res = b.rescale(rot).unwrap();
         b.output(res);
-        let rewritten = RescaleSchedPass.run(&b.build()).unwrap();
-        let swept = DeadValuePass.run(&rewritten).unwrap();
+        let rewritten = run_on(&RescaleSchedPass, &b.build()).unwrap();
+        let swept = run_on(&DeadValuePass, &rewritten).unwrap();
         assert!(swept.validate().is_ok());
         let rot_node = swept
             .nodes
@@ -433,12 +433,12 @@ mod tests {
         b.output(res);
         b.output(rot);
         let circuit = b.build();
-        let rewritten = RescaleSchedPass.run(&circuit).unwrap();
+        let rewritten = run_on(&RescaleSchedPass, &circuit).unwrap();
         // The rotation must keep feeding the output at the original level;
         // the group match treats it as an opaque source, so the mask is still
         // hoisted across the *remaining* shared structure or not at all —
         // either way the circuit stays valid and the rotation survives DCE.
-        let swept = DeadValuePass.run(&rewritten).unwrap();
+        let swept = run_on(&DeadValuePass, &rewritten).unwrap();
         assert!(swept.validate().is_ok());
         assert!(swept
             .nodes
@@ -458,8 +458,8 @@ mod tests {
         let res = b.rescale(acc).unwrap();
         b.output(res);
         let circuit = b.build();
-        let rewritten = RescaleSchedPass.run(&circuit).unwrap();
-        let swept = DeadValuePass.run(&rewritten).unwrap();
+        let rewritten = run_on(&RescaleSchedPass, &circuit).unwrap();
+        let swept = run_on(&DeadValuePass, &rewritten).unwrap();
         assert_eq!(swept.op_counts(), circuit.op_counts(), "no rewrite fired");
     }
 
@@ -476,8 +476,8 @@ mod tests {
                 let x = b.input();
                 let out = mac_group(&mut b, x, TERMS - 1, 0.25);
                 b.output(out);
-                let rewritten = RescaleSchedPass.run(&b.build()).unwrap();
-                DeadValuePass.run(&rewritten).unwrap()
+                let rewritten = run_on(&RescaleSchedPass, &b.build()).unwrap();
+                run_on(&DeadValuePass, &rewritten).unwrap()
             })
             .unwrap()
             .join()

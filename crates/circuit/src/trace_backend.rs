@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use bts_sim::{CtId, OpTrace, TraceBuilder};
 
 use crate::bootstrap_plan::BootstrapPlan;
@@ -20,6 +22,12 @@ pub struct LoweredTrace {
 /// full ModRaise → CoeffToSlot → EvalMod → SlotToCoeff op sequence of
 /// [`BootstrapPlan::paper_default`], which consumes the `L_boot` levels the
 /// IR's level bookkeeping assumes.
+///
+/// Every expansion is the same op sequence on another input, so a trace
+/// records it once: the first marker through [`BootstrapPlan::append_to`],
+/// every later one as [`TraceBuilder::repeat`] of that op range — most of a
+/// bootstrapping workload's trace is copied in bulk rather than recorded op
+/// by op.
 #[derive(Debug, Clone, Default)]
 pub struct TraceBackend;
 
@@ -42,10 +50,12 @@ impl TraceBackend {
     /// Lowers compiled bytecode to an op trace, operands resolved through a
     /// flat register file.
     ///
-    /// Because [`compile`] preserves instruction order, the trace is op for
+    /// Because [`compile`] preserves instruction order, and a repeated
+    /// expansion is what recording it again would make, the trace is op for
     /// op, ciphertext id for ciphertext id what walking the source circuit's
-    /// SSA nodes would emit — an equality the integration tests hold against
-    /// the oracle in `tests/common/ssa_oracle.rs`.
+    /// SSA nodes and appending every marker's plan would emit — an equality
+    /// the integration tests hold against the oracle in
+    /// `tests/common/ssa_oracle.rs`.
     ///
     /// # Errors
     ///
@@ -66,6 +76,9 @@ impl TraceBackend {
             regs[input.reg as usize] = Some(builder.fresh_ct(input.level));
         }
         let mut bootstrap_count = 0usize;
+        // The first marker's expansion (its ops and the id it refreshed):
+        // every later marker repeats it with its own input.
+        let mut expansion: Option<(Range<usize>, CtId)> = None;
         for op in &compiled.ops {
             let a = regs[op.a as usize].expect("validated bytecode reads live registers");
             let level = op.level;
@@ -93,7 +106,15 @@ impl TraceBackend {
                         });
                     }
                     bootstrap_count += 1;
-                    plan.append_to(&mut builder, a)
+                    match &expansion {
+                        Some((ops, input)) => builder.repeat(ops.clone(), *input, a),
+                        None => {
+                            let start = builder.len();
+                            let out = plan.append_to(&mut builder, a);
+                            expansion = Some((start..builder.len(), a));
+                            out
+                        }
+                    }
                 }
             };
             if op.free_a {

@@ -4,6 +4,7 @@
 //! indexed in one scan.
 
 use std::collections::HashSet;
+use std::ops::Range;
 
 use bts_params::CkksInstance;
 
@@ -179,7 +180,10 @@ impl std::error::Error for TraceError {}
 /// Builds [`OpTrace`]s with automatic ciphertext-id management. Ops are
 /// recorded column by column into flat arrays — no allocation per op, and
 /// every id the builder hands out is its own slot — and
-/// [`TraceBuilder::build`] validates and indexes them once.
+/// [`TraceBuilder::build`] validates and indexes them once. A sequence
+/// recorded once can be recorded again in bulk on another input
+/// ([`TraceBuilder::repeat`]: the columns copied, ids shifted), which is how
+/// a lowering emits its second and later bootstraps.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
     instance: CkksInstance,
@@ -190,6 +194,9 @@ pub struct TraceBuilder {
     /// `(operand position, id)` of every operand the builder had not handed
     /// out when it was read — undefined there; patched in at `build`.
     foreign: Vec<(usize, CtId)>,
+    /// The ops the first [`TraceBuilder::repeat`] copied: `build`'s scan
+    /// takes their copies' tables from theirs.
+    repeated: Option<Range<usize>>,
 }
 
 impl TraceBuilder {
@@ -208,6 +215,7 @@ impl TraceBuilder {
             rotation_keys: HashSet::new(),
             in_bootstrap: false,
             foreign: Vec::new(),
+            repeated: None,
         }
     }
 
@@ -244,6 +252,108 @@ impl TraceBuilder {
         self.columns
             .push(op, level, self.in_bootstrap, slots, output as u32);
         output
+    }
+
+    /// Number of ops recorded so far: the index the next op gets.
+    pub fn len(&self) -> usize {
+        self.columns.len()
+    }
+
+    /// Whether no op has been recorded yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Records the ops `ops` (indices into this builder's ops, recorded back
+    /// to back) once more, in bulk: kinds, levels and region flags copied,
+    /// every read of `from` made a read of `to`, every read of an output of
+    /// the range a read of its copy, and every other operand kept. Returns
+    /// the copy of the range's last output (`to` for an empty range).
+    ///
+    /// The trace is op for op, id for id and stored code for stored code
+    /// what recording the range again through the builder's own methods,
+    /// with those ids, would make — a lowering that expands the same op
+    /// sequence many times (a bootstrap) records it once and repeats it. No
+    /// rotation key is counted again: the copy rotates by the amounts already
+    /// counted. Copies of the first range repeated, on an input from before
+    /// it, are indexed by [`TraceBuilder::build`] from that range's tables
+    /// rather than scanned op by op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range's outputs are not consecutive ids (a
+    /// [`TraceBuilder::fresh_ct`] came between its ops), or on the column
+    /// limits of [`TraceBuilder::build`].
+    pub fn repeat(&mut self, ops: Range<usize>, from: CtId, to: CtId) -> CtId {
+        if ops.is_empty() {
+            return to;
+        }
+        let first = CtId::from(self.columns.output(ops.start));
+        let last = CtId::from(self.columns.output(ops.end - 1));
+        assert_eq!(
+            last.wrapping_sub(first),
+            (ops.len() - 1) as CtId,
+            "the repeated ops were recorded back to back"
+        );
+        self.repeated.get_or_insert(ops.clone());
+        let shift = self.next_id - first;
+        let span = self.columns.operand_span(ops.clone());
+        let patched = self.foreign.partition_point(|&(at, _)| at < span.start);
+        if to >= self.next_id
+            || self
+                .foreign
+                .get(patched)
+                .is_some_and(|&(at, _)| at < span.end)
+        {
+            // A copy reading ids the builder has not handed out: recorded
+            // op by op, so `push` patches them in as it does for any op.
+            let map = |id: CtId| {
+                if id == from {
+                    to
+                } else if (first..=last).contains(&id) {
+                    id + shift
+                } else {
+                    id
+                }
+            };
+            let region = self.in_bootstrap;
+            let mut out = to;
+            let mut ids = Vec::with_capacity(2);
+            for i in ops {
+                let (op, level, in_bootstrap, operands) = self.columns.op(i);
+                ids.clear();
+                for at in operands {
+                    let patch = self.foreign.binary_search_by_key(&at, |&(p, _)| p);
+                    let id =
+                        patch.map_or(CtId::from(self.columns.operands[at]), |k| self.foreign[k].1);
+                    ids.push(map(id));
+                }
+                self.in_bootstrap = in_bootstrap;
+                out = self.push(op, level, &ids);
+            }
+            self.in_bootstrap = region;
+            return out;
+        }
+        // Every id the copy reads is one the builder handed out: one map
+        // over slots, which `build`'s u32 check covers. Where `from` is no
+        // output of the range, the copy is one the scan can take from the
+        // first repeated range's tables.
+        let copy_starts =
+            from < first && self.foreign.is_empty() && self.repeated.as_ref() == Some(&ops);
+        let (from, to) = (u32::try_from(from).ok(), to as u32);
+        let (first, width, shift) = (first as u32, (last - first) as u32, shift as u32);
+        let map = |slot| {
+            if Some(slot) == from {
+                to
+            } else if slot.wrapping_sub(first) <= width {
+                slot.wrapping_add(shift)
+            } else {
+                slot
+            }
+        };
+        self.columns.repeat(ops.clone(), shift, map, copy_starts);
+        self.next_id += ops.len() as CtId;
+        last + CtId::from(shift)
     }
 
     /// Records an HMult of two ciphertexts at level `a`/`b`'s current level.
@@ -325,7 +435,14 @@ impl TraceBuilder {
         let keys = self.rotation_keys.len();
         // Lossless: checked above.
         let slots = self.next_id as usize;
-        let trace = OpTrace::index(self.instance, self.columns, Vec::new(), slots, keys);
+        let trace = OpTrace::index(
+            self.instance,
+            self.columns,
+            Vec::new(),
+            slots,
+            keys,
+            self.repeated,
+        );
         if self.foreign.is_empty() {
             trace
         } else {
@@ -389,6 +506,47 @@ mod tests {
         assert_eq!(t.key_switch_count(), 4);
         assert_eq!(t.count(HeOp::HRescale), 1);
         assert_eq!(t.rotation_keys(), 2, "duplicate rotations share a key");
+    }
+
+    /// Records `segment` on `input`, returning its last output.
+    fn segment(b: &mut TraceBuilder, input: CtId) -> CtId {
+        b.set_bootstrap_region(true);
+        let r = b.hrot(input, 3, 20);
+        let m = b.pmult(r, 20);
+        let s = b.hadd(m, input, 20);
+        b.set_bootstrap_region(false);
+        b.hrescale_at(s, 20)
+    }
+
+    #[test]
+    fn a_repeated_range_is_what_recording_it_again_makes() {
+        let ins = CkksInstance::ins1();
+        // `to` handed out, and `to` an id no one has handed out yet.
+        for foreign in [false, true] {
+            let mut copied = TraceBuilder::new(&ins);
+            let mut recorded = TraceBuilder::new(&ins);
+            for b in [&mut copied, &mut recorded] {
+                let x = b.fresh_ct(20);
+                b.fresh_ct(20);
+                b.cadd(x, 20);
+            }
+            let (x, y) = (0, 1);
+            let start = copied.len();
+            let first = segment(&mut copied, x);
+            let ops = start..copied.len();
+            let to = if foreign { 999 } else { y };
+            let again = copied.repeat(ops.clone(), x, to);
+            let twice = copied.repeat(ops, x, again);
+            assert_eq!(first, segment(&mut recorded, x));
+            assert_eq!(again, segment(&mut recorded, to));
+            assert_eq!(twice, segment(&mut recorded, again));
+            assert_eq!(copied.len(), recorded.len());
+            let (copied, recorded) = (copied.build(), recorded.build());
+            assert_eq!(copied, recorded);
+            assert_eq!(listed(&copied), listed(&recorded));
+            assert_eq!(copied.rotation_keys(), 1);
+            assert_eq!(copied.validate().is_err(), foreign);
+        }
     }
 
     #[test]

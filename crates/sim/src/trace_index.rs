@@ -46,6 +46,13 @@
 //! read of `p`'s output is done. Trace inputs, read at any distance, take
 //! one cell each past the ring ([`OpTrace::cell`]). So that state is sized
 //! by the window and the inputs, never by the slot count.
+//!
+//! **Repeated ops.** A builder that records an op range once and repeats it
+//! ([`crate::TraceBuilder::repeat`] — a lowering's bootstrap expansions)
+//! flags where each copy starts, and the scan keeps the range's tables as
+//! it leaves them and takes each copy's from them, shifted: only the copy's
+//! reads of values from outside it are scanned. The tables, codes and
+//! first defect are the ones a scan of every op would make (see `Source`).
 
 use std::ops::Range;
 
@@ -59,6 +66,11 @@ const UNDEFINED: u32 = u32::MAX;
 /// "No op": the next-use of an access that is the last one, the first/last
 /// use of a ciphertext nothing reads, the output slot of an op without one.
 pub(crate) const NEVER: u32 = u32::MAX;
+/// Op flag: the op belongs to a bootstrapping region.
+const IN_BOOTSTRAP: u8 = 1;
+/// Op flag, set by a builder and cleared by the scan that indexes its ops:
+/// a copy of the builder's repeated ops starts at this op.
+const COPY_STARTS: u8 = 2;
 
 /// What the compiler tells the scratchpad about a value at one access — an
 /// operand read or an op's output being written: when it is read next.
@@ -122,10 +134,11 @@ impl Code {
 pub(crate) struct Columns {
     /// The slot and level of every ciphertext that enters from outside.
     pub(crate) inputs: Vec<(u32, usize)>,
-    /// Per op: kind, level and bootstrap-region flag.
+    /// Per op: kind, level and flags ([`IN_BOOTSTRAP`], and while a builder
+    /// records, [`COPY_STARTS`]).
     kinds: Vec<HeOp>,
     levels: Vec<usize>,
-    in_bootstrap: Vec<bool>,
+    flags: Vec<u8>,
     /// Op `i`'s operands end at `operand_end[i]` and start where op `i − 1`'s
     /// end (CSR: one arena for the whole trace instead of a vector per op).
     operand_end: Vec<u32>,
@@ -141,7 +154,7 @@ impl Columns {
             inputs: Vec::new(),
             kinds: Vec::with_capacity(ops),
             levels: Vec::with_capacity(ops),
-            in_bootstrap: Vec::with_capacity(ops),
+            flags: Vec::with_capacity(ops),
             operand_end: Vec::with_capacity(ops),
             operands: Vec::with_capacity(2 * ops),
             outputs: Vec::with_capacity(ops),
@@ -163,11 +176,87 @@ impl Columns {
     ) {
         self.kinds.push(op);
         self.levels.push(level);
-        self.in_bootstrap.push(in_bootstrap);
+        self.flags.push(u8::from(in_bootstrap));
         self.operands.extend(operands);
         let end = u32::try_from(self.operands.len()).expect("operand count fits u32");
         self.operand_end.push(end);
         self.outputs.push(output);
+    }
+
+    /// Number of ops recorded.
+    pub(crate) fn len(&self) -> usize {
+        self.kinds.len()
+    }
+
+    /// Op `i`'s output slot ([`NEVER`] if it has none).
+    pub(crate) fn output(&self, i: usize) -> u32 {
+        self.outputs[i]
+    }
+
+    /// Positions of the operands of ops `ops` in the operand arena.
+    pub(crate) fn operand_span(&self, ops: Range<usize>) -> Range<usize> {
+        let end = |i: usize| i.checked_sub(1).map_or(0, |p| self.operand_end[p] as usize);
+        end(ops.start)..end(ops.end)
+    }
+
+    /// Op `i`'s kind, level, bootstrap-region flag and operand positions.
+    pub(crate) fn op(&self, i: usize) -> (HeOp, usize, bool, Range<usize>) {
+        let operands = self.operand_span(i..i + 1);
+        (
+            self.kinds[i],
+            self.levels[i],
+            self.flags[i] & IN_BOOTSTRAP != 0,
+            operands,
+        )
+    }
+
+    /// Appends a copy of ops `ops`: kinds, levels and region flags as they
+    /// are, every output slot plus `shift` (wrapping, as the builder's own
+    /// slots do), and every operand slot through `map`; `copy_starts` flags
+    /// its first op with [`COPY_STARTS`].
+    ///
+    /// # Panics
+    ///
+    /// Panics once the trace has more than `u32::MAX` operand accesses.
+    pub(crate) fn repeat(
+        &mut self,
+        ops: Range<usize>,
+        shift: u32,
+        map: impl Fn(u32) -> u32,
+        copy_starts: bool,
+    ) {
+        let span = self.operand_span(ops.clone());
+        // The copy's operands sit `moved` places past the range's.
+        let moved = self.operands.len() - span.start;
+        let copy = self.kinds.len();
+        self.kinds.extend_from_within(ops.clone());
+        self.levels.extend_from_within(ops.clone());
+        self.flags.extend_from_within(ops.clone());
+        for flags in &mut self.flags[copy..] {
+            *flags &= IN_BOOTSTRAP;
+        }
+        if copy_starts {
+            self.flags[copy] |= COPY_STARTS;
+        }
+        self.operands.extend_from_within(span.clone());
+        assert!(
+            u32::try_from(self.operands.len()).is_ok(),
+            "operand count fits u32"
+        );
+        for slot in &mut self.operands[span.start + moved..] {
+            *slot = map(*slot);
+        }
+        self.operand_end.extend_from_within(ops.clone());
+        for end in &mut self.operand_end[copy..] {
+            // Lossless: no greater than the arena's length, checked above.
+            *end += moved as u32;
+        }
+        self.outputs.extend_from_within(ops);
+        for output in &mut self.outputs[copy..] {
+            if *output != NEVER {
+                *output = output.wrapping_add(shift);
+            }
+        }
     }
 }
 
@@ -292,17 +381,27 @@ impl OpTrace {
             let output = op.output.map_or(NEVER, slot);
             columns.push(op.op, op.level, op.in_bootstrap, operands, output);
         }
-        Self::index(instance.clone(), columns, interned, slots, rotation_keys)
+        Self::index(
+            instance.clone(),
+            columns,
+            interned,
+            slots,
+            rotation_keys,
+            None,
+        )
     }
 
     /// The one construction: the tables of `slots` slots for `columns`,
     /// filled by one [`OpTrace::scan`].
+    /// `source` names ops a builder repeated, whose copies the scan may take
+    /// from their tables ([`OpTrace::scan`]).
     pub(crate) fn index(
         instance: CkksInstance,
         columns: Columns,
         interned: Vec<CtId>,
         slots: usize,
         rotation_keys: usize,
+        source: Option<Range<usize>>,
     ) -> Self {
         // Bounds op indices, the producer codes of trace inputs, and the
         // LRU baseline's access stamps (one per operand access and per op).
@@ -324,7 +423,7 @@ impl OpTrace {
             ring: 0,
             defect: None,
         };
-        trace.defect = trace.scan();
+        trace.defect = trace.scan(source);
         trace
     }
 
@@ -338,14 +437,33 @@ impl OpTrace {
     /// Codes are fixed up behind the scan: each read of a slot settles the
     /// slot's previous access — its producer's output on the first read, else
     /// the read before — and whatever no later read settles stays `Never`.
-    fn scan(&mut self) -> Option<TraceError> {
+    ///
+    /// `source` names ops a builder repeated ([`crate::TraceBuilder::repeat`]).
+    /// Their tables as the scan leaves them are kept, and each copy of them
+    /// the builder flagged ([`COPY_STARTS`]) takes those tables shifted
+    /// instead of a rescan; only its reads from outside are scanned. The
+    /// tables are the same either way (see [`Source`]). The flags are
+    /// cleared.
+    fn scan(&mut self, source: Option<Range<usize>>) -> Option<TraceError> {
         let mut defect = None;
         let mut note = |e: TraceError| {
             defect.get_or_insert(e);
         };
         let max_level = self.instance.max_level();
         let mut codes = std::mem::take(&mut self.codes);
-        let c = &self.columns;
+        let Self {
+            columns: c,
+            interned,
+            producer,
+            ..
+        } = self;
+        let id_of = |slot: u32| {
+            if interned.is_empty() {
+                CtId::from(slot)
+            } else {
+                interned[slot as usize]
+            }
+        };
         // Lossless: construction checked that inputs plus ops fit u32.
         let ops = c.kinds.len() as u32;
         for ((input_index, &(slot, level)), k) in c.inputs.iter().enumerate().zip(0u32..) {
@@ -356,18 +474,50 @@ impl OpTrace {
                     max_level,
                 });
             }
-            if self.producer[slot as usize] == UNDEFINED {
-                self.producer[slot as usize] = ops + k;
+            if producer[slot as usize] == UNDEFINED {
+                producer[slot as usize] = ops + k;
             }
         }
         // Per slot: the stamp of its latest read, NEVER before the first.
-        let mut latest = vec![NEVER; self.producer.len()];
+        let mut latest = vec![NEVER; producer.len()];
+        let source_end = source.as_ref().map_or(usize::MAX, |s| s.end);
+        let mut kept: Option<Source> = None;
         let mut start = 0;
         // Stamps of this op's first access and of the previous op's: a read
         // at or past `previous` is in this op or the one before.
         let (mut here, mut previous) = (0u32, 0u32);
         let mut window = 0u32;
-        for (i, op_index) in (0u32..).zip(0..c.kinds.len()) {
+        let mut op_index = 0;
+        while op_index < c.kinds.len() {
+            if op_index == source_end {
+                let ops = source.clone().unwrap_or_default();
+                kept = Some(Source::keep(c, &codes, &latest, ops, here));
+            }
+            if let Some(kept) = kept
+                .as_ref()
+                .filter(|_| c.flags[op_index] & COPY_STARTS != 0)
+            {
+                let tables = Tables {
+                    producer,
+                    latest: &mut latest,
+                    codes: &mut codes,
+                    window: &mut window,
+                };
+                kept.copy_to(c, tables, op_index, here, &mut |op_index, slot| {
+                    let id = id_of(slot);
+                    note(TraceError::UndefinedInput { op_index, id });
+                });
+                let last = op_index + kept.ops.len() - 1;
+                start = c.operand_end[last] as usize;
+                previous = first_stamp(c, last);
+                // Lossless: construction checked that accesses plus ops fit
+                // u32.
+                here = start as u32 + last as u32 + 1;
+                op_index = last + 1;
+                continue;
+            }
+            // Lossless: construction checked that the op count fits u32.
+            let i = op_index as u32;
             let level = c.levels[op_index];
             if level > max_level {
                 note(TraceError::LevelOutOfRange {
@@ -378,39 +528,16 @@ impl OpTrace {
             }
             let end = c.operand_end[op_index] as usize;
             for (&slot, stamp) in c.operands[start..end].iter().zip(here..) {
-                let s = slot as usize;
-                let producer = self.producer[s];
-                if producer == UNDEFINED {
-                    let id = self.id_of(slot);
+                let tables = Tables {
+                    producer,
+                    latest: &mut latest,
+                    codes: &mut codes,
+                    window: &mut window,
+                };
+                if tables.read(c, i, slot, stamp, previous) {
+                    let id = id_of(slot);
                     note(TraceError::UndefinedInput { op_index, id });
                 }
-                // An input's code and UNDEFINED exceed `i`: they read 0.
-                window = window.max(i.saturating_sub(producer));
-                let seen = latest[s];
-                if seen != NEVER {
-                    if codes[seen as usize].is_forwarded() {
-                        // Read twice: the output it was forwarded from is
-                        // cached after all. (Its first read was this op or
-                        // the one before, so its code stays `Next`.)
-                        let output = c.operand_end[producer as usize] + producer;
-                        codes[output as usize] = Code::NEXT;
-                    }
-                    codes[seen as usize] = if seen >= previous {
-                        Code::NEXT
-                    } else {
-                        Code::LATER
-                    };
-                } else if producer < i {
-                    // The first read of an op's output settles the output.
-                    let output = (c.operand_end[producer as usize] + producer) as usize;
-                    if producer + 1 == i {
-                        codes[output] = Code::NEXT.forwarded();
-                        codes[stamp as usize] = Code::NEVER.forwarded();
-                    } else {
-                        codes[output] = Code::LATER;
-                    }
-                }
-                latest[s] = stamp;
             }
             start = end;
             previous = here;
@@ -418,12 +545,18 @@ impl OpTrace {
             here = end as u32 + i + 1;
             let out = c.outputs[op_index];
             if out != NEVER {
-                if self.producer[out as usize] == UNDEFINED {
-                    self.producer[out as usize] = i;
+                if producer[out as usize] == UNDEFINED {
+                    producer[out as usize] = i;
                 } else {
-                    let id = self.id_of(out);
+                    let id = id_of(out);
                     note(TraceError::DuplicateOutput { op_index, id });
                 }
+            }
+            op_index += 1;
+        }
+        if source.is_some() {
+            for flags in &mut self.columns.flags {
+                *flags &= IN_BOOTSTRAP;
             }
         }
         self.window = window;
@@ -590,7 +723,7 @@ impl OpTrace {
                 index,
                 op: c.kinds[i],
                 level: c.levels[i],
-                in_bootstrap: c.in_bootstrap[i],
+                in_bootstrap: c.flags[i] & IN_BOOTSTRAP != 0,
                 operands: &c.operands[operands.clone()],
                 output: (output != NEVER).then_some(output),
                 first_access: operands.start,
@@ -618,6 +751,175 @@ impl OpTrace {
             }
         }
         (next, next_seen)
+    }
+}
+
+/// The stamp of op `i`'s first access: accesses before it are the operands
+/// and outputs of ops `0..i`.
+fn first_stamp(c: &Columns, i: usize) -> u32 {
+    // Lossless: construction checked that accesses plus ops fit u32.
+    i.checked_sub(1).map_or(0, |p| c.operand_end[p]) + i as u32
+}
+
+/// The tables [`OpTrace::scan`] fills as it reads: producers, the stamp of
+/// each slot's latest read, the stored codes and the read window.
+struct Tables<'a> {
+    producer: &'a mut [u32],
+    latest: &'a mut [u32],
+    codes: &'a mut [Code],
+    window: &'a mut u32,
+}
+
+impl Tables<'_> {
+    /// Op `i` reads `slot` at `stamp`; `previous` is the stamp of the
+    /// previous op's first access (a read at or past it is in this op or the
+    /// one before). Returns whether `slot` is undefined.
+    #[inline(always)]
+    fn read(self, c: &Columns, i: u32, slot: u32, stamp: u32, previous: u32) -> bool {
+        let s = slot as usize;
+        let producer = self.producer[s];
+        // An input's code and UNDEFINED exceed `i`: they read 0.
+        *self.window = (*self.window).max(i.saturating_sub(producer));
+        let seen = self.latest[s];
+        if seen != NEVER {
+            if self.codes[seen as usize].is_forwarded() {
+                // Read twice: the output it was forwarded from is cached
+                // after all. (Its first read was this op or the one before,
+                // so its code stays `Next`.)
+                let output = c.operand_end[producer as usize] + producer;
+                self.codes[output as usize] = Code::NEXT;
+            }
+            self.codes[seen as usize] = if seen >= previous {
+                Code::NEXT
+            } else {
+                Code::LATER
+            };
+        } else if producer < i {
+            // The first read of an op's output settles the output.
+            let output = (c.operand_end[producer as usize] + producer) as usize;
+            if producer + 1 == i {
+                self.codes[output] = Code::NEXT.forwarded();
+                self.codes[stamp as usize] = Code::NEVER.forwarded();
+            } else {
+                self.codes[output] = Code::LATER;
+            }
+        }
+        self.latest[s] = stamp;
+        producer == UNDEFINED
+    }
+}
+
+/// The tables of a builder's repeated ops as the scan left them at their
+/// end, from which it scans each copy ([`crate::TraceBuilder::repeat`]).
+///
+/// The builder flags a copy ([`COPY_STARTS`]) only where its columns make
+/// one: the repeated ops' outputs are consecutive slots, each read among
+/// them of one of those slots comes after the op producing it, the copy's
+/// outputs are as many fresh consecutive slots, every read of a repeated
+/// output reads the copy's output in its place, and every other read reads
+/// a value defined before the copy. The scan of a copy then repeats the
+/// source's exactly, shifted: its reads of its own outputs see the same
+/// producers, read distances and earlier reads, so they store the same
+/// codes, and at its end each output's latest read is the source's
+/// shifted. Only its reads from outside can differ — they meet other
+/// values' histories — and they are scanned, in order. Levels are the
+/// source's, whose defects the scan has already met.
+struct Source {
+    /// The repeated ops.
+    ops: Range<usize>,
+    /// The codes of their accesses.
+    codes: Vec<Code>,
+    /// The latest-read stamp of each of their outputs.
+    latest: Vec<u32>,
+    /// The longest distance from one of them to a read of its output
+    /// among them.
+    window: u32,
+    /// Their reads from outside: `(op, operand position)`, both counted
+    /// from the first of them.
+    outside: Vec<(usize, usize)>,
+}
+
+impl Source {
+    /// The tables of `ops` as the scan left them, `end` being the stamp
+    /// after their last access.
+    fn keep(c: &Columns, codes: &[Code], latest: &[u32], ops: Range<usize>, end: u32) -> Self {
+        let first_out = c.outputs[ops.start];
+        // Lossless: the op count fits u32.
+        let width = ops.len() as u32;
+        let span = c.operand_span(ops.clone());
+        let mut window = 0;
+        let mut outside = Vec::new();
+        for (k, i) in (0u32..).zip(ops.clone()) {
+            for at in c.operand_span(i..i + 1) {
+                let producer = c.operands[at].wrapping_sub(first_out);
+                if producer < width {
+                    window = window.max(k.saturating_sub(producer));
+                } else {
+                    outside.push((k as usize, at - span.start));
+                }
+            }
+        }
+        let stamps = first_stamp(c, ops.start) as usize..end as usize;
+        let outputs = first_out as usize..first_out as usize + ops.len();
+        Self {
+            ops,
+            codes: codes[stamps].to_vec(),
+            latest: latest[outputs].to_vec(),
+            window,
+            outside,
+        }
+    }
+
+    /// Scans the copy at `at` (`here` is the stamp of its first access) from
+    /// the kept tables, handing each undefined read from outside to
+    /// `undefined`.
+    fn copy_to(
+        &self,
+        c: &Columns,
+        tables: Tables<'_>,
+        at: usize,
+        here: u32,
+        undefined: &mut impl FnMut(usize, u32),
+    ) {
+        let Tables {
+            producer,
+            latest,
+            codes,
+            window,
+        } = tables;
+        let first = c.outputs[at] as usize;
+        let moved = here - first_stamp(c, self.ops.start);
+        codes[here as usize..][..self.codes.len()].copy_from_slice(&self.codes);
+        // Lossless: op indices fit u32.
+        for ((producer, k), &read) in producer[first..][..self.latest.len()]
+            .iter_mut()
+            .zip(at as u32..)
+            .zip(&self.latest)
+        {
+            *producer = k;
+            latest[first + (k as usize - at)] = if read == NEVER { NEVER } else { read + moved };
+        }
+        *window = (*window).max(self.window);
+        // The reads from outside, in program order, as the scan reads them.
+        let span = c.operand_span(at..at + 1).start;
+        for &(k, offset) in &self.outside {
+            let j = at + k;
+            let position = span + offset;
+            // Lossless: stamps and op indices fit u32.
+            let stamp = (position + j) as u32;
+            let previous = j.checked_sub(1).map_or(0, |p| first_stamp(c, p));
+            codes[stamp as usize] = Code::NEVER;
+            let tables = Tables {
+                producer,
+                latest,
+                codes,
+                window,
+            };
+            let slot = c.operands[position];
+            if tables.read(c, j as u32, slot, stamp, previous) {
+                undefined(j, slot);
+            }
+        }
     }
 }
 

@@ -82,10 +82,12 @@ fn bootstrapper_reports_its_key_requirements() {
 }
 
 /// Full functional bootstrap on a tiny ring. This exercises ModRaise,
-/// CoeffToSlot, the double-angle EvalMod and SlotToCoeff end to end; the
-/// tolerance is loose because the toy configuration trades precision for
-/// depth. A small `q0/Δ` ratio (2^5) keeps the EvalMod amplitude — and hence
-/// the approximation error in message units — small.
+/// CoeffToSlot, the double-angle EvalMod and SlotToCoeff end to end. A small
+/// `q0/Δ` ratio (2^5) keeps the EvalMod amplitude — and hence the
+/// approximation error in message units — small. The refresh measures
+/// 5.5e-6 at seed 42; the bound is 1e-4, about 18× that, so an error up to
+/// twice today's (ROADMAP 1(b)'s gate for the radix-factored transforms)
+/// still passes while a loss of orders of magnitude does not.
 #[test]
 fn bootstrap_refreshes_levels_and_roughly_preserves_the_message() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
@@ -126,7 +128,7 @@ fn bootstrap_refreshes_levels_and_roughly_preserves_the_message() {
         .map(|(a, b)| (a.re - b.re).abs())
         .fold(0.0f64, f64::max);
     assert!(
-        max_err < 0.15,
+        max_err < 1e-4,
         "bootstrapped message error too large: {max_err}"
     );
 }

@@ -11,9 +11,9 @@
 use std::collections::BTreeMap;
 
 use bts::circuit::{
-    compile, BootstrapPlacePass, CircuitBuilder, CommonSubexprPass, DeadValuePass,
-    FunctionalBackend, FunctionalRun, HeCircuit, HeInstr, HeInstrNode, Pass, PassPipeline,
-    RescaleSchedPass, TraceBackend, ValueId,
+    compile, Analyzed, BootstrapPlacePass, CircuitBuilder, CircuitError, CommonSubexprPass,
+    DeadValuePass, FunctionalBackend, FunctionalRun, HeCircuit, HeInstr, HeInstrNode, Pass,
+    PassPipeline, RescaleSchedPass, TraceBackend, ValueId,
 };
 use bts::params::CkksInstance;
 use proptest::prelude::*;
@@ -207,6 +207,11 @@ fn assert_outputs_close(
     Ok(())
 }
 
+/// Checks `circuit` and runs one pass on it.
+fn run_pass(pass: &dyn Pass, circuit: &HeCircuit) -> Result<HeCircuit, CircuitError> {
+    Ok(pass.run(&Analyzed::check(circuit.clone())?)?.into_circuit())
+}
+
 fn key_switches(circuit: &HeCircuit) -> usize {
     circuit
         .op_counts()
@@ -240,13 +245,13 @@ proptest! {
             Box::new(DeadValuePass),
         ];
         for pass in &passes {
-            let opt = pass.run(&circuit);
+            let opt = run_pass(pass.as_ref(), &circuit);
             prop_assert!(opt.is_ok(), "{} failed: {:?}", pass.name(), opt.err());
             let opt = opt.unwrap();
             prop_assert_eq!(&opt.outputs.len(), &circuit.outputs.len());
             // Rewriting passes leave superseded nodes dead rather than
             // sweeping them inline, so measure after a dead-value sweep.
-            let swept = DeadValuePass.run(&opt).unwrap();
+            let swept = run_pass(&DeadValuePass, &opt).unwrap();
             prop_assert!(key_switches(&swept) <= base_ks, "{} grew key-switches", pass.name());
             let lowered = TraceBackend::new().execute(&opt);
             prop_assert!(lowered.is_ok());
@@ -314,6 +319,62 @@ proptest! {
     }
 }
 
+/// Bootstrap markers in the places a copied expansion could go wrong: on a
+/// trace input (`levels[0]`), on another marker's output, with the input
+/// read again after the marker, on inputs at different levels, and with a
+/// marker's result as a circuit output.
+fn hand_built_markers(ins: &CkksInstance, levels: [usize; 2]) -> HeCircuit {
+    let mut b = CircuitBuilder::new(ins);
+    let x = b.input_at(levels[0]);
+    let y = b.input_at(levels[1]);
+    let on_input = b.bootstrap(x).expect("inputs carry the base scale");
+    let on_marker = b
+        .bootstrap(on_input)
+        .expect("a refresh keeps the base scale");
+    let reread = b.cadd(x, 0.25).expect("the input is still live");
+    let other = b.bootstrap(y).expect("inputs carry the base scale");
+    let sum = b.hadd(on_marker, other).expect("refreshes share a level");
+    b.output(sum);
+    b.output(reread);
+    b.output(on_marker);
+    b.build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every marker after the first repeats the first one's expansion in
+    /// bulk; the oracle records each through `BootstrapPlan::append_to`.
+    /// Both must give the same trace — ops, ids, stored codes — the same
+    /// marker count and the same rotation keys, raw and optimized.
+    #[test]
+    fn repeated_bootstrap_markers_lower_like_the_oracle(
+        extra_levels in 0usize..6,
+        codes in proptest::collection::vec(any::<u32>(), 24),
+        first_level in 0usize..4,
+        second_level in 0usize..4,
+    ) {
+        let ins = CkksInstance::toy(10, 19 + extra_levels, 2);
+        let random = random_bootstrapping_circuit(&ins, &codes);
+        let hand = hand_built_markers(&ins, [first_level, second_level]);
+        prop_assert!(hand.bootstrap_count() == 3);
+        for raw in [random, hand] {
+            let optimized = PassPipeline::standard()
+                .optimize(&raw)
+                .expect("pipeline optimizes generated circuits");
+            for circuit in [&raw, &optimized] {
+                let tree = ssa_oracle::lower(circuit);
+                let flat = TraceBackend::new().execute(circuit).unwrap();
+                prop_assert!(flat.trace.validate().is_ok());
+                prop_assert_eq!(&tree.trace, &flat.trace);
+                prop_assert_eq!(tree.bootstrap_count, flat.bootstrap_count);
+                prop_assert_eq!(tree.bootstrap_count, circuit.bootstrap_count());
+                prop_assert_eq!(tree.trace.rotation_keys(), flat.trace.rotation_keys());
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -325,8 +386,8 @@ proptest! {
     ) {
         let ins = CkksInstance::toy(10, max_level, 2);
         let circuit = random_circuit(&ins, &codes);
-        let once = CommonSubexprPass.run(&circuit).unwrap();
-        let twice = CommonSubexprPass.run(&once).unwrap();
+        let once = run_pass(&CommonSubexprPass, &circuit).unwrap();
+        let twice = run_pass(&CommonSubexprPass, &once).unwrap();
         prop_assert_eq!(once, twice);
     }
 
@@ -341,10 +402,10 @@ proptest! {
         let ins = CkksInstance::toy(10, max_level, 2);
         for circuit in [random_circuit(&ins, &codes), doubled_circuit(&ins, &codes)] {
             let reference = reference_cse(&circuit);
-            prop_assert_eq!(CommonSubexprPass.run(&circuit).unwrap(), reference);
+            prop_assert_eq!(run_pass(&CommonSubexprPass, &circuit).unwrap(), reference);
         }
         let doubled = doubled_circuit(&ins, &codes);
-        let merged = CommonSubexprPass.run(&doubled).unwrap();
+        let merged = run_pass(&CommonSubexprPass, &doubled).unwrap();
         prop_assert!(merged.len() < doubled.len(), "the second copy merges");
     }
 
@@ -357,7 +418,7 @@ proptest! {
     ) {
         let ins = CkksInstance::toy(10, max_level, 2);
         let circuit = random_circuit(&ins, &codes);
-        let opt = DeadValuePass.run(&circuit).unwrap();
+        let opt = run_pass(&DeadValuePass, &circuit).unwrap();
         prop_assert_eq!(&opt.outputs, &circuit.outputs);
         prop_assert_eq!(&opt.inputs, &circuit.inputs);
         prop_assert!(opt.len() <= circuit.len());

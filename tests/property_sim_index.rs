@@ -357,6 +357,105 @@ impl Defect {
     }
 }
 
+/// Records one op of kind `code` reading `x` (and `y`) at `level`.
+fn record(b: &mut TraceBuilder, code: usize, x: CtId, y: CtId, level: usize) -> CtId {
+    match code % 6 {
+        0 => b.hadd(x, y, level),
+        1 => b.hmult_at(x, y, level),
+        2 => b.hrot(x, (code / 6 % 4) as i64 + 1, level),
+        3 => b.pmult(x, level),
+        4 => b.hrescale_at(x, level),
+        _ => b.hadd(x, x, level),
+    }
+}
+
+/// Random programs in which one op range — reading one value from outside
+/// (`from`), maybe a second one, and its own outputs — is repeated on other
+/// values, between random ops over every value made so far (inputs, the
+/// range's outputs, the copies' outputs), at levels that are sometimes out
+/// of budget. `copy` builds each repetition with `TraceBuilder::repeat`;
+/// otherwise it is recorded op by op again. Returns the built trace.
+fn repeating_program(ins: &CkksInstance, seed: u64, copy: bool) -> OpTrace {
+    let mut rng = Lcg::new(seed);
+    let mut b = TraceBuilder::new(ins);
+    let level = |rng: &mut Lcg| {
+        if rng.next().is_multiple_of(64) {
+            ins.max_level() + 1
+        } else {
+            rng.next() % (ins.max_level() + 1)
+        }
+    };
+    let mut pool: Vec<CtId> = (0..2 + rng.next() % 3)
+        .map(|_| {
+            let l = level(&mut rng);
+            b.fresh_ct(l)
+        })
+        .collect();
+    let random_op = |b: &mut TraceBuilder, rng: &mut Lcg, pool: &mut Vec<CtId>| {
+        let (x, y) = (pool[rng.next() % pool.len()], pool[rng.next() % pool.len()]);
+        let l = level(rng);
+        let out = record(b, rng.next(), x, y, l);
+        pool.push(out);
+    };
+    for _ in 0..rng.next() % 6 {
+        random_op(&mut b, &mut rng, &mut pool);
+    }
+    // The range: each op reads `from`, the second outside value or an
+    // earlier output of the range.
+    let from = pool[rng.next() % pool.len()];
+    let other = pool[rng.next() % pool.len()];
+    let steps: Vec<(usize, usize, usize, usize)> = (0..1 + rng.next() % 12)
+        .map(|_| (rng.next(), rng.next(), rng.next(), level(&mut rng)))
+        .collect();
+    let region = rng.next().is_multiple_of(2);
+    // Every read of `from` is the range's input, `other` included if it is
+    // `from`: what `repeat` replaces.
+    let record_range = |b: &mut TraceBuilder, input: CtId| {
+        let mut made: Vec<CtId> = vec![input, if other == from { input } else { other }];
+        b.set_bootstrap_region(region);
+        for &(code, x, y, l) in &steps {
+            let out = record(b, code, made[x % made.len()], made[y % made.len()], l);
+            made.push(out);
+        }
+        b.set_bootstrap_region(false);
+        made.split_off(2)
+    };
+    let start = b.len();
+    pool.extend(record_range(&mut b, from));
+    let range = start..b.len();
+    for _ in 0..rng.next() % 24 {
+        if rng.next().is_multiple_of(3) {
+            let to = pool[rng.next() % pool.len()];
+            if copy {
+                let last = b.repeat(range.clone(), from, to);
+                let first = last + 1 - steps.len() as CtId;
+                pool.extend(first..=last);
+            } else {
+                pool.extend(record_range(&mut b, to));
+            }
+        } else {
+            random_op(&mut b, &mut rng, &mut pool);
+        }
+    }
+    b.build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A repeated range is indexed from the first one's tables: the built
+    /// trace — columns, producers, stored codes, read window, first defect
+    /// — equals the trace that records every repetition op by op.
+    #[test]
+    fn repeated_ranges_index_like_recorded_ones(seed in any::<u64>()) {
+        let ins = CkksInstance::ins1();
+        let copied = repeating_program(&ins, seed, true);
+        let recorded = repeating_program(&ins, seed, false);
+        prop_assert_eq!(copied.validate(), recorded.validate());
+        prop_assert!(copied == recorded, "seed {}", seed);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
