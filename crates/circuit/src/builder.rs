@@ -1,8 +1,8 @@
 //! [`CircuitBuilder`] records a circuit one instruction at a time through the
 //! analysis's level/scale rule (`passes::analysis::transfer`, the rule
 //! [`crate::passes::analysis::analyze`] folds over whole circuits), and at
-//! [`CircuitBuilder::build`] prunes its own greedy refreshes with the
-//! bootstrap-placement sweep (`passes::bootstrap_place::drop_markers`) — so
+//! [`CircuitBuilder::build`] prunes its own greedy refreshes through the
+//! bootstrap-placement rebuild (`passes::bootstrap_place::drop_markers`) — so
 //! neither decision has a second copy here.
 
 use bts_params::{CkksInstance, L_BOOT};
@@ -161,6 +161,11 @@ impl CircuitBuilder {
     /// instances may still be below `depth` — applications then re-bootstrap
     /// mid-computation.
     ///
+    /// The reserve level is what the built circuit pays for this rule: a
+    /// chain of unit-level groups refreshes every U − 1 of its U usable
+    /// levels. [`crate::BootstrapPlacePass`] recovers it on the optimized
+    /// path, moving each refresh to the last level its input reaches.
+    ///
     /// # Errors
     ///
     /// Fails with [`CircuitError::LevelExhausted`] if the budget is too small
@@ -318,9 +323,10 @@ impl CircuitBuilder {
     /// trailing refresh whose suffix consumes no further levels is pure
     /// overhead (hundreds of key-switches on a paper instance). Explicit
     /// [`CircuitBuilder::bootstrap`] calls are application requests and are
-    /// never pruned. The prune is the bootstrap-placement sweep of
-    /// [`crate::BootstrapPlacePass`] under the rule "inserted by `ensure`
-    /// and demanding no level", which also relevels the suffix.
+    /// never pruned. The prune shares [`crate::BootstrapPlacePass`]'s
+    /// rebuild under the rule "inserted by `ensure` and demanding no level",
+    /// which also relevels the suffix; moving the refreshes it keeps is the
+    /// pass's, not the builder's.
     pub fn build(mut self) -> HeCircuit {
         if self.outputs.is_empty() {
             if let Some(last) = self.nodes.last() {
@@ -341,7 +347,7 @@ impl CircuitBuilder {
         let auto = &self.auto_bootstraps;
         // Only an output the builder never handed out makes the sweep's
         // relevel fail; the circuit then goes out as recorded.
-        drop_markers(&circuit, |_, result, demand| {
+        drop_markers(&circuit, |result, demand| {
             demand == 0 && auto.binary_search(&result).is_ok()
         })
         .map_or(circuit, Analyzed::into_circuit)

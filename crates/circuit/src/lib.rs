@@ -23,10 +23,11 @@
 //! [`PassPipeline::standard`] rewrites the SSA circuit (rotation CSE with
 //! plaintext-mask hoisting in [`CommonSubexprPass`], key-switch-aware
 //! rescale scheduling in [`RescaleSchedPass`], bootstrap placement by one
-//! backward level-demand sweep in [`BootstrapPlacePass`] — a refresh goes
-//! iff its input already sits at the level its consumers demand, which is
-//! what deleting markers one at a time to a fixpoint also finds —
-//! dead-value pruning in [`DeadValuePass`]), and
+//! program-order sweep in [`BootstrapPlacePass`] — each refresh moves to the
+//! last point its input's levels reach, or goes if that is past everything
+//! it refreshes, which is what stepping markers one cut at a time under
+//! whole-circuit analysis also finds — dead-value pruning in
+//! [`DeadValuePass`]), and
 //! [`compile`] lowers any circuit to a flat register-machine
 //! [`CompiledCircuit`], the only thing a backend runs
 //! ([`TraceBackend::lower_compiled`], [`FunctionalBackend::execute_compiled`];

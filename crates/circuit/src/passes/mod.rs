@@ -4,8 +4,8 @@
 //! requests them, through the same level/scale rule [`analysis`] folds over
 //! whole circuits. The one rewrite it makes on its own is in
 //! [`crate::CircuitBuilder::build`]: it prunes the refreshes its greedy
-//! `ensure()` inserted that nothing downstream rescales, with the sweep
-//! [`BootstrapPlacePass`] runs under a narrower drop rule. Everything else
+//! `ensure()` inserted that nothing downstream rescales, through the
+//! rebuild [`BootstrapPlacePass`] runs, under a narrower rule. Everything else
 //! reaches a backend as the application wrote it unless this pipeline runs.
 //! Since key-switching dominates simulated time (92–96% on every evaluation
 //! workload), the highest-leverage optimizations are exactly circuit
@@ -16,8 +16,9 @@
 //! 1. [`CommonSubexprPass`] — value-numbering CSE over all pure ops;
 //! 2. [`RescaleSchedPass`] — mask hoisting and rescale sinking, so
 //!    key-switches run with fewer limbs;
-//! 3. [`BootstrapPlacePass`] — deletes refreshes the level budget proves
-//!    unnecessary, in one backward level-demand sweep;
+//! 3. [`BootstrapPlacePass`] — moves each refresh to the last level its
+//!    input reaches and deletes the ones the level budget proves
+//!    unnecessary, in one program-order sweep;
 //! 4. [`DeadValuePass`] — sweeps the dead originals the rewrites leave
 //!    behind.
 //!

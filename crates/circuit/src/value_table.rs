@@ -32,14 +32,23 @@ pub(crate) struct ValueTable<T> {
 }
 
 impl<T: Copy> ValueTable<T> {
-    /// An empty table sized for the values `circuit` defines.
+    /// An empty table sized for the values `circuit` defines: its dense
+    /// part never grows past the first allocation.
     pub(crate) fn for_circuit(circuit: &HeCircuit) -> Self {
         let defs = circuit.inputs.len() + circuit.nodes.len();
+        // Deleting passes leave gaps; 4x covers a pipeline that keeps a
+        // quarter of what the builder numbered.
+        let dense_limit = 4 * defs + 64;
+        let ids = circuit.inputs.iter().map(|input| input.id);
+        let ids = ids.chain(circuit.nodes.iter().map(|node| node.result));
+        let dense_len = ids
+            .map(|v| v as usize + 1)
+            .filter(|&len| len <= dense_limit)
+            .max()
+            .unwrap_or(0);
         Self {
-            dense: Vec::with_capacity(defs),
-            // Deleting passes leave gaps; 4x covers a pipeline that keeps a
-            // quarter of what the builder numbered.
-            dense_limit: 4 * defs + 64,
+            dense: Vec::with_capacity(dense_len),
+            dense_limit,
             spill: BTreeMap::new(),
         }
     }

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use crate::decomposition::Decomposition;
 use crate::security::security_level;
 
@@ -12,7 +14,9 @@ pub const WORD_BYTES: u64 = 8;
 /// arbitrary instances can be built with [`InstanceBuilder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CkksInstance {
-    name: String,
+    /// Shared, so a clone (every circuit, trace and simulator holds one)
+    /// allocates nothing.
+    name: Arc<str>,
     log_n: u32,
     decomposition: Decomposition,
     log_q0: u32,
@@ -218,7 +222,7 @@ impl CkksInstance {
     /// bytes, when available (only the three evaluation instances); used as a
     /// reference point for the simulator's own measurement.
     pub fn reported_temp_bytes(&self) -> Option<u64> {
-        match self.name.as_str() {
+        match &*self.name {
             "INS-1" => Some(183 * 1024 * 1024),
             "INS-2" => Some(304 * 1024 * 1024),
             "INS-3" => Some(365 * 1024 * 1024),
@@ -276,7 +280,7 @@ impl InstanceBuilder {
     /// Finalizes the instance.
     pub fn build(self) -> CkksInstance {
         CkksInstance {
-            name: self.name,
+            name: self.name.into(),
             log_n: self.log_n,
             decomposition: self.decomposition,
             log_q0: self.log_q0,

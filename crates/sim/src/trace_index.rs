@@ -72,6 +72,10 @@ const IN_BOOTSTRAP: u8 = 1;
 /// a copy of the builder's repeated ops starts at this op.
 const COPY_STARTS: u8 = 2;
 
+/// The one-byte level that stands for "look the level up in
+/// `Columns::wide_levels`".
+const WIDE_LEVEL: u8 = u8::MAX;
+
 /// What the compiler tells the scratchpad about a value at one access — an
 /// operand read or an op's output being written: when it is read next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,10 +139,15 @@ pub(crate) struct Columns {
     /// The slot and level of every ciphertext that enters from outside.
     pub(crate) inputs: Vec<(u32, usize)>,
     /// Per op: kind, level and flags ([`IN_BOOTSTRAP`], and while a builder
-    /// records, [`COPY_STARTS`]).
+    /// records, [`COPY_STARTS`]). A level takes one byte; [`WIDE_LEVEL`]
+    /// says it is in `wide_levels` instead.
     kinds: Vec<HeOp>,
-    levels: Vec<usize>,
+    levels: Vec<u8>,
     flags: Vec<u8>,
+    /// `(op, level)` for every op whose level does not fit below
+    /// [`WIDE_LEVEL`], ascending by op: none on any instance with fewer
+    /// than 255 levels, but a level out of range keeps its true value.
+    wide_levels: Vec<(u32, usize)>,
     /// Op `i`'s operands end at `operand_end[i]` and start where op `i − 1`'s
     /// end (CSR: one arena for the whole trace instead of a vector per op).
     operand_end: Vec<u32>,
@@ -155,6 +164,7 @@ impl Columns {
             kinds: Vec::with_capacity(ops),
             levels: Vec::with_capacity(ops),
             flags: Vec::with_capacity(ops),
+            wide_levels: Vec::new(),
             operand_end: Vec::with_capacity(ops),
             operands: Vec::with_capacity(2 * ops),
             outputs: Vec::with_capacity(ops),
@@ -174,8 +184,15 @@ impl Columns {
         operands: impl IntoIterator<Item = u32>,
         output: u32,
     ) {
+        match u8::try_from(level) {
+            Ok(narrow) if narrow < WIDE_LEVEL => self.levels.push(narrow),
+            _ => {
+                // Lossless: construction checks that the op count fits u32.
+                self.wide_levels.push((self.kinds.len() as u32, level));
+                self.levels.push(WIDE_LEVEL);
+            }
+        }
         self.kinds.push(op);
-        self.levels.push(level);
         self.flags.push(u8::from(in_bootstrap));
         self.operands.extend(operands);
         let end = u32::try_from(self.operands.len()).expect("operand count fits u32");
@@ -186,6 +203,20 @@ impl Columns {
     /// Number of ops recorded.
     pub(crate) fn len(&self) -> usize {
         self.kinds.len()
+    }
+
+    /// Op `i`'s level.
+    pub(crate) fn level(&self, i: usize) -> usize {
+        match self.levels[i] {
+            WIDE_LEVEL => self.wide_levels[self.wide_from(i)].1,
+            narrow => usize::from(narrow),
+        }
+    }
+
+    /// The position in `wide_levels` of the first op at or after op `i`.
+    fn wide_from(&self, i: usize) -> usize {
+        self.wide_levels
+            .partition_point(|&(op, _)| (op as usize) < i)
     }
 
     /// Op `i`'s output slot ([`NEVER`] if it has none).
@@ -204,7 +235,7 @@ impl Columns {
         let operands = self.operand_span(i..i + 1);
         (
             self.kinds[i],
-            self.levels[i],
+            self.level(i),
             self.flags[i] & IN_BOOTSTRAP != 0,
             operands,
         )
@@ -231,6 +262,12 @@ impl Columns {
         let copy = self.kinds.len();
         self.kinds.extend_from_within(ops.clone());
         self.levels.extend_from_within(ops.clone());
+        for k in self.wide_from(ops.start)..self.wide_from(ops.end) {
+            let (op, level) = self.wide_levels[k];
+            // Lossless: the copy's ops are counted in u32 like the range's.
+            self.wide_levels
+                .push((op - ops.start as u32 + copy as u32, level));
+        }
         self.flags.extend_from_within(ops.clone());
         for flags in &mut self.flags[copy..] {
             *flags &= IN_BOOTSTRAP;
@@ -518,7 +555,7 @@ impl OpTrace {
             }
             // Lossless: construction checked that the op count fits u32.
             let i = op_index as u32;
-            let level = c.levels[op_index];
+            let level = c.level(op_index);
             if level > max_level {
                 note(TraceError::LevelOutOfRange {
                     op_index,
@@ -722,7 +759,7 @@ impl OpTrace {
             TracedOp {
                 index,
                 op: c.kinds[i],
-                level: c.levels[i],
+                level: c.level(i),
                 in_bootstrap: c.flags[i] & IN_BOOTSTRAP != 0,
                 operands: &c.operands[operands.clone()],
                 output: (output != NEVER).then_some(output),
@@ -1195,6 +1232,36 @@ mod tests {
                 max_level: 27
             })
         );
+    }
+
+    #[test]
+    fn levels_past_a_byte_keep_their_true_value() {
+        let (inputs, mut ops) = by_id(&small_trace());
+        ops[1].level = 300;
+        ops[2].level = 254;
+        ops[3].level = 255;
+        ops[4].level = usize::MAX;
+        let trace = rebuild(&inputs, &ops);
+        assert_eq!(
+            trace.validate(),
+            Err(TraceError::LevelOutOfRange {
+                op_index: 1,
+                level: 300,
+                max_level: 27
+            })
+        );
+        let levels: Vec<usize> = trace.ops().map(|op| op.level).collect();
+        assert_eq!(levels, [27, 300, 254, 255, usize::MAX]);
+        // A repeated range carries its wide levels along.
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(27);
+        let p = b.hmult_at(x, x, 400);
+        b.hrot(p, 1, 27);
+        let q = b.hmult_at(x, x, 27);
+        b.repeat(0..2, x, q);
+        let levels: Vec<usize> = b.build().ops().map(|op| op.level).collect();
+        assert_eq!(levels, [400, 27, 27, 400, 27]);
     }
 
     #[test]

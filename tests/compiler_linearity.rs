@@ -241,7 +241,9 @@ fn optimizing_and_compiling_allocate_a_constant_per_circuit() {
     // Every table is sized from the circuit up front: value tables, CSE's
     // value numbers, the compiler's register file, the dead-value sweep's
     // output; rescale matching works in one scratch set per run.
-    // Measured: 55 allocations at 165 and at 2 651 instructions; 77 while
+    // Measured: 57 allocations at 165 and at 2 651 instructions (55 before
+    // bootstrap placement read ahead: its last-read, region and facts
+    // tables, the value tables now sized to the largest id); 77 while
     // passes re-analyzed their input and the pipeline re-checked their
     // output (9 analyses, each after its own validation walk, for 5); with
     // four vectors per rescale, SipHash maps grown from empty and a

@@ -42,14 +42,14 @@ const SNAPSHOTS: &[(&str, &str, usize, &str, usize)] = &[
         "{HMult: 581, HRot: 610, PMult: 651, HAdd: 1190, HRescale: 342, CMult: 300}",
         48,
         "{HMult: 301, HRot: 610, PMult: 41, HAdd: 1190, HRescale: 342, CMult: 300}",
-        48,
+        42,
     ),
     (
         "sorting",
         "{HMult: 4725, HRot: 315, PMult: 630, HAdd: 5145, HRescale: 4935, CMult: 4725}",
         704,
         "{HMult: 4725, HRot: 315, PMult: 210, HAdd: 5145, HRescale: 4935, CMult: 4725}",
-        704,
+        616,
     ),
 ];
 

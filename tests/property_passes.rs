@@ -285,37 +285,102 @@ proptest! {
             .optimize(&raw)
             .expect("pipeline optimizes generated circuits");
         for circuit in [&raw, &optimized] {
-            let compiled = compile(circuit);
-            prop_assert!(compiled.is_ok(), "compile failed: {:?}", compiled.err());
-            let compiled = compiled.unwrap();
-            prop_assert_eq!(compiled.op_counts(), circuit.op_counts());
-
-            // Trace side: identical op for op, ciphertext id for ciphertext id.
-            let tree = ssa_oracle::lower(circuit);
-            let flat = TraceBackend::new().lower_compiled(&compiled).unwrap();
-            prop_assert_eq!(&tree.trace, &flat.trace);
-            prop_assert_eq!(tree.bootstrap_count, flat.bootstrap_count);
-
-            // Functional side: same seed, bitwise-equal decrypted slots.
-            let tree_run = ssa_oracle::execute(&ins, seed, circuit);
-            let flat_run = FunctionalBackend::new(&ins, seed)
-                .unwrap()
-                .execute_compiled(&compiled)
-                .unwrap();
-            prop_assert_eq!(tree_run.outputs.len(), flat_run.outputs.len());
-            for (a, b) in tree_run.outputs.iter().zip(&flat_run.outputs) {
-                for (ca, cb) in a.iter().zip(b) {
-                    prop_assert!(
-                        ca.re.to_bits() == cb.re.to_bits() && ca.im.to_bits() == cb.im.to_bits(),
-                        "compiled executor diverged bitwise: {} vs {}",
-                        ca.re,
-                        cb.re
-                    );
-                }
-            }
-            prop_assert_eq!(&tree_run.op_counts, &flat_run.op_counts);
-            prop_assert_eq!(tree_run.bootstrap_count, flat_run.bootstrap_count);
+            compiled_matches_the_oracle(&ins, seed, circuit)?;
         }
+    }
+}
+
+/// Compiles `circuit` and holds both bytecode executors to the SSA oracle:
+/// the same op counts, the very same op trace, and — same seed — bitwise-
+/// equal decrypted slots, op counts and refreshes.
+fn compiled_matches_the_oracle(
+    ins: &CkksInstance,
+    seed: u64,
+    circuit: &HeCircuit,
+) -> Result<(), TestCaseError> {
+    let compiled = compile(circuit);
+    prop_assert!(compiled.is_ok(), "compile failed: {:?}", compiled.err());
+    let compiled = compiled.unwrap();
+    prop_assert_eq!(compiled.op_counts(), circuit.op_counts());
+
+    // Trace side: identical op for op, ciphertext id for ciphertext id.
+    let tree = ssa_oracle::lower(circuit);
+    let flat = TraceBackend::new().lower_compiled(&compiled).unwrap();
+    prop_assert_eq!(&tree.trace, &flat.trace);
+    prop_assert_eq!(tree.bootstrap_count, flat.bootstrap_count);
+
+    // Functional side: same seed, bitwise-equal decrypted slots.
+    let tree_run = ssa_oracle::execute(ins, seed, circuit);
+    let flat_run = FunctionalBackend::new(ins, seed)
+        .unwrap()
+        .execute_compiled(&compiled)
+        .unwrap();
+    prop_assert_eq!(tree_run.outputs.len(), flat_run.outputs.len());
+    for (a, b) in tree_run.outputs.iter().zip(&flat_run.outputs) {
+        for (ca, cb) in a.iter().zip(b) {
+            prop_assert!(
+                ca.re.to_bits() == cb.re.to_bits() && ca.im.to_bits() == cb.im.to_bits(),
+                "compiled executor diverged bitwise: {} vs {}",
+                ca.re,
+                cb.re
+            );
+        }
+    }
+    prop_assert_eq!(&tree_run.op_counts, &flat_run.op_counts);
+    prop_assert_eq!(tree_run.bootstrap_count, flat_run.bootstrap_count);
+    Ok(())
+}
+
+/// A chain of unit-level groups (`ensure` one level, square, rescale) two
+/// levels longer than the usable ones, then [`random_bootstrapping_circuit`]'s
+/// steps: the reserve rule refreshes the chain one level early, so on three
+/// or more usable levels the placement pass has a refresh to move (on two,
+/// every other chain refresh just goes).
+fn chain_then_random(ins: &CkksInstance, codes: &[u32]) -> HeCircuit {
+    let mut b = CircuitBuilder::new(ins);
+    let mut cur = b.input();
+    for _ in 0..ins.usable_top_level() + 2 {
+        cur = b.ensure(cur, 1).expect("a bootstrappable ring");
+        let square = b.hmult(cur, cur).expect("known values");
+        cur = b.rescale(square).expect("ensure left a level");
+    }
+    for &code in codes {
+        cur = b.ensure(cur, 2).unwrap_or(cur);
+        cur = apply(&mut b, cur, code);
+    }
+    b.output(cur);
+    b.build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Refreshes the placement pass moved execute like any other: on a
+    /// bootstrapping toy ring, the optimized circuit — at least one marker
+    /// now refreshing another value than the one the builder gave it —
+    /// decrypts bit for bit as the SSA oracle decrypts it.
+    #[test]
+    fn moved_refreshes_execute_bit_identically_to_the_oracle(
+        usable in 3usize..7,
+        codes in proptest::collection::vec(any::<u32>(), 16),
+        seed in 1u64..1000,
+    ) {
+        let ins = CkksInstance::toy(10, bts::params::L_BOOT + usable, 2);
+        let raw = chain_then_random(&ins, &codes);
+        let optimized = PassPipeline::standard()
+            .optimize(&raw)
+            .expect("pipeline optimizes generated circuits");
+        let refreshed: BTreeMap<ValueId, HeInstr> = raw
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.instr, HeInstr::Bootstrap { .. }))
+            .map(|n| (n.result, n.instr))
+            .collect();
+        let moved = optimized.nodes.iter().filter(|n| {
+            matches!(n.instr, HeInstr::Bootstrap { .. }) && refreshed.get(&n.result) != Some(&n.instr)
+        });
+        prop_assert!(moved.count() > 0, "no refresh moved");
+        compiled_matches_the_oracle(&ins, seed, &optimized)?;
     }
 }
 

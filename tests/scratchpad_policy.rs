@@ -101,8 +101,8 @@ fn reuse_code_is_optimal_at_every_registry_point() {
     assert_eq!(points, 15);
     assert_eq!(widest, 44, "the widest read window of the registry");
     // One `design_sweep` repetition, as exact counts.
-    assert_eq!(lru_bytes, 35_678_906_744_832);
-    assert_eq!(policy_bytes, 32_632_323_702_784);
+    assert_eq!(lru_bytes, 33_213_652_140_032);
+    assert_eq!(policy_bytes, 30_308_725_424_128);
 }
 
 #[test]
