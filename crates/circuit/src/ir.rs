@@ -249,24 +249,27 @@ impl HeCircuit {
     ///
     /// Returns the first defect found, in program order.
     pub fn validate(&self) -> Result<(), CircuitError> {
-        self.walk_definitions(&mut ValueTable::for_circuit(self), |_| (), |_, _| ())
+        let mut defined = ValueTable::for_circuit(self);
+        self.define_inputs(&mut defined, |_| ())?;
+        let max_level = self.instance.max_level();
+        for node in &self.nodes {
+            define_node(max_level, &mut defined, node, |_, _| ())?;
+        }
+        check_outputs(&defined, &self.outputs)
     }
 
-    /// The one walk behind [`HeCircuit::validate`] and
-    /// [`crate::passes::analysis::analyze`]: checks the inputs, then each
-    /// node in program order, entering every definition in `defined` with
-    /// the entry `input` or `node` gives it (`node` is called once the
-    /// node's operands are known defined, before its result is entered),
-    /// then checks the outputs.
+    /// The first step of [`HeCircuit::validate`]'s walk, shared with
+    /// [`crate::passes::analysis::analyze`]'s: checks the inputs, entering
+    /// each in `defined` with the entry `input` gives it. [`define_node`]
+    /// takes each node in program order, then [`check_outputs`] the outputs.
     ///
     /// # Errors
     ///
-    /// Returns the first defect found, in program order.
-    pub(crate) fn walk_definitions<T: Copy>(
+    /// Returns the first defect found, in input order.
+    pub(crate) fn define_inputs<T: Copy>(
         &self,
         defined: &mut ValueTable<T>,
         mut input: impl FnMut(&CircuitInput) -> T,
-        mut node: impl FnMut(&HeInstrNode, &ValueTable<T>) -> T,
     ) -> Result<(), CircuitError> {
         let max_level = self.instance.max_level();
         for entry in &self.inputs {
@@ -283,40 +286,67 @@ impl HeCircuit {
                 )));
             }
         }
-        for entry in &self.nodes {
-            let (a, b) = entry.instr.operands();
-            if !defined.contains(a) {
-                return Err(CircuitError::UnknownValue(a));
-            }
-            if let Some(b) = b.filter(|&b| !defined.contains(b)) {
-                return Err(CircuitError::UnknownValue(b));
-            }
-            if entry.level > max_level {
-                return Err(CircuitError::InvalidCircuit(format!(
-                    "instruction defining v{} executes at level {} beyond the budget L = {max_level}",
-                    entry.result, entry.level
-                )));
-            }
-            if matches!(entry.instr, HeInstr::Rescale { .. }) && entry.level == 0 {
-                return Err(CircuitError::InvalidCircuit(format!(
-                    "rescale defining v{} executes at level 0 (nothing to drop)",
-                    entry.result
-                )));
-            }
-            let value = node(entry, defined);
-            if defined.insert(entry.result, value).is_some() {
-                return Err(CircuitError::InvalidCircuit(format!(
-                    "value v{} defined twice",
-                    entry.result
-                )));
-            }
-        }
-        for &out in &self.outputs {
-            if !defined.contains(out) {
-                return Err(CircuitError::UnknownValue(out));
-            }
-        }
         Ok(())
+    }
+}
+
+/// One node of [`HeCircuit::validate`]'s walk on a circuit of budget
+/// `max_level`: checks that its operands are in `defined` and its recorded
+/// level is in range, then enters its result with the entry `node` gives it
+/// (`node` is called once the operands are known defined, before the result
+/// is entered).
+///
+/// # Errors
+///
+/// The node's first defect.
+pub(crate) fn define_node<T: Copy>(
+    max_level: usize,
+    defined: &mut ValueTable<T>,
+    entry: &HeInstrNode,
+    node: impl FnOnce(&HeInstrNode, &ValueTable<T>) -> T,
+) -> Result<(), CircuitError> {
+    let (a, b) = entry.instr.operands();
+    if !defined.contains(a) {
+        return Err(CircuitError::UnknownValue(a));
+    }
+    if let Some(b) = b.filter(|&b| !defined.contains(b)) {
+        return Err(CircuitError::UnknownValue(b));
+    }
+    if entry.level > max_level {
+        return Err(CircuitError::InvalidCircuit(format!(
+            "instruction defining v{} executes at level {} beyond the budget L = {max_level}",
+            entry.result, entry.level
+        )));
+    }
+    if matches!(entry.instr, HeInstr::Rescale { .. }) && entry.level == 0 {
+        return Err(CircuitError::InvalidCircuit(format!(
+            "rescale defining v{} executes at level 0 (nothing to drop)",
+            entry.result
+        )));
+    }
+    let value = node(entry, defined);
+    if defined.insert(entry.result, value).is_some() {
+        return Err(CircuitError::InvalidCircuit(format!(
+            "value v{} defined twice",
+            entry.result
+        )));
+    }
+    Ok(())
+}
+
+/// The last step of [`HeCircuit::validate`]'s walk: every output is in
+/// `defined`.
+///
+/// # Errors
+///
+/// [`CircuitError::UnknownValue`] for the first output that is not.
+pub(crate) fn check_outputs<T: Copy>(
+    defined: &ValueTable<T>,
+    outputs: &[ValueId],
+) -> Result<(), CircuitError> {
+    match outputs.iter().find(|&&out| !defined.contains(out)) {
+        Some(&out) => Err(CircuitError::UnknownValue(out)),
+        None => Ok(()),
     }
 }
 

@@ -3,10 +3,11 @@
 //! discipline the functional evaluator enforces at runtime.
 //!
 //! The level/scale rule of an instruction is written once, in `transfer`,
-//! and has two callers: [`analyze`] folds it over a whole circuit — in
-//! [`HeCircuit::validate`]'s own walk, so analyzing is one pass over the
-//! nodes — and [`crate::CircuitBuilder`] applies it to each instruction as
-//! it records it, refusing the ones it rejects. Passes use the analysis in
+//! and has two callers: `Fold` applies it node by node inside
+//! [`HeCircuit::validate`]'s own checks — [`analyze`] folds a whole circuit,
+//! one pass over the nodes, and the bootstrap-placement rebuild folds each
+//! node as it emits it — and [`crate::CircuitBuilder`] applies it to each
+//! instruction as it records it, refusing the ones it rejects. Passes use the analysis in
 //! two ways: [`check`] proves a rewritten circuit still satisfies every
 //! invariant, and [`relevel`] repairs the recorded execution levels after a
 //! structural rewrite (e.g. removing a bootstrap lowers everything
@@ -16,7 +17,7 @@
 use bts_params::CkksInstance;
 
 use crate::error::CircuitError;
-use crate::ir::{HeCircuit, HeInstr, ValueId};
+use crate::ir::{check_outputs, define_node, HeCircuit, HeInstr, HeInstrNode, ValueId};
 use crate::value_table::ValueTable;
 
 /// Level and scale facts for one SSA value, as recomputed by [`analyze`].
@@ -61,9 +62,9 @@ impl Analysis {
 /// [`check`] to additionally verify them, or [`relevel`] to overwrite them
 /// with the recomputed values.
 ///
-/// One forward walk does both jobs: it is [`HeCircuit::validate`]'s walk,
-/// applying the level/scale rule to each node as it enters the node's
-/// result.
+/// One forward walk does both jobs: a `Fold` runs [`HeCircuit::validate`]'s
+/// checks on each node and applies the level/scale rule as it enters the
+/// node's result.
 ///
 /// # Errors
 ///
@@ -78,38 +79,133 @@ impl Analysis {
 /// of them, or those before the first violation. Summed over a run, that is
 /// how the pipeline's cost in circuit walks is held linear by a test.
 pub fn analyze(circuit: &HeCircuit) -> Result<Analysis, CircuitError> {
-    let mut facts = ValueTable::for_circuit(circuit);
-    let mut exec_levels = Vec::with_capacity(circuit.nodes.len());
-    let mut violation = None;
-    let valid = circuit.walk_definitions(
-        &mut facts,
-        |input| ValueFacts {
+    let mut fold = Fold::new(circuit);
+    fold.walk(&circuit.nodes);
+    fold.finish(&circuit.outputs)
+}
+
+/// [`analyze`]'s walk, fed a run of nodes at a time: the circuit's inputs
+/// at construction, then its nodes in program order ([`Fold::walk`], or
+/// [`Fold::relevel`] to write their levels), then its outputs
+/// ([`Fold::finish`]). A rewrite that builds a circuit node by node (the
+/// bootstrap-placement rebuild) folds the nodes it has emitted whenever it
+/// needs the facts of the prefix so far, and the rest at the end, so the
+/// rebuilt circuit needs no analysis of its own: the fold is it, with
+/// [`relevel`]'s levels and errors.
+#[derive(Debug)]
+pub(crate) struct Fold<'c> {
+    instance: &'c CkksInstance,
+    facts: ValueTable<ValueFacts>,
+    exec_levels: Vec<usize>,
+    /// [`HeCircuit::validate`]'s first defect: the fold stops there.
+    defect: Option<CircuitError>,
+    /// The first node the level/scale rule rejects: past it the fold only
+    /// validates.
+    violation: Option<CircuitError>,
+}
+
+impl<'c> Fold<'c> {
+    /// A fold over circuits with `circuit`'s instance, inputs and value
+    /// ids, the inputs entered.
+    pub(crate) fn new(circuit: &'c HeCircuit) -> Self {
+        let mut facts = ValueTable::for_circuit(circuit);
+        let entered = circuit.define_inputs(&mut facts, |input| ValueFacts {
             level: input.level,
             scale_exp: 1,
-        },
-        |node, facts| {
-            if violation.is_none() {
-                match transfer(node.instr, &circuit.instance, |v| facts.get(v)) {
-                    Ok((exec, result)) => {
-                        exec_levels.push(exec);
-                        return result;
+        });
+        Self {
+            instance: &circuit.instance,
+            facts,
+            exec_levels: Vec::with_capacity(circuit.nodes.len()),
+            defect: entered.err(),
+            violation: None,
+        }
+    }
+
+    /// The facts of `v`, while every node folded so far analyzes.
+    pub(crate) fn facts(&self, v: ValueId) -> Option<ValueFacts> {
+        if self.defect.is_some() || self.violation.is_some() {
+            return None;
+        }
+        self.facts.get(v)
+    }
+
+    /// Folds `nodes`, the next ones in program order.
+    pub(crate) fn walk(&mut self, nodes: &[HeInstrNode]) {
+        self.fold(nodes.iter(), |_, _| {});
+    }
+
+    /// Folds `nodes`, the next ones in program order, and relevels them:
+    /// each recorded level, validated, is replaced by the one the rule
+    /// computes (left as it was past a defect or violation).
+    pub(crate) fn relevel(&mut self, nodes: &mut [HeInstrNode]) {
+        self.fold(nodes.iter_mut(), |node, level| node.level = level);
+    }
+
+    /// The walk's body: validates each node, applies the rule while every
+    /// node so far obeys it, and hands `exec` each node with its execution
+    /// level. The state lives in locals for the loop: read through
+    /// `&mut self` node by node, `analyze` measured ≈ 20 % slower.
+    #[inline(always)]
+    fn fold<N: std::ops::Deref<Target = HeInstrNode>>(
+        &mut self,
+        nodes: impl Iterator<Item = N>,
+        mut exec: impl FnMut(N, usize),
+    ) {
+        if self.defect.is_some() {
+            return;
+        }
+        let instance = self.instance;
+        let max_level = instance.max_level();
+        let (facts, exec_levels) = (&mut self.facts, &mut self.exec_levels);
+        let mut violation = self.violation.take();
+        for node in nodes {
+            let mut level = None;
+            let defined = define_node(max_level, facts, &node, |node, facts| {
+                if violation.is_none() {
+                    match transfer(node.instr, instance, |v| facts.get(v)) {
+                        Ok((at, result)) => {
+                            level = Some(at);
+                            return result;
+                        }
+                        Err(e) => violation = Some(e),
                     }
-                    Err(e) => violation = Some(e),
                 }
+                // Past a violation the walk only validates: any entry will do.
+                ValueFacts {
+                    level: node.level,
+                    scale_exp: 0,
+                }
+            });
+            if let Some(level) = level {
+                exec_levels.push(level);
+                exec(node, level);
             }
-            // Past a violation the walk only validates: any entry will do.
-            ValueFacts {
-                level: node.level,
-                scale_exp: 0,
+            if let Err(defect) = defined {
+                self.defect = Some(defect);
+                break;
             }
-        },
-    );
-    let nodes = bts_telemetry::ArgValue::U64(exec_levels.len() as u64);
-    bts_telemetry::emit_instant("circuit", "circuit.analyze", 0.0, &[("nodes", nodes)]);
-    valid?;
-    match violation {
-        Some(e) => Err(e),
-        None => Ok(Analysis { facts, exec_levels }),
+        }
+        self.violation = violation;
+    }
+
+    /// Checks `outputs` and closes the walk: the analysis of the nodes
+    /// folded, or the first defect — which wins over a violation, as if
+    /// validation ran first — else the first violation. Emits the walk's
+    /// `circuit.analyze` instant.
+    pub(crate) fn finish(mut self, outputs: &[ValueId]) -> Result<Analysis, CircuitError> {
+        let nodes = bts_telemetry::ArgValue::U64(self.exec_levels.len() as u64);
+        bts_telemetry::emit_instant("circuit", "circuit.analyze", 0.0, &[("nodes", nodes)]);
+        if self.defect.is_none() {
+            self.defect = check_outputs(&self.facts, outputs).err();
+        }
+        match self.defect.or(self.violation) {
+            Some(e) => Err(e),
+            None => Ok(Analysis {
+                facts: self.facts,
+                exec_levels: self.exec_levels,
+            }),
+        }
     }
 }
 
@@ -255,13 +351,14 @@ impl Analyzed {
         Ok(Self { circuit, analysis })
     }
 
-    /// `circuit`, [`relevel`]ed, and its analysis.
+    /// A circuit whose every node `fold` has releveled, in program order:
+    /// the fold closed on its outputs.
     ///
     /// # Errors
     ///
-    /// Everything [`relevel`] reports.
-    pub(crate) fn relevel(mut circuit: HeCircuit) -> Result<Self, CircuitError> {
-        let analysis = relevel(&mut circuit)?;
+    /// Everything [`Fold::finish`] reports.
+    pub(crate) fn folded(circuit: HeCircuit, fold: Fold<'_>) -> Result<Self, CircuitError> {
+        let analysis = fold.finish(&circuit.outputs)?;
         Ok(Self { circuit, analysis })
     }
 
@@ -285,7 +382,7 @@ impl Analyzed {
 mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
-    use crate::ir::HeInstrNode;
+    use crate::passes::bootstrap_place::{place_markers, Placement};
     use bts_params::CkksInstance;
     use proptest::prelude::*;
 
@@ -463,6 +560,32 @@ mod tests {
             prop_assert_eq!(circuit.validate(), reference_validate(&circuit));
             let ours = analyze(&circuit).map(|a| summary(&circuit, a.exec_levels.clone(), &a.facts));
             prop_assert_eq!(ours, reference_analyze(&circuit));
+        }
+
+        /// The marker rebuild's fold is `relevel` of what it rebuilds: with
+        /// every marker kept, the same levels, facts and error — a defect
+        /// winning over an earlier violation — as releveling the circuit.
+        #[test]
+        fn the_rebuild_fold_equals_relevel(
+            len in 1usize..40,
+            codes in proptest::collection::vec(any::<u32>(), 40),
+            count in 0usize..4,
+            raw in proptest::collection::vec(any::<u32>(), 8),
+        ) {
+            let corruptions: Vec<(u32, u32)> =
+                raw.chunks(2).take(count).map(|pair| (pair[0], pair[1])).collect();
+            let circuit = corrupted(&codes[..len], &corruptions);
+            let ours = place_markers(&circuit, |_, _, _| Placement::Keep).map(|placed| {
+                let a = placed.analysis();
+                let summary = summary(placed.circuit(), a.exec_levels.clone(), &a.facts);
+                (placed.circuit().nodes.clone(), summary)
+            });
+            let mut releveled = circuit.clone();
+            let want = relevel(&mut releveled).map(|a| {
+                let summary = summary(&releveled, a.exec_levels.clone(), &a.facts);
+                (releveled.nodes.clone(), summary)
+            });
+            prop_assert_eq!(ours, want);
         }
     }
 

@@ -54,12 +54,13 @@
 //! still to be read and each one's depth, up to the first rescale that
 //! would run out of levels. If the region ends first, the marker goes;
 //! otherwise it lands after the latest cut the walk passed, or stays where
-//! it is if there was none. The rebuilt circuit is releveled once. In a
-//! chain, a marker that lands later leaves the next one's input more
-//! levels, so that one lands later still: a chain of D unit-level groups on
-//! U usable levels refreshes exactly where its level would go below 0,
-//! ⌈(D − U)/U⌉ times, where the reserve rule spends one refresh per U − 1
-//! levels.
+//! it is if there was none. The rebuild folds each node it emits through
+//! the analysis once, and that fold is both where it reads `level(a)` and
+//! the rebuilt circuit's analysis: it walks no node twice. In a chain, a
+//! marker that lands later leaves the next one's input more levels, so
+//! that one lands later still: a chain of D unit-level groups on U usable
+//! levels refreshes exactly where its level would go below 0, ⌈(D − U)/U⌉
+//! times, where the reserve rule spends one refresh per U − 1 levels.
 //!
 //! A decision is final. A later marker's move can end an earlier marker's
 //! region sooner — only where two markers' regions merge, which the
@@ -87,7 +88,7 @@
 
 use crate::error::CircuitError;
 use crate::ir::{HeCircuit, HeInstr, HeInstrNode, ValueId};
-use crate::passes::analysis::{self, Analysis, ValueFacts};
+use crate::passes::analysis::{Analysis, Fold};
 use crate::passes::{Analyzed, Pass};
 use crate::value_table::ValueTable;
 
@@ -104,8 +105,8 @@ impl Pass for BootstrapPlacePass {
 
     fn run(&self, input: &Analyzed) -> Result<Analyzed, CircuitError> {
         let mut placer = Placer::new(input);
-        place_markers(input.circuit(), |i, a, rebuilt, repr| {
-            placer.place(i, a, rebuilt, repr)
+        place_markers(input.circuit(), |i, level, repr| {
+            placer.place(i, level, repr)
         })
     }
 }
@@ -137,10 +138,6 @@ struct Placer<'a> {
     last_read: ValueTable<usize>,
     /// Each region value's marker (its node index) and depth there.
     region: ValueTable<(usize, usize)>,
-    /// Facts of the values the rebuilt prefix defines, the first `folded`
-    /// rebuilt nodes folded in.
-    facts: ValueTable<ValueFacts>,
-    folded: usize,
 }
 
 impl<'a> Placer<'a> {
@@ -155,56 +152,27 @@ impl<'a> Placer<'a> {
         for &out in &circuit.outputs {
             last_read.insert(out, usize::MAX);
         }
-        let mut facts = ValueTable::for_circuit(circuit);
-        for input in &circuit.inputs {
-            facts.insert(
-                input.id,
-                ValueFacts {
-                    level: input.level,
-                    scale_exp: 1,
-                },
-            );
-        }
         Self {
             circuit,
             analysis: input.analysis(),
             is_output: ValueTable::outputs_of(circuit),
             last_read,
             region: ValueTable::for_circuit(circuit),
-            facts,
-            folded: 0,
         }
     }
 
-    /// Places marker `i`, whose input (through the earlier decisions) is
-    /// `a`, on the prefix `rebuilt` so far.
-    fn place(
-        &mut self,
-        i: usize,
-        a: ValueId,
-        rebuilt: &[HeInstrNode],
-        repr: &ValueTable<ValueId>,
-    ) -> Result<Placement, CircuitError> {
+    /// Places marker `i`, whose input (through the earlier decisions) sits
+    /// at `budget` in the prefix rebuilt so far.
+    fn place(&mut self, i: usize, budget: usize, repr: &ValueTable<ValueId>) -> Placement {
         let r = self.circuit.nodes[i].result;
         if self.is_output.contains(r) {
-            return Ok(Placement::Keep);
+            return Placement::Keep;
         }
-        for node in &rebuilt[self.folded..] {
-            let (_, facts) =
-                analysis::transfer(node.instr, &self.circuit.instance, |v| self.facts.get(v))?;
-            self.facts.insert(node.result, facts);
-        }
-        self.folded = rebuilt.len();
-        let budget = self
-            .facts
-            .get(a)
-            .ok_or(CircuitError::UnknownValue(a))?
-            .level;
         let placement = self.walk_region(i, budget, repr);
         if let Placement::After(j) = placement {
             self.last_read.insert(self.circuit.nodes[j].result, j);
         }
-        Ok(placement)
+        placement
     }
 
     /// Walks marker `i`'s region ahead of the rebuild with `budget` levels
@@ -250,28 +218,29 @@ impl<'a> Placer<'a> {
 
 /// The one marker rebuild: visits the nodes in program order and asks
 /// `place` where each [`HeInstr::Bootstrap`] marker goes, given its node
-/// index, its input read through the earlier decisions, the nodes rebuilt
-/// so far and the redirections made so far. A moved or dropped marker's
-/// result reads as its input from then on; a moved marker is rebuilt right
-/// after its cut, whose later reads become the marker's. Outputs are
-/// redirected too, and the rebuilt circuit is releveled: the relevel's
-/// analysis comes back with it.
+/// index, the level of its input (read through the earlier decisions) in
+/// the nodes rebuilt so far, and the redirections made so far. A moved or
+/// dropped marker's result reads as its input from then on; a moved marker
+/// is rebuilt right after its cut, whose later reads become the marker's.
+/// Outputs are redirected too. Each node emitted, landed markers included,
+/// is folded through the analysis once ([`Fold`]) — the nodes emitted so
+/// far at each marker, where `place` reads its input's level, the rest at
+/// the end — and the fold comes back as the rebuilt circuit's analysis: the
+/// rebuild is its one walk. Once the prefix stops analyzing, the later
+/// markers stay where they stand.
 ///
 /// [`BootstrapPlacePass`] places every marker; [`drop_markers`] only drops.
 ///
 /// # Errors
 ///
-/// What `place` reports, and everything [`analysis::relevel`] reports on
-/// the rebuilt circuit.
+/// Everything [`crate::passes::analysis::relevel`] would report on the
+/// rebuilt circuit.
 pub(crate) fn place_markers(
     circuit: &HeCircuit,
-    mut place: impl FnMut(
-        usize,
-        ValueId,
-        &[HeInstrNode],
-        &ValueTable<ValueId>,
-    ) -> Result<Placement, CircuitError>,
+    mut place: impl FnMut(usize, usize, &ValueTable<ValueId>) -> Placement,
 ) -> Result<Analyzed, CircuitError> {
+    let mut fold = Fold::new(circuit);
+    let mut folded = 0;
     let mut repr: ValueTable<ValueId> = ValueTable::for_circuit(circuit);
     // The marker landing after each node; sized at the first move.
     let mut landing: Vec<Option<ValueId>> = Vec::new();
@@ -279,7 +248,12 @@ pub(crate) fn place_markers(
     for (i, node) in circuit.nodes.iter().enumerate() {
         let instr = node.instr.map_operands(|v| repr.resolve(v));
         if let HeInstr::Bootstrap { a } = instr {
-            match place(i, a, &nodes, &repr)? {
+            fold.relevel(&mut nodes[folded..]);
+            folded = nodes.len();
+            let placement = fold
+                .facts(a)
+                .map_or(Placement::Keep, |facts| place(i, facts.level, &repr));
+            match placement {
                 Placement::Keep => {}
                 Placement::Drop => {
                     repr.insert(node.result, a);
@@ -303,12 +277,14 @@ pub(crate) fn place_markers(
             });
         }
     }
-    Analyzed::relevel(HeCircuit {
+    fold.relevel(&mut nodes[folded..]);
+    let rebuilt = HeCircuit {
         instance: circuit.instance.clone(),
         inputs: circuit.inputs.clone(),
         nodes,
         outputs: circuit.outputs.iter().map(|&v| repr.resolve(v)).collect(),
-    })
+    };
+    Analyzed::folded(rebuilt, fold)
 }
 
 /// [`crate::CircuitBuilder::build`]'s prune: visits the nodes latest first,
@@ -346,12 +322,12 @@ pub(crate) fn drop_markers(
             instr => instr.operand_slots().for_each(|v| raise(v, wanted)),
         }
     }
-    place_markers(circuit, |i, _, _, _| {
-        Ok(if dropped[i] {
+    place_markers(circuit, |i, _, _| {
+        if dropped[i] {
             Placement::Drop
         } else {
             Placement::Keep
-        })
+        }
     })
 }
 
@@ -360,6 +336,7 @@ mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
     use crate::ir::CircuitInput;
+    use crate::passes::analysis;
     use crate::passes::run_on;
     use crate::passes::{CommonSubexprPass, RescaleSchedPass};
     use bts_params::CkksInstance;
@@ -719,7 +696,8 @@ mod tests {
         /// The sweep and the stepwise reference return the same circuit,
         /// node for node and level for level, on the builder's output and on
         /// what CSE and rescale scheduling make of it (dead originals and
-        /// fresh ids).
+        /// fresh ids), and the analysis the sweep returns with it is that
+        /// circuit's.
         #[test]
         fn sweep_equals_the_greedy_reference_under_level_pressure(
             usable in 1usize..9,
@@ -733,6 +711,15 @@ mod tests {
                 let swept = run_on(&BootstrapPlacePass, &circuit);
                 prop_assert!(swept.is_ok(), "sweep failed: {:?}", swept.err());
                 prop_assert_eq!(swept.unwrap(), stepwise_reference(&circuit).unwrap());
+                // The analysis the rebuild folded is the one its circuit has.
+                let placed = BootstrapPlacePass
+                    .run(&Analyzed::check(circuit).unwrap())
+                    .unwrap();
+                let fresh = analysis::analyze(placed.circuit()).unwrap();
+                prop_assert_eq!(&placed.analysis().exec_levels, &fresh.exec_levels);
+                for node in &placed.circuit().nodes {
+                    prop_assert_eq!(placed.analysis().of(node.result), fresh.of(node.result));
+                }
             }
         }
     }

@@ -6,8 +6,9 @@ use rand::Rng;
 
 use bts_math::par::chain;
 use bts_math::{
-    sample_gaussian, sample_ternary, sample_uniform_into, AutomorphismTable, BaseConverter,
-    BconvScratch, Representation, RnsBasis, RnsPoly, ShoupMul, TERNARY_HAMMING_DENSE,
+    resize_exact, sample_gaussian, sample_ternary, sample_uniform_into, AutomorphismTable,
+    BaseConverter, BconvScratch, Modulus, Representation, RnsBasis, RnsPoly, ShoupMul,
+    TERNARY_HAMMING_DENSE,
 };
 use bts_params::{CkksInstance, Decomposition};
 
@@ -20,29 +21,26 @@ use crate::keys::{EvaluationKey, KeyBundle, PublicKey, SecretKey};
 /// Standard deviation of the RLWE error distribution.
 const ERROR_SIGMA: f64 = 3.2;
 
-/// Reusable working memory for one evaluator op: the key-switch's `u128`
-/// MAC accumulators for the `(b, a)` pair, its reduced inner products, the
-/// BConv and mod-down buffers, HMult's `d2` and rescale's dropped limb.
-/// Pooled on the context ([`CkksContext::with_scratch`]) — the software form
-/// of the fixed temporary region BTS reserves in its scratchpad — so a warm
-/// op allocates nothing: it writes its result into the caller's destination
-/// and every temporary into one of these.
+/// Reusable working memory for one evaluator op: a key-switch's ModDown
+/// rows and BConv sources, and rescale's dropped limb. Pooled on the context
+/// ([`CkksContext::with_scratch`]) — the software form of the fixed
+/// temporary region BTS reserves in its scratchpad — so a warm op allocates
+/// nothing: it writes its result into the caller's destination and every
+/// temporary into one of these. With the digit matrix, a key-switch's
+/// buffers fit Table 4's temp-data model,
+/// [`CkksInstance::modelled_temp_bytes`]: the inner product's sums live on
+/// the stack, one block of coefficients at a time ([`InnerProduct`]), and
+/// only ModDown's rows are stored.
 #[derive(Debug, Default)]
 pub(crate) struct KsScratch {
+    /// BConv's sources (ModUp's slice limbs, ModDown's special limbs).
     bconv: BconvScratch,
-    /// Deferred-reduction accumulators for the `b` / `a` contributions,
-    /// `(ℓ+1+k) · N` words each, limb-major on the ks basis.
-    acc_b: Vec<u128>,
-    acc_a: Vec<u128>,
-    /// The reduced inner products on the ks basis: the q limbs ModDown keeps
-    /// and the special limbs it converts (coefficient domain once
-    /// inverse-transformed).
-    ext_b: Vec<u64>,
-    ext_a: Vec<u64>,
-    /// Mod-down: the special limbs converted to the q limbs.
+    /// ModDown: one half's inner product on the k special limbs,
+    /// inverse-transformed in place (`k · N` words).
+    special: Vec<u64>,
+    /// ModDown: the special limbs converted to the q limbs and transformed
+    /// back (`(ℓ+1) · N` words).
     conv: Vec<u64>,
-    /// HMult's `d2 = a1 ⊙ b1`, the polynomial it key-switches.
-    d2: Vec<u64>,
     /// Rescale's dropped limb, inverse-transformed.
     pub(crate) limb: Vec<u64>,
 }
@@ -137,17 +135,96 @@ fn ks_limb(level: usize, top: usize, t: usize) -> usize {
     }
 }
 
-/// `row_b += digit ⊙ kb`, `row_a += digit ⊙ ka` with deferred reduction.
-fn mac_rows(
-    row_b: &mut [u128],
-    row_a: &mut [u128],
-    kb: &[u64],
-    ka: &[u64],
-    digit: impl Iterator<Item = u64>,
-) {
-    for ((((b, a), &kb), &ka), x) in row_b.iter_mut().zip(row_a).zip(kb).zip(ka).zip(digit) {
-        *b += x as u128 * kb as u128;
-        *a += x as u128 * ka as u128;
+/// Adjacent coefficients whose inner-product sums
+/// [`CkksContext::switch_into`] keeps live together, in the shape of BConv's
+/// MAC block: a block sums every slice's products into stack `u128`s (1 KiB,
+/// L1-resident) and reduces each once, and no row of sums is stored. A
+/// block this wide spreads each slice's setup (its digit and key rows) over
+/// 64 products; at BConv's four register-held lanes that setup is most of
+/// the work: against the row-at-a-time body, HMult read level to 7 %
+/// slower at 4 lanes and level to 6 % faster at 64 (an in-process A/B,
+/// BENCH_NOTES "PR 49").
+const IP_LANES: usize = 64;
+
+/// One half (`b` or `a`) of a key-switch's inner product with its key:
+/// limb row `t` of `Σ_j digit_j ⊙ key_j` over the decomposition slices, on
+/// the extended basis `{q_0..q_ℓ} ∪ P`.
+struct InnerProduct<'a> {
+    /// The digit matrix: one `stride = (ℓ+1+k) · N`-word block per slice.
+    digits: &'a [u64],
+    stride: usize,
+    /// The key's `(b, a)` pair of each slice.
+    keys: &'a [(RnsPoly, RnsPoly)],
+    /// Which half of each pair this is.
+    a_half: bool,
+    /// The automorphism's NTT gather the digits are read through, if any.
+    gather: Option<&'a [u32]>,
+    /// The digits' level ℓ and the key's.
+    level: usize,
+    key_level: usize,
+    n: usize,
+    /// Slices whose `u128` sums cannot overflow between two reductions.
+    fold_every: usize,
+}
+
+impl InnerProduct<'_> {
+    /// Row `t`, reduced mod `p` (the row's modulus), handed to `land` one
+    /// block of adjacent coefficients at a time with the block's first
+    /// coefficient.
+    #[inline(always)]
+    fn row(&self, t: usize, p: &Modulus, mut land: impl FnMut(usize, &[u64])) {
+        let key_limb = ks_limb(self.level, self.key_level, t);
+        // Full blocks have a length the compiler can see, so their lane
+        // loops unroll; N is a power of two, so there is a remainder only
+        // when the whole row is shorter than one block.
+        let full = self.n - self.n % IP_LANES;
+        for col in (0..full).step_by(IP_LANES) {
+            land(col, &self.block(t, key_limb, p, col, IP_LANES)[..IP_LANES]);
+        }
+        let rest = self.n - full;
+        if rest > 0 {
+            land(full, &self.block(t, key_limb, p, full, rest)[..rest]);
+        }
+    }
+
+    /// Coefficients `col..col + lanes` of row `t`: every slice's products
+    /// summed in `u128` and reduced once per element.
+    #[inline(always)]
+    fn block(
+        &self,
+        t: usize,
+        key_limb: usize,
+        p: &Modulus,
+        col: usize,
+        lanes: usize,
+    ) -> [u64; IP_LANES] {
+        let n = self.n;
+        let mut acc = [0u128; IP_LANES];
+        let slices = self.digits.chunks_exact(self.stride).zip(self.keys);
+        for (j, (ext, pair)) in slices.enumerate() {
+            if j > 0 && j.is_multiple_of(self.fold_every) {
+                // `fold_every` more terms could overflow: fold first.
+                for a in &mut acc[..lanes] {
+                    *a = p.reduce_u128(*a) as u128;
+                }
+            }
+            let digit = &ext[t * n..(t + 1) * n];
+            let key = if self.a_half { &pair.1 } else { &pair.0 };
+            let key = &key.limb(key_limb)[col..col + lanes];
+            match self.gather {
+                None => {
+                    for ((a, &x), &w) in acc.iter_mut().zip(&digit[col..col + lanes]).zip(key) {
+                        *a += x as u128 * w as u128;
+                    }
+                }
+                Some(gather) => {
+                    for ((a, &g), &w) in acc.iter_mut().zip(&gather[col..col + lanes]).zip(key) {
+                        *a += digit[g as usize] as u128 * w as u128;
+                    }
+                }
+            }
+        }
+        acc.map(|a| p.reduce_u128(a))
     }
 }
 
@@ -976,15 +1053,19 @@ impl CkksContext {
                 "key-switch input must be in the NTT domain".to_string(),
             ));
         }
-        self.with_scratch(|s| self.decompose_limbs(d.data(), d.limb_count() - 1, &mut s.bconv))
+        let limbs = |t: usize, row: &mut [u64]| row.copy_from_slice(d.limb(t));
+        self.with_scratch(|s| self.decompose_limbs(d.limb_count() - 1, limbs, &mut s.bconv))
     }
 
-    /// The body of [`CkksContext::decompose`], on the `(ℓ+1) · N` NTT-domain
-    /// residues `d` of a level-ℓ polynomial.
+    /// The body of [`CkksContext::decompose`] on a level-ℓ polynomial whose
+    /// NTT-domain limb `t` the source `limb(t, row)` writes into `row`: the
+    /// limbs of a polynomial in hand, or HMult's `x ⊙ y` formed on the spot,
+    /// so no copy of the polynomial is staged. Each slice limb is written
+    /// twice, once for ModUp's iNTT and once more to restore it.
     fn decompose_limbs(
         &self,
-        d: &[u64],
         level: usize,
+        limb: impl Fn(usize, &mut [u64]) + Sync,
         bconv: &mut BconvScratch,
     ) -> crate::Result<Decomposed> {
         let _span = bts_telemetry::span("ckks.decompose");
@@ -1000,19 +1081,19 @@ impl CkksContext {
             .expect("digit pool")
             .pop()
             .unwrap_or_default();
-        digits.resize(slices * ext_limbs * n, 0);
+        resize_exact(&mut digits, slices * ext_limbs * n);
         for (j, ext) in digits.chunks_exact_mut(ext_limbs * n).enumerate() {
             let Range { start: lo, end: hi } = self.decomposition.slice(j, level);
-            let (left, rest) = ext.split_at_mut(lo * n);
-            let (mid, right) = rest.split_at_mut((hi - lo) * n);
-            // Stage the slice limbs at their ks-basis positions and iNTT them
-            // in place (ModUp's iNTT), limb-parallel.
-            mid.copy_from_slice(&d[lo * n..hi * n]);
-            bts_math::par::par_limbs(mid.chunks_exact_mut(n), |t, limb: &mut [u64]| {
-                self.q_basis.table(lo + t).inverse(limb)
-            });
-            // BConv the slice into the complement limbs of the same block.
             {
+                let (left, rest) = ext.split_at_mut(lo * n);
+                let (mid, right) = rest.split_at_mut((hi - lo) * n);
+                // Write the slice limbs at their ks-basis positions and iNTT
+                // them in place (ModUp's iNTT), limb-parallel.
+                bts_math::par::par_limbs(mid.chunks_exact_mut(n), |t, row: &mut [u64]| {
+                    limb(lo + t, row);
+                    self.q_basis.table(lo + t).inverse(row)
+                });
+                // BConv the slice into the complement limbs of the same block.
                 let mid = &*mid;
                 self.modup_converter(level, j)?.convert_limbs(
                     |t| &mid[t * n..(t + 1) * n],
@@ -1021,17 +1102,16 @@ impl CkksContext {
                     bconv,
                 );
             }
-            // Restore the slice limbs from the NTT-domain input —
-            // forward∘inverse is the identity bit-for-bit, so re-NTT-ing the
-            // iNTT'd slice would only redo work — and forward-NTT just the
-            // freshly converted complement limbs, limb-parallel.
-            mid.copy_from_slice(&d[lo * n..hi * n]);
-            let complement = chain(left.chunks_exact_mut(n), right.chunks_exact_mut(n));
-            bts_math::par::par_limbs(complement, |t, limb: &mut [u64]| {
-                let idx = if t < lo { t } else { hi + (t - lo) };
-                self.key_basis
-                    .table(self.key_limb(level, idx))
-                    .forward(limb);
+            // Rewrite the slice limbs from the source — forward∘inverse is
+            // the identity bit-for-bit, so re-NTT-ing the iNTT'd slice would
+            // only redo work — and forward-NTT just the freshly converted
+            // complement limbs, limb-parallel.
+            bts_math::par::par_limbs(ext.chunks_exact_mut(n), |t, row: &mut [u64]| {
+                if (lo..hi).contains(&t) {
+                    limb(t, row);
+                } else {
+                    self.key_basis.table(self.key_limb(level, t)).forward(row);
+                }
             });
         }
         Ok(Decomposed {
@@ -1082,8 +1162,9 @@ impl CkksContext {
     }
 
     /// HMult's relinearization: key-switches `x ⊙ y` over the first ℓ+1
-    /// limbs — the tensor product's `d2`, formed in pooled scratch, ℓ being
-    /// `out_b`'s level — and adds the `(b, a)` pair onto `out_b` / `out_a`.
+    /// limbs — the tensor product's `d2`, which ModUp forms limb by limb
+    /// where it reads it, ℓ being `out_b`'s level — and adds the `(b, a)`
+    /// pair onto `out_b` / `out_a`.
     pub(crate) fn relinearize_into(
         &self,
         x: &RnsPoly,
@@ -1094,40 +1175,35 @@ impl CkksContext {
     ) -> crate::Result<()> {
         let _span = bts_telemetry::span("ckks.key_switch");
         let level = out_b.limb_count() - 1;
-        let n = self.degree;
+        let d2 = |t: usize, row: &mut [u64]| {
+            let q = self.q_basis.modulus(t);
+            for ((out, &u), &v) in row.iter_mut().zip(x.limb(t)).zip(y.limb(t)) {
+                *out = q.mul(u, v);
+            }
+        };
         self.with_scratch(|s| {
-            let mut d2 = std::mem::take(&mut s.d2);
-            d2.resize((level + 1) * n, 0);
-            bts_math::par::par_limbs(d2.chunks_exact_mut(n), |j, limb: &mut [u64]| {
-                let q = self.q_basis.modulus(j);
-                for ((out, &u), &v) in limb.iter_mut().zip(x.limb(j)).zip(y.limb(j)) {
-                    *out = q.mul(u, v);
-                }
-            });
-            let switched = self
-                .decompose_limbs(&d2, level, &mut s.bconv)
-                .and_then(|digits| {
-                    self.switch_into(
-                        &digits,
-                        evk,
-                        None,
-                        (out_b, Land::Accumulate),
-                        (out_a, Land::Accumulate),
-                        s,
-                    )
-                });
-            s.d2 = d2;
-            switched
+            let digits = self.decompose_limbs(level, d2, &mut s.bconv)?;
+            self.switch_into(
+                &digits,
+                evk,
+                None,
+                (out_b, Land::Accumulate),
+                (out_a, Land::Accumulate),
+                s,
+            )
         })
     }
 
-    /// The body behind every key-switch's second half: the per-slice evk
-    /// MACs accumulate in `u128` with a single Barrett reduction per element
-    /// after the last slice, one limb row at a time so the accumulators stay
-    /// cache-resident; ModDown then lands each half of the pair in its
-    /// destination as `land` says. The key is read at its own level, and one
-    /// for a lower level than the digits' is [`CkksError::MissingKey`]: it
-    /// holds neither their limbs nor all of their slices.
+    /// The body behind every key-switch's second half, one half of the
+    /// `(b, a)` pair at a time: ModDown's k special rows of the inner
+    /// product first, which it converts to the q basis, then the q rows,
+    /// each landing in its destination as `land` says through ModDown's
+    /// last pass. Every row is summed over the slices one block of adjacent
+    /// coefficients at a time in `u128` registers, with a single Barrett
+    /// reduction per element (see [`InnerProduct`]), so no row of sums is
+    /// stored. The key is read at its own level, and one for a lower level
+    /// than the digits' is [`CkksError::MissingKey`]: it holds neither their
+    /// limbs nor all of their slices.
     pub(crate) fn switch_into(
         &self,
         digits: &Decomposed,
@@ -1157,69 +1233,27 @@ impl CkksContext {
                 evk.level
             )));
         }
-        let gather = automorphism.map(AutomorphismTable::ntt_gather);
         let ext_limbs = level + 1 + k;
-        // The u128 accumulators overflow after 2^(128 - 2·max_bits) MAC terms;
-        // fold them with a reduction pass if the slice count could exceed that
-        // (it never does for word-sized CKKS moduli, but guard anyway).
+        // The u128 sums overflow after 2^(128 - 2·max_bits) MAC terms; fold
+        // them with a reduction if the slice count could exceed that (it
+        // never does for word-sized CKKS moduli, but guard anyway).
         let max_bits = (0..ext_limbs)
             .map(|t| self.key_basis.modulus(self.key_limb(level, t)).bits())
             .max()
             .unwrap_or(1);
-        let fold_every = 1usize << 128u32.saturating_sub(2 * max_bits + 1).min(24);
-
-        for buffer in [&mut s.acc_b, &mut s.acc_a] {
-            buffer.resize(ext_limbs * n, 0);
-        }
-        for buffer in [&mut s.ext_b, &mut s.ext_a] {
-            buffer.resize(ext_limbs * n, 0);
-        }
-        let rows = s
-            .acc_b
-            .chunks_exact_mut(n)
-            .zip(s.acc_a.chunks_exact_mut(n))
-            .zip(s.ext_b.chunks_exact_mut(n))
-            .zip(s.ext_a.chunks_exact_mut(n));
-        bts_math::par::par_limbs(rows, |t, (((row_b, row_a), dst_b), dst_a)| {
-            let p = self.key_basis.modulus(self.key_limb(level, t));
-            let key_limb = ks_limb(level, evk.level, t);
-            row_b.fill(0);
-            row_a.fill(0);
-            let blocks = digits.digits.chunks_exact(ext_limbs * n);
-            for (j, (ext, (evk_b, evk_a))) in blocks.zip(&evk.slices).enumerate() {
-                let digit = &ext[t * n..(t + 1) * n];
-                let kb = evk_b.limb(key_limb);
-                let ka = evk_a.limb(key_limb);
-                match gather {
-                    None => mac_rows(row_b, row_a, kb, ka, digit.iter().copied()),
-                    Some(gather) => {
-                        let permuted = gather.iter().map(|&g| digit[g as usize]);
-                        mac_rows(row_b, row_a, kb, ka, permuted);
-                    }
-                }
-                if (j + 1).is_multiple_of(fold_every) {
-                    for x in row_b.iter_mut().chain(row_a.iter_mut()) {
-                        *x = p.reduce_u128(*x) as u128;
-                    }
-                }
-            }
-            // Single Barrett reduction per element closes the deferred MACs.
-            for (dst, &acc) in dst_b.iter_mut().zip(row_b.iter()) {
-                *dst = p.reduce_u128(acc);
-            }
-            for (dst, &acc) in dst_a.iter_mut().zip(row_a.iter()) {
-                *dst = p.reduce_u128(acc);
-            }
-        });
-        let KsScratch {
-            bconv,
-            ext_b,
-            ext_a,
-            conv,
-            ..
-        } = s;
-        self.mod_down(ext_b, out_b, conv, bconv)?;
-        self.mod_down(ext_a, out_a, conv, bconv)
+        let half = |a_half| InnerProduct {
+            digits: &digits.digits,
+            stride: ext_limbs * n,
+            keys: &evk.slices,
+            a_half,
+            gather: automorphism.map(AutomorphismTable::ntt_gather),
+            level,
+            key_level: evk.level,
+            n,
+            fold_every: 1usize << 128u32.saturating_sub(2 * max_bits + 1).min(24),
+        };
+        self.mod_down(&half(false), out_b, s)?;
+        self.mod_down(&half(true), out_a, s)
     }
 
     /// Runs `body` on a [`KsScratch`] from the context's pool and returns it
@@ -1237,36 +1271,41 @@ impl CkksContext {
         out
     }
 
-    /// Divides an extended-basis polynomial by `P`: `ext` holds its level-ℓ
-    /// q limbs followed by its k special limbs (NTT domain), and the level-ℓ
-    /// quotient lands in `out` — over it, or added onto it.
+    /// ModDown of one half of the inner product: divides the extended-basis
+    /// polynomial `ip` by `P` and lands the level-ℓ quotient in `out` — over
+    /// it, or added onto it. Only the k special rows are stored, in
+    /// `s.special`; each q row is summed where ModDown's last pass reads it.
     fn mod_down(
         &self,
-        ext: &mut [u64],
+        ip: &InnerProduct<'_>,
         (out, land): (&mut RnsPoly, Land),
-        conv: &mut Vec<u64>,
-        bconv: &mut BconvScratch,
+        s: &mut KsScratch,
     ) -> crate::Result<()> {
         let n = self.degree;
-        let level = ext.len() / n - self.num_special() - 1;
-        let (x, p_part) = ext.split_at_mut((level + 1) * n);
-        // iNTT the special limbs.
-        bts_math::par::par_limbs(p_part.chunks_exact_mut(n), |i, limb: &mut [u64]| {
-            self.p_basis.table(i).inverse(limb)
+        let level = ip.level;
+        let modulus = |t: usize| self.key_basis.modulus(self.key_limb(level, t));
+        // The special rows, iNTT'd in place.
+        resize_exact(&mut s.special, self.num_special() * n);
+        bts_math::par::par_limbs(s.special.chunks_exact_mut(n), |i, row: &mut [u64]| {
+            ip.row(level + 1 + i, modulus(level + 1 + i), |col, sums| {
+                row[col..col + sums.len()].copy_from_slice(sums)
+            });
+            self.p_basis.table(i).inverse(row)
         });
-        // BConv the P part down to the q base, then NTT it back.
-        conv.resize((level + 1) * n, 0);
-        let p_part = &*p_part;
+        // BConv them down to the q base, then NTT back.
+        resize_exact(&mut s.conv, (level + 1) * n);
+        let special = &s.special;
         self.moddown_converter(level)?.convert_limbs(
-            |i| &p_part[i * n..(i + 1) * n],
-            conv.chunks_exact_mut(n),
+            |i| &special[i * n..(i + 1) * n],
+            s.conv.chunks_exact_mut(n),
             false,
-            bconv,
+            &mut s.bconv,
         );
-        bts_math::par::par_limbs(conv.chunks_exact_mut(n), |i, limb: &mut [u64]| {
-            self.q_basis.table(i).forward(limb)
+        bts_math::par::par_limbs(s.conv.chunks_exact_mut(n), |i, row: &mut [u64]| {
+            self.q_basis.table(i).forward(row)
         });
-        // out_i (+)= (x_i - conv_i) · P^{-1} mod q_i, fused in one pass.
+        // out_i (+)= (x_i - conv_i) · P^{-1} mod q_i, x_i the q row of the
+        // inner product, summed block by block as the pass reaches it.
         match land {
             Land::Overwrite => {
                 out.reshape(&self.basis_at_level(level), Representation::Ntt);
@@ -1279,24 +1318,28 @@ impl CkksContext {
             }
             Land::Accumulate => {}
         }
-        let (x, conv) = (&*x, &*conv);
+        let conv = &*s.conv;
         out.par_limbs_mut(|i, _, limb| {
             let qi = self.q_basis.modulus(i);
             let p_inv = &self.p_inv_mod_q[i];
-            let terms = x[i * n..(i + 1) * n].iter().zip(&conv[i * n..(i + 1) * n]);
-            let quotient = |(&x, &c): (&u64, &u64)| qi.mul_shoup(qi.sub(x, c), p_inv);
-            match land {
-                Land::Overwrite => {
-                    for (slot, term) in limb.iter_mut().zip(terms) {
-                        *slot = quotient(term);
+            let conv = &conv[i * n..(i + 1) * n];
+            ip.row(i, qi, |col, sums| {
+                let slots = limb[col..col + sums.len()].iter_mut();
+                let terms = slots.zip(sums.iter().zip(&conv[col..]));
+                let quotient = |x: u64, c: u64| qi.mul_shoup(qi.sub(x, c), p_inv);
+                match land {
+                    Land::Overwrite => {
+                        for (slot, (&x, &c)) in terms {
+                            *slot = quotient(x, c);
+                        }
+                    }
+                    Land::Accumulate => {
+                        for (slot, (&x, &c)) in terms {
+                            *slot = qi.add(*slot, quotient(x, c));
+                        }
                     }
                 }
-                Land::Accumulate => {
-                    for (slot, term) in limb.iter_mut().zip(terms) {
-                        *slot = qi.add(*slot, quotient(term));
-                    }
-                }
-            }
+            });
         });
         Ok(())
     }
@@ -1400,6 +1443,138 @@ mod tests {
         }
     }
 
+    /// `row_b += digit ⊙ kb`, `row_a += digit ⊙ ka` with deferred reduction.
+    fn mac_rows(
+        row_b: &mut [u128],
+        row_a: &mut [u128],
+        kb: &[u64],
+        ka: &[u64],
+        digit: impl Iterator<Item = u64>,
+    ) {
+        for ((((b, a), &kb), &ka), x) in row_b.iter_mut().zip(row_a).zip(kb).zip(ka).zip(digit) {
+            *b += x as u128 * kb as u128;
+            *a += x as u128 * ka as u128;
+        }
+    }
+
+    impl CkksContext {
+        /// The `switch_into` body the register-blocked one replaced, kept as
+        /// its oracle: the inner product one limb row at a time into
+        /// `(ℓ+1+k)`-row `u128` accumulators for both halves, reduced into
+        /// two extended-basis polynomials, then a ModDown of each.
+        fn switch_into_reference(
+            &self,
+            digits: &Decomposed,
+            evk: &EvaluationKey,
+            automorphism: Option<&AutomorphismTable>,
+            out_b: (&mut RnsPoly, Land),
+            out_a: (&mut RnsPoly, Land),
+        ) -> crate::Result<()> {
+            let level = digits.level;
+            let k = self.num_special();
+            let n = self.degree;
+            assert!(evk.level >= level);
+            let gather = automorphism.map(AutomorphismTable::ntt_gather);
+            let ext_limbs = level + 1 + k;
+            let max_bits = (0..ext_limbs)
+                .map(|t| self.key_basis.modulus(self.key_limb(level, t)).bits())
+                .max()
+                .unwrap_or(1);
+            let fold_every = 1usize << 128u32.saturating_sub(2 * max_bits + 1).min(24);
+            let mut acc_b = vec![0u128; ext_limbs * n];
+            let mut acc_a = vec![0u128; ext_limbs * n];
+            let mut ext_b = vec![0u64; ext_limbs * n];
+            let mut ext_a = vec![0u64; ext_limbs * n];
+            let rows = acc_b
+                .chunks_exact_mut(n)
+                .zip(acc_a.chunks_exact_mut(n))
+                .zip(ext_b.chunks_exact_mut(n))
+                .zip(ext_a.chunks_exact_mut(n));
+            for (t, (((row_b, row_a), dst_b), dst_a)) in rows.enumerate() {
+                let p = self.key_basis.modulus(self.key_limb(level, t));
+                let key_limb = ks_limb(level, evk.level, t);
+                let blocks = digits.digits.chunks_exact(ext_limbs * n);
+                for (j, (ext, (evk_b, evk_a))) in blocks.zip(&evk.slices).enumerate() {
+                    let digit = &ext[t * n..(t + 1) * n];
+                    let kb = evk_b.limb(key_limb);
+                    let ka = evk_a.limb(key_limb);
+                    match gather {
+                        None => mac_rows(row_b, row_a, kb, ka, digit.iter().copied()),
+                        Some(gather) => {
+                            let permuted = gather.iter().map(|&g| digit[g as usize]);
+                            mac_rows(row_b, row_a, kb, ka, permuted);
+                        }
+                    }
+                    if (j + 1).is_multiple_of(fold_every) {
+                        for x in row_b.iter_mut().chain(row_a.iter_mut()) {
+                            *x = p.reduce_u128(*x) as u128;
+                        }
+                    }
+                }
+                for (dst, &acc) in dst_b.iter_mut().zip(row_b.iter()) {
+                    *dst = p.reduce_u128(acc);
+                }
+                for (dst, &acc) in dst_a.iter_mut().zip(row_a.iter()) {
+                    *dst = p.reduce_u128(acc);
+                }
+            }
+            self.mod_down_reference(&mut ext_b, out_b)?;
+            self.mod_down_reference(&mut ext_a, out_a)
+        }
+
+        /// The two-pass ModDown behind [`Self::switch_into_reference`]:
+        /// `ext` holds a reduced inner product's q limbs followed by its k
+        /// special limbs.
+        fn mod_down_reference(
+            &self,
+            ext: &mut [u64],
+            (out, land): (&mut RnsPoly, Land),
+        ) -> crate::Result<()> {
+            let n = self.degree;
+            let level = ext.len() / n - self.num_special() - 1;
+            let (x, p_part) = ext.split_at_mut((level + 1) * n);
+            for (i, limb) in p_part.chunks_exact_mut(n).enumerate() {
+                self.p_basis.table(i).inverse(limb);
+            }
+            let mut conv = vec![0u64; (level + 1) * n];
+            let p_part = &*p_part;
+            self.moddown_converter(level)?.convert_limbs(
+                |i| &p_part[i * n..(i + 1) * n],
+                conv.chunks_exact_mut(n),
+                false,
+                &mut BconvScratch::new(),
+            );
+            for (i, limb) in conv.chunks_exact_mut(n).enumerate() {
+                self.q_basis.table(i).forward(limb);
+            }
+            match land {
+                Land::Overwrite => {
+                    out.reshape(&self.basis_at_level(level), Representation::Ntt);
+                }
+                Land::Accumulate if out.limb_count() != level + 1 => {
+                    return Err(CkksError::OperandMismatch(format!(
+                        "a level-{level} key-switch cannot land on {} limbs",
+                        out.limb_count()
+                    )));
+                }
+                Land::Accumulate => {}
+            }
+            for i in 0..=level {
+                let qi = self.q_basis.modulus(i);
+                let p_inv = &self.p_inv_mod_q[i];
+                let terms = x[i * n..(i + 1) * n].iter().zip(&conv[i * n..(i + 1) * n]);
+                for (slot, (&x, &c)) in out.limb_mut(i).iter_mut().zip(terms) {
+                    let quotient = qi.mul_shoup(qi.sub(x, c), p_inv);
+                    *slot = match land {
+                        Land::Overwrite => quotient,
+                        Land::Accumulate => qi.add(*slot, quotient),
+                    };
+                }
+            }
+            Ok(())
+        }
+    }
+
     /// `key_switch` — and with it HMult — is bit-identical to the body it
     /// replaced, at every level (full and ragged last slices) and for
     /// dnum = 1, 2, 3 and L + 1.
@@ -1428,6 +1603,119 @@ mod tests {
                     let again = ctx.switch_decomposed(&digits, keys.relin(), None).unwrap();
                     assert_eq!(again, expected);
                 }
+            }
+        }
+    }
+
+    /// The blocked `switch_into` is bit-identical to the row-at-a-time
+    /// body it replaced: relinearization and rotation keys, with and without
+    /// the automorphism gather, both landings on both halves, at every level
+    /// of four (L, dnum) shapes, on rings shorter than one coefficient block
+    /// (N = 8, the smallest the encoder takes, and 16), of exactly one (64)
+    /// and of many (2^12).
+    #[test]
+    fn switch_into_matches_the_row_at_a_time_reference() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4949);
+        for log_n in [3, 4, 6, 12] {
+            for (max_level, dnum) in [(4, 1), (5, 2), (6, 3), (3, 4)] {
+                let ctx = CkksContext::new_toy(1 << log_n, max_level, dnum).unwrap();
+                let (sk, mut keys) = ctx.generate_keys(&mut rng).unwrap();
+                ctx.add_rotation_keys(&sk, &mut keys, &[1], &mut rng)
+                    .unwrap();
+                let rotation = keys.rotation(1).unwrap();
+                let galois = bts_math::galois_element(1, ctx.degree(), false);
+                let table = ctx.automorphism_table(galois).unwrap();
+                let msg = vec![Complex::new(0.3, -0.1); ctx.slots()];
+                for level in 0..=max_level {
+                    let pt = ctx.encode_at(&msg, level, ctx.scale()).unwrap();
+                    let ct = ctx.encrypt(&pt, &sk, &mut rng).unwrap();
+                    let digits = ctx.decompose(&ct.c1().mul(ct.c1()).unwrap()).unwrap();
+                    let cases = [(keys.relin(), None), (rotation, Some(&*table))];
+                    let lands = [
+                        (Land::Overwrite, Land::Accumulate),
+                        (Land::Accumulate, Land::Overwrite),
+                    ];
+                    for ((evk, gather), (land_b, land_a)) in
+                        cases.into_iter().flat_map(|c| lands.map(|l| (c, l)))
+                    {
+                        let (mut b, mut a) = (ct.c0().clone(), ct.c1().clone());
+                        ctx.with_scratch(|s| {
+                            ctx.switch_into(
+                                &digits,
+                                evk,
+                                gather,
+                                (&mut b, land_b),
+                                (&mut a, land_a),
+                                s,
+                            )
+                        })
+                        .unwrap();
+                        let (mut want_b, mut want_a) = (ct.c0().clone(), ct.c1().clone());
+                        ctx.switch_into_reference(
+                            &digits,
+                            evk,
+                            gather,
+                            (&mut want_b, land_b),
+                            (&mut want_a, land_a),
+                        )
+                        .unwrap();
+                        assert!(
+                            b == want_b && a == want_a,
+                            "N = 2^{log_n}, L = {max_level}, dnum = {dnum}, level {level}, \
+                             gather {}, landings {land_b:?} / {land_a:?}",
+                            gather.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A key-switch's buffers fit Table 4's temp-data model: after
+    /// key-switches at rising levels (so `Vec` growth slack would show), the
+    /// digit matrix, ModDown's special and converted rows and BConv's
+    /// sources hold `slices · (L+1+k) + k + (L+1) + k` limb rows, within
+    /// `modelled_temp_bytes()` of the matching instance — 70 rows against
+    /// 84 on the `fhe_exec` ring, toy(12, 13, 2).
+    #[test]
+    fn key_switch_buffers_fit_the_modelled_temp_bytes() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(49);
+        let shapes = [(6, 4, 1), (6, 5, 2), (6, 6, 3), (6, 3, 4), (12, 13, 2)];
+        for (log_n, max_level, dnum) in shapes {
+            let instance = CkksInstance::toy(log_n, max_level, dnum);
+            let ctx = CkksContext::from_instance(&instance).unwrap();
+            let sk = ctx.gen_secret_key(&mut rng);
+            let relin = ctx.gen_relin_key(&sk, &mut rng);
+            let msg = vec![Complex::new(0.25, 0.5); ctx.slots()];
+            for level in 0..=max_level {
+                let pt = ctx.encode_at(&msg, level, ctx.scale()).unwrap();
+                let ct = ctx.encrypt(&pt, &sk, &mut rng).unwrap();
+                ctx.key_switch(ct.c1(), &relin).unwrap();
+                let (mut b, mut a) = (ct.c0().clone(), ct.c1().clone());
+                ctx.relinearize_into(ct.c0(), ct.c1(), &relin, &mut b, &mut a)
+                    .unwrap();
+            }
+            let digits = ctx.ks.digits.lock().unwrap();
+            let scratch = ctx.ks.scratch.lock().unwrap();
+            assert_eq!((digits.len(), scratch.len()), (1, 1), "one of each, reused");
+            let s = &scratch[0];
+            let words = digits[0].capacity()
+                + s.special.capacity()
+                + s.conv.capacity()
+                + s.bconv.capacity_words();
+            let n = ctx.degree();
+            let (k, top) = (ctx.num_special(), max_level + 1);
+            let slices = ctx.decomposition().slices_at_level(max_level);
+            let rows = slices * (top + k) + k + top + k;
+            assert_eq!(words, rows * n, "{}: {rows} limb rows", instance.name());
+            assert!(
+                (words * 8) as u64 <= instance.modelled_temp_bytes(),
+                "{}: {rows} limb rows exceed the model's {}",
+                instance.name(),
+                instance.modelled_temp_bytes() / instance.limb_bytes()
+            );
+            if (log_n, max_level, dnum) == (12, 13, 2) {
+                assert_eq!(rows, 70);
             }
         }
     }

@@ -26,6 +26,12 @@ impl BconvScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The words the scratch holds between conversions: its buffers'
+    /// capacities, each the largest size a conversion has asked of it.
+    pub fn capacity_words(&self) -> usize {
+        self.y.capacity() + self.overshoot.capacity()
+    }
 }
 
 /// Fast RNS base conversion (`BConv`, Eq. 9 of the paper).
@@ -227,7 +233,7 @@ impl BaseConverter {
         assert_eq!(outs.len(), self.target.len(), "one output limb per target");
 
         // First part: y_j = [a_j * qhat_inv_j]_{q_j} (limb-parallel ModMult).
-        scratch.y.resize(s * n, 0);
+        crate::resize_exact(&mut scratch.y, s * n);
         {
             let source = &self.source;
             let qhat_inv = &self.qhat_inv;
@@ -245,7 +251,7 @@ impl BaseConverter {
 
         // Overshoot estimate e_c = round(Σ_j y_jc / q_j) (exact variant only).
         if exact {
-            scratch.overshoot.resize(n, 0);
+            crate::resize_exact(&mut scratch.overshoot, n);
             for (c, e) in scratch.overshoot.iter_mut().enumerate() {
                 let v: f64 = (0..s)
                     .map(|j| y[j * n + c] as f64 * self.q_inv_f64[j])

@@ -54,6 +54,14 @@ pub use sampling::{
     sample_gaussian, sample_ternary, sample_uniform, sample_uniform_into, TERNARY_HAMMING_DENSE,
 };
 
+/// Resizes the reused scratch buffer `buf` to `len` words, growing it to
+/// exactly `len` when it must grow: a pooled buffer keeps the largest size
+/// asked of it, not the doubling slack of `Vec` growth.
+pub fn resize_exact(buf: &mut Vec<u64>, len: usize) {
+    buf.reserve_exact(len.saturating_sub(buf.len()));
+    buf.resize(len, 0);
+}
+
 /// Result alias used throughout the math crate.
 pub type Result<T> = std::result::Result<T, MathError>;
 
