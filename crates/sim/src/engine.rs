@@ -53,6 +53,8 @@ use crate::cost::AreaPowerModel;
 use crate::trace::{HeOp, TraceError};
 use crate::trace_index::{OpTrace, Reuse, TracedOp, NEVER};
 
+mod replay;
+
 /// Per-op-class statistics in a [`SimReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OpClassStats {
@@ -517,6 +519,7 @@ impl Simulator {
                 trace,
                 replacement,
                 |op, _, reuse| reuse_key(reuse, op.index),
+                None,
                 sink,
             ),
             Replacement::ExactNextUse => {
@@ -531,12 +534,17 @@ impl Simulator {
                             op.output.map_or(NEVER, |out| first_reads[out as usize])
                         }
                     },
+                    Some((&next_reads, &first_reads)),
                     sink,
                 );
             }
-            Replacement::Lru => {
-                self.sweep_each(trace, replacement, |op, k, _| recency_key(op, k), sink)
-            }
+            Replacement::Lru => self.sweep_each(
+                trace,
+                replacement,
+                |op, k, _| recency_key(op, k),
+                None,
+                sink,
+            ),
         }
     }
 
@@ -551,12 +559,21 @@ impl Simulator {
     /// `k == operands.len()`) with its [`Reuse`] code; the furthest key
     /// loses. The rank is all that tells policy, exact next use and LRU
     /// baseline apart, and `replacement` only names the reason of each
-    /// eviction.
+    /// eviction. `next_uses` are the tables `key` reads where it does not
+    /// follow from the code alone — the exact probe's ([`OpTrace::next_uses`])
+    /// — and `None` where it does.
+    ///
+    /// A copy of the trace's repeated ops ([`OpTrace::copies`]) goes to the
+    /// sweep's [`replay::Memo`], which resolves it op by op only the first
+    /// time the cache enters it in a state — and replays the recorded
+    /// outcome after that. With telemetry on, every op is resolved, so the
+    /// stream holds each op's own events.
     fn sweep_each(
         &self,
         trace: &OpTrace,
         replacement: Replacement,
         key: impl Fn(&TracedOp<'_>, usize, Reuse) -> u32,
+        next_uses: Option<NextUses<'_>>,
         mut sink: impl FnMut(&TracedOp<'_>, OpTiming),
     ) {
         let capacity = self.cache_capacity();
@@ -565,91 +582,35 @@ impl Simulator {
         let smallest = self.instance.ct_bytes(0).max(1);
         let values = (trace.len() + trace.inputs().len()) as u64;
         let most = (capacity / smallest).min(values) as usize;
-        let mut cache = BeladyCache::new(capacity, trace.cells(), most);
         let telemetry_on = bts_telemetry::enabled();
-        let mut costs = CostTable::new(self, trace.instance().max_level(), telemetry_on);
-        let bytes_per_sec = self.config.hbm.bytes_per_sec();
-        // Serialized op start time: the engine charges ops back to back, so
-        // the running sum places each op's interval on the telemetry track.
-        let mut serial_t = 0.0f64;
-        for op in trace.ops() {
-            let entry = costs.entry(op.op, op.level);
-            let cost = entry.cost;
-            // Ciphertext operand residency.
-            let ct_bytes = entry.ct_bytes;
-            let mut miss_bytes = cost.operand_bytes;
-            let mut hits = 0usize;
-            let mut misses = 0usize;
-            let mut pressure = Pressure {
-                explain: telemetry_on.then_some((trace, replacement, op.index, serial_t)),
-                ..Pressure::default()
-            };
-            for (k, &input) in op.operands.iter().enumerate() {
-                let code = op.codes[k];
-                if code.is_forwarded() {
-                    continue; // producer → consumer forwarding, not a cache access
-                }
-                let value = Value {
-                    slot: input,
-                    cell: trace.cell(input),
-                };
-                let reuse = code.reuse();
-                let (next_use, dead) = (key(&op, k, reuse), reuse == Reuse::Never);
-                if cache.touch(value, next_use, dead) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                    miss_bytes += ct_bytes;
-                    pressure.insert(&mut cache, value, ct_bytes, (next_use, dead));
-                }
+        let mut sweep = Sweep {
+            trace,
+            replacement,
+            next_uses,
+            cache: BeladyCache::new(capacity, trace.cells(), most),
+            costs: CostTable::new(self, trace.instance().max_level(), telemetry_on),
+            bytes_per_sec: self.config.hbm.bytes_per_sec(),
+            telemetry_on,
+            serial_t: 0.0,
+        };
+        let (mut copies, width) = trace.copies();
+        if telemetry_on {
+            copies = &[];
+        }
+        let mut memo = None;
+        let mut next = 0;
+        for start in copies.iter().map(|&start| start as usize) {
+            for op in trace.ops_in(next..start) {
+                let timing = sweep.step(&op, &key);
+                sink(&op, timing);
             }
-            let k = op.operands.len();
-            let code = op.codes[k];
-            if let Some(out) = op.output.filter(|_| !code.is_forwarded()) {
-                let value = Value {
-                    slot: out,
-                    cell: trace.cell(out),
-                };
-                let reuse = code.reuse();
-                let ranked = (key(&op, k, reuse), reuse == Reuse::Never);
-                pressure.insert(&mut cache, value, ct_bytes, ranked);
-            }
-            let hbm_bytes = cost.evk_bytes + miss_bytes;
-            let hbm_seconds = hbm_bytes as f64 / bytes_per_sec;
-            let seconds = cost.compute_seconds.max(hbm_seconds);
-            if telemetry_on {
-                use bts_telemetry::ArgValue;
-                bts_telemetry::emit_complete(
-                    "engine",
-                    &entry.name,
-                    serial_t,
-                    seconds,
-                    &[
-                        ("index", ArgValue::U64(u64::from(op.index))),
-                        ("hbm_bytes", ArgValue::U64(hbm_bytes)),
-                        ("miss_bytes", ArgValue::U64(miss_bytes)),
-                        ("evk_bytes", ArgValue::U64(cost.evk_bytes)),
-                        ("cache_hits", ArgValue::U64(hits as u64)),
-                        ("cache_misses", ArgValue::U64(misses as u64)),
-                        ("evictions", ArgValue::U64(pressure.evictions as u64)),
-                        ("bypasses", ArgValue::U64(pressure.bypasses as u64)),
-                    ],
-                );
-            }
-            serial_t += seconds;
-            sink(
-                &op,
-                OpTiming {
-                    cost,
-                    miss_bytes,
-                    hbm_bytes,
-                    hbm_seconds,
-                    seconds,
-                    cache_hits: hits,
-                    cache_misses: misses,
-                    scratch_bytes: cost.temp_bytes + cache.used,
-                },
-            );
+            let memo = memo.get_or_insert_with(|| replay::Memo::new(trace, start, width, most));
+            memo.sweep_copy(&mut sweep, start, &key, &mut sink);
+            next = start + width;
+        }
+        for op in trace.ops_in(next..trace.len()) {
+            let timing = sweep.step(&op, &key);
+            sink(&op, timing);
         }
     }
 
@@ -772,6 +733,126 @@ impl Fold {
             area_mm2: sim.cost_model.total_area_mm2(),
             scheduled_seconds: None,
             critical_path_seconds: None,
+        }
+    }
+}
+
+/// The exact probe's key tables ([`OpTrace::next_uses`]): per operand
+/// access its next read, per slot its first read.
+type NextUses<'a> = (&'a [u32], &'a [u32]);
+
+/// One sweep's state: the cache, the cost table, and where the serialized
+/// clock stands.
+struct Sweep<'s, 't> {
+    trace: &'t OpTrace,
+    replacement: Replacement,
+    /// The tables the sweep's keys read beyond the stored codes, if any.
+    next_uses: Option<NextUses<'t>>,
+    cache: BeladyCache,
+    costs: CostTable<'s>,
+    bytes_per_sec: f64,
+    telemetry_on: bool,
+    /// Serialized op start time: the engine charges ops back to back, so
+    /// the running sum places each op's interval on the telemetry track.
+    serial_t: f64,
+}
+
+impl Sweep<'_, '_> {
+    /// Resolves `op`'s accesses on the cache and charges it; with telemetry
+    /// on, emits its `engine` event and its `scratchpad` instants.
+    fn step(
+        &mut self,
+        op: &TracedOp<'_>,
+        key: &impl Fn(&TracedOp<'_>, usize, Reuse) -> u32,
+    ) -> OpTiming {
+        let trace = self.trace;
+        let ct_bytes = self.costs.entry(op.op, op.level).ct_bytes;
+        // Ciphertext operand residency.
+        let mut hits = 0usize;
+        let mut misses = 0usize;
+        let mut pressure = Pressure {
+            explain: self.telemetry_on.then_some((
+                trace,
+                self.replacement,
+                op.index,
+                self.serial_t,
+            )),
+            ..Pressure::default()
+        };
+        let cache = &mut self.cache;
+        for (k, &input) in op.operands.iter().enumerate() {
+            let code = op.codes[k];
+            if code.is_forwarded() {
+                continue; // producer → consumer forwarding, not a cache access
+            }
+            let value = Value {
+                slot: input,
+                cell: trace.cell(input),
+            };
+            let reuse = code.reuse();
+            let (next_use, dead) = (key(op, k, reuse), reuse == Reuse::Never);
+            if cache.touch(value, next_use, dead) {
+                hits += 1;
+            } else {
+                misses += 1;
+                pressure.insert(cache, value, ct_bytes, (next_use, dead));
+            }
+        }
+        let k = op.operands.len();
+        let code = op.codes[k];
+        if let Some(out) = op.output.filter(|_| !code.is_forwarded()) {
+            let value = Value {
+                slot: out,
+                cell: trace.cell(out),
+            };
+            let reuse = code.reuse();
+            let ranked = (key(op, k, reuse), reuse == Reuse::Never);
+            pressure.insert(cache, value, ct_bytes, ranked);
+        }
+        let start = self.serial_t;
+        let timing = self.charge(op, hits, misses, self.cache.used);
+        if self.telemetry_on {
+            use bts_telemetry::ArgValue;
+            bts_telemetry::emit_complete(
+                "engine",
+                &self.costs.entry(op.op, op.level).name,
+                start,
+                timing.seconds,
+                &[
+                    ("index", ArgValue::U64(u64::from(op.index))),
+                    ("hbm_bytes", ArgValue::U64(timing.hbm_bytes)),
+                    ("miss_bytes", ArgValue::U64(timing.miss_bytes)),
+                    ("evk_bytes", ArgValue::U64(timing.cost.evk_bytes)),
+                    ("cache_hits", ArgValue::U64(hits as u64)),
+                    ("cache_misses", ArgValue::U64(misses as u64)),
+                    ("evictions", ArgValue::U64(pressure.evictions as u64)),
+                    ("bypasses", ArgValue::U64(pressure.bypasses as u64)),
+                ],
+            );
+        }
+        timing
+    }
+
+    /// `op`'s charge given its cache outcome: `hits` and `misses` among its
+    /// operands, and `used` bytes resident after it. What a replayed op is
+    /// charged, through the same arithmetic as a resolved one.
+    fn charge(&mut self, op: &TracedOp<'_>, hits: usize, misses: usize, used: u64) -> OpTiming {
+        let entry = self.costs.entry(op.op, op.level);
+        let cost = entry.cost;
+        let miss_bytes = cost.operand_bytes + misses as u64 * entry.ct_bytes;
+        let hbm_bytes = cost.evk_bytes + miss_bytes;
+        let hbm_seconds = hbm_bytes as f64 / self.bytes_per_sec;
+        let seconds = cost.compute_seconds.max(hbm_seconds);
+        self.serial_t += seconds;
+        OpTiming {
+            cost,
+            miss_bytes,
+            hbm_bytes,
+            hbm_seconds,
+            seconds,
+            cache_hits: hits,
+            cache_misses: misses,
+            scratch_bytes: cost.temp_bytes + used,
         }
     }
 }
@@ -987,6 +1068,54 @@ impl BeladyCache {
         self.dead.insert(after.map_or(0, |at| at + 1), dead);
     }
 
+    /// Every resident as `(slot, key, bytes, dead)`: the live ones, then
+    /// the dead run in its order.
+    fn residents(&self) -> impl Iterator<Item = (u32, u32, u64, bool)> + '_ {
+        let live = self.live.iter().map(|v| {
+            let entry = &self.cells[v.cell as usize];
+            (v.slot, entry.next_use, entry.bytes, false)
+        });
+        let dead = self
+            .dead
+            .iter()
+            .map(|d| (d.slot, d.next_use, d.bytes, true));
+        live.chain(dead)
+    }
+
+    /// Drops every resident at once.
+    fn clear(&mut self) {
+        for value in &self.live {
+            self.cells[value.cell as usize].position = NEVER;
+        }
+        self.live.clear();
+        self.dead.clear();
+        self.used = 0;
+    }
+
+    /// Makes `value` resident with key `next_use`, taking no victims — an
+    /// insert's last step, and what restores a state the cache has held. A
+    /// dead resident keeps no cell: its `value.cell` is not read.
+    fn place(&mut self, value: Value, bytes: u64, next_use: u32, dead: bool) {
+        self.used += bytes;
+        if dead {
+            self.bury(Ranked {
+                next_use,
+                slot: value.slot,
+                bytes,
+            });
+        } else {
+            // Lossless: one live resident per cell, and the cells number
+            // fewer than the trace's values, which fit u32.
+            let position = self.live.len() as u32;
+            self.live.push(value);
+            self.cells[value.cell as usize] = Live {
+                bytes,
+                next_use,
+                position,
+            };
+        }
+    }
+
     /// Takes the live resident at `cell` off the live list.
     fn unlink(&mut self, cell: u32) {
         let position = self.cells[cell as usize].position;
@@ -1061,22 +1190,7 @@ impl BeladyCache {
             }
         }
         self.used -= freed;
-        self.used += bytes;
-        if dead {
-            self.bury(Ranked {
-                next_use,
-                slot: value.slot,
-                bytes,
-            });
-        } else {
-            let position = u32::try_from(self.live.len()).expect("resident count fits u32");
-            self.live.push(value);
-            self.cells[value.cell as usize] = Live {
-                bytes,
-                next_use,
-                position,
-            };
-        }
+        self.place(value, bytes, next_use, dead);
         true
     }
 }
@@ -1306,6 +1420,7 @@ mod tests {
             trace,
             Replacement::ReuseCode,
             |op, _, reuse| key(reuse, op.index),
+            None,
             |_, timing| hits += timing.cache_hits,
         );
         hits

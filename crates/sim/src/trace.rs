@@ -137,6 +137,15 @@ pub enum TraceError {
     /// The simulator's configuration fails [`crate::BtsConfig::validate`]:
     /// its ops would be charged infinite or NaN seconds.
     InvalidConfig(ConfigError),
+    /// A hand-rolled trace has more operand accesses, inputs and ops
+    /// together than its tables' `u32` stamps can number; it was built
+    /// empty.
+    TooLarge {
+        /// Operand accesses, inputs and ops of the program.
+        count: usize,
+        /// The most a trace may hold.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -171,6 +180,10 @@ impl std::fmt::Display for TraceError {
                 "trace recorded for instance {trace} run on a simulator of instance {simulator}"
             ),
             TraceError::InvalidConfig(e) => write!(f, "invalid simulator configuration: {e}"),
+            TraceError::TooLarge { count, limit } => write!(
+                f,
+                "trace of {count} operand accesses, inputs and ops exceeds the {limit} its tables can index"
+            ),
         }
     }
 }
@@ -197,6 +210,8 @@ pub struct TraceBuilder {
     /// The ops the first [`TraceBuilder::repeat`] copied: `build`'s scan
     /// takes their copies' tables from theirs.
     repeated: Option<Range<usize>>,
+    /// How many copies of them the builder flagged for the scan.
+    copies: usize,
 }
 
 impl TraceBuilder {
@@ -216,6 +231,7 @@ impl TraceBuilder {
             in_bootstrap: false,
             foreign: Vec::new(),
             repeated: None,
+            copies: 0,
         }
     }
 
@@ -352,6 +368,7 @@ impl TraceBuilder {
             }
         };
         self.columns.repeat(ops.clone(), shift, map, copy_starts);
+        self.copies += usize::from(copy_starts);
         self.next_id += ops.len() as CtId;
         last + CtId::from(shift)
     }
@@ -441,7 +458,7 @@ impl TraceBuilder {
             Vec::new(),
             slots,
             keys,
-            self.repeated,
+            self.repeated.map(|ops| (ops, self.copies)),
         );
         if self.foreign.is_empty() {
             trace

@@ -53,6 +53,14 @@
 //! it leaves them and takes each copy's from them, shifted: only the copy's
 //! reads of values from outside it are scanned. The tables, codes and
 //! first defect are the ones a scan of every op would make (see `Source`).
+//! The trace keeps where each copy starts — the repeated range itself
+//! first ([`OpTrace::copies`]) — so a sweep can resolve a copy once per
+//! cache state it enters with (`engine::replay`).
+//!
+//! **Size.** Every operand access, trace input and op has a `u32` stamp or
+//! index below the sentinels. [`OpTrace::from_ops`] counts them before it
+//! builds a table, and a trace with more is built empty and stores
+//! [`TraceError::TooLarge`] as its defect.
 
 use std::ops::Range;
 
@@ -71,6 +79,10 @@ const IN_BOOTSTRAP: u8 = 1;
 /// Op flag, set by a builder and cleared by the scan that indexes its ops:
 /// a copy of the builder's repeated ops starts at this op.
 const COPY_STARTS: u8 = 2;
+
+/// The most operand accesses, trace inputs and ops one trace holds: each
+/// has a stamp or index below the sentinels.
+const MAX_STAMPS: usize = (UNDEFINED - 2) as usize;
 
 /// The one-byte level that stands for "look the level up in
 /// `Columns::wide_levels`".
@@ -100,6 +112,12 @@ impl Code {
     /// What every access holds until a later read of its slot is seen.
     const NEVER: Code = Code(2);
     const FORWARDED: u8 = 4;
+
+    /// The stored byte.
+    #[inline]
+    pub(crate) fn byte(self) -> u8 {
+        self.0
+    }
 
     /// The access's reuse code.
     #[inline]
@@ -195,6 +213,8 @@ impl Columns {
         self.kinds.push(op);
         self.flags.push(u8::from(in_bootstrap));
         self.operands.extend(operands);
+        // Only a builder can fail this (its documented panic): `from_ops`
+        // checked its counts before it pushed an op.
         let end = u32::try_from(self.operands.len()).expect("operand count fits u32");
         self.operand_end.push(end);
         self.outputs.push(output);
@@ -276,6 +296,7 @@ impl Columns {
             self.flags[copy] |= COPY_STARTS;
         }
         self.operands.extend_from_within(span.clone());
+        // Only a builder repeats ops; this is its documented panic.
         assert!(
             u32::try_from(self.operands.len()).is_ok(),
             "operand count fits u32"
@@ -302,7 +323,7 @@ impl Columns {
 /// Built by [`crate::TraceBuilder::build`] or, for hand-rolled ids,
 /// [`OpTrace::from_ops`]; the fields stay private so the tables always
 /// describe the ops.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct OpTrace {
     instance: CkksInstance,
     /// Number of distinct rotation keys the trace requires.
@@ -327,6 +348,52 @@ pub struct OpTrace {
     ring: u32,
     /// The first structural defect in program order, if any.
     defect: Option<TraceError>,
+    /// Where each copy of a builder's repeated ops starts, ascending — the
+    /// repeated ops themselves first; empty when nothing was copied. Sized
+    /// once, by the scan.
+    copy_starts: Vec<u32>,
+    /// The number of ops of each copy.
+    copy_len: usize,
+}
+
+/// Two traces are equal when they hold the same ops, ids, instance and
+/// tables, however they were recorded: the copy list says only which ops a
+/// builder copied, and a trace recorded op by op holds the same program.
+impl PartialEq for OpTrace {
+    fn eq(&self, other: &Self) -> bool {
+        // Every field named, so a new one is compared or left out on purpose.
+        let Self {
+            instance,
+            rotation_keys,
+            columns,
+            interned,
+            producer,
+            codes,
+            window,
+            ring_mask,
+            ring,
+            defect,
+            copy_starts: _,
+            copy_len: _,
+        } = self;
+        let mine = (instance, rotation_keys, columns, interned, producer);
+        let theirs = (
+            &other.instance,
+            &other.rotation_keys,
+            &other.columns,
+            &other.interned,
+            &other.producer,
+        );
+        mine == theirs
+            && (codes, window, ring_mask, ring, defect)
+                == (
+                    &other.codes,
+                    &other.window,
+                    &other.ring_mask,
+                    &other.ring,
+                    &other.defect,
+                )
+    }
 }
 
 /// One op as the sweeps see it: its position, kind and level, and its
@@ -367,12 +434,9 @@ impl OpTrace {
     /// `(id, level)` pairs that enter from outside, `ops` the program in
     /// order. Ids may be any `u64`s (see the module docs' slot rule); a
     /// malformed program still builds, and [`OpTrace::validate`] reports its
-    /// first defect.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace's operand accesses, inputs and ops together number
-    /// more than `u32::MAX − 2`, or its distinct ids more than `u32::MAX`.
+    /// first defect. A program whose operand accesses, inputs and ops
+    /// together number more than `u32::MAX − 2` builds empty, its defect
+    /// [`TraceError::TooLarge`].
     pub fn from_ops<'a>(
         instance: &CkksInstance,
         inputs: &[(CtId, usize)],
@@ -380,6 +444,10 @@ impl OpTrace {
         rotation_keys: usize,
     ) -> Self {
         let ops: Vec<RawOp<'a>> = ops.into_iter().collect();
+        let accesses = ops.iter().map(|op| op.inputs.len()).sum();
+        if let Err(defect) = check_size(accesses, inputs.len(), ops.len()) {
+            return Self::refused(instance, rotation_keys, defect);
+        }
         let ids = || {
             let op_ids = ops
                 .iter()
@@ -399,8 +467,8 @@ impl OpTrace {
             Some(max) if interned.is_empty() => max as usize + 1,
             Some(_) => interned.len(),
         };
-        assert!(u32::try_from(slots).is_ok(), "ciphertext count fits u32");
-        // Lossless: every slot is below the slot count, which fits u32.
+        // Lossless: every slot is below the slot count, which is at most the
+        // inputs, operands and outputs together, which `check_size` bounded.
         let slot = |id: CtId| {
             if interned.is_empty() {
                 id as u32
@@ -428,26 +496,38 @@ impl OpTrace {
         )
     }
 
+    /// A trace without ops that stores `defect`: what [`OpTrace::from_ops`]
+    /// builds of a program too large to index.
+    fn refused(instance: &CkksInstance, rotation_keys: usize, defect: TraceError) -> Self {
+        let empty = Columns::with_capacity(0);
+        let mut trace = Self::index(instance.clone(), empty, Vec::new(), 0, rotation_keys, None);
+        trace.defect = Some(defect);
+        trace
+    }
+
     /// The one construction: the tables of `slots` slots for `columns`,
     /// filled by one [`OpTrace::scan`].
-    /// `source` names ops a builder repeated, whose copies the scan may take
-    /// from their tables ([`OpTrace::scan`]).
+    /// `repeated` names ops a builder repeated and how many copies of them
+    /// it flagged, which the scan may take from their tables
+    /// ([`OpTrace::scan`]).
     pub(crate) fn index(
         instance: CkksInstance,
         columns: Columns,
         interned: Vec<CtId>,
         slots: usize,
         rotation_keys: usize,
-        source: Option<Range<usize>>,
+        repeated: Option<(Range<usize>, usize)>,
     ) -> Self {
         // Bounds op indices, the producer codes of trace inputs, and the
         // LRU baseline's access stamps (one per operand access and per op).
+        // Only a builder can fail it here, which is its documented panic:
+        // `from_ops` refuses such a program before it gets here.
         let inputs = columns.inputs.len();
-        let stamps = columns.operands.len() + inputs + columns.kinds.len();
-        assert!(
-            u32::try_from(stamps).is_ok_and(|stamps| stamps < UNDEFINED - 1),
-            "operand accesses, inputs and ops stay below the sentinels"
-        );
+        let (accesses, ops) = (columns.operands.len(), columns.kinds.len());
+        if let Err(defect) = check_size(accesses, inputs, ops) {
+            panic!("{defect}");
+        }
+        let stamps = accesses + inputs + ops;
         let mut trace = Self {
             instance,
             rotation_keys,
@@ -459,8 +539,10 @@ impl OpTrace {
             ring_mask: 0,
             ring: 0,
             defect: None,
+            copy_starts: Vec::new(),
+            copy_len: 0,
         };
-        trace.defect = trace.scan(source);
+        trace.defect = trace.scan(repeated);
         trace
     }
 
@@ -475,13 +557,23 @@ impl OpTrace {
     /// slot's previous access — its producer's output on the first read, else
     /// the read before — and whatever no later read settles stays `Never`.
     ///
-    /// `source` names ops a builder repeated ([`crate::TraceBuilder::repeat`]).
+    /// `repeated` names ops a builder repeated ([`crate::TraceBuilder::repeat`])
+    /// and how many copies of them it flagged.
     /// Their tables as the scan leaves them are kept, and each copy of them
     /// the builder flagged ([`COPY_STARTS`]) takes those tables shifted
     /// instead of a rescan; only its reads from outside are scanned. The
     /// tables are the same either way (see [`Source`]). The flags are
-    /// cleared.
-    fn scan(&mut self, source: Option<Range<usize>>) -> Option<TraceError> {
+    /// cleared, and where a copy was taken, the copy list is filled: the
+    /// repeated ops, then each copy, in program order.
+    fn scan(&mut self, repeated: Option<(Range<usize>, usize)>) -> Option<TraceError> {
+        let (source, copies) = repeated.map_or((None, 0), |(ops, copies)| (Some(ops), copies));
+        // The repeated ops, then each copy taken: sized once.
+        let mut starts = Vec::new();
+        if let Some(source) = source.as_ref().filter(|_| copies > 0) {
+            starts.reserve_exact(copies + 1);
+            // Lossless: construction checked that the op count fits u32.
+            starts.push(source.start as u32);
+        }
         let mut defect = None;
         let mut note = |e: TraceError| {
             defect.get_or_insert(e);
@@ -544,6 +636,8 @@ impl OpTrace {
                     let id = id_of(slot);
                     note(TraceError::UndefinedInput { op_index, id });
                 });
+                // Lossless: construction checked that the op count fits u32.
+                starts.push(op_index as u32);
                 let last = op_index + kept.ops.len() - 1;
                 start = c.operand_end[last] as usize;
                 previous = first_stamp(c, last);
@@ -591,9 +685,13 @@ impl OpTrace {
             }
             op_index += 1;
         }
-        if source.is_some() {
+        if let Some(source) = source {
             for flags in &mut self.columns.flags {
                 *flags &= IN_BOOTSTRAP;
+            }
+            if !starts.is_empty() {
+                self.copy_starts = starts;
+                self.copy_len = source.len();
             }
         }
         self.window = window;
@@ -750,23 +848,76 @@ impl OpTrace {
 
     /// The ops in program order with operands and outputs as slots.
     pub fn ops(&self) -> impl Iterator<Item = TracedOp<'_>> + '_ {
+        self.ops_in(0..self.len())
+    }
+
+    /// Ops `ops` in program order, as [`OpTrace::ops`] yields them. The
+    /// columns are sliced to the range once, and each op's operands and
+    /// codes split off the front of what is left.
+    pub(crate) fn ops_in(&self, ops: Range<usize>) -> impl Iterator<Item = TracedOp<'_>> + '_ {
         let c = &self.columns;
-        (0u32..).zip(0..self.len()).map(move |(index, i)| {
-            let operands = self.operand_range(i);
-            let output = c.outputs[i];
-            // The op's stamps: its operands', then its output's.
-            let codes = operands.start + i..operands.end + i + 1;
-            TracedOp {
-                index,
-                op: c.kinds[i],
-                level: c.level(i),
-                in_bootstrap: c.flags[i] & IN_BOOTSTRAP != 0,
-                operands: &c.operands[operands.clone()],
-                output: (output != NEVER).then_some(output),
-                first_access: operands.start,
-                codes: &self.codes[codes],
-            }
-        })
+        let span = c.operand_span(ops.clone());
+        let mut first_access = span.start;
+        let mut operands = &c.operands[span.clone()];
+        // The ops' stamps: each op's operands', then its output's.
+        let mut codes = &self.codes[span.start + ops.start..span.end + ops.end];
+        let columns = (c.kinds[ops.clone()].iter())
+            .zip(&c.levels[ops.clone()])
+            .zip(&c.flags[ops.clone()])
+            .zip(&c.outputs[ops.clone()])
+            .zip(&c.operand_end[ops.clone()]);
+        ops.zip(columns)
+            .map(move |(i, ((((&op, &level), &flags), &output), &end))| {
+                let (own, rest) = operands.split_at(end as usize - first_access);
+                operands = rest;
+                let (own_codes, rest) = codes.split_at(own.len() + 1);
+                codes = rest;
+                let traced = TracedOp {
+                    // Lossless: construction checked that the op count fits
+                    // u32.
+                    index: i as u32,
+                    op,
+                    level: if level == WIDE_LEVEL {
+                        c.level(i)
+                    } else {
+                        usize::from(level)
+                    },
+                    in_bootstrap: flags & IN_BOOTSTRAP != 0,
+                    operands: own,
+                    output: (output != NEVER).then_some(output),
+                    first_access,
+                    codes: own_codes,
+                };
+                first_access = end as usize;
+                traced
+            })
+    }
+
+    /// Op `i`, as [`OpTrace::ops`] yields it.
+    pub(crate) fn op(&self, i: usize) -> TracedOp<'_> {
+        let mut op = self.ops_in(i..i + 1);
+        op.next().expect("one op in the range")
+    }
+
+    /// Where each copy of a builder's repeated ops starts, ascending — the
+    /// repeated ops first — and how many ops each copy has. Every copy is
+    /// the first one with its outputs shifted to fresh slots above every
+    /// slot defined before it, and each read from outside it at the same
+    /// operand position (see `Source`). Empty for a trace nothing was
+    /// copied into: one built op by op or by [`OpTrace::from_ops`].
+    pub(crate) fn copies(&self) -> (&[u32], usize) {
+        (&self.copy_starts, self.copy_len)
+    }
+
+    /// The operand slots of ops `ops`, in program order.
+    pub(crate) fn operands_of(&self, ops: Range<usize>) -> &[u32] {
+        &self.columns.operands[self.columns.operand_span(ops)]
+    }
+
+    /// The stored hints of every access of ops `ops`, in stamp order.
+    pub(crate) fn codes_of(&self, ops: Range<usize>) -> &[Code] {
+        let span = self.columns.operand_span(ops.clone());
+        &self.codes[span.start + ops.start..span.end + ops.end]
     }
 
     /// For every operand access (in [`TracedOp::first_access`] order), the
@@ -788,6 +939,20 @@ impl OpTrace {
             }
         }
         (next, next_seen)
+    }
+}
+
+/// `Err(TooLarge)` when `accesses` operand accesses, `inputs` trace inputs
+/// and `ops` ops are more than a trace's stamps can number ([`MAX_STAMPS`]).
+fn check_size(accesses: usize, inputs: usize, ops: usize) -> Result<(), TraceError> {
+    let count = accesses.saturating_add(inputs).saturating_add(ops);
+    if count <= MAX_STAMPS {
+        Ok(())
+    } else {
+        Err(TraceError::TooLarge {
+            count,
+            limit: MAX_STAMPS,
+        })
     }
 }
 
@@ -1262,6 +1427,38 @@ mod tests {
         b.repeat(0..2, x, q);
         let levels: Vec<usize> = b.build().ops().map(|op| op.level).collect();
         assert_eq!(levels, [400, 27, 27, 400, 27]);
+    }
+
+    #[test]
+    fn the_size_bound_is_checked_on_counts() {
+        // The bound itself, on counts: no trace of 2^32 accesses is built.
+        assert_eq!(check_size(MAX_STAMPS - 2, 1, 1), Ok(()));
+        let over = TraceError::TooLarge {
+            count: MAX_STAMPS + 1,
+            limit: MAX_STAMPS,
+        };
+        assert_eq!(check_size(MAX_STAMPS - 1, 1, 1), Err(over.clone()));
+        assert_eq!(check_size(0, MAX_STAMPS + 1, 0), Err(over.clone()));
+        // Counts past a usize saturate rather than wrap below the bound.
+        let huge = check_size(usize::MAX, usize::MAX, 2);
+        assert!(matches!(
+            huge,
+            Err(TraceError::TooLarge {
+                count: usize::MAX,
+                ..
+            })
+        ));
+        // Every stamp, the last included, stays below the sentinels.
+        assert!((MAX_STAMPS as u32) < UNDEFINED - 1);
+        // What `from_ops` builds of such a program: no ops, the defect.
+        let ins = CkksInstance::ins1();
+        let refused = OpTrace::refused(&ins, 3, over.clone());
+        assert!(refused.is_empty() && refused.inputs().len() == 0);
+        assert_eq!(refused.rotation_keys(), 3);
+        assert_eq!(refused.validate(), Err(over.clone()));
+        let sim = crate::Simulator::new(crate::BtsConfig::bts_default(), ins);
+        assert_eq!(sim.try_run(&refused).unwrap_err(), over);
+        assert!(over.to_string().contains("exceeds"));
     }
 
     #[test]

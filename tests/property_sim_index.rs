@@ -38,12 +38,16 @@
 //! (`Simulator::run_indexed` under `JobPlan::from_trace`) to `op_timings` and
 //! to the plan `JobPlan::new` builds from them.
 
+use std::ops::Range;
+
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use bts::params::CkksInstance;
 use bts::sched::{schedule_jobs, JobPlan, MachineModel, ScheduleError, ScheduleExt};
-use bts::sim::{BtsConfig, CtId, HeOp, OpTiming, OpTrace, Simulator, TraceBuilder};
+use bts::sim::{
+    BtsConfig, CtId, HeOp, OpTiming, OpTrace, SimReport, Simulator, TraceBuilder, TraceError,
+};
 
 #[path = "common/cache_optimum.rs"]
 mod cache_optimum;
@@ -369,17 +373,27 @@ fn record(b: &mut TraceBuilder, code: usize, x: CtId, y: CtId, level: usize) -> 
     }
 }
 
+/// Per repetition of a range, its ops and the ids of its outputs.
+type Repetitions = Vec<(Range<usize>, Range<CtId>)>;
+
 /// Random programs in which one op range — reading one value from outside
 /// (`from`), maybe a second one, and its own outputs — is repeated on other
 /// values, between random ops over every value made so far (inputs, the
 /// range's outputs, the copies' outputs), at levels that are sometimes out
-/// of budget. `copy` builds each repetition with `TraceBuilder::repeat`;
-/// otherwise it is recorded op by op again. Returns the built trace.
-fn repeating_program(ins: &CkksInstance, seed: u64, copy: bool) -> OpTrace {
+/// of budget unless `in_budget`. `copy` builds each repetition with
+/// `TraceBuilder::repeat`; otherwise it is recorded op by op again. Returns
+/// the built trace and, per repetition (the range itself first), its ops
+/// and the ids of its outputs.
+fn repeating_program(
+    ins: &CkksInstance,
+    seed: u64,
+    copy: bool,
+    in_budget: bool,
+) -> (OpTrace, Repetitions) {
     let mut rng = Lcg::new(seed);
     let mut b = TraceBuilder::new(ins);
     let level = |rng: &mut Lcg| {
-        if rng.next().is_multiple_of(64) {
+        if rng.next().is_multiple_of(64) && !in_budget {
             ins.max_level() + 1
         } else {
             rng.next() % (ins.max_level() + 1)
@@ -421,23 +435,103 @@ fn repeating_program(ins: &CkksInstance, seed: u64, copy: bool) -> OpTrace {
         made.split_off(2)
     };
     let start = b.len();
-    pool.extend(record_range(&mut b, from));
+    let outputs = record_range(&mut b, from);
     let range = start..b.len();
+    let mut repetitions = vec![(range.clone(), outputs[0]..outputs[0] + range.len() as CtId)];
+    pool.extend(outputs);
     for _ in 0..rng.next() % 24 {
         if rng.next().is_multiple_of(3) {
             let to = pool[rng.next() % pool.len()];
-            if copy {
+            let start = b.len();
+            let first = if copy {
                 let last = b.repeat(range.clone(), from, to);
                 let first = last + 1 - steps.len() as CtId;
                 pool.extend(first..=last);
+                first
             } else {
-                pool.extend(record_range(&mut b, to));
-            }
+                let outputs = record_range(&mut b, to);
+                pool.extend(&outputs);
+                outputs[0]
+            };
+            repetitions.push((start..b.len(), first..first + range.len() as CtId));
         } else {
             random_op(&mut b, &mut rng, &mut pool);
         }
     }
-    b.build()
+    (b.build(), repetitions)
+}
+
+/// Every sweep of `copied`, whose copies a sweep may replay, is bit for
+/// bit the same sweep of `recorded`, the same program without copies:
+/// reports under all three keys, collected timings, the one-job schedule
+/// and the plan.
+fn assert_sweeps_alike(
+    sim: &Simulator,
+    copied: &OpTrace,
+    recorded: &OpTrace,
+) -> Result<(), TestCaseError> {
+    type Run = fn(&Simulator, &OpTrace) -> Result<SimReport, TraceError>;
+    let runs: [Run; 3] = [
+        Simulator::try_run,
+        Simulator::try_run_belady,
+        Simulator::try_run_lru,
+    ];
+    for run in runs {
+        let (a, b) = (run(sim, copied).unwrap(), run(sim, recorded).unwrap());
+        prop_assert_eq!(report_bits(&a), report_bits(&b));
+    }
+    type Timings = fn(&Simulator, &OpTrace) -> Result<Vec<OpTiming>, TraceError>;
+    let timings: [Timings; 2] = [Simulator::op_timings, Simulator::op_timings_lru];
+    for timings in timings {
+        let (a, b) = (
+            timings(sim, copied).unwrap(),
+            timings(sim, recorded).unwrap(),
+        );
+        prop_assert_eq!(a.len(), b.len());
+        for (index, (a, b)) in a.iter().zip(&b).enumerate() {
+            prop_assert_eq!((index, timing_bits(a)), (index, timing_bits(b)));
+        }
+    }
+    let scheduled = |trace| format!("{:?}", sim.try_run_scheduled(trace).unwrap());
+    prop_assert_eq!(scheduled(copied), scheduled(recorded));
+    let (plan, report) = JobPlan::from_trace(sim, copied).unwrap();
+    let (expected, expected_report) = JobPlan::from_trace(sim, recorded).unwrap();
+    prop_assert_eq!(&plan, &expected);
+    prop_assert_eq!(report_bits(&report), report_bits(&expected_report));
+    Ok(())
+}
+
+/// Every field of a timing, floats as their bits.
+fn timing_bits(t: &OpTiming) -> [u64; 15] {
+    let c = &t.cost;
+    [
+        c.ntt_seconds.to_bits(),
+        c.bconv_seconds.to_bits(),
+        c.elementwise_seconds.to_bits(),
+        c.elementwise_charged_seconds.to_bits(),
+        c.compute_seconds.to_bits(),
+        c.evk_bytes,
+        c.operand_bytes,
+        c.temp_bytes,
+        t.miss_bytes,
+        t.hbm_bytes,
+        t.hbm_seconds.to_bits(),
+        t.seconds.to_bits(),
+        t.cache_hits as u64,
+        t.cache_misses as u64,
+        t.scratch_bytes,
+    ]
+}
+
+/// Cache sizes for the replay cases: below one top-level INS-1 ciphertext
+/// (56 MiB), so every key bypasses the larger values, up to a few of them.
+const REPLAY_CACHES_MIB: [u64; 4] = [6, 24, 64, 160];
+
+/// A simulator on `ins` whose ciphertext cache holds `mib` MiB.
+fn with_cache_mib(ins: &CkksInstance, mib: u64) -> Simulator {
+    let temp = Simulator::new(BtsConfig::bts_default(), ins.clone()).temp_data_bytes();
+    let config = BtsConfig::bts_default().with_scratchpad_bytes(temp + mib * 1024 * 1024);
+    Simulator::new(config, ins.clone())
 }
 
 proptest! {
@@ -449,10 +543,108 @@ proptest! {
     #[test]
     fn repeated_ranges_index_like_recorded_ones(seed in any::<u64>()) {
         let ins = CkksInstance::ins1();
-        let copied = repeating_program(&ins, seed, true);
-        let recorded = repeating_program(&ins, seed, false);
+        let (copied, _) = repeating_program(&ins, seed, true, false);
+        let (recorded, _) = repeating_program(&ins, seed, false, false);
         prop_assert_eq!(copied.validate(), recorded.validate());
         prop_assert!(copied == recorded, "seed {}", seed);
+    }
+
+    /// A sweep resolves a copy once per state the cache enters it in and
+    /// replays it after that; the trace recorded op by op has no copies, so
+    /// its sweeps resolve every op. At caches that evict and bypass both the
+    /// copies' own values and values from before them
+    /// (`replay_caches_evict_and_bypass_both_kinds`), every sweep of the two
+    /// is the same, bit for bit.
+    #[test]
+    fn replayed_copies_sweep_like_recorded_ones(seed in any::<u64>()) {
+        let ins = CkksInstance::ins1();
+        let (copied, _) = repeating_program(&ins, seed, true, true);
+        let (recorded, _) = repeating_program(&ins, seed, false, true);
+        prop_assert!(copied == recorded, "seed {}", seed);
+        prop_assert_eq!(copied.validate(), Ok(()));
+        for mib in REPLAY_CACHES_MIB {
+            assert_sweeps_alike(&with_cache_mib(&ins, mib), &copied, &recorded)?;
+        }
+    }
+}
+
+/// The copies of every registry point — each bootstrap after the first is
+/// a copy of it — under both lowerings (`Workload::lower`, and the pass
+/// pipeline `perf`'s `design_sweep` runs): every sweep of the lowered trace
+/// is the same sweep of the same program rebuilt from its ids, which has no
+/// copies.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "sweeps all 15 registry points 14 times; CI runs it in release"
+)]
+fn registry_copies_sweep_like_recorded_ones() {
+    use bts::circuit::{compile, PassPipeline, TraceBackend};
+    let registry = bts::workloads::standard_registry();
+    let pipeline = PassPipeline::standard();
+    for ins in CkksInstance::evaluation_set() {
+        let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
+        for (name, workload) in registry.iter() {
+            let raw = workload.lower(&ins).expect("paper instances lower").trace;
+            let circuit = workload.build(&ins).expect("paper instances build");
+            let optimized = pipeline
+                .optimize(&circuit)
+                .expect("registry circuits optimize");
+            let compiled = compile(&optimized).expect("registry circuits compile");
+            let lowered = TraceBackend::new().lower_compiled(&compiled);
+            let pipelined = lowered.expect("compiled circuits lower").trace;
+            for (lowering, copied) in [("raw", &raw), ("pipelined", &pipelined)] {
+                let recorded = Raw::of(copied).build();
+                assert!(*copied == recorded);
+                assert_sweeps_alike(&sim, copied, &recorded)
+                    .unwrap_or_else(|e| panic!("{name} on {} ({lowering}): {e:?}", ins.name()));
+            }
+        }
+    }
+}
+
+/// The replay cases put the cache under the pressure that matters: over the
+/// first 64 seeds, under each key, an op inside a repetition of the range
+/// evicts and bypasses both values the repetition made and values from
+/// before it. (A sweep with telemetry on resolves every op, so the events
+/// are the recorded program's own.)
+#[test]
+fn replay_caches_evict_and_bypass_both_kinds() {
+    let ins = CkksInstance::ins1();
+    type Run = fn(&Simulator, &OpTrace) -> Result<SimReport, TraceError>;
+    let runs: [(&str, Run); 3] = [
+        ("reuse code", Simulator::try_run),
+        ("exact next use", Simulator::try_run_belady),
+        ("recency", Simulator::try_run_lru),
+    ];
+    for (key, run) in runs {
+        // (evicted, bypassed) x (the repetition's own, from before it).
+        let mut seen = [[0usize; 2]; 2];
+        for seed in 0..64 {
+            let (trace, repetitions) = repeating_program(&ins, seed, false, true);
+            for mib in REPLAY_CACHES_MIB {
+                let capture = bts::telemetry::capture();
+                run(&with_cache_mib(&ins, mib), &trace).unwrap();
+                for event in capture.finish().events {
+                    let kind = match (event.track.as_str(), event.name.as_str()) {
+                        ("scratchpad", "evict") => 0,
+                        ("scratchpad", "bypass") => 1,
+                        _ => continue,
+                    };
+                    let op = event.arg_u64("op").unwrap() as usize;
+                    let ct = event.arg_u64("ct").unwrap();
+                    if let Some((_, outputs)) =
+                        repetitions.iter().find(|(ops, _)| ops.contains(&op))
+                    {
+                        seen[kind][usize::from(!outputs.contains(&ct))] += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            seen.iter().flatten().all(|&n| n > 0),
+            "{key}: [evicted, bypassed] x [own, from before] = {seen:?}"
+        );
     }
 }
 

@@ -26,6 +26,8 @@
 //! Like `tests/serve_linearity.rs` this is a single-test binary with a
 //! counting allocator, so nothing else allocates while it counts.
 
+use std::ops::Range;
+
 use bts::params::CkksInstance;
 use bts::sched::{JobPlan, ScheduleExt};
 use bts::sim::{BtsConfig, CtId, OpTrace, RawOp, SimReport, Simulator, TraceBuilder, TraceError};
@@ -41,16 +43,17 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// each a modulus raise followed by baby-step/giant-step stages down the
 /// level budget (rotate → pmult → accumulate, then a rescale), with a few
 /// long-lived ciphertexts read throughout so the cache stays under pressure.
-fn bootstrap_shaped(ins: &CkksInstance, ops: usize) -> OpTrace {
+/// With `repeat`, every refresh after the first is a copy of it
+/// (`TraceBuilder::repeat`), as a lowering records its bootstraps: the same
+/// program, which a sweep may replay copy by copy.
+fn bootstrap_shaped(ins: &CkksInstance, ops: usize, repeat: bool) -> OpTrace {
     let mut b = TraceBuilder::new(ins);
     let top = ins.max_level();
     let mut x = b.fresh_ct(0);
     let keep: Vec<_> = (0..6).map(|_| b.fresh_ct(top)).collect();
-    let mut emitted = 0usize;
-    while emitted < ops {
+    let refresh = |b: &mut TraceBuilder, mut x| {
         b.set_bootstrap_region(true);
         x = b.mod_raise(x, top);
-        emitted += 1;
         for level in (top - 12..=top).rev() {
             let mut acc = b.pmult(x, level);
             for r in 1..8 {
@@ -60,11 +63,22 @@ fn bootstrap_shaped(ins: &CkksInstance, ops: usize) -> OpTrace {
             }
             let mixed = b.hmult_at(acc, keep[level % keep.len()], level);
             x = b.hrescale_at(mixed, level);
-            emitted += 24;
         }
         b.set_bootstrap_region(false);
+        x
+    };
+    let mut first: Option<(Range<usize>, CtId)> = None;
+    while b.len() < ops {
+        x = match &first {
+            Some((range, from)) if repeat => b.repeat(range.clone(), *from, x),
+            _ => {
+                let start = b.len();
+                let out = refresh(&mut b, x);
+                first.get_or_insert((start..b.len(), x));
+                out
+            }
+        };
         x = b.hmult_at(x, x, top - 13);
-        emitted += 1;
     }
     b.build()
 }
@@ -100,8 +114,8 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
 
     let ins = CkksInstance::ins1();
     let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
-    let small = bootstrap_shaped(&ins, 2_000);
-    let large = bootstrap_shaped(&ins, 32_000);
+    let small = bootstrap_shaped(&ins, 2_000, false);
+    let large = bootstrap_shaped(&ins, 32_000, false);
     let hostile = spaced_ids(&large);
     assert!(small.len() >= 2_000 && large.len() >= 32_000);
 
@@ -273,4 +287,48 @@ fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
         report.cache_misses,
         "an order-preserving relabelling changes no cache decision"
     );
+
+    // The same program with every refresh after the first a copy of it: a
+    // sweep resolves each copy once per cache state it enters in and replays
+    // it after that, from one memo sized by the copy's length and the
+    // states it records, not by the trace's: one allocation more than the
+    // plain trace's sweep at either length, and a peak that does not grow.
+    let twins = [
+        ("2 000", bootstrap_shaped(&ins, 2_000, true), &small),
+        ("32 000", bootstrap_shaped(&ins, 32_000, true), &large),
+    ];
+    let mut twin_peaks = Vec::new();
+    for (name, twin, plain) in &twins {
+        assert!(twin == *plain, "the copies record the plain program");
+        for (entry, run) in entry_points {
+            let copied = cost_of(|| run(&sim, twin).expect("trace runs"));
+            let full = cost_of(|| run(&sim, plain).expect("trace runs"));
+            eprintln!(
+                "{entry} on {name} copied ops: {} allocations, peak {}",
+                copied.allocations, copied.peak_bytes
+            );
+            assert!(
+                copied.allocations <= full.allocations + 1,
+                "{entry} on {name} copied ops made {} allocations, the plain trace {}",
+                copied.allocations,
+                full.allocations
+            );
+            twin_peaks.push((entry, copied.allocations, copied.peak_bytes));
+        }
+        let scheduled = cost_of(|| sim.try_run_scheduled(twin).expect("trace schedules"));
+        twin_peaks.push(("run_scheduled", scheduled.allocations, scheduled.peak_bytes));
+    }
+    let (short, long) = twin_peaks.split_at(twin_peaks.len() / 2);
+    for ((entry, short_allocations, short), (_, long_allocations, long)) in short.iter().zip(long) {
+        assert_eq!(
+            short_allocations, long_allocations,
+            "{entry}: copied traces allocate by their length"
+        );
+        if *entry != "try_run_belady" {
+            assert!(
+                *long <= short + PEAK_GROWTH_BYTES,
+                "{entry}: the copied 32 000-op peak {long} grew past the 2 000-op peak {short}"
+            );
+        }
+    }
 }
