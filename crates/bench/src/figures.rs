@@ -1659,7 +1659,7 @@ mod tests {
             ),
             (
                 "cluster",
-                r#"    {"preset": "bts", "chips": 1, "placement": "tenant-affinity", "workload": "bootstrap", "instance": "INS-1", "jobs": 16, "chips_used": 1, "makespan_seconds": 2.359349e-1, "throughput_jobs_per_sec": 67.8153, "mult_slots_per_sec": 3.555476e7, "p50_latency_seconds": 1.204306e-1, "p99_latency_seconds": 2.359349e-1, "tenant_fairness": 0.9841, "interconnect_bytes": 0, "interconnect_seconds": 0.000000e0},"#,
+                r#"    {"preset": "bts", "chips": 1, "placement": "tenant-affinity", "workload": "bootstrap", "instance": "INS-1", "jobs": 16, "chips_used": 1, "makespan_seconds": 2.359349e-1, "throughput_jobs_per_sec": 67.8153, "mult_slots_per_sec": 3.555476e7, "p50_latency_seconds": 1.204306e-1, "p99_latency_seconds": 2.359349e-1, "tenant_fairness": 0.9840, "interconnect_bytes": 0, "interconnect_seconds": 0.000000e0},"#,
             ),
             (
                 "resilience",

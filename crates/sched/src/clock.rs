@@ -13,38 +13,35 @@
 //! the planner the critical-path finish with the op that reached it, the
 //! link of the longest chain's witness. The first two map slots to cells as
 //! the sweep hands them each op; the plan stores cells, so the cursor reads
-//! them as they are.
+//! them as they are. Every time is in ticks ([`bts_sim::ticks`]): integer
+//! maxima and sums, so a run of ops entered and left at a barrier finishes
+//! the same, shifted by whole ticks, wherever the barrier stands.
 
-/// A time the rule takes maxima of: a finish, never NaN and never below
+/// A time the rule takes maxima of: a finish, never below
 /// `Self::default()`, which trace inputs read.
 pub(crate) trait Finish: Copy + Default {
     /// The later of `self` and `other`: `self` on a tie.
     fn later(self, other: Self) -> Self;
 }
 
-/// `self.max(other)` as one machine `max`: `f64::max` adds a NaN test to
-/// every link of the chains of maxima the scheduler builds its times from.
-impl Finish for f64 {
+/// A finish in ticks.
+impl Finish for u64 {
     fn later(self, other: Self) -> Self {
-        if other > self {
-            other
-        } else {
-            self
-        }
+        self.max(other)
     }
 }
 
 /// Two times, each with its own maximum.
-impl Finish for [f64; 2] {
+impl Finish for [u64; 2] {
     fn later(self, other: Self) -> Self {
-        [self[0].later(other[0]), self[1].later(other[1])]
+        [self[0].max(other[0]), self[1].max(other[1])]
     }
 }
 
-/// A finish and the op that reached it, as index + 1: 0 is no op.
+/// A finish in ticks and the op that reached it, as index + 1: 0 is no op.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Link {
-    pub(crate) seconds: f64,
+    pub(crate) ticks: u64,
     pub(crate) op: u32,
 }
 
@@ -53,8 +50,8 @@ impl Finish for Link {
     /// the max over earlier segments, so it precedes every op it ties with:
     /// the barrier wins a tie, then the earliest producer.
     fn later(self, other: Self) -> Self {
-        let tie = other.seconds == self.seconds;
-        if other.seconds > self.seconds || (tie && other.op < self.op) {
+        let tie = other.ticks == self.ticks;
+        if other.ticks > self.ticks || (tie && other.op < self.op) {
             other
         } else {
             self
@@ -123,6 +120,22 @@ impl<T: Finish> Clock<T> {
     pub(crate) fn latest(&self) -> T {
         self.latest
     }
+
+    /// Whether an op flagged `in_bootstrap` would flip the region: a full
+    /// barrier at [`Clock::latest`].
+    pub(crate) fn flips(&self, in_bootstrap: bool) -> bool {
+        in_bootstrap != self.in_bootstrap
+    }
+
+    /// Stands the clock where a run of ops ends that was entered at a flip
+    /// and is left at one (or ends the trace): the last of them flagged
+    /// `in_bootstrap`, the latest finish `latest`. What the run wrote in its
+    /// cells is not: every such finish is at most `latest`, which the next
+    /// op's flip makes the barrier of everything after it.
+    pub(crate) fn skip(&mut self, in_bootstrap: bool, latest: T) {
+        self.in_bootstrap = in_bootstrap;
+        self.latest = latest;
+    }
 }
 
 #[cfg(test)]
@@ -132,21 +145,21 @@ mod tests {
     use bts_sim::{OpTrace, TraceBuilder};
 
     /// Every op's ready time on `trace` when op `i` takes `durations[i]`.
-    fn ready_times(trace: &OpTrace, durations: &[f64]) -> Vec<(f64, u32)> {
+    fn ready_times(trace: &OpTrace, durations: &[u64]) -> Vec<(u64, u32)> {
         let mut clock = Clock::<Link>::new(trace.cells());
         let ops = trace.ops().zip(durations);
         ops.map(|(op, duration)| {
             let cells = op.operands.iter().map(|&slot| trace.cell(slot));
             let ready = clock.ready(op.in_bootstrap, cells);
-            let seconds = ready.seconds + duration;
+            let ticks = ready.ticks + duration;
             clock.finish(
                 op.output.map(|slot| trace.cell(slot)),
                 Link {
-                    seconds,
+                    ticks,
                     op: op.index + 1,
                 },
             );
-            (ready.seconds, ready.op)
+            (ready.ticks, ready.op)
         })
         .collect()
     }
@@ -160,10 +173,10 @@ mod tests {
         let r = b.hrot(x, 2, 27); // op 1 — independent of op 0
         let j = b.hadd(l, r, 27); // op 2 — joins both
         b.hrescale_at(j, 27); // op 3 — chain
-        let ready = ready_times(&b.build(), &[1.0, 5.0, 2.0, 3.0]);
+        let ready = ready_times(&b.build(), &[1, 5, 2, 3]);
         // Trace inputs have no producer; op 2 waits for the later of its
         // two, op 3 for op 2.
-        assert_eq!(ready, [(0.0, 0), (0.0, 0), (5.0, 2), (7.0, 3)]);
+        assert_eq!(ready, [(0, 0), (0, 0), (5, 2), (7, 3)]);
     }
 
     #[test]
@@ -180,7 +193,7 @@ mod tests {
             let cells = op.operands.iter().map(|&slot| trace.cell(slot));
             let ready = clock.ready(op.in_bootstrap, cells);
             let at = Link {
-                seconds: ready.seconds + 1.0,
+                ticks: ready.ticks + 1,
                 op: op.index + 1,
             };
             clock.finish(op.output.map(|slot| trace.cell(slot)), at);
@@ -201,9 +214,9 @@ mod tests {
         let r = b.hrot(x, 1, 27); // op 0
         let s = b.hmult_at(r, r, 27); // op 1 — both operands from op 0
         b.hadd(s, r, 27); // op 2 — operands listed consumer-first
-        let ready = ready_times(&b.build(), &[2.0, 0.0, 1.0]);
+        let ready = ready_times(&b.build(), &[2, 0, 1]);
         // Ops 0 and 1 both finish at 2: the earlier producer wins the tie,
         // whatever the operand order.
-        assert_eq!(ready, [(0.0, 0), (2.0, 1), (2.0, 1)]);
+        assert_eq!(ready, [(0, 0), (2, 1), (2, 1)]);
     }
 }

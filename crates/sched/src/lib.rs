@@ -39,7 +39,15 @@
 //! the [`bts_sim::SimReport`]'s `scheduled_seconds` /
 //! `critical_path_seconds`. One job released at 0 is placed in program
 //! order, so the run places each op, under the scheduler's one placement
-//! rule, as soon as the engine's sweep has charged it, and builds no plan.
+//! rule, as soon as the engine's sweep has charged it, and builds no plan;
+//! a replayed copy of the trace's repeated ops that region flips bracket is
+//! placed as its cache record's first placement, shifted.
+//!
+//! Every time the crate keeps is integer ticks ([`bts_sim::ticks`]), so
+//! maxima and sums are exact and a placement entered at a barrier shifts
+//! by whole ticks with it. The public surface converts at the edge:
+//! releases and settled bounds in, completions, schedules and summaries
+//! out, in seconds.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -86,10 +86,11 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+use bts_sim::ticks::{self, MAX_TICKS};
 use bts_sim::{FuKind, HeOp, OpTiming, OpTrace, SimReport, Simulator, TraceError, TracedOp};
 use bts_telemetry::TimelineSegment;
 
-use crate::clock::{Clock, Finish, Link};
+use crate::clock::{Clock, Link};
 use crate::error::ScheduleError;
 use crate::resources::{MachineModel, OpDemand};
 
@@ -187,6 +188,9 @@ pub struct Schedule {
     pub critical_path_seconds: f64,
     /// The machine the schedule was built for.
     pub machine: MachineModel,
+    /// Per unit class, the ticks reserved: what its utilization is taken
+    /// from, as a folding scheduler takes it.
+    reserved: [u64; FuKind::COUNT],
 }
 
 impl Schedule {
@@ -196,9 +200,9 @@ impl Schedule {
     }
 
     /// Speedup of the schedule over serial execution. For jobs released at
-    /// 0 serial time is an upper bound by construction, so the value is ≥ 1
-    /// (clamped there to absorb floating-point rounding of the two
-    /// accumulations).
+    /// 0 serial time is an upper bound by construction, so the value is
+    /// ≥ 1; later releases can push the makespan past the serial sum, and
+    /// the value is clamped at 1.
     pub fn parallel_speedup(&self) -> f64 {
         if self.makespan_seconds <= 0.0 {
             1.0
@@ -207,17 +211,10 @@ impl Schedule {
         }
     }
 
-    /// Busy fraction of one unit class over the makespan, computed from the
-    /// actual reservation intervals.
+    /// Busy fraction of one unit class over the makespan: the ticks of its
+    /// reservations over the makespan's, as a folding scheduler reports it.
     pub fn unit_utilization(&self, kind: FuKind) -> f64 {
-        if self.makespan_seconds <= 0.0 {
-            return 0.0;
-        }
-        let reserved: f64 = self.busy[kind.index()]
-            .iter()
-            .map(|b| b.end_seconds - b.start_seconds)
-            .sum();
-        reserved / self.makespan_seconds
+        share(self.reserved[kind.index()], self.makespan_seconds)
     }
 
     /// Utilization of all unit classes, indexed by [`FuKind::index`].
@@ -424,8 +421,9 @@ pub struct JobPlan {
     /// The trace's cell count ([`OpTrace::cells`]): what a cursor's clock
     /// holds.
     cells: usize,
-    serial: f64,
-    critical_path: f64,
+    /// Serial and critical-path charges, in ticks.
+    serial: u64,
+    critical_path: u64,
     /// Op indices of one longest chain, earliest first.
     critical_ops: Vec<usize>,
 }
@@ -445,16 +443,16 @@ struct OpShape {
 }
 
 impl OpShape {
-    /// Every field but the link as bits: two shapes are one shape only if
-    /// these are equal (`==` on the floats would merge 0.0 with −0.0).
+    /// Every field but the link: two shapes are one shape only if these are
+    /// equal.
     fn bits(&self) -> [u64; 8] {
-        let [ntt, bconv, elementwise, hbm] = self.demand.busy.map(f64::to_bits);
+        let [ntt, bconv, elementwise, hbm] = self.demand.busy;
         [
             self.op as u64,
             // Lossless: `usize` is at most 64 bits wide.
             self.level as u64,
             u64::from(self.in_bootstrap),
-            self.demand.duration.to_bits(),
+            self.demand.duration,
             ntt,
             bconv,
             elementwise,
@@ -496,7 +494,7 @@ impl JobPlan {
     /// [`ScheduleError::Trace`] if the trace has a structural defect,
     /// [`ScheduleError::TimingCount`] if `timings` does not cover exactly
     /// its ops, and [`ScheduleError::InvalidTiming`] for the first op whose
-    /// duration or unit busy time is negative or not finite.
+    /// duration or unit busy time is past [`bts_sim::ticks::MAX_TICKS`].
     pub fn new(
         machine: &MachineModel,
         trace: &OpTrace,
@@ -509,13 +507,14 @@ impl JobPlan {
         let mut planner = Planner::new(*machine, trace);
         for (index, (op, timing)) in trace.ops().zip(timings).enumerate() {
             let charged = [
-                timing.seconds,
-                timing.cost.ntt_seconds,
-                timing.cost.bconv_seconds,
-                timing.cost.elementwise_charged_seconds,
-                timing.hbm_seconds,
+                timing.ticks,
+                timing.cost.ntt_ticks,
+                timing.cost.bconv_ticks,
+                timing.cost.elementwise_charged_ticks,
+                timing.hbm_ticks,
             ];
-            if let Some(&seconds) = charged.iter().find(|t| !(t.is_finite() && **t >= 0.0)) {
+            if let Some(&past) = charged.iter().find(|&&t| t > MAX_TICKS) {
+                let seconds = ticks::seconds(past);
                 return Err(ScheduleError::InvalidTiming { op: index, seconds });
             }
             planner.push(&op, timing);
@@ -556,12 +555,12 @@ impl JobPlan {
 
     /// Sum of the op durations (the job's serial engine charge).
     pub fn serial_seconds(&self) -> f64 {
-        self.serial
+        ticks::seconds(self.serial)
     }
 
     /// The job's own critical path (data edges + its barriers), seconds.
     pub fn critical_path_seconds(&self) -> f64 {
-        self.critical_path
+        ticks::seconds(self.critical_path)
     }
 
     /// Op indices of one longest chain, earliest first.
@@ -586,7 +585,7 @@ impl JobPlan {
                     index,
                     op: shape.op,
                     level: shape.level,
-                    seconds: shape.demand.duration,
+                    seconds: ticks::seconds(shape.demand.duration),
                 }
             })
             .collect();
@@ -598,11 +597,11 @@ impl JobPlan {
     /// When op `i` of a job released at `release` may start as far as the
     /// job allows, on its cursor's `clock`: called once per op, in program
     /// order, after every earlier op was placed.
-    fn ready(&self, i: usize, clock: &mut Clock<f64>, release: f64) -> f64 {
+    fn ready(&self, i: usize, clock: &mut Clock<u64>, release: u64) -> u64 {
         let start = i.checked_sub(1).map_or(0, |p| self.ops[p].operands_end);
         let operands = &self.operands[start as usize..self.ops[i].operands_end as usize];
         let in_bootstrap = self.shape(i).in_bootstrap;
-        release.later(clock.ready(in_bootstrap, operands.iter().copied()))
+        release.max(clock.ready(in_bootstrap, operands.iter().copied()))
     }
 }
 
@@ -709,8 +708,8 @@ impl<'t> Planner<'t> {
                 // Most ops read one or two ciphertexts.
                 operands: Vec::with_capacity(2 * ops),
                 cells: trace.cells(),
-                serial: 0.0,
-                critical_path: 0.0,
+                serial: 0,
+                critical_path: 0,
                 critical_ops: Vec::new(),
             },
             trace,
@@ -737,7 +736,7 @@ impl<'t> Planner<'t> {
         let cells = plan.operands[first..].iter().copied();
         let ready = self.clock.ready(op.in_bootstrap, cells);
         let at = Link {
-            seconds: ready.seconds + shape.demand.duration,
+            ticks: ready.ticks.saturating_add(shape.demand.duration),
             op: op.index + 1,
         };
         let output = op.output.map(|slot| trace.cell(slot));
@@ -754,15 +753,13 @@ impl<'t> Planner<'t> {
     fn finish(self) -> JobPlan {
         let mut plan = self.plan;
         plan.shapes = self.shapes.into_table();
-        // Program order, as the durations came: the same sum, bit for bit,
-        // as one over a demand per op.
         let durations = plan
             .ops
             .iter()
             .map(|op| plan.shapes[op.shape as usize].demand.duration);
-        plan.serial = durations.sum();
-        let Link { seconds, op: last } = self.clock.latest();
-        plan.critical_path = seconds;
+        plan.serial = durations.fold(0, u64::saturating_add);
+        let Link { ticks, op: last } = self.clock.latest();
+        plan.critical_path = ticks;
         // Walked twice, so the chain is allocated once, at its length.
         let best_pred = &self.best_pred;
         let chain = |mut op: u32| {
@@ -779,25 +776,26 @@ impl<'t> Planner<'t> {
     }
 }
 
-/// The mutable cursor of one admitted job over its shared [`JobPlan`].
+/// The mutable cursor of one admitted job over its shared [`JobPlan`];
+/// its times are ticks.
 #[derive(Debug, Clone)]
 struct JobState {
     tag: u32,
-    release: f64,
+    release: u64,
     plan: Arc<JobPlan>,
     /// Next unplaced op (program-order cursor).
     next: usize,
     /// Per cell, the finish of the placed op writing it; handed back to the
     /// scheduler's pool once the job can place no further op (its last op
     /// is placed, or it is cancelled).
-    clock: Clock<f64>,
-    max_end: f64,
-    first_start: Option<f64>,
+    clock: Clock<u64>,
+    max_end: u64,
+    first_start: Option<u64>,
     cancelled: bool,
 }
 
-/// A job's next op, as the greedy rule reads it. The rows of all active
-/// jobs sit side by side, so choosing a placement touches no plan.
+/// A job's next op, as the greedy rule reads it, in ticks. The rows of all
+/// active jobs sit side by side, so choosing a placement touches no plan.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Next {
     /// Index into `MultiScheduler::jobs`.
@@ -806,24 +804,27 @@ pub(crate) struct Next {
     /// release, barrier and producers. It changes only when the job itself
     /// advances, so it is kept here instead of being recomputed for every
     /// placement of any job.
-    ready: f64,
+    ready: u64,
     /// The op's latency window.
-    duration: f64,
-    /// Per unit class, the op's busy seconds, or −∞ for a unit it leaves
-    /// idle: the op's start bound on a unit that frees at `h` is then
-    /// `h + lead − duration` on every unit, −∞ where it bounds nothing.
-    lead: [f64; FuKind::COUNT],
+    duration: u64,
+    /// Per unit class, how long the window outlasts the op's busy time on
+    /// it (`duration − busy`), or `u64::MAX` for a unit it leaves idle: the
+    /// op's start bound on a unit that frees at `h` is then
+    /// `h − slack`, saturating at 0, on every unit — 0, which bounds
+    /// nothing, where it is idle.
+    slack: [u64; FuKind::COUNT],
 }
 
 impl Next {
-    pub(crate) fn new(job: usize, ready: f64, demand: &OpDemand) -> Self {
+    pub(crate) fn new(job: usize, ready: u64, demand: &OpDemand) -> Self {
+        let duration = demand.duration;
         Self {
             job,
             ready,
-            duration: demand.duration,
-            lead: demand
+            duration,
+            slack: demand
                 .busy
-                .map(|busy| if busy > 0.0 { busy } else { f64::NEG_INFINITY }),
+                .map(|busy| if busy > 0 { duration - busy } else { u64::MAX }),
         }
     }
 }
@@ -844,63 +845,65 @@ pub(crate) struct Owner {
 /// op as the engine's sweep charges it (`report.rs`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Channels<K> {
-    /// Per unit class, when its one channel frees.
-    horizons: [f64; FuKind::COUNT],
+    /// Per unit class, when its one channel frees, in ticks.
+    pub(crate) horizons: [u64; FuKind::COUNT],
     pub(crate) keep: K,
 }
 
 impl<K: Keep> Channels<K> {
     /// The earliest start of `next` that its job and every unit allow.
     #[inline]
-    pub(crate) fn earliest_start(&self, next: &Next) -> f64 {
+    pub(crate) fn earliest_start(&self, next: &Next) -> u64 {
         let mut start = next.ready;
-        for (&h, &lead) in self.horizons.iter().zip(&next.lead) {
-            // A reservation of `busy` seconds on a unit that frees at `h`
-            // must end inside the window: start ≥ h + busy − d.
-            start = start.later(h + lead - next.duration);
+        for (&h, &slack) in self.horizons.iter().zip(&next.slack) {
+            // A reservation of `busy` ticks on a unit that frees at `h`
+            // must end inside the window: start ≥ h + busy − d = h − slack.
+            start = start.max(h.saturating_sub(slack));
         }
         start
     }
 
-    /// Reserves each unit class for `next`, placed at `start`, whose busy
-    /// seconds are `busy`; tells `keep` of every class and, with an `owner`,
+    /// Reserves each unit class for the op placed at `start` whose busy
+    /// ticks are `busy`; tells `keep` of every class and, with an `owner`,
     /// emits each reservation as an event on its unit's track.
     #[inline]
     pub(crate) fn reserve(
         &mut self,
-        start: f64,
-        next: &Next,
-        busy: &[f64; FuKind::COUNT],
+        start: u64,
+        busy: &[u64; FuKind::COUNT],
         owner: Option<Owner>,
     ) {
         for (k, kind) in FuKind::ALL.into_iter().enumerate() {
             let h = self.horizons[k];
-            let res_start = start.later(h);
-            let res_end = res_start + busy[k];
+            let res_start = start.max(h);
+            let res_end = res_start.saturating_add(busy[k]);
             // The reservation ends at or after `h`; a unit the op leaves
-            // idle (lead −∞) keeps its horizon.
-            self.horizons[k] = h.later(res_start + next.lead[k]);
+            // idle keeps its horizon.
+            self.horizons[k] = if busy[k] > 0 { res_end } else { h };
             self.keep.reserve(k, busy[k], res_start, res_end);
-            if let Some(owner) = owner.filter(|_| busy[k] > 0.0) {
+            if let Some(owner) = owner.filter(|_| busy[k] > 0) {
                 use bts_telemetry::ArgValue;
-                // The start/end args carry the exact reservation floats so
-                // utilization derived from the event stream sums the same
-                // values in the same order as `unit_utilization`.
+                // The tick args are the exact reservation, so utilization
+                // derived from the event stream sums what the scheduler's
+                // fold sums.
+                let (start_s, end_s) = (ticks::seconds(res_start), ticks::seconds(res_end));
                 bts_telemetry::emit_complete(
                     &format!("{}.0", kind.label()),
                     &format!(
                         "J{}#{} {:?}@L{}",
                         owner.job, owner.index, owner.op, owner.level
                     ),
-                    res_start,
-                    res_end - res_start,
+                    start_s,
+                    end_s - start_s,
                     &[
                         ("job", ArgValue::U64(u64::from(owner.job))),
                         ("op_index", ArgValue::U64(owner.index as u64)),
                         ("level", ArgValue::U64(owner.level as u64)),
                         ("channel", ArgValue::U64(0)),
-                        ("start_s", ArgValue::F64(res_start)),
-                        ("end_s", ArgValue::F64(res_end)),
+                        ("start_s", ArgValue::F64(start_s)),
+                        ("end_s", ArgValue::F64(end_s)),
+                        ("start_ticks", ArgValue::U64(res_start)),
+                        ("end_ticks", ArgValue::U64(res_end)),
                     ],
                 );
             }
@@ -908,17 +911,32 @@ impl<K: Keep> Channels<K> {
     }
 }
 
-/// The `job-complete` instant of a job whose last op was just placed.
-pub(crate) fn emit_job_complete(tag: u32, finish_seconds: f64, critical_path: f64, serial: f64) {
+/// A unit's busy fraction: `busy` ticks over a makespan of
+/// `makespan_seconds`, 0 over none. Every utilization the crate reports is
+/// this quotient.
+pub(crate) fn share(busy: u64, makespan_seconds: f64) -> f64 {
+    if makespan_seconds > 0.0 {
+        ticks::seconds(busy) / makespan_seconds
+    } else {
+        0.0
+    }
+}
+
+/// The `job-complete` instant of a job whose last op was just placed; times
+/// in ticks.
+pub(crate) fn emit_job_complete(tag: u32, finish: u64, critical_path: u64, serial: u64) {
     use bts_telemetry::ArgValue;
     bts_telemetry::emit_instant(
         "sched",
         "job-complete",
-        finish_seconds,
+        ticks::seconds(finish),
         &[
             ("job", ArgValue::U64(u64::from(tag))),
-            ("critical_path_s", ArgValue::F64(critical_path)),
-            ("serial_s", ArgValue::F64(serial)),
+            (
+                "critical_path_s",
+                ArgValue::F64(ticks::seconds(critical_path)),
+            ),
+            ("serial_s", ArgValue::F64(ticks::seconds(serial))),
         ],
     );
 }
@@ -926,7 +944,7 @@ pub(crate) fn emit_job_complete(tag: u32, finish_seconds: f64, critical_path: f6
 /// The next placement the greedy rule picks.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
-    start: f64,
+    start: u64,
     /// Position in `MultiScheduler::active`.
     pos: usize,
 }
@@ -934,15 +952,15 @@ struct Candidate {
 /// What a [`MultiScheduler`] keeps of the ops it places. It is the
 /// scheduler's type parameter, so the choice costs nothing per placement:
 /// [`Timeline`] keeps every op and reservation, [`UtilizationFold`] only
-/// per-unit busy seconds.
+/// per-unit busy ticks.
 pub trait Keep: Default {
     /// An op was placed; `op` builds its record.
     fn op(&mut self, op: impl FnOnce() -> ScheduledOp);
 
-    /// Unit class `k`'s share of the op placed last: the reservation
-    /// `[start, end]` if the op keeps the class busy (`busy > 0`), nothing
-    /// otherwise.
-    fn reserve(&mut self, k: usize, busy: f64, start: f64, end: f64);
+    /// Unit class `k`'s share of the op placed last, in ticks
+    /// ([`bts_sim::ticks`]): the reservation `[start, end]` if the op keeps
+    /// the class busy (`busy > 0`), nothing otherwise.
+    fn reserve(&mut self, k: usize, busy: u64, start: u64, end: u64);
 }
 
 /// The whole timeline of a run: every placed op and, per unit class, every
@@ -952,6 +970,8 @@ pub trait Keep: Default {
 pub struct Timeline {
     ops: Vec<ScheduledOp>,
     busy: [Vec<BusyInterval>; FuKind::COUNT],
+    /// Per unit class, the ticks reserved.
+    reserved: [u64; FuKind::COUNT],
 }
 
 impl Keep for Timeline {
@@ -959,21 +979,22 @@ impl Keep for Timeline {
         self.ops.push(op());
     }
 
-    fn reserve(&mut self, k: usize, busy: f64, start: f64, end: f64) {
-        if busy > 0.0 {
+    fn reserve(&mut self, k: usize, busy: u64, start: u64, end: u64) {
+        if busy > 0 {
+            self.reserved[k] += end - start;
             self.busy[k].push(BusyInterval {
                 placement: self.ops.len() - 1,
-                start_seconds: start,
-                end_seconds: end,
+                start_seconds: ticks::seconds(start),
+                end_seconds: ticks::seconds(end),
             });
         }
     }
 }
 
-/// Per-unit busy seconds of a run whose timeline nobody keeps: each
-/// reservation is added to its unit's sum as it is placed — the same float
-/// additions, in the same placement order, as [`Schedule::unit_utilization`]
-/// over the kept timeline, so the result is bit-identical to it.
+/// Per-unit busy ticks of a run whose timeline nobody keeps: each
+/// reservation is added to its unit's sum as it is placed — the integer sum
+/// [`Schedule::unit_utilization`] takes over the kept timeline, so the
+/// result is identical to it.
 ///
 /// The sums may have to be *clipped*: a machine that dies throws away the
 /// work past its last real completion, and that surviving makespan is known
@@ -982,23 +1003,22 @@ impl Keep for Timeline {
 /// reaches ([`MultiScheduler::settle`]), so clipping cannot touch it. The
 /// first one that does not, and every later one of its unit, is held back
 /// until the bound passes it, or until [`MultiScheduler::into_summary`] sums
-/// it clipped. The bound starts at 0; a run that cannot die raises it to
-/// `+∞` before it places anything and holds nothing back.
+/// it clipped. The bound starts at 0; a run that cannot die raises it past
+/// every time before it places anything and holds nothing back.
 #[derive(Debug, Clone)]
 pub struct UtilizationFold {
-    /// `Iterator::sum` over `f64` starts from −0.0, and so do these.
-    reserved: [f64; FuKind::COUNT],
+    reserved: [u64; FuKind::COUNT],
     /// Held-back `(start, end)` reservations, placement order.
-    held: [VecDeque<(f64, f64)>; FuKind::COUNT],
-    settled: f64,
+    held: [VecDeque<(u64, u64)>; FuKind::COUNT],
+    settled: u64,
 }
 
 impl Default for UtilizationFold {
     fn default() -> Self {
         Self {
-            reserved: [-0.0; FuKind::COUNT],
+            reserved: [0; FuKind::COUNT],
             held: std::array::from_fn(|_| VecDeque::new()),
-            settled: 0.0,
+            settled: 0,
         }
     }
 }
@@ -1006,26 +1026,25 @@ impl Default for UtilizationFold {
 impl Keep for UtilizationFold {
     fn op(&mut self, _: impl FnOnce() -> ScheduledOp) {}
 
-    fn reserve(&mut self, k: usize, busy: f64, start: f64, end: f64) {
+    fn reserve(&mut self, k: usize, busy: u64, start: u64, end: u64) {
         if self.held[k].is_empty() && end <= self.settled {
-            // −0.0 is the exact additive identity: a class the op leaves
-            // idle adds nothing, not even a sign, and needs no jump.
-            self.reserved[k] += if busy > 0.0 { end - start } else { -0.0 };
-        } else if busy > 0.0 {
+            // A class the op leaves idle adds `end − start` = 0.
+            self.reserved[k] += end - start;
+        } else if busy > 0 {
             self.held[k].push_back((start, end));
         }
     }
 }
 
 impl UtilizationFold {
-    /// Raises the settled bound to `seconds` and sums, per unit, the held
+    /// Raises the settled bound to `ticks` and sums, per unit, the held
     /// reservations it now covers, up to the first it does not.
-    pub(crate) fn settle(&mut self, seconds: f64) {
-        debug_assert!(seconds >= self.settled);
-        self.settled = seconds;
+    pub(crate) fn settle(&mut self, ticks: u64) {
+        debug_assert!(ticks >= self.settled);
+        self.settled = ticks;
         for (reserved, held) in self.reserved.iter_mut().zip(&mut self.held) {
             while let Some(&(start, end)) = held.front() {
-                if end > seconds {
+                if end > ticks {
                     break;
                 }
                 *reserved += end - start;
@@ -1034,17 +1053,28 @@ impl UtilizationFold {
         }
     }
 
-    /// Busy fractions over `makespan`, the held reservations summed clipped
-    /// to `clip`.
-    pub(crate) fn utilizations(&self, makespan: f64, clip: f64) -> [f64; FuKind::COUNT] {
-        debug_assert!(self.settled <= clip);
-        if makespan <= 0.0 {
-            return [0.0; FuKind::COUNT];
+    /// Adds `busy` ticks per unit, summed at once: reservations a settled
+    /// bound past every time ([`u64::MAX`]) already covers.
+    pub(crate) fn add(&mut self, busy: &[u64; FuKind::COUNT]) {
+        debug_assert_eq!(self.settled, u64::MAX);
+        for (reserved, busy) in self.reserved.iter_mut().zip(busy) {
+            *reserved += busy;
         }
+    }
+
+    /// The ticks summed so far per unit.
+    pub(crate) fn reserved(&self) -> [u64; FuKind::COUNT] {
+        self.reserved
+    }
+
+    /// Busy fractions over `makespan_seconds`, the held reservations summed
+    /// clipped to `clip` ticks.
+    pub(crate) fn utilizations(&self, makespan_seconds: f64, clip: u64) -> [f64; FuKind::COUNT] {
+        debug_assert!(self.settled <= clip);
         std::array::from_fn(|k| {
             let held = self.held[k].iter();
             let clipped = held.map(|&(start, end)| end.min(clip) - start.min(clip));
-            clipped.fold(self.reserved[k], |sum, seconds| sum + seconds) / makespan
+            share(clipped.sum::<u64>() + self.reserved[k], makespan_seconds)
         })
     }
 }
@@ -1069,13 +1099,19 @@ pub struct MultiScheduler<K = Timeline> {
     index: HashMap<u32, usize>,
     /// The next op of every job with unplaced ops, in admission order.
     active: Vec<Next>,
-    /// Completions of empty jobs, reported on the next
-    /// [`MultiScheduler::run_until_completion`] call.
-    pending: VecDeque<JobCompletion>,
+    /// Completions not yet reported, as (tag, finish in ticks).
+    pending: VecDeque<(u32, u64)>,
     /// Clocks of jobs that can place no further op, each reset for the next
     /// admission instead of a new one allocated.
-    clocks: Vec<Clock<f64>>,
-    makespan: f64,
+    clocks: Vec<Clock<u64>>,
+    /// In ticks.
+    makespan: u64,
+}
+
+/// `seconds` as a bound in ticks: the nearest tick, or past every tick for
+/// a time beyond the range (`+∞` among them).
+fn bound(seconds: f64) -> u64 {
+    ticks::from_seconds(seconds).unwrap_or(if seconds > 0.0 { u64::MAX } else { 0 })
 }
 
 impl MultiScheduler {
@@ -1094,11 +1130,11 @@ impl MultiScheduler {
             .iter()
             .map(|j| JobStats {
                 tag: j.tag,
-                release_seconds: j.release,
-                first_start_seconds: j.first_start.unwrap_or(j.release),
-                finish_seconds: j.max_end,
-                serial_seconds: j.plan.serial,
-                critical_path_seconds: j.plan.critical_path,
+                release_seconds: ticks::seconds(j.release),
+                first_start_seconds: ticks::seconds(j.first_start.unwrap_or(j.release)),
+                finish_seconds: ticks::seconds(j.max_end),
+                serial_seconds: j.plan.serial_seconds(),
+                critical_path_seconds: j.plan.critical_path_seconds(),
                 ops: j.plan.len(),
                 placed_ops: j.next,
                 cancelled: j.cancelled,
@@ -1109,8 +1145,9 @@ impl MultiScheduler {
             critical_path_seconds: self.critical_path_seconds(),
             ops: self.channels.keep.ops,
             busy: self.channels.keep.busy,
+            reserved: self.channels.keep.reserved,
             index: self.index,
-            makespan_seconds: self.makespan,
+            makespan_seconds: ticks::seconds(self.makespan),
             jobs,
             machine: self.machine,
         }
@@ -1128,9 +1165,10 @@ impl MultiScheduler<UtilizationFold> {
     /// Raises the settled bound to `seconds`: a time the run's final
     /// makespan is known to reach — `+∞` for a machine that cannot die, its
     /// latest real completion for one that may. Reservations ending by it
-    /// are summed as they are placed; later ones wait. Never lower it.
+    /// (in ticks, the nearest) are summed as they are placed; later ones
+    /// wait. Never lower it.
     pub fn settle(&mut self, seconds: f64) {
-        self.channels.keep.settle(seconds);
+        self.channels.keep.settle(bound(seconds));
     }
 
     /// Places every remaining op and returns the run's figures. For a
@@ -1140,8 +1178,8 @@ impl MultiScheduler<UtilizationFold> {
     /// clipped to it.
     pub fn into_summary(mut self, surviving_makespan_seconds: Option<f64>) -> ScheduleSummary {
         self.run_to_end();
-        let makespan = surviving_makespan_seconds.unwrap_or(self.makespan);
-        let clip = surviving_makespan_seconds.unwrap_or(f64::INFINITY);
+        let makespan = surviving_makespan_seconds.unwrap_or(ticks::seconds(self.makespan));
+        let clip = surviving_makespan_seconds.map_or(u64::MAX, bound);
         ScheduleSummary {
             makespan_seconds: makespan,
             serial_seconds: self.serial_seconds(),
@@ -1161,7 +1199,7 @@ impl<K: Keep> MultiScheduler<K> {
             active: Vec::new(),
             pending: VecDeque::new(),
             clocks: Vec::new(),
-            makespan: 0.0,
+            makespan: 0,
         }
     }
 
@@ -1191,18 +1229,19 @@ impl<K: Keep> MultiScheduler<K> {
     ///
     /// # Errors
     ///
-    /// [`ScheduleError::InvalidRelease`] if `release_seconds` is negative or
-    /// non-finite, [`ScheduleError::DuplicateTag`] if `tag` was already
-    /// admitted; a refused job leaves the scheduler as it was.
+    /// [`ScheduleError::InvalidRelease`] if `release_seconds` is negative,
+    /// not finite or past [`bts_sim::ticks::MAX_TICKS`],
+    /// [`ScheduleError::DuplicateTag`] if `tag` was already admitted; a
+    /// refused job leaves the scheduler as it was.
     pub fn add_planned(
         &mut self,
         tag: u32,
         plan: Arc<JobPlan>,
         release_seconds: f64,
     ) -> Result<(), ScheduleError> {
-        if !(release_seconds.is_finite() && release_seconds >= 0.0) {
+        let Some(release) = ticks::from_seconds(release_seconds) else {
             return Err(ScheduleError::InvalidRelease(release_seconds));
-        }
+        };
         let j = self.jobs.len();
         match self.index.entry(tag) {
             Entry::Occupied(_) => return Err(ScheduleError::DuplicateTag(tag)),
@@ -1215,22 +1254,19 @@ impl<K: Keep> MultiScheduler<K> {
         }
         let mut job = JobState {
             tag,
-            release: release_seconds,
+            release,
             clock,
             plan,
             next: 0,
-            max_end: release_seconds,
+            max_end: release,
             first_start: None,
             cancelled: false,
         };
         if job.plan.is_empty() {
-            self.pending.push_back(JobCompletion {
-                tag,
-                finish_seconds: release_seconds,
-            });
-            self.makespan = self.makespan.max(release_seconds);
+            self.pending.push_back((tag, release));
+            self.makespan = self.makespan.max(release);
         } else {
-            let ready = job.plan.ready(0, &mut job.clock, release_seconds);
+            let ready = job.plan.ready(0, &mut job.clock, release);
             self.active
                 .push(Next::new(j, ready, &job.plan.shape(0).demand));
         }
@@ -1265,7 +1301,7 @@ impl<K: Keep> MultiScheduler<K> {
             self.clocks.push(std::mem::take(&mut self.jobs[j].clock));
             return true;
         }
-        if let Some(pos) = self.pending.iter().position(|c| c.tag == tag) {
+        if let Some(pos) = self.pending.iter().position(|&(t, _)| t == tag) {
             self.pending.remove(pos);
             self.jobs[j].cancelled = true;
             return true;
@@ -1283,22 +1319,19 @@ impl<K: Keep> MultiScheduler<K> {
     pub fn run_until_completion(&mut self) -> Option<JobCompletion> {
         let telemetry_on = bts_telemetry::enabled();
         loop {
-            let min_finish = self
-                .pending
-                .iter()
-                .map(|c| c.finish_seconds)
-                .fold(f64::INFINITY, f64::min);
+            // The earliest pending finish, the first of equals.
+            let first = (0..self.pending.len()).min_by_key(|&pos| self.pending[pos].1);
             // The candidate has the smallest start of any active job, so it
-            // alone decides whether anyone could still beat `min_finish`.
+            // alone decides whether anyone could still beat that finish.
             let best = self.best_candidate();
-            if min_finish.is_finite() {
-                if !best.is_some_and(|b| b.start < min_finish) {
-                    let pos = self
-                        .pending
-                        .iter()
-                        .position(|c| c.finish_seconds == min_finish)
-                        .expect("min over non-empty pending");
-                    return self.pending.remove(pos);
+            if let Some(pos) = first {
+                if best.is_none_or(|b| b.start >= self.pending[pos].1) {
+                    let (tag, finish) = self.pending.remove(pos)?;
+                    let finish_seconds = ticks::seconds(finish);
+                    return Some(JobCompletion {
+                        tag,
+                        finish_seconds,
+                    });
                 }
             } else if best.is_none() {
                 return None;
@@ -1319,10 +1352,10 @@ impl<K: Keep> MultiScheduler<K> {
         self.pending.clear();
     }
 
-    /// Sum of every admitted job's serial charge (not `sum()`: a float sum
-    /// of nothing is −0.0).
+    /// Sum of every admitted job's serial charge.
     fn serial_seconds(&self) -> f64 {
-        self.jobs.iter().fold(0.0, |sum, j| sum + j.plan.serial)
+        let serial = self.jobs.iter().map(|j| j.plan.serial);
+        ticks::seconds(serial.fold(0, u64::saturating_add))
     }
 
     /// `max_j (release_j + critical_path_j)` over the jobs not cancelled: a
@@ -1330,9 +1363,8 @@ impl<K: Keep> MultiScheduler<K> {
     /// lower-bound the makespan.
     fn critical_path_seconds(&self) -> f64 {
         let completed = self.jobs.iter().filter(|j| !j.cancelled);
-        completed
-            .map(|j| j.release + j.plan.critical_path)
-            .fold(0.0, f64::max)
+        let bounds = completed.map(|j| j.release.saturating_add(j.plan.critical_path));
+        ticks::seconds(bounds.max().unwrap_or(0))
     }
 
     /// The active op with the earliest feasible start (dependencies, per-job
@@ -1343,7 +1375,7 @@ impl<K: Keep> MultiScheduler<K> {
             return None;
         }
         let mut best = Candidate {
-            start: f64::INFINITY,
+            start: u64::MAX,
             pos: 0,
         };
         for (pos, next) in self.active.iter().enumerate() {
@@ -1362,12 +1394,11 @@ impl<K: Keep> MultiScheduler<K> {
     /// [`bts_telemetry::enabled`] for all it places), their events.
     fn place(&mut self, Candidate { start, pos }: Candidate, telemetry_on: bool) {
         let next = &mut self.active[pos];
-        let placed = *next;
         let job = &mut self.jobs[next.job];
         let plan = &*job.plan;
         let i = job.next;
         let shape = *plan.shape(i);
-        let end = start + next.duration;
+        let end = start.saturating_add(next.duration);
         job.clock.finish(plan.ops[i].output(), end);
         job.max_end = job.max_end.max(end);
         if job.first_start.is_none() {
@@ -1381,38 +1412,29 @@ impl<K: Keep> MultiScheduler<K> {
             let ready = plan.ready(i + 1, &mut job.clock, job.release);
             *next = Next::new(next.job, ready, &plan.shape(i + 1).demand);
         }
-        let completion = JobCompletion {
-            tag: job.tag,
-            finish_seconds: job.max_end,
-        };
+        let (tag, finish) = (job.tag, job.max_end);
         self.channels.keep.op(|| ScheduledOp {
-            job: completion.tag,
+            job: tag,
             index: i,
             op: shape.op,
             level: shape.level,
             in_bootstrap: shape.in_bootstrap,
-            start_seconds: start,
-            end_seconds: end,
+            start_seconds: ticks::seconds(start),
+            end_seconds: ticks::seconds(end),
         });
         let owner = telemetry_on.then_some(Owner {
-            job: completion.tag,
+            job: tag,
             index: i,
             op: shape.op,
             level: shape.level,
         });
-        self.channels
-            .reserve(start, &placed, &shape.demand.busy, owner);
+        self.channels.reserve(start, &shape.demand.busy, owner);
         self.makespan = self.makespan.max(end);
         if completed {
             self.active.remove(pos);
-            self.pending.push_back(completion);
+            self.pending.push_back((tag, finish));
             if telemetry_on {
-                emit_job_complete(
-                    completion.tag,
-                    completion.finish_seconds,
-                    plan.critical_path,
-                    plan.serial,
-                );
+                emit_job_complete(tag, finish, plan.critical_path, plan.serial);
             }
         }
     }
@@ -1464,12 +1486,12 @@ mod tests {
         (MachineModel::from_config(sim.config()), timings)
     }
 
-    /// The plan of `trace` when op `i` takes `durations[i]` seconds.
-    fn plan_with(trace: &OpTrace, durations: &[f64]) -> JobPlan {
+    /// The plan of `trace` when op `i` takes `durations[i]` ticks.
+    fn plan_with(trace: &OpTrace, durations: &[u64]) -> JobPlan {
         let timings: Vec<OpTiming> = durations
             .iter()
-            .map(|&seconds| OpTiming {
-                seconds,
+            .map(|&ticks| OpTiming {
+                ticks,
                 ..OpTiming::default()
             })
             .collect();
@@ -1485,8 +1507,8 @@ mod tests {
         let r = b.hrot(x, 2, 27); // op 1 — independent of op 0
         let j = b.hadd(l, r, 27); // op 2 — joins both
         b.hrescale_at(j, 27); // op 3 — chain
-        let plan = plan_with(&b.build(), &[1.0, 5.0, 2.0, 3.0]);
-        assert!((plan.critical_path_seconds() - 10.0).abs() < 1e-12);
+        let plan = plan_with(&b.build(), &[1, 5, 2, 3]);
+        assert_eq!(plan.critical_path_seconds(), ticks::seconds(10));
         assert_eq!(plan.critical_path_ops(), &[1, 2, 3]);
     }
 
@@ -1502,8 +1524,8 @@ mod tests {
         b.set_bootstrap_region(false);
         b.hmult_at(y, y, 27); // op 2, segment 2
                               // The barriers serialize the chain: 1 + 1 + 1, not max-width 1.
-        let plan = plan_with(&b.build(), &[1.0; 3]);
-        assert!((plan.critical_path_seconds() - 3.0).abs() < 1e-12);
+        let plan = plan_with(&b.build(), &[1; 3]);
+        assert_eq!(plan.critical_path_seconds(), ticks::seconds(3));
         assert_eq!(plan.critical_path_ops(), &[0, 1, 2]);
     }
 
@@ -1512,7 +1534,7 @@ mod tests {
     fn random_timings(
         trace: &OpTrace,
         seed: u64,
-        draw: impl Fn(&mut dyn FnMut() -> u64) -> [f64; 5],
+        draw: impl Fn(&mut dyn FnMut() -> u64) -> [u64; 5],
     ) -> Vec<OpTiming> {
         let mut state = seed;
         let mut next = move || {
@@ -1524,22 +1546,22 @@ mod tests {
         };
         (0..trace.len())
             .map(|_| {
-                let [seconds, hbm, ntt, bconv, elementwise] = draw(&mut next);
+                let [ticks, hbm_ticks, ntt, bconv, elementwise] = draw(&mut next);
                 let mut t = OpTiming {
-                    seconds,
-                    hbm_seconds: hbm,
+                    ticks,
+                    hbm_ticks,
                     ..OpTiming::default()
                 };
-                t.cost.ntt_seconds = ntt;
-                t.cost.bconv_seconds = bconv;
-                t.cost.elementwise_charged_seconds = elementwise;
+                t.cost.ntt_ticks = ntt;
+                t.cost.bconv_ticks = bconv;
+                t.cost.elementwise_charged_ticks = elementwise;
                 t
             })
             .collect()
     }
 
     /// Interning is lossless: on random timings — each op's drawn from four
-    /// with 0.0 and −0.0 among their charges (shapes repeat), all distinct,
+    /// with zero charges among them (shapes repeat), all distinct,
     /// or for a one-op plan — every op's kind, level, bootstrap flag and
     /// demand read back through the plan bit-equal `MachineModel::demand`
     /// of its own timing, its cells are the trace's, and the serial and
@@ -1571,18 +1593,15 @@ mod tests {
         // Three `u32`s per op.
         assert_eq!(std::mem::size_of::<PlannedOp>(), 12);
         let pool = [
-            [1e-6, 0.0, -0.0, 0.0, 5e-7],
-            [-0.0, -0.0, 0.0, 0.0, 0.0],
-            // The one above but for the sign of its duration: `==` would
-            // intern the two as one.
-            [0.0, -0.0, 0.0, 0.0, 0.0],
-            [2.5e-6, 2.5e-6, 1e-6, 3e-6, -0.0],
+            [6_000_000, 0, 0, 0, 3_000_000],
+            [0, 0, 0, 0, 0],
+            // The one above but for one tick of its duration.
+            [1, 0, 0, 0, 0],
+            [15_000_000, 15_000_000, 6_000_000, 18_000_000, 0],
         ];
         let repeated = |next: &mut dyn FnMut() -> u64| pool[(next() % 4) as usize];
-        // 52 random bits of mantissa: no two draws of a run coincide.
-        let distinct = |next: &mut dyn FnMut() -> u64| {
-            [(); 5].map(|()| f64::from_bits(next() >> 12 | 0x3ff << 52))
-        };
+        // 40 random bits: no two draws of a run coincide.
+        let distinct = |next: &mut dyn FnMut() -> u64| [(); 5].map(|()| next() >> 24);
         let machine = MachineModel;
         for (trace, seed) in [(&long, 1), (&long, 2), (&one, 3)] {
             for all_distinct in [false, true] {
@@ -1613,16 +1632,15 @@ mod tests {
                     assert_eq!(plan.ops[i].output(), output);
                     let ready = clock.ready(op.in_bootstrap, cells.into_iter());
                     let at = Link {
-                        seconds: ready.seconds + demand.duration,
+                        ticks: ready.ticks + demand.duration,
                         op: op.index + 1,
                     };
                     clock.finish(output, at);
                     serial.push(demand.duration);
                 }
-                let serial: f64 = serial.into_iter().sum();
-                assert_eq!(plan.serial_seconds().to_bits(), serial.to_bits());
-                let critical = clock.latest().seconds;
-                assert_eq!(plan.critical_path_seconds().to_bits(), critical.to_bits());
+                let serial: u64 = serial.into_iter().sum();
+                assert_eq!(plan.serial, serial);
+                assert_eq!(plan.critical_path, clock.latest().ticks);
                 if all_distinct {
                     assert_eq!(plan.shapes.len(), trace.len());
                     assert_eq!(trace.len() > SHAPE_ROOM, trace == &long);
@@ -1877,8 +1895,11 @@ mod tests {
         let tm_long = sim.op_timings(&long).unwrap();
         let tm_short = sim.op_timings(&short).unwrap();
         let mut scheduler = MultiScheduler::new(MachineModel::from_config(sim.config()));
+        // The short job is released when the long one's second op ends, and
+        // admitted first, so it wins that tie and starts there.
+        let release = ticks::seconds(tm_long[0].ticks + tm_long[1].ticks);
+        scheduler.add_job(1, &short, &tm_short, release).unwrap();
         scheduler.add_job(0, &long, &tm_long, 0.0).unwrap();
-        scheduler.add_job(1, &short, &tm_short, 0.0).unwrap();
         // Drive until the short job completes; the long one is mid-flight.
         let first = scheduler.run_until_completion().unwrap();
         assert_eq!(first.tag, 1);
@@ -1891,6 +1912,7 @@ mod tests {
         multi.check_invariants().unwrap();
         let j0 = multi.job(0).unwrap();
         assert!(j0.cancelled);
+        assert!(j0.placed_ops > 0, "the long job started before the cancel");
         assert!(j0.placed_ops < j0.ops, "cancel must stop further placement");
         // Whatever was placed stays on the books.
         let placed = multi.ops.iter().filter(|o| o.job == 0).count();
@@ -1968,7 +1990,7 @@ mod tests {
     #[test]
     fn folded_utilizations_match_the_retained_ones_bitwise_even_for_idle_units() {
         // CMult chains never touch the NTTU or the BConvU: those classes sum
-        // nothing, and a float sum of nothing is −0.0.
+        // no ticks.
         let ins = CkksInstance::ins1();
         let mut b = TraceBuilder::new(&ins);
         let z = b.fresh_ct(27);
@@ -2002,28 +2024,28 @@ mod tests {
             for (f, r) in folded.iter().zip(retained.utilizations()) {
                 assert_eq!(f.to_bits(), r.to_bits());
             }
-            assert_eq!(folded[FuKind::Nttu.index()].to_bits(), (-0.0f64).to_bits());
+            assert_eq!(folded[FuKind::Nttu.index()].to_bits(), 0.0f64.to_bits());
             assert!(folded[FuKind::Hbm.index()] > 0.0);
         }
     }
 
-    /// One op of a three-op trace charged `seconds` for its duration and,
+    /// One op of a three-op trace charged `ticks` for its duration and,
     /// separately, for one unit's busy time: both are refused.
-    fn refuses_timing(seconds: f64) {
+    fn refuses_timing(ticks: u64) {
         let ins = CkksInstance::ins1();
         let trace = keyswitch_heavy(&ins, 3);
         let (machine, timings) = machine_and_timings(&ins, BtsConfig::bts_default(), &trace);
-        let charges: [fn(&mut OpTiming, f64); 2] =
-            [|t, s| t.seconds = s, |t, s| t.cost.ntt_seconds = s];
+        let charges: [fn(&mut OpTiming, u64); 2] =
+            [|t, n| t.ticks = n, |t, n| t.cost.ntt_ticks = n];
         for charge in charges {
             let mut bad = timings.clone();
-            charge(&mut bad[1], seconds);
-            let Err(ScheduleError::InvalidTiming { op, seconds: got }) =
+            charge(&mut bad[1], ticks);
+            let Err(ScheduleError::InvalidTiming { op, seconds }) =
                 JobPlan::new(&machine, &trace, &bad)
             else {
-                panic!("{seconds} s was planned");
+                panic!("{ticks} ticks were planned");
             };
-            assert_eq!((op, got.to_bits()), (1, seconds.to_bits()));
+            assert_eq!((op, seconds), (1, super::ticks::seconds(ticks)));
             let mut s = MultiScheduler::new(machine);
             assert!(s.add_job(0, &trace, &bad, 0.0).is_err());
             assert_eq!(s.active_jobs(), 0);
@@ -2031,18 +2053,14 @@ mod tests {
     }
 
     #[test]
-    fn nan_timings_are_refused() {
-        refuses_timing(f64::NAN);
-    }
-
-    #[test]
-    fn negative_timings_are_refused() {
-        refuses_timing(-1e-3);
+    fn timings_past_the_tick_range_are_refused() {
+        refuses_timing(MAX_TICKS + 1);
     }
 
     #[test]
     fn infinite_timings_are_refused() {
-        refuses_timing(f64::INFINITY);
+        // What a saturating conversion makes of an infinite charge.
+        refuses_timing(u64::MAX);
     }
 
     #[test]
@@ -2071,7 +2089,10 @@ mod tests {
         let (machine, timings) = machine_and_timings(&ins, BtsConfig::bts_default(), &trace);
         let plan = Arc::new(JobPlan::new(&machine, &trace, &timings).unwrap());
         let mut s = MultiScheduler::new(machine);
-        for (tag, release) in [(1, -1e-9), (2, f64::NAN), (3, f64::INFINITY)] {
+        // The last two are finite but past the tick range.
+        let past = ticks::seconds(MAX_TICKS) * 1.001;
+        let releases = [-1e-9, f64::NAN, f64::INFINITY, past, 1e300];
+        for (tag, release) in (1..).zip(releases) {
             for refused in [
                 s.add_planned(tag, Arc::clone(&plan), release),
                 s.add_job(tag, &trace, &timings, release),

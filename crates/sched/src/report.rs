@@ -5,7 +5,7 @@
 //!
 //! With one job the list scheduler's greedy rule has one candidate — the
 //! job's next op in program order — so the run schedules *inside* the sweep
-//! that charges the trace: [`Simulator::run_indexed`] hands each op and its
+//! that charges the trace: [`Simulator::run_sunk`] hands each op and its
 //! timing to [`OneJob`], which places the op on the unit channels at once,
 //! folds its reservations into the utilizations and extends the critical
 //! path. No plan is built and no timing outlives its op: what the run keeps
@@ -15,8 +15,27 @@
 //! A caller that wants the timeline or the critical chain builds the job's
 //! plan ([`crate::JobPlan::from_trace`]) and admits it to a
 //! [`crate::MultiScheduler`].
+//!
+//! **Copies are placed once per cache record.** The sweep tells the run
+//! before each copy of the trace's repeated ops which of its cache records
+//! the copy is charged under ([`OpSink::copy`]): the same record, the same
+//! timings. A copy *bracketed* by region flips — its first op flips
+//! `in_bootstrap`, and so does the op after it, or it ends the trace — is
+//! entered at a full barrier, the latest finish `b` so far, which no unit
+//! horizon and no operand from before it passes (a reservation ends inside
+//! its op's window). So every start, finish, chain and horizon inside it is
+//! its first placement's, shifted by whole ticks, `b′ − b`, and what it
+//! leaves behind is under the barrier its exit flip raises. The run places
+//! the first bracketed copy of each record op by op and keeps its [`Shift`];
+//! every later one is that shift added at the barrier, its ops never handed
+//! over. Any other copy is placed op by op.
 
-use bts_sim::{OpTiming, OpTrace, SimReport, Simulator, TraceError, TracedOp};
+use std::ops::Range;
+
+use bts_sim::{
+    ticks, FuKind, OpSink, OpTiming, OpTrace, SimReport, Simulator, TraceError, TracedOp,
+    COPY_RECORDS,
+};
 
 use crate::clock::Clock;
 use crate::multi::{emit_job_complete, Channels, Next, Owner, ScheduleSummary, UtilizationFold};
@@ -63,7 +82,7 @@ pub trait ScheduleExt {
 impl ScheduleExt for Simulator {
     fn try_run_scheduled(&self, trace: &OpTrace) -> Result<ScheduledRun, TraceError> {
         let mut job = OneJob::new(MachineModel::from_config(self.config()), trace);
-        let mut report = self.run_indexed(trace, |op, timing| job.place(op, timing))?;
+        let mut report = self.run_sunk(trace, &mut job)?;
         let schedule = job.finish();
         report.scheduled_seconds = Some(schedule.makespan_seconds);
         report.critical_path_seconds = Some(schedule.critical_path_seconds);
@@ -71,10 +90,27 @@ impl ScheduleExt for Simulator {
     }
 }
 
+/// Where one job's schedule stands, in ticks: the latest finish and
+/// critical-path finish, the serial charge, the busy ticks summed per unit
+/// and each unit's horizon.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stand {
+    latest: [u64; 2],
+    serial: u64,
+    busy: [u64; FuKind::COUNT],
+    horizons: [u64; FuKind::COUNT],
+}
+
+/// What placing a bracketed copy did, past the barrier it was entered at
+/// (the [`Stand`] after it less the one before; a horizon the copy left
+/// where it was is [`u64::MAX`]).
+type Shift = Stand;
+
 /// One job released at 0, placed op by op in program order as the sweep
-/// charges it: the same placement, float for float, as the job's plan alone
-/// on a folding [`crate::MultiScheduler`], which would pick each of these ops
-/// as its only candidate.
+/// charges it — or a copy at a time, shifted ([`Shift`]): the same
+/// placement, tick for tick, as the job's plan alone on a folding
+/// [`crate::MultiScheduler`], which would pick each of these ops as its
+/// only candidate.
 struct OneJob<'t> {
     machine: MachineModel,
     channels: Channels<UtilizationFold>,
@@ -83,9 +119,14 @@ struct OneJob<'t> {
     /// Per cell, of the op producing it: its finish in the schedule and its
     /// earliest finish on the critical path. The latest of each is the
     /// makespan and the critical path so far.
-    clock: Clock<[f64; 2]>,
-    serial: f64,
+    clock: Clock<[u64; 2]>,
+    serial: u64,
     ops: usize,
+    /// Per cache record, the shift of its first bracketed copy.
+    shifts: [Option<Shift>; COPY_RECORDS],
+    /// The bracketed copy being placed op by op for its record's shift:
+    /// the record, the op after the copy, and where the job stood before it.
+    measuring: Option<(usize, usize, Stand)>,
     /// Read once per run, like the scheduler's one read per placement loop.
     telemetry_on: bool,
 }
@@ -94,15 +135,26 @@ impl<'t> OneJob<'t> {
     fn new(machine: MachineModel, trace: &'t OpTrace) -> Self {
         let mut channels = Channels::<UtilizationFold>::default();
         // One job run to its end: nothing it places is ever clipped.
-        channels.keep.settle(f64::INFINITY);
+        channels.keep.settle(u64::MAX);
         Self {
             machine,
             channels,
             trace,
             clock: Clock::new(trace.cells()),
-            serial: 0.0,
+            serial: 0,
             ops: trace.len(),
+            shifts: [None; COPY_RECORDS],
+            measuring: None,
             telemetry_on: bts_telemetry::enabled(),
+        }
+    }
+
+    fn stand(&self) -> Stand {
+        Stand {
+            latest: self.clock.latest(),
+            serial: self.serial,
+            busy: self.channels.keep.reserved(),
+            horizons: self.channels.horizons,
         }
     }
 
@@ -114,8 +166,8 @@ impl<'t> OneJob<'t> {
         let [ready, chain] = self.clock.ready(op.in_bootstrap, cells);
         let next = Next::new(0, ready, &demand);
         let start = self.channels.earliest_start(&next);
-        let end = start + demand.duration;
-        let earliest = chain + demand.duration;
+        let end = start.saturating_add(demand.duration);
+        let earliest = chain.saturating_add(demand.duration);
         let index = op.index as usize;
         let owner = self.telemetry_on.then_some(Owner {
             job: 0,
@@ -123,24 +175,79 @@ impl<'t> OneJob<'t> {
             op: op.op,
             level: op.level,
         });
-        self.channels.reserve(start, &next, &demand.busy, owner);
+        self.channels.reserve(start, &demand.busy, owner);
         let output = op.output.map(|slot| trace.cell(slot));
         self.clock.finish(output, [end, earliest]);
-        self.serial += demand.duration;
+        self.serial = self.serial.saturating_add(demand.duration);
         if self.telemetry_on && index + 1 == self.ops {
             let [makespan, critical_path] = self.clock.latest();
             emit_job_complete(0, makespan, critical_path, self.serial);
+        }
+        if let Some((record, after, before)) = self.measuring {
+            if index + 1 == after {
+                let now = self.stand();
+                let b = before.latest[0];
+                self.shifts[record] = Some(Shift {
+                    latest: [now.latest[0] - b, now.latest[1] - before.latest[1]],
+                    serial: now.serial - before.serial,
+                    busy: std::array::from_fn(|k| now.busy[k] - before.busy[k]),
+                    horizons: std::array::from_fn(|k| {
+                        let moved = now.horizons[k] != before.horizons[k];
+                        if moved {
+                            now.horizons[k] - b
+                        } else {
+                            u64::MAX
+                        }
+                    }),
+                });
+                self.measuring = None;
+            }
         }
     }
 
     fn finish(self) -> ScheduleSummary {
         let [makespan, critical_path] = self.clock.latest();
+        let makespan_seconds = ticks::seconds(makespan);
         ScheduleSummary {
-            makespan_seconds: makespan,
-            serial_seconds: self.serial,
-            critical_path_seconds: critical_path,
-            utilizations: self.channels.keep.utilizations(makespan, f64::INFINITY),
+            makespan_seconds,
+            serial_seconds: ticks::seconds(self.serial),
+            critical_path_seconds: ticks::seconds(critical_path),
+            utilizations: self.channels.keep.utilizations(makespan_seconds, u64::MAX),
         }
+    }
+}
+
+impl OpSink for OneJob<'_> {
+    fn op(&mut self, op: &TracedOp<'_>, timing: &OpTiming) {
+        self.place(op, timing);
+    }
+
+    /// Takes a bracketed copy of a record whose shift is known: the shift
+    /// added at the barrier the copy is entered at.
+    fn copy(&mut self, ops: Range<usize>, record: usize) -> bool {
+        let trace = self.trace;
+        let after = ops.end;
+        let last = trace.op(after - 1).in_bootstrap;
+        let bracketed = self.clock.flips(trace.op(ops.start).in_bootstrap)
+            && (after == trace.len() || trace.op(after).in_bootstrap != last);
+        if !bracketed || self.telemetry_on {
+            return false;
+        }
+        let Some(shift) = self.shifts[record] else {
+            self.measuring = Some((record, after, self.stand()));
+            return false;
+        };
+        let [b, chain] = self.clock.latest();
+        self.clock
+            .skip(last, [b + shift.latest[0], chain + shift.latest[1]]);
+        for (horizon, moved) in self.channels.horizons.iter_mut().zip(shift.horizons) {
+            if moved != u64::MAX {
+                *horizon = b + moved;
+            }
+        }
+        self.channels.keep.add(&shift.busy);
+        self.serial += shift.serial;
+        true
     }
 }
 
@@ -352,6 +459,63 @@ mod tests {
         s.check_invariants().unwrap();
         // Dependent: rescale starts exactly when the HMult finishes.
         assert!((s.ops[1].start_seconds - s.ops[0].end_seconds).abs() < 1e-15);
+    }
+
+    #[test]
+    fn a_bracketed_region_shifts_by_its_barrier() {
+        // The same bootstrap region after one HMult and after three: it is
+        // entered at a full barrier, so every window and reservation in it
+        // moves by the barriers' difference, tick for tick — what lets a
+        // scheduled run add a replayed copy as its record's shift. At 2 TB/s
+        // the region's reservations float inside their windows.
+        let ins = CkksInstance::ins1();
+        let config = BtsConfig::bts_default().with_hbm(bts_params::BandwidthModel::hbm_2tb());
+        let sim = Simulator::new(config, ins.clone());
+        let placed = |prefix: usize| {
+            let mut b = TraceBuilder::new(&ins);
+            let mut x = b.fresh_ct(27);
+            let y = b.fresh_ct(27);
+            for _ in 0..prefix {
+                x = b.hmult_at(x, x, 27);
+            }
+            b.set_bootstrap_region(true);
+            let mut acc = b.pmult(y, 27);
+            for r in 1..4 {
+                let rot = b.hrot(y, r, 27);
+                acc = b.hadd(acc, rot, 27);
+            }
+            let out = b.hrescale_at(acc, 27);
+            b.set_bootstrap_region(false);
+            b.hadd(out, x, 26);
+            let trace = b.build();
+            let timings = sim.op_timings(&trace).unwrap();
+            let s = timeline_of(&sim, &trace);
+            let tick = |seconds: f64| ticks::from_seconds(seconds).unwrap();
+            let region = prefix..prefix + 8;
+            let windows: Vec<_> = s.ops[region.clone()]
+                .iter()
+                .map(|o| (tick(o.start_seconds), tick(o.end_seconds)))
+                .collect();
+            let busy: Vec<_> = (s.busy.iter().flatten())
+                .filter(|r| region.contains(&r.placement))
+                .map(|r| (tick(r.start_seconds), tick(r.end_seconds)))
+                .collect();
+            let barrier = tick(s.ops[prefix - 1].end_seconds);
+            let charged: Vec<_> = timings[region].iter().map(|t| t.ticks).collect();
+            (barrier, windows, busy, charged)
+        };
+        let (b, windows, busy, charged) = placed(1);
+        let (b2, windows2, busy2, charged2) = placed(3);
+        assert_eq!(charged, charged2, "the region is charged alike");
+        assert!(b2 > b);
+        let shift = |(start, end): (u64, u64)| (start + (b2 - b), end + (b2 - b));
+        assert_eq!(windows.into_iter().map(shift).collect::<Vec<_>>(), windows2);
+        assert_eq!(busy.len(), busy2.len());
+        let mut shifted: Vec<_> = busy.into_iter().map(shift).collect();
+        let mut busy2 = busy2;
+        shifted.sort_unstable();
+        busy2.sort_unstable();
+        assert_eq!(shifted, busy2);
     }
 
     #[test]

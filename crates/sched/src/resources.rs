@@ -5,20 +5,21 @@
 use bts_sim::{BtsConfig, FuKind, OpTiming};
 
 /// How long one op keeps each functional-unit class busy, and the op's total
-/// latency window. All busy times are ≤ the duration (the engine's serial
-/// charge is `max(compute, hbm)` and every unit time is a component of it),
-/// so a reservation always fits inside the op's execution window.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// latency window, in ticks ([`bts_sim::ticks`]). All busy times are ≤ the
+/// duration (the engine's serial charge is `max(compute, hbm)` and every
+/// unit time is a component of it), so a reservation always fits inside the
+/// op's execution window.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct OpDemand {
-    /// The op's latency window in seconds (the engine's serial charge).
-    pub duration: f64,
-    /// Busy seconds per unit class, indexed by [`FuKind::index`].
-    pub busy: [f64; FuKind::COUNT],
+    /// The op's latency window (the engine's serial charge), in ticks.
+    pub duration: u64,
+    /// Busy ticks per unit class, indexed by [`FuKind::index`].
+    pub busy: [u64; FuKind::COUNT],
 }
 
 /// The resources of a [`BtsConfig`]: one exclusive channel per unit class,
 /// because the `bts-sim` cost model already charges whole-chip rates per op.
-/// A unit's utilization is therefore its reserved seconds over the makespan.
+/// A unit's utilization is therefore its reserved ticks over the makespan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineModel;
 
@@ -33,16 +34,17 @@ impl MachineModel {
     /// times are clamped into the op's latency window so a reservation can
     /// always be placed inside it.
     pub fn demand(&self, timing: &OpTiming) -> OpDemand {
-        let duration = timing.seconds;
-        let clamp = |busy: f64| busy.min(duration).max(0.0);
+        let duration = timing.ticks;
+        let cost = &timing.cost;
         OpDemand {
             duration,
             busy: [
-                clamp(timing.cost.ntt_seconds),
-                clamp(timing.cost.bconv_seconds),
-                clamp(timing.cost.elementwise_charged_seconds),
-                clamp(timing.hbm_seconds),
-            ],
+                cost.ntt_ticks,
+                cost.bconv_ticks,
+                cost.elementwise_charged_ticks,
+                timing.hbm_ticks,
+            ]
+            .map(|busy| busy.min(duration)),
         }
     }
 }
@@ -66,7 +68,7 @@ mod tests {
         let machine = MachineModel::from_config(sim.config());
         for t in &timings {
             let d = machine.demand(t);
-            assert!(d.duration > 0.0);
+            assert!(d.duration > 0);
             for kind in FuKind::ALL {
                 assert!(
                     d.busy[kind.index()] <= d.duration,
@@ -90,7 +92,7 @@ mod tests {
         let d = MachineModel::from_config(sim.config()).demand(&timings[1]);
         let hbm = d.busy[FuKind::Hbm.index()];
         let ntt = d.busy[FuKind::Nttu.index()];
-        assert!((hbm - d.duration).abs() < 1e-12, "evk stream sets the pace");
-        assert!(ntt > 0.5 * d.duration && ntt < 0.95 * d.duration);
+        assert_eq!(hbm, d.duration, "evk stream sets the pace");
+        assert!(2 * ntt > d.duration && 100 * ntt < 95 * d.duration);
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! The point of one unified event stream is that reports *derive* from it
 //! instead of needing private plumbing: every scheduler reservation event
-//! carries its exact `start_s`/`end_s` floats and every job lifecycle event
-//! its exact latency/finish floats, so the utilization and latency
-//! percentiles recomputed here match [`crate::ServeReport`] bitwise on the
-//! same run — which the umbrella `telemetry_stream` test asserts.
+//! carries its exact `start_ticks`/`end_ticks` ([`bts_sim::ticks`]) and
+//! every job lifecycle event its exact latency/finish floats, so the
+//! utilization and latency percentiles recomputed here match
+//! [`crate::ServeReport`] bitwise on the same run — which the umbrella
+//! `telemetry_stream` test asserts.
 
 use bts_sched::FuKind;
+use bts_sim::ticks;
 use bts_telemetry::Event;
 
 /// Headline serving figures recomputed purely from telemetry events.
@@ -38,10 +40,8 @@ impl DerivedServeFigures {
     pub fn from_events(events: &[Event]) -> Self {
         let mut latencies = Vec::new();
         let mut makespan = 0.0f64;
-        // Reservation seconds summed in emission order per class — the same
-        // float additions, in the same order, as `Schedule`'s
-        // `unit_utilization`.
-        let mut reserved = [0.0f64; FuKind::COUNT];
+        // Reservation ticks summed per class: the scheduler's own sums.
+        let mut reserved = [0u64; FuKind::COUNT];
         for ev in events {
             if ev.track == "jobs" {
                 if let (Some(latency), Some(finish)) =
@@ -54,7 +54,8 @@ impl DerivedServeFigures {
             }
             for kind in FuKind::ALL {
                 if is_channel_track(&ev.track, kind) {
-                    if let (Some(start), Some(end)) = (ev.arg_f64("start_s"), ev.arg_f64("end_s")) {
+                    let (start, end) = (ev.arg_u64("start_ticks"), ev.arg_u64("end_ticks"));
+                    if let (Some(start), Some(end)) = (start, end) {
                         reserved[kind.index()] += end - start;
                     }
                     break;
@@ -64,7 +65,7 @@ impl DerivedServeFigures {
         let mut utilizations = [0.0f64; FuKind::COUNT];
         if makespan > 0.0 {
             for kind in FuKind::ALL {
-                utilizations[kind.index()] = reserved[kind.index()] / makespan;
+                utilizations[kind.index()] = ticks::seconds(reserved[kind.index()]) / makespan;
             }
         }
         Self {
@@ -110,6 +111,14 @@ mod tests {
             args: vec![
                 ("start_s", ArgValue::F64(start)),
                 ("end_s", ArgValue::F64(end)),
+                (
+                    "start_ticks",
+                    ArgValue::U64(ticks::from_seconds(start).unwrap()),
+                ),
+                (
+                    "end_ticks",
+                    ArgValue::U64(ticks::from_seconds(end).unwrap()),
+                ),
             ],
         }
     }

@@ -25,7 +25,8 @@ pub enum ServeError {
         /// The underlying trace error.
         source: bts_sim::TraceError,
     },
-    /// A job's arrival time is negative or non-finite.
+    /// A job's arrival time is negative, non-finite, or past the simulated
+    /// clock's range ([`bts_sim::ticks::MAX_TICKS`]).
     InvalidArrival {
         /// Id of the offending job.
         job: u64,
@@ -65,6 +66,9 @@ pub enum ServeError {
     /// The hardware configuration fails [`bts_sim::BtsConfig::validate`]
     /// (zero unit counts, non-positive bandwidths, …).
     Config(bts_sim::ConfigError),
+    /// The scheduler refused an admission: the run's clock passed the
+    /// range of simulated ticks ([`bts_sim::ticks::MAX_TICKS`]).
+    Schedule(bts_sched::ScheduleError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -84,7 +88,7 @@ impl std::fmt::Display for ServeError {
                 arrival_seconds,
             } => write!(
                 f,
-                "job {job} has invalid arrival time {arrival_seconds} (must be finite and ≥ 0)"
+                "job {job} has invalid arrival time {arrival_seconds} (must be finite, ≥ 0 and in the clock's range)"
             ),
             ServeError::DuplicateJobId { job } => {
                 write!(f, "job id {job} submitted twice in one batch")
@@ -116,6 +120,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Config(source) => {
                 write!(f, "invalid hardware configuration: {source}")
             }
+            ServeError::Schedule(source) => write!(f, "admission refused: {source}"),
         }
     }
 }
@@ -127,6 +132,7 @@ impl std::error::Error for ServeError {
             ServeError::Trace { source, .. } => Some(source),
             ServeError::Config(source) => Some(source),
             ServeError::Fault(source) => Some(source),
+            ServeError::Schedule(source) => Some(source),
             _ => None,
         }
     }

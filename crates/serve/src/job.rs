@@ -57,8 +57,9 @@ impl JobRequest {
 }
 
 /// The batch front door of every server (one chip or a fleet): arrivals must
-/// be finite and non-negative, deadlines finite, ids unique. Returns each
-/// job id's index in submission order.
+/// be finite, non-negative and times the simulated clock can hold
+/// ([`bts_sim::ticks::from_seconds`]), deadlines finite, ids unique.
+/// Returns each job id's index in submission order.
 ///
 /// # Errors
 ///
@@ -67,7 +68,7 @@ impl JobRequest {
 pub fn validate_batch(jobs: &[JobRequest]) -> Result<HashMap<u64, usize>, ServeError> {
     let mut index_of = HashMap::with_capacity(jobs.len());
     for (j, job) in jobs.iter().enumerate() {
-        if !job.arrival_seconds.is_finite() || job.arrival_seconds < 0.0 {
+        if bts_sim::ticks::from_seconds(job.arrival_seconds).is_none() {
             return Err(ServeError::InvalidArrival {
                 job: job.id,
                 arrival_seconds: job.arrival_seconds,

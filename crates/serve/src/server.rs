@@ -247,7 +247,7 @@ impl PreparedBatch {
             return Err(ServeError::OtherMachine);
         }
         let machine = MachineModel::from_config(&self.config);
-        Ok(Run::new(jobs, options, self.pairs(jobs)?, machine).serve())
+        Run::new(jobs, options, self.pairs(jobs)?, machine).serve()
     }
 }
 
@@ -450,17 +450,17 @@ impl<'a> Run<'a> {
 
     /// The admission loop, steps 1–5 until the run drains or dies, then
     /// steps 6–7.
-    fn serve(mut self) -> ServeReport {
+    fn serve(mut self) -> Result<ServeReport, ServeError> {
         let dead = loop {
             self.ingest();
             self.shed_expired();
-            self.admit();
+            self.admit()?;
             if let Break(dead) = self.idle_jump().unwrap_or_else(|| self.complete()) {
                 break dead;
             }
         };
         let interrupted = if dead { self.cut() } else { Vec::new() };
-        self.report(dead, interrupted)
+        Ok(self.report(dead, interrupted))
     }
 
     /// Step 1: due arrivals and redrives join the waiting queue; a new
@@ -497,7 +497,8 @@ impl<'a> Run<'a> {
     /// slot with nobody arrived yet waits for the next arrival (step 4):
     /// admission then happens at arrival time, whether or not other jobs are
     /// still mid-flight — a free slot never sits idle past an arrival.
-    fn admit(&mut self) {
+    /// Refused only once the clock has run past the scheduler's range.
+    fn admit(&mut self) -> Result<(), ServeError> {
         while self.in_flight < self.options.max_in_flight && !self.waiting.is_empty() {
             let (jobs, pairs) = (self.jobs, &self.pairs);
             self.candidates.clear();
@@ -536,13 +537,13 @@ impl<'a> Run<'a> {
                 );
                 self.emit_queue(release);
             }
+            // The batch was prepared for this run's machine and tags count
+            // admissions: only a release past the tick range is refused.
             self.scheduler
                 .add_planned(tag, Arc::clone(&self.pairs[e.j].plan), release)
-                .expect(
-                    "the batch was prepared for this run's machine, releases are admission \
-                     times on a finite non-negative clock, tags count admissions",
-                );
+                .map_err(ServeError::Schedule)?;
         }
+        Ok(())
     }
 
     /// Step 4: idle with future work, jump the clock to the next arrival —
@@ -958,6 +959,30 @@ mod tests {
         // The machine idles between the first completion and the late
         // arrival, so the makespan includes the gap.
         assert!(report.makespan_seconds >= late);
+    }
+
+    #[test]
+    fn a_clock_run_past_the_tick_range_is_a_typed_error() {
+        // Arrivals are checked against the simulated clock's range up
+        // front; a run whose clock passes it mid-way — the second job is
+        // admitted when the first completes, past `MAX_TICKS` — is refused
+        // at that admission, not wrapped and not a panic.
+        let ins = CkksInstance::ins1();
+        let past = vec![JobRequest::new(0, 0, "bootstrap", ins.clone(), 1e300)];
+        assert!(matches!(
+            serve(&past, ServeOptions::new(1)),
+            Err(ServeError::InvalidArrival { job: 0, .. })
+        ));
+        let edge = bts_sim::ticks::seconds(bts_sim::ticks::MAX_TICKS) - 1e-3;
+        let jobs: Vec<JobRequest> = (0..2)
+            .map(|i| JobRequest::new(i, 0, "bootstrap", ins.clone(), edge))
+            .collect();
+        assert!(matches!(
+            serve(&jobs, ServeOptions::new(1)),
+            Err(ServeError::Schedule(
+                bts_sched::ScheduleError::InvalidRelease(_)
+            ))
+        ));
     }
 
     #[test]

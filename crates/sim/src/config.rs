@@ -1,5 +1,7 @@
 use bts_params::BandwidthModel;
 
+use crate::ticks::{ByteTicks, MAX_TICKS, TICK_HZ};
+
 /// Why a [`BtsConfig`] was rejected by [`BtsConfig::validate`]: every variant
 /// names one field whose value would otherwise surface far downstream as a
 /// division-by-zero `NaN` in the cost model or a panic in the scheduler's
@@ -17,8 +19,13 @@ pub enum ConfigError {
         /// The product `pe_cols × pe_rows` that should equal it.
         grid: usize,
     },
-    /// `frequency_hz` is zero, negative or non-finite.
+    /// `frequency_hz` is zero, negative or non-finite, or its cycle is
+    /// shorter than one tick or longer than [`crate::ticks::MAX_TICKS`].
     InvalidFrequency(f64),
+    /// The HBM bandwidth (bytes/s) has no per-byte tick factor
+    /// ([`crate::ticks::ByteTicks::new`]): it is infinite, or so large a
+    /// byte rounds to no tick, or so small one does not fit.
+    InvalidBandwidth(f64),
     /// `scratchpad_bytes` is zero — no room for even one temporary limb.
     ZeroScratchpad,
     /// `lsub` is zero — the MMAU rate divides by it.
@@ -34,9 +41,14 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "pe_cols × pe_rows = {grid} does not match pe_count = {pe_count}"
             ),
-            ConfigError::InvalidFrequency(v) => {
-                write!(f, "frequency_hz = {v} must be finite and positive")
-            }
+            ConfigError::InvalidFrequency(v) => write!(
+                f,
+                "frequency_hz = {v} must be finite, positive and between one tick and MAX_TICKS per cycle"
+            ),
+            ConfigError::InvalidBandwidth(v) => write!(
+                f,
+                "HBM bandwidth {v} B/s has no tick factor: a byte must take 2^-32 to 2^32 ticks"
+            ),
             ConfigError::ZeroScratchpad => write!(f, "scratchpad_bytes must be at least 1"),
             ConfigError::ZeroLsub => write!(f, "lsub must be at least 1"),
         }
@@ -162,6 +174,8 @@ impl BtsConfig {
     /// as `NaN` rates, empty scheduler channels or panics: unit counts and
     /// the scratchpad must be non-zero, the clock must be finite and
     /// strictly positive, and the PE grid must multiply out to `pe_count`.
+    /// A cycle and an HBM byte must each convert to simulated ticks
+    /// ([`crate::ticks`]) by a factor that is neither 0 nor out of range.
     /// (The HBM field is constructed through [`BandwidthModel::new`], which
     /// already rejects non-positive values.)
     ///
@@ -182,8 +196,12 @@ impl BtsConfig {
                 grid,
             });
         }
-        if !(self.frequency_hz.is_finite() && self.frequency_hz > 0.0) {
+        let per_cycle = TICK_HZ / self.frequency_hz;
+        if !(self.frequency_hz > 0.0 && (1.0..=MAX_TICKS as f64).contains(&per_cycle)) {
             return Err(ConfigError::InvalidFrequency(self.frequency_hz));
+        }
+        if ByteTicks::new(self.hbm.bytes_per_sec()).is_none() {
+            return Err(ConfigError::InvalidBandwidth(self.hbm.bytes_per_sec()));
         }
         if self.scratchpad_bytes == 0 {
             return Err(ConfigError::ZeroScratchpad);
@@ -322,7 +340,8 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_frequency() {
-        for bad in [0.0, -1.2e9, f64::NAN, f64::INFINITY] {
+        // The last two: a cycle shorter than a tick, and one past the range.
+        for bad in [0.0, -1.2e9, f64::NAN, f64::INFINITY, 1e13, 1e-7] {
             let mut c = BtsConfig::bts_default();
             c.frequency_hz = bad;
             assert!(matches!(
@@ -330,6 +349,16 @@ mod tests {
                 Err(ConfigError::InvalidFrequency(_))
             ));
         }
+    }
+
+    #[test]
+    fn validate_rejects_a_bandwidth_without_a_tick_factor() {
+        for bad in [f64::INFINITY, 1e23, 1.0] {
+            let c = BtsConfig::bts_default().with_hbm(BandwidthModel::new(bad));
+            assert_eq!(c.validate(), Err(ConfigError::InvalidBandwidth(bad)));
+        }
+        let jittered = BtsConfig::bts_default().with_hbm(BandwidthModel::new(0.9993e12));
+        assert_eq!(jittered.validate(), Ok(()));
     }
 
     #[test]

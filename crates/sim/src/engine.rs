@@ -2,12 +2,19 @@
 //! resolved in program order, and the fold into a [`SimReport`].
 //!
 //! **One sweep, many sinks.** [`Simulator::sweep_each`] is the one loop over
-//! a trace: it resolves each op's [`OpTiming`] and hands it to its caller's
-//! sink. `op_timings*` collect the timings, `try_run*` fold them into a
-//! report as they come ([`Fold`]) and keep none, and
-//! [`Simulator::run_indexed`] does the latter while its caller — the
-//! scheduler's planner, or a one-job schedule placed as the sweep goes —
-//! keeps of each timing only what it needs.
+//! a trace: it resolves each op's [`OpTiming`], folds it into the report's
+//! sums ([`Fold`]) and hands it to its caller's [`OpSink`]. `op_timings*`
+//! collect the timings, `try_run*` keep only the fold, and
+//! [`Simulator::run_indexed`] / [`Simulator::run_sunk`] keep the fold while
+//! their caller — the scheduler's planner, or a one-job schedule placed as
+//! the sweep goes — keeps of each timing only what it needs.
+//!
+//! **Time in ticks.** Every charge is whole ticks ([`crate::ticks`]): each
+//! (op, level)'s [`OpCost`] rounded up once ([`OpCharge`]), HBM bytes
+//! through one precomputed factor, and an op's latency their maximum. The
+//! fold sums integers, so a repeated copy whose cache outcome is recorded
+//! is added as its record's totals, and a report converts to seconds once,
+//! at the end.
 //!
 //! **Scratchpad replacement.** BTS's scratchpad is software-managed (§5.3),
 //! and an FHE trace is its own future, so the cache is not reactive: every
@@ -45,15 +52,21 @@
 //! ours, and nothing in `bts-sched`, `bts-serve` or `bts-cluster` reaches it.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use bts_params::{CkksInstance, KeySwitchGroup};
 
 use crate::config::BtsConfig;
 use crate::cost::AreaPowerModel;
+use crate::ticks::{self, ByteTicks};
 use crate::trace::{HeOp, TraceError};
 use crate::trace_index::{OpTrace, Reuse, TracedOp, NEVER};
 
 mod replay;
+
+/// The most cache records one sweep keeps, and so the most distinct
+/// `record`s an [`OpSink::copy`] call names.
+pub const COPY_RECORDS: usize = replay::STATES;
 
 /// Per-op-class statistics in a [`SimReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -134,14 +147,14 @@ impl SimReport {
     /// Speedup of the dependency-aware schedule over serial execution
     /// (`total_seconds / scheduled_seconds`), when the report came from a
     /// scheduled run. Serial time is an upper bound of the schedule by
-    /// construction, so the value is ≥ 1; it is clamped there to absorb
-    /// floating-point rounding in the two accumulations.
+    /// construction, and both are whole ticks converted once, so the value
+    /// is ≥ 1.
     pub fn parallel_speedup(&self) -> Option<f64> {
         let scheduled = self.scheduled_seconds?;
         if scheduled <= 0.0 {
             return Some(1.0);
         }
-        Some((self.total_seconds / scheduled).max(1.0))
+        Some(self.total_seconds / scheduled)
     }
 
     /// Accumulates another report into this one — the aggregation hook a
@@ -226,6 +239,47 @@ pub struct OpCost {
     pub temp_bytes: u64,
 }
 
+/// An [`OpCost`] as the engine and the scheduler charge it: its unit times
+/// as whole ticks ([`crate::ticks`]), each rounded up, and its bytes.
+/// Computed once per (op, level) in a sweep ([`OpCharge::of`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpCharge {
+    /// NTTU busy ticks.
+    pub ntt_ticks: u64,
+    /// BConvU (MMAU) busy ticks.
+    pub bconv_ticks: u64,
+    /// Raw element-wise busy ticks.
+    pub elementwise_ticks: u64,
+    /// Element-wise ticks the serial cost model charges
+    /// ([`OpCost::elementwise_charged_seconds`]).
+    pub elementwise_charged_ticks: u64,
+    /// Serial compute latency, ticks.
+    pub compute_ticks: u64,
+    /// Evaluation-key bytes streamed from HBM.
+    pub evk_bytes: u64,
+    /// Plaintext operand bytes streamed from HBM.
+    pub operand_bytes: u64,
+    /// Peak temporary scratchpad footprint, bytes.
+    pub temp_bytes: u64,
+}
+
+impl OpCharge {
+    /// `cost`'s times rounded up to whole ticks ([`crate::ticks::charge`]):
+    /// the one conversion of a cost into a charge.
+    pub fn of(cost: &OpCost) -> Self {
+        Self {
+            ntt_ticks: ticks::charge(cost.ntt_seconds),
+            bconv_ticks: ticks::charge(cost.bconv_seconds),
+            elementwise_ticks: ticks::charge(cost.elementwise_seconds),
+            elementwise_charged_ticks: ticks::charge(cost.elementwise_charged_seconds),
+            compute_ticks: ticks::charge(cost.compute_seconds),
+            evk_bytes: cost.evk_bytes,
+            operand_bytes: cost.operand_bytes,
+            temp_bytes: cost.temp_bytes,
+        }
+    }
+}
+
 /// One op's execution charge after resolving ciphertext operands against the
 /// scratchpad cache in program order: the raw unit costs plus the HBM traffic
 /// and the serial latency the engine bills for the op. Produced by the one
@@ -234,22 +288,70 @@ pub struct OpCost {
 /// so the two execution modes can never disagree on per-op costs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OpTiming {
-    /// Cache-independent unit costs.
-    pub cost: OpCost,
+    /// Cache-independent unit costs, as charged.
+    pub cost: OpCharge,
     /// Ciphertext/plaintext bytes (re)loaded because of cache misses.
     pub miss_bytes: u64,
     /// Total HBM bytes for this op (`evk_bytes + miss_bytes`).
     pub hbm_bytes: u64,
-    /// Time the op occupies the HBM channel, seconds.
-    pub hbm_seconds: f64,
-    /// Serial latency charged for the op: `max(compute, hbm)`.
-    pub seconds: f64,
+    /// Ticks the op occupies the HBM channel: `hbm_bytes` at the
+    /// configured bandwidth ([`crate::ticks::ByteTicks`]), rounded up.
+    pub hbm_ticks: u64,
+    /// Serial latency charged for the op, in ticks:
+    /// `max(compute, hbm)`.
+    pub ticks: u64,
     /// Ciphertext operand hits in the software cache.
     pub cache_hits: usize,
     /// Ciphertext operand misses.
     pub cache_misses: usize,
     /// Scratchpad demand while the op runs (temporaries + resident cts).
     pub scratch_bytes: u64,
+}
+
+impl OpTiming {
+    /// The serial latency charged for the op, in seconds.
+    pub fn seconds(&self) -> f64 {
+        ticks::seconds(self.ticks)
+    }
+}
+
+/// Where a sweep hands what it charges: each op with its timing, in program
+/// order, and — before a copy of the trace's repeated ops (a bootstrap
+/// expansion after the first, repeated by `TraceBuilder::repeat`) that the
+/// sweep's cache memo keeps a record for — the copy as a whole.
+pub trait OpSink {
+    /// `op`, charged `timing`.
+    fn op(&mut self, op: &TracedOp<'_>, timing: &OpTiming);
+
+    /// The copy of ops `ops` is swept under the sweep's cache record
+    /// `record` (below [`COPY_RECORDS`]): every copy of one record is
+    /// charged the same timings, op for op. Returns whether the sink takes
+    /// the copy whole, so that its ops are not handed over. A sink can only
+    /// take a record it has seen swept: the copy that makes a record hands
+    /// over its ops whatever the answer. By default nothing is taken.
+    fn copy(&mut self, ops: Range<usize>, record: usize) -> bool {
+        let _ = (ops, record);
+        false
+    }
+}
+
+/// A closure reads every op.
+impl<F: FnMut(&TracedOp<'_>, &OpTiming)> OpSink for F {
+    fn op(&mut self, op: &TracedOp<'_>, timing: &OpTiming) {
+        self(op, timing);
+    }
+}
+
+/// The sink of a sweep that only folds: it takes every copy whole, so a
+/// replayed copy is added as its record's totals.
+struct Totals;
+
+impl OpSink for Totals {
+    fn op(&mut self, _: &TracedOp<'_>, _: &OpTiming) {}
+
+    fn copy(&mut self, _: Range<usize>, _: usize) -> bool {
+        true
+    }
 }
 
 /// The BTS accelerator simulator.
@@ -402,10 +504,27 @@ impl Simulator {
     pub fn run_indexed(
         &self,
         trace: &OpTrace,
-        sink: impl FnMut(&TracedOp<'_>, &OpTiming),
+        mut sink: impl FnMut(&TracedOp<'_>, &OpTiming),
+    ) -> Result<SimReport, TraceError> {
+        self.run_sunk(trace, &mut sink)
+    }
+
+    /// [`Simulator::run_indexed`] into a sink that may also take a replayed
+    /// copy whole ([`OpSink::copy`]): `bts-sched`'s scheduled run
+    /// translates the placement it recorded for the copy's cache record.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`TraceError`] of the configuration and the trace.
+    pub fn run_sunk(
+        &self,
+        trace: &OpTrace,
+        sink: &mut impl OpSink,
     ) -> Result<SimReport, TraceError> {
         self.check(trace)?;
-        Ok(self.folded(trace, Replacement::ReuseCode, sink))
+        Ok(self
+            .sweep_under(trace, Replacement::ReuseCode, sink)
+            .finish(self))
     }
 
     /// Per-op execution charges with the scratchpad cache resolved in program
@@ -462,15 +581,18 @@ impl Simulator {
     ) -> Result<Vec<OpTiming>, TraceError> {
         self.check(trace)?;
         let mut timings = Vec::with_capacity(trace.len());
-        self.sweep_under(trace, replacement, |_, timing| timings.push(timing));
+        let mut collect = |_: &TracedOp<'_>, timing: &OpTiming| timings.push(*timing);
+        self.sweep_under(trace, replacement, &mut collect);
         Ok(timings)
     }
 
-    /// Every `try_run*` entry point: the trace checked and
-    /// [`Simulator::folded`].
+    /// Every `try_run*` entry point: the trace checked, swept and folded,
+    /// each replayed copy added as its record's totals.
     fn report(&self, trace: &OpTrace, replacement: Replacement) -> Result<SimReport, TraceError> {
         self.check(trace)?;
-        Ok(self.folded(trace, replacement, |_, _| {}))
+        Ok(self
+            .sweep_under(trace, replacement, &mut Totals)
+            .finish(self))
     }
 
     /// What every entry point checks before it sweeps: the configuration
@@ -489,31 +611,14 @@ impl Simulator {
         Ok(())
     }
 
-    /// The sweep's timings folded into the report as they come, each shown
-    /// to `sink` on its way — no per-op record outlives its op unless the
-    /// sink keeps one.
-    fn folded(
-        &self,
-        trace: &OpTrace,
-        replacement: Replacement,
-        mut sink: impl FnMut(&TracedOp<'_>, &OpTiming),
-    ) -> SimReport {
-        let mut fold = Fold::default();
-        self.sweep_under(trace, replacement, |op, timing| {
-            fold.add(op, &timing);
-            sink(op, &timing);
-        });
-        fold.finish(self)
-    }
-
     /// [`Simulator::sweep_each`] on the key function of one replacement
     /// policy.
     fn sweep_under(
         &self,
         trace: &OpTrace,
         replacement: Replacement,
-        sink: impl FnMut(&TracedOp<'_>, OpTiming),
-    ) {
+        sink: &mut impl OpSink,
+    ) -> Fold {
         match replacement {
             Replacement::ReuseCode => self.sweep_each(
                 trace,
@@ -536,7 +641,7 @@ impl Simulator {
                     },
                     Some((&next_reads, &first_reads)),
                     sink,
-                );
+                )
             }
             Replacement::Lru => self.sweep_each(
                 trace,
@@ -550,9 +655,10 @@ impl Simulator {
 
     /// The cache-resolution sweep behind every entry point, over the slots
     /// of a validated [`OpTrace`]: resolves each op's charge in program
-    /// order on one [`BeladyCache`] and hands it to `sink`, which is all
-    /// that tells collecting ([`Simulator::op_timings`]) from folding
-    /// ([`Simulator::try_run`]) from planning ([`Simulator::run_indexed`]).
+    /// order on one [`BeladyCache`], folds it and hands it to `sink`, which
+    /// is all that tells collecting ([`Simulator::op_timings`]) from
+    /// folding ([`Simulator::try_run`]) from planning
+    /// ([`Simulator::run_indexed`]). Returns the fold.
     /// Every access reads its stored code once: a forwarded value skips the
     /// cache, a `Never` one is read for the last time, and `key` ranks the
     /// rest — the op's `k`-th access (operand `k`, or the output for
@@ -566,16 +672,18 @@ impl Simulator {
     /// A copy of the trace's repeated ops ([`OpTrace::copies`]) goes to the
     /// sweep's [`replay::Memo`], which resolves it op by op only the first
     /// time the cache enters it in a state — and replays the recorded
-    /// outcome after that. With telemetry on, every op is resolved, so the
-    /// stream holds each op's own events.
+    /// outcome after that: the record's totals added in one step, and its
+    /// ops handed to `sink` only if the sink does not take the copy whole.
+    /// With telemetry on, every op is resolved, so the stream holds each
+    /// op's own events.
     fn sweep_each(
         &self,
         trace: &OpTrace,
         replacement: Replacement,
         key: impl Fn(&TracedOp<'_>, usize, Reuse) -> u32,
         next_uses: Option<NextUses<'_>>,
-        mut sink: impl FnMut(&TracedOp<'_>, OpTiming),
-    ) {
+        sink: &mut impl OpSink,
+    ) -> Fold {
         let capacity = self.cache_capacity();
         // No more values than this are ever resident at once: the cache's
         // lists are sized for it once and never grow.
@@ -589,9 +697,10 @@ impl Simulator {
             next_uses,
             cache: BeladyCache::new(capacity, trace.cells(), most),
             costs: CostTable::new(self, trace.instance().max_level(), telemetry_on),
-            bytes_per_sec: self.config.hbm.bytes_per_sec(),
+            hbm: ByteTicks::new(self.config.hbm.bytes_per_sec())
+                .expect("a validated configuration has a tick factor"),
             telemetry_on,
-            serial_t: 0.0,
+            fold: Fold::default(),
         };
         let (mut copies, width) = trace.copies();
         if telemetry_on {
@@ -601,17 +710,16 @@ impl Simulator {
         let mut next = 0;
         for start in copies.iter().map(|&start| start as usize) {
             for op in trace.ops_in(next..start) {
-                let timing = sweep.step(&op, &key);
-                sink(&op, timing);
+                sweep.each(&op, &key, sink);
             }
             let memo = memo.get_or_insert_with(|| replay::Memo::new(trace, start, width, most));
-            memo.sweep_copy(&mut sweep, start, &key, &mut sink);
+            memo.sweep_copy(&mut sweep, start, &key, sink);
             next = start + width;
         }
         for op in trace.ops_in(next..trace.len()) {
-            let timing = sweep.step(&op, &key);
-            sink(&op, timing);
+            sweep.each(&op, &key, sink);
         }
+        sweep.fold
     }
 
     /// Peak temporary-data footprint of one key-switching op at the maximum
@@ -658,66 +766,87 @@ impl Replacement {
     }
 }
 
-/// A [`SimReport`] in the making: the running sums of a sweep, one op at a
-/// time. Every float sum runs in program order, per class too, so a report
-/// folded in flight has the bits of one folded over the collected timings.
-#[derive(Debug, Default)]
+/// A [`SimReport`] in the making: the running sums of a sweep, in ticks
+/// and bytes. Integer sums are the same in any order, so a copy's recorded
+/// totals are added in one step ([`Fold::merge`]) and a report has the same
+/// bits however its ops were folded.
+#[derive(Debug, Clone, Copy, Default)]
 struct Fold {
-    total: f64,
-    bootstrap: f64,
-    /// Per class in a flat array, indexed by [`HeOp::index`].
-    classes: [OpClassStats; HeOp::ALL.len()],
+    total: u64,
+    bootstrap: u64,
+    /// Per class, indexed by [`HeOp::index`]: ops and ticks.
+    classes: [(usize, u64); HeOp::ALL.len()],
     evk_bytes: u64,
     ct_miss_bytes: u64,
     hits: usize,
     misses: usize,
-    ntt_busy: f64,
-    bconv_busy: f64,
-    ew_busy: f64,
+    /// Busy ticks of the NTTU, the BConvU and the element-wise units (raw).
+    busy: [u64; 3],
     peak_scratch: u64,
 }
 
 impl Fold {
     fn add(&mut self, op: &TracedOp<'_>, timing: &OpTiming) {
-        self.total += timing.seconds;
+        self.total += timing.ticks;
         if op.in_bootstrap {
-            self.bootstrap += timing.seconds;
+            self.bootstrap += timing.ticks;
         }
         let class = &mut self.classes[op.op.index()];
-        class.count += 1;
-        class.seconds += timing.seconds;
+        class.0 += 1;
+        class.1 += timing.ticks;
         self.evk_bytes += timing.cost.evk_bytes;
         self.ct_miss_bytes += timing.miss_bytes;
         self.hits += timing.cache_hits;
         self.misses += timing.cache_misses;
-        self.ntt_busy += timing.cost.ntt_seconds;
-        self.bconv_busy += timing.cost.bconv_seconds;
-        self.ew_busy += timing.cost.elementwise_seconds;
+        let cost = &timing.cost;
+        self.busy[0] += cost.ntt_ticks;
+        self.busy[1] += cost.bconv_ticks;
+        self.busy[2] += cost.elementwise_ticks;
         self.peak_scratch = self.peak_scratch.max(timing.scratch_bytes);
+    }
+
+    /// Adds the ops `other` folded.
+    fn merge(&mut self, other: &Fold) {
+        self.total += other.total;
+        self.bootstrap += other.bootstrap;
+        for (class, more) in self.classes.iter_mut().zip(&other.classes) {
+            class.0 += more.0;
+            class.1 += more.1;
+        }
+        self.evk_bytes += other.evk_bytes;
+        self.ct_miss_bytes += other.ct_miss_bytes;
+        self.hits += other.hits;
+        self.misses += other.misses;
+        for (busy, more) in self.busy.iter_mut().zip(other.busy) {
+            *busy += more;
+        }
+        self.peak_scratch = self.peak_scratch.max(other.peak_scratch);
     }
 
     /// The report of the ops added so far, on `sim`'s chip.
     fn finish(self, sim: &Simulator) -> SimReport {
-        let total = self.total;
+        let total = ticks::seconds(self.total);
         let per_op: BTreeMap<HeOp, OpClassStats> = HeOp::ALL
             .into_iter()
             .zip(self.classes)
-            .filter(|(_, stats)| stats.count > 0)
+            .filter(|(_, (count, _))| *count > 0)
+            .map(|(op, (count, class))| {
+                let seconds = ticks::seconds(class);
+                (op, OpClassStats { count, seconds })
+            })
             .collect();
 
         let hbm_bytes = self.evk_bytes + self.ct_miss_bytes;
         let share = |busy: f64| if total > 0.0 { busy / total } else { 0.0 };
         let hbm_util = share(hbm_bytes as f64 / sim.config.hbm.bytes_per_sec());
-        let ntt_util = share(self.ntt_busy);
-        let bconv_util = share(self.bconv_busy);
-        let ew_util = share(self.ew_busy);
+        let [ntt_util, bconv_util, ew_util] = self.busy.map(|busy| share(ticks::seconds(busy)));
         let energy = sim
             .cost_model
             .energy_joules(total, ntt_util, bconv_util, hbm_util, ew_util);
 
         SimReport {
             total_seconds: total,
-            bootstrap_seconds: self.bootstrap,
+            bootstrap_seconds: ticks::seconds(self.bootstrap),
             per_op,
             hbm_bytes,
             evk_bytes: self.evk_bytes,
@@ -741,8 +870,7 @@ impl Fold {
 /// access its next read, per slot its first read.
 type NextUses<'a> = (&'a [u32], &'a [u32]);
 
-/// One sweep's state: the cache, the cost table, and where the serialized
-/// clock stands.
+/// One sweep's state: the cache, the cost table, and the fold so far.
 struct Sweep<'s, 't> {
     trace: &'t OpTrace,
     replacement: Replacement,
@@ -750,14 +878,27 @@ struct Sweep<'s, 't> {
     next_uses: Option<NextUses<'t>>,
     cache: BeladyCache,
     costs: CostTable<'s>,
-    bytes_per_sec: f64,
+    hbm: ByteTicks,
     telemetry_on: bool,
-    /// Serialized op start time: the engine charges ops back to back, so
-    /// the running sum places each op's interval on the telemetry track.
-    serial_t: f64,
+    /// The ops charged so far. The engine charges ops back to back, so its
+    /// total places each op's interval on the telemetry track.
+    fold: Fold,
 }
 
 impl Sweep<'_, '_> {
+    /// Resolves, charges and folds `op`, and hands it to `sink`.
+    #[inline]
+    fn each(
+        &mut self,
+        op: &TracedOp<'_>,
+        key: &impl Fn(&TracedOp<'_>, usize, Reuse) -> u32,
+        sink: &mut impl OpSink,
+    ) {
+        let timing = self.step(op, key);
+        self.fold.add(op, &timing);
+        sink.op(op, &timing);
+    }
+
     /// Resolves `op`'s accesses on the cache and charges it; with telemetry
     /// on, emits its `engine` event and its `scratchpad` instants.
     fn step(
@@ -770,13 +911,11 @@ impl Sweep<'_, '_> {
         // Ciphertext operand residency.
         let mut hits = 0usize;
         let mut misses = 0usize;
+        let start = ticks::seconds(self.fold.total);
         let mut pressure = Pressure {
-            explain: self.telemetry_on.then_some((
-                trace,
-                self.replacement,
-                op.index,
-                self.serial_t,
-            )),
+            explain: self
+                .telemetry_on
+                .then_some((trace, self.replacement, op.index, start)),
             ..Pressure::default()
         };
         let cache = &mut self.cache;
@@ -809,7 +948,6 @@ impl Sweep<'_, '_> {
             let ranked = (key(op, k, reuse), reuse == Reuse::Never);
             pressure.insert(cache, value, ct_bytes, ranked);
         }
-        let start = self.serial_t;
         let timing = self.charge(op, hits, misses, self.cache.used);
         if self.telemetry_on {
             use bts_telemetry::ArgValue;
@@ -817,7 +955,7 @@ impl Sweep<'_, '_> {
                 "engine",
                 &self.costs.entry(op.op, op.level).name,
                 start,
-                timing.seconds,
+                timing.seconds(),
                 &[
                     ("index", ArgValue::U64(u64::from(op.index))),
                     ("hbm_bytes", ArgValue::U64(timing.hbm_bytes)),
@@ -834,22 +972,21 @@ impl Sweep<'_, '_> {
     }
 
     /// `op`'s charge given its cache outcome: `hits` and `misses` among its
-    /// operands, and `used` bytes resident after it. What a replayed op is
-    /// charged, through the same arithmetic as a resolved one.
+    /// operands, and `used` bytes resident after it. What a replayed op's
+    /// sink is handed, through the same arithmetic as a resolved one.
+    #[inline]
     fn charge(&mut self, op: &TracedOp<'_>, hits: usize, misses: usize, used: u64) -> OpTiming {
         let entry = self.costs.entry(op.op, op.level);
         let cost = entry.cost;
         let miss_bytes = cost.operand_bytes + misses as u64 * entry.ct_bytes;
         let hbm_bytes = cost.evk_bytes + miss_bytes;
-        let hbm_seconds = hbm_bytes as f64 / self.bytes_per_sec;
-        let seconds = cost.compute_seconds.max(hbm_seconds);
-        self.serial_t += seconds;
+        let hbm_ticks = self.hbm.ticks(hbm_bytes);
         OpTiming {
             cost,
             miss_bytes,
             hbm_bytes,
-            hbm_seconds,
-            seconds,
+            hbm_ticks,
+            ticks: cost.compute_ticks.max(hbm_ticks),
             cache_hits: hits,
             cache_misses: misses,
             scratch_bytes: cost.temp_bytes + used,
@@ -862,7 +999,7 @@ impl Sweep<'_, '_> {
 /// `10 × (L + 1)` distinct pairs, however many ops it has.
 #[derive(Debug, Clone)]
 struct CostEntry {
-    cost: OpCost,
+    cost: OpCharge,
     /// Size of a ciphertext at the pair's level.
     ct_bytes: u64,
     /// The pair's telemetry event name (`"HMult@L27"`); empty when the sweep
@@ -891,7 +1028,7 @@ impl<'s> CostTable<'s> {
 
     fn entry(&mut self, op: HeOp, level: usize) -> &CostEntry {
         self.entries[level * HeOp::ALL.len() + op.index()].get_or_insert_with(|| CostEntry {
-            cost: self.sim.op_cost(op, level),
+            cost: OpCharge::of(&self.sim.op_cost(op, level)),
             ct_bytes: self.sim.instance.ct_bytes(level),
             name: if self.named {
                 format!("{op:?}@L{level}")
@@ -1421,7 +1558,7 @@ mod tests {
             Replacement::ReuseCode,
             |op, _, reuse| key(reuse, op.index),
             None,
-            |_, timing| hits += timing.cache_hits,
+            &mut |_: &TracedOp<'_>, timing: &OpTiming| hits += timing.cache_hits,
         );
         hits
     }
@@ -1632,15 +1769,15 @@ mod tests {
         let sim = Simulator::new(BtsConfig::bts_default(), ins);
         let timings = sim.op_timings(&trace).unwrap();
         let report = sim.run(&trace);
-        let sum: f64 = timings.iter().map(|t| t.seconds).sum();
-        assert!((sum - report.total_seconds).abs() < 1e-15);
+        let sum: u64 = timings.iter().map(|t| t.ticks).sum();
+        assert_eq!(ticks::seconds(sum), report.total_seconds);
         let hbm: u64 = timings.iter().map(|t| t.hbm_bytes).sum();
         assert_eq!(hbm, report.hbm_bytes);
         for t in &timings {
-            assert!(t.cost.ntt_seconds <= t.seconds + 1e-18);
-            assert!(t.cost.bconv_seconds <= t.seconds + 1e-18);
-            assert!(t.cost.elementwise_charged_seconds <= t.seconds + 1e-18);
-            assert!(t.hbm_seconds <= t.seconds + 1e-18);
+            let c = &t.cost;
+            let units = [c.ntt_ticks, c.bconv_ticks, c.elementwise_charged_ticks];
+            assert!(units.iter().all(|&busy| busy <= t.ticks));
+            assert!(t.hbm_ticks <= t.ticks);
         }
     }
 

@@ -22,12 +22,17 @@
 //! Keys shift by an order-preserving map and slots map to ranks, so two
 //! copies with equal keys make every comparison the same way, op by op: the
 //! same hits and misses, the same bytes in use after each op, and the same
-//! exit state in their frames. [`Memo::sweep_copy`] therefore resolves a
-//! copy op by op only when no earlier copy of the sweep met its key, and
-//! records it; otherwise it replays the record — each op's hits, misses and
-//! bytes in use through [`Sweep::charge`], to the sink in program order, so
-//! every fold and schedule sums the same numbers in the same order — and
-//! installs the recorded exit state in this copy's slots, keys and cells.
+//! exit state in their frames — and so the same timings, op for op.
+//! [`Memo::sweep_copy`] therefore resolves a copy op by op only when no
+//! earlier copy of the sweep met its key, and records it with the copy's
+//! totals (its [`Fold`]: ticks, bytes, hits, misses, busy ticks and peak
+//! scratch); otherwise it replays the record. A replay adds the recorded
+//! totals to the sweep's fold in one step — ticks are integers, so the sum
+//! is the one op-by-op folding makes — asks the sink whether it takes the
+//! copy whole ([`OpSink::copy`]), hands it each op's timing from the
+//! recorded hits, misses and bytes in use ([`Sweep::charge`]) only if not,
+//! and installs the recorded exit state in this copy's slots, keys and
+//! cells.
 //!
 //! The memo lives and dies inside one sweep: one allocation, made at the
 //! first copy, with room for [`STATES`] entry states of [`RESIDENTS`]
@@ -35,13 +40,12 @@
 //! copies are resolved op by op. A replay emits no telemetry, so the sweep
 //! replays nothing while telemetry is on.
 
-use super::{BeladyCache, NextUses, Replacement, Sweep, Value};
-use crate::engine::OpTiming;
+use super::{BeladyCache, Fold, NextUses, OpSink, Replacement, Sweep, Value};
 use crate::trace_index::{Code, OpTrace, Reuse, TracedOp, NEVER};
 
 /// The most entry states one sweep records. The registry's traces enter
 /// their copies in at most 14 states per key.
-const STATES: usize = 16;
+pub(super) const STATES: usize = 16;
 /// The residents per entry state the memo has room for: sorting's copies
 /// on INS-1 enter with at most 25, dead ones included. Entry states with
 /// more leave room for fewer.
@@ -194,6 +198,9 @@ pub(super) struct Memo {
     width: usize,
     /// Entry states recorded.
     entries: usize,
+    /// Per entry state, in the order recorded, the totals of the copy that
+    /// made it.
+    totals: [Fold; STATES],
     /// The lines the memo may hold: none if it records nothing.
     room: usize,
     /// The most lines a lookup's key takes — its head, every resident and
@@ -231,6 +238,7 @@ impl Memo {
             reads,
             width,
             entries: 0,
+            totals: [Fold::default(); STATES],
             room,
             key_lines,
             record_lines,
@@ -239,23 +247,23 @@ impl Memo {
 
     /// Sweeps the copy at op `start` — replayed if an earlier copy entered
     /// in the same state, else resolved op by op (and recorded while there
-    /// is room) — handing each op and its timing to `sink`.
+    /// is room) — into the sweep's fold and `sink`.
     pub(super) fn sweep_copy(
         &mut self,
         sweep: &mut Sweep<'_, '_>,
         start: usize,
         key: &impl Fn(&TracedOp<'_>, usize, Reuse) -> u32,
-        sink: &mut impl FnMut(&TracedOp<'_>, OpTiming),
+        sink: &mut impl OpSink,
     ) {
         let trace = sweep.trace;
         if self.room > 0 {
             let frame = Frame::of(trace, start, sweep.replacement);
             let tail = self.lines.len();
             self.push_state(&sweep.cache, trace, frame);
-            if let Some(entry) = self.find(trace, tail, frame, sweep.next_uses) {
+            if let Some((entry, record)) = self.find(trace, tail, frame, sweep.next_uses) {
                 #[cfg(test)]
                 tests::REPLAYED.with(|n| n.set(n.get() + 1));
-                self.replay(entry, tail, frame, sweep, sink);
+                self.replay(entry, record, tail, frame, sweep, sink);
                 self.lines.truncate(tail);
                 return;
             }
@@ -263,6 +271,9 @@ impl Memo {
             // and record: the lines never outgrow their one allocation.
             let spare = self.room - self.lines.len();
             if self.entries < STATES && spare >= 2 * self.record_lines + self.key_lines {
+                // The copy that makes a record is resolved whatever the
+                // sink answers.
+                sink.copy(start..start + self.width, self.entries);
                 self.record(tail, frame, sweep, key, sink);
                 self.entries += 1;
                 return;
@@ -270,8 +281,7 @@ impl Memo {
             self.lines.truncate(tail);
         }
         for op in trace.ops_in(start..start + self.width) {
-            let timing = sweep.step(&op, key);
-            sink(&op, timing);
+            sweep.each(&op, key, sink);
         }
     }
 
@@ -340,25 +350,26 @@ impl Memo {
         };
     }
 
-    /// The recorded entry whose key equals the one at `tail`, if any: the
-    /// same state, and the same accesses in the two copies' frames.
+    /// The recorded entry whose key equals the one at `tail`, if any, and
+    /// its place in the order recorded: the same state, and the same
+    /// accesses in the two copies' frames.
     fn find(
         &self,
         trace: &OpTrace,
         tail: usize,
         frame: Frame,
         next_uses: Option<NextUses<'_>>,
-    ) -> Option<usize> {
+    ) -> Option<(usize, usize)> {
         let (_, residents, _, _, hash) = self.head(tail);
         let state = &self.lines[tail + 1..][..residents + self.reads];
         let mut at = self.reads;
-        while at < tail {
+        for record in 0..self.entries {
             let (origin, n, union, exits, recorded) = self.head(at);
             if recorded == hash
                 && self.lines[at + 1..][..n + self.reads] == *state
                 && self.same_accesses(trace, origin, frame.start, next_uses)
             {
-                return Some(at);
+                return Some((at, record));
             }
             at += 1 + n + self.reads + union + self.width + exits;
         }
@@ -394,26 +405,32 @@ impl Memo {
         same_positions(reads(ra), a, reads(rb), b) && same_positions(firsts(a), a, firsts(b), b)
     }
 
-    /// Replays `entry` on the copy `frame` starts, whose key is at `tail`:
-    /// each op charged from its record, then the exit state installed.
+    /// Replays `entry`, the `record`-th recorded, on the copy `frame`
+    /// starts, whose key is at `tail`: the record's totals added, each op
+    /// handed to `sink` with its timing from the record unless the sink
+    /// takes the copy whole, then the exit state installed.
     fn replay(
         &self,
         entry: usize,
+        record: usize,
         tail: usize,
         frame: Frame,
         sweep: &mut Sweep<'_, '_>,
-        sink: &mut impl FnMut(&TracedOp<'_>, OpTiming),
+        sink: &mut impl OpSink,
     ) {
         let trace = sweep.trace;
         let (_, residents, union, exits, _) = self.head(entry);
         let outcome = entry + 1 + residents + self.reads + union;
-        let ops = trace.ops_in(frame.start..frame.start + self.width);
-        for (op, line) in ops.zip(&self.lines[outcome..][..self.width]) {
-            let Line::Op { hits, misses, used } = *line else {
-                unreachable!("an entry's outcome is op lines");
-            };
-            let timing = sweep.charge(&op, hits as usize, misses as usize, used);
-            sink(&op, timing);
+        sweep.fold.merge(&self.totals[record]);
+        if !sink.copy(frame.start..frame.start + self.width, record) {
+            let ops = trace.ops_in(frame.start..frame.start + self.width);
+            for (op, line) in ops.zip(&self.lines[outcome..][..self.width]) {
+                let Line::Op { hits, misses, used } = *line else {
+                    unreachable!("an entry's outcome is op lines");
+                };
+                let timing = sweep.charge(&op, hits as usize, misses as usize, used);
+                sink.op(&op, &timing);
+            }
         }
         // This copy's union has the recorded one's length: equal keys rank
         // the same slots.
@@ -443,16 +460,18 @@ impl Memo {
     }
 
     /// Resolves the copy `frame` starts op by op, recording each op's
-    /// outcome and then the exit state after its key at `tail`.
+    /// outcome, the copy's totals, and then the exit state after its key at
+    /// `tail`.
     fn record(
         &mut self,
         tail: usize,
         frame: Frame,
         sweep: &mut Sweep<'_, '_>,
         key: &impl Fn(&TracedOp<'_>, usize, Reuse) -> u32,
-        sink: &mut impl FnMut(&TracedOp<'_>, OpTiming),
+        sink: &mut impl OpSink,
     ) {
         let trace = sweep.trace;
+        let mut totals = Fold::default();
         for op in trace.ops_in(frame.start..frame.start + self.width) {
             let timing = sweep.step(&op, key);
             self.lines.push(Line::Op {
@@ -461,8 +480,11 @@ impl Memo {
                 misses: timing.cache_misses as u32,
                 used: sweep.cache.used,
             });
-            sink(&op, timing);
+            totals.add(&op, &timing);
+            sink.op(&op, &timing);
         }
+        sweep.fold.merge(&totals);
+        self.totals[self.entries] = totals;
         let (origin, residents, union, _, hash) = self.head(tail);
         let slots = tail + 1 + residents + self.reads..tail + 1 + residents + self.reads + union;
         let exit = self.lines.len();
@@ -553,7 +575,7 @@ mod tests {
     use bts_params::CkksInstance;
 
     use crate::trace::{CtId, RawOp, TraceBuilder};
-    use crate::{BtsConfig, OpTiming, OpTrace, Simulator};
+    use crate::{BtsConfig, OpTiming, OpTrace, Simulator, TracedOp};
 
     thread_local! {
         /// Copies this thread's sweeps replayed.
@@ -610,8 +632,8 @@ mod tests {
     fn bits(timings: &[OpTiming]) -> Vec<[u64; 6]> {
         let row = |t: &OpTiming| {
             [
-                t.seconds.to_bits(),
-                t.hbm_seconds.to_bits(),
+                t.ticks,
+                t.hbm_ticks,
                 t.miss_bytes,
                 t.scratch_bytes,
                 t.cache_hits as u64,
@@ -639,9 +661,8 @@ mod tests {
                 let policy = sim.op_timings(trace).unwrap();
                 let lru = sim.op_timings_lru(trace).unwrap();
                 let mut probe = Vec::new();
-                sim.sweep_under(trace, super::Replacement::ExactNextUse, |_, t| {
-                    probe.push(t)
-                });
+                let mut each = |_: &TracedOp<'_>, t: &OpTiming| probe.push(*t);
+                sim.sweep_under(trace, super::Replacement::ExactNextUse, &mut each);
                 [bits(&policy), bits(&lru), bits(&probe)]
             };
             assert_eq!(collected(&copied), collected(&recorded), "{mib} MiB");

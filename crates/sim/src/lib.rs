@@ -41,17 +41,21 @@ mod f1;
 mod keyswitch;
 mod noc;
 mod pe;
+pub mod ticks;
 mod trace;
 mod trace_index;
 mod twiddle;
 
 pub use config::{ArchPreset, BtsConfig, ConfigError};
 pub use cost::{AreaPowerModel, ComponentCost};
-pub use engine::{OpClassStats, OpCost, OpTiming, SimReport, Simulator};
+pub use engine::{
+    OpCharge, OpClassStats, OpCost, OpSink, OpTiming, SimReport, Simulator, COPY_RECORDS,
+};
 pub use f1::{F1Model, PlatformRow};
 pub use keyswitch::{FuKind, KeySwitchSchedule, Phase};
 pub use noc::{BruNoc, PeMemNoc, PePeNoc};
 pub use pe::ProcessingElement;
+pub use ticks::ByteTicks;
 pub use trace::{CtId, HeOp, RawOp, TraceBuilder, TraceError};
 pub use trace_index::{OpTrace, Reuse, TracedOp};
 pub use twiddle::TwiddleStorage;

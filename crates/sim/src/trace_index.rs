@@ -894,7 +894,11 @@ impl OpTrace {
     }
 
     /// Op `i`, as [`OpTrace::ops`] yields it.
-    pub(crate) fn op(&self, i: usize) -> TracedOp<'_> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace has no op `i`.
+    pub fn op(&self, i: usize) -> TracedOp<'_> {
         let mut op = self.ops_in(i..i + 1);
         op.next().expect("one op in the range")
     }

@@ -7,7 +7,9 @@
 //!
 //! It reads the trace's dependences by ciphertext id ([`crate::deps`], which
 //! every suite including this file includes as `deps`), not through the
-//! per-cell rule the scheduler runs on, and computes its own critical path.
+//! per-cell rule the scheduler runs on, and computes its own critical path,
+//! in ticks as the scheduler does: each time is converted to seconds once,
+//! by `bts::sim::ticks::seconds`, where it meets a schedule's.
 //!
 //! A scheduled run keeps figures, not a timeline, and builds no plan, so the
 //! timeline the oracle is compared with is the retained one [`timeline`]
@@ -18,7 +20,7 @@
 use std::sync::Arc;
 
 use bts::sched::{FuKind, JobPlan, MachineModel, MultiScheduler, Schedule, ScheduleSummary};
-use bts::sim::{OpTiming, OpTrace, Simulator};
+use bts::sim::{ticks, OpTiming, OpTrace, Simulator};
 
 use crate::deps::Deps;
 
@@ -62,16 +64,16 @@ pub fn check_summary(summary: &ScheduleSummary, retained: &Schedule) -> Result<(
     }
 }
 
-/// What the oracle computes for one trace.
+/// What the oracle computes for one trace, in ticks.
 #[derive(Debug)]
 pub struct ListSchedule {
     /// Per op, in program order: `(start, end)` of its latency window.
-    pub windows: Vec<(f64, f64)>,
+    pub windows: Vec<(u64, u64)>,
     /// Per unit class, in placement order: `(op, start, end)`.
-    pub busy: [Vec<(usize, f64, f64)>; FuKind::COUNT],
-    pub makespan_seconds: f64,
-    pub serial_seconds: f64,
-    pub critical_path_seconds: f64,
+    pub busy: [Vec<(usize, u64, u64)>; FuKind::COUNT],
+    pub makespan: u64,
+    pub serial: u64,
+    pub critical_path: u64,
 }
 
 pub fn list_schedule(
@@ -82,17 +84,17 @@ pub fn list_schedule(
     assert_eq!(timings.len(), trace.len(), "one timing per op");
     let deps = Deps::of(trace);
     // When each unit class's one channel frees.
-    let mut horizons = [0.0f64; FuKind::COUNT];
-    let mut busy: [Vec<(usize, f64, f64)>; FuKind::COUNT] = Default::default();
+    let mut horizons = [0u64; FuKind::COUNT];
+    let mut busy: [Vec<(usize, u64, u64)>; FuKind::COUNT] = Default::default();
     let mut windows = Vec::with_capacity(trace.len());
     // Per op, its finish in the schedule and its earliest finish on the
     // critical path, given unbounded units.
-    let mut finish = vec![0.0f64; trace.len()];
-    let mut earliest = vec![0.0f64; trace.len()];
-    let (mut serial, mut makespan, mut critical_path) = (0.0f64, 0.0f64, 0.0f64);
+    let mut finish = vec![0u64; trace.len()];
+    let mut earliest = vec![0u64; trace.len()];
+    let (mut serial, mut makespan, mut critical_path) = (0u64, 0u64, 0u64);
     // The max of each over all ops of earlier segments: a running max
     // snapshotted at segment boundaries.
-    let (mut barrier, mut chain_barrier) = (0.0f64, 0.0f64);
+    let (mut barrier, mut chain_barrier) = (0u64, 0u64);
     for (i, timing) in timings.iter().enumerate() {
         let demand = machine.demand(timing);
         serial += demand.duration;
@@ -106,13 +108,13 @@ pub fn list_schedule(
         earliest[i] = chain + demand.duration;
         critical_path = critical_path.max(earliest[i]);
         let mut start = producers.fold(barrier, |t, d| t.max(finish[d]));
-        // The unit frees at h, and the op's reservation of b seconds must
-        // end within the window [s, s + d], so s ≥ h + b − d.
-        for k in (0..FuKind::COUNT).filter(|&k| demand.busy[k] > 0.0) {
-            start = start.max(horizons[k] + demand.busy[k] - demand.duration);
+        // The unit frees at h, and the op's reservation of b ticks must end
+        // within the window [s, s + d], so s ≥ h + b − d.
+        for k in (0..FuKind::COUNT).filter(|&k| demand.busy[k] > 0) {
+            start = start.max((horizons[k] + demand.busy[k]).saturating_sub(demand.duration));
         }
         let end = start + demand.duration;
-        for k in (0..FuKind::COUNT).filter(|&k| demand.busy[k] > 0.0) {
+        for k in (0..FuKind::COUNT).filter(|&k| demand.busy[k] > 0) {
             let res_start = start.max(horizons[k]);
             let res_end = res_start + demand.busy[k];
             horizons[k] = res_end;
@@ -125,21 +127,23 @@ pub fn list_schedule(
     ListSchedule {
         windows,
         busy,
-        makespan_seconds: makespan,
-        serial_seconds: serial,
-        critical_path_seconds: critical_path,
+        makespan,
+        serial,
+        critical_path,
     }
 }
 
 /// Holds a one-job `schedule` bit-equal to the oracle: every window, every
 /// reservation, makespan, serial and critical-path seconds.
 pub fn check_equal(schedule: &Schedule, oracle: &ListSchedule) -> Result<(), String> {
+    let seconds = |(start, end): (u64, u64)| (ticks::seconds(start), ticks::seconds(end));
     let windows: Vec<(f64, f64)> = schedule
         .ops
         .iter()
         .map(|o| (o.start_seconds, o.end_seconds))
         .collect();
-    if windows != oracle.windows {
+    let expected: Vec<(f64, f64)> = oracle.windows.iter().map(|&w| seconds(w)).collect();
+    if windows != expected {
         return Err("op windows differ from the list-scheduler oracle".into());
     }
     if schedule
@@ -155,7 +159,11 @@ pub fn check_equal(schedule: &Schedule, oracle: &ListSchedule) -> Result<(), Str
             .iter()
             .map(|b| (b.placement, b.start_seconds, b.end_seconds))
             .collect();
-        if placed != oracle.busy[kind.index()] {
+        let expected: Vec<(usize, f64, f64)> = oracle.busy[kind.index()]
+            .iter()
+            .map(|&(op, start, end)| (op, ticks::seconds(start), ticks::seconds(end)))
+            .collect();
+        if placed != expected {
             return Err(format!(
                 "{} reservations differ from the oracle",
                 kind.label()
@@ -163,18 +171,15 @@ pub fn check_equal(schedule: &Schedule, oracle: &ListSchedule) -> Result<(), Str
         }
     }
     for (what, got, want) in [
-        (
-            "makespan",
-            schedule.makespan_seconds,
-            oracle.makespan_seconds,
-        ),
-        ("serial", schedule.serial_seconds, oracle.serial_seconds),
+        ("makespan", schedule.makespan_seconds, oracle.makespan),
+        ("serial", schedule.serial_seconds, oracle.serial),
         (
             "critical path",
             schedule.critical_path_seconds,
-            oracle.critical_path_seconds,
+            oracle.critical_path,
         ),
     ] {
+        let want = ticks::seconds(want);
         if got.to_bits() != want.to_bits() {
             return Err(format!(
                 "{what} seconds {got:e} differ from the oracle's {want:e}"

@@ -65,7 +65,8 @@ pub mod oracle {
     use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
     use bts::sim::{
-        AreaPowerModel, CtId, HeOp, OpClassStats, OpTiming, Reuse, SimReport, Simulator, TraceError,
+        ticks, AreaPowerModel, ByteTicks, CtId, HeOp, OpCharge, OpClassStats, OpTiming, Reuse,
+        SimReport, Simulator, TraceError,
     };
 
     use super::Raw;
@@ -257,6 +258,7 @@ pub mod oracle {
                 (|_, _| 0) as fn(u32, u32) -> u32,
             ),
         };
+        let byte_ticks = ByteTicks::new(sim.config().hbm.bytes_per_sec()).expect("a valid config");
         let mut timings = Vec::with_capacity(trace.ops.len());
         for (i, traced) in (0u32..).zip(&trace.ops) {
             let cost = sim.op_cost(traced.op, traced.level);
@@ -286,14 +288,13 @@ pub mod oracle {
                 }
             }
             let hbm_bytes = cost.evk_bytes + miss_bytes;
-            let hbm_seconds = hbm_bytes as f64 / sim.config().hbm.bytes_per_sec();
-            let seconds = cost.compute_seconds.max(hbm_seconds);
+            let hbm_ticks = byte_ticks.ticks(hbm_bytes);
             timings.push(OpTiming {
-                cost,
+                cost: OpCharge::of(&cost),
                 miss_bytes,
                 hbm_bytes,
-                hbm_seconds,
-                seconds,
+                hbm_ticks,
+                ticks: OpCharge::of(&cost).compute_ticks.max(hbm_ticks),
                 cache_hits: hits,
                 cache_misses: misses,
                 scratch_bytes: cost.temp_bytes + cache.used_bytes(),
@@ -304,42 +305,52 @@ pub mod oracle {
 
     /// The report as a second pass over collected timings — how the engine
     /// folded before its sweeps streamed into the report — with the
-    /// per-class sums as `BTreeMap` entries in program order.
+    /// per-class sums as `BTreeMap` entries in program order, in ticks, each
+    /// converted to seconds once (`bts::sim::ticks::seconds`).
     pub fn fold(sim: &Simulator, trace: &Raw, timings: &[OpTiming]) -> SimReport {
         assert_eq!(timings.len(), trace.ops.len());
-        let mut total = 0.0f64;
-        let mut bootstrap = 0.0f64;
-        let mut per_op: BTreeMap<HeOp, OpClassStats> = BTreeMap::new();
+        let mut total = 0u64;
+        let mut bootstrap = 0u64;
+        let mut per_class: BTreeMap<HeOp, (usize, u64)> = BTreeMap::new();
         let (mut evk_bytes, mut ct_miss_bytes) = (0u64, 0u64);
         let (mut hits, mut misses) = (0usize, 0usize);
-        let (mut ntt_busy, mut bconv_busy, mut ew_busy) = (0.0f64, 0.0f64, 0.0f64);
+        let (mut ntt_busy, mut bconv_busy, mut ew_busy) = (0u64, 0u64, 0u64);
         let mut peak_scratch = 0u64;
         for (traced, timing) in trace.ops.iter().zip(timings) {
-            total += timing.seconds;
+            total += timing.ticks;
             if traced.in_bootstrap {
-                bootstrap += timing.seconds;
+                bootstrap += timing.ticks;
             }
-            let class = per_op.entry(traced.op).or_default();
-            class.count += 1;
-            class.seconds += timing.seconds;
+            let class = per_class.entry(traced.op).or_default();
+            class.0 += 1;
+            class.1 += timing.ticks;
             evk_bytes += timing.cost.evk_bytes;
             ct_miss_bytes += timing.miss_bytes;
             hits += timing.cache_hits;
             misses += timing.cache_misses;
-            ntt_busy += timing.cost.ntt_seconds;
-            bconv_busy += timing.cost.bconv_seconds;
-            ew_busy += timing.cost.elementwise_seconds;
+            ntt_busy += timing.cost.ntt_ticks;
+            bconv_busy += timing.cost.bconv_ticks;
+            ew_busy += timing.cost.elementwise_ticks;
             peak_scratch = peak_scratch.max(timing.scratch_bytes);
         }
+        let per_op = per_class
+            .into_iter()
+            .map(|(op, (count, class))| {
+                let seconds = ticks::seconds(class);
+                (op, OpClassStats { count, seconds })
+            })
+            .collect();
+        let total = ticks::seconds(total);
         let hbm_bytes = evk_bytes + ct_miss_bytes;
         let share = |busy: f64| if total > 0.0 { busy / total } else { 0.0 };
         let hbm_util = share(hbm_bytes as f64 / sim.config().hbm.bytes_per_sec());
-        let (ntt_util, bconv_util, ew_util) = (share(ntt_busy), share(bconv_busy), share(ew_busy));
+        let [ntt_util, bconv_util, ew_util] =
+            [ntt_busy, bconv_busy, ew_busy].map(|busy| share(ticks::seconds(busy)));
         let chip =
             AreaPowerModel::bts_default().with_scratchpad_bytes(sim.config().scratchpad_bytes);
         SimReport {
             total_seconds: total,
-            bootstrap_seconds: bootstrap,
+            bootstrap_seconds: ticks::seconds(bootstrap),
             per_op,
             hbm_bytes,
             evk_bytes,
@@ -356,6 +367,38 @@ pub mod oracle {
             scheduled_seconds: None,
             critical_path_seconds: None,
         }
+    }
+
+    /// Op `op`'s charge as the engine made it before ticks: in seconds,
+    /// `max(compute, hbm bytes / bandwidth)`.
+    #[allow(dead_code)] // the tick-bound property only
+    pub fn charge_seconds(sim: &Simulator, op: &super::Op, timing: &OpTiming) -> f64 {
+        let hbm_seconds = timing.hbm_bytes as f64 / sim.config().hbm.bytes_per_sec();
+        sim.op_cost(op.op, op.level)
+            .compute_seconds
+            .max(hbm_seconds)
+    }
+
+    /// The report's times as the engine folded them before ticks: the
+    /// [`charge_seconds`] of each op summed in program order — total,
+    /// bootstrap, and per class.
+    #[allow(dead_code)] // the tick-bound property only
+    pub fn fold_seconds(
+        sim: &Simulator,
+        trace: &Raw,
+        timings: &[OpTiming],
+    ) -> (f64, f64, BTreeMap<HeOp, f64>) {
+        let (mut total, mut bootstrap) = (0.0f64, 0.0f64);
+        let mut per_op: BTreeMap<HeOp, f64> = BTreeMap::new();
+        for (traced, timing) in trace.ops.iter().zip(timings) {
+            let seconds = charge_seconds(sim, traced, timing);
+            total += seconds;
+            if traced.in_bootstrap {
+                bootstrap += seconds;
+            }
+            *per_op.entry(traced.op).or_default() += seconds;
+        }
+        (total, bootstrap, per_op)
     }
 
     enum CacheModel {

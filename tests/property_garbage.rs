@@ -1,6 +1,8 @@
 //! Garbage in, typed errors out: `serve` and `serve_cluster` on seeded
-//! draws of malformed input — NaN, ±∞ and negative arrivals, deadlines,
-//! failure times and backoffs; zero chips, zero in-flight slots and zero
+//! draws of malformed input — NaN, ±∞, negative and 1e300 s arrivals (the
+//! last past the simulated clock's range); NaN, ±∞ and negative deadlines,
+//! failure times and backoffs, and 1e300 s deadlines (legal: never
+//! reached); zero chips, zero in-flight slots and zero
 //! attempts; transient rates outside [0, 1); inverted or zero-factor link
 //! windows; chips the fleet does not have; empty batches and unknown
 //! workloads — mixed with sane values, so clean cases run end to end.
@@ -87,7 +89,8 @@ impl Draw {
 
     /// A job stream: possibly empty, possibly naming an unknown workload,
     /// with bad arrivals and deadlines (a finite past deadline is legal: the
-    /// job is shed on arrival).
+    /// job is shed on arrival; so is one far past any clock). An arrival at
+    /// 1e300 s is past the simulated clock's range.
     fn jobs(&mut self) -> Vec<JobRequest> {
         let count = self.rng.gen_range(1..4usize);
         let count = self.pick(count, &[(0, false)]);
@@ -96,6 +99,7 @@ impl Draw {
                 let clean = ["bootstrap", "amortized-mult"][i % 2];
                 let workload = self.pick(clean, &[("no-such-workload", true)]);
                 let arrival = self.time(i as f64 * 2e-3);
+                let arrival = self.pick(arrival, &[(1e300, true)]);
                 let job = JobRequest::new(
                     i as u64,
                     i as u32 % 2,
@@ -103,7 +107,12 @@ impl Draw {
                     CkksInstance::ins1(),
                     arrival,
                 );
-                let deadlines = [(f64::NAN, true), (f64::INFINITY, true), (-1.0, false)];
+                let deadlines = [
+                    (f64::NAN, true),
+                    (f64::INFINITY, true),
+                    (-1.0, false),
+                    (1e300, false),
+                ];
                 match self.rng.gen_bool(0.5) {
                     true => job.with_deadline(self.pick(arrival.max(0.0) + 0.1, &deadlines)),
                     false => job,

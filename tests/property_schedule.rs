@@ -16,7 +16,7 @@ use proptest::test_runner::TestCaseError;
 
 use bts::params::{BandwidthModel, CkksInstance};
 use bts::sched::{FuKind, JobPlan, MachineModel, ScheduleExt};
-use bts::sim::{BtsConfig, OpTrace, Simulator, TraceBuilder};
+use bts::sim::{ticks, BtsConfig, OpTrace, Simulator, TraceBuilder};
 
 mod common;
 #[path = "common/deps.rs"]
@@ -129,20 +129,22 @@ proptest! {
             let timeline = list_oracle::timeline(&sim, &trace);
             list_oracle::check_equal(&timeline, &oracle).map_err(TestCaseError::Fail)?;
             list_oracle::check_summary(&run.schedule, &timeline).map_err(TestCaseError::Fail)?;
-            prop_assert_eq!(run.report.scheduled_seconds, Some(oracle.makespan_seconds));
-            prop_assert_eq!(run.report.critical_path_seconds, Some(oracle.critical_path_seconds));
+            prop_assert_eq!(run.report.scheduled_seconds, Some(ticks::seconds(oracle.makespan)));
+            prop_assert_eq!(
+                run.report.critical_path_seconds,
+                Some(ticks::seconds(oracle.critical_path))
+            );
             // The witness chain the top-critical-ops report draws from: its
-            // ops' charges add up to the critical path.
+            // ops' charges add up to the critical path, tick for tick.
             let plan = JobPlan::new(&machine, &trace, &timings).unwrap();
             prop_assert_eq!(&plan, &JobPlan::from_trace(&sim, &trace).unwrap().0);
             let chain = plan.critical_path_ops();
-            let chain_seconds: f64 = chain.iter().map(|&i| timings[i].seconds).sum();
-            let eps = 1e-12 * oracle.serial_seconds.max(1e-12);
-            prop_assert!((chain_seconds - oracle.critical_path_seconds).abs() <= eps);
+            let chain_ticks: u64 = chain.iter().map(|&i| timings[i].ticks).sum();
+            prop_assert_eq!(chain_ticks, oracle.critical_path);
             let top = plan.top_critical_ops(usize::MAX);
             prop_assert_eq!(top.len(), chain.len());
             prop_assert!(top.iter().all(|op| chain.contains(&op.index)));
-            prop_assert!(top.iter().all(|op| op.seconds == timings[op.index].seconds));
+            prop_assert!(top.iter().all(|op| op.seconds == timings[op.index].seconds()));
         }
     }
 

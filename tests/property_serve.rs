@@ -23,7 +23,7 @@ use bts::sched::{
     ScheduleError,
 };
 use bts::serve::{serve, JobRequest, QueuePolicy, ServeOptions, ServeReport, SyntheticArrivals};
-use bts::sim::{BtsConfig, OpTiming, OpTrace, Simulator};
+use bts::sim::{ticks, BtsConfig, OpTiming, OpTrace, Simulator};
 use bts::telemetry::{self, Event};
 
 mod common;
@@ -287,20 +287,23 @@ fn drive<K: Keep>(
     scheduler
 }
 
-/// Busy fractions over `makespan` with every reservation clipped to it — the
-/// utilizations of a machine that died at its last real completion.
-fn clipped_utilizations(busy: &[Vec<(f64, f64)>], makespan: f64) -> Vec<f64> {
+/// Busy fractions over `makespan` seconds with every reservation, in ticks,
+/// clipped to it — the utilizations of a machine that died at its last
+/// real completion. Ticks convert as the scheduler converts them
+/// (`bts::sim::ticks`): the clip to the nearest tick, the busy sum once.
+fn clipped_utilizations(busy: &[Vec<(u64, u64)>], makespan: f64) -> Vec<f64> {
+    let clip = ticks::from_seconds(makespan).expect("a makespan in range");
     FuKind::ALL
         .iter()
         .map(|&kind| {
             if makespan <= 0.0 {
                 return 0.0;
             }
-            let reserved: f64 = busy[kind.index()]
+            let reserved: u64 = busy[kind.index()]
                 .iter()
-                .map(|&(start, end)| end.min(makespan) - start.min(makespan))
+                .map(|&(start, end)| end.min(clip) - start.min(clip))
                 .sum();
-            reserved / makespan
+            ticks::seconds(reserved) / makespan
         })
         .collect()
 }
@@ -406,10 +409,11 @@ proptest! {
 
         // It died: every reservation clipped at the last real completion,
         // thrown-away placements and faulted completions included.
-        let reservations: Vec<Vec<(f64, f64)>> = retained
+        let tick = |seconds: f64| ticks::from_seconds(seconds).expect("a time in range");
+        let reservations: Vec<Vec<(u64, u64)>> = retained
             .busy
             .iter()
-            .map(|unit| unit.iter().map(|b| (b.start_seconds, b.end_seconds)).collect())
+            .map(|unit| unit.iter().map(|b| (tick(b.start_seconds), tick(b.end_seconds))).collect())
             .collect();
         let dead = settling.into_summary(Some(last_real));
         prop_assert_eq!(dead.makespan_seconds.to_bits(), last_real.to_bits());
@@ -421,12 +425,12 @@ proptest! {
 }
 
 /// Serves `jobs` inside its own telemetry capture. The scheduler emits one
-/// event per reservation, carrying its exact floats, in placement order —
+/// event per reservation, carrying its exact ticks, in placement order —
 /// the record of the timeline that `serve` itself no longer retains.
 fn serve_recorded(
     jobs: &[JobRequest],
     options: ServeOptions,
-) -> (ServeReport, Vec<Vec<(f64, f64)>>) {
+) -> (ServeReport, Vec<Vec<(u64, u64)>>) {
     let run = telemetry::capture();
     let report = serve(jobs, options).unwrap();
     let run = run.finish();
@@ -441,7 +445,12 @@ fn serve_recorded(
         .map(|&kind| {
             let of_kind = run.events.iter().filter(|ev| on_unit(ev, kind));
             of_kind
-                .map(|ev| (ev.arg_f64("start_s").unwrap(), ev.arg_f64("end_s").unwrap()))
+                .map(|ev| {
+                    (
+                        ev.arg_u64("start_ticks").unwrap(),
+                        ev.arg_u64("end_ticks").unwrap(),
+                    )
+                })
                 .collect()
         })
         .collect();
@@ -472,8 +481,8 @@ proptest! {
             .iter()
             .map(|&kind| {
                 let unit = &reservations[kind.index()];
-                let reserved: f64 = unit.iter().map(|&(start, end)| end - start).sum();
-                reserved / makespan
+                let reserved: u64 = unit.iter().map(|&(start, end)| end - start).sum();
+                ticks::seconds(reserved) / makespan
             })
             .collect();
         prop_assert!(makespan > 0.0);

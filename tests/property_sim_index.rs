@@ -43,10 +43,10 @@ use std::ops::Range;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use bts::params::CkksInstance;
+use bts::params::{BandwidthModel, CkksInstance};
 use bts::sched::{schedule_jobs, JobPlan, MachineModel, ScheduleError, ScheduleExt};
 use bts::sim::{
-    BtsConfig, CtId, HeOp, OpTiming, OpTrace, SimReport, Simulator, TraceBuilder, TraceError,
+    ticks, BtsConfig, CtId, HeOp, OpTiming, OpTrace, SimReport, Simulator, TraceBuilder, TraceError,
 };
 
 #[path = "common/cache_optimum.rs"]
@@ -381,14 +381,17 @@ type Repetitions = Vec<(Range<usize>, Range<CtId>)>;
 /// values, between random ops over every value made so far (inputs, the
 /// range's outputs, the copies' outputs), at levels that are sometimes out
 /// of budget unless `in_budget`. `copy` builds each repetition with
-/// `TraceBuilder::repeat`; otherwise it is recorded op by op again. Returns
-/// the built trace and, per repetition (the range itself first), its ops
-/// and the ids of its outputs.
+/// `TraceBuilder::repeat`; otherwise it is recorded op by op again. With
+/// `adjacent`, repetitions come in pairs, back to back with no op between
+/// them, so neither is bracketed by region flips. Returns the built trace
+/// and, per repetition (the range itself first), its ops and the ids of its
+/// outputs.
 fn repeating_program(
     ins: &CkksInstance,
     seed: u64,
     copy: bool,
     in_budget: bool,
+    adjacent: bool,
 ) -> (OpTrace, Repetitions) {
     let mut rng = Lcg::new(seed);
     let mut b = TraceBuilder::new(ins);
@@ -441,19 +444,21 @@ fn repeating_program(
     pool.extend(outputs);
     for _ in 0..rng.next() % 24 {
         if rng.next().is_multiple_of(3) {
-            let to = pool[rng.next() % pool.len()];
-            let start = b.len();
-            let first = if copy {
-                let last = b.repeat(range.clone(), from, to);
-                let first = last + 1 - steps.len() as CtId;
-                pool.extend(first..=last);
-                first
-            } else {
-                let outputs = record_range(&mut b, to);
-                pool.extend(&outputs);
-                outputs[0]
-            };
-            repetitions.push((start..b.len(), first..first + range.len() as CtId));
+            for _ in 0..1 + usize::from(adjacent) {
+                let to = pool[rng.next() % pool.len()];
+                let start = b.len();
+                let first = if copy {
+                    let last = b.repeat(range.clone(), from, to);
+                    let first = last + 1 - steps.len() as CtId;
+                    pool.extend(first..=last);
+                    first
+                } else {
+                    let outputs = record_range(&mut b, to);
+                    pool.extend(&outputs);
+                    outputs[0]
+                };
+                repetitions.push((start..b.len(), first..first + range.len() as CtId));
+            }
         } else {
             random_op(&mut b, &mut rng, &mut pool);
         }
@@ -501,22 +506,22 @@ fn assert_sweeps_alike(
     Ok(())
 }
 
-/// Every field of a timing, floats as their bits.
+/// Every field of a timing.
 fn timing_bits(t: &OpTiming) -> [u64; 15] {
     let c = &t.cost;
     [
-        c.ntt_seconds.to_bits(),
-        c.bconv_seconds.to_bits(),
-        c.elementwise_seconds.to_bits(),
-        c.elementwise_charged_seconds.to_bits(),
-        c.compute_seconds.to_bits(),
+        c.ntt_ticks,
+        c.bconv_ticks,
+        c.elementwise_ticks,
+        c.elementwise_charged_ticks,
+        c.compute_ticks,
         c.evk_bytes,
         c.operand_bytes,
         c.temp_bytes,
         t.miss_bytes,
         t.hbm_bytes,
-        t.hbm_seconds.to_bits(),
-        t.seconds.to_bits(),
+        t.hbm_ticks,
+        t.ticks,
         t.cache_hits as u64,
         t.cache_misses as u64,
         t.scratch_bytes,
@@ -543,8 +548,8 @@ proptest! {
     #[test]
     fn repeated_ranges_index_like_recorded_ones(seed in any::<u64>()) {
         let ins = CkksInstance::ins1();
-        let (copied, _) = repeating_program(&ins, seed, true, false);
-        let (recorded, _) = repeating_program(&ins, seed, false, false);
+        let (copied, _) = repeating_program(&ins, seed, true, false, false);
+        let (recorded, _) = repeating_program(&ins, seed, false, false, false);
         prop_assert_eq!(copied.validate(), recorded.validate());
         prop_assert!(copied == recorded, "seed {}", seed);
     }
@@ -554,16 +559,68 @@ proptest! {
     /// its sweeps resolve every op. At caches that evict and bypass both the
     /// copies' own values and values from before them
     /// (`replay_caches_evict_and_bypass_both_kinds`), every sweep of the two
-    /// is the same, bit for bit.
+    /// is the same, bit for bit — with the copies spread out, when the
+    /// scheduled run shifts the placement of those bracketed by region
+    /// flips, and back to back, when it places every op.
     #[test]
     fn replayed_copies_sweep_like_recorded_ones(seed in any::<u64>()) {
         let ins = CkksInstance::ins1();
-        let (copied, _) = repeating_program(&ins, seed, true, true);
-        let (recorded, _) = repeating_program(&ins, seed, false, true);
-        prop_assert!(copied == recorded, "seed {}", seed);
-        prop_assert_eq!(copied.validate(), Ok(()));
-        for mib in REPLAY_CACHES_MIB {
-            assert_sweeps_alike(&with_cache_mib(&ins, mib), &copied, &recorded)?;
+        for adjacent in [false, true] {
+            let (copied, _) = repeating_program(&ins, seed, true, true, adjacent);
+            let (recorded, _) = repeating_program(&ins, seed, false, true, adjacent);
+            prop_assert!(copied == recorded, "seed {}", seed);
+            prop_assert_eq!(copied.validate(), Ok(()));
+            for mib in REPLAY_CACHES_MIB {
+                assert_sweeps_alike(&with_cache_mib(&ins, mib), &copied, &recorded)?;
+            }
+        }
+    }
+
+    /// Simulated time is whole ticks (`bts::sim::ticks`): on random traces,
+    /// configurations and bandwidths, every op's charge is within one tick
+    /// of the seconds the engine charged before ticks
+    /// (`oracle::charge_seconds`), every report total within one tick per
+    /// op of that charge folded in program order (`oracle::fold_seconds`),
+    /// and the bytes are the same bytes.
+    #[test]
+    fn ticks_stay_within_a_tick_of_the_seconds_charge(seed in any::<u64>(), ops in 1usize..120) {
+        let mut rng = Lcg::new(seed);
+        let ins = [CkksInstance::ins1(), CkksInstance::ins2(), CkksInstance::ins3()]
+            [rng.next() % 3]
+            .clone();
+        let trace = rich_trace(&ins, &mut rng, ops);
+        let raw = Raw::of(&trace);
+        // 0.3 to 3 TB/s, off any round number.
+        let bandwidth = 3e11 + (rng.next() % 1_000_000) as f64 * 2.7e6 + 0.37;
+        let config = BtsConfig::bts_default()
+            .with_scratchpad_bytes(SCRATCHPADS_MIB[rng.next() % SCRATCHPADS_MIB.len()] << 20)
+            .with_hbm(BandwidthModel::new(bandwidth))
+            .with_overlap(rng.next().is_multiple_of(2));
+        let sim = Simulator::new(config, ins);
+        type Run = fn(&Simulator, &OpTrace) -> Result<SimReport, TraceError>;
+        let runs: [(Run, _); 2] = [
+            (Simulator::try_run, oracle::Policy::NextUse(oracle::three_value_key)),
+            (Simulator::try_run_lru, oracle::Policy::Lru),
+        ];
+        for (run, policy) in runs {
+            let timings = oracle::op_timings(&sim, &raw, policy).unwrap();
+            for (op, timing) in raw.ops.iter().zip(&timings) {
+                let exact = oracle::charge_seconds(&sim, op, timing) * ticks::TICK_HZ;
+                let off = timing.ticks as f64 - exact;
+                prop_assert!((-1e-9 * exact..=1.0 + 1e-9 * exact).contains(&off), "{off} ticks");
+            }
+            let report = run(&sim, &trace).unwrap();
+            let (total, bootstrap, per_op) = oracle::fold_seconds(&sim, &raw, &timings);
+            let within = |got: f64, want: f64| {
+                (got - want).abs() <= (ops as f64 + 1e-9 * want * ticks::TICK_HZ) / ticks::TICK_HZ
+            };
+            prop_assert!(within(report.total_seconds, total));
+            prop_assert!(within(report.bootstrap_seconds, bootstrap));
+            prop_assert_eq!(report.per_op.len(), per_op.len());
+            for (class, seconds) in per_op {
+                prop_assert!(within(report.per_op[&class].seconds, seconds), "{:?}", class);
+            }
+            prop_assert_eq!(report.hbm_bytes, timings.iter().map(|t| t.hbm_bytes).sum::<u64>());
         }
     }
 }
@@ -621,7 +678,7 @@ fn replay_caches_evict_and_bypass_both_kinds() {
         // (evicted, bypassed) x (the repetition's own, from before it).
         let mut seen = [[0usize; 2]; 2];
         for seed in 0..64 {
-            let (trace, repetitions) = repeating_program(&ins, seed, false, true);
+            let (trace, repetitions) = repeating_program(&ins, seed, false, true, false);
             for mib in REPLAY_CACHES_MIB {
                 let capture = bts::telemetry::capture();
                 run(&with_cache_mib(&ins, mib), &trace).unwrap();

@@ -74,7 +74,7 @@ fn reuse_code_is_optimal_at_every_registry_point() {
                 let hits = sum(|t| t.cache_hits as u64);
                 let hit_rate = hits as f64 / (hits + sum(|t| t.cache_misses as u64)) as f64;
                 let hbm_bytes = sum(|t| t.hbm_bytes);
-                let seconds: f64 = policy.iter().map(|t| t.seconds).sum();
+                let seconds = bts::sim::ticks::seconds(sum(|t| t.ticks));
                 let lru = sim.try_run_lru(trace).expect("lowered traces validate");
                 assert!(
                     lru.cache_hit_rate() <= hit_rate,
