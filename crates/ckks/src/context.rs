@@ -6,9 +6,8 @@ use rand::Rng;
 
 use bts_math::par::chain;
 use bts_math::{
-    resize_exact, sample_gaussian, sample_ternary, sample_uniform_into, AutomorphismTable,
-    BaseConverter, BconvScratch, Modulus, Representation, RnsBasis, RnsPoly, ShoupMul,
-    TERNARY_HAMMING_DENSE,
+    resize_exact, sample_gaussian, sample_ternary, AutomorphismTable, BaseConverter, BconvScratch,
+    Modulus, Representation, RnsBasis, RnsPoly, ShoupMul, TERNARY_HAMMING_DENSE,
 };
 use bts_params::{CkksInstance, Decomposition};
 
@@ -16,7 +15,7 @@ use crate::ciphertext::{Ciphertext, Plaintext};
 use crate::encoding::{CkksEncoder, Complex};
 use crate::error::CkksError;
 use crate::evaluator::Evaluator;
-use crate::keys::{EvaluationKey, KeyBundle, PublicKey, SecretKey};
+use crate::keys::{uniform_stream, EvaluationKey, KeyBundle, KeySlice, PublicKey, SecretKey};
 
 /// Standard deviation of the RLWE error distribution.
 const ERROR_SIGMA: f64 = 3.2;
@@ -127,7 +126,7 @@ impl Drop for Decomposed {
 /// Where limb `t` of the extended basis `{q_0..q_level} ∪ P` sits in a
 /// basis `{q_0..q_top} ∪ P` with `top ≥ level`: the full key basis, or an
 /// evaluation key generated for level `top`.
-fn ks_limb(level: usize, top: usize, t: usize) -> usize {
+pub(crate) fn ks_limb(level: usize, top: usize, t: usize) -> usize {
     if t <= level {
         t
     } else {
@@ -153,15 +152,19 @@ struct InnerProduct<'a> {
     /// The digit matrix: one `stride = (ℓ+1+k) · N`-word block per slice.
     digits: &'a [u64],
     stride: usize,
-    /// The key's `(b, a)` pair of each slice.
-    keys: &'a [(RnsPoly, RnsPoly)],
-    /// Which half of each pair this is.
+    /// The key's slices: `b` stored, `a` regenerated from the seed.
+    keys: &'a [KeySlice],
+    /// Which half of each pair this is. The `a` half's key words are the
+    /// raw 64-bit stream words, multiplied in unreduced (`Σ d·w ≡
+    /// Σ d·(w mod p)`; see the `keys` module doc).
     a_half: bool,
     /// The automorphism's NTT gather the digits are read through, if any.
     gather: Option<&'a [u32]>,
-    /// The digits' level ℓ and the key's.
+    /// The digits' level ℓ, the key's, and the context's L (which places
+    /// a row in the full key basis the `a` stream is keyed by).
     level: usize,
     key_level: usize,
+    max_level: usize,
     n: usize,
     /// Slices whose `u128` sums cannot overflow between two reductions.
     fold_every: usize,
@@ -173,27 +176,34 @@ impl InnerProduct<'_> {
     /// coefficient.
     #[inline(always)]
     fn row(&self, t: usize, p: &Modulus, mut land: impl FnMut(usize, &[u64])) {
-        let key_limb = ks_limb(self.level, self.key_level, t);
+        // Where the row sits in the key (`b`) and in the full key basis
+        // (the `a` stream).
+        let limbs = (
+            ks_limb(self.level, self.key_level, t),
+            ks_limb(self.level, self.max_level, t),
+        );
         // Full blocks have a length the compiler can see, so their lane
         // loops unroll; N is a power of two, so there is a remainder only
         // when the whole row is shorter than one block.
         let full = self.n - self.n % IP_LANES;
         for col in (0..full).step_by(IP_LANES) {
-            land(col, &self.block(t, key_limb, p, col, IP_LANES)[..IP_LANES]);
+            land(col, &self.block(t, limbs, p, col, IP_LANES)[..IP_LANES]);
         }
         let rest = self.n - full;
         if rest > 0 {
-            land(full, &self.block(t, key_limb, p, full, rest)[..rest]);
+            land(full, &self.block(t, limbs, p, full, rest)[..rest]);
         }
     }
 
     /// Coefficients `col..col + lanes` of row `t`: every slice's products
-    /// summed in `u128` and reduced once per element.
+    /// summed in `u128` and reduced once per element. The `a` half's key
+    /// words come off the stream as the MAC reads them, so no row of `a`,
+    /// nor any block of it, exists in memory.
     #[inline(always)]
     fn block(
         &self,
         t: usize,
-        key_limb: usize,
+        (key_limb, basis_limb): (usize, usize),
         p: &Modulus,
         col: usize,
         lanes: usize,
@@ -201,7 +211,7 @@ impl InnerProduct<'_> {
         let n = self.n;
         let mut acc = [0u128; IP_LANES];
         let slices = self.digits.chunks_exact(self.stride).zip(self.keys);
-        for (j, (ext, pair)) in slices.enumerate() {
+        for (j, (ext, slice)) in slices.enumerate() {
             if j > 0 && j.is_multiple_of(self.fold_every) {
                 // `fold_every` more terms could overflow: fold first.
                 for a in &mut acc[..lanes] {
@@ -209,22 +219,38 @@ impl InnerProduct<'_> {
                 }
             }
             let digit = &ext[t * n..(t + 1) * n];
-            let key = if self.a_half { &pair.1 } else { &pair.0 };
-            let key = &key.limb(key_limb)[col..col + lanes];
+            let block = col..col + lanes;
+            let b = || slice.b.limb(key_limb)[block.clone()].iter().copied();
+            let a = || uniform_stream(slice.seed, basis_limb, col);
+            let sums = &mut acc[..lanes];
             match self.gather {
                 None => {
-                    for ((a, &x), &w) in acc.iter_mut().zip(&digit[col..col + lanes]).zip(key) {
-                        *a += x as u128 * w as u128;
+                    let digits = digit[block.clone()].iter().copied();
+                    if self.a_half {
+                        mac(sums, digits, a())
+                    } else {
+                        mac(sums, digits, b())
                     }
                 }
                 Some(gather) => {
-                    for ((a, &g), &w) in acc.iter_mut().zip(&gather[col..col + lanes]).zip(key) {
-                        *a += digit[g as usize] as u128 * w as u128;
+                    let digits = gather[block.clone()].iter().map(|&g| digit[g as usize]);
+                    if self.a_half {
+                        mac(sums, digits, a())
+                    } else {
+                        mac(sums, digits, b())
                     }
                 }
             }
         }
         acc.map(|a| p.reduce_u128(a))
+    }
+}
+
+/// `sums[c] += x_c · w_c`: a block's digits times its key words.
+#[inline(always)]
+fn mac(sums: &mut [u128], digits: impl Iterator<Item = u64>, key: impl Iterator<Item = u64>) {
+    for ((sum, x), w) in sums.iter_mut().zip(digits).zip(key) {
+        *sum += x as u128 * w as u128;
     }
 }
 
@@ -564,11 +590,15 @@ impl CkksContext {
     /// key `sk` (generalized dnum decomposition, §2.5), for key-switches at
     /// levels up to `level`.
     ///
-    /// The draws are those of a top-level key whatever `level` is — a
-    /// uniform `a_j` on every limb of `Q ∪ P` and an error polynomial for
-    /// every slice live at L — so the RNG stream, and every later
-    /// encryption, does not depend on the level; only the limbs
-    /// `q_0..q_ℓ ∪ P` of the slices live at ℓ are kept.
+    /// Each slice's uniform `a_j` is the stream of a seed drawn from `rng`
+    /// (see the `keys` module doc); `b_j = −a_j·s + e_j + gadget` is formed
+    /// limb by limb from it, and `a_j` is never stored. The draws are those
+    /// of a top-level key whatever `level` is — a seed and an error
+    /// polynomial for every slice live at L — so the RNG stream, and every
+    /// later encryption, does not depend on the level; and since the stream
+    /// is keyed by the limb of the full key basis, a level-ℓ key's `a` is
+    /// the top-level key's on the limbs `q_0..q_ℓ ∪ P` of the slices live at
+    /// ℓ, the only ones it keeps.
     fn gen_switching_key<R: Rng + ?Sized>(
         &self,
         sk: &SecretKey,
@@ -582,15 +612,9 @@ impl CkksContext {
                 self.max_level
             )));
         }
-        // Key-basis limb i is kept at position `i` (a q limb up to ℓ) or
-        // `i - (L - ℓ)` (a special limb); the q limbs above ℓ are dropped.
-        let kept_at = |i: usize| match i {
-            i if i <= level => Some(i),
-            i if i > self.max_level => Some(i - (self.max_level - level)),
-            _ => None,
-        };
+        // The key keeps key-basis limbs q_0..q_ℓ and P, in that order.
         let limbs: Vec<usize> = (0..self.key_basis.len())
-            .filter(|&i| kept_at(i).is_some())
+            .filter(|&i| i <= level || i > self.max_level)
             .collect();
         let basis = self.key_basis.select(&limbs);
         let s = sk.poly.select_limbs(&limbs);
@@ -598,43 +622,31 @@ impl CkksContext {
         let kept = self.decomposition.slices_at_level(level);
         let live = self.decomposition.slices_at_level(self.max_level);
         let mut slices = Vec::with_capacity(kept);
-        let mut discard = vec![0; self.degree];
         for j in 0..live {
-            // `RnsPoly::sample_uniform` on the whole key basis, limb by limb,
-            // straight into the limbs this key stores.
-            let mut a_j = (j < kept).then(|| RnsPoly::zero(&basis, Representation::Ntt));
-            for i in 0..self.key_basis.len() {
-                let limb = match (a_j.as_mut(), kept_at(i)) {
-                    (Some(a_j), Some(at)) => a_j.limb_mut(at),
-                    _ => &mut discard[..],
-                };
-                sample_uniform_into(rng, self.key_basis.modulus(i).value(), limb);
-            }
+            let seed = rng.next_u64();
             let error = sample_gaussian(rng, self.degree, ERROR_SIGMA);
-            let Some(a_j) = a_j else {
+            if j >= kept {
                 continue;
-            };
-            let mut e_j = RnsPoly::from_signed_coefficients(&basis, &error);
-            e_j.to_ntt();
-            // Per-limb gadget factor: P mod q_i inside the slice, 0 elsewhere.
+            }
+            let mut b_j = RnsPoly::from_signed_coefficients(&basis, &error);
+            b_j.to_ntt();
             let slice = self.decomposition.slice(j, level);
-            let constants: Vec<u64> = limbs
-                .iter()
-                .map(|&i| {
-                    if slice.contains(&i) {
-                        self.p_mod_q[i]
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            // b_j = −a_j·s + e_j + gadget, in place.
-            let mut b_j = a_j.mul(&s).expect("same basis");
-            b_j.neg_assign();
-            b_j.add_assign(&e_j).expect("same basis");
-            b_j.add_assign(&target.mul_constants(&constants))
-                .expect("same basis");
-            slices.push((b_j, a_j));
+            // b_j = e_j − a_j·s + gadget·target, the gadget factor P mod q_i
+            // inside the slice and 0 elsewhere, one limb of a_j at a time.
+            for (at, &i) in limbs.iter().enumerate() {
+                let q = basis.modulus(at);
+                let gadget = if slice.contains(&i) {
+                    self.p_mod_q[i]
+                } else {
+                    0
+                };
+                let words = uniform_stream(seed, i, 0);
+                let terms = words.zip(s.limb(at)).zip(target.limb(at));
+                for (x, ((w, &s_c), &t_c)) in b_j.limb_mut(at).iter_mut().zip(terms) {
+                    *x = q.add(q.sub(*x, q.mul(q.reduce(w), s_c)), q.mul(t_c, gadget));
+                }
+            }
+            slices.push(KeySlice { b: b_j, seed });
         }
         Ok(EvaluationKey { level, slices })
     }
@@ -1234,23 +1246,29 @@ impl CkksContext {
             )));
         }
         let ext_limbs = level + 1 + k;
-        // The u128 sums overflow after 2^(128 - 2·max_bits) MAC terms; fold
-        // them with a reduction if the slice count could exceed that (it
-        // never does for word-sized CKKS moduli, but guard anyway).
+        // The u128 sums overflow after about 2^(128 - digit bits - key
+        // bits) MAC terms; fold them with a reduction if the slice count
+        // could exceed that. It never does for the `b` half's residues; the
+        // `a` half's 64-bit stream words leave room for 2^(63 - max_bits)
+        // terms, 8 at 60-bit moduli.
         let max_bits = (0..ext_limbs)
             .map(|t| self.key_basis.modulus(self.key_limb(level, t)).bits())
             .max()
             .unwrap_or(1);
-        let half = |a_half| InnerProduct {
-            digits: &digits.digits,
-            stride: ext_limbs * n,
-            keys: &evk.slices,
-            a_half,
-            gather: automorphism.map(AutomorphismTable::ntt_gather),
-            level,
-            key_level: evk.level,
-            n,
-            fold_every: 1usize << 128u32.saturating_sub(2 * max_bits + 1).min(24),
+        let half = |a_half: bool| {
+            let key_bits = if a_half { u64::BITS } else { max_bits };
+            InnerProduct {
+                digits: &digits.digits,
+                stride: ext_limbs * n,
+                keys: &evk.slices,
+                a_half,
+                gather: automorphism.map(AutomorphismTable::ntt_gather),
+                level,
+                key_level: evk.level,
+                max_level: self.max_level,
+                n,
+                fold_every: 1usize << 127u32.saturating_sub(max_bits + key_bits).min(24),
+            }
         };
         self.mod_down(&half(false), out_b, s)?;
         self.mod_down(&half(true), out_a, s)
@@ -1355,7 +1373,8 @@ mod tests {
         /// The key-switch body `decompose` + `switch_decomposed` replaced,
         /// kept as their oracle: one slice at a time through a single
         /// extended matrix, MACs over the whole matrix per slice, then
-        /// ModDown of the two reduced accumulators.
+        /// ModDown of the two reduced accumulators. It reads the key's `a`
+        /// halves expanded into polynomials.
         fn key_switch_reference(&self, d: &RnsPoly, evk: &EvaluationKey) -> (RnsPoly, RnsPoly) {
             let level = d.limb_count() - 1;
             let k = self.num_special();
@@ -1398,7 +1417,7 @@ mod tests {
                     let idx = if t < lo { t } else { hi + (t - lo) };
                     ks_basis.table(idx).forward(limb);
                 }
-                let (evk_b, evk_a) = &evk.slices[j];
+                let (evk_b, evk_a) = (&evk.slices[j].b, evk.expanded_a(j, self.max_level));
                 for t in 0..ext_limbs {
                     let kb = evk_b.limb(evk_indices[t]);
                     let ka = evk_a.limb(evk_indices[t]);
@@ -1461,7 +1480,9 @@ mod tests {
         /// The `switch_into` body the register-blocked one replaced, kept as
         /// its oracle: the inner product one limb row at a time into
         /// `(ℓ+1+k)`-row `u128` accumulators for both halves, reduced into
-        /// two extended-basis polynomials, then a ModDown of each.
+        /// two extended-basis polynomials, then a ModDown of each. It reads
+        /// the key's `a` halves expanded into polynomials, reduced words
+        /// where the seeded body multiplies in raw stream words.
         fn switch_into_reference(
             &self,
             digits: &Decomposed,
@@ -1485,6 +1506,9 @@ mod tests {
             let mut acc_a = vec![0u128; ext_limbs * n];
             let mut ext_b = vec![0u64; ext_limbs * n];
             let mut ext_a = vec![0u64; ext_limbs * n];
+            let pairs: Vec<(&RnsPoly, RnsPoly)> = (0..evk.slices.len())
+                .map(|j| (&evk.slices[j].b, evk.expanded_a(j, self.max_level)))
+                .collect();
             let rows = acc_b
                 .chunks_exact_mut(n)
                 .zip(acc_a.chunks_exact_mut(n))
@@ -1494,7 +1518,7 @@ mod tests {
                 let p = self.key_basis.modulus(self.key_limb(level, t));
                 let key_limb = ks_limb(level, evk.level, t);
                 let blocks = digits.digits.chunks_exact(ext_limbs * n);
-                for (j, (ext, (evk_b, evk_a))) in blocks.zip(&evk.slices).enumerate() {
+                for (j, (ext, (evk_b, evk_a))) in blocks.zip(&pairs).enumerate() {
                     let digit = &ext[t * n..(t + 1) * n];
                     let kb = evk_b.limb(key_limb);
                     let ka = evk_a.limb(key_limb);
@@ -1607,12 +1631,14 @@ mod tests {
         }
     }
 
-    /// The blocked `switch_into` is bit-identical to the row-at-a-time
-    /// body it replaced: relinearization and rotation keys, with and without
-    /// the automorphism gather, both landings on both halves, at every level
-    /// of four (L, dnum) shapes, on rings shorter than one coefficient block
-    /// (N = 8, the smallest the encoder takes, and 16), of exactly one (64)
-    /// and of many (2^12).
+    /// The blocked, seeded `switch_into` is bit-identical to the
+    /// row-at-a-time body it replaced reading the expanded key (every `a`
+    /// half a stored polynomial, as before keys were seeded):
+    /// relinearization, rotation (top-level and sized by the digits' level)
+    /// and conjugation keys, with and without the automorphism gather, both
+    /// landings on both halves, at every level of four (L, dnum) shapes, on
+    /// rings shorter than one coefficient block (N = 8, the smallest the
+    /// encoder takes, and 16), of exactly one (64) and of many (2^12).
     #[test]
     fn switch_into_matches_the_row_at_a_time_reference() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4949);
@@ -1623,14 +1649,26 @@ mod tests {
                 ctx.add_rotation_keys(&sk, &mut keys, &[1], &mut rng)
                     .unwrap();
                 let rotation = keys.rotation(1).unwrap();
-                let galois = bts_math::galois_element(1, ctx.degree(), false);
-                let table = ctx.automorphism_table(galois).unwrap();
+                let conjugation = keys.conjugation().unwrap();
+                let table = |r, conjugate| {
+                    let galois = bts_math::galois_element(r, ctx.degree(), conjugate);
+                    ctx.automorphism_table(galois).unwrap()
+                };
+                let (rotate, conjugate) = (table(1, false), table(0, true));
                 let msg = vec![Complex::new(0.3, -0.1); ctx.slots()];
                 for level in 0..=max_level {
                     let pt = ctx.encode_at(&msg, level, ctx.scale()).unwrap();
                     let ct = ctx.encrypt(&pt, &sk, &mut rng).unwrap();
                     let digits = ctx.decompose(&ct.c1().mul(ct.c1()).unwrap()).unwrap();
-                    let cases = [(keys.relin(), None), (rotation, Some(&*table))];
+                    // A key sized by this level reads its stream at the
+                    // limbs of the full key basis, not its own positions.
+                    let sized = ctx.gen_rotation_key(&sk, 1, level, &mut rng).unwrap();
+                    let cases = [
+                        (keys.relin(), None),
+                        (rotation, Some(&*rotate)),
+                        (&sized, Some(&*rotate)),
+                        (conjugation, Some(&*conjugate)),
+                    ];
                     let lands = [
                         (Land::Overwrite, Land::Accumulate),
                         (Land::Accumulate, Land::Overwrite),

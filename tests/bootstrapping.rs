@@ -85,7 +85,7 @@ fn bootstrapper_reports_its_key_requirements() {
 /// CoeffToSlot, the double-angle EvalMod and SlotToCoeff end to end. A small
 /// `q0/Δ` ratio (2^5) keeps the EvalMod amplitude — and hence the
 /// approximation error in message units — small. The refresh measures
-/// 5.5e-6 at seed 42; the bound is 1e-4, about 18× that, so an error up to
+/// 5.7e-6 at seed 42; the bound is 1e-4, about 17× that, so an error up to
 /// twice today's (ROADMAP 1(b)'s gate for the radix-factored transforms)
 /// still passes while a loss of orders of magnitude does not.
 #[test]
