@@ -26,12 +26,15 @@ use crate::value_table::{FixedMap, ValueTable};
 ///
 /// # Errors
 ///
-/// Fails on an invalid source circuit; the emitted bytecode is re-validated
-/// before being returned, so a compiler bug surfaces as an error here rather
-/// than as an executor panic.
+/// Fails on an invalid source circuit. The bytecode is checked by the
+/// backend that runs it, so a compiler bug is an error there, not a panic.
 pub fn compile(circuit: &HeCircuit) -> Result<CompiledCircuit, CircuitError> {
+    circuit.validate().map(|()| emit(circuit))
+}
+
+/// [`compile`]'s body, on a circuit known to validate.
+pub(crate) fn emit(circuit: &HeCircuit) -> CompiledCircuit {
     let _span = bts_telemetry::span("circuit.compile");
-    circuit.validate()?;
     let outputs = ValueTable::outputs_of(circuit);
 
     // Last use of every value, in node index space.
@@ -142,7 +145,7 @@ pub fn compile(circuit: &HeCircuit) -> Result<CompiledCircuit, CircuitError> {
         });
     }
 
-    let compiled = CompiledCircuit {
+    CompiledCircuit {
         instance: circuit.instance.clone(),
         inputs,
         ops,
@@ -150,9 +153,7 @@ pub fn compile(circuit: &HeCircuit) -> Result<CompiledCircuit, CircuitError> {
         consts,
         rotations: rotation_pool,
         reg_count,
-    };
-    compiled.validate()?;
-    Ok(compiled)
+    }
 }
 
 #[cfg(test)]

@@ -487,10 +487,11 @@ mod tests {
         b.output(sq);
         let circuit = b.build();
 
-        let lowered = TraceBackend::new().execute(&circuit).unwrap();
+        let compiled = compile(&circuit).unwrap();
+        let lowered = TraceBackend::new().lower_compiled(&compiled).unwrap();
         let run = FunctionalBackend::new(&ins, 7)
             .unwrap()
-            .execute(&circuit)
+            .execute_compiled(&compiled)
             .unwrap();
         for (op, count) in circuit.op_counts() {
             assert_eq!(lowered.trace.count(op), count, "trace {op:?}");

@@ -30,14 +30,15 @@
 //! [`DeadValuePass`]), and
 //! [`compile`] lowers any circuit to a flat register-machine
 //! [`CompiledCircuit`], the only thing a backend runs
-//! ([`TraceBackend::lower_compiled`], [`FunctionalBackend::execute_compiled`];
-//! each backend's `execute` is `compile` followed by that). A walk of the
+//! ([`TraceBackend::lower_compiled`], [`FunctionalBackend::execute_compiled`]);
+//! [`Workload::lower`], a pair's one simulated program, is build → the
+//! standard pipeline → `compile` → `lower_compiled`. A walk of the
 //! SSA nodes survives only as a test oracle (`tests/common/ssa_oracle.rs` at
 //! the workspace root): differential tests hold both executors bit-identical
 //! to it, trace for trace and slot for slot.
 //!
 //! ```
-//! use bts_circuit::{CircuitBuilder, FunctionalBackend, TraceBackend};
+//! use bts_circuit::{compile, CircuitBuilder, FunctionalBackend, TraceBackend};
 //! use bts_params::CkksInstance;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,13 +49,14 @@
 //! let sq = b.rescale(prod)?;
 //! b.output(sq);
 //! let circuit = b.build();
+//! let compiled = compile(&circuit)?;
 //!
 //! // Cost side: lower to an op trace for the simulator.
-//! let lowered = TraceBackend::new().execute(&circuit)?;
+//! let lowered = TraceBackend::new().lower_compiled(&compiled)?;
 //! assert_eq!(lowered.trace.len(), 2);
 //!
 //! // Functional side: run on real ciphertexts and decrypt.
-//! let run = FunctionalBackend::new(&ins, 1)?.execute(&circuit)?;
+//! let run = FunctionalBackend::new(&ins, 1)?.execute_compiled(&compiled)?;
 //! assert_eq!(run.outputs.len(), 1);
 //! // Same program, same op classes, checkable:
 //! assert_eq!(run.op_counts, circuit.op_counts());

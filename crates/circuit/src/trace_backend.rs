@@ -4,9 +4,7 @@ use bts_sim::{CtId, OpTrace, TraceBuilder};
 
 use crate::bootstrap_plan::BootstrapPlan;
 use crate::bytecode::{CompiledCircuit, Opcode};
-use crate::compile::compile;
 use crate::error::CircuitError;
-use crate::ir::HeCircuit;
 
 /// Result of lowering a circuit for the cost simulator.
 #[derive(Debug, Clone)]
@@ -37,20 +35,10 @@ impl TraceBackend {
         Self
     }
 
-    /// Compiles a circuit and lowers the bytecode: [`compile`] then
-    /// [`TraceBackend::lower_compiled`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation and lowering failures.
-    pub fn execute(&mut self, circuit: &HeCircuit) -> Result<LoweredTrace, CircuitError> {
-        self.lower_compiled(&compile(circuit)?)
-    }
-
     /// Lowers compiled bytecode to an op trace, operands resolved through a
     /// flat register file.
     ///
-    /// Because [`compile`] preserves instruction order, and a repeated
+    /// Because [`crate::compile`] preserves instruction order, and a repeated
     /// expansion is what recording it again would make, the trace is op for
     /// op, ciphertext id for ciphertext id what walking the source circuit's
     /// SSA nodes and appending every marker's plan would emit — an equality
@@ -136,8 +124,15 @@ impl TraceBackend {
 mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
+    use crate::compile::compile;
     use bts_params::CkksInstance;
     use bts_sim::HeOp;
+
+    fn lower(circuit: &crate::HeCircuit) -> LoweredTrace {
+        TraceBackend::new()
+            .lower_compiled(&compile(circuit).unwrap())
+            .unwrap()
+    }
 
     #[test]
     fn lowering_preserves_op_classes_one_to_one() {
@@ -154,7 +149,7 @@ mod tests {
         let s = b.rescale(s).unwrap();
         b.output(s);
         let circuit = b.build();
-        let lowered = TraceBackend::new().execute(&circuit).unwrap();
+        let lowered = lower(&circuit);
         assert!(lowered.trace.validate().is_ok());
         assert_eq!(lowered.bootstrap_count, 0);
         for (op, count) in circuit.op_counts() {
@@ -172,7 +167,7 @@ mod tests {
         let refreshed = b.bootstrap(x).unwrap();
         b.output(refreshed);
         let circuit = b.build();
-        let lowered = TraceBackend::new().execute(&circuit).unwrap();
+        let lowered = lower(&circuit);
         assert!(lowered.trace.validate().is_ok());
         assert_eq!(lowered.bootstrap_count, 1);
         let plan = BootstrapPlan::paper_default();
@@ -192,7 +187,7 @@ mod tests {
         let raw2 = b.hmult(p, p).unwrap();
         let q = b.rescale(raw2).unwrap();
         b.output(q);
-        let lowered = TraceBackend::new().execute(&b.build()).unwrap();
+        let lowered = lower(&b.build());
         let levels: Vec<usize> = lowered.trace.ops().map(|o| o.level).collect();
         assert_eq!(levels, vec![top, top, top - 1, top - 1]);
     }

@@ -2,8 +2,10 @@ use std::collections::BTreeMap;
 
 use bts_params::CkksInstance;
 
+use crate::compile::emit;
 use crate::error::CircuitError;
 use crate::ir::HeCircuit;
+use crate::passes::PassPipeline;
 use crate::trace_backend::{LoweredTrace, TraceBackend};
 
 /// A named workload that can express itself as an [`HeCircuit`] for any
@@ -22,15 +24,16 @@ pub trait Workload {
     /// is needed but the level budget is below `L_boot`).
     fn build(&self, instance: &CkksInstance) -> Result<HeCircuit, CircuitError>;
 
-    /// Convenience: builds the circuit, compiles it and lowers the bytecode
-    /// for the cost simulator with the default [`TraceBackend`].
+    /// The pair's one simulated program: the built circuit through
+    /// [`PassPipeline::standard`] (its one check), compiled and lowered by
+    /// the default [`TraceBackend`] (the bytecode's one check).
     ///
     /// # Errors
     ///
-    /// Propagates circuit construction, compilation and lowering failures.
+    /// Propagates circuit construction, pass and lowering failures.
     fn lower(&self, instance: &CkksInstance) -> Result<LoweredTrace, CircuitError> {
-        let circuit = self.build(instance)?;
-        TraceBackend::new().execute(&circuit)
+        let optimized = PassPipeline::standard().optimize(&self.build(instance)?)?;
+        TraceBackend::new().lower_compiled(&emit(&optimized))
     }
 }
 

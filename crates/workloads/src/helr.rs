@@ -84,6 +84,7 @@ impl Workload for HelrWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bts_circuit::PassPipeline;
     use bts_sim::{BtsConfig, Simulator};
 
     #[test]
@@ -123,9 +124,13 @@ mod tests {
 
     #[test]
     fn circuit_and_trace_agree_on_bootstrap_count() {
+        // `lower` charges the optimized circuit: its markers, not the
+        // builder's, are the trace's expansions.
         let ins = CkksInstance::ins1();
         let w = HelrWorkload::default();
-        let circuit = w.build(&ins).unwrap();
+        let circuit = PassPipeline::standard()
+            .optimize(&w.build(&ins).unwrap())
+            .unwrap();
         let lowered = w.lower(&ins).unwrap();
         assert_eq!(circuit.bootstrap_count(), lowered.bootstrap_count);
     }

@@ -14,12 +14,13 @@
 //! plus the reported baseline numbers (Lattigo CPU, 100x GPU, F1, F1+) used
 //! by Tables 1/5/6 and Fig. 6.
 //!
-//! One circuit, two backends: lowering a workload with the
-//! [`bts_circuit::TraceBackend`] (see [`Workload::lower`]) yields the
-//! `bts_sim::OpTrace` the accelerator simulator executes — bootstrap markers,
-//! placed from the instance's usable level budget, expand into full bootstrap
-//! op sequences, which is how the per-instance bootstrap counts of Table 6
-//! arise. Executing the *same* circuit with the
+//! One circuit, two backends: [`Workload::lower`] runs the standard pass
+//! pipeline on a workload's circuit and lowers it with the
+//! [`bts_circuit::TraceBackend`] into the `bts_sim::OpTrace` the accelerator
+//! simulator executes — bootstrap markers, placed where the instance's
+//! usable level budget runs out, expand into full bootstrap op sequences,
+//! which is how the per-instance bootstrap counts of Table 6 arise.
+//! Executing the *same* circuit with the
 //! [`bts_circuit::FunctionalBackend`] runs it on real RNS ciphertexts, so op
 //! counts can be cross-checked between the cost and functional sides.
 //! [`standard_registry`] exposes all five workloads by name.

@@ -69,7 +69,7 @@
 //! the computation" is a testable property:
 //!
 //! ```
-//! use bts::circuit::{CircuitBuilder, FunctionalBackend, TraceBackend};
+//! use bts::circuit::{compile, CircuitBuilder, FunctionalBackend, TraceBackend};
 //! use bts::params::CkksInstance;
 //! use bts::sim::{BtsConfig, Simulator};
 //!
@@ -84,16 +84,17 @@
 //! let rot = b.hrot(prod, 1)?;
 //! b.output(rot);
 //! let circuit = b.build();
+//! let compiled = compile(&circuit)?;
 //!
 //! // Backend 1: cost — lower to an op trace and simulate on BTS.
-//! let lowered = TraceBackend::new().execute(&circuit)?;
+//! let lowered = TraceBackend::new().lower_compiled(&compiled)?;
 //! let report = Simulator::new(BtsConfig::bts_default(), ins.clone()).run(&lowered.trace);
 //! assert!(report.total_seconds > 0.0);
 //!
 //! // Backend 2: functional — execute on real ciphertexts and decrypt.
 //! let run = FunctionalBackend::new(&ins, 2024)?
 //!     .with_inputs(vec![vec![0.5; ins.slots()], vec![0.25; ins.slots()]])
-//!     .execute(&circuit)?;
+//!     .execute_compiled(&compiled)?;
 //! assert!((run.outputs[0][0].re - 0.125).abs() < 1e-2);
 //!
 //! // Same program, same ops — checkable, not hoped-for.

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests of the parameter-analysis → workload →
 //! simulator pipeline: the paper's headline comparisons must hold in shape.
 
-use bts::circuit::{BootstrapPlan, TraceBackend, Workload};
+use bts::circuit::{BootstrapPlan, PassPipeline, Workload};
 use bts::params::{BandwidthModel, CkksInstance, MinBoundModel};
 use bts::sim::{BtsConfig, HeOp, Simulator};
 use bts::workloads::{
@@ -189,15 +189,18 @@ fn figures_binary_paths_render() {
 
 #[test]
 fn registry_circuits_lower_through_the_backend_pipeline() {
-    // CkksInstance -> Workload -> HeCircuit -> TraceBackend -> Simulator:
-    // the whole evaluation pipeline, for every registered workload.
+    // CkksInstance -> Workload -> HeCircuit -> passes -> TraceBackend ->
+    // Simulator: the whole evaluation pipeline, for every registered
+    // workload; `Workload::lower` lowers the optimized circuit.
     let ins = CkksInstance::ins2();
     let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
     let registry = standard_registry();
     assert_eq!(registry.len(), 5);
     for (name, workload) in registry.iter() {
-        let circuit = workload.build(&ins).unwrap();
-        let lowered = TraceBackend::new().execute(&circuit).unwrap();
+        let circuit = PassPipeline::standard()
+            .optimize(&workload.build(&ins).unwrap())
+            .unwrap();
+        let lowered = workload.lower(&ins).unwrap();
         assert_eq!(
             circuit.bootstrap_count(),
             lowered.bootstrap_count,

@@ -15,8 +15,9 @@ use bts::sim::{CtId, HeOp, TraceBuilder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// What `TraceBackend::new().execute(circuit)` must produce: one traced op
-/// per node, bootstrap markers expanded by the paper-default plan.
+/// What `compile` + `TraceBackend::lower_compiled` must produce for
+/// `circuit`: one traced op per node, bootstrap markers expanded by the
+/// paper-default plan.
 #[allow(dead_code)]
 pub fn lower(circuit: &HeCircuit) -> LoweredTrace {
     circuit.validate().expect("the oracle walks valid circuits");

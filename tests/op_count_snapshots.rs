@@ -6,10 +6,11 @@
 //! BENCH_FIGURES.json.
 //!
 //! The trailing tests hold the bytecode lowering to the oracle standard on
-//! the whole registry at paper scale: the trace `Workload::lower` produces
-//! (build → compile → lower the bytecode) must be *identical* — op for op,
-//! ciphertext id for ciphertext id — to the SSA walk of the same circuit in
-//! `common/ssa_oracle.rs`, raw and pipeline-optimized, on INS-1/2/3.
+//! the whole registry at paper scale: `compile` + `lower_compiled` of each
+//! circuit, raw and pipeline-optimized, and the trace `Workload::lower`
+//! produces (build → passes → compile → lower the bytecode) must be
+//! *identical* — op for op, ciphertext id for ciphertext id — to the SSA
+//! walk in `common/ssa_oracle.rs` of the circuit it lowers, on INS-1/2/3.
 
 use bts::circuit::{compile, PassPipeline, TraceBackend};
 use bts::params::CkksInstance;
@@ -127,7 +128,9 @@ fn compiled_traces_are_identical_to_the_oracle_on_paper_workloads() {
             let tag = format!("{name} on {}", ins.name());
             let circuit = workload.build(&ins).unwrap();
             let tree = ssa_oracle::lower(&circuit);
-            let flat = workload.lower(&ins).unwrap();
+            let flat = TraceBackend::new()
+                .lower_compiled(&compile(&circuit).unwrap())
+                .unwrap();
             assert!(tree.trace == flat.trace, "{tag}: raw traces diverged");
             assert_eq!(tree.bootstrap_count, flat.bootstrap_count, "{tag}: raw");
 
@@ -148,6 +151,12 @@ fn compiled_traces_are_identical_to_the_oracle_on_paper_workloads() {
                 tree.bootstrap_count, flat.bootstrap_count,
                 "{tag}: optimized"
             );
+            let served = workload.lower(&ins).unwrap();
+            assert!(
+                tree.trace == served.trace,
+                "{tag}: Workload::lower diverged"
+            );
+            assert_eq!(tree.bootstrap_count, served.bootstrap_count, "{tag}");
         }
     }
 }

@@ -3,7 +3,7 @@
 //! emits a circuit whose every instruction is level- and scale-valid, and
 //! whose trace lowering passes the simulator's structural validation.
 
-use bts::circuit::{CircuitBuilder, HeInstr, TraceBackend};
+use bts::circuit::{compile, CircuitBuilder, HeInstr, TraceBackend};
 use bts::params::CkksInstance;
 use proptest::prelude::*;
 
@@ -62,7 +62,7 @@ proptest! {
                 prop_assert!(node.level >= 1, "rescale at level 0");
             }
         }
-        let lowered = TraceBackend::new().execute(&circuit);
+        let lowered = compile(&circuit).and_then(|c| TraceBackend::new().lower_compiled(&c));
         prop_assert!(lowered.is_ok());
         prop_assert!(lowered.unwrap().trace.validate().is_ok());
     }
@@ -85,7 +85,7 @@ proptest! {
         }
         let circuit = b.build();
         prop_assert!(circuit.validate().is_ok());
-        let lowered = TraceBackend::new().execute(&circuit);
+        let lowered = compile(&circuit).and_then(|c| TraceBackend::new().lower_compiled(&c));
         prop_assert!(lowered.is_ok());
         let lowered = lowered.unwrap();
         prop_assert!(lowered.trace.validate().is_ok());

@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 
 use bts::circuit::{
     compile, Analyzed, BootstrapPlacePass, CircuitBuilder, CircuitError, CommonSubexprPass,
-    DeadValuePass, FunctionalBackend, FunctionalRun, HeCircuit, HeInstr, HeInstrNode, Pass,
-    PassPipeline, RescaleSchedPass, TraceBackend, ValueId,
+    DeadValuePass, FunctionalBackend, FunctionalRun, HeCircuit, HeInstr, HeInstrNode, LoweredTrace,
+    Pass, PassPipeline, RescaleSchedPass, TraceBackend, ValueId,
 };
 use bts::params::CkksInstance;
 use proptest::prelude::*;
@@ -164,6 +164,12 @@ fn reference_cse(circuit: &HeCircuit) -> HeCircuit {
     }
 }
 
+/// `circuit` as written, lowered for the simulator: `compile` then
+/// `lower_compiled`, no passes.
+fn lower(circuit: &HeCircuit) -> Result<LoweredTrace, CircuitError> {
+    TraceBackend::new().lower_compiled(&compile(circuit)?)
+}
+
 fn run_functional(
     ins: &CkksInstance,
     circuit: &HeCircuit,
@@ -253,7 +259,7 @@ proptest! {
             // sweeping them inline, so measure after a dead-value sweep.
             let swept = run_pass(&DeadValuePass, &opt).unwrap();
             prop_assert!(key_switches(&swept) <= base_ks, "{} grew key-switches", pass.name());
-            let lowered = TraceBackend::new().execute(&opt);
+            let lowered = lower(&opt);
             prop_assert!(lowered.is_ok());
             prop_assert!(lowered.unwrap().trace.validate().is_ok());
             let run = run_functional(&ins, &opt, seed)?;
@@ -429,7 +435,7 @@ proptest! {
                 .expect("pipeline optimizes generated circuits");
             for circuit in [&raw, &optimized] {
                 let tree = ssa_oracle::lower(circuit);
-                let flat = TraceBackend::new().execute(circuit).unwrap();
+                let flat = lower(circuit).unwrap();
                 prop_assert!(flat.trace.validate().is_ok());
                 prop_assert_eq!(&tree.trace, &flat.trace);
                 prop_assert_eq!(tree.bootstrap_count, flat.bootstrap_count);
@@ -488,7 +494,7 @@ proptest! {
         prop_assert_eq!(&opt.inputs, &circuit.inputs);
         prop_assert!(opt.len() <= circuit.len());
         prop_assert!(opt.validate().is_ok());
-        prop_assert!(TraceBackend::new().execute(&opt).is_ok());
+        prop_assert!(lower(&opt).is_ok());
     }
 }
 
@@ -514,7 +520,7 @@ proptest! {
         for node in &opt.nodes {
             prop_assert!(node.level <= ins.max_level());
         }
-        let lowered = TraceBackend::new().execute(&opt).unwrap();
+        let lowered = lower(&opt).unwrap();
         prop_assert!(lowered.trace.validate().is_ok());
         prop_assert_eq!(lowered.bootstrap_count, opt.bootstrap_count());
 

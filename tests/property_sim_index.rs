@@ -626,8 +626,9 @@ proptest! {
 }
 
 /// The copies of every registry point — each bootstrap after the first is
-/// a copy of it — under both lowerings (`Workload::lower`, and the pass
-/// pipeline `perf`'s `design_sweep` runs): every sweep of the lowered trace
+/// a copy of it — under both lowerings (the circuit as built, and
+/// `Workload::lower`: the pass pipeline `perf`'s `design_sweep` runs too):
+/// every sweep of the lowered trace
 /// is the same sweep of the same program rebuilt from its ids, which has no
 /// copies.
 #[test]
@@ -636,20 +637,16 @@ proptest! {
     ignore = "sweeps all 15 registry points 14 times; CI runs it in release"
 )]
 fn registry_copies_sweep_like_recorded_ones() {
-    use bts::circuit::{compile, PassPipeline, TraceBackend};
+    use bts::circuit::{compile, TraceBackend};
     let registry = bts::workloads::standard_registry();
-    let pipeline = PassPipeline::standard();
     for ins in CkksInstance::evaluation_set() {
         let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
         for (name, workload) in registry.iter() {
-            let raw = workload.lower(&ins).expect("paper instances lower").trace;
             let circuit = workload.build(&ins).expect("paper instances build");
-            let optimized = pipeline
-                .optimize(&circuit)
-                .expect("registry circuits optimize");
-            let compiled = compile(&optimized).expect("registry circuits compile");
+            let compiled = compile(&circuit).expect("registry circuits compile");
             let lowered = TraceBackend::new().lower_compiled(&compiled);
-            let pipelined = lowered.expect("compiled circuits lower").trace;
+            let raw = lowered.expect("compiled circuits lower").trace;
+            let pipelined = workload.lower(&ins).expect("paper instances lower").trace;
             for (lowering, copied) in [("raw", &raw), ("pipelined", &pipelined)] {
                 let recorded = Raw::of(copied).build();
                 assert!(*copied == recorded);

@@ -3,9 +3,10 @@
 //! could move for a trace at the simulator's cache capacity.
 //!
 //! The pin: on every registry workload and Table 4 instance at the 512 MiB
-//! design point, lowered both as the figures lower it (`Workload::lower`, no
-//! passes) and as `perf`'s `design_sweep` does (through the standard pass
-//! pipeline), the compiler's 2-bit reuse code moves exactly the optimum's
+//! design point, lowered both as built (`compile` + `lower_compiled`, no
+//! passes) and as the figures, serving and `perf`'s `design_sweep` lower it
+//! (`Workload::lower`: through the standard pass pipeline), the compiler's
+//! 2-bit reuse code moves exactly the optimum's
 //! capacity-miss bytes, and §5.3's LRU (the published baseline) never hits
 //! more often. The registry keeps at most three ciphertexts live, so what
 //! LRU loses is dead values kept because they are recent plus thrash that
@@ -16,7 +17,7 @@
 //! per-value state is sized by (`OpTrace::read_window`): every value is read
 //! within 44 ops of its producer, so a 64-cell ring holds it.
 
-use bts::circuit::{compile, PassPipeline, TraceBackend};
+use bts::circuit::{compile, TraceBackend};
 use bts::params::CkksInstance;
 use bts::sim::{BtsConfig, OpTiming, OpTrace, Simulator, TraceBuilder};
 use bts::workloads::standard_registry;
@@ -44,7 +45,6 @@ fn optimum(sim: &Simulator, trace: &OpTrace) -> u64 {
 #[test]
 fn reuse_code_is_optimal_at_every_registry_point() {
     let registry = standard_registry();
-    let pipeline = PassPipeline::standard();
     let mut lru_bytes = 0u64;
     let mut policy_bytes = 0u64;
     let mut points = 0usize;
@@ -52,15 +52,12 @@ fn reuse_code_is_optimal_at_every_registry_point() {
     for ins in CkksInstance::evaluation_set() {
         let sim = Simulator::new(BtsConfig::bts_default(), ins.clone());
         for (name, workload) in registry.iter() {
-            let raw = workload.lower(&ins).expect("paper instances lower").trace;
-            // As `perf`'s `design_sweep` lowers it: through the pass pipeline.
             let circuit = workload.build(&ins).expect("paper instances build");
-            let optimized = pipeline
-                .optimize(&circuit)
-                .expect("registry circuits optimize");
-            let compiled = compile(&optimized).expect("optimized circuits compile");
+            let compiled = compile(&circuit).expect("raw circuits compile");
             let lowered = TraceBackend::new().lower_compiled(&compiled);
-            let pipelined = lowered.expect("compiled circuits lower").trace;
+            let raw = lowered.expect("compiled circuits lower").trace;
+            // As `perf`'s `design_sweep` lowers it: through the pass pipeline.
+            let pipelined = workload.lower(&ins).expect("paper instances lower").trace;
             for (lowering, trace) in [("raw", &raw), ("pipelined", &pipelined)] {
                 let what = format!("{name} on {} ({lowering})", ins.name());
                 let window = trace.read_window();
