@@ -1,13 +1,10 @@
 //! Criterion benchmark of the key-switching inner loop (Fig. 3a's
 //! iNTT → BConv → NTT → ⊙evk → ModDown pipeline) in isolation — the routine
-//! both HMult and HRot funnel through and the one the PR-4 limb-parallel
-//! refactor targets. `key_switch` is the allocating form: each call makes
-//! the two allocations of its result pair and nothing else (`decompose` and
-//! every `_into` op make none warm, held by `tests/functional_allocs.rs`).
-//! Run with `BTS_THREADS=k` to measure the limb fan-out at k worker threads
-//! (the default of 1 is the serial, deterministic configuration CI uses). A
-//! second group times hoisted rotation groups, where one ModUp is shared by
-//! every step.
+//! both HMult and HRot funnel through. `key_switch` is the allocating form:
+//! each call makes the two allocations of its result pair and nothing else
+//! (`decompose` and every `_into` op make none warm, held by
+//! `tests/functional_allocs.rs`). A second group times hoisted rotation
+//! groups, where one ModUp is shared by every step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;

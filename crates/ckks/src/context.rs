@@ -4,7 +4,6 @@ use std::sync::{Arc, Mutex};
 
 use rand::Rng;
 
-use bts_math::par::chain;
 use bts_math::{
     resize_exact, sample_gaussian, sample_ternary, AutomorphismTable, BaseConverter, BconvScratch,
     Modulus, Representation, RnsBasis, RnsPoly, ShoupMul, TERNARY_HAMMING_DENSE,
@@ -826,7 +825,7 @@ impl CkksContext {
         c1.sample_uniform_into(&basis, Representation::Ntt, rng);
         let error = sample_gaussian(rng, self.degree, ERROR_SIGMA);
         c0.reshape(&basis, Representation::Coefficient)
-            .par_limbs_mut(|_, table, limb| {
+            .for_each_limb_mut(|_, table, limb| {
                 let q = table.modulus();
                 for (x, &v) in limb.iter_mut().zip(&error) {
                     *x = q.from_i64(v);
@@ -834,7 +833,7 @@ impl CkksContext {
             });
         c0.to_ntt();
         let c1 = &*c1;
-        c0.par_limbs_mut(|j, table, limb| {
+        c0.for_each_limb_mut(|j, table, limb| {
             let q = table.modulus();
             let terms = c1.limb(j).iter().zip(sk.poly.limb(j)).zip(m.limb(j));
             for (x, ((&a, &s), &m)) in limb.iter_mut().zip(terms) {
@@ -934,12 +933,12 @@ impl CkksContext {
             }
             // Limb 0 already is the centered residue's image mod q0.
             let first = &*first;
-            bts_math::par::par_limbs(rest.chunks_exact_mut(n), |j, limb: &mut [u64]| {
+            for (j, limb) in rest.chunks_exact_mut(n).enumerate() {
                 let q = self.q_basis.modulus(j + 1);
                 for (x, &c) in limb.iter_mut().zip(first) {
                     *x = q.from_i64(q0.to_signed(c));
                 }
-            });
+            }
             out.to_ntt();
         }
         dst.level = self.max_level;
@@ -1051,7 +1050,7 @@ impl CkksContext {
     /// Every slice is staged inside its own `(ℓ+1+k) × N` block of one flat
     /// digit matrix (slice limbs copied into their ks-basis positions, BConv
     /// writing the complement limbs straight into theirs) and the (i)NTT
-    /// passes run limb-parallel. The matrix comes from the context's digit
+    /// passes run limb by limb. The matrix comes from the context's digit
     /// pool and the BConv scratch from its op scratch, so a warm call makes
     /// no heap allocation (`tests/functional_allocs.rs` holds it to zero).
     ///
@@ -1077,7 +1076,7 @@ impl CkksContext {
     fn decompose_limbs(
         &self,
         level: usize,
-        limb: impl Fn(usize, &mut [u64]) + Sync,
+        mut limb: impl FnMut(usize, &mut [u64]),
         bconv: &mut BconvScratch,
     ) -> crate::Result<Decomposed> {
         let _span = bts_telemetry::span("ckks.decompose");
@@ -1100,16 +1099,16 @@ impl CkksContext {
                 let (left, rest) = ext.split_at_mut(lo * n);
                 let (mid, right) = rest.split_at_mut((hi - lo) * n);
                 // Write the slice limbs at their ks-basis positions and iNTT
-                // them in place (ModUp's iNTT), limb-parallel.
-                bts_math::par::par_limbs(mid.chunks_exact_mut(n), |t, row: &mut [u64]| {
+                // them in place (ModUp's iNTT).
+                for (t, row) in mid.chunks_exact_mut(n).enumerate() {
                     limb(lo + t, row);
-                    self.q_basis.table(lo + t).inverse(row)
-                });
+                    self.q_basis.table(lo + t).inverse(row);
+                }
                 // BConv the slice into the complement limbs of the same block.
                 let mid = &*mid;
                 self.modup_converter(level, j)?.convert_limbs(
                     |t| &mid[t * n..(t + 1) * n],
-                    chain(left.chunks_exact_mut(n), right.chunks_exact_mut(n)),
+                    left.chunks_exact_mut(n).chain(right.chunks_exact_mut(n)),
                     false,
                     bconv,
                 );
@@ -1117,14 +1116,14 @@ impl CkksContext {
             // Rewrite the slice limbs from the source — forward∘inverse is
             // the identity bit-for-bit, so re-NTT-ing the iNTT'd slice would
             // only redo work — and forward-NTT just the freshly converted
-            // complement limbs, limb-parallel.
-            bts_math::par::par_limbs(ext.chunks_exact_mut(n), |t, row: &mut [u64]| {
+            // complement limbs.
+            for (t, row) in ext.chunks_exact_mut(n).enumerate() {
                 if (lo..hi).contains(&t) {
                     limb(t, row);
                 } else {
                     self.key_basis.table(self.key_limb(level, t)).forward(row);
                 }
-            });
+            }
         }
         Ok(Decomposed {
             level,
@@ -1304,12 +1303,12 @@ impl CkksContext {
         let modulus = |t: usize| self.key_basis.modulus(self.key_limb(level, t));
         // The special rows, iNTT'd in place.
         resize_exact(&mut s.special, self.num_special() * n);
-        bts_math::par::par_limbs(s.special.chunks_exact_mut(n), |i, row: &mut [u64]| {
+        for (i, row) in s.special.chunks_exact_mut(n).enumerate() {
             ip.row(level + 1 + i, modulus(level + 1 + i), |col, sums| {
                 row[col..col + sums.len()].copy_from_slice(sums)
             });
-            self.p_basis.table(i).inverse(row)
-        });
+            self.p_basis.table(i).inverse(row);
+        }
         // BConv them down to the q base, then NTT back.
         resize_exact(&mut s.conv, (level + 1) * n);
         let special = &s.special;
@@ -1319,9 +1318,9 @@ impl CkksContext {
             false,
             &mut s.bconv,
         );
-        bts_math::par::par_limbs(s.conv.chunks_exact_mut(n), |i, row: &mut [u64]| {
-            self.q_basis.table(i).forward(row)
-        });
+        for (i, row) in s.conv.chunks_exact_mut(n).enumerate() {
+            self.q_basis.table(i).forward(row);
+        }
         // out_i (+)= (x_i - conv_i) · P^{-1} mod q_i, x_i the q row of the
         // inner product, summed block by block as the pass reaches it.
         match land {
@@ -1337,7 +1336,7 @@ impl CkksContext {
             Land::Accumulate => {}
         }
         let conv = &*s.conv;
-        out.par_limbs_mut(|i, _, limb| {
+        out.for_each_limb_mut(|i, _, limb| {
             let qi = self.q_basis.modulus(i);
             let p_inv = &self.p_inv_mod_q[i];
             let conv = &conv[i * n..(i + 1) * n];

@@ -76,14 +76,9 @@ impl<'a> Evaluator<'a> {
     /// Shapes `out` as this context's level-`level` NTT-domain polynomial and
     /// fills limb `j` with `f(j, table_j, limb_j)`: where every `_into` body
     /// writes its result.
-    fn write(
-        &self,
-        out: &mut RnsPoly,
-        level: usize,
-        f: impl Fn(usize, &NttTable, &mut [u64]) + Sync,
-    ) {
+    fn write(&self, out: &mut RnsPoly, level: usize, f: impl FnMut(usize, &NttTable, &mut [u64])) {
         out.reshape(&self.context.basis_at_level(level), Representation::Ntt)
-            .par_limbs_mut(f);
+            .for_each_limb_mut(f);
     }
 
     /// Runs an `_into` body on a fresh destination: the allocating form of
@@ -172,7 +167,7 @@ impl<'a> Evaluator<'a> {
         a: &Ciphertext,
         b: &Ciphertext,
         dst: &mut Ciphertext,
-        f: impl Fn(&Modulus, u64, u64) -> u64 + Sync + Copy,
+        f: impl Fn(&Modulus, u64, u64) -> u64 + Copy,
     ) -> crate::Result<()> {
         Self::check_scales(a.scale, b.scale)?;
         let level = a.level.min(b.level);

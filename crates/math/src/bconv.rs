@@ -1,7 +1,7 @@
 use crate::modular::ShoupMul;
 use crate::poly::RnsPoly;
 use crate::rns::RnsBasis;
-use crate::{par, MathError};
+use crate::MathError;
 
 /// Coefficients whose MAC accumulators [`BaseConverter::convert_limbs`] keeps
 /// live together. Four `u128`s are eight of x86-64's sixteen general
@@ -47,8 +47,8 @@ impl BconvScratch {
 /// the first factor, MMAU for the accumulation, §5.2). The MAC accumulates in
 /// `u128` with deferred Barrett reduction — one reduction per target element
 /// instead of one per multiply-accumulate, the software analogue of the
-/// MMAU's carry-save accumulator — and target limbs are computed
-/// limb-parallel. The fast variant can overshoot by a small multiple of `Q`;
+/// MMAU's carry-save accumulator — and target limbs are computed one
+/// after another. The fast variant can overshoot by a small multiple of `Q`;
 /// [`BaseConverter::convert_exact`] removes that overshoot with a
 /// floating-point estimate, which is what the CKKS layer uses where exactness
 /// matters.
@@ -222,30 +222,22 @@ impl BaseConverter {
     /// yield one limb per target limb.
     pub fn convert_limbs<'s, 'o>(
         &self,
-        src: impl Fn(usize) -> &'s [u64] + Sync,
-        outs: impl ExactSizeIterator<Item = &'o mut [u64]>,
+        src: impl Fn(usize) -> &'s [u64],
+        outs: impl IntoIterator<Item = &'o mut [u64]>,
         exact: bool,
         scratch: &mut BconvScratch,
     ) {
         let _span = bts_telemetry::span("bconv.convert_into");
         let n = self.source.degree();
         let s = self.source.len();
-        assert_eq!(outs.len(), self.target.len(), "one output limb per target");
 
-        // First part: y_j = [a_j * qhat_inv_j]_{q_j} (limb-parallel ModMult).
+        // First part: y_j = [a_j * qhat_inv_j]_{q_j} (per-limb ModMult). Both
+        // parts run one limb per out-of-line call (`source_limb`,
+        // `target_limb`): inlined into these loops, a conversion ran about
+        // 10 % slower.
         crate::resize_exact(&mut scratch.y, s * n);
-        {
-            let source = &self.source;
-            let qhat_inv = &self.qhat_inv;
-            par::par_limbs(scratch.y.chunks_exact_mut(n), |j, y_j: &mut [u64]| {
-                let a_j = src(j);
-                assert_eq!(a_j.len(), n, "every input limb must have length N");
-                let qj = source.modulus(j);
-                let w = &qhat_inv[j];
-                for (y, &a) in y_j.iter_mut().zip(a_j) {
-                    *y = qj.mul_shoup(a, w);
-                }
-            });
+        for (j, y_j) in scratch.y.chunks_exact_mut(n).enumerate() {
+            self.source_limb(j, src(j), y_j);
         }
         let y = &scratch.y;
 
@@ -259,7 +251,7 @@ impl BaseConverter {
                 *e = v.round() as u64;
             }
         }
-        let overshoot = &scratch.overshoot;
+        let overshoot = exact.then_some(scratch.overshoot.as_slice());
 
         // Second part (MMAU): out_i[c] = Σ_j y_j[c] · [q̂_j]_{p_i}, accumulated
         // in u128 and Barrett-reduced once per target element. A block of
@@ -267,29 +259,51 @@ impl BaseConverter {
         // software form of the MMAU's `l_sub` independent lanes: the adds of
         // one source limb feed separate carry chains instead of one, and
         // `y_j` is read along a cache line instead of one word per
-        // limb-sized stride. Target limbs are independent — fan them across
-        // the worker threads.
-        let target = &self.target;
-        let q_mod_target = &self.q_mod_target;
-        par::par_limbs(outs, |i, out_i: &mut [u64]| {
-            assert_eq!(out_i.len(), n, "every output limb must have length N");
-            let p = target.modulus(i);
-            // Full blocks have a length the compiler can see, so their lane
-            // loops unroll; N is a power of two, so there is a remainder only
-            // when the whole limb is shorter than one block.
-            let mut blocks = out_i.chunks_exact_mut(MAC_LANES);
-            for (b, block) in blocks.by_ref().enumerate() {
-                self.mac_block(i, y, b * MAC_LANES, block);
+        // limb-sized stride.
+        let mut written = 0;
+        for (i, out_i) in outs.into_iter().enumerate() {
+            self.target_limb(i, y, overshoot, out_i);
+            written += 1;
+        }
+        assert_eq!(written, self.target.len(), "one output limb per target");
+    }
+
+    /// Source limb `j` of the first part, `a_j` scaled into `y_j`.
+    #[inline(never)]
+    fn source_limb(&self, j: usize, a_j: &[u64], y_j: &mut [u64]) {
+        assert_eq!(a_j.len(), y_j.len(), "every input limb must have length N");
+        let qj = self.source.modulus(j);
+        let w = &self.qhat_inv[j];
+        for (y, &a) in y_j.iter_mut().zip(a_j) {
+            *y = qj.mul_shoup(a, w);
+        }
+    }
+
+    /// Target limb `i` of the second part: the MAC over every source limb of
+    /// `y`, less the overshoot correction when there is one.
+    #[inline(never)]
+    fn target_limb(&self, i: usize, y: &[u64], overshoot: Option<&[u64]>, out_i: &mut [u64]) {
+        assert_eq!(
+            out_i.len(),
+            self.source.degree(),
+            "every output limb must have length N"
+        );
+        // Full blocks have a length the compiler can see, so their lane
+        // loops unroll; N is a power of two, so there is a remainder only
+        // when the whole limb is shorter than one block.
+        let mut blocks = out_i.chunks_exact_mut(MAC_LANES);
+        for (b, block) in blocks.by_ref().enumerate() {
+            self.mac_block(i, y, b * MAC_LANES, block);
+        }
+        self.mac_block(i, y, 0, blocks.into_remainder());
+        if let Some(overshoot) = overshoot {
+            let p = self.target.modulus(i);
+            let q_mod_p = p.shoup(self.q_mod_target[i]);
+            for (slot, &e) in out_i.iter_mut().zip(overshoot) {
+                let corr = p.mul_shoup(p.reduce(e), &q_mod_p);
+                *slot = p.sub(*slot, corr);
             }
-            self.mac_block(i, y, 0, blocks.into_remainder());
-            if exact {
-                let q_mod_p = p.shoup(q_mod_target[i]);
-                for (slot, &e) in out_i.iter_mut().zip(overshoot.iter()) {
-                    let corr = p.mul_shoup(p.reduce(e), &q_mod_p);
-                    *slot = p.sub(*slot, corr);
-                }
-            }
-        });
+        }
     }
 
     /// The MAC of target limb `i` for the adjacent coefficients

@@ -11,6 +11,12 @@
 //! slice, how many slices a level touches, evaluation-key sizes) is
 //! `bts_params::Decomposition`, which needs no arithmetic on residues.
 //!
+//! Every per-limb kernel runs its limbs one after another, in limb order
+//! ([`RnsPoly::for_each_limb_mut`]). Limbs never interact inside an NTT, an
+//! element-wise op or a BConv target limb — the independence BTS spreads
+//! across its PE groups (§4.2) — and that parallelism is the accelerator's,
+//! modelled by `bts-sim`, not by host threads.
+//!
 //! ```
 //! use bts_math::{NttTable, Modulus};
 //!
@@ -35,7 +41,6 @@ mod error;
 mod modular;
 mod ntt;
 mod ntt3d;
-pub mod par;
 mod poly;
 mod prime;
 mod rns;

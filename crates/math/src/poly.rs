@@ -1,7 +1,7 @@
 use crate::automorphism::AutomorphismTable;
 use crate::ntt::NttTable;
 use crate::rns::RnsBasis;
-use crate::{par, MathError};
+use crate::MathError;
 
 /// Domain of an [`RnsPoly`]'s limbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,8 +21,8 @@ pub enum Representation {
 /// are `&[u64]`/`&mut [u64]` *views* ([`RnsPoly::limb`],
 /// [`RnsPoly::limb_mut`]), dropping limbs is a `Vec::truncate`
 /// ([`RnsPoly::into_keep_limbs`], [`RnsPoly::drop_last_limb`]), per-limb
-/// kernels fan out over `chunks_exact_mut` ([`RnsPoly::par_limbs_mut`]) —
-/// mirroring how the accelerator slices the same matrix across PE groups —
+/// kernels walk it limb by limb ([`RnsPoly::for_each_limb_mut`]) — the
+/// matrix the accelerator slices across its PE groups —
 /// and a polynomial whose value is dead can be re-purposed as another's
 /// destination ([`RnsPoly::reshape`], `clone_from`) instead of freed. The
 /// basis is a shared view, so none of this touches the heap once the buffer
@@ -184,15 +184,17 @@ impl RnsPoly {
             .reserve_exact(words.saturating_sub(self.data.len()));
     }
 
-    /// Runs `f(j, table_j, limb_j)` for every limb, fanned across the limb
-    /// workers ([`par::par_limbs`]): the one loop every per-limb kernel here
-    /// and in the CKKS evaluator runs through.
-    pub fn par_limbs_mut(&mut self, f: impl Fn(usize, &NttTable, &mut [u64]) + Sync) {
+    /// Runs `f(j, table_j, limb_j)` for every limb in order: the one loop
+    /// every per-limb kernel here and in the CKKS evaluator runs through.
+    ///
+    /// Kept out of line: inlined into its callers, the same loop ran
+    /// `fhe_exec` about 1.4 % slower (9 of 10 alternating benchmark pairs).
+    #[inline(never)]
+    pub fn for_each_limb_mut(&mut self, mut f: impl FnMut(usize, &NttTable, &mut [u64])) {
         let n = self.basis.degree();
-        let basis = &self.basis;
-        par::par_limbs(self.data.chunks_exact_mut(n), |j, limb| {
-            f(j, basis.table(j), limb)
-        });
+        for (j, limb) in self.data.chunks_exact_mut(n).enumerate() {
+            f(j, self.basis.table(j), limb);
+        }
     }
 
     fn check_compatible(&self, other: &Self, op: &str) -> crate::Result<()> {
@@ -210,12 +212,12 @@ impl RnsPoly {
     }
 
     /// Converts the polynomial to the NTT domain (no-op if already there).
-    /// One forward transform per limb, fanned across the configured threads.
+    /// One forward transform per limb.
     pub fn to_ntt(&mut self) {
         if self.rep == Representation::Ntt {
             return;
         }
-        self.par_limbs_mut(|_, table, limb| table.forward(limb));
+        self.for_each_limb_mut(|_, table, limb| table.forward(limb));
         self.rep = Representation::Ntt;
     }
 
@@ -224,7 +226,7 @@ impl RnsPoly {
         if self.rep == Representation::Coefficient {
             return;
         }
-        self.par_limbs_mut(|_, table, limb| table.inverse(limb));
+        self.for_each_limb_mut(|_, table, limb| table.inverse(limb));
         self.rep = Representation::Coefficient;
     }
 
@@ -235,7 +237,7 @@ impl RnsPoly {
     /// Fails on basis or representation mismatch.
     pub fn add_assign(&mut self, other: &Self) -> crate::Result<()> {
         self.check_compatible(other, "add_assign")?;
-        self.par_limbs_mut(|j, table, limb| {
+        self.for_each_limb_mut(|j, table, limb| {
             let q = table.modulus();
             for (x, &y) in limb.iter_mut().zip(other.limb(j)) {
                 *x = q.add(*x, y);
@@ -251,7 +253,7 @@ impl RnsPoly {
     /// Fails on basis or representation mismatch.
     pub fn sub_assign(&mut self, other: &Self) -> crate::Result<()> {
         self.check_compatible(other, "sub_assign")?;
-        self.par_limbs_mut(|j, table, limb| {
+        self.for_each_limb_mut(|j, table, limb| {
             let q = table.modulus();
             for (x, &y) in limb.iter_mut().zip(other.limb(j)) {
                 *x = q.sub(*x, y);
@@ -262,7 +264,7 @@ impl RnsPoly {
 
     /// In-place negation.
     pub fn neg_assign(&mut self) {
-        self.par_limbs_mut(|_, table, limb| {
+        self.for_each_limb_mut(|_, table, limb| {
             let q = table.modulus();
             for x in limb.iter_mut() {
                 *x = q.neg(*x);
@@ -283,7 +285,7 @@ impl RnsPoly {
                 "mul requires NTT-domain operands".to_string(),
             ));
         }
-        self.par_limbs_mut(|j, table, limb| {
+        self.for_each_limb_mut(|j, table, limb| {
             let q = table.modulus();
             for (x, &y) in limb.iter_mut().zip(other.limb(j)) {
                 *x = q.mul(*x, y);
@@ -306,7 +308,7 @@ impl RnsPoly {
                 "fused_mul_add_assign requires NTT-domain operands".to_string(),
             ));
         }
-        self.par_limbs_mut(|j, table, limb| {
+        self.for_each_limb_mut(|j, table, limb| {
             let q = table.modulus();
             for ((x, &u), &v) in limb.iter_mut().zip(a.limb(j)).zip(b.limb(j)) {
                 *x = q.mul_add(u, v, *x);
@@ -370,7 +372,7 @@ impl RnsPoly {
             ));
         }
         let mut out = self.clone();
-        out.par_limbs_mut(|j, table, limb| {
+        out.for_each_limb_mut(|j, table, limb| {
             let q = table.modulus();
             let w = constants[j];
             for (x, &y) in limb.iter_mut().zip(other.limb(j)) {
@@ -387,7 +389,7 @@ impl RnsPoly {
     /// Panics if the constant count does not match the limb count.
     pub fn mul_constants_assign(&mut self, constants: &[u64]) {
         assert_eq!(constants.len(), self.limb_count());
-        self.par_limbs_mut(|j, table, limb| {
+        self.for_each_limb_mut(|j, table, limb| {
             let q = table.modulus();
             let w = q.shoup(q.reduce(constants[j]));
             for x in limb.iter_mut() {
@@ -431,7 +433,7 @@ impl RnsPoly {
     pub fn automorphism_into(&self, table: &AutomorphismTable, out: &mut Self) {
         let rep = self.rep;
         out.reshape(&self.basis, rep)
-            .par_limbs_mut(|j, limb_table, limb| match rep {
+            .for_each_limb_mut(|j, limb_table, limb| match rep {
                 Representation::Coefficient => {
                     table.apply_into(self.limb(j), limb, limb_table.modulus().value());
                 }

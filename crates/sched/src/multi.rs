@@ -534,7 +534,8 @@ impl JobPlan {
     /// Returns the trace's first structural defect.
     pub fn from_trace(sim: &Simulator, trace: &OpTrace) -> Result<(Self, SimReport), TraceError> {
         let mut planner = Planner::new(MachineModel::from_config(sim.config()), trace);
-        let report = sim.run_indexed(trace, |op, timing| planner.push(op, timing))?;
+        let mut sink = |op: &TracedOp<'_>, timing: &OpTiming| planner.push(op, timing);
+        let report = sim.run_sunk(trace, &mut sink)?;
         Ok((planner.finish(), report))
     }
 

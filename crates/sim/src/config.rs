@@ -12,6 +12,13 @@ pub enum ConfigError {
     ZeroPeCount,
     /// `pe_cols` or `pe_rows` is zero — the NoC model indexes the grid.
     ZeroPeGridSide,
+    /// `pe_cols × pe_rows` does not fit in a `usize`.
+    PeGridOverflow {
+        /// The configured grid width.
+        pe_cols: usize,
+        /// The configured grid height.
+        pe_rows: usize,
+    },
     /// `pe_cols × pe_rows` does not equal `pe_count`.
     PeGridMismatch {
         /// The configured PE count.
@@ -37,6 +44,9 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroPeCount => write!(f, "pe_count must be at least 1"),
             ConfigError::ZeroPeGridSide => write!(f, "pe_cols and pe_rows must be at least 1"),
+            ConfigError::PeGridOverflow { pe_cols, pe_rows } => {
+                write!(f, "pe_cols × pe_rows = {pe_cols} × {pe_rows} overflows")
+            }
             ConfigError::PeGridMismatch { pe_count, grid } => write!(
                 f,
                 "pe_cols × pe_rows = {grid} does not match pe_count = {pe_count}"
@@ -189,7 +199,13 @@ impl BtsConfig {
         if self.pe_cols == 0 || self.pe_rows == 0 {
             return Err(ConfigError::ZeroPeGridSide);
         }
-        let grid = self.pe_cols * self.pe_rows;
+        let grid = self
+            .pe_cols
+            .checked_mul(self.pe_rows)
+            .ok_or(ConfigError::PeGridOverflow {
+                pe_cols: self.pe_cols,
+                pe_rows: self.pe_rows,
+            })?;
         if grid != self.pe_count {
             return Err(ConfigError::PeGridMismatch {
                 pe_count: self.pe_count,
@@ -336,6 +352,23 @@ mod tests {
                 grid: 63 * 32,
             })
         );
+    }
+
+    #[test]
+    fn validate_rejects_an_overflowing_grid() {
+        let mut c = BtsConfig::bts_default();
+        c.pe_cols = usize::MAX;
+        c.pe_rows = 2;
+        // Wrapped, the product would be usize::MAX - 1; it must not validate
+        // even against a PE count that equals it.
+        c.pe_count = usize::MAX - 1;
+        let overflow = ConfigError::PeGridOverflow {
+            pe_cols: usize::MAX,
+            pe_rows: 2,
+        };
+        assert_eq!(c.validate(), Err(overflow));
+        c.pe_count = 2048;
+        assert_eq!(c.validate(), Err(overflow));
     }
 
     #[test]

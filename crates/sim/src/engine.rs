@@ -5,9 +5,9 @@
 //! a trace: it resolves each op's [`OpTiming`], folds it into the report's
 //! sums ([`Fold`]) and hands it to its caller's [`OpSink`]. `op_timings*`
 //! collect the timings, `try_run*` keep only the fold, and
-//! [`Simulator::run_indexed`] / [`Simulator::run_sunk`] keep the fold while
-//! their caller — the scheduler's planner, or a one-job schedule placed as
-//! the sweep goes — keeps of each timing only what it needs.
+//! [`Simulator::run_sunk`] keeps the fold while its caller — the
+//! scheduler's planner, or a one-job schedule placed as the sweep goes —
+//! keeps of each timing only what it needs.
 //!
 //! **Time in ticks.** Every charge is whole ticks ([`crate::ticks`]): each
 //! (op, level)'s [`OpCost`] rounded up once ([`OpCharge`]), HBM bytes
@@ -496,22 +496,10 @@ impl Simulator {
     /// `sink` in program order while the same sweep folds the report —
     /// `bts-sched` plans a job in this one pass over the trace, or schedules
     /// it outright, its dependencies read off the same op, and keeps of each
-    /// timing only what it schedules on.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`TraceError`] of the configuration and the trace.
-    pub fn run_indexed(
-        &self,
-        trace: &OpTrace,
-        mut sink: impl FnMut(&TracedOp<'_>, &OpTiming),
-    ) -> Result<SimReport, TraceError> {
-        self.run_sunk(trace, &mut sink)
-    }
-
-    /// [`Simulator::run_indexed`] into a sink that may also take a replayed
-    /// copy whole ([`OpSink::copy`]): `bts-sched`'s scheduled run
-    /// translates the placement it recorded for the copy's cache record.
+    /// timing only what it schedules on. A closure over
+    /// `(&TracedOp, &OpTiming)` is a sink; a sink may also take a replayed
+    /// copy whole ([`OpSink::copy`]): `bts-sched`'s scheduled run translates
+    /// the placement it recorded for the copy's cache record.
     ///
     /// # Errors
     ///
@@ -658,7 +646,7 @@ impl Simulator {
     /// order on one [`BeladyCache`], folds it and hands it to `sink`, which
     /// is all that tells collecting ([`Simulator::op_timings`]) from
     /// folding ([`Simulator::try_run`]) from planning
-    /// ([`Simulator::run_indexed`]). Returns the fold.
+    /// ([`Simulator::run_sunk`]). Returns the fold.
     /// Every access reads its stored code once: a forwarded value skips the
     /// cache, a `Never` one is read for the last time, and `key` ranks the
     /// rest — the op's `k`-th access (operand `k`, or the output for
@@ -1480,8 +1468,8 @@ mod tests {
         assert_eq!(ins1.try_run(&trace).unwrap_err(), mismatch);
         assert_eq!(ins1.op_timings_lru(&trace).unwrap_err(), mismatch);
         let mut seen = 0;
-        let indexed = ins1.run_indexed(&trace, |_, _| seen += 1);
-        assert_eq!((indexed.unwrap_err(), seen), (mismatch, 0));
+        let sunk = ins1.run_sunk(&trace, &mut |_: &TracedOp<'_>, _: &OpTiming| seen += 1);
+        assert_eq!((sunk.unwrap_err(), seen), (mismatch, 0));
         let own = Simulator::new(BtsConfig::bts_default(), ins3);
         assert!(own.try_run(&trace).is_ok());
     }
@@ -1507,8 +1495,8 @@ mod tests {
             assert_eq!(sim.try_run_lru(&trace).unwrap_err(), refused);
             assert_eq!(sim.try_run_belady(&trace).unwrap_err(), refused);
             let mut seen = 0;
-            let indexed = sim.run_indexed(&trace, |_, _| seen += 1);
-            assert_eq!((indexed.unwrap_err(), seen), (refused, 0));
+            let sunk = sim.run_sunk(&trace, &mut |_: &TracedOp<'_>, _: &OpTiming| seen += 1);
+            assert_eq!((sunk.unwrap_err(), seen), (refused, 0));
         }
     }
 

@@ -37,7 +37,6 @@
 mod config;
 mod cost;
 mod engine;
-mod f1;
 mod keyswitch;
 mod noc;
 mod pe;
@@ -51,7 +50,6 @@ pub use cost::{AreaPowerModel, ComponentCost};
 pub use engine::{
     OpCharge, OpClassStats, OpCost, OpSink, OpTiming, SimReport, Simulator, COPY_RECORDS,
 };
-pub use f1::{F1Model, PlatformRow};
 pub use keyswitch::{FuKind, KeySwitchSchedule, Phase};
 pub use noc::{BruNoc, PeMemNoc, PePeNoc};
 pub use pe::ProcessingElement;

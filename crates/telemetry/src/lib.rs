@@ -17,8 +17,9 @@
 //! fresh [`Collector`] on the current thread, every instrumentation point the
 //! thread reaches writes into it, and [`Capture::finish`] hands it back.
 //! Captures nest (the innermost shadows the rest until it ends) and are per
-//! thread, so concurrent runs never mix; code that fans out forwards its sink
-//! ([`current`] + [`Sink::install`]).
+//! thread, so concurrent runs never mix. Work handed to another thread can
+//! write into the caller's sink ([`current`] + [`Sink::install`]); no layer
+//! of the workspace hands work across threads today.
 //!
 //! ```
 //! use bts_telemetry::{self as telemetry, ArgValue};

@@ -11,9 +11,10 @@
 use bts::math::{Ntt3dPlan, TransposePhase};
 use bts::params::{min_nttu_count, BandwidthModel, CkksInstance};
 use bts::sim::{
-    BtsConfig, F1Model, FuKind, KeySwitchSchedule, PeMemNoc, PePeNoc, ProcessingElement, Simulator,
+    BtsConfig, FuKind, KeySwitchSchedule, PeMemNoc, PePeNoc, ProcessingElement, Simulator,
     TwiddleStorage,
 };
+use bts::workloads::BaselineSet;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = BtsConfig::bts_default();
@@ -106,13 +107,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ) * 100.0
     );
 
-    println!("\n== F1 / F1+ baseline models (Table 1) ==");
-    for (name, model) in [("F1", F1Model::f1()), ("F1+", F1Model::f1_plus())] {
-        let row = model.platform_row(name);
+    println!("\n== F1 / F1+ as the paper reports them (Table 1, Fig. 6) ==");
+    let baselines = BaselineSet::paper();
+    for name in ["F1", "F1+"] {
+        let row = baselines.get(name).expect("F1 / F1+ rows");
+        let tmult_us = row.tmult_a_slot_us.expect("reports T_mult,a/slot");
         println!(
             "{name:>4}: N = 2^{}, packed bootstrapping: {}, slots/bootstrap: {}, \
              FHE mult throughput ≈ {:.0}/s",
-            row.log_n, row.bootstrappable, row.refreshed_slots, row.fhe_mult_throughput
+            row.log_n,
+            row.bootstrappable,
+            row.slots_per_bootstrap.unwrap_or(0),
+            1e6 / tmult_us
         );
     }
     Ok(())

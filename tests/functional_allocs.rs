@@ -8,10 +8,8 @@
 //!
 //! Its own binary (own process), shaped like
 //! `crates/telemetry/tests/zero_alloc.rs`: the allocator counts only the
-//! measuring thread, the telemetry environment is cleared before its first
-//! read (a root sink would record, and allocate, per span), and the limb
-//! fan-out is pinned to one thread — the suite's `BTS_THREADS=4` pass fans
-//! out, and a fan-out collects its blocks per call.
+//! measuring thread, and the telemetry environment is cleared before its
+//! first read (a root sink would record, and allocate, per span).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,7 +71,7 @@ fn allocations<T>(call: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCATIONS.take().expect("set above"), result)
 }
 
-/// No telemetry sink, one limb thread: what the counts are about.
+/// No telemetry sink: what the counts are about.
 fn quiet() {
     static QUIET: Once = Once::new();
     QUIET.call_once(|| {
@@ -81,7 +79,6 @@ fn quiet() {
             std::env::remove_var(key);
         }
         assert!(!bts::telemetry::enabled());
-        bts::math::par::set_threads(1);
     });
 }
 

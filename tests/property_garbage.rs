@@ -5,7 +5,9 @@
 //! reached); zero chips, zero in-flight slots and zero
 //! attempts; transient rates outside [0, 1); inverted or zero-factor link
 //! windows; chips the fleet does not have; empty batches and unknown
-//! workloads — mixed with sane values, so clean cases run end to end.
+//! workloads — mixed with sane values, so clean cases run end to end. The
+//! simulator meets the same picker one layer down: every `BtsConfig` field
+//! clean, zero, huge or non-finite, under `Simulator::try_run`.
 //!
 //! Every case runs on a watchdog thread and must come back within a bound
 //! with `Ok` or a typed `Err`: never a panic, never a hang. A case that drew
@@ -23,9 +25,9 @@ use bts::cluster::{
     serve_cluster, ChipSpec, ClusterError, ClusterOptions, FaultPlan, Interconnect,
     PlacementPolicy, RetryPolicy,
 };
-use bts::params::CkksInstance;
+use bts::params::{BandwidthModel, CkksInstance};
 use bts::serve::{serve, JobRequest, ServeOptions};
-use bts::sim::ArchPreset;
+use bts::sim::{ArchPreset, BtsConfig, Simulator, TraceBuilder, TraceError};
 
 /// Long enough for a clean debug-build case, short enough to call a hang.
 const WATCHDOG: Duration = Duration::from_secs(120);
@@ -187,6 +189,63 @@ fn garbage_cluster(seed: u64) -> (bool, Vec<JobRequest>, ClusterOptions) {
         options = options.with_queue_capacity(capacity);
     }
     (d.must_fail, jobs, options)
+}
+
+/// A configuration with every field clean, zero, huge or non-finite. A huge
+/// scratchpad or `l_sub` is a legal (if unbuildable) design; every other
+/// garbage value must be refused. The HBM bandwidth is drawn only from
+/// values `BandwidthModel::new` accepts (it asserts positivity itself).
+fn garbage_config(seed: u64) -> (bool, BtsConfig) {
+    let mut d = Draw::new(seed);
+    let clean = BtsConfig::bts_default();
+    // A huge PE count is fatal too: no grid drawn here multiplies out to it.
+    let bad_count = [(0, true), (usize::MAX, true)];
+    let pe_count = d.pick(clean.pe_count, &bad_count);
+    let pe_cols = d.pick(clean.pe_cols, &bad_count);
+    let pe_rows = d.pick(clean.pe_rows, &bad_count);
+    let bad_rates = [0.0, -1.0, 1e300, 1e-300, f64::NAN, f64::INFINITY];
+    let frequency_hz = d.pick(clean.frequency_hz, &bad_rates.map(|f| (f, true)));
+    let bandwidth = [1e300, 1e-300, f64::INFINITY].map(|b| (b, true));
+    let hbm = BandwidthModel::new(d.pick(clean.hbm.bytes_per_sec(), &bandwidth));
+    let config = BtsConfig {
+        pe_count,
+        pe_cols,
+        pe_rows,
+        frequency_hz,
+        scratchpad_bytes: d.pick(clean.scratchpad_bytes, &[(0, true), (u64::MAX, false)]),
+        hbm,
+        lsub: d.pick(clean.lsub, &[(0, true), (usize::MAX, false)]),
+        overlap_bconv_intt: d.rng.gen_bool(0.5),
+    };
+    (d.must_fail, config)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn try_run_answers_garbage_configs_with_typed_errors(seed in any::<u64>()) {
+        let (must_fail, config) = garbage_config(seed);
+        let ins = CkksInstance::ins1();
+        let mut b = TraceBuilder::new(&ins);
+        let x = b.fresh_ct(ins.max_level());
+        let y = b.hmult(x, x);
+        let z = b.hrot(y, 1, ins.max_level());
+        b.hrescale(z);
+        let trace = b.build();
+        match Simulator::new(config, ins).try_run(&trace) {
+            Ok(report) => {
+                prop_assert!(!must_fail, "seed {seed}: garbage accepted");
+                let seconds = [report.total_seconds, report.bootstrap_seconds];
+                let sane = seconds.iter().all(|s| s.is_finite() && *s >= 0.0);
+                prop_assert!(sane, "seed {seed}: {seconds:?}");
+            }
+            Err(TraceError::InvalidConfig(e)) => {
+                prop_assert!(must_fail, "seed {seed}: clean config refused: {e}");
+            }
+            Err(e) => prop_assert!(false, "seed {seed}: {e}"),
+        }
+    }
 }
 
 proptest! {

@@ -35,7 +35,7 @@
 //! folding one (`try_run*`) is held, field by field and bit by bit, to
 //! [`oracle::fold`] — a second pass over the collected timings, which is how
 //! the engine folded before it streamed — and the planning one
-//! (`Simulator::run_indexed` under `JobPlan::from_trace`) to `op_timings` and
+//! (`Simulator::run_sunk` under `JobPlan::from_trace`) to `op_timings` and
 //! to the plan `JobPlan::new` builds from them.
 
 use std::ops::Range;
@@ -46,7 +46,8 @@ use proptest::test_runner::TestCaseError;
 use bts::params::{BandwidthModel, CkksInstance};
 use bts::sched::{schedule_jobs, JobPlan, MachineModel, ScheduleError, ScheduleExt};
 use bts::sim::{
-    ticks, BtsConfig, CtId, HeOp, OpTiming, OpTrace, SimReport, Simulator, TraceBuilder, TraceError,
+    ticks, BtsConfig, CtId, HeOp, OpTiming, OpTrace, SimReport, Simulator, TraceBuilder,
+    TraceError, TracedOp,
 };
 
 #[path = "common/cache_optimum.rs"]
@@ -193,9 +194,8 @@ fn assert_matches_oracle(sim: &Simulator, raw: &Raw) -> Result<(), TestCaseError
     // the collected timings.
     let machine = MachineModel::from_config(sim.config());
     let mut seen = Vec::with_capacity(trace.len());
-    let indexed_report = sim
-        .run_indexed(trace, |_, timing| seen.push(*timing))
-        .unwrap();
+    let mut sink = |_: &TracedOp<'_>, timing: &OpTiming| seen.push(*timing);
+    let indexed_report = sim.run_sunk(trace, &mut sink).unwrap();
     prop_assert_eq!(&seen, &policy);
     prop_assert_eq!(report_bits(&indexed_report), report_bits(report));
     let (plan, plan_report) = JobPlan::from_trace(sim, trace).unwrap();
@@ -268,7 +268,8 @@ fn assert_same_error(sim: &Simulator, raw: &Raw) -> Result<(), TestCaseError> {
     prop_assert_eq!(sim.try_run_lru(trace).err(), Some(expected.clone()));
     prop_assert_eq!(sim.op_timings(trace).err(), Some(expected.clone()));
     prop_assert_eq!(
-        sim.run_indexed(trace, |_, _| {}).err(),
+        sim.run_sunk(trace, &mut |_: &TracedOp<'_>, _: &OpTiming| {})
+            .err(),
         Some(expected.clone())
     );
     prop_assert_eq!(

@@ -497,40 +497,27 @@ fn functional_run_spans() -> Vec<Event> {
 
 /// A real functional CKKS run leaves the span machinery clean: depth back to
 /// zero, every Complete interval properly nested per track, and every
-/// non-root span's parent id pointing at a recorded span — serially, and at
-/// four limb threads, where the pool workers' spans must land in the
-/// caller's capture. (One test: the thread-count override is process-wide.)
+/// non-root span's parent id pointing at a recorded span.
 #[test]
 fn spans_close_and_nest_over_a_functional_run() {
-    for threads in [1, 4] {
-        bts::math::par::set_threads(threads);
-        let spans = functional_run_spans();
-        bts::math::par::set_threads(0);
+    let spans = functional_run_spans();
+    assert!(spans.iter().any(|ev| ev.name == "ckks.key_switch"));
+    assert!(spans.iter().any(|ev| ev.name == "ntt.forward"));
+    telemetry::check_proper_nesting(&spans).expect("spans nest per track");
 
-        assert!(spans.iter().any(|ev| ev.name == "ckks.key_switch"));
-        let on_worker = |ev: &&Event| ev.name == "ntt.forward" && ev.track.starts_with("bts-pool-");
-        assert!(spans.iter().any(|ev| ev.name == "ntt.forward"));
-        assert_eq!(
-            spans.iter().filter(on_worker).count() > 0,
-            threads > 1,
-            "workers' spans belong to the caller's capture ({threads} threads)"
+    let span_ids: HashSet<u64> = spans
+        .iter()
+        .filter_map(|ev| ev.arg_u64("span_id"))
+        .collect();
+    assert_eq!(span_ids.len(), spans.len(), "span ids are unique");
+    for ev in &spans {
+        let parent = ev
+            .arg_u64("parent_span_id")
+            .expect("every span records its parent");
+        assert!(
+            parent == 0 || span_ids.contains(&parent),
+            "span {:?} has dangling parent {parent}",
+            ev.name
         );
-        telemetry::check_proper_nesting(&spans).expect("spans nest per track");
-
-        let span_ids: HashSet<u64> = spans
-            .iter()
-            .filter_map(|ev| ev.arg_u64("span_id"))
-            .collect();
-        assert_eq!(span_ids.len(), spans.len(), "span ids are unique");
-        for ev in &spans {
-            let parent = ev
-                .arg_u64("parent_span_id")
-                .expect("every span records its parent");
-            assert!(
-                parent == 0 || span_ids.contains(&parent),
-                "span {:?} has dangling parent {parent}",
-                ev.name
-            );
-        }
     }
 }
