@@ -9,13 +9,9 @@ pub struct BandwidthModel {
 }
 
 impl BandwidthModel {
-    /// An arbitrary aggregate bandwidth in bytes/second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bandwidth is not strictly positive.
+    /// An arbitrary aggregate bandwidth in bytes/second. Any value is held;
+    /// the simulator's `BtsConfig::validate` refuses one it cannot stream at.
     pub fn new(bytes_per_sec: f64) -> Self {
-        assert!(bytes_per_sec > 0.0, "bandwidth must be positive");
         Self { bytes_per_sec }
     }
 
@@ -219,11 +215,5 @@ mod tests {
         let ins = CkksInstance::toy(13, 10, 1); // 10 < L_BOOT
         let m = MinBoundModel::new(ins, BandwidthModel::hbm_1tb());
         assert!(m.amortized_mult_per_slot(1e-3).is_infinite());
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth must be positive")]
-    fn rejects_nonpositive_bandwidth() {
-        let _ = BandwidthModel::new(0.0);
     }
 }

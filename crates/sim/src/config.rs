@@ -185,9 +185,8 @@ impl BtsConfig {
     /// the scratchpad must be non-zero, the clock must be finite and
     /// strictly positive, and the PE grid must multiply out to `pe_count`.
     /// A cycle and an HBM byte must each convert to simulated ticks
-    /// ([`crate::ticks`]) by a factor that is neither 0 nor out of range.
-    /// (The HBM field is constructed through [`BandwidthModel::new`], which
-    /// already rejects non-positive values.)
+    /// ([`crate::ticks`]) by a factor that is neither 0 nor out of range, so
+    /// a zero, negative or `NaN` bandwidth is refused here too.
     ///
     /// # Errors
     ///
@@ -386,9 +385,13 @@ mod tests {
 
     #[test]
     fn validate_rejects_a_bandwidth_without_a_tick_factor() {
-        for bad in [f64::INFINITY, 1e23, 1.0] {
+        // `matches!` on the bits, not `assert_eq!`: NaN is not equal to itself.
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e23, 1.0] {
             let c = BtsConfig::bts_default().with_hbm(BandwidthModel::new(bad));
-            assert_eq!(c.validate(), Err(ConfigError::InvalidBandwidth(bad)));
+            assert!(matches!(
+                c.validate(),
+                Err(ConfigError::InvalidBandwidth(v)) if v.to_bits() == bad.to_bits()
+            ));
         }
         let jittered = BtsConfig::bts_default().with_hbm(BandwidthModel::new(0.9993e12));
         assert_eq!(jittered.validate(), Ok(()));

@@ -682,7 +682,7 @@ mod tests {
 
     #[test]
     fn telemetry_resolves_every_op() {
-        // A replay emits nothing, so with a sink installed every op is
+        // A replay emits nothing, so with a collector installed every op is
         // resolved and the stream is the recorded program's own.
         let ins = CkksInstance::ins1();
         let copied = refreshes(&ins, 8);

@@ -2,9 +2,9 @@
 //! the trace-event schema subset the workspace emits (required keys, valid
 //! phases, monotone timestamps per track) and optionally enforces a minimum
 //! track count and the presence of named events. Exits non-zero on any
-//! violation — CI runs this on the traces produced by `cluster_demo`,
-//! including a fault-injected run that must contain its
-//! `chip-failure`/`migrate` events.
+//! violation — CI runs this on the traces produced by `serving_demo` and
+//! `cluster_demo`, including a fault-injected cluster run that must contain
+//! its `chip-failure`/`migrate` events.
 //!
 //! ```text
 //! validate_trace <trace.json> [--min-tracks N] [--require-event NAME]...

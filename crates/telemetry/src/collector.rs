@@ -1,14 +1,17 @@
 //! The collector: one run's telemetry as a plain value, and the per-thread
-//! sink the instrumentation points write into.
+//! stack of them the instrumentation points write into.
 //!
-//! A [`Collector`] owns what one run records. While a [`Capture`] guard has
-//! it installed on a thread, that thread's `emit_*` and [`span`] calls go to
-//! it; captures nest (innermost wins) and are per thread, so runs never see
-//! each other's events. The collector holds events and nothing else: a count
-//! is an event or an event's arg. A thread with no sink records nothing, for
-//! one thread-local read and one atomic load per instrumentation point — no
-//! locks, allocation or clock reads (asserted by `tests/zero_alloc.rs`) —
-//! unless the environment switched telemetry on, which gives it a root sink.
+//! A [`Collector`] owns what one run records. Each thread keeps a stack of
+//! collectors, innermost last: [`capture`] pushes a fresh one, every
+//! `emit_*` and [`span`] call on the thread goes to the top of the stack,
+//! and [`Capture::finish`] pops it back out. Captures nest (innermost wins)
+//! and are per thread, so runs never see each other's events, and a
+//! collector only ever holds its own thread's events. The collector holds
+//! events and nothing else: a count is an event or an event's arg. A thread
+//! with an empty stack records nothing, for one thread-local borrow and one
+//! `OnceLock` load per instrumentation point — no locks, allocation or clock
+//! reads (asserted by `tests/zero_alloc.rs`) — unless the environment
+//! switched telemetry on, which gives it a root collector.
 //!
 //! Two more thread-local stacks give events their context:
 //!
@@ -21,12 +24,11 @@
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::event::{ArgValue, Event, EventKind};
-use crate::TelemetryConfig;
 
 /// Hard cap on one collector's buffered events. Past it, new events are
 /// dropped (and counted in [`Collector::dropped`]) instead of growing
@@ -34,18 +36,14 @@ use crate::TelemetryConfig;
 /// footprint and the exported trace keeps its prefix.
 pub const MAX_EVENTS: usize = 250_000;
 
-/// Whether the environment switched telemetry on; read once per process.
-static ENV_ON: OnceLock<bool> = OnceLock::new();
-static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(0);
 /// Epoch for real-time spans: set on the first span, so `ts` starts near 0.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 thread_local! {
-    /// The innermost sink installed on this thread.
-    static CURRENT: RefCell<Option<Sink>> = const { RefCell::new(None) };
+    /// This thread's installed collectors, innermost last.
+    static COLLECTORS: RefCell<Vec<Collector>> = const { RefCell::new(Vec::new()) };
     static SCOPES: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    static RT_TRACK: RefCell<Option<String>> = const { RefCell::new(None) };
 }
 
 /// Everything one run recorded.
@@ -59,86 +57,90 @@ pub struct Collector {
     spans: u64,
 }
 
-/// A cheap clonable handle to a shared [`Collector`]: [`current`] on one
-/// thread, [`Sink::install`] on another, and both write into the same run.
-#[derive(Debug, Clone, Default)]
-pub struct Sink(Arc<Mutex<Collector>>);
-
-impl Sink {
-    fn lock(&self) -> MutexGuard<'_, Collector> {
-        // A panic while holding the lock only interrupts a push; the
-        // collector stays well-formed, so poisoning is safe to shrug off.
-        self.0.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Makes this the current thread's innermost sink until the guard drops.
-    pub fn install(self) -> Capture {
-        let outer = CURRENT.with(|c| c.replace(Some(self.clone())));
-        Capture {
-            sink: self,
-            outer,
-            _this_thread: PhantomData,
-        }
-    }
-}
-
-/// RAII guard of an installed [`Sink`]; dropping it re-installs whatever was
-/// current before, so guards must drop in reverse order of creation.
+/// RAII guard of a [`capture`]d collector. Dropping it without
+/// [`finish`](Capture::finish) discards what it recorded; captures must end
+/// in reverse order of creation.
 #[derive(Debug)]
-#[must_use = "dropping the capture uninstalls its sink at once"]
+#[must_use = "dropping the capture uninstalls its collector at once"]
 pub struct Capture {
-    sink: Sink,
-    outer: Option<Sink>,
+    /// Index of this capture's collector in the thread's stack.
+    depth: usize,
     _this_thread: PhantomData<*const ()>,
 }
 
 impl Capture {
-    /// Ends the capture and returns what its sink recorded.
+    /// Ends the capture and returns what its collector recorded.
     pub fn finish(self) -> Collector {
-        std::mem::take(&mut *self.sink.lock())
+        COLLECTORS.with(|c| {
+            let mut c = c.borrow_mut();
+            debug_assert_eq!(c.len(), self.depth + 1, "captures end innermost first");
+            // Its own collector, and any a leaked inner capture left above it.
+            let from = self.depth.min(c.len());
+            let mine = c.drain(from..).next();
+            mine.unwrap_or_default()
+        })
     }
 }
 
 impl Drop for Capture {
     fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.outer.take());
+        COLLECTORS.with(|c| c.borrow_mut().truncate(self.depth));
     }
 }
 
-/// Installs a fresh [`Collector`] on this thread, shadowing any outer sink.
+/// Installs a fresh [`Collector`] on this thread, shadowing any outer one.
 pub fn capture() -> Capture {
-    Sink::default().install()
+    let depth = COLLECTORS.with(|c| {
+        let mut c = c.borrow_mut();
+        c.push(Collector::default());
+        c.len() - 1
+    });
+    Capture {
+        depth,
+        _this_thread: PhantomData,
+    }
 }
 
-/// The current thread's innermost sink, if any.
-pub fn current() -> Option<Sink> {
-    with_sink(Sink::clone)
+/// The trace file the environment asks for: `BTS_TRACE`, when set and
+/// non-empty.
+pub fn trace_path() -> Option<PathBuf> {
+    std::env::var_os("BTS_TRACE")
+        .filter(|v| !v.is_empty())
+        .map(PathBuf::from)
 }
 
-/// Whether a sink is installed on this thread, i.e. whether instrumentation
-/// points record. A thread without one consults the environment (read once
-/// per process): `BTS_TRACE` or `BTS_TELEMETRY` (any non-empty value other
-/// than `BTS_TELEMETRY=0`) give it a root sink on first use.
+/// Whether the environment switched telemetry on, read once per process:
+/// `BTS_TRACE` ([`trace_path`]) or a `BTS_TELEMETRY` other than empty or `0`.
+fn env_on() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| {
+        trace_path().is_some()
+            || matches!(std::env::var("BTS_TELEMETRY"), Ok(v) if !v.is_empty() && v != "0")
+    })
+}
+
+/// Whether a collector is installed on this thread, i.e. whether
+/// instrumentation points record. A thread without one consults the
+/// environment (read once per process): `BTS_TRACE` or `BTS_TELEMETRY` (any
+/// non-empty value other than `0`) give it a root collector on first use.
 #[inline]
 pub fn enabled() -> bool {
-    with_sink(|_| ()).is_some()
-}
-
-fn with_sink<R>(f: impl FnOnce(&Sink) -> R) -> Option<R> {
-    CURRENT.with(|c| {
-        if c.borrow().is_none() && *ENV_ON.get_or_init(|| TelemetryConfig::from_env().enabled) {
-            *c.borrow_mut() = Some(Sink::default());
-        }
-        c.borrow().as_ref().map(f)
-    })
+    with_current(|_| ()).is_some()
 }
 
 /// Runs `f` on the current thread's innermost collector, if any.
 fn with_current<R>(f: impl FnOnce(&mut Collector) -> R) -> Option<R> {
-    with_sink(|sink| f(&mut sink.lock()))
+    COLLECTORS.with(|c| {
+        let mut c = c.borrow_mut();
+        if c.is_empty() && env_on() {
+            c.push(Collector::default());
+        }
+        c.last_mut().map(f)
+    })
 }
 
-/// Records `event()` into the innermost sink, or counts it dropped if full.
+/// Records `event()` into the innermost collector, or counts it dropped if
+/// full.
 fn record(event: impl FnOnce() -> Event) {
     with_current(|c| {
         if c.events.len() >= MAX_EVENTS {
@@ -180,7 +182,8 @@ impl Drop for ScopeGuard {
 
 /// Pushes a name onto the current thread's scope stack: every event emitted
 /// on this thread until the guard drops belongs to the (nested) process
-/// `outer/inner`. No-op (and allocation-free) on a thread without a sink.
+/// `outer/inner`. No-op (and allocation-free) on a thread without a
+/// collector.
 pub fn scope(name: impl Into<String>) -> ScopeGuard {
     if !enabled() {
         return ScopeGuard { active: false };
@@ -237,7 +240,7 @@ pub fn emit_counter(track: &str, name: &str, ts_seconds: f64, series: &[(&'stati
 
 /// A real-time RAII span: records a wall-clock `Complete` event on the
 /// emitting thread's track of the `realtime` process when dropped. Inactive
-/// (zero-cost, no clock read) on a thread without a sink.
+/// (zero-cost, no clock read) on a thread without a collector.
 #[derive(Debug)]
 pub struct Span(Option<ActiveSpan>);
 
@@ -251,7 +254,7 @@ struct ActiveSpan {
 
 /// Opens a real-time span. Spans on one thread nest: the most recently opened
 /// live span is the parent of the next, recorded in the `parent_span_id` arg
-/// (0 = root). Returns an inactive guard on a thread without a sink.
+/// (0 = root). Returns an inactive guard on a thread without a collector.
 pub fn span(name: &'static str) -> Span {
     let Some(id) = with_current(|c| {
         c.spans += 1;
@@ -310,17 +313,13 @@ pub fn active_span_depth() -> usize {
     SPAN_STACK.with(|s| s.borrow().len())
 }
 
-/// The current thread's real-time track name: the OS thread name if set, a
-/// stable `thread-N` otherwise.
+/// The current thread's real-time track name: the OS thread name, or
+/// `"thread"` when it has none.
 fn realtime_track() -> String {
-    RT_TRACK.with(|t| {
-        t.borrow_mut()
-            .get_or_insert_with(|| match std::thread::current().name() {
-                Some(name) => name.to_string(),
-                None => format!("thread-{}", NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed)),
-            })
-            .clone()
-    })
+    std::thread::current()
+        .name()
+        .unwrap_or("thread")
+        .to_string()
 }
 
 #[cfg(test)]
@@ -341,22 +340,32 @@ mod tests {
         let names: Vec<&str> = outer.events.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["before", "after"], "nested captures shadow");
         assert_eq!(active_span_depth(), 0);
+        // Both collectors are gone: what is left is what the environment
+        // alone gives (a root collector under `BTS_TELEMETRY=1`, else none).
+        assert_eq!(enabled(), env_on());
     }
 
     #[test]
-    fn a_forwarded_sink_collects_another_threads_events() {
+    fn a_capture_dropped_unfinished_uninstalls_its_collector() {
+        let outer = capture();
+        let inner = capture();
+        emit_instant("t", "discarded", 0.0, &[]);
+        drop(inner);
+        emit_instant("t", "kept", 0.0, &[]);
+        let outer = outer.finish();
+        let names: Vec<&str> = outer.events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["kept"]);
+        assert_eq!(enabled(), env_on());
+    }
+
+    #[test]
+    fn a_captured_run_exports_a_valid_trace() {
         let run = capture();
-        let sink = current().expect("a capture is installed");
-        std::thread::scope(|s| {
-            s.spawn(|| emit_instant("t", "unforwarded", 0.0, &[]));
-            s.spawn(move || {
-                let _forwarded = sink.install();
-                emit_instant("t", "forwarded", 0.0, &[]);
-            });
-        });
+        emit_complete("unit", "work", 0.0, 1e-6, &[("bytes", ArgValue::U64(64))]);
         let run = run.finish();
-        assert_eq!(run.events.len(), 1);
-        assert_eq!(run.events[0].name, "forwarded");
+        let check = crate::validate_chrome_trace(&crate::chrome_trace_json(&run.events))
+            .expect("schema-valid");
+        assert_eq!((check.events, check.tracks), (1, 1));
     }
 
     #[test]

@@ -7,28 +7,10 @@
 //! which the CI schema gate checks. Timestamps are converted from the
 //! collector's nanoseconds to the trace format's microseconds.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::io;
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
 
-use crate::collector::Collector;
 use crate::event::{ArgValue, Event, EventKind};
 use crate::json::JsonWriter;
-
-/// What one Chrome-trace export produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExportSummary {
-    /// Where the trace was written.
-    pub path: PathBuf,
-    /// Number of events written (excluding metadata records).
-    pub events: usize,
-    /// Number of distinct processes (pids).
-    pub processes: usize,
-    /// Number of distinct tracks (pid/tid pairs).
-    pub tracks: usize,
-    /// Events dropped at the collector's buffer cap before export.
-    pub dropped: u64,
-}
 
 /// Serializes events into a complete Chrome trace-event JSON document
 /// (`{"traceEvents": [...], "displayTimeUnit": "ms"}`).
@@ -112,25 +94,6 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
         w.field("displayTimeUnit", "ms");
     });
     w.finish()
-}
-
-/// Writes a collector's events as a Chrome trace to `path`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn export_chrome_trace(collector: &Collector, path: &Path) -> io::Result<ExportSummary> {
-    let events = &collector.events;
-    std::fs::write(path, chrome_trace_json(events))?;
-    let tracks: BTreeSet<_> = events.iter().map(|ev| (&ev.process, &ev.track)).collect();
-    let processes: BTreeSet<_> = tracks.iter().map(|(process, _)| process).collect();
-    Ok(ExportSummary {
-        path: path.to_path_buf(),
-        events: events.len(),
-        processes: processes.len(),
-        tracks: tracks.len(),
-        dropped: collector.dropped,
-    })
 }
 
 #[cfg(test)]

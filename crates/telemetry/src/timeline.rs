@@ -3,10 +3,7 @@
 //! [`TimelineSegment`] started life inside `bts-sim` (the Fig. 8 HMult
 //! timeline) and was also built by the scheduler's per-channel timeline view.
 //! It now lives here so every layer describes occupied hardware intervals
-//! with one type, and so segments convert directly into the telemetry event
-//! stream via [`TimelineSegment::to_event`].
-
-use crate::event::{ArgValue, Event, EventKind};
+//! with one type.
 
 /// One segment of a hardware-occupancy timeline: `unit` is busy doing `label`
 /// from `start_ns` to `end_ns` (nanoseconds of simulated time, relative to
@@ -33,60 +30,5 @@ impl TimelineSegment {
             start_ns,
             end_ns,
         }
-    }
-
-    /// Segment duration in nanoseconds.
-    pub fn duration_ns(&self) -> f64 {
-        self.end_ns - self.start_ns
-    }
-
-    /// Converts the segment into a `Complete` event on the track named after
-    /// its unit, in the given process.
-    pub fn to_event(&self, process: impl Into<String>) -> Event {
-        Event {
-            process: process.into(),
-            track: self.unit.to_string(),
-            name: self.label.clone(),
-            ts_ns: self.start_ns,
-            kind: EventKind::Complete {
-                dur_ns: self.duration_ns().max(0.0),
-            },
-            args: Vec::new(),
-        }
-    }
-
-    /// Records the segment into the global collector (current scope process).
-    /// No-op while the collector is disabled.
-    pub fn record(&self) {
-        crate::collector::emit_complete(
-            self.unit,
-            &self.label,
-            self.start_ns / 1e9,
-            self.duration_ns().max(0.0) / 1e9,
-            &[("unit", ArgValue::Str(self.unit.to_string()))],
-        );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn segment_round_trips_into_an_event() {
-        let seg = TimelineSegment::new("NTTU", "iNTT.d2", 100.0, 350.0);
-        assert_eq!(seg.duration_ns(), 250.0);
-        let ev = seg.to_event("bts");
-        assert_eq!(ev.track, "NTTU");
-        assert_eq!(ev.name, "iNTT.d2");
-        assert_eq!(ev.ts_ns, 100.0);
-        assert_eq!(ev.end_ns(), 350.0);
-    }
-
-    #[test]
-    fn negative_duration_is_clamped_in_the_event() {
-        let seg = TimelineSegment::new("HBM", "x", 10.0, 5.0);
-        let ev = seg.to_event("bts");
-        assert_eq!(ev.end_ns(), 10.0);
     }
 }

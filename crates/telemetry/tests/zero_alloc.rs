@@ -77,7 +77,7 @@ fn disabled_telemetry_allocates_nothing_and_records_nothing() {
         "disabled telemetry must not allocate"
     );
     // Nothing was recorded because nothing could be: no sink appeared.
-    assert!(bts_telemetry::current().is_none());
+    assert!(!bts_telemetry::enabled());
 
     // The same calls under a capture do record — the loop above measured the
     // real entry points, not stubs — and ending it restores the free path.

@@ -48,9 +48,7 @@ fn main() {
             }
         }
     }
-    let session = telemetry::init(
-        &telemetry::TelemetryConfig::from_env().or_trace_path("target/cluster_demo.trace.json"),
-    );
+    let run = telemetry::capture();
     let ins = CkksInstance::ins1();
     // 12 jobs from 3 tenants: mostly bootstrap refreshes with some amortized
     // multiplication batches mixed in, arriving every ~4 ms.
@@ -149,11 +147,14 @@ fn main() {
     // trace JSON with at least the per-chip unit lanes, the queue/admission
     // lanes and the interconnect lane — every event of them, none lost past
     // the buffer cap, since the trace is the run's only record.
-    let summary = session.finish().expect("trace export writes");
-    let trace = summary.trace.expect("a trace path is always configured");
-    assert_eq!(trace.dropped, 0, "trace must hold every event");
-    let text = std::fs::read_to_string(&trace.path).expect("trace file readable");
-    assert!(!text.is_empty(), "trace must not be empty");
+    let run = run.finish();
+    assert_eq!(run.dropped, 0, "trace must hold every event");
+    let path = telemetry::trace_path().unwrap_or_else(|| "target/cluster_demo.trace.json".into());
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("trace directory creatable");
+    }
+    let text = telemetry::chrome_trace_json(&run.events);
+    std::fs::write(&path, &text).expect("trace export writes");
     let check = telemetry::validate_chrome_trace(&text).expect("trace must be schema-valid");
     assert!(
         check.tracks >= 3,
@@ -165,6 +166,6 @@ fn main() {
         check.events,
         check.tracks,
         check.processes,
-        trace.path.display(),
+        path.display(),
     );
 }

@@ -18,9 +18,7 @@ use bts::sim::BtsConfig;
 use bts::telemetry;
 
 fn main() {
-    let session = telemetry::init(
-        &telemetry::TelemetryConfig::from_env().or_trace_path("target/serving_demo.trace.json"),
-    );
+    let run = telemetry::capture();
     let ins = CkksInstance::ins1();
     // The Fig. 9 2 TB/s point: compute matters, so co-scheduling has slack
     // to reclaim (at 1 TB/s the machine is evk-streaming bound end to end).
@@ -113,11 +111,14 @@ fn main() {
     // Export the trace and check it really is complete, non-empty,
     // well-formed Chrome trace JSON before pointing anyone at it: the trace
     // is the run's only record, so one lost past the buffer cap is a failure.
-    let summary = session.finish().expect("trace export writes");
-    let trace = summary.trace.expect("a trace path is always configured");
-    assert_eq!(trace.dropped, 0, "trace must hold every event");
-    let text = std::fs::read_to_string(&trace.path).expect("trace file readable");
-    assert!(!text.is_empty(), "trace must not be empty");
+    let run = run.finish();
+    assert_eq!(run.dropped, 0, "trace must hold every event");
+    let path = telemetry::trace_path().unwrap_or_else(|| "target/serving_demo.trace.json".into());
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("trace directory creatable");
+    }
+    let text = telemetry::chrome_trace_json(&run.events);
+    std::fs::write(&path, &text).expect("trace export writes");
     let check = telemetry::validate_chrome_trace(&text).expect("trace must be schema-valid");
     assert!(check.events > 0, "trace must record events");
     println!(
@@ -125,6 +126,6 @@ fn main() {
         check.events,
         check.tracks,
         check.processes,
-        trace.path.display(),
+        path.display(),
     );
 }

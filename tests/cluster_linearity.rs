@@ -73,7 +73,7 @@ fn wounded_cost(jobs: &[JobRequest], deaths: [f64; 2]) -> (Cost, ClusterReport) 
 
 #[test]
 fn staggered_chip_deaths_cost_no_more_than_simultaneous_ones() {
-    // `BTS_TELEMETRY=1 cargo test` must not give this thread a root sink
+    // `BTS_TELEMETRY=1 cargo test` must not give this thread a root collector
     // (every reservation would allocate an event): clear the environment
     // before the process's one read of it, which `enabled()` performs.
     for key in ["BTS_TRACE", "BTS_TELEMETRY"] {

@@ -40,7 +40,7 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 /// Held by each test for its whole run, so no other test allocates while one
 /// counts. The guarded value is `()`, so a poisoned lock is still sound.
 ///
-/// `BTS_TELEMETRY=1 cargo test` must not give a test thread a root sink:
+/// `BTS_TELEMETRY=1 cargo test` must not give a test thread a root collector:
 /// every span and instant would allocate into it, by the thread's history.
 /// Every turn clears the environment, so the first clears it before the
 /// process's one read of it (`telemetry::enabled`); the tests that read

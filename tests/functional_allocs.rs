@@ -9,7 +9,7 @@
 //! Its own binary (own process), shaped like
 //! `crates/telemetry/tests/zero_alloc.rs`: the allocator counts only the
 //! measuring thread, and the telemetry environment is cleared before its
-//! first read (a root sink would record, and allocate, per span).
+//! first read (a root collector would record, and allocate, per span).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -71,7 +71,7 @@ fn allocations<T>(call: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCATIONS.take().expect("set above"), result)
 }
 
-/// No telemetry sink: what the counts are about.
+/// No telemetry collector: what the counts are about.
 fn quiet() {
     static QUIET: Once = Once::new();
     QUIET.call_once(|| {

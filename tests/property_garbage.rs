@@ -193,8 +193,7 @@ fn garbage_cluster(seed: u64) -> (bool, Vec<JobRequest>, ClusterOptions) {
 
 /// A configuration with every field clean, zero, huge or non-finite. A huge
 /// scratchpad or `l_sub` is a legal (if unbuildable) design; every other
-/// garbage value must be refused. The HBM bandwidth is drawn only from
-/// values `BandwidthModel::new` accepts (it asserts positivity itself).
+/// garbage value must be refused.
 fn garbage_config(seed: u64) -> (bool, BtsConfig) {
     let mut d = Draw::new(seed);
     let clean = BtsConfig::bts_default();
@@ -205,7 +204,7 @@ fn garbage_config(seed: u64) -> (bool, BtsConfig) {
     let pe_rows = d.pick(clean.pe_rows, &bad_count);
     let bad_rates = [0.0, -1.0, 1e300, 1e-300, f64::NAN, f64::INFINITY];
     let frequency_hz = d.pick(clean.frequency_hz, &bad_rates.map(|f| (f, true)));
-    let bandwidth = [1e300, 1e-300, f64::INFINITY].map(|b| (b, true));
+    let bandwidth = [0.0, -1.0, f64::NAN, 1e300, 1e-300, f64::INFINITY].map(|b| (b, true));
     let hbm = BandwidthModel::new(d.pick(clean.hbm.bytes_per_sec(), &bandwidth));
     let config = BtsConfig {
         pe_count,

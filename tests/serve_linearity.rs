@@ -66,7 +66,7 @@ fn bootstrap_plan_bytes() -> u64 {
 
 #[test]
 fn serve_costs_a_constant_per_job_and_keeps_one_plan_per_pair() {
-    // `BTS_TELEMETRY=1 cargo test` must not give this thread a root sink
+    // `BTS_TELEMETRY=1 cargo test` must not give this thread a root collector
     // (every reservation would allocate an event): clear the environment
     // before the process's one read of it, which `enabled()` performs.
     for key in ["BTS_TRACE", "BTS_TELEMETRY"] {

@@ -104,7 +104,7 @@ fn spaced_ids(trace: &OpTrace) -> OpTrace {
 
 #[test]
 fn sweeps_allocate_a_constant_and_scheduling_no_more_per_op() {
-    // `BTS_TELEMETRY=1 cargo test` must not give this thread a root sink
+    // `BTS_TELEMETRY=1 cargo test` must not give this thread a root collector
     // (every op would allocate an event): clear the environment before the
     // process's one read of it, which `enabled()` performs.
     for key in ["BTS_TRACE", "BTS_TELEMETRY"] {
