@@ -74,7 +74,7 @@ impl Capture {
         COLLECTORS.with(|c| {
             let mut c = c.borrow_mut();
             debug_assert_eq!(c.len(), self.depth + 1, "captures end innermost first");
-            // Its own collector, and any a leaked inner capture left above it.
+            // Takes its own collector; drops any a leaked inner capture left above.
             let from = self.depth.min(c.len());
             let mine = c.drain(from..).next();
             mine.unwrap_or_default()
