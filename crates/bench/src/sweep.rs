@@ -37,7 +37,7 @@ impl SweepGrid {
     /// # Panics
     ///
     /// Panics if any axis is empty.
-    pub fn new(
+    fn new(
         instances: Vec<CkksInstance>,
         scratchpad_bytes: Vec<u64>,
         hbm: Vec<BandwidthModel>,

@@ -363,9 +363,9 @@ impl CkksContext {
 
     /// Builds a context from a [`CkksInstance`] parameter description.
     ///
-    /// Only practical for moderate ring degrees; the paper-scale 2^17
-    /// instances are handled analytically by the simulator rather than
-    /// instantiated in software.
+    /// The paper-scale 2^17 instances build too: INS-1 and INS-2 contexts
+    /// ran HMult, rescale and HRot in release builds, peaking at about 1 and
+    /// 1.4 GiB RSS. INS-3 has not been run.
     ///
     /// # Errors
     ///

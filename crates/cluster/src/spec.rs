@@ -28,11 +28,6 @@ impl Interconnect {
         }
     }
 
-    /// A PCIe 4.0 ×16-class link: ~2 µs latency, 32 GB/s.
-    pub fn pcie_gen4() -> Self {
-        Self::new(2e-6, 32e9)
-    }
-
     /// A PCIe 5.0 ×16-class link: ~2 µs latency, 64 GB/s.
     pub fn pcie_gen5() -> Self {
         Self::new(2e-6, 64e9)
@@ -141,15 +136,10 @@ mod tests {
 
     #[test]
     fn named_links_are_ordered_by_bandwidth() {
-        assert!(Interconnect::pcie_gen4().bytes_per_sec < Interconnect::pcie_gen5().bytes_per_sec);
         assert!(
             Interconnect::pcie_gen5().bytes_per_sec < Interconnect::nvlink_class().bytes_per_sec
         );
-        for link in [
-            Interconnect::pcie_gen4(),
-            Interconnect::pcie_gen5(),
-            Interconnect::nvlink_class(),
-        ] {
+        for link in [Interconnect::pcie_gen5(), Interconnect::nvlink_class()] {
             link.validate().unwrap();
         }
     }

@@ -162,13 +162,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether this plan injects anything at all.
-    pub fn is_fault_free(&self) -> bool {
-        self.transient_fault_rate <= 0.0
-            && self.chip_failures.is_empty()
-            && self.link_degradations.is_empty()
-    }
-
     /// Returns a copy with a different transient-fault seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -393,7 +386,6 @@ mod tests {
     #[test]
     fn default_plan_is_fault_free_and_valid() {
         let plan = FaultPlan::none();
-        assert!(plan.is_fault_free());
         plan.validate(0).unwrap();
         assert_eq!(plan.failure_of(0), None);
         assert!(!plan.transient_faults(0, 0));

@@ -410,14 +410,6 @@ impl RnsPoly {
         out
     }
 
-    /// Multiplies by a single small scalar (applied to every limb).
-    pub fn mul_scalar(&self, scalar: i64) -> Self {
-        let constants: Vec<u64> = (0..self.limb_count())
-            .map(|j| self.basis.modulus(j).from_i64(scalar))
-            .collect();
-        self.mul_constants(&constants)
-    }
-
     /// Applies the ring automorphism `X ↦ X^g` described by `table`, in the
     /// polynomial's own representation: the signed coefficient permutation,
     /// or the NTT-domain gather (no transform is performed either way).
@@ -711,14 +703,6 @@ mod tests {
         let expected_mul = x.mul(&y).unwrap();
         x.mul_assign(&y).unwrap();
         assert_eq!(x, expected_mul);
-    }
-
-    #[test]
-    fn scalar_multiplication() {
-        let b = basis(1 << 5, 2);
-        let x = RnsPoly::from_signed_coefficients(&b, &[5, -3, 2]);
-        let y = x.mul_scalar(-4);
-        assert_eq!(&y.to_signed_coefficients()[..3], &[-20, 12, -8]);
     }
 
     #[test]

@@ -193,14 +193,6 @@ impl RnsBasis {
         Ok(Self::from_tables(self.degree, tables.collect()))
     }
 
-    /// log2 of the product of the moduli (`log Q`), computed in floating point.
-    pub fn log2_product(&self) -> f64 {
-        self.tables()
-            .iter()
-            .map(|t| (t.modulus().value() as f64).log2())
-            .sum()
-    }
-
     /// The product of all moduli reduced modulo `p`.
     pub fn product_mod(&self, p: &Modulus) -> u64 {
         self.tables()
@@ -253,7 +245,6 @@ mod tests {
         let moduli = basis.moduli();
         let unique: std::collections::HashSet<_> = moduli.iter().collect();
         assert_eq!(unique.len(), 5);
-        assert!((basis.log2_product() - 200.0).abs() < 5.0);
     }
 
     #[test]

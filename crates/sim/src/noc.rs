@@ -93,11 +93,6 @@ impl PePeNoc {
         words * cycles_per_word
     }
 
-    /// Seconds one transpose phase takes for a single residue polynomial.
-    pub fn transpose_seconds(&self, plan: &Ntt3dPlan, phase: TransposePhase) -> f64 {
-        self.transpose_cycles(plan, phase) as f64 / self.frequency_hz
-    }
-
     /// Whether the vertical and horizontal transposes of the epoch-pipelined
     /// 3D-NTT (§5.1) can be fully hidden underneath one compute epoch: both
     /// must finish within `epoch_cycles` because they run on separate NoCs

@@ -149,12 +149,6 @@ impl BaselineSet {
     pub fn get(&self, name: &str) -> Option<&Baseline> {
         self.baselines.iter().find(|b| b.name == name)
     }
-
-    /// Speedup of a measured BTS quantity over a baseline's reported value
-    /// (`baseline / bts`); returns `None` when the baseline did not report it.
-    pub fn speedup_over(baseline: Option<f64>, bts_value: f64) -> Option<f64> {
-        baseline.map(|b| b / bts_value)
-    }
 }
 
 #[cfg(test)]
@@ -200,12 +194,6 @@ mod tests {
         let lattigo = set.get("Lattigo").and_then(|b| b.tmult_a_slot_us).unwrap();
         assert!((lattigo / best - 2237.0).abs() < 1.0, "Fig. 6: 2,237x");
         assert!(set.get("INS-1").is_none(), "BTS is not a prior baseline");
-    }
-
-    #[test]
-    fn speedup_helper() {
-        assert_eq!(BaselineSet::speedup_over(Some(100.0), 10.0), Some(10.0));
-        assert_eq!(BaselineSet::speedup_over(None, 10.0), None);
     }
 
     #[test]
